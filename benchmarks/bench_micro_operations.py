@@ -47,12 +47,12 @@ def test_vantage_candidates(benchmark, dud_ctx):
 
 def test_pi_hat_column(benchmark, dud_ctx):
     q = dud_ctx.relevance()
-    session = dud_ctx.nbindex.session(q)
+    state = dud_ctx.nbindex._tree_state(dud_ctx.nbindex.session(q))
     ladder_index = dud_ctx.nbindex.ladder.index_for(dud_ctx.theta)
 
     def compute():
-        session._pi_hat_columns.clear()
-        return session.pi_hat_column(ladder_index)
+        state._pi_hat_columns.clear()
+        return state.pi_hat_column(ladder_index)
 
     benchmark(compute)
 

@@ -70,8 +70,6 @@ __all__ = [
     "RetryPolicy",
     "open_database",
     "open_index",
-    "load_index",
-    "load_shards",
     "ReadOnlyIndexError",
     "__version__",
 ]
@@ -102,11 +100,10 @@ def open_index(
 ):
     """Open any saved index — single or sharded, read-only or mutable.
 
-    The one entry point behind which :func:`load_index` and
-    :func:`load_shards` are now deprecated shims.  Every return value
-    speaks the same ``Index`` protocol — ``query(query_fn, theta, k)``,
-    ``stats()``, ``insert``/``delete``/``update``/``compact`` — with the
-    mutation methods raising :class:`ReadOnlyIndexError` unless the index
+    Every return value speaks the same ``Index`` protocol —
+    ``query(query_fn, theta, k)``, ``stats()``,
+    ``insert``/``delete``/``update``/``compact`` — with the mutation
+    methods raising :class:`ReadOnlyIndexError` unless the index
     was opened with ``mutable=True``.
 
     ``path``
@@ -229,49 +226,4 @@ def open_index(
         manifest_path=path if sharded else None,
         index_path=None if sharded else path,
         seed=seed,
-    )
-
-
-_deprecated_loader_warned: set[str] = set()
-
-
-def _warn_deprecated_loader(name: str) -> None:
-    if name in _deprecated_loader_warned:
-        return
-    _deprecated_loader_warned.add(name)
-    import warnings
-
-    warnings.warn(
-        f"repro.{name}() is deprecated; use repro.open_index(path, "
-        f"database) — it auto-detects the layout and can open mutable",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def load_index(
-    path,
-    database: GraphDatabase,
-    distance=None,
-    *,
-    workers: int | None = None,
-) -> NBIndex:
-    """Deprecated shim: use :func:`open_index` (single-index layout)."""
-    _warn_deprecated_loader("load_index")
-    return open_index(
-        path, database, distance, shards=False, workers=workers
-    )
-
-
-def load_shards(
-    path,
-    database: GraphDatabase,
-    distance=None,
-    *,
-    workers: int | None = None,
-) -> ShardedIndex:
-    """Deprecated shim: use :func:`open_index` (sharded layout)."""
-    _warn_deprecated_loader("load_shards")
-    return open_index(
-        path, database, distance, shards=True, workers=workers
     )

@@ -27,12 +27,11 @@ Most callers should not import this package directly — use
 from repro.delta.errors import CompactionError, JournalError
 from repro.delta.frontier import ExactFrontier
 from repro.delta.journal import MutationJournal
-from repro.delta.mutable import MutableIndex, MutableQuerySession
+from repro.delta.mutable import MutableIndex
 
 __all__ = [
     "CompactionError",
     "ExactFrontier",
     "JournalError",
     "MutableIndex",
-    "MutableQuerySession",
 ]

@@ -46,25 +46,24 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.bitset import BitsetUniverse
-from repro.core.results import QueryResult, QueryStats
+from repro.core.results import QueryResult
 from repro.delta.errors import CompactionError
 from repro.delta.frontier import ExactFrontier
 from repro.delta.journal import MutationJournal
 from repro.graphs.database import GraphDatabase
-from repro.index.errors import OffLadderThetaError
-from repro.index.nbindex import NBIndex
+from repro.index.frontier import TreeState
+from repro.index.nbindex import (
+    NBIndex,
+    QueryRun,
+    QuerySession,
+    check_query_kwargs,
+)
 from repro.index.persistence import save_index
 from repro.resilience import faults
 from repro.resilience.atomicio import unwrap_checksummed
 from repro.service.latch import ReadWriteLatch
-from repro.shard.coordinator import (
-    new_coord,
-    record_coordinator_obs,
-    run_greedy,
-)
 from repro.shard.frontier import ShardFrontier
-from repro.utils.validation import require, require_positive
+from repro.utils.validation import require
 
 
 class MutableIndex:
@@ -254,14 +253,51 @@ class MutableIndex:
     # Queries (read latch for the whole query)
     # ------------------------------------------------------------------
     def query(self, query_fn, theta: float, k: int, **kwargs) -> QueryResult:
-        unknown = set(kwargs) - NBIndex._QUERY_KWARGS
-        if unknown:
-            raise TypeError(
-                f"MutableIndex.query() got unexpected keyword arguments "
-                f"{sorted(unknown)}; accepted: {sorted(NBIndex._QUERY_KWARGS)}"
-            )
+        check_query_kwargs(self, kwargs)
         with self.latch.read():
-            return MutableQuerySession(self, query_fn).query(theta, k, **kwargs)
+            return QuerySession(self, query_fn).query(theta, k, **kwargs)
+
+    # -- QuerySession hooks ---------------------------------------------
+    _query_layer = "delta"
+
+    def _distance_calls(self) -> int:
+        return self.engine.calls + self.base._distance_calls()
+
+    def _run_query(self, run: QueryRun):
+        """The base's indexed frontiers plus one exactly-scanned memtable
+        frontier, all resolving foreign graphs through the live engine."""
+        session = run.session
+        base = self.base
+        indexed = self.indexed_count
+        delta_rel = session.relevant[session.relevant >= indexed]
+        run.span.set(memtable=int(delta_rel.size))
+        if hasattr(base, "shards"):
+            frontiers = base._shard_frontiers(run, self.engine)
+            shard_of = base.shard_of
+        else:
+            state = TreeState(
+                base, np.arange(indexed, dtype=np.int64), session.relevant,
+                session.universe,
+            )
+            frontiers = [ShardFrontier(
+                state, run.theta, run.ladder_index, run.stats, run.cascade,
+                global_engine=self.engine,
+            )]
+            shard_of = None  # one tree: every indexed graph lives on it
+        delta_frontier = ExactFrontier(
+            delta_rel, session.universe, self.engine, run.theta, run.stats,
+            cascade=run.cascade,
+        )
+        frontiers.append(delta_frontier)
+
+        def home_of(gid: int):
+            if gid >= indexed:
+                return delta_frontier
+            return frontiers[0 if shard_of is None else int(shard_of[gid])]
+
+        result = run.greedy(frontiers, home_of)
+        result[3]["memtable_relevant"] = int(delta_rel.size)
+        return result
 
     # ------------------------------------------------------------------
     # Compaction (build outside the latch, swap under it)
@@ -522,171 +558,4 @@ class MutableIndex:
             f"<MutableIndex n={len(self.database)} "
             f"indexed={self.indexed_count} memtable={self.memtable_size} "
             f"tombstones={self.tombstones} generation={self.generation}>"
-        )
-
-
-class MutableQuerySession:
-    """Per-relevance-function state for queries over base + memtable.
-
-    Mirrors :class:`~repro.shard.coordinator.ShardedQuerySession`; one
-    extra frontier — the exactly-scanned delta — joins the pull loop."""
-
-    def __init__(self, mutable: MutableIndex, query_fn):
-        self.mutable = mutable
-        self.query_fn = query_fn
-        started = time.perf_counter()
-        self.relevant = mutable.database.relevant_indices(query_fn)
-        self.universe = BitsetUniverse(self.relevant)
-        self.init_seconds = time.perf_counter() - started
-        obs.observe_time("delta.session_init_seconds", self.init_seconds)
-
-    def query(
-        self,
-        theta: float,
-        k: int,
-        stop_on_zero_gain: bool = False,
-        enable_updates: bool = True,
-        deadline=None,
-        cascade=None,
-        epsilon: float = 0.0,
-    ) -> QueryResult:
-        require_positive(theta, "theta")
-        require_positive(k, "k")
-        from repro.cascade import runtime_for
-        from repro.resilience.deadline import current_deadline, deadline_scope
-
-        runtime = runtime_for(cascade, epsilon)
-        mutable = self.mutable
-        base = mutable.base
-        ladder_index = mutable.ladder.index_for(theta)
-        if ladder_index is None:
-            obs.counter("index.offladder_theta")
-            raise OffLadderThetaError(theta, mutable.ladder)
-
-        stats = QueryStats(init_seconds=self.init_seconds)
-        calls_before = self._total_calls()
-        effective_deadline = (
-            deadline if deadline is not None else current_deadline()
-        )
-        degradations_before = (
-            dict(effective_deadline.degradations)
-            if effective_deadline is not None else {}
-        )
-        indexed = mutable.indexed_count
-        base_rel = self.relevant[self.relevant < indexed]
-        delta_rel = self.relevant[self.relevant >= indexed]
-
-        with deadline_scope(deadline), obs.span(
-            "delta.query", theta=theta, k=k,
-            memtable=int(delta_rel.size),
-        ) as query_span:
-            started = time.perf_counter()
-            if hasattr(base, "shards"):
-                frontiers = [
-                    ShardFrontier(
-                        shard_id=s,
-                        index=base.shards[s],
-                        global_ids=base.global_ids[s],
-                        relevant_global=base_rel,
-                        global_engine=mutable.engine,
-                        theta=theta,
-                        ladder_index=ladder_index,
-                        stats=stats,
-                        universe=self.universe,
-                        cascade=runtime,
-                    )
-                    for s in range(base.num_shards)
-                ]
-                shard_of = base.shard_of
-            else:
-                frontiers = [
-                    ShardFrontier(
-                        shard_id=0,
-                        index=base,
-                        global_ids=np.arange(indexed, dtype=np.int64),
-                        relevant_global=base_rel,
-                        global_engine=mutable.engine,
-                        theta=theta,
-                        ladder_index=ladder_index,
-                        stats=stats,
-                        universe=self.universe,
-                        cascade=runtime,
-                    )
-                ]
-                shard_of = np.zeros(indexed, dtype=np.int64)
-            delta_frontier = ExactFrontier(
-                delta_rel, self.universe, mutable.engine, theta, stats,
-                cascade=runtime,
-            )
-            frontiers.append(delta_frontier)
-            stats.init_seconds += time.perf_counter() - started
-
-            coord = new_coord(len(frontiers))
-
-            def home_of(gid: int):
-                if gid >= indexed:
-                    return delta_frontier
-                return frontiers[int(shard_of[gid])]
-
-            answer, gains, covered = run_greedy(
-                frontiers,
-                self.universe,
-                home_of,
-                k,
-                int(self.relevant.size),
-                stop_on_zero_gain=stop_on_zero_gain,
-                enable_updates=enable_updates,
-                stats=stats,
-                coord=coord,
-            )
-            coord["memtable_relevant"] = int(delta_rel.size)
-            stats.distance_calls = self._total_calls() - calls_before
-            stats.coordinator = coord
-            if runtime is not None:
-                stats.epsilon = runtime.epsilon
-                stats.approximate = runtime.approximate
-                stats.cascade = runtime.snapshot()
-            if effective_deadline is not None:
-                delta = {
-                    kind: count - degradations_before.get(kind, 0)
-                    for kind, count in effective_deadline.degradations.items()
-                    if count > degradations_before.get(kind, 0)
-                }
-                stats.degradations = delta
-                stats.degradation_events = sum(delta.values())
-                stats.degraded = bool(delta)
-                if stats.degraded:
-                    obs.counter("query.degraded")
-            if obs.enabled():
-                obs.counter("delta.query.count")
-                record_coordinator_obs(coord, stats)
-            query_span.set(
-                answer_size=len(answer),
-                degraded=stats.degraded,
-                scatter_resolves=coord["scatter_resolves"],
-            )
-        return QueryResult(
-            answer=answer,
-            gains=gains,
-            covered=self.universe.decode_frozenset(covered),
-            num_relevant=int(self.relevant.size),
-            theta=theta,
-            stats=stats,
-        )
-
-    def _total_calls(self) -> int:
-        mutable = self.mutable
-        base = mutable.base
-        total = mutable.engine.calls
-        if hasattr(base, "shards"):
-            total += base.engine.calls
-            total += sum(shard._counting.calls for shard in base.shards)
-        else:
-            total += base._counting.calls
-        return total
-
-    def __repr__(self) -> str:
-        return (
-            f"<MutableQuerySession relevant={self.relevant.size} "
-            f"memtable={self.mutable.memtable_size}>"
         )

@@ -9,7 +9,7 @@ An :class:`NBIndex` bundles the two offline components —
 
 — plus the **threshold ladder** at which π̂-vectors are evaluated.
 
-Query processing follows Section 7 exactly:
+Query processing follows Section 7:
 
 1. *Initialization* (per relevance function, θ-independent): the relevant
    set ``L_q`` is materialized and π̂ upper bounds are computed for the
@@ -17,29 +17,21 @@ Query processing follows Section 7 exactly:
    threshold covering the query θ; bounds are propagated up the NB-Tree by
    taking ceilings (Eq. 14).  A :class:`QuerySession` caches all of this so
    interactive θ refinements skip straight to phase 2.
-2. *Search-and-update* (per θ, per k): a best-first lazy greedy.  The
-   search (Algorithm 2) explores the NB-Tree through a priority queue
-   ordered by marginal-gain upper bounds, computing exact θ-neighborhoods
-   (vantage candidates verified by real edit distances) only for graphs
-   that could beat the incumbent.  After each selection the update step
-   walks the tree, pruning subtrees beyond ``2θ`` (Theorem 6) and
-   batch-decrementing the bounds of clusters contained in the new
-   neighborhood (Theorems 7–8).
+2. *Search-and-update* (per θ, per k): the lazy best-first greedy of
+   :mod:`repro.index.coordinator` over one
+   :class:`~repro.index.frontier.TreeFrontier` — Algorithm 2's tree walk
+   plus the Theorem 6–8 batch updates.
 
-Bound bookkeeping: each tree node carries a working upper bound ``W``;
-during the search a child's effective bound is ``min(W[child],
-effective(parent))``, so decrementing a cluster's root bound tightens every
-descendant without touching them — an O(1) batch update per cluster.
-Submodularity makes stale bounds safe: true marginal gains only shrink as
-the answer set grows, so an old bound is still an upper bound.
+:class:`QuerySession` is the *only* session type: sharded, mutable and
+replicated indexes hand out the same class and differ in the
+``_run_query`` hook that opens their frontiers.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
-import warnings
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +40,9 @@ from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.core.results import QueryResult, QueryStats
 from repro.ged.metric import CountingDistance, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
+from repro.index.coordinator import run_greedy
 from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
+from repro.index.frontier import TreeFrontier, TreeState
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
@@ -56,10 +50,6 @@ from repro.utils.rng import resolve_seed
 from repro.utils.validation import require, require_positive
 
 _EPS = 1e-9
-_NEG_INF = float("-inf")
-#: Sentinel "minimum relevant graph id" for subtrees with no relevant
-#: members; larger than any real id, so it loses every tie-break.
-_NO_GID = 2**63 - 1
 
 
 class NBIndex:
@@ -262,12 +252,8 @@ class NBIndex:
         return index
 
     def stats(self) -> dict:
-        """Statable protocol: one plain dict covering the whole index.
-
-        Replaces the old ``distance_calls`` property and ``memory_bytes()``
-        method (both still work, with a :class:`DeprecationWarning`) and
-        nests the engine's and tree-build accounting.
-        """
+        """Statable protocol: one plain dict covering the whole index,
+        nesting the engine's and tree-build accounting."""
         out = {
             "num_graphs": len(self.database),
             "num_shards": 1,  # normalized schema: a plain index is S=1
@@ -289,27 +275,6 @@ class NBIndex:
         if self.engine is not None and hasattr(self.engine, "stats"):
             out["engine"] = dict(self.engine.stats())
         return out
-
-    @property
-    def distance_calls(self) -> int:
-        """Deprecated: use ``stats()['distance_calls']``."""
-        warnings.warn(
-            "NBIndex.distance_calls is deprecated; use "
-            "NBIndex.stats()['distance_calls']",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._counting.calls
-
-    def memory_bytes(self) -> int:
-        """Deprecated: use ``stats()['memory_bytes']``."""
-        warnings.warn(
-            "NBIndex.memory_bytes() is deprecated; use "
-            "NBIndex.stats()['memory_bytes']",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._memory_bytes()
 
     def _memory_bytes(self) -> int:
         """Approximate resident size of the index structures (Fig. 6(l)).
@@ -348,20 +313,35 @@ class NBIndex:
         """
         return QuerySession(self, query_fn)
 
-    #: Keyword arguments :meth:`QuerySession.query` accepts beyond (θ, k).
-    _QUERY_KWARGS = frozenset(
-        {"stop_on_zero_gain", "enable_updates", "deadline", "cascade", "epsilon"}
-    )
-
     def query(self, query_fn, theta: float, k: int, **kwargs) -> QueryResult:
         """One-shot top-k representative query (fresh session)."""
-        unknown = set(kwargs) - self._QUERY_KWARGS
-        if unknown:
-            raise TypeError(
-                f"NBIndex.query() got unexpected keyword arguments "
-                f"{sorted(unknown)}; accepted: {sorted(self._QUERY_KWARGS)}"
-            )
+        check_query_kwargs(self, kwargs)
         return self.session(query_fn).query(theta, k, **kwargs)
+
+    # -- QuerySession hooks (see QuerySession.query) --------------------
+    #: Names this index's ``<layer>.query`` span.
+    _query_layer = "index"
+
+    def _distance_calls(self) -> int:
+        return self._counting.calls
+
+    def _pair_distance(self, a: int, b: int) -> float:
+        return self.distance(self.database[a], self.database[b])
+
+    def _tree_state(self, session: "QuerySession") -> TreeState:
+        """The session's state for this index's one tree (identity ids)."""
+        return session.cached(0, lambda: TreeState(
+            self, np.arange(len(self.database)), session.relevant,
+            session.universe,
+        ))
+
+    def _run_query(self, run: "QueryRun"):
+        """One tree frontier: the S = 1 case of the coordinated greedy."""
+        frontier = TreeFrontier(
+            self._tree_state(run.session), run.theta, run.ladder_index,
+            run.stats, run.cascade, distance=self._pair_distance,
+        )
+        return run.greedy([frontier], lambda gid: frontier)
 
     def set_ladder(self, ladder: ThresholdLadder) -> None:
         """Swap the π̂ threshold ladder.
@@ -467,24 +447,6 @@ class NBIndex:
         )
 
 
-def _record_query_stats(stats: QueryStats) -> None:
-    """Mirror one query's :class:`QueryStats` into the active registry."""
-    if not obs.enabled():
-        return
-    obs.counter("query.count")
-    obs.counter("query.distance_calls", stats.distance_calls)
-    obs.counter("query.candidates_generated", stats.candidates_generated)
-    obs.counter("query.candidate_verifications", stats.candidate_verifications)
-    obs.counter("query.exact_neighborhoods", stats.exact_neighborhoods)
-    obs.counter("query.nodes_popped", stats.nodes_popped)
-    obs.counter("query.leaves_evaluated", stats.leaves_evaluated)
-    obs.counter("query.pruned_subtrees", stats.pruned_subtrees)
-    obs.counter("query.batch_decrements", stats.batch_decrements)
-    obs.observe_time("query.init_seconds", stats.init_seconds)
-    obs.observe_time("query.search_seconds", stats.search_seconds)
-    obs.observe_time("query.update_seconds", stats.update_seconds)
-
-
 def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
     """Sample triples and verify the metric axioms; raise on violation."""
     n = len(database)
@@ -511,71 +473,85 @@ def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
             )
 
 
-class QuerySession:
-    """Per-relevance-function query state (initialization phase product).
+#: Keyword arguments :meth:`QuerySession.query` accepts beyond (θ, k).
+_QUERY_KWARGS = frozenset(
+    {"stop_on_zero_gain", "enable_updates", "deadline", "cascade", "epsilon"}
+)
 
-    Holds the relevant set, per-node relevant member bitmaps (packed over
-    a :class:`~repro.bitset.BitsetUniverse` of ``L_q``), lazily computed
-    π̂ columns per indexed threshold, and the shared exact-distance cache —
-    everything that survives a θ refinement.
+
+def check_query_kwargs(index, kwargs: dict) -> None:
+    """Reject unknown ``index.query(...)`` keywords, naming the index."""
+    unknown = set(kwargs) - _QUERY_KWARGS
+    if unknown:
+        raise TypeError(
+            f"{type(index).__name__}.query() got unexpected keyword "
+            f"arguments {sorted(unknown)}; accepted: {sorted(_QUERY_KWARGS)}"
+        )
+
+
+@dataclass
+class QueryRun:
+    """One (θ, k) query in flight — what an index's ``_run_query`` hook
+    needs to open its frontiers, plus the loop to drive them with."""
+
+    session: "QuerySession"
+    theta: float
+    ladder_index: int
+    stats: QueryStats
+    #: Per-query :class:`~repro.cascade.FilterCascade`, or ``None`` for the
+    #: engine-held default.
+    cascade: object
+    #: The effective (explicit or ambient) deadline, or ``None``.
+    deadline: object
+    span: object
+    #: ``greedy(frontiers, home_of) -> (answer, gains, covered, coord)``.
+    greedy: Callable
+
+
+class QuerySession:
+    """Per-relevance-function query state, for every index type.
+
+    Holds the relevant set, its :class:`~repro.bitset.BitsetUniverse`, and
+    whatever θ-independent state the index's frontiers cache on it (one
+    :class:`~repro.index.frontier.TreeState` per NB-Tree, built lazily by
+    the first :meth:`query`) — everything that survives a θ refinement.
+
+    The index supplies three hooks: ``_query_layer`` (names the span and
+    the obs roll-up), ``_distance_calls()`` (its engines' running total)
+    and ``_run_query(run)``, which opens its frontiers for this
+    (session, θ) and returns ``run.greedy(frontiers, home_of)``.
     """
 
-    def __init__(self, index: NBIndex, query_fn):
+    def __init__(self, index, query_fn):
         self.index = index
         self.query_fn = query_fn
         started = time.perf_counter()
         self.relevant = index.database.relevant_indices(query_fn)
         self.relevant_set = frozenset(int(i) for i in self.relevant)
+        #: Shared global id ↔ bit position codec; every frontier's bitsets
+        #: and every broadcast delta are laid out against this universe.
         self.universe = BitsetUniverse(self.relevant)
-        self._position = self.universe.position
-        # One packed row of relevant subtree members per tree node — the
-        # store behind the Theorem 7 batch decrement (a popcount against
-        # the newly-covered bitset) and the (gain, min-id) tie-break keys.
-        self._node_bits = self.universe.empty_matrix(index.tree.num_nodes)
-        self._node_min_gid = np.full(index.tree.num_nodes, _NO_GID, dtype=np.int64)
-        self._collect_relevant(index.tree.root)
-        self._node_has = bitset_kernel.popcount_rows(self._node_bits) > 0
-        self._pi_hat_columns: dict[int | None, np.ndarray] = {}
-        #: Per-query filter-cascade runtime (None → engine default).
-        self._cascade = None
-        #: Bytes of packed coverage state (node bitmaps + covered bitset).
-        self.coverage_bytes = (
-            self._node_bits.nbytes + self.universe.row_bytes
-        )
+        self._cache: dict = {}
         self.init_seconds = time.perf_counter() - started
         obs.observe_time("query.session_init_seconds", self.init_seconds)
 
-    # -- initialization ------------------------------------------------
-    def _collect_relevant(self, node: NBTreeNode) -> None:
-        row = self._node_bits[node.node_id]
-        if node.is_leaf:
-            position = self.universe.position(node.graph_index)
-            if position is not None:
-                bitset_kernel.set_bit(row, position)
-        else:
-            for child in node.children:
-                self._collect_relevant(child)
-                bitset_kernel.union_into(row, self._node_bits[child.node_id])
-        self._node_min_gid[node.node_id] = self.universe.min_id(row, _NO_GID)
+    def cached(self, key, build):
+        """θ-independent state an index hook keeps for the session's life:
+        ``build()`` runs on first use only."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache[key] = build()
+        return value
 
+    # -- plain-NBIndex views (theorem tests, micro-benchmarks) -----------
     def relevant_in(self, node: NBTreeNode) -> frozenset[int]:
         """Relevant database graphs in the subtree of ``node``."""
-        return self.universe.decode_frozenset(self._node_bits[node.node_id])
+        return self.index._tree_state(self).relevant_in(node)
 
     def pi_hat_column(self, ladder_index: int | None) -> np.ndarray:
         """π̂ counts (|N̂| over L_q) for every relevant graph at one indexed
         threshold; the trivial bound |L_q| when θ exceeds the ladder."""
-        column = self._pi_hat_columns.get(ladder_index)
-        if column is None:
-            if ladder_index is None:
-                column = np.full(self.relevant.size, self.relevant.size)
-            else:
-                theta_i = self.index.ladder[ladder_index]
-                column = self.index.embedding.candidate_counts(
-                    self.relevant, [theta_i], self.relevant
-                )[:, 0]
-            self._pi_hat_columns[ladder_index] = column
-        return column
+        return self.index._tree_state(self).pi_hat_column(ladder_index)
 
     # -- the top-k query -----------------------------------------------
     def query(
@@ -602,6 +578,9 @@ class QuerySession:
         upper bounds and the result's :class:`QueryStats` is marked
         ``degraded`` with the per-kind counts — an answer computed under
         pressure is flagged, never silently approximate.
+
+        ``cascade`` / ``epsilon`` select the lower-bound filter cascade
+        and the ε-relaxed approximate mode (``docs/cascade.md``).
         """
         require_positive(theta, "theta")
         require_positive(k, "k")
@@ -609,8 +588,8 @@ class QuerySession:
         from repro.resilience.deadline import current_deadline, deadline_scope
 
         runtime = runtime_for(cascade, epsilon)
-        self._cascade = runtime
         index = self.index
+        layer = index._query_layer
         ladder_index = index.ladder.index_for(theta)
         if ladder_index is None:
             # θ above the top rung has no indexed π̂ bound; refusing beats
@@ -619,50 +598,40 @@ class QuerySession:
             obs.counter("index.offladder_theta")
             raise OffLadderThetaError(theta, index.ladder)
         stats = QueryStats(init_seconds=self.init_seconds)
-        calls_before = index._counting.calls
+        calls_before = index._distance_calls()
         effective_deadline = deadline if deadline is not None else current_deadline()
         degradations_before = (
             dict(effective_deadline.degradations)
             if effective_deadline is not None else {}
         )
 
+        def greedy(frontiers, home_of):
+            return run_greedy(
+                frontiers, home_of, self.universe, k, int(self.relevant.size),
+                stop_on_zero_gain=stop_on_zero_gain,
+                enable_updates=enable_updates, stats=stats,
+            )
+
         with deadline_scope(deadline), \
-                obs.span("index.query", theta=theta, k=k) as query_span:
+                obs.span(f"{layer}.query", theta=theta, k=k) as query_span:
             started = time.perf_counter()
-            column = self.pi_hat_column(ladder_index)
-            bounds = self._initial_bounds(column)
-            stats.init_seconds += time.perf_counter() - started
-
-            covered = self.universe.empty()
-            answer: list[int] = []
-            gains: list[int] = []
-            neighborhoods: dict[int, np.ndarray] = {}
-
-            for _ in range(min(k, self.relevant.size)):
-                search_started = time.perf_counter()
-                best, best_gain = self._search(
-                    theta, bounds, covered, neighborhoods, stats
-                )
-                stats.search_seconds += time.perf_counter() - search_started
-                if best is None:
-                    break
-                newly = bitset_kernel.andnot(neighborhoods[best], covered)
-                gain = bitset_kernel.popcount(newly)
-                if not gain and stop_on_zero_gain:
-                    break
-                answer.append(best)
-                gains.append(gain)
-                bitset_kernel.union_into(covered, newly)
-                bounds[index._leaf_of[best].node_id] = _NEG_INF
-                update_started = time.perf_counter()
-                if gain and enable_updates:
-                    self._update(
-                        index.tree.root, best, newly, theta, bounds,
-                        covered, neighborhoods, stats,
-                    )
-                stats.update_seconds += time.perf_counter() - update_started
-
-            stats.distance_calls = index._counting.calls - calls_before
+            answer, gains, covered, coord = index._run_query(QueryRun(
+                self, theta, ladder_index, stats, runtime,
+                effective_deadline, query_span, greedy,
+            ))
+            # Everything the hook did outside the loop's own search/update
+            # timers: opening (and, first time, building) its frontiers.
+            stats.init_seconds += (
+                time.perf_counter() - started
+                - stats.search_seconds - stats.update_seconds
+            )
+            stats.distance_calls = index._distance_calls() - calls_before
+            if layer != "index":
+                # A plain NBIndex reports the paper's single-index
+                # counters; the loop's accounting is for the coordinated
+                # deployments.
+                stats.coordinator = coord
+                query_span.set(scatter_resolves=coord["scatter_resolves"])
             if runtime is not None:
                 stats.epsilon = runtime.epsilon
                 stats.approximate = runtime.approximate
@@ -673,13 +642,15 @@ class QuerySession:
                     for kind, count in effective_deadline.degradations.items()
                     if count > degradations_before.get(kind, 0)
                 }
-                stats.degradations = delta
-                stats.degradation_events = sum(delta.values())
-                stats.degraded = bool(delta)
-                if stats.degraded:
-                    obs.counter("query.degraded")
+                # The hook may have flagged degradations of its own (a
+                # replica group lost); the deadline's delta goes first.
+                stats.degradations = {**delta, **stats.degradations}
+            stats.degradation_events = sum(stats.degradations.values())
+            stats.degraded = bool(stats.degradations)
+            if stats.degraded:
+                obs.counter("query.degraded")
             query_span.set(answer_size=len(answer), degraded=stats.degraded)
-            _record_query_stats(stats)
+            _record_query_obs(layer, stats)
         return QueryResult(
             answer=answer,
             gains=gains,
@@ -689,222 +660,36 @@ class QuerySession:
             stats=stats,
         )
 
-    # -- internals -------------------------------------------------------
-    def _initial_bounds(self, column: np.ndarray) -> np.ndarray:
-        """Per-node working bounds W: π̂ at leaves, child ceilings above."""
-        bounds = np.full(self.index.tree.num_nodes, _NEG_INF)
-
-        def fill(node: NBTreeNode) -> float:
-            if node.is_leaf:
-                position = self._position(node.graph_index)
-                value = float(column[position]) if position is not None else _NEG_INF
-            else:
-                value = max(
-                    (fill(child) for child in node.children), default=_NEG_INF
-                )
-            bounds[node.node_id] = value
-            return value
-
-        fill(self.index.tree.root)
-        return bounds
-
-    def _exact_neighborhood(
-        self,
-        gid: int,
-        theta: float,
-        neighborhoods: dict[int, np.ndarray],
-        stats: QueryStats,
-    ) -> np.ndarray:
-        """``N_θ(g)`` over L_q as a packed bitset: vantage candidates
-        verified by edit distance."""
-        cached = neighborhoods.get(gid)
-        if cached is not None:
-            return cached
-        index = self.index
-        runtime = self._cascade
-        # ε > 0 shrinks the generation window to (1−ε)θ: members beyond it
-        # may be dropped (N_{(1−ε)θ} ⊆ N' ⊆ N_θ), never wrongly added.
-        gen_theta = theta if runtime is None else runtime.generation_theta(theta)
-        candidates = index.embedding.candidates(gid, gen_theta + _EPS, self.relevant)
-        stats.candidates_generated += int(candidates.size)
-        verified = set()
-        if index.engine is not None:
-            others = [int(c) for c in candidates if int(c) != gid]
-            if len(others) < candidates.size:
-                verified.add(gid)
-            stats.candidate_verifications += len(others)
-            # The candidate window above already applied the vantage lower
-            # bound at this threshold — `prefiltered` skips re-running it.
-            mask = index.engine.within(
-                gid, others, theta, cascade=runtime, prefiltered=True
-            )
-            verified.update(c for c, ok in zip(others, mask) if ok)
-        else:
-            graph = index.database[gid]
-            for c in candidates:
-                c = int(c)
-                if c == gid:
-                    verified.add(c)
-                    continue
-                stats.candidate_verifications += 1
-                if index.distance(graph, index.database[c]) <= theta + _EPS:
-                    verified.add(c)
-        result = self.universe.encode_ids(
-            np.fromiter(verified, dtype=np.int64, count=len(verified))
-        )
-        neighborhoods[gid] = result
-        stats.exact_neighborhoods += 1
-        return result
-
-    def _search(
-        self,
-        theta: float,
-        bounds: np.ndarray,
-        covered: np.ndarray,
-        neighborhoods: dict[int, np.ndarray],
-        stats: QueryStats,
-    ) -> tuple[int | None, float]:
-        """Algorithm 2: best-first search for the next greedy selection."""
-        index = self.index
-        root = index.tree.root
-        counter = itertools.count()
-        root_bound = bounds[root.node_id]
-        if root_bound == _NEG_INF:
-            return None, 0.0
-        heap: list[tuple[float, int, float, NBTreeNode]] = [
-            (-root_bound, next(counter), root_bound, root)
-        ]
-        best: int | None = None
-        best_gain = -1.0
-
-        min_gid = self._node_min_gid
-        while heap:
-            _, _, pushed_bound, node = heapq.heappop(heap)
-            stats.nodes_popped += 1
-            # Heap entries are ordered by their bound at push time, which is
-            # a valid upper bound on every gain in the subtree.  Once the
-            # top of the heap cannot beat the incumbent, nothing below can
-            # (lines 6-7 of Algorithm 2).  A subtree that could only *tie*
-            # the incumbent still matters when it holds a smaller graph id —
-            # the canonical selection rule is (max gain, min id), which
-            # makes the answer independent of tree shape and partitioning.
-            if best is not None:
-                if pushed_bound < best_gain:
-                    break
-                if pushed_bound == best_gain and min_gid[node.node_id] > best:
-                    continue
-            # The node's own bound may have been tightened by an update
-            # since it was pushed; a stale entry is skipped, not terminal.
-            current = min(pushed_bound, float(bounds[node.node_id]))
-            if best is not None and (
-                current < best_gain
-                or (current == best_gain and min_gid[node.node_id] > best)
-            ):
-                continue
-            if node.is_leaf:
-                gid = node.graph_index
-                if gid is None or bounds[node.node_id] == _NEG_INF:
-                    continue
-                neighborhood = self._exact_neighborhood(
-                    gid, theta, neighborhoods, stats
-                )
-                gain = float(bitset_kernel.uncovered_count(neighborhood, covered))
-                bounds[node.node_id] = gain
-                stats.leaves_evaluated += 1
-                if gain > best_gain or (
-                    gain == best_gain and (best is None or gid < best)
-                ):
-                    best_gain = gain
-                    best = gid
-            else:
-                for child in node.children:
-                    if not self._node_has[child.node_id]:
-                        continue
-                    child_bound = min(float(bounds[child.node_id]), current)
-                    if child_bound == _NEG_INF:
-                        continue
-                    if (
-                        best is None
-                        or child_bound > best_gain
-                        or (
-                            child_bound == best_gain
-                            and min_gid[child.node_id] < best
-                        )
-                    ):
-                        heapq.heappush(
-                            heap,
-                            (-child_bound, next(counter), child_bound, child),
-                        )
-        return best, best_gain
-
-    def _update(
-        self,
-        node: NBTreeNode,
-        selected: int,
-        newly: np.ndarray,
-        theta: float,
-        bounds: np.ndarray,
-        covered: np.ndarray,
-        neighborhoods: dict[int, np.ndarray],
-        stats: QueryStats,
-    ) -> None:
-        """Theorems 6–8: batch-tighten bounds after adding ``selected``.
-
-        One centroid distance per visited node; subtrees provably outside
-        the ``2θ`` influence ball are skipped (Theorem 6); clusters fully
-        inside the new neighborhood with diameter ≤ θ get a single
-        decrement (Theorem 7), with the recursion realizing Theorem 8 for
-        partially overlapping parents.  Leaves with a cached exact
-        neighborhood are refreshed to their exact residual gain.
-        """
-        if bounds[node.node_id] == _NEG_INF:
-            return
-        index = self.index
-        centroid_distance = index.distance(
-            index.database[selected], index.database[node.centroid]
-        )
-        if centroid_distance - node.radius > 2.0 * theta + _EPS:
-            stats.pruned_subtrees += 1
-            return  # Theorem 6: no member's neighborhood changed.
-        if node.is_leaf:
-            gid = node.graph_index
-            cached = neighborhoods.get(gid)
-            if cached is not None:
-                bounds[node.node_id] = float(
-                    bitset_kernel.uncovered_count(cached, covered)
-                )
-            elif centroid_distance <= theta + _EPS and (
-                (position := self._position(gid)) is not None
-                and bitset_kernel.test_bit(newly, position)
-            ):
-                # The leaf itself is newly covered: its own neighborhood
-                # contains it, so its gain shrinks by at least one.
-                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
-            return
-        if (
-            node.diameter <= theta + _EPS
-            and centroid_distance + node.radius <= theta + _EPS
-        ):
-            # Theorem 7 (exact-coverage form): the cluster is inside
-            # N(selected) and every member's neighborhood contains the
-            # cluster, so each loses the newly covered relevant members.
-            decrement = bitset_kernel.intersection_count(
-                self._node_bits[node.node_id], newly
-            )
-            if decrement:
-                stats.batch_decrements += 1
-                bounds[node.node_id] = max(
-                    0.0, bounds[node.node_id] - float(decrement)
-                )
-            return
-        for child in node.children:
-            self._update(
-                child, selected, newly, theta, bounds, covered,
-                neighborhoods, stats,
-            )
-
     def __repr__(self) -> str:
         return (
             f"<QuerySession relevant={self.relevant.size} "
-            f"of {len(self.index.database)}>"
+            f"of {len(self.index.database)} ({self.index._query_layer})>"
         )
+
+
+def _record_query_obs(layer: str, stats: QueryStats) -> None:
+    """Mirror one query's :class:`QueryStats` into the active registry."""
+    if not obs.enabled():
+        return
+    obs.counter("query.count")
+    coord = stats.coordinator
+    if coord:
+        obs.counter(f"{layer}.query.count")
+        for key in (
+            "rounds", "pulls", "pi_hat_refines", "refine_prunes",
+            "scatter_resolves", "broadcasts", "broadcast_words",
+            "foreign_embeds",
+        ):
+            obs.counter(f"shard.coordinator.{key}", coord[key])
+    else:
+        obs.counter("query.candidates_generated", stats.candidates_generated)
+        obs.counter("query.candidate_verifications", stats.candidate_verifications)
+    obs.counter("query.distance_calls", stats.distance_calls)
+    obs.counter("query.exact_neighborhoods", stats.exact_neighborhoods)
+    obs.counter("query.nodes_popped", stats.nodes_popped)
+    obs.counter("query.leaves_evaluated", stats.leaves_evaluated)
+    obs.counter("query.pruned_subtrees", stats.pruned_subtrees)
+    obs.counter("query.batch_decrements", stats.batch_decrements)
+    obs.observe_time("query.init_seconds", stats.init_seconds)
+    obs.observe_time("query.search_seconds", stats.search_seconds)
+    obs.observe_time("query.update_seconds", stats.update_seconds)

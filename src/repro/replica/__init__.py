@@ -12,7 +12,7 @@ replica churn and degrades to flagged partial answers
 (:class:`ShardUnavailableError` per dead group) instead of failing.
 """
 
-from repro.replica.cluster import ReplicatedIndex, ReplicaQuerySession
+from repro.replica.cluster import ReplicatedIndex
 from repro.replica.errors import (
     ReplicaError,
     ReplicaWorkerError,
@@ -24,7 +24,6 @@ from repro.replica.worker import ShardWorker, worker_main
 
 __all__ = [
     "ReplicatedIndex",
-    "ReplicaQuerySession",
     "ReplicaError",
     "ReplicaRouter",
     "ReplicaWorkerError",

@@ -29,7 +29,6 @@ query service — produces.  Each worker rebuilds the function from
 
 from __future__ import annotations
 
-import time
 import uuid
 import zlib
 from pathlib import Path
@@ -37,24 +36,18 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.bitset import BitsetUniverse
-from repro.core.results import QueryResult, QueryStats
+from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
-from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
-from repro.index.nbindex import NBIndex
+from repro.index.coordinator import new_coord
+from repro.index.errors import ReadOnlyIndexError
+from repro.index.nbindex import QueryRun, QuerySession, check_query_kwargs
 from repro.index.pivec import ThresholdLadder
 from repro.replica.errors import ShardUnavailableError
 from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
 from repro.resilience.errors import DatabaseMismatchError
-from repro.shard.coordinator import (
-    new_coord,
-    record_coordinator_obs,
-    run_greedy,
-)
 from repro.shard.manifest import ShardManifest, database_checksum
-from repro.utils.validation import require_positive
 
 
 class ReplicatedIndex:
@@ -142,17 +135,104 @@ class ReplicatedIndex:
     # ------------------------------------------------------------------
     # Queries (single-index API surface)
     # ------------------------------------------------------------------
-    def session(self, query_fn) -> "ReplicaQuerySession":
-        return ReplicaQuerySession(self, query_fn)
+    def session(self, query_fn) -> QuerySession:
+        if (
+            getattr(query_fn, "dims", None) is None
+            or getattr(query_fn, "threshold", None) is None
+        ):
+            raise TypeError(
+                "replicated serving needs a wire-expressible relevance "
+                "function exposing `dims` and `threshold` (e.g. "
+                "AverageScoreThreshold / quartile_relevance); got "
+                f"{type(query_fn).__name__}"
+            )
+        return QuerySession(self, query_fn)
 
     def query(self, query_fn, theta: float, k: int, **kwargs) -> QueryResult:
-        unknown = set(kwargs) - NBIndex._QUERY_KWARGS
-        if unknown:
-            raise TypeError(
-                f"ReplicatedIndex.query() got unexpected keyword arguments "
-                f"{sorted(unknown)}; accepted: {sorted(NBIndex._QUERY_KWARGS)}"
-            )
+        check_query_kwargs(self, kwargs)
         return self.session(query_fn).query(theta, k, **kwargs)
+
+    # -- QuerySession hooks ---------------------------------------------
+    _query_layer = "replica"
+
+    def _distance_calls(self) -> int:
+        return 0  # distances are evaluated (and counted) in the workers
+
+    def _run_query(self, run: QueryRun):
+        """One :class:`RemoteFrontier` per served shard, re-run over the
+        survivors — flagged partial — whenever a whole replica group dies
+        mid-query.  Workers run the cascade stages and the deadline; the
+        coordinator ships both in each session-open frame and folds the
+        degradations they report back into the deadline."""
+        session = run.session
+        stats = run.stats
+        run.span.set(shards=self.num_shards, replicas=self.replicas)
+        config = run.cascade.config if run.cascade is not None else None
+        cascade_wire = (
+            config.to_wire()
+            if config is not None and not config.is_default() else None
+        )
+        deadline_state = (
+            run.deadline.state() if run.deadline is not None else None
+        )
+        unavailable: set[int] = set()
+        try:
+            while True:
+                served = [
+                    s for s in range(self.num_shards) if s not in unavailable
+                ]
+                if not served:
+                    return [], [], session.universe.empty(), new_coord(0)
+                # One session id covers the whole attempt — worker session
+                # tables are per-process, so the same id on every shard is
+                # unambiguous, and a retry after a group failure gets a
+                # new id (no state from the aborted attempt leaks in).
+                sid = uuid.uuid4().hex[:16]
+                frontiers = {
+                    s: RemoteFrontier(
+                        self.router, s, sid,
+                        dims=session.query_fn.dims,
+                        threshold=session.query_fn.threshold,
+                        theta=run.theta,
+                        # Pure function of the manifest, identical to each
+                        # worker's own derivation.
+                        relevant_global=session.cached(s, lambda s=s: (
+                            session.relevant[
+                                self.shard_of[session.relevant] == s
+                            ]
+                        )),
+                        universe=session.universe,
+                        deadline_state=deadline_state,
+                        cascade_wire=cascade_wire,
+                    )
+                    for s in served
+                }
+                try:
+                    return run.greedy(
+                        list(frontiers.values()),
+                        lambda gid: frontiers[int(self.shard_of[gid])],
+                    )
+                except ShardUnavailableError as error:
+                    # Drop that shard and re-run over the survivors with
+                    # fresh sessions (worker state from the aborted
+                    # attempt is keyed by session id and ages out).
+                    unavailable.add(error.shard_id)
+                    obs.counter("replica.shard_unavailable")
+                finally:
+                    for frontier in frontiers.values():
+                        if run.deadline is not None:
+                            run.deadline.merge_degradations(
+                                frontier.session.degradations
+                            )
+                        frontier.close()
+        finally:
+            if unavailable:
+                stats.partial = True
+                stats.unavailable_shards = sorted(unavailable)
+                stats.degradations["replica.shard_unavailable"] = len(
+                    unavailable
+                )
+            run.span.set(partial=stats.partial)
 
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)
@@ -266,216 +346,4 @@ class ReplicatedIndex:
         return (
             f"<ReplicatedIndex n={len(self.database)} "
             f"shards={self.num_shards} replicas={self.replicas}>"
-        )
-
-
-class ReplicaQuerySession:
-    """Per-relevance-function state for replicated queries.
-
-    Mirrors :class:`~repro.shard.coordinator.ShardedQuerySession`: the
-    relevant set and bit universe are materialized once, client-side, and
-    shipped to workers as the ``(dims, threshold)`` spec."""
-
-    def __init__(self, cluster: ReplicatedIndex, query_fn):
-        dims = getattr(query_fn, "dims", None)
-        threshold = getattr(query_fn, "threshold", None)
-        if dims is None or threshold is None:
-            raise TypeError(
-                "replicated serving needs a wire-expressible relevance "
-                "function exposing `dims` and `threshold` (e.g. "
-                "AverageScoreThreshold / quartile_relevance); got "
-                f"{type(query_fn).__name__}"
-            )
-        self.cluster = cluster
-        self.query_fn = query_fn
-        self.dims = tuple(int(d) for d in dims)
-        self.threshold = float(threshold)
-        started = time.perf_counter()
-        self.relevant = cluster.database.relevant_indices(query_fn)
-        self.relevant_set = frozenset(int(i) for i in self.relevant)
-        self.universe = BitsetUniverse(self.relevant)
-        #: Per-shard relevant members (ascending; pure function of the
-        #: manifest, identical to each worker's own derivation).
-        self.shard_relevant = {
-            s: self.relevant[
-                cluster.shard_of[self.relevant] == s
-            ]
-            for s in range(cluster.num_shards)
-        }
-        self.init_seconds = time.perf_counter() - started
-        obs.observe_time("shard.session_init_seconds", self.init_seconds)
-
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        theta: float,
-        k: int,
-        stop_on_zero_gain: bool = False,
-        enable_updates: bool = True,
-        deadline=None,
-        cascade=None,
-        epsilon: float = 0.0,
-    ) -> QueryResult:
-        """Replicated top-k query; same contract — and same answer bits —
-        as :meth:`ShardedQuerySession.query`, degrading to a flagged
-        partial answer when whole replica groups are unavailable."""
-        require_positive(theta, "theta")
-        require_positive(k, "k")
-        from repro.cascade import resolve_cascade
-        from repro.resilience.deadline import current_deadline, deadline_scope
-
-        # Workers run the stages; the coordinator only ships the config
-        # (in each session-open frame) and flags the result.
-        config = resolve_cascade(cascade, epsilon)
-        cascade_wire = (
-            config.to_wire()
-            if config is not None and not config.is_default() else None
-        )
-        cluster = self.cluster
-        ladder_index = cluster.ladder.index_for(theta)
-        if ladder_index is None:
-            obs.counter("index.offladder_theta")
-            raise OffLadderThetaError(theta, cluster.ladder)
-
-        stats = QueryStats(init_seconds=self.init_seconds)
-        effective_deadline = (
-            deadline if deadline is not None else current_deadline()
-        )
-        degradations_before = (
-            dict(effective_deadline.degradations)
-            if effective_deadline is not None else {}
-        )
-        unavailable: set[int] = set()
-        worker_degradations: list[dict] = []
-        coord = new_coord(cluster.num_shards)
-
-        with deadline_scope(deadline), obs.span(
-            "replica.query", theta=theta, k=k,
-            shards=cluster.num_shards, replicas=cluster.replicas,
-        ) as query_span:
-            while True:
-                served = [
-                    s for s in range(cluster.num_shards)
-                    if s not in unavailable
-                ]
-                if not served:
-                    answer, gains = [], []
-                    covered = self.universe.empty()
-                    coord = new_coord(0)
-                    break
-                frontiers = self._open_frontiers(
-                    served, theta, effective_deadline, cascade_wire
-                )
-                coord = new_coord(len(frontiers))
-                try:
-                    answer, gains, covered = run_greedy(
-                        list(frontiers.values()),
-                        self.universe,
-                        lambda gid: frontiers[int(cluster.shard_of[gid])],
-                        k,
-                        int(self.relevant.size),
-                        stop_on_zero_gain=stop_on_zero_gain,
-                        enable_updates=enable_updates,
-                        stats=stats,
-                        coord=coord,
-                    )
-                    break
-                except ShardUnavailableError as error:
-                    # A whole replica group died mid-query.  Drop that
-                    # shard and re-run over the survivors with fresh
-                    # sessions (worker state from the aborted attempt is
-                    # keyed by session id and simply ages out).
-                    unavailable.add(error.shard_id)
-                    obs.counter("replica.shard_unavailable")
-                finally:
-                    for frontier in frontiers.values():
-                        worker_degradations.append(
-                            frontier.session.degradations
-                        )
-                        frontier.close()
-
-            stats.coordinator = coord
-            if config is not None:
-                stats.epsilon = config.epsilon
-                stats.approximate = config.approximate
-            if effective_deadline is not None:
-                for reported in worker_degradations:
-                    effective_deadline.merge_degradations(reported)
-                delta = {
-                    kind: count - degradations_before.get(kind, 0)
-                    for kind, count in effective_deadline.degradations.items()
-                    if count > degradations_before.get(kind, 0)
-                }
-                stats.degradations = delta
-                stats.degradation_events = sum(delta.values())
-                stats.degraded = bool(delta)
-            if unavailable:
-                stats.partial = True
-                stats.unavailable_shards = sorted(unavailable)
-                stats.degradations = dict(stats.degradations)
-                stats.degradations["replica.shard_unavailable"] = len(
-                    unavailable
-                )
-                stats.degradation_events += len(unavailable)
-                stats.degraded = True
-            if stats.degraded:
-                obs.counter("query.degraded")
-            self._record_obs(coord, stats)
-            query_span.set(
-                answer_size=len(answer),
-                degraded=stats.degraded,
-                partial=stats.partial,
-            )
-        return QueryResult(
-            answer=answer,
-            gains=gains,
-            covered=self.universe.decode_frozenset(covered),
-            num_relevant=int(self.relevant.size),
-            theta=theta,
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _open_frontiers(
-        self, served: list[int], theta: float, effective_deadline,
-        cascade_wire: dict | None = None,
-    ) -> dict[int, RemoteFrontier]:
-        """One fresh-session RemoteFrontier per served shard.
-
-        One session id covers the whole attempt — worker session tables
-        are per-process, so the same id on every shard is unambiguous,
-        and a retry after a group failure gets a new id (no state from
-        the aborted attempt leaks in)."""
-        sid = uuid.uuid4().hex[:16]
-        deadline_state = (
-            effective_deadline.state()
-            if effective_deadline is not None else None
-        )
-        return {
-            s: RemoteFrontier(
-                self.cluster.router,
-                s,
-                sid,
-                dims=self.dims,
-                threshold=self.threshold,
-                theta=theta,
-                relevant_global=self.shard_relevant[s],
-                universe=self.universe,
-                deadline_state=deadline_state,
-                cascade_wire=cascade_wire,
-            )
-            for s in served
-        }
-
-    def _record_obs(self, coord: dict, stats: QueryStats) -> None:
-        if not obs.enabled():
-            return
-        obs.counter("replica.query.count")
-        record_coordinator_obs(coord, stats)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ReplicaQuerySession relevant={self.relevant.size} "
-            f"shards={self.cluster.num_shards} "
-            f"replicas={self.cluster.replicas}>"
         )

@@ -31,6 +31,7 @@ hold no query sessions; the router's session-restore protocol
 from __future__ import annotations
 
 import multiprocessing
+import os
 import socket
 import threading
 import time
@@ -294,9 +295,10 @@ class Supervisor:
             handle.close()
             parent_sock, child_sock = socket.socketpair()
             # Forked children inherit every open fd; the child closes its
-            # copies of the *other* workers' pipes first thing, so an EOF
-            # from the coordinator always reaches its worker.
-            inherited = self._inherited_sockets()
+            # copies of the coordinator ends — the other workers' and its
+            # own — first thing, so an EOF from the coordinator always
+            # reaches its worker.
+            inherited = self._inherited_sockets() + [parent_sock]
             proc = self._ctx.Process(
                 target=_worker_entry,
                 args=(
@@ -439,7 +441,9 @@ def _worker_entry(
     """Child-process shim: drop inherited pipes, then serve."""
     for sock in inherited:
         try:
-            sock.close()
+            # Not close(): that defers to the refcount of the parent's
+            # makefile() reader and would leave the fd open here.
+            os.close(sock.detach())
         except OSError:
             pass
     worker_main(

@@ -13,7 +13,7 @@ op                    effect
 ``ping``              liveness probe (heartbeat)
 ``open``              create a query session: relevance spec → frontier
 ``begin_round``       refresh uncovered view; returns count + root bound
-``open_round``        start a :class:`~repro.shard.frontier.RoundSearch`
+``open_round``        start the frontier's best-first round cursor
 ``next``              advance the lazy walk (piggybacks ``peek``)
 ``pi_hat``            Chebyshev uncovered count for a foreign candidate
 ``nbhd``              exact θ-neighborhood ∩ shard-relevant (bitset)
@@ -54,8 +54,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bitset import BitsetUniverse
 from repro.core.results import QueryStats
 from repro.graphs.relevance import AverageScoreThreshold
+from repro.index.frontier import TreeState
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.replica import wire
@@ -243,15 +245,11 @@ class ShardWorker:
             except CascadeConfigError as error:
                 raise wire.ReplicaProtocolError(str(error)) from error
         frontier = ShardFrontier(
-            shard_id=self.shard_id,
-            index=self.index,
-            global_ids=self.members,
-            relevant_global=relevant,
+            TreeState(
+                self.index, self.members, relevant, BitsetUniverse(relevant)
+            ),
+            theta, ladder_index, QueryStats(), runtime,
             global_engine=self.global_engine,
-            theta=theta,
-            ladder_index=ladder_index,
-            stats=QueryStats(),
-            cascade=runtime,
         )
         self.sessions[sid] = _Session(frontier, deadline)
         self.sessions.move_to_end(sid)

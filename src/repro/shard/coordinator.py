@@ -1,416 +1,28 @@
-"""The scatter-gather distributed greedy coordinator.
+"""Sharded entry points of the one query path.
 
-One coordinator drives the global lazy best-first loop of Algorithm 2 over
-S independent shard frontiers.  Every greedy round runs a threshold-
-algorithm pull over the shards, each of which exposes its best remaining
-*local* gain bound (:meth:`~repro.shard.frontier.RoundSearch.peek`):
-
-1. Shards are ranked by ``peek(shard) + foreign_uncovered(shard)`` — the
-   local bound plus the count of uncovered relevant graphs living on other
-   shards, a trivially valid bound on any candidate's *global* gain.
-2. The top shard is pulled: its frontier advances its lazy tree walk to
-   the next candidate and returns its exact local gain.  The candidate
-   climbs a ladder of successively tighter (and dearer) global bounds:
-
-   * **tier 1** — exact local gain + foreign uncovered count (free);
-   * **tier 2** — exact local gain + Σ over foreign shards of the
-     π̂-style Chebyshev count of uncovered relevant members within θ
-     (array arithmetic against cached foreign coordinates; a few |V|-sized
-     distance batches the first time a shard sees the graph);
-   * **tier 3** — full scatter resolve: every foreign shard verifies the
-     candidate's exact θ-neighborhood members; the union with the local
-     part is the true global neighborhood, cached for later rounds.
-
-   A candidate falls off the ladder the moment a bound can no longer beat
-   (or id-tie-break) the incumbent.
-3. When the best shard's bound cannot beat the incumbent, the round is
-   over: the incumbent is *the* canonical greedy selection — the maximum
-   exact marginal gain with ties broken by smallest global id, the same
-   rule the single-index engine applies — so the answer is bit-identical
-   to ``NBIndex.query`` regardless of S or partitioner.
-4. The selection is broadcast: newly covered ids flow back into every
-   frontier's Theorem 6–8 update walk, keeping all bounds valid for the
-   next round.
-
-Every bound above is an upper bound on the candidate's gain *at the time
-it is computed*, and gains only shrink as coverage grows (submodularity),
-so lazy reuse across rounds is safe — the same staleness argument that
-backs the single-index search.
-
-The loop itself (:func:`run_greedy`) is generic over a small frontier
-protocol — ``begin_round`` / ``root_bound`` / ``min_gid_bound`` /
-``open_round`` / ``pi_hat_uncovered`` / ``neighborhood_of`` / ``select`` /
-``apply_update`` plus the ``uncovered_count`` / ``relevant_global`` /
-``foreign_embeds`` attributes — so a participant does not have to be an
-NB-Tree shard at all.  :mod:`repro.delta` drives the same loop with an
-:class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
-scanned exactly) sitting next to the indexed shard frontiers; the
-canonical (max gain, min id) selection rule keeps the merged answer
-bit-identical to a from-scratch single index either way.
+The scatter-gather greedy itself is :func:`repro.index.coordinator.run_greedy`
+and the session :class:`repro.index.nbindex.QuerySession`; a sharded query
+is that loop over S :class:`~repro.shard.frontier.ShardFrontier` objects
+(:meth:`ShardedIndex._run_query <repro.shard.sharded.ShardedIndex._run_query>`).
+What remains here are the names ``benchmarks/e2e/trace.py`` patches to book
+sharded work under its ``shard`` layer — distinct callables, so a plain
+``NBIndex`` query never runs through them.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
-
-from repro import obs
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
-from repro.core.results import QueryResult, QueryStats
-from repro.index.errors import OffLadderThetaError
-from repro.shard.frontier import ShardFrontier
-from repro.utils.validation import require_positive
+from repro.index import coordinator
+from repro.index.nbindex import QuerySession
 
 
-def _beats(bound: float, gid: int, inc_gain: float, inc_gid: int | None) -> bool:
-    """Can a candidate with this bound still win against the incumbent
-    under the (max gain, min id) selection rule?"""
-    if inc_gid is None:
-        return True
-    return bound > inc_gain or (bound == inc_gain and gid < inc_gid)
+def run_greedy(*args, **kwargs):
+    # Pass-through kept only so trace.py's by-name target resolves.
+    return coordinator.run_greedy(*args, **kwargs)
 
 
-def new_coord(num_frontiers: int) -> dict:
-    """Fresh coordinator accounting dict shared by every frontier mix."""
-    return {
-        "shards": num_frontiers,
-        "rounds": 0,
-        "pulls": 0,
-        "pi_hat_refines": 0,
-        "refine_prunes": 0,
-        "scatter_resolves": 0,
-        "broadcasts": 0,
-        "broadcast_words": 0,
-        "foreign_embeds": 0,
-    }
+class ShardedQuerySession(QuerySession):
+    """The session :meth:`ShardedIndex.session` hands out."""
 
-
-def run_greedy(
-    frontiers,
-    universe,
-    home_of,
-    k: int,
-    num_relevant: int,
-    *,
-    stop_on_zero_gain: bool,
-    enable_updates: bool,
-    stats,
-    coord: dict,
-):
-    """The full scatter-gather greedy over any frontier-protocol mix.
-
-    ``home_of(gid)`` returns the frontier that owns ``gid`` (the one whose
-    :meth:`select` retires it).  Returns ``(answer, gains, covered)`` with
-    ``covered`` as a packed bitset over ``universe``.
-    """
-    covered = universe.empty()
-    answer: list[int] = []
-    gains: list[int] = []
-    #: Fully resolved *global* neighborhoods from tier-3 scatters — the
-    #: coordinator's analog of the single-index session's neighborhood
-    #: cache (packed global bitsets).
-    global_nbhd: dict[int, object] = {}
-
-    for _ in range(min(k, num_relevant)):
-        search_started = time.perf_counter()
-        coord["rounds"] += 1
-        selection = _run_round(frontiers, covered, global_nbhd, coord)
-        stats.search_seconds += time.perf_counter() - search_started
-        if selection is None:
-            break
-        gid, neighborhood = selection
-        newly = bitset_kernel.andnot(neighborhood, covered)
-        gain = bitset_kernel.popcount(newly)
-        if not gain and stop_on_zero_gain:
-            break
-        answer.append(gid)
-        gains.append(gain)
-        bitset_kernel.union_into(covered, newly)
-        home_of(gid).select(gid)
-        update_started = time.perf_counter()
-        if gain and enable_updates:
-            # Word-aligned delta broadcast: only the words that actually
-            # changed cross the frontier boundary.
-            delta = BitsetDelta.from_words(newly, universe.size)
-            coord["broadcast_words"] += delta.num_words
-            for frontier in frontiers:
-                frontier.apply_update(gid, delta, covered)
-            coord["broadcasts"] += 1
-        stats.update_seconds += time.perf_counter() - update_started
-
-    coord["foreign_embeds"] = sum(f.foreign_embeds for f in frontiers)
-    coord["shard_relevant"] = [int(f.relevant_global.size) for f in frontiers]
-    return answer, gains, covered
-
-
-def _run_round(frontiers, covered, global_nbhd, coord):
-    """One greedy selection: threshold-algorithm pull over the frontiers.
-
-    Returns ``(gid, exact global neighborhood)`` of the canonical argmax,
-    or ``None`` when no candidate remains."""
-    total_uncovered = 0
-    for frontier in frontiers:
-        frontier.begin_round(covered)
-        total_uncovered += frontier.uncovered_count
-
-    rounds: dict[int, object] = {}
-    shard_heap: list[tuple[float, int]] = []
-    for s, frontier in enumerate(frontiers):
-        local_top = frontier.root_bound()
-        if local_top == float("-inf"):
-            continue
-        foreign = total_uncovered - frontier.uncovered_count
-        heapq.heappush(shard_heap, (-(local_top + foreign), s))
-
-    inc_gid: int | None = None
-    inc_gain = -1.0
-    inc_nbhd = None
-
-    while shard_heap:
-        neg_bound, s = heapq.heappop(shard_heap)
-        shard_bound = -neg_bound
-        if inc_gid is not None:
-            if shard_bound < inc_gain:
-                # The best-ranked frontier cannot reach the incumbent's
-                # gain; no other frontier can either (max-heap).
-                break
-            if shard_bound == inc_gain and frontiers[s].min_gid_bound() > inc_gid:
-                # This frontier can at best tie the incumbent's gain, and
-                # every graph it holds loses the id tie-break — drop it
-                # for the round, but later frontiers may still tie-win.
-                continue
-        frontier = frontiers[s]
-        foreign = total_uncovered - frontier.uncovered_count
-        round_search = rounds.get(s)
-        if round_search is None:
-            round_search = rounds[s] = frontier.open_round(covered)
-        min_useful = (
-            float("-inf") if inc_gid is None else inc_gain - foreign
-        )
-        candidate = round_search.next(min_useful, inc_gid)
-        if candidate is None:
-            continue  # frontier exhausted for this round (final)
-        coord["pulls"] += 1
-        gid, local_gain, local_nbhd = candidate
-        resolved = _resolve_candidate(
-            gid, local_gain, local_nbhd, s, frontiers, covered,
-            global_nbhd, coord, inc_gain, inc_gid,
-        )
-        if resolved is not None:
-            gain, neighborhood = resolved
-            if _beats(gain, gid, inc_gain, inc_gid):
-                inc_gid, inc_gain, inc_nbhd = gid, gain, neighborhood
-        next_local = round_search.peek()
-        if next_local != float("-inf"):
-            heapq.heappush(shard_heap, (-(next_local + foreign), s))
-
-    if inc_gid is None:
-        return None
-    return inc_gid, inc_nbhd
-
-
-def _resolve_candidate(
-    gid, local_gain, local_nbhd, home, frontiers, covered,
-    global_nbhd, coord, inc_gain, inc_gid,
-):
-    """Climb the bound ladder for one pulled candidate.
-
-    Returns ``(exact global gain, exact global neighborhood)`` when the
-    candidate survives to tier 3 (or was resolved in an earlier round),
-    ``None`` when a bound proves it cannot win."""
-    cached = global_nbhd.get(gid)
-    if cached is not None:
-        # Resolved in an earlier round: the exact gain is one batch
-        # popcount away — no scatter needed.
-        return (
-            float(bitset_kernel.uncovered_count(cached, covered)),
-            cached,
-        )
-
-    foreign_frontiers = [
-        f for s, f in enumerate(frontiers) if s != home
-    ]
-    foreign_uncovered = sum(f.uncovered_count for f in foreign_frontiers)
-    if not _beats(local_gain + foreign_uncovered, gid, inc_gain, inc_gid):
-        return None  # tier 1
-
-    refined = local_gain + sum(
-        f.pi_hat_uncovered(gid) for f in foreign_frontiers
-    )
-    coord["pi_hat_refines"] += 1
-    if not _beats(refined, gid, inc_gain, inc_gid):
-        coord["refine_prunes"] += 1
-        return None  # tier 2
-
-    neighborhood = local_nbhd.copy()
-    for frontier in foreign_frontiers:
-        bitset_kernel.union_into(neighborhood, frontier.neighborhood_of(gid))
-    global_nbhd[gid] = neighborhood
-    coord["scatter_resolves"] += 1
-    return (
-        float(bitset_kernel.uncovered_count(neighborhood, covered)),
-        neighborhood,
-    )
-
-
-def record_coordinator_obs(coord: dict, stats) -> None:
-    """Shared obs roll-up for any session driving :func:`run_greedy`."""
-    if not obs.enabled():
-        return
-    obs.counter("query.count")
-    obs.counter("shard.coordinator.rounds", coord["rounds"])
-    obs.counter("shard.coordinator.pulls", coord["pulls"])
-    obs.counter("shard.coordinator.pi_hat_refines", coord["pi_hat_refines"])
-    obs.counter("shard.coordinator.refine_prunes", coord["refine_prunes"])
-    obs.counter(
-        "shard.coordinator.scatter_resolves", coord["scatter_resolves"]
-    )
-    obs.counter("shard.coordinator.broadcasts", coord["broadcasts"])
-    obs.counter("shard.coordinator.broadcast_words", coord["broadcast_words"])
-    obs.counter("shard.coordinator.foreign_embeds", coord["foreign_embeds"])
-    obs.counter("query.distance_calls", stats.distance_calls)
-    obs.counter("query.exact_neighborhoods", stats.exact_neighborhoods)
-    obs.counter("query.nodes_popped", stats.nodes_popped)
-    obs.counter("query.leaves_evaluated", stats.leaves_evaluated)
-    obs.counter("query.pruned_subtrees", stats.pruned_subtrees)
-    obs.counter("query.batch_decrements", stats.batch_decrements)
-    obs.observe_time("query.init_seconds", stats.init_seconds)
-    obs.observe_time("query.search_seconds", stats.search_seconds)
-    obs.observe_time("query.update_seconds", stats.update_seconds)
-
-
-class ShardedQuerySession:
-    """Per-relevance-function state for coordinated queries.
-
-    Mirrors :class:`~repro.index.nbindex.QuerySession`: the relevant set is
-    materialized once and reused across (θ, k) refinements."""
-
-    def __init__(self, sharded, query_fn):
-        self.sharded = sharded
-        self.query_fn = query_fn
-        started = time.perf_counter()
-        self.relevant = sharded.database.relevant_indices(query_fn)
-        self.relevant_set = frozenset(int(i) for i in self.relevant)
-        #: Shared global id ↔ bit position codec; every frontier's bitsets
-        #: and every broadcast delta are laid out against this universe.
-        self.universe = BitsetUniverse(self.relevant)
-        self.init_seconds = time.perf_counter() - started
-        obs.observe_time("shard.session_init_seconds", self.init_seconds)
-
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        theta: float,
-        k: int,
-        stop_on_zero_gain: bool = False,
-        enable_updates: bool = True,
-        deadline=None,
-        cascade=None,
-        epsilon: float = 0.0,
-    ) -> QueryResult:
-        """Coordinated top-k query; same contract as the single-index
-        :meth:`~repro.index.nbindex.QuerySession.query`, same answer."""
-        require_positive(theta, "theta")
-        require_positive(k, "k")
-        from repro.cascade import runtime_for
-        from repro.resilience.deadline import current_deadline, deadline_scope
-
-        runtime = runtime_for(cascade, epsilon)
-        sharded = self.sharded
-        ladder_index = sharded.ladder.index_for(theta)
-        if ladder_index is None:
-            obs.counter("index.offladder_theta")
-            raise OffLadderThetaError(theta, sharded.ladder)
-
-        stats = QueryStats(init_seconds=self.init_seconds)
-        calls_before = self._total_calls()
-        effective_deadline = deadline if deadline is not None else current_deadline()
-        degradations_before = (
-            dict(effective_deadline.degradations)
-            if effective_deadline is not None else {}
-        )
-        coord = new_coord(sharded.num_shards)
-
-        with deadline_scope(deadline), obs.span(
-            "shard.query", theta=theta, k=k, shards=sharded.num_shards,
-        ) as query_span:
-            started = time.perf_counter()
-            frontiers = [
-                ShardFrontier(
-                    shard_id=s,
-                    index=sharded.shards[s],
-                    global_ids=sharded.global_ids[s],
-                    relevant_global=self.relevant,
-                    global_engine=sharded.engine,
-                    theta=theta,
-                    ladder_index=ladder_index,
-                    stats=stats,
-                    universe=self.universe,
-                    cascade=runtime,
-                )
-                for s in range(sharded.num_shards)
-            ]
-            stats.init_seconds += time.perf_counter() - started
-
-            answer, gains, covered = run_greedy(
-                frontiers,
-                self.universe,
-                lambda gid: frontiers[int(sharded.shard_of[gid])],
-                k,
-                int(self.relevant.size),
-                stop_on_zero_gain=stop_on_zero_gain,
-                enable_updates=enable_updates,
-                stats=stats,
-                coord=coord,
-            )
-            stats.distance_calls = self._total_calls() - calls_before
-            stats.coordinator = coord
-            if runtime is not None:
-                stats.epsilon = runtime.epsilon
-                stats.approximate = runtime.approximate
-                stats.cascade = runtime.snapshot()
-            if effective_deadline is not None:
-                delta = {
-                    kind: count - degradations_before.get(kind, 0)
-                    for kind, count in effective_deadline.degradations.items()
-                    if count > degradations_before.get(kind, 0)
-                }
-                stats.degradations = delta
-                stats.degradation_events = sum(delta.values())
-                stats.degraded = bool(delta)
-                if stats.degraded:
-                    obs.counter("query.degraded")
-            self._record_obs(coord, stats)
-            query_span.set(
-                answer_size=len(answer),
-                degraded=stats.degraded,
-                scatter_resolves=coord["scatter_resolves"],
-            )
-        return QueryResult(
-            answer=answer,
-            gains=gains,
-            covered=self.universe.decode_frozenset(covered),
-            num_relevant=int(self.relevant.size),
-            theta=theta,
-            stats=stats,
-        )
-
-    # ------------------------------------------------------------------
-    def _total_calls(self) -> int:
-        sharded = self.sharded
-        total = sharded.engine.calls
-        for shard in sharded.shards:
-            total += shard._counting.calls
-        return total
-
-    def _record_obs(self, coord: dict, stats: QueryStats) -> None:
-        if not obs.enabled():
-            return
-        obs.counter("shard.query.count")
-        record_coordinator_obs(coord, stats)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ShardedQuerySession relevant={self.relevant.size} "
-            f"shards={self.sharded.num_shards}>"
-        )
+    def query(self, theta: float, k: int, **kwargs):
+        # Pass-through: gives trace.py a sharded query entry of its own.
+        return super().query(theta, k, **kwargs)

@@ -1,203 +1,71 @@
-"""Per-shard query frontier: the shard-local half of the distributed greedy.
+"""Per-shard query frontier: a tree frontier that can resolve strangers.
 
-A :class:`ShardFrontier` owns one shard's NB-Index structures for the
-duration of a single (θ, k) query and answers the coordinator's three
-needs, always in *global* graph ids:
+A :class:`ShardFrontier` is a :class:`~repro.index.frontier.TreeFrontier`
+(bounds, best-first walk, Theorem 6–8 update, home-path neighborhoods —
+all inherited) over one shard's NB-Index, plus the one thing only a shard
+needs: answering for graphs that live on *other* frontiers.  A foreign
+graph is embedded once against this shard's vantage points (``|V|``
+distances through the global engine) and then filtered with the same
+Chebyshev lower bound / min-sum upper bound sandwich the home path uses,
+so only the undecided band pays exact distances.  π̂-style *counts* over
+the uncovered relevant set (:meth:`ShardFrontier.pi_hat_uncovered`) give
+the coordinator a cheap bound-refinement tier before it commits to full
+resolution.
 
-* **candidates** — a lazily advancing best-first walk of the shard's
-  NB-Tree (:class:`RoundSearch`, Algorithm 2 restricted to the shard),
-  yielding leaves with exact *local* gains in bound order.  The per-node
-  working bounds ``W`` persist across greedy rounds exactly as in the
-  single-index engine; submodularity keeps stale entries safe.
-* **foreign resolution** — membership of *any* graph's θ-neighborhood
-  within this shard's relevant set, for graphs living on other shards:
-  the foreign graph is embedded once against this shard's vantage points
-  (``|V|`` distances through the shared global engine) and then filtered
-  with the same Chebyshev lower bound / min-sum upper bound sandwich the
-  home path uses, so only the undecided band pays exact distances.
-  π̂-style *counts* over the uncovered relevant set
-  (:meth:`pi_hat_uncovered`) give the coordinator a cheap bound-refinement
-  tier before it commits to full resolution.
-* **broadcast updates** — after a selection anywhere in the cluster,
-  :meth:`apply_update` replays the Theorem 6–8 walk against this shard's
-  tree: subtrees provably outside the ``2θ`` ball of the selected graph
-  are skipped, contained clusters get one batch decrement, cached leaves
-  refresh to exact residual gains.
-
-Coverage state is packed: every frontier shares the session's global
-:class:`~repro.bitset.BitsetUniverse` over ``L_q``, so the covered set,
-per-node relevant bitmaps, cached neighborhoods, and the coordinator's
-broadcast deltas (:class:`~repro.bitset.BitsetDelta` — only the nonzero
-words cross the shard boundary) are all layout-compatible uint64 arrays;
-set arithmetic is word-parallel popcounts, never per-id Python.
-
-Id discipline (load-bearing): the shard's own engine and embedding speak
-*local* ids (the sub-database renumbers 0..n_s−1); everything that crosses
-a shard boundary goes through the *global* engine with global ids.  Mixing
-the two in one engine would alias different graphs onto the same pair-cache
-key.
+Id discipline: the shard's own engine and embedding speak *local* ids;
+every foreign distance goes through the *global* engine with global ids
+(see :mod:`repro.index.frontier`).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-
 import numpy as np
 
 from repro import obs
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.bitset import kernel as bitset_kernel
 from repro.cascade.stages import BLOCK_EVALS
 from repro.core.results import QueryStats
-from repro.index.nbindex import NBIndex
-from repro.index.nbtree import NBTreeNode
+from repro.index.frontier import TreeFrontier, TreeRoundSearch, TreeState
 
 _EPS = 1e-9
-_NEG_INF = float("-inf")
-#: Tie-break sentinel for subtrees with no relevant members (loses to any
-#: real graph id).
-_NO_GID = 2**63 - 1
 
 
-class ShardFrontier:
+class RoundSearch(TreeRoundSearch):
+    # Distinct class only so benchmarks/e2e/trace.py can book shard walks
+    # under "shard" without patching the plain-NBIndex walk.
+    pass
+
+
+class ShardFrontier(TreeFrontier):
     """One shard's state for one coordinated (θ, k) query."""
+
+    round_search = RoundSearch
 
     def __init__(
         self,
-        shard_id: int,
-        index: NBIndex,
-        global_ids: np.ndarray,
-        relevant_global: np.ndarray,
-        global_engine,
+        state: TreeState,
         theta: float,
         ladder_index: int,
         stats: QueryStats,
-        universe: BitsetUniverse | None = None,
         cascade=None,
+        *,
+        global_engine,
     ):
-        self.shard_id = shard_id
-        self.index = index
-        self.global_ids = np.asarray(global_ids, dtype=np.int64)
+        super().__init__(
+            state, theta, ladder_index, stats, cascade, distance=global_engine
+        )
         self.global_engine = global_engine
-        self.theta = float(theta)
-        self.stats = stats
-        #: Shared per-query :class:`~repro.cascade.FilterCascade` (None →
-        #: the legacy vantage-only pipeline at ε = 0).
-        self.cascade = cascade
-        self._gen_theta = (
-            float(theta) if cascade is None else cascade.generation_theta(theta)
-        )
-        self._g2l = {int(g): i for i, g in enumerate(self.global_ids)}
-        self.member_set = frozenset(self._g2l)
-
-        #: Shared global id ↔ bit position codec over the full relevant set.
-        self.universe = (
-            universe
-            if universe is not None
-            else BitsetUniverse(np.asarray(relevant_global, dtype=np.int64))
-        )
-
-        # Relevant graphs of this shard, aligned local/global, ascending.
-        rel = [int(g) for g in relevant_global if int(g) in self._g2l]
-        self.relevant_global = np.asarray(rel, dtype=np.int64)
-        self.relevant_local = np.asarray(
-            [self._g2l[g] for g in rel], dtype=np.int64
-        )
-        self._position = {g: p for p, g in enumerate(rel)}
-        #: Bit positions (in the global universe) of this shard's relevant
-        #: members, aligned with ``relevant_local``.
-        self._rel_positions = self.universe.positions_of(self.relevant_global)
-        #: This shard's relevant members as a packed global bitset.
-        self.member_bits = self.universe.encode_positions(self._rel_positions)
-
-        # Per-node relevant member bitmaps (global universe) and min-gid
-        # tie keys — the Theorem 7 decrement is one delta popcount per node.
-        self._node_bits = self.universe.empty_matrix(index.tree.num_nodes)
-        self._node_min_gid = np.full(
-            index.tree.num_nodes, _NO_GID, dtype=np.int64
-        )
-        self._collect_relevant(index.tree.root)
-        self._node_has = bitset_kernel.popcount_rows(self._node_bits) > 0
-
-        # Initial working bounds: the π̂ column at the covering rung.
-        if self.relevant_local.size:
-            theta_i = index.ladder[ladder_index]
-            column = index.embedding.candidate_counts(
-                self.relevant_local, [theta_i], self.relevant_local
-            )[:, 0]
-        else:
-            column = np.empty(0, dtype=np.int64)
-        self.bounds = self._initial_bounds(column)
-
-        self._selected: set[int] = set()
-        #: Exact θ-neighborhood *within this shard's relevant set* as a
-        #: packed global bitset, keyed by global id (home and foreign
-        #: graphs share the cache).
-        self._nbhd: dict[int, np.ndarray] = {}
         self._foreign_coords: dict[int, np.ndarray] = {}
         self._uncov_mask = np.ones(self.relevant_global.size, dtype=bool)
-        self.uncovered_count = int(self.relevant_global.size)
 
-    # ------------------------------------------------------------------
-    # Initialization internals
-    # ------------------------------------------------------------------
-    def _collect_relevant(self, node: NBTreeNode) -> None:
-        row = self._node_bits[node.node_id]
-        if node.is_leaf:
-            gid = int(self.global_ids[node.graph_index])
-            if gid in self._position:
-                bitset_kernel.set_bit(row, int(self.universe.position(gid)))
-        else:
-            for child in node.children:
-                self._collect_relevant(child)
-                bitset_kernel.union_into(row, self._node_bits[child.node_id])
-        self._node_min_gid[node.node_id] = self.universe.min_id(row, _NO_GID)
-
-    def _initial_bounds(self, column: np.ndarray) -> np.ndarray:
-        bounds = np.full(self.index.tree.num_nodes, _NEG_INF)
-
-        def fill(node: NBTreeNode) -> float:
-            if node.is_leaf:
-                gid = int(self.global_ids[node.graph_index])
-                position = self._position.get(gid)
-                value = float(column[position]) if position is not None else _NEG_INF
-            else:
-                value = max(
-                    (fill(child) for child in node.children), default=_NEG_INF
-                )
-            bounds[node.node_id] = value
-            return value
-
-        fill(self.index.tree.root)
-        return bounds
-
-    # ------------------------------------------------------------------
-    # Round lifecycle
-    # ------------------------------------------------------------------
     def begin_round(self, covered: np.ndarray) -> None:
-        """Refresh the uncovered-relevant view for one greedy round.
-
-        ``covered`` is the coordinator's packed global covered bitset; the
-        shard's uncovered count is one ``popcount(members & ~covered)``
-        and the per-member mask one vectorized bit gather — no per-id scan.
-        """
+        """Also refresh the per-member uncovered mask (one vectorized bit
+        gather) that :meth:`pi_hat_uncovered` counts over."""
+        super().begin_round(covered)
         if self.relevant_global.size:
             self._uncov_mask = ~bitset_kernel.test_positions(
-                covered, self._rel_positions
+                covered, self.state.rel_positions
             )
-            self.uncovered_count = bitset_kernel.uncovered_count(
-                self.member_bits, covered
-            )
-        else:
-            self.uncovered_count = 0
-
-    def root_bound(self) -> float:
-        return float(self.bounds[self.index.tree.root.node_id])
-
-    def min_gid_bound(self) -> int:
-        """Smallest relevant global id anywhere in this frontier (static —
-        a conservative key for the coordinator's id tie-break pruning)."""
-        return int(self._node_min_gid[self.index.tree.root.node_id])
 
     @property
     def foreign_embeds(self) -> int:
@@ -205,24 +73,12 @@ class ShardFrontier:
         vantage points (coordinator accounting)."""
         return len(self._foreign_coords)
 
-    def open_round(self, covered: np.ndarray) -> "RoundSearch":
-        return RoundSearch(self, covered)
-
-    def select(self, gid: int) -> None:
-        """Mark a home graph as chosen: its leaf leaves the frontier."""
-        local = self._g2l[int(gid)]
-        self.bounds[self.index._leaf_of[local].node_id] = _NEG_INF
-        self._selected.add(int(gid))
-
-    # ------------------------------------------------------------------
-    # Neighborhood resolution (home and foreign graphs)
-    # ------------------------------------------------------------------
     def foreign_coords(self, gid: int) -> np.ndarray:
         """This shard's vantage coordinates of a foreign graph (cached)."""
         coords = self._foreign_coords.get(gid)
         if coords is None:
             vantage_global = [
-                int(self.global_ids[vp])
+                self.state.global_ids[vp]
                 for vp in self.index.embedding.vantage_indices
             ]
             coords = np.asarray(
@@ -238,234 +94,53 @@ class ShardFrontier:
         if not self.uncovered_count:
             return 0
         coords = self.foreign_coords(gid)
-        among = self.relevant_local[self._uncov_mask]
+        among = self.state.relevant_local[self._uncov_mask]
         obs.counter(BLOCK_EVALS)
         lower = self.index.embedding.lower_bounds_to(coords, among)
         return int(np.count_nonzero(lower <= self.theta + _EPS))
 
-    def neighborhood_of(self, gid: int) -> np.ndarray:
-        """``N_θ(gid) ∩ relevant(shard)`` as a packed global bitset, exact,
-        cached.
-
-        Membership is always ``d(gid, c) ≤ θ + ε`` with the global ε — the
-        same predicate on the home path (shard engine + embedding sandwich)
-        and the foreign path (global engine + foreign-coords sandwich), so
-        the union over shards equals the single-index neighborhood."""
-        cached = self._nbhd.get(gid)
-        if cached is not None:
-            return cached
-        gid = int(gid)
+    def _members_within(self, gid: int) -> list[int]:
+        """Home graphs take the inherited path; a foreign graph is
+        sandwiched between the vantage bounds of its foreign coordinates
+        and only the undecided band is verified — the same ``d ≤ θ + ε``
+        predicate either way."""
+        state = self.state
+        if gid in state.g2l:
+            return super()._members_within(gid)
         theta = self.theta
         stats = self.stats
-        if gid in self.member_set:
-            local = self._g2l[gid]
-            index = self.index
-            candidates = index.embedding.candidates(
-                local, self._gen_theta + _EPS, self.relevant_local
-            )
-            stats.candidates_generated += int(candidates.size)
-            verified: set[int] = set()
-            others = [int(c) for c in candidates if int(c) != local]
-            if len(others) < candidates.size:
-                verified.add(local)
-            stats.candidate_verifications += len(others)
-            mask = index.engine.within(
-                local, others, theta, cascade=self.cascade, prefiltered=True
-            )
-            verified.update(c for c, ok in zip(others, mask) if ok)
-            members = [int(self.global_ids[c]) for c in verified]
-        else:
-            coords = self.foreign_coords(gid)
-            among = self.relevant_local
-            members = []
-            if among.size:
-                obs.counter(BLOCK_EVALS)
-                lower = self.index.embedding.lower_bounds_to(coords, among)
-                window = among[lower <= self._gen_theta + _EPS]
-                stats.candidates_generated += int(window.size)
-                if window.size:
-                    upper = self.index.embedding.upper_bounds_to(coords, window)
-                    accepted = window[upper <= theta + _EPS]
-                    undecided = window[upper > theta + _EPS]
-                    members.extend(int(self.global_ids[c]) for c in accepted)
-                    stats.candidate_verifications += int(undecided.size)
-                    if undecided.size:
-                        targets = [int(self.global_ids[c]) for c in undecided]
-                        if self.cascade is None:
-                            distances = self.global_engine.one_to_many(
-                                gid, targets
-                            )
-                            members.extend(
-                                t for t, d in zip(targets, distances)
-                                if d <= theta + _EPS
-                            )
-                        else:
-                            # Structural stages prune the undecided band
-                            # through the global engine (the foreign graph
-                            # has no row in this shard's embedding, so the
-                            # vantage stage cannot re-run — `prefiltered`).
-                            ok_mask = self.global_engine.within(
-                                gid, targets, theta,
-                                cascade=self.cascade, prefiltered=True,
-                            )
-                            members.extend(
-                                t for t, ok in zip(targets, ok_mask) if ok
-                            )
-        result = self.universe.encode_ids(
-            np.fromiter(members, dtype=np.int64, count=len(members))
-        )
-        self._nbhd[gid] = result
-        stats.exact_neighborhoods += 1
-        return result
-
-    # ------------------------------------------------------------------
-    # Broadcast update (Theorems 6–8 on the shard tree)
-    # ------------------------------------------------------------------
-    def apply_update(
-        self, selected: int, newly: BitsetDelta, covered: np.ndarray
-    ) -> None:
-        """Tighten this shard's bounds after ``selected`` (any shard) was
-        added and the ids in the ``newly`` delta became covered."""
-        self._update(self.index.tree.root, int(selected), newly, covered)
-
-    def _update(
-        self,
-        node: NBTreeNode,
-        selected: int,
-        newly: BitsetDelta,
-        covered: np.ndarray,
-    ) -> None:
-        bounds = self.bounds
-        if bounds[node.node_id] == _NEG_INF:
-            return
-        stats = self.stats
-        theta = self.theta
-        centroid_global = int(self.global_ids[node.centroid])
-        centroid_distance = float(
-            self.global_engine(selected, centroid_global)
-        )
-        if centroid_distance - node.radius > 2.0 * theta + _EPS:
-            stats.pruned_subtrees += 1
-            return  # Theorem 6: no member's neighborhood changed.
-        if node.is_leaf:
-            gid = int(self.global_ids[node.graph_index])
-            cached = self._nbhd.get(gid)
-            if cached is not None:
-                # Residual of the *local* part only — still an upper-bound
-                # component; the coordinator adds foreign parts on top.
-                bounds[node.node_id] = float(
-                    bitset_kernel.uncovered_count(cached, covered)
+        among = state.relevant_local
+        coords = self.foreign_coords(gid)
+        if not among.size:
+            return []
+        obs.counter(BLOCK_EVALS)
+        embedding = self.index.embedding
+        lower = embedding.lower_bounds_to(coords, among)
+        window = among[lower <= self._gen_theta + _EPS]
+        stats.candidates_generated += int(window.size)
+        if not window.size:
+            return []
+        upper = embedding.upper_bounds_to(coords, window)
+        undecided = window[upper > theta + _EPS]
+        members = [
+            state.global_ids[c] for c in window[upper <= theta + _EPS]
+        ]
+        stats.candidate_verifications += int(undecided.size)
+        if undecided.size:
+            targets = [state.global_ids[c] for c in undecided]
+            if self.cascade is None:
+                distances = self.global_engine.one_to_many(gid, targets)
+                members.extend(
+                    t for t, d in zip(targets, distances) if d <= theta + _EPS
                 )
-            elif centroid_distance <= theta + _EPS and (
-                (position := self.universe.position(gid)) is not None
-                and newly.test(position)
-            ):
-                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
-            return
-        if (
-            node.diameter <= theta + _EPS
-            and centroid_distance + node.radius <= theta + _EPS
-        ):
-            # Theorem 7: the whole cluster sits inside N(selected); one
-            # decrement covers every member.
-            decrement = newly.intersection_count(self._node_bits[node.node_id])
-            if decrement:
-                stats.batch_decrements += 1
-                bounds[node.node_id] = max(
-                    0.0, bounds[node.node_id] - float(decrement)
+            else:
+                # Structural stages prune the undecided band through the
+                # global engine (the foreign graph has no row in this
+                # shard's embedding, so the vantage stage cannot re-run —
+                # `prefiltered`).
+                ok_mask = self.global_engine.within(
+                    gid, targets, theta, cascade=self.cascade,
+                    prefiltered=True,
                 )
-            return
-        for child in node.children:
-            self._update(child, selected, newly, covered)
-
-
-class RoundSearch:
-    """One shard's lazy best-first walk for one greedy round.
-
-    The coordinator pulls candidates with :meth:`next`; between pulls it
-    reads :meth:`peek` to re-rank the shard against the others.  The walk
-    shares the frontier's persistent bound array, so work done in one
-    round keeps paying off in later rounds (and pulls that resolve leaves
-    leave exact gains behind for the update step to refresh)."""
-
-    def __init__(self, frontier: ShardFrontier, covered: np.ndarray):
-        self.frontier = frontier
-        self.covered = covered
-        self._counter = itertools.count()
-        self._heap: list[tuple[float, int, float, NBTreeNode]] = []
-        root = frontier.index.tree.root
-        root_bound = float(frontier.bounds[root.node_id])
-        if root_bound != _NEG_INF:
-            self._heap.append((-root_bound, next(self._counter), root_bound, root))
-
-    def peek(self) -> float:
-        """Upper bound on any local gain still obtainable this round."""
-        return self._heap[0][2] if self._heap else _NEG_INF
-
-    def next(
-        self, min_useful: float, tie_gid: int | None
-    ) -> tuple[int, float, np.ndarray] | None:
-        """Advance to the next candidate whose local gain could still
-        matter: strictly above ``min_useful``, or equal to it with a graph
-        id smaller than ``tie_gid``.
-
-        Returns ``(global id, exact local gain, local neighborhood bitset)``
-        or ``None`` when the shard is exhausted for this round.  ``None`` is
-        final: the thresholds only tighten as the round progresses, so a
-        shard that cannot contribute now cannot contribute later in the
-        same round."""
-        frontier = self.frontier
-        bounds = frontier.bounds
-        min_gid = frontier._node_min_gid
-        heap = self._heap
-        stats = frontier.stats
-        while heap:
-            _, _, pushed_bound, node = heapq.heappop(heap)
-            stats.nodes_popped += 1
-            if pushed_bound < min_useful:
-                # Everything left is no better; park the entry so peek()
-                # stays honest for the coordinator's ranking.
-                heapq.heappush(
-                    heap,
-                    (-pushed_bound, next(self._counter), pushed_bound, node),
-                )
-                return None
-            if (
-                tie_gid is not None
-                and pushed_bound == min_useful
-                and min_gid[node.node_id] > tie_gid
-            ):
-                continue  # can tie but never win the id tie-break
-            current = min(pushed_bound, float(bounds[node.node_id]))
-            if current < min_useful or (
-                tie_gid is not None
-                and current == min_useful
-                and min_gid[node.node_id] > tie_gid
-            ):
-                continue
-            if node.is_leaf:
-                if bounds[node.node_id] == _NEG_INF:
-                    continue
-                gid = int(frontier.global_ids[node.graph_index])
-                neighborhood = frontier.neighborhood_of(gid)
-                gain = float(
-                    bitset_kernel.uncovered_count(neighborhood, self.covered)
-                )
-                bounds[node.node_id] = gain
-                stats.leaves_evaluated += 1
-                return gid, gain, neighborhood
-            for child in node.children:
-                if not frontier._node_has[child.node_id]:
-                    continue
-                child_bound = min(float(bounds[child.node_id]), current)
-                if child_bound == _NEG_INF:
-                    continue
-                if child_bound > min_useful or (
-                    child_bound == min_useful
-                    and (tie_gid is None or min_gid[child.node_id] < tie_gid)
-                ):
-                    heapq.heappush(
-                        heap,
-                        (-child_bound, next(self._counter), child_bound, child),
-                    )
-        return None
+                members.extend(t for t, ok in zip(targets, ok_mask) if ok)
+        return members

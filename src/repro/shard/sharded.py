@@ -27,11 +27,13 @@ from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
-from repro.index.nbindex import NBIndex
+from repro.index.frontier import TreeState
+from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.resilience.errors import CorruptIndexError, DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
+from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardManifest, database_checksum
 
 
@@ -158,13 +160,37 @@ class ShardedIndex:
         return ShardedQuerySession(self, query_fn)
 
     def query(self, query_fn, theta: float, k: int, **kwargs) -> QueryResult:
-        unknown = set(kwargs) - NBIndex._QUERY_KWARGS
-        if unknown:
-            raise TypeError(
-                f"ShardedIndex.query() got unexpected keyword arguments "
-                f"{sorted(unknown)}; accepted: {sorted(NBIndex._QUERY_KWARGS)}"
-            )
+        check_query_kwargs(self, kwargs)
         return self.session(query_fn).query(theta, k, **kwargs)
+
+    # -- QuerySession hooks ---------------------------------------------
+    _query_layer = "shard"
+
+    def _distance_calls(self) -> int:
+        return self.engine.calls + sum(s._counting.calls for s in self.shards)
+
+    def _shard_frontiers(self, run: QueryRun, global_engine) -> list[ShardFrontier]:
+        """One frontier per shard; each tree's θ-independent state is
+        built once per session and reused across (θ, k) refinements."""
+        session = run.session
+        return [
+            ShardFrontier(
+                session.cached(s, lambda s=s: TreeState(
+                    self.shards[s], self.global_ids[s], session.relevant,
+                    session.universe,
+                )),
+                run.theta, run.ladder_index, run.stats, run.cascade,
+                global_engine=global_engine,
+            )
+            for s in range(self.num_shards)
+        ]
+
+    def _run_query(self, run: QueryRun):
+        run.span.set(shards=self.num_shards)
+        frontiers = self._shard_frontiers(run, self.engine)
+        return run.greedy(
+            frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
+        )
 
     def set_ladder(self, ladder: ThresholdLadder) -> None:
         """Swap the coordinator's (global) ladder; each shard re-ladders
@@ -230,10 +256,7 @@ class ShardedIndex:
                 )
             ),
             "degraded": any(bool(s.build_degradations) for s in self.shards),
-            "distance_calls": (
-                self.engine.calls
-                + sum(s._counting.calls for s in self.shards)
-            ),
+            "distance_calls": self._distance_calls(),
             "shards": [
                 {
                     "shard_id": i,

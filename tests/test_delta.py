@@ -398,18 +398,6 @@ class TestFacade:
             sharded.insert(db[0], db.features[0])
         sharded.invalidate_pools()
 
-    def test_deprecated_loaders_still_work_and_warn(self, tmp_path):
-        db = random_database(seed=83, size=12, num_features=3)
-        index = NBIndex.build(
-            db, DIST, num_vantage_points=3, branching=3,
-            seed=np.random.default_rng(0),
-        )
-        save_index(index, tmp_path / "index.npz")
-        repro._deprecated_loader_warned.discard("load_index")
-        with pytest.warns(DeprecationWarning, match="open_index"):
-            loaded = repro.load_index(tmp_path / "index.npz", db)
-        assert loaded.tree.num_nodes == index.tree.num_nodes
-
     def test_journal_reopen_restores_mutations(self, tmp_path):
         db = random_database(seed=84, size=22, num_features=3)
         base = db.subset(range(16))

@@ -10,8 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 class TestDocsPresence:
     def test_core_documents_exist(self):
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
-                     "CHANGELOG.md", "docs/theory.md", "docs/usage.md",
-                     "docs/internals.md"):
+                     "docs/theory.md", "docs/usage.md", "docs/internals.md"):
             assert (ROOT / name).exists(), name
 
     def test_design_lists_every_benchmark_file(self):

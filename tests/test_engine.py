@@ -22,6 +22,7 @@ from repro.ged.metric import (
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.graphs.graph import LabeledGraph
+from repro.index.frontier import TreeFrontier
 from repro.index.nbindex import NBIndex
 from repro.index.pivec import choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
@@ -452,11 +453,13 @@ def test_insert_invalidates_pool_and_stays_correct():
             i for i in range(len(database))
             if star(database[new_id], database[i]) <= 3.0 + _EPS
         )
-        got = session._exact_neighborhood(
-            new_id, 3.0, {}, result.stats.__class__()
+        frontier = TreeFrontier(
+            index._tree_state(session), 3.0, index.ladder.index_for(3.0),
+            result.stats.__class__(), distance=index._pair_distance,
         )
-        # _exact_neighborhood returns a packed bitset over the session's
+        # neighborhood_of returns a packed bitset over the session's
         # relevant universe; decode for the brute-force comparison.
+        got = frontier.neighborhood_of(new_id)
         assert session.universe.decode_frozenset(got) == expected
     finally:
         index.engine.close()

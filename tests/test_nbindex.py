@@ -238,9 +238,10 @@ class TestSessions:
         session = index.session(q)
         theta = float(index.ladder[2])
         session.query(theta, 3)
-        cached = len(session._pi_hat_columns)
+        columns = index._tree_state(session)._pi_hat_columns
+        cached = len(columns)
         session.query(theta, 3)
-        assert len(session._pi_hat_columns) == cached
+        assert len(columns) == cached
 
     def test_repeated_query_same_answer(self):
         db, dist, q, index = _build(seed=14)

@@ -76,8 +76,7 @@ class TestFig4StylePropagation:
         q = WeightedScoreThreshold([1.0], threshold=0.0)  # all relevant
         session = index.session(q)
         ladder_index = index.ladder.index_for(index.ladder[0])
-        column = session.pi_hat_column(ladder_index)
-        bounds = session._initial_bounds(column)
+        bounds = index._tree_state(session).initial_bounds(ladder_index)
         for node in index.tree.nodes:
             if node.children:
                 child_max = max(

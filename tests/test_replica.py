@@ -205,6 +205,25 @@ class TestChaosKills:
             _assert_identical(rep.query(relevance_fn, 8.0, 5), ref)
 
 
+def test_stop_lets_every_worker_exit_on_its_own(cluster_db, tmp_path):
+    """``Supervisor.stop()`` closes the pairs and every worker sees EOF:
+    clean exits, no 1 s join timeout followed by a kill per worker (the
+    forked children used to keep the coordinator end of their own pair)."""
+    manifest = build_shards(
+        cluster_db, StarDistance(), num_shards=2, out_dir=tmp_path, seed=7,
+        **BUILD,
+    )
+    rep = ReplicatedIndex.open(manifest, cluster_db, StarDistance(), replicas=2)
+    procs = [h.proc for group in rep.supervisor.groups for h in group]
+    assert len(procs) == 4 and all(proc.is_alive() for proc in procs)
+    rep.query(quartile_relevance(cluster_db, quantile=0.5), 8.0, 3)
+    started = time.monotonic()
+    rep.close()
+    elapsed = time.monotonic() - started
+    assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f}s for 4 workers"
+
+
 def _private_bundle(bundle, tmp_path):
     """Copy the shared bundle so a test can destroy artifacts safely."""
     import shutil

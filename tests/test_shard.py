@@ -246,12 +246,6 @@ class TestCoordinator:
         assert excinfo.value.ladder_max == LADDER.values[-1]
         sharded.invalidate_pools()
 
-    def test_unknown_query_kwarg_is_typed(self, db, bundle_dir):
-        sharded = _load(bundle_dir, db)
-        with pytest.raises(TypeError, match="explode"):
-            sharded.query(quartile_relevance(db), 6.0, 3, explode=True)
-        sharded.invalidate_pools()
-
     def test_session_reuse_across_thetas(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
         q = quartile_relevance(db)
@@ -444,12 +438,4 @@ class TestServiceIntegration:
         assert isinstance(sharded, ShardedIndex)
         assert sharded.num_shards == 3
         assert sharded.stats()["num_shards"] == 3
-        sharded.invalidate_pools()
-
-    def test_offladder_counter_increments_on_sharded_path(self, db, bundle_dir):
-        sharded = _load(bundle_dir, db)
-        with repro.observe() as run:
-            with pytest.raises(OffLadderThetaError):
-                sharded.query(quartile_relevance(db), 1e6, 3)
-        assert run.stats()["counters"]["index.offladder_theta"] == 1
         sharded.invalidate_pools()

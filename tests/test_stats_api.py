@@ -75,16 +75,6 @@ class TestStatableProtocol:
 
 
 class TestDeprecationShims:
-    def test_nbindex_distance_calls_property_warns(self, index):
-        with pytest.warns(DeprecationWarning, match="distance_calls"):
-            value = index.distance_calls
-        assert value == index.stats()["distance_calls"]
-
-    def test_nbindex_memory_bytes_method_warns(self, index):
-        with pytest.warns(DeprecationWarning, match="memory_bytes"):
-            value = index.memory_bytes()
-        assert value == index.stats()["memory_bytes"]
-
     def test_build_rng_alias_warns_and_matches_seed(self, db):
         with pytest.warns(DeprecationWarning, match="rng"):
             via_rng = NBIndex.build(
@@ -171,6 +161,6 @@ class TestFacadeFunctions:
         save_database(db, db_path)
         save_index(index, index_path)
         loaded_db = repro.open_database(db_path)
-        loaded = repro.load_index(index_path, loaded_db)
+        loaded = repro.open_index(index_path, loaded_db)
         q = quartile_relevance(db)
         assert loaded.query(q, 6.0, 2).answer == index.query(q, 6.0, 2).answer
