@@ -86,7 +86,7 @@ class FilterCascade:
         self,
         engine,
         source,
-        targets: list,
+        targets,
         theta: float,
         eps: float,
         *,
@@ -107,13 +107,14 @@ class FilterCascade:
             return mask
         cutoff = self.generation_theta(theta) + eps
         accept = theta + eps
-        ints = isinstance(source, (int, np.integer)) and all(
-            isinstance(t, (int, np.integer)) for t in targets
-        )
-        ids = (
-            np.asarray([int(t) for t in targets], dtype=np.int64)
-            if ints else None
-        )
+        # Index references as one id array (an id array passes through
+        # untouched); ``None`` when any side is a free-standing graph.
+        ids = None
+        if isinstance(source, (int, np.integer)):
+            if isinstance(targets, np.ndarray):
+                ids = targets
+            elif all(isinstance(t, (int, np.integer)) for t in targets):
+                ids = np.asarray(targets, dtype=np.int64)
         survivors = np.arange(n)
         for name in self.config.stages:
             if not survivors.size:
@@ -137,7 +138,7 @@ class FilterCascade:
             survivors = survivors[keep]
         if survivors.size:
             if ids is not None:
-                refs = [int(ids[p]) for p in survivors]
+                refs = ids[survivors]
             else:
                 refs = [targets[p] for p in survivors]
             distances = engine.one_to_many(source, refs)

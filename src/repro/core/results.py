@@ -24,7 +24,15 @@ class QueryStats:
     distance_calls: int = 0
     candidate_verifications: int = 0
     candidates_generated: int = 0
+    #: θ-neighborhoods resolved to completion.
     exact_neighborhoods: int = 0
+    #: Tree leaves left partially verified at query end: each was proven
+    #: unable to win every round that reached it before its candidate
+    #: window was exhausted.
+    partial_neighborhoods: int = 0
+    #: Window members of those leaves that never needed a verdict — still
+    #: unverified at query end, or covered before their turn came.
+    verifications_skipped: int = 0
     nodes_popped: int = 0
     leaves_evaluated: int = 0
     pruned_subtrees: int = 0

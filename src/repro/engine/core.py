@@ -266,21 +266,36 @@ class DistanceEngine:
     # ------------------------------------------------------------------
     # Batch evaluation
     # ------------------------------------------------------------------
+    def _resolve_many(self, targets) -> tuple[list, list]:
+        """``(refs, graphs)`` of a target block.  An integer id *array*
+        indexes the attached graph list directly — no per-element type
+        dispatch; any other iterable may mix ids and graphs."""
+        if isinstance(targets, np.ndarray):
+            require(
+                self._graphs is not None,
+                "integer graph references require an attached graph list",
+            )
+            refs = targets.tolist()
+            graphs = self._graphs
+            return refs, [graphs[ref] for ref in refs]
+        refs = list(targets)
+        return refs, [self._resolve(ref) for ref in refs]
+
     def one_to_many(self, source, targets) -> np.ndarray:
         """``d(source, t)`` for every target, cache-aware, one batch."""
-        targets = list(targets)
-        out = np.empty(len(targets), dtype=np.float64)
-        if not targets:
+        refs, graphs = self._resolve_many(targets)
+        out = np.empty(len(refs), dtype=np.float64)
+        if not refs:
             return out
         source_graph = self._resolve(source)
         miss_positions: dict[tuple, list[int]] = {}
         miss_refs: list = []
         hits = 0
         with self._cache_lock:
-            for position, ref in enumerate(targets):
-                graph = self._resolve(ref)
+            cache = self._cache
+            for position, graph in enumerate(graphs):
                 key = _pair_key(source_graph, graph)
-                value = self._cache.get(key)
+                value = cache.get(key)
                 if value is not None:
                     hits += 1
                     out[position] = value
@@ -289,7 +304,7 @@ class DistanceEngine:
                     miss_positions[key].append(position)
                 else:
                     miss_positions[key] = [position]
-                    miss_refs.append((ref, graph))
+                    miss_refs.append((refs[position], graph))
             self.cache_hits += hits
         if miss_refs:
             values = self._evaluate_one_to_many(source, source_graph, miss_refs)
@@ -299,6 +314,26 @@ class DistanceEngine:
                     self._cache[key] = value
                     for position in positions:
                         out[position] = value
+        if hits:
+            obs.counter("engine.cache_hits", hits)
+        return out
+
+    def cached_distances(self, source, targets) -> np.ndarray:
+        """Pair-cache peek: ``d(source, t)`` where the pair has already
+        been evaluated, ``NaN`` elsewhere.  Evaluates nothing; pairs found
+        count as cache hits, pairs not found are not (yet) misses."""
+        _, graphs = self._resolve_many(targets)
+        out = np.full(len(graphs), np.nan)
+        source_graph = self._resolve(source)
+        hits = 0
+        with self._cache_lock:
+            cache = self._cache
+            for position, graph in enumerate(graphs):
+                value = cache.get(_pair_key(source_graph, graph))
+                if value is not None:
+                    hits += 1
+                    out[position] = value
+            self.cache_hits += hits
         if hits:
             obs.counter("engine.cache_hits", hits)
         return out
@@ -379,12 +414,17 @@ class DistanceEngine:
         :class:`~repro.cascade.FilterCascade` adds structural stages
         and/or ε-relaxed cutoffs.
 
+        ``targets`` may be an integer id *array*: it then reaches the
+        stages, the pair cache and the kernel without per-element type
+        dispatch.
+
         ``prefiltered=True`` tells the vantage stage the caller already
         applied the Chebyshev lower bound to these targets (e.g. via
         ``VantageEmbedding.candidates``), so the redundant lower pass —
         which would reject exactly zero candidates — is skipped.
         """
-        targets = list(targets)
+        if not isinstance(targets, np.ndarray):
+            targets = list(targets)
         if cascade is None:
             if self._default_cascade is None:
                 from repro.cascade import FilterCascade

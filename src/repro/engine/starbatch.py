@@ -10,13 +10,17 @@ shrunk without changing a single output bit:
 * **Persistent token registry** — branch tokens ``(edge label, neighbor
   label)`` are interned once per evaluator into integer columns; per-graph
   sparse profiles are cached and reused across every batch.
-* **Overlap by sparse matmul** — the per-vertex branch cost has the closed
-  form ``(|deg_u − deg_v| + L1(c_u, c_v)) / 2 = max(deg_u, deg_v) −
+* **Overlap by indicator gather** — the per-vertex branch cost has the
+  closed form ``(|deg_u − deg_v| + L1(c_u, c_v)) / 2 = max(deg_u, deg_v) −
   overlap(u, v)`` where ``overlap = Σ_tok min(c_u, c_v)``.  Expanding each
   token into *count levels* ``(tok, 1), …, (tok, c)`` turns the multiset
-  intersection into a binary dot product, so one CSR matmul yields the
-  branch costs of a whole source-vs-batch block.  All quantities are
-  integer-valued, so the floats match the serial path exactly.
+  intersection into a binary dot product.  The source graph keeps a small
+  dense indicator over *its own* columns (cached on its profile); a batch's
+  concatenated column list is mapped into it with one ``searchsorted``, and
+  a running sum along the gathered block yields every source-vs-batch
+  overlap at once — no per-call matrix objects, so a one-pair batch costs
+  tens of microseconds, not hundreds.  All quantities are integer-valued,
+  so the floats match the serial path exactly.
 * **Reduced assignment** — the star ground cost satisfies ``cost(a, b) <
   cost(a, ε) + cost(ε, b)`` for every star pair (substitution is strictly
   cheaper than delete + insert), so the optimal padded assignment never
@@ -32,10 +36,10 @@ tests assert ``==``, not ``approx``.
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from repro import obs
@@ -44,10 +48,17 @@ from repro.ged.star import StarDistance
 from repro.graphs.graph import LabeledGraph
 
 
+#: Batch graphs whose overlap block is materialized at once — bounds the
+#: temporaries of a whole-database scan (index build) to a few megabytes.
+_BLOCK_PROFILES = 256
+
+
 class _SparseStarProfile:
     """Per-graph numeric star profile against a shared token registry."""
 
-    __slots__ = ("graph", "indptr", "cols", "roots", "degrees")
+    __slots__ = (
+        "graph", "indptr", "cols", "roots", "degrees", "own_cols", "indicator",
+    )
 
     def __init__(self, g: LabeledGraph, token_ids: dict, root_ids: dict):
         n = g.num_nodes
@@ -82,6 +93,23 @@ class _SparseStarProfile:
         self.cols = np.asarray(cols, dtype=np.int64)
         self.roots = roots
         self.degrees = degrees
+        #: This graph's distinct columns (sorted), and the ``(n, |own_cols|
+        #: + 1)`` 0/1 row block over them — the last column stays zero and
+        #: absorbs every column the graph does not have.  Built the first
+        #: time the graph is a batch *source*.
+        self.own_cols: np.ndarray | None = None
+        self.indicator: np.ndarray | None = None
+
+    def source_block(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.indicator is None:
+            own_cols = np.unique(self.cols)
+            indicator = np.zeros(
+                (len(self.roots), len(own_cols) + 1), dtype=np.uint8
+            )
+            rows = np.repeat(np.arange(len(self.roots)), np.diff(self.indptr))
+            indicator[rows, np.searchsorted(own_cols, self.cols)] = 1
+            self.own_cols, self.indicator = own_cols, indicator
+        return self.own_cols, self.indicator
 
 
 class BatchStarEvaluator:
@@ -117,29 +145,29 @@ class BatchStarEvaluator:
                     self._profiles[key] = profile
         return profile
 
-    def _csr(
-        self, profiles: Sequence[_SparseStarProfile], num_columns: int
-    ) -> sp.csr_matrix:
-        if len(profiles) == 1:
-            p = profiles[0]
-            indptr, cols = p.indptr, p.cols
-        else:
-            lengths = np.array([p.indptr[-1] for p in profiles])
-            offsets = np.concatenate([[0], np.cumsum(lengths)])
-            cols = (
-                np.concatenate([p.cols for p in profiles])
-                if len(profiles)
-                else np.empty(0, dtype=np.int64)
-            )
-            indptr = np.concatenate(
-                [[0]]
-                + [p.indptr[1:] + offsets[i] for i, p in enumerate(profiles)]
-            )
-        data = np.ones(len(cols), dtype=np.float64)
-        rows = len(indptr) - 1
-        return sp.csr_matrix(
-            (data, cols, indptr), shape=(rows, num_columns), copy=False
+    def _overlap(
+        self, source: _SparseStarProfile, profiles: Sequence[_SparseStarProfile]
+    ) -> np.ndarray | float:
+        """``overlap(u, v)`` for every source vertex ``u`` against every
+        vertex ``v`` of ``profiles`` (concatenated), as one dense block."""
+        own_cols, indicator = source.source_block()
+        cols = np.concatenate([p.cols for p in profiles])
+        starts = accumulate((len(p.cols) for p in profiles), initial=0)
+        ends = np.concatenate(
+            [[0]] + [p.indptr[1:] + start for p, start in zip(profiles, starts)]
         )
+        absent = len(own_cols)
+        if not absent or not len(cols):
+            return 0.0
+        slot = np.searchsorted(own_cols, cols)
+        slot[slot == absent] = 0
+        slot = np.where(own_cols[slot] == cols, slot, absent)
+        # Each batch vertex owns a contiguous run of ``cols``: its overlap
+        # with a source vertex is the run's sum of gathered 0/1 entries,
+        # read off a running total (exact — small integers in float64).
+        running = np.zeros((len(source.roots), len(cols) + 1))
+        np.cumsum(indicator[:, slot], axis=1, out=running[:, 1:])
+        return running[:, ends[1:]] - running[:, ends[:-1]]
 
     def one_to_many(
         self, g: LabeledGraph, others: Sequence[LabeledGraph]
@@ -153,48 +181,38 @@ class BatchStarEvaluator:
         source = self._profile(g)
         profiles = [self._profile(h) for h in others]
         n_g = len(source.roots)
-        sizes = np.array([len(p.roots) for p in profiles])
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
         if n_g == 0:
             # Serial path: all-insertion assignment, Σ (1 + deg).
             for idx, p in enumerate(profiles):
                 out[idx] = float(np.sum(1.0 + p.degrees)) if len(p.roots) else 0.0
             return self._normalize_many(out, source, profiles)
-        # Snapshot the vocabulary width once, *after* every profile above
-        # exists: both CSR operands must agree on the column count even if
-        # a concurrent query interns new tokens mid-call.  Every column id
-        # in these profiles predates the snapshot, so the width is valid.
-        num_columns = max(len(self._token_ids), 1)
-        overlap = (
-            self._csr([source], num_columns)
-            @ self._csr(profiles, num_columns).T
-        ).toarray()
-        degrees_all = np.concatenate([p.degrees for p in profiles])
-        roots_all = np.concatenate([p.roots for p in profiles])
-        cost_block = (
-            (source.roots[:, None] != roots_all[None, :]).astype(np.float64)
-            + np.maximum(source.degrees[:, None], degrees_all[None, :])
-            - overlap
-        )
         deletion = 1.0 + source.degrees
-        for idx, p in enumerate(profiles):
-            n_h = int(sizes[idx])
-            block = cost_block[:, offsets[idx]:offsets[idx + 1]]
-            if n_g == n_h:
-                matrix = block
-            elif n_g < n_h:
-                matrix = np.vstack(
-                    [block, np.tile(1.0 + p.degrees, (n_h - n_g, 1))]
-                )
-            else:
-                matrix = np.hstack(
-                    [block, np.tile(deletion[:, None], (1, n_g - n_h))]
-                )
-            if matrix.size:
+        for start in range(0, len(profiles), _BLOCK_PROFILES):
+            block = profiles[start:start + _BLOCK_PROFILES]
+            offsets = list(accumulate((len(p.roots) for p in block), initial=0))
+            degrees_all = np.concatenate([p.degrees for p in block])
+            roots_all = np.concatenate([p.roots for p in block])
+            cost_block = (
+                (source.roots[:, None] != roots_all[None, :]).astype(np.float64)
+                + np.maximum(source.degrees[:, None], degrees_all[None, :])
+                - self._overlap(source, block)
+            )
+            for idx, p in enumerate(block):
+                n_h = offsets[idx + 1] - offsets[idx]
+                pairwise = cost_block[:, offsets[idx]:offsets[idx + 1]]
+                if n_g == n_h:
+                    matrix = pairwise
+                else:
+                    # Pad the smaller side with null stars only.
+                    size = max(n_g, n_h)
+                    matrix = np.empty((size, size))
+                    matrix[:n_g, :n_h] = pairwise
+                    if n_g < n_h:
+                        matrix[n_g:, :] = 1.0 + p.degrees
+                    else:
+                        matrix[:, n_h:] = deletion[:, None]
                 rows, cols = linear_sum_assignment(matrix)
-                out[idx] = float(matrix[rows, cols].sum())
-            else:
-                out[idx] = 0.0
+                out[start + idx] = float(matrix[rows, cols].sum())
         return self._normalize_many(out, source, profiles)
 
     def _normalize_many(self, values, source, profiles) -> np.ndarray:

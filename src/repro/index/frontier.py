@@ -16,6 +16,10 @@ members (:meth:`Frontier.neighborhood_of`, with
 :meth:`Frontier.pi_hat_uncovered` as the cheap count-only tier), and
 **updates** after a selection anywhere (:meth:`Frontier.apply_update`).
 
+Neighborhoods are *residual*: coverage only grows within a query, so the
+members already covered when a neighborhood is resolved can never count
+towards a later gain, and a frontier may leave them out.
+
 Three implementations: :class:`TreeFrontier` here (an NB-Tree; a plain
 ``NBIndex`` is one of these over the identity id map, and
 :class:`~repro.shard.frontier.ShardFrontier` adds what only a shard needs
@@ -41,16 +45,29 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Protocol
 
 import numpy as np
 
+from repro import obs
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.cascade.stages import BLOCK_EVALS
 from repro.core.results import QueryStats
 from repro.index.nbtree import NBTreeNode
 
 _EPS = 1e-9
 _NEG_INF = float("-inf")
+#: Widening of the vantage sandwich before it may stand in for an exact
+#: centroid distance: far above float rounding in ``|a − b|`` / ``a + b``,
+#: far below any distance gap that matters.
+_SANDWICH_SLACK = 1e-9
+#: A verification batch smaller than this costs more in dispatch (engine,
+#: cascade and kernel set-up ≈ the price of 3–4 star distances) than the
+#: verdicts it could save.
+_MIN_VERIFY_BATCH = 4
+#: Update-walk verdicts for one node (:meth:`TreeFrontier._verdict`).
+_PRUNE, _REFRESH, _DECREMENT, _KEEP, _BATCH, _DESCEND = range(6)
 #: Tie-break sentinel for subtrees with no relevant members; larger than
 #: any real graph id, so it loses every tie-break.
 _NO_GID = 2**63 - 1
@@ -67,8 +84,8 @@ class RoundCursor(Protocol):
     ) -> tuple[int, float, np.ndarray] | None:
         """The next candidate whose local gain is above ``min_useful`` (or
         equal with a global id below ``tie_gid``) as ``(gid, exact local
-        gain, local neighborhood bitset)``; ``None`` — final for the
-        round — when no such candidate remains."""
+        gain, local residual neighborhood bitset)``; ``None`` — final for
+        the round — when no such candidate remains."""
 
 
 class Frontier(Protocol):
@@ -98,7 +115,8 @@ class Frontier(Protocol):
         """Upper bound on a *foreign* graph's gain among the members."""
 
     def neighborhood_of(self, gid: int) -> np.ndarray:
-        """``N_θ(gid) ∩ members`` as a packed bitset, exact."""
+        """``N_θ(gid) ∩ members`` as a packed bitset, exact over every
+        member uncovered as of the last ``begin_round``."""
 
     def apply_update(
         self, selected: int, newly: BitsetDelta, covered: np.ndarray
@@ -149,6 +167,16 @@ class TreeState:
         self.node_min_gid = np.full(num_nodes, _NO_GID, dtype=np.int64)
         self._collect_relevant(index.tree.root)
         self.node_has = bitset_kernel.popcount_rows(self.node_bits) > 0
+        # The update walk only ever visits nodes with relevant members:
+        # their slots in, and the vantage rows of their centroids for, the
+        # per-selection sandwich (two array ops over these rows).
+        walked = np.flatnonzero(self.node_has)
+        self.walk_slot = np.full(num_nodes, -1, dtype=np.int64)
+        self.walk_slot[walked] = np.arange(walked.size)
+        centroid_of = np.empty(num_nodes, dtype=np.int64)
+        for node in index.tree.nodes:
+            centroid_of[node.node_id] = node.centroid
+        self.walk_centroid_coords = index.embedding.coords[centroid_of[walked]]
         self._pi_hat_columns: dict[int | None, np.ndarray] = {}
         self._initial_bounds: dict[int | None, np.ndarray] = {}
 
@@ -218,8 +246,10 @@ class TreeRoundSearch:
     The coordinator pulls candidates with :meth:`next`; between pulls it
     reads :meth:`peek` to re-rank the frontier against the others.  The
     walk shares the frontier's persistent bound array, so work done in one
-    round keeps paying off in later rounds (and pulls that resolve leaves
-    leave exact gains behind for the update step to refresh)."""
+    round keeps paying off in later rounds: a resolved leaf leaves its
+    exact gain behind for the update step to refresh, a leaf that was
+    proven unable to win leaves its partial verification
+    (:meth:`TreeFrontier.resolve`)."""
 
     def __init__(self, frontier: TreeFrontier, covered: np.ndarray):
         self.frontier = frontier
@@ -279,7 +309,9 @@ class TreeRoundSearch:
                 if bounds[node.node_id] == _NEG_INF:
                     continue
                 gid = state.global_ids[node.graph_index]
-                neighborhood = frontier.neighborhood_of(gid)
+                neighborhood = frontier.resolve(gid, min_useful, tie_gid)
+                if neighborhood is None:
+                    continue  # proven unable to win; its bound says so now
                 gain = float(
                     bitset_kernel.uncovered_count(neighborhood, self.covered)
                 )
@@ -306,11 +338,17 @@ class TreeRoundSearch:
 class TreeFrontier:
     """One NB-Tree's state for one (θ, k) query — the home path.
 
-    ``distance(a, b)`` evaluates one pair of *global* ids (the update
-    walk's centroid distances, where the selected graph may live in
+    ``distances(a, bs)`` evaluates one batch of *global* id pairs (the
+    update walk's centroid distances, where the selected graph may live in
     another tree).  Complete on its own when every graph the query can
     select is a member — a plain ``NBIndex``; a shard resolves foreign
     graphs through :class:`~repro.shard.frontier.ShardFrontier`.
+
+    A leaf's working bound descends a ladder, each rung an upper bound on
+    its residual gain and each paid for only when a round needs it: the
+    indexed π̂ count → the Chebyshev window over the members still
+    uncovered → ``hits + unverified`` of a partially verified window → the
+    exact gain (:meth:`resolve`).
     """
 
     def __init__(
@@ -321,7 +359,7 @@ class TreeFrontier:
         stats: QueryStats,
         cascade=None,
         *,
-        distance,
+        distances,
     ):
         self.state = state
         self.index = state.index
@@ -337,12 +375,17 @@ class TreeFrontier:
         self._gen_theta = (
             self.theta if cascade is None else cascade.generation_theta(theta)
         )
-        self._distance = distance
+        self._distances = distances
         self.bounds = state.initial_bounds(ladder_index)
-        #: Exact θ-neighborhoods within this tree's relevant members, as
-        #: packed bitsets keyed by global id.
+        #: Resolved residual θ-neighborhoods within this tree's relevant
+        #: members, as packed bitsets keyed by global id.
         self._nbhd: dict[int, np.ndarray] = {}
+        #: Leaves verified only far enough to prove they could not win a
+        #: round: ``gid → (hits, unverified)`` as ranks into the state's
+        #: relevant members, ``unverified`` in verification order.
+        self._partial: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.uncovered_count = int(self.relevant_global.size)
+        self._uncovered = np.ones(self.relevant_global.size, dtype=bool)
 
     #: Nothing is foreign to a frontier that holds every candidate.
     foreign_embeds = 0
@@ -353,11 +396,17 @@ class TreeFrontier:
     # Round lifecycle
     # ------------------------------------------------------------------
     def begin_round(self, covered: np.ndarray) -> None:
-        """Refresh the uncovered-member count: one
-        ``popcount(members & ~covered)``."""
-        self.uncovered_count = (
-            bitset_kernel.uncovered_count(self.state.member_bits, covered)
-            if self.relevant_global.size else 0
+        """Refresh the uncovered-member count (one ``popcount(members &
+        ~covered)``) and the per-member uncovered mask (one vectorized bit
+        gather) that windows and π̂ counts are restricted to."""
+        if not self.relevant_global.size:
+            self.uncovered_count = 0
+            return
+        self.uncovered_count = bitset_kernel.uncovered_count(
+            self.state.member_bits, covered
+        )
+        self._uncovered = ~bitset_kernel.test_positions(
+            covered, self.state.rel_positions
         )
 
     def root_bound(self) -> float:
@@ -378,51 +427,119 @@ class TreeFrontier:
     # Neighborhood resolution
     # ------------------------------------------------------------------
     def neighborhood_of(self, gid: int) -> np.ndarray:
-        """``N_θ(gid) ∩ relevant(tree)`` as a packed bitset, exact, cached.
+        """A member's residual neighborhood, resolved to completion."""
+        return self.resolve(int(gid), _NEG_INF, None)
+
+    def resolve(
+        self, gid: int, min_useful: float, tie_gid: int | None
+    ) -> np.ndarray | None:
+        """Verify a home leaf's window only as far as the round needs.
+
+        Returns the leaf's residual neighborhood — ``N_θ(gid)`` within the
+        members uncovered as of this round, packed, cached — once every
+        window member has a verdict.  Returns ``None`` as soon as ``hits +
+        unverified`` shows the leaf cannot beat ``min_useful`` (or tie it
+        with an id below ``tie_gid``): that count stays behind as the
+        leaf's working bound and ``(hits, unverified)`` as its partial
+        state, picked up — minus whatever got covered meanwhile — if a
+        later round pops the leaf again.
 
         Membership is always ``d(gid, c) ≤ θ + ε`` with the global ε, so
-        the union over frontiers equals the single-index neighborhood."""
+        the union over frontiers equals the single-index neighborhood.
+        """
         cached = self._nbhd.get(gid)
         if cached is not None:
             return cached
-        gid = int(gid)
-        members = self._members_within(gid)
-        result = self.universe.encode_ids(
-            np.fromiter(members, dtype=np.int64, count=len(members))
-        )
-        self._nbhd[gid] = result
-        self.stats.exact_neighborhoods += 1
-        return result
-
-    def _members_within(self, gid: int) -> list[int]:
-        """Home path: vantage candidates verified by edit distance."""
-        index = self.index
         state = self.state
         stats = self.stats
         local = state.g2l[gid]
-        candidates = index.embedding.candidates(
-            local, self._gen_theta + _EPS, state.relevant_local
-        )
-        stats.candidates_generated += int(candidates.size)
-        others = [int(c) for c in candidates if int(c) != local]
-        verified = [local] if len(others) < candidates.size else []
-        stats.candidate_verifications += len(others)
+        leaf = self.index._leaf_of[local].node_id
+        partial = self._partial.pop(gid, None)
+        if partial is None:
+            hits, unverified = self._open_window(local)
+        else:
+            # Covered members left the residual; the ones among
+            # `unverified` stay booked as skipped for good.
+            hits, unverified = (
+                ranks[self._uncovered[ranks]] for ranks in partial
+            )
+            stats.partial_neighborhoods -= 1
+            stats.verifications_skipped -= int(unverified.size)
+        wins_ties = tie_gid is None or gid < tie_gid
+        while unverified.size:
+            # The deficit: the fewest misses after which the leaf is out of
+            # the round.  No smaller batch of verdicts can end the visit,
+            # so that is what gets verified next, likeliest misses first.
+            # (Gains are ≥ 0: any negative `min_useful` — −inf without an
+            # incumbent — asks for the whole window.)
+            slack = hits.size + unverified.size - max(min_useful, -1.0)
+            needed = math.floor(slack) + 1 if wins_ties else math.ceil(slack)
+            if needed <= 0:
+                self._partial[gid] = (hits, unverified)
+                self.bounds[leaf] = float(hits.size + unverified.size)
+                stats.partial_neighborhoods += 1
+                stats.verifications_skipped += int(unverified.size)
+                return None
+            take = max(needed, _MIN_VERIFY_BATCH)
+            chunk, unverified = unverified[:take], unverified[take:]
+            stats.candidate_verifications += int(chunk.size)
+            within = self._within(local, state.relevant_local[chunk])
+            hits = np.concatenate([hits, chunk[within]])
+        result = self.universe.encode_positions(state.rel_positions[hits])
+        self._nbhd[gid] = result
+        stats.exact_neighborhoods += 1
+        return result
+
+    def _open_window(self, local: int) -> tuple[np.ndarray, np.ndarray]:
+        """First visit of a leaf: its Chebyshev window over the uncovered
+        members, split by what is free to decide — itself, vantage
+        upper-bound accepts and pairs the engine has already evaluated —
+        into ``(hits, unverified)`` ranks, ``unverified`` by descending
+        lower bound.  A free verdict is only taken where every cascade
+        configuration would agree with it: accept at the relaxed cutoff
+        ``(1−ε)θ``, reject above θ."""
+        state = self.state
+        embedding = self.index.embedding
+        ranks = np.flatnonzero(self._uncovered)
+        ids = state.relevant_local[ranks]
+        row = embedding.coords[local]
+        cutoff = self._gen_theta + _EPS
+        obs.counter(BLOCK_EVALS)
+        lower = embedding.lower_bounds_to(row, ids)
+        inside = lower <= cutoff
+        ranks, ids, lower = ranks[inside], ids[inside], lower[inside]
+        self.stats.candidates_generated += int(ranks.size)
+        hit = (ids == local) | (embedding.upper_bounds_to(row, ids) <= cutoff)
+        undecided = ~hit
+        engine = self.index.engine
+        if engine is not None and undecided.any():
+            # NaN (never evaluated) fails both comparisons: stays undecided.
+            known = engine.cached_distances(local, ids[undecided])
+            hit[undecided] = known <= cutoff
+            undecided[undecided] = ~(
+                (known <= cutoff) | (known > self.theta + _EPS)
+            )
+        order = np.argsort(-lower[undecided], kind="stable")
+        return ranks[hit], ranks[undecided][order]
+
+    def _within(self, local: int, ids: np.ndarray) -> np.ndarray:
+        """Exact ``d(local, id) ≤ θ + ε`` verdicts for window members."""
+        index = self.index
         if index.engine is not None:
-            # The candidate window above already applied the vantage lower
-            # bound at this threshold — `prefiltered` skips re-running it.
-            mask = index.engine.within(
-                local, others, self.theta, cascade=self.cascade,
+            # The window already applied the vantage lower bound at this
+            # threshold — `prefiltered` skips re-running it.
+            return index.engine.within(
+                local, ids, self.theta, cascade=self.cascade,
                 prefiltered=True,
             )
-            verified.extend(c for c, ok in zip(others, mask) if ok)
-        else:
-            graph = index.database[local]
-            verified.extend(
-                c for c in others
-                if index.distance(graph, index.database[c])
-                <= self.theta + _EPS
-            )
-        return [state.global_ids[c] for c in verified]
+        graph = index.database[local]
+        return np.fromiter(
+            (
+                index.distance(graph, index.database[c]) <= self.theta + _EPS
+                for c in ids.tolist()
+            ),
+            dtype=bool, count=ids.size,
+        )
 
     # ------------------------------------------------------------------
     # Update (Theorems 6–8)
@@ -433,63 +550,115 @@ class TreeFrontier:
         """Batch-tighten bounds after ``selected`` (a member of any
         frontier) was added and the ``newly`` delta became covered.
 
-        One centroid distance per visited node; subtrees provably outside
-        the ``2θ`` influence ball are skipped (Theorem 6); clusters fully
-        inside the new neighborhood with diameter ≤ θ get a single
-        decrement (Theorem 7), with the recursion realizing Theorem 8 for
-        partially overlapping parents.  Leaves with a cached exact
-        neighborhood are refreshed to their exact residual gain.
-        """
-        self._update(self.index.tree.root, int(selected), newly, covered)
+        Subtrees provably outside the ``2θ`` influence ball are skipped
+        (Theorem 6); clusters fully inside the new neighborhood with
+        diameter ≤ θ get a single decrement (Theorem 7), with the
+        recursion realizing Theorem 8 for partially overlapping parents.
+        Leaves with a resolved neighborhood are refreshed to their exact
+        residual gain.
 
-    def _update(
-        self,
-        node: NBTreeNode,
-        selected: int,
-        newly: BitsetDelta,
-        covered: np.ndarray,
-    ) -> None:
-        bounds = self.bounds
-        if bounds[node.node_id] == _NEG_INF:
-            return
-        state = self.state
-        theta = self.theta
-        centroid_distance = float(
-            self._distance(selected, state.global_ids[node.centroid])
+        Every one of those predicates is monotone in the centroid distance
+        ``cd``, so the vantage sandwich ``lower ≤ cd ≤ upper`` of
+        ``selected`` against all walkable centroids (two array ops per
+        selection) settles a node whenever both of its ends give the same
+        verdict; only the rest pay exact distances, one batch per sibling
+        group.
+        """
+        root = self.index.tree.root
+        if self.bounds[root.node_id] == _NEG_INF:
+            return  # no relevant member in this tree
+        selected = int(selected)
+        coords = self.state.walk_centroid_coords
+        row = self._vantage_row(selected)
+        lower = np.max(np.abs(coords - row), axis=1) - _SANDWICH_SLACK
+        upper = np.min(coords + row, axis=1) + _SANDWICH_SLACK
+        self._update(
+            [root], selected, newly, covered, lower.tolist(), upper.tolist()
         )
-        if centroid_distance - node.radius > 2.0 * theta + _EPS:
-            self.stats.pruned_subtrees += 1
-            return  # Theorem 6: no member's neighborhood changed.
+
+    def _vantage_row(self, gid: int) -> np.ndarray:
+        """Vantage coordinates of a selected graph in this tree's space."""
+        return self.index.embedding.coords[self.state.g2l[gid]]
+
+    def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
+        """What the update does to ``node`` at centroid distance ``cd``."""
+        theta = self.theta
+        if cd - node.radius > 2.0 * theta + _EPS:
+            return _PRUNE  # Theorem 6: no member's neighborhood changed.
         if node.is_leaf:
-            gid = state.global_ids[node.graph_index]
-            cached = self._nbhd.get(gid)
-            if cached is not None:
-                # Residual within this tree only — still an upper-bound
-                # component; the coordinator adds foreign parts on top.
-                bounds[node.node_id] = float(
-                    bitset_kernel.uncovered_count(cached, covered)
-                )
-            elif centroid_distance <= theta + _EPS and (
+            gid = self.state.global_ids[node.graph_index]
+            if gid in self._nbhd:
+                return _REFRESH
+            if cd <= theta + _EPS and (
                 (position := self.universe.position(gid)) is not None
                 and newly.test(position)
             ):
                 # The leaf itself is newly covered: its own neighborhood
                 # contains it, so its gain shrinks by at least one.
-                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
-            return
+                return _DECREMENT
+            return _KEEP
         if (
             node.diameter <= theta + _EPS
-            and centroid_distance + node.radius <= theta + _EPS
+            and cd + node.radius <= theta + _EPS
         ):
             # Theorem 7 (exact-coverage form): the cluster is inside
             # N(selected) and every member's neighborhood contains the
             # cluster, so each loses the newly covered relevant members.
-            decrement = newly.intersection_count(state.node_bits[node.node_id])
-            if decrement:
-                self.stats.batch_decrements += 1
-                bounds[node.node_id] = max(
-                    0.0, bounds[node.node_id] - float(decrement)
+            return _BATCH
+        return _DESCEND
+
+    def _update(
+        self,
+        siblings: list[NBTreeNode],
+        selected: int,
+        newly: BitsetDelta,
+        covered: np.ndarray,
+        lower: list[float],
+        upper: list[float],
+    ) -> None:
+        bounds = self.bounds
+        state = self.state
+        settled: list[tuple[NBTreeNode, int]] = []
+        undecided: list[NBTreeNode] = []
+        for node in siblings:
+            if bounds[node.node_id] == _NEG_INF:
+                continue
+            slot = state.walk_slot[node.node_id]
+            verdict = self._verdict(node, lower[slot], newly)
+            if verdict == self._verdict(node, upper[slot], newly):
+                settled.append((node, verdict))
+            else:
+                undecided.append(node)
+        if undecided:
+            exact = self._distances(
+                selected, [state.global_ids[node.centroid] for node in undecided]
+            )
+            settled.extend(
+                (node, self._verdict(node, float(cd), newly))
+                for node, cd in zip(undecided, exact)
+            )
+        for node, verdict in settled:
+            if verdict == _PRUNE:
+                self.stats.pruned_subtrees += 1
+            elif verdict == _REFRESH:
+                # Residual within this tree only — still an upper-bound
+                # component; the coordinator adds foreign parts on top.
+                gid = state.global_ids[node.graph_index]
+                bounds[node.node_id] = float(
+                    bitset_kernel.uncovered_count(self._nbhd[gid], covered)
                 )
-            return
-        for child in node.children:
-            self._update(child, selected, newly, covered)
+            elif verdict == _DECREMENT:
+                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
+            elif verdict == _BATCH:
+                decrement = newly.intersection_count(
+                    state.node_bits[node.node_id]
+                )
+                if decrement:
+                    self.stats.batch_decrements += 1
+                    bounds[node.node_id] = max(
+                        0.0, bounds[node.node_id] - float(decrement)
+                    )
+            elif verdict == _DESCEND:
+                self._update(
+                    node.children, selected, newly, covered, lower, upper
+                )

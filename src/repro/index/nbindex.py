@@ -325,8 +325,12 @@ class NBIndex:
     def _distance_calls(self) -> int:
         return self._counting.calls
 
-    def _pair_distance(self, a: int, b: int) -> float:
-        return self.distance(self.database[a], self.database[b])
+    def _pair_distances(self, a: int, bs: list[int]):
+        """``d(a, b)`` for every ``b`` — one engine batch when there is one."""
+        if self.engine is not None:
+            return self.engine.one_to_many(a, bs)
+        graph = self.database[a]
+        return [self.distance(graph, self.database[b]) for b in bs]
 
     def _tree_state(self, session: "QuerySession") -> TreeState:
         """The session's state for this index's one tree (identity ids)."""
@@ -339,7 +343,7 @@ class NBIndex:
         """One tree frontier: the S = 1 case of the coordinated greedy."""
         frontier = TreeFrontier(
             self._tree_state(run.session), run.theta, run.ladder_index,
-            run.stats, run.cascade, distance=self._pair_distance,
+            run.stats, run.cascade, distances=self._pair_distances,
         )
         return run.greedy([frontier], lambda gid: frontier)
 
@@ -686,6 +690,8 @@ def _record_query_obs(layer: str, stats: QueryStats) -> None:
         obs.counter("query.candidate_verifications", stats.candidate_verifications)
     obs.counter("query.distance_calls", stats.distance_calls)
     obs.counter("query.exact_neighborhoods", stats.exact_neighborhoods)
+    obs.counter("query.partial_neighborhoods", stats.partial_neighborhoods)
+    obs.counter("query.verifications_skipped", stats.verifications_skipped)
     obs.counter("query.nodes_popped", stats.nodes_popped)
     obs.counter("query.leaves_evaluated", stats.leaves_evaluated)
     obs.counter("query.pruned_subtrees", stats.pruned_subtrees)

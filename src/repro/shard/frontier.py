@@ -1,9 +1,10 @@
 """Per-shard query frontier: a tree frontier that can resolve strangers.
 
 A :class:`ShardFrontier` is a :class:`~repro.index.frontier.TreeFrontier`
-(bounds, best-first walk, Theorem 6–8 update, home-path neighborhoods —
-all inherited) over one shard's NB-Index, plus the one thing only a shard
-needs: answering for graphs that live on *other* frontiers.  A foreign
+(bounds, best-first walk, Theorem 6–8 update, lazily verified home-path
+neighborhoods — all inherited) over one shard's NB-Index, plus the one
+thing only a shard needs: answering for graphs that live on *other*
+frontiers.  A foreign
 graph is embedded once against this shard's vantage points (``|V|``
 distances through the global engine) and then filtered with the same
 Chebyshev lower bound / min-sum upper bound sandwich the home path uses,
@@ -22,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.bitset import kernel as bitset_kernel
 from repro.cascade.stages import BLOCK_EVALS
 from repro.core.results import QueryStats
 from repro.index.frontier import TreeFrontier, TreeRoundSearch, TreeState
@@ -52,20 +52,11 @@ class ShardFrontier(TreeFrontier):
         global_engine,
     ):
         super().__init__(
-            state, theta, ladder_index, stats, cascade, distance=global_engine
+            state, theta, ladder_index, stats, cascade,
+            distances=global_engine.one_to_many,
         )
         self.global_engine = global_engine
         self._foreign_coords: dict[int, np.ndarray] = {}
-        self._uncov_mask = np.ones(self.relevant_global.size, dtype=bool)
-
-    def begin_round(self, covered: np.ndarray) -> None:
-        """Also refresh the per-member uncovered mask (one vectorized bit
-        gather) that :meth:`pi_hat_uncovered` counts over."""
-        super().begin_round(covered)
-        if self.relevant_global.size:
-            self._uncov_mask = ~bitset_kernel.test_positions(
-                covered, self.state.rel_positions
-            )
 
     @property
     def foreign_embeds(self) -> int:
@@ -94,19 +85,36 @@ class ShardFrontier(TreeFrontier):
         if not self.uncovered_count:
             return 0
         coords = self.foreign_coords(gid)
-        among = self.state.relevant_local[self._uncov_mask]
+        among = self.state.relevant_local[self._uncovered]
         obs.counter(BLOCK_EVALS)
         lower = self.index.embedding.lower_bounds_to(coords, among)
         return int(np.count_nonzero(lower <= self.theta + _EPS))
 
+    def _vantage_row(self, gid: int) -> np.ndarray:
+        if gid in self.state.g2l:
+            return super()._vantage_row(gid)
+        return self.foreign_coords(gid)
+
+    def neighborhood_of(self, gid: int) -> np.ndarray:
+        """Home graphs take the inherited lazy path; a foreign graph's
+        ``N_θ(gid) ∩ relevant(shard)`` is resolved whole, exact, cached."""
+        gid = int(gid)
+        if gid in self.state.g2l:
+            return super().neighborhood_of(gid)
+        cached = self._nbhd.get(gid)
+        if cached is None:
+            members = self._members_within(gid)
+            cached = self._nbhd[gid] = self.universe.encode_ids(
+                np.fromiter(members, dtype=np.int64, count=len(members))
+            )
+            self.stats.exact_neighborhoods += 1
+        return cached
+
     def _members_within(self, gid: int) -> list[int]:
-        """Home graphs take the inherited path; a foreign graph is
-        sandwiched between the vantage bounds of its foreign coordinates
-        and only the undecided band is verified — the same ``d ≤ θ + ε``
-        predicate either way."""
+        """A foreign graph is sandwiched between the vantage bounds of its
+        foreign coordinates and only the undecided band is verified — the
+        same ``d ≤ θ + ε`` predicate as the home path."""
         state = self.state
-        if gid in state.g2l:
-            return super()._members_within(gid)
         theta = self.theta
         stats = self.stats
         among = state.relevant_local

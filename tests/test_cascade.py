@@ -274,9 +274,13 @@ class TestCallReduction:
     def test_query_exact_verifications_reduced(self, db, relevance):
         """Two identical fresh builds; only the cascade differs — fewer
         pairs reach exact verification (``engine.prefilter.verified``),
-        and the pair cache never pays more evaluations."""
+        and the pair cache never pays more evaluations.  The build's pair
+        cache is dropped first (a cold query, as after ``open_index``):
+        pairs the engine already knows never reach any stage."""
         plain = NBIndex.build(db, StarDistance(), **BUILD)
         cascaded = NBIndex.build(db, StarDistance(), **BUILD)
+        for built in (plain, cascaded):
+            built.engine._cache.clear()
         theta = 4.0
 
         def verified(index, **kwargs):

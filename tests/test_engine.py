@@ -455,7 +455,7 @@ def test_insert_invalidates_pool_and_stays_correct():
         )
         frontier = TreeFrontier(
             index._tree_state(session), 3.0, index.ladder.index_for(3.0),
-            result.stats.__class__(), distance=index._pair_distance,
+            result.stats.__class__(), distances=index._pair_distances,
         )
         # neighborhood_of returns a packed bitset over the session's
         # relevant universe; decode for the brute-force comparison.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -470,7 +471,11 @@ def test_serve_signal_drains_gracefully(tmp_path, signum):
         raise
     responses = [json.loads(line) for line in out.splitlines() if line.strip()]
     answered = {r["id"] for r in responses} | {first["id"]}
-    assert answered == {0, 1}  # everything admitted was answered
+    # Everything admitted was answered.  Whether the reader got to the
+    # second line before the signal is a race the drain report settles
+    # (a fast first answer can beat the reader thread to it).
+    served = int(re.search(r"'served': (\d+)", err).group(1))
+    assert served >= 1 and answered == set(range(served))
     assert all(r["ok"] for r in responses)
     assert "drained:" in err
     assert proc.returncode == 0

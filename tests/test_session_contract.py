@@ -222,7 +222,8 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
     for field in (
         "exact_neighborhoods", "candidate_verifications",
         "candidates_generated", "nodes_popped", "leaves_evaluated",
-        "pruned_subtrees", "batch_decrements",
+        "pruned_subtrees", "batch_decrements", "partial_neighborhoods",
+        "verifications_skipped",
     ):
         assert getattr(got.stats, field) == getattr(want.stats, field), field
     assert want.stats.distance_calls == plain.engine.evaluations
@@ -366,8 +367,19 @@ class TestFrontierProtocol:
         assert frontier.uncovered_count == len(members) - int(gain)
         cursor = frontier.open_round(covered)
         offered = []
+        done = set(universe.decode_ids(covered))
         while (candidate := cursor.next(float("-inf"), None)) is not None:
             offered.append(candidate[0])
+            # Neighborhoods may be residual — covered members left out —
+            # but never wrong about what is still uncovered.
+            other, other_gain, other_nbhd = candidate
+            assert other_gain == bitset_kernel.uncovered_count(
+                other_nbhd, covered
+            )
+            assert set(universe.decode_ids(other_nbhd)) - done == {
+                m for m in members - done
+                if star(database[other], database[m]) <= self.THETA + 1e-9
+            }
         assert gid not in offered and set(offered) == members - {gid}
 
 
