@@ -132,17 +132,6 @@ def _cascade_checks(document: dict, schema: dict) -> None:
                   "cascade timers must be cascade.<known-stage>.seconds")
 
 
-def _query_checks(document: dict, schema: dict) -> None:
-    """``query.<name>`` counters are the per-query roll-up: the name must
-    be registered in the schema's ``query_counters`` enum."""
-    known = set(schema["$defs"]["query_counters"]["enum"])
-    for name in document["metrics"]["counters"]:
-        if name.startswith("query.") and name[len("query."):] not in known:
-            _fail(f"metrics.counters.{name}",
-                  f"unregistered query counter (schema allows: "
-                  f"{', '.join(sorted(known))})")
-
-
 def _semantic_checks(document: dict) -> None:
     """Consistency rules beyond the schema subset."""
     for name, entry in document["metrics"]["histograms"].items():
@@ -178,7 +167,6 @@ def validate(document: dict, required_counters=()) -> list[str]:
         validate_node(document, schema, schema)
         _semantic_checks(document)
         _cascade_checks(document, schema)
-        _query_checks(document, schema)
     except ValidationError as error:
         return [str(error)]
     counters = document["metrics"]["counters"]

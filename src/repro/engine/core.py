@@ -318,21 +318,24 @@ class DistanceEngine:
             obs.counter("engine.cache_hits", hits)
         return out
 
-    def cached_distances(self, source, targets) -> np.ndarray:
-        """Pair-cache peek: ``d(source, t)`` where the pair has already
-        been evaluated, ``NaN`` elsewhere.  Evaluates nothing; pairs found
-        count as cache hits, pairs not found are not (yet) misses."""
+    def cached_verdicts(
+        self, source, targets, accept: float, reject: float
+    ) -> np.ndarray:
+        """Pair-cache peek: ``+1`` where ``d(source, t)`` has already been
+        evaluated and is ``<= accept``, ``-1`` where it is ``> reject``,
+        ``0`` elsewhere (never evaluated, or in between).  Evaluates
+        nothing; only the pairs it decides count as cache hits — an
+        undecided pair is booked by the call that later resolves it."""
         _, graphs = self._resolve_many(targets)
-        out = np.full(len(graphs), np.nan)
+        out = np.zeros(len(graphs), dtype=np.int8)
         source_graph = self._resolve(source)
-        hits = 0
         with self._cache_lock:
             cache = self._cache
             for position, graph in enumerate(graphs):
                 value = cache.get(_pair_key(source_graph, graph))
                 if value is not None:
-                    hits += 1
-                    out[position] = value
+                    out[position] = (value <= accept) - (value > reject)
+            hits = int(np.count_nonzero(out))
             self.cache_hits += hits
         if hits:
             obs.counter("engine.cache_hits", hits)

@@ -513,12 +513,11 @@ class TreeFrontier:
         undecided = ~hit
         engine = self.index.engine
         if engine is not None and undecided.any():
-            # NaN (never evaluated) fails both comparisons: stays undecided.
-            known = engine.cached_distances(local, ids[undecided])
-            hit[undecided] = known <= cutoff
-            undecided[undecided] = ~(
-                (known <= cutoff) | (known > self.theta + _EPS)
+            known = engine.cached_verdicts(
+                local, ids[undecided], accept=cutoff, reject=self.theta + _EPS
             )
+            hit[undecided] = known > 0
+            undecided[undecided] = known == 0
         order = np.argsort(-lower[undecided], kind="stable")
         return ranks[hit], ranks[undecided][order]
 
@@ -581,7 +580,12 @@ class TreeFrontier:
         return self.index.embedding.coords[self.state.g2l[gid]]
 
     def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
-        """What the update does to ``node`` at centroid distance ``cd``."""
+        """What the update does to ``node`` at centroid distance ``cd``.
+
+        The Theorem-6 test comes first for leaves too: a leaf whose ends
+        disagree only between prune and refresh/keep would get the same
+        bound either way, but ``pruned_subtrees`` counts it, so it still
+        pays its exact distance."""
         theta = self.theta
         if cd - node.radius > 2.0 * theta + _EPS:
             return _PRUNE  # Theorem 6: no member's neighborhood changed.

@@ -723,51 +723,27 @@ def serve_lines(service: QueryService, in_stream, out_stream) -> dict:
     writer = threading.Thread(target=_writer, name="repro-serve-out", daemon=True)
     writer.start()
     served = 0
-    stop = threading.Event()
-    #: Held while one line is parsed, admitted and queued for the writer.
-    hand_off = threading.Lock()
-    failure: list[BaseException] = []
-
-    def _reader() -> None:
-        nonlocal served
-        try:
-            for line in in_stream:
-                if not line.strip():
-                    continue
-                with hand_off:
-                    if stop.is_set():
-                        return  # read after the stop signal: never admitted
-                    served += 1
-                    try:
-                        request = protocol.parse_request(
-                            line, max_bytes=service.config.max_request_bytes
-                        )
-                        pending.put(service.submit(request))
-                    except ServiceError as error:
-                        pending.put(protocol.error_response(
-                            _best_effort_id(line), error
-                        ))
-        except BaseException as error:  # re-raised by serve_lines below
-            failure.append(error)
-
-    # Lines are read off the main thread: a stop signal (the CLI turns
-    # SIGTERM/SIGINT into KeyboardInterrupt, raised in the main thread at
-    # an arbitrary bytecode) can then never land between admitting a
-    # request and queueing its response.
-    reader = threading.Thread(target=_reader, name="repro-serve-in", daemon=True)
-    reader.start()
     try:
-        reader.join()
+        for line in in_stream:
+            if not line.strip():
+                continue
+            served += 1
+            try:
+                request = protocol.parse_request(
+                    line, max_bytes=service.config.max_request_bytes
+                )
+                pending.put(service.submit(request))
+            except ServiceError as error:
+                pending.put(
+                    protocol.error_response(_best_effort_id(line), error)
+                )
     except KeyboardInterrupt:
-        # Stop reading and fall through to the same drain path EOF takes —
+        # SIGTERM/SIGINT mid-stream (the CLI turns both into this): stop
+        # reading and fall through to the same drain path EOF takes —
         # already-admitted requests still get their FIFO responses.
-        stop.set()
-        with hand_off:
-            pass  # let a hand-off in progress finish
+        pass
     pending.put(_EOF)
     writer.join()
-    if failure:
-        raise failure[0]
     report = service.drain()
     report["served"] = served
     return report

@@ -27,7 +27,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import obs, open_index
 from repro.cascade import (
     DEFAULT_STAGES,
     FULL_STAGES,
@@ -42,7 +42,7 @@ from repro.cascade.stages import BLOCK_EVALS
 from repro.engine import DistanceEngine
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
-from repro.index import NBIndex
+from repro.index import NBIndex, save_index
 from repro.service import (
     InvalidRequest,
     QueryRequest,
@@ -271,16 +271,17 @@ class TestCallReduction:
         assert structural_prunes > 0
         assert snap["assignment"]["evals"] >= snap["assignment"]["prunes"]
 
-    def test_query_exact_verifications_reduced(self, db, relevance):
-        """Two identical fresh builds; only the cascade differs — fewer
-        pairs reach exact verification (``engine.prefilter.verified``),
-        and the pair cache never pays more evaluations.  The build's pair
-        cache is dropped first (a cold query, as after ``open_index``):
-        pairs the engine already knows never reach any stage."""
-        plain = NBIndex.build(db, StarDistance(), **BUILD)
-        cascaded = NBIndex.build(db, StarDistance(), **BUILD)
-        for built in (plain, cascaded):
-            built.engine._cache.clear()
+    def test_query_exact_verifications_reduced(self, db, relevance, tmp_path):
+        """One build opened twice from disk (cold pair caches: pairs the
+        engine has already evaluated never reach any stage); only the
+        cascade differs — fewer pairs reach exact verification
+        (``engine.prefilter.verified``), and the pair cache never pays
+        more evaluations."""
+        save_index(
+            NBIndex.build(db, StarDistance(), **BUILD), tmp_path / "index.npz"
+        )
+        plain = open_index(tmp_path / "index.npz", db)
+        cascaded = open_index(tmp_path / "index.npz", db)
         theta = 4.0
 
         def verified(index, **kwargs):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import signal
 import socket
 import subprocess
@@ -465,17 +464,24 @@ def test_serve_signal_drains_gracefully(tmp_path, signum):
         first = json.loads(proc.stdout.readline())
         assert first["ok"], first
         proc.send_signal(signum)
-        out, err = proc.communicate(timeout=60)
+        # Keep reading through the buffered reader the first line came
+        # from: communicate() reads the raw descriptor, and a second
+        # response that readline() had already buffered would be lost.
+        watchdog = threading.Timer(60, proc.kill)
+        watchdog.start()
+        try:
+            proc.stdin.close()
+            out = proc.stdout.read()
+            err = proc.stderr.read()
+            proc.wait()
+        finally:
+            watchdog.cancel()
     except Exception:
         proc.kill()
         raise
     responses = [json.loads(line) for line in out.splitlines() if line.strip()]
     answered = {r["id"] for r in responses} | {first["id"]}
-    # Everything admitted was answered.  Whether the reader got to the
-    # second line before the signal is a race the drain report settles
-    # (a fast first answer can beat the reader thread to it).
-    served = int(re.search(r"'served': (\d+)", err).group(1))
-    assert served >= 1 and answered == set(range(served))
+    assert answered == {0, 1}  # everything admitted was answered
     assert all(r["ok"] for r in responses)
     assert "drained:" in err
     assert proc.returncode == 0
