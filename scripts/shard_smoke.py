@@ -75,6 +75,38 @@ def main() -> int:
                 f"--- sharded ---\n{sharded.stdout}"
             )
 
+        # The coordinator's ladder accounts for every candidate it asked a
+        # frontier about: a tier-1 survivor that is not dropped against
+        # remembered bounds (memo_prunes) opens every foreign window
+        # (pi_hat_refines) and ends in exactly one of the three outcomes.
+        metrics = tmp / "metrics.json"
+        traced = run_cli(
+            "query", *query_args, "--shards", str(manifest),
+            "--metrics", str(metrics),
+        )
+        if traced.returncode != 0:
+            failures.append(f"sharded query --metrics failed: {traced.stderr}")
+        else:
+            counters = json.loads(metrics.read_text())["metrics"]["counters"]
+            coord = {
+                key: int(counters.get(f"shard.coordinator.{key}", 0))
+                for key in (
+                    "pulls", "pi_hat_refines", "memo_prunes", "refine_prunes",
+                    "partial_scatters", "scatter_resolves",
+                )
+            }
+            survivors = coord["pi_hat_refines"] + coord["memo_prunes"]
+            outcomes = (
+                coord["partial_scatters"] + coord["scatter_resolves"]
+                + coord["refine_prunes"] + coord["memo_prunes"]
+            )
+            print(f"shard smoke: coordinator {coord}")
+            if not coord["scatter_resolves"] or survivors != outcomes:
+                failures.append(
+                    f"coordinator accounting: {survivors} tier-1 survivors "
+                    f"but {outcomes} outcomes ({coord})"
+                )
+
         # The bundle serves: one query + stats over the line protocol.
         requests = "\n".join([
             json.dumps({"id": 1, "op": "query", "theta": 10.0, "k": 5}),

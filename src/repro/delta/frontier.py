@@ -147,9 +147,12 @@ class ExactFrontier:
             return int(bitset_kernel.uncovered_count(cached, self._covered))
         return int(self.uncovered_count)
 
-    def neighborhood_of(self, gid: int) -> np.ndarray:
+    def neighborhood_of(
+        self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
+    ) -> np.ndarray:
         """``N_θ(gid) ∩ relevant(delta)`` as a packed global bitset, exact,
-        cached.  Same ``d ≤ θ + ε`` predicate as every other frontier."""
+        cached.  Same ``d ≤ θ + ε`` predicate as every other frontier.
+        The memtable is tiny: it is scanned whole whatever the deficit."""
         gid = int(gid)
         position = self._position.get(gid)
         if position is not None:

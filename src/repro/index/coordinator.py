@@ -3,7 +3,7 @@
 One coordinator drives the global lazy best-first loop of Algorithm 2 over
 S independent frontiers (:class:`~repro.index.frontier.Frontier`).  A plain
 ``NBIndex`` query is the S = 1 case: one tree frontier, nothing foreign,
-so the bound ladder below stops at its free first tier.  Every greedy
+so every foreign rung of the ladder below sums over nothing.  Every greedy
 round runs a threshold-algorithm pull over the frontiers ("shards" below),
 each of which exposes its best remaining *local* gain bound
 (:meth:`~repro.index.frontier.RoundCursor.peek`):
@@ -12,17 +12,26 @@ each of which exposes its best remaining *local* gain bound
    local bound plus the count of uncovered relevant graphs living on other
    shards, a trivially valid bound on any candidate's *global* gain.
 2. The top shard is pulled: its frontier advances its lazy tree walk to
-   the next candidate and returns its exact local gain.  The candidate
-   climbs a ladder of successively tighter (and dearer) global bounds:
+   the next candidate and returns its exact local gain.  What the *other*
+   frontiers can add descends a ladder of successively tighter (and
+   dearer) bounds, one deficit spent across all of them:
 
-   * **tier 1** — exact local gain + foreign uncovered count (free);
-   * **tier 2** — exact local gain + Σ over foreign shards of the
-     π̂-style Chebyshev count of uncovered relevant members within θ
-     (array arithmetic against cached foreign coordinates; a few |V|-sized
-     distance batches the first time a shard sees the graph);
-   * **tier 3** — full scatter resolve: every foreign shard verifies the
-     candidate's exact θ-neighborhood members; the union with the local
-     part is the true global neighborhood, cached for later rounds.
+   * **tier 1** — each foreign frontier's uncovered count (free);
+   * **memo** — the bounds the frontiers reported when the candidate was
+     dropped in an earlier round, summed before anyone is asked anything;
+   * **tier 2** — every foreign frontier *opens* the candidate's window
+     (:meth:`~repro.index.frontier.Frontier.pi_hat_uncovered`): Chebyshev
+     lower bound over its uncovered members, free verdicts folded in —
+     zero exact calls beyond a |V|-sized embed the first time a shard sees
+     the graph;
+   * **tier 3** — frontier by frontier, in index order, each is asked to
+     verify its window only as far as ``incumbent − local gain − Σ the
+     other frontiers' current bounds`` requires
+     (:meth:`~repro.index.frontier.Frontier.neighborhood_of`).  The first
+     frontier that proves the candidate out answers with a bound instead
+     of a neighborhood and the candidate is dropped there; one that
+     survives them all has its union cached as its exact global
+     neighborhood.
 
    A candidate falls off the ladder the moment a bound can no longer beat
    (or id-tie-break) the incumbent.
@@ -34,15 +43,18 @@ each of which exposes its best remaining *local* gain bound
    frontier's Theorem 6–8 update walk, keeping all bounds valid for the
    next round.
 
-Every bound above is an upper bound on the candidate's gain *at the time
-it is computed*, and gains only shrink as coverage grows (submodularity),
-so lazy reuse across rounds is safe.
+Every bound above is an upper bound on the candidate's gain among one
+frontier's members *at the time it is computed*, and gains only shrink as
+coverage grows (submodularity), so bounds taken in different rounds may be
+summed and reused across rounds.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
+
+import numpy as np
 
 from repro.bitset import BitsetDelta, kernel as bitset_kernel
 
@@ -63,6 +75,8 @@ def new_coord(num_frontiers: int) -> dict:
         "pulls": 0,
         "pi_hat_refines": 0,
         "refine_prunes": 0,
+        "partial_scatters": 0,
+        "memo_prunes": 0,
         "scatter_resolves": 0,
         "broadcasts": 0,
         "broadcast_words": 0,
@@ -95,11 +109,14 @@ def run_greedy(
     #: Fully resolved *global* neighborhoods from tier-3 scatters (packed
     #: global bitsets), kept across rounds.
     global_nbhd: dict[int, object] = {}
+    #: ``gid → {frontier → bound}``: what each foreign frontier last
+    #: reported about a candidate that was dropped before resolution.
+    memo: dict[int, dict[int, float]] = {}
 
     for _ in range(min(k, num_relevant)):
         search_started = time.perf_counter()
         coord["rounds"] += 1
-        selection = _run_round(frontiers, covered, global_nbhd, coord)
+        selection = _run_round(frontiers, covered, global_nbhd, memo, coord)
         stats.search_seconds += time.perf_counter() - search_started
         if selection is None:
             break
@@ -128,7 +145,7 @@ def run_greedy(
     return answer, gains, covered, coord
 
 
-def _run_round(frontiers, covered, global_nbhd, coord):
+def _run_round(frontiers, covered, global_nbhd, memo, coord):
     """One greedy selection: threshold-algorithm pull over the frontiers.
 
     Returns ``(gid, exact global neighborhood)`` of the canonical argmax,
@@ -179,7 +196,7 @@ def _run_round(frontiers, covered, global_nbhd, coord):
         gid, local_gain, local_nbhd = candidate
         resolved = _resolve_candidate(
             gid, local_gain, local_nbhd, s, frontiers, covered,
-            global_nbhd, coord, inc_gain, inc_gid,
+            global_nbhd, memo, coord, inc_gain, inc_gid,
         )
         if resolved is not None:
             gain, neighborhood = resolved
@@ -196,12 +213,12 @@ def _run_round(frontiers, covered, global_nbhd, coord):
 
 def _resolve_candidate(
     gid, local_gain, local_nbhd, home, frontiers, covered,
-    global_nbhd, coord, inc_gain, inc_gid,
+    global_nbhd, memo, coord, inc_gain, inc_gid,
 ):
     """Climb the bound ladder for one pulled candidate.
 
     Returns ``(exact global gain, exact global neighborhood)`` when the
-    candidate survives to tier 3 (or was resolved in an earlier round),
+    candidate survives every frontier (or did in an earlier round),
     ``None`` when a bound proves it cannot win."""
     cached = global_nbhd.get(gid)
     if cached is not None:
@@ -212,25 +229,49 @@ def _resolve_candidate(
             cached,
         )
 
-    foreign_frontiers = [
-        f for s, f in enumerate(frontiers) if s != home
-    ]
-    foreign_uncovered = sum(f.uncovered_count for f in foreign_frontiers)
-    if not _beats(local_gain + foreign_uncovered, gid, inc_gain, inc_gid):
+    foreign = [(s, f) for s, f in enumerate(frontiers) if s != home]
+    if not _beats(
+        local_gain + sum(f.uncovered_count for _, f in foreign),
+        gid, inc_gain, inc_gid,
+    ):
         return None  # tier 1
 
-    refined = local_gain + sum(
-        f.pi_hat_uncovered(gid) for f in foreign_frontiers
-    )
+    bounds = memo.get(gid)
+    if bounds is not None and not _beats(
+        local_gain + sum(
+            min(bounds[s], f.uncovered_count) for s, f in foreign
+        ),
+        gid, inc_gain, inc_gid,
+    ):
+        coord["memo_prunes"] += 1
+        return None  # what the frontiers said last time still rules it out
+
+    bounds = memo[gid] = {s: f.pi_hat_uncovered(gid) for s, f in foreign}
     coord["pi_hat_refines"] += 1
-    if not _beats(refined, gid, inc_gain, inc_gid):
+    total = local_gain + sum(bounds.values())
+    if not _beats(total, gid, inc_gain, inc_gid):
         coord["refine_prunes"] += 1
         return None  # tier 2
 
     neighborhood = local_nbhd.copy()
-    for frontier in foreign_frontiers:
-        bitset_kernel.union_into(neighborhood, frontier.neighborhood_of(gid))
+    for s, frontier in foreign:
+        # What this frontier has to contribute for the candidate to stay
+        # in the round, the others counted at their current bounds.
+        elsewhere = total - bounds[s]
+        part = frontier.neighborhood_of(
+            gid,
+            float("-inf") if inc_gid is None else inc_gain - elsewhere,
+            inc_gid,
+        )
+        if not isinstance(part, np.ndarray):
+            bounds[s] = part
+            coord["partial_scatters"] += 1
+            return None  # tier 3, proven out mid-verification
+        bounds[s] = bitset_kernel.uncovered_count(part, covered)
+        total = elsewhere + bounds[s]
+        bitset_kernel.union_into(neighborhood, part)
     global_nbhd[gid] = neighborhood
+    del memo[gid]
     coord["scatter_resolves"] += 1
     return (
         float(bitset_kernel.uncovered_count(neighborhood, covered)),

@@ -12,9 +12,10 @@ drives them.  A frontier speaks *global* graph ids and packed bitsets over
 the session's :class:`~repro.bitset.BitsetUniverse`, and answers three
 needs: **candidates** in bound order (:meth:`Frontier.open_round`),
 **resolution** of any graph's θ-neighborhood within its own relevant
-members (:meth:`Frontier.neighborhood_of`, with
-:meth:`Frontier.pi_hat_uncovered` as the cheap count-only tier), and
-**updates** after a selection anywhere (:meth:`Frontier.apply_update`).
+members — only as far as the coordinator's deficit asks
+(:meth:`Frontier.neighborhood_of`, with :meth:`Frontier.pi_hat_uncovered`
+as the tier that pays no verification) — and **updates** after a
+selection anywhere (:meth:`Frontier.apply_update`).
 
 Neighborhoods are *residual*: coverage only grows within a query, so the
 members already covered when a neighborhood is resolved can never count
@@ -23,7 +24,7 @@ towards a later gain, and a frontier may leave them out.
 Three implementations: :class:`TreeFrontier` here (an NB-Tree; a plain
 ``NBIndex`` is one of these over the identity id map, and
 :class:`~repro.shard.frontier.ShardFrontier` adds what only a shard needs
-— resolving graphs that live elsewhere),
+— seeing graphs that live elsewhere through its own vantage points),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
 replicated shard behind the wire).
@@ -112,11 +113,17 @@ class Frontier(Protocol):
         """Retire a chosen member."""
 
     def pi_hat_uncovered(self, gid: int) -> int:
-        """Upper bound on a *foreign* graph's gain among the members."""
+        """The tightest upper bound on a *foreign* graph's residual gain
+        among the members that costs no verification."""
 
-    def neighborhood_of(self, gid: int) -> np.ndarray:
+    def neighborhood_of(
+        self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
+    ) -> np.ndarray | int:
         """``N_θ(gid) ∩ members`` as a packed bitset, exact over every
-        member uncovered as of the last ``begin_round``."""
+        member uncovered as of the last ``begin_round`` — or, as soon as
+        the frontier can prove the residual count neither exceeds
+        ``min_useful`` nor equals it with ``gid < tie_gid``, the upper
+        bound (an ``int``) that proves it."""
 
     def apply_update(
         self, selected: int, newly: BitsetDelta, covered: np.ndarray
@@ -177,6 +184,11 @@ class TreeState:
         for node in index.tree.nodes:
             centroid_of[node.node_id] = node.centroid
         self.walk_centroid_coords = index.embedding.coords[centroid_of[walked]]
+        #: The tree's vantage points as global ids (what a graph living
+        #: elsewhere is embedded against).
+        self.vantage_global = [
+            self.global_ids[vp] for vp in index.embedding.vantage_indices
+        ]
         self._pi_hat_columns: dict[int | None, np.ndarray] = {}
         self._initial_bounds: dict[int | None, np.ndarray] = {}
 
@@ -336,19 +348,20 @@ class TreeRoundSearch:
 
 
 class TreeFrontier:
-    """One NB-Tree's state for one (θ, k) query — the home path.
+    """One NB-Tree's state for one (θ, k) query.
 
     ``distances(a, bs)`` evaluates one batch of *global* id pairs (the
     update walk's centroid distances, where the selected graph may live in
     another tree).  Complete on its own when every graph the query can
-    select is a member — a plain ``NBIndex``; a shard resolves foreign
-    graphs through :class:`~repro.shard.frontier.ShardFrontier`.
+    select is a member — a plain ``NBIndex``; a shard sees graphs that
+    live elsewhere through :class:`~repro.shard.frontier.ShardFrontier`.
 
-    A leaf's working bound descends a ladder, each rung an upper bound on
-    its residual gain and each paid for only when a round needs it: the
-    indexed π̂ count → the Chebyshev window over the members still
-    uncovered → ``hits + unverified`` of a partially verified window → the
-    exact gain (:meth:`resolve`).
+    The bound on a graph's residual gain among this tree's members
+    descends a ladder, each rung paid for only when a round needs it: the
+    indexed π̂ count (a member) or the uncovered-member count (a stranger)
+    → the Chebyshev window over the members still uncovered → ``hits +
+    unverified`` of a partially verified window → the exact gain
+    (:meth:`resolve`).
     """
 
     def __init__(
@@ -380,12 +393,13 @@ class TreeFrontier:
         #: Resolved residual θ-neighborhoods within this tree's relevant
         #: members, as packed bitsets keyed by global id.
         self._nbhd: dict[int, np.ndarray] = {}
-        #: Leaves verified only far enough to prove they could not win a
+        #: Graphs verified only far enough to prove they could not win a
         #: round: ``gid → (hits, unverified)`` as ranks into the state's
         #: relevant members, ``unverified`` in verification order.
         self._partial: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.uncovered_count = int(self.relevant_global.size)
         self._uncovered = np.ones(self.relevant_global.size, dtype=bool)
+        self._covered = self.universe.empty()
 
     #: Nothing is foreign to a frontier that holds every candidate.
     foreign_embeds = 0
@@ -399,6 +413,7 @@ class TreeFrontier:
         """Refresh the uncovered-member count (one ``popcount(members &
         ~covered)``) and the per-member uncovered mask (one vectorized bit
         gather) that windows and π̂ counts are restricted to."""
+        self._covered = covered
         if not self.relevant_global.size:
             self.uncovered_count = 0
             return
@@ -426,23 +441,47 @@ class TreeFrontier:
     # ------------------------------------------------------------------
     # Neighborhood resolution
     # ------------------------------------------------------------------
-    def neighborhood_of(self, gid: int) -> np.ndarray:
-        """A member's residual neighborhood, resolved to completion."""
-        return self.resolve(int(gid), _NEG_INF, None)
+    def pi_hat_uncovered(self, gid: int) -> int:
+        """What :meth:`resolve` knows about ``gid`` without verifying
+        anything more: the exact residual count of a resolved
+        neighborhood, else ``hits + unverified`` of its window — opened
+        here on first sight, re-filtered by coverage on every later one."""
+        gid = int(gid)
+        cached = self._nbhd.get(gid)
+        if cached is not None:
+            return int(bitset_kernel.uncovered_count(cached, self._covered))
+        hits, unverified = self._window(gid)
+        self._park(gid, hits, unverified)
+        return int(hits.size + unverified.size)
+
+    def neighborhood_of(
+        self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
+    ) -> np.ndarray | int:
+        """:meth:`resolve`, with the proving bound in place of ``None``."""
+        gid = int(gid)
+        resolved = self.resolve(gid, min_useful, tie_gid)
+        if resolved is None:
+            return sum(int(ranks.size) for ranks in self._partial[gid])
+        return resolved
 
     def resolve(
         self, gid: int, min_useful: float, tie_gid: int | None
     ) -> np.ndarray | None:
-        """Verify a home leaf's window only as far as the round needs.
+        """Verify a graph's window only as far as the round needs.
 
-        Returns the leaf's residual neighborhood — ``N_θ(gid)`` within the
+        Returns the graph's residual neighborhood — ``N_θ(gid)`` within the
         members uncovered as of this round, packed, cached — once every
         window member has a verdict.  Returns ``None`` as soon as ``hits +
-        unverified`` shows the leaf cannot beat ``min_useful`` (or tie it
+        unverified`` shows the count cannot beat ``min_useful`` (or tie it
         with an id below ``tie_gid``): that count stays behind as the
-        leaf's working bound and ``(hits, unverified)`` as its partial
-        state, picked up — minus whatever got covered meanwhile — if a
-        later round pops the leaf again.
+        working bound (of the leaf, for a home graph) and ``(hits,
+        unverified)`` as the partial state, picked up — minus whatever got
+        covered meanwhile — on the next visit.
+
+        ``gid`` may live elsewhere: the window is then taken from its
+        foreign coordinates and verified through the global engine
+        (:meth:`_lens`); ``min_useful`` is what the coordinator still needs
+        from this frontier.
 
         Membership is always ``d(gid, c) ≤ θ + ε`` with the global ε, so
         the union over frontiers equals the single-index neighborhood.
@@ -452,86 +491,112 @@ class TreeFrontier:
             return cached
         state = self.state
         stats = self.stats
-        local = state.g2l[gid]
-        leaf = self.index._leaf_of[local].node_id
-        partial = self._partial.pop(gid, None)
-        if partial is None:
-            hits, unverified = self._open_window(local)
-        else:
-            # Covered members left the residual; the ones among
-            # `unverified` stay booked as skipped for good.
-            hits, unverified = (
-                ranks[self._uncovered[ranks]] for ranks in partial
-            )
-            stats.partial_neighborhoods -= 1
-            stats.verifications_skipped -= int(unverified.size)
+        hits, unverified = self._window(gid)
         wins_ties = tie_gid is None or gid < tie_gid
         while unverified.size:
-            # The deficit: the fewest misses after which the leaf is out of
-            # the round.  No smaller batch of verdicts can end the visit,
-            # so that is what gets verified next, likeliest misses first.
-            # (Gains are ≥ 0: any negative `min_useful` — −inf without an
-            # incumbent — asks for the whole window.)
+            # The deficit: the fewest misses after which the graph is out
+            # of the round.  No smaller batch of verdicts can end the
+            # visit, so that is what gets verified next, likeliest misses
+            # first.  (Gains are ≥ 0: any negative `min_useful` — −inf
+            # without an incumbent — asks for the whole window.)
             slack = hits.size + unverified.size - max(min_useful, -1.0)
             needed = math.floor(slack) + 1 if wins_ties else math.ceil(slack)
             if needed <= 0:
-                self._partial[gid] = (hits, unverified)
-                self.bounds[leaf] = float(hits.size + unverified.size)
-                stats.partial_neighborhoods += 1
-                stats.verifications_skipped += int(unverified.size)
+                self._park(gid, hits, unverified)
                 return None
             take = max(needed, _MIN_VERIFY_BATCH)
             chunk, unverified = unverified[:take], unverified[take:]
             stats.candidate_verifications += int(chunk.size)
-            within = self._within(local, state.relevant_local[chunk])
-            hits = np.concatenate([hits, chunk[within]])
+            hits = np.concatenate([hits, chunk[self._within(gid, chunk)]])
         result = self.universe.encode_positions(state.rel_positions[hits])
         self._nbhd[gid] = result
         stats.exact_neighborhoods += 1
         return result
 
-    def _open_window(self, local: int) -> tuple[np.ndarray, np.ndarray]:
-        """First visit of a leaf: its Chebyshev window over the uncovered
-        members, split by what is free to decide — itself, vantage
+    def _lens(self, gid: int):
+        """How this frontier measures against ``gid``: ``(vantage row,
+        engine, gid's id and the members' ids in that engine's id space)``
+        — the tree's own engine and local ids for a member."""
+        local = self.state.g2l[gid]
+        return (
+            self.index.embedding.coords[local], self.index.engine, local,
+            self.state.relevant_local,
+        )
+
+    def _window(self, gid: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(hits, unverified)`` ranks of ``gid`` as of this round.
+
+        A parked window is taken back minus the members covered meanwhile
+        (those among ``unverified`` stay booked as skipped for good).  On
+        first sight the Chebyshev window over the uncovered members is
+        split by what is free to decide — the graph itself, vantage
         upper-bound accepts and pairs the engine has already evaluated —
-        into ``(hits, unverified)`` ranks, ``unverified`` by descending
-        lower bound.  A free verdict is only taken where every cascade
-        configuration would agree with it: accept at the relaxed cutoff
-        ``(1−ε)θ``, reject above θ."""
+        with ``unverified`` by descending lower bound.  A free verdict is
+        only taken where every cascade configuration would agree with it:
+        accept at the relaxed cutoff ``(1−ε)θ``, reject above θ."""
+        partial = self._partial.pop(gid, None)
+        if partial is not None:
+            hits, unverified = (
+                ranks[self._uncovered[ranks]] for ranks in partial
+            )
+            self.stats.partial_neighborhoods -= 1
+            self.stats.verifications_skipped -= int(unverified.size)
+            return hits, unverified
+        ranks = np.flatnonzero(self._uncovered)
+        if not ranks.size:
+            return ranks, ranks  # nothing left here: not worth an embed
         state = self.state
         embedding = self.index.embedding
-        ranks = np.flatnonzero(self._uncovered)
+        row, engine, source, member_ids = self._lens(gid)
         ids = state.relevant_local[ranks]
-        row = embedding.coords[local]
         cutoff = self._gen_theta + _EPS
         obs.counter(BLOCK_EVALS)
         lower = embedding.lower_bounds_to(row, ids)
         inside = lower <= cutoff
         ranks, ids, lower = ranks[inside], ids[inside], lower[inside]
         self.stats.candidates_generated += int(ranks.size)
-        hit = (ids == local) | (embedding.upper_bounds_to(row, ids) <= cutoff)
+        hit = embedding.upper_bounds_to(row, ids) <= cutoff
+        own = state._rank.get(gid)
+        if own is not None:
+            hit |= ranks == own
         undecided = ~hit
-        engine = self.index.engine
         if engine is not None and undecided.any():
             known = engine.cached_verdicts(
-                local, ids[undecided], accept=cutoff, reject=self.theta + _EPS
+                source, member_ids[ranks[undecided]],
+                accept=cutoff, reject=self.theta + _EPS,
             )
             hit[undecided] = known > 0
             undecided[undecided] = known == 0
         order = np.argsort(-lower[undecided], kind="stable")
         return ranks[hit], ranks[undecided][order]
 
-    def _within(self, local: int, ids: np.ndarray) -> np.ndarray:
-        """Exact ``d(local, id) ≤ θ + ε`` verdicts for window members."""
-        index = self.index
-        if index.engine is not None:
+    def _park(
+        self, gid: int, hits: np.ndarray, unverified: np.ndarray
+    ) -> None:
+        """Leave ``gid`` partially verified; ``hits + unverified`` is its
+        bound from here on (written to the leaf when it has one here)."""
+        self._partial[gid] = (hits, unverified)
+        self.stats.partial_neighborhoods += 1
+        self.stats.verifications_skipped += int(unverified.size)
+        local = self.state.g2l.get(gid)
+        if local is not None:
+            self.bounds[self.index._leaf_of[local].node_id] = float(
+                hits.size + unverified.size
+            )
+
+    def _within(self, gid: int, ranks: np.ndarray) -> np.ndarray:
+        """Exact ``d(gid, member) ≤ θ + ε`` verdicts for window members."""
+        _, engine, source, member_ids = self._lens(gid)
+        ids = member_ids[ranks]
+        if engine is not None:
             # The window already applied the vantage lower bound at this
             # threshold — `prefiltered` skips re-running it.
-            return index.engine.within(
-                local, ids, self.theta, cascade=self.cascade,
+            return engine.within(
+                source, ids, self.theta, cascade=self.cascade,
                 prefiltered=True,
             )
-        graph = index.database[local]
+        index = self.index
+        graph = index.database[source]
         return np.fromiter(
             (
                 index.distance(graph, index.database[c]) <= self.theta + _EPS

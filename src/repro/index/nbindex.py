@@ -681,8 +681,8 @@ def _record_query_obs(layer: str, stats: QueryStats) -> None:
         obs.counter(f"{layer}.query.count")
         for key in (
             "rounds", "pulls", "pi_hat_refines", "refine_prunes",
-            "scatter_resolves", "broadcasts", "broadcast_words",
-            "foreign_embeds",
+            "partial_scatters", "memo_prunes", "scatter_resolves",
+            "broadcasts", "broadcast_words", "foreign_embeds",
         ):
             obs.counter(f"shard.coordinator.{key}", coord[key])
     else:

@@ -39,6 +39,15 @@ from repro.utils.validation import require
 _NEG_INF = float("-inf")
 
 
+def _deficit_to_wire(min_useful: float, tie_gid: int | None) -> dict:
+    """``mu`` / ``tie`` of a ``next`` or ``nbhd`` frame (``-inf`` and "no
+    incumbent" both travel as ``null``)."""
+    return {
+        "mu": None if min_useful == _NEG_INF else float(min_useful),
+        "tie": None if tie_gid is None else int(tie_gid),
+    }
+
+
 class SessionLog:
     """Everything needed to rebuild one shard's session on a fresh replica."""
 
@@ -189,14 +198,21 @@ class RemoteFrontier:
         self._note_fe(result)
         return int(result["count"])
 
-    def neighborhood_of(self, gid: int) -> np.ndarray:
+    def neighborhood_of(
+        self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
+    ) -> np.ndarray | int:
         result = self.router.call(
             self.shard_id,
-            {"op": "nbhd", "sid": self.session.sid, "gid": int(gid)},
+            {
+                "op": "nbhd", "sid": self.session.sid, "gid": int(gid),
+                **_deficit_to_wire(min_useful, tie_gid),
+            },
             self.session,
             hedge=True,
         )
         self._note_fe(result)
+        if "bound" in result:
+            return int(result["bound"])
         return wire.words_from_wire(
             result.get("words"), self.universe.num_words
         )
@@ -258,10 +274,8 @@ class RemoteRoundSearch:
         result = self.frontier.router.call(
             self.frontier.shard_id,
             {
-                "op": "next",
-                "sid": session.sid,
-                "mu": None if min_useful == _NEG_INF else float(min_useful),
-                "tie": None if tie_gid is None else int(tie_gid),
+                "op": "next", "sid": session.sid,
+                **_deficit_to_wire(min_useful, tie_gid),
             },
             session,
             hedge=True,

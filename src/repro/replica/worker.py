@@ -15,8 +15,8 @@ op                    effect
 ``begin_round``       refresh uncovered view; returns count + root bound
 ``open_round``        start the frontier's best-first round cursor
 ``next``              advance the lazy walk (piggybacks ``peek``)
-``pi_hat``            Chebyshev uncovered count for a foreign candidate
-``nbhd``              exact θ-neighborhood ∩ shard-relevant (bitset)
+``pi_hat``            open a foreign candidate's window: ``hits + unverified``
+``nbhd``              verify it as far as ``mu``/``tie`` ask: bitset or bound
 ``select``            retire a chosen home graph from the frontier
 ``update``            Theorem 6–8 broadcast (sparse covered delta)
 ``close``             drop a session
@@ -78,18 +78,19 @@ SESSION_CAP = 8
 FETCH_CHUNK_BYTES = 1 << 20
 
 
-def _num(value) -> float | None:
-    """``null``-tolerant number: wire ``None`` stands for ``-inf``/unset."""
-    return None if value is None else float(value)
-
-
 def _bound_to_wire(value: float):
     """JSON-safe bound: ``-inf`` (empty frontier) travels as ``null``."""
     return None if value == _NEG_INF else float(value)
 
 
-def _bound_from_wire(value) -> float:
-    return _NEG_INF if value is None else float(value)
+def _deficit_from_wire(request: dict) -> tuple[float, int | None]:
+    """``(min_useful, tie_gid)`` of a ``next`` / ``nbhd`` frame; absent or
+    ``null`` keys mean "no incumbent"."""
+    mu, tie = request.get("mu"), request.get("tie")
+    return (
+        _NEG_INF if mu is None else float(mu),
+        None if tie is None else int(tie),
+    )
 
 
 class _Session:
@@ -133,13 +134,17 @@ class ShardWorker:
         #: corrupted file needs a copy that does not live on that disk.
         self.artifact_path = artifact
         self.artifact_bytes = artifact.read_bytes()
+        # Serial unless asked: a replica worker is a daemonic process and
+        # cannot fork an engine pool, so ``REPRO_ENGINE_WORKERS`` (which
+        # ``None`` would resolve to) must not reach its engines.
+        engine_workers = engine_workers or 1
         self.index = load_index(artifact, sub, distance, workers=engine_workers)
         self.ladder = ThresholdLadder(manifest.ladder)
         #: Cross-shard distances go through a *global-id* engine over the
         #: full database — the same id discipline as the in-process
         #: coordinator (mixing id spaces would alias pair-cache keys).
         self.global_engine = DistanceEngine(
-            distance, workers=None, graphs=database.graphs
+            distance, workers=engine_workers, graphs=database.graphs
         )
         self.sessions: OrderedDict[str, _Session] = OrderedDict()
         self.session_cap = int(session_cap)
@@ -281,11 +286,7 @@ class ShardWorker:
     def _op_next(self, request: dict, session: "_Session") -> dict:
         if session.round is None:
             raise wire.ReplicaProtocolError("next before open_round")
-        tie = request.get("tie")
-        candidate = session.round.next(
-            _bound_from_wire(request.get("mu")),
-            None if tie is None else int(tie),
-        )
+        candidate = session.round.next(*_deficit_from_wire(request))
         if candidate is None:
             cand = None
         else:
@@ -306,11 +307,13 @@ class ShardWorker:
         return {"count": int(count), "fe": int(session.frontier.foreign_embeds)}
 
     def _op_nbhd(self, request: dict, session: "_Session") -> dict:
-        words = session.frontier.neighborhood_of(int(request["gid"]))
-        return {
-            "words": wire.words_to_wire(words),
-            "fe": int(session.frontier.foreign_embeds),
-        }
+        part = session.frontier.neighborhood_of(
+            int(request["gid"]), *_deficit_from_wire(request)
+        )
+        fe = int(session.frontier.foreign_embeds)
+        if isinstance(part, np.ndarray):
+            return {"words": wire.words_to_wire(part), "fe": fe}
+        return {"bound": int(part), "fe": fe}
 
     def _op_select(self, request: dict, session: "_Session") -> dict:
         session.frontier.select(int(request["gid"]))

@@ -18,12 +18,22 @@ This file pins what that must not change and what it must buy:
 * the sandwich-first update walk takes the decisions of the walk that
   pays one scalar distance per visited node.
 
-``EagerFrontier`` and ``scalar_update_walk`` are the pre-lazy code paths,
-kept here — and only here — as referees.
+The second half pins the same for graphs that live *elsewhere*: a foreign
+neighborhood is one lazily verified window per frontier, driven by the
+coordinator's per-frontier deficit (``repro.index.coordinator``) — every
+sharded shape against ``baseline_greedy``, lazy against the whole-window
+``EagerShardFrontier``, every reported foreign bound against the truth, the
+tie-break across a foreign early exit, a failover between a bound and the
+next visit, and budgets at the e2e smoke scale.
+
+``EagerFrontier``, ``EagerShardFrontier`` and ``scalar_update_walk`` are the
+pre-lazy code paths, kept here — and only here — as referees.
 """
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -38,6 +48,7 @@ from repro.bitset import BitsetDelta, kernel as bitset_kernel
 from repro.cascade import CascadeConfig
 from repro.core.results import QueryStats
 from repro.datasets import GENERATORS
+from repro.delta import mutable as mutable_module
 from repro.engine import DistanceEngine
 from repro.ged import StarDistance
 from repro.index import nbindex as nbindex_module
@@ -49,7 +60,11 @@ from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageEmbedding
 from repro.metricspace import vector_database
 from repro.replica import ReplicatedIndex
+from repro.replica.remote import RemoteFrontier
 from repro.shard import ShardedIndex, build_shards
+from repro.shard import sharded as sharded_module
+from repro.shard.frontier import ShardFrontier
+from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 
 _EPS = 1e-9
 _NEG_INF = float("-inf")
@@ -91,6 +106,22 @@ class EagerFrontier(TreeFrontier):
         return result
 
 
+class EagerShardFrontier(ShardFrontier):
+    """The pre-lazy foreign path: whatever the coordinator's deficit says,
+    a stranger's window is verified whole the moment it is asked for."""
+
+    def neighborhood_of(self, gid, min_useful=_NEG_INF, tie_gid=None):
+        return super().neighborhood_of(gid)
+
+
+@contextlib.contextmanager
+def shard_frontier(cls):
+    """Open every in-process shard frontier as ``cls``."""
+    with mock.patch.object(sharded_module, "ShardFrontier", cls), \
+            mock.patch.object(mutable_module, "ShardFrontier", cls):
+        yield
+
+
 def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
     """The pre-sandwich update: one exact centroid distance per visited
     node, applied to ``bounds``; returns (pruned subtrees, batch
@@ -128,6 +159,19 @@ def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
         else:
             stack.extend(node.children)
     return pruned, batched
+
+
+def dud_smoke_mix(database, seed):
+    """The dud smoke mix of ``benchmarks/e2e``: ``(q, θ, k)`` triples."""
+    theta_k = ((8.0, 10), (10.0, 10), (8.0, 20), (12.0, 5))
+    order = np.random.default_rng([seed, 1]).permutation(
+        database.num_features
+    )[:4]
+    return [
+        (quartile_relevance(database, dims=[int(dim)], quantile=0.8),
+         *theta_k[position % len(theta_k)])
+        for position, dim in enumerate(order)
+    ]
 
 
 def same_answer(got, want):
@@ -502,14 +546,8 @@ def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
     )
     save_index(built, tmp_path / "index.npz")
     index = repro.open_index(tmp_path / "index.npz", database)  # cold cache
-    theta_k = ((8.0, 10), (10.0, 10), (8.0, 20), (12.0, 5))
-    order = np.random.default_rng([seed, 1]).permutation(
-        database.num_features
-    )[:4]
     calls, resolved, relevant = [], 0, 0
-    for position, dim in enumerate(order):
-        theta, k = theta_k[position % len(theta_k)]
-        q = quartile_relevance(database, dims=[int(dim)], quantile=0.8)
+    for q, theta, k in dud_smoke_mix(database, seed):
         result = index.session(q).query(theta, k)
         same_answer(
             result, baseline_greedy(database, StarDistance(), q, theta, k)
@@ -519,3 +557,453 @@ def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
         relevant += result.num_relevant
     assert np.mean(calls) <= SMOKE_COLD_CALLS_BUDGET, calls
     assert resolved / relevant < 1.0
+
+
+# ===========================================================================
+# One deficit across shards: foreign windows are verified lazily too
+# ===========================================================================
+@pytest.fixture(scope="module")
+def sharded_shapes(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lazy-sharded")
+    database = random_database(seed=23, size=72)
+    distance = StarDistance()
+    manifests = {
+        (s, partitioner): build_shards(
+            database, distance, num_shards=s, partitioner=partitioner,
+            out_dir=tmp / f"s{s}-{partitioner}", seed=0, **BUILD,
+        )
+        for s in (2, 4) for partitioner in ("hash", "clustering")
+    }
+    built = {
+        f"sharded-{s}-{partitioner}": ShardedIndex.load(
+            manifest, database, distance
+        )
+        for (s, partitioner), manifest in manifests.items()
+    }
+    # Base + memtable: two indexed shards plus un-indexed inserts.
+    mutable_db = database.subset(range(len(database)))
+    mutable = repro.open_index(
+        manifests[2, "clustering"], mutable_db, distance, mutable=True
+    )
+    donors = random_database(seed=24, size=5)
+    for i in range(len(donors)):
+        mutable.insert(donors[i], database.features[i])
+    mutable.delete(7)
+    built["mutable-2"] = mutable
+    built["replicated-2x2"] = ReplicatedIndex.open(
+        manifests[2, "hash"], database, distance, replicas=2
+    )
+    yield built
+    mutable.close()
+    built["replicated-2x2"].close()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    quantile=st.sampled_from([0.1, 0.3, 0.6]),
+    theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
+    k=st.integers(1, 12),
+    epsilon=st.sampled_from([0.0, 0.1, 0.3]),
+    structural=st.booleans(),
+    warm=st.booleans(),
+)
+def test_every_sharded_shape_matches_its_reference(
+    sharded_shapes, quantile, theta, k, epsilon, structural, warm,
+):
+    """ε = 0: the paper's greedy.  ε > 0: the per-pair cascade rule, i.e.
+    the same bundle with every foreign window resolved whole (worker
+    processes cannot be patched: the replicated bundle must agree with its
+    in-process twin instead)."""
+    kwargs = {"epsilon": epsilon}
+    if structural:
+        kwargs["cascade"] = FULL_CASCADE.stages
+    for name, index in sharded_shapes.items():
+        database = index.database
+        q = quartile_relevance(database, quantile=quantile)
+        if not warm:
+            cold(index)
+        got = index.query(q, theta, k, **kwargs)
+        if epsilon == 0.0:
+            want = baseline_greedy(database, StarDistance(), q, theta, k)
+        elif name == "replicated-2x2":
+            want = sharded_shapes["sharded-2-hash"].query(q, theta, k, **kwargs)
+        else:
+            with shard_frontier(EagerShardFrontier):
+                want = index.query(q, theta, k, **kwargs)
+        assert got.answer == want.answer, name
+        assert got.gains == want.gains, name
+        assert got.covered == want.covered, name
+
+
+def _one_ladder_outcome_per_survivor(coord):
+    assert coord["pi_hat_refines"] == (
+        coord["refine_prunes"] + coord["partial_scatters"]
+        + coord["scatter_resolves"]
+    ), coord
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    database = random_database(
+        seed=seed, size=data.draw(st.integers(24, 72), label="size")
+    )
+    q = quartile_relevance(
+        database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
+    )
+    kwargs = {
+        "epsilon": data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
+    }
+    if data.draw(st.booleans(), label="structural"):
+        kwargs["cascade"] = FULL_CASCADE.stages
+    with tempfile.TemporaryDirectory() as tmp:
+        index = ShardedIndex.build(
+            database, StarDistance(), out_dir=tmp, seed=seed,
+            num_shards=data.draw(st.sampled_from([2, 4]), label="shards"),
+            partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
+            num_vantage_points=4, branching=3,
+        )
+        rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
+        theta = float(index.ladder[rung]) * data.draw(
+            st.sampled_from([0.7, 1.0])
+        )
+        k = data.draw(st.integers(1, 10), label="k")
+        cold(index)
+        lazy = index.query(q, theta, k, **kwargs)
+        cold(index)
+        with shard_frontier(EagerShardFrontier):
+            eager = index.query(q, theta, k, **kwargs)
+    same_answer(lazy, eager)
+    assert lazy.stats.distance_calls <= eager.stats.distance_calls
+    assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
+    _one_ladder_outcome_per_survivor(lazy.stats.coordinator)
+    assert not eager.stats.coordinator["partial_scatters"]
+    if kwargs["epsilon"] == 0.0:
+        same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
+
+
+# ---------------------------------------------------------------------------
+# Soundness of every bound a frontier reports about a stranger
+# ---------------------------------------------------------------------------
+class AuditedShardFrontier(ShardFrontier):
+    """Checks each foreign answer against brute force, at every visit."""
+
+    true_nbhd: dict = {}
+    bounded: set = set()    # (frontier, gid) left partially *verified*
+    resumed: list = []      # ... and later resolved to completion
+
+    def _residual(self, gid):
+        done = set(self.universe.decode_ids(self._covered))
+        members = {int(g) for g in self.relevant_global}
+        return (type(self).true_nbhd[gid] & members) - done, done
+
+    def pi_hat_uncovered(self, gid):
+        bound = super().pi_hat_uncovered(gid)
+        assert bound >= len(self._residual(gid)[0])
+        return bound
+
+    def neighborhood_of(self, gid, min_useful=_NEG_INF, tie_gid=None):
+        if gid in self.state.g2l:
+            return super().neighborhood_of(gid, min_useful, tie_gid)
+        verified = self.stats.candidate_verifications
+        part = super().neighborhood_of(gid, min_useful, tie_gid)
+        residual, done = self._residual(gid)
+        if isinstance(part, np.ndarray):
+            assert set(self.universe.decode_ids(part)) - done == residual
+            if (id(self), gid) in type(self).bounded:
+                type(self).resumed.append(gid)
+        else:
+            # Proven out: the bound is sound and really is below the ask.
+            assert len(residual) <= part <= min_useful
+            if self.stats.candidate_verifications > verified:
+                type(self).bounded.add((id(self), gid))
+        return part
+
+
+def _audited_query(index, q, theta, k):
+    database = index.database
+    star = StarDistance()
+    relevant = [int(g) for g in database.relevant_indices(q)]
+    AuditedShardFrontier.true_nbhd = {
+        g: {
+            h for h in relevant
+            if star(database[g], database[h]) <= theta + _EPS
+        }
+        for g in relevant
+    }
+    AuditedShardFrontier.bounded = set()
+    AuditedShardFrontier.resumed = []
+    cold(index)
+    with shard_frontier(AuditedShardFrontier):
+        result = index.query(q, theta, k)
+    same_answer(result, baseline_greedy(database, star, q, theta, k))
+    _one_ladder_outcome_per_survivor(result.stats.coordinator)
+    return result, list(AuditedShardFrontier.resumed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_foreign_bounds_dominate_true_residual_counts_at_every_visit(data):
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    database = random_database(
+        seed=seed, size=data.draw(st.integers(24, 64), label="size")
+    )
+    q = quartile_relevance(
+        database, quantile=data.draw(st.sampled_from([0.1, 0.4]))
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        index = ShardedIndex.build(
+            database, StarDistance(), out_dir=tmp, seed=seed,
+            num_shards=data.draw(st.sampled_from([2, 3, 4]), label="shards"),
+            num_vantage_points=3, branching=3,
+        )
+        rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
+        k = data.draw(st.integers(2, 10), label="k")
+        _audited_query(index, q, float(index.ladder[rung]), k)
+
+
+@pytest.fixture(scope="module")
+def dud_bundles(tmp_path_factory):
+    """The n = 300 dud smoke instance as S = 2 and S = 4 bundles."""
+    tmp = tmp_path_factory.mktemp("lazy-dud")
+    database = GENERATORS["dud"](num_graphs=300, seed=11)
+    manifests = {
+        s: build_shards(
+            database, StarDistance(), num_shards=s, out_dir=tmp / f"s{s}",
+            seed=11, num_vantage_points=8, branching=4,
+        )
+        for s in (2, 4)
+    }
+    return database, manifests
+
+
+def test_a_resumed_foreign_window_ends_exact(dud_bundles):
+    """Deterministic instance on which frontiers drop strangers
+    mid-verification, see them again in a later round and then finish the
+    window — audited at every step."""
+    database, manifests = dud_bundles
+    index = ShardedIndex.load(manifests[4], database, StarDistance())
+    q = quartile_relevance(database, dims=[0], quantile=0.8)
+    result, resumed = _audited_query(index, q, 8.0, 10)
+    coord = result.stats.coordinator
+    assert resumed, "no partially verified foreign window was ever finished"
+    assert coord["partial_scatters"] > 0 and coord["memo_prunes"] > 0
+    assert coord["scatter_resolves"] < result.num_relevant
+    assert result.stats.verifications_skipped > 0
+
+
+# ---------------------------------------------------------------------------
+# Tie-break: the smaller id wins although a *foreign* frontier dropped it
+# ---------------------------------------------------------------------------
+def _hand_built_bundle(points, members_of, theta):
+    """A bundle over vector points with chosen shard members, each shard's
+    single vantage point being its first member."""
+    database, distance = vector_database(np.asarray(points))
+    shards = []
+    for members in members_of:
+        sub = database.subset(members)
+        engine = DistanceEngine(distance, graphs=sub.graphs)
+        embedding = VantageEmbedding(sub.graphs, [0], engine, engine=engine)
+        engine.attach_embedding(embedding)
+        tree = NBTree(
+            sub.graphs, engine, embedding, branching=3,
+            rng=np.random.default_rng(0), engine=engine,
+        )
+        shards.append(NBIndex(
+            sub, engine, embedding=embedding, tree=tree,
+            ladder=ThresholdLadder([theta]), counting=engine,
+        ))
+    assignments = np.empty(len(database), dtype=np.int64)
+    for s, members in enumerate(members_of):
+        assignments[members] = s
+    manifest = ShardManifest(
+        num_shards=len(members_of), num_graphs=len(database),
+        partitioner="hash", seed=0, ladder=(theta,), assignments=assignments,
+        database_checksum=database_checksum(database),
+        shards=tuple(
+            ShardEntry(s, "unused.npz", 0, len(members))
+            for s, members in enumerate(members_of)
+        ),
+    )
+    bundle = ShardedIndex(
+        database, distance, shards=shards, manifest=manifest,
+        engine=DistanceEngine(distance, graphs=database.graphs),
+    )
+    return database, distance, bundle
+
+
+def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch):
+    """Both shards keep their one vantage point at the origin, so a
+    Chebyshev window is a whole circle while true neighborhoods are tight.
+
+    Shard A: a 6-clump plus singles on the inner circle, and graph 1 alone
+    on the outer one.  Shard B: eight outer-circle graphs — the last of
+    them graph 1's only neighbor — and a far-out pair.  Round 1 selects the
+    clump; graph 1 (local gain 1, foreign window 8) is handed to shard B
+    with a deficit of 5, which four misses settle: dropped, bound 4.  Round
+    2 is a four-way tie at gain 2 between {1, its neighbor} and the far-out
+    pair; the smallest id — the one a foreign frontier dropped — must win.
+    """
+    def on_circle(radius, degrees):
+        angle = np.deg2rad(degrees)
+        return [radius * np.cos(angle), radius * np.sin(angle)]
+
+    theta = 1.0
+    points = [[0.0, 0.0], on_circle(20.0, 0.0)]                 # 0: A's vantage, 1
+    points += [on_circle(10.0, 1.0 * i) for i in range(6)]          # 2-7: clump
+    points += [on_circle(10.0, a) for a in range(60, 360, 50)]      # 8-13: singles
+    shard_a = list(range(len(points)))
+    points += [[0.0, 0.0]]                                          # 14: B's vantage
+    points += [on_circle(20.0, a) for a in range(40, 360, 45)][:7]  # 15-21: far
+    points += [on_circle(20.0, 0.5)]                                # 22: 1's neighbor
+    points += [on_circle(35.0, 0.0), on_circle(35.0, 0.5)]          # 23, 24: pair
+    points += [on_circle(50.0, a) for a in (0.0, 90.0, 180.0)]      # 25-27: singles
+    shard_b = list(range(len(shard_a), len(points)))
+    database, distance, bundle = _hand_built_bundle(
+        points, [shard_a, shard_b], theta
+    )
+
+    def relevant(row):
+        return bool(np.hypot(*row) > 1.0)  # everything but the vantage points
+
+    dropped = []
+    neighborhood_of = ShardFrontier.neighborhood_of
+
+    def spying(self, gid, min_useful=_NEG_INF, tie_gid=None):
+        part = neighborhood_of(self, gid, min_useful, tie_gid)
+        if not isinstance(part, np.ndarray):
+            dropped.append((gid, part))
+        return part
+
+    monkeypatch.setattr(ShardFrontier, "neighborhood_of", spying)
+    got = bundle.query(relevant, theta, 3)
+    want = baseline_greedy(database, distance, relevant, theta, 3)
+    same_answer(got, want)
+    assert got.answer[:2] == [2, 1] and got.gains[:2] == [6, 2]
+    assert (1, 4) in dropped, dropped
+
+
+# ---------------------------------------------------------------------------
+# Failover between a bound and the candidate's next visit
+# ---------------------------------------------------------------------------
+def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
+    dud_bundles, monkeypatch,
+):
+    """Partial state lives on the serving replica.  Kill it right after it
+    answered ``{"bound": n}``: the candidate's next visit lands on a
+    sibling that never saw the window, re-opens it, and the answer is the
+    in-process one."""
+    database, manifests = dud_bundles
+    q = quartile_relevance(database, dims=[0], quantile=0.8)
+    want = ShardedIndex.load(manifests[2], database, StarDistance()).query(
+        q, 8.0, 10
+    )
+    killed, revisits = [], []
+    neighborhood_of = RemoteFrontier.neighborhood_of
+    pi_hat_uncovered = RemoteFrontier.pi_hat_uncovered
+
+    with ReplicatedIndex.open(
+        manifests[2], database, StarDistance(), replicas=2
+    ) as replicated:
+        def killing(self, gid, min_useful=_NEG_INF, tie_gid=None):
+            part = neighborhood_of(self, gid, min_useful, tie_gid)
+            if not killed and not isinstance(part, np.ndarray):
+                primary = replicated.supervisor.live(self.shard_id)[0]
+                primary.proc.kill()
+                primary.proc.join(10)
+                killed.append((self.shard_id, gid))
+            return part
+
+        def watching(self, gid):
+            if killed and (self.shard_id, gid) == killed[0]:
+                revisits.append(gid)
+            return pi_hat_uncovered(self, gid)
+
+        monkeypatch.setattr(RemoteFrontier, "neighborhood_of", killing)
+        monkeypatch.setattr(RemoteFrontier, "pi_hat_uncovered", watching)
+        got = replicated.query(q, 8.0, 10)
+    assert killed, "no frontier ever answered with a bound"
+    assert revisits, "the dropped candidate was never asked about again"
+    same_answer(got, want)
+    assert not got.stats.partial and not got.stats.degraded
+
+
+# ---------------------------------------------------------------------------
+# Budgets at the e2e smoke scale, sharded
+# ---------------------------------------------------------------------------
+#: Mean exact distance calls per cold query, n = 300, seed 11.  S = 2 dud
+#: smoke mix: measured 926.0 (971.0 with eager foreign windows).  S = 4 vec
+#: smoke mix: measured 3 013.75 (3 588.75 eager); one NBIndex over the same
+#: instance pays 2 427.5, and 2 699 of the bundle's 12 055 calls embed
+#: strangers against foreign vantage points.
+DUD_S2_COLD_CALLS_BUDGET = 1018
+VEC_S4_COLD_CALLS_BUDGET = 3315
+#: What S = 4 may cost beyond its embeds, relative to one index (measured
+#: 0.96; 1.20 with eager foreign windows).
+VEC_S4_OVER_SINGLE = 1.15
+
+
+def test_sharded_dud_smoke_mix_stays_under_budget(dud_bundles):
+    database, manifests = dud_bundles
+    index = ShardedIndex.load(manifests[2], database, StarDistance())
+    calls = []
+    for q, theta, k in dud_smoke_mix(database, 11):
+        result = index.session(q).query(theta, k)
+        same_answer(
+            result, baseline_greedy(database, StarDistance(), q, theta, k)
+        )
+        calls.append(result.stats.distance_calls)
+    assert np.mean(calls) <= DUD_S2_COLD_CALLS_BUDGET, calls
+
+
+def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path, monkeypatch):
+    """The n = 300 ``vec_sharded`` shape of ``benchmarks/e2e``."""
+    seed, n, dims = 11, 300, 6
+    rng = np.random.default_rng([seed, 2])
+    points = rng.normal(size=(n, dims))
+    database, distance = vector_database(points)
+    pairs = rng.integers(0, n, size=(n * 4, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    sample = np.linalg.norm(points[pairs[:, 0]] - points[pairs[:, 1]], axis=1)
+    ladder = ThresholdLadder(sorted(
+        float(np.quantile(sample, quantile))
+        for quantile in (0.02, 0.05, 0.08, 0.12, 0.2, 0.35, 0.5)
+    ))
+    fn_dims = [(int(d),) for d in rng.permutation(dims)][:4]
+    mix = [
+        (quartile_relevance(database, dims=fn, quantile=0.7),
+         float(ladder.values[(3, 4, 5)[position % 3]]),
+         (4, 8, 16)[(position // 2) % 3])
+        for position, fn in enumerate(fn_dims)
+    ]
+    build = dict(
+        thresholds=ladder, seed=seed, num_vantage_points=4, branching=8
+    )
+    sharded = ShardedIndex.build(
+        database, distance, num_shards=4, out_dir=tmp_path, **build
+    )
+    single = NBIndex.build(database, distance, **build)
+    cold(single)
+
+    embed_calls = []
+    foreign_coords = ShardFrontier.foreign_coords
+
+    def counting(self, gid):
+        before = self.global_engine.evaluations
+        coords = foreign_coords(self, gid)
+        embed_calls.append(self.global_engine.evaluations - before)
+        return coords
+
+    monkeypatch.setattr(ShardFrontier, "foreign_coords", counting)
+    sharded_calls, single_calls = [], []
+    for q, theta, k in mix:
+        got = sharded.session(q).query(theta, k)
+        want = single.session(q).query(theta, k)
+        same_answer(got, want)
+        sharded_calls.append(got.stats.distance_calls)
+        single_calls.append(want.stats.distance_calls)
+    assert np.mean(sharded_calls) <= VEC_S4_COLD_CALLS_BUDGET, sharded_calls
+    assert sum(sharded_calls) - sum(embed_calls) <= (
+        VEC_S4_OVER_SINGLE * sum(single_calls)
+    ), (sharded_calls, sum(embed_calls), single_calls)

@@ -382,6 +382,32 @@ class TestFrontierProtocol:
             }
         assert gid not in offered and set(offered) == members - {gid}
 
+    def test_resolution_under_a_deficit(self, frontier, setting):
+        """Asked for more than a stranger can possibly add, a frontier may
+        answer with the bound that proves it — an int, never below the
+        truth — instead of the neighborhood; asked again without a
+        deficit, it resolves the same window to completion."""
+        database, sharded, q, relevant, universe, _ = setting
+        members = {int(g) for g in frontier.relevant_global}
+        foreign = next(int(g) for g in relevant if int(g) not in members)
+        star = StarDistance()
+        truth = {
+            m for m in members
+            if star(database[foreign], database[m]) <= self.THETA + 1e-9
+        }
+        frontier.begin_round(universe.empty())
+        opened = frontier.pi_hat_uncovered(foreign)
+        assert opened >= len(truth)
+        part = frontier.neighborhood_of(foreign, float(len(members) + 1), None)
+        if isinstance(part, np.ndarray):
+            assert set(universe.decode_ids(part)) == truth
+        else:
+            assert isinstance(part, int) and len(truth) <= part <= opened
+            assert frontier.pi_hat_uncovered(foreign) == part
+        whole = frontier.neighborhood_of(foreign)
+        assert set(universe.decode_ids(whole)) == truth
+        assert frontier.pi_hat_uncovered(foreign) == len(truth)
+
 
 # ---------------------------------------------------------------------------
 # A hand-built NBIndex over a plain distance (no DistanceEngine)
