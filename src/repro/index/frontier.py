@@ -624,9 +624,10 @@ class TreeFrontier:
         Every one of those predicates is monotone in the centroid distance
         ``cd``, so the vantage sandwich ``lower ≤ cd ≤ upper`` of
         ``selected`` against all walkable centroids (two array ops per
-        selection) settles a node whenever both of its ends give the same
-        verdict; only the rest pay exact distances, one batch per sibling
-        group.
+        selection) settles a cluster whenever both of its ends give the
+        same verdict; only the rest pay exact distances, one batch per
+        sibling group.  A leaf never pays one: its bound moves only by
+        tests that need no distance (:meth:`_verdict`).
         """
         root = self.index.tree.root
         if self.bounds[root.node_id] == _NEG_INF:
@@ -647,25 +648,25 @@ class TreeFrontier:
     def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
         """What the update does to ``node`` at centroid distance ``cd``.
 
-        The Theorem-6 test comes first for leaves too: a leaf whose ends
-        disagree only between prune and refresh/keep would get the same
-        bound either way, but ``pruned_subtrees`` counts it, so it still
-        pays its exact distance."""
+        A leaf's bound never depends on ``cd``: a resolved neighborhood is
+        re-counted wherever the selection fell, a newly covered leaf lies
+        in ``N_θ(selected)`` (so ``cd ≤ θ + ε`` needs no checking), and
+        Theorem 6 or keep leave the bound alone.  A leaf is therefore asked
+        with the sandwich's lower end only, and ``pruned_subtrees`` counts
+        it when that alone proves Theorem 6."""
         theta = self.theta
-        if cd - node.radius > 2.0 * theta + _EPS:
-            return _PRUNE  # Theorem 6: no member's neighborhood changed.
         if node.is_leaf:
             gid = self.state.global_ids[node.graph_index]
             if gid in self._nbhd:
                 return _REFRESH
-            if cd <= theta + _EPS and (
-                (position := self.universe.position(gid)) is not None
-                and newly.test(position)
-            ):
+            position = self.universe.position(gid)
+            if position is not None and newly.test(position):
                 # The leaf itself is newly covered: its own neighborhood
                 # contains it, so its gain shrinks by at least one.
                 return _DECREMENT
-            return _KEEP
+            return _PRUNE if cd > 2.0 * theta + _EPS else _KEEP
+        if cd - node.radius > 2.0 * theta + _EPS:
+            return _PRUNE  # Theorem 6: no member's neighborhood changed.
         if (
             node.diameter <= theta + _EPS
             and cd + node.radius <= theta + _EPS
@@ -694,7 +695,9 @@ class TreeFrontier:
                 continue
             slot = state.walk_slot[node.node_id]
             verdict = self._verdict(node, lower[slot], newly)
-            if verdict == self._verdict(node, upper[slot], newly):
+            if node.is_leaf or verdict == self._verdict(
+                node, upper[slot], newly
+            ):
                 settled.append((node, verdict))
             else:
                 undecided.append(node)
