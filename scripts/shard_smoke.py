@@ -92,7 +92,7 @@ def main() -> int:
                 key: int(counters.get(f"shard.coordinator.{key}", 0))
                 for key in (
                     "pulls", "pi_hat_refines", "memo_prunes", "refine_prunes",
-                    "partial_scatters", "scatter_resolves",
+                    "partial_scatters", "scatter_resolves", "foreign_embeds",
                 )
             }
             survivors = coord["pi_hat_refines"] + coord["memo_prunes"]
@@ -106,6 +106,31 @@ def main() -> int:
                     f"coordinator accounting: {survivors} tier-1 survivors "
                     f"but {outcomes} outcomes ({coord})"
                 )
+            # One vantage frame per bundle: every graph's coordinates are
+            # stored, so no shard ever measures a stranger's.
+            if coord["foreign_embeds"]:
+                failures.append(
+                    f"{coord['foreign_embeds']} frame rows computed at query "
+                    f"time on an immutable bundle"
+                )
+            # Against a *saved* single index: both sides start cold.
+            single_metrics = tmp / "single-metrics.json"
+            run_cli(
+                "build-index", str(db), "--output", str(tmp / "index.npz"),
+                "--seed", "3",
+            )
+            run_cli(
+                "query", *query_args, "--index", str(tmp / "index.npz"),
+                "--metrics", str(single_metrics),
+            )
+            single_calls = json.loads(single_metrics.read_text())[
+                "metrics"]["counters"]["query.distance_calls"]
+            sharded_calls = counters["query.distance_calls"]
+            print(
+                f"shard smoke: exact calls S=2 / single index = "
+                f"{sharded_calls} / {single_calls} = "
+                f"{sharded_calls / single_calls:.2f}"
+            )
 
         # The bundle serves: one query + stats over the line protocol.
         requests = "\n".join([

@@ -13,8 +13,8 @@ The LSM shape, specialized to the NB-Index:
   coverage bitset is built from — a deleted graph can neither be an
   answer nor be covered.
 * **updates** — ids are content-immutable (the engines' pair caches and
-  the shards' cached foreign coordinates key on them), so an update is
-  tombstone-old + insert-new and returns the *new* id.
+  the vantage frame's rows key on them), so an update is tombstone-old +
+  insert-new and returns the *new* id.
 * **journal** — an optional
   :class:`~repro.delta.journal.MutationJournal` makes mutations durable:
   base file + journal replay = database, fsynced per record.
@@ -24,9 +24,14 @@ The LSM shape, specialized to the NB-Index:
   sharded base only the shards whose member sets changed are rebuilt —
   unchanged shards keep their artifacts, byte checksums and loaded
   objects (PR 5's hot-reload reuse, extended from "rebuild offline" to
-  "compact online").  The new manifest's atomic rename is the commit
-  point; any failure before it rolls back with the old generation still
-  serving (and the old manifest still on disk).
+  "compact online").  The bundle keeps its vantage frame: a memtable
+  graph's frame row, computed the first time a query needed it, is
+  handed to the rebuilt shard instead of being measured again (a
+  tombstoned vantage graph is still a valid origin); only the full
+  rebuild of a single-index base draws a new one.  The new manifest's
+  atomic rename is the commit point; any failure before it rolls back
+  with the old generation still serving (and the old manifest still on
+  disk).
 
 Answer invariant (the acceptance gate): after any mutation sequence,
 with or without interleaved compactions, ``query()`` is bit-identical —
@@ -38,6 +43,7 @@ shards and the exactly-scanned memtable.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 import zlib
@@ -59,6 +65,7 @@ from repro.index.nbindex import (
     check_query_kwargs,
 )
 from repro.index.persistence import save_index
+from repro.index.vantage import VantageFrame
 from repro.resilience import faults
 from repro.resilience.atomicio import unwrap_checksummed
 from repro.service.latch import ReadWriteLatch
@@ -108,6 +115,9 @@ class MutableIndex:
         #: Graphs with ids below this are covered by the base index;
         #: everything at or above is memtable, scanned exactly.
         self.indexed_count = self._base_count(base)
+        #: The base's vantage frame; memtable graphs get their rows here
+        #: on first use, once per process.
+        self.frame = self._frame_of(base)
         require(
             self.indexed_count <= len(database),
             f"base covers {self.indexed_count} graphs but the database "
@@ -127,6 +137,15 @@ class MutableIndex:
         if hasattr(base, "manifest"):
             return int(base.manifest.num_graphs)
         return len(base.database)
+
+    @staticmethod
+    def _frame_of(base) -> VantageFrame:
+        if hasattr(base, "frame"):
+            return base.frame
+        # One tree over identity ids: its embedding is the frame.
+        return VantageFrame(
+            base.embedding.vantage_indices, base.embedding.coords
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -281,7 +300,7 @@ class MutableIndex:
             )
             frontiers = [ShardFrontier(
                 state, run.theta, run.ladder_index, run.stats, run.cascade,
-                global_engine=self.engine,
+                global_engine=self.engine, frame=self.frame,
             )]
             shard_of = None  # one tree: every indexed graph lives on it
         delta_frontier = ExactFrontier(
@@ -354,6 +373,7 @@ class MutableIndex:
             ) from error
         with self.latch.write():
             self.base = new_base
+            self.frame = self._frame_of(new_base)
             self.indexed_count = n1
             self.generation += 1
             self.compactions += 1
@@ -401,7 +421,9 @@ class MutableIndex:
         Existing graphs keep their shard; memtable graphs are routed by
         the same structure hash the hash partitioner uses (stable across
         compactions).  Unchanged shards keep their artifacts, checksums
-        and loaded index objects."""
+        and loaded index objects — unless the bundle was a legacy one
+        upgraded on load, whose re-embedded shards are saved here so the
+        new manifest can record the frame."""
         from repro.index.pivec import ThresholdLadder
         from repro.shard.manifest import (
             ShardEntry,
@@ -437,27 +459,38 @@ class MutableIndex:
         ladder = ThresholdLadder(manifest.ladder)
         root_seed = manifest.seed if manifest.seed is not None else self.seed
         shard_seeds = np.random.SeedSequence(root_seed).spawn(num_shards)
+        # The frame survives: every absorbed graph's row is computed at
+        # most once per process (a query may already have), then stored.
+        frame = base.frame
+        coords = np.vstack([frame.coords, *(
+            frame.row(g, self.engine) for g in range(n0, n1)
+        )])
         entries: list[ShardEntry] = []
         shards: list[NBIndex] = []
         for shard_id in range(num_shards):
-            if shard_id not in changed:
+            members = np.flatnonzero(assignments == shard_id)
+            if shard_id in changed:
+                index = NBIndex.from_coords(
+                    snapshot.subset([int(i) for i in members]),
+                    self.distance, frame.vantage_ids, coords[members],
+                    branching=int(manifest.build.get("branching", 8)),
+                    thresholds=ladder,
+                    rng=np.random.default_rng(shard_seeds[shard_id]),
+                    workers=self.workers,
+                )
+                obs.counter("delta.shard_rebuilds")
+            elif manifest.frame is None:
+                # Re-embedded on load; saved under the frame's ids.  On a
+                # copy: until the commit the object serves the legacy
+                # generation, whose shard 0 names its vantage graphs
+                # locally.
+                index = copy.copy(base.shards[shard_id])
+                index.embedding = copy.copy(index.embedding)
+                index.embedding.vantage_indices = list(frame.vantage_ids)
+            else:
                 entries.append(manifest.shards[shard_id])
                 shards.append(base.shards[shard_id])
                 continue
-            members = np.flatnonzero(assignments == shard_id)
-            sub = snapshot.subset([int(i) for i in members])
-            index = NBIndex.build(
-                sub,
-                self.distance,
-                num_vantage_points=min(
-                    int(manifest.build.get("num_vantage_points", 20)),
-                    len(sub),
-                ),
-                branching=int(manifest.build.get("branching", 8)),
-                thresholds=ladder,
-                seed=np.random.default_rng(shard_seeds[shard_id]),
-                workers=self.workers,
-            )
             artifact = out_dir / (
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
@@ -472,10 +505,9 @@ class MutableIndex:
                 shard_id=shard_id,
                 path=artifact.name,
                 checksum=zlib.crc32(raw),
-                num_graphs=len(sub),
+                num_graphs=int(members.size),
             ))
             shards.append(index)
-            obs.counter("delta.shard_rebuilds")
             faults.maybe_abort_stage("delta.compact.shard")
 
         faults.maybe_abort_stage("delta.compact.commit")
@@ -493,6 +525,7 @@ class MutableIndex:
                 "generation": generation,
                 "compacted": True,
             },
+            frame=tuple(frame.vantage_ids),
         )
         new_manifest.save(manifest_path)  # atomic rename = commit point
 
@@ -503,6 +536,7 @@ class MutableIndex:
             self.distance,
             shards=shards,
             manifest=new_manifest,
+            frame=VantageFrame(frame.vantage_ids, coords, frame.extra),
             engine=DistanceEngine(
                 self.distance, workers=self.workers, graphs=snapshot.graphs
             ),

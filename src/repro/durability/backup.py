@@ -64,6 +64,30 @@ def _fsync_dir(directory: Path) -> None:
             os.close(dir_fd)
 
 
+def frame_problems(manifest, base_dir: Path) -> list[str]:
+    """Shard artifacts whose stored coordinates are not in the manifest's
+    vantage frame.  A legacy manifest has no frame to disagree with;
+    unreadable artifacts are the checksum audit's finding, not this one's."""
+    from repro.index.persistence import stored_embedding
+
+    problems = []
+    for entry in manifest.shards if manifest.frame is not None else ():
+        artifact = manifest.artifact_path(entry.shard_id, Path(base_dir))
+        try:
+            vantage, coords = stored_embedding(artifact)
+        except (OSError, ValueError, KeyError):
+            continue
+        if tuple(vantage) != manifest.frame or (
+            coords.shape[1] != len(manifest.frame)
+        ):
+            problems.append(
+                f"{artifact}: coordinates ({coords.shape[1]} wide, vantage "
+                f"graphs {vantage}) are not in the manifest's frame "
+                f"{list(manifest.frame)}"
+            )
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------
@@ -110,6 +134,9 @@ def collect_deployment_files(
         if manifest_path.is_dir():
             manifest_path = manifest_path / "manifest.json"
         manifest = ShardManifest.load(manifest_path)  # typed ManifestError
+        off_frame = frame_problems(manifest, manifest_path.parent)
+        if off_frame:
+            raise BackupError("; ".join(off_frame))
         files.append((manifest_path, "manifest"))
         for entry in manifest.shards:
             files.append((manifest_path.parent / entry.path, "shard"))
@@ -265,6 +292,13 @@ def verify_backup(backup_dir) -> dict:
             )
         else:
             checked.append(entry["name"])
+            if entry["role"] == "manifest":
+                # The archive is flat: the shard files sit next to it.
+                from repro.shard.manifest import ShardManifest
+
+                problems.extend(
+                    frame_problems(ShardManifest.load(path), backup_dir)
+                )
     return {"ok": not problems, "problems": problems, "checked": checked}
 
 
@@ -380,6 +414,7 @@ def _verify_manifest_bundle(path: Path, problems, checked) -> None:
             )
         else:
             checked.append(str(artifact))
+    problems.extend(frame_problems(manifest, path.parent))
 
 
 def verify_deployment(path) -> dict:

@@ -218,6 +218,7 @@ class Scrubber:
     # Shard bundle (ShardedIndex / ReplicatedIndex)
     # ------------------------------------------------------------------
     def _scrub_bundle(self, index, manifest_path, report, *, latch) -> None:
+        from repro.durability.backup import frame_problems
         from repro.shard.errors import ManifestError
         from repro.shard.manifest import ShardManifest
 
@@ -262,6 +263,11 @@ class Scrubber:
             self._heal_shard(
                 index, manifest_path, entry, artifact, report, latch=latch,
             )
+        # Intact bytes embedded against another frame cannot be healed
+        # from a copy of themselves.
+        off_frame = frame_problems(index.manifest, manifest_path.parent)
+        report["corruptions"].extend(off_frame)
+        report["escalations"].extend(off_frame)
 
     def _heal_shard(
         self, index, manifest_path, entry, artifact, report, *, latch,

@@ -1,6 +1,10 @@
 """The NB-Index: vantage orderings, NB-Tree, π̂-vectors, query engine."""
 
-from repro.index.vantage import VantageEmbedding, select_vantage_points
+from repro.index.vantage import (
+    VantageEmbedding,
+    VantageFrame,
+    select_vantage_points,
+)
 from repro.index.fpr import (
     choose_num_vps,
     distance_moments,
@@ -26,6 +30,7 @@ __all__ = [
     "IndexFormatError",
     "DatabaseMismatchError",
     "VantageEmbedding",
+    "VantageFrame",
     "select_vantage_points",
     "fpr_upper_bound_gaussian",
     "fpr_uniform",

@@ -22,8 +22,8 @@ each of which exposes its best remaining *local* gain bound
    * **tier 2** — every foreign frontier *opens* the candidate's window
      (:meth:`~repro.index.frontier.Frontier.pi_hat_uncovered`): Chebyshev
      lower bound over its uncovered members, free verdicts folded in —
-     zero exact calls beyond a |V|-sized embed the first time a shard sees
-     the graph;
+     zero exact calls: the candidate's coordinates are a row of the
+     bundle's one vantage frame;
    * **tier 3** — frontier by frontier, in index order, each is asked to
      verify its window only as far as ``incumbent − local gain − Σ the
      other frontiers' current bounds`` requires

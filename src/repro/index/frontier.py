@@ -24,7 +24,7 @@ towards a later gain, and a frontier may leave them out.
 Three implementations: :class:`TreeFrontier` here (an NB-Tree; a plain
 ``NBIndex`` is one of these over the identity id map, and
 :class:`~repro.shard.frontier.ShardFrontier` adds what only a shard needs
-— seeing graphs that live elsewhere through its own vantage points),
+— seeing graphs that live elsewhere through the bundle's vantage frame),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
 replicated shard behind the wire).
@@ -96,7 +96,7 @@ class Frontier(Protocol):
     relevant_global: np.ndarray
     #: How many of them are uncovered, as of the last ``begin_round``.
     uncovered_count: int
-    #: Foreign graphs embedded against this frontier's vantage points.
+    #: Vantage-frame rows this frontier had computed on demand.
     foreign_embeds: int
 
     def begin_round(self, covered: np.ndarray) -> None: ...
@@ -184,11 +184,6 @@ class TreeState:
         for node in index.tree.nodes:
             centroid_of[node.node_id] = node.centroid
         self.walk_centroid_coords = index.embedding.coords[centroid_of[walked]]
-        #: The tree's vantage points as global ids (what a graph living
-        #: elsewhere is embedded against).
-        self.vantage_global = [
-            self.global_ids[vp] for vp in index.embedding.vantage_indices
-        ]
         self._pi_hat_columns: dict[int | None, np.ndarray] = {}
         self._initial_bounds: dict[int | None, np.ndarray] = {}
 
@@ -478,8 +473,8 @@ class TreeFrontier:
         unverified)`` as the partial state, picked up — minus whatever got
         covered meanwhile — on the next visit.
 
-        ``gid`` may live elsewhere: the window is then taken from its
-        foreign coordinates and verified through the global engine
+        ``gid`` may live elsewhere: the window is then taken from its row
+        of the bundle's frame and verified through the global engine
         (:meth:`_lens`); ``min_useful`` is what the coordinator still needs
         from this frontier.
 
@@ -544,7 +539,7 @@ class TreeFrontier:
             return hits, unverified
         ranks = np.flatnonzero(self._uncovered)
         if not ranks.size:
-            return ranks, ranks  # nothing left here: not worth an embed
+            return ranks, ranks  # nothing left here
         state = self.state
         embedding = self.index.embedding
         row, engine, source, member_ids = self._lens(gid)
@@ -634,16 +629,12 @@ class TreeFrontier:
             return  # no relevant member in this tree
         selected = int(selected)
         coords = self.state.walk_centroid_coords
-        row = self._vantage_row(selected)
+        row = self._lens(selected)[0]
         lower = np.max(np.abs(coords - row), axis=1) - _SANDWICH_SLACK
         upper = np.min(coords + row, axis=1) + _SANDWICH_SLACK
         self._update(
             [root], selected, newly, covered, lower.tolist(), upper.tolist()
         )
-
-    def _vantage_row(self, gid: int) -> np.ndarray:
-        """Vantage coordinates of a selected graph in this tree's space."""
-        return self.index.embedding.coords[self.state.g2l[gid]]
 
     def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
         """What the update does to ``node`` at centroid distance ``cd``.

@@ -41,7 +41,7 @@ from repro.core.results import QueryResult, QueryStats
 from repro.ged.metric import CountingDistance, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
-from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
+from repro.index.errors import OffLadderThetaError, ReadOnlyIndex
 from repro.index.frontier import TreeFrontier, TreeState
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds
@@ -52,7 +52,7 @@ from repro.utils.validation import require, require_positive
 _EPS = 1e-9
 
 
-class NBIndex:
+class NBIndex(ReadOnlyIndex):
     """The NB-Index over a graph database.
 
     Build once per database with :meth:`build`; run queries either directly
@@ -251,6 +251,44 @@ class NBIndex:
             index.build_degradations = dict(deadline.degradations)
         return index
 
+    @classmethod
+    def from_coords(
+        cls,
+        database: GraphDatabase,
+        distance: GraphDistanceFn,
+        vantage_indices,
+        coords: np.ndarray,
+        *,
+        branching: int,
+        thresholds: ThresholdLadder,
+        rng,
+        workers: int | None = None,
+    ) -> "NBIndex":
+        """Build over vantage coordinates that already exist: only the
+        NB-Tree costs distances.  This is how a shard of a bundle is built
+        — ``coords`` are its members' rows of the bundle's one
+        :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
+        the frame's global ids (see
+        :meth:`VantageEmbedding.from_coords
+        <repro.index.vantage.VantageEmbedding.from_coords>`)."""
+        from repro.engine import DistanceEngine
+
+        started = time.perf_counter()
+        engine = DistanceEngine(distance, workers=workers, graphs=database.graphs)
+        embedding = VantageEmbedding.from_coords(
+            database.graphs, vantage_indices, engine, coords
+        )
+        engine.attach_embedding(embedding)
+        tree = NBTree(
+            database.graphs, engine, embedding, branching=branching, rng=rng,
+            engine=engine,
+        )
+        return cls(
+            database, engine, embedding=embedding, tree=tree,
+            ladder=thresholds, counting=engine,
+            build_seconds=time.perf_counter() - started,
+        )
+
     def stats(self) -> dict:
         """Statable protocol: one plain dict covering the whole index,
         nesting the engine's and tree-build accounting."""
@@ -361,21 +399,10 @@ class NBIndex:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    #: Index-protocol capability flag: a plain NBIndex is a read-only
-    #: view of an offline build (the legacy in-place :meth:`insert`
-    #: notwithstanding) — open with ``repro.open_index(path,
-    #: mutable=True)`` for the journaled delta layer.
-    mutable = False
-
-    def delete(self, gid: int) -> bool:
-        raise ReadOnlyIndexError("delete", "NBIndex")
-
-    def update(self, gid: int, graph, feature_row) -> int:
-        raise ReadOnlyIndexError("update", "NBIndex")
-
-    def compact(self) -> dict:
-        raise ReadOnlyIndexError("compact", "NBIndex")
-
+    # A plain NBIndex is a read-only view of an offline build
+    # (:class:`ReadOnlyIndex`), the legacy in-place insert below
+    # notwithstanding — open with ``repro.open_index(path, mutable=True)``
+    # for the journaled delta layer.
     def insert(self, graph, feature_row) -> int:
         """Add one graph to the database and the index; returns its id.
 

@@ -20,7 +20,9 @@ Load failures raise distinct (all ``ValueError``-compatible) exceptions:
   match the database being attached.
 
 Indexes written before the container existed (bare ``.npz``, format
-version 1) are still readable.
+version 1) are still readable.  Version 3 stores the vantage coordinates
+in the narrowest lossless dtype (:func:`_storage_coords`); the loader
+accepts 1–3 and always hands back float64.
 
 The database itself is *not* stored — graphs live in the caller's own
 storage (see :mod:`repro.graphs.io`); the index references them by id.
@@ -41,14 +43,19 @@ from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import VantageEmbedding
+from repro.index.vantage import VantageEmbedding, VantageFrame
 from repro.resilience.atomicio import unwrap_checksummed, write_checksummed
-from repro.resilience.errors import DatabaseMismatchError, IndexFormatError
+from repro.resilience.errors import (
+    CorruptIndexError,
+    DatabaseMismatchError,
+    IndexFormatError,
+)
 
-#: Version 2 wraps the npz payload in the checksummed container; version 1
-#: (bare npz) is still accepted on load.
-FORMAT_VERSION = 2
-_SUPPORTED_VERSIONS = frozenset({1, 2})
+#: Version 2 wraps the npz payload in the checksummed container; version 3
+#: may store integral coordinates as unsigned integers.  1 (bare npz) and
+#: 2 are still accepted on load.
+FORMAT_VERSION = 3
+_SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 
 #: Zip local-file-header magic — how a legacy bare-``.npz`` index starts.
 _ZIP_MAGIC = b"PK"
@@ -157,6 +164,18 @@ def tree_from_arrays(arrays, graphs, engine, embedding) -> NBTree:
     return tree
 
 
+def _storage_coords(coords: np.ndarray) -> np.ndarray:
+    """The coordinate matrix as it is stored: when every coordinate is a
+    non-negative integer (star distances are) the smallest unsigned dtype
+    that holds the maximum, float64 otherwise — lossless either way."""
+    if not coords.size:
+        return coords
+    top = coords.max()
+    if coords.min() >= 0 and top < 2**63 and (coords == np.floor(coords)).all():
+        return coords.astype(np.min_scalar_type(int(top)))
+    return coords
+
+
 def save_index(index: NBIndex, path: str | Path) -> None:
     """Write the index's offline structures to ``path`` (atomic rename +
     checksum footer; see module docstring)."""
@@ -164,7 +183,7 @@ def save_index(index: NBIndex, path: str | Path) -> None:
     np.savez_compressed(
         buffer,
         format_version=np.array([FORMAT_VERSION]),
-        coords=index.embedding.coords,
+        coords=_storage_coords(index.embedding.coords),
         vantage_indices=np.array(index.embedding.vantage_indices, dtype=np.int64),
         ladder=np.array(list(index.ladder.values)),
         fingerprint=database_fingerprint(index.database),
@@ -181,14 +200,69 @@ def indexed_graph_count(path: str | Path) -> int:
     *is* the coverage.  The mutable open path uses this to load a grown
     database's index against the right prefix snapshot (the live database
     may have journaled inserts past what the index has absorbed)."""
-    path = Path(path)
+    with np.load(io.BytesIO(_payload(Path(path))[0])) as data:
+        return int(data["fingerprint"].shape[0])
+
+
+def stored_embedding(path: str | Path) -> tuple[list[int], np.ndarray]:
+    """``(vantage_indices, float64 coords)`` of a saved index, read without
+    its tree or database — how a bundle's one frame is assembled from the
+    shard artifacts (:func:`load_frame`)."""
+    with np.load(io.BytesIO(_payload(Path(path))[0])) as data:
+        return (
+            [int(v) for v in data["vantage_indices"]],
+            np.array(data["coords"], dtype=float),
+        )
+
+
+def load_frame(manifest, base_dir: Path, engine) -> VantageFrame:
+    """A bundle's one :class:`~repro.index.vantage.VantageFrame`, from the
+    coordinate blocks of the shard artifacts its
+    :class:`~repro.shard.manifest.ShardManifest` names (no trees are read).
+
+    A legacy manifest records no frame because its shards each drew their
+    own vantage graphs: shard 0's are adopted and the other shards'
+    members embedded against them through ``engine`` (global ids) —
+    ``|V|`` distances per graph, counted as ``shard.frame_upgrades``.
+    Trees need nothing: radii and diameters are exact distances, whatever
+    the frame."""
+    artifacts = [
+        manifest.artifact_path(s, base_dir) for s in range(manifest.num_shards)
+    ]
+    stored = [stored_embedding(artifact) for artifact in artifacts]
+    legacy = manifest.frame is None
+    frame = (
+        [int(manifest.members(0)[v]) for v in stored[0][0]] if legacy
+        else list(manifest.frame)
+    )
+    coords = np.empty((manifest.num_graphs, len(frame)))
+    for shard_id, (vantage, block) in enumerate(stored):
+        ids = manifest.members(shard_id)
+        if legacy and shard_id:
+            block = np.column_stack([
+                engine.one_to_many(v, ids.tolist()) for v in frame
+            ])
+            obs.counter("shard.frame_upgrades")
+        elif not legacy and (
+            vantage != frame or block.shape != (len(ids), len(frame))
+        ):
+            raise CorruptIndexError(
+                f"{artifacts[shard_id]}: coordinates {block.shape} against "
+                f"vantage graphs {vantage} are not in the bundle's frame "
+                f"{frame} for {len(ids)} members"
+            )
+        coords[ids] = block
+    return VantageFrame(frame, coords)
+
+
+def _payload(path: Path) -> tuple[bytes, bool]:
+    """``(npz bytes, bare)`` of an index file: the checksummed container
+    verified and removed, or — ``bare`` — a pre-container index (format
+    version 1) as it is."""
     raw = path.read_bytes()
     if raw[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
-        payload = raw
-    else:
-        payload = unwrap_checksummed(raw, source=str(path))
-    with np.load(io.BytesIO(payload)) as data:
-        return int(data["fingerprint"].shape[0])
+        return raw, True
+    return unwrap_checksummed(raw, source=str(path)), False
 
 
 def load_index(
@@ -206,12 +280,9 @@ def load_index(
     :meth:`NBIndex.build`.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
-        payload = raw  # pre-container index (format version 1)
+    payload, bare = _payload(path)
+    if bare:
         _note_legacy_load(path)
-    else:
-        payload = unwrap_checksummed(raw, source=str(path))
     with np.load(io.BytesIO(payload)) as data:
         version = int(data["format_version"][0])
         if version not in _SUPPORTED_VERSIONS:

@@ -115,6 +115,9 @@ class VantageEmbedding:
                 coords[:, j] = engine.one_to_many(vantage_graph, list(graphs))
             else:
                 coords[:, j] = [distance(vantage_graph, g) for g in graphs]
+        self._set_coords(coords)
+
+    def _set_coords(self, coords: np.ndarray) -> None:
         self.coords = coords
         # Vantage Orderings proper: per-VP sort of the database.  Only the
         # first ordering is used to seed candidate windows; the remaining
@@ -131,22 +134,32 @@ class VantageEmbedding:
         coords: np.ndarray,
     ) -> "VantageEmbedding":
         """Rehydrate an embedding from a precomputed coordinate matrix
-        (index load, checkpoint resume) — no distances are evaluated."""
-        require(len(vantage_indices) > 0, "at least one vantage point required")
-        coords = np.array(coords, dtype=float)
-        require(
-            coords.shape == (len(graphs), len(vantage_indices)),
-            f"coords shape {coords.shape} does not match "
-            f"({len(graphs)}, {len(vantage_indices)})",
-        )
+        (index load, checkpoint resume) — no distances are evaluated.
+
+        A shard of a bundle is embedded in the bundle's one
+        :class:`VantageFrame`: its ``vantage_indices`` are then the frame's
+        *global* ids, whose graphs need not be among ``graphs`` —
+        :meth:`embed` / :meth:`append_graph` (the stand-alone index's
+        in-place insert) are not for such an embedding."""
         embedding = cls.__new__(cls)
         embedding._graphs = graphs
         embedding._distance = distance
-        embedding.vantage_indices = [int(i) for i in vantage_indices]
-        embedding.coords = coords
-        embedding._order0 = np.argsort(coords[:, 0], kind="stable")
-        embedding._sorted0 = coords[embedding._order0, 0]
+        embedding.rebase(vantage_indices, coords)
         return embedding
+
+    def rebase(self, vantage_indices: Sequence[int], coords: np.ndarray) -> None:
+        """Adopt coordinates measured against another vantage set, in place
+        — the engine and tree that hold this embedding follow (a legacy
+        shard joining its bundle's frame)."""
+        require(len(vantage_indices) > 0, "at least one vantage point required")
+        coords = np.array(coords, dtype=float)
+        require(
+            coords.shape == (len(self._graphs), len(vantage_indices)),
+            f"coords shape {coords.shape} does not match "
+            f"({len(self._graphs)}, {len(vantage_indices)})",
+        )
+        self.vantage_indices = [int(i) for i in vantage_indices]
+        self._set_coords(coords)
 
     @property
     def num_vantage_points(self) -> int:
@@ -255,14 +268,60 @@ class VantageEmbedding:
     def append_graph(self, g: LabeledGraph) -> int:
         """Embed one more graph (``|V|`` distances) and add it to the
         orderings; returns its row index.  Supports incremental inserts."""
-        row = self.embed(g)
-        self.coords = np.vstack([self.coords, row])
-        self._order0 = np.argsort(self.coords[:, 0], kind="stable")
-        self._sorted0 = self.coords[self._order0, 0]
+        self._set_coords(np.vstack([self.coords, self.embed(g)]))
         return self.coords.shape[0] - 1
 
     def __repr__(self) -> str:
         return (
             f"<VantageEmbedding n={len(self)} "
             f"|V|={self.num_vantage_points}>"
+        )
+
+
+class VantageFrame:
+    """One vantage space for a whole bundle of indexes.
+
+    Theorem 4 holds for any *fixed* vantage set — nothing requires the
+    vantage graphs to be members of the tree whose bounds they give — so
+    every shard of a bundle is embedded against the same graphs and a
+    graph's coordinates are the same row wherever it is looked at from.
+    ``coords[g]`` is that row for every indexed graph (global ids,
+    assembled from the shards' stored blocks): seeing a graph that lives
+    on another shard is an array slice.
+
+    Graphs the blocks do not cover yet (a mutable index's memtable) get
+    their row on first use — ``|V|`` exact distances through the caller's
+    global engine, once per process — and keep it in ``extra`` until a
+    compaction stores it in a shard.  Ids are append-only and deletes are
+    soft, so a tombstoned vantage graph stays a valid origin.
+    """
+
+    def __init__(
+        self,
+        vantage_ids: Sequence[int],
+        coords: np.ndarray,
+        extra: dict[int, np.ndarray] | None = None,
+    ):
+        self.vantage_ids = [int(v) for v in vantage_ids]
+        self.coords = coords
+        self.extra = {} if extra is None else extra
+
+    def __contains__(self, gid: int) -> bool:
+        return gid < self.coords.shape[0] or gid in self.extra
+
+    def row(self, gid: int, engine) -> np.ndarray:
+        """Frame coordinates of graph ``gid``."""
+        if gid < self.coords.shape[0]:
+            return self.coords[gid]
+        row = self.extra.get(gid)
+        if row is None:
+            row = self.extra[gid] = np.asarray(
+                engine.one_to_many(gid, self.vantage_ids), dtype=float
+            )
+        return row
+
+    def __repr__(self) -> str:
+        return (
+            f"<VantageFrame n={self.coords.shape[0]} "
+            f"|V|={len(self.vantage_ids)} extra={len(self.extra)}>"
         )

@@ -145,7 +145,6 @@ class RemoteFrontier:
         )
         self.uncovered_count = 0
         self._root = _NEG_INF
-        self._fe = 0
 
     # ------------------------------------------------------------------
     # Frontier protocol (see shard/coordinator.py)
@@ -170,9 +169,8 @@ class RemoteFrontier:
         # Set by the first ensured open (begin_round always precedes use).
         return int(self.session.min_gid)
 
-    @property
-    def foreign_embeds(self) -> int:
-        return self._fe
+    #: Workers serve immutable bundles: every graph's frame row is stored.
+    foreign_embeds = 0
 
     def open_round(self, covered: np.ndarray) -> "RemoteRoundSearch":
         cov = wire.words_to_wire(covered)
@@ -195,7 +193,6 @@ class RemoteFrontier:
             self.session,
             hedge=True,
         )
-        self._note_fe(result)
         return int(result["count"])
 
     def neighborhood_of(
@@ -210,7 +207,6 @@ class RemoteFrontier:
             self.session,
             hedge=True,
         )
-        self._note_fe(result)
         if "bound" in result:
             return int(result["bound"])
         return wire.words_from_wire(
@@ -239,11 +235,6 @@ class RemoteFrontier:
 
     def close(self) -> None:
         self.router.close_session(self.shard_id, self.session)
-
-    def _note_fe(self, result: dict) -> None:
-        fe = result.get("fe")
-        if isinstance(fe, int) and fe > self._fe:
-            self._fe = fe
 
     def __repr__(self) -> str:
         return (
@@ -282,7 +273,6 @@ class RemoteRoundSearch:
         )
         peek = result.get("peek")
         self._peek = _NEG_INF if peek is None else float(peek)
-        self.frontier._note_fe(result)
         candidate = result.get("cand")
         if candidate is None:
             return None

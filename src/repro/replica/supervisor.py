@@ -186,6 +186,7 @@ class Supervisor:
         manifest_path: str | Path,
         num_shards: int,
         *,
+        frame,
         replicas: int = 2,
         workers_per_shard: int | None = None,
         heartbeat_s: float = 0.5,
@@ -200,6 +201,9 @@ class Supervisor:
         self.database = database
         self.distance = distance
         self.manifest_path = Path(manifest_path)
+        #: The bundle's vantage frame, loaded once and inherited by every
+        #: (re)forked worker.
+        self.frame = frame
         self.num_shards = int(num_shards)
         self.replicas = int(replicas)
         self.workers_per_shard = workers_per_shard
@@ -304,8 +308,8 @@ class Supervisor:
                 args=(
                     child_sock, inherited, self.database, self.distance,
                     str(self.manifest_path), handle.shard_id,
-                    handle.replica_index, self.workers_per_shard,
-                    self.max_frame_bytes,
+                    handle.replica_index, self.frame,
+                    self.workers_per_shard, self.max_frame_bytes,
                 ),
                 name=(
                     f"repro-shard{handle.shard_id}-r{handle.replica_index}"
@@ -436,7 +440,7 @@ class Supervisor:
 
 def _worker_entry(
     conn, inherited, database, distance, manifest_path,
-    shard_id, replica_index, engine_workers, max_frame,
+    shard_id, replica_index, frame, engine_workers, max_frame,
 ) -> None:
     """Child-process shim: drop inherited pipes, then serve."""
     for sock in inherited:
@@ -448,5 +452,5 @@ def _worker_entry(
             pass
     worker_main(
         conn, database, distance, manifest_path, shard_id, replica_index,
-        engine_workers=engine_workers, max_frame=max_frame,
+        frame, engine_workers=engine_workers, max_frame=max_frame,
     )

@@ -1,8 +1,9 @@
 """The shard worker: one long-lived process serving one shard's frontier.
 
 A worker is forked by the :class:`~repro.replica.supervisor.Supervisor`
-with the *database object already in memory* (fork inheritance — no
-re-parse) and loads its own shard's NB-Index artifact on startup.  It
+with the *database object* and the bundle's *vantage frame* already in
+memory (fork inheritance — no re-parse, pages shared by the whole fleet)
+and loads its own shard's NB-Index artifact on startup.  It
 then answers the coordinator's frontier protocol over a ``socketpair``,
 one line-JSON frame per op (:mod:`repro.replica.wire`):
 
@@ -116,6 +117,7 @@ class ShardWorker:
         shard_id: int,
         replica_index: int,
         *,
+        frame,
         engine_workers: int | None = None,
         session_cap: int = SESSION_CAP,
     ):
@@ -139,6 +141,15 @@ class ShardWorker:
         # ``None`` would resolve to) must not reach its engines.
         engine_workers = engine_workers or 1
         self.index = load_index(artifact, sub, distance, workers=engine_workers)
+        #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
+        #: graph's coordinates, wherever it lives.
+        self.frame = frame
+        if manifest.frame is None and self.shard_id:
+            # Legacy bundle (see ShardedIndex.load): the supervisor adopted
+            # shard 0's vantage graphs and re-embedded everyone else.
+            self.index.embedding.rebase(
+                frame.vantage_ids, frame.coords[self.members]
+            )
         self.ladder = ThresholdLadder(manifest.ladder)
         #: Cross-shard distances go through a *global-id* engine over the
         #: full database — the same id discipline as the in-process
@@ -254,7 +265,7 @@ class ShardWorker:
                 self.index, self.members, relevant, BitsetUniverse(relevant)
             ),
             theta, ladder_index, QueryStats(), runtime,
-            global_engine=self.global_engine,
+            global_engine=self.global_engine, frame=self.frame,
         )
         self.sessions[sid] = _Session(frontier, deadline)
         self.sessions.move_to_end(sid)
@@ -296,24 +307,19 @@ class ShardWorker:
                 "gain": float(gain),
                 "nbhd": wire.words_to_wire(nbhd),
             }
-        return {
-            "cand": cand,
-            "peek": _bound_to_wire(session.round.peek()),
-            "fe": int(session.frontier.foreign_embeds),
-        }
+        return {"cand": cand, "peek": _bound_to_wire(session.round.peek())}
 
     def _op_pi_hat(self, request: dict, session: "_Session") -> dict:
         count = session.frontier.pi_hat_uncovered(int(request["gid"]))
-        return {"count": int(count), "fe": int(session.frontier.foreign_embeds)}
+        return {"count": int(count)}
 
     def _op_nbhd(self, request: dict, session: "_Session") -> dict:
         part = session.frontier.neighborhood_of(
             int(request["gid"]), *_deficit_from_wire(request)
         )
-        fe = int(session.frontier.foreign_embeds)
         if isinstance(part, np.ndarray):
-            return {"words": wire.words_to_wire(part), "fe": fe}
-        return {"bound": int(part), "fe": fe}
+            return {"words": wire.words_to_wire(part)}
+        return {"bound": int(part)}
 
     def _op_select(self, request: dict, session: "_Session") -> dict:
         session.frontier.select(int(request["gid"]))
@@ -388,6 +394,7 @@ def worker_main(
     manifest_path,
     shard_id: int,
     replica_index: int,
+    frame,
     engine_workers: int | None = None,
     max_frame: int = wire.MAX_FRAME_BYTES,
 ) -> None:
@@ -399,7 +406,7 @@ def worker_main(
     """
     worker = ShardWorker(
         database, distance, manifest_path, shard_id, replica_index,
-        engine_workers=engine_workers,
+        frame=frame, engine_workers=engine_workers,
     )
     reader = conn.makefile("rb")
     try:

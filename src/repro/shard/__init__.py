@@ -1,8 +1,8 @@
 """Sharded NB-Index: partitioned builds + scatter-gather distributed greedy.
 
 Partition a database into S shards (:mod:`repro.shard.partition`), build an
-independent NB-Index per shard behind a checksummed manifest
-(:func:`build_shards`), and query the bundle through a coordinator
+NB-Index per shard in one bundle-wide vantage frame behind a checksummed
+manifest (:func:`build_shards`), and query the bundle through a coordinator
 (:class:`ShardedIndex` / :mod:`repro.shard.coordinator`) whose answers are
 bit-identical to the single-index engine for any S and any partitioner.
 """

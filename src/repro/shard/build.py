@@ -1,18 +1,21 @@
 """Build a sharded NB-Index bundle: partition, build per shard, manifest.
 
-Each shard gets a fully independent NB-Index (its own vantage embedding,
-NB-Tree and π̂ columns) over the *sub-database* of its member graphs,
-persisted with the ordinary checksummed
-:func:`~repro.index.persistence.save_index` artifact — a shard file is
-byte-compatible with a single-index file and loads with the same code.
+Each shard gets its own NB-Tree and π̂ columns over the *sub-database* of
+its member graphs, persisted with the ordinary checksummed
+:func:`~repro.index.persistence.save_index` artifact — a shard file has
+the format of a single-index file and loads with the same code.
 
-Two things are deliberately global:
+Three things are deliberately global:
 
+* the **vantage frame**: one vantage set (global ids, recorded in the
+  manifest) is drawn for the whole bundle and every graph embedded against
+  it once — Theorem 4 holds for any fixed vantage set, so every shard sees
+  every graph through :class:`~repro.index.vantage.VantageFrame` rows;
 * the **threshold ladder** is computed once over the whole database and
   passed to every shard build, so π̂ bounds of different shards are
   evaluated at identical rungs and the coordinator's off-ladder check has
   one answer for the whole bundle;
-* per-shard **build seeds** are spawned from one root
+* **build seeds** are spawned from one root
   :class:`numpy.random.SeedSequence`, so the bundle is a deterministic
   function of (database, distance, S, partitioner, seed) and shard builds
   are statistically independent.
@@ -31,6 +34,7 @@ from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.persistence import save_index
 from repro.index.pivec import ThresholdLadder, choose_thresholds
+from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 from repro.shard.partition import get_partitioner
 from repro.utils.validation import require
@@ -91,29 +95,35 @@ def build_shards(
                 database, num_shards, seed=seed, engine=engine
             )
 
-        shard_seeds = np.random.SeedSequence(seed).spawn(num_shards)
+        # Child s seeds shard s (as in compaction), one more the frame.
+        *shard_seeds, frame_seed = np.random.SeedSequence(seed).spawn(
+            num_shards + 1
+        )
+        with obs.span("shard.frame"):
+            vantage = select_vantage_points(
+                database.graphs, min(num_vantage_points, len(database)),
+                rng=np.random.default_rng(frame_seed),
+            )
+            frame = VantageEmbedding(
+                database.graphs, vantage, engine, engine=engine
+            )
         entries: list[ShardEntry] = []
-        shard_build_seconds: list[float] = []
         for shard_id in range(num_shards):
             members = partition.members(shard_id)
             sub = database.subset([int(i) for i in members])
             with obs.span(
                 "shard.build_one", shard=shard_id, n=len(sub)
             ), obs.timer("shard.build_one_seconds"):
-                shard_started = time.perf_counter()
-                index = NBIndex.build(
-                    sub, distance,
-                    num_vantage_points=min(num_vantage_points, len(sub)),
-                    branching=branching,
+                index = NBIndex.from_coords(
+                    sub, distance, frame.vantage_indices,
+                    frame.coords[members], branching=branching,
                     thresholds=thresholds,
-                    seed=np.random.default_rng(shard_seeds[shard_id]),
+                    rng=np.random.default_rng(shard_seeds[shard_id]),
                     workers=workers,
                 )
-                shard_build_seconds.append(time.perf_counter() - shard_started)
             artifact = out_dir / f"shard-{shard_id:03d}.npz"
             save_index(index, artifact)
-            if index.engine is not None:
-                index.engine.invalidate_pool()
+            index.engine.invalidate_pool()
             entries.append(
                 ShardEntry(
                     shard_id=shard_id,
@@ -133,10 +143,10 @@ def build_shards(
             assignments=partition.assignments,
             database_checksum=database_checksum(database),
             shards=tuple(entries),
+            frame=tuple(frame.vantage_indices),
             build={
                 "num_vantage_points": num_vantage_points,
                 "branching": branching,
-                "shard_seconds": [round(s, 6) for s in shard_build_seconds],
                 "total_seconds": round(time.perf_counter() - started, 6),
             },
         )

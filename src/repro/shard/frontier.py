@@ -3,17 +3,19 @@
 A :class:`ShardFrontier` is a :class:`~repro.index.frontier.TreeFrontier`
 (bounds, best-first walk, Theorem 6–8 update, lazily verified windows —
 all inherited) over one shard's NB-Index, plus the one thing only a shard
-needs: a *lens* on graphs that live on other frontiers.  A foreign graph
-is embedded once against this shard's vantage points (``|V|`` distances
-through the global engine); from there the inherited
-:meth:`~repro.index.frontier.TreeFrontier.resolve` treats it like a
-member — Chebyshev window over the uncovered members, free verdicts,
-deficit-sized verification batches, resumable partial state — with the
-coordinator's per-frontier deficit in the place of the round's incumbent.
+needs: a *lens* on graphs that live on other frontiers.  Every shard of a
+bundle is embedded in the bundle's one
+:class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
+coordinates are a row of that frame — an array slice, no distances — and
+from there the inherited :meth:`~repro.index.frontier.TreeFrontier.resolve`
+treats it like a member — Chebyshev window over the uncovered members,
+free verdicts, deficit-sized verification batches, resumable partial state
+— with the coordinator's per-frontier deficit in the place of the round's
+incumbent.
 
 Id discipline: the shard's own engine and embedding speak *local* ids;
-every foreign distance goes through the *global* engine with global ids
-(see :mod:`repro.index.frontier`).
+the frame and every foreign distance (through the *global* engine) speak
+global ids (see :mod:`repro.index.frontier`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from repro.core.results import QueryStats
 from repro.index.frontier import TreeFrontier, TreeRoundSearch, TreeState
+from repro.index.vantage import VantageFrame
 
 
 class RoundSearch(TreeRoundSearch):
@@ -44,36 +47,24 @@ class ShardFrontier(TreeFrontier):
         cascade=None,
         *,
         global_engine,
+        frame: VantageFrame,
     ):
         super().__init__(
             state, theta, ladder_index, stats, cascade,
             distances=global_engine.one_to_many,
         )
         self.global_engine = global_engine
-        self._foreign_coords: dict[int, np.ndarray] = {}
-
-    @property
-    def foreign_embeds(self) -> int:
-        """How many foreign graphs were embedded against this shard's
-        vantage points (coordinator accounting)."""
-        return len(self._foreign_coords)
+        self.frame = frame
+        #: Frame rows this frontier was first to ask for (memtable graphs
+        #: only: every indexed graph's row is stored) — coordinator
+        #: accounting.
+        self.foreign_embeds = 0
 
     def foreign_coords(self, gid: int) -> np.ndarray:
-        """This shard's vantage coordinates of a foreign graph (cached)."""
-        coords = self._foreign_coords.get(gid)
-        if coords is None:
-            coords = self._foreign_coords[gid] = np.asarray(
-                self.global_engine.one_to_many(
-                    int(gid), self.state.vantage_global
-                ),
-                dtype=float,
-            )
-        return coords
-
-    def _vantage_row(self, gid: int) -> np.ndarray:
-        if gid in self.state.g2l:
-            return super()._vantage_row(gid)
-        return self.foreign_coords(gid)
+        """The frame row of a graph that lives elsewhere."""
+        if gid not in self.frame:
+            self.foreign_embeds += 1
+        return self.frame.row(gid, self.global_engine)
 
     def _lens(self, gid: int):
         if gid in self.state.g2l:

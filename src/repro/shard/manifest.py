@@ -8,6 +8,8 @@ everything needed to (re)load and *validate* the bundle:
 * the partitioner and the full per-graph shard assignment,
 * the shared global threshold ladder (every shard indexes π̂ at the same
   rungs — the coordinator's off-ladder check is global),
+* the bundle's vantage **frame**: global ids of the graphs every shard is
+  embedded against (a ``v1`` manifest has none: re-embedded on load),
 * a crc32 over the database fingerprint (wrong-database loads fail loudly
   before any shard is touched),
 * per-shard artifact paths, byte checksums and sizes — the checksum is how
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,9 @@ import numpy as np
 from repro.resilience.atomicio import atomic_write
 from repro.shard.errors import ManifestError
 
-SCHEMA = "repro.shard-manifest/v1"
+SCHEMA = "repro.shard-manifest/v2"
+#: Per-shard vantage sets, no frame: read, and written back as it was.
+LEGACY_SCHEMA = "repro.shard-manifest/v1"
 
 
 @dataclass(frozen=True)
@@ -44,14 +48,6 @@ class ShardEntry:
     path: str  # relative to the manifest's directory
     checksum: int  # crc32 of the artifact file bytes
     num_graphs: int
-
-    def to_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "path": self.path,
-            "checksum": self.checksum,
-            "num_graphs": self.num_graphs,
-        }
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,9 @@ class ShardManifest:
     database_checksum: int  # crc32 over the database fingerprint bytes
     shards: tuple[ShardEntry, ...]
     build: dict = field(default_factory=dict)
+    #: Global ids of the bundle's vantage graphs; ``None`` for a legacy
+    #: bundle whose shards each drew their own.
+    frame: tuple[int, ...] | None = None
 
     def members(self, shard_id: int) -> np.ndarray:
         """Global graph ids of one shard, ascending — the local→global id
@@ -80,8 +79,10 @@ class ShardManifest:
     # Serialization
     # ------------------------------------------------------------------
     def _body(self) -> dict:
+        legacy = self.frame is None
         return {
-            "schema": SCHEMA,
+            "schema": LEGACY_SCHEMA if legacy else SCHEMA,
+            "frame": None if legacy else list(self.frame),
             "num_shards": self.num_shards,
             "num_graphs": self.num_graphs,
             "partitioner": self.partitioner,
@@ -89,7 +90,7 @@ class ShardManifest:
             "ladder": list(self.ladder),
             "assignments": [int(a) for a in self.assignments],
             "database_checksum": self.database_checksum,
-            "shards": [entry.to_dict() for entry in self.shards],
+            "shards": [asdict(entry) for entry in self.shards],
             "build": self.build,
         }
 
@@ -116,10 +117,11 @@ class ShardManifest:
             raise ManifestError(
                 f"{path}: manifest checksum mismatch — file is corrupt"
             )
-        if body.get("schema") != SCHEMA:
+        if body.get("schema") not in (SCHEMA, LEGACY_SCHEMA):
             raise ManifestError(
                 f"{path}: unsupported manifest schema "
-                f"{body.get('schema')!r} (this build reads {SCHEMA!r})"
+                f"{body.get('schema')!r} (this build reads {SCHEMA!r} "
+                f"and {LEGACY_SCHEMA!r})"
             )
         try:
             manifest = cls(
@@ -140,6 +142,10 @@ class ShardManifest:
                     for e in body["shards"]
                 ),
                 build=dict(body.get("build", {})),
+                frame=(
+                    tuple(int(v) for v in body["frame"])
+                    if body["schema"] == SCHEMA else None
+                ),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ManifestError(f"{path}: malformed shard manifest: {error}")

@@ -10,10 +10,14 @@ every cross-shard distance using global graph ids; per-shard engines speak
 only their own renumbered local ids.  Keeping the two id spaces in
 separate engines is what keeps the shared pair caches sound.
 
+Every shard's coordinates are rows of one
+:class:`~repro.index.vantage.VantageFrame`: what a frontier needs to know
+about a graph on another shard is an array slice.
+
 Hot reload support: :meth:`load` accepts the previously served instance
-and *reuses* any shard object whose artifact checksum and member set are
-unchanged in the new manifest — reloading a bundle where one shard was
-rebuilt touches exactly one shard's worth of disk and allocation.
+and *reuses* any shard object whose artifact checksum, member set and
+frame are unchanged in the new manifest — reloading a bundle where one
+shard was rebuilt touches exactly one shard's worth of disk and allocation.
 """
 
 from __future__ import annotations
@@ -26,19 +30,21 @@ import numpy as np
 from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
-from repro.index.errors import ReadOnlyIndexError
+from repro.index.errors import ReadOnlyIndex
 from repro.index.frontier import TreeState
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
-from repro.index.persistence import load_index
+from repro.index.persistence import load_frame, load_index
 from repro.index.pivec import ThresholdLadder
+from repro.index.vantage import VantageFrame
 from repro.resilience.errors import CorruptIndexError, DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
 from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardManifest, database_checksum
 
 
-class ShardedIndex:
-    """S shard NB-Indexes + manifest + global engine, queryable as one."""
+class ShardedIndex(ReadOnlyIndex):
+    """S shard NB-Indexes + manifest + frame + global engine, queryable as
+    one — a read-only view of its manifest generation."""
 
     def __init__(
         self,
@@ -47,6 +53,7 @@ class ShardedIndex:
         *,
         shards: list[NBIndex],
         manifest: ShardManifest,
+        frame: VantageFrame,
         engine,
         path: Path | None = None,
         reused_shards: int = 0,
@@ -55,6 +62,7 @@ class ShardedIndex:
         self.distance = distance
         self.shards = list(shards)
         self.manifest = manifest
+        self.frame = frame
         self.engine = engine
         self.path = path
         self.reused_shards = reused_shards
@@ -106,6 +114,8 @@ class ShardedIndex:
             members = manifest.members(entry.shard_id)
             if (
                 previous is not None
+                and manifest.frame is not None
+                and previous.manifest.frame == manifest.frame
                 and entry.shard_id < previous.manifest.num_shards
                 and previous.manifest.shards[entry.shard_id].checksum
                 == entry.checksum
@@ -125,11 +135,19 @@ class ShardedIndex:
                 )
             sub = database.subset([int(i) for i in members])
             shards.append(load_index(artifact, sub, distance, workers=workers))
+        frame = load_frame(manifest, base_dir, engine)
+        if manifest.frame is None:
+            # Legacy bundle: shard 0's vantage graphs were adopted.
+            for shard_id in range(1, manifest.num_shards):
+                shards[shard_id].embedding.rebase(
+                    frame.vantage_ids,
+                    frame.coords[manifest.members(shard_id)],
+                )
         obs.counter("shard.loads")
         if reused:
             obs.counter("shard.reused", reused)
         return cls(
-            database, distance, shards=shards, manifest=manifest,
+            database, distance, shards=shards, manifest=manifest, frame=frame,
             engine=engine, path=manifest_path, reused_shards=reused,
         )
 
@@ -180,7 +198,7 @@ class ShardedIndex:
                     session.universe,
                 )),
                 run.theta, run.ladder_index, run.stats, run.cascade,
-                global_engine=global_engine,
+                global_engine=global_engine, frame=self.frame,
             )
             for s in range(self.num_shards)
         ]
@@ -198,25 +216,6 @@ class ShardedIndex:
         self.ladder = ladder
         for shard in self.shards:
             shard.set_ladder(ladder)
-
-    # ------------------------------------------------------------------
-    # Mutations (Index protocol: read-only here)
-    # ------------------------------------------------------------------
-    #: A loaded bundle is a read-only view of its manifest generation —
-    #: open with ``repro.open_index(path, mutable=True)`` to mutate.
-    mutable = False
-
-    def insert(self, graph, feature_row) -> int:
-        raise ReadOnlyIndexError("insert", "ShardedIndex")
-
-    def delete(self, gid: int) -> bool:
-        raise ReadOnlyIndexError("delete", "ShardedIndex")
-
-    def update(self, gid: int, graph, feature_row) -> int:
-        raise ReadOnlyIndexError("update", "ShardedIndex")
-
-    def compact(self) -> dict:
-        raise ReadOnlyIndexError("compact", "ShardedIndex")
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle

@@ -58,7 +58,7 @@ from repro.index.frontier import TreeFrontier, TreeRoundSearch
 from repro.index.nbindex import NBIndex
 from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import VantageEmbedding
+from repro.index.vantage import VantageEmbedding, VantageFrame
 from repro.metricspace import vector_database
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
@@ -535,9 +535,10 @@ def test_the_sandwich_spares_centroid_distances():
 # ---------------------------------------------------------------------------
 #: Mean exact distance calls per cold query on the smoke mix below (the
 #: n = 300 ``dud_inproc`` shape of ``benchmarks/e2e``: seed 11, 4 relevance
-#: functions at the top 20 %, 8 vantage points, b = 4).  Measured 479.25;
-#: the eager path this replaced paid 749.0.
-SMOKE_COLD_CALLS_BUDGET = 540
+#: functions at the top 20 %, 8 vantage points, b = 4).  Measured 433.5
+#: (479.25 while leaves paid centroid distances in the update walk); the
+#: eager path paid 749.0.
+SMOKE_COLD_CALLS_BUDGET = 480
 
 
 def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
@@ -574,7 +575,7 @@ def sharded_shapes(tmp_path_factory):
             database, distance, num_shards=s, partitioner=partitioner,
             out_dir=tmp / f"s{s}-{partitioner}", seed=0, **BUILD,
         )
-        for s in (2, 4) for partitioner in ("hash", "clustering")
+        for s in (1, 2, 4) for partitioner in ("hash", "clustering")
     }
     built = {
         f"sharded-{s}-{partitioner}": ShardedIndex.load(
@@ -677,8 +678,12 @@ def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
         with shard_frontier(EagerShardFrontier):
             eager = index.query(q, theta, k, **kwargs)
     same_answer(lazy, eager)
-    assert lazy.stats.distance_calls <= eager.stats.distance_calls
-    assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
+    # Across frontiers "never more" is not a theorem: a bound reported in
+    # place of an exact count can send a later round to a window the eager
+    # run never opens.  400 random instances of this generator: lazy ahead
+    # in 3, by at most 10 calls (1 076 vs 1 066) or 3 of 22 — anything
+    # beyond the slack below is a regression, not that effect.
+    assert lazy.stats.distance_calls <= 1.1 * eager.stats.distance_calls + 16
     _one_ladder_outcome_per_survivor(lazy.stats.coordinator)
     assert not eager.stats.coordinator["partial_scatters"]
     if kwargs["epsilon"] == 0.0:
@@ -799,23 +804,21 @@ def test_a_resumed_foreign_window_ends_exact(dud_bundles):
 # Tie-break: the smaller id wins although a *foreign* frontier dropped it
 # ---------------------------------------------------------------------------
 def _hand_built_bundle(points, members_of, theta):
-    """A bundle over vector points with chosen shard members, each shard's
-    single vantage point being its first member."""
+    """A bundle over vector points with chosen shard members, its frame
+    the single vantage point 0."""
     database, distance = vector_database(np.asarray(points))
-    shards = []
-    for members in members_of:
-        sub = database.subset(members)
-        engine = DistanceEngine(distance, graphs=sub.graphs)
-        embedding = VantageEmbedding(sub.graphs, [0], engine, engine=engine)
-        engine.attach_embedding(embedding)
-        tree = NBTree(
-            sub.graphs, engine, embedding, branching=3,
-            rng=np.random.default_rng(0), engine=engine,
+    global_engine = DistanceEngine(distance, graphs=database.graphs)
+    frame = VantageEmbedding(
+        database.graphs, [0], global_engine, engine=global_engine
+    )
+    shards = [
+        NBIndex.from_coords(
+            database.subset(members), distance, [0], frame.coords[members],
+            branching=3, thresholds=ThresholdLadder([theta]),
+            rng=np.random.default_rng(0),
         )
-        shards.append(NBIndex(
-            sub, engine, embedding=embedding, tree=tree,
-            ladder=ThresholdLadder([theta]), counting=engine,
-        ))
+        for members in members_of
+    ]
     assignments = np.empty(len(database), dtype=np.int64)
     for s, members in enumerate(members_of):
         assignments[members] = s
@@ -827,17 +830,18 @@ def _hand_built_bundle(points, members_of, theta):
             ShardEntry(s, "unused.npz", 0, len(members))
             for s, members in enumerate(members_of)
         ),
+        frame=(0,),
     )
     bundle = ShardedIndex(
         database, distance, shards=shards, manifest=manifest,
-        engine=DistanceEngine(distance, graphs=database.graphs),
+        frame=VantageFrame([0], frame.coords), engine=global_engine,
     )
     return database, distance, bundle
 
 
 def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch):
-    """Both shards keep their one vantage point at the origin, so a
-    Chebyshev window is a whole circle while true neighborhoods are tight.
+    """The bundle's one vantage point sits at the origin, so a Chebyshev
+    window is a whole circle while true neighborhoods are tight.
 
     Shard A: a 6-clump plus singles on the inner circle, and graph 1 alone
     on the outer one.  Shard B: eight outer-circle graphs — the last of
@@ -852,11 +856,11 @@ def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch
         return [radius * np.cos(angle), radius * np.sin(angle)]
 
     theta = 1.0
-    points = [[0.0, 0.0], on_circle(20.0, 0.0)]                 # 0: A's vantage, 1
+    points = [[0.0, 0.0], on_circle(20.0, 0.0)]                 # 0: the vantage, 1
     points += [on_circle(10.0, 1.0 * i) for i in range(6)]          # 2-7: clump
     points += [on_circle(10.0, a) for a in range(60, 360, 50)]      # 8-13: singles
     shard_a = list(range(len(points)))
-    points += [[0.0, 0.0]]                                          # 14: B's vantage
+    points += [[0.0, 0.0]]                                          # 14: irrelevant
     points += [on_circle(20.0, a) for a in range(40, 360, 45)][:7]  # 15-21: far
     points += [on_circle(20.0, 0.5)]                                # 22: 1's neighbor
     points += [on_circle(35.0, 0.0), on_circle(35.0, 0.5)]          # 23, 24: pair
@@ -935,14 +939,14 @@ def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
 # Budgets at the e2e smoke scale, sharded
 # ---------------------------------------------------------------------------
 #: Mean exact distance calls per cold query, n = 300, seed 11.  S = 2 dud
-#: smoke mix: measured 926.0 (971.0 with eager foreign windows).  S = 4 vec
-#: smoke mix: measured 3 013.75 (3 588.75 eager); one NBIndex over the same
-#: instance pays 2 427.5, and 2 699 of the bundle's 12 055 calls embed
-#: strangers against foreign vantage points.
-DUD_S2_COLD_CALLS_BUDGET = 1018
-VEC_S4_COLD_CALLS_BUDGET = 3315
-#: What S = 4 may cost beyond its embeds, relative to one index (measured
-#: 0.96; 1.20 with eager foreign windows).
+#: smoke mix: measured 535.25 (926.0 while every shard drew its own vantage
+#: points and embedded strangers against them).  S = 4 vec smoke mix:
+#: measured 2 442.0 (3 013.75 with per-shard frames; 2 739.75 with eager
+#: foreign windows); one NBIndex over the same instance pays 2 358.0.
+DUD_S2_COLD_CALLS_BUDGET = 590
+VEC_S4_COLD_CALLS_BUDGET = 2690
+#: What S = 4 may cost relative to one index (measured 1.04; 1.16 with
+#: eager foreign windows; 1.24 with per-shard frames).
 VEC_S4_OVER_SINGLE = 1.15
 
 
@@ -959,7 +963,7 @@ def test_sharded_dud_smoke_mix_stays_under_budget(dud_bundles):
     assert np.mean(calls) <= DUD_S2_COLD_CALLS_BUDGET, calls
 
 
-def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path, monkeypatch):
+def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path):
     """The n = 300 ``vec_sharded`` shape of ``benchmarks/e2e``."""
     seed, n, dims = 11, 300, 6
     rng = np.random.default_rng([seed, 2])
@@ -988,24 +992,17 @@ def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path, monkeypatch):
     single = NBIndex.build(database, distance, **build)
     cold(single)
 
-    embed_calls = []
-    foreign_coords = ShardFrontier.foreign_coords
-
-    def counting(self, gid):
-        before = self.global_engine.evaluations
-        coords = foreign_coords(self, gid)
-        embed_calls.append(self.global_engine.evaluations - before)
-        return coords
-
-    monkeypatch.setattr(ShardFrontier, "foreign_coords", counting)
     sharded_calls, single_calls = [], []
     for q, theta, k in mix:
         got = sharded.session(q).query(theta, k)
         want = single.session(q).query(theta, k)
         same_answer(got, want)
+        # Every graph's row of the bundle's one frame is stored: seeing a
+        # stranger costs no distance.
+        assert got.stats.coordinator["foreign_embeds"] == 0
         sharded_calls.append(got.stats.distance_calls)
         single_calls.append(want.stats.distance_calls)
     assert np.mean(sharded_calls) <= VEC_S4_COLD_CALLS_BUDGET, sharded_calls
-    assert sum(sharded_calls) - sum(embed_calls) <= (
-        VEC_S4_OVER_SINGLE * sum(single_calls)
-    ), (sharded_calls, sum(embed_calls), single_calls)
+    assert sum(sharded_calls) <= VEC_S4_OVER_SINGLE * sum(single_calls), (
+        sharded_calls, single_calls,
+    )

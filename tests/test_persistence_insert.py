@@ -1,5 +1,7 @@
 """NB-Index persistence (save/load) and incremental insertion."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.core import baseline_greedy
 from repro.ged import StarDistance
 from repro.graphs import GraphDatabase, path_graph, quartile_relevance
 from repro.index import NBIndex, load_index, save_index
+from repro.metricspace import vector_database
+from repro.resilience.atomicio import read_checksummed, write_checksummed
 from tests.conftest import random_connected_graph, random_database
 from tests.test_nbindex import assert_valid_greedy_trajectory
 
@@ -62,6 +66,64 @@ class TestPersistence:
         smaller = db.subset(range(10))
         with pytest.raises(ValueError, match="fingerprint"):
             load_index(path, smaller, dist)
+
+
+class TestCoordinateStorage:
+    """Format version 3: coordinates in the narrowest lossless dtype."""
+
+    @staticmethod
+    def _stored(path):
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            return data["coords"], int(data["format_version"][0])
+
+    def test_integral_coordinates_are_stored_narrow(self, tmp_path):
+        db, dist, _, index = _build(seed=5)
+        coords = index.embedding.coords
+        assert coords.dtype == np.float64 and coords.max() < 256
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        stored, version = self._stored(path)
+        assert version == 3 and stored.dtype == np.uint8
+        loaded = load_index(path, db, dist).embedding.coords
+        assert loaded.dtype == np.float64 and np.array_equal(loaded, coords)
+        # A single coordinate past the dtype widens it; one fraction or one
+        # negative value keeps float64 — derived from the data, never lossy.
+        for value, dtype in ((300.0, np.uint16), (0.5, np.float64),
+                             (-1.0, np.float64)):
+            coords[0, 0] = value
+            save_index(index, path)
+            stored, _ = self._stored(path)
+            assert stored.dtype == dtype
+            assert np.array_equal(
+                load_index(path, db, dist).embedding.coords, coords
+            )
+
+    def test_float_coordinates_stay_float64(self, tmp_path):
+        points = np.random.default_rng(0).normal(size=(40, 3))
+        db, dist = vector_database(points)
+        index = NBIndex.build(
+            db, dist, num_vantage_points=3, branching=4, seed=0
+        )
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        stored, _ = self._stored(path)
+        assert stored.dtype == np.float64
+        assert stored.tobytes() == index.embedding.coords.tobytes()
+
+    def test_version_2_files_still_load(self, tmp_path):
+        db, dist, q, index = _build(seed=6)
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            arrays = dict(data)
+        arrays["format_version"] = np.array([2])
+        arrays["coords"] = arrays["coords"].astype(np.float64)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        write_checksummed(path, buffer.getvalue())
+        loaded = load_index(path, db, dist)
+        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
+        assert loaded.query(q, 5.0, 4).answer == index.query(q, 5.0, 4).answer
 
 
 class TestInsert:

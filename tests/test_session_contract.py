@@ -37,7 +37,11 @@ from repro.index.frontier import Frontier, RoundCursor, TreeState
 from repro.index.nbindex import NBIndex, QuerySession
 from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import VantageEmbedding, select_vantage_points
+from repro.index.vantage import (
+    VantageEmbedding,
+    VantageFrame,
+    select_vantage_points,
+)
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
 from repro.resilience import Deadline
@@ -183,8 +187,10 @@ def _one_shard(index: NBIndex) -> ShardedIndex:
         database_checksum=database_checksum(database),
         shards=(ShardEntry(0, "unused.npz", 0, len(database)),),
     )
+    embedding = index.embedding
     return ShardedIndex(
         database, StarDistance(), shards=[index], manifest=manifest,
+        frame=VantageFrame(embedding.vantage_indices, embedding.coords),
         engine=index.engine,
     )
 
@@ -310,7 +316,7 @@ class TestFrontierProtocol:
                     universe,
                 ),
                 self.THETA, ladder_index, QueryStats(),
-                global_engine=sharded.engine,
+                global_engine=sharded.engine, frame=sharded.frame,
             )
         members = relevant[sharded.shard_of[relevant] == 0]
         if request.param == "exact":

@@ -13,10 +13,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import obs
@@ -25,8 +28,19 @@ from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.index import NBIndex, OffLadderThetaError, save_index
+from repro.durability import (
+    BackupError,
+    Scrubber,
+    create_backup,
+    restore_backup,
+    verify_backup,
+    verify_deployment,
+)
+from repro.graphs.io import save_database
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
+from repro.index.vantage import VantageFrame
+from repro.replica import ReplicatedIndex
 from repro.resilience import Deadline
 from repro.resilience.errors import (
     CorruptIndexError,
@@ -45,6 +59,7 @@ from repro.shard import (
     build_shards,
     get_partitioner,
 )
+from repro.shard.manifest import ShardEntry, database_checksum
 from tests.conftest import random_database, random_connected_graph
 
 #: Shared build shape: small trees, explicit ladder so every test theta is
@@ -338,6 +353,306 @@ class TestManifest:
 
 
 # ---------------------------------------------------------------------------
+# One vantage frame per bundle
+# ---------------------------------------------------------------------------
+def _legacy_bundle(db, out_dir, num_shards=3, seed=7):
+    """A bundle as builds before the frame wrote it: every shard its own
+    NB-Index with its own vantage points, a ``v1`` manifest without a
+    frame."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    partition = HashPartitioner().assign(db, num_shards)
+    entries = []
+    for shard_id in range(num_shards):
+        members = [int(i) for i in partition.members(shard_id)]
+        index = NBIndex.build(
+            db.subset(members), StarDistance(), seed=seed + shard_id, **BUILD
+        )
+        artifact = out_dir / f"shard-{shard_id:03d}.npz"
+        save_index(index, artifact)
+        entries.append(ShardEntry(
+            shard_id, artifact.name, zlib.crc32(artifact.read_bytes()),
+            len(members),
+        ))
+    ShardManifest(
+        num_shards=num_shards, num_graphs=len(db), partitioner="hash",
+        seed=seed, ladder=tuple(LADDER.values),
+        assignments=partition.assignments,
+        database_checksum=database_checksum(db), shards=tuple(entries),
+        build={"num_vantage_points": 6, "branching": 4},
+    ).save(out_dir / "manifest.json")
+    return out_dir / "manifest.json"
+
+
+def _off_frame_bundle(db, bundle_dir, tmp_path):
+    """``bundle_dir`` with shard 1 swapped for a checksum-valid artifact
+    embedded against *other* vantage graphs."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    for name in os.listdir(bundle_dir):
+        (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
+    manifest = ShardManifest.load(tmp_path / "manifest.json")
+    members = [int(i) for i in manifest.members(1)]
+    stray = NBIndex.build(db.subset(members), StarDistance(), seed=3, **BUILD)
+    save_index(stray, tmp_path / "shard-001.npz")
+    entries = list(manifest.shards)
+    entries[1] = dataclasses.replace(
+        entries[1],
+        checksum=zlib.crc32((tmp_path / "shard-001.npz").read_bytes()),
+    )
+    dataclasses.replace(manifest, shards=tuple(entries)).save(
+        tmp_path / "manifest.json"
+    )
+    return tmp_path / "manifest.json"
+
+
+class TestFrame:
+    def test_every_shard_is_embedded_in_the_manifests_frame(self, db, bundle_dir):
+        sharded = _load(bundle_dir, db)
+        frame = sharded.manifest.frame
+        assert len(frame) == 6 and list(frame) == sharded.frame.vantage_ids
+        star = StarDistance()
+        want = np.array([[star(db[v], db[g]) for v in frame] for g in range(len(db))])
+        assert np.array_equal(sharded.frame.coords, want)
+        for members, shard in zip(sharded.global_ids, sharded.shards):
+            assert shard.embedding.vantage_indices == list(frame)
+            assert np.array_equal(shard.embedding.coords, want[members])
+        # Most vantage graphs of a shard live elsewhere, and nothing about
+        # a stranger is ever measured again at query time.
+        assert any(sharded.shard_of[v] != 0 for v in frame)
+        result = sharded.query(quartile_relevance(db), 6.0, 5)
+        assert result.stats.coordinator["foreign_embeds"] == 0
+        assert verify_deployment(bundle_dir)["ok"]
+        sharded.invalidate_pools()
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_frame_bounds_sandwich_true_distances(self, data):
+        """Theorem 4 needs *fixed* vantage points, not member ones: using
+        only the vantage graphs that do not live on ``g``'s shard,
+        ``max_v |d(v,g) − d(v,h)| ≤ d(g,h) ≤ min_v d(v,g) + d(v,h)``."""
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        database = random_database(
+            seed=seed, size=data.draw(st.integers(12, 40), label="size")
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = ShardedIndex.build(
+                database, StarDistance(), out_dir=tmp, seed=seed,
+                num_shards=data.draw(st.sampled_from([2, 4]), label="shards"),
+                partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
+                num_vantage_points=data.draw(st.integers(1, 3), label="|V|"),
+                branching=3,
+            )
+        star, coords = StarDistance(), sharded.frame.coords
+        home = sharded.shard_of[sharded.frame.vantage_ids]
+        checked = 0
+        for g in range(len(database)):
+            foreign = np.flatnonzero(home != sharded.shard_of[g])
+            for h in range(1, len(database), 3):
+                d = star(database[g], database[h])
+                a, b = coords[g, foreign], coords[h, foreign]
+                if foreign.size:
+                    assert np.max(np.abs(a - b)) <= d + 1e-9
+                    assert d <= np.min(a + b) + 1e-9
+                    checked += 1
+        assert checked  # no shard is empty: some graph sees a stranger
+
+    def test_off_frame_shard_is_refused_everywhere(self, db, bundle_dir, tmp_path):
+        manifest_path = _off_frame_bundle(db, bundle_dir, tmp_path / "bundle")
+        with pytest.raises(CorruptIndexError, match="frame"):
+            ShardedIndex.load(manifest_path, db, StarDistance())
+        report = verify_deployment(manifest_path)
+        assert not report["ok"]
+        assert any("frame" in problem for problem in report["problems"])
+        with pytest.raises(BackupError, match="frame"):
+            create_backup(tmp_path / "backup", shards=manifest_path)
+        # The scrubber finds it under a serving index too, and cannot heal
+        # intact bytes from a copy of themselves.
+        serving = _load(bundle_dir, db)
+        serving.path = manifest_path
+        serving.manifest = ShardManifest.load(manifest_path)
+        report = Scrubber(serving).scrub_once()
+        assert any("frame" in line for line in report["escalations"])
+        serving.invalidate_pools()
+
+    def test_backup_and_restore_carry_the_frame(self, db, bundle_dir, tmp_path):
+        create_backup(tmp_path / "backup", shards=bundle_dir / "manifest.json")
+        assert verify_backup(tmp_path / "backup")["ok"]
+        restore_backup(tmp_path / "backup", tmp_path / "restored")
+        restored = _load(tmp_path / "restored", db)
+        assert restored.manifest.frame == _load(bundle_dir, db).manifest.frame
+        # Tampering inside the archive that re-seals the checksums is still
+        # an off-frame bundle.
+        _off_frame_bundle(db, bundle_dir, tmp_path / "tampered")
+        for name in ("manifest.json", "shard-001.npz"):
+            (tmp_path / "backup" / name).write_bytes(
+                (tmp_path / "tampered" / name).read_bytes()
+            )
+        document = json.loads((tmp_path / "backup" / "backup.json").read_text())
+        for entry in document["backup"]["files"]:
+            raw = (tmp_path / "backup" / entry["name"]).read_bytes()
+            entry.update(bytes=len(raw), crc32=zlib.crc32(raw))
+        canonical = json.dumps(
+            document["backup"], sort_keys=True, separators=(",", ":")
+        )
+        document["crc32"] = zlib.crc32(canonical.encode())
+        (tmp_path / "backup" / "backup.json").write_text(json.dumps(document))
+        report = verify_backup(tmp_path / "backup")
+        assert any("frame" in problem for problem in report["problems"])
+
+    def test_legacy_bundle_upgrades_by_re_embedding_only(self, db, tmp_path):
+        manifest_path = _legacy_bundle(db, tmp_path / "legacy")
+        assert ShardManifest.load(manifest_path).frame is None
+        assert verify_deployment(manifest_path)["ok"]
+        legacy_trees = [
+            load_index(
+                tmp_path / "legacy" / f"shard-{s:03d}.npz",
+                db.subset([int(i) for i in np.flatnonzero(
+                    HashPartitioner().assign(db, 3).assignments == s
+                )]),
+                StarDistance(),
+            ).tree
+            for s in range(3)
+        ]
+        with obs.observe() as run:
+            sharded = ShardedIndex.load(manifest_path, db, StarDistance())
+            counters = run.stats()["counters"]
+        assert counters["shard.frame_upgrades"] == 2
+        # Shard 0's vantage graphs became the frame; the trees are reused.
+        frame = sharded.frame.vantage_ids
+        assert all(sharded.shard_of[v] == 0 for v in frame)
+        for shard, tree in zip(sharded.shards, legacy_trees):
+            assert [n.radius for n in shard.tree.nodes] == [
+                n.radius for n in tree.nodes
+            ]
+        q = quartile_relevance(db)
+        for theta in THETAS:
+            got = sharded.query(q, theta, 6)
+            _assert_same_result(
+                got, baseline_greedy(db, StarDistance(), q, theta, 6)
+            )
+            assert got.stats.coordinator["foreign_embeds"] == 0
+        # A frame the manifest does not vouch for is never reused.
+        again = ShardedIndex.load(
+            manifest_path, db, StarDistance(), previous=sharded
+        )
+        assert again.reused_shards == 0
+        again.invalidate_pools()
+        sharded.invalidate_pools()
+        # Worker processes upgrade the same way (one adoption, inherited).
+        with ReplicatedIndex.open(
+            manifest_path, db, StarDistance(), replicas=1
+        ) as replicated:
+            _assert_same_result(
+                replicated.query(q, 6.0, 6),
+                baseline_greedy(db, StarDistance(), q, 6.0, 6),
+            )
+
+    def test_compaction_writes_a_legacy_bundles_frame_back(self, db, tmp_path):
+        manifest_path = _legacy_bundle(db, tmp_path / "legacy")
+        live = db.subset(range(len(db)))
+        mutable = repro.open_index(manifest_path, live, mutable=True)
+        donors = random_database(seed=31, size=2)
+        for i in range(len(donors)):
+            mutable.insert(donors[i], db.features[i])
+        frame = list(mutable.frame.vantage_ids)
+        mutable.compact()
+        mutable.close()
+        manifest = ShardManifest.load(manifest_path)
+        assert list(manifest.frame) == frame
+        assert verify_deployment(manifest_path)["ok"]
+        with obs.observe() as run:
+            reopened = ShardedIndex.load(manifest_path, live, StarDistance())
+            assert "shard.frame_upgrades" not in run.stats()["counters"]
+        q = quartile_relevance(live)
+        _assert_same_result(
+            reopened.query(q, 6.0, 6),
+            baseline_greedy(live, StarDistance(), q, 6.0, 6),
+        )
+        reopened.invalidate_pools()
+
+    def test_mutable_bundle_keeps_its_frame_and_embeds_each_graph_once(
+        self, db, tmp_path, monkeypatch,
+    ):
+        """S = 2 with a journal: tombstone a vantage graph, insert, query,
+        compact one shard, restart.  The frame never changes; a memtable
+        graph's row costs ≤ |V| distances once per process — not per
+        session, not per shard, not again at compaction."""
+        manifest_path = build_shards(
+            db, StarDistance(), num_shards=2, out_dir=tmp_path / "bundle",
+            seed=7, **BUILD,
+        )
+        save_database(db, tmp_path / "db.jsonl")
+        embeds = []
+        row = VantageFrame.row
+
+        def spying(self, gid, engine):
+            before = engine.evaluations
+            out = row(self, gid, engine)
+            if engine.evaluations > before:
+                embeds.append((gid, engine.evaluations - before))
+            return out
+
+        monkeypatch.setattr(VantageFrame, "row", spying)
+
+        def open_mutable():
+            return repro.open_index(
+                manifest_path, tmp_path / "db.jsonl", mutable=True,
+                journal=tmp_path / "m.journal", seed=7,
+            )
+
+        def check(index):
+            """Answers equal the paper's greedy; returns the frame rows the
+            queries had computed."""
+            shadow = index.database
+            q = quartile_relevance(db)  # thresholds fixed from the base
+            total = 0
+            for theta in THETAS:
+                got = index.query(q, theta, 8)
+                _assert_same_result(
+                    got, baseline_greedy(shadow, StarDistance(), q, theta, 8)
+                )
+                total += got.stats.coordinator["foreign_embeds"]
+            return total
+
+        mutable = open_mutable()
+        frame = list(mutable.frame.vantage_ids)
+        assert frame == list(ShardManifest.load(manifest_path).frame)
+        mutable.delete(frame[0])  # a tombstoned vantage graph stays an origin
+        assert check(mutable) == 0
+        # Donors that all route to the same shard: a *partial* compaction.
+        pool = random_database(seed=41, size=24)
+        parity = lambda g: zlib.crc32(repr(g.canonical_form()).encode()) % 2
+        donors = [pool[i] for i in range(len(pool)) if parity(pool[i]) == 0][:3]
+        relevant_row = db.features.max(axis=0)
+        new_ids = [mutable.insert(graph, relevant_row) for graph in donors]
+        # First sight costs one row per graph a shard had to look at …
+        first = check(mutable)
+        assert 0 < first == len(embeds) <= len(new_ids)
+        assert check(mutable) == 0  # … remembered across sessions and shards
+        untouched = mutable.base.shards[1]
+        report = mutable.compact()
+        assert report["rebuilt_shards"] == [0] and report["reused_shards"] == 1
+        assert mutable.base.shards[1] is untouched
+        # Rows the queries computed were handed over, the rest measured now:
+        # every absorbed graph exactly once, ≤ |V| distances each.
+        assert sorted(gid for gid, _ in embeds) == new_ids
+        assert all(calls <= len(frame) for _, calls in embeds)
+        assert list(mutable.frame.vantage_ids) == frame
+        assert list(ShardManifest.load(manifest_path).frame) == frame
+        assert verify_deployment(manifest_path)["ok"]
+        assert check(mutable) == 0
+        mutable.close()
+        # Restart: the rows now come from the rebuilt shard's artifact.
+        reopened = open_mutable()
+        assert list(reopened.frame.vantage_ids) == frame
+        assert reopened.memtable_size == 0
+        assert check(reopened) == 0
+        late = reopened.insert(pool[23], relevant_row)
+        assert check(reopened) == 1 and embeds[-1][0] == late
+        assert len(embeds) == len(new_ids) + 1
+        reopened.close()
+
+
+# ---------------------------------------------------------------------------
 # Loading + per-shard hot-reload reuse
 # ---------------------------------------------------------------------------
 class TestReload:
@@ -354,14 +669,16 @@ class TestReload:
         for name in os.listdir(bundle_dir):
             (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
         first = _load(tmp_path, db)
-        # Rebuild exactly one shard with a *different* tree shape and point
-        # the manifest at its new checksum: only that shard may reload, and
-        # answers must not move (correctness is tree-shape independent).
+        # Rebuild exactly one shard with a *different* tree shape (in the
+        # bundle's frame) and point the manifest at its new checksum: only
+        # that shard may reload, and answers must not move (correctness is
+        # tree-shape independent).
         manifest = ShardManifest.load(tmp_path / "manifest.json")
-        members = [int(i) for i in manifest.members(0)]
-        rebuilt = NBIndex.build(
-            db.subset(members), StarDistance(), num_vantage_points=4,
-            branching=3, thresholds=LADDER, seed=99,
+        members = manifest.members(0)
+        rebuilt = NBIndex.from_coords(
+            db.subset([int(i) for i in members]), StarDistance(),
+            manifest.frame, first.frame.coords[members], branching=3,
+            thresholds=LADDER, rng=np.random.default_rng(99),
         )
         save_index(rebuilt, tmp_path / "shard-000.npz")
         entries = list(manifest.shards)
