@@ -639,13 +639,17 @@ class TreeFrontier:
     def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
         """What the update does to ``node`` at centroid distance ``cd``.
 
-        A leaf's bound never depends on ``cd``: a resolved neighborhood is
-        re-counted wherever the selection fell, a newly covered leaf lies
-        in ``N_θ(selected)`` (so ``cd ≤ θ + ε`` needs no checking), and
-        Theorem 6 or keep leave the bound alone.  A leaf is therefore asked
-        with the sandwich's lower end only, and ``pruned_subtrees`` counts
-        it when that alone proves Theorem 6."""
+        A leaf's bound never depends on ``cd``: Theorem 6 leaves it alone
+        (a resolved neighborhood out of reach would only be re-counted to
+        the same residual), a resolved neighborhood in reach is re-counted,
+        and a newly covered leaf lies in ``N_θ(selected)`` (so
+        ``cd ≤ θ + ε`` needs no checking).  A leaf is therefore asked with
+        the sandwich's lower end only, and ``pruned_subtrees`` counts it
+        when that alone proves Theorem 6 — a function of the leaf and the
+        selection, whatever has been resolved."""
         theta = self.theta
+        if cd - node.radius > 2.0 * theta + _EPS:
+            return _PRUNE  # Theorem 6: no member's neighborhood changed.
         if node.is_leaf:
             gid = self.state.global_ids[node.graph_index]
             if gid in self._nbhd:
@@ -655,9 +659,7 @@ class TreeFrontier:
                 # The leaf itself is newly covered: its own neighborhood
                 # contains it, so its gain shrinks by at least one.
                 return _DECREMENT
-            return _PRUNE if cd > 2.0 * theta + _EPS else _KEEP
-        if cd - node.radius > 2.0 * theta + _EPS:
-            return _PRUNE  # Theorem 6: no member's neighborhood changed.
+            return _KEEP
         if (
             node.diameter <= theta + _EPS
             and cd + node.radius <= theta + _EPS

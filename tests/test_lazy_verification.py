@@ -16,14 +16,16 @@ This file pins what that must not change and what it must buy:
 * from cold caches the lazy path never pays more exact distances than the
   eager one, and stays under a committed budget at the e2e smoke scale;
 * the sandwich-first update walk — which never pays a distance for a
-  leaf — ends with the bounds of the walk that pays one scalar distance per
-  visited node.
+  leaf — ends with the bounds, batch decrements and prune count of the
+  walk that pays one scalar distance per visited node.
 
 The second half pins the same for graphs that live *elsewhere*: a foreign
 neighborhood is one lazily verified window per frontier, driven by the
 coordinator's per-frontier deficit (``repro.index.coordinator``) — every
 sharded shape against ``baseline_greedy``, lazy against the whole-window
-``EagerShardFrontier``, every reported foreign bound against the truth, the
+``EagerShardFrontier`` (same answers; never more work summed over a pinned
+sample, within a slack per instance), every reported foreign bound against
+the truth, the
 tie-break across a foreign early exit, a failover between a bound and the
 next visit, and budgets at the e2e smoke scale.
 
@@ -125,11 +127,14 @@ def shard_frontier(cls):
 
 def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
     """The pre-sandwich update: one exact centroid distance per visited
-    node, applied to ``bounds``; returns the batch decrements.  (Its
-    Theorem-6 count is not comparable: the frontier counts a leaf as
-    pruned only when the sandwich proves it without that distance.)"""
+    node, applied to ``bounds``; returns (pruned subtrees, batch
+    decrements).  A leaf's bound is moved without looking at that distance
+    first — a resolved one re-counted wherever the selection fell — and it
+    counts as pruned when the vantage lower bound alone proves Theorem 6,
+    which the exact distance must then confirm."""
     state, theta = frontier.state, frontier.theta
-    batched = 0
+    embedding = frontier.index.embedding
+    pruned = batched = 0
     stack = [frontier.index.tree.root]
     while stack:
         node = stack.pop()
@@ -146,8 +151,12 @@ def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
                 )
             elif cd <= theta + _EPS and newly.test(position):
                 bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
+            lower = embedding.lower_bound(state.g2l[selected], node.centroid)
+            if lower - 1e-9 > 2.0 * theta + _EPS:
+                assert cd > 2.0 * theta + _EPS
+                pruned += 1
         elif cd - node.radius > 2.0 * theta + _EPS:
-            continue
+            pruned += 1
         elif (
             node.diameter <= theta + _EPS
             and cd + node.radius <= theta + _EPS
@@ -160,7 +169,7 @@ def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
                 )
         else:
             stack.extend(node.children)
-    return batched
+    return pruned, batched
 
 
 def dud_smoke_mix(database, seed):
@@ -289,8 +298,7 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     same_answer(lazy, eager)
     assert lazy.stats.distance_calls <= eager.stats.distance_calls
     assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
-    # (`pruned_subtrees` is not comparable: a resolved leaf is refreshed,
-    # never counted as pruned, and the eager path resolves more leaves.)
+    assert lazy.stats.pruned_subtrees == eager.stats.pruned_subtrees
     assert lazy.stats.batch_decrements == eager.stats.batch_decrements
     if kwargs["epsilon"] == 0.0:
         same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
@@ -479,14 +487,15 @@ def test_update_walk_matches_the_scalar_distance_walk(data):
 
     def refereed(self, selected, newly, covered):
         expected = self.bounds.copy()
-        batched = scalar_update_walk(
+        pruned, batched = scalar_update_walk(
             self, expected, selected, newly, covered,
             lambda a, b: star(database[a], database[b]),
         )
-        before = self.stats.batch_decrements
+        before = (self.stats.pruned_subtrees, self.stats.batch_decrements)
         apply_update(self, selected, newly, covered)
         assert np.array_equal(self.bounds, expected)
-        assert self.stats.batch_decrements - before == batched
+        assert self.stats.pruned_subtrees - before[0] == pruned
+        assert self.stats.batch_decrements - before[1] == batched
         walks.append(selected)
 
     k = data.draw(st.integers(2, 10), label="k")
@@ -645,49 +654,109 @@ def _one_ladder_outcome_per_survivor(coord):
     ), coord
 
 
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
-    seed = data.draw(st.integers(0, 2**16), label="seed")
-    database = random_database(
-        seed=seed, size=data.draw(st.integers(24, 72), label="size")
-    )
-    q = quartile_relevance(
-        database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
-    )
-    kwargs = {
-        "epsilon": data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
-    }
-    if data.draw(st.booleans(), label="structural"):
+def lazy_and_eager_over_a_bundle(
+    seed, size, quantile, epsilon, structural, shards, partitioner, rung,
+    theta_scale, k,
+):
+    """One random bundle queried cold twice — lazy, then with every foreign
+    window resolved whole — at ``theta_scale`` × ladder rung ``rung`` (the
+    top one if there are fewer); returns both stats after checking that the
+    answers agree."""
+    database = random_database(seed=seed, size=size)
+    q = quartile_relevance(database, quantile=quantile)
+    kwargs = {"epsilon": epsilon}
+    if structural:
         kwargs["cascade"] = FULL_CASCADE.stages
     with tempfile.TemporaryDirectory() as tmp:
         index = ShardedIndex.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
-            num_shards=data.draw(st.sampled_from([2, 4]), label="shards"),
-            partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
+            num_shards=shards, partitioner=partitioner,
             num_vantage_points=4, branching=3,
         )
-        rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
-        theta = float(index.ladder[rung]) * data.draw(
-            st.sampled_from([0.7, 1.0])
+        theta = theta_scale * float(
+            index.ladder[min(rung, len(index.ladder) - 1)]
         )
-        k = data.draw(st.integers(1, 10), label="k")
         cold(index)
         lazy = index.query(q, theta, k, **kwargs)
         cold(index)
         with shard_frontier(EagerShardFrontier):
             eager = index.query(q, theta, k, **kwargs)
     same_answer(lazy, eager)
-    # Across frontiers "never more" is not a theorem: a bound reported in
-    # place of an exact count can send a later round to a window the eager
-    # run never opens.  400 random instances of this generator: lazy ahead
-    # in 3, by at most 10 calls (1 076 vs 1 066) or 3 of 22 — anything
-    # beyond the slack below is a regression, not that effect.
-    assert lazy.stats.distance_calls <= 1.1 * eager.stats.distance_calls + 16
     _one_ladder_outcome_per_survivor(lazy.stats.coordinator)
     assert not eager.stats.coordinator["partial_scatters"]
-    if kwargs["epsilon"] == 0.0:
+    if epsilon == 0.0:
         same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
+    return lazy.stats, eager.stats
+
+
+def within_the_cross_frontier_slack(lazy, eager):
+    """Across frontiers "never more" holds on the whole (next test), not
+    per instance: a bound reported in place of an exact count can send a
+    later round to a window the eager run never opens.  Of 1 900 random
+    instances of this generator lazy paid more exact distances in 14 (by
+    at most 10: 1 076 vs 1 066) and verified more candidates in 8 % (by at
+    most 88: 1 108 vs 1 020, or 11 %: 479 vs 431) — anything past this
+    slack is a regression, not that effect."""
+    return (
+        lazy.distance_calls <= 1.02 * eager.distance_calls + 16
+        and lazy.candidate_verifications
+        <= 1.2 * eager.candidate_verifications + 16
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
+    lazy, eager = lazy_and_eager_over_a_bundle(
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        size=data.draw(st.integers(24, 72), label="size"),
+        quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7])),
+        epsilon=data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
+        structural=data.draw(st.booleans(), label="structural"),
+        shards=data.draw(st.sampled_from([2, 4]), label="shards"),
+        partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
+        rung=data.draw(st.integers(0, 9), label="rung"),
+        theta_scale=data.draw(st.sampled_from([0.7, 1.0])),
+        k=data.draw(st.integers(1, 10), label="k"),
+    )
+    assert within_the_cross_frontier_slack(lazy, eager), (lazy, eager)
+
+
+#: (seed, size, quantile, ε, structural, S, partitioner, rung, θ scale, k) —
+#: the first rows are instances where lazy is *ahead* of eager on a
+#: counter (calls lazy/eager, verifications lazy/eager as measured), the
+#: rest were drawn once from ``default_rng(16)``.
+PINNED_BUNDLES = [
+    (37981, 45, 0.1, 0.0, False, 4, "clustering", 0, 0.7, 4),   # 275/274, 292/278
+    (61904, 57, 0.4, 0.0, False, 2, "clustering", 0, 0.7, 7),   # 230/230, 196/178
+    (259, 70, 0.1, 0.0, False, 4, "clustering", 2, 0.7, 5),     # 1033/1038, 1108/1020
+]
+
+
+def test_lazy_foreign_windows_never_pay_more_on_the_whole():
+    """The strict form of the cost claim, on a pinned sample: summed over
+    the instances — those where lazy is individually ahead included — lazy
+    pays no more exact distances and verifies no more candidates."""
+    rng = np.random.default_rng(16)
+    sample = list(PINNED_BUNDLES)
+    while len(sample) < 60:
+        sample.append((
+            int(rng.integers(0, 2**16)), int(rng.integers(24, 73)),
+            float(rng.choice([0.1, 0.4, 0.7])),
+            float(rng.choice([0.0, 0.1, 0.3])), bool(rng.integers(2)),
+            int(rng.choice([2, 4])), str(rng.choice(["hash", "clustering"])),
+            int(rng.integers(0, 10)), float(rng.choice([0.7, 1.0])),
+            int(rng.integers(1, 11)),
+        ))
+    totals = np.zeros(4, dtype=np.int64)
+    for instance in sample:
+        lazy, eager = lazy_and_eager_over_a_bundle(*instance)
+        assert within_the_cross_frontier_slack(lazy, eager), instance
+        totals += (
+            lazy.distance_calls, eager.distance_calls,
+            lazy.candidate_verifications, eager.candidate_verifications,
+        )
+    assert totals[0] <= totals[1] and totals[2] <= totals[3], totals
 
 
 # ---------------------------------------------------------------------------
