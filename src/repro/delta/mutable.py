@@ -335,7 +335,10 @@ class MutableIndex:
             base = self.base
             n1 = len(self.database)
             absorbed = n1 - self.indexed_count
-            if not absorbed:
+            # A legacy bundle (re-embedded on load) is written back under
+            # its frame even when there is nothing to absorb.
+            legacy = hasattr(base, "manifest") and base.manifest.frame is None
+            if not absorbed and not legacy:
                 return {
                     "generation": self.generation,
                     "absorbed": 0,
@@ -374,6 +377,10 @@ class MutableIndex:
         with self.latch.write():
             self.base = new_base
             self.frame = self._frame_of(new_base)
+            # Rows the new base stores need no second copy (no query is
+            # reading the old generation's frame under the write latch).
+            for gid in range(self.indexed_count, n1):
+                self.frame.extra.pop(gid, None)
             self.indexed_count = n1
             self.generation += 1
             self.compactions += 1
@@ -487,6 +494,7 @@ class MutableIndex:
                 index = copy.copy(base.shards[shard_id])
                 index.embedding = copy.copy(index.embedding)
                 index.embedding.vantage_indices = list(frame.vantage_ids)
+                index.embedding.framed = True
             else:
                 entries.append(manifest.shards[shard_id])
                 shards.append(base.shards[shard_id])

@@ -27,27 +27,6 @@ class ReadOnlyIndexError(TypeError):
         )
 
 
-class ReadOnlyIndex:
-    """The mutation half of the Index protocol for a read-only view of an
-    offline build (a loaded ``NBIndex`` / ``ShardedIndex``, a worker fleet
-    over immutable artifacts): every mutation raises
-    :class:`ReadOnlyIndexError` naming the class."""
-
-    mutable = False
-
-    def insert(self, graph, feature_row) -> int:
-        raise ReadOnlyIndexError("insert", type(self).__name__)
-
-    def delete(self, gid: int) -> bool:
-        raise ReadOnlyIndexError("delete", type(self).__name__)
-
-    def update(self, gid: int, graph, feature_row) -> int:
-        raise ReadOnlyIndexError("update", type(self).__name__)
-
-    def compact(self) -> dict:
-        raise ReadOnlyIndexError("compact", type(self).__name__)
-
-
 class OffLadderThetaError(ValueError):
     """θ lies above every indexed π̂ rung.
 

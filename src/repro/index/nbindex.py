@@ -41,7 +41,7 @@ from repro.core.results import QueryResult, QueryStats
 from repro.ged.metric import CountingDistance, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
-from repro.index.errors import OffLadderThetaError, ReadOnlyIndex
+from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
 from repro.index.frontier import TreeFrontier, TreeState
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds
@@ -52,7 +52,7 @@ from repro.utils.validation import require, require_positive
 _EPS = 1e-9
 
 
-class NBIndex(ReadOnlyIndex):
+class NBIndex:
     """The NB-Index over a graph database.
 
     Build once per database with :meth:`build`; run queries either directly
@@ -268,9 +268,9 @@ class NBIndex(ReadOnlyIndex):
         NB-Tree costs distances.  This is how a shard of a bundle is built
         — ``coords`` are its members' rows of the bundle's one
         :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
-        the frame's global ids (see
-        :meth:`VantageEmbedding.from_coords
-        <repro.index.vantage.VantageEmbedding.from_coords>`)."""
+        the frame's global ids, so the embedding is
+        :attr:`~repro.index.vantage.VantageEmbedding.framed` and the index
+        refuses the in-place :meth:`insert`."""
         from repro.engine import DistanceEngine
 
         started = time.perf_counter()
@@ -278,6 +278,7 @@ class NBIndex(ReadOnlyIndex):
         embedding = VantageEmbedding.from_coords(
             database.graphs, vantage_indices, engine, coords
         )
+        embedding.framed = True
         engine.attach_embedding(embedding)
         tree = NBTree(
             database.graphs, engine, embedding, branching=branching, rng=rng,
@@ -399,10 +400,21 @@ class NBIndex(ReadOnlyIndex):
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    # A plain NBIndex is a read-only view of an offline build
-    # (:class:`ReadOnlyIndex`), the legacy in-place insert below
-    # notwithstanding — open with ``repro.open_index(path, mutable=True)``
-    # for the journaled delta layer.
+    #: Index-protocol capability flag: a plain NBIndex is a read-only
+    #: view of an offline build (the legacy in-place :meth:`insert`
+    #: notwithstanding) — open with ``repro.open_index(path,
+    #: mutable=True)`` for the journaled delta layer.
+    mutable = False
+
+    def delete(self, gid: int) -> bool:
+        raise ReadOnlyIndexError("delete", "NBIndex")
+
+    def update(self, gid: int, graph, feature_row) -> int:
+        raise ReadOnlyIndexError("update", "NBIndex")
+
+    def compact(self) -> dict:
+        raise ReadOnlyIndexError("compact", "NBIndex")
+
     def insert(self, graph, feature_row) -> int:
         """Add one graph to the database and the index; returns its id.
 
@@ -417,6 +429,9 @@ class NBIndex(ReadOnlyIndex):
         """
         from repro.index.nbtree import NBTreeNode
 
+        if self.embedding.framed:
+            # Its vantage graphs live in the bundle's frame, not here.
+            raise ReadOnlyIndexError("insert", "NBIndex (a bundle's shard)")
         new_id = self.database.append(graph, feature_row)
         graph = self.database[new_id]
         if self.engine is not None:

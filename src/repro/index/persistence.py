@@ -21,8 +21,9 @@ Load failures raise distinct (all ``ValueError``-compatible) exceptions:
 
 Indexes written before the container existed (bare ``.npz``, format
 version 1) are still readable.  Version 3 stores the vantage coordinates
-in the narrowest lossless dtype (:func:`_storage_coords`); the loader
-accepts 1–3 and always hands back float64.
+in the narrowest lossless dtype (:func:`_storage_coords`) and whether they
+are rows of a bundle's frame (``framed``); the loader accepts 1–3 and
+always hands back float64.
 
 The database itself is *not* stored — graphs live in the caller's own
 storage (see :mod:`repro.graphs.io`); the index references them by id.
@@ -43,7 +44,7 @@ from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import VantageEmbedding, VantageFrame
+from repro.index.vantage import VantageEmbedding
 from repro.resilience.atomicio import unwrap_checksummed, write_checksummed
 from repro.resilience.errors import (
     CorruptIndexError,
@@ -185,6 +186,7 @@ def save_index(index: NBIndex, path: str | Path) -> None:
         format_version=np.array([FORMAT_VERSION]),
         coords=_storage_coords(index.embedding.coords),
         vantage_indices=np.array(index.embedding.vantage_indices, dtype=np.int64),
+        framed=np.array([index.embedding.framed]),
         ladder=np.array(list(index.ladder.values)),
         fingerprint=database_fingerprint(index.database),
         build_seconds=np.array([index.build_seconds]),
@@ -206,53 +208,13 @@ def indexed_graph_count(path: str | Path) -> int:
 
 def stored_embedding(path: str | Path) -> tuple[list[int], np.ndarray]:
     """``(vantage_indices, float64 coords)`` of a saved index, read without
-    its tree or database — how a bundle's one frame is assembled from the
-    shard artifacts (:func:`load_frame`)."""
+    its tree or database (checks and the replica coordinator, which loads
+    no shard, read a bundle's coordinates this way)."""
     with np.load(io.BytesIO(_payload(Path(path))[0])) as data:
         return (
             [int(v) for v in data["vantage_indices"]],
             np.array(data["coords"], dtype=float),
         )
-
-
-def load_frame(manifest, base_dir: Path, engine) -> VantageFrame:
-    """A bundle's one :class:`~repro.index.vantage.VantageFrame`, from the
-    coordinate blocks of the shard artifacts its
-    :class:`~repro.shard.manifest.ShardManifest` names (no trees are read).
-
-    A legacy manifest records no frame because its shards each drew their
-    own vantage graphs: shard 0's are adopted and the other shards'
-    members embedded against them through ``engine`` (global ids) —
-    ``|V|`` distances per graph, counted as ``shard.frame_upgrades``.
-    Trees need nothing: radii and diameters are exact distances, whatever
-    the frame."""
-    artifacts = [
-        manifest.artifact_path(s, base_dir) for s in range(manifest.num_shards)
-    ]
-    stored = [stored_embedding(artifact) for artifact in artifacts]
-    legacy = manifest.frame is None
-    frame = (
-        [int(manifest.members(0)[v]) for v in stored[0][0]] if legacy
-        else list(manifest.frame)
-    )
-    coords = np.empty((manifest.num_graphs, len(frame)))
-    for shard_id, (vantage, block) in enumerate(stored):
-        ids = manifest.members(shard_id)
-        if legacy and shard_id:
-            block = np.column_stack([
-                engine.one_to_many(v, ids.tolist()) for v in frame
-            ])
-            obs.counter("shard.frame_upgrades")
-        elif not legacy and (
-            vantage != frame or block.shape != (len(ids), len(frame))
-        ):
-            raise CorruptIndexError(
-                f"{artifacts[shard_id]}: coordinates {block.shape} against "
-                f"vantage graphs {vantage} are not in the bundle's frame "
-                f"{frame} for {len(ids)} members"
-            )
-        coords[ids] = block
-    return VantageFrame(frame, coords)
 
 
 def _payload(path: Path) -> tuple[bytes, bool]:
@@ -306,6 +268,7 @@ def load_index(
         embedding = VantageEmbedding.from_coords(
             database.graphs, data["vantage_indices"], engine, data["coords"]
         )
+        embedding.framed = "framed" in data.files and bool(data["framed"][0])
         tree = tree_from_arrays(data, database.graphs, engine, embedding)
         ladder = ThresholdLadder(float(v) for v in data["ladder"])
         build_seconds = float(data["build_seconds"][0])

@@ -97,6 +97,12 @@ class VantageEmbedding:
         column is then computed as one batch (identical values).
     """
 
+    #: True when ``vantage_indices`` name graphs of a bundle's
+    #: :class:`VantageFrame` (global ids) instead of positions in
+    #: ``graphs`` — a shard of a bundle.  Such coordinates are only read:
+    #: :meth:`embed` and :meth:`append_graph` refuse.
+    framed = False
+
     def __init__(
         self,
         graphs: Sequence[LabeledGraph],
@@ -134,23 +140,22 @@ class VantageEmbedding:
         coords: np.ndarray,
     ) -> "VantageEmbedding":
         """Rehydrate an embedding from a precomputed coordinate matrix
-        (index load, checkpoint resume) — no distances are evaluated.
-
-        A shard of a bundle is embedded in the bundle's one
-        :class:`VantageFrame`: its ``vantage_indices`` are then the frame's
-        *global* ids, whose graphs need not be among ``graphs`` —
-        :meth:`embed` / :meth:`append_graph` (the stand-alone index's
-        in-place insert) are not for such an embedding."""
+        (index load, checkpoint resume) — no distances are evaluated."""
         embedding = cls.__new__(cls)
         embedding._graphs = graphs
         embedding._distance = distance
-        embedding.rebase(vantage_indices, coords)
+        embedding._adopt(vantage_indices, coords)
         return embedding
 
-    def rebase(self, vantage_indices: Sequence[int], coords: np.ndarray) -> None:
-        """Adopt coordinates measured against another vantage set, in place
-        — the engine and tree that hold this embedding follow (a legacy
-        shard joining its bundle's frame)."""
+    def rebase(self, frame_ids: Sequence[int], coords: np.ndarray) -> None:
+        """Adopt rows of a bundle's :class:`VantageFrame`, in place — the
+        engine and tree that hold this embedding follow (a legacy shard
+        joining its bundle's frame).  The embedding is :attr:`framed` from
+        here on."""
+        self._adopt(frame_ids, coords)
+        self.framed = True
+
+    def _adopt(self, vantage_indices: Sequence[int], coords: np.ndarray) -> None:
         require(len(vantage_indices) > 0, "at least one vantage point required")
         coords = np.array(coords, dtype=float)
         require(
@@ -173,6 +178,11 @@ class VantageEmbedding:
     # ------------------------------------------------------------------
     def embed(self, g: LabeledGraph) -> np.ndarray:
         """Vantage coordinates of an arbitrary graph (``|V|`` distances)."""
+        require(
+            not self.framed,
+            "a framed embedding's vantage graphs are not among its graphs: "
+            "read coordinates from the bundle's VantageFrame",
+        )
         return np.array(
             [self._distance(self._graphs[vp], g) for vp in self.vantage_indices]
         )

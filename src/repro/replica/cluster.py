@@ -39,7 +39,7 @@ from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import new_coord
-from repro.index.errors import ReadOnlyIndex
+from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import QueryRun, QuerySession, check_query_kwargs
 from repro.index.pivec import ThresholdLadder
 from repro.replica.errors import ShardUnavailableError
@@ -50,10 +50,8 @@ from repro.resilience.errors import DatabaseMismatchError
 from repro.shard.manifest import ShardManifest, database_checksum
 
 
-class ReplicatedIndex(ReadOnlyIndex):
-    """R supervised worker processes per shard, queryable as one index.
-    Workers hold immutable shard artifacts; mutate through a
-    single-process ``repro.open_index(path, mutable=True)`` deployment."""
+class ReplicatedIndex:
+    """R supervised worker processes per shard, queryable as one index."""
 
     def __init__(
         self,
@@ -114,7 +112,6 @@ class ReplicatedIndex(ReadOnlyIndex):
                 f"provided database"
             )
         from repro.engine import DistanceEngine
-        from repro.index.persistence import load_frame
 
         supervisor = Supervisor(
             database,
@@ -122,8 +119,8 @@ class ReplicatedIndex(ReadOnlyIndex):
             manifest_path,
             manifest.num_shards,
             # Read once here; the workers inherit it by fork.
-            frame=load_frame(
-                manifest, manifest_path.parent,
+            frame=manifest.load_frame(
+                manifest_path.parent,
                 DistanceEngine(distance, graphs=database.graphs),
             ),
             replicas=replicas,
@@ -243,6 +240,25 @@ class ReplicatedIndex(ReadOnlyIndex):
                     unavailable
                 )
             run.span.set(partial=stats.partial)
+
+    # ------------------------------------------------------------------
+    # Mutations (Index protocol: read-only here)
+    # ------------------------------------------------------------------
+    #: Worker processes hold immutable shard artifacts; mutate through a
+    #: single-process ``repro.open_index(path, mutable=True)`` deployment.
+    mutable = False
+
+    def insert(self, graph, feature_row) -> int:
+        raise ReadOnlyIndexError("insert", "ReplicatedIndex")
+
+    def delete(self, gid: int) -> bool:
+        raise ReadOnlyIndexError("delete", "ReplicatedIndex")
+
+    def update(self, gid: int, graph, feature_row) -> int:
+        raise ReadOnlyIndexError("update", "ReplicatedIndex")
+
+    def compact(self) -> dict:
+        raise ReadOnlyIndexError("compact", "ReplicatedIndex")
 
     # ------------------------------------------------------------------
     # Durability (the scrubber's self-heal source)

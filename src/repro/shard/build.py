@@ -108,12 +108,14 @@ def build_shards(
                 database.graphs, vantage, engine, engine=engine
             )
         entries: list[ShardEntry] = []
+        shard_build_seconds: list[float] = []
         for shard_id in range(num_shards):
             members = partition.members(shard_id)
             sub = database.subset([int(i) for i in members])
             with obs.span(
                 "shard.build_one", shard=shard_id, n=len(sub)
             ), obs.timer("shard.build_one_seconds"):
+                shard_started = time.perf_counter()
                 index = NBIndex.from_coords(
                     sub, distance, frame.vantage_indices,
                     frame.coords[members], branching=branching,
@@ -121,6 +123,7 @@ def build_shards(
                     rng=np.random.default_rng(shard_seeds[shard_id]),
                     workers=workers,
                 )
+                shard_build_seconds.append(time.perf_counter() - shard_started)
             artifact = out_dir / f"shard-{shard_id:03d}.npz"
             save_index(index, artifact)
             index.engine.invalidate_pool()
@@ -147,6 +150,7 @@ def build_shards(
             build={
                 "num_vantage_points": num_vantage_points,
                 "branching": branching,
+                "shard_seconds": [round(s, 6) for s in shard_build_seconds],
                 "total_seconds": round(time.perf_counter() - started, 6),
             },
         )

@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro import obs
+from repro.index.persistence import stored_embedding
+from repro.index.vantage import VantageFrame
 from repro.resilience.atomicio import atomic_write
+from repro.resilience.errors import CorruptIndexError
 from repro.shard.errors import ManifestError
 
 SCHEMA = "repro.shard-manifest/v2"
@@ -48,6 +52,14 @@ class ShardEntry:
     path: str  # relative to the manifest's directory
     checksum: int  # crc32 of the artifact file bytes
     num_graphs: int
+
+    def to_dict(self) -> dict:
+        return {
+            "shard_id": self.shard_id,
+            "path": self.path,
+            "checksum": self.checksum,
+            "num_graphs": self.num_graphs,
+        }
 
 
 @dataclass(frozen=True)
@@ -75,6 +87,55 @@ class ShardManifest:
     def artifact_path(self, shard_id: int, base_dir: Path) -> Path:
         return Path(base_dir) / self.shards[shard_id].path
 
+    def assemble_frame(self, embeddings, engine) -> VantageFrame:
+        """The bundle's one frame from its shards' ``(vantage ids, coords)``
+        pairs, in shard order.
+
+        A legacy manifest records no frame because its shards each drew
+        their own vantage graphs: shard 0's are adopted and the other
+        shards' members embedded against them through ``engine`` (global
+        ids) — ``|V|`` distances per graph, counted as
+        ``shard.frame_upgrades``; the caller rebases those shards' own
+        embeddings on the returned rows.  Trees need nothing: radii and
+        diameters are exact distances, whatever the frame."""
+        legacy = self.frame is None
+        frame = (
+            [int(self.members(0)[v]) for v in embeddings[0][0]] if legacy
+            else list(self.frame)
+        )
+        coords = np.empty((self.num_graphs, len(frame)))
+        for shard_id, (vantage, block) in enumerate(embeddings):
+            ids = self.members(shard_id)
+            if legacy and shard_id:
+                block = np.column_stack([
+                    engine.one_to_many(v, ids.tolist()) for v in frame
+                ])
+                obs.counter("shard.frame_upgrades")
+            elif not legacy and (
+                list(vantage) != frame
+                or block.shape != (len(ids), len(frame))
+            ):
+                raise CorruptIndexError(
+                    f"{self.shards[shard_id].path}: coordinates "
+                    f"{block.shape} against vantage graphs {list(vantage)} "
+                    f"are not in the bundle's frame {frame} for "
+                    f"{len(ids)} members"
+                )
+            coords[ids] = block
+        return VantageFrame(frame, coords)
+
+    def load_frame(self, base_dir: Path, engine) -> VantageFrame:
+        """:meth:`assemble_frame` over the artifacts' stored coordinate
+        blocks — for a process that loads no shard (the replica
+        coordinator); no trees are read."""
+        return self.assemble_frame(
+            [
+                stored_embedding(self.artifact_path(s, base_dir))
+                for s in range(self.num_shards)
+            ],
+            engine,
+        )
+
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
@@ -90,7 +151,7 @@ class ShardManifest:
             "ladder": list(self.ladder),
             "assignments": [int(a) for a in self.assignments],
             "database_checksum": self.database_checksum,
-            "shards": [asdict(entry) for entry in self.shards],
+            "shards": [entry.to_dict() for entry in self.shards],
             "build": self.build,
         }
 

@@ -17,7 +17,8 @@ about a graph on another shard is an array slice.
 Hot reload support: :meth:`load` accepts the previously served instance
 and *reuses* any shard object whose artifact checksum, member set and
 frame are unchanged in the new manifest — reloading a bundle where one
-shard was rebuilt touches exactly one shard's worth of disk and allocation.
+shard was rebuilt reads exactly one shard's worth of disk; the frame is
+re-assembled from the shards' coordinate blocks in memory.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import numpy as np
 from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
-from repro.index.errors import ReadOnlyIndex
+from repro.index.errors import ReadOnlyIndexError
 from repro.index.frontier import TreeState
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
-from repro.index.persistence import load_frame, load_index
+from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.resilience.errors import CorruptIndexError, DatabaseMismatchError
@@ -42,7 +43,7 @@ from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardManifest, database_checksum
 
 
-class ShardedIndex(ReadOnlyIndex):
+class ShardedIndex:
     """S shard NB-Indexes + manifest + frame + global engine, queryable as
     one — a read-only view of its manifest generation."""
 
@@ -135,7 +136,13 @@ class ShardedIndex(ReadOnlyIndex):
                 )
             sub = database.subset([int(i) for i in members])
             shards.append(load_index(artifact, sub, distance, workers=workers))
-        frame = load_frame(manifest, base_dir, engine)
+        if reused == manifest.num_shards:
+            frame = previous.frame  # nothing changed
+        else:
+            frame = manifest.assemble_frame(
+                [(s.embedding.vantage_indices, s.embedding.coords) for s in shards],
+                engine,
+            )
         if manifest.frame is None:
             # Legacy bundle: shard 0's vantage graphs were adopted.
             for shard_id in range(1, manifest.num_shards):
@@ -216,6 +223,25 @@ class ShardedIndex(ReadOnlyIndex):
         self.ladder = ladder
         for shard in self.shards:
             shard.set_ladder(ladder)
+
+    # ------------------------------------------------------------------
+    # Mutations (Index protocol: read-only here)
+    # ------------------------------------------------------------------
+    #: A loaded bundle is a read-only view of its manifest generation —
+    #: open with ``repro.open_index(path, mutable=True)`` to mutate.
+    mutable = False
+
+    def insert(self, graph, feature_row) -> int:
+        raise ReadOnlyIndexError("insert", "ShardedIndex")
+
+    def delete(self, gid: int) -> bool:
+        raise ReadOnlyIndexError("delete", "ShardedIndex")
+
+    def update(self, gid: int, graph, feature_row) -> int:
+        raise ReadOnlyIndexError("update", "ShardedIndex")
+
+    def compact(self) -> dict:
+        raise ReadOnlyIndexError("compact", "ShardedIndex")
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle

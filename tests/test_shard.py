@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from repro.durability import (
     verify_deployment,
 )
 from repro.graphs.io import save_database
+from repro.index.errors import ReadOnlyIndexError
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
@@ -423,6 +425,22 @@ class TestFrame:
         assert verify_deployment(bundle_dir)["ok"]
         sharded.invalidate_pools()
 
+    def test_a_shard_on_its_own_refuses_to_embed(self, db, bundle_dir):
+        """A shard artifact says that its vantage ids are the frame's:
+        loaded stand-alone it must not embed a new graph against whatever
+        members happen to carry those ids."""
+        manifest = ShardManifest.load(bundle_dir / "manifest.json")
+        sub = db.subset([int(i) for i in manifest.members(1)])
+        shard = load_index(bundle_dir / "shard-001.npz", sub, StarDistance())
+        assert shard.embedding.framed
+        with pytest.raises(ValueError, match="VantageFrame"):
+            shard.embedding.embed(db[0])
+        with pytest.raises(ReadOnlyIndexError, match="bundle's shard"):
+            shard.insert(db[0], db.features[0])
+        assert len(sub) == len(manifest.members(1))  # nothing was appended
+        plain = NBIndex.build(sub, StarDistance(), seed=1, **BUILD)
+        assert not plain.embedding.framed
+
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_frame_bounds_sandwich_true_distances(self, data):
@@ -546,15 +564,21 @@ class TestFrame:
                 baseline_greedy(db, StarDistance(), q, 6.0, 6),
             )
 
-    def test_compaction_writes_a_legacy_bundles_frame_back(self, db, tmp_path):
+    @pytest.mark.parametrize("inserts", [0, 2])
+    def test_compaction_writes_a_legacy_bundles_frame_back(
+        self, db, tmp_path, inserts,
+    ):
+        """Also with nothing to absorb: one ``compact()`` is the upgrade."""
         manifest_path = _legacy_bundle(db, tmp_path / "legacy")
         live = db.subset(range(len(db)))
         mutable = repro.open_index(manifest_path, live, mutable=True)
-        donors = random_database(seed=31, size=2)
-        for i in range(len(donors)):
+        donors = random_database(seed=31, size=inserts or 1)
+        for i in range(inserts):
             mutable.insert(donors[i], db.features[i])
         frame = list(mutable.frame.vantage_ids)
-        mutable.compact()
+        report = mutable.compact()
+        assert report["absorbed"] == inserts and "skipped" not in report
+        assert mutable.compact()["skipped"]  # a v2 base has nothing to do
         mutable.close()
         manifest = ShardManifest.load(manifest_path)
         assert list(manifest.frame) == frame
@@ -632,6 +656,7 @@ class TestFrame:
         report = mutable.compact()
         assert report["rebuilt_shards"] == [0] and report["reused_shards"] == 1
         assert mutable.base.shards[1] is untouched
+        assert not mutable.frame.extra  # stored now: no second copy kept
         # Rows the queries computed were handed over, the rest measured now:
         # every absorbed graph exactly once, ≤ |V| distances each.
         assert sorted(gid for gid, _ in embeds) == new_ids
@@ -656,12 +681,29 @@ class TestFrame:
 # Loading + per-shard hot-reload reuse
 # ---------------------------------------------------------------------------
 class TestReload:
+    def test_cold_load_reads_no_artifact_for_the_frame(
+        self, db, bundle_dir, monkeypatch,
+    ):
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes",
+            lambda self: reads.append(self.name) or read_bytes(self),
+        )
+        _load(bundle_dir, db).invalidate_pools()
+        # The checksum pass and the load: the frame is assembled from the
+        # loaded shards, not read a third time.
+        assert sorted(reads) == sorted(
+            2 * [f"shard-{s:03d}.npz" for s in range(3)]
+        )
+
     def test_full_reuse_on_unchanged_bundle(self, db, bundle_dir):
         first = _load(bundle_dir, db)
         second = _load(bundle_dir, db, previous=first)
         assert second.reused_shards == 3
         for i in range(3):
             assert second.shards[i] is first.shards[i]
+        assert second.frame is first.frame
         first.invalidate_pools()
         second.invalidate_pools()
 
@@ -689,8 +731,12 @@ class TestReload:
         dataclasses.replace(manifest, shards=tuple(entries)).save(
             tmp_path / "manifest.json"
         )
+        # A reused shard costs no disk at all — not even for the frame.
+        (tmp_path / "shard-001.npz").unlink()
+        (tmp_path / "shard-002.npz").unlink()
         second = _load(tmp_path, db, previous=first)
         assert second.reused_shards == 2
+        assert np.array_equal(second.frame.coords, first.frame.coords)
         assert second.shards[0] is not first.shards[0]
         assert second.shards[1] is first.shards[1]
         assert second.shards[2] is first.shards[2]
