@@ -90,10 +90,10 @@ def _cascade_checks(document: dict, schema: dict) -> None:
     """Cascade counters are structured: ``cascade.<stage>.<metric>``.
 
     The stage must come from the schema's ``cascade_stages`` enum (the
-    mirror of ``repro.cascade.KNOWN_STAGES``) and the metric suffix from
-    ``cascade_stage_metrics``; a stage that reports ``evals`` must also
-    report ``prunes`` with ``prunes <= evals`` — a pruned pair is by
-    definition one the stage evaluated.
+    query filter's two bounds, ``assignment`` and ``vantage``) and the
+    metric suffix from ``cascade_stage_metrics``; a stage that reports
+    ``evals`` must also report ``prunes`` with ``prunes <= evals`` — a
+    pruned pair is by definition one the stage evaluated.
     """
     stages = set(schema["$defs"]["cascade_stages"]["enum"])
     metrics = set(schema["$defs"]["cascade_stage_metrics"]["enum"])

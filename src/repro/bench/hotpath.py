@@ -14,12 +14,12 @@ coverage hot path, in three layers:
   whether ids, gains, order and coverage equal the reference.  A row with
   ``identical: false`` is a correctness bug, not a slow run.
 * **per-kernel microbenchmarks** — median latency of the individual
-  bitset primitives at the benchmark's largest universe, the baselines
-  ``scripts/check_bench_delta.py`` guards against regressions.
+  bitset primitives at the benchmark's largest universe, printed for the
+  reader; the regression-guarded number is the end-to-end benchmark's
+  ``bitset.uncovered_counts_ms`` row (``benchmarks/e2e/README.md``).
 
-Shared by ``benchmarks/bench_bitset_hotpath.py`` (full sweep, writes
-``BENCH_bitset_hotpath.json``) and the ``repro bench-hotpath`` CLI
-subcommand (small-n correctness smoke in CI, timing-free).
+Run by the ``repro bench-hotpath`` CLI subcommand (small-n correctness
+smoke in CI, timing-free; ``--sizes``/``--json`` for a full sweep).
 """
 
 from __future__ import annotations

@@ -1,41 +1,12 @@
-"""repro.cascade — pluggable lower-bound filter cascade (PR 10).
-
-An ordered, configurable pipeline of cheap-to-expensive lower-bound
-stages between candidate enumeration and exact distance verification,
-plus the ε-relaxed approximate query mode.  See ``docs/cascade.md``.
+"""repro.cascade — the per-query threshold filter and the ε-relaxed
+approximate mode.  See ``docs/cascade.md``.
 """
 
-from repro.cascade.config import (
-    DEFAULT_STAGES,
-    FULL_STAGES,
-    KNOWN_STAGES,
-    CascadeConfig,
-    CascadeConfigError,
-    resolve_cascade,
-)
-from repro.cascade.pipeline import FilterCascade, runtime_for
-from repro.cascade.stages import (
+from repro.cascade.pipeline import (
     BLOCK_EVALS,
-    PAIR_BOUNDS,
-    assignment_lower_bound,
-    degree_lower_bound,
-    label_size_lower_bound,
-    star_lower_bound,
+    EpsilonError,
+    FilterCascade,
+    validate_epsilon,
 )
 
-__all__ = [
-    "KNOWN_STAGES",
-    "DEFAULT_STAGES",
-    "FULL_STAGES",
-    "CascadeConfig",
-    "CascadeConfigError",
-    "resolve_cascade",
-    "FilterCascade",
-    "runtime_for",
-    "BLOCK_EVALS",
-    "PAIR_BOUNDS",
-    "label_size_lower_bound",
-    "degree_lower_bound",
-    "assignment_lower_bound",
-    "star_lower_bound",
-]
+__all__ = ["BLOCK_EVALS", "EpsilonError", "FilterCascade", "validate_epsilon"]

@@ -1,10 +1,10 @@
-"""Vectorized per-graph features backing the structural cascade stages.
+"""Vectorized per-graph features backing the assignment lower bound.
 
-The label/size and assignment stages need, for every graph in the
-attached list, its node count, label histogram and sorted degree
-sequence.  :class:`StageFeatures` materializes those once per engine as
-dense matrices so a stage evaluates a whole surviving candidate block
-with a handful of numpy reductions instead of a Python loop.
+The bound needs, for every graph in the attached list, its node count,
+label histogram and sorted degree sequence.  :class:`StageFeatures`
+materializes those once per engine as dense matrices so a whole
+candidate block is bounded with a handful of numpy reductions instead of
+a Python loop.
 
 The cache grows monotonically: live mutations append graphs to the
 engine's list, and :meth:`sync` extends the matrices (new label columns,
@@ -97,21 +97,14 @@ class StageFeatures:
         overflow = float(sum(deg[width:]))
         return size, counts, deg_row, overflow
 
-    # -- vectorized lower bounds --------------------------------------
-    def label_size_lb(self, source_graph, target_rows: np.ndarray) -> np.ndarray:
-        """Label-histogram matching cost ``max(|g|,|h|) − Σ_l min(c_g, c_h)``
-        for the source against every target row (≥ the plain size gap)."""
-        size, counts, _, _ = self.source_row(source_graph)
-        return self._label_lb(size, counts, target_rows)
-
+    # -- the vectorized lower bound -----------------------------------
     def assignment_lb(self, source_graph, target_rows: np.ndarray) -> np.ndarray:
-        """EmbAssi-style linear assignment-cost bound: label matching cost
-        plus half the L1 distance between sorted degree sequences."""
+        """:func:`repro.ged.bounds.assignment_lower_bound` of the source
+        against every target row: label-histogram matching cost
+        ``max(|g|,|h|) − Σ_l min(c_g, c_h)`` plus half the L1 distance
+        between sorted degree sequences."""
         size, counts, deg_row, overflow = self.source_row(source_graph)
-        label = self._label_lb(size, counts, target_rows)
+        common = np.minimum(self.label_counts[target_rows], counts).sum(axis=1)
+        label = np.maximum(self.sizes[target_rows], size) - common
         l1 = np.abs(self.deg_sorted[target_rows] - deg_row).sum(axis=1) + overflow
         return label + 0.5 * l1
-
-    def _label_lb(self, size, counts, target_rows):
-        common = np.minimum(self.label_counts[target_rows], counts).sum(axis=1)
-        return np.maximum(self.sizes[target_rows], size) - common

@@ -1,57 +1,95 @@
-"""The runtime filter pipeline.
+"""The threshold filter every query runs between candidates and exact
+distances.
 
-:class:`FilterCascade` is the per-query runtime built from a
-:class:`~repro.cascade.config.CascadeConfig`: it owns the per-stage
-``evals`` / ``prunes`` / ``seconds`` counters and runs the configured
-stages over a candidate block between enumeration and exact
-verification.  :meth:`run` is the generalization of the engine's
-historical ``within`` body — with the default configuration (vantage
-stage only, ε = 0) it performs the identical passes, emits the identical
-``engine.prefilter.*`` counters and returns the identical mask, which is
-what the dual-run identity tests in ``tests/test_cascade.py`` pin down.
+``d(source, t) ≤ θ`` is decided for a block of targets in three steps,
+cheapest first, and which steps run is a fact about the engine, never a
+choice of the caller:
 
-Pruning.  A stage removes a candidate once its lower bound exceeds the
-relaxed cutoff ``(1−ε)·θ + eps``; exact verification still accepts at
-``θ + eps``.  At ε = 0 every prune is justified by the stage's soundness
-proof (see :mod:`repro.cascade.stages`), so results are bit-identical to
-the unfiltered pipeline for any stage subset or ordering.  At ε > 0 the
-answered neighborhood ``N'`` satisfies ``N_{(1−ε)θ} ⊆ N' ⊆ N_θ`` — no
-false positives, only borderline members may be dropped — which keeps
-the lazy greedy's ``(1 − 1/e − ε)`` approximation guarantee.
+1. the **assignment lower bound** — EmbAssi-style label matching cost plus
+   half the L1 gap of the sorted degree sequences
+   (:func:`repro.ged.bounds.assignment_lower_bound`, vectorized by
+   :class:`~repro.cascade.features.StageFeatures`) — iff the engine
+   verifies with a unit-cost :class:`~repro.ged.ExactGED` and the
+   references are index ids.  Against the star metric it removes < 1 % of
+   exact calls and costs more than it saves (EXPERIMENTS.md), so there it
+   does not run;
+2. Theorem 4's **vantage sandwich** ``max_v |d(g,v) − d(h,v)| ≤ d(g,h) ≤
+   min_v d(g,v) + d(h,v)`` iff an embedding is attached — the only step
+   with an *upper* bound too, so it both prunes and accepts;
+3. **exact** distances for the undecided rest.
+
+Steps 1–2 cut at the relaxed ``(1−ε)·θ``; step 3 accepts at ``θ``.  At
+ε = 0 every prune is a sound lower bound, so the mask equals the
+unfiltered one.  At ε > 0 the answered neighborhood ``N'`` satisfies
+``N_{(1−ε)θ} ⊆ N' ⊆ N_θ`` — no false positives, only borderline members
+may be dropped — which keeps the lazy greedy's ``(1 − 1/e − ε)``
+guarantee.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
 
 from repro import obs
-from repro.cascade.config import CascadeConfig, resolve_cascade
-from repro.cascade.stages import BLOCK_EVALS, batch_lower_bounds
+from repro.ged.costs import UNIT_COSTS
+from repro.ged.exact import ExactGED
+
+#: The single counter name for vantage/Chebyshev block evaluations: every
+#: block pass is counted exactly once under it, whether it runs inside
+#: ``VantageEmbedding.candidates``, a frontier's window or the sandwich
+#: below.
+BLOCK_EVALS = "cascade.vantage.block_evals"
+
+
+class EpsilonError(ValueError):
+    """``epsilon`` is not a real number in ``[0, 1)``."""
+
+
+def validate_epsilon(value) -> float:
+    """The one ε check behind the Python API, the CLI and the wire.
+
+    ``None`` and ``-0.0`` mean exact.  Anything that is not a real number
+    (``bool`` and ``str`` included — ``"0.1"`` is a client's mistake, not
+    a request for an approximate answer), not finite, or outside
+    ``[0, 1)`` raises :class:`EpsilonError`.
+    """
+    if value is None:
+        return 0.0
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not real or not 0.0 <= value < 1.0:  # NaN fails both comparisons
+        raise EpsilonError(f"epsilon must be a real number in [0, 1), got {value!r}")
+    return abs(float(value))  # -0.0 → 0.0
+
+
+def _assignment_bound_sound(engine) -> bool:
+    """The assignment bound charges unit node and edge operations."""
+    base = engine._base_distance
+    return isinstance(base, ExactGED) and base.costs is UNIT_COSTS
 
 
 class FilterCascade:
-    """Per-query stage runtime with accumulated prune statistics."""
+    """One query's filter runtime: its ε and the per-step counters."""
 
-    __slots__ = ("config", "counts")
+    __slots__ = ("epsilon", "counts")
 
-    def __init__(self, config: CascadeConfig | None = None):
-        self.config = config if config is not None else CascadeConfig()
+    #: Whether :meth:`run` adds the assignment bound where it is sound.
+    structural = True
+
+    def __init__(self, epsilon=0.0):
+        self.epsilon = validate_epsilon(epsilon)
         self.counts: dict[str, dict[str, float]] = {}
-
-    # -- config passthroughs ------------------------------------------
-    @property
-    def epsilon(self) -> float:
-        return self.config.epsilon
 
     @property
     def approximate(self) -> bool:
-        return self.config.approximate
+        """True when bounds are relaxed (``ε > 0``)."""
+        return self.epsilon > 0.0
 
     def generation_theta(self, theta: float) -> float:
-        """Relaxed threshold for candidate-window generation."""
-        return self.config.generation_theta(theta)
+        """The relaxed threshold ``(1−ε)·θ`` that bounds are compared to."""
+        return (1.0 - self.epsilon) * theta
 
     # -- statistics ---------------------------------------------------
     def _record(self, name, evals, prunes, seconds, accepts=0):
@@ -70,16 +108,9 @@ class FilterCascade:
             obs.observe_time(f"cascade.{name}.seconds", seconds)
 
     def snapshot(self) -> dict:
-        """Per-stage counters for ``QueryStats.cascade`` (JSON-safe)."""
-        return {
-            name: {
-                "evals": int(entry["evals"]),
-                "prunes": int(entry["prunes"]),
-                "accepts": int(entry["accepts"]),
-                "seconds": float(entry["seconds"]),
-            }
-            for name, entry in self.counts.items()
-        }
+        """Per-step counters for ``QueryStats.cascade`` (JSON-safe), keyed
+        ``assignment`` / ``vantage``; a step that never ran is absent."""
+        return {name: dict(entry) for name, entry in self.counts.items()}
 
     # -- the hot path -------------------------------------------------
     def run(
@@ -93,13 +124,13 @@ class FilterCascade:
         prefiltered: bool = False,
     ) -> np.ndarray:
         """Boolean mask of ``d(source, t) ≤ θ + eps`` over ``targets``,
-        with configured stages pruning at ``(1−ε)·θ + eps`` first.
+        with the bounds pruning at ``(1−ε)·θ + eps`` first.
 
         ``prefiltered=True`` asserts the caller already ran the vantage
         Chebyshev lower bound over these targets at this (relaxed)
         threshold — e.g. via ``VantageEmbedding.candidates`` — so the
-        vantage stage skips the redundant lower pass (it would reject
-        exactly zero candidates) and only applies the upper-bound accept.
+        sandwich skips the redundant lower pass (it would reject exactly
+        zero candidates) and only applies the upper-bound accept.
         """
         n = len(targets)
         mask = np.zeros(n, dtype=bool)
@@ -116,26 +147,14 @@ class FilterCascade:
             elif all(isinstance(t, (int, np.integer)) for t in targets):
                 ids = np.asarray(targets, dtype=np.int64)
         survivors = np.arange(n)
-        for name in self.config.stages:
-            if not survivors.size:
-                break
-            started = time.perf_counter()
-            if name == "vantage":
-                survivors = self._vantage_stage(
+        if ids is not None:
+            if self.structural and _assignment_bound_sound(engine):
+                survivors = self._assignment_bound(engine, source, ids, cutoff)
+            if survivors.size and engine._embedding is not None:
+                survivors = self._vantage_sandwich(
                     engine, source, ids, survivors, mask,
-                    cutoff, accept, prefiltered, started,
+                    cutoff, accept, prefiltered,
                 )
-                continue
-            bounds = batch_lower_bounds(name, engine, source, ids, survivors)
-            if bounds is None:
-                continue
-            keep = bounds <= cutoff
-            pruned = int(np.count_nonzero(~keep))
-            self._record(
-                name, int(survivors.size), pruned,
-                time.perf_counter() - started,
-            )
-            survivors = survivors[keep]
         if survivors.size:
             if ids is not None:
                 refs = ids[survivors]
@@ -145,16 +164,26 @@ class FilterCascade:
             mask[survivors] = distances <= accept
         return mask
 
-    def _vantage_stage(
-        self, engine, source, ids, survivors, mask,
-        cutoff, accept, prefiltered, started,
+    def _assignment_bound(self, engine, source, ids, cutoff):
+        """Positions whose assignment lower bound leaves them possible."""
+        started = time.perf_counter()
+        bounds = engine.stage_features().assignment_lb(
+            engine._resolve(source), ids
+        )
+        survivors = np.flatnonzero(bounds <= cutoff)
+        self._record(
+            "assignment", int(ids.size), int(ids.size - survivors.size),
+            time.perf_counter() - started,
+        )
+        return survivors
+
+    def _vantage_sandwich(
+        self, engine, source, ids, survivors, mask, cutoff, accept, prefiltered,
     ):
-        """The Lipschitz sandwich — lower-bound prune plus upper-bound
-        accept — mirroring the engine's historical prefilter counters."""
-        embedding = engine._embedding
-        if embedding is None or ids is None:
-            return survivors
-        coords = embedding.coords
+        """Lower-bound prune plus upper-bound accept (written into
+        ``mask``); returns the positions still undecided."""
+        started = time.perf_counter()
+        coords = engine._embedding.coords
         source_row = coords[int(source)]
         if prefiltered:
             # The caller's candidate window already applied this exact
@@ -187,8 +216,12 @@ class FilterCascade:
         return remaining
 
 
-def runtime_for(cascade, epsilon: float = 0.0) -> FilterCascade | None:
-    """Build the per-query runtime from public kwargs; ``None`` for the
-    implicit default (legacy hot path, engine-held runtime)."""
-    config = resolve_cascade(cascade, epsilon)
-    return FilterCascade(config) if config is not None else None
+class RefereeFilter(FilterCascade):
+    """What :meth:`DistanceEngine.within` runs when no query hands it a
+    runtime — ``baseline_greedy(engine=…)``, the tests' referees: the
+    sandwich (if an embedding is attached) and exact, at ε = 0.  It never
+    adds the assignment bound, so the reference never runs the bound it
+    referees."""
+
+    __slots__ = ()
+    structural = False

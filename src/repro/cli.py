@@ -152,6 +152,7 @@ def cmd_shard_build(args) -> int:
 
 def cmd_query(args) -> int:
     import repro
+    from repro.cascade import EpsilonError, validate_epsilon
     from repro.datasets import calibrate_theta
     from repro.ged import StarDistance
     from repro.graphs import quartile_relevance
@@ -164,22 +165,16 @@ def cmd_query(args) -> int:
     if args.journal and not (args.shards or args.index):
         print("query: --journal needs --index or --shards", file=sys.stderr)
         return 2
-    cascade_config = None
-    if args.cascade is not None or args.epsilon:
-        from repro.cascade import CascadeConfig, CascadeConfigError
-
-        if args.method == "greedy":
-            print("query: --cascade/--epsilon conflict with --method greedy "
-                  "(the baseline evaluates every pair exactly)",
-                  file=sys.stderr)
-            return 2
-        try:
-            cascade_config = CascadeConfig.parse(
-                args.cascade, epsilon=args.epsilon
-            )
-        except CascadeConfigError as error:
-            print(f"query: {error}", file=sys.stderr)
-            return 2
+    try:
+        epsilon = validate_epsilon(args.epsilon)
+    except EpsilonError as error:
+        print(f"query: {error}", file=sys.stderr)
+        return 2
+    if epsilon and args.method == "greedy":
+        print("query: --epsilon conflicts with --method greedy "
+              "(the baseline evaluates every pair exactly)",
+              file=sys.stderr)
+        return 2
     observation = _start_observation(args)
     distance = StarDistance()
 
@@ -236,10 +231,7 @@ def cmd_query(args) -> int:
                     database, distance, num_vantage_points=args.vantage_points,
                     branching=args.branching, seed=args.seed, workers=args.workers,
                 )
-            if cascade_config is not None:
-                result = index.query(q, theta, args.k, cascade=cascade_config)
-            else:
-                result = index.query(q, theta, args.k)
+            result = index.query(q, theta, args.k, epsilon=epsilon)
             if hasattr(index, "invalidate_pools"):
                 index.invalidate_pools()
 
@@ -249,36 +241,15 @@ def cmd_query(args) -> int:
     for rank, (gid, gain) in enumerate(zip(result.answer, result.gains), 1):
         g = database[gid]
         print(f"{rank:<6}{gid:<8}{gain:<6}{g.num_nodes:<7}{g.num_edges:<7}")
-    if cascade_config is not None:
-        _print_cascade_footer(cascade_config, result)
-    if deadline is not None:
-        _print_degradation_footer(deadline)
-    _finish_observation(observation, args)
-    return 0
-
-
-def _print_cascade_footer(config, result) -> None:
-    """Per-stage prune summary, plus the approximate-mode flag."""
-    if getattr(result.stats, "approximate", False):
+    if result.stats.approximate:
         print(
             f"approximate: epsilon={result.stats.epsilon:g} — neighborhoods "
             f"within [(1−ε)θ, θ]; greedy keeps the (1−1/e−ε) guarantee"
         )
-    snapshot = getattr(result.stats, "cascade", {}) or {}
-    if not snapshot:
-        print(f"cascade: stages={','.join(config.stages) or 'exact-only'}")
-        return
-    parts = []
-    for name in config.stages:
-        entry = snapshot.get(name)
-        if entry is None:
-            continue
-        dropped = entry["prunes"] + entry["accepts"]
-        parts.append(f"{name}={dropped}/{entry['evals']}")
-    print(
-        "cascade: pruned+accepted/evaluated per stage — "
-        + (", ".join(parts) if parts else "no stage ran")
-    )
+    if deadline is not None:
+        _print_degradation_footer(deadline)
+    _finish_observation(observation, args)
+    return 0
 
 
 def _print_degradation_footer(deadline) -> None:
@@ -696,12 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget for exact edit distances; on "
                         "expiry they degrade to upper bounds and the "
                         "footer reports the degradation")
-    p.add_argument("--cascade", nargs="?", const="full", default=None,
-                   metavar="STAGES",
-                   help="lower-bound filter cascade: 'full', 'default', "
-                        "'none', or a comma-separated ordered stage list "
-                        "(label_size,assignment,star,vantage); bare "
-                        "--cascade means 'full'")
     p.add_argument("--epsilon", type=float, default=0.0, metavar="E",
                    help="approximate mode: relax bound comparisons to "
                         "(1−E)·θ, keeping the (1−1/e−E) guarantee "

@@ -62,8 +62,9 @@ class QueryStats:
     approximate: bool = False
     #: The configured relaxation factor (0.0 for exact queries).
     epsilon: float = 0.0
-    #: Per-stage filter-cascade counters (``{stage: {evals, prunes,
-    #: accepts, seconds}}``); empty when the implicit default cascade ran.
+    #: The query filter's counters (``{"assignment" | "vantage": {evals,
+    #: prunes, accepts, seconds}}``, a step that never ran absent); empty
+    #: on a replicated index, whose workers do the filtering.
     cascade: dict = field(default_factory=dict)
 
     @property

@@ -8,9 +8,9 @@ preserved verbatim for two consumers:
   and ``repro bench-hotpath``), which runs both implementations on the
   same inputs and asserts bit-identical answers, gains, ordering and
   coverage; and
-* the **hot-path benchmark** (``benchmarks/bench_bitset_hotpath.py``),
-  which reports the end-to-end speedup of the bitset engines against
-  exactly this code.
+* the **hot-path benchmark** (:mod:`repro.bench.hotpath`), which reports
+  the end-to-end speedup of the bitset engines against exactly this
+  code.
 
 They are *not* deprecated aliases — they intentionally keep the
 O(k · |L_q| · |N̂|) per-element set arithmetic so the comparison stays

@@ -29,6 +29,7 @@ import heapq
 import numpy as np
 
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.cascade import FilterCascade
 
 _EPS = 1e-9
 _NEG_INF = float("-inf")
@@ -46,15 +47,15 @@ class ExactFrontier:
         global_engine,
         theta: float,
         stats,
-        cascade=None,
+        runtime: FilterCascade,
     ):
         self.relevant_global = np.asarray(relevant_global, dtype=np.int64)
         self.universe = universe
         self.global_engine = global_engine
         self.theta = float(theta)
         self.stats = stats
-        #: Shared per-query filter cascade (None → legacy exact scan).
-        self.cascade = cascade
+        #: The query's filter runtime, shared by all of its frontiers.
+        self.runtime = runtime
         self.member_set = frozenset(int(g) for g in self.relevant_global)
         self._position = {
             int(g): p for p, g in enumerate(self.relevant_global)
@@ -70,7 +71,7 @@ class ExactFrontier:
         members = [int(g) for g in self.relevant_global]
         for p, gid in enumerate(members):
             mask = global_engine.within(
-                gid, members, self.theta, cascade=cascade
+                gid, members, self.theta, runtime=runtime
             )
             stats.candidates_generated += m
             stats.candidate_verifications += m
@@ -163,7 +164,7 @@ class ExactFrontier:
         members = [int(g) for g in self.relevant_global]
         if members:
             mask = self.global_engine.within(
-                gid, members, self.theta, cascade=self.cascade
+                gid, members, self.theta, runtime=self.runtime
             )
             hits = [members[j] for j in np.flatnonzero(mask)]
             self.stats.candidates_generated += len(members)

@@ -299,13 +299,13 @@ class MutableIndex:
                 session.universe,
             )
             frontiers = [ShardFrontier(
-                state, run.theta, run.ladder_index, run.stats, run.cascade,
+                state, run.theta, run.ladder_index, run.stats, run.runtime,
                 global_engine=self.engine, frame=self.frame,
             )]
             shard_of = None  # one tree: every indexed graph lives on it
         delta_frontier = ExactFrontier(
             delta_rel, session.universe, self.engine, run.theta, run.stats,
-            cascade=run.cascade,
+            run.runtime,
         )
         frontiers.append(delta_frontier)
 

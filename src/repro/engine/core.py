@@ -40,6 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
+from repro.cascade.features import StageFeatures
+from repro.cascade.pipeline import RefereeFilter
 from repro.ged.metric import _pair_key
 from repro.graphs.graph import LabeledGraph
 from repro.resilience.deadline import current_deadline
@@ -131,7 +133,7 @@ class DistanceEngine:
         self._evaluator = batch_evaluator_for(distance)
         self._pool = None
         self._pool_observed = False
-        self._default_cascade = None
+        self._referee = RefereeFilter()
         self._stage_features = None
         self._cache: dict[tuple, float] = {}
         # The pair cache and its counters are shared across every consumer,
@@ -402,44 +404,39 @@ class DistanceEngine:
         theta: float,
         eps: float = _EPS,
         *,
-        cascade=None,
+        runtime=None,
         prefiltered: bool = False,
     ) -> np.ndarray:
         """Boolean mask: which targets satisfy ``d(source, t) ≤ θ + eps``.
 
-        The threshold query runs through a lower-bound filter cascade
-        (:mod:`repro.cascade`).  With no explicit ``cascade`` the
-        engine-held default — the single vantage stage, ε = 0 — performs
-        exactly the historical prefilter: with an embedding attached and
-        index references, the vantage lower bound rejects and the vantage
-        upper bound accepts without real evaluations; only the undecided
-        band pays for edit distances.  An explicit
-        :class:`~repro.cascade.FilterCascade` adds structural stages
-        and/or ε-relaxed cutoffs.
+        The threshold test runs through :meth:`repro.cascade.FilterCascade.run`.
+        A query passes its own ``runtime`` (its ε and counters; on a
+        unit-cost ``ExactGED`` engine it adds the assignment lower bound).
+        Without one — ``baseline_greedy(engine=…)``, referees — the
+        engine-held :class:`~repro.cascade.pipeline.RefereeFilter` runs:
+        with an embedding attached and index references, the vantage lower
+        bound rejects and the vantage upper bound accepts without real
+        evaluations, and only the undecided band pays for edit distances.
 
         ``targets`` may be an integer id *array*: it then reaches the
-        stages, the pair cache and the kernel without per-element type
+        bounds, the pair cache and the kernel without per-element type
         dispatch.
 
-        ``prefiltered=True`` tells the vantage stage the caller already
-        applied the Chebyshev lower bound to these targets (e.g. via
+        ``prefiltered=True`` tells the sandwich the caller already applied
+        the Chebyshev lower bound to these targets (e.g. via
         ``VantageEmbedding.candidates``), so the redundant lower pass —
         which would reject exactly zero candidates — is skipped.
         """
         if not isinstance(targets, np.ndarray):
             targets = list(targets)
-        if cascade is None:
-            if self._default_cascade is None:
-                from repro.cascade import FilterCascade
-
-                self._default_cascade = FilterCascade()
-            cascade = self._default_cascade
-        return cascade.run(
+        if runtime is None:
+            runtime = self._referee
+        return runtime.run(
             self, source, targets, theta, eps, prefiltered=prefiltered
         )
 
     def stage_features(self):
-        """The structural-stage feature cache over the attached graphs,
+        """The assignment bound's feature cache over the attached graphs,
         extended on demand when the graph list has grown (live inserts)."""
         require(
             self._graphs is not None,
@@ -447,8 +444,6 @@ class DistanceEngine:
         )
         with self._cache_lock:
             if self._stage_features is None:
-                from repro.cascade.features import StageFeatures
-
                 self._stage_features = StageFeatures()
             self._stage_features.sync(self._graphs)
             return self._stage_features

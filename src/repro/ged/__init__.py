@@ -2,6 +2,8 @@
 
 from repro.ged.costs import UNIT_COSTS, CustomCostModel, UnitCostModel
 from repro.ged.bounds import (
+    assignment_lower_bound,
+    degree_lower_bound,
     edge_count_lower_bound,
     label_lower_bound,
     size_lower_bound,
@@ -36,6 +38,8 @@ __all__ = [
     "hungarian",
     "assignment_cost",
     "label_lower_bound",
+    "degree_lower_bound",
+    "assignment_lower_bound",
     "edge_count_lower_bound",
     "size_lower_bound",
     "trivial_upper_bound",

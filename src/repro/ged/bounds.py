@@ -47,6 +47,27 @@ def size_lower_bound(g1: LabeledGraph, g2: LabeledGraph) -> float:
     return label_lower_bound(g1, g2) + edge_count_lower_bound(g1, g2)
 
 
+def degree_lower_bound(g1: LabeledGraph, g2: LabeledGraph) -> float:
+    """Half the L1 gap between descending zero-padded degree sequences:
+    one edge edit moves two degrees by one each, and sorted-order matching
+    minimizes the L1 sum over all node assignments."""
+    deg_1 = sorted((g1.degree(v) for v in g1.nodes()), reverse=True)
+    deg_2 = sorted((g2.degree(v) for v in g2.nodes()), reverse=True)
+    width = max(len(deg_1), len(deg_2))
+    deg_1 += [0] * (width - len(deg_1))
+    deg_2 += [0] * (width - len(deg_2))
+    return 0.5 * sum(abs(a - b) for a, b in zip(deg_1, deg_2))
+
+
+def assignment_lower_bound(g1: LabeledGraph, g2: LabeledGraph) -> float:
+    """EmbAssi-style linear assignment bound: node-label reconciliation
+    plus the degree-sequence term.  The two charge disjoint cost pools
+    (node operations, edge operations) of exact GED and of the
+    unnormalized star metric.  Its vectorized form over an engine's graph
+    list is :class:`repro.cascade.features.StageFeatures`."""
+    return label_lower_bound(g1, g2) + degree_lower_bound(g1, g2)
+
+
 def trivial_upper_bound(g1: LabeledGraph, g2: LabeledGraph) -> float:
     """Delete everything, insert everything — always a valid edit path."""
     return float(

@@ -53,7 +53,7 @@ import numpy as np
 
 from repro import obs
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
-from repro.cascade.stages import BLOCK_EVALS
+from repro.cascade import BLOCK_EVALS, FilterCascade
 from repro.core.results import QueryStats
 from repro.index.nbtree import NBTreeNode
 
@@ -365,7 +365,7 @@ class TreeFrontier:
         theta: float,
         ladder_index: int,
         stats: QueryStats,
-        cascade=None,
+        runtime: FilterCascade,
         *,
         distances,
     ):
@@ -375,14 +375,11 @@ class TreeFrontier:
         self.relevant_global = state.relevant_global
         self.theta = float(theta)
         self.stats = stats
-        #: Shared per-query :class:`~repro.cascade.FilterCascade` (None →
-        #: the engine's vantage-only default at ε = 0).
-        self.cascade = cascade
+        #: The query's filter runtime, shared by all of its frontiers.
+        self.runtime = runtime
         # ε > 0 shrinks the generation window to (1−ε)θ: members beyond it
         # may be dropped (N_{(1−ε)θ} ⊆ N' ⊆ N_θ), never wrongly added.
-        self._gen_theta = (
-            self.theta if cascade is None else cascade.generation_theta(theta)
-        )
+        self._gen_theta = runtime.generation_theta(self.theta)
         self._distances = distances
         self.bounds = state.initial_bounds(ladder_index)
         #: Resolved residual θ-neighborhoods within this tree's relevant
@@ -527,8 +524,8 @@ class TreeFrontier:
         split by what is free to decide — the graph itself, vantage
         upper-bound accepts and pairs the engine has already evaluated —
         with ``unverified`` by descending lower bound.  A free verdict is
-        only taken where every cascade configuration would agree with it:
-        accept at the relaxed cutoff ``(1−ε)θ``, reject above θ."""
+        only taken where the filter would agree with it at any ε: accept
+        at the relaxed cutoff ``(1−ε)θ``, reject above θ."""
         partial = self._partial.pop(gid, None)
         if partial is not None:
             hits, unverified = (
@@ -587,7 +584,7 @@ class TreeFrontier:
             # The window already applied the vantage lower bound at this
             # threshold — `prefiltered` skips re-running it.
             return engine.within(
-                source, ids, self.theta, cascade=self.cascade,
+                source, ids, self.theta, runtime=self.runtime,
                 prefiltered=True,
             )
         index = self.index

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
+from repro.cascade import FilterCascade
 from repro.core.results import QueryResult, QueryStats
 from repro.ged.metric import CountingDistance, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
@@ -382,7 +383,7 @@ class NBIndex:
         """One tree frontier: the S = 1 case of the coordinated greedy."""
         frontier = TreeFrontier(
             self._tree_state(run.session), run.theta, run.ladder_index,
-            run.stats, run.cascade, distances=self._pair_distances,
+            run.stats, run.runtime, distances=self._pair_distances,
         )
         return run.greedy([frontier], lambda gid: frontier)
 
@@ -521,7 +522,7 @@ def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
 
 #: Keyword arguments :meth:`QuerySession.query` accepts beyond (θ, k).
 _QUERY_KWARGS = frozenset(
-    {"stop_on_zero_gain", "enable_updates", "deadline", "cascade", "epsilon"}
+    {"stop_on_zero_gain", "enable_updates", "deadline", "epsilon"}
 )
 
 
@@ -544,9 +545,9 @@ class QueryRun:
     theta: float
     ladder_index: int
     stats: QueryStats
-    #: Per-query :class:`~repro.cascade.FilterCascade`, or ``None`` for the
-    #: engine-held default.
-    cascade: object
+    #: The query's :class:`~repro.cascade.FilterCascade`: its ε and the
+    #: filter counters, shared by every frontier.
+    runtime: FilterCascade
     #: The effective (explicit or ambient) deadline, or ``None``.
     deadline: object
     span: object
@@ -607,7 +608,6 @@ class QuerySession:
         stop_on_zero_gain: bool = False,
         enable_updates: bool = True,
         deadline=None,
-        cascade=None,
         epsilon: float = 0.0,
     ) -> QueryResult:
         """Run the search-and-update phase for (θ, k).
@@ -625,15 +625,15 @@ class QuerySession:
         ``degraded`` with the per-kind counts — an answer computed under
         pressure is flagged, never silently approximate.
 
-        ``cascade`` / ``epsilon`` select the lower-bound filter cascade
-        and the ε-relaxed approximate mode (``docs/cascade.md``).
+        ``epsilon`` in ``[0, 1)`` selects the ε-relaxed approximate mode
+        (``docs/cascade.md``); which lower bounds filter candidates is
+        decided by the index's metric, not by the caller.
         """
         require_positive(theta, "theta")
         require_positive(k, "k")
-        from repro.cascade import runtime_for
         from repro.resilience.deadline import current_deadline, deadline_scope
 
-        runtime = runtime_for(cascade, epsilon)
+        runtime = FilterCascade(epsilon)
         index = self.index
         layer = index._query_layer
         ladder_index = index.ladder.index_for(theta)
@@ -678,10 +678,9 @@ class QuerySession:
                 # deployments.
                 stats.coordinator = coord
                 query_span.set(scatter_resolves=coord["scatter_resolves"])
-            if runtime is not None:
-                stats.epsilon = runtime.epsilon
-                stats.approximate = runtime.approximate
-                stats.cascade = runtime.snapshot()
+            stats.epsilon = runtime.epsilon
+            stats.approximate = runtime.approximate
+            stats.cascade = runtime.snapshot()
             if effective_deadline is not None:
                 delta = {
                     kind: count - degradations_before.get(kind, 0)

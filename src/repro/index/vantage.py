@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from repro import obs
-from repro.cascade.stages import BLOCK_EVALS
+from repro.cascade import BLOCK_EVALS
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
 from repro.utils.rng import ensure_rng

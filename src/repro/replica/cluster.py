@@ -168,17 +168,13 @@ class ReplicatedIndex:
     def _run_query(self, run: QueryRun):
         """One :class:`RemoteFrontier` per served shard, re-run over the
         survivors — flagged partial — whenever a whole replica group dies
-        mid-query.  Workers run the cascade stages and the deadline; the
-        coordinator ships both in each session-open frame and folds the
-        degradations they report back into the deadline."""
+        mid-query.  Workers run the filter and the deadline; the
+        coordinator ships ε and the deadline in each session-open frame
+        (a worker knows its own metric) and folds the degradations they
+        report back into the deadline."""
         session = run.session
         stats = run.stats
         run.span.set(shards=self.num_shards, replicas=self.replicas)
-        config = run.cascade.config if run.cascade is not None else None
-        cascade_wire = (
-            config.to_wire()
-            if config is not None and not config.is_default() else None
-        )
         deadline_state = (
             run.deadline.state() if run.deadline is not None else None
         )
@@ -210,7 +206,7 @@ class ReplicatedIndex:
                         )),
                         universe=session.universe,
                         deadline_state=deadline_state,
-                        cascade_wire=cascade_wire,
+                        epsilon=run.runtime.epsilon,
                     )
                     for s in served
                 }

@@ -119,7 +119,7 @@ class RemoteFrontier:
         relevant_global: np.ndarray,
         universe,
         deadline_state: dict | None = None,
-        cascade_wire: dict | None = None,
+        epsilon: float = 0.0,
     ):
         self.router = router
         self.shard_id = int(shard_id)
@@ -136,10 +136,10 @@ class RemoteFrontier:
         }
         if deadline_state is not None:
             open_payload["deadline"] = deadline_state
-        if cascade_wire is not None:
-            # Only non-default configs ride the wire: default sessions
-            # keep their open frames byte-identical to older coordinators.
-            open_payload["cascade"] = cascade_wire
+        if epsilon:
+            # Omitted at 0: exact sessions keep their open frames
+            # byte-identical to older coordinators.
+            open_payload["epsilon"] = epsilon
         self.session = SessionLog(
             sid, open_payload, self.relevant_global.size
         )

@@ -56,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.bitset import BitsetUniverse
+from repro.cascade import EpsilonError, FilterCascade
 from repro.core.results import QueryStats
 from repro.graphs.relevance import AverageScoreThreshold
 from repro.index.frontier import TreeState
@@ -251,15 +252,10 @@ class ShardWorker:
             Deadline.from_state(deadline_state)
             if deadline_state is not None else None
         )
-        cascade_payload = request.get("cascade")
-        runtime = None
-        if cascade_payload is not None:
-            from repro.cascade import CascadeConfig, CascadeConfigError, FilterCascade
-
-            try:
-                runtime = FilterCascade(CascadeConfig.from_wire(cascade_payload))
-            except CascadeConfigError as error:
-                raise wire.ReplicaProtocolError(str(error)) from error
+        try:
+            runtime = FilterCascade(request.get("epsilon"))
+        except EpsilonError as error:
+            raise wire.ReplicaProtocolError(str(error)) from error
         frontier = ShardFrontier(
             TreeState(
                 self.index, self.members, relevant, BitsetUniverse(relevant)

@@ -11,15 +11,13 @@ over stdin/stdout pipes and TCP sockets, and a shell with ``echo`` and
     {"id": 4, "op": "stats"}
     {"id": 5, "op": "reload", "path": "new-index.npz"}
 
-Queries may select a lower-bound filter cascade and/or the ε-relaxed
-approximate mode (PR 10, see ``docs/cascade.md``).  ``cascade`` names an
-ordered subset of stages from :data:`repro.cascade.KNOWN_STAGES`;
-``epsilon`` is a number in ``[0, 1)``.  Unknown stage names and
-malformed epsilons are typed ``invalid_request`` rejections before
-admission, never breaker hits::
+Queries may ask for the ε-relaxed approximate mode (see
+``docs/cascade.md``): ``epsilon`` is a number in ``[0, 1)``, checked by
+the same :func:`repro.cascade.validate_epsilon` as the Python API and the
+CLI; a malformed one is a typed ``invalid_request`` rejection before
+admission, never a breaker hit::
 
-    {"id": 14, "op": "query", "theta": 8.0, "k": 5,
-     "cascade": ["label_size", "assignment", "vantage"], "epsilon": 0.05}
+    {"id": 14, "op": "query", "theta": 8.0, "k": 5, "epsilon": 0.05}
 
 Approximate responses (``epsilon > 0``) add ``"approximate": true`` and
 the effective ``"epsilon"``; exact responses stay byte-identical.
@@ -73,6 +71,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.cascade import EpsilonError, validate_epsilon
 from repro.service.errors import InvalidRequest, ServiceError
 
 #: Ops the service understands.
@@ -109,7 +108,6 @@ class QueryRequest:
     gid: int | None = None  # delete/update target
     graph: dict | None = None  # insert/update payload
     features: tuple[float, ...] | None = None  # insert/update payload
-    cascade: tuple[str, ...] | None = None  # ordered filter stages
     epsilon: float = 0.0  # approximate-mode relaxation
     extra: dict = field(default_factory=dict, compare=False)
 
@@ -177,12 +175,15 @@ def parse_request(line: str, *, max_bytes: int = MAX_REQUEST_BYTES) -> QueryRequ
                 f"build speaks v{PROTOCOL_VERSION}"
             )
     gid, graph, features = _validate_mutation_fields(op, payload)
-    cascade, epsilon = _validate_cascade_fields(payload)
+    try:
+        epsilon = validate_epsilon(payload.get("epsilon"))
+    except EpsilonError as error:
+        raise InvalidRequest(str(error)) from error
 
     known = {
         "id", "op", "theta", "k", "quantile", "dims", "seed",
         "timeout_ms", "path", "v", "gid", "graph", "features",
-        "cascade", "epsilon",
+        "epsilon",
     }
     extra = {key: payload[key] for key in payload.keys() - known}
     return QueryRequest(
@@ -199,7 +200,6 @@ def parse_request(line: str, *, max_bytes: int = MAX_REQUEST_BYTES) -> QueryRequ
         gid=gid,
         graph=graph,
         features=features,
-        cascade=cascade,
         epsilon=epsilon,
         extra=extra,
     )
@@ -231,48 +231,6 @@ def _validate_mutation_fields(op: str, payload: dict):
     if op not in ("delete", "update"):
         gid = None
     return gid, graph, features
-
-
-def _validate_cascade_fields(payload: dict):
-    """Validate the optional ``cascade``/``epsilon`` query fields.
-
-    Runs before admission, like every other field check: an unknown stage
-    name or out-of-range epsilon is the client's mistake — typed
-    ``invalid_request``, never a breaker hit."""
-    from repro.cascade import (
-        DEFAULT_STAGES,
-        KNOWN_STAGES,
-        CascadeConfig,
-        CascadeConfigError,
-    )
-
-    cascade = payload.get("cascade")
-    if cascade is not None:
-        if isinstance(cascade, str) or not isinstance(cascade, list):
-            raise InvalidRequest(
-                f"'cascade' must be a list of stage names from "
-                f"{list(KNOWN_STAGES)}"
-            )
-        if not all(isinstance(name, str) for name in cascade):
-            raise InvalidRequest("'cascade' stage names must be strings")
-    epsilon = payload.get("epsilon", 0.0)
-    if isinstance(epsilon, bool) or not isinstance(epsilon, (int, float)):
-        raise InvalidRequest(
-            f"'epsilon' must be a number in [0, 1), got {epsilon!r}"
-        )
-    try:
-        # CascadeConfig re-runs the full validation (stage names, dupes,
-        # epsilon range) so wire and in-process checks cannot drift.
-        CascadeConfig(
-            stages=tuple(cascade) if cascade is not None else DEFAULT_STAGES,
-            epsilon=float(epsilon),
-        )
-    except CascadeConfigError as error:
-        raise InvalidRequest(str(error)) from error
-    return (
-        tuple(cascade) if cascade is not None else None,
-        float(epsilon),
-    )
 
 
 def _number(payload: dict, key: str) -> float | None:

@@ -612,20 +612,10 @@ class QueryService:
                     index.database, dims=request.dims,
                     quantile=request.quantile,
                 )
-                query_kwargs = {"deadline": deadline}
-                if request.cascade is not None or request.epsilon:
-                    from repro.cascade import CascadeConfig, DEFAULT_STAGES
-
-                    query_kwargs["cascade"] = CascadeConfig(
-                        stages=(
-                            request.cascade
-                            if request.cascade is not None else DEFAULT_STAGES
-                        ),
-                        epsilon=request.epsilon,
-                    )
                 with obs.timer("service.query_seconds"):
                     result = index.query(
-                        query_fn, request.theta, request.k, **query_kwargs
+                        query_fn, request.theta, request.k,
+                        deadline=deadline, epsilon=request.epsilon,
                     )
                 generation = self.manager.generation
         except OffLadderThetaError as error:
@@ -655,7 +645,7 @@ class QueryService:
             "generation": generation,
         }
         # Approximate mode only: exact (ε = 0) responses stay
-        # byte-identical whether or not a cascade was configured.
+        # byte-identical.
         if getattr(result.stats, "approximate", False):
             body["approximate"] = True
             body["epsilon"] = float(result.stats.epsilon)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.index.frontier import TreeFrontier, TreeRoundSearch, TreeState
 from repro.index.vantage import VantageFrame
@@ -44,13 +45,13 @@ class ShardFrontier(TreeFrontier):
         theta: float,
         ladder_index: int,
         stats: QueryStats,
-        cascade=None,
+        runtime: FilterCascade,
         *,
         global_engine,
         frame: VantageFrame,
     ):
         super().__init__(
-            state, theta, ladder_index, stats, cascade,
+            state, theta, ladder_index, stats, runtime,
             distances=global_engine.one_to_many,
         )
         self.global_engine = global_engine

@@ -204,7 +204,7 @@ class ShardedIndex:
                     self.shards[s], self.global_ids[s], session.relevant,
                     session.universe,
                 )),
-                run.theta, run.ladder_index, run.stats, run.cascade,
+                run.theta, run.ladder_index, run.stats, run.runtime,
                 global_engine=global_engine, frame=self.frame,
             )
             for s in range(self.num_shards)

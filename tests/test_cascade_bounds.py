@@ -1,13 +1,15 @@
-"""Property tests: every cascade stage is a true lower bound.
+"""Property tests: every per-pair bound is a true lower bound.
 
-Hypothesis drives random labeled graphs through each pure per-pair
-stage bound (:data:`repro.cascade.stages.PAIR_BOUNDS`) and checks it
-never exceeds exact GED — the soundness obligation that makes ε = 0
-cascade pruning bit-identical.  The structural stages carry the same
-obligation against the (unnormalized) star metric, the vantage stage's
-Lipschitz sandwich is checked against random vantage sets, and the
-vectorized :class:`~repro.cascade.features.StageFeatures` forms must
-agree exactly with the pure per-pair reference they accelerate.
+Hypothesis drives random labeled graphs through each pure per-pair bound
+of :mod:`repro.ged.bounds` (and Zeng's star bound) and checks it never
+exceeds exact GED — the soundness obligation that makes the ε = 0 query
+filter bit-identical.  The structural bounds carry the same obligation
+against the (unnormalized) star metric — there they do not pay as
+per-pair post-filters (EXPERIMENTS.md) but may return as *coordinates* of
+the Chebyshev bound (ROADMAP) — the vantage sandwich is checked against
+random vantage sets, and the vectorized
+:class:`~repro.cascade.features.StageFeatures` form must agree exactly
+with the pure per-pair reference it accelerates.
 """
 
 from __future__ import annotations
@@ -18,18 +20,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cascade.features import StageFeatures
-from repro.cascade.stages import (
-    PAIR_BOUNDS,
+from repro.ged import (
+    ExactGED,
+    StarDistance,
     assignment_lower_bound,
     degree_lower_bound,
-    label_size_lower_bound,
-    star_lower_bound,
+    label_lower_bound,
+    star_ged_lower_bound,
 )
-from repro.ged import ExactGED, StarDistance
 from repro.graphs import LabeledGraph
 
 exact = ExactGED()
 star = StarDistance()
+LOWER_BOUNDS = (label_lower_bound, assignment_lower_bound, star_ged_lower_bound)
 
 _LABELS = ("C", "N", "O")
 _TOL = 1e-9
@@ -48,12 +51,12 @@ def small_graph(draw, max_nodes=5):
 
 
 class TestLowerBoundsExactGED:
-    """``stage_lb(g, h) <= GED(g, h)`` for every shipped pure bound."""
+    """``lb(g, h) <= GED(g, h)`` for every shipped pure bound."""
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph(), st.sampled_from(sorted(PAIR_BOUNDS)))
-    def test_every_stage_lower_bounds_exact(self, g, h, stage):
-        assert PAIR_BOUNDS[stage](g, h) <= exact(g, h) + _TOL
+    @given(small_graph(), small_graph(), st.sampled_from(LOWER_BOUNDS))
+    def test_every_stage_lower_bounds_exact(self, g, h, bound):
+        assert bound(g, h) <= exact(g, h) + _TOL
 
     @settings(max_examples=40, deadline=None)
     @given(small_graph(), small_graph())
@@ -63,19 +66,19 @@ class TestLowerBoundsExactGED:
     @settings(max_examples=25, deadline=None)
     @given(small_graph())
     def test_zero_on_identical(self, g):
-        for bound in PAIR_BOUNDS.values():
+        for bound in (*LOWER_BOUNDS, degree_lower_bound):
             assert bound(g, g) == pytest.approx(0.0, abs=_TOL)
 
 
 class TestLowerBoundsStarMetric:
-    """The structural stages also lower-bound the engine's default
-    (unnormalized) star metric — the gate for running them under a
-    ``StarDistance`` engine."""
+    """The structural bounds also lower-bound the engine's default
+    (unnormalized) star metric — what would let them serve as extra
+    coordinates of a ``StarDistance`` index."""
 
     @settings(max_examples=40, deadline=None)
     @given(small_graph(), small_graph())
     def test_label_size_lower_bounds_star(self, g, h):
-        assert label_size_lower_bound(g, h) <= star(g, h) + _TOL
+        assert label_lower_bound(g, h) <= star(g, h) + _TOL
 
     @settings(max_examples=40, deadline=None)
     @given(small_graph(), small_graph())
@@ -85,9 +88,9 @@ class TestLowerBoundsStarMetric:
     @settings(max_examples=40, deadline=None)
     @given(small_graph(), small_graph())
     def test_star_stage_lower_bounds_star_trivially(self, g, h):
-        # Circular (skipped by the engine gate) but still true: the
-        # scaled-down assignment value never exceeds the star distance.
-        assert star_lower_bound(g, h) <= star(g, h) + _TOL
+        # Circular but still true: the scaled-down assignment value
+        # never exceeds the star distance.
+        assert star_ged_lower_bound(g, h) <= star(g, h) + _TOL
 
 
 class TestVantageSandwich:
@@ -110,7 +113,7 @@ class TestVantageSandwich:
 
 
 class TestVectorizedAgreesWithReference:
-    """The batch :class:`StageFeatures` forms equal the pure bounds."""
+    """The batch :class:`StageFeatures` form equals the pure bound."""
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(small_graph(), min_size=1, max_size=6), small_graph())
@@ -118,12 +121,8 @@ class TestVectorizedAgreesWithReference:
         features = StageFeatures()
         features.sync(graphs)
         rows = np.arange(len(graphs))
-        label = features.label_size_lb(source, rows)
         assign = features.assignment_lb(source, rows)
         for i, target in enumerate(graphs):
-            assert label[i] == pytest.approx(
-                label_size_lower_bound(source, target), abs=_TOL
-            )
             assert assign[i] == pytest.approx(
                 assignment_lower_bound(source, target), abs=_TOL
             )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_database
+from repro.cascade import FilterCascade
 from repro.core.greedy import baseline_greedy, lazy_greedy
 from repro.engine import DistanceEngine, batch_evaluator_for, resolve_workers
 from repro.ged.metric import (
@@ -480,7 +481,8 @@ def test_insert_invalidates_pool_and_stays_correct():
         )
         frontier = TreeFrontier(
             index._tree_state(session), 3.0, index.ladder.index_for(3.0),
-            result.stats.__class__(), distances=index._pair_distances,
+            result.stats.__class__(), FilterCascade(),
+            distances=index._pair_distances,
         )
         # neighborhood_of returns a packed bitset over the session's
         # relevant universe; decode for the brute-force comparison.

@@ -6,9 +6,8 @@ update walk from the vantage sandwich wherever both of its ends agree.
 This file pins what that must not change and what it must buy:
 
 * ids / gains / order / coverage bit-identical to ``baseline_greedy`` in
-  every deployment shape, with and without a structural-stage cascade, and
-  — at ε > 0, where the reference is the per-pair cascade rule — to the
-  eager resolver below;
+  every deployment shape, and — at ε > 0, where the reference is the
+  filter's per-pair rule — to the eager resolver below;
 * soundness: every working bound (initial, decremented, partial) is ≥ the
   true residual gain at every pull, and a resumed partial leaf ends at the
   same exact gain as a from-scratch resolution;
@@ -48,7 +47,7 @@ import repro
 from tests.conftest import random_database
 from repro import baseline_greedy, quartile_relevance
 from repro.bitset import BitsetDelta, kernel as bitset_kernel
-from repro.cascade import CascadeConfig
+from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.datasets import GENERATORS
 from repro.delta import mutable as mutable_module
@@ -73,7 +72,6 @@ _EPS = 1e-9
 _NEG_INF = float("-inf")
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
 BUILD = dict(num_vantage_points=4, branching=4, thresholds=LADDER)
-FULL_CASCADE = CascadeConfig(stages=("label_size", "assignment", "vantage"))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +94,7 @@ class EagerFrontier(TreeFrontier):
         self.stats.candidates_generated += int(window.size)
         self.stats.candidate_verifications += int(others.size)
         mask = index.engine.within(
-            local, others, self.theta, cascade=self.cascade, prefiltered=True
+            local, others, self.theta, runtime=self.runtime, prefiltered=True
         )
         members = others[mask].tolist()
         if others.size < window.size:
@@ -246,20 +244,16 @@ def shapes(tmp_path_factory):
     quantile=st.sampled_from([0.1, 0.3, 0.6]),
     theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
     k=st.integers(1, 12),
-    cascade=st.sampled_from([None, FULL_CASCADE]),
     warm=st.booleans(),
 )
-def test_every_shape_matches_baseline_greedy(
-    shapes, quantile, theta, k, cascade, warm,
-):
+def test_every_shape_matches_baseline_greedy(shapes, quantile, theta, k, warm):
     for name, index in shapes.items():
         database = index.database
         q = quartile_relevance(database, quantile=quantile)
         want = baseline_greedy(database, StarDistance(), q, theta, k)
         if not warm:
             cold(index)
-        kwargs = {} if cascade is None else {"cascade": cascade}
-        got = index.query(q, theta, k, **kwargs)
+        got = index.query(q, theta, k)
         assert got.answer == want.answer, name
         assert got.gains == want.gains, name
         assert got.covered == want.covered, name
@@ -269,8 +263,8 @@ def test_every_shape_matches_baseline_greedy(
 @given(data=st.data())
 def test_lazy_equals_eager_and_never_pays_more(data):
     """Same index, cold caches, lazy vs eager: identical answers at any ε
-    and cascade (the per-pair rule is the cascade's either way), and the
-    lazy path never evaluates more exact distances."""
+    (the per-pair rule is the filter's either way), and the lazy path
+    never evaluates more exact distances."""
     seed = data.draw(st.integers(0, 2**16), label="seed")
     database = random_database(
         seed=seed, size=data.draw(st.integers(16, 64), label="size")
@@ -284,23 +278,19 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
     theta = float(index.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
     k = data.draw(st.integers(1, 10), label="k")
-    kwargs = {
-        "epsilon": data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
-    }
-    if data.draw(st.booleans(), label="structural"):
-        kwargs["cascade"] = FULL_CASCADE.stages
+    epsilon = data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps")
 
     cold(index)
-    lazy = index.query(q, theta, k, **kwargs)
+    lazy = index.query(q, theta, k, epsilon=epsilon)
     cold(index)
     with mock.patch.object(nbindex_module, "TreeFrontier", EagerFrontier):
-        eager = index.query(q, theta, k, **kwargs)
+        eager = index.query(q, theta, k, epsilon=epsilon)
     same_answer(lazy, eager)
     assert lazy.stats.distance_calls <= eager.stats.distance_calls
     assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
     assert lazy.stats.pruned_subtrees == eager.stats.pruned_subtrees
     assert lazy.stats.batch_decrements == eager.stats.batch_decrements
-    if kwargs["epsilon"] == 0.0:
+    if epsilon == 0.0:
         same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
 
 
@@ -515,7 +505,7 @@ def test_the_sandwich_spares_centroid_distances():
     batches = []
     state = index._tree_state(index.session(q))
     frontier = TreeFrontier(
-        state, 8.0, index.ladder.index_for(8.0), QueryStats(),
+        state, 8.0, index.ladder.index_for(8.0), QueryStats(), FilterCascade(),
         distances=lambda a, bs: batches.append(bs) or index._pair_distances(a, bs),
     )
     visited = []
@@ -616,32 +606,28 @@ def sharded_shapes(tmp_path_factory):
     theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
     k=st.integers(1, 12),
     epsilon=st.sampled_from([0.0, 0.1, 0.3]),
-    structural=st.booleans(),
     warm=st.booleans(),
 )
 def test_every_sharded_shape_matches_its_reference(
-    sharded_shapes, quantile, theta, k, epsilon, structural, warm,
+    sharded_shapes, quantile, theta, k, epsilon, warm,
 ):
-    """ε = 0: the paper's greedy.  ε > 0: the per-pair cascade rule, i.e.
+    """ε = 0: the paper's greedy.  ε > 0: the filter's per-pair rule, i.e.
     the same bundle with every foreign window resolved whole (worker
     processes cannot be patched: the replicated bundle must agree with its
     in-process twin instead)."""
-    kwargs = {"epsilon": epsilon}
-    if structural:
-        kwargs["cascade"] = FULL_CASCADE.stages
     for name, index in sharded_shapes.items():
         database = index.database
         q = quartile_relevance(database, quantile=quantile)
         if not warm:
             cold(index)
-        got = index.query(q, theta, k, **kwargs)
+        got = index.query(q, theta, k, epsilon=epsilon)
         if epsilon == 0.0:
             want = baseline_greedy(database, StarDistance(), q, theta, k)
         elif name == "replicated-2x2":
-            want = sharded_shapes["sharded-2-hash"].query(q, theta, k, **kwargs)
+            want = sharded_shapes["sharded-2-hash"].query(q, theta, k, epsilon=epsilon)
         else:
             with shard_frontier(EagerShardFrontier):
-                want = index.query(q, theta, k, **kwargs)
+                want = index.query(q, theta, k, epsilon=epsilon)
         assert got.answer == want.answer, name
         assert got.gains == want.gains, name
         assert got.covered == want.covered, name
@@ -655,8 +641,7 @@ def _one_ladder_outcome_per_survivor(coord):
 
 
 def lazy_and_eager_over_a_bundle(
-    seed, size, quantile, epsilon, structural, shards, partitioner, rung,
-    theta_scale, k,
+    seed, size, quantile, epsilon, shards, partitioner, rung, theta_scale, k,
 ):
     """One random bundle queried cold twice — lazy, then with every foreign
     window resolved whole — at ``theta_scale`` × ladder rung ``rung`` (the
@@ -664,9 +649,6 @@ def lazy_and_eager_over_a_bundle(
     answers agree."""
     database = random_database(seed=seed, size=size)
     q = quartile_relevance(database, quantile=quantile)
-    kwargs = {"epsilon": epsilon}
-    if structural:
-        kwargs["cascade"] = FULL_CASCADE.stages
     with tempfile.TemporaryDirectory() as tmp:
         index = ShardedIndex.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
@@ -677,10 +659,10 @@ def lazy_and_eager_over_a_bundle(
             index.ladder[min(rung, len(index.ladder) - 1)]
         )
         cold(index)
-        lazy = index.query(q, theta, k, **kwargs)
+        lazy = index.query(q, theta, k, epsilon=epsilon)
         cold(index)
         with shard_frontier(EagerShardFrontier):
-            eager = index.query(q, theta, k, **kwargs)
+            eager = index.query(q, theta, k, epsilon=epsilon)
     same_answer(lazy, eager)
     _one_ladder_outcome_per_survivor(lazy.stats.coordinator)
     assert not eager.stats.coordinator["partial_scatters"]
@@ -712,7 +694,6 @@ def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
         size=data.draw(st.integers(24, 72), label="size"),
         quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7])),
         epsilon=data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
-        structural=data.draw(st.booleans(), label="structural"),
         shards=data.draw(st.sampled_from([2, 4]), label="shards"),
         partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
         rung=data.draw(st.integers(0, 9), label="rung"),
@@ -722,14 +703,14 @@ def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
     assert within_the_cross_frontier_slack(lazy, eager), (lazy, eager)
 
 
-#: (seed, size, quantile, ε, structural, S, partitioner, rung, θ scale, k) —
+#: (seed, size, quantile, ε, S, partitioner, rung, θ scale, k) —
 #: the first rows are instances where lazy is *ahead* of eager on a
 #: counter (calls lazy/eager, verifications lazy/eager as measured), the
 #: rest were drawn once from ``default_rng(16)``.
 PINNED_BUNDLES = [
-    (37981, 45, 0.1, 0.0, False, 4, "clustering", 0, 0.7, 4),   # 275/274, 292/278
-    (61904, 57, 0.4, 0.0, False, 2, "clustering", 0, 0.7, 7),   # 230/230, 196/178
-    (259, 70, 0.1, 0.0, False, 4, "clustering", 2, 0.7, 5),     # 1033/1038, 1108/1020
+    (37981, 45, 0.1, 0.0, 4, "clustering", 0, 0.7, 4),   # 275/274, 292/278
+    (61904, 57, 0.4, 0.0, 2, "clustering", 0, 0.7, 7),   # 230/230, 196/178
+    (259, 70, 0.1, 0.0, 4, "clustering", 2, 0.7, 5),     # 1033/1038, 1108/1020
 ]
 
 
@@ -743,7 +724,7 @@ def test_lazy_foreign_windows_never_pay_more_on_the_whole():
         sample.append((
             int(rng.integers(0, 2**16)), int(rng.integers(24, 73)),
             float(rng.choice([0.1, 0.4, 0.7])),
-            float(rng.choice([0.0, 0.1, 0.3])), bool(rng.integers(2)),
+            float(rng.choice([0.0, 0.1, 0.3])),
             int(rng.choice([2, 4])), str(rng.choice(["hash", "clustering"])),
             int(rng.integers(0, 10)), float(rng.choice([0.7, 1.0])),
             int(rng.integers(1, 11)),

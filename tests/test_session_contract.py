@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 import repro
 from tests.conftest import random_database
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.delta.frontier import ExactFrontier
 from repro.engine import DistanceEngine
@@ -315,13 +316,14 @@ class TestFrontierProtocol:
                     sharded.shards[0], sharded.global_ids[0], relevant,
                     universe,
                 ),
-                self.THETA, ladder_index, QueryStats(),
+                self.THETA, ladder_index, QueryStats(), FilterCascade(),
                 global_engine=sharded.engine, frame=sharded.frame,
             )
         members = relevant[sharded.shard_of[relevant] == 0]
         if request.param == "exact":
             return ExactFrontier(
-                members, universe, sharded.engine, self.THETA, QueryStats()
+                members, universe, sharded.engine, self.THETA, QueryStats(),
+                FilterCascade(),
             )
         return RemoteFrontier(
             cluster.router, 0, uuid.uuid4().hex[:16], dims=q.dims,
