@@ -18,7 +18,15 @@ The gate asserts:
   kills, wedge-kills, restarts, and failovers may move work around but
   must never change an answer bit,
 * the chaos actually happened (failovers > 0, restarts > 0),
-* no query was shed, failed, or flagged partial.
+* no query was shed, failed, or flagged partial,
+* **the served path loads only what it runs** — halfway through the
+  chaos conversation the server and every live worker are inspected
+  through ``/proc/<pid>/maps``: none may have mapped a file of
+  ``scipy.stats`` / ``scipy.sparse`` / ``scipy.spatial`` / ``networkx``,
+  or of ``scipy.optimize`` other than the ``_lsap`` extension
+  (:mod:`repro.ged.lsap`); and what each process holds, as the ``stats``
+  op reports it (``process`` / ``index.replica.rss_mb``), stays within a
+  per-process budget.
 
 Run from the repo root: ``python scripts/replica_smoke.py``.
 """
@@ -26,15 +34,31 @@ Run from the repo root: ``python scripts/replica_smoke.py``.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
+
+from validate_metrics import SCHEMA_PATH, ValidationError, validate_node
 
 ROOT = Path(__file__).resolve().parents[1]
 NUM_REQUESTS = 1000
 NUM_SHARDS = 4
 REPLICAS = 2
+
+#: Packages no serving process may map a file of; ``scipy/optimize/`` is
+#: allowed exactly one: the ``_lsap`` extension.
+FORBIDDEN_DIRS = (
+    "/scipy/stats/", "/scipy/sparse/", "/scipy/spatial/", "/networkx/",
+)
+#: Per-process budgets at this n (48 dblp graphs), next to what was
+#: measured when they were set: server peak 37.6 MB, workers 31.2–31.7 MB
+#: resident.  Importing scipy.optimize alone adds 51 MB to a process, the
+#: four eager imports this gate guards against added 84 MB.
+SERVER_PEAK_BUDGET_MB = 70.0
+WORKER_RSS_BUDGET_MB = 50.0
 
 
 def build_requests() -> list[str]:
@@ -68,17 +92,86 @@ def run_cli(*argv, timeout=300):
     return completed
 
 
-def serve(db, requests, *extra_args, pythonpath, metrics=None):
-    argv = [sys.executable, "-m", "repro.cli", "serve", str(db),
+def serve_argv(db, *extra_args):
+    return [sys.executable, "-m", "repro.cli", "serve", str(db),
             "--concurrency", "2", "--max-queue", str(NUM_REQUESTS + 8),
             *extra_args]
-    if metrics is not None:
-        argv += ["--metrics", str(metrics)]
+
+
+def serve(db, requests, *extra_args, pythonpath):
     return subprocess.run(
-        argv, cwd=ROOT, input="\n".join(requests) + "\n",
+        serve_argv(db, *extra_args), cwd=ROOT,
+        input="\n".join(requests) + "\n",
         capture_output=True, text=True, timeout=540,
         env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"},
     )
+
+
+def child_pids(parent: int) -> list[int]:
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we were listing
+        if int(stat.rsplit(")", 1)[1].split()[1]) == parent:
+            pids.append(int(entry))
+    return pids
+
+
+def unwanted_mappings(pid: int) -> list[str]:
+    """Files ``pid`` has mapped that the query path has no business with."""
+    try:
+        lines = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    except OSError:
+        return []  # a worker the chaos plan killed just now
+    # address perms offset dev inode [pathname]
+    paths = {
+        fields[5] for fields in (line.split(None, 5) for line in lines)
+        if len(fields) == 6
+    }
+    return sorted(
+        path for path in paths
+        if any(part in path for part in FORBIDDEN_DIRS)
+        or ("/scipy/optimize/" in path
+            and not os.path.basename(path).startswith("_lsap"))
+    )
+
+
+def serve_inspected(db, requests, *extra_args, pythonpath, tmp):
+    """:func:`serve` with a look inside: once half the responses are out
+    — the fleet is mid-conversation, churn included — read what the server
+    and each of its workers have mapped.  Returns the completed process
+    and ``{pid: unwanted mappings}``."""
+    argv = serve_argv(db, *extra_args)
+    out_path, err_path = tmp / "chaos.out", tmp / "chaos.err"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen(
+            argv, cwd=ROOT, stdin=subprocess.PIPE, stdout=out, stderr=err,
+            text=True, env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"},
+        )
+        try:
+            proc.stdin.write("\n".join(requests) + "\n")
+            proc.stdin.close()
+            deadline = time.monotonic() + 540
+            while (proc.poll() is None and time.monotonic() < deadline
+                   and out_path.read_text().count("\n") < len(requests) // 2):
+                time.sleep(0.1)
+            mapped = {
+                pid: unwanted_mappings(pid)
+                for pid in [proc.pid, *child_pids(proc.pid)]
+            }
+            proc.wait(timeout=max(1.0, deadline - time.monotonic()))
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    completed = subprocess.CompletedProcess(
+        argv, proc.returncode, out_path.read_text(), err_path.read_text()
+    )
+    return completed, mapped
 
 
 def main() -> int:
@@ -118,9 +211,10 @@ def main() -> int:
         "    replica_wedge_seconds=8.0,\n"
         "))\n"
     )
-    chaos = serve(db, requests, "--shards", str(manifest),
-                  "--replicas", str(REPLICAS), metrics=metrics,
-                  pythonpath=f"{tmp}:{src_path}")
+    chaos, mapped = serve_inspected(
+        db, requests, "--shards", str(manifest), "--replicas", str(REPLICAS),
+        "--metrics", str(metrics), pythonpath=f"{tmp}:{src_path}", tmp=tmp,
+    )
 
     failures = []
     for name, completed in (("reference", reference), ("chaos", chaos)):
@@ -204,6 +298,51 @@ def main() -> int:
             k: v for k, v in sorted(counters.items())
             if k.startswith("replica.")
         })
+
+    # Footprint: what the live fleet had mapped, and what it held.
+    if len(mapped) < 1 + NUM_SHARDS:  # server + a live replica per shard
+        failures.append(f"inspected only {len(mapped)} live processes")
+    for pid, paths in mapped.items():
+        if paths:
+            failures.append(
+                f"pid {pid} mapped {len(paths)} files the query path never "
+                f"runs, e.g. {paths[:3]}"
+            )
+    last_stats = max(
+        (obj for _, obj in chaos_responses.values()
+         if "uptime_seconds" in obj.get("result", {})),
+        key=lambda obj: obj["id"], default=None,
+    )
+    if last_stats is None:
+        failures.append("no stats response to read the footprint from")
+    else:
+        process = last_stats["result"].get("process")
+        workers = last_stats["result"]["index"]["replica"].get("rss_mb")
+        schema = json.loads(SCHEMA_PATH.read_text())
+        try:
+            validate_node(process, schema["$defs"]["process_stats"], schema)
+            validate_node(workers, schema["$defs"]["replica_rss_mb"], schema)
+        except ValidationError as error:
+            failures.append(f"stats footprint section malformed: {error}")
+        else:
+            resident = sorted(rss for group in workers for rss in group)
+            print(
+                f"footprint ({len(mapped)} processes' maps read): server "
+                f"peak_rss_mb {process['peak_rss_mb']:.1f} (budget "
+                f"{SERVER_PEAK_BUDGET_MB:g}); live workers' rss_mb "
+                f"{[round(rss, 1) for rss in resident]} (budget "
+                f"{WORKER_RSS_BUDGET_MB:g} each)"
+            )
+            if process["peak_rss_mb"] > SERVER_PEAK_BUDGET_MB:
+                failures.append(
+                    f"server peak_rss_mb {process['peak_rss_mb']:.1f} over "
+                    f"its {SERVER_PEAK_BUDGET_MB:g} MB budget"
+                )
+            if not resident or resident[-1] > WORKER_RSS_BUDGET_MB:
+                failures.append(
+                    f"workers hold {resident} MB; each must report, within "
+                    f"the {WORKER_RSS_BUDGET_MB:g} MB budget"
+                )
 
     print(f"compared {compared} answers under kill/wedge chaos; "
           f"{mismatched} diverged")

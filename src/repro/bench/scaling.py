@@ -536,7 +536,6 @@ def ablation_insert_degradation(
     Quantifies the conservative-geometry cost of :meth:`NBIndex.insert`.
     """
     from repro.datasets import GENERATORS
-    from repro.graphs.database import GraphDatabase
 
     generator = GENERATORS[dataset]
     # The generators draw graphs sequentially from one stream, so the
@@ -551,8 +550,7 @@ def ablation_insert_degradation(
     )
     insert_started = time.perf_counter()
     for position in range(base_size, base_size + num_inserts):
-        clone = GraphDatabase._copy_graph(full[position])
-        incremental.insert(clone, full.feature_vector(position))
+        incremental.insert(full[position], full.feature_vector(position))
     insert_seconds = time.perf_counter() - insert_started
 
     rebuilt = NBIndex.build(

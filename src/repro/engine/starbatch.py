@@ -1,9 +1,9 @@
 """Batched star-distance evaluation — the engine's in-process fast path.
 
 :class:`repro.ged.star.StarDistance` evaluates one pair at a time: build a
-token vocabulary for the pair, densify both count matrices, run ``cdist``,
-assemble the doubled ``(n1+n2)²`` Riesen–Bunke padded matrix and solve the
-assignment.  When the engine evaluates a *batch* of pairs (index build,
+token vocabulary for the pair, densify both count matrices, take their L1
+block, assemble the doubled ``(n1+n2)²`` Riesen–Bunke padded matrix and solve
+the assignment.  When the engine evaluates a *batch* of pairs (index build,
 neighborhood materialization), almost all of that work can be shared or
 shrunk without changing a single output bit:
 
@@ -40,9 +40,9 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro import obs
+from repro.ged.lsap import linear_sum_assignment
 from repro.ged.metric import CachingDistance, CountingDistance
 from repro.ged.star import StarDistance
 from repro.graphs.graph import LabeledGraph

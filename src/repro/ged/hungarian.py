@@ -1,11 +1,13 @@
 """A from-scratch Hungarian (Kuhn–Munkres) assignment solver.
 
 The star edit distance and the bipartite GED approximation both reduce to
-the linear sum assignment problem.  Production call sites use
-:func:`scipy.optimize.linear_sum_assignment` (LAPJV, C speed); this module
-provides an independent O(n³) potentials-based implementation that the test
-suite cross-validates against SciPy — so the repository is self-contained
-down to the assignment solver, and a SciPy regression would be caught.
+the linear sum assignment problem.  Production call sites import
+``linear_sum_assignment`` from :mod:`repro.ged.lsap` — SciPy's LAPJV (C
+speed), reached without importing the rest of ``scipy.optimize``; this
+module provides an independent O(n³) potentials-based implementation that
+the test suite cross-validates against SciPy — so the repository is
+self-contained down to the assignment solver, and a SciPy regression would
+be caught.
 
 The algorithm is the shortest-augmenting-path formulation with dual
 potentials (Jonker–Volgenant family): rows are inserted one at a time and

@@ -35,10 +35,9 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from repro import obs
+from repro.ged.lsap import linear_sum_assignment
 from repro.graphs.graph import LabeledGraph
 
 #: Off-diagonal padding cost — larger than any real star cost can be.
@@ -89,9 +88,8 @@ def _star_cost_matrix(p1: _StarProfile, p2: _StarProfile) -> np.ndarray:
         return matrix
 
     c1, c2 = dense(p1), dense(p2)
-    l1 = cdist(c1, c2, metric="cityblock") if len(vocabulary) else np.zeros(
-        (len(p1.roots), len(p2.roots))
-    )
+    # City-block distances between count rows; small integers, so exact.
+    l1 = np.abs(c1[:, None, :] - c2[None, :, :]).sum(axis=2)
     deg_diff = np.abs(p1.degrees[:, None] - p2.degrees[None, :])
     roots1 = np.array(p1.roots)
     roots2 = np.array(p2.roots)

@@ -17,14 +17,28 @@ from repro.graphs.graph import LabeledGraph
 from repro.utils.validation import require
 
 
+def _adopt(graph: LabeledGraph, position: int) -> LabeledGraph:
+    """``graph`` as this database's entry ``position``: numbered in place
+    when the id slot is free or already right, else a structure-sharing
+    copy — never a second id written onto another database's graph."""
+    if graph.graph_id is None or graph.graph_id == position:
+        graph.graph_id = position
+        return graph
+    return graph.renumbered(position)
+
+
 class GraphDatabase:
     """An in-memory graph database ``D = {g_1 … g_n}`` with feature vectors.
 
     Parameters
     ----------
     graphs:
-        The database graphs.  Each graph's ``graph_id`` is overwritten with
-        its position so that ids are always dense ``0..n-1`` indices.
+        The database graphs.  Ids are always dense ``0..n-1`` positions: a
+        graph without an id (or already carrying its position) is numbered
+        in place; one that carries another id belongs to some other
+        database, which must not be renumbered behind its back, so this
+        database holds a structure-sharing copy
+        (:meth:`LabeledGraph.renumbered`) instead.
     features:
         Array-like of shape ``(n, m)`` — one ``m``-dimensional feature vector
         per graph.  A 1-D array of length ``n`` is accepted and reshaped to
@@ -46,8 +60,7 @@ class GraphDatabase:
         )
         self._features = matrix
         self._features.setflags(write=False)
-        for i, g in enumerate(self._graphs):
-            g.graph_id = i
+        self._graphs = [_adopt(g, i) for i, g in enumerate(self._graphs)]
         self._deleted: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -134,10 +147,15 @@ class GraphDatabase:
         """A new database restricted to ``indices`` (ids are renumbered).
 
         Soft-deletion marks are *not* carried over: the subset is a fresh
-        database over copies of the selected graphs.
+        database over O(1) copies of the selected graphs — each shares its
+        original's structure and carries its own id, so subsetting costs a
+        few pointers per graph (shards, snapshots under a latch).
         """
         indices = list(indices)
-        graphs = [self._copy_graph(self._graphs[i]) for i in indices]
+        graphs = [
+            self._graphs[i].renumbered(position)
+            for position, i in enumerate(indices)
+        ]
         return GraphDatabase(graphs, self._features[indices])
 
     def sample(self, size: int, rng: np.random.Generator) -> "GraphDatabase":
@@ -145,10 +163,6 @@ class GraphDatabase:
         require(0 < size <= len(self), f"sample size {size} not in 1..{len(self)}")
         indices = rng.choice(len(self), size=size, replace=False)
         return self.subset(sorted(int(i) for i in indices))
-
-    @staticmethod
-    def _copy_graph(g: LabeledGraph) -> LabeledGraph:
-        return LabeledGraph(g.node_labels, g.edges())
 
     def append(self, graph: LabeledGraph, feature_row) -> int:
         """Add a graph to the database; returns its new id.
@@ -163,8 +177,7 @@ class GraphDatabase:
             f"{self.num_features}",
         )
         new_id = len(self._graphs)
-        graph.graph_id = new_id
-        self._graphs.append(graph)
+        self._graphs.append(_adopt(graph, new_id))
         matrix = np.vstack([self._features, row])
         matrix.setflags(write=False)
         self._features = matrix

@@ -12,9 +12,10 @@ and lets the edit-distance code address vertices by array index.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
+if TYPE_CHECKING:  # networkx is imported by the two converters that use it
+    import networkx as nx
 
 #: Label used for edges when the caller does not supply one.
 DEFAULT_EDGE_LABEL = "-"
@@ -154,6 +155,8 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.Graph:
         """Convert to a :class:`networkx.Graph` with ``label`` attributes."""
+        import networkx as nx
+
         g = nx.Graph()
         for v, label in enumerate(self._node_labels):
             g.add_node(v, label=label)
@@ -194,6 +197,22 @@ class LabeledGraph:
             (mapping[u], mapping[v], label) for u, v, label in self.edges()
         ]
         return LabeledGraph(labels, edges)
+
+    def renumbered(self, graph_id: int | None = None) -> "LabeledGraph":
+        """An O(1) copy under another ``graph_id``, sharing this graph's
+        structure.
+
+        ``graph_id`` is the only slot anything ever reassigns; labels and
+        adjacency are immutable, so the copy references them instead of
+        rebuilding them — a sub-database (a shard, a snapshot) holds each
+        graph's structure once, with its own dense ids.
+        """
+        copy = LabeledGraph.__new__(LabeledGraph)
+        copy._node_labels = self._node_labels
+        copy._adj = self._adj
+        copy._num_edges = self._num_edges
+        copy.graph_id = graph_id
+        return copy
 
     # ------------------------------------------------------------------
     # Value semantics

@@ -15,7 +15,6 @@ empirical FPR estimator used in Figs. 5(f)–5(h).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.ged.metric import GraphDistanceFn
 from repro.index.vantage import VantageEmbedding
@@ -34,6 +33,10 @@ def fpr_upper_bound_gaussian(
     ``mu``/``sigma`` are the mean and standard deviation of the pairwise
     distance distribution, assumed Gaussian.
     """
+    # Imported here: scipy.stats costs ~30 MB per process and only this
+    # sizing rule — never the query path — needs its Φ.
+    from scipy.stats import norm
+
     require_positive(sigma, "sigma")
     require(num_vps >= 1, f"num_vps must be >= 1, got {num_vps}")
     miss = 1.0 - norm.cdf((theta - mu) / sigma)

@@ -51,7 +51,7 @@ from repro.obs.registry import (
     NullRegistry,
 )
 from repro.obs.report import render, report
-from repro.obs.stats import Statable, collect_stats
+from repro.obs.stats import Statable, collect_stats, process_memory
 from repro.obs.tracing import NullTracer, Tracer
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "NullTracer",
     "Statable",
     "collect_stats",
+    "process_memory",
     "SIZE_BUCKETS",
     "TIME_BUCKETS",
     "enable",

@@ -45,3 +45,18 @@ def collect_stats(**components) -> dict:
             continue
         collected[name] = dict(component.stats())
     return collected
+
+
+def process_memory(pid: int | str = "self") -> dict | None:
+    """What one process holds: ``{"rss_mb", "peak_rss_mb"}`` (VmRSS and
+    VmHWM of ``/proc/<pid>/status``), or ``None`` where that cannot be read
+    — no ``/proc`` on this platform, or the process is gone."""
+    try:
+        with open(f"/proc/{pid}/status") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return {
+            "rss_mb": int(fields["VmRSS"].split()[0]) / 1024.0,
+            "peak_rss_mb": int(fields["VmHWM"].split()[0]) / 1024.0,
+        }
+    except (OSError, KeyError, ValueError):
+        return None

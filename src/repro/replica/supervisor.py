@@ -427,6 +427,14 @@ class Supervisor:
             "live": [
                 sum(1 for h in group if h.alive) for group in self.groups
             ],
+            # Read from /proc by pid, so the wire carries nothing new.
+            "rss_mb": [
+                [
+                    memory["rss_mb"] for h in group if h.alive
+                    and (memory := obs.process_memory(h.proc.pid))
+                ]
+                for group in self.groups
+            ],
         }
 
     def __repr__(self) -> str:

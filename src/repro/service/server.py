@@ -386,7 +386,7 @@ class QueryService:
             index_stats["reused_shards"] = index.reused_shards
             if hasattr(index, "supervisor"):  # replicated process cluster
                 index_stats["replica"] = index.supervisor.stats()
-        return {
+        out = {
             "uptime_seconds": time.monotonic() - self.started_at,
             "admission": self.admission.stats(),
             "breaker": self.breaker.stats(),
@@ -398,6 +398,10 @@ class QueryService:
             ),
             "index": index_stats,
         }
+        memory = obs.process_memory()
+        if memory is not None:  # no /proc: the key is absent, not zero
+            out["process"] = memory
+        return out
 
     # ------------------------------------------------------------------
     # Worker internals

@@ -173,9 +173,10 @@ class TestInsert:
         """A new graph that duplicates an existing cluster member must be
         retrievable as part of neighborhoods."""
         db, dist, _, index = _build(seed=8, size=20)
-        clone = GraphDatabase._copy_graph(db[0])
         high = np.full(db.num_features, 10.0)  # certainly relevant
-        new_id = index.insert(clone, high)
+        # db[0] already has an id: the database adopts a renumbered copy.
+        new_id = index.insert(db[0], high)
+        assert (db[0].graph_id, db[new_id].graph_id) == (0, new_id)
         q = quartile_relevance(db, quantile=0.5)
         result = index.query(q, 1e-6, k=len(db))
         assert new_id in result.covered

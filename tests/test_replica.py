@@ -132,6 +132,37 @@ class TestBitIdentity:
                 rep.query(None, 8.0, 3, nonsense=True)
 
 
+def test_stats_say_what_each_process_holds(bundle, cluster_db, monkeypatch):
+    """``stats`` reports the serving process's VmRSS / VmHWM and every
+    live worker's VmRSS — read from /proc by pid, nothing on the wire."""
+    from repro.service import QueryService
+
+    with ReplicatedIndex.open(
+        bundle, cluster_db, StarDistance(), replicas=2,
+    ) as rep:
+        service = QueryService(rep)
+        stats = service.stats()
+        json.dumps(stats)  # the stats op serializes it as is
+        process = stats["process"]
+        assert set(process) == {"rss_mb", "peak_rss_mb"}
+        assert 0.0 < process["rss_mb"] <= process["peak_rss_mb"]
+        assert process == pytest.approx(obs.process_memory(os.getpid()), rel=0.2)
+        workers = stats["index"]["replica"]["rss_mb"]
+        assert [len(group) for group in workers] == [2, 2, 2]
+        assert all(rss > 0.0 for group in workers for rss in group)
+        # A dead worker has no entry; its siblings keep theirs.
+        victim = rep.supervisor.groups[1][0]
+        victim.next_restart_at = float("inf")  # the monitor leaves it down
+        victim.kill()
+        assert [
+            len(group) for group in rep.supervisor.stats()["rss_mb"]
+        ] == [2, 1, 2]
+        # Where /proc cannot be read the section is absent, not zeroed.
+        monkeypatch.setattr(obs, "process_memory", lambda pid="self": None)
+        assert "process" not in service.stats()
+        assert rep.supervisor.stats()["rss_mb"] == [[], [], []]
+
+
 class TestChaosKills:
     def test_kill_churn_keeps_answers_identical(
         self, bundle, cluster_db, relevance_fn, reference,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import cdist
 
 from repro.ged import (
     BipartiteGED,
@@ -14,6 +16,7 @@ from repro.ged import (
     star_assignment_value,
     star_ged_lower_bound,
 )
+from repro.ged.star import _star_cost_matrix, _StarProfile
 from repro.graphs import LabeledGraph, cycle_graph, path_graph, star_graph
 
 # ---------------------------------------------------------------------------
@@ -116,6 +119,40 @@ class TestBasics:
         live = [entry[0]() for entry in sd._profiles.values()]
         assert pinned in live
         assert sum(g is None for g in live) == 0  # dead entries evicted
+
+
+def _profile_of_counts(counts: np.ndarray) -> _StarProfile:
+    """A star profile whose vertex ``v`` has ``counts[v, j]`` branches of
+    token ``j`` (all roots alike, so the ground cost is its branch part)."""
+    profile = _StarProfile.__new__(_StarProfile)
+    profile.roots = ["C"] * len(counts)
+    profile.degrees = counts.sum(axis=1).astype(float)
+    profile.token_counts = [
+        {("-", str(j)): int(c) for j, c in enumerate(row) if c}
+        for row in counts
+    ]
+    return profile
+
+
+class TestCityBlock:
+    """The L1 block is plain numpy; scipy's ``cdist`` stays the referee."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_l1_block_equals_cdist(self, data):
+        width = data.draw(st.integers(1, 6))
+        counts = [
+            data.draw(hnp.arrays(
+                np.int64, (data.draw(st.integers(1, 7)), width),
+                elements=st.integers(0, 5),
+            ))
+            for _ in range(2)
+        ]
+        p1, p2 = map(_profile_of_counts, counts)
+        cost = _star_cost_matrix(p1, p2)
+        degree_gap = np.abs(p1.degrees[:, None] - p2.degrees[None, :])
+        expected = cdist(*counts, metric="cityblock")
+        assert np.array_equal(2.0 * cost - degree_gap, expected)
 
 
 class TestMetricAxioms:

@@ -1,7 +1,7 @@
 """The vectorized star cost matrix against a naive reference implementation.
 
 ``repro.ged.star`` computes star-to-star costs with a closed form
-(root mismatch + (|Δdeg| + L1 of token counts) / 2) over ``cdist``; this
+(root mismatch + (|Δdeg| + L1 of token counts) / 2) in numpy; this
 test re-derives every entry from first principles — explicit multiset
 matching of branch tokens — and the padded assignment against a
 brute-force Hungarian run, so a vectorization bug cannot hide.
