@@ -51,7 +51,7 @@ def degradation_benchmark(
     )
     distance = ExactGED()
     query_fn = quartile_relevance(database, quantile=0.3)
-    engine = DistanceEngine(distance, workers=1, graphs=database.graphs)
+    engine = DistanceEngine(distance, graphs=database.graphs)
     index = NBIndex.build(
         database, distance, engine=engine,
         num_vantage_points=4, branching=4, seed=seed,

@@ -49,13 +49,6 @@ def _identical(got, want) -> bool:
     )
 
 
-def _teardown(index):
-    if hasattr(index, "invalidate_pools"):
-        index.invalidate_pools()
-    elif getattr(index, "engine", None) is not None:
-        index.engine.invalidate_pool()
-
-
 def _time_query(index, query_fn, theta, k, repeats):
     best = float("inf")
     result = None
@@ -165,7 +158,6 @@ def mutation_benchmark(
                 rebuild_q_s, oracle_result = _time_query(
                     oracle, query_fn, theta, k, repeats
                 )
-                _teardown(oracle)
                 points.append({
                     "memtable": mutable.memtable_size,
                     "tombstones": mutable.tombstones,
@@ -188,7 +180,6 @@ def mutation_benchmark(
             _, final_expected = _time_query(
                 final_oracle, query_fn, theta, k, 1
             )
-            _teardown(final_oracle)
 
             rows.append({
                 "layout": layout,

@@ -28,7 +28,7 @@ from repro.core import (
     baseline_greedy,
     lazy_greedy,
 )
-from repro.engine import DistanceEngine, resolve_workers
+from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import (
     GraphDatabase,
@@ -49,7 +49,6 @@ __all__ = [
     "ExactGED",
     "StarDistance",
     "DistanceEngine",
-    "resolve_workers",
     "NBIndex",
     "QuerySession",
     "OffLadderThetaError",
@@ -95,7 +94,6 @@ def open_index(
     shards: bool | int | None = None,
     mutable: bool = False,
     journal=None,
-    workers: int | None = None,
     seed: int = 0,
 ):
     """Open any saved index — single or sharded, read-only or mutable.
@@ -199,7 +197,7 @@ def open_index(
         else database.subset(range(indexed))
     )
     if sharded:
-        base = ShardedIndex.load(path, base_db, distance, workers=workers)
+        base = ShardedIndex.load(path, base_db, distance)
         if isinstance(shards, int) and not isinstance(shards, bool):
             from repro.utils.validation import require
 
@@ -211,7 +209,7 @@ def open_index(
     else:
         from repro.index.persistence import load_index as _load_index
 
-        base = _load_index(path, base_db, distance, workers=workers)
+        base = _load_index(path, base_db, distance)
 
     if not mutable:
         return base
@@ -221,7 +219,6 @@ def open_index(
         database,
         base,
         distance=distance,
-        workers=workers,
         journal=replayed,
         manifest_path=path if sharded else None,
         index_path=None if sharded else path,

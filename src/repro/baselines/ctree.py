@@ -116,15 +116,10 @@ class CTree:
         capacity: int = 16,
         seed=None,
         engine=None,
-        workers: int | None = None,
         rng=None,
     ):
         require(capacity >= 2, f"capacity must be >= 2, got {capacity}")
         require(len(graphs) > 0, "cannot index an empty collection")
-        if engine is None and workers is not None:
-            from repro.engine import DistanceEngine
-
-            engine = DistanceEngine(distance, workers=workers, graphs=graphs)
         self._graphs = graphs
         self._distance = distance
         self._engine = engine

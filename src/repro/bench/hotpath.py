@@ -230,7 +230,6 @@ def _engine_rows(
             "identical": _identical(got, reference),
             "broadcast_words": got.stats.coordinator["broadcast_words"],
         })
-        sharded.invalidate_pools()
     return engines
 
 

@@ -30,6 +30,7 @@ subcommand without flags.
 from __future__ import annotations
 
 import argparse
+import io
 import signal
 import sys
 
@@ -105,8 +106,7 @@ def cmd_build_index(args) -> int:
     index = NBIndex.build(
         database, StarDistance(),
         num_vantage_points=args.vantage_points, branching=args.branching,
-        seed=args.seed, workers=args.workers,
-        checkpoint=args.checkpoint, resume=args.resume,
+        seed=args.seed, checkpoint=args.checkpoint, resume=args.resume,
     )
     save_index(index, args.output)
     print(
@@ -131,12 +131,10 @@ def cmd_shard_build(args) -> int:
         database, distance, num_shards=args.shards, out_dir=args.output,
         partitioner=args.partitioner,
         num_vantage_points=args.vantage_points, branching=args.branching,
-        seed=args.seed, workers=args.workers,
+        seed=args.seed,
     )
     # Load the bundle back: a build that cannot be served is a failed build.
-    sharded = repro.open_index(
-        manifest_path, database, distance, shards=True, workers=args.workers
-    )
+    sharded = repro.open_index(manifest_path, database, distance, shards=True)
     stats = sharded.stats()
     sizes = "/".join(str(s["num_graphs"]) for s in stats["shards"])
     print(
@@ -145,7 +143,6 @@ def cmd_shard_build(args) -> int:
         f"partitioner={stats['partitioner']}, "
         f"built in {sharded.manifest.build['total_seconds']:.1f}s"
     )
-    sharded.invalidate_pools()
     _finish_observation(observation, args)
     return 0
 
@@ -194,7 +191,7 @@ def cmd_query(args) -> int:
             args.shards or args.index, database, distance,
             shards=bool(args.shards),
             mutable=bool(args.journal), journal=args.journal or None,
-            workers=args.workers, seed=args.seed,
+            seed=args.seed,
         )
         if args.journal:
             database = index.database
@@ -219,9 +216,7 @@ def cmd_query(args) -> int:
             from repro.core import baseline_greedy
             from repro.engine import DistanceEngine
 
-            engine = DistanceEngine(
-                distance, workers=args.workers, graphs=database.graphs
-            )
+            engine = DistanceEngine(distance, graphs=database.graphs)
             result = baseline_greedy(
                 database, distance, q, theta, args.k, engine=engine
             )
@@ -229,11 +224,11 @@ def cmd_query(args) -> int:
             if index is None:
                 index = NBIndex.build(
                     database, distance, num_vantage_points=args.vantage_points,
-                    branching=args.branching, seed=args.seed, workers=args.workers,
+                    branching=args.branching, seed=args.seed,
                 )
             result = index.query(q, theta, args.k, epsilon=epsilon)
-            if hasattr(index, "invalidate_pools"):
-                index.invalidate_pools()
+            if args.journal:
+                index.close()
 
     print(f"relevant graphs: {result.num_relevant}")
     print(f"pi(A) = {result.pi:.3f}   CR = {result.compression_ratio:.1f}")
@@ -267,6 +262,21 @@ def _print_degradation_footer(deadline) -> None:
         f"bounds ({breakdown}); pi/CR above are computed on approximate "
         f"neighborhoods"
     )
+
+
+def _stdin_lines():
+    """The stdin transport's request stream: a private reader over fd 0.
+
+    A replica restart forks while the main thread is blocked in
+    ``readline()``; had that been ``sys.stdin.readline()``, the child
+    would inherit ``sys.stdin``'s buffer lock held and deadlock in
+    multiprocessing's ``_close_stdin``.
+    """
+    try:
+        fd = sys.stdin.fileno()
+    except io.UnsupportedOperation:  # an in-memory stand-in has no lock to hold
+        return sys.stdin
+    return open(fd, "r", encoding="utf-8", closefd=False)
 
 
 def cmd_serve(args) -> int:
@@ -315,11 +325,9 @@ def cmd_serve(args) -> int:
         index_path=args.index,
         shards_path=args.shards,
         config=config,
-        workers=args.workers,
         mutable=args.mutable,
         journal=args.journal or None,
         replicas=args.replicas,
-        workers_per_shard=args.workers_per_shard,
         hedge_ms=args.hedge_ms,
         seed=args.seed,
     ).start()
@@ -358,7 +366,7 @@ def cmd_serve(args) -> int:
             report = service.drain()
             print(f"drained: {report}", file=sys.stderr)
     else:
-        report = serve_lines(service, sys.stdin, sys.stdout)
+        report = serve_lines(service, _stdin_lines(), sys.stdout)
         print(f"drained: {report}", file=sys.stderr)
     # stdout is the response stream, so the observability epilogue goes to
     # stderr (drain already flushed the metrics document itself).
@@ -596,9 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vantage-points", type=int, default=20)
     p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None,
-                   help="distance-engine processes (default: "
-                        "$REPRO_ENGINE_WORKERS or serial)")
     p.add_argument("--checkpoint", default=None, metavar="PATH",
                    help="snapshot completed build stages into PATH so an "
                         "interrupted build can resume")
@@ -628,9 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vantage-points", type=int, default=20)
     p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None,
-                   help="distance-engine processes (default: "
-                        "$REPRO_ENGINE_WORKERS or serial)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
                         "(.prom → Prometheus text, else JSON)")
@@ -660,9 +662,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vantage-points", type=int, default=20)
     p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None,
-                   help="distance-engine processes (default: "
-                        "$REPRO_ENGINE_WORKERS or serial)")
     p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
                    help="wall-clock budget for exact edit distances; on "
                         "expiry they degrade to upper bounds and the "
@@ -721,10 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --shards: serve from a supervised process "
                         "cluster with R worker processes per shard "
                         "(failover, restart, degraded partial answers)")
-    p.add_argument("--workers-per-shard", type=int, default=None,
-                   metavar="N",
-                   help="distance-engine processes inside each shard "
-                        "worker (with --replicas; default: serial)")
     p.add_argument("--hedge-ms", type=float, default=None, metavar="MS",
                    help="with --replicas: hedge slow replica reads onto "
                         "a sibling after this floor delay (adaptive "
@@ -743,9 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "from replicas/loaded objects (default: off; "
                         "one-shot 'scrub' protocol ops always work)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=None,
-                   help="distance-engine processes (default: "
-                        "$REPRO_ENGINE_WORKERS or serial)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="flush a repro.obs metrics document on drain "
                         "(.prom → Prometheus text, else JSON)")

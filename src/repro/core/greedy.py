@@ -35,7 +35,6 @@ from repro.core.representative import (
     all_theta_neighborhoods,
 )
 from repro.core.results import QueryResult, QueryStats
-from repro.core.setgreedy import _maybe_engine
 from repro.ged.metric import CountingDistance, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.utils.validation import require_positive
@@ -122,7 +121,6 @@ def baseline_greedy(
     range_query: RangeQueryFn | None = None,
     stop_on_zero_gain: bool = False,
     engine=None,
-    workers: int | None = None,
 ) -> QueryResult:
     """Run Algorithm 1.
 
@@ -145,14 +143,10 @@ def baseline_greedy(
         Optional :class:`~repro.engine.DistanceEngine`; the O(|L_q|²)
         neighborhood materialization then runs as row batches.  The
         selected answer, gains and coverage are identical.
-    workers:
-        Convenience: build a fresh engine with this process fan-out when
-        no ``engine`` is given (same semantics as :meth:`NBIndex.build`).
     """
     require_positive(theta, "theta")
     require_positive(k, "k")
     stats = QueryStats()
-    engine = _maybe_engine(engine, workers, distance, database)
     counting = engine if engine is not None else CountingDistance(distance)
     calls_before = counting.calls
 
@@ -215,7 +209,6 @@ def lazy_greedy(
     range_query: RangeQueryFn | None = None,
     stop_on_zero_gain: bool = False,
     engine=None,
-    workers: int | None = None,
 ) -> QueryResult:
     """Index-free lazy greedy — Algorithm 1 with a max-heap of stale gains.
 
@@ -229,7 +222,6 @@ def lazy_greedy(
     require_positive(theta, "theta")
     require_positive(k, "k")
     stats = QueryStats()
-    engine = _maybe_engine(engine, workers, distance, database)
     counting = engine if engine is not None else CountingDistance(distance)
     calls_before = counting.calls
 

@@ -39,9 +39,6 @@ class TopKRepresentativeQuery:
     seed:
         Drives the lazy index build's stochastic choices (int or numpy
         Generator); forwarded to :meth:`NBIndex.build`.
-    workers:
-        Process fan-out of the lazy build's distance engine; forwarded to
-        :meth:`NBIndex.build`.
     index_params:
         Further keyword arguments forwarded to :meth:`NBIndex.build` when
         the index is built lazily (``num_vantage_points``, ``branching``,
@@ -55,7 +52,6 @@ class TopKRepresentativeQuery:
         index: NBIndex | None = None,
         *,
         seed=None,
-        workers: int | None = None,
         **index_params,
     ):
         self.database = database
@@ -77,8 +73,6 @@ class TopKRepresentativeQuery:
             seed = index_params.pop("rng")
         if seed is not None:
             index_params["seed"] = seed
-        if workers is not None:
-            index_params["workers"] = workers
         self._index_params = index_params
 
     @property

@@ -33,15 +33,6 @@ from repro.graphs.database import GraphDatabase
 from repro.utils.validation import require_positive
 
 
-def _maybe_engine(engine, workers, distance, database):
-    """Build a :class:`DistanceEngine` when ``workers`` is given without one."""
-    if engine is not None or workers is None:
-        return engine
-    from repro.engine import DistanceEngine
-
-    return DistanceEngine(distance, workers=workers, graphs=database.graphs)
-
-
 def baseline_greedy_sets(
     database: GraphDatabase,
     distance: GraphDistanceFn,
@@ -52,13 +43,11 @@ def baseline_greedy_sets(
     range_query: RangeQueryFn | None = None,
     stop_on_zero_gain: bool = False,
     engine=None,
-    workers: int | None = None,
 ) -> QueryResult:
     """Algorithm 1 with Python-set coverage bookkeeping (reference)."""
     require_positive(theta, "theta")
     require_positive(k, "k")
     stats = QueryStats()
-    engine = _maybe_engine(engine, workers, distance, database)
     counting = engine if engine is not None else CountingDistance(distance)
     calls_before = counting.calls
 
@@ -120,7 +109,6 @@ def lazy_greedy_sets(
     range_query: RangeQueryFn | None = None,
     stop_on_zero_gain: bool = False,
     engine=None,
-    workers: int | None = None,
 ) -> QueryResult:
     """Lazy greedy with Python-set coverage bookkeeping (reference)."""
     import heapq
@@ -128,7 +116,6 @@ def lazy_greedy_sets(
     require_positive(theta, "theta")
     require_positive(k, "k")
     stats = QueryStats()
-    engine = _maybe_engine(engine, workers, distance, database)
     counting = engine if engine is not None else CountingDistance(distance)
     calls_before = counting.calls
 

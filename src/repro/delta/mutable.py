@@ -90,7 +90,6 @@ class MutableIndex:
         base,
         *,
         distance,
-        workers: int | None = None,
         journal: MutationJournal | None = None,
         manifest_path: str | Path | None = None,
         index_path: str | Path | None = None,
@@ -101,7 +100,6 @@ class MutableIndex:
         self.database = database  # the LIVE database; grows in place
         self.base = base
         self.distance = distance
-        self.workers = workers
         self.journal = journal
         self.manifest_path = (
             Path(manifest_path) if manifest_path is not None else None
@@ -128,9 +126,7 @@ class MutableIndex:
         # the live graph list, so appended graphs are immediately
         # reachable.  Shard engines keep speaking local ids; this one
         # speaks global ids only.
-        self.engine = DistanceEngine(
-            distance, workers=workers, graphs=database.graphs
-        )
+        self.engine = DistanceEngine(distance, graphs=database.graphs)
 
     @staticmethod
     def _base_count(base) -> int:
@@ -212,7 +208,6 @@ class MutableIndex:
         Returns its global id."""
         with self.latch.write():
             gid = self.database.append(graph, feature_row)
-            self.engine.invalidate_pool()
             if self.journal is not None:
                 self.journal.append_insert(gid, self.database[gid], feature_row)
         obs.counter("delta.inserts")
@@ -253,7 +248,6 @@ class MutableIndex:
             )
             new_id = self.database.append(graph, feature_row)
             self.database.mark_deleted(gid)
-            self.engine.invalidate_pool()
             if self.journal is not None:
                 self.journal.append_update(
                     gid, new_id, self.database[new_id], feature_row
@@ -406,7 +400,6 @@ class MutableIndex:
             branching=base.tree.branching,
             thresholds=base.ladder,
             seed=np.random.default_rng(self.seed),
-            workers=self.workers,
         )
         if self.index_path is not None:
             # Stage → verify → atomic rename, so a torn write can never
@@ -483,7 +476,6 @@ class MutableIndex:
                     branching=int(manifest.build.get("branching", 8)),
                     thresholds=ladder,
                     rng=np.random.default_rng(shard_seeds[shard_id]),
-                    workers=self.workers,
                 )
                 obs.counter("delta.shard_rebuilds")
             elif manifest.frame is None:
@@ -507,8 +499,6 @@ class MutableIndex:
             # Verify before the manifest references it: a torn artifact
             # write must fail the compaction, not the next load.
             unwrap_checksummed(raw, source=str(artifact))
-            if index.engine is not None:
-                index.engine.invalidate_pool()
             entries.append(ShardEntry(
                 shard_id=shard_id,
                 path=artifact.name,
@@ -545,9 +535,7 @@ class MutableIndex:
             shards=shards,
             manifest=new_manifest,
             frame=VantageFrame(frame.vantage_ids, coords, frame.extra),
-            engine=DistanceEngine(
-                self.distance, workers=self.workers, graphs=snapshot.graphs
-            ),
+            engine=DistanceEngine(self.distance, graphs=snapshot.graphs),
             path=Path(manifest_path),
             reused_shards=num_shards - len(changed),
         )
@@ -585,15 +573,9 @@ class MutableIndex:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self.engine.invalidate_pool()
-        if hasattr(self.base, "invalidate_pools"):
-            self.base.invalidate_pools()
-        elif getattr(self.base, "engine", None) is not None:
-            self.base.engine.invalidate_pool()
+        """Close the journal, if one is attached."""
         if self.journal is not None:
             self.journal.close()
-
-    invalidate_pools = close
 
     def __repr__(self) -> str:
         return (

@@ -1,6 +1,6 @@
-"""Batch distance engine: pooled, prefiltered, cached GED evaluation."""
+"""Batch distance engine: batched, prefiltered, cached GED evaluation."""
 
-from repro.engine.core import DistanceEngine, resolve_workers
+from repro.engine.core import DistanceEngine
 from repro.engine.starbatch import (
     BatchStarEvaluator,
     batch_evaluator_for,
@@ -9,7 +9,6 @@ from repro.engine.starbatch import (
 
 __all__ = [
     "DistanceEngine",
-    "resolve_workers",
     "BatchStarEvaluator",
     "batch_evaluator_for",
     "unwrap_distance",

@@ -240,7 +240,7 @@ def batch_evaluator_for(distance) -> BatchStarEvaluator | None:
 
     Only a (possibly counting/caching-wrapped) :class:`StarDistance` has a
     vectorized evaluator today; every other metric falls back to per-pair
-    calls, still chunked over the worker pool.
+    calls.
     """
     base = unwrap_distance(distance)
     if type(base) is StarDistance:

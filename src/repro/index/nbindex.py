@@ -105,7 +105,6 @@ class NBIndex:
         seed=None,
         vp_strategy: str = "random",
         validate_metric: bool = False,
-        workers: int | None = None,
         engine=None,
         rng=None,
         checkpoint=None,
@@ -124,11 +123,8 @@ class NBIndex:
 
         Every distance goes through a shared
         :class:`~repro.engine.DistanceEngine` (batched evaluation + the
-        symmetric cache the old counting/caching pair provided).
-        ``workers`` sets its process fan-out — ``None`` defers to the
-        ``REPRO_ENGINE_WORKERS`` environment variable, defaulting to
-        serial; the built index is identical for every worker count.  Pass
-        a prebuilt ``engine`` to share its cache across builds.
+        symmetric cache the old counting/caching pair provided).  Pass a
+        prebuilt ``engine`` to share its cache across builds.
 
         ``seed`` (an int or a numpy Generator) drives vantage/pivot
         selection; ``rng`` is its deprecated alias.
@@ -151,9 +147,7 @@ class NBIndex:
 
         rng = resolve_seed(seed, rng, "NBIndex.build")
         if engine is None:
-            engine = DistanceEngine(
-                distance, workers=workers, graphs=database.graphs
-            )
+            engine = DistanceEngine(distance, graphs=database.graphs)
         if validate_metric:
             _spot_check_metric(database, engine, rng)
 
@@ -263,7 +257,6 @@ class NBIndex:
         branching: int,
         thresholds: ThresholdLadder,
         rng,
-        workers: int | None = None,
     ) -> "NBIndex":
         """Build over vantage coordinates that already exist: only the
         NB-Tree costs distances.  This is how a shard of a bundle is built
@@ -275,7 +268,7 @@ class NBIndex:
         from repro.engine import DistanceEngine
 
         started = time.perf_counter()
-        engine = DistanceEngine(distance, workers=workers, graphs=database.graphs)
+        engine = DistanceEngine(distance, graphs=database.graphs)
         embedding = VantageEmbedding.from_coords(
             database.graphs, vantage_indices, engine, coords
         )
@@ -435,10 +428,6 @@ class NBIndex:
             raise ReadOnlyIndexError("insert", "NBIndex (a bundle's shard)")
         new_id = self.database.append(graph, feature_row)
         graph = self.database[new_id]
-        if self.engine is not None:
-            # Worker processes hold a snapshot of the graph list; drop the
-            # pool so the next batch is created against the grown database.
-            self.engine.invalidate_pool()
         self.embedding.append_graph(graph)
 
         tree = self.tree

@@ -231,15 +231,12 @@ def load_index(
     path: str | Path,
     database: GraphDatabase,
     distance: GraphDistanceFn,
-    workers: int | None = None,
 ) -> NBIndex:
     """Load an index saved by :func:`save_index` against its database.
 
     ``distance`` must be the same metric the index was built with (the
     stored coordinates and radii are only meaningful for it); the database
-    is verified by fingerprint.  ``workers`` configures the loaded index's
-    :class:`~repro.engine.DistanceEngine` exactly as in
-    :meth:`NBIndex.build`.
+    is verified by fingerprint.
     """
     path = Path(path)
     payload, bare = _payload(path)
@@ -262,9 +259,7 @@ def load_index(
 
         from repro.engine import DistanceEngine
 
-        engine = DistanceEngine(
-            distance, workers=workers, graphs=database.graphs
-        )
+        engine = DistanceEngine(distance, graphs=database.graphs)
         embedding = VantageEmbedding.from_coords(
             database.graphs, data["vantage_indices"], engine, data["coords"]
         )

@@ -22,11 +22,12 @@ Typical usage::
 
 or from the CLI: ``repro query db.jsonl --metrics out.json --trace``.
 
-Process-pool workers get their own registry (installed at worker init by
-:mod:`repro.engine.pool`); each task ships its delta back with the result
-and the parent merges it here (:func:`merge_state`), so pool fan-out is
-invisible in the aggregated numbers and worker chunk spans appear nested
-under the batch that dispatched them.
+A process that does work on another's behalf can take a delta of its own
+registry and spans (:func:`export_state`) and ship it back for the parent
+to fold in (:func:`merge_state`): counters add and the foreign spans nest
+under the span open at the merge.  Nothing in ``src/`` crosses a process
+boundary this way today — it is the mechanism replica workers' per-round
+deltas are to use (ROADMAP, explain item).
 
 Setting the ``REPRO_OBS`` environment variable to ``1`` enables
 observability at CLI/benchmark startup (:func:`maybe_enable_from_env`),
@@ -115,8 +116,8 @@ def enable(fresh: bool = False) -> MetricsRegistry:
     """Install a recording registry + tracer; returns the registry.
 
     Idempotent: an already-enabled registry is kept (its data intact)
-    unless ``fresh=True``, which always starts empty — pool workers use
-    that to shed state inherited across ``fork``.
+    unless ``fresh=True``, which always starts empty — what a forked
+    process needs to shed the state it inherited.
     """
     global _registry, _tracer
     if fresh or not _registry.enabled:
@@ -242,7 +243,7 @@ def span(name: str, **attrs):
 
 
 # ---------------------------------------------------------------------------
-# Cross-process aggregation (pool workers)
+# Cross-process aggregation
 # ---------------------------------------------------------------------------
 def export_state(reset_after: bool = False) -> dict:
     """Snapshot the registry + spans, optionally resetting (worker deltas)."""

@@ -2,7 +2,7 @@
 
 Two implementations share one duck-typed interface.  :class:`MetricsRegistry`
 records everything under a lock (instrumented code runs in the benchmark
-harness's threads and in pool workers); :class:`NullRegistry` — the default —
+harness's and the query service's threads); :class:`NullRegistry` — the default —
 turns every recording call into an immediate no-op, so instrumentation left
 in hot paths costs one attribute lookup and an empty call.  Consumers never
 branch on "is observability on": they call the same methods either way, and
@@ -13,14 +13,14 @@ The value vocabulary is deliberately small and Prometheus-shaped:
 * **counter** — monotonically increasing total (``engine.evaluations``);
 * **gauge** — last-write-wins sample (``engine.cache_size``);
 * **timer** — an observation stream summarized as count/total/min/max,
-  recorded via ``with registry.timer("engine.pool.map_seconds"): ...`` or
+  recorded via ``with registry.timer("shard.build_one_seconds"): ...`` or
   :meth:`MetricsRegistry.observe`;
 * **histogram** — counts over *explicit* bucket upper bounds, with an
   implicit overflow bucket (``engine.batch_size``).
 
 Snapshots are plain JSON-safe dicts (no ``inf``, no custom types), which is
 also the merge format: :meth:`MetricsRegistry.merge` folds a snapshot from
-another registry — e.g. one shipped back from a process-pool worker — into
+another registry — e.g. one shipped back from another process — into
 this one.
 """
 
@@ -204,8 +204,8 @@ class MetricsRegistry:
         """Fold another registry's :meth:`snapshot` into this one.
 
         Counters, timer streams and same-bucket histograms add; gauges are
-        last-write-wins.  This is how per-worker registries from
-        :mod:`repro.engine.pool` are aggregated on join.
+        last-write-wins.  This is how another process's registry
+        delta is aggregated (:func:`repro.obs.merge_state`).
         """
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name, value)

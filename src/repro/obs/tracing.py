@@ -15,9 +15,9 @@ is what the exporters read.
 
 Finished spans are plain dicts — ``{"name", "seconds", "attrs",
 "children"}`` — so they serialize as-is and can travel across process
-boundaries: :meth:`Tracer.attach` grafts span records produced in a pool
-worker under the caller's currently open span (see
-:mod:`repro.engine.pool`).
+boundaries: :meth:`Tracer.attach` grafts span records produced in another
+process under the caller's currently open span (see
+:func:`repro.obs.merge_state`).
 
 Like the metrics registry, the default tracer is a no-op
 (:class:`NullTracer`): ``span()`` hands back a shared do-nothing context
@@ -145,7 +145,7 @@ class Tracer:
         """Graft foreign span records (dicts) into the current position.
 
         Extra ``attrs`` are stamped onto each record — e.g. the worker pid
-        when merging spans shipped back from a process-pool worker.  With a
+        when merging spans shipped back from another process.  With a
         span open on this thread the records become its children; otherwise
         they are collected as roots.
         """

@@ -86,7 +86,6 @@ class ReplicatedIndex:
         distance,
         *,
         replicas: int = 2,
-        workers_per_shard: int | None = None,
         op_timeout_s: float = 10.0,
         hedge_ms: float | None = None,
         heartbeat_s: float = 0.5,
@@ -124,7 +123,6 @@ class ReplicatedIndex:
                 DistanceEngine(distance, graphs=database.graphs),
             ),
             replicas=replicas,
-            workers_per_shard=workers_per_shard,
             heartbeat_s=heartbeat_s,
             wedge_timeout_s=wedge_timeout_s,
             spawn_timeout_s=spawn_timeout_s,
@@ -333,11 +331,9 @@ class ReplicatedIndex:
             "replica": self.supervisor.stats(),
         }
 
-    def invalidate_pools(self) -> None:
-        """Lifecycle hook parity: tears down the whole worker fleet."""
+    def close(self) -> None:
+        """Tear down the whole worker fleet."""
         self.supervisor.stop()
-
-    close = invalidate_pools
 
     def __enter__(self) -> "ReplicatedIndex":
         return self

@@ -188,7 +188,6 @@ class Supervisor:
         *,
         frame,
         replicas: int = 2,
-        workers_per_shard: int | None = None,
         heartbeat_s: float = 0.5,
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
@@ -206,7 +205,6 @@ class Supervisor:
         self.frame = frame
         self.num_shards = int(num_shards)
         self.replicas = int(replicas)
-        self.workers_per_shard = workers_per_shard
         self.heartbeat_s = float(heartbeat_s)
         self.wedge_timeout_s = float(wedge_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
@@ -308,8 +306,7 @@ class Supervisor:
                 args=(
                     child_sock, inherited, self.database, self.distance,
                     str(self.manifest_path), handle.shard_id,
-                    handle.replica_index, self.frame,
-                    self.workers_per_shard, self.max_frame_bytes,
+                    handle.replica_index, self.frame, self.max_frame_bytes,
                 ),
                 name=(
                     f"repro-shard{handle.shard_id}-r{handle.replica_index}"
@@ -448,7 +445,7 @@ class Supervisor:
 
 def _worker_entry(
     conn, inherited, database, distance, manifest_path,
-    shard_id, replica_index, frame, engine_workers, max_frame,
+    shard_id, replica_index, frame, max_frame,
 ) -> None:
     """Child-process shim: drop inherited pipes, then serve."""
     for sock in inherited:
@@ -460,5 +457,5 @@ def _worker_entry(
             pass
     worker_main(
         conn, database, distance, manifest_path, shard_id, replica_index,
-        frame, engine_workers=engine_workers, max_frame=max_frame,
+        frame, max_frame=max_frame,
     )

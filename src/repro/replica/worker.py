@@ -119,7 +119,6 @@ class ShardWorker:
         replica_index: int,
         *,
         frame,
-        engine_workers: int | None = None,
         session_cap: int = SESSION_CAP,
     ):
         from repro.engine import DistanceEngine
@@ -137,11 +136,7 @@ class ShardWorker:
         #: corrupted file needs a copy that does not live on that disk.
         self.artifact_path = artifact
         self.artifact_bytes = artifact.read_bytes()
-        # Serial unless asked: a replica worker is a daemonic process and
-        # cannot fork an engine pool, so ``REPRO_ENGINE_WORKERS`` (which
-        # ``None`` would resolve to) must not reach its engines.
-        engine_workers = engine_workers or 1
-        self.index = load_index(artifact, sub, distance, workers=engine_workers)
+        self.index = load_index(artifact, sub, distance)
         #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
         #: graph's coordinates, wherever it lives.
         self.frame = frame
@@ -155,9 +150,7 @@ class ShardWorker:
         #: Cross-shard distances go through a *global-id* engine over the
         #: full database — the same id discipline as the in-process
         #: coordinator (mixing id spaces would alias pair-cache keys).
-        self.global_engine = DistanceEngine(
-            distance, workers=engine_workers, graphs=database.graphs
-        )
+        self.global_engine = DistanceEngine(distance, graphs=database.graphs)
         self.sessions: OrderedDict[str, _Session] = OrderedDict()
         self.session_cap = int(session_cap)
         self.ops_served = 0
@@ -391,7 +384,6 @@ def worker_main(
     shard_id: int,
     replica_index: int,
     frame,
-    engine_workers: int | None = None,
     max_frame: int = wire.MAX_FRAME_BYTES,
 ) -> None:
     """Forked-process entry: serve frames on ``conn`` until EOF.
@@ -402,7 +394,7 @@ def worker_main(
     """
     worker = ShardWorker(
         database, distance, manifest_path, shard_id, replica_index,
-        frame=frame, engine_workers=engine_workers,
+        frame=frame,
     )
     reader = conn.makefile("rb")
     try:

@@ -1,16 +1,16 @@
-"""Resilience layer: deadlines, fault-tolerant fan-out, durable writes.
+"""Resilience layer: deadlines, restart backoff, durable writes.
 
 The paper's value proposition — cheap queries after an expensive offline
 phase — only holds in production if a pathological GED pair can't stall a
-query forever, a dead pool worker can't kill a batch, and a kill -9 can't
-throw away an hour-long build.  This package provides the shared
-machinery; the engine, GED, index and persistence layers hook into it.
+query forever and a kill -9 can't throw away an hour-long build.  This
+package provides the shared machinery; the GED, index, replica and
+persistence layers hook into it.
 
 * :mod:`~repro.resilience.deadline` — budget propagation
   (:class:`Deadline`, :func:`deadline_scope`, :class:`BudgetExceeded`)
   and the exact→beam→bipartite degradation accounting.
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy` for pool respawn
-  backoff.
+* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`, the restart
+  backoff schedule.
 * :mod:`~repro.resilience.atomicio` — atomic renames and the checksummed
   container (:func:`atomic_write`, :func:`write_checksummed`).
 * :mod:`~repro.resilience.checkpoint` — resumable, bit-identical index

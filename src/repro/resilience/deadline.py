@@ -3,20 +3,20 @@
 A :class:`Deadline` carries a wall-clock budget (seconds) and/or a per-call
 A* expansion budget through the query stack: callers pass it to
 ``NBIndex.build``/``QuerySession.query`` (or install it ambiently with
-:func:`deadline_scope`), the :class:`~repro.engine.DistanceEngine` ships it
-to pool workers alongside each chunk, and :class:`~repro.ged.ExactGED`
+:func:`deadline_scope`), a replicated deployment ships it to its shard
+workers on the session ``open`` frame, and :class:`~repro.ged.ExactGED`
 checks it during the A* search.  On expiry the exact solver raises
 :class:`BudgetExceeded` and *degrades* to a polynomial upper bound instead
 of stalling — see the degradation ladder in ``docs/resilience.md``.
 
 Every degradation is recorded on the deadline itself (``degradations`` is
 a ``{kind: count}`` dict), mirrored into :mod:`repro.obs` counters
-(``resilience.degraded.<kind>``), and merged back from worker processes,
+(``resilience.degraded.<kind>``), and merged back from replica workers,
 so a result computed under pressure is *flagged*, never silently wrong.
 
 Expiry is an absolute ``time.monotonic()`` instant, which is comparable
 across forked worker processes (same system clock), so a deadline shipped
-to the pool means the same moment everywhere.
+to a replica worker means the same moment everywhere.
 """
 
 from __future__ import annotations
@@ -121,8 +121,7 @@ class Deadline:
         obs.counter(f"resilience.degraded.{kind}")
 
     def merge_degradations(self, other: dict) -> None:
-        """Fold a worker's degradation counts in (obs already merged via
-        the worker's own registry delta — no double counting here)."""
+        """Fold a replica worker's degradation counts in."""
         for kind, count in other.items():
             self.degradations[kind] = self.degradations.get(kind, 0) + int(count)
 
@@ -130,7 +129,8 @@ class Deadline:
     # Cross-process shipping
     # ------------------------------------------------------------------
     def state(self) -> dict:
-        """Picklable form for pool payloads (absolute monotonic expiry)."""
+        """JSON-able form for the replica ``open`` frame (absolute
+        monotonic expiry)."""
         return {
             "seconds": self.seconds,
             "expansion_limit": self.expansion_limit,
@@ -160,8 +160,8 @@ class Deadline:
 # Ambient deadline.  The stack is *thread-local*: the query service runs
 # concurrent requests on worker threads, each under its own per-request
 # deadline, and a shared stack would leak one request's budget into
-# another.  Forked pool workers never rely on the ambient stack — the
-# engine ships the deadline state inside each chunk payload.
+# another.  Replica workers never rely on the ambient stack — the
+# deadline state arrives on the session's ``open`` frame.
 # ---------------------------------------------------------------------------
 _local = threading.local()
 

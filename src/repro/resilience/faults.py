@@ -2,16 +2,16 @@
 
 A :class:`FaultPlan` describes which failures to inject; code under test
 installs it (usually via the :func:`injected` context manager) and the
-library's hook points — pool worker entry, exact-GED calls, checksummed
-writes, build-stage checkpoints — consult the active plan.  With no plan
-installed every hook is a cheap ``None``-check, so production paths pay
-nothing.
+library's hook points — replica worker op entry, exact-GED calls,
+checksummed writes, build-stage checkpoints — consult the active plan.
+With no plan installed every hook is a cheap ``None``-check, so production
+paths pay nothing.
 
-Cross-process determinism: pool workers are forked, so they inherit the
-plan installed in the parent *at pool-creation time*.  One-shot worker
-crashes are coordinated through a token *file*: the first worker chunk to
-atomically ``unlink`` it wins and dies; every other process sees the token
-gone and proceeds.  That makes "exactly one worker crashes, exactly once"
+Cross-process determinism: shard replica workers are forked, so they
+inherit the plan installed in the parent *at fork time*.  One-shot worker
+kills and wedges are coordinated through a token *file*: the first worker
+op to atomically ``unlink`` it wins; every other process sees the token
+gone and proceeds.  That makes "exactly one worker dies, exactly once"
 reproducible regardless of scheduling.
 """
 
@@ -32,11 +32,6 @@ class SimulatedCrash(RuntimeError):
 class FaultPlan:
     """What to inject.  All fields default to "inject nothing".
 
-    crash_token:
-        Path to an existing file; the first pool-worker chunk to unlink it
-        calls ``os._exit`` — a hard one-shot worker death.
-    crash_always:
-        Every pool-worker chunk dies — exercises the serial fallback.
     slow_sites:
         ``{site: seconds}`` sleeps injected at named hook sites (e.g.
         ``"ged.exact"``), at most ``slow_limit`` times per process.
@@ -80,8 +75,6 @@ class FaultPlan:
         chaos sweep can kill at the Nth fsync/rename, not just the first.
     """
 
-    crash_token: str | os.PathLike | None = None
-    crash_always: bool = False
     slow_sites: dict = field(default_factory=dict)
     slow_limit: int | None = None
     torn_write: bool = False
@@ -130,22 +123,6 @@ def injected(plan: FaultPlan):
 # ---------------------------------------------------------------------------
 # Hook sites
 # ---------------------------------------------------------------------------
-def maybe_crash_worker() -> None:
-    """Pool-worker chunk entry.  Never called in the parent process —
-    ``os._exit`` here must only ever kill a worker."""
-    plan = _PLAN
-    if plan is None:
-        return
-    if plan.crash_always:
-        os._exit(3)
-    if plan.crash_token is not None:
-        try:
-            os.unlink(plan.crash_token)  # atomic: exactly one winner
-        except FileNotFoundError:
-            return
-        os._exit(3)
-
-
 def maybe_slow(site: str) -> None:
     """Named slow-path site (e.g. the exact-GED solver)."""
     plan = _PLAN

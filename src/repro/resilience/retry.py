@@ -1,9 +1,9 @@
-"""Retry policy for pool fan-out recovery.
+"""Retry policy for worker restarts.
 
 Capped exponential backoff with multiplicative jitter — the standard shape
 for "respawn and try again" loops: the exponent keeps a persistently
-broken pool from being hammered, the cap bounds the worst-case stall, and
-the jitter de-synchronizes concurrent engines sharing a machine.
+failing worker from being hammered, the cap bounds the worst-case stall,
+and the jitter de-synchronizes restarts sharing a machine.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from repro.utils.validation import require
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Knobs for :class:`~repro.engine.DistanceEngine` pool recovery.
+    """Backoff schedule; paces :class:`~repro.replica.Supervisor`'s
+    restarts of a shard worker that keeps failing to come up.
 
-    ``max_attempts`` counts *pool* attempts (the first try included);
-    after they are exhausted the engine falls back to in-process serial
-    evaluation, which always succeeds and is bit-identical.
+    ``max_attempts`` counts attempts, the first try included (see
+    :meth:`delays`).
     """
 
     max_attempts: int = 3

@@ -1,6 +1,6 @@
 """Circuit breaker around the distance backends.
 
-A wedged process pool or an exact-GED backend that degrades on every
+A wedged replica fleet or an exact-GED backend that degrades on every
 single call does not just slow one query — it stalls the bounded queue
 behind it and turns overload into an outage.  The breaker watches query
 outcomes and, once the backend looks unhealthy, fails *fast*: queries run
@@ -155,7 +155,7 @@ class CircuitBreaker:
                 self._consecutive_degradations = 0
 
     def record_failure(self, *, probe: bool = False) -> None:
-        """A query raised (pool wedged, backend exploded, ...)."""
+        """A query raised (fleet wedged, backend exploded, ...)."""
         with self._lock:
             if probe:
                 self._probe_inflight = False

@@ -56,13 +56,11 @@ class IndexManager:
         database=None,
         distance=None,
         watch_path: str | os.PathLike | None = None,
-        workers: int | None = None,
     ):
         self._latch = ReadWriteLatch()
         self._index = index
         self._database = database if database is not None else index.database
         self._distance = distance if distance is not None else index.distance
-        self._workers = workers
         self.watch_path = None if watch_path is None else Path(watch_path)
         self._seen = (
             _fingerprint(self.watch_path) if self.watch_path is not None else None
@@ -110,14 +108,11 @@ class IndexManager:
                 self._index if isinstance(self._index, ShardedIndex) else None
             )
             return ShardedIndex.load(
-                path, self._database, self._distance,
-                workers=self._workers, previous=previous,
+                path, self._database, self._distance, previous=previous
             )
         from repro.index.persistence import load_index
 
-        return load_index(
-            path, self._database, self._distance, workers=self._workers
-        )
+        return load_index(path, self._database, self._distance)
 
     def reload(self, path: str | os.PathLike) -> int:
         """Validate the artifact at ``path`` and swap it in.
@@ -137,17 +132,13 @@ class IndexManager:
                 f"reload candidate {path} rejected, previous index stays "
                 f"installed (generation {self.generation}): {error}"
             ) from error
-        previous = None
         with self._latch.write():
-            previous, self._index = self._index, candidate
+            self._index = candidate
             self.generation += 1
             generation = self.generation
         self.reloads += 1
         obs.counter("service.reload.success")
         obs.gauge("service.index_generation", generation)
-        # The old index's pool is dead weight once no query references it.
-        if previous is not None and getattr(previous, "engine", None) is not None:
-            previous.engine.invalidate_pool()
         return generation
 
     def maybe_reload(self) -> bool:

@@ -99,11 +99,10 @@ class QueryService:
     """A running query service over one (hot-swappable) NB-Index."""
 
     def __init__(self, index, *, config: ServiceConfig | None = None,
-                 distance=None, workers: int | None = None):
+                 distance=None):
         self.config = config or ServiceConfig()
         self.manager = IndexManager(
-            index, distance=distance, watch_path=self.config.watch,
-            workers=workers,
+            index, distance=distance, watch_path=self.config.watch
         )
         self.admission = AdmissionController(
             max_queue=self.config.max_queue,
@@ -139,11 +138,9 @@ class QueryService:
         shards_path=None,
         distance=None,
         config: ServiceConfig | None = None,
-        workers: int | None = None,
         mutable: bool = False,
         journal=None,
         replicas: int | None = None,
-        workers_per_shard: int | None = None,
         hedge_ms: float | None = None,
         **build_kwargs,
     ) -> "QueryService":
@@ -202,12 +199,9 @@ class QueryService:
 
             index = ReplicatedIndex.open(
                 shards_path, database, distance,
-                replicas=replicas, workers_per_shard=workers_per_shard,
-                hedge_ms=hedge_ms,
+                replicas=replicas, hedge_ms=hedge_ms,
             )
-            service = cls(
-                index, config=config, distance=distance, workers=workers
-            )
+            service = cls(index, config=config, distance=distance)
             service.source_paths = source_paths
             return service
         artifact = shards_path if shards_path is not None else index_path
@@ -221,7 +215,7 @@ class QueryService:
                 else repro.open_database(database_path),
                 distance,
                 shards=shards_path is not None,
-                mutable=mutable, journal=journal, workers=workers,
+                mutable=mutable, journal=journal,
                 seed=int(build_kwargs.get("seed", 0) or 0),
             )
             if config.watch is None and not mutable:
@@ -233,21 +227,17 @@ class QueryService:
                 "shards_path) to anchor the base generation",
             )
             database = repro.open_database(database_path)
-            index = repro.NBIndex.build(
-                database, distance, workers=workers, **build_kwargs
-            )
+            index = repro.NBIndex.build(database, distance, **build_kwargs)
             if mutable:
                 from repro.delta import MutableIndex
 
-                index = MutableIndex(
-                    database, index, distance=distance, workers=workers
-                )
+                index = MutableIndex(database, index, distance=distance)
         require(
             not (mutable and config.watch is not None),
             "a mutable deployment cannot also hot-reload from a watch "
             "path; compaction owns index swaps",
         )
-        service = cls(index, config=config, distance=distance, workers=workers)
+        service = cls(index, config=config, distance=distance)
         service.source_paths = source_paths
         return service
 
@@ -322,13 +312,9 @@ class QueryService:
             )
         )
         clean = not any(thread.is_alive() for thread in self._threads)
-        index = self.manager.index
-        if hasattr(index, "invalidate_pools"):  # sharded: global + per-shard
-            index.invalidate_pools()
-        else:
-            engine = getattr(index, "engine", None)
-            if engine is not None and hasattr(engine, "invalidate_pool"):
-                engine.invalidate_pool()
+        close = getattr(self.manager.index, "close", None)
+        if close is not None:  # mutable: journal; replicated: worker fleet
+            close()
         obs.counter("service.drains")
         obs.gauge("service.queue_depth", 0)
         if self.config.metrics_path and obs.enabled():

@@ -53,14 +53,12 @@ def build_shards(
     branching: int = 8,
     thresholds: ThresholdLadder | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> Path:
     """Build S per-shard indexes plus a manifest under ``out_dir``.
 
     Returns the manifest path.  ``thresholds`` overrides the global ladder
     (otherwise it is derived from whole-database distance samples exactly
-    as :meth:`NBIndex.build` would); ``workers`` configures the engines
-    used during the build — the artifacts are identical for any count.
+    as :meth:`NBIndex.build` would).
     """
     require(len(database) > 0, "cannot shard an empty database")
     require(
@@ -76,9 +74,7 @@ def build_shards(
         "shard.build", n=len(database), shards=num_shards,
         partitioner=partitioner,
     ) as build_span:
-        engine = DistanceEngine(
-            distance, workers=workers, graphs=database.graphs
-        )
+        engine = DistanceEngine(distance, graphs=database.graphs)
         if thresholds is None:
             if len(database) < 2:
                 thresholds = ThresholdLadder([1.0])
@@ -121,12 +117,10 @@ def build_shards(
                     frame.coords[members], branching=branching,
                     thresholds=thresholds,
                     rng=np.random.default_rng(shard_seeds[shard_id]),
-                    workers=workers,
                 )
                 shard_build_seconds.append(time.perf_counter() - shard_started)
             artifact = out_dir / f"shard-{shard_id:03d}.npz"
             save_index(index, artifact)
-            index.engine.invalidate_pool()
             entries.append(
                 ShardEntry(
                     shard_id=shard_id,
@@ -157,6 +151,5 @@ def build_shards(
         manifest_path = out_dir / MANIFEST_NAME
         manifest.save(manifest_path)
         build_span.set(seconds=round(time.perf_counter() - started, 3))
-        engine.invalidate_pool()
     obs.observe_time("shard.build_seconds", time.perf_counter() - started)
     return manifest_path

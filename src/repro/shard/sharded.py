@@ -83,7 +83,6 @@ class ShardedIndex:
         database: GraphDatabase,
         distance,
         *,
-        workers: int | None = None,
         previous: "ShardedIndex | None" = None,
     ) -> "ShardedIndex":
         """Load a shard bundle written by :func:`~repro.shard.build_shards`.
@@ -105,9 +104,7 @@ class ShardedIndex:
                 f"{manifest_path}: shard manifest does not match the "
                 f"provided database"
             )
-        engine = DistanceEngine(
-            distance, workers=workers, graphs=database.graphs
-        )
+        engine = DistanceEngine(distance, graphs=database.graphs)
         base_dir = manifest_path.parent
         shards: list[NBIndex] = []
         reused = 0
@@ -135,7 +132,7 @@ class ShardedIndex:
                     f"checksum — stale or tampered artifact"
                 )
             sub = database.subset([int(i) for i in members])
-            shards.append(load_index(artifact, sub, distance, workers=workers))
+            shards.append(load_index(artifact, sub, distance))
         if reused == manifest.num_shards:
             frame = previous.frame  # nothing changed
         else:
@@ -166,7 +163,6 @@ class ShardedIndex:
         *,
         num_shards: int,
         out_dir: str | Path,
-        workers: int | None = None,
         **build_kwargs,
     ) -> "ShardedIndex":
         """Build a bundle under ``out_dir`` and load it back."""
@@ -174,9 +170,9 @@ class ShardedIndex:
 
         manifest_path = build_shards(
             database, distance, num_shards=num_shards, out_dir=out_dir,
-            workers=workers, **build_kwargs,
+            **build_kwargs,
         )
-        return cls.load(manifest_path, database, distance, workers=workers)
+        return cls.load(manifest_path, database, distance)
 
     # ------------------------------------------------------------------
     # Queries (single-index API surface)
@@ -298,15 +294,12 @@ class ShardedIndex:
             out["engine"] = dict(self.engine.stats())
         return out
 
-    def invalidate_pools(self) -> None:
-        """Tear down the global engine's pool and every shard engine's."""
-        if hasattr(self.engine, "invalidate_pool"):
-            self.engine.invalidate_pool()
-        for shard in self.shards:
-            if shard.engine is not None:
-                shard.engine.invalidate_pool()
+    def close(self) -> None:
+        """Nothing to release: a loaded bundle owns no processes or files."""
 
-    close = invalidate_pools
+    # benchmarks/e2e/workloads.py:443,850 still call this name and that
+    # directory is frozen; delete with the next ``benchmark`` PR.
+    invalidate_pools = close
 
     def __repr__(self) -> str:
         return (

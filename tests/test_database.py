@@ -110,7 +110,7 @@ class TestStructureSharing:
         assert [g.graph_id for g in db] == list(range(12))
 
     def test_copies_survive_a_pickle_round_trip(self):
-        # The engine's process pool ships graphs to its workers.
+        # A structure-sharing copy must pickle to a standalone graph.
         db = GENERATORS["dud"](num_graphs=8, seed=3)
         sub = db.subset([5, 1])
         shipped = pickle.loads(pickle.dumps(list(sub.graphs)))

@@ -396,7 +396,6 @@ class TestFacade:
         sharded = ShardedIndex.load(manifest, db, DIST)
         with pytest.raises(ReadOnlyIndexError):
             sharded.insert(db[0], db.features[0])
-        sharded.invalidate_pools()
 
     def test_journal_reopen_restores_mutations(self, tmp_path):
         db = random_database(seed=84, size=22, num_features=3)

@@ -116,7 +116,6 @@ def test_engines_match_set_reference(vector_instance):
         )
         sharded = ShardedIndex.load(manifest, db, dist)
         got = sharded.query(query_fn, theta, k)
-        sharded.invalidate_pools()
     assert_same_result(got, want)
     assert got.stats.coordinator["broadcast_words"] >= 0
 

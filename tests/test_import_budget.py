@@ -71,6 +71,56 @@ def test_fresh_interpreter_stays_within_the_import_budget():
     assert probe["same_solver"]
 
 
+_ONE_PROCESS_PROBE = """
+import sys, tempfile
+from pathlib import Path
+import repro
+from repro.datasets import GENERATORS
+from repro.graphs import quartile_relevance
+from repro.index import save_index
+
+db = GENERATORS["dud"](num_graphs=40, seed=1)
+donor = GENERATORS["dud"](num_graphs=2, seed=2)
+distance = repro.StarDistance()
+query_fn = quartile_relevance(db)
+build = dict(num_vantage_points=4, branching=4, seed=0)
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    save_index(repro.NBIndex.build(db, distance, **build), tmp / "index.npz")
+    single = repro.open_index(tmp / "index.npz", db, distance)
+    theta = single.ladder.values[2]
+    answers = [single.query(query_fn, theta, 3).answer]
+
+    manifest = repro.build_shards(
+        db, distance, num_shards=2, out_dir=tmp / "bundle", **build
+    )
+    answers.append(
+        repro.open_index(manifest, db, distance).query(query_fn, theta, 3).answer
+    )
+
+    mutable = repro.open_index(manifest, db, distance, mutable=True)
+    mutable.insert(donor[0], db.features[0])
+    answers.append(mutable.query(query_fn, theta, 3).answer)
+    mutable.compact()
+    answers.append(mutable.query(query_fn, theta, 3).answer)
+    mutable.close()
+
+assert all(answers), answers
+assert answers[0] == answers[1], answers
+process_machinery = {"concurrent.futures.process", "multiprocessing.pool"}
+assert not process_machinery & set(sys.modules), sorted(sys.modules)
+"""
+
+
+def test_every_index_shape_builds_and_answers_in_one_process():
+    completed = subprocess.run(
+        [sys.executable, "-c", _ONE_PROCESS_PROBE], capture_output=True,
+        text=True, timeout=120,
+        env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 def test_direct_solver_agrees_with_scipys_public_one():
     rng = np.random.default_rng(19)
     for _ in range(500):

@@ -1,4 +1,4 @@
-"""repro.obs: registry primitives, span nesting, pool-worker merging."""
+"""repro.obs: registry primitives, span nesting, cross-process merging."""
 
 import json
 import threading
@@ -292,54 +292,3 @@ class TestQueryCounters:
                 == stats.pruned_subtrees)
         assert (counters.get("query.batch_decrements", 0)
                 == stats.batch_decrements)
-
-
-class TestPoolWorkerMerging:
-    def test_pool_metrics_and_spans_aggregate_in_parent(self):
-        from tests.conftest import random_database
-
-        from repro.engine import DistanceEngine
-        from repro.ged.star import StarDistance
-
-        db = random_database(seed=5, size=10)
-        with repro.observe() as run:
-            with DistanceEngine(
-                StarDistance(), workers=2, graphs=db.graphs,
-                parallel_threshold=1, respect_cpu_count=False,
-            ) as engine:
-                engine.one_to_many(db.graphs[0], list(range(1, 10)))
-        counters = run.stats()["counters"]
-        # Worker-side counters crossed the process boundary and add up.
-        assert counters["engine.worker.pairs"] == 9
-        assert counters["engine.worker.chunks"] >= 1
-        assert counters["ged.star.batch_pairs"] == 9
-        # Worker chunk spans are nested under the dispatching pool span.
-        pool_spans = [s for s in run.spans() if s["name"] == "engine.pool.map"]
-        assert pool_spans
-        chunk_names = [c["name"] for s in pool_spans for c in s["children"]]
-        assert "engine.worker.chunk" in chunk_names
-        chunks = [c for s in pool_spans for c in s["children"]
-                  if c["name"] == "engine.worker.chunk"]
-        assert all(c["attrs"].get("worker") for c in chunks)
-
-    def test_serial_engine_counts_match_pool_counts(self):
-        from tests.conftest import random_database
-
-        from repro.engine import DistanceEngine
-        from repro.ged.star import StarDistance
-
-        db = random_database(seed=5, size=10)
-        with repro.observe() as serial_run:
-            with DistanceEngine(StarDistance(), workers=1,
-                                graphs=db.graphs) as engine:
-                serial = engine.one_to_many(db.graphs[0], list(range(1, 10)))
-        with repro.observe() as pool_run:
-            with DistanceEngine(
-                StarDistance(), workers=2, graphs=db.graphs,
-                parallel_threshold=1, respect_cpu_count=False,
-            ) as engine:
-                pooled = engine.one_to_many(db.graphs[0], list(range(1, 10)))
-        assert list(serial) == list(pooled)
-        serial_pairs = serial_run.stats()["counters"]["ged.star.batch_pairs"]
-        pool_pairs = pool_run.stats()["counters"]["ged.star.batch_pairs"]
-        assert serial_pairs == pool_pairs == 9

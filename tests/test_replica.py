@@ -464,6 +464,18 @@ class TestWire:
 # ---------------------------------------------------------------------------
 # SIGTERM / SIGINT graceful drain (satellite 1)
 # ---------------------------------------------------------------------------
+def _spawn_serve(db_path, *flags, stderr):
+    """``repro serve`` on the stdin transport, pipes held by the caller."""
+    env = dict(os.environ)
+    repo_src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(db_path), *flags],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=stderr,
+        env=env, text=True,
+    )
+
+
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
 def test_serve_signal_drains_gracefully(tmp_path, signum):
     """``repro serve`` on stdin: a stop signal mid-request still answers
@@ -472,15 +484,7 @@ def test_serve_signal_drains_gracefully(tmp_path, signum):
     db_path = tmp_path / "db.jsonl"
     save_database(db, db_path)
 
-    env = dict(os.environ)
-    repo_src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", str(db_path),
-         "--concurrency", "1"],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=env, text=True,
-    )
+    proc = _spawn_serve(db_path, "--concurrency", "1", stderr=subprocess.PIPE)
     try:
         requests = [
             {"id": i, "op": "query", "v": 1, "theta": 8.0, "k": 3,
@@ -516,3 +520,69 @@ def test_serve_signal_drains_gracefully(tmp_path, signum):
     assert all(r["ok"] for r in responses)
     assert "drained:" in err
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# stdin transport: a worker restart forks under a blocked readline()
+# ---------------------------------------------------------------------------
+def _child_pids(parent: int) -> list[int]:
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we were listing
+        if int(stat.rsplit(")", 1)[1].split()[1]) == parent:
+            pids.append(int(entry))
+    return pids
+
+
+def test_stdin_transport_survives_a_worker_restart(bundle, cluster_db, tmp_path):
+    """``repro serve --replicas`` on stdin with the client holding the
+    pipe open: a killed worker is re-forked while the main thread sits in
+    ``readline()``.  Read through ``sys.stdin``, that child inherited the
+    buffer lock held and deadlocked in multiprocessing's ``_close_stdin``;
+    the next answer waited out ``spawn_timeout_s`` and came back degraded."""
+    db_path = tmp_path / "db.jsonl"
+    save_database(cluster_db, db_path)
+    proc = _spawn_serve(
+        db_path, "--shards", str(bundle), "--replicas", "1",
+        stderr=subprocess.DEVNULL,
+    )
+    watchdog = threading.Timer(120, proc.kill)
+    watchdog.start()
+
+    def ask(request):
+        proc.stdin.write(json.dumps(request) + "\n")
+        proc.stdin.flush()
+        return json.loads(proc.stdout.readline())
+
+    query = {"op": "query", "v": 1, "theta": 8.0, "k": 3, "quantile": 0.5}
+    try:
+        first = ask({"id": 1, **query})
+        assert first["ok"] and not first["result"]["degraded"], first
+        workers = set(_child_pids(proc.pid))
+        os.kill(min(workers), signal.SIGKILL)
+        # The monitor notices and re-forks while the server is idle in
+        # readline(); ask again only once the replacement process exists.
+        give_up = time.monotonic() + 30.0
+        while not set(_child_pids(proc.pid)) - workers:
+            assert time.monotonic() < give_up, "the worker was never re-forked"
+            time.sleep(0.05)
+        started = time.monotonic()
+        second = ask({"id": 2, **query})
+        elapsed = time.monotonic() - started
+        stats = ask({"id": 3, "op": "stats"})
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        watchdog.cancel()
+        proc.kill()
+    assert elapsed < 10.0, f"second answer took {elapsed:.1f}s"
+    assert second["ok"] and not second["result"]["degraded"], second
+    assert second["result"]["answer"] == first["result"]["answer"]
+    replica = stats["result"]["index"]["replica"]
+    assert replica["restarts"] == 1
+    assert replica["live"] == [1, 1, 1]

@@ -1,11 +1,9 @@
 """Resilience layer: deadline budgets and the exact→beam→bipartite
-degradation ladder, pool fault tolerance (respawn/backoff/serial
-fallback), checkpointed bit-identical builds, and the checksummed
+degradation ladder, checkpointed bit-identical builds, and the checksummed
 persistence container — all driven by deterministic fault injection
 (:mod:`repro.resilience.faults`)."""
 
 import io
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -13,8 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.engine import DistanceEngine
-from repro.engine import pool as pool_module
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, quartile_relevance
 from repro.graphs.io import load_database, save_database
@@ -40,25 +36,6 @@ from repro.resilience import (
 from repro.resilience.checkpoint import BuildCheckpoint
 from repro.resilience.faults import FaultPlan, SimulatedCrash
 from tests.conftest import random_database
-
-
-def _fast_policy(max_attempts: int = 3) -> RetryPolicy:
-    return RetryPolicy(
-        max_attempts=max_attempts, base_delay=0.01, max_delay=0.02, jitter=0.0
-    )
-
-
-def _engine(distance, db, **kwargs):
-    params = dict(
-        workers=2,
-        respect_cpu_count=False,
-        parallel_threshold=1,
-        chunk_size=4,
-        graphs=db.graphs,
-        retry_policy=_fast_policy(),
-    )
-    params.update(kwargs)
-    return DistanceEngine(distance, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -240,111 +217,25 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# Pool fault tolerance
-# ---------------------------------------------------------------------------
-class TestPoolFaultTolerance:
-    @pytest.fixture()
-    def db(self):
-        return random_database(seed=2, size=40)
-
-    def test_one_shot_worker_crash_respawns_and_retries(self, db, tmp_path):
-        token = tmp_path / "crash-token"
-        token.write_text("armed")
-        serial = DistanceEngine(StarDistance(), workers=1, graphs=db.graphs)
-        expected = serial.one_to_many(0, list(range(1, 30)))
-
-        engine = _engine(StarDistance(), db)
-        try:
-            with faults.injected(FaultPlan(crash_token=str(token))):
-                got = engine.one_to_many(0, list(range(1, 30)))
-        finally:
-            engine.invalidate_pool()
-        np.testing.assert_allclose(got, expected)
-        stats = engine.stats()
-        assert stats["pool_retries"] == 1
-        assert stats["pool_respawns"] == 1
-        assert stats["pool_serial_fallbacks"] == 0
-        assert not token.exists()  # the dying worker consumed it
-
-    def test_persistent_crashes_fall_back_to_serial(self, db):
-        serial = DistanceEngine(StarDistance(), workers=1, graphs=db.graphs)
-        expected = serial.one_to_many(0, list(range(1, 20)))
-
-        engine = _engine(StarDistance(), db, retry_policy=_fast_policy(3))
-        try:
-            with faults.injected(FaultPlan(crash_always=True)):
-                got = engine.one_to_many(0, list(range(1, 20)))
-        finally:
-            engine.invalidate_pool()
-        np.testing.assert_allclose(got, expected)
-        stats = engine.stats()
-        assert stats["pool_retries"] == 3
-        assert stats["pool_respawns"] == 2
-        assert stats["pool_serial_fallbacks"] == 1
-
-    def test_worker_degradations_merge_into_parent_deadline(self, db):
-        small = random_database(seed=9, size=10, min_nodes=3, max_nodes=5)
-        engine = _engine(ExactGED(), small)
-        try:
-            with deadline_scope(Deadline(3600.0, expansion_limit=1)) as deadline:
-                values = engine.one_to_many(0, list(range(1, 8)))
-        finally:
-            engine.invalidate_pool()
-        assert len(values) == 7
-        # Workers raised BudgetExceeded, degraded to beam, and shipped the
-        # counts back across the process boundary.
-        assert deadline.degradations.get("ged.exact.beam", 0) >= 1
-
-    def test_fork_unavailable_falls_back_and_logs(self, monkeypatch):
-        real_get_context = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real_get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        with obs.observe():
-            context = pool_module._pool_context()
-            counters = obs.get_registry().snapshot()["counters"]
-        assert context is not None
-        assert counters["engine.pool.fork_unavailable"] == 1
-
-
-# ---------------------------------------------------------------------------
-# The ISSUE acceptance scenario: crash + slow GED + deadline, end to end
+# The acceptance scenario: slow GED + deadline, end to end
 # ---------------------------------------------------------------------------
 class TestDegradedQueryUnderFaults:
-    def test_indexed_query_survives_faults_and_flags_degradation(self, tmp_path):
+    def test_indexed_query_survives_faults_and_flags_degradation(self):
         db = random_database(seed=11, size=24, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
-        engine = _engine(ExactGED(), db)
-        try:
-            index = NBIndex.build(
-                db, ExactGED(), engine=engine,
-                num_vantage_points=4, branching=4, seed=0,
-            )
-            # Drop the build-time pool and cache: the query must fork fresh
-            # workers under the fault plan and recompute distances under
-            # the deadline.
-            engine.invalidate_pool()
-            engine._cache.clear()
-            engine.reset()
+        index = NBIndex.build(
+            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
+        )
+        # Drop the build-time cache: the query must recompute distances
+        # under the deadline.
+        index._counting._cache.clear()
 
-            token = tmp_path / "crash-token"
-            token.write_text("armed")
-            plan = FaultPlan(
-                crash_token=str(token),
-                slow_sites={"ged.exact": 0.05},
-                slow_limit=1,
-            )
-            deadline = Deadline(seconds=0.02)
-            with faults.injected(plan):
-                result = index.query(query, theta=4.0, k=3, deadline=deadline)
-        finally:
-            engine.invalidate_pool()
+        plan = FaultPlan(slow_sites={"ged.exact": 0.05}, slow_limit=1)
+        deadline = Deadline(seconds=0.02)
+        with faults.injected(plan):
+            result = index.query(query, theta=4.0, k=3, deadline=deadline)
 
-        # A valid answer came back despite a dead worker and a stalled pair.
+        # A valid answer came back despite a stalled pair.
         assert result.answer
         assert all(0 <= gid < len(db) for gid in result.answer)
         assert all(gain >= 0 for gain in result.gains)
@@ -355,17 +246,12 @@ class TestDegradedQueryUnderFaults:
             "ged.exact.beam", "ged.exact.bipartite",
         }
         assert deadline.degraded
-        # The crash was recovered through respawn + retry.
-        stats = engine.stats()
-        assert stats["pool_retries"] >= 1
-        assert stats["pool_respawns"] >= 1
-        assert not token.exists()
 
     def test_query_deadline_without_faults_marks_stats(self):
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, branching=4, seed=0, workers=1,
+            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
         )
         index._counting._cache.clear()
         result = index.query(
@@ -379,7 +265,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, branching=4, seed=0, workers=1,
+            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
         )
         index._counting._cache.clear()
         with deadline_scope(Deadline(3600.0, expansion_limit=1)):
@@ -390,7 +276,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, StarDistance(), num_vantage_points=4, branching=4, seed=0, workers=1,
+            db, StarDistance(), num_vantage_points=4, branching=4, seed=0,
         )
         result = index.query(query, theta=4.0, k=3)
         assert not result.stats.degraded
@@ -418,7 +304,7 @@ class TestCheckpointResume:
     @pytest.mark.parametrize("stage", ["vantage", "embed", "ladder", "tree"])
     def test_killed_build_resumes_bit_identical(self, db, tmp_path, stage):
         dist = StarDistance()
-        reference = NBIndex.build(db, dist, workers=1, **BUILD_PARAMS)
+        reference = NBIndex.build(db, dist, **BUILD_PARAMS)
         ref_path = tmp_path / "reference.npz"
         save_index(reference, ref_path)
 
@@ -426,12 +312,12 @@ class TestCheckpointResume:
         with faults.injected(FaultPlan(abort_after_stage=stage)):
             with pytest.raises(SimulatedCrash):
                 NBIndex.build(
-                    db, dist, workers=1, checkpoint=str(ckpt), **BUILD_PARAMS
+                    db, dist, checkpoint=str(ckpt), **BUILD_PARAMS
                 )
         assert ckpt.exists()
 
         resumed = NBIndex.build(
-            db, dist, workers=1, checkpoint=str(ckpt), resume=True, **BUILD_PARAMS
+            db, dist, checkpoint=str(ckpt), resume=True, **BUILD_PARAMS
         )
         res_path = tmp_path / "resumed.npz"
         save_index(resumed, res_path)
@@ -449,13 +335,12 @@ class TestCheckpointResume:
         with faults.injected(FaultPlan(abort_after_stage="vantage")):
             with pytest.raises(SimulatedCrash):
                 NBIndex.build(
-                    db, StarDistance(), workers=1,
-                    checkpoint=str(ckpt), **BUILD_PARAMS,
+                    db, StarDistance(), checkpoint=str(ckpt), **BUILD_PARAMS,
                 )
         other = random_database(seed=8, size=30)
         with pytest.raises(DatabaseMismatchError, match="fingerprint"):
             NBIndex.build(
-                other, StarDistance(), workers=1,
+                other, StarDistance(),
                 checkpoint=str(ckpt), resume=True, **BUILD_PARAMS,
             )
 
@@ -488,7 +373,7 @@ class TestPersistenceIntegrity:
         db = random_database(seed=4, size=25)
         dist = StarDistance()
         index = NBIndex.build(
-            db, dist, num_vantage_points=4, branching=4, seed=1, workers=1
+            db, dist, num_vantage_points=4, branching=4, seed=1
         )
         path = tmp_path_factory.mktemp("index") / "index.npz"
         save_index(index, path)
@@ -667,7 +552,6 @@ class TestFaultHarness:
 
     def test_no_plan_hooks_are_noops(self):
         assert faults.active() is None
-        faults.maybe_crash_worker()
         faults.maybe_slow("anything")
         faults.maybe_abort_stage("anything")
         assert faults.maybe_tear(b"data") is None

@@ -19,11 +19,10 @@ import time
 
 import pytest
 
-from repro.engine import DistanceEngine
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex, save_index
-from repro.resilience import RetryPolicy, faults
+from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.service import (
     AdmissionController,
@@ -49,8 +48,8 @@ from tests.conftest import random_database
 BUILD = dict(num_vantage_points=5, branching=4, seed=7)
 
 
-def _build_index(db, workers=None, engine=None):
-    return NBIndex.build(db, StarDistance(), workers=workers, engine=engine, **BUILD)
+def _build_index(db):
+    return NBIndex.build(db, StarDistance(), **BUILD)
 
 
 @pytest.fixture(scope="module")
@@ -569,32 +568,16 @@ class TestChaosAcceptance:
     def test_crash_slow_and_corrupt_reload_never_kill_the_service(
         self, tmp_path
     ):
-        """One worker crash + one slow query + one corrupt reload artifact:
-        the service sheds with typed Overloaded, keeps answering, rolls the
-        corrupt reload back, drains within grace, and admitted
-        non-degraded answers are bit-identical to direct NBIndex.query."""
+        """One slow query + one corrupt reload artifact: the service sheds
+        with typed Overloaded, keeps answering, rolls the corrupt reload
+        back, drains within grace, and admitted non-degraded answers are
+        bit-identical to direct NBIndex.query."""
         db = random_database(seed=23, size=24)
-        engine = DistanceEngine(
-            StarDistance(), workers=2, respect_cpu_count=False,
-            parallel_threshold=1, chunk_size=4,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01,
-                                     max_delay=0.02, jitter=0.0),
-            graphs=db.graphs,
-        )
-        index = _build_index(db, engine=engine)
-        # The build already forked the pool; respawn it later so workers
-        # inherit the fault plan installed below.
-        engine.invalidate_pool()
+        index = _build_index(db)
         art = tmp_path / "watched.npz"
         save_index(index, art)
 
-        token = tmp_path / "crash-token"
-        token.write_text("armed")
-        plan = FaultPlan(
-            crash_token=str(token),
-            slow_sites={"service.query": 0.5},
-            slow_limit=1,
-        )
+        plan = FaultPlan(slow_sites={"service.query": 0.5}, slow_limit=1)
 
         config = ServiceConfig(
             max_concurrency=1, max_queue=2, drain_grace_s=10.0,
@@ -603,9 +586,8 @@ class TestChaosAcceptance:
         svc = QueryService(index, config=config).start()
         try:
             with faults.injected(plan):
-                # The first query eats the slow injection and (through the
-                # engine pool) the one-shot worker crash; followers pile up
-                # behind it until the bounded queue sheds.
+                # The first query eats the slow injection; followers pile
+                # up behind it until the bounded queue sheds.
                 tickets, sheds = [], []
                 for i in range(8):
                     try:
@@ -636,12 +618,6 @@ class TestChaosAcceptance:
                     continue
                 assert result["answer"] == [int(g) for g in direct.answer]
                 assert result["gains"] == [int(g) for g in direct.gains]
-
-            # The crash token was consumed: exactly one worker died and the
-            # engine recovered (respawn or serial fallback) without the
-            # service noticing.
-            assert not token.exists()
         finally:
             report = svc.drain()
-            engine.invalidate_pool()
         assert report["clean"], report

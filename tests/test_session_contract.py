@@ -68,12 +68,12 @@ def tiny_db():
 def shapes(tiny_db, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("session-contract")
     distance = ExactGED()
-    single = NBIndex.build(tiny_db, distance, seed=0, workers=1, **BUILD)
+    single = NBIndex.build(tiny_db, distance, seed=0, **BUILD)
     save_index(single, tmp / "index.npz")
     manifests = {
         s: build_shards(
             tiny_db, distance, num_shards=s, out_dir=tmp / f"s{s}", seed=0,
-            workers=1, **BUILD,
+            **BUILD,
         )
         for s in (1, 2, 4)
     }
@@ -421,8 +421,8 @@ class TestFrontierProtocol:
 # A hand-built NBIndex over a plain distance (no DistanceEngine)
 # ---------------------------------------------------------------------------
 def test_plain_distance_index_answers_like_the_engine_built_one():
-    """The shape ``benchmarks/bench_parallel_engine.py`` constructs: the
-    pre-engine per-pair wrappers, ``index.engine is None``."""
+    """The pre-engine shape: per-pair counting/caching wrappers,
+    ``index.engine is None``."""
     database = random_database(seed=8, size=50)
     rng = np.random.default_rng(5)
     counting = CountingDistance(StarDistance())

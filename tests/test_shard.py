@@ -169,7 +169,6 @@ class TestBitIdentity:
             want = single_index.query(q, theta, 6)
             got = sharded.query(q, theta, 6)
             _assert_same_result(got, want)
-        sharded.invalidate_pools()
 
     def test_matches_baseline_greedy(self, db, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -179,7 +178,6 @@ class TestBitIdentity:
             got = sharded.query(q, theta, 6)
             assert got.answer == want.answer
             assert got.gains == want.gains
-        sharded.invalidate_pools()
 
     def test_duplicated_graphs_tie_break_across_shards(self, tmp_path):
         # Every graph exists twice; gains tie constantly and the canonical
@@ -205,7 +203,6 @@ class TestBitIdentity:
         assert got.answer == baseline_greedy(
             db, StarDistance(), q, 4.0, 8
         ).answer
-        sharded.invalidate_pools()
 
     def test_query_flags_match_single_index(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -218,7 +215,6 @@ class TestBitIdentity:
             want = single_index.query(q, 8.0, 12, **kwargs)
             got = sharded.query(q, 8.0, 12, **kwargs)
             _assert_same_result(got, want)
-        sharded.invalidate_pools()
 
     def test_k_beyond_relevant_set(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -227,7 +223,6 @@ class TestBitIdentity:
         got = sharded.query(q, 12.0, 500)
         _assert_same_result(got, want)
         assert len(got.answer) <= got.num_relevant
-        sharded.invalidate_pools()
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +238,6 @@ class TestCoordinator:
         assert coord["pulls"] >= coord["rounds"]
         assert coord["scatter_resolves"] >= 1
         assert sum(coord["shard_relevant"]) == result.num_relevant
-        sharded.invalidate_pools()
 
     def test_obs_metrics_roll_up(self, db, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -253,7 +247,6 @@ class TestCoordinator:
         assert counters["shard.query.count"] == 1
         assert counters["shard.coordinator.rounds"] >= 1
         assert counters["shard.coordinator.pulls"] >= 1
-        sharded.invalidate_pools()
 
     def test_off_ladder_theta_raises_typed(self, db, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -261,7 +254,6 @@ class TestCoordinator:
             sharded.query(quartile_relevance(db), 1e6, 3)
         assert excinfo.value.theta == 1e6
         assert excinfo.value.ladder_max == LADDER.values[-1]
-        sharded.invalidate_pools()
 
     def test_session_reuse_across_thetas(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -271,14 +263,13 @@ class TestCoordinator:
             got = session.query(theta, 4)
             want = single_index.query(q, theta, 4)
             _assert_same_result(got, want)
-        sharded.invalidate_pools()
 
     def test_deadline_degradation_propagates(self, tmp_path):
         tiny = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         sharded = ShardedIndex.build(
             tiny, ExactGED(), num_shards=2, out_dir=tmp_path,
             num_vantage_points=4, branching=4,
-            thresholds=ThresholdLadder([4.0, 8.0]), seed=0, workers=1,
+            thresholds=ThresholdLadder([4.0, 8.0]), seed=0,
         )
         sharded.engine._cache.clear()
         for shard in sharded.shards:
@@ -290,7 +281,6 @@ class TestCoordinator:
         assert result.answer
         assert result.stats.degraded
         assert result.stats.degradations.get("ged.exact.beam", 0) >= 1
-        sharded.invalidate_pools()
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +413,6 @@ class TestFrame:
         result = sharded.query(quartile_relevance(db), 6.0, 5)
         assert result.stats.coordinator["foreign_embeds"] == 0
         assert verify_deployment(bundle_dir)["ok"]
-        sharded.invalidate_pools()
 
     def test_a_shard_on_its_own_refuses_to_embed(self, db, bundle_dir):
         """A shard artifact says that its vantage ids are the frame's:
@@ -489,7 +478,6 @@ class TestFrame:
         serving.manifest = ShardManifest.load(manifest_path)
         report = Scrubber(serving).scrub_once()
         assert any("frame" in line for line in report["escalations"])
-        serving.invalidate_pools()
 
     def test_backup_and_restore_carry_the_frame(self, db, bundle_dir, tmp_path):
         create_backup(tmp_path / "backup", shards=bundle_dir / "manifest.json")
@@ -553,8 +541,6 @@ class TestFrame:
             manifest_path, db, StarDistance(), previous=sharded
         )
         assert again.reused_shards == 0
-        again.invalidate_pools()
-        sharded.invalidate_pools()
         # Worker processes upgrade the same way (one adoption, inherited).
         with ReplicatedIndex.open(
             manifest_path, db, StarDistance(), replicas=1
@@ -591,7 +577,6 @@ class TestFrame:
             reopened.query(q, 6.0, 6),
             baseline_greedy(live, StarDistance(), q, 6.0, 6),
         )
-        reopened.invalidate_pools()
 
     def test_mutable_bundle_keeps_its_frame_and_embeds_each_graph_once(
         self, db, tmp_path, monkeypatch,
@@ -690,7 +675,7 @@ class TestReload:
             Path, "read_bytes",
             lambda self: reads.append(self.name) or read_bytes(self),
         )
-        _load(bundle_dir, db).invalidate_pools()
+        _load(bundle_dir, db)
         # The checksum pass and the load: the frame is assembled from the
         # loaded shards, not read a third time.
         assert sorted(reads) == sorted(
@@ -704,8 +689,6 @@ class TestReload:
         for i in range(3):
             assert second.shards[i] is first.shards[i]
         assert second.frame is first.frame
-        first.invalidate_pools()
-        second.invalidate_pools()
 
     def test_partial_reuse_when_one_shard_changes(self, db, bundle_dir, tmp_path):
         for name in os.listdir(bundle_dir):
@@ -743,8 +726,6 @@ class TestReload:
         # Still the same bit-identical answers after the partial reload.
         q = quartile_relevance(db)
         assert second.query(q, 8.0, 4).answer == first.query(q, 8.0, 4).answer
-        first.invalidate_pools()
-        second.invalidate_pools()
 
     def test_index_manager_watches_manifest(self, db, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -757,7 +738,6 @@ class TestReload:
         assert manager.maybe_reload() is True
         assert manager.generation == 1
         assert manager.index.reused_shards == 3  # per-shard reuse kicked in
-        manager.index.invalidate_pools()
 
 
 # ---------------------------------------------------------------------------
@@ -801,4 +781,3 @@ class TestServiceIntegration:
         assert isinstance(sharded, ShardedIndex)
         assert sharded.num_shards == 3
         assert sharded.stats()["num_shards"] == 3
-        sharded.invalidate_pools()
