@@ -39,6 +39,7 @@ from repro.bitset.kernel import (
     uncovered_count,
     uncovered_counts,
     union_into,
+    word_counts,
     zeros,
     zeros_matrix,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "uncovered_count",
     "uncovered_counts",
     "union_into",
+    "word_counts",
     "zeros",
     "zeros_matrix",
 ]

@@ -46,7 +46,7 @@ class BitsetDelta:
         if not self.indices.size:
             return 0
         obs.counter("bitset.popcounts")
-        return int(kernel._word_counts(row[self.indices] & self.values).sum())
+        return int(kernel.word_counts(row[self.indices] & self.values).sum())
 
     def test(self, position: int) -> bool:
         """Membership of one universe position in the delta."""
@@ -67,7 +67,7 @@ class BitsetDelta:
     def popcount(self) -> int:
         if not self.values.size:
             return 0
-        return int(kernel._word_counts(self.values).sum())
+        return int(kernel.word_counts(self.values).sum())
 
     def __repr__(self) -> str:
         return f"<BitsetDelta words={self.num_words}/{kernel.num_words(self.nbits)}>"

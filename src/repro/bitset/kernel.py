@@ -35,14 +35,17 @@ _WORD_MASK = 63
 _ONE = np.uint64(1)
 _U64_63 = np.uint64(63)
 
+#: ``word_counts(words)`` — set bits of every uint64 word, elementwise (same
+#: shape, small unsigned counts).  The repo's one popcount: the coverage
+#: primitives below and the star kernel's overlap both go through it.
 if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    _word_counts = np.bitwise_count
+    word_counts = np.bitwise_count
 else:  # pragma: no cover - exercised only on numpy 1.x
     _BYTE_COUNTS = np.array(
         [bin(b).count("1") for b in range(256)], dtype=np.uint8
     )
 
-    def _word_counts(words: np.ndarray) -> np.ndarray:
+    def word_counts(words: np.ndarray) -> np.ndarray:
         view = words.view(np.uint8)
         return (
             _BYTE_COUNTS[view]
@@ -99,20 +102,20 @@ def to_positions(words: np.ndarray) -> np.ndarray:
 def popcount(words: np.ndarray) -> int:
     """``|A|`` — total set bits."""
     obs.counter("bitset.popcounts")
-    return int(_word_counts(words).sum())
+    return int(word_counts(words).sum())
 
 
 def popcount_rows(matrix: np.ndarray) -> np.ndarray:
     """Per-row cardinalities of a ``(rows, words)`` matrix."""
     obs.counter("bitset.popcounts", matrix.shape[0])
     obs.counter("bitset.words", matrix.size)
-    return _word_counts(matrix).sum(axis=1, dtype=np.int64)
+    return word_counts(matrix).sum(axis=1, dtype=np.int64)
 
 
 def uncovered_count(words: np.ndarray, covered: np.ndarray) -> int:
     """``|A \\ covered|`` — the marginal-gain primitive, one row."""
     obs.counter("bitset.popcounts")
-    return int(_word_counts(words & ~covered).sum())
+    return int(word_counts(words & ~covered).sum())
 
 
 def uncovered_counts(matrix: np.ndarray, covered: np.ndarray) -> np.ndarray:
@@ -120,7 +123,7 @@ def uncovered_counts(matrix: np.ndarray, covered: np.ndarray) -> np.ndarray:
     primitive behind the vectorized greedy argmax."""
     obs.counter("bitset.popcounts", matrix.shape[0])
     obs.counter("bitset.words", matrix.size)
-    return _word_counts(matrix & ~covered[None, :]).sum(axis=1, dtype=np.int64)
+    return word_counts(matrix & ~covered[None, :]).sum(axis=1, dtype=np.int64)
 
 
 def union_into(dst: np.ndarray, src: np.ndarray) -> None:
@@ -141,7 +144,7 @@ def intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def intersection_count(a: np.ndarray, b: np.ndarray) -> int:
     """``|A ∩ B|`` without materializing member lists."""
     obs.counter("bitset.popcounts")
-    return int(_word_counts(a & b).sum())
+    return int(word_counts(a & b).sum())
 
 
 def set_bit(words: np.ndarray, position: int) -> None:

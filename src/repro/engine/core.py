@@ -41,6 +41,14 @@ from repro.utils.validation import require
 _EPS = 1e-9
 
 
+def _pair_keys(source: LabeledGraph, graphs) -> list[tuple]:
+    """``_pair_key(source, g)`` for every ``g`` — the source's half of the
+    key is worked out once, not per target."""
+    a = source.graph_id if source.graph_id is not None else -id(source)
+    halves = [g.graph_id if g.graph_id is not None else -id(g) for g in graphs]
+    return [(a, b) if a <= b else (b, a) for b in halves]
+
+
 class DistanceEngine:
     """Batched, prefiltered, cached distance evaluation over a metric.
 
@@ -192,8 +200,7 @@ class DistanceEngine:
         hits = 0
         with self._cache_lock:
             cache = self._cache
-            for position, graph in enumerate(graphs):
-                key = _pair_key(source_graph, graph)
+            for position, key in enumerate(_pair_keys(source_graph, graphs)):
                 value = cache.get(key)
                 if value is not None:
                     hits += 1
@@ -203,7 +210,7 @@ class DistanceEngine:
                     miss_positions[key].append(position)
                 else:
                     miss_positions[key] = [position]
-                    misses.append(graph)
+                    misses.append(graphs[position])
             self.cache_hits += hits
         if misses:
             values = self._evaluate_one_to_many(source_graph, misses)
@@ -230,8 +237,8 @@ class DistanceEngine:
         source_graph = self._resolve(source)
         with self._cache_lock:
             cache = self._cache
-            for position, graph in enumerate(graphs):
-                value = cache.get(_pair_key(source_graph, graph))
+            for position, key in enumerate(_pair_keys(source_graph, graphs)):
+                value = cache.get(key)
                 if value is not None:
                     out[position] = (value <= accept) - (value > reject)
             hits = int(np.count_nonzero(out))

@@ -9,24 +9,30 @@ shrunk without changing a single output bit:
 
 * **Persistent token registry** — branch tokens ``(edge label, neighbor
   label)`` are interned once per evaluator into integer columns; per-graph
-  sparse profiles are cached and reused across every batch.
-* **Overlap by indicator gather** — the per-vertex branch cost has the
-  closed form ``(|deg_u − deg_v| + L1(c_u, c_v)) / 2 = max(deg_u, deg_v) −
-  overlap(u, v)`` where ``overlap = Σ_tok min(c_u, c_v)``.  Expanding each
-  token into *count levels* ``(tok, 1), …, (tok, c)`` turns the multiset
-  intersection into a binary dot product.  The source graph keeps a small
-  dense indicator over *its own* columns (cached on its profile); a batch's
-  concatenated column list is mapped into it with one ``searchsorted``, and
-  a running sum along the gathered block yields every source-vs-batch
-  overlap at once — no per-call matrix objects, so a one-pair batch costs
-  tens of microseconds, not hundreds.  All quantities are integer-valued,
-  so the floats match the serial path exactly.
+  profiles are cached and reused across every batch.
+* **Overlap by popcount** — the per-vertex branch cost has the closed form
+  ``(|deg_u − deg_v| + L1(c_u, c_v)) / 2 = max(deg_u, deg_v) − overlap(u,
+  v)`` where ``overlap = Σ_tok min(c_u, c_v)``.  Expanding each token into
+  *count levels* ``(tok, 1), …, (tok, c)`` turns a star's branch multiset
+  into a *set* of columns, which a profile stores as one bit each: an
+  ``(n, W)`` block of uint64 words per graph, ``W = ⌈columns / 64⌉`` (one
+  word on dud, three on dblp).  The multiset intersection is then
+  ``popcount(mask_u & mask_v)``, and a whole source-vs-batch cost block is
+  one broadcast ``AND`` and one word popcount per word column — no
+  per-call matrix objects, so a one-pair batch costs tens of
+  microseconds, not hundreds.  The registry grows lazily: a profile packed
+  before it crossed a word boundary is zero-extended when it first meets
+  a wider source.  All quantities are integer-valued, so the floats match
+  the serial path exactly.
 * **Reduced assignment** — the star ground cost satisfies ``cost(a, b) <
   cost(a, ε) + cost(ε, b)`` for every star pair (substitution is strictly
   cheaper than delete + insert), so the optimal padded assignment never
   pairs a deletion with an insertion and the ``(n1+n2)²`` problem collapses
   to a ``max(n1, n2)²`` one: pad the smaller side with null stars only.
-  Same optimum, an ~8× smaller Hungarian problem.
+  Same optimum, an ~8× smaller Hungarian problem.  A long batch is walked
+  in target-size order, so each run of equal-sized targets is padded as
+  one ``(count, size, size)`` tensor and only the solver call is left in a
+  Python loop; short batches pad pair by pair.
 
 Every cost entry is a multiple of 0.5 far below 2⁵³, so sums are exact and
 the evaluator is **bit-identical** to ``StarDistance`` — the equivalence
@@ -36,12 +42,12 @@ tests assert ``==``, not ``approx``.
 from __future__ import annotations
 
 import threading
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
+from repro.bitset.kernel import num_words, word_counts
 from repro.ged.lsap import linear_sum_assignment
 from repro.ged.metric import CachingDistance, CountingDistance
 from repro.ged.star import StarDistance
@@ -56,60 +62,56 @@ _BLOCK_PROFILES = 256
 class _SparseStarProfile:
     """Per-graph numeric star profile against a shared token registry."""
 
-    __slots__ = (
-        "graph", "indptr", "cols", "roots", "degrees", "own_cols", "indicator",
-    )
+    __slots__ = ("graph", "roots", "degrees", "masks")
 
     def __init__(self, g: LabeledGraph, token_ids: dict, root_ids: dict):
         n = g.num_nodes
-        indptr = np.empty(n + 1, dtype=np.int64)
-        indptr[0] = 0
-        cols: list[int] = []
         roots = np.empty(n, dtype=np.int64)
         degrees = np.empty(n, dtype=np.float64)
+        stars: list[int] = []
         for v in range(n):
             label = g.node_label(v)
             code = root_ids.get(label)
             if code is None:
                 code = root_ids[label] = len(root_ids)
             roots[v] = code
+            # The k-th copy of a branch token is its own column
+            # ``(token, k)``: a star becomes a *set* of columns, one bit each.
             counts: dict[tuple[str, str], int] = {}
+            star = 0
             for u in g.neighbors(v):
                 token = (g.edge_label(v, u), g.node_label(u))
-                counts[token] = counts.get(token, 0) + 1
-            degree = 0
-            for token, count in counts.items():
-                degree += count
-                for level in range(1, count + 1):
-                    key = (token[0], token[1], level)
-                    col = token_ids.get(key)
-                    if col is None:
-                        col = token_ids[key] = len(token_ids)
-                    cols.append(col)
-            degrees[v] = float(degree)
-            indptr[v + 1] = len(cols)
+                level = counts[token] = counts.get(token, 0) + 1
+                col = token_ids.get((token, level))
+                if col is None:
+                    col = token_ids[token, level] = len(token_ids)
+                star |= 1 << col
+            degrees[v] = float(g.degree(v))
+            stars.append(star)
         self.graph = g  # strong ref: keeps the id()-keyed cache sound
-        self.indptr = indptr
-        self.cols = np.asarray(cols, dtype=np.int64)
         self.roots = roots
         self.degrees = degrees
-        #: This graph's distinct columns (sorted), and the ``(n, |own_cols|
-        #: + 1)`` 0/1 row block over them — the last column stays zero and
-        #: absorbs every column the graph does not have.  Built the first
-        #: time the graph is a batch *source*.
-        self.own_cols: np.ndarray | None = None
-        self.indicator: np.ndarray | None = None
+        #: ``(n, W)`` uint64 words, W covering the registry as it stood when
+        #: this graph was packed: bit ``c`` of row ``v`` is set iff vertex
+        #: ``v`` carries level-expanded token column ``c``.
+        nbytes = 8 * num_words(len(token_ids))
+        self.masks = np.frombuffer(
+            b"".join(star.to_bytes(nbytes, "little") for star in stars),
+            dtype="<u8",
+        ).reshape(n, nbytes // 8)
 
-    def source_block(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.indicator is None:
-            own_cols = np.unique(self.cols)
-            indicator = np.zeros(
-                (len(self.roots), len(own_cols) + 1), dtype=np.uint8
-            )
-            rows = np.repeat(np.arange(len(self.roots)), np.diff(self.indptr))
-            indicator[rows, np.searchsorted(own_cols, self.cols)] = 1
-            self.own_cols, self.indicator = own_cols, indicator
-        return self.own_cols, self.indicator
+    def words(self, width: int) -> np.ndarray:
+        """The masks at ``width`` words.  A profile packed before the
+        registry crossed a word boundary is widened with zero words (kept);
+        one packed after it is cut — the words cut are ANDed with nothing."""
+        masks = self.masks  # read once: another thread may widen it
+        if masks.shape[1] == width:
+            return masks
+        if masks.shape[1] < width:
+            wider = np.zeros((len(masks), width), dtype=np.uint64)
+            wider[:, :masks.shape[1]] = masks
+            self.masks = masks = wider
+        return masks[:, :width]
 
 
 class BatchStarEvaluator:
@@ -118,12 +120,12 @@ class BatchStarEvaluator:
     One evaluator instance accumulates its token/root registries and graph
     profiles across calls, so repeated batches against the same database —
     the dominant access pattern of every index build — skip straight to the
-    overlap matmul and the reduced assignments.
+    mask ``AND`` and the reduced assignments.
     """
 
     def __init__(self, normalized: bool = False):
         self.normalized = normalized
-        self._token_ids: dict[tuple[str, str, int], int] = {}
+        self._token_ids: dict[tuple[tuple[str, str], int], int] = {}
         self._root_ids: dict[str, int] = {}
         self._profiles: dict[int, _SparseStarProfile] = {}
         # Serializes registry growth.  Concurrent service queries share one
@@ -145,29 +147,20 @@ class BatchStarEvaluator:
                     self._profiles[key] = profile
         return profile
 
-    def _overlap(
-        self, source: _SparseStarProfile, profiles: Sequence[_SparseStarProfile]
-    ) -> np.ndarray | float:
-        """``overlap(u, v)`` for every source vertex ``u`` against every
-        vertex ``v`` of ``profiles`` (concatenated), as one dense block."""
-        own_cols, indicator = source.source_block()
-        cols = np.concatenate([p.cols for p in profiles])
-        starts = accumulate((len(p.cols) for p in profiles), initial=0)
-        ends = np.concatenate(
-            [[0]] + [p.indptr[1:] + start for p, start in zip(profiles, starts)]
-        )
-        absent = len(own_cols)
-        if not absent or not len(cols):
-            return 0.0
-        slot = np.searchsorted(own_cols, cols)
-        slot[slot == absent] = 0
-        slot = np.where(own_cols[slot] == cols, slot, absent)
-        # Each batch vertex owns a contiguous run of ``cols``: its overlap
-        # with a source vertex is the run's sum of gathered 0/1 entries,
-        # read off a running total (exact — small integers in float64).
-        running = np.zeros((len(source.roots), len(cols) + 1))
-        np.cumsum(indicator[:, slot], axis=1, out=running[:, 1:])
-        return running[:, ends[1:]] - running[:, ends[:-1]]
+    def _costs(self, source: _SparseStarProfile, block):
+        """Star ground cost of every source vertex against every vertex of
+        ``block`` (concatenated), and the concatenated degrees: ``max(deg_u,
+        deg_v) + [root_u ≠ root_v] − popcount(mask_u & mask_v)``."""
+        degrees = np.concatenate([p.degrees for p in block])
+        roots = np.concatenate([p.roots for p in block])
+        own = source.masks  # read once, as above
+        width = own.shape[1]
+        masks = np.concatenate([p.words(width) for p in block])
+        cost = np.maximum(source.degrees[:, None], degrees)
+        cost += source.roots[:, None] != roots
+        for word in range(width):
+            cost -= word_counts(own[:, word, None] & masks[:, word])
+        return cost, degrees
 
     def one_to_many(
         self, g: LabeledGraph, others: Sequence[LabeledGraph]
@@ -187,19 +180,17 @@ class BatchStarEvaluator:
                 out[idx] = float(np.sum(1.0 + p.degrees)) if len(p.roots) else 0.0
             return self._normalize_many(out, source, profiles)
         deletion = 1.0 + source.degrees
-        for start in range(0, len(profiles), _BLOCK_PROFILES):
-            block = profiles[start:start + _BLOCK_PROFILES]
-            offsets = list(accumulate((len(p.roots) for p in block), initial=0))
-            degrees_all = np.concatenate([p.degrees for p in block])
-            roots_all = np.concatenate([p.roots for p in block])
-            cost_block = (
-                (source.roots[:, None] != roots_all[None, :]).astype(np.float64)
-                + np.maximum(source.degrees[:, None], degrees_all[None, :])
-                - self._overlap(source, block)
-            )
-            for idx, p in enumerate(block):
-                n_h = offsets[idx + 1] - offsets[idx]
-                pairwise = cost_block[:, offsets[idx]:offsets[idx + 1]]
+        if len(profiles) <= 64:
+            # A query's batches of ~2, up to where the two paths cross
+            # (runs of ~3 equal sizes; EXPERIMENTS.md, "The kernel's
+            # price"): below it grouping costs more than the plain
+            # paddings it replaces.
+            cost, _ = self._costs(source, profiles)
+            offset = 0
+            for idx, p in enumerate(profiles):
+                n_h = len(p.roots)
+                pairwise = cost[:, offset:offset + n_h]
+                offset += n_h
                 if n_g == n_h:
                     matrix = pairwise
                 else:
@@ -212,7 +203,38 @@ class BatchStarEvaluator:
                     else:
                         matrix[:, n_h:] = deletion[:, None]
                 rows, cols = linear_sum_assignment(matrix)
-                out[start + idx] = float(matrix[rows, cols].sum())
+                out[idx] = matrix[rows, cols].sum()
+            return self._normalize_many(out, source, profiles)
+        # Targets in size order: a block then holds a few long runs of one
+        # size, each padded as one (count, size, size) tensor — only the
+        # solver call stays inside a Python loop.
+        sizes = np.fromiter((len(p.roots) for p in profiles), np.intp, len(out))
+        order = np.argsort(sizes, kind="stable")
+        for start in range(0, len(order), _BLOCK_PROFILES):
+            chunk = order[start:start + _BLOCK_PROFILES]
+            cost, degrees = self._costs(
+                source, [profiles[idx] for idx in chunk.tolist()]
+            )
+            lo = column = 0
+            for n_h, count in zip(*np.unique(sizes[chunk], return_counts=True)):
+                span = slice(column, column + count * n_h)
+                size = max(n_g, n_h)
+                tensor = np.empty((count, size, size))
+                tensor[:, :n_g, :n_h] = (
+                    cost[:, span].reshape(n_g, count, n_h).transpose(1, 0, 2)
+                )
+                if n_g < n_h:
+                    tensor[:, n_g:, :] = (1.0 + degrees[span]).reshape(count, 1, n_h)
+                else:  # nothing to fill when the sizes are equal
+                    tensor[:, :, n_h:] = deletion[:, None]
+                chosen = np.concatenate(
+                    [linear_sum_assignment(matrix)[1] for matrix in tensor]
+                ).reshape(count, size, 1)
+                out[chunk[lo:lo + count]] = np.take_along_axis(
+                    tensor, chosen, axis=2
+                ).sum(axis=(1, 2))
+                lo += count
+                column = span.stop
         return self._normalize_many(out, source, profiles)
 
     def _normalize_many(self, values, source, profiles) -> np.ndarray:

@@ -125,30 +125,37 @@ class NBTree:
         self.nodes.append(node)
         return node
 
-    def _exact(self, i: int, j: int) -> float:
-        self.stats.exact_distances += 1
-        return float(self._distance(self._graphs[i], self._graphs[j]))
+    def _exact_batch(self, source: int, targets: np.ndarray) -> np.ndarray:
+        """``d(source, t)`` for an id array of targets: one engine batch, or
+        per-pair calls in target order when there is no engine.
 
-    def _exact_batch(self, source: int, targets) -> np.ndarray:
-        """``d(source, t)`` for many targets through the engine.
-
-        Counts one exact distance per target — the same accounting as the
-        per-pair path, which also counts cache-served evaluations.
+        Counts one exact distance per target — cache-served evaluations
+        included, the same accounting on both paths.
         """
-        targets = list(targets)
         self.stats.exact_distances += len(targets)
-        if self._engine.graphs is self._graphs:
-            refs = targets
-        else:
-            refs = [self._graphs[int(t)] for t in targets]
+        graphs = self._graphs
+        if self._engine is None:
+            source_graph = graphs[source]
+            return np.array(
+                [self._distance(source_graph, graphs[t]) for t in targets.tolist()],
+                dtype=float,
+            )
+        if self._engine.graphs is graphs:
+            return np.asarray(self._engine.one_to_many(source, targets), dtype=float)
         return np.asarray(
             self._engine.one_to_many(
-                source if self._engine.graphs is self._graphs
-                else self._graphs[source],
-                refs,
+                graphs[source], [graphs[t] for t in targets.tolist()]
             ),
             dtype=float,
         )
+
+    def _distances_from(self, source: int, members: np.ndarray) -> np.ndarray:
+        """Exact distance from member ``source`` to every member, in member
+        order; its own entry is 0.0 and never evaluated."""
+        distances = np.zeros(members.size)
+        others = members != source
+        distances[others] = self._exact_batch(source, members[others])
+        return distances
 
     def _leaf(self, index: int) -> NBTreeNode:
         return self._new_node(
@@ -161,25 +168,14 @@ class NBTree:
 
     def _bucket(self, members: np.ndarray, centroid: int) -> NBTreeNode:
         """Terminal cluster: children are the member leaves."""
-        if self._engine is not None:
-            others = [int(m) for m in members if int(m) != centroid]
-            values = iter(self._exact_batch(centroid, others))
-            distances = [
-                0.0 if int(m) == centroid else float(next(values))
-                for m in members
-            ]
-        else:
-            distances = [
-                0.0 if int(m) == centroid else self._exact(centroid, int(m))
-                for m in members
-            ]
+        distances = self._distances_from(centroid, members)
         node = self._new_node(
             centroid=centroid,
-            radius=float(max(distances)),
+            radius=float(distances.max()),
             diameter=_diameter_from_centroid_distances(distances),
             members=np.sort(members),
         )
-        node.children = [self._leaf(int(m)) for m in members]
+        node.children = [self._leaf(m) for m in members.tolist()]
         return node
 
     def _build(self, members: np.ndarray, rng) -> NBTreeNode:
@@ -191,13 +187,9 @@ class NBTree:
 
         pivots, assignment, first_pivot_distances = self._choose_pivots(members, rng)
 
-        clusters: dict[int, list[int]] = {p: [] for p in pivots}
-        for idx, member in enumerate(members):
-            clusters[assignment[idx]].append(int(member))
-
         children: list[NBTreeNode] = []
         for pivot in pivots:
-            cluster_members = np.array(clusters[pivot])
+            cluster_members = members[assignment == pivot]
             if cluster_members.size == 0:
                 continue
             if cluster_members.size == members.size:
@@ -214,14 +206,10 @@ class NBTree:
 
         # The first pivot acts as this cluster's centroid; its distances to
         # all members were computed during pivot selection.
-        centroid = pivots[0]
-        centroid_distances = [
-            first_pivot_distances[int(m)] for m in members
-        ]
         return self._new_node(
-            centroid=centroid,
-            radius=float(max(centroid_distances)),
-            diameter=_diameter_from_centroid_distances(centroid_distances),
+            centroid=pivots[0],
+            radius=float(first_pivot_distances.max()),
+            diameter=_diameter_from_centroid_distances(first_pivot_distances),
             members=np.sort(members),
             children=children,
         )
@@ -231,41 +219,28 @@ class NBTree:
 
         Returns ``(pivots, assignment, first_pivot_distances)`` where
         ``assignment[i]`` is the pivot closest to ``members[i]`` and
-        ``first_pivot_distances`` maps each member to its exact distance
+        ``first_pivot_distances[i]`` the exact distance of ``members[i]``
         from the first pivot (this cluster's centroid).  Skipped
         evaluations (vantage lower bound already ≥ the current closest
         distance) cannot change the assignment.
         """
         first = int(members[rng.integers(members.size)])
         pivots = [first]
-        if self._engine is not None:
-            others = [int(m) for m in members if int(m) != first]
-            values = iter(self._exact_batch(first, others))
-            min_dist = np.array(
-                [0.0 if int(m) == first else float(next(values)) for m in members]
-            )
-        else:
-            min_dist = np.array(
-                [0.0 if int(m) == first else self._exact(first, int(m))
-                 for m in members]
-            )
-        first_pivot_distances = dict(
-            zip((int(m) for m in members), (float(d) for d in min_dist))
-        )
+        first_pivot_distances = self._distances_from(first, members)
+        min_dist = first_pivot_distances.copy()
         assignment = np.full(members.size, first)
-
-        member_set = set(int(m) for m in members)
+        is_pivot = members == first
         while len(pivots) < self.branching:
             candidate_order = np.argsort(min_dist)[::-1]
-            new_pivot = None
-            for idx in candidate_order:
-                candidate = int(members[idx])
-                if candidate not in pivots:
-                    new_pivot = candidate
-                    break
-            if new_pivot is None or min_dist.max() == 0.0:
+            candidates = candidate_order[~is_pivot[candidate_order]]
+            if not candidates.size or min_dist.max() == 0.0:
                 break
+            own = candidates[0]
+            new_pivot = int(members[own])
             pivots.append(new_pivot)
+            is_pivot[own] = True
+            min_dist[own] = 0.0
+            assignment[own] = new_pivot
             if self._embedding is not None:
                 lower = self._embedding.lower_bounds_to(
                     self._embedding.coords[new_pivot], members
@@ -274,33 +249,14 @@ class NBTree:
                 lower = np.zeros(members.size)
             # Which members need a real distance to the new pivot?  The
             # per-member updates are independent, so evaluating them as one
-            # batch leaves every assignment and counter unchanged.
-            to_evaluate: list[int] = []
-            for idx, member in enumerate(members):
-                member = int(member)
-                if member == new_pivot:
-                    min_dist[idx] = 0.0
-                    assignment[idx] = new_pivot
-                elif lower[idx] >= min_dist[idx]:
-                    self.stats.pruned_by_vantage += 1
-                else:
-                    to_evaluate.append(idx)
-            if not to_evaluate:
-                continue
-            if self._engine is not None:
-                exact = self._exact_batch(
-                    new_pivot, [int(members[idx]) for idx in to_evaluate]
-                )
-            else:
-                exact = [
-                    self._exact(new_pivot, int(members[idx]))
-                    for idx in to_evaluate
-                ]
-            for idx, d in zip(to_evaluate, exact):
-                if d < min_dist[idx]:
-                    min_dist[idx] = float(d)
-                    assignment[idx] = new_pivot
-        assert set(assignment) <= member_set
+            # batch leaves every assignment and counter unchanged.  (The
+            # pivot's own entry is 0.0 now, which no lower bound is below.)
+            to_evaluate = np.flatnonzero(lower < min_dist)
+            self.stats.pruned_by_vantage += members.size - 1 - to_evaluate.size
+            exact = self._exact_batch(new_pivot, members[to_evaluate])
+            closer = exact < min_dist[to_evaluate]
+            min_dist[to_evaluate[closer]] = exact[closer]
+            assignment[to_evaluate[closer]] = new_pivot
         return pivots, assignment, first_pivot_distances
 
     # ------------------------------------------------------------------
@@ -361,5 +317,5 @@ def _diameter_from_centroid_distances(distances) -> float:
     """
     if len(distances) < 2:
         return 0.0
-    top_two = sorted(distances)[-2:]
+    top_two = np.sort(distances)[-2:]
     return float(top_two[0] + top_two[1])

@@ -46,11 +46,7 @@ from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageEmbedding
 from repro.resilience.atomicio import unwrap_checksummed, write_checksummed
-from repro.resilience.errors import (
-    CorruptIndexError,
-    DatabaseMismatchError,
-    IndexFormatError,
-)
+from repro.resilience.errors import DatabaseMismatchError, IndexFormatError
 
 #: Version 2 wraps the npz payload in the checksummed container; version 3
 #: may store integral coordinates as unsigned integers.  1 (bare npz) and

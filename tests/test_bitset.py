@@ -48,6 +48,10 @@ def test_roundtrip_and_popcount(case):
     assert words.shape == (kernel.num_words(nbits),)
     assert list(kernel.to_positions(words)) == positions
     assert kernel.popcount(words) == len(positions)
+    # The public per-word popcount (also the star kernel's) keeps the shape.
+    assert kernel.word_counts(words).tolist() == [
+        bin(int(word)).count("1") for word in words
+    ]
     for p in range(min(nbits, 130)):
         assert kernel.test_bit(words, p) == (p in as_set(nbits, positions))
 

@@ -6,13 +6,19 @@ serial per-pair code, so equality assertions here are ``==`` /
 ``array_equal``, never ``approx``.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import random_database
 from repro.cascade import FilterCascade
 from repro.core.greedy import baseline_greedy, lazy_greedy
 from repro.engine import DistanceEngine, batch_evaluator_for
+from repro.engine.starbatch import _BLOCK_PROFILES
 from repro.ged.metric import (
     CachingDistance,
     CountingDistance,
@@ -54,45 +60,131 @@ def test_batch_evaluator_bit_identical(db, normalized):
         assert np.array_equal(got, expected)
 
 
+def _rings(alphabet: int, prefix: str = "w") -> list[LabeledGraph]:
+    """8-cycles over disjoint slices of ``alphabet`` distinct labels: every
+    label becomes a token column of its own, so packing all the rings grows
+    a registry by ``alphabet`` columns — past 64 and 128 when asked."""
+    labels = [f"{prefix}{i}" for i in range(alphabet)]
+    return [
+        LabeledGraph(
+            labels[lo:lo + 8], [(v, (v + 1) % 8) for v in range(8)]
+        )
+        for lo in range(0, alphabet, 8)
+    ]
+
+
+def _narrow_graphs(rng, count: int) -> list[LabeledGraph]:
+    """Small graphs over two labels: the empty graph, isolated vertices, a
+    hub whose ≥ 3 equal leaves need count levels, random sparse graphs."""
+    graphs = [
+        LabeledGraph([], []),
+        LabeledGraph(["a", "b", "a"], []),
+        LabeledGraph(["a"] + ["b"] * 5, [(0, leaf) for leaf in range(1, 6)]),
+    ]
+    for _ in range(count):
+        n = int(rng.integers(1, 8))
+        edges = [
+            (u, v, "-="[int(rng.integers(2))])
+            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+        ]
+        graphs.append(LabeledGraph(list(rng.choice(["a", "b"], n)), edges))
+    return graphs
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batch_evaluator_property_bit_identical(data):
+    """The bit-word kernel ``==`` the serial ``StarDistance``: multi-word
+    masks, profiles packed before and after the registry crosses a word
+    boundary in one batch, count levels, empty sides, every size relation,
+    duplicates, and batch lengths on both sides of the loop / tensor
+    switch (64) and of ``_BLOCK_PROFILES``."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    normalized = data.draw(st.booleans(), label="normalized")
+    alphabet = data.draw(st.sampled_from([72, 136]), label="alphabet")
+    narrow = _narrow_graphs(rng, data.draw(st.integers(2, 8), label="narrow"))
+    wide = _rings(alphabet)
+    serial = StarDistance(normalized=normalized)
+    evaluator = batch_evaluator_for(serial)
+    reference: dict[tuple[int, int], float] = {}
+
+    def check(pool, source, targets):
+        got = evaluator.one_to_many(pool[source], [pool[t] for t in targets])
+        for value, target in zip(got.tolist(), targets):
+            key = (id(pool[source]), id(pool[target]))
+            if key not in reference:
+                reference[key] = serial(pool[source], pool[target])
+            assert value == reference[key], (source, target)
+
+    # Narrow profiles are packed while one word still covers the registry…
+    check(narrow, 2, range(len(narrow)))
+    assert len(evaluator._token_ids) <= 64
+    # …the rings push it over one or two word boundaries…
+    check(wide, 0, range(len(wide)))
+    assert len(evaluator._token_ids) > alphabet - 8
+    # …and then old and new profiles meet, as source and as target.
+    pool = narrow + wide
+    lengths = (1, 2, 64, 65, _BLOCK_PROFILES, _BLOCK_PROFILES + 1)
+    for source in (0, 2, len(pool) - 1, int(rng.integers(len(pool)))):
+        length = data.draw(st.sampled_from(lengths), label="length")
+        targets = rng.integers(0, len(pool), length).tolist()
+        targets[0] = 0  # an empty target in every batch
+        targets[-1] = targets[len(targets) // 2]  # and a duplicate
+        check(pool, source, targets)
+
+
 def test_batch_evaluator_concurrent_queries_bit_identical(db):
     """Concurrent one_to_many calls on ONE evaluator must stay correct.
 
     The service runs ``--concurrency`` threads against a shared engine;
     the token registry grows lazily, so unsynchronized interning used to
-    (a) crash the overlap matmul with mismatched column counts and
+    (a) crash the overlap kernel with mismatched column counts and
     (b) risk two tokens silently sharing a column.  Hammer a fresh
-    evaluator from several threads over disjoint graph slices and check
-    every value against the serial distance.
+    evaluator from several threads and check every value against the
+    serial distance.  Each thread walks the targets in its own rotation,
+    so the rings that carry the registry across the 64- and 128-column
+    word boundaries are packed by one thread while the others are inside
+    ``one_to_many`` holding narrower profiles.
     """
-    import threading
-
     serial = StarDistance()
+    pool = list(db.graphs) + _rings(136)
     expected = {
-        source: np.array([serial(db[source], g) for g in db.graphs])
+        source: np.array([serial(pool[source], g) for g in pool])
         for source in range(8)
     }
-    for _ in range(5):  # fresh registry each round: interning races live
-        evaluator = batch_evaluator_for(StarDistance())
-        results = {}
-        barrier = threading.Barrier(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):  # fresh registry each round: interning races live
+            evaluator = batch_evaluator_for(StarDistance())
+            results = {}
+            barrier = threading.Barrier(4, timeout=10.0)
 
-        def hammer(sources):
-            barrier.wait()  # maximize registry-growth overlap
-            for source in sources:
-                results[source] = evaluator.one_to_many(
-                    db[source], list(db.graphs)
-                )
+            def hammer(slot):
+                shift = slot * len(pool) // 4
+                order = list(range(shift, len(pool))) + list(range(shift))
+                barrier.wait()  # maximize registry-growth overlap
+                for source in (slot, slot + 4):
+                    got = evaluator.one_to_many(
+                        pool[source], [pool[t] for t in order]
+                    )
+                    results[source] = got[np.argsort(order)]
 
-        threads = [
-            threading.Thread(target=hammer, args=([s, s + 4],))
-            for s in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for source, got in results.items():
-            assert np.array_equal(got, expected[source]), source
+            threads = [
+                threading.Thread(target=hammer, args=(slot,))
+                for slot in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert len(evaluator._token_ids) > 128
+            assert sorted(results) == list(range(8))
+            for source, got in results.items():
+                assert np.array_equal(got, expected[source]), source
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_batch_evaluator_empty_and_mismatched_graphs(star):
@@ -369,7 +461,6 @@ class TestEngineThreadSafety:
         self, db, star
     ):
         import itertools
-        import threading
 
         pairs = list(itertools.combinations(range(20), 2))
         expected = self._reference(db, star, pairs)
@@ -416,8 +507,6 @@ class TestEngineThreadSafety:
         assert stats["cache_hits"] + stats["evaluations"] > 0
 
     def test_concurrent_within_prefilter(self, db, star):
-        import threading
-
         engine = DistanceEngine(star, graphs=db.graphs)
         vps = select_vantage_points(
             db.graphs, 4, np.random.default_rng(5), strategy="random"
