@@ -1,9 +1,8 @@
 """Shared benchmark fixtures.
 
-Contexts are session-scoped: dataset generation and offline index builds
-happen once per dataset and are shared across benchmark files — matching
-the paper's setup, where indexes are built offline and only query time is
-measured.
+``dud_ctx`` serves the micro-operation benchmarks; the paper's experiments
+(``bench_paper.py``) build a fresh context per run, so a table's counts do
+not depend on what ran before it.
 """
 
 from __future__ import annotations
@@ -16,21 +15,6 @@ from repro.bench import BenchContext
 @pytest.fixture(scope="session")
 def dud_ctx() -> BenchContext:
     return BenchContext.create("dud")
-
-
-@pytest.fixture(scope="session")
-def dblp_ctx() -> BenchContext:
-    return BenchContext.create("dblp")
-
-
-@pytest.fixture(scope="session")
-def amazon_ctx() -> BenchContext:
-    return BenchContext.create("amazon")
-
-
-@pytest.fixture(scope="session")
-def all_contexts(dud_ctx, dblp_ctx, amazon_ctx) -> list[BenchContext]:
-    return [dud_ctx, dblp_ctx, amazon_ctx]
 
 
 def run_once(benchmark, fn, *args, **kwargs):

@@ -1,79 +1,66 @@
 #!/usr/bin/env python3
 """Assemble results/REPORT.md from the per-experiment artifacts.
 
-After a benchmark run (``pytest benchmarks/ --benchmark-only`` or
-``repro experiment --all``), this script stitches every table/chart in
-``results/`` into one reviewable document, ordered by the paper's
-experiment numbering.
+After ``repro experiment --all`` (or ``pytest benchmarks/bench_paper.py
+--benchmark-only``), this script stitches every table/chart in
+``results/`` into one reviewable document, in the order and under the
+headings of the experiment registry (``repro.bench.EXPERIMENTS``).
 
-    python scripts/build_report.py
+    PYTHONPATH=src python scripts/build_report.py
 """
 
 from __future__ import annotations
 
 import datetime
 import platform
+import re
+import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
+sys.path.insert(0, str(ROOT / "src"))
 
-#: Presentation order: prefix → section heading.
-SECTIONS = (
-    ("fig2a", "Fig. 2(a) — DisC answer-set growth"),
-    ("fig2b", "Fig. 2(b) — Algorithm 1 over NN-indexes"),
-    ("table4", "Table 4 — answer-set quality"),
-    ("fig5ab", "Figs. 5(a–b) — distance CDFs"),
-    ("fig5ce", "Figs. 5(c–e) — distance histograms"),
-    ("fig5fh", "Figs. 5(f–h) — vantage FPR"),
-    ("fig5ik", "Figs. 5(i–k) — query time vs θ"),
-    ("fig5l6a", "Figs. 5(l)/6(a) — π̂ ladder gap"),
-    ("fig6bd", "Figs. 6(b–d) — query time vs size"),
-    ("fig6eg", "Figs. 6(e–g) — query time vs k"),
-    ("fig6h", "Fig. 6(h) — feature dimensionality"),
-    ("fig6i", "Fig. 6(i) — interactive zoom"),
-    ("fig6j", "Fig. 6(j) — zoom scaling"),
-    ("fig6k", "Fig. 6(k) — index construction"),
-    ("fig6l", "Fig. 6(l) — index memory"),
-    ("fig7", "Fig. 7 — qualitative comparison"),
-    ("ablation", "Ablations (beyond the paper)"),
-)
+from repro.bench import EXPERIMENTS  # noqa: E402
 
 
 def main() -> int:
-    if not RESULTS.is_dir():
-        print("results/ not found — run the benchmarks first", file=sys.stderr)
-        return 1
-    artifacts = sorted(RESULTS.glob("*.txt"))
+    artifacts = sorted(RESULTS.glob("*.txt")) if RESULTS.is_dir() else []
     if not artifacts:
-        print("results/ is empty — run the benchmarks first", file=sys.stderr)
+        print("results/ is missing or empty — run the experiments first",
+              file=sys.stderr)
         return 1
+    texts = {path: path.read_text().rstrip() for path in artifacts}
+    scales = sorted(set(re.findall(r"\[scale: (\w+)\]", "".join(texts.values()))))
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+        capture_output=True, text=True,
+    ).stdout.strip() or "unknown"
 
     lines = [
         "# Reproduction report",
         "",
         f"Generated {datetime.datetime.now():%Y-%m-%d %H:%M} on "
-        f"Python {platform.python_version()} ({platform.machine()}).",
+        f"Python {platform.python_version()} ({platform.machine()}), "
+        f"commit {commit}, REPRO_BENCH_SCALE={'/'.join(scales) or 'unrecorded'}.",
         "",
-        "Per-experiment tables and ASCII charts as produced by the benchmark",
-        "harness; see EXPERIMENTS.md for the paper-vs-measured comparison.",
+        "Per-experiment tables and ASCII charts as produced by the experiment",
+        "registry; see EXPERIMENTS.md for the paper-vs-measured comparison.",
         "",
     ]
-    used: set[Path] = set()
-    for prefix, heading in SECTIONS:
-        matching = [p for p in artifacts if p.name.startswith(prefix)]
-        if not matching:
-            continue
-        lines += [f"## {heading}", ""]
-        for path in matching:
-            used.add(path)
-            lines += ["```", path.read_text().rstrip(), "```", ""]
-    leftovers = [p for p in artifacts if p not in used and p.name != "REPORT.md"]
-    if leftovers:
+    heading = None
+    for entry in EXPERIMENTS:
+        for path in artifacts:
+            if path.name.startswith(entry.name) and path in texts:
+                if entry.heading != heading:
+                    heading = entry.heading
+                    lines += [f"## {heading}", ""]
+                lines += ["```", texts.pop(path), "```", ""]
+    if texts:
         lines += ["## Other artifacts", ""]
-        for path in leftovers:
-            lines += ["```", path.read_text().rstrip(), "```", ""]
+        for text in texts.values():
+            lines += ["```", text, "```", ""]
 
     output = RESULTS / "REPORT.md"
     output.write_text("\n".join(lines) + "\n")

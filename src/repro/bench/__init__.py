@@ -1,4 +1,5 @@
-"""Benchmark harness: per-table/figure experiment drivers and printers."""
+"""Benchmark harness: the experiment registry, per-table/figure drivers
+and printers."""
 
 from repro.bench.harness import (
     SCALES,
@@ -6,25 +7,22 @@ from repro.bench.harness import (
     ExperimentResult,
     bench_scale,
     dataset_size,
-    sweep_sizes,
     timed_call,
     write_result,
 )
 from repro.bench.printers import format_table, print_and_save
-from repro.bench import experiments, hotpath, scaling
+from repro.bench.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
     "BenchContext",
+    "EXPERIMENTS",
     "ExperimentResult",
     "SCALES",
     "bench_scale",
     "dataset_size",
-    "sweep_sizes",
     "timed_call",
     "write_result",
     "format_table",
     "print_and_save",
-    "experiments",
-    "hotpath",
-    "scaling",
+    "run_experiment",
 ]

@@ -43,10 +43,8 @@ def fig2a_disc_growth(
             "compression_ratio": result.compression_ratio,
         })
     rows.sort(key=lambda r: r["relevant"])
-    return ExperimentResult(
-        name=f"fig2a_disc_growth_{ctx.name}",
-        columns=["relevant", "answer_size", "compression_ratio"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig2a_disc_growth_{ctx.name}", rows,
         notes=(
             "Paper: DisC answer grows ~linearly with |L_q|; average CR ≈ 3 "
             f"on DUD. Dataset: {ctx.name}, theta={ctx.theta:.1f}."
@@ -56,7 +54,7 @@ def fig2a_disc_growth(
 
 def table4_quality(
     contexts: list[BenchContext],
-    ks=(10, 25, 50, 100),
+    ks=(5, 10, 25),
 ) -> ExperimentResult:
     """Table 4: CR and π(A) for REP vs DIV(θ) vs DIV(2θ) per k, plus the
     DisC row (full covering answer)."""
@@ -87,11 +85,8 @@ def table4_quality(
             "DIV(2t)_CR": disc.compression_ratio,
             "DIV(2t)_pi": disc.pi,
         })
-    return ExperimentResult(
-        name="table4_quality",
-        columns=["dataset", "k", "REP_CR", "REP_pi", "DIV(t)_CR", "DIV(t)_pi",
-                 "DIV(2t)_CR", "DIV(2t)_pi"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        "table4_quality", rows,
         notes=(
             "Paper Table 4: REP dominates DIV(θ) which dominates DIV(2θ) in "
             "both CR and π; DisC CR ≈ 2.8/1.8/2.5 (its row shows CR and π "
@@ -120,10 +115,8 @@ def fig5ab_distance_cdf(
                 "theta": float(theta),
                 "cdf": float(value),
             })
-    return ExperimentResult(
-        name="fig5ab_distance_cdf",
-        columns=["dataset", "theta", "cdf"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        "fig5ab_distance_cdf", rows,
         notes=(
             "Paper Figs. 5(a-b): DUD/DBLP CDFs climb early (theta=10 zone); "
             "Amazon's is stretched (theta=75). Our analogs reproduce the "
@@ -153,10 +146,8 @@ def fig5ce_distance_hist(
                 "mu": distribution.mean,
                 "sigma": distribution.std,
             })
-    return ExperimentResult(
-        name="fig5ce_distance_hist",
-        columns=["dataset", "distance", "density", "mu", "sigma"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        "fig5ce_distance_hist", rows,
         notes=(
             "Paper Figs. 5(c-e): roughly unimodal distributions approximated "
             "as Gaussians of their (mu, sigma) for VP sizing."
@@ -195,10 +186,8 @@ def fig5fh_fpr(
             "fpr_upper_bound": bound,
             "num_vps": embedding.num_vantage_points,
         })
-    return ExperimentResult(
-        name=f"fig5fh_fpr_{ctx.name}",
-        columns=["theta", "observed_fpr", "fpr_upper_bound", "num_vps"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig5fh_fpr_{ctx.name}", rows,
         notes=(
             "Paper Figs. 5(f-h): FPR small in the realistic theta zone; the "
             "Gaussian bound tracks it except where the true distribution "
@@ -226,29 +215,24 @@ def fig7_qualitative(
     theta = calibrate_theta(database, distance, quantile=0.05, rng=seed)
     q = quartile_relevance(database, dims=[target_dim])
 
-    top = traditional_top_k(database, q, k)
-    rep = baseline_greedy(database, distance, q, theta, k)
-    evaluated = evaluate_answers(
-        database, distance, q, theta, {"topk": top, "rep": rep.answer}
-    )
+    answers = {
+        "traditional_topk": traditional_top_k(database, q, k),
+        "representative": baseline_greedy(database, distance, q, theta, k).answer,
+    }
+    evaluated = evaluate_answers(database, distance, q, theta, answers)
     rows = []
-    for engine, answer in (("traditional_topk", top), ("representative", rep.answer)):
+    for engine, answer in answers.items():
         spread = answer_set_redundancy(database, distance, answer)
         rows.append({
             "engine": engine,
             "answer_ids": ",".join(str(a) for a in answer),
             "mean_pairwise_dist": spread["mean"],
             "min_pairwise_dist": spread["min"],
-            "pi": evaluated["topk" if engine.startswith("trad") else "rep"]["pi"],
-            "CR": evaluated["topk" if engine.startswith("trad") else "rep"][
-                "compression_ratio"
-            ],
+            "pi": evaluated[engine]["pi"],
+            "CR": evaluated[engine]["compression_ratio"],
         })
-    return ExperimentResult(
-        name="fig7_qualitative",
-        columns=["engine", "answer_ids", "mean_pairwise_dist",
-                 "min_pairwise_dist", "pi", "CR"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        "fig7_qualitative", rows,
         notes=(
             "Paper Fig. 7: traditional top-5 molecules share a core scaffold "
             "(low pairwise distance, low coverage); the representative top-5 "

@@ -4,8 +4,10 @@ Every experiment driver in :mod:`repro.bench.experiments` consumes a
 :class:`BenchContext` — a dataset plus lazily built engines (NB-Index,
 C-tree, M-tree, distance matrix) over a shared metric — and returns an
 :class:`ExperimentResult` of printable rows.  Scales are centralized here
-so ``pytest benchmarks/`` stays minutes-fast while the same drivers can be
-run standalone at larger sizes (``REPRO_BENCH_SCALE=medium|large``).
+so the default run stays minutes-fast while the same drivers can be run
+at larger sizes (``REPRO_BENCH_SCALE=medium|large``) or, for tier-1 and
+CI, in seconds (``smoke``).  Which driver gets which arguments at a scale
+is declared once, in :mod:`repro.bench.registry`.
 
 The paper ran a Java implementation on datasets up to 128K graphs; pure
 Python is orders of magnitude slower per edit distance, so the default
@@ -16,7 +18,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from repro.baselines.ctree import CTree
@@ -27,11 +30,25 @@ from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
 
-#: Per-scale default database sizes for the three datasets.
+#: What does not grow with the database: the exact-GED ablation's size, and
+#: whether claims on seconds and on sample statistics are asserted beside
+#: the ones on table shape and call counts.
+_PAPER = {"exact_ged": {"num_graphs": 20, "num_pairs": 60},
+          "full_claims": True}
+
+#: Per-scale database sizes for the three datasets and the size sweep.
+#: ``smoke`` is sized for seconds: its tables are checked for shape and
+#: call counts only.
 SCALES = {
-    "small": {"dud": 300, "dblp": 160, "amazon": 220, "sweep": (100, 200, 300)},
-    "medium": {"dud": 800, "dblp": 400, "amazon": 500, "sweep": (200, 400, 800)},
-    "large": {"dud": 2000, "dblp": 1000, "amazon": 1200, "sweep": (500, 1000, 2000)},
+    "smoke": {"dud": 50, "dblp": 16, "amazon": 30, "sweep": (25, 40),
+              "exact_ged": {"num_graphs": 5, "num_pairs": 4},
+              "full_claims": False},
+    "small": {**_PAPER, "dud": 300, "dblp": 160, "amazon": 220,
+              "sweep": (100, 200, 300)},
+    "medium": {**_PAPER, "dud": 800, "dblp": 400, "amazon": 500,
+               "sweep": (200, 400, 800)},
+    "large": {**_PAPER, "dud": 2000, "dblp": 1000, "amazon": 1200,
+              "sweep": (500, 1000, 2000)},
 }
 
 #: Directory where experiment tables are written.
@@ -50,10 +67,6 @@ def dataset_size(name: str) -> int:
     return SCALES[bench_scale()][name]
 
 
-def sweep_sizes() -> tuple[int, ...]:
-    return SCALES[bench_scale()]["sweep"]
-
-
 @dataclass
 class ExperimentResult:
     """Rows of one regenerated table/figure."""
@@ -62,6 +75,11 @@ class ExperimentResult:
     columns: list[str]
     rows: list[dict]
     notes: str = ""
+
+    @classmethod
+    def from_rows(cls, name: str, rows: list[dict], notes: str = ""):
+        """Columns are the first row's keys, in the order it was built."""
+        return cls(name, list(rows[0]), rows, notes)
 
     def column(self, key: str) -> list:
         return [row.get(key) for row in self.rows]
@@ -84,10 +102,6 @@ class BenchContext:
     seed: int = 7
     num_vantage_points: int = 12
     branching: int = 8
-    _nbindex: NBIndex | None = field(default=None, repr=False)
-    _ctree: CTree | None = field(default=None, repr=False)
-    _mtree: MTree | None = field(default=None, repr=False)
-    _matrix: DistanceMatrixOracle | None = field(default=None, repr=False)
 
     @classmethod
     def create(cls, dataset: str, num_graphs: int | None = None, seed: int = 7,
@@ -105,38 +119,35 @@ class BenchContext:
     def relevance(self, quantile: float = 0.75, dims=None):
         return quartile_relevance(self.database, dims=dims, quantile=quantile)
 
-    @property
+    def build_index(self, **overrides) -> NBIndex:
+        """A fresh NB-Index with this context's parameters — its pair cache
+        holds the build's distances only, so a query on it is cold."""
+        params = dict(
+            num_vantage_points=self.num_vantage_points,
+            branching=self.branching, thresholds=self.ladder, seed=self.seed,
+        )
+        return NBIndex.build(self.database, self.distance,
+                             **{**params, **overrides})
+
+    @cached_property
     def nbindex(self) -> NBIndex:
-        if self._nbindex is None:
-            self._nbindex = NBIndex.build(
-                self.database, self.distance,
-                num_vantage_points=self.num_vantage_points,
-                branching=self.branching, thresholds=self.ladder,
-                seed=self.seed,
-            )
-        return self._nbindex
+        return self.build_index()
 
-    @property
+    @cached_property
     def ctree(self) -> CTree:
-        if self._ctree is None:
-            self._ctree = CTree(
-                self.database.graphs, self.distance, capacity=16, seed=self.seed
-            )
-        return self._ctree
+        return CTree(
+            self.database.graphs, self.distance, capacity=16, seed=self.seed
+        )
 
-    @property
+    @cached_property
     def mtree(self) -> MTree:
-        if self._mtree is None:
-            self._mtree = MTree(
-                self.database.graphs, self.distance, capacity=16, seed=self.seed
-            )
-        return self._mtree
+        return MTree(
+            self.database.graphs, self.distance, capacity=16, seed=self.seed
+        )
 
-    @property
+    @cached_property
     def matrix(self) -> DistanceMatrixOracle:
-        if self._matrix is None:
-            self._matrix = DistanceMatrixOracle(self.database, self.distance)
-        return self._matrix
+        return DistanceMatrixOracle(self.database, self.distance)
 
 
 def timed_call(fn, *args, **kwargs) -> tuple[object, float]:

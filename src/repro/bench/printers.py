@@ -43,41 +43,17 @@ def format_table(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Chart specs per experiment-name prefix: (x, ys, log_y).  Applied
-#: automatically by :func:`print_and_save` when the columns are present —
-#: the results/ artifact then carries a figure-like view of the series.
-CHART_SPECS: dict[str, tuple[str, list[str], bool]] = {
-    "fig2a_disc_growth": ("relevant", ["answer_size"], False),
-    "fig2b_baseline_scaling": (
-        "size", ["plain_greedy_s", "ctree_greedy_s", "mtree_greedy_s"], True),
-    "fig5fh_fpr": ("theta", ["observed_fpr", "fpr_upper_bound"], True),
-    "fig5ik_time_vs_theta": (
-        "theta", ["nbindex_s", "ctree_greedy_s", "disc_s", "div_s"], True),
-    "fig5l6a_threshold_gap": ("indexed_theta_gap", ["query_s"], False),
-    "fig6bd_time_vs_size": (
-        "size", ["nbindex_s", "ctree_greedy_s", "disc_s", "div_s"], True),
-    "fig6eg_time_vs_k": (
-        "k", ["nbindex_s", "ctree_greedy_s", "disc_s", "div_s"], True),
-    "fig6h_time_vs_dims": ("dims", ["nbindex_s", "ctree_greedy_s"], True),
-    "fig6j_zoom_scaling": (
-        "size", ["nb_refine_avg_s", "ctree_recompute_avg_s"], True),
-    "fig6k_index_build": ("size", ["nb_build_s", "matrix_build_s"], True),
-    "fig6l_index_memory": ("size", ["nb_index_bytes", "matrix_bytes"], True),
-    "ablation_vp_count": ("num_vps", ["observed_fpr"], True),
-}
-
-
 def chart_for(result: ExperimentResult) -> str | None:
-    """The ASCII chart registered for this experiment, if any."""
+    """The ASCII chart the registry declares for this experiment, if any."""
     from repro.bench.ascii_plot import ascii_chart
+    from repro.bench.registry import EXPERIMENTS
 
-    for prefix, (x, ys, log_y) in CHART_SPECS.items():
-        if result.name.startswith(prefix):
+    for entry in EXPERIMENTS:
+        if entry.chart and result.name.startswith(entry.name):
+            x, ys, log_y = entry.chart
             usable = [y for y in ys if any(r.get(y) is not None
                                            for r in result.rows)]
-            if not usable:
-                return None
-            try:
+            try:  # no usable series or no points: no chart
                 return ascii_chart(result, x, usable, log_y=log_y,
                                    title=f"[{result.name}]")
             except ValueError:

@@ -19,53 +19,50 @@ from repro.baselines.disc import disc_greedy
 from repro.baselines.div import div_topk
 from repro.bench.harness import BenchContext, ExperimentResult, timed_call
 from repro.core.greedy import baseline_greedy
+from repro.datasets import GENERATORS
 from repro.ged.metric import pairwise_matrix
+from repro.graphs import quartile_relevance
 from repro.index import NBIndex, ThresholdLadder
 from repro.index.fpr import empirical_fpr
+from repro.index.pivec import choose_thresholds
 
 DEFAULT_K = 10
 
 
 # ---------------------------------------------------------------------------
-# Engine runners: one timed top-k query each, on prebuilt indexes.
+# Engine runners: one timed top-k query each, on prebuilt indexes.  Each
+# returns (wall seconds, exact distance computations) — the second is the
+# paper's cost model and, unlike the first, repeats exactly.
 # ---------------------------------------------------------------------------
-def run_nbindex(ctx: BenchContext, q, theta: float, k: int) -> float:
-    index = ctx.nbindex  # built offline
-    _, seconds = timed_call(index.query, q, theta, k)
-    return seconds
+def run_nbindex(ctx: BenchContext, q, theta: float, k: int):
+    """A cold query: a fresh index (built offline, untimed) whose pair
+    cache holds no earlier query's distances."""
+    index = ctx.build_index()
+    result, seconds = timed_call(index.query, q, theta, k)
+    return seconds, result.stats.distance_calls
 
 
-def run_ctree_greedy(ctx: BenchContext, q, theta: float, k: int) -> float:
-    tree = ctx.ctree
+def _tree_query(tree, fn, ctx: BenchContext, q, theta: float, **kwargs):
+    """``fn`` over ``tree``'s range queries; calls are the tree's own count
+    (the greedy on top evaluates no distance itself)."""
+    before = tree.stats()["distance_calls"]
     _, seconds = timed_call(
-        baseline_greedy, ctx.database, ctx.distance, q, theta, k,
-        range_query=tree.range_query,
+        fn, ctx.database, ctx.distance, q, theta,
+        range_query=tree.range_query, **kwargs,
     )
-    return seconds
+    return seconds, tree.stats()["distance_calls"] - before
 
 
-def run_disc(ctx: BenchContext, q, theta: float, k: int) -> float:
-    tree = ctx.mtree
-    _, seconds = timed_call(
-        disc_greedy, ctx.database, ctx.distance, q, theta,
-        range_query=tree.range_query, stop_at_k=k,
-    )
-    return seconds
+def run_ctree_greedy(ctx: BenchContext, q, theta: float, k: int):
+    return _tree_query(ctx.ctree, baseline_greedy, ctx, q, theta, k=k)
 
 
-def run_div(ctx: BenchContext, q, theta: float, k: int) -> float:
-    tree = ctx.ctree
-    _, seconds = timed_call(
-        div_topk, ctx.database, ctx.distance, q, theta, k,
-        range_query=tree.range_query,
-    )
-    return seconds
+def run_disc(ctx: BenchContext, q, theta: float, k: int):
+    return _tree_query(ctx.mtree, disc_greedy, ctx, q, theta, stop_at_k=k)
 
 
-def run_matrix(ctx: BenchContext, q, theta: float, k: int) -> float:
-    oracle = ctx.matrix
-    _, seconds = timed_call(oracle.greedy, q, theta, k)
-    return seconds
+def run_div(ctx: BenchContext, q, theta: float, k: int):
+    return _tree_query(ctx.ctree, div_topk, ctx, q, theta, k=k)
 
 
 ENGINES = {
@@ -76,12 +73,21 @@ ENGINES = {
 }
 
 
+def engine_row(ctx: BenchContext, q, theta: float, k: int,
+               engines=tuple(ENGINES)) -> dict:
+    """One table row: each engine's seconds and exact calls for (θ, k)."""
+    row = {}
+    for name in engines:
+        row[f"{name}_s"], row[f"{name}_calls"] = ENGINES[name](ctx, q, theta, k)
+    return row
+
+
 # ---------------------------------------------------------------------------
 # Fig. 2(b): the unindexed/NN-indexed baseline does not scale.
 # ---------------------------------------------------------------------------
 def fig2b_baseline_scaling(
-    dataset: str = "dud",
-    sizes=(100, 200, 300),
+    dataset: str,
+    sizes,
     k: int = DEFAULT_K,
     seed: int = 7,
 ) -> ExperimentResult:
@@ -89,21 +95,20 @@ def fig2b_baseline_scaling(
     for size in sizes:
         ctx = BenchContext.create(dataset, num_graphs=size, seed=seed)
         q = ctx.relevance()
-        rows.append({
-            "size": size,
-            "ctree_greedy_s": run_ctree_greedy(ctx, q, ctx.theta, k),
-            "mtree_greedy_s": timed_call(
-                baseline_greedy, ctx.database, ctx.distance, q, ctx.theta, k,
-                range_query=ctx.mtree.range_query,
-            )[1],
-            "plain_greedy_s": timed_call(
-                baseline_greedy, ctx.database, ctx.distance, q, ctx.theta, k,
-            )[1],
-        })
-    return ExperimentResult(
-        name=f"fig2b_baseline_scaling_{dataset}",
-        columns=["size", "plain_greedy_s", "ctree_greedy_s", "mtree_greedy_s"],
-        rows=rows,
+        plain, plain_s = timed_call(
+            baseline_greedy, ctx.database, ctx.distance, q, ctx.theta, k,
+        )
+        row = {"size": size, "plain_greedy_s": plain_s,
+               "plain_greedy_calls": plain.stats.distance_calls}
+        row["ctree_greedy_s"], row["ctree_greedy_calls"] = run_ctree_greedy(
+            ctx, q, ctx.theta, k
+        )
+        row["mtree_greedy_s"], row["mtree_greedy_calls"] = _tree_query(
+            ctx.mtree, baseline_greedy, ctx, q, ctx.theta, k=k
+        )
+        rows.append(row)
+    return ExperimentResult.from_rows(
+        f"fig2b_baseline_scaling_{dataset}", rows,
         notes=(
             "Paper Fig. 2(b): Algorithm 1 over NN-indexes (C-tree, DisC's "
             "M-tree) grows superlinearly — >35 min at 5K graphs in the "
@@ -118,31 +123,25 @@ def fig2b_baseline_scaling(
 # ---------------------------------------------------------------------------
 def fig5ik_time_vs_theta(
     ctx: BenchContext,
-    theta_factors=(0.6, 1.0, 1.5, 2.2),
+    theta_factors=(0.6, 1.0, 1.8),
     k: int = DEFAULT_K,
-    include_matrix: bool = True,
 ) -> ExperimentResult:
+    """The distance-matrix inset is Fig. 5(i)'s alone, so only DUD gets it."""
     q = ctx.relevance()
+    include_matrix = ctx.name == "dud"
     # Force offline builds before timing.
-    ctx.nbindex, ctx.ctree, ctx.mtree
+    ctx.ctree, ctx.mtree
     if include_matrix:
         ctx.matrix
     rows = []
     for factor in theta_factors:
         theta = ctx.theta * factor
-        row = {"theta": theta}
-        for name, runner in ENGINES.items():
-            row[f"{name}_s"] = runner(ctx, q, theta, k)
+        row = {"theta": theta, **engine_row(ctx, q, theta, k)}
         if include_matrix:
-            row["distmatrix_s"] = run_matrix(ctx, q, theta, k)
+            row["distmatrix_s"] = timed_call(ctx.matrix.greedy, q, theta, k)[1]
         rows.append(row)
-    columns = ["theta"] + [f"{n}_s" for n in ENGINES]
-    if include_matrix:
-        columns.append("distmatrix_s")
-    return ExperimentResult(
-        name=f"fig5ik_time_vs_theta_{ctx.name}",
-        columns=columns,
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig5ik_time_vs_theta_{ctx.name}", rows,
         notes=(
             "Paper Figs. 5(i-k): NB-Index up to 2 orders of magnitude "
             "faster than DisC/C-tree/DIV; bell-shaped NB curve (Theorem 6 "
@@ -157,7 +156,7 @@ def fig5ik_time_vs_theta(
 # ---------------------------------------------------------------------------
 def fig5l6a_threshold_gap(
     ctx: BenchContext,
-    gap_factors=(0.0, 0.25, 0.5, 1.0, 2.0),
+    gap_factors=(0.0, 0.5, 1.5),
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
     q = ctx.relevance()
@@ -165,21 +164,15 @@ def fig5l6a_threshold_gap(
     rows = []
     for factor in gap_factors:
         gap = theta * factor
-        ladder = ThresholdLadder([theta + gap])
-        index = NBIndex.build(
-            ctx.database, ctx.distance,
-            num_vantage_points=ctx.num_vantage_points,
-            branching=ctx.branching, thresholds=ladder, seed=ctx.seed,
-        )
-        _, seconds = timed_call(index.query, q, theta, k)
+        index = ctx.build_index(thresholds=ThresholdLadder([theta + gap]))
+        result, seconds = timed_call(index.query, q, theta, k)
         rows.append({
             "indexed_theta_gap": gap,
             "query_s": seconds,
+            "distance_calls": result.stats.distance_calls,
         })
-    return ExperimentResult(
-        name=f"fig5l6a_threshold_gap_{ctx.name}",
-        columns=["indexed_theta_gap", "query_s"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig5l6a_threshold_gap_{ctx.name}", rows,
         notes=(
             "Paper Figs. 5(l)/6(a): looser pi-hat upper bounds (larger gap "
             "between theta and the covering indexed threshold) cost only "
@@ -193,22 +186,18 @@ def fig5l6a_threshold_gap(
 # ---------------------------------------------------------------------------
 def fig6bd_time_vs_size(
     dataset: str,
-    sizes=(100, 200, 300),
+    sizes,
     k: int = DEFAULT_K,
     seed: int = 7,
 ) -> ExperimentResult:
     rows = []
     for size in sizes:
         ctx = BenchContext.create(dataset, num_graphs=size, seed=seed)
-        q = ctx.relevance()
-        row = {"size": size}
-        for name, runner in ENGINES.items():
-            row[f"{name}_s"] = runner(ctx, q, ctx.theta, k)
-        rows.append(row)
-    return ExperimentResult(
-        name=f"fig6bd_time_vs_size_{dataset}",
-        columns=["size"] + [f"{n}_s" for n in ENGINES],
-        rows=rows,
+        rows.append({
+            "size": size, **engine_row(ctx, ctx.relevance(), ctx.theta, k),
+        })
+    return ExperimentResult.from_rows(
+        f"fig6bd_time_vs_size_{dataset}", rows,
         notes=(
             "Paper Figs. 6(b-d): NB-Index more than an order of magnitude "
             "faster and with a flatter growth rate than DisC/C-tree/DIV."
@@ -221,20 +210,13 @@ def fig6bd_time_vs_size(
 # ---------------------------------------------------------------------------
 def fig6eg_time_vs_k(
     ctx: BenchContext,
-    ks=(5, 10, 25, 50),
-    ) -> ExperimentResult:
+    ks=(5, 10, 25),
+) -> ExperimentResult:
     q = ctx.relevance()
-    ctx.nbindex, ctx.ctree, ctx.mtree
-    rows = []
-    for k in ks:
-        row = {"k": k}
-        for name, runner in ENGINES.items():
-            row[f"{name}_s"] = runner(ctx, q, ctx.theta, k)
-        rows.append(row)
-    return ExperimentResult(
-        name=f"fig6eg_time_vs_k_{ctx.name}",
-        columns=["k"] + [f"{n}_s" for n in ENGINES],
-        rows=rows,
+    ctx.ctree, ctx.mtree
+    rows = [{"k": k, **engine_row(ctx, q, ctx.theta, k)} for k in ks]
+    return ExperimentResult.from_rows(
+        f"fig6eg_time_vs_k_{ctx.name}", rows,
         notes=(
             "Paper Figs. 6(e-g): NB-Index grows slowly with k; DIV is "
             "nearly flat (its per-k work is feature-space only after the "
@@ -248,11 +230,11 @@ def fig6eg_time_vs_k(
 # ---------------------------------------------------------------------------
 def fig6h_time_vs_dims(
     ctx: BenchContext,
-    dims_list=(1, 3, 5, 10),
+    dims_list=(1, 5, 10),
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
     rng = np.random.default_rng(ctx.seed)
-    ctx.nbindex, ctx.ctree
+    ctx.ctree
     rows = []
     for d in dims_list:
         dims = sorted(
@@ -260,15 +242,11 @@ def fig6h_time_vs_dims(
                                        replace=False)
         )
         q = ctx.relevance(dims=dims)
-        rows.append({
-            "dims": d,
-            "nbindex_s": run_nbindex(ctx, q, ctx.theta, k),
-            "ctree_greedy_s": run_ctree_greedy(ctx, q, ctx.theta, k),
-        })
-    return ExperimentResult(
-        name=f"fig6h_time_vs_dims_{ctx.name}",
-        columns=["dims", "nbindex_s", "ctree_greedy_s"],
-        rows=rows,
+        rows.append({"dims": d, **engine_row(
+            ctx, q, ctx.theta, k, ("nbindex", "ctree_greedy")
+        )})
+    return ExperimentResult.from_rows(
+        f"fig6h_time_vs_dims_{ctx.name}", rows,
         notes=(
             "Paper Fig. 6(h): nearly flat — feature-space work is "
             "negligible next to structural distance computation; variation "
@@ -280,36 +258,36 @@ def fig6h_time_vs_dims(
 # ---------------------------------------------------------------------------
 # Figs. 6(i-j): interactive zoom (theta refinement).
 # ---------------------------------------------------------------------------
+ZOOM_COLUMNS = ["nb_refine_avg_s", "nb_refine_avg_calls",
+                "ctree_recompute_avg_s", "ctree_recompute_avg_calls"]
+
+
+def _zoom_row(ctx: BenchContext, k: int, rounds: int) -> dict:
+    """±10% θ refinements: NB session reuse vs recomputation from scratch
+    (the DisC/C-tree behaviour the paper contrasts against)."""
+    q = ctx.relevance()
+    session = ctx.nbindex.session(q)
+    session.query(ctx.theta, k)  # initial query, not counted
+    rng = np.random.default_rng(ctx.seed)
+    theta = ctx.theta
+    samples = []
+    for _ in range(rounds):
+        theta *= 1.1 if rng.random() < 0.5 else 0.9
+        result, seconds = timed_call(session.query, theta, k)
+        samples.append((seconds, result.stats.distance_calls,
+                        *run_ctree_greedy(ctx, q, theta, k)))
+    return dict(zip(ZOOM_COLUMNS, np.mean(samples, axis=0).tolist()))
+
+
 def fig6i_zoom(
     contexts: list[BenchContext],
     k: int = DEFAULT_K,
-    rounds: int = 6,
+    rounds: int = 4,
 ) -> ExperimentResult:
-    """±10% θ refinements: NB session reuse vs recomputation from scratch
-    (the DisC/C-tree behaviour the paper contrasts against)."""
-    rows = []
-    for ctx in contexts:
-        q = ctx.relevance()
-        session = ctx.nbindex.session(q)
-        session.query(ctx.theta, k)  # initial query, not counted
-        rng = np.random.default_rng(ctx.seed)
-        theta = ctx.theta
-        nb_times = []
-        fresh_times = []
-        for _ in range(rounds):
-            theta *= 1.1 if rng.random() < 0.5 else 0.9
-            _, seconds = timed_call(session.query, theta, k)
-            nb_times.append(seconds)
-            fresh_times.append(run_ctree_greedy(ctx, q, theta, k))
-        rows.append({
-            "dataset": ctx.name,
-            "nb_refine_avg_s": float(np.mean(nb_times)),
-            "ctree_recompute_avg_s": float(np.mean(fresh_times)),
-        })
-    return ExperimentResult(
+    return ExperimentResult.from_rows(
         name="fig6i_zoom",
-        columns=["dataset", "nb_refine_avg_s", "ctree_recompute_avg_s"],
-        rows=rows,
+        rows=[{"dataset": ctx.name, **_zoom_row(ctx, k, rounds)}
+              for ctx in contexts],
         notes=(
             "Paper Fig. 6(i): NB-Index handles ±10% theta refinements in "
             "seconds (initialization phase is reused); DisC/C-tree must "
@@ -319,35 +297,18 @@ def fig6i_zoom(
 
 
 def fig6j_zoom_scaling(
-    dataset: str = "dud",
-    sizes=(100, 200, 300),
+    dataset: str,
+    sizes,
     k: int = DEFAULT_K,
-    rounds: int = 4,
+    rounds: int = 3,
     seed: int = 7,
 ) -> ExperimentResult:
     rows = []
     for size in sizes:
         ctx = BenchContext.create(dataset, num_graphs=size, seed=seed)
-        q = ctx.relevance()
-        session = ctx.nbindex.session(q)
-        session.query(ctx.theta, k)
-        rng = np.random.default_rng(seed)
-        theta = ctx.theta
-        nb_times, fresh_times = [], []
-        for _ in range(rounds):
-            theta *= 1.1 if rng.random() < 0.5 else 0.9
-            _, seconds = timed_call(session.query, theta, k)
-            nb_times.append(seconds)
-            fresh_times.append(run_ctree_greedy(ctx, q, theta, k))
-        rows.append({
-            "size": size,
-            "nb_refine_avg_s": float(np.mean(nb_times)),
-            "ctree_recompute_avg_s": float(np.mean(fresh_times)),
-        })
-    return ExperimentResult(
-        name=f"fig6j_zoom_scaling_{dataset}",
-        columns=["size", "nb_refine_avg_s", "ctree_recompute_avg_s"],
-        rows=rows,
+        rows.append({"size": size, **_zoom_row(ctx, k, rounds)})
+    return ExperimentResult.from_rows(
+        f"fig6j_zoom_scaling_{dataset}", rows,
         notes="Paper Fig. 6(j): refinement time grows much slower for NB-Index.",
     )
 
@@ -356,8 +317,8 @@ def fig6j_zoom_scaling(
 # Figs. 6(k-l): index construction cost and memory.
 # ---------------------------------------------------------------------------
 def fig6k_index_build(
-    dataset: str = "dud",
-    sizes=(100, 200, 300),
+    dataset: str,
+    sizes,
     seed: int = 7,
 ) -> ExperimentResult:
     rows = []
@@ -365,9 +326,9 @@ def fig6k_index_build(
         ctx = BenchContext.create(dataset, num_graphs=size, seed=seed)
         index = ctx.nbindex
         build_calls = index.stats()["distance_calls"]
-        matrix_started = time.perf_counter()
-        pairwise_matrix(ctx.database.graphs, ctx.distance)
-        matrix_seconds = time.perf_counter() - matrix_started
+        _, matrix_seconds = timed_call(
+            pairwise_matrix, ctx.database.graphs, ctx.distance
+        )
         all_pairs = size * (size - 1) // 2
         rows.append({
             "size": size,
@@ -377,11 +338,8 @@ def fig6k_index_build(
             "matrix_distance_calls": all_pairs,
             "calls_fraction": build_calls / all_pairs,
         })
-    return ExperimentResult(
-        name=f"fig6k_index_build_{dataset}",
-        columns=["size", "nb_build_s", "nb_distance_calls", "matrix_build_s",
-                 "matrix_distance_calls", "calls_fraction"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig6k_index_build_{dataset}", rows,
         notes=(
             "Paper Fig. 6(k): NB-Index builds orders of magnitude faster "
             "than the full distance matrix; VP pruning leaves only a small "
@@ -391,8 +349,8 @@ def fig6k_index_build(
 
 
 def fig6l_index_memory(
-    dataset: str = "dud",
-    sizes=(100, 200, 300),
+    dataset: str,
+    sizes,
     seed: int = 7,
 ) -> ExperimentResult:
     rows = []
@@ -405,10 +363,8 @@ def fig6l_index_memory(
             "coverage_bytes": stats["coverage_bytes"],
             "matrix_bytes": size * size * 8,
         })
-    return ExperimentResult(
-        name=f"fig6l_index_memory_{dataset}",
-        columns=["size", "nb_index_bytes", "coverage_bytes", "matrix_bytes"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"fig6l_index_memory_{dataset}", rows,
         notes=(
             "Paper Fig. 6(l): NB-Index memory grows linearly (<300MB for "
             "all of DUD); the distance matrix grows quadratically. "
@@ -423,7 +379,7 @@ def fig6l_index_memory(
 # ---------------------------------------------------------------------------
 def ablation_vp_count(
     ctx: BenchContext,
-    vp_counts=(2, 5, 10, 20, 40),
+    vp_counts=(2, 8, 20),
     k: int = DEFAULT_K,
     num_pairs: int = 800,
 ) -> ExperimentResult:
@@ -432,10 +388,7 @@ def ablation_vp_count(
     rows = []
     for count in vp_counts:
         count = min(count, len(ctx.database))
-        index = NBIndex.build(
-            ctx.database, ctx.distance, num_vantage_points=count,
-            branching=ctx.branching, thresholds=ctx.ladder, seed=ctx.seed,
-        )
+        index = ctx.build_index(num_vantage_points=count)
         fpr = empirical_fpr(
             index.embedding, ctx.distance, ctx.database.graphs, ctx.theta,
             num_pairs=num_pairs, rng=ctx.seed,
@@ -447,27 +400,21 @@ def ablation_vp_count(
             "query_s": seconds,
             "build_s": index.build_seconds,
         })
-    return ExperimentResult(
-        name=f"ablation_vp_count_{ctx.name}",
-        columns=["num_vps", "observed_fpr", "query_s", "build_s"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"ablation_vp_count_{ctx.name}", rows,
         notes="More VPs: lower FPR, higher embedding cost — elbow expected.",
     )
 
 
 def ablation_branching(
     ctx: BenchContext,
-    branchings=(3, 8, 20, 40),
+    branchings=(3, 8, 20),
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
     q = ctx.relevance()
     rows = []
     for b in branchings:
-        index = NBIndex.build(
-            ctx.database, ctx.distance,
-            num_vantage_points=ctx.num_vantage_points, branching=b,
-            thresholds=ctx.ladder, seed=ctx.seed,
-        )
+        index = ctx.build_index(branching=b)
         _, seconds = timed_call(index.query, q, ctx.theta, k)
         rows.append({
             "branching": b,
@@ -476,10 +423,8 @@ def ablation_branching(
             "tree_nodes": index.tree.num_nodes,
             "tree_height": index.tree.height(),
         })
-    return ExperimentResult(
-        name=f"ablation_branching_{ctx.name}",
-        columns=["branching", "build_s", "query_s", "tree_nodes", "tree_height"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"ablation_branching_{ctx.name}", rows,
         notes=(
             "Paper Sec. 6.4: small b suits memory-resident use (deeper tree, "
             "finer clusters); b=40 matches the paper's on-disk default."
@@ -487,13 +432,11 @@ def ablation_branching(
     )
 
 
-def ablation_ladder_density(
+def ablation_pivec_ladder(
     ctx: BenchContext,
-    ladder_sizes=(1, 3, 10, 20),
+    ladder_sizes=(1, 3, 10),
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
-    from repro.index.pivec import choose_thresholds
-
     q = ctx.relevance()
     rows = []
     for count in ladder_sizes:
@@ -501,11 +444,7 @@ def ablation_ladder_density(
             ctx.database.graphs, ctx.distance, count=count,
             num_pairs=600, rng=ctx.seed,
         )
-        index = NBIndex.build(
-            ctx.database, ctx.distance,
-            num_vantage_points=ctx.num_vantage_points,
-            branching=ctx.branching, thresholds=ladder, seed=ctx.seed,
-        )
+        index = ctx.build_index(thresholds=ladder)
         _, seconds = timed_call(index.query, q, ctx.theta, k)
         gap = ladder.gap(ctx.theta)
         rows.append({
@@ -513,18 +452,16 @@ def ablation_ladder_density(
             "gap_at_theta": gap if gap is not None else -1.0,
             "query_s": seconds,
         })
-    return ExperimentResult(
-        name=f"ablation_pivec_ladder_{ctx.name}",
-        columns=["ladder_size", "gap_at_theta", "query_s"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"ablation_pivec_ladder_{ctx.name}", rows,
         notes="Denser ladders tighten pi-hat bounds; gap -1 means theta above ladder.",
     )
 
 
-def ablation_insert_degradation(
-    dataset: str = "dud",
-    base_size: int = 200,
-    num_inserts: int = 50,
+def ablation_insert(
+    dataset: str,
+    base_size: int = 150,
+    num_inserts: int = 40,
     k: int = DEFAULT_K,
     seed: int = 7,
 ) -> ExperimentResult:
@@ -535,8 +472,6 @@ def ablation_insert_degradation(
     rebuilt from scratch over the same ``base_size + num_inserts`` graphs.
     Quantifies the conservative-geometry cost of :meth:`NBIndex.insert`.
     """
-    from repro.datasets import GENERATORS
-
     generator = GENERATORS[dataset]
     # The generators draw graphs sequentially from one stream, so the
     # larger database has the smaller one as a prefix.
@@ -544,21 +479,15 @@ def ablation_insert_degradation(
     base = full.subset(range(base_size))
     ctx = BenchContext.create(dataset, num_graphs=base_size, seed=seed)
 
-    incremental = NBIndex.build(
-        base, ctx.distance, num_vantage_points=ctx.num_vantage_points,
-        branching=ctx.branching, seed=seed,
-    )
+    params = dict(num_vantage_points=ctx.num_vantage_points,
+                  branching=ctx.branching, seed=seed)
+    incremental = NBIndex.build(base, ctx.distance, **params)
     insert_started = time.perf_counter()
     for position in range(base_size, base_size + num_inserts):
         incremental.insert(full[position], full.feature_vector(position))
     insert_seconds = time.perf_counter() - insert_started
 
-    rebuilt = NBIndex.build(
-        full, ctx.distance, num_vantage_points=ctx.num_vantage_points,
-        branching=ctx.branching, seed=seed,
-    )
-
-    from repro.graphs import quartile_relevance
+    rebuilt = NBIndex.build(full, ctx.distance, **params)
 
     rows = []
     for name, index in (("incremental", incremental), ("rebuilt", rebuilt)):
@@ -572,10 +501,8 @@ def ablation_insert_degradation(
             "maintenance_s": insert_seconds if name == "incremental"
             else rebuilt.build_seconds,
         })
-    return ExperimentResult(
-        name=f"ablation_insert_{dataset}",
-        columns=["index", "query_s", "pi", "distance_calls", "maintenance_s"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"ablation_insert_{dataset}", rows,
         notes=(
             f"{num_inserts} inserts into a {base_size}-graph index vs full "
             "rebuild: answers stay exact (equal pi), inserts are cheaper "
@@ -596,13 +523,6 @@ def ablation_bounds(
     """
     q = ctx.relevance()
 
-    def fresh_index(ladder):
-        return NBIndex.build(
-            ctx.database, ctx.distance,
-            num_vantage_points=ctx.num_vantage_points,
-            branching=ctx.branching, thresholds=ladder, seed=ctx.seed,
-        )
-
     # A rung far above every distance makes π̂ = |L_q| for all graphs — the
     # trivial bound — while keeping θ on the ladder (off-ladder θ raises).
     trivial_ladder = ThresholdLadder([1e18])
@@ -613,7 +533,7 @@ def ablation_bounds(
     ]
     rows = []
     for name, ladder, updates in variants:
-        index = fresh_index(ladder)
+        index = ctx.build_index(thresholds=ladder)
         result, seconds = timed_call(
             lambda: index.session(q).query(
                 ctx.theta, k, enable_updates=updates
@@ -626,11 +546,8 @@ def ablation_bounds(
             "distance_calls": result.stats.distance_calls,
             "pi": result.pi,
         })
-    return ExperimentResult(
-        name=f"ablation_bounds_{ctx.name}",
-        columns=["variant", "query_s", "exact_neighborhoods",
-                 "distance_calls", "pi"],
-        rows=rows,
+    return ExperimentResult.from_rows(
+        f"ablation_bounds_{ctx.name}", rows,
         notes=(
             "All variants return equal-quality greedy answers; the bounds "
             "only change how much work finds them."

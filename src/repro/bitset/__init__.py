@@ -14,8 +14,8 @@ Three pieces:
 The kernel is the storage layer under :mod:`repro.core.greedy`, the
 NB-Index :class:`~repro.index.nbindex.QuerySession`, and the sharded
 coordinator; all of them remain bit-identical to the per-id set-based
-implementations they replaced (see :mod:`repro.core.setgreedy` and the
-dual-run gate in ``tests/test_hotpath_identity.py``).
+implementations they replaced (the dual-run gate and its set-based oracle
+are ``tests/test_hotpath_identity.py``).
 """
 
 from repro.bitset import kernel

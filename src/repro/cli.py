@@ -14,11 +14,12 @@ Wires the library's main workflows into subcommands::
     repro backup backups/snap --database dud.jsonl --journal dud.journal
     repro restore backups/snap restored/
     repro verify dud-shards/manifest.json
-    repro bench-hotpath --sizes 500
-    repro experiment fig2a_disc_growth
+    repro experiment fig2a_disc_growth | --all
 
-``repro experiment`` runs any benchmark driver by name and prints its
-paper-style table (persisted under ``results/``).
+``repro experiment`` runs one entry of the experiment registry
+(:mod:`repro.bench.registry`) — or all of them — at the
+``REPRO_BENCH_SCALE`` scale, prints each paper-style table, persists it
+under ``results/`` and checks the paper claim it reproduces.
 
 ``repro query`` and ``repro build-index`` accept ``--metrics PATH``
 (write a ``repro.obs`` JSON document — or Prometheus text when the path
@@ -456,121 +457,41 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_bench_hotpath(args) -> int:
-    from repro.bench.hotpath import (
-        check_document,
-        format_summary,
-        run_hotpath,
-        write_document,
-    )
-
-    document = run_hotpath(
-        sizes=tuple(args.sizes), k=args.k, seed=args.seed,
-        repeats=args.repeats, shard_count=args.shard_count,
-        include_engines=not args.no_engines,
-    )
-    print(format_summary(document))
-    if args.json:
-        path = write_document(document, args.json)
-        print(f"wrote {path}")
-    problems = check_document(document)
-    if problems:
-        print("bitset hot path diverged from the set-based reference:",
-              file=sys.stderr)
-        for problem in problems:
-            print(f"  {problem}", file=sys.stderr)
-        return 1
-    print("all answers bit-identical to the set-based reference")
-    return 0
-
-
-#: The canonical reproduction set run by ``repro experiment --all``:
-#: (driver name, dataset argument or None for the subcommand default).
-ALL_EXPERIMENTS = (
-    ("fig2a_disc_growth", "dud"),
-    ("fig2b_baseline_scaling", "dud"),
-    ("table4_quality", None),
-    ("fig5ab_distance_cdf", None),
-    ("fig5ce_distance_hist", None),
-    ("fig5fh_fpr", "dud"),
-    ("fig5ik_time_vs_theta", "dud"),
-    ("fig5l6a_threshold_gap", "dud"),
-    ("fig6bd_time_vs_size", "dud"),
-    ("fig6eg_time_vs_k", "dud"),
-    ("fig6h_time_vs_dims", "dud"),
-    ("fig6i_zoom", None),
-    ("fig6j_zoom_scaling", "dud"),
-    ("fig6k_index_build", "dud"),
-    ("fig6l_index_memory", "dud"),
-    ("fig7_qualitative", None),
-    ("ablation_vp_count", "dud"),
-    ("ablation_branching", "dud"),
-    ("ablation_bounds", "dud"),
-    ("ablation_insert_degradation", "dud"),
-    ("ablation_distance_quality", None),
-)
-
-
 def cmd_experiment(args) -> int:
-    from repro.bench import BenchContext, print_and_save
-    from repro.bench import distances as distances_module
-    from repro.bench import experiments as experiments_module
-    from repro.bench import scaling as scaling_module
+    from repro.bench import registry
 
-    modules = (experiments_module, scaling_module, distances_module)
-
-    if getattr(args, "all", False):
-        failures = 0
-        for name, dataset in ALL_EXPERIMENTS:
-            print(f"--- running {name} ---")
-            sub = argparse.Namespace(
-                name=name, dataset=dataset or args.dataset,
-                seed=args.seed, all=False,
-            )
-            try:
-                failures += cmd_experiment(sub) != 0
-            except Exception as error:  # keep going; summarize at the end
-                print(f"{name} FAILED: {error}", file=sys.stderr)
-                failures += 1
-        print(f"completed {len(ALL_EXPERIMENTS) - failures}/"
-              f"{len(ALL_EXPERIMENTS)} experiments; tables in results/")
-        return 1 if failures else 0
-
-    name = args.name
-    if name is None:
+    if args.all == (args.name is not None):
         print("experiment: provide a driver name or --all", file=sys.stderr)
         return 2
-    driver = next(
-        (getattr(m, name) for m in modules if hasattr(m, name)), None
-    )
-    if driver is None:
-        available = sorted(
-            attr for module in modules
-            for attr in vars(module)
-            if attr.startswith(("fig", "table", "ablation"))
-        )
-        print(f"unknown experiment {name!r}; available:", file=sys.stderr)
-        for item in available:
-            print(f"  {item}", file=sys.stderr)
+    try:
+        entries = (registry.EXPERIMENTS if args.all
+                   else [registry.lookup(args.name)])
+    except KeyError:
+        print(f"unknown experiment {args.name!r}; available:", file=sys.stderr)
+        for entry in registry.EXPERIMENTS:
+            print(f"  {entry.name}", file=sys.stderr)
         return 2
-
-    import inspect
-
-    parameters = inspect.signature(driver).parameters
-    first = next(iter(parameters))
-    if first == "ctx":
-        result = driver(BenchContext.create(args.dataset, seed=args.seed))
-    elif first == "contexts":
-        result = driver([
-            BenchContext.create(dataset, seed=args.seed)
-            for dataset in ("dud", "dblp", "amazon")
-        ])
-    elif first == "dataset":
-        result = driver(args.dataset, seed=args.seed)
-    else:
-        result = driver()
-    print_and_save(result)
-    return 0
+    runs = [
+        (entry.name, dataset) for entry in entries for dataset in entry.runs()
+        if args.dataset in (None, dataset) or dataset is None
+    ]
+    if not runs:
+        print(f"experiment: {args.name} runs on "
+              f"{', '.join(entries[0].datasets)}, not {args.dataset}",
+              file=sys.stderr)
+        return 2
+    failures = 0
+    for name, dataset in runs:
+        print(f"--- running {registry.stem(name, dataset)} ---")
+        try:
+            registry.run_experiment(name, dataset, seed=args.seed)
+        except Exception as error:  # keep going; summarize at the end
+            print(f"{registry.stem(name, dataset)} FAILED: "
+                  f"{type(error).__name__}: {error}", file=sys.stderr)
+            failures += 1
+    print(f"completed {len(runs) - failures}/{len(runs)} experiments; "
+          "tables in results/")
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -796,31 +717,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="+", help="artifact path(s) to audit")
     p.set_defaults(func=cmd_verify)
 
-    p = subparsers.add_parser(
-        "bench-hotpath",
-        help="dual-run identity smoke: bitset hot path vs set-based "
-             "reference (greedy, NB-Index S=1, sharded S=4)",
-    )
-    p.add_argument("--sizes", type=int, nargs="+", default=[500],
-                   help="database sizes to sweep (default: 500)")
-    p.add_argument("--k", type=int, default=16)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--repeats", type=int, default=1,
-                   help="timing repeats; identity needs only 1 (default)")
-    p.add_argument("--shard-count", type=int, default=4)
-    p.add_argument("--no-engines", action="store_true",
-                   help="skip the NB-Index / sharded engine rows "
-                        "(greedy-only smoke)")
-    p.add_argument("--json", default=None, metavar="PATH",
-                   help="also write the benchmark document to PATH")
-    p.set_defaults(func=cmd_bench_hotpath)
-
     p = subparsers.add_parser("experiment", help="run a paper experiment driver")
     p.add_argument("name", nargs="?", default=None,
                    help="driver name, e.g. fig2a_disc_growth")
     p.add_argument("--all", action="store_true",
-                   help="run the full reproduction set")
-    p.add_argument("--dataset", default="dud")
+                   help="run every registered experiment on every dataset "
+                        "it declares; exits 1 on a broken paper claim")
+    p.add_argument("--dataset", default=None,
+                   help="only this dataset's runs (default: all declared)")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_experiment)
 

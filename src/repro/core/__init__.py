@@ -10,7 +10,6 @@ from repro.core.representative import (
     verify_submodularity,
 )
 from repro.core.greedy import baseline_greedy, lazy_greedy
-from repro.core.setgreedy import baseline_greedy_sets, lazy_greedy_sets
 from repro.core.bruteforce import greedy_guarantee_holds, optimal_answer
 from repro.core.reduction import (
     LookupDistance,
@@ -33,8 +32,6 @@ __all__ = [
     "verify_submodularity",
     "baseline_greedy",
     "lazy_greedy",
-    "baseline_greedy_sets",
-    "lazy_greedy_sets",
     "optimal_answer",
     "greedy_guarantee_holds",
     "SetCoverInstance",

@@ -12,9 +12,9 @@ Coverage bookkeeping runs on the packed-bitset kernel
 uint64 matrix, the covered set is a word array, and every marginal gain is
 a vectorized ``popcount(row & ~covered)`` — the whole argmax scan of one
 greedy round is a single batch :func:`~repro.bitset.uncovered_counts`
-call.  Answers are bit-identical to the retained set-based reference
-(:mod:`repro.core.setgreedy`); the dual-run gate in
-``tests/test_hotpath_identity.py`` enforces it.
+call.  Answers are bit-identical to a per-id Python-``set`` greedy; the
+dual-run gate in ``tests/test_hotpath_identity.py`` keeps that oracle and
+enforces it.
 
 Tie-breaking is deterministic: among graphs of equal marginal gain the one
 with the smallest database id wins, making the trajectory reproducible and

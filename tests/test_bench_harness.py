@@ -9,7 +9,6 @@ from repro.bench import (
     bench_scale,
     dataset_size,
     format_table,
-    sweep_sizes,
     timed_call,
 )
 
@@ -29,10 +28,10 @@ class TestScales:
         with pytest.raises(ValueError):
             bench_scale()
 
-    def test_sweep_sizes_increasing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_SCALE", raising=False)
-        sizes = sweep_sizes()
-        assert list(sizes) == sorted(sizes)
+    def test_sweep_sizes_increasing(self):
+        for name, row in harness.SCALES.items():
+            assert list(row["sweep"]) == sorted(row["sweep"]), name
+            assert set(row) == set(harness.SCALES["small"]), name
 
 
 class TestExperimentResult:

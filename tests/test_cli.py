@@ -73,6 +73,16 @@ class TestIndexAndQuery:
         assert "pi(A) =" in capsys.readouterr().out
 
 
+@pytest.fixture
+def smoke_results(monkeypatch, tmp_path):
+    """Run experiments at the smoke scale, writing tables under tmp."""
+    import repro.bench.harness as harness
+
+    monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "smoke")
+    return tmp_path
+
+
 class TestExperiment:
     def test_unknown_experiment_lists_available(self, capsys):
         code = main(["experiment", "not_a_real_one"])
@@ -80,21 +90,20 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert "fig2a_disc_growth" in err
 
-    def test_runs_a_driver(self, capsys, monkeypatch, tmp_path):
-        # Point the results dir at tmp to keep the repo clean during tests.
-        import repro.bench.harness as harness
-
-        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
-        monkeypatch.setenv("REPRO_BENCH_SCALE", "small")
-        # Small dataset via monkeypatched sizes for speed.
-        monkeypatch.setitem(
-            harness.SCALES, "small",
-            {"dud": 80, "dblp": 40, "amazon": 50, "sweep": (20, 40)},
-        )
+    def test_runs_a_driver(self, capsys, smoke_results):
         code = main(["experiment", "fig2a_disc_growth", "--dataset", "dud"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "fig2a_disc_growth" in out
+        assert "fig2a_disc_growth" in capsys.readouterr().out
+        assert (smoke_results / "fig2a_disc_growth_dud.txt").exists()
+
+    def test_undeclared_dataset_is_refused(self, capsys):
+        assert main(["experiment", "fig2a_disc_growth", "--dataset", "dblp"]) == 2
+        assert "runs on dud" in capsys.readouterr().err
+
+    def test_bench_hotpath_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench-hotpath", "--sizes", "500"])
+        assert excinfo.value.code == 2
 
 
 class TestObservabilityFlags:
@@ -169,36 +178,58 @@ class TestParser:
 
 
 class TestExperimentAll:
-    def test_all_flag_runs_set(self, capsys, monkeypatch, tmp_path):
-        import repro.bench.harness as harness
-        import repro.cli as cli
+    def test_all_flag_runs_set(self, capsys, monkeypatch, smoke_results):
+        from repro.bench import registry
 
-        monkeypatch.setattr(harness, "RESULTS_DIR", tmp_path)
-        monkeypatch.setitem(
-            harness.SCALES, "small",
-            {"dud": 50, "dblp": 30, "amazon": 35, "sweep": (15, 25)},
-        )
-        # Trim the set to a fast pair for the test; the full list is data.
-        monkeypatch.setattr(
-            cli, "ALL_EXPERIMENTS",
-            (("fig2a_disc_growth", "dud"), ("fig6l_index_memory", "dud")),
-        )
+        # Trim the set to a fast pair for the test; the full list is data
+        # (tests/test_experiment_drivers.py runs all of it).
+        monkeypatch.setattr(registry, "EXPERIMENTS", tuple(
+            registry.lookup(name)
+            for name in ("fig2a_disc_growth", "fig6l_index_memory")
+        ))
         code = main(["experiment", "--all"])
         assert code == 0
         out = capsys.readouterr().out
         assert "completed 2/2 experiments" in out
+
+    def test_all_fails_on_a_broken_claim(self, capsys, monkeypatch, smoke_results):
+        from dataclasses import replace
+
+        from repro.bench import registry
+
+        def refuted(result, full):
+            registry.claim(False, "the paper said otherwise")
+
+        monkeypatch.setattr(registry, "EXPERIMENTS", (
+            replace(registry.lookup("fig2a_disc_growth"), check=refuted),
+        ))
+        assert main(["experiment", "--all"]) == 1
+        captured = capsys.readouterr()
+        assert "ClaimFailed: the paper said otherwise" in captured.err
+        assert "completed 0/1 experiments" in captured.out
+        # The table that broke its claim is still there to read.
+        assert (smoke_results / "fig2a_disc_growth_dud.txt").exists()
 
     def test_missing_name_without_all(self, capsys):
         assert main(["experiment"]) == 2
         assert "provide a driver name" in capsys.readouterr().err
 
     def test_all_experiment_names_resolve(self):
-        from repro.bench import distances, experiments, scaling
-        from repro.cli import ALL_EXPERIMENTS
+        """``--all`` covers every driver: each ``fig* / table* / ablation*``
+        callable of the driver modules is registered exactly once."""
+        from repro.bench import EXPERIMENTS, distances, experiments, scaling
 
-        modules = (experiments, scaling, distances)
-        for name, _ in ALL_EXPERIMENTS:
-            assert any(hasattr(m, name) for m in modules), name
+        drivers = [
+            value
+            for module in (experiments, scaling, distances)
+            for name, value in vars(module).items()
+            if name.startswith(("fig", "table", "ablation")) and callable(value)
+        ]
+        registered = [entry.driver for entry in EXPERIMENTS]
+        assert sorted(d.__name__ for d in registered) == sorted(
+            d.__name__ for d in drivers
+        )
+        assert set(registered) == set(drivers)
 
 
 class TestResilienceFlags:

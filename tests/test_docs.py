@@ -14,12 +14,27 @@ class TestDocsPresence:
             assert (ROOT / name).exists(), name
 
     def test_design_lists_every_benchmark_file(self):
+        """DESIGN.md §4 is the per-experiment index: it names every entry of
+        the experiment registry."""
+        from repro.bench import EXPERIMENTS
+
         design = (ROOT / "DESIGN.md").read_text()
-        for bench in (ROOT / "benchmarks").glob("bench_*.py"):
-            stem = bench.name.replace("bench_", "").replace(".py", "")
-            # Every benchmark's topic appears in the design document.
-            token = stem.split("_")[0]
-            assert token in design, bench.name
+        section = design[design.index("## 4."):design.index("## 5.")]
+        for entry in EXPERIMENTS:
+            assert f"`{entry.name}`" in section, entry.name
+
+    def test_every_committed_table_is_producible(self):
+        """Each ``results/*.txt`` is the table of some (entry, dataset) of
+        the registry; ``bench_degradation.py`` owns the one exception."""
+        from repro.bench import EXPERIMENTS
+        from repro.bench.registry import stem
+
+        producible = {
+            f"{stem(entry.name, dataset)}.txt"
+            for entry in EXPERIMENTS for dataset in entry.runs()
+        }
+        committed = {path.name for path in (ROOT / "results").glob("*.txt")}
+        assert committed - {"degradation_deadline.txt"} <= producible
 
 
 class TestApiReferenceGenerator:
@@ -48,12 +63,15 @@ class TestReportBuilder:
         spec.loader.exec_module(module)
         results = tmp_path / "results"
         results.mkdir()
-        (results / "fig2a_disc_growth_dud.txt").write_text("== fig2a ==\nrows\n")
+        (results / "fig2a_disc_growth_dud.txt").write_text(
+            "== fig2a ==\nnotes [scale: smoke]\nrows\n"
+        )
         (results / "custom_extra.txt").write_text("== custom ==\n")
         monkeypatch.setattr(module, "RESULTS", results)
         assert module.main() == 0
         report = (results / "REPORT.md").read_text()
         assert "Fig. 2(a)" in report
+        assert "REPRO_BENCH_SCALE=smoke" in report
         assert "== fig2a ==" in report
         assert "Other artifacts" in report
 

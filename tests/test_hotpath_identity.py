@@ -1,28 +1,104 @@
-"""Dual-run equivalence gate: bitset hot paths vs the set-based reference.
+"""Dual-run equivalence gate: bitset hot paths vs a set-based oracle.
 
-The packed-bitset rewrite (:mod:`repro.bitset`) is only admissible if it
+The packed-bitset kernel (:mod:`repro.bitset`) is only admissible if it
 is invisible in the answers: same ids, same gains, same selection order,
 same coverage — and the same work counters, since downstream analyses
 read ``gain_evaluations``/``reheap_count`` as algorithm statistics, not
-timings.  These tests run the retained pre-change implementation
-(:mod:`repro.core.setgreedy`) against every bitset engine on identical
-inputs: both greedy variants (with and without a range-query backend),
-the NB-Index session (S=1) and the sharded coordinator (S=4).
+timings.  These tests run Algorithm 1 with per-id Python ``set``
+bookkeeping (the oracle below — what :mod:`repro.core.greedy` was before
+the kernel) against every bitset engine on identical inputs: both greedy
+variants (with and without a range-query backend), the NB-Index session
+(S=1) and the sharded coordinator (S=4).
 """
+
+import heapq
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.bench.hotpath import make_instance
-from repro.core import (
-    baseline_greedy,
-    baseline_greedy_sets,
-    lazy_greedy,
-    lazy_greedy_sets,
-)
+from repro.core import all_theta_neighborhoods, baseline_greedy, lazy_greedy
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
-from repro.index import NBIndex
+from repro.index import NBIndex, ThresholdLadder
+from repro.metricspace import vector_database
+
+_EPS = 1e-9
+
+
+def make_instance(n: int, dims: int = 6, seed: int = 7):
+    """A synthetic vector-metric instance: database, relevance rule, shared
+    threshold ladder, a θ on it, and a range query that reproduces the
+    engines' Euclidean arithmetic bit for bit (same formula and reduction
+    order as ``MinkowskiMetric(p=2)``), so every engine sees literally the
+    same neighborhoods.  ``benchmarks/e2e`` builds ``vec_sharded`` alike.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, dims))
+    db, dist = vector_database(points)
+    query_fn = quartile_relevance(db, quantile=0.5)
+
+    pairs = rng.integers(0, n, size=(min(4000, n * 4), 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    sample = ((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2).sum(axis=1) ** 0.5
+    ladder = ThresholdLadder(sorted(
+        float(np.quantile(sample, q))
+        for q in (0.02, 0.05, 0.08, 0.12, 0.2, 0.35, 0.5)
+    ))
+    theta = float(np.quantile(sample, 0.2))  # a rung of the ladder
+
+    def range_query(gid: int, radius: float):
+        distances = ((points - points[int(gid)]) ** 2).sum(axis=1) ** 0.5
+        return np.flatnonzero(distances <= radius + _EPS)
+
+    return db, dist, query_fn, ladder, theta, range_query
+
+
+def set_greedy(db, dist, query_fn, theta, k, *, lazy=False, range_query=None,
+               stop_on_zero_gain=False):
+    """Algorithm 1 over Python sets, O(k · |L_q| · |N̂|) on purpose; ``lazy``
+    re-evaluates a heap entry only when it surfaces stale.  Smallest id
+    wins ties in both."""
+    relevant = [int(i) for i in db.relevant_indices(query_fn)]
+    hoods = all_theta_neighborhoods(db, dist, relevant, theta,
+                                    range_query=range_query)
+    answer, gains, covered = [], [], set()
+    stats = SimpleNamespace(gain_evaluations=0, reheap_count=0)
+    if lazy:
+        heap = [(-len(hoods[gid]), gid, 0) for gid in sorted(relevant)]
+        heapq.heapify(heap)
+        stats.gain_evaluations = len(heap)
+    while len(answer) < min(k, len(relevant)):
+        if lazy:
+            neg_gain, best, generation = heapq.heappop(heap)
+            if generation != len(answer):
+                stats.gain_evaluations += 1
+                stats.reheap_count += 1
+                fresh = len(hoods[best] - covered)
+                heapq.heappush(heap, (-fresh, best, len(answer)))
+                continue
+            best_gain = -neg_gain
+        else:
+            remaining = sorted(set(relevant) - set(answer))
+            stats.gain_evaluations += len(remaining)
+            best_gain, best = max(
+                (len(hoods[gid] - covered), -gid) for gid in remaining
+            )
+            best = -best
+        if best_gain == 0 and stop_on_zero_gain:
+            break
+        answer.append(best)
+        gains.append(best_gain)
+        covered |= hoods[best]
+    return SimpleNamespace(
+        answer=answer, gains=gains, covered=frozenset(covered),
+        num_relevant=len(relevant), stats=stats,
+    )
+
+
+baseline_greedy_sets = set_greedy
+lazy_greedy_sets = partial(set_greedy, lazy=True)
 
 
 def assert_same_result(got, want):
