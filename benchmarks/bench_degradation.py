@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 
-from repro.engine import DistanceEngine
 from repro.ged import ExactGED
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
@@ -51,18 +50,16 @@ def degradation_benchmark(
     )
     distance = ExactGED()
     query_fn = quartile_relevance(database, quantile=0.3)
-    engine = DistanceEngine(distance, graphs=database.graphs)
     index = NBIndex.build(
-        database, distance, engine=engine,
-        num_vantage_points=4, branching=4, seed=seed,
+        database, distance, num_vantage_points=4, branching=4, seed=seed,
     )
 
     rows = []
     for budget_ms in BUDGETS_MS:
         # Each budget recomputes its distances from scratch — cached exact
         # values would mask the deadline.
-        engine._cache.clear()
-        deadline = None if budget_ms is None else Deadline.after_ms(budget_ms)
+        index.engine._cache.clear()
+        deadline = None if budget_ms is None else Deadline.from_timeout_ms(budget_ms)
         started = time.perf_counter()
         result = index.query(query_fn, theta, k, deadline=deadline)
         elapsed = time.perf_counter() - started

@@ -29,7 +29,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.delta import MutableIndex, MutationJournal
-from repro.engine import DistanceEngine
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index.nbindex import NBIndex
@@ -101,12 +100,11 @@ def mutation_benchmark(
 
     db = GENERATORS["dud"](num_graphs=num_graphs, seed=seed)
     distance = StarDistance()
-    engine = DistanceEngine(distance, graphs=db.graphs)
     # One ladder over the FULL content, so every rebuild point and both
     # layouts answer the same rung and no row is favored.
     ladder = choose_thresholds(
-        db.graphs, engine, count=10, num_pairs=min(1000, num_graphs * 4),
-        rng=np.random.default_rng(seed), engine=engine,
+        db.graphs, distance, count=10, num_pairs=min(1000, num_graphs * 4),
+        rng=np.random.default_rng(seed),
     )
     theta = ladder.values[4]
     query_fn = quartile_relevance(db)

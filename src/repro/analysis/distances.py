@@ -14,8 +14,6 @@ import numpy as np
 
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
-from repro.utils.rng import ensure_rng
-from repro.utils.validation import require
 
 
 @dataclass
@@ -61,25 +59,12 @@ def sample_distances(
     distance: GraphDistanceFn,
     num_pairs: int = 2000,
     rng=None,
-    engine=None,
 ) -> DistanceDistribution:
-    """Sample uniformly random distinct pairs and their distances.
+    """Sample uniformly random distinct pairs and their distances (one
+    engine batch; ``distance`` is a metric or a
+    :class:`~repro.engine.DistanceEngine`)."""
+    from repro.index.pivec import sample_pair_distances
 
-    Pairs are drawn first (the draw sequence matches the historical
-    interleaved loop), so an ``engine`` can evaluate them as one batch
-    with identical samples.
-    """
-    require(len(database) >= 2, "need at least two graphs")
-    from repro.index.pivec import sample_distinct_pairs
-
-    rng = ensure_rng(rng)
-    pairs = sample_distinct_pairs(len(database), num_pairs, rng)
-    if engine is not None:
-        samples = np.asarray(
-            engine.pairs([(database[i], database[j]) for i, j in pairs])
-        )
-    else:
-        samples = np.array(
-            [float(distance(database[i], database[j])) for i, j in pairs]
-        )
-    return DistanceDistribution(samples)
+    return DistanceDistribution(
+        sample_pair_distances(database.graphs, distance, num_pairs, rng)
+    )

@@ -32,9 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
-from repro.utils.rng import resolve_seed
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
 _EPS = 1e-9
@@ -103,9 +104,9 @@ class CTreeNode:
 class CTree:
     """Closure-tree over a graph collection, supporting range queries.
 
-    Pass an ``engine`` (:class:`~repro.engine.DistanceEngine`) to run the
-    bulk-load's per-pivot member scans as batches; the tree and the
-    ``distance_calls`` accounting are identical.
+    ``distance`` is the metric or a :class:`~repro.engine.DistanceEngine`
+    over it; the bulk-load's per-pivot member scans run as engine batches
+    and ``distance_calls`` counts every pair asked for, cached or not.
     """
 
     def __init__(
@@ -115,17 +116,14 @@ class CTree:
         *,
         capacity: int = 16,
         seed=None,
-        engine=None,
-        rng=None,
     ):
         require(capacity >= 2, f"capacity must be >= 2, got {capacity}")
         require(len(graphs) > 0, "cannot index an empty collection")
         self._graphs = graphs
-        self._distance = distance
-        self._engine = engine
+        self._engine = DistanceEngine.of(distance, graphs)
         self.capacity = capacity
         self.distance_calls = 0
-        rng = resolve_seed(seed, rng, "CTree")
+        rng = ensure_rng(seed)
         self.root = self._build(list(range(len(graphs))), rng)
 
     def stats(self) -> dict:
@@ -134,18 +132,11 @@ class CTree:
 
     def _d(self, g: LabeledGraph, j: int) -> float:
         self.distance_calls += 1
-        if self._engine is not None:
-            return float(self._engine(g, self._graphs[j]))
-        return float(self._distance(g, self._graphs[j]))
+        return float(self._engine(g, self._graphs[j]))
 
     def _scan(self, source: int, members: list[int]) -> np.ndarray:
         """``d(source, m)`` per member, 0.0 at ``source`` itself."""
         source_graph = self._graphs[source]
-        if self._engine is None:
-            return np.array(
-                [0.0 if m == source else self._d(source_graph, m)
-                 for m in members]
-            )
         others = [m for m in members if m != source]
         self.distance_calls += len(others)
         values = iter(

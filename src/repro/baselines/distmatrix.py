@@ -24,21 +24,13 @@ _EPS = 1e-9
 
 
 class DistanceMatrixOracle:
-    """Fully materialized pairwise distances over a database.
+    """Fully materialized pairwise distances over a database (``distance``
+    is the metric or a :class:`~repro.engine.DistanceEngine` over it)."""
 
-    Pass an ``engine`` (:class:`~repro.engine.DistanceEngine`) to compute
-    the O(n²) matrix in batches; the entries are identical.
-    """
-
-    def __init__(
-        self,
-        database: GraphDatabase,
-        distance: GraphDistanceFn,
-        engine=None,
-    ):
+    def __init__(self, database: GraphDatabase, distance: GraphDistanceFn):
         self.database = database
         started = time.perf_counter()
-        self.matrix = pairwise_matrix(database.graphs, distance, engine=engine)
+        self.matrix = pairwise_matrix(database.graphs, distance)
         self.build_seconds = time.perf_counter() - started
 
     def distance(self, i: int, j: int) -> float:

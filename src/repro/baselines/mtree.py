@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
-from repro.utils.rng import resolve_seed
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
 _EPS = 1e-9
@@ -53,13 +54,11 @@ class MTree:
     graphs:
         Objects to index, addressed by position.
     distance:
-        The metric.
+        The metric, or a :class:`~repro.engine.DistanceEngine` over it; the
+        bulk-load's per-pivot member scans run as engine batches.
+        ``distance_calls`` counts every pair asked for, cached or not.
     capacity:
         Leaf bucket size and internal fan-out.
-    engine:
-        Optional :class:`~repro.engine.DistanceEngine`; the bulk-load's
-        per-pivot member scans then run as batches.  The tree and
-        ``distance_calls`` accounting are identical.
     """
 
     def __init__(
@@ -69,17 +68,14 @@ class MTree:
         *,
         capacity: int = 16,
         seed=None,
-        engine=None,
-        rng=None,
     ):
         require(capacity >= 2, f"capacity must be >= 2, got {capacity}")
         require(len(graphs) > 0, "cannot index an empty collection")
         self._graphs = graphs
-        self._distance = distance
-        self._engine = engine
+        self._engine = DistanceEngine.of(distance, graphs)
         self.capacity = capacity
         self.distance_calls = 0
-        rng = resolve_seed(seed, rng, "MTree")
+        rng = ensure_rng(seed)
         self.root = self._build(list(range(len(graphs))), rng, parent=None)
 
     def stats(self) -> dict:
@@ -88,20 +84,11 @@ class MTree:
 
     def _d(self, i: int, j: int) -> float:
         self.distance_calls += 1
-        if self._engine is not None:
-            return float(self._engine(self._graphs[i], self._graphs[j]))
-        return float(self._distance(self._graphs[i], self._graphs[j]))
+        return float(self._engine(self._graphs[i], self._graphs[j]))
 
     def _scan(self, source: int, members: list[int]) -> np.ndarray:
-        """``d(source, m)`` per member, 0.0 at ``source`` itself.
-
-        Through the engine this is one batch; ``distance_calls`` advances
-        by the same per-pair count as the serial scan.
-        """
-        if self._engine is None:
-            return np.array(
-                [0.0 if m == source else self._d(source, m) for m in members]
-            )
+        """``d(source, m)`` per member, 0.0 at ``source`` itself — one
+        engine batch, one ``distance_calls`` per pair."""
         others = [m for m in members if m != source]
         self.distance_calls += len(others)
         values = iter(
@@ -184,7 +171,7 @@ class MTree:
 
         def d_to(i: int) -> float:
             self.distance_calls += 1
-            return float(self._distance(query_graph, self._graphs[i]))
+            return float(self._engine(query_graph, self._graphs[i]))
 
         results: list[int] = []
 

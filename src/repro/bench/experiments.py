@@ -36,7 +36,7 @@ def fig2a_disc_growth(
     rows = []
     for quantile in relevant_quantiles:
         q = ctx.relevance(quantile=quantile)
-        result = disc_greedy(ctx.database, ctx.distance, q, ctx.theta)
+        result = disc_greedy(ctx.database, ctx.fresh_engine(), q, ctx.theta)
         rows.append({
             "relevant": result.num_relevant,
             "answer_size": len(result.answer),
@@ -63,9 +63,9 @@ def table4_quality(
         q = ctx.relevance()
         theta = ctx.theta
         for k in ks:
-            rep = baseline_greedy(ctx.database, ctx.distance, q, theta, k)
-            div1 = div_topk(ctx.database, ctx.distance, q, theta, k, 1.0)
-            div2 = div_topk(ctx.database, ctx.distance, q, theta, k, 2.0)
+            rep = baseline_greedy(ctx.database, ctx.fresh_engine(), q, theta, k)
+            div1 = div_topk(ctx.database, ctx.fresh_engine(), q, theta, k, 1.0)
+            div2 = div_topk(ctx.database, ctx.fresh_engine(), q, theta, k, 2.0)
             rows.append({
                 "dataset": ctx.name,
                 "k": k,
@@ -76,7 +76,7 @@ def table4_quality(
                 "DIV(2t)_CR": div2.compression_ratio,
                 "DIV(2t)_pi": div2.pi,
             })
-        disc = disc_greedy(ctx.database, ctx.distance, q, theta)
+        disc = disc_greedy(ctx.database, ctx.fresh_engine(), q, theta)
         rows.append({
             "dataset": ctx.name,
             "k": f"DisC({len(disc.answer)})",

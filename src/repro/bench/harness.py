@@ -1,7 +1,7 @@
 """Benchmark harness plumbing: scales, contexts, result containers.
 
 Every experiment driver in :mod:`repro.bench.experiments` consumes a
-:class:`BenchContext` — a dataset plus lazily built engines (NB-Index,
+:class:`BenchContext` — a dataset plus builders for the engines (NB-Index,
 C-tree, M-tree, distance matrix) over a shared metric — and returns an
 :class:`ExperimentResult` of printable rows.  Scales are centralized here
 so the default run stays minutes-fast while the same drivers can be run
@@ -26,6 +26,7 @@ from repro.baselines.ctree import CTree
 from repro.baselines.distmatrix import DistanceMatrixOracle
 from repro.baselines.mtree import MTree
 from repro.datasets import load as load_dataset
+from repro.engine import DistanceEngine
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
@@ -87,11 +88,14 @@ class ExperimentResult:
 
 @dataclass
 class BenchContext:
-    """A dataset with lazily built engines sharing one star-distance cache.
+    """A dataset and the structures the experiments compare on it.
 
-    The star-profile cache (per-graph preprocessing) is shared across
-    engines — it is input parsing, not pair-distance work — while each
-    engine manages its own pair-distance accounting.
+    Every comparator evaluates distances through a
+    :class:`~repro.engine.DistanceEngine` of its *own* — one kernel behind
+    every seconds column, a private pair cache behind each, so no row is
+    warmed by another engine's work — and a timed query runs on a fresh
+    structure whose cache holds its build's distances only.  Count columns
+    come from each structure's own counter.
     """
 
     name: str
@@ -133,20 +137,25 @@ class BenchContext:
     def nbindex(self) -> NBIndex:
         return self.build_index()
 
-    @cached_property
-    def ctree(self) -> CTree:
+    def fresh_engine(self) -> DistanceEngine:
+        """A fresh engine for a comparator that takes a bare distance
+        (DisC, DIV, the plain greedy); the trees and the matrix wrap the
+        context's metric in one of their own."""
+        return DistanceEngine(self.distance, graphs=self.database.graphs)
+
+    def build_ctree(self) -> CTree:
         return CTree(
             self.database.graphs, self.distance, capacity=16, seed=self.seed
         )
 
-    @cached_property
-    def mtree(self) -> MTree:
+    def build_mtree(self) -> MTree:
         return MTree(
             self.database.graphs, self.distance, capacity=16, seed=self.seed
         )
 
     @cached_property
     def matrix(self) -> DistanceMatrixOracle:
+        """Its queries are array scans, so one build serves every row."""
         return DistanceMatrixOracle(self.database, self.distance)
 
 

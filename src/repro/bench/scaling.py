@@ -30,13 +30,13 @@ DEFAULT_K = 10
 
 
 # ---------------------------------------------------------------------------
-# Engine runners: one timed top-k query each, on prebuilt indexes.  Each
-# returns (wall seconds, exact distance computations) — the second is the
-# paper's cost model and, unlike the first, repeats exactly.
+# Engine runners: one timed top-k query each, cold — on a fresh structure
+# (built offline, untimed) whose pair cache holds its build's distances and
+# no earlier query's.  Each returns (wall seconds, exact distance
+# computations) — the second is the paper's cost model and, unlike the
+# first, repeats exactly.
 # ---------------------------------------------------------------------------
 def run_nbindex(ctx: BenchContext, q, theta: float, k: int):
-    """A cold query: a fresh index (built offline, untimed) whose pair
-    cache holds no earlier query's distances."""
     index = ctx.build_index()
     result, seconds = timed_call(index.query, q, theta, k)
     return seconds, result.stats.distance_calls
@@ -54,15 +54,17 @@ def _tree_query(tree, fn, ctx: BenchContext, q, theta: float, **kwargs):
 
 
 def run_ctree_greedy(ctx: BenchContext, q, theta: float, k: int):
-    return _tree_query(ctx.ctree, baseline_greedy, ctx, q, theta, k=k)
+    return _tree_query(ctx.build_ctree(), baseline_greedy, ctx, q, theta, k=k)
 
 
 def run_disc(ctx: BenchContext, q, theta: float, k: int):
-    return _tree_query(ctx.mtree, disc_greedy, ctx, q, theta, stop_at_k=k)
+    return _tree_query(
+        ctx.build_mtree(), disc_greedy, ctx, q, theta, stop_at_k=k
+    )
 
 
 def run_div(ctx: BenchContext, q, theta: float, k: int):
-    return _tree_query(ctx.ctree, div_topk, ctx, q, theta, k=k)
+    return _tree_query(ctx.build_ctree(), div_topk, ctx, q, theta, k=k)
 
 
 ENGINES = {
@@ -96,7 +98,7 @@ def fig2b_baseline_scaling(
         ctx = BenchContext.create(dataset, num_graphs=size, seed=seed)
         q = ctx.relevance()
         plain, plain_s = timed_call(
-            baseline_greedy, ctx.database, ctx.distance, q, ctx.theta, k,
+            baseline_greedy, ctx.database, ctx.fresh_engine(), q, ctx.theta, k,
         )
         row = {"size": size, "plain_greedy_s": plain_s,
                "plain_greedy_calls": plain.stats.distance_calls}
@@ -104,7 +106,7 @@ def fig2b_baseline_scaling(
             ctx, q, ctx.theta, k
         )
         row["mtree_greedy_s"], row["mtree_greedy_calls"] = _tree_query(
-            ctx.mtree, baseline_greedy, ctx, q, ctx.theta, k=k
+            ctx.build_mtree(), baseline_greedy, ctx, q, ctx.theta, k=k
         )
         rows.append(row)
     return ExperimentResult.from_rows(
@@ -129,10 +131,8 @@ def fig5ik_time_vs_theta(
     """The distance-matrix inset is Fig. 5(i)'s alone, so only DUD gets it."""
     q = ctx.relevance()
     include_matrix = ctx.name == "dud"
-    # Force offline builds before timing.
-    ctx.ctree, ctx.mtree
     if include_matrix:
-        ctx.matrix
+        ctx.matrix  # built offline, before any timing
     rows = []
     for factor in theta_factors:
         theta = ctx.theta * factor
@@ -213,7 +213,6 @@ def fig6eg_time_vs_k(
     ks=(5, 10, 25),
 ) -> ExperimentResult:
     q = ctx.relevance()
-    ctx.ctree, ctx.mtree
     rows = [{"k": k, **engine_row(ctx, q, ctx.theta, k)} for k in ks]
     return ExperimentResult.from_rows(
         f"fig6eg_time_vs_k_{ctx.name}", rows,
@@ -234,7 +233,6 @@ def fig6h_time_vs_dims(
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
     rng = np.random.default_rng(ctx.seed)
-    ctx.ctree
     rows = []
     for d in dims_list:
         dims = sorted(

@@ -329,7 +329,6 @@ def cmd_serve(args) -> int:
         mutable=args.mutable,
         journal=args.journal or None,
         replicas=args.replicas,
-        hedge_ms=args.hedge_ms,
         seed=args.seed,
     ).start()
     # A container SIGTERM (or Ctrl-C) must run the same graceful-drain
@@ -641,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --shards: serve from a supervised process "
                         "cluster with R worker processes per shard "
                         "(failover, restart, degraded partial answers)")
-    p.add_argument("--hedge-ms", type=float, default=None, metavar="MS",
-                   help="with --replicas: hedge slow replica reads onto "
-                        "a sibling after this floor delay (adaptive "
-                        "p99-style EMA above it; default: off)")
     p.add_argument("--crash-log", default=None, metavar="PATH",
                    help="append per-query crash journal entries (JSON lines)")
     p.add_argument("--crash-log-max-bytes", type=int, default=None,

@@ -17,7 +17,6 @@ from repro.core.reduction import (
     SetCoverInstance,
     reduce_set_cover,
 )
-from repro.core.weighted import weighted_coverage, weighted_greedy, weighted_optimal
 from repro.core.query import TopKRepresentativeQuery
 from repro.core.refinement import RefinementSession, RefinementStep
 
@@ -39,9 +38,6 @@ __all__ = [
     "ReducedInstance",
     "LookupDistance",
     "TopKRepresentativeQuery",
-    "weighted_greedy",
-    "weighted_coverage",
-    "weighted_optimal",
     "RefinementSession",
     "RefinementStep",
 ]

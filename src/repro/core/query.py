@@ -57,20 +57,6 @@ class TopKRepresentativeQuery:
         self.database = database
         self.distance = distance if distance is not None else StarDistance()
         self._index = index
-        if "rng" in index_params:
-            import warnings
-
-            warnings.warn(
-                "TopKRepresentativeQuery: the 'rng' argument is deprecated, "
-                "use 'seed='",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if seed is not None:
-                raise TypeError(
-                    "pass either 'seed=' or the deprecated 'rng=', not both"
-                )
-            seed = index_params.pop("rng")
         if seed is not None:
             index_params["seed"] = seed
         self._index_params = index_params

@@ -22,7 +22,7 @@ from repro.datasets.dblp import dblp_like
 from repro.datasets.dud import dud_like
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
-from repro.index.pivec import ThresholdLadder
+from repro.index.pivec import ThresholdLadder, sample_pair_distances
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
@@ -49,16 +49,7 @@ def calibrate_theta(
     DUD/DBLP CDFs, θ=75 on Amazon's stretched one).
     """
     require(0.0 < quantile < 1.0, f"quantile must be in (0, 1), got {quantile}")
-    rng = ensure_rng(rng)
-    n = len(database)
-    require(n >= 2, "need at least two graphs")
-    samples = np.empty(num_pairs)
-    for t in range(num_pairs):
-        i = int(rng.integers(n))
-        j = int(rng.integers(n))
-        while j == i:
-            j = int(rng.integers(n))
-        samples[t] = distance(database[i], database[j])
+    samples = sample_pair_distances(database.graphs, distance, num_pairs, rng)
     return float(np.quantile(samples, quantile))
 
 

@@ -16,12 +16,19 @@ metric, none of which changes a single output bit, all in one process:
    first: candidates whose vantage lower bound exceeds θ are rejected and
    candidates whose vantage upper bound is within θ are accepted, both
    without paying for a real edit distance (Theorem 4 both ways).
-3. **Shared caching** — a symmetric pair cache (same keying as
-   :class:`~repro.ged.metric.CachingDistance`) spans every consumer, so a
+3. **Shared caching** — a symmetric pair cache (keyed by ``graph_id``,
+   object identity for free-standing graphs) spans every consumer, so a
    distance computed during the tree build is free during θ-refinements.
    :meth:`stats` reports evaluations / hits / prefilter activity in the
-   same shape as the counting wrappers, and the engine itself is a plain
-   ``GraphDistanceFn`` so it can slot in anywhere a distance is expected.
+   same shape as :class:`~repro.ged.metric.CountingDistance`.
+
+Every structure that takes a *distance* — the index, the baseline trees,
+the pair samplers — accepts a plain metric or an engine and coerces it
+with :meth:`DistanceEngine.of`, the one place that asks "is this already
+an engine?".  A callable with no batch evaluator (anything but a
+:class:`~repro.ged.star.StarDistance`, e.g. ``lambda a, b: star(a, b)``)
+is evaluated pair by pair *through the same batch entry points*, which is
+how the identity gates compare the serial metric with the batch kernel.
 """
 
 from __future__ import annotations
@@ -91,6 +98,15 @@ class DistanceEngine:
         self._cache_lock = threading.RLock()
         self.reset()
 
+    @classmethod
+    def of(cls, distance, graphs=None) -> "DistanceEngine":
+        """``distance`` as an engine: an engine comes back unchanged (its
+        cache and counters are shared with the caller), any other callable
+        is wrapped in a fresh one over ``graphs``."""
+        if isinstance(distance, cls):
+            return distance
+        return cls(distance, graphs=graphs)
+
     # ------------------------------------------------------------------
     # Stats
     # ------------------------------------------------------------------
@@ -108,7 +124,7 @@ class DistanceEngine:
         return self.evaluations
 
     def stats(self) -> dict:
-        """Counters in the same shape as the counting/caching wrappers."""
+        """Counters in the same shape as ``CountingDistance.stats()``."""
         lookups = self.cache_hits + self.evaluations
         return {
             "evaluations": self.evaluations,

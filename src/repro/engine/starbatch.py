@@ -49,7 +49,7 @@ import numpy as np
 from repro import obs
 from repro.bitset.kernel import num_words, word_counts
 from repro.ged.lsap import linear_sum_assignment
-from repro.ged.metric import CachingDistance, CountingDistance
+from repro.ged.metric import CountingDistance
 from repro.ged.star import StarDistance
 from repro.graphs.graph import LabeledGraph
 
@@ -251,8 +251,8 @@ class BatchStarEvaluator:
 
 
 def unwrap_distance(distance):
-    """Strip :class:`CountingDistance`/:class:`CachingDistance` layers."""
-    while isinstance(distance, (CountingDistance, CachingDistance)):
+    """Strip :class:`CountingDistance` layers."""
+    while isinstance(distance, CountingDistance):
         distance = distance.inner
     return distance
 
@@ -260,11 +260,10 @@ def unwrap_distance(distance):
 def batch_evaluator_for(distance) -> BatchStarEvaluator | None:
     """A batch fast path for ``distance``, or ``None`` if it has none.
 
-    Only a (possibly counting/caching-wrapped) :class:`StarDistance` has a
-    vectorized evaluator today; every other metric falls back to per-pair
-    calls.
+    Only a bare :class:`StarDistance` has a vectorized evaluator today;
+    every other callable — a :class:`CountingDistance` around one included,
+    whose count would otherwise read 0 — is evaluated pair by pair.
     """
-    base = unwrap_distance(distance)
-    if type(base) is StarDistance:
-        return BatchStarEvaluator(normalized=base.normalized)
+    if type(distance) is StarDistance:
+        return BatchStarEvaluator(normalized=distance.normalized)
     return None

@@ -13,9 +13,7 @@ from repro.ged.exact import DELETED, ExactGED, edit_path_cost
 from repro.ged.star import StarDistance, star_assignment_value, star_ged_lower_bound
 from repro.ged.bipartite import BipartiteGED, bipartite_upper_bound
 from repro.ged.beam import BeamGED
-from repro.ged.hungarian import assignment_cost, hungarian
 from repro.ged.metric import (
-    CachingDistance,
     CountingDistance,
     GraphDistance,
     check_metric_axioms,
@@ -35,8 +33,6 @@ __all__ = [
     "BipartiteGED",
     "BeamGED",
     "bipartite_upper_bound",
-    "hungarian",
-    "assignment_cost",
     "label_lower_bound",
     "degree_lower_bound",
     "assignment_lower_bound",
@@ -45,7 +41,6 @@ __all__ = [
     "trivial_upper_bound",
     "GraphDistance",
     "CountingDistance",
-    "CachingDistance",
     "pairwise_matrix",
     "check_metric_axioms",
 ]

@@ -1,15 +1,12 @@
-"""Distance facades: counting, caching and batch evaluation.
+"""Distance facades: the metric protocol, counting and the full matrix.
 
 Every index structure and algorithm in the library takes a *distance* — any
-callable ``(LabeledGraph, LabeledGraph) → float``.  The wrappers here add
-the two cross-cutting capabilities the experiments need:
-
-* :class:`CountingDistance` — counts evaluations, because "number of edit
-  distance computations" is the quantity the paper's index design optimizes
-  (e.g. "< 1% of the candidate pairs" during index construction, Sec. 8.3.2);
-* :class:`CachingDistance` — memoizes symmetric pairs by graph id, the
-  access pattern of the greedy loop, which touches the same θ-neighborhoods
-  repeatedly.
+callable ``(LabeledGraph, LabeledGraph) → float`` — and evaluates it through
+a :class:`~repro.engine.DistanceEngine` (batching and the symmetric pair
+cache live there).  :class:`CountingDistance` counts evaluations of the
+metric under an engine or the reference greedy, because "number of edit
+distance computations" is the quantity the paper's index design optimizes
+(e.g. "< 1% of the candidate pairs" during index construction, Sec. 8.3.2).
 
 :func:`pairwise_matrix` materializes a full distance matrix — the paper's
 "best-case running time" baseline (inset of Fig. 5(i)).
@@ -58,18 +55,13 @@ class CountingDistance:
         self.calls = 0
 
     def stats(self) -> dict:
-        """Counter snapshot, merged with any wrapped stats-bearing layer.
-
-        The wrappers compose in either order: ``Counting(Caching(d))`` and
-        ``Caching(Counting(d))`` both report the same ``evaluations`` (real
-        metric computations), ``cache_hits`` and ``hit_rate``.
-        """
+        """Counter snapshot, merged with a wrapped engine's: counting
+        *over* an engine, ``calls`` includes the pairs its cache served
+        while ``evaluations`` is what reached the real metric."""
         stats = {"calls": self.calls, "evaluations": self.calls}
         inner_stats = getattr(self.inner, "stats", None)
         if callable(inner_stats):
             inner = inner_stats()
-            # A cache below us absorbs hits: our call count includes them,
-            # but only its misses reached the real metric.
             if "cache_misses" in inner:
                 stats["evaluations"] = inner["evaluations"]
             for key, value in inner.items():
@@ -80,84 +72,19 @@ class CountingDistance:
         return f"CountingDistance(calls={self.calls}, inner={self.inner!r})"
 
 
-class CachingDistance:
-    """Wrap a distance with a symmetric memo cache.
-
-    ``hits``/``misses`` are tracked so experiments can report both the cache
-    effectiveness and the number of *distinct* distance computations.
-    """
-
-    def __init__(self, inner: GraphDistanceFn):
-        self.inner = inner
-        self._cache: dict[tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __call__(self, g1: LabeledGraph, g2: LabeledGraph) -> float:
-        key = _pair_key(g1, g2)
-        value = self._cache.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        self.misses += 1
-        value = float(self.inner(g1, g2))
-        self._cache[key] = value
-        return value
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def clear(self) -> None:
-        self._cache.clear()
-        self.hits = 0
-        self.misses = 0
-
-    def stats(self) -> dict:
-        """Counter snapshot, merged with any wrapped stats-bearing layer."""
-        lookups = self.hits + self.misses
-        stats = {
-            "calls": lookups,
-            "evaluations": self.misses,
-            "cache_hits": self.hits,
-            "cache_misses": self.misses,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
-            "cache_size": len(self._cache),
-        }
-        inner_stats = getattr(self.inner, "stats", None)
-        if callable(inner_stats):
-            for key, value in inner_stats().items():
-                stats.setdefault(key, value)
-        return stats
-
-    def __repr__(self) -> str:
-        return (
-            f"CachingDistance(size={len(self._cache)}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )
-
-
 def pairwise_matrix(
     graphs: Sequence[LabeledGraph],
     distance: GraphDistanceFn,
-    engine=None,
 ) -> np.ndarray:
     """Full symmetric pairwise distance matrix (zero diagonal).
 
     O(n²/2) distance evaluations — the cost the NB-Index exists to avoid;
-    used as the best-case comparator and in exact tests.  Pass a
-    :class:`~repro.engine.DistanceEngine` to evaluate the triangle in
-    batches (identical values, same row-major order).
+    used as the best-case comparator and in exact tests.  The triangle is
+    evaluated in row-major order, one engine batch per row.
     """
-    if engine is not None:
-        return engine.matrix(graphs)
-    n = len(graphs)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(distance(graphs[i], graphs[j]))
-            matrix[i, j] = value
-            matrix[j, i] = value
-    return matrix
+    from repro.engine import DistanceEngine
+
+    return DistanceEngine.of(distance, graphs).matrix(graphs)
 
 
 def check_metric_axioms(

@@ -552,7 +552,7 @@ class TreeFrontier:
         if own is not None:
             hit |= ranks == own
         undecided = ~hit
-        if engine is not None and undecided.any():
+        if undecided.any():
             known = engine.cached_verdicts(
                 source, member_ids[ranks[undecided]],
                 accept=cutoff, reject=self.theta + _EPS,
@@ -579,22 +579,11 @@ class TreeFrontier:
     def _within(self, gid: int, ranks: np.ndarray) -> np.ndarray:
         """Exact ``d(gid, member) ≤ θ + ε`` verdicts for window members."""
         _, engine, source, member_ids = self._lens(gid)
-        ids = member_ids[ranks]
-        if engine is not None:
-            # The window already applied the vantage lower bound at this
-            # threshold — `prefiltered` skips re-running it.
-            return engine.within(
-                source, ids, self.theta, runtime=self.runtime,
-                prefiltered=True,
-            )
-        index = self.index
-        graph = index.database[source]
-        return np.fromiter(
-            (
-                index.distance(graph, index.database[c]) <= self.theta + _EPS
-                for c in ids.tolist()
-            ),
-            dtype=bool, count=ids.size,
+        # The window already applied the vantage lower bound at this
+        # threshold — `prefiltered` skips re-running it.
+        return engine.within(
+            source, member_ids[ranks], self.theta, runtime=self.runtime,
+            prefiltered=True,
         )
 
     # ------------------------------------------------------------------

@@ -39,7 +39,8 @@ from repro import obs
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 from repro.core.results import QueryResult, QueryStats
-from repro.ged.metric import CountingDistance, GraphDistanceFn
+from repro.engine import DistanceEngine
+from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
 from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
@@ -47,7 +48,7 @@ from repro.index.frontier import TreeFrontier, TreeState
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
-from repro.utils.rng import resolve_seed
+from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_positive
 
 _EPS = 1e-9
@@ -59,6 +60,11 @@ class NBIndex:
     Build once per database with :meth:`build`; run queries either directly
     (:meth:`query`) or through a :class:`QuerySession` when the relevance
     function is reused across θ refinements.
+
+    ``distance`` is the metric or a :class:`~repro.engine.DistanceEngine`
+    over it; either way the index evaluates every distance through
+    :attr:`engine`, with its own embedding attached for the threshold
+    checks' vantage sandwich.
     """
 
     def __init__(
@@ -69,26 +75,27 @@ class NBIndex:
         embedding: VantageEmbedding,
         tree: NBTree,
         ladder: ThresholdLadder,
-        counting: CountingDistance,
         build_seconds: float = 0.0,
     ):
         self.database = database
-        self.distance = distance
+        self.engine = DistanceEngine.of(distance, database.graphs)
+        self.engine.attach_embedding(embedding)
         self.embedding = embedding
         self.tree = tree
         self.ladder = ladder
-        self._counting = counting
         self.build_seconds = build_seconds
-        # When the shared distance is a DistanceEngine, query sessions use
-        # its batched, prefiltered threshold checks; any plain distance
-        # still works through the per-pair path.
-        self.engine = distance if hasattr(distance, "within") else None
         #: ``{kind: count}`` of budget-forced degradations during the
         #: build (empty for an unbudgeted or on-budget build).
         self.build_degradations: dict[str, int] = {}
         self._leaf_of: dict[int, NBTreeNode] = {
             node.graph_index: node for node in tree.nodes if node.is_leaf
         }
+
+    @property
+    def distance(self) -> GraphDistanceFn:
+        """The metric under :attr:`engine` — what reopening this index
+        (a hot reload, a compaction) hands to the loader."""
+        return self.engine.inner
 
     # ------------------------------------------------------------------
     # Construction
@@ -105,8 +112,6 @@ class NBIndex:
         seed=None,
         vp_strategy: str = "random",
         validate_metric: bool = False,
-        engine=None,
-        rng=None,
         checkpoint=None,
         resume: bool = False,
         deadline=None,
@@ -121,13 +126,13 @@ class NBIndex:
         omitted, a slope-proportional ladder is derived from sampled
         pairwise distances (Sec. 7.1, scheme 2).
 
-        Every distance goes through a shared
-        :class:`~repro.engine.DistanceEngine` (batched evaluation + the
-        symmetric cache the old counting/caching pair provided).  Pass a
-        prebuilt ``engine`` to share its cache across builds.
+        Every distance goes through one
+        :class:`~repro.engine.DistanceEngine` (batched evaluation + a
+        symmetric pair cache); pass a prebuilt engine as ``distance`` to
+        share its cache across builds.
 
         ``seed`` (an int or a numpy Generator) drives vantage/pivot
-        selection; ``rng`` is its deprecated alias.
+        selection.
 
         ``checkpoint`` names a file to snapshot completed build stages
         into (atomic, checksummed — see
@@ -142,12 +147,10 @@ class NBIndex:
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
-        from repro.engine import DistanceEngine
         from repro.resilience.deadline import deadline_scope
 
-        rng = resolve_seed(seed, rng, "NBIndex.build")
-        if engine is None:
-            engine = DistanceEngine(distance, graphs=database.graphs)
+        rng = ensure_rng(seed)
+        engine = DistanceEngine.of(distance, database.graphs)
         if validate_metric:
             _spot_check_metric(database, engine, rng)
 
@@ -172,7 +175,7 @@ class NBIndex:
                         obs.timer("index.vantage_select_seconds"):
                     vp_indices = select_vantage_points(
                         database.graphs, vp_count, rng=rng, strategy=vp_strategy,
-                        distance=engine, engine=engine,
+                        distance=engine,
                     )
                 if ckpt is not None:
                     ckpt.record_stage(
@@ -188,11 +191,10 @@ class NBIndex:
             else:
                 with obs.span("index.embed"), obs.timer("index.embed_seconds"):
                     embedding = VantageEmbedding(
-                        database.graphs, vp_indices, engine, engine=engine
+                        database.graphs, vp_indices, engine
                     )
                 if ckpt is not None:
                     ckpt.record_stage("embed", coords=embedding.coords)
-            engine.attach_embedding(embedding)
 
             if ckpt is not None and ckpt.completed("ladder"):
                 thresholds = ThresholdLadder(
@@ -208,7 +210,6 @@ class NBIndex:
                             thresholds = choose_thresholds(
                                 database.graphs, engine, count=10,
                                 num_pairs=min(1000, len(database) * 4), rng=rng,
-                                engine=engine,
                             )
                 if ckpt is not None:
                     ckpt.record_stage(
@@ -227,7 +228,7 @@ class NBIndex:
                         obs.timer("index.tree_build_seconds"):
                     tree = NBTree(
                         database.graphs, engine, embedding, branching=branching,
-                        rng=rng, engine=engine,
+                        rng=rng,
                     )
                     tree_span.set(nodes=tree.num_nodes)
                 if ckpt is not None:
@@ -240,7 +241,7 @@ class NBIndex:
         obs.observe_time("index.build_seconds", build_seconds)
         index = cls(
             database, engine, embedding=embedding, tree=tree,
-            ladder=thresholds, counting=engine, build_seconds=build_seconds,
+            ladder=thresholds, build_seconds=build_seconds,
         )
         if deadline is not None:
             index.build_degradations = dict(deadline.degradations)
@@ -264,30 +265,26 @@ class NBIndex:
         :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
         the frame's global ids, so the embedding is
         :attr:`~repro.index.vantage.VantageEmbedding.framed` and the index
-        refuses the in-place :meth:`insert`."""
-        from repro.engine import DistanceEngine
-
+        refuses the in-place :meth:`insert`.  The shard always gets an
+        engine of its own: it speaks the sub-database's local ids."""
         started = time.perf_counter()
         engine = DistanceEngine(distance, graphs=database.graphs)
         embedding = VantageEmbedding.from_coords(
             database.graphs, vantage_indices, engine, coords
         )
         embedding.framed = True
-        engine.attach_embedding(embedding)
         tree = NBTree(
-            database.graphs, engine, embedding, branching=branching, rng=rng,
-            engine=engine,
+            database.graphs, engine, embedding, branching=branching, rng=rng
         )
         return cls(
             database, engine, embedding=embedding, tree=tree,
-            ladder=thresholds, counting=engine,
-            build_seconds=time.perf_counter() - started,
+            ladder=thresholds, build_seconds=time.perf_counter() - started,
         )
 
     def stats(self) -> dict:
         """Statable protocol: one plain dict covering the whole index,
         nesting the engine's and tree-build accounting."""
-        out = {
+        return {
             "num_graphs": len(self.database),
             "num_shards": 1,  # normalized schema: a plain index is S=1
             "num_vantage_points": self.embedding.num_vantage_points,
@@ -295,7 +292,7 @@ class NBIndex:
             "tree_nodes": self.tree.num_nodes,
             "ladder_thresholds": len(self.ladder),
             "build_seconds": self.build_seconds,
-            "distance_calls": self._counting.calls,
+            "distance_calls": self.engine.calls,
             "memory_bytes": self._memory_bytes(),
             "coverage_bytes": self._coverage_bytes(),
             "degraded": bool(self.build_degradations),
@@ -304,10 +301,8 @@ class NBIndex:
                 "exact_distances": self.tree.stats.exact_distances,
                 "pruned_by_vantage": self.tree.stats.pruned_by_vantage,
             },
+            "engine": self.engine.stats(),
         }
-        if self.engine is not None and hasattr(self.engine, "stats"):
-            out["engine"] = dict(self.engine.stats())
-        return out
 
     def _memory_bytes(self) -> int:
         """Approximate resident size of the index structures (Fig. 6(l)).
@@ -356,14 +351,7 @@ class NBIndex:
     _query_layer = "index"
 
     def _distance_calls(self) -> int:
-        return self._counting.calls
-
-    def _pair_distances(self, a: int, bs: list[int]):
-        """``d(a, b)`` for every ``b`` — one engine batch when there is one."""
-        if self.engine is not None:
-            return self.engine.one_to_many(a, bs)
-        graph = self.database[a]
-        return [self.distance(graph, self.database[b]) for b in bs]
+        return self.engine.calls
 
     def _tree_state(self, session: "QuerySession") -> TreeState:
         """The session's state for this index's one tree (identity ids)."""
@@ -376,7 +364,7 @@ class NBIndex:
         """One tree frontier: the S = 1 case of the coordinated greedy."""
         frontier = TreeFrontier(
             self._tree_state(run.session), run.theta, run.ladder_index,
-            run.stats, run.runtime, distances=self._pair_distances,
+            run.stats, run.runtime, distances=self.engine.one_to_many,
         )
         return run.greedy([frontier], lambda gid: frontier)
 
@@ -448,7 +436,7 @@ class NBIndex:
         while True:
             node.members = np.sort(np.append(node.members, new_id))
             internal_children = [c for c in node.children if not c.is_leaf]
-            distance_to_centroid = self.distance(
+            distance_to_centroid = self.engine(
                 graph, self.database[node.centroid]
             )
             node.radius = max(node.radius, distance_to_centroid)
@@ -459,7 +447,7 @@ class NBIndex:
                 break
             node = min(
                 internal_children,
-                key=lambda c: self.distance(graph, self.database[c.centroid]),
+                key=lambda c: self.engine(graph, self.database[c.centroid]),
             )
 
         leaf = NBTreeNode(

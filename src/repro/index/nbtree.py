@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.index.vantage import VantageEmbedding
 from repro.utils.rng import ensure_rng
@@ -82,17 +83,14 @@ class NBTree:
     graphs:
         Database graphs in id order.
     distance:
-        The metric; wrap it in a counting/caching facade if needed.
+        The metric, or a :class:`~repro.engine.DistanceEngine` over it;
+        the per-pivot member scans run as engine batches.
     embedding:
         Vantage embedding of the same graphs (used only to prune pivot
         assignment; pass ``None`` to build without acceleration).
     branching:
         Maximum fan-out ``b``; also the cluster size below which recursion
         stops (paper default 40; small values suit memory-resident use).
-    engine:
-        Optional :class:`~repro.engine.DistanceEngine`; the per-pivot
-        member scans then run as batches.  The assignment, radii,
-        diameters and pruning counters are identical either way.
     """
 
     def __init__(
@@ -102,14 +100,12 @@ class NBTree:
         embedding: VantageEmbedding | None,
         branching: int = 8,
         rng=None,
-        engine=None,
     ):
         require(branching >= 2, f"branching must be >= 2, got {branching}")
         require(len(graphs) > 0, "cannot build a tree over an empty database")
         self._graphs = graphs
-        self._distance = distance
+        self._engine = DistanceEngine.of(distance, graphs)
         self._embedding = embedding
-        self._engine = engine
         self.branching = branching
         self.stats = BuildStats()
         self.nodes: list[NBTreeNode] = []
@@ -126,20 +122,13 @@ class NBTree:
         return node
 
     def _exact_batch(self, source: int, targets: np.ndarray) -> np.ndarray:
-        """``d(source, t)`` for an id array of targets: one engine batch, or
-        per-pair calls in target order when there is no engine.
+        """``d(source, t)`` for an id array of targets, one engine batch.
 
         Counts one exact distance per target — cache-served evaluations
-        included, the same accounting on both paths.
+        included.
         """
         self.stats.exact_distances += len(targets)
         graphs = self._graphs
-        if self._engine is None:
-            source_graph = graphs[source]
-            return np.array(
-                [self._distance(source_graph, graphs[t]) for t in targets.tolist()],
-                dtype=float,
-            )
         if self._engine.graphs is graphs:
             return np.asarray(self._engine.one_to_many(source, targets), dtype=float)
         return np.asarray(
@@ -295,7 +284,7 @@ class NBTree:
                 problems.append(f"node {node.node_id}: children do not partition members")
             centroid_graph = self._graphs[node.centroid]
             for m in node.members:
-                d = self._distance(centroid_graph, self._graphs[int(m)])
+                d = self._engine(centroid_graph, self._graphs[int(m)])
                 if d > node.radius + 1e-9:
                     problems.append(
                         f"node {node.node_id}: member {m} at {d:.3f} beyond "

@@ -149,7 +149,6 @@ def tree_from_arrays(arrays, graphs, engine, embedding) -> NBTree:
 
     tree = NBTree.__new__(NBTree)
     tree._graphs = graphs
-    tree._distance = engine
     tree._engine = engine
     tree._embedding = embedding
     tree.branching = int(arrays["branching"][0])
@@ -232,7 +231,9 @@ def load_index(
 
     ``distance`` must be the same metric the index was built with (the
     stored coordinates and radii are only meaningful for it); the database
-    is verified by fingerprint.
+    is verified by fingerprint.  The index always gets an engine of its own
+    (as in :meth:`NBIndex.from_coords`): shards of one bundle are loaded
+    with the same ``distance`` and each speaks its own local ids.
     """
     path = Path(path)
     payload, bare = _payload(path)
@@ -264,10 +265,9 @@ def load_index(
         ladder = ThresholdLadder(float(v) for v in data["ladder"])
         build_seconds = float(data["build_seconds"][0])
 
-    engine.attach_embedding(embedding)
     return NBIndex(
         database, engine, embedding=embedding, tree=tree, ladder=ladder,
-        counting=engine, build_seconds=build_seconds,
+        build_seconds=build_seconds,
     )
 
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
@@ -83,34 +84,34 @@ def sample_distinct_pairs(n: int, num_pairs: int, rng) -> list[tuple[int, int]]:
     return pairs
 
 
+def sample_pair_distances(
+    graphs, distance: GraphDistanceFn, num_pairs: int, rng
+) -> np.ndarray:
+    """Distances of ``num_pairs`` random distinct pairs of ``graphs`` — the
+    one sampler behind the π̂ ladder, θ calibration and the distance
+    distribution: :func:`sample_distinct_pairs`, then one engine batch."""
+    require(len(graphs) >= 2, "need at least two graphs to sample distances")
+    pairs = sample_distinct_pairs(len(graphs), num_pairs, ensure_rng(rng))
+    engine = DistanceEngine.of(distance, graphs)
+    return np.asarray(engine.pairs([(graphs[i], graphs[j]) for i, j in pairs]))
+
+
 def choose_thresholds(
     graphs,
     distance: GraphDistanceFn,
     count: int = 10,
     num_pairs: int = 1000,
     rng=None,
-    engine=None,
 ) -> ThresholdLadder:
     """Slope-proportional ladder from sampled pairwise distances (scheme 2).
 
     Thresholds are the equal-mass quantiles of a random-pair distance
     sample, so regions where π(g) climbs steeply with θ (dense distance
     mass) receive more indexed thresholds — the paper's recommendation when
-    no query log exists.  With an ``engine`` the sampled pairs are
-    evaluated as one batch (same pairs, same values, same ladder).
+    no query log exists.
     """
     require(count >= 1, f"count must be >= 1, got {count}")
-    require(len(graphs) >= 2, "need at least two graphs to sample distances")
-    rng = ensure_rng(rng)
-    pairs = sample_distinct_pairs(len(graphs), num_pairs, rng)
-    if engine is not None:
-        samples = np.asarray(
-            engine.pairs([(graphs[i], graphs[j]) for i, j in pairs])
-        )
-    else:
-        samples = np.array(
-            [float(distance(graphs[i], graphs[j])) for i, j in pairs]
-        )
+    samples = sample_pair_distances(graphs, distance, num_pairs, rng)
     quantile_levels = np.linspace(0.0, 1.0, count + 1)[1:]
     thresholds = np.quantile(samples, quantile_levels)
     return ThresholdLadder(thresholds)

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro import obs
 from repro.cascade import BLOCK_EVALS
+from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
 from repro.utils.rng import ensure_rng
@@ -38,17 +39,15 @@ def select_vantage_points(
     rng=None,
     strategy: str = "random",
     distance: GraphDistanceFn | None = None,
-    engine=None,
 ) -> list[int]:
     """Choose ``count`` vantage-point indices from ``graphs``.
 
     ``strategy='random'`` is the paper's choice (Def. 3 selects VPs
     randomly; the FPR analysis of Sec. 6.2.1 assumes it).
     ``strategy='maxmin'`` is the classic farthest-first alternative offered
-    for the ablation benchmarks; it needs ``distance``.  Each maxmin round
-    is an O(n) distance scan; pass a
-    :class:`~repro.engine.DistanceEngine` to evaluate the scans as batches
-    (identical values, identical selection).
+    for the ablation benchmarks; it needs ``distance`` (a metric or a
+    :class:`~repro.engine.DistanceEngine`) and pays one O(n) batch scan
+    per round.
     """
     require(0 < count <= len(graphs), f"count {count} not in 1..{len(graphs)}")
     rng = ensure_rng(rng)
@@ -56,18 +55,12 @@ def select_vantage_points(
         chosen = rng.choice(len(graphs), size=count, replace=False)
         return sorted(int(i) for i in chosen)
     if strategy == "maxmin":
-        require(
-            distance is not None or engine is not None,
-            "maxmin strategy requires a distance",
-        )
+        require(distance is not None, "maxmin strategy requires a distance")
+        engine = DistanceEngine.of(distance, graphs)
 
         def scan(pivot: int) -> np.ndarray:
-            if engine is not None:
-                return np.asarray(
-                    engine.one_to_many(graphs[pivot], list(graphs)), dtype=float
-                )
-            return np.array(
-                [distance(graphs[pivot], g) for g in graphs], dtype=float
+            return np.asarray(
+                engine.one_to_many(graphs[pivot], list(graphs)), dtype=float
             )
 
         first = int(rng.integers(len(graphs)))
@@ -91,10 +84,9 @@ class VantageEmbedding:
     vantage_indices:
         Indices of the chosen vantage points within ``graphs``.
     distance:
-        The underlying metric; called ``|V| · n`` times at construction.
-    engine:
-        Optional :class:`~repro.engine.DistanceEngine`; each vantage
-        column is then computed as one batch (identical values).
+        The underlying metric, or a :class:`~repro.engine.DistanceEngine`
+        over it; ``|V| · n`` distances at construction, one batch per
+        vantage column.
     """
 
     #: True when ``vantage_indices`` name graphs of a bundle's
@@ -108,19 +100,14 @@ class VantageEmbedding:
         graphs: Sequence[LabeledGraph],
         vantage_indices: Sequence[int],
         distance: GraphDistanceFn,
-        engine=None,
     ):
         require(len(vantage_indices) > 0, "at least one vantage point required")
         self._graphs = graphs
-        self._distance = distance
+        self._engine = DistanceEngine.of(distance, graphs)
         self.vantage_indices = list(int(i) for i in vantage_indices)
         coords = np.empty((len(graphs), len(self.vantage_indices)))
         for j, vp in enumerate(self.vantage_indices):
-            vantage_graph = graphs[vp]
-            if engine is not None:
-                coords[:, j] = engine.one_to_many(vantage_graph, list(graphs))
-            else:
-                coords[:, j] = [distance(vantage_graph, g) for g in graphs]
+            coords[:, j] = self._engine.one_to_many(graphs[vp], list(graphs))
         self._set_coords(coords)
 
     def _set_coords(self, coords: np.ndarray) -> None:
@@ -143,7 +130,7 @@ class VantageEmbedding:
         (index load, checkpoint resume) — no distances are evaluated."""
         embedding = cls.__new__(cls)
         embedding._graphs = graphs
-        embedding._distance = distance
+        embedding._engine = DistanceEngine.of(distance, graphs)
         embedding._adopt(vantage_indices, coords)
         return embedding
 
@@ -183,8 +170,11 @@ class VantageEmbedding:
             "a framed embedding's vantage graphs are not among its graphs: "
             "read coordinates from the bundle's VantageFrame",
         )
-        return np.array(
-            [self._distance(self._graphs[vp], g) for vp in self.vantage_indices]
+        return np.asarray(
+            self._engine.one_to_many(
+                g, [self._graphs[vp] for vp in self.vantage_indices]
+            ),
+            dtype=float,
         )
 
     # ------------------------------------------------------------------

@@ -1,12 +1,10 @@
 """The :class:`Statable` protocol — one shape for every stats surface.
 
-Historically the library grew three inconsistent ways to ask "how much
-work happened": ``NBIndex.distance_calls``/``memory_bytes`` (property +
-method), ``CountingDistance.stats()``/``CachingDistance.stats()`` (dicts),
-and :class:`~repro.core.results.QueryStats` (a dataclass).  They are now
-unified: anything observable implements ``stats() -> dict`` of plain,
-JSON-safe values, and :func:`collect_stats` gathers several components
-into one nested document.
+Anything observable — the index, its :class:`~repro.engine.DistanceEngine`,
+a :class:`~repro.ged.metric.CountingDistance`, a query's
+:class:`~repro.core.results.QueryStats` — implements ``stats() -> dict``
+of plain, JSON-safe values, and :func:`collect_stats` gathers several
+components into one nested document.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ class Statable(Protocol):
 
     Implementors: :class:`~repro.engine.DistanceEngine`,
     :class:`~repro.ged.metric.CountingDistance`,
-    :class:`~repro.ged.metric.CachingDistance`,
     :class:`~repro.index.nbindex.NBIndex`,
     :class:`~repro.core.results.QueryStats`,
     :class:`~repro.obs.registry.MetricsRegistry`, and the M-/C-tree

@@ -5,7 +5,7 @@ cluster: R :class:`~repro.replica.worker.ShardWorker` replicas per shard
 (line-JSON over socketpairs), a :class:`~repro.replica.supervisor.Supervisor`
 that heartbeats, wedge-kills, and restarts them with capped backoff, and
 a :class:`~repro.replica.router.ReplicaRouter` that gives the
-scatter-gather coordinator failover and optional hedged reads.  The
+scatter-gather coordinator failover.  The
 public entry point is :class:`ReplicatedIndex`, a drop-in for
 :class:`~repro.shard.ShardedIndex` that answers bit-identically under
 replica churn and degrades to flagged partial answers

@@ -87,7 +87,6 @@ class ReplicatedIndex:
         *,
         replicas: int = 2,
         op_timeout_s: float = 10.0,
-        hedge_ms: float | None = None,
         heartbeat_s: float = 0.5,
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
@@ -129,9 +128,7 @@ class ReplicatedIndex:
             restart_policy=restart_policy,
         )
         supervisor.start()
-        router = ReplicaRouter(
-            supervisor, op_timeout_s=op_timeout_s, hedge_ms=hedge_ms,
-        )
+        router = ReplicaRouter(supervisor, op_timeout_s=op_timeout_s)
         return cls(
             database, distance, manifest=manifest, path=manifest_path,
             supervisor=supervisor, router=router,

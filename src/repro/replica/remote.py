@@ -10,9 +10,9 @@ design:
   **broadcast** through the router to every live replica, so any of them
   can serve the next read.
 * ``next`` / ``pi_hat`` / ``nbhd`` are **routed** to the primary with
-  failover (and optional hedging).  ``next`` advances the primary's lazy
-  walk; a failover lands on a sibling whose walk is *behind*, which can
-  re-offer candidates the coordinator already saw.  That is safe: the
+  failover.  ``next`` advances the primary's lazy walk; a failover
+  lands on a sibling whose walk is *behind*, which can re-offer
+  candidates the coordinator already saw.  That is safe: the
   incumbent logic absorbs duplicates (a candidate can never beat itself
   under the (max gain, min id) rule), exact gains are functions of the
   coordinator-supplied covered set, and every bound any replica reports
@@ -191,7 +191,6 @@ class RemoteFrontier:
             self.shard_id,
             {"op": "pi_hat", "sid": self.session.sid, "gid": int(gid)},
             self.session,
-            hedge=True,
         )
         return int(result["count"])
 
@@ -205,7 +204,6 @@ class RemoteFrontier:
                 **_deficit_to_wire(min_useful, tie_gid),
             },
             self.session,
-            hedge=True,
         )
         if "bound" in result:
             return int(result["bound"])
@@ -269,7 +267,6 @@ class RemoteRoundSearch:
                 **_deficit_to_wire(min_useful, tie_gid),
             },
             session,
-            hedge=True,
         )
         peek = result.get("peek")
         self._peek = _NEG_INF if peek is None else float(peek)

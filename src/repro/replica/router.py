@@ -1,7 +1,7 @@
 """Failover routing: which replica answers, and what happens when it dies.
 
 The :class:`ReplicaRouter` is the only code that talks to worker handles
-on behalf of a query.  It implements three policies on top of the
+on behalf of a query.  It implements two policies on top of the
 supervisor's live view:
 
 * **Routed reads with failover** (:meth:`call`) — the op goes to the
@@ -17,11 +17,6 @@ supervisor's live view:
   *every* live replica so each one can take over as primary mid-round.
   One success suffices; replicas that miss a broadcast are repaired by
   session restore on their next contact.
-* **Hedged reads** (optional) — with ``hedge_ms`` set, a read still
-  unanswered after an adaptive delay (per-replica latency EMA plus three
-  deviations, floored at ``hedge_ms``) is raced against a sibling; the
-  first answer wins.  The loser's response is still fully read under its
-  replica's lock, so the stream stays frame-synchronized.
 
 Session state is restored lazily: before any op on a replica process
 that has not seen this session (fresh restart, or LRU eviction signalled
@@ -36,8 +31,6 @@ answer over the surviving shards.
 """
 
 from __future__ import annotations
-
-import threading
 
 from repro import obs
 from repro.replica.errors import (
@@ -56,11 +49,9 @@ class ReplicaRouter:
         supervisor: Supervisor,
         *,
         op_timeout_s: float = 10.0,
-        hedge_ms: float | None = None,
     ):
         self.supervisor = supervisor
         self.op_timeout_s = float(op_timeout_s)
-        self.hedge_ms = None if hedge_ms is None else float(hedge_ms)
         #: Hard cap on failover hops for one op — bounds worst-case
         #: latency even if the monitor keeps reviving doomed workers.
         self.max_failovers = 2 * supervisor.replicas + 2
@@ -68,9 +59,8 @@ class ReplicaRouter:
     # ------------------------------------------------------------------
     # Public op surface
     # ------------------------------------------------------------------
-    def call(self, shard_id: int, payload: dict, session=None,
-             *, hedge: bool = False) -> dict:
-        """Route one read op with failover (and optional hedging)."""
+    def call(self, shard_id: int, payload: dict, session=None) -> dict:
+        """Route one read op with failover."""
         causes: list[str] = []
         for _ in range(self.max_failovers):
             live = self.supervisor.live(shard_id)
@@ -78,12 +68,6 @@ class ReplicaRouter:
                 raise ShardUnavailableError(shard_id, causes)
             handle = live[0]
             try:
-                if (
-                    hedge
-                    and self.hedge_ms is not None
-                    and len(live) > 1
-                ):
-                    return self._hedged(handle, live[1], payload, session)
                 return self._call_handle(handle, payload, session)
             except ReplicaUnreachable as error:
                 causes.append(str(error))
@@ -180,56 +164,3 @@ class ReplicaRouter:
             if step.get("op") == "open":
                 session.note_open_result(result)
         handle.sessions.add(session.sid)
-
-    # ------------------------------------------------------------------
-    # Hedging
-    # ------------------------------------------------------------------
-    def _hedged(self, primary: WorkerHandle, sibling: WorkerHandle,
-                payload: dict, session) -> dict:
-        """Race primary vs sibling after an adaptive delay."""
-        lock = threading.Condition()
-        outcomes: list[tuple[WorkerHandle, str, object]] = []
-
-        def attempt(handle: WorkerHandle) -> None:
-            try:
-                result = self._call_handle(handle, payload, session)
-                entry = (handle, "ok", result)
-            except ReplicaUnreachable as error:
-                # The loser (or any failed leg) reports itself — the main
-                # thread may have returned already.
-                self.supervisor.report_failure(handle)
-                entry = (handle, "err", error)
-            except ReplicaWorkerError as error:
-                entry = (handle, "fatal", error)
-            with lock:
-                outcomes.append(entry)
-                lock.notify_all()
-
-        threads = [threading.Thread(
-            target=attempt, args=(primary,), daemon=True,
-        )]
-        threads[0].start()
-        delay = max(self.hedge_ms / 1000.0, primary.hedge_latency)
-        launched = 1
-        with lock:
-            lock.wait_for(lambda: outcomes, timeout=delay)
-            if not outcomes:
-                obs.counter("replica.hedges")
-                hedge_thread = threading.Thread(
-                    target=attempt, args=(sibling,), daemon=True,
-                )
-                hedge_thread.start()
-                threads.append(hedge_thread)
-                launched = 2
-            while True:
-                for handle, status, value in outcomes:
-                    if status == "ok":
-                        if handle is sibling:
-                            obs.counter("replica.hedge_wins")
-                        return value  # type: ignore[return-value]
-                    if status == "fatal":
-                        raise value  # type: ignore[misc]
-                if len(outcomes) >= launched:
-                    # every leg failed with a transport error
-                    raise outcomes[0][2]  # type: ignore[misc]
-                lock.wait()

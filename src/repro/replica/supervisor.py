@@ -73,9 +73,6 @@ class WorkerHandle:
         self.next_restart_at = 0.0
         self.tree_nodes = 0
         self.num_graphs = 0
-        #: Exponential latency tracking for hedging (EMA + deviation).
-        self.ema_latency = 0.0
-        self.ema_deviation = 0.0
 
     # ------------------------------------------------------------------
     def call(self, payload: dict, timeout: float,
@@ -117,30 +114,15 @@ class WorkerHandle:
                 obs.counter("replica.protocol_errors")
                 raise
             finally:
-                started, self.busy_since = self.busy_since, None
+                self.busy_since = None
             if response is None:
                 self.alive = False
                 raise ReplicaDead(
                     f"replica {self.shard_id}/{self.replica_index} closed "
                     f"the connection (process exit)"
                 )
-            elapsed = time.monotonic() - started
             self.last_ok = time.monotonic()
-            self._note_latency(elapsed)
             return response
-
-    def _note_latency(self, elapsed: float) -> None:
-        if self.ema_latency == 0.0:
-            self.ema_latency = elapsed
-        else:
-            delta = elapsed - self.ema_latency
-            self.ema_latency += 0.2 * delta
-            self.ema_deviation += 0.2 * (abs(delta) - self.ema_deviation)
-
-    @property
-    def hedge_latency(self) -> float:
-        """EMA-p99-style delay: mean plus three deviations."""
-        return self.ema_latency + 3.0 * self.ema_deviation
 
     # ------------------------------------------------------------------
     def mark_dead(self) -> None:

@@ -84,11 +84,6 @@ class Deadline:
         )
         return cls(float(milliseconds) / 1000.0, expansion_limit=expansion_limit)
 
-    @classmethod
-    def after_ms(cls, milliseconds: float, *, expansion_limit: int | None = None) -> "Deadline":
-        """Alias of :meth:`from_timeout_ms` (the original CLI spelling)."""
-        return cls.from_timeout_ms(milliseconds, expansion_limit=expansion_limit)
-
     # ------------------------------------------------------------------
     # Budget checks
     # ------------------------------------------------------------------

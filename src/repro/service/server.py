@@ -141,7 +141,6 @@ class QueryService:
         mutable: bool = False,
         journal=None,
         replicas: int | None = None,
-        hedge_ms: float | None = None,
         **build_kwargs,
     ) -> "QueryService":
         """The CLI path: open the database, load or build the index.
@@ -198,8 +197,7 @@ class QueryService:
             from repro.replica import ReplicatedIndex
 
             index = ReplicatedIndex.open(
-                shards_path, database, distance,
-                replicas=replicas, hedge_ms=hedge_ms,
+                shards_path, database, distance, replicas=replicas,
             )
             service = cls(index, config=config, distance=distance)
             service.source_paths = source_paths

@@ -83,12 +83,12 @@ def build_shards(
                     thresholds = choose_thresholds(
                         database.graphs, engine, count=10,
                         num_pairs=min(1000, len(database) * 4),
-                        rng=np.random.default_rng(seed), engine=engine,
+                        rng=np.random.default_rng(seed),
                     )
 
         with obs.span("shard.partition", strategy=partitioner):
             partition = get_partitioner(partitioner).assign(
-                database, num_shards, seed=seed, engine=engine
+                database, num_shards, seed=seed, distance=engine
             )
 
         # Child s seeds shard s (as in compaction), one more the frame.
@@ -100,9 +100,7 @@ def build_shards(
                 database.graphs, min(num_vantage_points, len(database)),
                 rng=np.random.default_rng(frame_seed),
             )
-            frame = VantageEmbedding(
-                database.graphs, vantage, engine, engine=engine
-            )
+            frame = VantageEmbedding(database.graphs, vantage, engine)
         entries: list[ShardEntry] = []
         shard_build_seconds: list[float] = []
         for shard_id in range(num_shards):

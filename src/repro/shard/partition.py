@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.engine import DistanceEngine
 from repro.graphs.database import GraphDatabase
 from repro.shard.errors import PartitionError
 from repro.utils.validation import require
@@ -77,7 +78,7 @@ class HashPartitioner:
         num_shards: int,
         *,
         seed: int | None = None,
-        engine=None,
+        distance=None,
     ) -> Partition:
         digests = np.array(
             [zlib.crc32(repr(g.canonical_form()).encode()) for g in database],
@@ -92,9 +93,9 @@ class ClusteringPartitioner:
     """Metric-clustering assignment: farthest-first pivots, nearest-pivot
     membership.
 
-    Needs distances: pass a :class:`~repro.engine.DistanceEngine` attached
-    to the database (the pivot scans run as batches and land in the shared
-    pair cache, so the subsequent per-shard builds reuse them).
+    Needs ``distance``: the metric, or a
+    :class:`~repro.engine.DistanceEngine` over the database — the pivot
+    scans are engine batches and stay in its pair cache for the caller.
     """
 
     name = "clustering"
@@ -105,15 +106,17 @@ class ClusteringPartitioner:
         num_shards: int,
         *,
         seed: int | None = None,
-        engine=None,
+        distance=None,
     ) -> Partition:
-        require(engine is not None, "clustering partitioner needs an engine")
+        require(distance is not None, "clustering partitioner needs a distance")
+        engine = DistanceEngine.of(distance, database.graphs)
         n = len(database)
         rng = np.random.default_rng(seed)
 
         def scan(pivot: int) -> np.ndarray:
             return np.asarray(
-                engine.one_to_many(int(pivot), range(n)), dtype=float
+                engine.one_to_many(database[pivot], database.graphs),
+                dtype=float,
             )
 
         first = int(rng.integers(n))

@@ -188,7 +188,7 @@ class ShardedIndex:
     _query_layer = "shard"
 
     def _distance_calls(self) -> int:
-        return self.engine.calls + sum(s._counting.calls for s in self.shards)
+        return self.engine.calls + sum(s.engine.calls for s in self.shards)
 
     def _shard_frontiers(self, run: QueryRun, global_engine) -> list[ShardFrontier]:
         """One frontier per shard; each tree's θ-independent state is
@@ -283,7 +283,7 @@ class ShardedIndex:
                     "shard_id": i,
                     "num_graphs": len(shard.database),
                     "tree_nodes": shard.tree.num_nodes,
-                    "distance_calls": shard._counting.calls,
+                    "distance_calls": shard.engine.calls,
                     "memory_bytes": shard._memory_bytes(),
                     "coverage_bytes": shard._coverage_bytes(),
                 }

@@ -14,8 +14,6 @@ Centralizing the coercion here keeps signatures short and behaviour uniform.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 SeedLike = "int | None | np.random.Generator"
@@ -32,28 +30,6 @@ def ensure_rng(seed: "int | None | np.random.Generator") -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def resolve_seed(seed, rng, owner: str) -> np.random.Generator:
-    """Coerce the ``seed=`` argument, honouring a deprecated ``rng=`` alias.
-
-    The public API renamed ``rng=`` to ``seed=`` (the argument always
-    accepted plain ints and Generators alike, and every other stochastic
-    entry point already said ``seed``).  Old callers keep working for one
-    release with a :class:`DeprecationWarning`; passing both is an error.
-    """
-    if rng is not None:
-        warnings.warn(
-            f"{owner}: the 'rng' argument is deprecated, use 'seed='",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if seed is not None:
-            raise TypeError(
-                f"{owner}: pass either 'seed=' or the deprecated 'rng=', not both"
-            )
-        seed = rng
-    return ensure_rng(seed)
 
 
 def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:

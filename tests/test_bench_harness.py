@@ -84,9 +84,15 @@ class TestBenchContext:
     def test_lazy_engines_cached(self, ctx):
         first = ctx.nbindex
         assert ctx.nbindex is first
-        assert ctx.mtree is ctx.mtree
-        assert ctx.ctree is ctx.ctree
         assert ctx.matrix is ctx.matrix
+        # What a query is timed on is fresh, on an engine of its own over
+        # the one metric: no comparator's pair cache warms another's.
+        engines = [
+            ctx.build_ctree()._engine, ctx.build_ctree()._engine,
+            ctx.build_mtree()._engine, ctx.fresh_engine(), first.engine,
+        ]
+        assert len({id(engine) for engine in engines}) == len(engines)
+        assert all(engine.inner is ctx.distance for engine in engines)
 
     def test_calibrated_theta_positive(self, ctx):
         assert ctx.theta > 0

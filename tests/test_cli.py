@@ -105,6 +105,13 @@ class TestExperiment:
             main(["bench-hotpath", "--sizes", "500"])
         assert excinfo.value.code == 2
 
+    def test_hedge_ms_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "db.jsonl", "--shards", "m.json", "--replicas",
+                  "2", "--hedge-ms", "50"])
+        assert excinfo.value.code == 2
+        assert "--hedge-ms" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_query_metrics_json_and_trace(self, db_path, tmp_path, capsys):

@@ -19,17 +19,18 @@ from repro.cascade import FilterCascade
 from repro.core.greedy import baseline_greedy, lazy_greedy
 from repro.engine import DistanceEngine, batch_evaluator_for
 from repro.engine.starbatch import _BLOCK_PROFILES
-from repro.ged.metric import (
-    CachingDistance,
-    CountingDistance,
-    pairwise_matrix,
-)
+from repro.analysis.distances import sample_distances
+from repro.baselines.ctree import CTree
+from repro.baselines.mtree import MTree
+from repro.datasets.registry import calibrate_theta
+from repro.ged.metric import CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.graphs.graph import LabeledGraph
 from repro.index.frontier import TreeFrontier
 from repro.index.nbindex import NBIndex
-from repro.index.pivec import choose_thresholds
+from repro.index.nbtree import NBTree
+from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 
 _EPS = 1e-9
@@ -206,8 +207,9 @@ def test_engine_matrix_matches_pairwise_matrix(db, star):
 
 def test_engine_matrix_via_pairwise_matrix_param(db, star):
     engine = DistanceEngine(StarDistance())
-    got = pairwise_matrix(db.graphs, star, engine=engine)
+    got = pairwise_matrix(db.graphs, engine)
     assert np.array_equal(got, pairwise_matrix(db.graphs, star))
+    assert engine.evaluations == len(db) * (len(db) - 1) // 2
 
 
 def test_one_to_many_accepts_indices_objects_and_duplicates(db, star):
@@ -323,17 +325,20 @@ def test_within_without_embedding_or_indices(db, star):
 def test_stats_composable_in_either_order(db, star):
     pairs = [(0, 1), (1, 2), (0, 1), (2, 0), (1, 2), (3, 4)]
 
-    counting_outer = CountingDistance(CachingDistance(StarDistance()))
-    caching_outer = CachingDistance(CountingDistance(StarDistance()))
+    counting_outer = CountingDistance(DistanceEngine(StarDistance()))
+    engine_outer = DistanceEngine(CountingDistance(StarDistance()))
     for i, j in pairs:
-        assert counting_outer(db[i], db[j]) == caching_outer(db[i], db[j])
+        assert counting_outer(db[i], db[j]) == engine_outer(db[i], db[j])
 
-    a, b = counting_outer.stats(), caching_outer.stats()
-    for key in ("calls", "evaluations", "cache_hits", "hit_rate"):
+    a, b = counting_outer.stats(), engine_outer.stats()
+    for key in ("evaluations", "cache_hits", "hit_rate"):
         assert a[key] == b[key], key
     assert a["calls"] == len(pairs)
     assert a["evaluations"] == 4  # distinct pairs
     assert a["cache_hits"] == 2
+    # A counter *under* an engine sees what reached the metric: the engine
+    # does not swap a counted StarDistance for the batch kernel.
+    assert engine_outer.inner.calls == 4
 
 
 def test_engine_stats_shape(db):
@@ -372,7 +377,7 @@ def test_maxmin_vantage_selection_matches(db, star):
     engine = DistanceEngine(StarDistance(), graphs=db.graphs)
     batched = select_vantage_points(
         db.graphs, 5, np.random.default_rng(3), strategy="maxmin",
-        engine=engine,
+        distance=engine,
     )
     assert serial == batched
 
@@ -384,36 +389,29 @@ def test_choose_thresholds_matches(db, star):
     engine = DistanceEngine(StarDistance(), graphs=db.graphs)
     batched = choose_thresholds(
         db.graphs, engine, count=6, num_pairs=80,
-        rng=np.random.default_rng(4), engine=engine,
+        rng=np.random.default_rng(4),
     )
     assert serial.values == batched.values
 
 
 def test_sample_distances_matches(db, star):
-    from repro.analysis.distances import sample_distances
-
     serial = sample_distances(db, star, num_pairs=60, rng=np.random.default_rng(8))
     engine = DistanceEngine(StarDistance(), graphs=db.graphs)
     batched = sample_distances(
-        db, star, num_pairs=60, rng=np.random.default_rng(8), engine=engine
+        db, engine, num_pairs=60, rng=np.random.default_rng(8)
     )
     assert np.array_equal(serial.samples, batched.samples)
 
 
 def test_mtree_ctree_engine_equivalence(db, star):
-    from repro.baselines.ctree import CTree
-    from repro.baselines.mtree import MTree
-
     engine = DistanceEngine(StarDistance(), graphs=db.graphs)
     m_serial = MTree(db.graphs, star, capacity=5, seed=np.random.default_rng(2))
     m_batch = MTree(
-        db.graphs, star, capacity=5, seed=np.random.default_rng(2),
-        engine=engine,
+        db.graphs, engine, capacity=5, seed=np.random.default_rng(2)
     )
     c_serial = CTree(db.graphs, star, capacity=5, seed=np.random.default_rng(2))
     c_batch = CTree(
-        db.graphs, star, capacity=5, seed=np.random.default_rng(2),
-        engine=engine,
+        db.graphs, engine, capacity=5, seed=np.random.default_rng(2)
     )
     assert m_serial.distance_calls == m_batch.distance_calls
     assert c_serial.distance_calls == c_batch.distance_calls
@@ -421,6 +419,87 @@ def test_mtree_ctree_engine_equivalence(db, star):
         for theta in (2.0, 5.0):
             assert m_serial.range_query(gid, theta) == m_batch.range_query(gid, theta)
             assert c_serial.range_query(gid, theta) == c_batch.range_query(gid, theta)
+
+
+# ---------------------------------------------------------------------------
+# The referee: the serial StarDistance, pair by pair, through the *same*
+# structures.  An engine over a callable with no batch evaluator runs
+# ``StarDistance.__call__`` per pair behind the same batch entry points, so
+# everything a structure builds or answers — and what it paid — must be
+# ``==`` what it builds over the batch kernel.
+# ---------------------------------------------------------------------------
+def _tree_nodes(tree):
+    return [
+        (n.centroid, n.radius, n.diameter, n.members.tolist())
+        for n in tree.nodes
+    ]
+
+
+def _range_tree(tree_cls):
+    def build(db, engine):
+        tree = tree_cls(db.graphs, engine, capacity=5, seed=2)
+        answers = [tree.range_query(g, t) for g in (0, 17, 42) for t in (2.0, 5.0)]
+        return answers, tree.distance_calls
+    return build
+
+
+def _nbindex(db, engine):
+    index = NBIndex.build(
+        db, engine, num_vantage_points=5, branching=4, seed=5,
+        thresholds=ThresholdLadder([2.0, 4.0, 6.0, 9.0]),
+    )
+    q = quartile_relevance(db, quantile=0.3)
+    session = index.session(q)
+    results = [session.query(theta, k) for theta, k in ((4.0, 5), (6.0, 3), (3.0, 8))]
+    return (
+        index.embedding.coords.tolist(), _tree_nodes(index.tree),
+        index.tree.stats,
+        [(r.answer, r.gains, r.covered, r.stats.distance_calls) for r in results],
+    )
+
+
+def _nbtree(db, engine):
+    tree = NBTree(db.graphs, engine, None, branching=4, rng=5)
+    return _tree_nodes(tree), tree.stats
+
+
+def _vantage(db, engine):
+    embedding = VantageEmbedding(db.graphs, [3, 11, 29], engine)
+    outsider = random_database(seed=31, size=1)[0]
+    outsider.graph_id = None
+    return embedding.coords.tolist(), embedding.embed(outsider).tolist()
+
+
+_REFEREED = {
+    "nbindex": _nbindex,
+    "nbtree": _nbtree,
+    "vantage": _vantage,
+    "maxmin": lambda db, e: select_vantage_points(
+        db.graphs, 5, rng=3, strategy="maxmin", distance=e
+    ),
+    "choose_thresholds": lambda db, e: choose_thresholds(
+        db.graphs, e, count=6, num_pairs=80, rng=4
+    ).values,
+    "calibrate_theta": lambda db, e: calibrate_theta(db, e, num_pairs=80, rng=4),
+    "sample_distances": lambda db, e: sample_distances(
+        db, e, num_pairs=60, rng=8
+    ).samples.tolist(),
+    "mtree": _range_tree(MTree),
+    "ctree": _range_tree(CTree),
+    "pairwise_matrix": lambda db, e: pairwise_matrix(db.graphs[:20], e).tolist(),
+}
+
+
+@pytest.mark.parametrize("structure", sorted(_REFEREED))
+def test_serial_metric_through_the_structures_matches_the_batch_kernel(
+    db, star, structure
+):
+    serial = DistanceEngine(lambda a, b: star(a, b), graphs=db.graphs)
+    batch = DistanceEngine(StarDistance(), graphs=db.graphs)
+    assert serial._evaluator is None and batch._evaluator is not None
+    assert _REFEREED[structure](db, serial) == _REFEREED[structure](db, batch)
+    assert serial.evaluations == batch.evaluations > 0
+    assert serial.cache_hits == batch.cache_hits
 
 
 def test_insert_then_query_stays_correct():
@@ -441,7 +520,7 @@ def test_insert_then_query_stays_correct():
     frontier = TreeFrontier(
         index._tree_state(session), 3.0, index.ladder.index_for(3.0),
         result.stats.__class__(), FilterCascade(),
-        distances=index._pair_distances,
+        distances=index.engine.one_to_many,
     )
     # neighborhood_of returns a packed bitset over the session's
     # relevant universe; decode for the brute-force comparison.

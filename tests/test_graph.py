@@ -1,8 +1,12 @@
 """Unit tests for the LabeledGraph data model."""
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ged import ExactGED, StarDistance
 from repro.graphs import (
     DEFAULT_EDGE_LABEL,
     LabeledGraph,
@@ -10,6 +14,7 @@ from repro.graphs import (
     path_graph,
     star_graph,
 )
+from tests.conftest import random_connected_graph
 
 
 class TestConstruction:
@@ -165,3 +170,38 @@ class TestHelpers:
         g = path_graph(["A", "B"])
         assert "|V|=2" in repr(g)
         assert "|E|=1" in repr(g)
+
+
+class TestPermuted:
+    def test_identity_permutation(self):
+        g = path_graph(["C", "N", "O"])
+        assert g.permuted([0, 1, 2]) == g
+
+    def test_non_bijection_rejected(self):
+        g = path_graph(["C", "N"])
+        with pytest.raises(ValueError, match="bijection"):
+            g.permuted([0, 0])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_permuted_preserves_structure_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, int(rng.integers(2, 8)))
+        p = g.permuted(rng.permutation(g.num_nodes))
+        assert p.num_nodes == g.num_nodes
+        assert p.num_edges == g.num_edges
+        assert sorted(p.node_labels) == sorted(g.node_labels)
+
+    def test_star_distance_invariant_under_permutation(self):
+        rng = np.random.default_rng(3)
+        sd = StarDistance()
+        g = random_connected_graph(rng, 7)
+        h = random_connected_graph(rng, 6)
+        g2 = g.permuted(rng.permutation(7))
+        assert sd(g, h) == pytest.approx(sd(g2, h))
+
+    def test_exact_ged_zero_for_permuted(self):
+        rng = np.random.default_rng(4)
+        g = random_connected_graph(rng, 5)
+        g2 = g.permuted(rng.permutation(5))
+        assert ExactGED()(g, g2) == 0.0

@@ -421,15 +421,14 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
     points += [on_circle(10.0, a) for a in (90.0, 150.0, 210.0, 300.0)]  # 15-18
     database, distance = vector_database(np.asarray(points))
     engine = DistanceEngine(distance, graphs=database.graphs)
-    embedding = VantageEmbedding(database.graphs, [0], engine, engine=engine)
-    engine.attach_embedding(embedding)
+    embedding = VantageEmbedding(database.graphs, [0], engine)
     tree = NBTree(
         database.graphs, engine, embedding, branching=3,
-        rng=np.random.default_rng(0), engine=engine,
+        rng=np.random.default_rng(0),
     )
     index = NBIndex(
         database, engine, embedding=embedding, tree=tree,
-        ladder=ThresholdLadder([theta]), counting=engine,
+        ladder=ThresholdLadder([theta]),
     )
 
     def relevant(row):
@@ -506,7 +505,7 @@ def test_the_sandwich_spares_centroid_distances():
     state = index._tree_state(index.session(q))
     frontier = TreeFrontier(
         state, 8.0, index.ladder.index_for(8.0), QueryStats(), FilterCascade(),
-        distances=lambda a, bs: batches.append(bs) or index._pair_distances(a, bs),
+        distances=lambda a, bs: batches.append(bs) or index.engine.one_to_many(a, bs),
     )
     visited = []
     verdict = TreeFrontier._verdict
@@ -858,9 +857,7 @@ def _hand_built_bundle(points, members_of, theta):
     the single vantage point 0."""
     database, distance = vector_database(np.asarray(points))
     global_engine = DistanceEngine(distance, graphs=database.graphs)
-    frame = VantageEmbedding(
-        database.graphs, [0], global_engine, engine=global_engine
-    )
+    frame = VantageEmbedding(database.graphs, [0], global_engine)
     shards = [
         NBIndex.from_coords(
             database.subset(members), distance, [0], frame.coords[members],

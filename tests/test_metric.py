@@ -1,15 +1,14 @@
-"""Distance facades: counting, caching, matrices, axiom checking."""
+"""Distance facades: counting, matrices, axiom checking."""
 
 import numpy as np
 
 from repro.ged import (
-    CachingDistance,
     CountingDistance,
     StarDistance,
     check_metric_axioms,
     pairwise_matrix,
 )
-from repro.graphs import GraphDatabase, path_graph
+from repro.graphs import path_graph
 
 
 def _graphs():
@@ -29,36 +28,6 @@ class TestCountingDistance:
         assert counting.calls == 2
         counting.reset()
         assert counting.calls == 0
-
-
-class TestCachingDistance:
-    def test_symmetric_cache_by_graph_id(self):
-        db = GraphDatabase(_graphs(), np.zeros(3))
-        inner = CountingDistance(StarDistance())
-        cached = CachingDistance(inner)
-        a = cached(db[0], db[1])
-        b = cached(db[1], db[0])
-        assert a == b
-        assert inner.calls == 1
-        assert cached.hits == 1
-        assert cached.misses == 1
-
-    def test_cache_without_graph_ids_uses_identity(self):
-        g1 = path_graph(["C"])
-        g2 = path_graph(["N"])
-        cached = CachingDistance(StarDistance())
-        cached(g1, g2)
-        cached(g1, g2)
-        assert cached.hits == 1
-        assert len(cached) == 1
-
-    def test_clear(self):
-        cached = CachingDistance(StarDistance())
-        g = _graphs()
-        cached(g[0], g[1])
-        cached.clear()
-        assert len(cached) == 0
-        assert cached.misses == 0
 
 
 class TestPairwiseMatrix:

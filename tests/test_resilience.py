@@ -63,10 +63,6 @@ class TestDeadline:
         assert deadline.remaining() is None
         assert not deadline.expired()
 
-    def test_after_ms(self):
-        deadline = Deadline.after_ms(50)
-        assert deadline.seconds == pytest.approx(0.05)
-
     def test_state_roundtrip_shares_expiry(self):
         deadline = Deadline(60.0, expansion_limit=7)
         clone = Deadline.from_state(deadline.state())
@@ -136,7 +132,6 @@ class TestDeadlineProperties:
     def test_from_timeout_ms_matches_seconds(self, milliseconds):
         deadline = Deadline.from_timeout_ms(milliseconds)
         assert deadline.seconds == pytest.approx(milliseconds / 1000.0)
-        assert Deadline.after_ms(milliseconds).seconds == deadline.seconds
 
     @given(st.floats(max_value=-1e-9, min_value=-1e6, allow_nan=False))
     def test_from_timeout_ms_rejects_negative(self, milliseconds):
@@ -228,7 +223,7 @@ class TestDegradedQueryUnderFaults:
         )
         # Drop the build-time cache: the query must recompute distances
         # under the deadline.
-        index._counting._cache.clear()
+        index.engine._cache.clear()
 
         plan = FaultPlan(slow_sites={"ged.exact": 0.05}, slow_limit=1)
         deadline = Deadline(seconds=0.02)
@@ -253,7 +248,7 @@ class TestDegradedQueryUnderFaults:
         index = NBIndex.build(
             db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
         )
-        index._counting._cache.clear()
+        index.engine._cache.clear()
         result = index.query(
             query, theta=4.0, k=3, deadline=Deadline(3600.0, expansion_limit=1)
         )
@@ -267,7 +262,7 @@ class TestDegradedQueryUnderFaults:
         index = NBIndex.build(
             db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
         )
-        index._counting._cache.clear()
+        index.engine._cache.clear()
         with deadline_scope(Deadline(3600.0, expansion_limit=1)):
             result = index.query(query, theta=4.0, k=3)
         assert result.stats.degraded

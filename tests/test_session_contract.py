@@ -8,8 +8,7 @@ the hook that opens its frontiers.  This file pins what that buys:
 * a plain ``NBIndex`` is the S = 1 case of the coordinated greedy: same
   answers *and* same exact work as a one-shard ``ShardedIndex``;
 * a session builds its per-tree state once, however often it is refined;
-* the three ``Frontier`` implementations speak one protocol;
-* an ``NBIndex`` hand-built over a plain (non-engine) distance still works.
+* the three ``Frontier`` implementations speak one protocol.
 """
 
 from __future__ import annotations
@@ -27,22 +26,15 @@ from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.delta.frontier import ExactFrontier
-from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
-from repro.ged.metric import CachingDistance, CountingDistance
 from repro.graphs import quartile_relevance
 from repro.index import frontier as frontier_module
 from repro.index import save_index
 from repro.index.errors import OffLadderThetaError
 from repro.index.frontier import Frontier, RoundCursor, TreeState
 from repro.index.nbindex import NBIndex, QuerySession
-from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import (
-    VantageEmbedding,
-    VantageFrame,
-    select_vantage_points,
-)
+from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
 from repro.resilience import Deadline
@@ -415,40 +407,3 @@ class TestFrontierProtocol:
         whole = frontier.neighborhood_of(foreign)
         assert set(universe.decode_ids(whole)) == truth
         assert frontier.pi_hat_uncovered(foreign) == len(truth)
-
-
-# ---------------------------------------------------------------------------
-# A hand-built NBIndex over a plain distance (no DistanceEngine)
-# ---------------------------------------------------------------------------
-def test_plain_distance_index_answers_like_the_engine_built_one():
-    """The pre-engine shape: per-pair counting/caching wrappers,
-    ``index.engine is None``."""
-    database = random_database(seed=8, size=50)
-    rng = np.random.default_rng(5)
-    counting = CountingDistance(StarDistance())
-    cached = CachingDistance(counting)
-    vantage = select_vantage_points(
-        database.graphs, 5, rng=rng, strategy="random", distance=cached
-    )
-    embedding = VantageEmbedding(database.graphs, vantage, cached)
-    tree = NBTree(database.graphs, cached, embedding, branching=4, rng=rng)
-    ladder = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
-    plain = NBIndex(
-        database, cached, embedding=embedding, tree=tree, ladder=ladder,
-        counting=counting,
-    )
-    assert plain.engine is None
-    engine_built = NBIndex.build(
-        database, StarDistance(), num_vantage_points=5, branching=4,
-        thresholds=ladder, seed=5,
-    )
-    assert isinstance(engine_built.engine, DistanceEngine)
-    q = quartile_relevance(database, quantile=0.3)
-    session = plain.session(q)
-    for theta, k in ((4.0, 5), (6.0, 3), (3.0, 8)):
-        got = session.query(theta, k)
-        want = engine_built.query(q, theta, k)
-        assert got.answer == want.answer
-        assert got.gains == want.gains
-        assert got.covered == want.covered
-    assert plain.query(q, 9.0, 4, enable_updates=False).stats.distance_calls > 0

@@ -120,13 +120,13 @@ class TestPartition:
 
     def test_clustering_is_seed_deterministic(self, db):
         engine = DistanceEngine(StarDistance(), graphs=db.graphs)
-        a = ClusteringPartitioner().assign(db, 4, seed=7, engine=engine)
-        b = ClusteringPartitioner().assign(db, 4, seed=7, engine=engine)
+        a = ClusteringPartitioner().assign(db, 4, seed=7, distance=engine)
+        b = ClusteringPartitioner().assign(db, 4, seed=7, distance=engine)
         assert np.array_equal(a.assignments, b.assignments)
         assert all(size >= 1 for size in a.sizes())
 
     def test_clustering_requires_engine(self, db):
-        with pytest.raises(ValueError, match="engine"):
+        with pytest.raises(ValueError, match="needs a distance"):
             ClusteringPartitioner().assign(db, 2)
 
     def test_unknown_partitioner_is_typed(self):
@@ -273,7 +273,7 @@ class TestCoordinator:
         )
         sharded.engine._cache.clear()
         for shard in sharded.shards:
-            shard._counting._cache.clear()
+            shard.engine._cache.clear()
         result = sharded.query(
             quartile_relevance(tiny, quantile=0.3), 4.0, 3,
             deadline=Deadline(3600.0, expansion_limit=1),

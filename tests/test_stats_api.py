@@ -1,18 +1,25 @@
-"""The unified public stats/query API and its deprecation shims."""
+"""The unified public stats/query API and the keywords it retired."""
 
-import warnings
+import inspect
 
-import numpy as np
 import pytest
 
 import repro
 from repro import Statable
+from repro.analysis.distances import sample_distances
 from repro.baselines.ctree import CTree
+from repro.baselines.distmatrix import DistanceMatrixOracle
 from repro.baselines.mtree import MTree
-from repro.ged.metric import CachingDistance, CountingDistance
+from repro.ged.metric import CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index.nbindex import NBIndex
+from repro.index.nbtree import NBTree
+from repro.index.pivec import choose_thresholds
+from repro.index.vantage import VantageEmbedding, select_vantage_points
+from repro.replica.cluster import ReplicatedIndex
+from repro.replica.router import ReplicaRouter
+from repro.shard.partition import ClusteringPartitioner, HashPartitioner
 from tests.conftest import random_database
 
 
@@ -35,7 +42,6 @@ class TestStatableProtocol:
             index,
             index.engine,
             counting,
-            CachingDistance(counting),
             MTree(db.graphs, StarDistance(), capacity=4, seed=0),
             CTree(db.graphs, StarDistance(), capacity=4, seed=0),
         ]
@@ -74,41 +80,38 @@ class TestStatableProtocol:
         assert document["index"]["distance_calls"] > 0
 
 
-class TestDeprecationShims:
-    def test_build_rng_alias_warns_and_matches_seed(self, db):
-        with pytest.warns(DeprecationWarning, match="rng"):
-            via_rng = NBIndex.build(
-                db, StarDistance(), num_vantage_points=3, branching=3, rng=9
-            )
-        via_seed = NBIndex.build(
-            db, StarDistance(), num_vantage_points=3, branching=3, seed=9
-        )
-        assert np.array_equal(
-            via_rng.embedding.coords, via_seed.embedding.coords
-        )
+#: Every callable that lost a keyword when the engine became the one
+#: distance handle (``engine=``, ``counting=``), with the ``rng=`` alias of
+#: ``seed=`` and hedged reads.
+_REMOVED_KEYWORDS = [
+    (NBIndex, "counting"), (NBIndex.build, "engine"), (NBIndex.build, "rng"),
+    (NBTree, "engine"), (VantageEmbedding, "engine"),
+    (select_vantage_points, "engine"), (choose_thresholds, "engine"),
+    (MTree, "engine"), (MTree, "rng"), (CTree, "engine"), (CTree, "rng"),
+    (DistanceMatrixOracle, "engine"), (pairwise_matrix, "engine"),
+    (sample_distances, "engine"),
+    (HashPartitioner.assign, "engine"), (ClusteringPartitioner.assign, "engine"),
+    (ReplicatedIndex.open, "hedge_ms"), (ReplicaRouter, "hedge_ms"),
+    (ReplicaRouter.call, "hedge"),
+]
 
-    def test_build_rejects_both_seed_and_rng(self, db):
-        with pytest.warns(DeprecationWarning), pytest.raises(TypeError):
-            NBIndex.build(db, StarDistance(), seed=1, rng=2)
 
-    @pytest.mark.parametrize("tree_cls", [MTree, CTree])
-    def test_tree_rng_alias_warns(self, db, tree_cls):
-        with pytest.warns(DeprecationWarning, match="rng"):
-            tree_cls(db.graphs, StarDistance(), capacity=4, rng=0)
+class TestRemovedKeywords:
+    @pytest.mark.parametrize(
+        "fn, keyword", _REMOVED_KEYWORDS,
+        ids=[f"{fn.__qualname__}-{kw}" for fn, kw in _REMOVED_KEYWORDS],
+    )
+    def test_removed_keyword_is_a_type_error(self, fn, keyword):
+        required = [
+            p for p in inspect.signature(fn).parameters.values()
+            if p.default is p.empty and p.kind is p.POSITIONAL_OR_KEYWORD
+        ]
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            fn(*[None] * len(required), **{keyword: None})
 
-    def test_facade_rng_alias_warns(self, db):
-        with pytest.warns(DeprecationWarning, match="rng"):
-            repro.TopKRepresentativeQuery(db, rng=3)
-
-    def test_greedy_seed_free_paths_do_not_warn(self, db):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repro.baseline_greedy(
-                db, StarDistance(), quartile_relevance(db), 6.0, 2
-            )
-            repro.lazy_greedy(
-                db, StarDistance(), quartile_relevance(db), 6.0, 2
-            )
+    def test_facade_forwards_rng_to_a_build_that_refuses_it(self, db):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'rng'"):
+            repro.TopKRepresentativeQuery(db, rng=3).index
 
 
 class TestKeywordOnlySignatures:
