@@ -625,14 +625,13 @@ class TreeFrontier:
     def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
         """What the update does to ``node`` at centroid distance ``cd``.
 
-        A leaf's bound never depends on ``cd``: Theorem 6 leaves it alone
-        (a resolved neighborhood out of reach would only be re-counted to
-        the same residual), a resolved neighborhood in reach is re-counted,
-        and a newly covered leaf lies in ``N_θ(selected)`` (so
-        ``cd ≤ θ + ε`` needs no checking).  A leaf is therefore asked with
-        the sandwich's lower end only, and ``pruned_subtrees`` counts it
-        when that alone proves Theorem 6 — a function of the leaf and the
-        selection, whatever has been resolved."""
+        A leaf's bound never depends on ``cd``: a resolved neighborhood is
+        re-counted wherever the selection fell (:meth:`_update` re-counts a
+        pruned one too), and a newly covered leaf lies in ``N_θ(selected)``
+        (so ``cd ≤ θ + ε`` needs no checking).  A leaf is therefore asked
+        with the sandwich's lower end only, and ``pruned_subtrees`` counts
+        it when that alone proves Theorem 6 — a function of the leaf and
+        the selection, whatever has been resolved."""
         theta = self.theta
         if cd - node.radius > 2.0 * theta + _EPS:
             return _PRUNE  # Theorem 6: no member's neighborhood changed.
@@ -691,7 +690,11 @@ class TreeFrontier:
         for node, verdict in settled:
             if verdict == _PRUNE:
                 self.stats.pruned_subtrees += 1
-            elif verdict == _REFRESH:
+                # Out of reach, a resolved leaf keeps its residual — but an
+                # ancestor's batch decrement may have left its bound stale.
+                if node.is_leaf and state.global_ids[node.graph_index] in self._nbhd:
+                    verdict = _REFRESH
+            if verdict == _REFRESH:
                 # Residual within this tree only — still an upper-bound
                 # component; the coordinator adds foreign parts on top.
                 gid = state.global_ids[node.graph_index]

@@ -86,7 +86,8 @@ class VantageEmbedding:
     distance:
         The underlying metric, or a :class:`~repro.engine.DistanceEngine`
         over it; ``|V| · n`` distances at construction, one batch per
-        vantage column.
+        vantage column (:meth:`~repro.engine.DistanceEngine.columns`, which
+        spreads the columns over the usable CPUs).
     """
 
     #: True when ``vantage_indices`` name graphs of a bundle's
@@ -105,10 +106,9 @@ class VantageEmbedding:
         self._graphs = graphs
         self._engine = DistanceEngine.of(distance, graphs)
         self.vantage_indices = list(int(i) for i in vantage_indices)
-        coords = np.empty((len(graphs), len(self.vantage_indices)))
-        for j, vp in enumerate(self.vantage_indices):
-            coords[:, j] = self._engine.one_to_many(graphs[vp], list(graphs))
-        self._set_coords(coords)
+        self._set_coords(self._engine.columns(
+            [graphs[vp] for vp in self.vantage_indices], graphs
+        ))
 
     def _set_coords(self, coords: np.ndarray) -> None:
         self.coords = coords
