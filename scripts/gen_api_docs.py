@@ -30,11 +30,27 @@ def first_paragraph(obj) -> str:
     return paragraph
 
 
+class _Named:
+    """A default that prints as a name: a function's own repr carries its
+    memory address, which would change the output on every run."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = inspect.signature(obj)
     except (TypeError, ValueError):
         return "(...)"
+    return str(signature.replace(parameters=[
+        param.replace(default=_Named(param.default.__qualname__))
+        if inspect.isroutine(param.default) else param
+        for param in signature.parameters.values()
+    ]))
 
 
 def iter_modules():

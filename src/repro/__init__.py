@@ -38,7 +38,7 @@ from repro.graphs import (
 from repro.index import NBIndex, OffLadderThetaError, QuerySession
 from repro.index.errors import ReadOnlyIndexError
 from repro.obs import Statable, observe
-from repro.resilience import BudgetExceeded, Deadline, RetryPolicy, deadline_scope
+from repro.resilience import BudgetExceeded, Deadline, deadline_scope
 
 __version__ = "1.0.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "Deadline",
     "deadline_scope",
     "BudgetExceeded",
-    "RetryPolicy",
     "open_database",
     "open_index",
     "ReadOnlyIndexError",

@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.results import QueryResult
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -65,7 +63,7 @@ def assign_to_representatives(
         best_distance = None
         for exemplar in answer:
             value = float(distance(database[gid], database[exemplar]))
-            if value <= result.theta + _EPS:
+            if value <= result.theta + SLACK:
                 if best_distance is None or value < best_distance:
                     best_distance = value
                     best_exemplar = exemplar

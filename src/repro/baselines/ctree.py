@@ -33,12 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import DistanceEngine
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -198,11 +196,11 @@ class CTree:
         results: list[int] = []
 
         def visit(node: CTreeNode):
-            if node.closure.distance_lower_bound(query_graph) > theta + _EPS:
+            if node.closure.distance_lower_bound(query_graph) > theta + SLACK:
                 return
             if node.is_leaf:
                 for member in node.bucket:
-                    if self._d(query_graph, member) <= theta + _EPS:
+                    if self._d(query_graph, member) <= theta + SLACK:
                         results.append(member)
                 return
             for child in node.children:

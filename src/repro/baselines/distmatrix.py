@@ -16,11 +16,9 @@ import time
 import numpy as np
 
 from repro.core.results import QueryResult, QueryStats
-from repro.ged.metric import GraphDistanceFn, pairwise_matrix
+from repro.ged.metric import SLACK, GraphDistanceFn, pairwise_matrix
 from repro.graphs.database import GraphDatabase
 from repro.utils.validation import require_positive
-
-_EPS = 1e-9
 
 
 class DistanceMatrixOracle:
@@ -38,7 +36,7 @@ class DistanceMatrixOracle:
 
     def range_query(self, gid: int, theta: float) -> np.ndarray:
         """Row scan: every database id within θ of ``gid``."""
-        return np.flatnonzero(self.matrix[gid] <= theta + _EPS)
+        return np.flatnonzero(self.matrix[gid] <= theta + SLACK)
 
     def memory_bytes(self) -> int:
         return int(self.matrix.nbytes)
@@ -52,7 +50,7 @@ class DistanceMatrixOracle:
         relevant = np.asarray(self.database.relevant_indices(query_fn))
         relevant_set = set(int(i) for i in relevant)
         sub = self.matrix[np.ix_(relevant, relevant)]
-        within = sub <= theta + _EPS
+        within = sub <= theta + SLACK
         neighborhoods = {
             int(gid): frozenset(
                 int(relevant[j]) for j in np.flatnonzero(within[pos])

@@ -21,11 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import DistanceEngine
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
-
-_EPS = 1e-9
 
 
 @dataclass
@@ -181,27 +179,27 @@ class MTree:
                 if (
                     abs(parent_query_distance - node.parent_distance)
                     - node.radius
-                    > theta + _EPS
+                    > theta + SLACK
                 ):
                     return
             query_distance = d_to(node.routing)
-            if query_distance - node.radius > theta + _EPS:
+            if query_distance - node.radius > theta + SLACK:
                 return
             if node.is_leaf:
                 for member, member_distance in zip(
                     node.bucket, node.bucket_distances
                 ):
                     if member == node.routing:
-                        if query_distance <= theta + _EPS:
+                        if query_distance <= theta + SLACK:
                             results.append(member)
                         continue
                     # Triangle filters around the routing object.
-                    if abs(query_distance - member_distance) > theta + _EPS:
+                    if abs(query_distance - member_distance) > theta + SLACK:
                         continue
-                    if query_distance + member_distance <= theta + _EPS:
+                    if query_distance + member_distance <= theta + SLACK:
                         results.append(member)
                         continue
-                    if d_to(member) <= theta + _EPS:
+                    if d_to(member) <= theta + SLACK:
                         results.append(member)
                 return
             for child in node.children:

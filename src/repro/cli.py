@@ -107,7 +107,7 @@ def cmd_build_index(args) -> int:
     index = NBIndex.build(
         database, StarDistance(),
         num_vantage_points=args.vantage_points, branching=args.branching,
-        seed=args.seed, checkpoint=args.checkpoint, resume=args.resume,
+        seed=args.seed,
     )
     save_index(index, args.output)
     print(
@@ -524,12 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vantage-points", type=int, default=20)
     p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--checkpoint", default=None, metavar="PATH",
-                   help="snapshot completed build stages into PATH so an "
-                        "interrupted build can resume")
-    p.add_argument("--resume", action="store_true",
-                   help="resume from --checkpoint if it exists "
-                        "(bit-identical to an uninterrupted build)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
                         "(.prom → Prometheus text, else JSON)")

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 
-_EPS = 1e-9
 
 #: A range-query backend: ``(graph_id, theta) -> candidate ids`` restricted
 #: to some universe the backend was built over.
@@ -35,7 +34,7 @@ def theta_neighborhood(
         other = int(other)
         if other == gid:
             members.add(other)
-        elif distance(graph, database[other]) <= theta + _EPS:
+        elif distance(graph, database[other]) <= theta + SLACK:
             members.add(other)
     return frozenset(members)
 
@@ -85,7 +84,7 @@ def all_theta_neighborhoods(
     for a_pos, gid in enumerate(relevant):
         graph = database[gid]
         for other in relevant[a_pos + 1:]:
-            if distance(graph, database[other]) <= theta + _EPS:
+            if distance(graph, database[other]) <= theta + SLACK:
                 neighborhoods[gid].add(other)
                 neighborhoods[other].add(gid)
     return {gid: frozenset(members) for gid, members in neighborhoods.items()}

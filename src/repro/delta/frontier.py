@@ -31,7 +31,6 @@ import numpy as np
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 
-_EPS = 1e-9
 _NEG_INF = float("-inf")
 #: Tie-break sentinel for an empty delta (loses to any real graph id).
 _NO_GID = 2**63 - 1

@@ -43,7 +43,6 @@ shards and the exactly-scanned memtable.
 
 from __future__ import annotations
 
-import copy
 import os
 import time
 import zlib
@@ -329,10 +328,7 @@ class MutableIndex:
             base = self.base
             n1 = len(self.database)
             absorbed = n1 - self.indexed_count
-            # A legacy bundle (re-embedded on load) is written back under
-            # its frame even when there is nothing to absorb.
-            legacy = hasattr(base, "manifest") and base.manifest.frame is None
-            if not absorbed and not legacy:
+            if not absorbed:
                 return {
                     "generation": self.generation,
                     "absorbed": 0,
@@ -421,9 +417,7 @@ class MutableIndex:
         Existing graphs keep their shard; memtable graphs are routed by
         the same structure hash the hash partitioner uses (stable across
         compactions).  Unchanged shards keep their artifacts, checksums
-        and loaded index objects — unless the bundle was a legacy one
-        upgraded on load, whose re-embedded shards are saved here so the
-        new manifest can record the frame."""
+        and loaded index objects."""
         from repro.index.pivec import ThresholdLadder
         from repro.shard.manifest import (
             ShardEntry,
@@ -478,15 +472,6 @@ class MutableIndex:
                     rng=np.random.default_rng(shard_seeds[shard_id]),
                 )
                 obs.counter("delta.shard_rebuilds")
-            elif manifest.frame is None:
-                # Re-embedded on load; saved under the frame's ids.  On a
-                # copy: until the commit the object serves the legacy
-                # generation, whose shard 0 names its vantage graphs
-                # locally.
-                index = copy.copy(base.shards[shard_id])
-                index.embedding = copy.copy(index.embedding)
-                index.embedding.vantage_indices = list(frame.vantage_ids)
-                index.embedding.framed = True
             else:
                 entries.append(manifest.shards[shard_id])
                 shards.append(base.shards[shard_id])

@@ -66,12 +66,12 @@ def _fsync_dir(directory: Path) -> None:
 
 def frame_problems(manifest, base_dir: Path) -> list[str]:
     """Shard artifacts whose stored coordinates are not in the manifest's
-    vantage frame.  A legacy manifest has no frame to disagree with;
-    unreadable artifacts are the checksum audit's finding, not this one's."""
+    vantage frame; unreadable artifacts are the checksum audit's finding,
+    not this one's."""
     from repro.index.persistence import stored_embedding
 
     problems = []
-    for entry in manifest.shards if manifest.frame is not None else ():
+    for entry in manifest.shards:
         artifact = manifest.artifact_path(entry.shard_id, Path(base_dir))
         try:
             vantage, coords = stored_embedding(artifact)

@@ -44,12 +44,10 @@ from repro import obs
 from repro.cascade.features import StageFeatures
 from repro.cascade.pipeline import RefereeFilter
 from repro.ged import ExactGED, StarDistance
-from repro.ged.metric import _pair_key
+from repro.ged.metric import SLACK, _pair_key
 from repro.graphs.graph import LabeledGraph
 from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
-
-_EPS = 1e-9
 
 
 def _pair_keys(source: LabeledGraph, graphs) -> list[tuple]:
@@ -391,7 +389,7 @@ class DistanceEngine:
         source,
         targets,
         theta: float,
-        eps: float = _EPS,
+        eps: float = SLACK,
         *,
         runtime=None,
         prefiltered: bool = False,

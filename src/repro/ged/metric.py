@@ -22,6 +22,12 @@ from repro.graphs.graph import LabeledGraph
 
 GraphDistanceFn = Callable[[LabeledGraph, LabeledGraph], float]
 
+#: The one slack of every distance-vs-threshold test: ``d`` is within θ
+#: when ``d <= θ + SLACK``.  Far above float rounding in sums of edit
+#: costs, far below any distance gap that matters.  Theorem 3's premise
+#: reads ``d > 2(θ + SLACK)`` for this relation (docs/theory.md).
+SLACK = 1e-9
+
 
 class GraphDistance(Protocol):
     """Structural distance between two labelled graphs."""
@@ -90,7 +96,7 @@ def pairwise_matrix(
 def check_metric_axioms(
     graphs: Sequence[LabeledGraph],
     distance: GraphDistanceFn,
-    tolerance: float = 1e-9,
+    tolerance: float = SLACK,
 ) -> list[str]:
     """Exhaustively check metric axioms over a small set of graphs.
 

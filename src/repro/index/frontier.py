@@ -55,14 +55,10 @@ from repro import obs
 from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import BLOCK_EVALS, FilterCascade
 from repro.core.results import QueryStats
+from repro.ged.metric import SLACK
 from repro.index.nbtree import NBTreeNode
 
-_EPS = 1e-9
 _NEG_INF = float("-inf")
-#: Widening of the vantage sandwich before it may stand in for an exact
-#: centroid distance: far above float rounding in ``|a − b|`` / ``a + b``,
-#: far below any distance gap that matters.
-_SANDWICH_SLACK = 1e-9
 #: A verification batch smaller than this costs more in dispatch (engine,
 #: cascade and kernel set-up ≈ the price of 3–4 star distances) than the
 #: verdicts it could save.
@@ -541,7 +537,7 @@ class TreeFrontier:
         embedding = self.index.embedding
         row, engine, source, member_ids = self._lens(gid)
         ids = state.relevant_local[ranks]
-        cutoff = self._gen_theta + _EPS
+        cutoff = self._gen_theta + SLACK
         obs.counter(BLOCK_EVALS)
         lower = embedding.lower_bounds_to(row, ids)
         inside = lower <= cutoff
@@ -555,7 +551,7 @@ class TreeFrontier:
         if undecided.any():
             known = engine.cached_verdicts(
                 source, member_ids[ranks[undecided]],
-                accept=cutoff, reject=self.theta + _EPS,
+                accept=cutoff, reject=self.theta + SLACK,
             )
             hit[undecided] = known > 0
             undecided[undecided] = known == 0
@@ -616,8 +612,8 @@ class TreeFrontier:
         selected = int(selected)
         coords = self.state.walk_centroid_coords
         row = self._lens(selected)[0]
-        lower = np.max(np.abs(coords - row), axis=1) - _SANDWICH_SLACK
-        upper = np.min(coords + row, axis=1) + _SANDWICH_SLACK
+        lower = np.max(np.abs(coords - row), axis=1) - SLACK
+        upper = np.min(coords + row, axis=1) + SLACK
         self._update(
             [root], selected, newly, covered, lower.tolist(), upper.tolist()
         )
@@ -633,7 +629,7 @@ class TreeFrontier:
         it when that alone proves Theorem 6 — a function of the leaf and
         the selection, whatever has been resolved."""
         theta = self.theta
-        if cd - node.radius > 2.0 * theta + _EPS:
+        if cd - node.radius > 2.0 * theta + SLACK:
             return _PRUNE  # Theorem 6: no member's neighborhood changed.
         if node.is_leaf:
             gid = self.state.global_ids[node.graph_index]
@@ -646,8 +642,8 @@ class TreeFrontier:
                 return _DECREMENT
             return _KEEP
         if (
-            node.diameter <= theta + _EPS
-            and cd + node.radius <= theta + _EPS
+            node.diameter <= theta + SLACK
+            and cd + node.radius <= theta + SLACK
         ):
             # Theorem 7 (exact-coverage form): the cluster is inside
             # N(selected) and every member's neighborhood contains the

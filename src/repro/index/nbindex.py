@@ -40,7 +40,7 @@ from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 from repro.core.results import QueryResult, QueryStats
 from repro.engine import DistanceEngine
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
 from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
@@ -50,8 +50,6 @@ from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_positive
-
-_EPS = 1e-9
 
 
 class NBIndex:
@@ -112,8 +110,6 @@ class NBIndex:
         seed=None,
         vp_strategy: str = "random",
         validate_metric: bool = False,
-        checkpoint=None,
-        resume: bool = False,
         deadline=None,
     ) -> "NBIndex":
         """Build the index: select VPs, embed the database, cluster it.
@@ -134,16 +130,11 @@ class NBIndex:
         ``seed`` (an int or a numpy Generator) drives vantage/pivot
         selection.
 
-        ``checkpoint`` names a file to snapshot completed build stages
-        into (atomic, checksummed — see
-        :class:`~repro.resilience.checkpoint.BuildCheckpoint`); with
-        ``resume=True`` an interrupted build picks up after its last
-        durable stage and, because the RNG state is checkpointed too,
-        produces a bit-identical index.  ``deadline`` is a
-        :class:`~repro.resilience.Deadline` budget installed for the whole
-        build: exact-GED calls that exceed it degrade to upper bounds, and
-        the degradation counts land in :attr:`build_degradations` /
-        ``stats()['degraded']``.
+        ``deadline`` is a :class:`~repro.resilience.Deadline` budget
+        installed for the whole build: exact-GED calls that exceed it
+        degrade to upper bounds, and the degradation counts land in
+        :attr:`build_degradations` / ``stats()['degraded']``.  A build is
+        not resumable — a killed one starts again from zero.
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
@@ -154,12 +145,6 @@ class NBIndex:
         if validate_metric:
             _spot_check_metric(database, engine, rng)
 
-        ckpt = None
-        if checkpoint is not None:
-            from repro.resilience.checkpoint import BuildCheckpoint
-
-            ckpt = BuildCheckpoint.open(checkpoint, database, resume=resume)
-
         started = time.perf_counter()
         with deadline_scope(deadline), obs.span(
             "index.build", n=len(database), branching=branching,
@@ -167,74 +152,33 @@ class NBIndex:
             vp_count = min(num_vantage_points, len(database))
             build_span.set(num_vantage_points=vp_count)
 
-            if ckpt is not None and ckpt.completed("vantage"):
-                vp_indices = [int(i) for i in ckpt.array("vantage", "vp_indices")]
-                ckpt.restore_rng("vantage", rng)
-            else:
-                with obs.span("index.vantage_select", strategy=vp_strategy), \
-                        obs.timer("index.vantage_select_seconds"):
-                    vp_indices = select_vantage_points(
-                        database.graphs, vp_count, rng=rng, strategy=vp_strategy,
-                        distance=engine,
-                    )
-                if ckpt is not None:
-                    ckpt.record_stage(
-                        "vantage", rng=rng,
-                        vp_indices=np.asarray(vp_indices, dtype=np.int64),
-                    )
-
-            if ckpt is not None and ckpt.completed("embed"):
-                embedding = VantageEmbedding.from_coords(
-                    database.graphs, vp_indices, engine,
-                    ckpt.array("embed", "coords"),
+            with obs.span("index.vantage_select", strategy=vp_strategy), \
+                    obs.timer("index.vantage_select_seconds"):
+                vp_indices = select_vantage_points(
+                    database.graphs, vp_count, rng=rng, strategy=vp_strategy,
+                    distance=engine,
                 )
-            else:
-                with obs.span("index.embed"), obs.timer("index.embed_seconds"):
-                    embedding = VantageEmbedding(
-                        database.graphs, vp_indices, engine
-                    )
-                if ckpt is not None:
-                    ckpt.record_stage("embed", coords=embedding.coords)
 
-            if ckpt is not None and ckpt.completed("ladder"):
-                thresholds = ThresholdLadder(
-                    float(v) for v in ckpt.array("ladder", "values")
+            with obs.span("index.embed"), obs.timer("index.embed_seconds"):
+                embedding = VantageEmbedding(database.graphs, vp_indices, engine)
+
+            if thresholds is None:
+                with obs.span("index.ladder"), obs.timer("index.ladder_seconds"):
+                    if len(database) < 2:
+                        thresholds = ThresholdLadder([1.0])
+                    else:
+                        thresholds = choose_thresholds(
+                            database.graphs, engine, count=10,
+                            num_pairs=min(1000, len(database) * 4), rng=rng,
+                        )
+
+            with obs.span("index.tree_build") as tree_span, \
+                    obs.timer("index.tree_build_seconds"):
+                tree = NBTree(
+                    database.graphs, engine, embedding, branching=branching,
+                    rng=rng,
                 )
-                ckpt.restore_rng("ladder", rng)
-            else:
-                if thresholds is None:
-                    with obs.span("index.ladder"), obs.timer("index.ladder_seconds"):
-                        if len(database) < 2:
-                            thresholds = ThresholdLadder([1.0])
-                        else:
-                            thresholds = choose_thresholds(
-                                database.graphs, engine, count=10,
-                                num_pairs=min(1000, len(database) * 4), rng=rng,
-                            )
-                if ckpt is not None:
-                    ckpt.record_stage(
-                        "ladder", rng=rng,
-                        values=np.array(list(thresholds.values)),
-                    )
-
-            if ckpt is not None and ckpt.completed("tree"):
-                from repro.index.persistence import tree_from_arrays
-
-                tree = tree_from_arrays(
-                    ckpt.stage_arrays("tree"), database.graphs, engine, embedding
-                )
-            else:
-                with obs.span("index.tree_build") as tree_span, \
-                        obs.timer("index.tree_build_seconds"):
-                    tree = NBTree(
-                        database.graphs, engine, embedding, branching=branching,
-                        rng=rng,
-                    )
-                    tree_span.set(nodes=tree.num_nodes)
-                if ckpt is not None:
-                    from repro.index.persistence import flatten_tree
-
-                    ckpt.record_stage("tree", **flatten_tree(tree))
+                tree_span.set(nodes=tree.num_nodes)
             obs.counter("index.tree.exact_distances", tree.stats.exact_distances)
             obs.counter("index.tree.pruned_by_vantage", tree.stats.pruned_by_vantage)
         build_seconds = time.perf_counter() - started
@@ -478,18 +422,18 @@ def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
         a, b, c = (int(rng.integers(n)) for _ in range(3))
         d_ab = distance(database[a], database[b])
         d_ba = distance(database[b], database[a])
-        if abs(d_ab - d_ba) > _EPS:
+        if abs(d_ab - d_ba) > SLACK:
             raise ValueError(
                 f"distance is not symmetric: d(g{a}, g{b})={d_ab} but "
                 f"d(g{b}, g{a})={d_ba}"
             )
-        if a == b and d_ab > _EPS:
+        if a == b and d_ab > SLACK:
             raise ValueError(f"d(g{a}, g{a}) = {d_ab} != 0")
-        if d_ab < -_EPS:
+        if d_ab < -SLACK:
             raise ValueError(f"negative distance d(g{a}, g{b}) = {d_ab}")
         d_ac = distance(database[a], database[c])
         d_cb = distance(database[c], database[b])
-        if d_ab > d_ac + d_cb + _EPS:
+        if d_ab > d_ac + d_cb + SLACK:
             raise ValueError(
                 "triangle inequality violated on sampled triple "
                 f"(g{a}, g{c}, g{b}): {d_ab} > {d_ac} + {d_cb}; "

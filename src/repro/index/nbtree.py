@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.engine import DistanceEngine
-from repro.ged.metric import GraphDistanceFn
+from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.index.vantage import VantageEmbedding
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
@@ -285,7 +285,7 @@ class NBTree:
             centroid_graph = self._graphs[node.centroid]
             for m in node.members:
                 d = self._engine(centroid_graph, self._graphs[int(m)])
-                if d > node.radius + 1e-9:
+                if d > node.radius + SLACK:
                     problems.append(
                         f"node {node.node_id}: member {m} at {d:.3f} beyond "
                         f"radius {node.radius:.3f}"

@@ -19,11 +19,12 @@ Load failures raise distinct (all ``ValueError``-compatible) exceptions:
 * :class:`~repro.resilience.DatabaseMismatchError` — fingerprint does not
   match the database being attached.
 
-Indexes written before the container existed (bare ``.npz``, format
-version 1) are still readable.  Version 3 stores the vantage coordinates
-in the narrowest lossless dtype (:func:`_storage_coords`) and whether they
-are rows of a bundle's frame (``framed``); the loader accepts 1–3 and
-always hands back float64.
+The loader reads format version 3 only: the vantage coordinates in the
+narrowest lossless dtype (:func:`_storage_coords`, handed back as
+float64) and whether they are rows of a bundle's frame (``framed``).  A
+bare ``.npz`` from before the container fails the container check
+(:class:`~repro.resilience.CorruptIndexError`); an older container
+version raises :class:`~repro.resilience.IndexFormatError`.
 
 The database itself is *not* stored — graphs live in the caller's own
 storage (see :mod:`repro.graphs.io`); the index references them by id.
@@ -32,51 +33,23 @@ storage (see :mod:`repro.graphs.io`); the index references them by id.
 from __future__ import annotations
 
 import io
-import warnings
 import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro import obs
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageEmbedding
-from repro.resilience.atomicio import unwrap_checksummed, write_checksummed
+from repro.resilience.atomicio import read_checksummed, write_checksummed
 from repro.resilience.errors import DatabaseMismatchError, IndexFormatError
 
-#: Version 2 wraps the npz payload in the checksummed container; version 3
-#: may store integral coordinates as unsigned integers.  1 (bare npz) and
-#: 2 are still accepted on load.
+#: The npz payload in the checksummed container, integral coordinates
+#: stored as unsigned integers, the ``framed`` flag.
 FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = frozenset({1, 2, 3})
-
-#: Zip local-file-header magic — how a legacy bare-``.npz`` index starts.
-_ZIP_MAGIC = b"PK"
-
-#: One-shot latch for the legacy-format deprecation warning: operators get
-#: told once per process, while the obs counter records *every* legacy
-#: load so unmigrated artifacts can be found from metrics.
-_legacy_warned = False
-
-
-def _note_legacy_load(path: Path) -> None:
-    global _legacy_warned
-    obs.counter("persistence.legacy_npz_loads")
-    if _legacy_warned:
-        return
-    _legacy_warned = True
-    warnings.warn(
-        f"{path}: loading a legacy bare-.npz index (format version 1, no "
-        f"checksum footer — torn writes and bit rot go undetected); "
-        f"re-save with save_index() to migrate to the checksummed "
-        f"container",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def database_fingerprint(database: GraphDatabase) -> np.ndarray:
@@ -92,8 +65,8 @@ def database_fingerprint(database: GraphDatabase) -> np.ndarray:
 
 
 def flatten_tree(tree: NBTree) -> dict[str, np.ndarray]:
-    """The NB-Tree as flat arrays (per-node scalars + parent pointers) —
-    shared by :func:`save_index` and the build checkpoint."""
+    """The NB-Tree as flat arrays (per-node scalars + parent pointers), as
+    :func:`save_index` stores it."""
     nodes = tree.nodes
     parent = np.full(len(nodes), -1, dtype=np.int64)
     for node in nodes:
@@ -197,7 +170,7 @@ def indexed_graph_count(path: str | Path) -> int:
     *is* the coverage.  The mutable open path uses this to load a grown
     database's index against the right prefix snapshot (the live database
     may have journaled inserts past what the index has absorbed)."""
-    with np.load(io.BytesIO(_payload(Path(path))[0])) as data:
+    with np.load(io.BytesIO(read_checksummed(path))) as data:
         return int(data["fingerprint"].shape[0])
 
 
@@ -205,21 +178,11 @@ def stored_embedding(path: str | Path) -> tuple[list[int], np.ndarray]:
     """``(vantage_indices, float64 coords)`` of a saved index, read without
     its tree or database (checks and the replica coordinator, which loads
     no shard, read a bundle's coordinates this way)."""
-    with np.load(io.BytesIO(_payload(Path(path))[0])) as data:
+    with np.load(io.BytesIO(read_checksummed(path))) as data:
         return (
             [int(v) for v in data["vantage_indices"]],
             np.array(data["coords"], dtype=float),
         )
-
-
-def _payload(path: Path) -> tuple[bytes, bool]:
-    """``(npz bytes, bare)`` of an index file: the checksummed container
-    verified and removed, or — ``bare`` — a pre-container index (format
-    version 1) as it is."""
-    raw = path.read_bytes()
-    if raw[: len(_ZIP_MAGIC)] == _ZIP_MAGIC:
-        return raw, True
-    return unwrap_checksummed(raw, source=str(path)), False
 
 
 def load_index(
@@ -236,15 +199,12 @@ def load_index(
     with the same ``distance`` and each speaks its own local ids.
     """
     path = Path(path)
-    payload, bare = _payload(path)
-    if bare:
-        _note_legacy_load(path)
-    with np.load(io.BytesIO(payload)) as data:
+    with np.load(io.BytesIO(read_checksummed(path))) as data:
         version = int(data["format_version"][0])
-        if version not in _SUPPORTED_VERSIONS:
+        if version != FORMAT_VERSION:
             raise IndexFormatError(
                 f"{path}: unsupported index format version {version} "
-                f"(this build reads {sorted(_SUPPORTED_VERSIONS)})"
+                f"(this build reads {FORMAT_VERSION})"
             )
         stored = data["fingerprint"]
         current = database_fingerprint(database)
@@ -260,7 +220,7 @@ def load_index(
         embedding = VantageEmbedding.from_coords(
             database.graphs, data["vantage_indices"], engine, data["coords"]
         )
-        embedding.framed = "framed" in data.files and bool(data["framed"][0])
+        embedding.framed = bool(data["framed"][0])
         tree = tree_from_arrays(data, database.graphs, engine, embedding)
         ladder = ThresholdLadder(float(v) for v in data["ladder"])
         build_seconds = float(data["build_seconds"][0])

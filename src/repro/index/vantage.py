@@ -127,31 +127,21 @@ class VantageEmbedding:
         coords: np.ndarray,
     ) -> "VantageEmbedding":
         """Rehydrate an embedding from a precomputed coordinate matrix
-        (index load, checkpoint resume) — no distances are evaluated."""
-        embedding = cls.__new__(cls)
-        embedding._graphs = graphs
-        embedding._engine = DistanceEngine.of(distance, graphs)
-        embedding._adopt(vantage_indices, coords)
-        return embedding
-
-    def rebase(self, frame_ids: Sequence[int], coords: np.ndarray) -> None:
-        """Adopt rows of a bundle's :class:`VantageFrame`, in place — the
-        engine and tree that hold this embedding follow (a legacy shard
-        joining its bundle's frame).  The embedding is :attr:`framed` from
-        here on."""
-        self._adopt(frame_ids, coords)
-        self.framed = True
-
-    def _adopt(self, vantage_indices: Sequence[int], coords: np.ndarray) -> None:
+        (index load, a shard's rows of its bundle's frame) — no distances
+        are evaluated."""
         require(len(vantage_indices) > 0, "at least one vantage point required")
         coords = np.array(coords, dtype=float)
         require(
-            coords.shape == (len(self._graphs), len(vantage_indices)),
+            coords.shape == (len(graphs), len(vantage_indices)),
             f"coords shape {coords.shape} does not match "
-            f"({len(self._graphs)}, {len(vantage_indices)})",
+            f"({len(graphs)}, {len(vantage_indices)})",
         )
-        self.vantage_indices = [int(i) for i in vantage_indices]
-        self._set_coords(coords)
+        embedding = cls.__new__(cls)
+        embedding._graphs = graphs
+        embedding._engine = DistanceEngine.of(distance, graphs)
+        embedding.vantage_indices = [int(i) for i in vantage_indices]
+        embedding._set_coords(coords)
+        return embedding
 
     @property
     def num_vantage_points(self) -> int:

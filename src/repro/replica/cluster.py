@@ -90,7 +90,6 @@ class ReplicatedIndex:
         heartbeat_s: float = 0.5,
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
-        restart_policy=None,
     ) -> "ReplicatedIndex":
         """Spawn and handshake the full S×R worker fleet.
 
@@ -109,23 +108,17 @@ class ReplicatedIndex:
                 f"{manifest_path}: shard manifest does not match the "
                 f"provided database"
             )
-        from repro.engine import DistanceEngine
-
         supervisor = Supervisor(
             database,
             distance,
             manifest_path,
             manifest.num_shards,
             # Read once here; the workers inherit it by fork.
-            frame=manifest.load_frame(
-                manifest_path.parent,
-                DistanceEngine(distance, graphs=database.graphs),
-            ),
+            frame=manifest.load_frame(manifest_path.parent),
             replicas=replicas,
             heartbeat_s=heartbeat_s,
             wedge_timeout_s=wedge_timeout_s,
             spawn_timeout_s=spawn_timeout_s,
-            restart_policy=restart_policy,
         )
         supervisor.start()
         router = ReplicaRouter(supervisor, op_timeout_s=op_timeout_s)

@@ -7,10 +7,10 @@ with a ``hello`` handshake that doubles as a readiness gate, and then
 watched by a monitor thread:
 
 * **crash detection** — a worker whose process has exited is marked dead
-  and scheduled for restart with the capped-backoff
-  :class:`~repro.resilience.retry.RetryPolicy` (attempts reset once a
-  restart survives its handshake, so steady chaos churn restarts fast
-  while a truly broken worker backs off to the cap).
+  and scheduled for restart after :func:`restart_delay` — capped,
+  jittered exponential backoff (attempts reset once a restart survives
+  its handshake, so steady chaos churn restarts fast while a truly
+  broken worker backs off to the cap).
 * **wedge detection** — a worker that has been busy on one op for longer
   than ``wedge_timeout_s`` is killed outright (its blocked caller gets a
   clean EOF and fails over); an *idle* worker that has not answered
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import random
 import socket
 import threading
 import time
@@ -46,8 +47,20 @@ from repro.replica.errors import (
     ReplicaTimeout,
 )
 from repro.replica.worker import worker_main
-from repro.resilience.retry import RetryPolicy
 from repro.utils.validation import require
+
+#: Restart backoff for a worker that keeps failing to come up: the
+#: exponent keeps a broken worker from being hammered, the cap bounds the
+#: stall, and the upward jitter de-synchronizes restarts sharing a machine.
+RESTART_BASE_S = 0.05
+RESTART_CAP_S = 2.0
+RESTART_JITTER = 0.25
+
+
+def restart_delay(attempt: int) -> float:
+    """Seconds to wait before restart number ``attempt`` (0-based)."""
+    base = min(RESTART_CAP_S, RESTART_BASE_S * 2.0 ** attempt)
+    return base * (1.0 + RESTART_JITTER * random.random())
 
 
 class WorkerHandle:
@@ -173,7 +186,6 @@ class Supervisor:
         heartbeat_s: float = 0.5,
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
-        restart_policy: RetryPolicy | None = None,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ):
         require(int(replicas) >= 1, "replicas must be >= 1")
@@ -190,9 +202,6 @@ class Supervisor:
         self.heartbeat_s = float(heartbeat_s)
         self.wedge_timeout_s = float(wedge_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
-        self.restart_policy = restart_policy or RetryPolicy(
-            max_attempts=3, base_delay=0.05, max_delay=2.0, jitter=0.25
-        )
         self.max_frame_bytes = int(max_frame_bytes)
         self._ctx = multiprocessing.get_context("fork")
         self.groups: list[list[WorkerHandle]] = [
@@ -390,9 +399,8 @@ class Supervisor:
             obs.counter("replica.restarts")
         else:
             handle.restart_attempts += 1
-            handle.next_restart_at = (
-                time.monotonic()
-                + self.restart_policy.delay(handle.restart_attempts - 1)
+            handle.next_restart_at = time.monotonic() + restart_delay(
+                handle.restart_attempts - 1
             )
 
     # ------------------------------------------------------------------

@@ -140,12 +140,6 @@ class ShardWorker:
         #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
         #: graph's coordinates, wherever it lives.
         self.frame = frame
-        if manifest.frame is None and self.shard_id:
-            # Legacy bundle (see ShardedIndex.load): the supervisor adopted
-            # shard 0's vantage graphs and re-embedded everyone else.
-            self.index.embedding.rebase(
-                frame.vantage_ids, frame.coords[self.members]
-            )
         self.ladder = ThresholdLadder(manifest.ladder)
         #: Cross-shard distances go through a *global-id* engine over the
         #: full database — the same id discipline as the in-process

@@ -25,9 +25,5 @@ class IndexFormatError(PersistenceError):
 
 
 class DatabaseMismatchError(PersistenceError):
-    """The index/checkpoint fingerprint does not match the database it is
-    being attached to."""
-
-
-class CheckpointError(PersistenceError):
-    """A build checkpoint is unusable (missing stage data, bad contents)."""
+    """The index fingerprint does not match the database it is being
+    attached to."""

@@ -3,7 +3,8 @@
 A :class:`FaultPlan` describes which failures to inject; code under test
 installs it (usually via the :func:`injected` context manager) and the
 library's hook points — replica worker op entry, exact-GED calls,
-checksummed writes, build-stage checkpoints — consult the active plan.
+checksummed writes, compaction stages, durability fsync/rename points —
+consult the active plan.
 With no plan installed every hook is a cheap ``None``-check, so production
 paths pay nothing.
 
@@ -24,8 +25,8 @@ from dataclasses import dataclass, field
 
 
 class SimulatedCrash(RuntimeError):
-    """Raised (in-process) by :func:`maybe_abort_stage` to simulate a kill
-    between build checkpoints."""
+    """Raised (in-process) by :func:`maybe_abort_stage` and
+    :func:`maybe_kill_at` to simulate a kill at a named stage or site."""
 
 
 @dataclass
@@ -41,8 +42,10 @@ class FaultPlan:
         Truncate the next checksummed write mid-payload, simulating a
         torn/partial write that the checksum footer must catch.
     abort_after_stage:
-        Raise :class:`SimulatedCrash` right after this build stage is
-        checkpointed — the "kill -9 between stages" scenario.
+        Raise :class:`SimulatedCrash` when this stage is reached (the
+        compaction sites ``"delta.compact.shard"`` and
+        ``"delta.compact.commit"``) — the "kill -9 between stages"
+        scenario.
     replica_kill_token:
         Path to an existing file; the first *shard replica worker* to
         unlink it at op entry dies — a hard one-shot mid-query kill.
@@ -149,7 +152,7 @@ def maybe_tear(data: bytes) -> bytes | None:
 
 
 def maybe_abort_stage(stage: str) -> None:
-    """Build-checkpoint site: crash after ``stage`` was durably recorded."""
+    """Stage site: crash once ``stage`` is reached (compaction)."""
     plan = _PLAN
     if plan is not None and plan.abort_after_stage == stage:
         raise SimulatedCrash(f"fault injection: killed after stage {stage!r}")

@@ -9,7 +9,7 @@ everything needed to (re)load and *validate* the bundle:
 * the shared global threshold ladder (every shard indexes π̂ at the same
   rungs — the coordinator's off-ladder check is global),
 * the bundle's vantage **frame**: global ids of the graphs every shard is
-  embedded against (a ``v1`` manifest has none: re-embedded on load),
+  embedded against,
 * a crc32 over the database fingerprint (wrong-database loads fail loudly
   before any shard is touched),
 * per-shard artifact paths, byte checksums and sizes — the checksum is how
@@ -32,7 +32,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import obs
 from repro.index.persistence import stored_embedding
 from repro.index.vantage import VantageFrame
 from repro.resilience.atomicio import atomic_write
@@ -40,8 +39,6 @@ from repro.resilience.errors import CorruptIndexError
 from repro.shard.errors import ManifestError
 
 SCHEMA = "repro.shard-manifest/v2"
-#: Per-shard vantage sets, no frame: read, and written back as it was.
-LEGACY_SCHEMA = "repro.shard-manifest/v1"
 
 
 @dataclass(frozen=True)
@@ -74,10 +71,9 @@ class ShardManifest:
     assignments: np.ndarray  # (num_graphs,) global gid -> shard id
     database_checksum: int  # crc32 over the database fingerprint bytes
     shards: tuple[ShardEntry, ...]
+    #: Global ids of the bundle's vantage graphs.
+    frame: tuple[int, ...]
     build: dict = field(default_factory=dict)
-    #: Global ids of the bundle's vantage graphs; ``None`` for a legacy
-    #: bundle whose shards each drew their own.
-    frame: tuple[int, ...] | None = None
 
     def members(self, shard_id: int) -> np.ndarray:
         """Global graph ids of one shard, ascending — the local→global id
@@ -87,34 +83,15 @@ class ShardManifest:
     def artifact_path(self, shard_id: int, base_dir: Path) -> Path:
         return Path(base_dir) / self.shards[shard_id].path
 
-    def assemble_frame(self, embeddings, engine) -> VantageFrame:
+    def assemble_frame(self, embeddings) -> VantageFrame:
         """The bundle's one frame from its shards' ``(vantage ids, coords)``
-        pairs, in shard order.
-
-        A legacy manifest records no frame because its shards each drew
-        their own vantage graphs: shard 0's are adopted and the other
-        shards' members embedded against them through ``engine`` (global
-        ids) — ``|V|`` distances per graph, counted as
-        ``shard.frame_upgrades``; the caller rebases those shards' own
-        embeddings on the returned rows.  Trees need nothing: radii and
-        diameters are exact distances, whatever the frame."""
-        legacy = self.frame is None
-        frame = (
-            [int(self.members(0)[v]) for v in embeddings[0][0]] if legacy
-            else list(self.frame)
-        )
+        pairs, in shard order; a shard embedded against other vantage
+        graphs raises :class:`~repro.resilience.errors.CorruptIndexError`."""
+        frame = list(self.frame)
         coords = np.empty((self.num_graphs, len(frame)))
         for shard_id, (vantage, block) in enumerate(embeddings):
             ids = self.members(shard_id)
-            if legacy and shard_id:
-                block = np.column_stack([
-                    engine.one_to_many(v, ids.tolist()) for v in frame
-                ])
-                obs.counter("shard.frame_upgrades")
-            elif not legacy and (
-                list(vantage) != frame
-                or block.shape != (len(ids), len(frame))
-            ):
+            if list(vantage) != frame or block.shape != (len(ids), len(frame)):
                 raise CorruptIndexError(
                     f"{self.shards[shard_id].path}: coordinates "
                     f"{block.shape} against vantage graphs {list(vantage)} "
@@ -124,26 +101,22 @@ class ShardManifest:
             coords[ids] = block
         return VantageFrame(frame, coords)
 
-    def load_frame(self, base_dir: Path, engine) -> VantageFrame:
+    def load_frame(self, base_dir: Path) -> VantageFrame:
         """:meth:`assemble_frame` over the artifacts' stored coordinate
         blocks — for a process that loads no shard (the replica
         coordinator); no trees are read."""
-        return self.assemble_frame(
-            [
-                stored_embedding(self.artifact_path(s, base_dir))
-                for s in range(self.num_shards)
-            ],
-            engine,
-        )
+        return self.assemble_frame([
+            stored_embedding(self.artifact_path(s, base_dir))
+            for s in range(self.num_shards)
+        ])
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def _body(self) -> dict:
-        legacy = self.frame is None
         return {
-            "schema": LEGACY_SCHEMA if legacy else SCHEMA,
-            "frame": None if legacy else list(self.frame),
+            "schema": SCHEMA,
+            "frame": list(self.frame),
             "num_shards": self.num_shards,
             "num_graphs": self.num_graphs,
             "partitioner": self.partitioner,
@@ -178,11 +151,10 @@ class ShardManifest:
             raise ManifestError(
                 f"{path}: manifest checksum mismatch — file is corrupt"
             )
-        if body.get("schema") not in (SCHEMA, LEGACY_SCHEMA):
+        if body.get("schema") != SCHEMA:
             raise ManifestError(
                 f"{path}: unsupported manifest schema "
-                f"{body.get('schema')!r} (this build reads {SCHEMA!r} "
-                f"and {LEGACY_SCHEMA!r})"
+                f"{body.get('schema')!r} (this build reads {SCHEMA!r})"
             )
         try:
             manifest = cls(
@@ -202,11 +174,8 @@ class ShardManifest:
                     )
                     for e in body["shards"]
                 ),
+                frame=tuple(int(v) for v in body["frame"]),
                 build=dict(body.get("build", {})),
-                frame=(
-                    tuple(int(v) for v in body["frame"])
-                    if body["schema"] == SCHEMA else None
-                ),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ManifestError(f"{path}: malformed shard manifest: {error}")

@@ -112,7 +112,6 @@ class ShardedIndex:
             members = manifest.members(entry.shard_id)
             if (
                 previous is not None
-                and manifest.frame is not None
                 and previous.manifest.frame == manifest.frame
                 and entry.shard_id < previous.manifest.num_shards
                 and previous.manifest.shards[entry.shard_id].checksum
@@ -137,16 +136,8 @@ class ShardedIndex:
             frame = previous.frame  # nothing changed
         else:
             frame = manifest.assemble_frame(
-                [(s.embedding.vantage_indices, s.embedding.coords) for s in shards],
-                engine,
+                [(s.embedding.vantage_indices, s.embedding.coords) for s in shards]
             )
-        if manifest.frame is None:
-            # Legacy bundle: shard 0's vantage graphs were adopted.
-            for shard_id in range(1, manifest.num_shards):
-                shards[shard_id].embedding.rebase(
-                    frame.vantage_ids,
-                    frame.coords[manifest.members(shard_id)],
-                )
         obs.counter("shard.loads")
         if reused:
             obs.counter("shard.reused", reused)

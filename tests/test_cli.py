@@ -112,6 +112,13 @@ class TestExperiment:
         assert excinfo.value.code == 2
         assert "--hedge-ms" in capsys.readouterr().err
 
+    def test_build_index_checkpoint_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["build-index", "db.jsonl", "--output", "i.npz",
+                  "--checkpoint", "b.ckpt"])
+        assert excinfo.value.code == 2
+        assert "--checkpoint" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_query_metrics_json_and_trace(self, db_path, tmp_path, capsys):
@@ -250,30 +257,6 @@ class TestResilienceFlags:
         # Star distance never degrades (only exact GED does), so a generous
         # budget reports "met" — the footer is the contract under test.
         assert "deadline: met" in out
-
-    def test_build_index_checkpoint_and_resume(self, db_path, tmp_path, capsys):
-        index_path = tmp_path / "index.npz"
-        ckpt = tmp_path / "build.ckpt"
-        assert main([
-            "build-index", str(db_path), "--output", str(index_path),
-            "--vantage-points", "4", "--branching", "4",
-            "--checkpoint", str(ckpt),
-        ]) == 0
-        assert index_path.exists()
-        assert ckpt.exists()
-        # Resume from the (fully completed) checkpoint: every stage is
-        # restored instead of recomputed, and the index still queries.
-        resumed_path = tmp_path / "resumed.npz"
-        assert main([
-            "build-index", str(db_path), "--output", str(resumed_path),
-            "--vantage-points", "4", "--branching", "4",
-            "--checkpoint", str(ckpt), "--resume",
-        ]) == 0
-        assert main([
-            "query", str(db_path), "--k", "2", "--theta", "8",
-            "--index", str(resumed_path),
-        ]) == 0
-        assert "pi(A) =" in capsys.readouterr().out
 
 
 class TestServe:

@@ -23,7 +23,7 @@ from repro.analysis.distances import sample_distances
 from repro.baselines.ctree import CTree
 from repro.baselines.mtree import MTree
 from repro.datasets.registry import calibrate_theta
-from repro.ged.metric import CountingDistance, pairwise_matrix
+from repro.ged.metric import SLACK, CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.graphs.graph import LabeledGraph
@@ -32,8 +32,6 @@ from repro.index.nbindex import NBIndex
 from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
-
-_EPS = 1e-9
 
 
 @pytest.fixture
@@ -298,7 +296,7 @@ def test_within_matches_bruteforce(db, star):
         # A vantage point as source gives exact upper bounds, exercising
         # the accept branch; the others exercise the reject branch.
         for source in (vps[0], 0, 11, 31):
-            expected = matrix[source] <= theta + _EPS
+            expected = matrix[source] <= theta + SLACK
             assert np.array_equal(
                 engine.within(source, everyone, theta), expected
             )
@@ -312,7 +310,7 @@ def test_within_matches_bruteforce(db, star):
 def test_within_without_embedding_or_indices(db, star):
     engine = DistanceEngine(StarDistance(), graphs=db.graphs)
     expected = np.array(
-        [star(db[4], g) <= 3.0 + _EPS for g in db.graphs]
+        [star(db[4], g) <= 3.0 + SLACK for g in db.graphs]
     )
     assert np.array_equal(
         engine.within(db[4], list(db.graphs), 3.0), expected
@@ -515,7 +513,7 @@ def test_insert_then_query_stays_correct():
     # The exact neighborhood of the inserted graph must match brute force.
     expected = frozenset(
         i for i in range(len(database))
-        if star(database[new_id], database[i]) <= 3.0 + _EPS
+        if star(database[new_id], database[i]) <= 3.0 + SLACK
     )
     frontier = TreeFrontier(
         index._tree_state(session), 3.0, index.ladder.index_for(3.0),

@@ -20,11 +20,10 @@ import pytest
 
 from repro.core import all_theta_neighborhoods, baseline_greedy, lazy_greedy
 from repro.ged import StarDistance
+from repro.ged.metric import SLACK
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex, ThresholdLadder
 from repro.metricspace import vector_database
-
-_EPS = 1e-9
 
 
 def make_instance(n: int, dims: int = 6, seed: int = 7):
@@ -50,7 +49,7 @@ def make_instance(n: int, dims: int = 6, seed: int = 7):
 
     def range_query(gid: int, radius: float):
         distances = ((points - points[int(gid)]) ** 2).sum(axis=1) ** 0.5
-        return np.flatnonzero(distances <= radius + _EPS)
+        return np.flatnonzero(distances <= radius + SLACK)
 
     return db, dist, query_fn, ladder, theta, range_query
 

@@ -53,6 +53,7 @@ from repro.datasets import GENERATORS
 from repro.delta import mutable as mutable_module
 from repro.engine import DistanceEngine
 from repro.ged import StarDistance
+from repro.ged.metric import SLACK
 from repro.index import nbindex as nbindex_module
 from repro.index import save_index
 from repro.index.frontier import TreeFrontier, TreeRoundSearch
@@ -68,7 +69,6 @@ from repro.shard import sharded as sharded_module
 from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 
-_EPS = 1e-9
 _NEG_INF = float("-inf")
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
 BUILD = dict(num_vantage_points=4, branching=4, thresholds=LADDER)
@@ -88,7 +88,7 @@ class EagerFrontier(TreeFrontier):
         state, index = self.state, self.index
         local = state.g2l[gid]
         window = index.embedding.candidates(
-            local, self._gen_theta + _EPS, state.relevant_local
+            local, self._gen_theta + SLACK, state.relevant_local
         )
         others = window[window != local]
         self.stats.candidates_generated += int(window.size)
@@ -147,17 +147,17 @@ def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
                 bounds[node.node_id] = float(
                     bitset_kernel.uncovered_count(cached, covered)
                 )
-            elif cd <= theta + _EPS and newly.test(position):
+            elif cd <= theta + SLACK and newly.test(position):
                 bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
             lower = embedding.lower_bound(state.g2l[selected], node.centroid)
-            if lower - 1e-9 > 2.0 * theta + _EPS:
-                assert cd > 2.0 * theta + _EPS
+            if lower - SLACK > 2.0 * theta + SLACK:
+                assert cd > 2.0 * theta + SLACK
                 pruned += 1
-        elif cd - node.radius > 2.0 * theta + _EPS:
+        elif cd - node.radius > 2.0 * theta + SLACK:
             pruned += 1
         elif (
-            node.diameter <= theta + _EPS
-            and cd + node.radius <= theta + _EPS
+            node.diameter <= theta + SLACK
+            and cd + node.radius <= theta + SLACK
         ):
             decrement = newly.intersection_count(state.node_bits[node.node_id])
             if decrement:
@@ -342,7 +342,7 @@ def _audit_query(index, q, theta, k):
     true_nbhd = {
         g: {
             h for h in relevant
-            if star(database[g], database[h]) <= theta + _EPS
+            if star(database[g], database[h]) <= theta + SLACK
         }
         for g in relevant
     }
@@ -789,7 +789,7 @@ def _audited_query(index, q, theta, k):
     AuditedShardFrontier.true_nbhd = {
         g: {
             h for h in relevant
-            if star(database[g], database[h]) <= theta + _EPS
+            if star(database[g], database[h]) <= theta + SLACK
         }
         for g in relevant
     }

@@ -11,6 +11,7 @@ from repro.graphs import GraphDatabase, path_graph, quartile_relevance
 from repro.index import NBIndex, load_index, save_index
 from repro.metricspace import vector_database
 from repro.resilience.atomicio import read_checksummed, write_checksummed
+from repro.resilience.errors import IndexFormatError
 from tests.conftest import random_connected_graph, random_database
 from tests.test_nbindex import assert_valid_greedy_trajectory
 
@@ -110,8 +111,8 @@ class TestCoordinateStorage:
         assert stored.dtype == np.float64
         assert stored.tobytes() == index.embedding.coords.tobytes()
 
-    def test_version_2_files_still_load(self, tmp_path):
-        db, dist, q, index = _build(seed=6)
+    def test_version_2_files_are_rejected(self, tmp_path):
+        db, dist, _, index = _build(seed=6)
         path = tmp_path / "index.npz"
         save_index(index, path)
         with np.load(io.BytesIO(read_checksummed(path))) as data:
@@ -121,9 +122,8 @@ class TestCoordinateStorage:
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **arrays)
         write_checksummed(path, buffer.getvalue())
-        loaded = load_index(path, db, dist)
-        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
-        assert loaded.query(q, 5.0, 4).answer == index.query(q, 5.0, 4).answer
+        with pytest.raises(IndexFormatError, match="version 2"):
+            load_index(path, db, dist)
 
 
 class TestInsert:

@@ -43,7 +43,13 @@ from repro.replica.errors import (
     ReplicaUnreachable,
 )
 from repro.replica.router import ReplicaRouter
-from repro.replica.supervisor import WorkerHandle
+from repro.replica.supervisor import (
+    RESTART_BASE_S,
+    RESTART_CAP_S,
+    RESTART_JITTER,
+    WorkerHandle,
+    restart_delay,
+)
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.shard import ShardedIndex, build_shards
@@ -262,6 +268,17 @@ def _private_bundle(bundle, tmp_path):
     target = tmp_path / "bundle"
     shutil.copytree(Path(bundle).parent, target)
     return target / Path(bundle).name
+
+
+@pytest.mark.parametrize("attempt", [0, 1, 4, 5, 6, 200])
+def test_restart_backoff_doubles_jitters_upward_and_caps(attempt):
+    """A restart waits at least ``min(cap, base · 2^attempt)`` and at most
+    ``jitter`` above that — never more than ``cap · (1 + jitter)``."""
+    floor = min(RESTART_CAP_S, RESTART_BASE_S * 2.0 ** attempt)
+    for _ in range(50):
+        delay = restart_delay(attempt)
+        assert floor <= delay <= floor * (1.0 + RESTART_JITTER)
+        assert delay <= RESTART_CAP_S * (1.0 + RESTART_JITTER)
 
 
 class TestGroupDown:

@@ -1,16 +1,12 @@
 """Resilience layer: deadline budgets and the exact→beam→bipartite
-degradation ladder, checkpointed bit-identical builds, and the checksummed
-persistence container — all driven by deterministic fault injection
-(:mod:`repro.resilience.faults`)."""
-
-import io
+degradation ladder and the checksummed persistence container — all driven
+by deterministic fault injection (:mod:`repro.resilience.faults`)."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, quartile_relevance
 from repro.graphs.io import load_database, save_database
@@ -19,13 +15,11 @@ from repro.index import persistence
 from repro.index.persistence import load_index, save_index
 from repro.resilience import (
     BudgetExceeded,
-    CheckpointError,
     CorruptIndexError,
     DatabaseMismatchError,
     Deadline,
     IndexFormatError,
     PersistenceError,
-    RetryPolicy,
     atomic_write,
     current_deadline,
     deadline_scope,
@@ -33,7 +27,6 @@ from repro.resilience import (
     read_checksummed,
     write_checksummed,
 )
-from repro.resilience.checkpoint import BuildCheckpoint
 from repro.resilience.faults import FaultPlan, SimulatedCrash
 from tests.conftest import random_database
 
@@ -147,23 +140,6 @@ class TestDeadlineProperties:
                 assert deadline.remaining() == 0.0
             else:
                 assert deadline.remaining() >= 0.0
-
-
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=1.0, max_delay=0.5)
-
-    def test_exponential_capped_jittered_delay(self):
-        policy = RetryPolicy(base_delay=0.1, max_delay=0.5, jitter=0.25)
-        for attempt, expected in [(0, 0.1), (1, 0.2), (2, 0.4), (5, 0.5)]:
-            for _ in range(5):
-                delay = policy.delay(attempt)
-                assert expected <= delay <= expected * 1.25
 
 
 # ---------------------------------------------------------------------------
@@ -280,86 +256,6 @@ class TestDegradedQueryUnderFaults:
 
 
 # ---------------------------------------------------------------------------
-# Checkpointed builds
-# ---------------------------------------------------------------------------
-def _index_arrays(path):
-    payload = read_checksummed(path)
-    with np.load(io.BytesIO(payload), allow_pickle=False) as data:
-        return {key: data[key].copy() for key in data.files}
-
-
-BUILD_PARAMS = dict(num_vantage_points=5, branching=4, seed=13)
-
-
-class TestCheckpointResume:
-    @pytest.fixture(scope="class")
-    def db(self):
-        return random_database(seed=7, size=30)
-
-    @pytest.mark.parametrize("stage", ["vantage", "embed", "ladder", "tree"])
-    def test_killed_build_resumes_bit_identical(self, db, tmp_path, stage):
-        dist = StarDistance()
-        reference = NBIndex.build(db, dist, **BUILD_PARAMS)
-        ref_path = tmp_path / "reference.npz"
-        save_index(reference, ref_path)
-
-        ckpt = tmp_path / f"build-{stage}.ckpt"
-        with faults.injected(FaultPlan(abort_after_stage=stage)):
-            with pytest.raises(SimulatedCrash):
-                NBIndex.build(
-                    db, dist, checkpoint=str(ckpt), **BUILD_PARAMS
-                )
-        assert ckpt.exists()
-
-        resumed = NBIndex.build(
-            db, dist, checkpoint=str(ckpt), resume=True, **BUILD_PARAMS
-        )
-        res_path = tmp_path / "resumed.npz"
-        save_index(resumed, res_path)
-
-        ref_arrays = _index_arrays(ref_path)
-        res_arrays = _index_arrays(res_path)
-        assert set(ref_arrays) == set(res_arrays)
-        for key in ref_arrays:
-            if key == "build_seconds":
-                continue
-            assert np.array_equal(ref_arrays[key], res_arrays[key]), key
-
-    def test_resume_rejects_other_database(self, db, tmp_path):
-        ckpt = tmp_path / "build.ckpt"
-        with faults.injected(FaultPlan(abort_after_stage="vantage")):
-            with pytest.raises(SimulatedCrash):
-                NBIndex.build(
-                    db, StarDistance(), checkpoint=str(ckpt), **BUILD_PARAMS,
-                )
-        other = random_database(seed=8, size=30)
-        with pytest.raises(DatabaseMismatchError, match="fingerprint"):
-            NBIndex.build(
-                other, StarDistance(),
-                checkpoint=str(ckpt), resume=True, **BUILD_PARAMS,
-            )
-
-    def test_non_checkpoint_file_rejected(self, db, tmp_path):
-        bogus = tmp_path / "bogus.ckpt"
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, x=np.arange(3))
-        write_checksummed(bogus, buffer.getvalue())
-        with pytest.raises(CheckpointError, match="not a build checkpoint"):
-            BuildCheckpoint.open(bogus, db, resume=True)
-
-    def test_fresh_open_ignores_existing_file_without_resume(self, db, tmp_path):
-        path = tmp_path / "stale.ckpt"
-        path.write_bytes(b"garbage that would never parse")
-        checkpoint = BuildCheckpoint.open(path, db, resume=False)
-        assert checkpoint.stages == ()
-
-    def test_missing_stage_array_raises(self, db, tmp_path):
-        checkpoint = BuildCheckpoint.open(tmp_path / "new.ckpt", db)
-        with pytest.raises(CheckpointError, match="no array"):
-            checkpoint.array("vantage", "vp_indices")
-
-
-# ---------------------------------------------------------------------------
 # Persistence integrity (torn writes, truncation, versioning, fingerprints)
 # ---------------------------------------------------------------------------
 class TestPersistenceIntegrity:
@@ -434,36 +330,17 @@ class TestPersistenceIntegrity:
         with pytest.raises(IndexFormatError, match="99"):
             load_index(future, db, dist)
 
-    def test_legacy_bare_npz_still_loads(self, saved, tmp_path, monkeypatch):
-        db, dist, index, path = saved
-        legacy = tmp_path / "legacy.npz"
-        legacy.write_bytes(read_checksummed(path))
-        monkeypatch.setattr(persistence, "_legacy_warned", False)
-        with pytest.warns(DeprecationWarning, match="legacy bare-.npz"):
-            loaded = load_index(legacy, db, dist)
-        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
-
-    def test_legacy_npz_warns_once_but_counts_every_load(
-        self, saved, tmp_path, monkeypatch
-    ):
-        import warnings
-
+    def test_bare_npz_is_rejected(self, saved, tmp_path):
+        """An index from before the container (format 1) fails its check."""
         db, dist, _, path = saved
-        legacy = tmp_path / "legacy.npz"
-        legacy.write_bytes(read_checksummed(path))
-        monkeypatch.setattr(persistence, "_legacy_warned", False)
-        with obs.observe() as run:
-            with pytest.warns(DeprecationWarning):
-                load_index(legacy, db, dist)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # second load must be silent
-                load_index(legacy, db, dist)
-            counters = run.stats()["counters"]
-        assert counters["persistence.legacy_npz_loads"] == 2
+        bare = tmp_path / "bare.npz"
+        bare.write_bytes(read_checksummed(path))
+        with pytest.raises(CorruptIndexError, match="bad magic"):
+            load_index(bare, db, dist)
 
     def test_exception_hierarchy_is_valueerror(self):
         for exc in (CorruptIndexError, IndexFormatError,
-                    DatabaseMismatchError, CheckpointError):
+                    DatabaseMismatchError):
             assert issubclass(exc, PersistenceError)
             assert issubclass(exc, ValueError)
 
@@ -540,10 +417,10 @@ class TestFaultHarness:
             assert faults._slow_injected == 2
 
     def test_abort_after_stage_only_fires_on_named_stage(self):
-        with faults.injected(FaultPlan(abort_after_stage="tree")):
-            faults.maybe_abort_stage("vantage")
+        with faults.injected(FaultPlan(abort_after_stage="delta.compact.commit")):
+            faults.maybe_abort_stage("delta.compact.shard")
             with pytest.raises(SimulatedCrash):
-                faults.maybe_abort_stage("tree")
+                faults.maybe_abort_stage("delta.compact.commit")
 
     def test_no_plan_hooks_are_noops(self):
         assert faults.active() is None

@@ -179,6 +179,7 @@ def _one_shard(index: NBIndex) -> ShardedIndex:
         assignments=np.zeros(len(database), dtype=np.int64),
         database_checksum=database_checksum(database),
         shards=(ShardEntry(0, "unused.npz", 0, len(database)),),
+        frame=tuple(index.embedding.vantage_indices),
     )
     embedding = index.embedding
     return ShardedIndex(

@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro import obs
 from repro.core import baseline_greedy
 from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
@@ -365,13 +364,17 @@ def _legacy_bundle(db, out_dir, num_shards=3, seed=7):
             shard_id, artifact.name, zlib.crc32(artifact.read_bytes()),
             len(members),
         ))
-    ShardManifest(
+    body = ShardManifest(
         num_shards=num_shards, num_graphs=len(db), partitioner="hash",
         seed=seed, ladder=tuple(LADDER.values),
         assignments=partition.assignments,
         database_checksum=database_checksum(db), shards=tuple(entries),
-        build={"num_vantage_points": 6, "branching": 4},
-    ).save(out_dir / "manifest.json")
+        frame=(), build={"num_vantage_points": 6, "branching": 4},
+    )._body() | {"schema": "repro.shard-manifest/v1", "frame": None}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    (out_dir / "manifest.json").write_text(json.dumps(
+        {"manifest": body, "crc32": zlib.crc32(canonical.encode())}
+    ))
     return out_dir / "manifest.json"
 
 
@@ -504,79 +507,19 @@ class TestFrame:
         report = verify_backup(tmp_path / "backup")
         assert any("frame" in problem for problem in report["problems"])
 
-    def test_legacy_bundle_upgrades_by_re_embedding_only(self, db, tmp_path):
+    def test_legacy_bundle_is_rejected(self, db, tmp_path):
+        """A ``v1`` bundle is refused by every reader, not re-embedded."""
         manifest_path = _legacy_bundle(db, tmp_path / "legacy")
-        assert ShardManifest.load(manifest_path).frame is None
-        assert verify_deployment(manifest_path)["ok"]
-        legacy_trees = [
-            load_index(
-                tmp_path / "legacy" / f"shard-{s:03d}.npz",
-                db.subset([int(i) for i in np.flatnonzero(
-                    HashPartitioner().assign(db, 3).assignments == s
-                )]),
-                StarDistance(),
-            ).tree
-            for s in range(3)
-        ]
-        with obs.observe() as run:
-            sharded = ShardedIndex.load(manifest_path, db, StarDistance())
-            counters = run.stats()["counters"]
-        assert counters["shard.frame_upgrades"] == 2
-        # Shard 0's vantage graphs became the frame; the trees are reused.
-        frame = sharded.frame.vantage_ids
-        assert all(sharded.shard_of[v] == 0 for v in frame)
-        for shard, tree in zip(sharded.shards, legacy_trees):
-            assert [n.radius for n in shard.tree.nodes] == [
-                n.radius for n in tree.nodes
-            ]
-        q = quartile_relevance(db)
-        for theta in THETAS:
-            got = sharded.query(q, theta, 6)
-            _assert_same_result(
-                got, baseline_greedy(db, StarDistance(), q, theta, 6)
-            )
-            assert got.stats.coordinator["foreign_embeds"] == 0
-        # A frame the manifest does not vouch for is never reused.
-        again = ShardedIndex.load(
-            manifest_path, db, StarDistance(), previous=sharded
-        )
-        assert again.reused_shards == 0
-        # Worker processes upgrade the same way (one adoption, inherited).
-        with ReplicatedIndex.open(
-            manifest_path, db, StarDistance(), replicas=1
-        ) as replicated:
-            _assert_same_result(
-                replicated.query(q, 6.0, 6),
-                baseline_greedy(db, StarDistance(), q, 6.0, 6),
-            )
-
-    @pytest.mark.parametrize("inserts", [0, 2])
-    def test_compaction_writes_a_legacy_bundles_frame_back(
-        self, db, tmp_path, inserts,
-    ):
-        """Also with nothing to absorb: one ``compact()`` is the upgrade."""
-        manifest_path = _legacy_bundle(db, tmp_path / "legacy")
-        live = db.subset(range(len(db)))
-        mutable = repro.open_index(manifest_path, live, mutable=True)
-        donors = random_database(seed=31, size=inserts or 1)
-        for i in range(inserts):
-            mutable.insert(donors[i], db.features[i])
-        frame = list(mutable.frame.vantage_ids)
-        report = mutable.compact()
-        assert report["absorbed"] == inserts and "skipped" not in report
-        assert mutable.compact()["skipped"]  # a v2 base has nothing to do
-        mutable.close()
-        manifest = ShardManifest.load(manifest_path)
-        assert list(manifest.frame) == frame
-        assert verify_deployment(manifest_path)["ok"]
-        with obs.observe() as run:
-            reopened = ShardedIndex.load(manifest_path, live, StarDistance())
-            assert "shard.frame_upgrades" not in run.stats()["counters"]
-        q = quartile_relevance(live)
-        _assert_same_result(
-            reopened.query(q, 6.0, 6),
-            baseline_greedy(live, StarDistance(), q, 6.0, 6),
-        )
+        for open_bundle in (
+            lambda: ShardedIndex.load(manifest_path, db, StarDistance()),
+            lambda: ReplicatedIndex.open(
+                manifest_path, db, StarDistance(), replicas=1
+            ),
+            lambda: repro.open_index(manifest_path, db, mutable=True),
+        ):
+            with pytest.raises(ManifestError, match="unsupported manifest schema"):
+                open_bundle()
+        assert not verify_deployment(manifest_path)["ok"]
 
     def test_mutable_bundle_keeps_its_frame_and_embeds_each_graph_once(
         self, db, tmp_path, monkeypatch,

@@ -19,6 +19,7 @@ from repro.index.pivec import choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.replica.cluster import ReplicatedIndex
 from repro.replica.router import ReplicaRouter
+from repro.replica.supervisor import Supervisor
 from repro.shard.partition import ClusteringPartitioner, HashPartitioner
 from tests.conftest import random_database
 
@@ -93,6 +94,8 @@ _REMOVED_KEYWORDS = [
     (HashPartitioner.assign, "engine"), (ClusteringPartitioner.assign, "engine"),
     (ReplicatedIndex.open, "hedge_ms"), (ReplicaRouter, "hedge_ms"),
     (ReplicaRouter.call, "hedge"),
+    (NBIndex.build, "checkpoint"), (NBIndex.build, "resume"),
+    (Supervisor, "restart_policy"), (ReplicatedIndex.open, "restart_policy"),
 ]
 
 
