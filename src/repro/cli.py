@@ -281,7 +281,7 @@ def _stdin_lines():
 
 
 def cmd_serve(args) -> int:
-    from repro.service import BreakerConfig, QueryService, ServiceConfig
+    from repro.service import QueryService, ServiceConfig
     from repro.service.crashlog import DEFAULT_MAX_BYTES
     from repro.service.server import serve_lines, serve_tcp
 
@@ -295,7 +295,6 @@ def cmd_serve(args) -> int:
         max_queue=args.max_queue,
         default_timeout_ms=args.deadline_ms,
         drain_grace_s=args.drain_grace,
-        breaker=BreakerConfig(cooldown_s=args.breaker_cooldown),
         crash_log=args.crash_log,
         crash_log_max_bytes=crash_log_max,
         crash_log_keep=args.crash_log_keep,
@@ -615,8 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "against it (requests may override via timeout_ms)")
     p.add_argument("--drain-grace", type=float, default=5.0, metavar="S",
                    help="seconds to let in-flight work finish on shutdown")
-    p.add_argument("--breaker-cooldown", type=float, default=5.0, metavar="S",
-                   help="open-breaker cooldown before the half-open probe")
     p.add_argument("--mutable", action="store_true",
                    help="open the index through the delta layer so the "
                         "service accepts insert/delete/update/compact "
@@ -633,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=int, default=None, metavar="R",
                    help="with --shards: serve from a supervised process "
                         "cluster with R worker processes per shard "
-                        "(failover, restart, degraded partial answers)")
+                        "(failover, restart)")
     p.add_argument("--crash-log", default=None, metavar="PATH",
                    help="append per-query crash journal entries (JSON lines)")
     p.add_argument("--crash-log-max-bytes", type=int, default=None,

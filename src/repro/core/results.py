@@ -42,20 +42,13 @@ class QueryStats:
     init_seconds: float = 0.0
     search_seconds: float = 0.0
     update_seconds: float = 0.0
-    #: True when a Deadline budget forced approximate (upper-bound) edit
-    #: distances into this query — the answer is valid but not exact.
-    degraded: bool = False
-    degradation_events: int = 0
+    #: ``{kind: count}`` of the upper-bound edit distances a Deadline
+    #: forced into this query; empty for an exact answer.
     degradations: dict = field(default_factory=dict)
     #: Sharded-query accounting (scatter-gather coordinator only): pull /
     #: resolve / broadcast counts plus the per-shard work split.  Empty for
     #: single-index engines.
     coordinator: dict = field(default_factory=dict)
-    #: True when one or more whole replica groups were unavailable and the
-    #: answer covers only the surviving shards (replicated serving only).
-    partial: bool = False
-    #: Shard ids whose replica groups were down for this query.
-    unavailable_shards: list = field(default_factory=list)
     #: True when the query ran in the ε-relaxed approximate mode
     #: (``epsilon > 0``): neighborhoods satisfy ``N_{(1−ε)θ} ⊆ N' ⊆ N_θ``
     #: and greedy keeps the (1 − 1/e − ε) guarantee.
@@ -71,12 +64,24 @@ class QueryStats:
     def total_seconds(self) -> float:
         return self.init_seconds + self.search_seconds + self.update_seconds
 
+    @property
+    def degraded(self) -> bool:
+        """True when a deadline forced upper-bound edit distances into this
+        query — the answer is valid but not exact."""
+        return bool(self.degradations)
+
+    @property
+    def degradation_events(self) -> int:
+        return sum(self.degradations.values())
+
     def stats(self) -> dict:
         """Statable protocol: every counter/timer as a plain dict."""
         from dataclasses import asdict
 
         out = asdict(self)
         out["total_seconds"] = self.total_seconds
+        out["degraded"] = self.degraded
+        out["degradation_events"] = self.degradation_events
         return out
 
 

@@ -20,6 +20,8 @@ metric, none of which changes a single output bit:
 3. **Shared caching** — a symmetric pair cache (keyed by ``graph_id``,
    object identity for free-standing graphs) spans every consumer, so a
    distance computed during the tree build is free during θ-refinements.
+   Only distances are cached: a value a query's deadline degraded to an
+   upper bound is returned to that query, never stored for the next one.
    :meth:`stats` reports evaluations / hits / prefilter activity in the
    same shape as :class:`~repro.ged.metric.CountingDistance`.
 
@@ -46,6 +48,7 @@ from repro.cascade.pipeline import RefereeFilter
 from repro.ged import ExactGED, StarDistance
 from repro.ged.metric import SLACK, _pair_key
 from repro.graphs.graph import LabeledGraph
+from repro.resilience.deadline import current_deadline
 from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
 
@@ -56,6 +59,14 @@ def _pair_keys(source: LabeledGraph, graphs) -> list[tuple]:
     a = source.graph_id if source.graph_id is not None else -id(source)
     halves = [g.graph_id if g.graph_id is not None else -id(g) for g in graphs]
     return [(a, b) if a <= b else (b, a) for b in halves]
+
+
+def _degradation_mark():
+    """How many degradations the active deadline has recorded (``None``
+    without one).  Evaluations that move it returned upper bounds, which
+    must not enter the pair cache."""
+    deadline = current_deadline()
+    return None if deadline is None else sum(deadline.degradations.values())
 
 
 class DistanceEngine:
@@ -182,12 +193,13 @@ class DistanceEngine:
             obs.counter("engine.cache_hits")
             return value
         obs.counter("engine.evaluations")
+        mark = _degradation_mark()
         if self._evaluator is not None:
             value = float(self._evaluator.one_to_many(a, [b])[0])
         else:
             value = float(self.inner(a, b))
         with self._cache_lock:
-            self._cache[key] = value
+            self._cache_for(mark)[key] = value
         return value
 
     # ------------------------------------------------------------------
@@ -216,10 +228,12 @@ class DistanceEngine:
         hits, misses, keys, repeats = self._scan(source_graph, graphs, out, set())
         if misses:
             self._book_batch(len(misses))
+            mark = _degradation_mark()
             values = self._evaluate(source_graph, [graphs[p] for p in misses])
-            self._store(keys, values, out, misses)
+            cache = self._cache_for(mark)
+            self._store(keys, values, out, misses, cache)
             for position, key in repeats:
-                out[position] = self._cache[key]
+                out[position] = cache[key]
         if hits:
             obs.counter("engine.cache_hits", hits)
         return out
@@ -257,13 +271,15 @@ class DistanceEngine:
 
         todo = [column for column, scan in enumerate(scans) if scan[1].size]
         pairs = sum(scans[column][1].size for column in todo)
+        mark = _degradation_mark()
         values = dict(zip(todo, fan_out(evaluate, todo, pairs)))
+        cache = self._cache_for(mark)
         for column, (hits, misses, keys, repeats) in enumerate(scans):
             if column in values:
                 self._book_batch(misses.size)
-                self._store(keys, values[column], out[:, column], misses.tolist())
+                self._store(keys, values[column], out[:, column], misses.tolist(), cache)
             for position, key in repeats:  # its miss is stored by now
-                out[position, column] = self._cache[key]
+                out[position, column] = cache[key]
             if hits:
                 obs.counter("engine.cache_hits", hits)
         return out
@@ -301,11 +317,17 @@ class DistanceEngine:
             self.cache_hits += hits
         return hits, misses, keys, repeats
 
-    def _store(self, keys, values, out, misses) -> None:
-        """Write evaluated misses to the pair cache and ``out``."""
+    def _cache_for(self, mark) -> dict:
+        """Where evaluations made since ``mark`` may be stored: the pair
+        cache, or a throw-away dict once the active deadline has degraded
+        one of them to an upper bound."""
+        return self._cache if _degradation_mark() == mark else {}
+
+    def _store(self, keys, values, out, misses, cache) -> None:
+        """Write evaluated misses to ``cache`` and ``out``."""
         with self._cache_lock:
             for key, position, value in zip(keys, misses, values):
-                self._cache[key] = out[position] = float(value)
+                cache[key] = out[position] = float(value)
 
     def cached_verdicts(
         self, source, targets, accept: float, reject: float
@@ -353,11 +375,13 @@ class DistanceEngine:
                     misses.append((a, b))
             self.cache_hits += hits
         if misses:
+            mark = _degradation_mark()
             values = self._evaluate_pairs(misses)
+            cache = self._cache_for(mark)
             with self._cache_lock:
                 for (key, positions), value in zip(miss_positions.items(), values):
                     value = float(value)
-                    self._cache[key] = value
+                    cache[key] = value
                     for position in positions:
                         out[position] = value
         if hits:

@@ -603,16 +603,11 @@ class QuerySession:
             stats.approximate = runtime.approximate
             stats.cascade = runtime.snapshot()
             if effective_deadline is not None:
-                delta = {
+                stats.degradations = {
                     kind: count - degradations_before.get(kind, 0)
                     for kind, count in effective_deadline.degradations.items()
                     if count > degradations_before.get(kind, 0)
                 }
-                # The hook may have flagged degradations of its own (a
-                # replica group lost); the deadline's delta goes first.
-                stats.degradations = {**delta, **stats.degradations}
-            stats.degradation_events = sum(stats.degradations.values())
-            stats.degraded = bool(stats.degradations)
             if stats.degraded:
                 obs.counter("query.degraded")
             query_span.set(answer_size=len(answer), degraded=stats.degraded)

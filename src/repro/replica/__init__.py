@@ -8,8 +8,8 @@ a :class:`~repro.replica.router.ReplicaRouter` that gives the
 scatter-gather coordinator failover.  The
 public entry point is :class:`ReplicatedIndex`, a drop-in for
 :class:`~repro.shard.ShardedIndex` that answers bit-identically under
-replica churn and degrades to flagged partial answers
-(:class:`ShardUnavailableError` per dead group) instead of failing.
+replica churn as long as one replica per shard lives, and fails a query
+with :class:`ShardUnavailableError` when a whole group is down.
 """
 
 from repro.replica.cluster import ReplicatedIndex

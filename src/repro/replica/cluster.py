@@ -10,14 +10,11 @@ coordinator loop, the selection rule, and therefore the answer bits are
 identical — a replica crash mid-query costs a failover and some
 re-pulled candidates, never a different answer.
 
-Degradation contract: when *every* replica of a shard is down (and stays
-down past the router's failover budget) the query session retries the
-query over the surviving shards with fresh worker sessions and returns a
-flagged partial answer (``stats.partial`` /
-``stats.unavailable_shards``), mirroring the "answer what you can, flag
-what you couldn't" contract of the circuit breaker's bound-only mode.
-Only a deterministic worker-side op failure
-(:class:`~repro.replica.errors.ReplicaWorkerError`) fails the query.
+When *every* replica of a shard is down (and stays down past the
+router's failover budget) the query fails with
+:class:`~repro.replica.errors.ShardUnavailableError`; it never answers
+over a subset of the shards.  A deterministic worker-side op failure
+(:class:`~repro.replica.errors.ReplicaWorkerError`) fails it too.
 
 The relevance function must be wire-expressible: replicated serving
 accepts :class:`~repro.graphs.relevance.AverageScoreThreshold`-shaped
@@ -38,11 +35,9 @@ import numpy as np
 from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
-from repro.index.coordinator import new_coord
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import QueryRun, QuerySession, check_query_kwargs
 from repro.index.pivec import ThresholdLadder
-from repro.replica.errors import ShardUnavailableError
 from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
@@ -154,76 +149,46 @@ class ReplicatedIndex:
         return 0  # distances are evaluated (and counted) in the workers
 
     def _run_query(self, run: QueryRun):
-        """One :class:`RemoteFrontier` per served shard, re-run over the
-        survivors — flagged partial — whenever a whole replica group dies
-        mid-query.  Workers run the filter and the deadline; the
-        coordinator ships ε and the deadline in each session-open frame
-        (a worker knows its own metric) and folds the degradations they
-        report back into the deadline."""
+        """One :class:`RemoteFrontier` per shard.  Workers run the filter
+        and the deadline; the coordinator ships ε and the deadline in each
+        session-open frame (a worker knows its own metric) and folds the
+        degradations they report back into the deadline."""
         session = run.session
-        stats = run.stats
         run.span.set(shards=self.num_shards, replicas=self.replicas)
         deadline_state = (
             run.deadline.state() if run.deadline is not None else None
         )
-        unavailable: set[int] = set()
+        # One session id covers the whole query — worker session tables
+        # are per-process, so the same id on every shard is unambiguous.
+        sid = uuid.uuid4().hex[:16]
+        frontiers = [
+            RemoteFrontier(
+                self.router, s, sid,
+                dims=session.query_fn.dims,
+                threshold=session.query_fn.threshold,
+                theta=run.theta,
+                # Pure function of the manifest, identical to each
+                # worker's own derivation.
+                relevant_global=session.cached(s, lambda s=s: (
+                    session.relevant[self.shard_of[session.relevant] == s]
+                )),
+                universe=session.universe,
+                deadline_state=deadline_state,
+                epsilon=run.runtime.epsilon,
+            )
+            for s in range(self.num_shards)
+        ]
         try:
-            while True:
-                served = [
-                    s for s in range(self.num_shards) if s not in unavailable
-                ]
-                if not served:
-                    return [], [], session.universe.empty(), new_coord(0)
-                # One session id covers the whole attempt — worker session
-                # tables are per-process, so the same id on every shard is
-                # unambiguous, and a retry after a group failure gets a
-                # new id (no state from the aborted attempt leaks in).
-                sid = uuid.uuid4().hex[:16]
-                frontiers = {
-                    s: RemoteFrontier(
-                        self.router, s, sid,
-                        dims=session.query_fn.dims,
-                        threshold=session.query_fn.threshold,
-                        theta=run.theta,
-                        # Pure function of the manifest, identical to each
-                        # worker's own derivation.
-                        relevant_global=session.cached(s, lambda s=s: (
-                            session.relevant[
-                                self.shard_of[session.relevant] == s
-                            ]
-                        )),
-                        universe=session.universe,
-                        deadline_state=deadline_state,
-                        epsilon=run.runtime.epsilon,
-                    )
-                    for s in served
-                }
-                try:
-                    return run.greedy(
-                        list(frontiers.values()),
-                        lambda gid: frontiers[int(self.shard_of[gid])],
-                    )
-                except ShardUnavailableError as error:
-                    # Drop that shard and re-run over the survivors with
-                    # fresh sessions (worker state from the aborted
-                    # attempt is keyed by session id and ages out).
-                    unavailable.add(error.shard_id)
-                    obs.counter("replica.shard_unavailable")
-                finally:
-                    for frontier in frontiers.values():
-                        if run.deadline is not None:
-                            run.deadline.merge_degradations(
-                                frontier.session.degradations
-                            )
-                        frontier.close()
+            return run.greedy(
+                frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
+            )
         finally:
-            if unavailable:
-                stats.partial = True
-                stats.unavailable_shards = sorted(unavailable)
-                stats.degradations["replica.shard_unavailable"] = len(
-                    unavailable
-                )
-            run.span.set(partial=stats.partial)
+            for frontier in frontiers:
+                if run.deadline is not None:
+                    run.deadline.merge_degradations(
+                        frontier.session.degradations
+                    )
+                frontier.close()
 
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)

@@ -7,13 +7,11 @@ Two audiences, two families:
   them, reports the replica to the supervisor, and fails over to a
   sibling.  They exist as types so tests can assert *which* failure
   triggered a failover.
-* :class:`ShardUnavailableError` is the surface the coordinator sees
-  when a **whole replica group** is down: every replica of one shard
-  failed (or failed to restart in time).  The replicated query session
-  catches it and degrades to a flagged *partial* answer over the
-  surviving shards — the same "answer what you can, flag what you
-  couldn't" contract the circuit breaker's bound-only mode uses —
-  instead of failing the query.
+* :class:`ShardUnavailableError` is what a query raises when a **whole
+  replica group** is down: every replica of one shard failed (or failed
+  to restart in time).  The query fails; the service answers it with
+  ``query_failed`` naming this type.  There is no answer over the
+  surviving shards.
 """
 
 from __future__ import annotations

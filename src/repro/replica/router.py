@@ -26,8 +26,7 @@ log — open, selections, current round — from
 but still upper bounds; answers are unchanged.
 
 When every replica of a shard is gone, :class:`ShardUnavailableError`
-surfaces to the query session, which degrades to a flagged partial
-answer over the surviving shards.
+fails the query.
 """
 
 from __future__ import annotations

@@ -3,10 +3,11 @@
 Everything below :class:`QueryService` exists to keep one promise: a
 long-lived process over :func:`repro.open_database` /
 :func:`repro.open_index` / ``NBIndex.query`` that *stays up* — under
-overload (bounded admission + load shedding), under backend trouble
-(circuit breaker degrading to bound-only answers), under index swaps
+overload (bounded admission + load shedding), under index swaps
 (validated, latched hot reload with rollback), and under poisoned
-queries (journaled crash, typed response, surviving worker).
+queries (journaled crash, typed response, surviving worker).  The one
+degraded answer it gives is the one a request asks for with a deadline:
+flagged ``degraded``, never silently approximate.
 
 Quick start, in-process::
 
@@ -21,7 +22,6 @@ line-delimited JSON on stdin/stdout (or ``--tcp HOST:PORT``) — see
 """
 
 from repro.service.admission import AdmissionController, Ticket
-from repro.service.breaker import BreakerConfig, CircuitBreaker
 from repro.service.crashlog import CrashJournal
 from repro.service.errors import (
     DeadlineExpired,
@@ -56,8 +56,6 @@ __all__ = [
     "serve_tcp",
     "AdmissionController",
     "Ticket",
-    "BreakerConfig",
-    "CircuitBreaker",
     "IndexManager",
     "ReadWriteLatch",
     "CrashJournal",

@@ -15,7 +15,7 @@ Queries may ask for the ε-relaxed approximate mode (see
 ``docs/cascade.md``): ``epsilon`` is a number in ``[0, 1)``, checked by
 the same :func:`repro.cascade.validate_epsilon` as the Python API and the
 CLI; a malformed one is a typed ``invalid_request`` rejection before
-admission, never a breaker hit::
+admission::
 
     {"id": 14, "op": "query", "theta": 8.0, "k": 5, "epsilon": 0.05}
 
@@ -51,15 +51,15 @@ Responses echo the ``id`` and carry either ``result`` or a typed
 
     {"id": 1, "ok": true, "result": {"answer": [3, 17], "gains": [9, 4],
      "pi": 0.81, "num_relevant": 16, "theta": 8.0, "degraded": false,
-     "bound_only": false, "generation": 0}}
+     "degradations": {}, "generation": 0}}
     {"id": 6, "ok": false,
      "error": {"code": "overloaded", "message": "...", "retry_after_s": 0.4}}
 
-Replicated deployments (``repro serve --shards ... --replicas R``) add
-``"partial": true`` and ``"unavailable_shards": [...]`` to a query
-result *only* when every replica of one or more shards was down and the
-answer covers just the surviving shards; normal responses stay
-byte-identical across deployment shapes.
+Every deployment shape (single index, shard bundle, mutable, replicated)
+answers with the same bytes.  A replicated deployment that has lost
+every replica of a shard answers ``query_failed`` with
+``"exception_type": "ShardUnavailableError"`` until the supervisor has
+restarted one; it never answers over a subset of the shards.
 
 Oversized lines (``max_request_bytes``), non-JSON, unknown ops and
 invalid parameters are rejected *before admission* with

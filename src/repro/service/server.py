@@ -10,12 +10,9 @@ boundary that survives overload, poisoned queries and index swaps:
   typed ``overloaded`` rejection and a retry-after hint, never queued
   unboundedly.  Per-request deadlines derive from
   :class:`repro.resilience.Deadline` at admission, so queue wait counts
-  against the budget.
-* **circuit breaking** (:mod:`repro.service.breaker`): repeated failures
-  or deadline degradations open the breaker; while open, queries are
-  served *bound-only* (an expired deadline drives every exact edit
-  distance down the degradation ladder) instead of waiting on a wedged
-  backend, and a half-open probe closes it once the backend recovers.
+  against the budget.  A deadline is the one way an answer degrades:
+  exact edit distances that overrun it fall back to upper bounds, and
+  the response says so (``degraded`` + ``degradations``).
 * **hot index reload** (:mod:`repro.service.reload`): a watcher thread
   fingerprints the index artifact and atomically swaps a validated
   replacement under a read-write latch; corrupt candidates are rolled
@@ -41,16 +38,14 @@ import queue
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.graphs import quartile_relevance
 from repro.index.errors import OffLadderThetaError
 from repro.resilience import faults
-from repro.resilience.deadline import Deadline
 from repro.service import crashlog, protocol
 from repro.service.admission import AdmissionController, Ticket
-from repro.service.breaker import BOUND_ONLY, PROBE, BreakerConfig, CircuitBreaker
 from repro.service.crashlog import CrashJournal
 from repro.service.errors import (
     DeadlineExpired,
@@ -72,7 +67,6 @@ class ServiceConfig:
     max_queue: int = 16
     default_timeout_ms: float | None = None
     drain_grace_s: float = 5.0
-    breaker: BreakerConfig = field(default_factory=BreakerConfig)
     crash_log: str | None = None
     crash_log_max_bytes: int | None = crashlog.DEFAULT_MAX_BYTES
     crash_log_keep: int = 3
@@ -109,7 +103,6 @@ class QueryService:
             max_concurrency=self.config.max_concurrency,
             default_timeout_ms=self.config.default_timeout_ms,
         )
-        self.breaker = CircuitBreaker(self.config.breaker)
         self.journal = CrashJournal(
             self.config.crash_log,
             max_bytes=self.config.crash_log_max_bytes,
@@ -161,7 +154,7 @@ class QueryService:
 
         ``replicas=R`` (shard bundles only) serves the bundle from a
         supervised multi-process cluster — R worker processes per shard
-        with failover, restart, and degraded partial answers
+        with failover and restart
         (:class:`repro.replica.ReplicatedIndex`) — instead of in-process
         shard objects.  Incompatible with ``mutable`` and with the
         reload watcher: worker processes hold immutable artifacts.
@@ -373,7 +366,6 @@ class QueryService:
         out = {
             "uptime_seconds": time.monotonic() - self.started_at,
             "admission": self.admission.stats(),
-            "breaker": self.breaker.stats(),
             "reload": self.manager.stats(),
             "crashes": self.journal.stats(),
             "scrub": (
@@ -581,12 +573,6 @@ class QueryService:
     def _execute_query(self, ticket: Ticket) -> dict:
         request = ticket.request
         faults.maybe_slow("service.query")  # chaos-test hook site
-        mode = self.breaker.admit()
-        bound_only = mode == BOUND_ONLY
-        # Breaker open: an already-expired budget sends every exact edit
-        # distance straight to its polynomial upper bound — the query
-        # answers fast and flagged instead of stalling the queue.
-        deadline = Deadline(0.0) if bound_only else ticket.deadline
         try:
             with self.manager.acquire() as index:
                 if request.dims is not None:
@@ -603,23 +589,13 @@ class QueryService:
                 with obs.timer("service.query_seconds"):
                     result = index.query(
                         query_fn, request.theta, request.k,
-                        deadline=deadline, epsilon=request.epsilon,
+                        deadline=ticket.deadline, epsilon=request.epsilon,
                     )
                 generation = self.manager.generation
         except OffLadderThetaError as error:
             # A theta the ladder cannot bound is a client error, not a
-            # backend failure: no breaker hit, no crash journal entry.
+            # crash: no crash journal entry.
             raise InvalidRequest(str(error)) from error
-        except ServiceError:
-            raise  # client errors are not backend health signals
-        except Exception:
-            if not bound_only:
-                self.breaker.record_failure(probe=mode == PROBE)
-            raise
-        if not bound_only:
-            self.breaker.record_success(
-                degraded=result.stats.degraded, probe=mode == PROBE
-            )
         obs.counter("service.queries")
         body = {
             "answer": [int(g) for g in result.answer],
@@ -629,21 +605,13 @@ class QueryService:
             "theta": float(result.theta),
             "degraded": bool(result.stats.degraded),
             "degradations": dict(result.stats.degradations),
-            "bound_only": bound_only,
             "generation": generation,
         }
         # Approximate mode only: exact (ε = 0) responses stay
         # byte-identical.
-        if getattr(result.stats, "approximate", False):
+        if result.stats.approximate:
             body["approximate"] = True
             body["epsilon"] = float(result.stats.epsilon)
-        # Replicated serving only, and only on actual group loss: normal
-        # responses stay byte-identical across deployment shapes.
-        if getattr(result.stats, "partial", False):
-            body["partial"] = True
-            body["unavailable_shards"] = [
-                int(s) for s in result.stats.unavailable_shards
-            ]
         return protocol.ok_response(request.id, body)
 
     def _watch_loop(self) -> None:
@@ -657,7 +625,6 @@ class QueryService:
         return (
             f"QueryService(workers={self.config.max_concurrency}, "
             f"queue={self.admission.depth}/{self.config.max_queue}, "
-            f"breaker={self.breaker.state}, "
             f"generation={self.manager.generation})"
         )
 

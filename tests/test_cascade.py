@@ -21,7 +21,7 @@ The load-bearing claims under test:
   (S = 1, S = 4, R = 2, the wire body), never at ε = 0.
 * **One ε validator** — the same table of malformed values is refused by
   the Python API (a ``ValueError``), the CLI (exit 2) and the wire (typed
-  ``invalid_request`` before admission, never a breaker hit).
+  ``invalid_request`` before admission).
 """
 
 from __future__ import annotations
@@ -415,8 +415,9 @@ class TestWire:
         assert approx["approximate"] is True
         assert approx["epsilon"] == pytest.approx(0.05)
 
-    def _assert_rejected_not_breaker(self, svc):
+    def _assert_rejected_before_admission(self, svc):
         """Run last: ``serve_lines`` drains the service when it returns."""
+        admitted = svc.admission.stats()["admitted"]
         lines = BAD_LINES + ['{"id": 99, "theta": 8.0, "k": 2}']
         out = io.StringIO()
         serve_lines(svc, iter(f"{ln}\n" for ln in lines), out)
@@ -424,22 +425,22 @@ class TestWire:
         for response in responses[:-1]:
             assert response["ok"] is False
             assert response["error"]["code"] == "invalid_request"
-        # The breaker never saw a hit: the follow-up query runs normally.
+        # Only the follow-up query took a queue slot, and nothing crashed.
         assert responses[-1]["ok"] is True
-        assert responses[-1]["result"]["bound_only"] is False
-        assert svc.stats()["breaker"]["state"] == "closed"
+        assert svc.admission.stats()["admitted"] == admitted + 1
+        assert svc.journal.stats()["crashes"] == 0
 
     def test_service_s1_rejects_and_round_trips(self, index, relevance):
         direct = index.query(relevance, 8.0, 3)
         with QueryService(index) as svc:
             self._assert_round_trips(svc, direct)
-            self._assert_rejected_not_breaker(svc)
+            self._assert_rejected_before_admission(svc)
 
     def test_service_s4_rejects_and_round_trips(self, sharded, relevance):
         direct = sharded.query(relevance, 8.0, 3)
         with QueryService(sharded) as svc:
             self._assert_round_trips(svc, direct)
-            self._assert_rejected_not_breaker(svc)
+            self._assert_rejected_before_admission(svc)
 
     def test_replica_open_frame_carries_epsilon_only_when_relaxed(self):
         """A worker knows its own metric: only ε travels, and an exact
@@ -474,4 +475,4 @@ class TestWire:
             )
             with QueryService(rep) as svc:
                 self._assert_round_trips(svc, want)
-                self._assert_rejected_not_breaker(svc)
+                self._assert_rejected_before_admission(svc)

@@ -119,6 +119,13 @@ class TestExperiment:
         assert excinfo.value.code == 2
         assert "--checkpoint" in capsys.readouterr().err
 
+    def test_breaker_cooldown_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "db.jsonl", "--index", "i.npz",
+                  "--breaker-cooldown", "5"])
+        assert excinfo.value.code == 2
+        assert "--breaker-cooldown" in capsys.readouterr().err
+
 
 class TestObservabilityFlags:
     def test_query_metrics_json_and_trace(self, db_path, tmp_path, capsys):

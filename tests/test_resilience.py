@@ -243,6 +243,20 @@ class TestDegradedQueryUnderFaults:
             result = index.query(query, theta=4.0, k=3)
         assert result.stats.degraded
 
+    def test_a_degraded_distance_never_answers_the_next_query(self):
+        """The pair cache holds distances only: upper bounds one query's
+        deadline forced must not answer a later query, unflagged."""
+        db = random_database(seed=21, size=30)
+        query = quartile_relevance(db, quantile=0.5)
+        build = dict(num_vantage_points=4, branching=4, seed=7)
+        want = NBIndex.build(db, ExactGED(), **build).query(query, 4.0, 4)
+        index = NBIndex.build(db, ExactGED(), **build)
+        pressed = index.query(query, 4.0, 4, deadline=Deadline(0.0))
+        assert pressed.stats.degraded and pressed.answer != want.answer
+        got = index.query(query, 4.0, 4)
+        assert not got.stats.degraded
+        assert (got.answer, got.gains) == (want.answer, want.gains)
+
     def test_undegraded_query_stats_stay_clean(self):
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)

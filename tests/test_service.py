@@ -1,8 +1,7 @@
 """Tests for the query service layer (repro.service).
 
-Covers the wire protocol, admission control and shedding, the circuit
-breaker state machine (with an injectable clock), the read-write latch,
-hot index reload with corrupt-candidate rollback, per-query fault
+Covers the wire protocol, admission control and shedding, the read-write
+latch, hot index reload with corrupt-candidate rollback, per-query fault
 isolation, graceful drain, the line transport, and the chaos acceptance
 scenario from the roadmap: one worker crash + one slow query + one
 corrupt reload artifact, with the service shedding typed ``Overloaded``,
@@ -26,8 +25,6 @@ from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.service import (
     AdmissionController,
-    BreakerConfig,
-    CircuitBreaker,
     CrashJournal,
     IndexManager,
     InvalidRequest,
@@ -41,7 +38,6 @@ from repro.service import (
     parse_request,
     serve_lines,
 )
-from repro.service.breaker import BOUND_ONLY, NORMAL, PROBE
 from repro.service.server import serve_tcp
 from tests.conftest import random_database
 
@@ -152,95 +148,6 @@ class TestAdmission:
         with pytest.raises(Overloaded) as excinfo:
             ctl.admit("b")
         assert excinfo.value.retry_after_s > 0.5
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------------
-class _Clock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
-class TestCircuitBreaker:
-    def _breaker(self, **overrides):
-        clock = _Clock()
-        config = BreakerConfig(**{
-            "failure_threshold": 3, "degradation_threshold": 2,
-            "window": 4, "cooldown_s": 5.0, **overrides})
-        return CircuitBreaker(config, clock=clock), clock
-
-    def test_trips_on_consecutive_failures(self):
-        breaker, _ = self._breaker()
-        assert breaker.admit() == NORMAL
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.state == "open"
-        assert breaker.admit() == BOUND_ONLY
-
-    def test_success_resets_consecutive_failures(self):
-        # Wide window so only the consecutive-failure rule is in play.
-        breaker, _ = self._breaker(window=20)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == "closed"
-
-    def test_trips_on_consecutive_degradations(self):
-        breaker, _ = self._breaker()
-        breaker.record_success(degraded=True)
-        assert breaker.state == "closed"
-        breaker.record_success(degraded=True)
-        assert breaker.state == "open"
-
-    def test_half_open_single_probe_then_close(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        assert breaker.admit() == BOUND_ONLY
-        clock.now += 5.0
-        assert breaker.admit() == PROBE      # exactly one probe
-        assert breaker.admit() == BOUND_ONLY  # everyone else stays safe
-        breaker.record_success(probe=True)
-        assert breaker.state == "closed"
-        assert breaker.admit() == NORMAL
-
-    def test_failed_probe_reopens_with_fresh_cooldown(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 5.0
-        assert breaker.admit() == PROBE
-        breaker.record_failure(probe=True)
-        assert breaker.state == "open"
-        clock.now += 4.9
-        assert breaker.admit() == BOUND_ONLY
-        clock.now += 0.2
-        assert breaker.admit() == PROBE
-
-    def test_degraded_probe_reopens(self):
-        breaker, clock = self._breaker()
-        for _ in range(3):
-            breaker.record_failure()
-        clock.now += 5.0
-        assert breaker.admit() == PROBE
-        breaker.record_success(probe=True, degraded=True)
-        assert breaker.state == "open"
-
-    def test_window_error_rate_trips(self):
-        breaker, _ = self._breaker(failure_threshold=10,
-                                   error_rate_threshold=0.5, window=4)
-        for outcome in (True, False, True, False):
-            if outcome:
-                breaker.record_success()
-            else:
-                breaker.record_failure()
-        assert breaker.state == "open"
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +392,6 @@ class TestQueryService:
                 QueryRequest(id=1, theta=8.0, k=2, timeout_ms=0))
         assert response["error"]["code"] == "deadline_expired"
 
-    def test_breaker_open_serves_bound_only(self, service_index):
-        with QueryService(service_index) as svc:
-            svc.breaker._trip_locked()  # force the breaker open
-            response = svc.call(QueryRequest(id=1, theta=8.0, k=2))
-        assert response["ok"] is True
-        assert response["result"]["bound_only"] is True
-
     def test_drain_cancels_queued_with_typed_overloaded(self, service_index):
         config = ServiceConfig(max_concurrency=1, max_queue=8)
         svc = QueryService(service_index, config=config).start()
@@ -516,7 +416,7 @@ class TestQueryService:
             svc.call(QueryRequest(id=1, theta=8.0, k=2))
             stats = svc.stats()
         assert stats["admission"]["admitted"] == 1
-        assert stats["breaker"]["state"] == "closed"
+        assert "breaker" not in stats
         assert stats["index"]["generation"] == 0
 
 
@@ -614,7 +514,7 @@ class TestChaosAcceptance:
             direct = index.query(quartile_relevance(db), 8.0, 3)
             for response in responses:
                 result = response["result"]
-                if result["degraded"] or result["bound_only"]:
+                if result["degraded"]:
                     continue
                 assert result["answer"] == [int(g) for g in direct.answer]
                 assert result["gains"] == [int(g) for g in direct.gains]

