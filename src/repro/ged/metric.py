@@ -35,17 +35,6 @@ class GraphDistance(Protocol):
     def __call__(self, g1: LabeledGraph, g2: LabeledGraph) -> float: ...
 
 
-def _pair_key(g1: LabeledGraph, g2: LabeledGraph) -> tuple:
-    """Symmetric cache key.
-
-    Uses ``graph_id`` when both graphs carry one (the database case), falling
-    back to object identity for free-standing graphs.
-    """
-    a = g1.graph_id if g1.graph_id is not None else -id(g1)
-    b = g2.graph_id if g2.graph_id is not None else -id(g2)
-    return (a, b) if a <= b else (b, a)
-
-
 class CountingDistance:
     """Wrap a distance and count how many times it is evaluated."""
 
