@@ -12,6 +12,7 @@ and lets the edit-distance code address vertices by array index.
 
 from __future__ import annotations
 
+from operator import index
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # networkx is imported by the two converters that use it
@@ -73,7 +74,9 @@ class LabeledGraph:
             num_edges += 1
         self._adj: tuple[dict[int, str], ...] = tuple(adj)
         self._num_edges = num_edges
-        self.graph_id = graph_id
+        # A plain int (a numpy integer is converted): pair caches pack ids
+        # into 64-bit keys with Python integer arithmetic.
+        self.graph_id = None if graph_id is None else index(graph_id)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -211,7 +214,7 @@ class LabeledGraph:
         copy._node_labels = self._node_labels
         copy._adj = self._adj
         copy._num_edges = self._num_edges
-        copy.graph_id = graph_id
+        copy.graph_id = None if graph_id is None else index(graph_id)
         return copy
 
     # ------------------------------------------------------------------
