@@ -32,13 +32,12 @@ The same machinery yields Zeng-style bounds on the *exact* GED:
 
 from __future__ import annotations
 
-import weakref
-
 import numpy as np
 
 from repro import obs
 from repro.ged.lsap import linear_sum_assignment
 from repro.graphs.graph import LabeledGraph
+from repro.utils.idweak import IdWeakMap
 
 #: Off-diagonal padding cost — larger than any real star cost can be.
 _BIG = 1e12
@@ -134,26 +133,10 @@ class StarDistance:
 
     def __init__(self, normalized: bool = False):
         self.normalized = normalized
-        self._profiles: dict[int, tuple[weakref.ref, _StarProfile]] = {}
-
-    def _profile(self, g: LabeledGraph) -> _StarProfile:
-        # Keyed by id() for speed, guarded against id recycling: the entry
-        # stores a weak reference to the graph it was computed for, and a
-        # hit only counts when that referent *is* the queried graph.  The
-        # weakref callback evicts entries as their graphs are collected, so
-        # transient-graph workloads (property tests, live mutations) can't
-        # inherit a stale profile or grow the cache without bound.
-        key = id(g)
-        entry = self._profiles.get(key)
-        if entry is not None and entry[0]() is g:
-            return entry[1]
-        profile = _StarProfile(g)
-
-        def _evict(_ref, *, _profiles=self._profiles, _key=key):
-            _profiles.pop(_key, None)
-
-        self._profiles[key] = (weakref.ref(g, _evict), profile)
-        return profile
+        # Weakly keyed, so transient-graph workloads (property tests, live
+        # mutations) can't inherit a stale profile or grow the cache
+        # without bound.
+        self._profiles = IdWeakMap(_StarProfile)
 
     def assignment(self, g1: LabeledGraph, g2: LabeledGraph):
         """The optimal star assignment: ``(rows, cols, raw_value)``.
@@ -161,7 +144,7 @@ class StarDistance:
         Row/column indices refer to the padded matrix; entries below the
         real vertex counts encode vertex substitutions, the rest padding.
         """
-        p1, p2 = self._profile(g1), self._profile(g2)
+        p1, p2 = self._profiles[g1], self._profiles[g2]
         matrix = _padded_cost_matrix(p1, p2)
         rows, cols = linear_sum_assignment(matrix)
         value = float(matrix[rows, cols].sum())
