@@ -103,7 +103,8 @@ class TestStructureSharing:
             copy = sub[position]
             assert copy is not db[original]
             assert copy == db[original]
-            assert copy._adj is db[original]._adj
+            assert copy._csr is db[original]._csr
+            assert copy._slot_labels is db[original]._slot_labels
             assert copy._node_labels is db[original]._node_labels
             assert copy.num_edges == db[original].num_edges
         assert [g.graph_id for g in sub] == [0, 1, 2]
@@ -155,7 +156,8 @@ class TestAdoption:
         b = GraphDatabase(a.graphs[6:], a.features[6:])
         assert [g.graph_id for g in a] == list(range(12))
         assert [g.graph_id for g in b] == list(range(6))
-        assert b[0] == a[6] and b[0]._adj is a[6]._adj
+        assert b[0] == a[6] and b[0]._csr is a[6]._csr
+        assert b[0]._slot_labels is a[6]._slot_labels
         # Aliased ids used to alias pair-cache keys: d(0, 6) came back 0.0.
         engine = DistanceEngine(StarDistance(), graphs=a.graphs)
         assert engine(0, 6) == truth
