@@ -728,6 +728,32 @@ class TestServiceDurabilityOps:
         stats = svc.stats()
         assert stats["scrub"]["cycles"] == 1
 
+    def test_wire_edges_must_be_triples(self, tmp_path):
+        from repro.service import QueryService, parse_request
+
+        db, dbp, artifact = _deployment(tmp_path, 1)
+        svc = QueryService.open(
+            dbp, index_path=artifact, mutable=True,
+            journal=tmp_path / "m.journal",
+        )
+        with svc:
+            graph = {"labels": ["C", "N", "O"], "edges": [[0, 1, "-"], [1, 2, "="]]}
+            response = svc.call(parse_request(json.dumps({
+                "id": 1, "op": "insert", "graph": graph,
+                "features": [0.1, 0.2, 0.3],
+            })))
+            assert response["ok"], response
+            inserted = svc.manager.index.database[response["result"]["gid"]]
+            assert list(inserted.edges()) == [(0, 1, "-"), (1, 2, "=")]
+            for request_id, edge in enumerate(([0, 1], [0]), start=2):
+                response = svc.call(parse_request(json.dumps({
+                    "id": request_id, "op": "insert",
+                    "graph": {"labels": ["C", "N"], "edges": [edge]},
+                    "features": [0.1, 0.2, 0.3],
+                })))
+                assert response["error"]["code"] == "invalid_request"
+                assert "malformed 'graph' payload" in response["error"]["message"]
+
     def test_backup_needs_path_and_checkpoint_needs_journal(self, tmp_path):
         from repro.service import InvalidRequest, QueryService, parse_request
 

@@ -27,6 +27,14 @@ class TestGraphDict:
         g = graph_from_dict({"labels": ["C"], "edges": []}, graph_id=7)
         assert g.graph_id == 7
 
+    @pytest.mark.parametrize("edge", [[0], [0, 1], [0, 1, "-", "x"]])
+    def test_edge_that_is_not_a_triple_is_rejected(self, edge):
+        # The file and wire format is [u, v, label] triples, as
+        # graph_to_dict writes them; the constructor's (u, v) shorthand
+        # is not part of it.
+        with pytest.raises(ValueError):
+            graph_from_dict({"labels": ["C", "N"], "edges": [edge]})
+
 
 class TestDatabaseRoundtrip:
     def test_roundtrip(self, tmp_path):
