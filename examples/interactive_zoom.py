@@ -5,7 +5,7 @@ The right θ is rarely known up front.  Like adjusting map zoom, an analyst
 re-runs the query at nearby thresholds and watches the answer coarsen
 (large θ: few exemplars cover everything) or sharpen (small θ: exemplars
 for fine structural families).  The NB-Index makes each refinement cheap:
-the initialization phase is reused, only search-and-update re-runs.
+the initialization phase is reused, only the search re-runs.
 
 Run:  python examples/interactive_zoom.py
 """

@@ -513,8 +513,8 @@ def ablation_bounds(
     ctx: BenchContext,
     k: int = DEFAULT_K,
 ) -> ExperimentResult:
-    """Bound components: full engine vs no Theorem 6-8 updates vs trivial
-    pi-hat (VO candidates only).
+    """Bound components: full engine vs trivial pi-hat (VO candidates
+    only).
 
     Each variant runs on a freshly built index so none benefits from a
     distance cache warmed by an earlier variant.
@@ -524,18 +524,11 @@ def ablation_bounds(
     # A rung far above every distance makes π̂ = |L_q| for all graphs — the
     # trivial bound — while keeping θ on the ladder (off-ladder θ raises).
     trivial_ladder = ThresholdLadder([1e18])
-    variants = [
-        ("full", ctx.ladder, True),
-        ("no_updates", ctx.ladder, False),
-        ("vo_only", trivial_ladder, False),
-    ]
     rows = []
-    for name, ladder, updates in variants:
+    for name, ladder in (("full", ctx.ladder), ("vo_only", trivial_ladder)):
         index = ctx.build_index(thresholds=ladder)
         result, seconds = timed_call(
-            lambda: index.session(q).query(
-                ctx.theta, k, enable_updates=updates
-            )
+            lambda: index.session(q).query(ctx.theta, k)
         )
         rows.append({
             "variant": name,
@@ -547,7 +540,7 @@ def ablation_bounds(
     return ExperimentResult.from_rows(
         f"ablation_bounds_{ctx.name}", rows,
         notes=(
-            "All variants return equal-quality greedy answers; the bounds "
+            "Both variants return equal-quality greedy answers; the bounds "
             "only change how much work finds them."
         ),
     )

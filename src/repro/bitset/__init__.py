@@ -1,15 +1,13 @@
 """repro.bitset — packed uint64 bitset kernel for the coverage hot path.
 
-Three pieces:
+Two pieces:
 
 * :mod:`repro.bitset.kernel` — word-level set algebra (union, difference,
   vectorized popcounts, batch uncovered counts) over little-endian uint64
   arrays;
 * :class:`~repro.bitset.universe.BitsetUniverse` — the frozen id ↔ bit
   position mapping that makes bitsets from different engines
-  layout-compatible for one query;
-* :class:`~repro.bitset.delta.BitsetDelta` — word-aligned sparse deltas
-  used to broadcast newly covered ids to shard frontiers.
+  layout-compatible for one query.
 
 The kernel is the storage layer under :mod:`repro.core.greedy`, the
 NB-Index :class:`~repro.index.nbindex.QuerySession`, and the sharded
@@ -19,7 +17,6 @@ are ``tests/test_hotpath_identity.py``).
 """
 
 from repro.bitset import kernel
-from repro.bitset.delta import BitsetDelta
 from repro.bitset.kernel import (
     WORD_BITS,
     andnot,
@@ -47,7 +44,6 @@ from repro.bitset.universe import BitsetUniverse
 
 __all__ = [
     "WORD_BITS",
-    "BitsetDelta",
     "BitsetUniverse",
     "kernel",
     "andnot",

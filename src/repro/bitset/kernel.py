@@ -5,7 +5,7 @@ little-endian uint64 words — position ``p`` lives in word ``p >> 6`` at bit
 ``p & 63``.  Set algebra then becomes word-parallel bitwise arithmetic:
 union is ``|``, difference is ``& ~``, and cardinality is a vectorized
 popcount.  The coverage bookkeeping of the greedy hot path (marginal gains,
-Theorem 6–8 batch decrements, foreign-uncovered counts) reduces to exactly
+uncovered-member counts, foreign-uncovered counts) reduces to exactly
 these operations, so a ``k``-round greedy over ``R`` relevant graphs costs
 ``O(k · R · R/64)`` word operations in numpy instead of ``O(k · R · |N̂|)``
 Python set-element visits — the order-of-magnitude the MSQ-Index line of

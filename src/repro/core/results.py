@@ -16,7 +16,7 @@ class QueryStats:
     """Work accounting for one top-k query.
 
     Engines fill only the fields that apply to them: the NB-Index reports
-    tree-search counters (``nodes_popped``, ``pruned_subtrees``, ...), the
+    tree-search counters (``nodes_popped``, ``leaves_evaluated``, ...), the
     greedy baselines gain-evaluation counters (``gain_evaluations``,
     ``reheap_count``); everything else stays at zero.
     """
@@ -35,18 +35,15 @@ class QueryStats:
     verifications_skipped: int = 0
     nodes_popped: int = 0
     leaves_evaluated: int = 0
-    pruned_subtrees: int = 0
-    batch_decrements: int = 0
     gain_evaluations: int = 0
     reheap_count: int = 0
     init_seconds: float = 0.0
     search_seconds: float = 0.0
-    update_seconds: float = 0.0
     #: ``{kind: count}`` of the upper-bound edit distances a Deadline
     #: forced into this query; empty for an exact answer.
     degradations: dict = field(default_factory=dict)
     #: Sharded-query accounting (scatter-gather coordinator only): pull /
-    #: resolve / broadcast counts plus the per-shard work split.  Empty for
+    #: resolve counts plus the per-shard work split.  Empty for
     #: single-index engines.
     coordinator: dict = field(default_factory=dict)
     #: True when the query ran in the ε-relaxed approximate mode
@@ -62,7 +59,7 @@ class QueryStats:
 
     @property
     def total_seconds(self) -> float:
-        return self.init_seconds + self.search_seconds + self.update_seconds
+        return self.init_seconds + self.search_seconds
 
     @property
     def degraded(self) -> bool:

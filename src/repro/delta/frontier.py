@@ -28,7 +28,7 @@ import heapq
 
 import numpy as np
 
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 
 _NEG_INF = float("-inf")
@@ -96,7 +96,7 @@ class ExactFrontier:
 
         Unlike a shard's lazily tightened tree bounds, the delta's bounds
         are recomputed exactly every round: one batch popcount over the
-        member rows.  ``apply_update`` is therefore a no-op here."""
+        member rows."""
         self._covered = covered
         if not self.relevant_global.size:
             self.uncovered_count = 0
@@ -176,10 +176,10 @@ class ExactFrontier:
         return result
 
     # ------------------------------------------------------------------
-    def apply_update(
-        self, selected: int, newly: BitsetDelta, covered: np.ndarray
-    ) -> None:
-        """No-op: :meth:`begin_round` recomputes every bound exactly."""
+    def apply_update(self, *args) -> None:
+        # Trace-only: benchmarks/e2e/trace.py wraps this name, so it must
+        # resolve; no query calls it.
+        pass
 
     def __repr__(self) -> str:
         return (

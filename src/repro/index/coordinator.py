@@ -39,9 +39,9 @@ each of which exposes its best remaining *local* gain bound
    over: the incumbent is *the* canonical greedy selection — the maximum
    exact marginal gain with ties broken by smallest global id — so the
    answer is bit-identical regardless of S or partitioner.
-4. The selection is broadcast: newly covered ids flow back into every
-   frontier's Theorem 6–8 update walk, keeping all bounds valid for the
-   next round.
+4. The selection is retired at its home frontier.  Nothing else is told:
+   the next round's ``begin_round`` hands every frontier the covered set,
+   and every bound it already holds stays valid.
 
 Every bound above is an upper bound on the candidate's gain among one
 frontier's members *at the time it is computed*, and gains only shrink as
@@ -56,7 +56,7 @@ import time
 
 import numpy as np
 
-from repro.bitset import BitsetDelta, kernel as bitset_kernel
+from repro.bitset import kernel as bitset_kernel
 
 
 def _beats(bound: float, gid: int, inc_gain: float, inc_gid: int | None) -> bool:
@@ -78,8 +78,6 @@ def new_coord(num_frontiers: int) -> dict:
         "partial_scatters": 0,
         "memo_prunes": 0,
         "scatter_resolves": 0,
-        "broadcasts": 0,
-        "broadcast_words": 0,
         "foreign_embeds": 0,
     }
 
@@ -92,7 +90,6 @@ def run_greedy(
     num_relevant: int,
     *,
     stop_on_zero_gain: bool,
-    enable_updates: bool,
     stats,
 ):
     """The full scatter-gather greedy over any frontier-protocol mix.
@@ -129,16 +126,6 @@ def run_greedy(
         gains.append(gain)
         bitset_kernel.union_into(covered, newly)
         home_of(gid).select(gid)
-        update_started = time.perf_counter()
-        if gain and enable_updates:
-            # Word-aligned delta broadcast: only the words that actually
-            # changed cross the frontier boundary.
-            delta = BitsetDelta.from_words(newly, universe.size)
-            coord["broadcast_words"] += delta.num_words
-            for frontier in frontiers:
-                frontier.apply_update(gid, delta, covered)
-            coord["broadcasts"] += 1
-        stats.update_seconds += time.perf_counter() - update_started
 
     coord["foreign_embeds"] = sum(f.foreign_embeds for f in frontiers)
     coord["shard_relevant"] = [int(f.relevant_global.size) for f in frontiers]

@@ -9,13 +9,12 @@ A :class:`~repro.index.nbindex.QuerySession` owns the relevant set and the
 (θ, k) prologue/epilogue; the index's ``_run_query`` hook opens one
 :class:`Frontier` per participant; :func:`repro.index.coordinator.run_greedy`
 drives them.  A frontier speaks *global* graph ids and packed bitsets over
-the session's :class:`~repro.bitset.BitsetUniverse`, and answers three
-needs: **candidates** in bound order (:meth:`Frontier.open_round`),
+the session's :class:`~repro.bitset.BitsetUniverse`, and answers two
+needs: **candidates** in bound order (:meth:`Frontier.open_round`) and
 **resolution** of any graph's θ-neighborhood within its own relevant
 members — only as far as the coordinator's deficit asks
 (:meth:`Frontier.neighborhood_of`, with :meth:`Frontier.pi_hat_uncovered`
-as the tier that pays no verification) — and **updates** after a
-selection anywhere (:meth:`Frontier.apply_update`).
+as the tier that pays no verification).
 
 Neighborhoods are *residual*: coverage only grows within a query, so the
 members already covered when a neighborhood is resolved can never count
@@ -29,12 +28,15 @@ Three implementations: :class:`TreeFrontier` here (an NB-Tree; a plain
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
 replicated shard behind the wire).
 
-The tree frontier is the paper's Section 7 search-and-update: each node
-carries a working upper bound ``W``; during the walk a child's effective
-bound is ``min(W[child], effective(parent))``, so decrementing a cluster's
-root bound tightens every descendant without touching them — an O(1)
-batch update per cluster.  Submodularity makes stale bounds safe: true
-marginal gains only shrink as the answer grows.
+The tree frontier is the paper's Section 7 search without its update
+step: each node carries a working upper bound ``W`` (π̂ at a leaf, the
+children's maximum above, Eq. 14), tightened only where a round learned
+something — a leaf's exact or partial count, a selection.  Nothing is
+re-walked after a selection: submodularity makes stale bounds safe (true
+marginal gains only shrink as the answer grows), and a resolved leaf's
+gain is re-counted by one popcount when it is popped.  The paper's
+Theorem 6–8 update walk is not run: measured, it cost more exact calls
+than it saved on every workload (``docs/theory.md``, §7).
 
 Id discipline (load-bearing): the tree's own engine and embedding speak
 *local* ids (a shard's sub-database renumbers 0..n_s−1); everything that
@@ -52,7 +54,7 @@ from typing import Protocol
 import numpy as np
 
 from repro import obs
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import BLOCK_EVALS, FilterCascade
 from repro.core.results import QueryStats
 from repro.ged.metric import SLACK
@@ -63,8 +65,6 @@ _NEG_INF = float("-inf")
 #: cascade and kernel set-up ≈ the price of 3–4 star distances) than the
 #: verdicts it could save.
 _MIN_VERIFY_BATCH = 4
-#: Update-walk verdicts for one node (:meth:`TreeFrontier._verdict`).
-_PRUNE, _REFRESH, _DECREMENT, _KEEP, _BATCH, _DESCEND = range(6)
 #: Tie-break sentinel for subtrees with no relevant members; larger than
 #: any real graph id, so it loses every tie-break.
 _NO_GID = 2**63 - 1
@@ -121,21 +121,15 @@ class Frontier(Protocol):
         ``min_useful`` nor equals it with ``gid < tie_gid``, the upper
         bound (an ``int``) that proves it."""
 
-    def apply_update(
-        self, selected: int, newly: BitsetDelta, covered: np.ndarray
-    ) -> None:
-        """Tighten bounds after ``selected`` covered the ``newly`` delta."""
-
 
 class TreeState:
     """θ-independent state of one NB-Tree for one relevance function.
 
-    Id maps, the tree's relevant members, per-node relevant bitmaps (the
-    store behind the Theorem 7 batch decrement and the (gain, min-id)
-    tie-break keys) and, per ladder rung, the π̂ column with the initial
-    bounds it implies.  A session builds it once per tree — lazily, inside
-    its first ``query()`` — and every (θ, k) refinement opens a fresh
-    :class:`TreeFrontier` over it.
+    Id maps, the tree's relevant members, each subtree's smallest relevant
+    id (the (gain, min-id) tie-break key) and, per ladder rung, the π̂
+    column with the initial bounds it implies.  A session builds it once
+    per tree — lazily, inside its first ``query()`` — and every (θ, k)
+    refinement opens a fresh :class:`TreeFrontier` over it.
     """
 
     def __init__(
@@ -165,39 +159,26 @@ class TreeState:
         self.rel_positions = universe.positions_of(self.relevant_global)
         self.member_bits = universe.encode_positions(self.rel_positions)
 
-        num_nodes = index.tree.num_nodes
-        self.node_bits = universe.empty_matrix(num_nodes)
-        self.node_min_gid = np.full(num_nodes, _NO_GID, dtype=np.int64)
-        self._collect_relevant(index.tree.root)
-        self.node_has = bitset_kernel.popcount_rows(self.node_bits) > 0
-        # The update walk only ever visits nodes with relevant members:
-        # their slots in, and the vantage rows of their centroids for, the
-        # per-selection sandwich (two array ops over these rows).
-        walked = np.flatnonzero(self.node_has)
-        self.walk_slot = np.full(num_nodes, -1, dtype=np.int64)
-        self.walk_slot[walked] = np.arange(walked.size)
-        centroid_of = np.empty(num_nodes, dtype=np.int64)
-        for node in index.tree.nodes:
-            centroid_of[node.node_id] = node.centroid
-        self.walk_centroid_coords = index.embedding.coords[centroid_of[walked]]
+        self.node_min_gid = np.full(
+            index.tree.num_nodes, _NO_GID, dtype=np.int64
+        )
+        self._collect_min_gid(index.tree.root)
+        #: Subtrees holding at least one relevant member.
+        self.node_has = self.node_min_gid != _NO_GID
         self._pi_hat_columns: dict[int | None, np.ndarray] = {}
         self._initial_bounds: dict[int | None, np.ndarray] = {}
 
-    def _collect_relevant(self, node: NBTreeNode) -> None:
-        row = self.node_bits[node.node_id]
+    def _collect_min_gid(self, node: NBTreeNode) -> int:
         if node.is_leaf:
             gid = self.global_ids[node.graph_index]
-            if gid in self._rank:
-                bitset_kernel.set_bit(row, self.universe.position(gid))
+            low = gid if gid in self._rank else _NO_GID
         else:
-            for child in node.children:
-                self._collect_relevant(child)
-                bitset_kernel.union_into(row, self.node_bits[child.node_id])
-        self.node_min_gid[node.node_id] = self.universe.min_id(row, _NO_GID)
-
-    def relevant_in(self, node: NBTreeNode) -> frozenset[int]:
-        """Relevant graphs (global ids) in the subtree of ``node``."""
-        return self.universe.decode_frozenset(self.node_bits[node.node_id])
+            low = min(
+                (self._collect_min_gid(child) for child in node.children),
+                default=_NO_GID,
+            )
+        self.node_min_gid[node.node_id] = low
+        return low
 
     def pi_hat_column(self, ladder_index: int | None) -> np.ndarray:
         """π̂ counts (|N̂| among the tree's relevant members) at one indexed
@@ -250,9 +231,9 @@ class TreeRoundSearch:
     reads :meth:`peek` to re-rank the frontier against the others.  The
     walk shares the frontier's persistent bound array, so work done in one
     round keeps paying off in later rounds: a resolved leaf leaves its
-    exact gain behind for the update step to refresh, a leaf that was
-    proven unable to win leaves its partial verification
-    (:meth:`TreeFrontier.resolve`)."""
+    exact gain behind as its bound (stale-high later, re-counted when
+    popped), a leaf that was proven unable to win leaves its partial
+    verification (:meth:`TreeFrontier.resolve`)."""
 
     def __init__(self, frontier: TreeFrontier, covered: np.ndarray):
         self.frontier = frontier
@@ -299,8 +280,9 @@ class TreeRoundSearch:
                 and min_gid[node.node_id] > tie_gid
             ):
                 continue
-            # The node's own bound may have been tightened by an update
-            # since it was pushed; a stale entry is skipped, not terminal.
+            # The node's own bound may have been tightened since it was
+            # pushed (a parked or selected leaf); a stale entry is skipped,
+            # not terminal.
             current = min(pushed_bound, float(bounds[node.node_id]))
             if current < min_useful or (
                 tie_gid is not None
@@ -341,11 +323,9 @@ class TreeRoundSearch:
 class TreeFrontier:
     """One NB-Tree's state for one (θ, k) query.
 
-    ``distances(a, bs)`` evaluates one batch of *global* id pairs (the
-    update walk's centroid distances, where the selected graph may live in
-    another tree).  Complete on its own when every graph the query can
-    select is a member — a plain ``NBIndex``; a shard sees graphs that
-    live elsewhere through :class:`~repro.shard.frontier.ShardFrontier`.
+    Complete on its own when every graph the query can select is a member
+    — a plain ``NBIndex``; a shard sees graphs that live elsewhere through
+    :class:`~repro.shard.frontier.ShardFrontier`.
 
     The bound on a graph's residual gain among this tree's members
     descends a ladder, each rung paid for only when a round needs it: the
@@ -362,8 +342,6 @@ class TreeFrontier:
         ladder_index: int,
         stats: QueryStats,
         runtime: FilterCascade,
-        *,
-        distances,
     ):
         self.state = state
         self.index = state.index
@@ -376,7 +354,6 @@ class TreeFrontier:
         # ε > 0 shrinks the generation window to (1−ε)θ: members beyond it
         # may be dropped (N_{(1−ε)θ} ⊆ N' ⊆ N_θ), never wrongly added.
         self._gen_theta = runtime.generation_theta(self.theta)
-        self._distances = distances
         self.bounds = state.initial_bounds(ladder_index)
         #: Resolved residual θ-neighborhoods within this tree's relevant
         #: members, as packed bitsets keyed by global id.
@@ -581,134 +558,3 @@ class TreeFrontier:
             source, member_ids[ranks], self.theta, runtime=self.runtime,
             prefiltered=True,
         )
-
-    # ------------------------------------------------------------------
-    # Update (Theorems 6–8)
-    # ------------------------------------------------------------------
-    def apply_update(
-        self, selected: int, newly: BitsetDelta, covered: np.ndarray
-    ) -> None:
-        """Batch-tighten bounds after ``selected`` (a member of any
-        frontier) was added and the ``newly`` delta became covered.
-
-        Subtrees provably outside the ``2θ`` influence ball are skipped
-        (Theorem 6); clusters fully inside the new neighborhood with
-        diameter ≤ θ get a single decrement (Theorem 7), with the
-        recursion realizing Theorem 8 for partially overlapping parents.
-        Leaves with a resolved neighborhood are refreshed to their exact
-        residual gain.
-
-        Every one of those predicates is monotone in the centroid distance
-        ``cd``, so the vantage sandwich ``lower ≤ cd ≤ upper`` of
-        ``selected`` against all walkable centroids (two array ops per
-        selection) settles a cluster whenever both of its ends give the
-        same verdict; only the rest pay exact distances, one batch per
-        sibling group.  A leaf never pays one: its bound moves only by
-        tests that need no distance (:meth:`_verdict`).
-        """
-        root = self.index.tree.root
-        if self.bounds[root.node_id] == _NEG_INF:
-            return  # no relevant member in this tree
-        selected = int(selected)
-        coords = self.state.walk_centroid_coords
-        row = self._lens(selected)[0]
-        lower = np.max(np.abs(coords - row), axis=1) - SLACK
-        upper = np.min(coords + row, axis=1) + SLACK
-        self._update(
-            [root], selected, newly, covered, lower.tolist(), upper.tolist()
-        )
-
-    def _verdict(self, node: NBTreeNode, cd: float, newly: BitsetDelta) -> int:
-        """What the update does to ``node`` at centroid distance ``cd``.
-
-        A leaf's bound never depends on ``cd``: a resolved neighborhood is
-        re-counted wherever the selection fell (:meth:`_update` re-counts a
-        pruned one too), and a newly covered leaf lies in ``N_θ(selected)``
-        (so ``cd ≤ θ + ε`` needs no checking).  A leaf is therefore asked
-        with the sandwich's lower end only, and ``pruned_subtrees`` counts
-        it when that alone proves Theorem 6 — a function of the leaf and
-        the selection, whatever has been resolved."""
-        theta = self.theta
-        if cd - node.radius > 2.0 * theta + SLACK:
-            return _PRUNE  # Theorem 6: no member's neighborhood changed.
-        if node.is_leaf:
-            gid = self.state.global_ids[node.graph_index]
-            if gid in self._nbhd:
-                return _REFRESH
-            position = self.universe.position(gid)
-            if position is not None and newly.test(position):
-                # The leaf itself is newly covered: its own neighborhood
-                # contains it, so its gain shrinks by at least one.
-                return _DECREMENT
-            return _KEEP
-        if (
-            node.diameter <= theta + SLACK
-            and cd + node.radius <= theta + SLACK
-        ):
-            # Theorem 7 (exact-coverage form): the cluster is inside
-            # N(selected) and every member's neighborhood contains the
-            # cluster, so each loses the newly covered relevant members.
-            return _BATCH
-        return _DESCEND
-
-    def _update(
-        self,
-        siblings: list[NBTreeNode],
-        selected: int,
-        newly: BitsetDelta,
-        covered: np.ndarray,
-        lower: list[float],
-        upper: list[float],
-    ) -> None:
-        bounds = self.bounds
-        state = self.state
-        settled: list[tuple[NBTreeNode, int]] = []
-        undecided: list[NBTreeNode] = []
-        for node in siblings:
-            if bounds[node.node_id] == _NEG_INF:
-                continue
-            slot = state.walk_slot[node.node_id]
-            verdict = self._verdict(node, lower[slot], newly)
-            if node.is_leaf or verdict == self._verdict(
-                node, upper[slot], newly
-            ):
-                settled.append((node, verdict))
-            else:
-                undecided.append(node)
-        if undecided:
-            exact = self._distances(
-                selected, [state.global_ids[node.centroid] for node in undecided]
-            )
-            settled.extend(
-                (node, self._verdict(node, float(cd), newly))
-                for node, cd in zip(undecided, exact)
-            )
-        for node, verdict in settled:
-            if verdict == _PRUNE:
-                self.stats.pruned_subtrees += 1
-                # Out of reach, a resolved leaf keeps its residual — but an
-                # ancestor's batch decrement may have left its bound stale.
-                if node.is_leaf and state.global_ids[node.graph_index] in self._nbhd:
-                    verdict = _REFRESH
-            if verdict == _REFRESH:
-                # Residual within this tree only — still an upper-bound
-                # component; the coordinator adds foreign parts on top.
-                gid = state.global_ids[node.graph_index]
-                bounds[node.node_id] = float(
-                    bitset_kernel.uncovered_count(self._nbhd[gid], covered)
-                )
-            elif verdict == _DECREMENT:
-                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
-            elif verdict == _BATCH:
-                decrement = newly.intersection_count(
-                    state.node_bits[node.node_id]
-                )
-                if decrement:
-                    self.stats.batch_decrements += 1
-                    bounds[node.node_id] = max(
-                        0.0, bounds[node.node_id] - float(decrement)
-                    )
-            elif verdict == _DESCEND:
-                self._update(
-                    node.children, selected, newly, covered, lower, upper
-                )

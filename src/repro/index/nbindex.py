@@ -17,10 +17,11 @@ Query processing follows Section 7:
    threshold covering the query θ; bounds are propagated up the NB-Tree by
    taking ceilings (Eq. 14).  A :class:`QuerySession` caches all of this so
    interactive θ refinements skip straight to phase 2.
-2. *Search-and-update* (per θ, per k): the lazy best-first greedy of
+2. *Search* (per θ, per k): the lazy best-first greedy of
    :mod:`repro.index.coordinator` over one
-   :class:`~repro.index.frontier.TreeFrontier` — Algorithm 2's tree walk
-   plus the Theorem 6–8 batch updates.
+   :class:`~repro.index.frontier.TreeFrontier` — Algorithm 2's tree walk.
+   The paper's Theorem 6–8 update step is not run: bounds are left stale,
+   which submodularity makes safe (``docs/theory.md``, §7).
 
 :class:`QuerySession` is the *only* session type: sharded, mutable and
 replicated indexes hand out the same class and differ in the
@@ -262,13 +263,14 @@ class NBIndex:
         return total
 
     def _coverage_bytes(self) -> int:
-        """Bytes the packed coverage state of a worst-case session occupies.
+        """Upper bound on the packed coverage state of a worst-case session.
 
-        A :class:`QuerySession` keeps one bitset row of relevant members
-        per tree node plus the running covered bitset, all over a universe
-        of at most ``|DB|`` ids.  This is the footprint the bitset kernel
-        trades against the old per-node frozensets (~60 bytes per stored
-        id); ``bench_fig6l_index_memory`` reports both.
+        A query keeps the running covered bitset and at most one resolved
+        residual-neighborhood row per relevant leaf, all over a universe
+        of at most ``|DB|`` ids; one row per tree node bounds that.  This
+        is the footprint the bitset kernel trades against per-id
+        frozensets (~60 bytes per stored id); ``bench_fig6l_index_memory``
+        reports both.
         """
         words = bitset_kernel.num_words(len(self.database))
         return (self.tree.num_nodes + 1) * words * 8
@@ -308,7 +310,7 @@ class NBIndex:
         """One tree frontier: the S = 1 case of the coordinated greedy."""
         frontier = TreeFrontier(
             self._tree_state(run.session), run.theta, run.ladder_index,
-            run.stats, run.runtime, distances=self.engine.one_to_many,
+            run.stats, run.runtime,
         )
         return run.greedy([frontier], lambda gid: frontier)
 
@@ -348,8 +350,8 @@ class NBIndex:
         down the NB-Tree to the closest-centroid cluster at each level and
         attached as a new leaf.  Cluster radii and diameters are *expanded
         conservatively* (``radius ← max(radius, d)``,
-        ``diameter ← max(diameter, d + old_radius)``), which keeps every
-        Theorem 6–8 bound valid; tree balance may degrade under heavy
+        ``diameter ← max(diameter, d + old_radius)``), which keeps both
+        true upper bounds; tree balance may degrade under heavy
         insertion, in which case rebuild.  Open sessions are invalidated —
         start a new session after inserting.
         """
@@ -443,7 +445,7 @@ def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
 
 #: Keyword arguments :meth:`QuerySession.query` accepts beyond (θ, k).
 _QUERY_KWARGS = frozenset(
-    {"stop_on_zero_gain", "enable_updates", "deadline", "epsilon"}
+    {"stop_on_zero_gain", "deadline", "epsilon"}
 )
 
 
@@ -497,7 +499,7 @@ class QuerySession:
         self.relevant = index.database.relevant_indices(query_fn)
         self.relevant_set = frozenset(int(i) for i in self.relevant)
         #: Shared global id ↔ bit position codec; every frontier's bitsets
-        #: and every broadcast delta are laid out against this universe.
+        #: are laid out against this universe.
         self.universe = BitsetUniverse(self.relevant)
         self._cache: dict = {}
         self.init_seconds = time.perf_counter() - started
@@ -511,11 +513,7 @@ class QuerySession:
             value = self._cache[key] = build()
         return value
 
-    # -- plain-NBIndex views (theorem tests, micro-benchmarks) -----------
-    def relevant_in(self, node: NBTreeNode) -> frozenset[int]:
-        """Relevant database graphs in the subtree of ``node``."""
-        return self.index._tree_state(self).relevant_in(node)
-
+    # -- plain-NBIndex view (theorem tests, micro-benchmarks) ------------
     def pi_hat_column(self, ladder_index: int | None) -> np.ndarray:
         """π̂ counts (|N̂| over L_q) for every relevant graph at one indexed
         threshold; the trivial bound |L_q| when θ exceeds the ladder."""
@@ -527,18 +525,14 @@ class QuerySession:
         theta: float,
         k: int,
         stop_on_zero_gain: bool = False,
-        enable_updates: bool = True,
         deadline=None,
         epsilon: float = 0.0,
     ) -> QueryResult:
-        """Run the search-and-update phase for (θ, k).
+        """Run the search phase for (θ, k).
 
         ``stop_on_zero_gain=True`` ends the query once no remaining graph
         adds coverage (the answer may then be smaller than k); the default
         mirrors Algorithm 1, which always performs k iterations.
-        ``enable_updates=False`` disables the Theorem 6–8 update step (the
-        search then relies on submodular staleness alone) — an ablation
-        hook; results are identical, only the work profile changes.
 
         ``deadline`` (or an ambient :func:`~repro.resilience.deadline_scope`)
         budgets the query's exact-GED work: calls that exceed it degrade to
@@ -575,8 +569,7 @@ class QuerySession:
         def greedy(frontiers, home_of):
             return run_greedy(
                 frontiers, home_of, self.universe, k, int(self.relevant.size),
-                stop_on_zero_gain=stop_on_zero_gain,
-                enable_updates=enable_updates, stats=stats,
+                stop_on_zero_gain=stop_on_zero_gain, stats=stats,
             )
 
         with deadline_scope(deadline), \
@@ -586,11 +579,10 @@ class QuerySession:
                 self, theta, ladder_index, stats, runtime,
                 effective_deadline, query_span, greedy,
             ))
-            # Everything the hook did outside the loop's own search/update
-            # timers: opening (and, first time, building) its frontiers.
+            # Everything the hook did outside the loop's own search timer:
+            # opening (and, first time, building) its frontiers.
             stats.init_seconds += (
-                time.perf_counter() - started
-                - stats.search_seconds - stats.update_seconds
+                time.perf_counter() - started - stats.search_seconds
             )
             stats.distance_calls = index._distance_calls() - calls_before
             if layer != "index":
@@ -639,7 +631,7 @@ def _record_query_obs(layer: str, stats: QueryStats) -> None:
         for key in (
             "rounds", "pulls", "pi_hat_refines", "refine_prunes",
             "partial_scatters", "memo_prunes", "scatter_resolves",
-            "broadcasts", "broadcast_words", "foreign_embeds",
+            "foreign_embeds",
         ):
             obs.counter(f"shard.coordinator.{key}", coord[key])
     else:
@@ -651,8 +643,5 @@ def _record_query_obs(layer: str, stats: QueryStats) -> None:
     obs.counter("query.verifications_skipped", stats.verifications_skipped)
     obs.counter("query.nodes_popped", stats.nodes_popped)
     obs.counter("query.leaves_evaluated", stats.leaves_evaluated)
-    obs.counter("query.pruned_subtrees", stats.pruned_subtrees)
-    obs.counter("query.batch_decrements", stats.batch_decrements)
     obs.observe_time("query.init_seconds", stats.init_seconds)
     obs.observe_time("query.search_seconds", stats.search_seconds)
-    obs.observe_time("query.update_seconds", stats.update_seconds)

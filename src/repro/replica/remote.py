@@ -6,9 +6,9 @@ attributes — whose state lives in a replicated group of worker
 processes.  The split between op classes is the heart of the failover
 design:
 
-* ``begin_round`` / ``open_round`` / ``select`` / ``update`` are
-  **broadcast** through the router to every live replica, so any of them
-  can serve the next read.
+* ``begin_round`` / ``open_round`` / ``select`` are **broadcast**
+  through the router to every live replica, so any of them can serve the
+  next read.
 * ``next`` / ``pi_hat`` / ``nbhd`` are **routed** to the primary with
   failover.  ``next`` advances the primary's lazy walk; a failover
   lands on a sibling whose walk is *behind*, which can re-offer
@@ -221,15 +221,10 @@ class RemoteFrontier:
             self.session,
         )
 
-    def apply_update(self, selected: int, newly, covered: np.ndarray) -> None:
-        payload = {
-            "op": "update",
-            "sid": self.session.sid,
-            "gid": int(selected),
-            "cov": wire.words_to_wire(covered),
-        }
-        payload.update(wire.delta_to_wire(newly))
-        self.router.broadcast(self.shard_id, payload, self.session)
+    def apply_update(self, *args) -> None:
+        # Trace-only: benchmarks/e2e/trace.py wraps this name, so it must
+        # resolve; no query calls it, and workers have no such op.
+        pass
 
     def close(self) -> None:
         self.router.close_session(self.shard_id, self.session)

@@ -13,7 +13,7 @@ supervisor's live view:
   behind replica can cost extra pulls but never change the selected
   answer (the submodularity argument of ``shard/coordinator.py``).
 * **Broadcast writes** (:meth:`broadcast`) — state-advancing ops
-  (``begin_round`` / ``open_round`` / ``select`` / ``update``) go to
+  (``begin_round`` / ``open_round`` / ``select``) go to
   *every* live replica so each one can take over as primary mid-round.
   One success suffices; replicas that miss a broadcast are repaired by
   session restore on their next contact.

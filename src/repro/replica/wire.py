@@ -27,7 +27,6 @@ import json
 
 import numpy as np
 
-from repro.bitset import BitsetDelta
 from repro.replica.errors import ReplicaDead, ReplicaProtocolError
 
 #: Default cap on one frame.  Generous: the largest payload is a dense
@@ -98,33 +97,3 @@ def words_from_wire(text: str, num_words: int) -> np.ndarray:
             f"expected {num_words}"
         )
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=True)
-
-
-# ---------------------------------------------------------------------------
-# Sparse deltas
-# ---------------------------------------------------------------------------
-def delta_to_wire(delta: BitsetDelta) -> dict:
-    """Sparse broadcast delta → wire fields (indices + nonzero words)."""
-    return {
-        "idx": [int(i) for i in delta.indices],
-        "vals": words_to_wire(np.asarray(delta.values, dtype=np.uint64)),
-        "nbits": int(delta.nbits),
-    }
-
-
-def delta_from_wire(payload: dict) -> BitsetDelta:
-    indices = payload.get("idx")
-    if not isinstance(indices, list) or not all(
-        isinstance(i, int) and not isinstance(i, bool) and i >= 0
-        for i in indices
-    ):
-        raise ReplicaProtocolError(
-            "delta 'idx' must be a list of non-negative integers"
-        )
-    values = words_from_wire(payload.get("vals"), len(indices))
-    nbits = payload.get("nbits")
-    if isinstance(nbits, bool) or not isinstance(nbits, int) or nbits < 0:
-        raise ReplicaProtocolError("delta 'nbits' must be an integer >= 0")
-    return BitsetDelta(
-        np.asarray(indices, dtype=np.int64), values, nbits
-    )

@@ -19,7 +19,6 @@ op                    effect
 ``pi_hat``            open a foreign candidate's window: ``hits + unverified``
 ``nbhd``              verify it as far as ``mu``/``tie`` ask: bitset or bound
 ``select``            retire a chosen home graph from the frontier
-``update``            Theorem 6–8 broadcast (sparse covered delta)
 ``close``             drop a session
 ``fetch_shard``       chunk of the artifact's verified startup bytes
 ====================  =====================================================
@@ -308,13 +307,6 @@ class ShardWorker:
         session.frontier.select(int(request["gid"]))
         return {}
 
-    def _op_update(self, request: dict, session: "_Session") -> dict:
-        delta = wire.delta_from_wire(request)
-        session.frontier.apply_update(
-            int(request["gid"]), delta, self._covered(request, session)
-        )
-        return {}
-
     def _op_close(self, request: dict, session: "_Session") -> dict:
         self.sessions.pop(request.get("sid"), None)
         return {}
@@ -350,7 +342,6 @@ class ShardWorker:
         "pi_hat": _op_pi_hat,
         "nbhd": _op_nbhd,
         "select": _op_select,
-        "update": _op_update,
         "close": _op_close,
         "fetch_shard": _op_fetch_shard,
     }

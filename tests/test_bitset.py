@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel
+from repro.bitset import BitsetUniverse, kernel
 
 #: Word-boundary universe sizes plus small/large spot checks.
 BOUNDARY_SIZES = (1, 63, 64, 65, 127, 128, 129)
@@ -113,26 +113,6 @@ def test_bit_mutation_and_queries(case):
     probes = np.arange(0, nbits, max(1, nbits // 97), dtype=np.int64)
     got = kernel.test_positions(words, probes)
     assert got.tolist() == [int(p) in reference for p in probes]
-
-
-@settings(max_examples=60, deadline=None)
-@given(subset_strategy(max_size=2_000))
-def test_delta_matches_dense(case):
-    nbits, positions = case
-    rng = np.random.default_rng(nbits * 131 + len(positions))
-    dense = kernel.from_positions(np.array(positions, dtype=np.int64), nbits)
-    delta = BitsetDelta.from_words(dense, nbits)
-    assert delta.popcount() == len(positions)
-    assert kernel.equals(delta.to_words(), dense)
-    # Sparse intersection against a random row == dense intersection.
-    other = np.flatnonzero(rng.random(nbits) < 0.4).astype(np.int64)
-    row = kernel.from_positions(other, nbits)
-    assert delta.intersection_count(row) == kernel.intersection_count(
-        dense, row
-    )
-    reference = as_set(nbits, positions)
-    for p in range(0, nbits, max(1, nbits // 53)):
-        assert delta.test(p) == (p in reference)
 
 
 @settings(max_examples=40, deadline=None)

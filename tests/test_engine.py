@@ -519,7 +519,6 @@ def test_insert_then_query_stays_correct():
     frontier = TreeFrontier(
         index._tree_state(session), 3.0, index.ladder.index_for(3.0),
         result.stats.__class__(), FilterCascade(),
-        distances=index.engine.one_to_many,
     )
     # neighborhood_of returns a packed bitset over the session's
     # relevant universe; decode for the brute-force comparison.

@@ -110,7 +110,7 @@ class TestScalingDrivers:
 
     def test_ablation_bounds(self, smoke):
         result = smoke("ablation_bounds", "dud")
-        assert result.column("variant") == ["full", "no_updates", "vo_only"]
+        assert result.column("variant") == ["full", "vo_only"]
 
     def test_ablation_insert(self, smoke):
         result = smoke("ablation_insert", "dud")

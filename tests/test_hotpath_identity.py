@@ -192,7 +192,6 @@ def test_engines_match_set_reference(vector_instance):
         sharded = ShardedIndex.load(manifest, db, dist)
         got = sharded.query(query_fn, theta, k)
     assert_same_result(got, want)
-    assert got.stats.coordinator["broadcast_words"] >= 0
 
 
 def test_coverage_state_take_is_exact(vector_instance):

@@ -1,4 +1,4 @@
-"""Deep NB-Index invariants: Theorem-5 π̂ validity, update-step safety,
+"""Deep NB-Index invariants: Theorem-5 π̂ validity, stale-bound safety,
 multi-seed greedy correctness, and randomized range-query equivalence for
 the metric trees."""
 
@@ -46,20 +46,28 @@ class TestPiHatValidity:
         assert (column == session.relevant.size).all()
 
     def test_node_relevant_sets_partition_consistently(self):
+        """Every subtree's tie-break key is the smallest relevant id among
+        its leaves, and the leaves of the root are the whole database."""
         db, dist, q, index = _build(seed=4)
         session = index.session(q)
-        root_relevant = session.relevant_in(index.tree.root)
-        assert root_relevant == session.relevant_set
+        state = index._tree_state(session)
+
+        def leaves(node):
+            if node.is_leaf:
+                return [node.graph_index]
+            return [g for child in node.children for g in leaves(child)]
+
+        assert sorted(leaves(index.tree.root)) == list(range(len(db)))
         for node in index.tree.nodes:
-            if node.children:
-                children_union = frozenset().union(
-                    *(session.relevant_in(c) for c in node.children)
-                )
-                assert children_union == session.relevant_in(node)
+            relevant = set(leaves(node)) & session.relevant_set
+            assert state.node_has[node.node_id] == bool(relevant)
+            if relevant:
+                assert state.node_min_gid[node.node_id] == min(relevant)
 
 
 class TestUpdateStepSafety:
-    """Theorems 6–8 decrements must never break greedy correctness."""
+    """Bounds left stale after a selection (no Theorem 6–8 update step)
+    must never break greedy correctness, at any θ."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_multi_seed_argmax_validity_with_updates(self, seed):
@@ -68,19 +76,9 @@ class TestUpdateStepSafety:
         result = index.query(q, theta, 6)
         assert_valid_greedy_trajectory(db, dist, q, theta, result)
 
-    @pytest.mark.parametrize("seed", [0, 3, 6])
-    def test_updates_and_no_updates_both_valid(self, seed):
-        db, dist, q, index = _build(seed=seed, size=50)
-        theta = 5.0
-        with_updates = index.session(q).query(theta, 5, enable_updates=True)
-        without = index.session(q).query(theta, 5, enable_updates=False)
-        assert_valid_greedy_trajectory(db, dist, q, theta, with_updates)
-        assert_valid_greedy_trajectory(db, dist, q, theta, without)
-        assert with_updates.gains[0] == without.gains[0]
-
     def test_large_theta_exercises_theorem_7_regime(self):
-        """θ above cluster diameters: the batch-decrement path must fire
-        and the trajectory must stay exact."""
+        """θ above cluster diameters, where the paper's Theorem 7 would
+        batch-decrement: the trajectory must stay exact."""
         db, dist, q, index = _build(seed=11, size=50)
         diameters = [
             n.diameter for n in index.tree.nodes if not n.is_leaf

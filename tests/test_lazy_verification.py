@@ -1,22 +1,19 @@
 """Bound-driven lazy verification: same answers, fewer exact distances.
 
 The tree frontier verifies a leaf's candidate window only as far as the
-greedy round needs (``TreeFrontier.resolve``) and settles the Theorem 6–8
-update walk from the vantage sandwich wherever both of its ends agree.
-This file pins what that must not change and what it must buy:
+greedy round needs (``TreeFrontier.resolve``).  This file pins what that
+must not change and what it must buy:
 
 * ids / gains / order / coverage bit-identical to ``baseline_greedy`` in
   every deployment shape, and — at ε > 0, where the reference is the
   filter's per-pair rule — to the eager resolver below;
-* soundness: every working bound (initial, decremented, partial) is ≥ the
-  true residual gain at every pull, and a resumed partial leaf ends at the
-  same exact gain as a from-scratch resolution;
+* soundness: every working bound (initial, resolved, partial) is ≥ the
+  true residual gain at every pull — stale bounds included, since no
+  update step tightens them after a selection — and a resumed partial
+  leaf ends at the same exact gain as a from-scratch resolution;
 * the canonical tie-break survives an early exit of the smaller id;
 * from cold caches the lazy path never pays more exact distances than the
-  eager one, and stays under a committed budget at the e2e smoke scale;
-* the sandwich-first update walk — which never pays a distance for a
-  leaf — ends with the bounds, batch decrements and prune count of the
-  walk that pays one scalar distance per visited node.
+  eager one, and stays under a committed budget at the e2e smoke scale.
 
 The second half pins the same for graphs that live *elsewhere*: a foreign
 neighborhood is one lazily verified window per frontier, driven by the
@@ -28,8 +25,8 @@ the truth, the
 tie-break across a foreign early exit, a failover between a bound and the
 next visit, and budgets at the e2e smoke scale.
 
-``EagerFrontier``, ``EagerShardFrontier`` and ``scalar_update_walk`` are the
-pre-lazy code paths, kept here — and only here — as referees.
+``EagerFrontier`` and ``EagerShardFrontier`` are the pre-lazy code paths,
+kept here — and only here — as referees.
 """
 
 from __future__ import annotations
@@ -40,15 +37,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
 from tests.conftest import random_database
 from repro import baseline_greedy, quartile_relevance
-from repro.bitset import BitsetDelta, kernel as bitset_kernel
-from repro.cascade import FilterCascade
-from repro.core.results import QueryStats
 from repro.datasets import GENERATORS
 from repro.delta import mutable as mutable_module
 from repro.engine import DistanceEngine
@@ -75,7 +69,7 @@ BUILD = dict(num_vantage_points=4, branching=4, thresholds=LADDER)
 
 
 # ---------------------------------------------------------------------------
-# Referees: the eager resolver and the scalar-distance update walk
+# Referees: the eager resolvers
 # ---------------------------------------------------------------------------
 class EagerFrontier(TreeFrontier):
     """The pre-lazy home path: the moment a leaf is popped, verify its
@@ -121,53 +115,6 @@ def shard_frontier(cls):
     with mock.patch.object(sharded_module, "ShardFrontier", cls), \
             mock.patch.object(mutable_module, "ShardFrontier", cls):
         yield
-
-
-def scalar_update_walk(frontier, bounds, selected, newly, covered, distance):
-    """The pre-sandwich update: one exact centroid distance per visited
-    node, applied to ``bounds``; returns (pruned subtrees, batch
-    decrements).  A leaf's bound is moved without looking at that distance
-    first — a resolved one re-counted wherever the selection fell — and it
-    counts as pruned when the vantage lower bound alone proves Theorem 6,
-    which the exact distance must then confirm."""
-    state, theta = frontier.state, frontier.theta
-    embedding = frontier.index.embedding
-    pruned = batched = 0
-    stack = [frontier.index.tree.root]
-    while stack:
-        node = stack.pop()
-        if bounds[node.node_id] == _NEG_INF:
-            continue
-        cd = float(distance(selected, state.global_ids[node.centroid]))
-        if node.is_leaf:
-            gid = state.global_ids[node.graph_index]
-            cached = frontier._nbhd.get(gid)
-            position = frontier.universe.position(gid)
-            if cached is not None:
-                bounds[node.node_id] = float(
-                    bitset_kernel.uncovered_count(cached, covered)
-                )
-            elif cd <= theta + SLACK and newly.test(position):
-                bounds[node.node_id] = max(0.0, bounds[node.node_id] - 1.0)
-            lower = embedding.lower_bound(state.g2l[selected], node.centroid)
-            if lower - SLACK > 2.0 * theta + SLACK:
-                assert cd > 2.0 * theta + SLACK
-                pruned += 1
-        elif cd - node.radius > 2.0 * theta + SLACK:
-            pruned += 1
-        elif (
-            node.diameter <= theta + SLACK
-            and cd + node.radius <= theta + SLACK
-        ):
-            decrement = newly.intersection_count(state.node_bits[node.node_id])
-            if decrement:
-                batched += 1
-                bounds[node.node_id] = max(
-                    0.0, bounds[node.node_id] - float(decrement)
-                )
-        else:
-            stack.extend(node.children)
-    return pruned, batched
 
 
 def dud_smoke_mix(database, seed):
@@ -288,8 +235,6 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     same_answer(lazy, eager)
     assert lazy.stats.distance_calls <= eager.stats.distance_calls
     assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
-    assert lazy.stats.pruned_subtrees == eager.stats.pruned_subtrees
-    assert lazy.stats.batch_decrements == eager.stats.batch_decrements
     if epsilon == 0.0:
         same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
 
@@ -348,6 +293,11 @@ def _audit_query(index, q, theta, k):
     }
     _CheckedSearch.resumed = []
 
+    def relevant_below(node):
+        if node.is_leaf:
+            return [node.graph_index] if node.graph_index in true_nbhd else []
+        return [g for child in node.children for g in relevant_below(child)]
+
     def audit(frontier, covered):
         done = set(frontier.universe.decode_ids(covered))
         residual = {g: len(true_nbhd[g] - done) for g in relevant}
@@ -356,7 +306,7 @@ def _audit_query(index, q, theta, k):
             if bound == _NEG_INF:
                 continue  # selected, or no relevant member below
             alive = [
-                g for g in frontier.state.relevant_in(node)
+                g for g in relevant_below(node)
                 if frontier.bounds[
                     frontier.index._leaf_of[g].node_id
                 ] != _NEG_INF
@@ -453,95 +403,14 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Update walk: sandwich-first == one scalar distance per visited node
-# ---------------------------------------------------------------------------
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**16),
-    size=st.integers(16, 64),
-    quantile=st.sampled_from([0.1, 0.4, 0.7]),
-    rung=st.integers(0, 9),
-    scale=st.sampled_from([0.6, 1.0]),
-    k=st.integers(2, 10),
-)
-# A resolved leaf under a Theorem 7 batch decrement keeps its own bound
-# until it is re-counted — also when a later selection falls out of reach.
-@example(seed=10, size=56, quantile=0.1, rung=0, scale=1.0, k=7)
-def test_update_walk_matches_the_scalar_distance_walk(
-    seed, size, quantile, rung, scale, k
-):
-    database = random_database(seed=seed, size=size)
-    index = NBIndex.build(
-        database, StarDistance(), num_vantage_points=4, branching=3, seed=seed
-    )
-    q = quartile_relevance(database, quantile=quantile)
-    theta = float(index.ladder[min(rung, len(index.ladder) - 1)]) * scale
-    star = StarDistance()
-    walks = []
-    apply_update = TreeFrontier.apply_update
-
-    def refereed(self, selected, newly, covered):
-        expected = self.bounds.copy()
-        pruned, batched = scalar_update_walk(
-            self, expected, selected, newly, covered,
-            lambda a, b: star(database[a], database[b]),
-        )
-        before = (self.stats.pruned_subtrees, self.stats.batch_decrements)
-        apply_update(self, selected, newly, covered)
-        assert np.array_equal(self.bounds, expected)
-        assert self.stats.pruned_subtrees - before[0] == pruned
-        assert self.stats.batch_decrements - before[1] == batched
-        walks.append(selected)
-
-    with mock.patch.object(TreeFrontier, "apply_update", refereed):
-        result = index.query(q, theta, k)
-    assert len(walks) == sum(1 for gain in result.gains if gain)
-
-
-def test_the_sandwich_spares_centroid_distances():
-    """Nodes the sandwich settles are never evaluated, and the rest go to
-    the engine one sibling group at a time."""
-    database = GENERATORS["dud"](num_graphs=300, seed=11)
-    index = NBIndex.build(
-        database, StarDistance(), seed=11, num_vantage_points=8, branching=4
-    )
-    q = quartile_relevance(database, dims=[0], quantile=0.8)
-    batches = []
-    state = index._tree_state(index.session(q))
-    frontier = TreeFrontier(
-        state, 8.0, index.ladder.index_for(8.0), QueryStats(), FilterCascade(),
-        distances=lambda a, bs: batches.append(bs) or index.engine.one_to_many(a, bs),
-    )
-    visited = []
-    verdict = TreeFrontier._verdict
-
-    def counting(self, node, cd, newly):
-        visited.append(node.node_id)
-        return verdict(self, node, cd, newly)
-
-    frontier._verdict = counting.__get__(frontier)
-    covered = state.universe.empty()
-    frontier.begin_round(covered)
-    gid, _, nbhd = frontier.open_round(covered).next(_NEG_INF, None)
-    frontier.select(gid)
-    bitset_kernel.union_into(covered, nbhd)
-    frontier.apply_update(
-        gid, BitsetDelta.from_words(nbhd, state.universe.size), covered
-    )
-    asked = [centroid for batch in batches for centroid in batch]
-    assert 0 < len(asked) < len(set(visited))
-    assert len(batches) < len(asked)
-
-
-# ---------------------------------------------------------------------------
 # The gain must not rot: a timing-free budget at the e2e smoke scale
 # ---------------------------------------------------------------------------
 #: Mean exact distance calls per cold query on the smoke mix below (the
 #: n = 300 ``dud_inproc`` shape of ``benchmarks/e2e``: seed 11, 4 relevance
-#: functions at the top 20 %, 8 vantage points, b = 4).  Measured 433.5
-#: (479.25 while leaves paid centroid distances in the update walk); the
-#: eager path paid 749.0.
-SMOKE_COLD_CALLS_BUDGET = 480
+#: functions at the top 20 %, 8 vantage points, b = 4).  Measured 339.75
+#: (433.5 with the Theorem 6–8 update walk, 479.25 while its leaves paid
+#: centroid distances); the eager path paid 749.0.
+SMOKE_COLD_CALLS_BUDGET = 376
 
 
 def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
@@ -991,14 +860,17 @@ def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
 # Budgets at the e2e smoke scale, sharded
 # ---------------------------------------------------------------------------
 #: Mean exact distance calls per cold query, n = 300, seed 11.  S = 2 dud
-#: smoke mix: measured 535.25 (926.0 while every shard drew its own vantage
-#: points and embedded strangers against them).  S = 4 vec smoke mix:
-#: measured 2 442.0 (3 013.75 with per-shard frames; 2 739.75 with eager
-#: foreign windows); one NBIndex over the same instance pays 2 358.0.
-DUD_S2_COLD_CALLS_BUDGET = 590
-VEC_S4_COLD_CALLS_BUDGET = 2690
-#: What S = 4 may cost relative to one index (measured 1.04; 1.16 with
-#: eager foreign windows; 1.24 with per-shard frames).
+#: smoke mix: measured 400.25 (535.25 with the Theorem 6–8 update walk;
+#: 926.0 while every shard drew its own vantage points and embedded
+#: strangers against them).  S = 4 vec smoke mix: measured 2 420.75
+#: (2 442.0 with the update walk; 3 013.75 with per-shard frames;
+#: 2 739.75 with eager foreign windows); one NBIndex over the same
+#: instance pays 2 302.25.
+DUD_S2_COLD_CALLS_BUDGET = 441
+VEC_S4_COLD_CALLS_BUDGET = 2667
+#: What S = 4 may cost relative to one index (measured 1.05; 1.04 with the
+#: update walk; 1.16 with eager foreign windows; 1.24 with per-shard
+#: frames).
 VEC_S4_OVER_SINGLE = 1.15
 
 

@@ -288,7 +288,3 @@ class TestQueryCounters:
         assert counters.get("query.nodes_popped", 0) == stats.nodes_popped
         assert (counters.get("query.leaves_evaluated", 0)
                 == stats.leaves_evaluated)
-        assert (counters.get("query.pruned_subtrees", 0)
-                == stats.pruned_subtrees)
-        assert (counters.get("query.batch_decrements", 0)
-                == stats.batch_decrements)

@@ -498,6 +498,22 @@ class TestWire:
             wire.words_from_wire("zz-not-hex", 1)
 
 
+def test_worker_has_no_update_op(bundle, cluster_db):
+    """Selections reach a worker as ``select`` and coverage as the next
+    round's ``cov``; an ``update`` frame is an unknown op, answered with
+    ``invalid_request`` before any session is looked up."""
+    from repro.replica.worker import ShardWorker
+
+    worker = ShardWorker(cluster_db, StarDistance(), bundle, 0, 0, frame=None)
+    response = worker.handle(
+        {"op": "update", "sid": "s", "gid": 0, "idx": [], "vals": "",
+         "nbits": 0}
+    )
+    assert response["ok"] is False
+    assert response["error"]["code"] == "invalid_request"
+    assert "unknown op 'update'" in response["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # SIGTERM / SIGINT graceful drain (satellite 1)
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import repro
 from tests.conftest import random_database
-from repro.bitset import BitsetDelta, BitsetUniverse, kernel as bitset_kernel
+from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.delta.frontier import ExactFrontier
@@ -130,10 +130,12 @@ class TestSessionContract:
     def test_unknown_kwarg_names_the_index_class(self, shapes, shape):
         index = shapes[shape]
         q = quartile_relevance(index.database, quantile=0.3)
-        with pytest.raises(TypeError, match="unexpected keyword") as excinfo:
-            index.query(q, 4.0, 3, explode=True)
-        assert type(index).__name__ in str(excinfo.value)
-        assert "explode" in str(excinfo.value)
+        # ``enable_updates`` is not a query keyword: there is no update step.
+        for keyword in ("explode", "enable_updates"):
+            with pytest.raises(TypeError, match="unexpected keyword") as excinfo:
+                index.query(q, 4.0, 3, **{keyword: True})
+            assert type(index).__name__ in str(excinfo.value)
+            assert keyword in str(excinfo.value)
 
     def test_deadline_degradation_is_flagged_with_the_same_keys(
         self, shapes, shape,
@@ -221,8 +223,7 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
     for field in (
         "exact_neighborhoods", "candidate_verifications",
         "candidates_generated", "nodes_popped", "leaves_evaluated",
-        "pruned_subtrees", "batch_decrements", "partial_neighborhoods",
-        "verifications_skipped",
+        "partial_neighborhoods", "verifications_skipped",
     ):
         assert getattr(got.stats, field) == getattr(want.stats, field), field
     assert want.stats.distance_calls == plain.engine.evaluations
@@ -360,9 +361,7 @@ class TestFrontierProtocol:
         assert frontier.foreign_embeds >= 0
         # Selecting retires the member: the next round never re-offers it.
         frontier.select(gid)
-        delta = BitsetDelta.from_words(nbhd, universe.size)
         bitset_kernel.union_into(covered, nbhd)
-        frontier.apply_update(gid, delta, covered)
         frontier.begin_round(covered)
         assert frontier.uncovered_count == len(members) - int(gain)
         cursor = frontier.open_round(covered)

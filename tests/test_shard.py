@@ -206,11 +206,7 @@ class TestBitIdentity:
     def test_query_flags_match_single_index(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
         q = quartile_relevance(db)
-        for kwargs in (
-            {"stop_on_zero_gain": True},
-            {"enable_updates": False},
-            {"stop_on_zero_gain": True, "enable_updates": False},
-        ):
+        for kwargs in ({}, {"stop_on_zero_gain": True}):
             want = single_index.query(q, 8.0, 12, **kwargs)
             got = sharded.query(q, 8.0, 12, **kwargs)
             _assert_same_result(got, want)
