@@ -16,10 +16,14 @@ contract:
 * a killed ``backup``/``restore`` leaves either nothing or a fully
   verified archive/deployment — never a partial one — and ``repro
   verify`` refuses every single-bit flip injected into an archive;
+* a backup is the base database + journal only: a restore plus ``repro
+  build-index`` over the restored base answers byte-for-byte like the
+  live deployment;
 * the scrubber detects 100% of injected single-bit flips across shard
-  npz / manifest / journal artifacts and heals shard corruption from
-  the loaded objects, with ``durability.*`` counters in the metrics
-  document (validated against ``scripts/metrics_schema.json``).
+  npz / manifest / journal artifacts, heals every artifact flip (a shard
+  is rebuilt from the serving frame) and escalates the journal's, with
+  ``durability.*`` counters in the metrics document (validated against
+  ``scripts/metrics_schema.json``).
 
 Run from the repo root: ``python scripts/recovery_smoke.py``.
 """
@@ -102,10 +106,7 @@ def driver_mutate(args) -> int:
 def driver_backup(args) -> int:
     from repro.durability import create_backup
 
-    create_backup(
-        args.out, database=args.base or None, journal=args.journal,
-        index=args.index or None, shards=args.shards or None,
-    )
+    create_backup(args.out, database=args.base or None, journal=args.journal)
     return 0
 
 
@@ -250,8 +251,7 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
                  "durability.backup.commit"):
         out = tmp / f"bk-{kill.rsplit('.', 1)[1]}"
         proc = run_driver(
-            "backup", "--out", str(out), "--journal", str(journal),
-            "--index", str(idx), kill=kill,
+            "backup", "--out", str(out), "--journal", str(journal), kill=kill,
         )
         if proc.returncode != 137:
             failures.append(f"{kill}: expected exit 137, got "
@@ -267,7 +267,7 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
             # Stale staging from the hard kill must never block a retry.
             retry = run_driver(
                 "backup", "--out", str(out), "--journal", str(journal),
-                "--index", str(idx), kill=None,
+                kill=None,
             )
             if retry.returncode != 0:
                 failures.append(
@@ -284,8 +284,7 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
     # A clean archive for the restore sweep and the flip audit.
     archive = tmp / "bk-clean"
     proc = run_driver("backup", "--out", str(archive),
-                      "--journal", str(journal), "--index", str(idx),
-                      kill=None)
+                      "--journal", str(journal), kill=None)
     if proc.returncode != 0:
         failures.append(f"clean backup failed: {proc.stderr}")
         return
@@ -321,15 +320,25 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
         failures.append("refused restore still wrote its destination")
     victim.write_bytes(pristine)
 
-    # Clean restore round-trips: the restored deployment answers
-    # byte-identically to the original.
+    # The archive is the base + journal, nothing derived.
+    archived = sorted(p.name for p in archive.iterdir())
+    if archived != sorted(["backup.json", "bk.journal", victim.name]):
+        failures.append(f"backup holds more than base + journal: {archived}")
+
+    # Clean restore round-trips: rebuild the index over the restored base,
+    # and the restored deployment answers byte-identically to the original.
     restored = tmp / "restored-clean"
     if run_cli("restore", str(archive), str(restored)).returncode != 0:
         failures.append("clean restore failed")
         return
+    restored_base = next(restored.glob("*.base-gen*.jsonl"))
+    rebuilt = run_cli("build-index", str(restored_base),
+                      "--output", str(restored / "idx.npz"), "--seed", "3")
+    if rebuilt.returncode != 0:
+        failures.append(f"index rebuild after restore failed: {rebuilt.stderr}")
+        return
     live = run_cli("query", str(base_path), "--index", str(idx),
                    "--journal", str(journal), *QUERY_ARGS)
-    restored_base = next(restored.glob("*.base-gen*.jsonl"))
     again = run_cli("query", str(restored_base),
                     "--index", str(restored / "idx.npz"),
                     "--journal", str(restored / "bk.journal"), *QUERY_ARGS)
@@ -341,8 +350,9 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
 
 
 def scrub_gate(tmp, base_path, bundle, failures):
-    """In-process: the scrubber must detect every injected flip and heal
-    shard corruption without moving query answers."""
+    """In-process: the scrubber must detect every injected flip, heal
+    every artifact's (a shard by rebuild) and escalate the journal's,
+    without moving query answers."""
     import repro
     from repro import obs
     from repro.durability import Scrubber, verify_deployment
@@ -435,8 +445,6 @@ def main() -> int:
     parser.add_argument("--full")
     parser.add_argument("--sharded", action="store_true")
     parser.add_argument("--out")
-    parser.add_argument("--index")
-    parser.add_argument("--shards")
     parser.add_argument("--backup")
     parser.add_argument("--dest")
     args = parser.parse_args()
@@ -485,8 +493,9 @@ def main() -> int:
         return 1
     print("recovery smoke: OK (kill -9 at every injected fsync/rename "
           "point reopens bit-identical; checkpoint shrinks the journal; "
-          "backup/restore all-or-nothing; scrubber detected and healed "
-          "every injected flip)")
+          "backup/restore all-or-nothing, base + journal rebuild "
+          "identically; scrubber detected every injected flip and healed "
+          "every artifact's)")
     return 0
 
 

@@ -399,20 +399,12 @@ def cmd_checkpoint(args) -> int:
 def cmd_backup(args) -> int:
     from repro.durability import DurabilityError, create_backup
     from repro.delta.errors import JournalError
-    from repro.shard.errors import ManifestError
 
-    if args.index and args.shards:
-        print("backup: pass --index or --shards, not both", file=sys.stderr)
-        return 2
     try:
         report = create_backup(
-            args.output,
-            database=args.database,
-            journal=args.journal,
-            index=args.index,
-            shards=args.shards,
+            args.output, database=args.database, journal=args.journal,
         )
-    except (DurabilityError, JournalError, ManifestError) as error:
+    except (DurabilityError, JournalError) as error:
         print(f"backup: {error}", file=sys.stderr)
         return 1
     print(
@@ -641,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rotated crash-log files to keep (default: 3)")
     p.add_argument("--scrub-interval", type=float, default=None, metavar="S",
                    help="run the background scrubber every S seconds, "
-                        "re-verifying artifact checksums and self-healing "
-                        "from replicas/loaded objects (default: off; "
-                        "one-shot 'scrub' protocol ops always work)")
+                        "re-verifying artifact checksums and rebuilding "
+                        "a corrupt shard (default: off; one-shot 'scrub' "
+                        "protocol ops always work)")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="flush a repro.obs metrics document on drain "
@@ -667,7 +659,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "backup",
         help="capture a crash-consistent, checksummed snapshot of a "
-             "deployment into a fresh directory",
+             "deployment's database (or journal + its base) into a fresh "
+             "directory; rebuild the index after a restore",
     )
     p.add_argument("output", help="backup directory (must not exist)")
     p.add_argument("--database", default=None, metavar="PATH",
@@ -676,11 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--journal", default=None, metavar="PATH",
                    help="mutation journal to include (its pinned base "
                         "supersedes --database for generation > 0)")
-    p.add_argument("--index", default=None, metavar="PATH",
-                   help="single-index .npz artifact to include")
-    p.add_argument("--shards", default=None, metavar="MANIFEST",
-                   help="shard bundle (manifest.json or its directory) — "
-                        "the manifest plus every shard artifact")
     p.set_defaults(func=cmd_backup)
 
     p = subparsers.add_parser(

@@ -452,7 +452,6 @@ class MutableIndex:
 
         ladder = ThresholdLadder(manifest.ladder)
         root_seed = manifest.seed if manifest.seed is not None else self.seed
-        shard_seeds = np.random.SeedSequence(root_seed).spawn(num_shards)
         # The frame survives: every absorbed graph's row is computed at
         # most once per process (a query may already have), then stored.
         frame = base.frame
@@ -469,7 +468,7 @@ class MutableIndex:
                     self.distance, frame.vantage_ids, coords[members],
                     branching=int(manifest.build.get("branching", 8)),
                     thresholds=ladder,
-                    rng=np.random.default_rng(shard_seeds[shard_id]),
+                    rng=ShardManifest.shard_rng(root_seed, shard_id),
                 )
                 obs.counter("delta.shard_rebuilds")
             else:

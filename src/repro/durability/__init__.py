@@ -8,12 +8,13 @@ package makes it *operable over time*:
   a fresh generation-numbered base database so the journal stays small —
   the atomic rename of the replacement journal is the commit point.
 * :func:`create_backup` / :func:`restore_backup` /
-  :func:`verify_backup` capture crash-consistent snapshots into
-  checksummed archives and refuse to install anything that fails
-  verification.
+  :func:`verify_backup` capture the state that cannot be recomputed —
+  the database, or the journal plus its pinned base — into checksummed
+  archives and refuse to install anything that fails verification;
+  index artifacts are rebuilt, not backed up.
 * :class:`Scrubber` continuously re-verifies every artifact's checksum
-  in the background and self-heals what a live replica or loaded object
-  can still vouch for.
+  in the background and rebuilds a corrupt or off-frame shard from the
+  serving index's frame rows and manifest; journal corruption escalates.
 * :func:`verify_deployment` is the offline auditor behind
   ``repro verify``.
 """

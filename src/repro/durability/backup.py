@@ -1,20 +1,23 @@
 """Crash-consistent snapshot, verified restore, offline verify.
 
-A backup is one directory: every file of a deployment (database, journal,
-shard manifest + npz artifacts or single index npz) copied byte-for-byte,
-plus ``backup.json`` — a versioned archive manifest recording each file's
-role, size and crc32, itself protected by a crc32 over its canonical
-body.  The capture stages into ``<out>.tmp-<pid>`` and commits by a
-single directory rename, so a half-written backup is never mistaken for
-a real one; reading the source bytes can run under a read latch so a
-live mutable deployment yields a consistent journal prefix.
+A backup is one directory holding the only deployment state that cannot
+be recomputed — the database file, or a mutation journal plus the base
+file it replays onto — copied byte-for-byte, plus ``backup.json``: a
+versioned archive manifest recording each file's role, size and crc32,
+itself protected by a crc32 over its canonical body.  Index artifacts
+are derived state and are not backed up: rebuild them after a restore
+(``repro build-index`` / ``repro shard-build``).  The capture stages into
+``<out>.tmp-<pid>`` and commits by a single directory rename, so a
+half-written backup is never mistaken for a real one; reading the source
+bytes can run under a read latch so a live mutable deployment yields a
+consistent journal prefix.
 
 ``restore`` is verify-then-install: every checksum in the archive is
 re-checked against the copied bytes *before* anything is written.  A
 fresh destination is installed by staging + directory rename (all or
 nothing); ``force=True`` overwrites an existing deployment with per-file
-atomic replaces ordered so the journal — whose header binds the base
-file by crc — lands last, making the journal swap the effective commit.
+atomic replaces, the journal — whose header binds the base file by crc —
+last, making the journal swap the effective commit.
 
 :func:`verify_deployment` is the offline auditor behind ``repro verify``:
 point it at a backup directory, a shard bundle, a single ``.npz``, a
@@ -39,14 +42,6 @@ from repro.resilience.atomicio import atomic_write
 BACKUP_SCHEMA = "repro.backup/v1"
 MANIFEST_NAME = "backup.json"
 
-#: Restore order: artifacts first, the journal last — its header's
-#: ``base_crc32`` binds the database file, so a crash mid-install leaves
-#: either no journal (old deployment, if any) or a journal whose base is
-#: already in place.
-_ROLE_ORDER = {"shard": 0, "index": 0, "manifest": 1, "database": 2,
-               "journal": 3}
-
-
 def _fsync_file(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
     try:
@@ -64,97 +59,70 @@ def _fsync_dir(directory: Path) -> None:
             os.close(dir_fd)
 
 
-def frame_problems(manifest, base_dir: Path) -> list[str]:
-    """Shard artifacts whose stored coordinates are not in the manifest's
-    vantage frame; unreadable artifacts are the checksum audit's finding,
-    not this one's."""
+def frame_problem(manifest, shard_id: int, base_dir: Path) -> str | None:
+    """Why a shard artifact's stored coordinates are not in the manifest's
+    vantage frame, or ``None``; an unreadable artifact is the checksum
+    audit's finding, not this one's."""
     from repro.index.persistence import stored_embedding
 
-    problems = []
-    for entry in manifest.shards:
-        artifact = manifest.artifact_path(entry.shard_id, Path(base_dir))
-        try:
-            vantage, coords = stored_embedding(artifact)
-        except (OSError, ValueError, KeyError):
-            continue
-        if tuple(vantage) != manifest.frame or (
-            coords.shape[1] != len(manifest.frame)
-        ):
-            problems.append(
-                f"{artifact}: coordinates ({coords.shape[1]} wide, vantage "
-                f"graphs {vantage}) are not in the manifest's frame "
-                f"{list(manifest.frame)}"
-            )
-    return problems
+    artifact = manifest.artifact_path(shard_id, Path(base_dir))
+    try:
+        vantage, coords = stored_embedding(artifact)
+    except (OSError, ValueError, KeyError):
+        return None
+    if tuple(vantage) == manifest.frame and (
+        coords.shape[1] == len(manifest.frame)
+    ):
+        return None
+    return (
+        f"{artifact}: coordinates ({coords.shape[1]} wide, vantage "
+        f"graphs {vantage}) are not in the manifest's frame "
+        f"{list(manifest.frame)}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------
 def collect_deployment_files(
-    *, database=None, journal=None, index=None, shards=None,
+    *, database=None, journal=None,
 ) -> list[tuple[Path, str]]:
     """Resolve a deployment description into ``(path, role)`` pairs.
 
     A checkpointed journal supersedes ``database``: its header pins the
     base file the records replay onto, and *that* is the file a restore
     must bring back.  Validation happens here — a journal that cannot
-    replay or a manifest that fails its self-check refuses to be backed
-    up (a backup you cannot restore from is worse than none).
+    replay refuses to be backed up (a backup you cannot restore from is
+    worse than none).
     """
-    from repro.shard.manifest import ShardManifest
-
-    files: list[tuple[Path, str]] = []
-    if journal is not None:
-        journal = Path(journal)
-        report = scan_journal(journal)
-        if report["problems"]:
+    if journal is None:
+        if database is None:
             raise BackupError(
-                f"{journal}: journal is not replayable: "
-                f"{'; '.join(report['problems'])}"
+                "nothing to back up — pass database= and/or journal="
             )
-        files.append((journal, "journal"))
-        if report["base"] is not None:
-            files.append((journal.parent / report["base"], "database"))
-        elif database is not None:
-            files.append((Path(database), "database"))
-        else:
-            raise BackupError(
-                f"{journal}: generation-0 journal needs the database "
-                f"file it replays onto (pass database=)"
-            )
-    elif database is not None:
-        files.append((Path(database), "database"))
-    if index is not None and shards is not None:
-        raise BackupError("pass index= or shards=, not both")
-    if index is not None:
-        files.append((Path(index), "index"))
-    if shards is not None:
-        manifest_path = Path(shards)
-        if manifest_path.is_dir():
-            manifest_path = manifest_path / "manifest.json"
-        manifest = ShardManifest.load(manifest_path)  # typed ManifestError
-        off_frame = frame_problems(manifest, manifest_path.parent)
-        if off_frame:
-            raise BackupError("; ".join(off_frame))
-        files.append((manifest_path, "manifest"))
-        for entry in manifest.shards:
-            files.append((manifest_path.parent / entry.path, "shard"))
-    if not files:
+        return [(Path(database), "database")]
+    journal = Path(journal)
+    report = scan_journal(journal)
+    if report["problems"]:
         raise BackupError(
-            "nothing to back up — pass database=/journal= and optionally "
-            "index= or shards="
+            f"{journal}: journal is not replayable: "
+            f"{'; '.join(report['problems'])}"
         )
-    seen: dict[str, Path] = {}
-    for path, _role in files:
-        previous = seen.get(path.name)
-        if previous is not None and previous != path:
-            raise BackupError(
-                f"backup flattens files by name and {path.name!r} appears "
-                f"twice ({previous} and {path}); rename one"
-            )
-        seen[path.name] = path
-    return files
+    if report["base"] is not None:
+        base = journal.parent / report["base"]
+    elif database is not None:
+        base = Path(database)
+    else:
+        raise BackupError(
+            f"{journal}: generation-0 journal needs the database "
+            f"file it replays onto (pass database=)"
+        )
+    if base.name == journal.name:
+        raise BackupError(
+            f"backup flattens files by name and {base.name!r} appears "
+            f"twice ({base} and {journal}); rename one"
+        )
+    return [(base, "database"), (journal, "journal")]
 
 
 def create_backup(
@@ -162,8 +130,6 @@ def create_backup(
     *,
     database=None,
     journal=None,
-    index=None,
-    shards=None,
     latch=None,
 ) -> dict:
     """Capture one crash-consistent snapshot into directory ``out_dir``.
@@ -180,9 +146,7 @@ def create_backup(
             f"{out}: backup target already exists; back up to a fresh "
             f"directory (one backup, one directory)"
         )
-    files = collect_deployment_files(
-        database=database, journal=journal, index=index, shards=shards,
-    )
+    files = collect_deployment_files(database=database, journal=journal)
     read_side = latch.read() if latch is not None else contextlib.nullcontext()
     with read_side:
         blobs = []
@@ -292,13 +256,6 @@ def verify_backup(backup_dir) -> dict:
             )
         else:
             checked.append(entry["name"])
-            if entry["role"] == "manifest":
-                # The archive is flat: the shard files sit next to it.
-                from repro.shard.manifest import ShardManifest
-
-                problems.extend(
-                    frame_problems(ShardManifest.load(path), backup_dir)
-                )
     return {"ok": not problems, "problems": problems, "checked": checked}
 
 
@@ -311,8 +268,8 @@ def restore_backup(backup_dir, dest_dir, *, force: bool = False) -> dict:
     Every checksum is verified before any byte is written — a corrupt
     archive raises :class:`RestoreError` with the destination untouched.
     A fresh destination is installed atomically (stage + rename); with
-    ``force=True`` an existing directory is overwritten file by file in
-    role order with atomic replaces, the journal last.
+    ``force=True`` an existing directory is overwritten file by file with
+    atomic replaces, the journal last.
     """
     backup_dir = Path(backup_dir)
     report = verify_backup(backup_dir)
@@ -323,11 +280,12 @@ def restore_backup(backup_dir, dest_dir, *, force: bool = False) -> dict:
         )
     faults.maybe_kill_at("durability.restore.verify")
     body = read_backup_manifest(backup_dir)
-    entries = sorted(
-        body["files"], key=lambda e: _ROLE_ORDER.get(e["role"], 1)
-    )
+    # The journal's header binds its base by crc: a crash mid-install
+    # leaves no journal or one whose base is already in place.
+    entries = sorted(body["files"], key=lambda e: e["role"] == "journal")
     dest = Path(dest_dir)
-    if dest.exists():
+    forced = dest.exists()
+    if forced:
         if not force:
             raise RestoreError(
                 f"{dest}: destination exists; pass force=True "
@@ -362,7 +320,7 @@ def restore_backup(backup_dir, dest_dir, *, force: bool = False) -> dict:
         "path": str(dest),
         "files": len(entries),
         "roles": sorted({entry["role"] for entry in entries}),
-        "forced": bool(force and dest.exists()),
+        "forced": forced,
     }
 
 
@@ -412,9 +370,12 @@ def _verify_manifest_bundle(path: Path, problems, checked) -> None:
             problems.append(
                 f"{artifact}: crc32 mismatch against the shard manifest"
             )
-        else:
+            continue
+        problem = frame_problem(manifest, entry.shard_id, path.parent)
+        if problem is None:
             checked.append(str(artifact))
-    problems.extend(frame_problems(manifest, path.parent))
+        else:
+            problems.append(problem)
 
 
 def verify_deployment(path) -> dict:

@@ -7,21 +7,24 @@ journal's per-record crc32s, a checkpointed journal's pinned base file —
 and re-verifies every one, so bit rot is found on the scrubber's clock
 instead of the next unlucky reload's.
 
-Detection is only half the job.  A corrupt artifact is **self-healed**
-when a source of truth is still live, in escalating order:
+Detection is only half the job.  Every index artifact is derived state
+— the answer is the greedy's over exact θ-neighbourhoods, whatever tree
+or seed built the index — so a corrupt one is regenerated from what the
+serving process holds, never copied back from elsewhere:
 
-1. a replica worker still holds the artifact's original bytes in memory
-   (:meth:`ReplicatedIndex.fetch_shard_bytes`) — re-fetch, verify the
-   fetched crc against the manifest, atomically rewrite (the manifest is
-   untouched: the bytes are the originals);
-2. the loaded in-memory index object can rewrite the artifact
-   (``save_index`` → verify → atomic replace).  Rewritten ``.npz`` bytes
-   are *not* identical to the originals (zip metadata), so the manifest
-   entry's checksum is updated and the manifest re-saved — the same
-   commit discipline as compaction;
-3. neither exists → :class:`~repro.durability.errors.ScrubError` is
-   recorded (and raised from :meth:`Scrubber.scrub_once` with
-   ``raise_errors=True``) — the operator restores from backup.
+* a shard artifact that fails its manifest crc32, or whose coordinates
+  lie outside the bundle's vantage frame, is rebuilt from the frame rows
+  the serving index holds in memory plus the manifest's ladder,
+  ``branching`` and the shard's seed (:meth:`ShardManifest.shard_rng`),
+  then the new crc32 is committed to the manifest;
+* a corrupt manifest is rewritten from the serving manifest object;
+* a single index ``.npz`` is rewritten from the loaded index object.
+
+Only the journal and its pinned base database cannot be recomputed:
+their corruption is recorded as an escalation
+(:class:`~repro.durability.errors.ScrubError` from
+:meth:`Scrubber.scrub_once` with ``raise_errors=True``) — the operator
+restores from backup.
 
 In-flight queries never stop: heals touch only files (atomic replaces)
 and swap the in-memory manifest under the mutable index's write latch
@@ -42,7 +45,7 @@ from pathlib import Path
 from repro import obs
 from repro.delta.journal import scan_journal
 from repro.durability.errors import ScrubError
-from repro.resilience.atomicio import atomic_write, unwrap_checksummed
+from repro.resilience.atomicio import unwrap_checksummed
 
 
 class Scrubber:
@@ -218,7 +221,7 @@ class Scrubber:
     # Shard bundle (ShardedIndex / ReplicatedIndex)
     # ------------------------------------------------------------------
     def _scrub_bundle(self, index, manifest_path, report, *, latch) -> None:
-        from repro.durability.backup import frame_problems
+        from repro.durability.backup import frame_problem
         from repro.shard.errors import ManifestError
         from repro.shard.manifest import ShardManifest
 
@@ -255,75 +258,55 @@ class Scrubber:
                 )
                 continue
             report["files"] += 1
-            if zlib.crc32(raw) == entry.checksum:
-                continue
-            report["corruptions"].append(
-                f"{artifact}: crc32 mismatch against the shard manifest"
-            )
-            self._heal_shard(
-                index, manifest_path, entry, artifact, report, latch=latch,
-            )
-        # Intact bytes embedded against another frame cannot be healed
-        # from a copy of themselves.
-        off_frame = frame_problems(index.manifest, manifest_path.parent)
-        report["corruptions"].extend(off_frame)
-        report["escalations"].extend(off_frame)
-
-    def _heal_shard(
-        self, index, manifest_path, entry, artifact, report, *, latch,
-    ) -> None:
-        # 1. A live replica still holds the original bytes.
-        fetch = getattr(index, "fetch_shard_bytes", None)
-        if fetch is not None:
-            try:
-                fetched = fetch(entry.shard_id)
-            except Exception as error:  # replica down ≠ unhealable yet
-                report["skipped"].append(
-                    f"{artifact}: replica fetch failed ({error}); trying "
-                    f"local rewrite"
+            if zlib.crc32(raw) != entry.checksum:
+                problem = (
+                    f"{artifact}: crc32 mismatch against the shard manifest"
                 )
-                fetched = None
-            if fetched is not None and zlib.crc32(fetched) == entry.checksum:
-                with atomic_write(artifact, "wb") as handle:
-                    handle.write(fetched)
-                report["healed"].append(
-                    f"{artifact}: re-fetched from a live replica"
+            else:
+                problem = frame_problem(
+                    manifest, entry.shard_id, manifest_path.parent
                 )
-                return
-        # 2. The loaded in-memory shard object can rewrite the artifact.
-        shards = getattr(index, "shards", None)
-        if shards is not None:
-            from repro.index.persistence import save_index
-
-            staging = artifact.with_name(artifact.name + ".scrub-heal")
-            save_index(shards[entry.shard_id], staging)
-            raw = staging.read_bytes()
-            unwrap_checksummed(raw, source=str(staging))
-            os.replace(staging, artifact)
-            # Rewritten npz bytes differ (zip metadata) — update the
-            # manifest entry's checksum and commit, as compaction does.
-            manifest = index.manifest
-            new_entries = tuple(
-                dataclasses.replace(e, checksum=zlib.crc32(raw))
-                if e.shard_id == entry.shard_id else e
-                for e in manifest.shards
+                if problem is None:
+                    continue
+            report["corruptions"].append(problem)
+            self._rebuild_shard(
+                index, manifest_path, entry.shard_id, artifact, latch=latch,
             )
-            new_manifest = dataclasses.replace(manifest, shards=new_entries)
-            new_manifest.save(manifest_path)
-            swap = latch.write() if latch is not None else (
-                contextlib.nullcontext()
-            )
-            with swap:
-                index.manifest = new_manifest
             report["healed"].append(
-                f"{artifact}: rewritten from the loaded shard object"
+                f"{artifact}: rebuilt from the frame and the manifest"
             )
-            return
-        # 3. Nobody holds good bytes.
-        report["escalations"].append(
-            f"{artifact}: corrupt and no live replica or loaded object "
-            f"holds matching bytes — restore from backup"
+
+    @staticmethod
+    def _rebuild_shard(index, manifest_path, shard_id, artifact, *, latch):
+        """Rebuild one shard exactly as the build did, install the artifact
+        and commit its crc32 to the manifest, as compaction does."""
+        from repro.index.nbindex import NBIndex
+        from repro.index.persistence import save_index
+        from repro.index.pivec import ThresholdLadder
+        from repro.shard.manifest import ShardManifest
+
+        manifest, frame = index.manifest, index.frame
+        members = manifest.members(shard_id)
+        rebuilt = NBIndex.from_coords(
+            index.database.subset([int(i) for i in members]),
+            index.distance, frame.vantage_ids, frame.coords[members],
+            branching=int(manifest.build.get("branching", 8)),
+            thresholds=ThresholdLadder(manifest.ladder),
+            rng=ShardManifest.shard_rng(manifest.seed, shard_id),
         )
+        staging = artifact.with_name(artifact.name + ".scrub-heal")
+        save_index(rebuilt, staging)
+        raw = staging.read_bytes()
+        unwrap_checksummed(raw, source=str(staging))
+        os.replace(staging, artifact)
+        new_manifest = dataclasses.replace(manifest, shards=tuple(
+            dataclasses.replace(e, checksum=zlib.crc32(raw))
+            if e.shard_id == shard_id else e
+            for e in manifest.shards
+        ))
+        new_manifest.save(manifest_path)
+        with latch.write() if latch is not None else contextlib.nullcontext():
+            index.manifest = new_manifest
 
     # ------------------------------------------------------------------
     # Single checksummed .npz

@@ -83,9 +83,6 @@ class NBIndex:
         self.tree = tree
         self.ladder = ladder
         self.build_seconds = build_seconds
-        #: ``{kind: count}`` of budget-forced degradations during the
-        #: build (empty for an unbudgeted or on-budget build).
-        self.build_degradations: dict[str, int] = {}
         self._leaf_of: dict[int, NBTreeNode] = {
             node.graph_index: node for node in tree.nodes if node.is_leaf
         }
@@ -111,7 +108,6 @@ class NBIndex:
         seed=None,
         vp_strategy: str = "random",
         validate_metric: bool = False,
-        deadline=None,
     ) -> "NBIndex":
         """Build the index: select VPs, embed the database, cluster it.
 
@@ -129,25 +125,18 @@ class NBIndex:
         share its cache across builds.
 
         ``seed`` (an int or a numpy Generator) drives vantage/pivot
-        selection.
-
-        ``deadline`` is a :class:`~repro.resilience.Deadline` budget
-        installed for the whole build: exact-GED calls that exceed it
-        degrade to upper bounds, and the degradation counts land in
-        :attr:`build_degradations` / ``stats()['degraded']``.  A build is
-        not resumable — a killed one starts again from zero.
+        selection.  A build is not resumable — a killed one starts again
+        from zero.
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
-        from repro.resilience.deadline import deadline_scope
-
         rng = ensure_rng(seed)
         engine = DistanceEngine.of(distance, database.graphs)
         if validate_metric:
             _spot_check_metric(database, engine, rng)
 
         started = time.perf_counter()
-        with deadline_scope(deadline), obs.span(
+        with obs.span(
             "index.build", n=len(database), branching=branching,
         ) as build_span:
             vp_count = min(num_vantage_points, len(database))
@@ -184,13 +173,10 @@ class NBIndex:
             obs.counter("index.tree.pruned_by_vantage", tree.stats.pruned_by_vantage)
         build_seconds = time.perf_counter() - started
         obs.observe_time("index.build_seconds", build_seconds)
-        index = cls(
+        return cls(
             database, engine, embedding=embedding, tree=tree,
             ladder=thresholds, build_seconds=build_seconds,
         )
-        if deadline is not None:
-            index.build_degradations = dict(deadline.degradations)
-        return index
 
     @classmethod
     def from_coords(
@@ -240,8 +226,6 @@ class NBIndex:
             "distance_calls": self.engine.calls,
             "memory_bytes": self._memory_bytes(),
             "coverage_bytes": self._coverage_bytes(),
-            "degraded": bool(self.build_degradations),
-            "build_degradations": dict(self.build_degradations),
             "tree_build": {
                 "exact_distances": self.tree.stats.exact_distances,
                 "pruned_by_vantage": self.tree.stats.pruned_by_vantage,

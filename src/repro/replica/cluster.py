@@ -27,12 +27,10 @@ query service — produces.  Each worker rebuilds the function from
 from __future__ import annotations
 
 import uuid
-import zlib
 from pathlib import Path
 
 import numpy as np
 
-from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
@@ -63,6 +61,8 @@ class ReplicatedIndex:
         self.manifest = manifest
         self.path = path
         self.supervisor = supervisor
+        #: The bundle's vantage frame, the one the workers inherited.
+        self.frame = supervisor.frame
         self.router = router
         self.ladder = ThresholdLadder(manifest.ladder)
         self.shard_of = np.asarray(manifest.assignments, dtype=np.int64)
@@ -208,51 +208,6 @@ class ReplicatedIndex:
 
     def compact(self) -> dict:
         raise ReadOnlyIndexError("compact", "ReplicatedIndex")
-
-    # ------------------------------------------------------------------
-    # Durability (the scrubber's self-heal source)
-    # ------------------------------------------------------------------
-    def fetch_shard_bytes(self, shard_id: int) -> bytes:
-        """The shard artifact's original bytes, served from a live replica.
-
-        Workers retain the bytes they verified at startup, so even when
-        the on-disk artifact has since rotted, any live replica can hand
-        back a pristine copy.  Chunked over the wire and verified end to
-        end (length + crc32 across the reassembly); raises
-        :class:`~repro.replica.errors.ReplicaWorkerError` /
-        :class:`~repro.replica.errors.ShardUnavailableError` when no
-        replica can serve it, and :class:`ValueError` when the reassembled
-        bytes fail their own checksum."""
-        from repro.replica.worker import FETCH_CHUNK_BYTES
-
-        chunks: list[bytes] = []
-        offset = 0
-        total = None
-        crc = None
-        while total is None or offset < total:
-            result = self.router.call(shard_id, {
-                "op": "fetch_shard",
-                "off": offset,
-                "len": FETCH_CHUNK_BYTES,
-            })
-            total = int(result["size"])
-            crc = int(result["crc32"])
-            chunk = bytes.fromhex(result["data"])
-            if not chunk and offset < total:
-                raise ValueError(
-                    f"shard {shard_id}: empty fetch_shard chunk at offset "
-                    f"{offset} of {total}"
-                )
-            chunks.append(chunk)
-            offset += len(chunk)
-        data = b"".join(chunks)
-        if len(data) != total or zlib.crc32(data) != crc:
-            raise ValueError(
-                f"shard {shard_id}: reassembled artifact fails the "
-                f"replica's checksum ({len(data)}/{total} bytes)"
-            )
-        obs.counter("replica.shard_fetches")
-        return data
 
     # ------------------------------------------------------------------
     # Introspection & lifecycle

@@ -20,7 +20,6 @@ op                    effect
 ``nbhd``              verify it as far as ``mu``/``tie`` ask: bitset or bound
 ``select``            retire a chosen home graph from the frontier
 ``close``             drop a session
-``fetch_shard``       chunk of the artifact's verified startup bytes
 ====================  =====================================================
 
 Sessions are keyed by a coordinator-chosen ``sid`` and bounded by an LRU
@@ -48,7 +47,6 @@ from __future__ import annotations
 import os
 import socket
 import traceback
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -73,10 +71,6 @@ _NEG_INF = float("-inf")
 #: restores an evicted session transparently, so the cap only bounds
 #: memory, never correctness.
 SESSION_CAP = 8
-
-#: ``fetch_shard`` chunk cap: 1 MiB of raw bytes is 2 MiB of hex, half
-#: the wire's 4 MiB frame limit.
-FETCH_CHUNK_BYTES = 1 << 20
 
 
 def _bound_to_wire(value: float):
@@ -129,13 +123,10 @@ class ShardWorker:
         self.members = manifest.members(self.shard_id)
         self.database = database
         sub = database.subset([int(i) for i in self.members])
-        artifact = manifest.artifact_path(self.shard_id, manifest_path.parent)
-        #: The verified startup bytes, retained for ``fetch_shard``: every
-        #: local replica mmap/opens the *same* artifact file, so healing a
-        #: corrupted file needs a copy that does not live on that disk.
-        self.artifact_path = artifact
-        self.artifact_bytes = artifact.read_bytes()
-        self.index = load_index(artifact, sub, distance)
+        self.index = load_index(
+            manifest.artifact_path(self.shard_id, manifest_path.parent),
+            sub, distance,
+        )
         #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
         #: graph's coordinates, wherever it lives.
         self.frame = frame
@@ -165,7 +156,7 @@ class ShardWorker:
             return _error("invalid_request", f"unknown op {op!r}")
         try:
             session = None
-            if op not in ("hello", "ping", "open", "fetch_shard"):
+            if op not in ("hello", "ping", "open"):
                 session = self._session(request)
             with deadline_scope(session.deadline if session else None):
                 result = handler(self, request, session)
@@ -311,27 +302,6 @@ class ShardWorker:
         self.sessions.pop(request.get("sid"), None)
         return {}
 
-    def _op_fetch_shard(self, request: dict, _session) -> dict:
-        """Serve a chunk of the shard artifact's *original* bytes.
-
-        The scrubber's self-heal path: when the on-disk artifact rots,
-        any live replica can hand back the bytes it verified at startup.
-        Chunked (hex over line-JSON) to stay far under the frame cap;
-        the crc32 covers the whole artifact so the assembling side can
-        verify the reassembly end to end."""
-        offset = int(request.get("off", 0))
-        if offset < 0:
-            raise wire.ReplicaProtocolError("fetch_shard: negative offset")
-        length = int(request.get("len", FETCH_CHUNK_BYTES))
-        length = max(0, min(length, FETCH_CHUNK_BYTES))
-        chunk = self.artifact_bytes[offset:offset + length]
-        return {
-            "data": chunk.hex(),
-            "off": offset,
-            "size": len(self.artifact_bytes),
-            "crc32": zlib.crc32(self.artifact_bytes),
-        }
-
     _HANDLERS = {
         "hello": _op_hello,
         "ping": _op_ping,
@@ -343,7 +313,6 @@ class ShardWorker:
         "nbhd": _op_nbhd,
         "select": _op_select,
         "close": _op_close,
-        "fetch_shard": _op_fetch_shard,
     }
 
 

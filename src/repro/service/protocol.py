@@ -36,10 +36,10 @@ evolve without silent misreads) and need a deployment opened with
 
 Durability admin ops (PR 9) ride the same wire: ``checkpoint`` folds the
 mutation journal into a fresh base generation (mutable + journaled
-deployments only), ``backup`` captures a crash-consistent snapshot into
-the directory named by ``path``, ``scrub`` runs one verification cycle
-over the deployment's artifacts, and ``scrub_status`` reports the
-background scrubber's counters::
+deployments only), ``backup`` captures a crash-consistent snapshot of
+the database (or journal + base) into the directory named by ``path``,
+``scrub`` runs one verification cycle over the deployment's artifacts,
+and ``scrub_status`` reports the background scrubber's counters::
 
     {"id": 10, "op": "checkpoint"}
     {"id": 11, "op": "backup", "path": "backups/2026-08-08"}

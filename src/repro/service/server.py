@@ -108,9 +108,9 @@ class QueryService:
             max_bytes=self.config.crash_log_max_bytes,
             keep_rotated=self.config.crash_log_keep,
         )
-        #: Where this deployment's artifacts live on disk — filled by
-        #: :meth:`open`; the ``backup`` op and the scrubber's journal-base
-        #: resolution read from here.
+        #: Where this deployment's database and journal live on disk —
+        #: filled by :meth:`open`; the ``backup`` op and the scrubber's
+        #: journal-base resolution read from here.
         self.source_paths: dict = {}
         self.scrubber = None
         self._threads: list[threading.Thread] = []
@@ -168,8 +168,6 @@ class QueryService:
         source_paths = {
             "database": str(database_path),
             "journal": None if journal is None else str(journal),
-            "index": None if index_path is None else str(index_path),
-            "shards": None if shards_path is None else str(shards_path),
         }
         if distance is None:
             distance = repro.StarDistance()
@@ -463,12 +461,9 @@ class QueryService:
             return protocol.ok_response(request.id, report)
         if request.op == "backup":
             sources = self.source_paths
-            if not any(
-                sources.get(role)
-                for role in ("database", "journal", "index", "shards")
-            ):
+            if not any(sources.get(role) for role in ("database", "journal")):
                 raise InvalidRequest(
-                    "backup needs on-disk source artifacts; this service "
+                    "backup needs an on-disk database; this service "
                     "was built in-process (open it over saved files)"
                 )
             with self.manager.acquire() as index:
@@ -478,8 +473,6 @@ class QueryService:
                             request.path,
                             database=sources.get("database"),
                             journal=sources.get("journal"),
-                            index=sources.get("index"),
-                            shards=sources.get("shards"),
                             latch=getattr(index, "latch", None),
                         )
                 except BackupError as error:

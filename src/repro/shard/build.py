@@ -92,10 +92,9 @@ def build_shards(
                 database, num_shards, seed=seed, distance=engine
             )
 
-        # Child s seeds shard s (as in compaction), one more the frame.
-        *shard_seeds, frame_seed = np.random.SeedSequence(seed).spawn(
-            num_shards + 1
-        )
+        # Child s of the root seeds shard s (ShardManifest.shard_rng);
+        # the child after the last shard seeds the frame.
+        frame_seed = np.random.SeedSequence(seed, spawn_key=(num_shards,))
         with obs.span("shard.frame"):
             vantage = select_vantage_points(
                 database.graphs, min(num_vantage_points, len(database)),
@@ -116,7 +115,7 @@ def build_shards(
                     sub, distance, frame.vantage_indices,
                     frame.coords[members], branching=branching,
                     thresholds=thresholds,
-                    rng=np.random.default_rng(shard_seeds[shard_id]),
+                    rng=ShardManifest.shard_rng(seed, shard_id),
                 )
                 seconds = time.perf_counter() - shard_started
             save_index(index, artifacts[shard_id])

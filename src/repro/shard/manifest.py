@@ -83,6 +83,15 @@ class ShardManifest:
     def artifact_path(self, shard_id: int, base_dir: Path) -> Path:
         return Path(base_dir) / self.shards[shard_id].path
 
+    @staticmethod
+    def shard_rng(seed, shard_id: int) -> np.random.Generator:
+        """The tree rng of shard ``shard_id``: child ``shard_id`` of
+        ``SeedSequence(seed)``.  Build, compaction and the scrubber's
+        rebuild all draw from it, so a rebuilt shard is the built one."""
+        return np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(int(shard_id),))
+        )
+
     def assemble_frame(self, embeddings) -> VantageFrame:
         """The bundle's one frame from its shards' ``(vantage ids, coords)``
         pairs, in shard order; a shard embedded against other vantage

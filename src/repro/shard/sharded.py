@@ -267,7 +267,6 @@ class ShardedIndex:
                     sum(s.build_seconds for s in self.shards),
                 )
             ),
-            "degraded": any(bool(s.build_degradations) for s in self.shards),
             "distance_calls": self._distance_calls(),
             "shards": [
                 {

@@ -5,8 +5,8 @@ invariant ``base + journal = database`` held across every commit point:
 a checkpoint interrupted anywhere reopens either at the old generation
 (with the full journal) or the new one (journal folded), never a mix;
 a backup verifies every checksum before a restore writes a byte; the
-scrubber detects every injected single-bit flip and heals shards from a
-live replica or the loaded object without stopping queries.  Torn
+scrubber detects every injected single-bit flip and rebuilds a corrupt
+shard from the serving index's frame without stopping queries.  Torn
 writes, partial records and duplicated tails at every byte boundary
 either reopen bit-identical to the surviving prefix or raise a typed
 error — never a silent wrong answer.
@@ -362,10 +362,7 @@ class TestBackupRestore:
         _mutate(mutable, db, inserts=2)
         state = _state(mutable)
         report = create_backup(
-            tmp_path / "bk",
-            database=dbp, journal=tmp_path / "m.journal",
-            shards=artifact if num_shards > 1 else None,
-            index=None if num_shards > 1 else artifact,
+            tmp_path / "bk", database=dbp, journal=tmp_path / "m.journal",
             latch=mutable.latch,
         )
         mutable.close()
@@ -373,23 +370,49 @@ class TestBackupRestore:
 
     def test_roundtrip_restores_byte_identical_deployment(self, tmp_path):
         db, dbp, artifact, state, report = self._backed_up(tmp_path)
-        assert set(report["roles"]) == {
-            "database", "journal", "manifest", "shard",
-        }
+        assert report["roles"] == ["database", "journal"]
         assert verify_backup(tmp_path / "bk")["ok"]
         restore_backup(tmp_path / "bk", tmp_path / "restored")
         for name in ("base.jsonl", "m.journal"):
             assert (tmp_path / "restored" / name).read_bytes() == (
                 tmp_path / "bk" / name
             ).read_bytes()
-        # The restored deployment opens and answers identically.
+        # Rebuild the index over the restored base: the deployment opens
+        # and answers identically.
+        restored_base = tmp_path / "restored" / "base.jsonl"
+        manifest_path = build_shards(
+            load_database(restored_base), DIST, num_shards=4,
+            out_dir=tmp_path / "restored" / "bundle",
+            num_vantage_points=4, branching=4, seed=0,
+        )
         restored = repro.open_index(
-            tmp_path / "restored" / "manifest.json",
-            tmp_path / "restored" / "base.jsonl",
+            manifest_path, restored_base,
             mutable=True, journal=tmp_path / "restored" / "m.journal",
         )
         assert _state(restored) == state
         restored.close()
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_a_backup_holds_the_database_or_journal_and_base(
+        self, tmp_path, checkpointed,
+    ):
+        db, dbp, artifact = _deployment(tmp_path, 4)
+        create_backup(tmp_path / "db-only", database=dbp)
+        assert _archived(tmp_path / "db-only") == {"base.jsonl": "database"}
+        mutable = _open(tmp_path, dbp, artifact)
+        _mutate(mutable, db, inserts=1)
+        base = mutable.checkpoint()["base"] if checkpointed else "base.jsonl"
+        create_backup(
+            tmp_path / "bk", database=dbp, journal=tmp_path / "m.journal",
+            latch=mutable.latch,
+        )
+        mutable.close()
+        # No index artifact travels: not the manifest, not a shard.
+        assert _archived(tmp_path / "bk") == {
+            base: "database", "m.journal": "journal",
+        }
+        with pytest.raises(TypeError):
+            create_backup(tmp_path / "more", database=dbp, shards=artifact)
 
     def test_backup_after_checkpoint_carries_pinned_base(self, tmp_path):
         db, dbp, artifact = _deployment(tmp_path, 1)
@@ -399,7 +422,7 @@ class TestBackupRestore:
         state = _state(mutable)
         create_backup(
             tmp_path / "bk", journal=tmp_path / "m.journal",
-            index=artifact, latch=mutable.latch,
+            latch=mutable.latch,
         )
         mutable.close()
         # The generation base travels instead of the original database.
@@ -407,6 +430,15 @@ class TestBackupRestore:
         assert report["base"] in names
         assert "base.jsonl" not in names
         restore_backup(tmp_path / "bk", tmp_path / "restored")
+        # The index is rebuilt over the pinned base, tombstones and all.
+        save_index(
+            NBIndex.build(
+                load_database(tmp_path / "restored" / report["base"]), DIST,
+                num_vantage_points=4, branching=4,
+                seed=np.random.default_rng(0),
+            ),
+            tmp_path / "restored" / "index.npz",
+        )
         restored = repro.open_index(
             tmp_path / "restored" / "index.npz",
             tmp_path / "restored" / "nonexistent.jsonl",  # base is pinned
@@ -441,6 +473,13 @@ class TestBackupRestore:
         assert report["forced"] is True
         assert (tmp_path / "occupied" / "m.journal").exists()
 
+    def test_force_into_a_fresh_destination_is_not_reported_forced(
+        self, tmp_path,
+    ):
+        self._backed_up(tmp_path, num_shards=1)
+        report = restore_backup(tmp_path / "bk", tmp_path / "fresh", force=True)
+        assert report["forced"] is False  # a staged rename overwrote nothing
+
     def test_gen0_journal_without_database_is_refused(self, tmp_path):
         db, dbp, artifact = _deployment(tmp_path, 1)
         mutable = _open(tmp_path, dbp, artifact)
@@ -456,7 +495,7 @@ class TestBackupRestore:
         faults.install(faults.FaultPlan(kill_site=site))
         try:
             with pytest.raises(faults.SimulatedCrash):
-                create_backup(tmp_path / "bk", database=dbp, index=artifact)
+                create_backup(tmp_path / "bk", database=dbp)
         finally:
             faults.clear()
         assert not (tmp_path / "bk").exists()
@@ -489,6 +528,14 @@ class TestBackupRestore:
         shard.write_bytes(bytes(raw))
         assert not verify_deployment(shard)["ok"]
         assert not verify_deployment(artifact.parent)["ok"]
+
+
+def _archived(backup_dir: Path) -> dict:
+    """``{name: role}`` of every file a backup's archive manifest lists."""
+    document = json.loads((backup_dir / "backup.json").read_text())
+    files = {e["name"]: e["role"] for e in document["backup"]["files"]}
+    assert {p.name for p in backup_dir.iterdir()} == {*files, "backup.json"}
+    return files
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +653,7 @@ class TestScrubber:
         assert scrubber.status()["torn_tails"] == 1
         mutable.close()
 
-    def test_heals_shard_from_live_replica_byte_identical(self, tmp_path):
+    def test_heals_replicated_shard_by_rebuild(self, tmp_path):
         from repro.graphs import quartile_relevance
         from repro.index.pivec import ThresholdLadder
 
@@ -616,24 +663,70 @@ class TestScrubber:
             num_vantage_points=4, branching=4, seed=0,
             thresholds=ThresholdLadder([2.0, 4.0, 8.0, 16.0, 32.0]),
         )
-        victim = sorted(artifact.parent.glob("*.npz"))[0]
-        pristine = victim.read_bytes()
+        victim = artifact.parent / "shard-000.npz"
         with ReplicatedIndex.open(
-            artifact, database, DIST, replicas=1,
+            artifact, database, DIST, replicas=1, heartbeat_s=0.1,
         ) as rep:
             fn = quartile_relevance(database, quantile=0.5)
             before = rep.query(fn, 8.0, 3)
             self._flip(victim)
-            scrubber = Scrubber(rep)
-            report = scrubber.scrub_once(raise_errors=True)
-            assert len(report["healed"]) == 1
-            assert "replica" in report["healed"][0]
-            # The workers held the original bytes: byte-identical heal,
-            # manifest untouched, in-flight queries never interrupted.
-            assert victim.read_bytes() == pristine
+            report = Scrubber(rep).scrub_once(raise_errors=True)
+            assert report["healed"] == [
+                f"{victim}: rebuilt from the frame and the manifest"
+            ]
+            # The rebuilt artifact's crc32 is committed, on disk and in
+            # the serving manifest.
+            entry = ShardManifest.load(artifact).shards[0]
+            assert entry.checksum == zlib.crc32(victim.read_bytes())
+            assert rep.manifest.shards[0] == entry
+            # A restarted worker loads the rebuilt artifact (the flipped
+            # one would fail its handshake) and answers identically.
+            handle = rep.supervisor.groups[0][0]
+            generation = handle.generation
+            handle.proc.kill()
+            deadline = time.monotonic() + 10.0
+            while not (handle.alive and handle.generation > generation):
+                assert time.monotonic() < deadline, "worker never restarted"
+                time.sleep(0.05)
             after = rep.query(fn, 8.0, 3)
-            assert after.answer == before.answer
-            assert after.gains == before.gains
+            assert (after.answer, after.gains) == (before.answer, before.gains)
+
+    @pytest.mark.parametrize("compacted", [False, True])
+    def test_a_rebuilt_shard_is_the_serving_shard(self, tmp_path, compacted):
+        """Build, compaction and heal draw a shard's tree rng from one
+        helper, so the heal writes back the very tree being served."""
+        from repro.index.persistence import flatten_tree, load_index
+
+        db, dbp, artifact = _deployment(tmp_path, 4)
+        mutable = _open(tmp_path, dbp, artifact)
+        if compacted:
+            _mutate(mutable, db, inserts=4, delete=None)
+            assert mutable.compact()["rebuilt_shards"]
+        before = _state(mutable)
+        base = mutable.base
+        paths = [
+            base.manifest.artifact_path(s, artifact.parent) for s in range(4)
+        ]
+        for path in paths:
+            self._flip(path)
+        report = Scrubber(mutable, database_path=dbp).scrub_once(
+            raise_errors=True
+        )
+        assert len(report["healed"]) == 4
+        for shard_id, (path, serving) in enumerate(zip(paths, base.shards)):
+            members = base.manifest.members(shard_id)
+            rebuilt = load_index(
+                path, base.database.subset([int(i) for i in members]), DIST,
+            )
+            want, got = flatten_tree(serving.tree), flatten_tree(rebuilt.tree)
+            assert want.keys() == got.keys()
+            for key in want:
+                assert np.array_equal(want[key], got[key]), key
+            assert np.array_equal(
+                rebuilt.embedding.coords, serving.embedding.coords
+            )
+        assert _state(mutable) == before
+        mutable.close()
 
     def test_background_thread_lifecycle(self, tmp_path):
         db, dbp, artifact = _deployment(tmp_path, 1)

@@ -26,7 +26,7 @@ import repro
 from repro import NBIndex, StarDistance, build_shards
 from repro.datasets import GENERATORS
 from repro.engine import DistanceEngine
-from repro.ged import CountingDistance, ExactGED
+from repro.ged import CountingDistance
 from repro.metricspace import vector_database
 from repro.resilience import CorruptIndexError, Deadline, faults
 from repro.resilience.atomicio import read_checksummed
@@ -264,18 +264,3 @@ def test_counters_of_a_fanned_out_build_add_up_to_the_inline_build():
     fanned, inline = _observed_build("fanned"), _observed_build("inline")
     assert fanned["ged.star.batch_pairs"] > 0
     assert fanned == inline
-
-
-def _budgeted_build(mode):
-    database = random_database(seed=31, size=12, min_nodes=5, max_nodes=7)
-    with process_shape(mode, forks_expected=False):  # 36 pairs: one share
-        index = NBIndex.build(
-            database, ExactGED(), num_vantage_points=3, branching=3, seed=0,
-            deadline=Deadline(expansion_limit=4),
-        )
-    return index.build_degradations, index.embedding.coords.tolist()
-
-
-def test_a_budgeted_build_keeps_its_degradations():
-    fanned, inline = _budgeted_build("fanned"), _budgeted_build("inline")
-    assert fanned[0] and fanned == inline

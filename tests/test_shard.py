@@ -28,14 +28,7 @@ from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.index import NBIndex, OffLadderThetaError, save_index
-from repro.durability import (
-    BackupError,
-    Scrubber,
-    create_backup,
-    restore_backup,
-    verify_backup,
-    verify_deployment,
-)
+from repro.durability import Scrubber, verify_deployment
 from repro.graphs.io import save_database
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.persistence import load_index
@@ -468,40 +461,21 @@ class TestFrame:
         report = verify_deployment(manifest_path)
         assert not report["ok"]
         assert any("frame" in problem for problem in report["problems"])
-        with pytest.raises(BackupError, match="frame"):
-            create_backup(tmp_path / "backup", shards=manifest_path)
-        # The scrubber finds it under a serving index too, and cannot heal
-        # intact bytes from a copy of themselves.
+        # The scrubber finds it under a serving index too, and rebuilds it
+        # in the frame: the bundle verifies and loads again.
         serving = _load(bundle_dir, db)
         serving.path = manifest_path
         serving.manifest = ShardManifest.load(manifest_path)
-        report = Scrubber(serving).scrub_once()
-        assert any("frame" in line for line in report["escalations"])
-
-    def test_backup_and_restore_carry_the_frame(self, db, bundle_dir, tmp_path):
-        create_backup(tmp_path / "backup", shards=bundle_dir / "manifest.json")
-        assert verify_backup(tmp_path / "backup")["ok"]
-        restore_backup(tmp_path / "backup", tmp_path / "restored")
-        restored = _load(tmp_path / "restored", db)
-        assert restored.manifest.frame == _load(bundle_dir, db).manifest.frame
-        # Tampering inside the archive that re-seals the checksums is still
-        # an off-frame bundle.
-        _off_frame_bundle(db, bundle_dir, tmp_path / "tampered")
-        for name in ("manifest.json", "shard-001.npz"):
-            (tmp_path / "backup" / name).write_bytes(
-                (tmp_path / "tampered" / name).read_bytes()
-            )
-        document = json.loads((tmp_path / "backup" / "backup.json").read_text())
-        for entry in document["backup"]["files"]:
-            raw = (tmp_path / "backup" / entry["name"]).read_bytes()
-            entry.update(bytes=len(raw), crc32=zlib.crc32(raw))
-        canonical = json.dumps(
-            document["backup"], sort_keys=True, separators=(",", ":")
-        )
-        document["crc32"] = zlib.crc32(canonical.encode())
-        (tmp_path / "backup" / "backup.json").write_text(json.dumps(document))
-        report = verify_backup(tmp_path / "backup")
-        assert any("frame" in problem for problem in report["problems"])
+        report = Scrubber(serving).scrub_once(raise_errors=True)
+        assert any("frame" in line for line in report["corruptions"])
+        assert report["healed"] == [
+            f"{manifest_path.parent / 'shard-001.npz'}: rebuilt from the "
+            f"frame and the manifest"
+        ]
+        assert verify_deployment(manifest_path)["ok"]
+        healed = ShardedIndex.load(manifest_path, db, StarDistance())
+        fn = quartile_relevance(db, quantile=0.5)
+        _assert_same_result(healed.query(fn, 8.0, 3), serving.query(fn, 8.0, 3))
 
     def test_legacy_bundle_is_rejected(self, db, tmp_path):
         """A ``v1`` bundle is refused by every reader, not re-embedded."""
