@@ -16,6 +16,8 @@ contract:
 * a killed ``backup``/``restore`` leaves either nothing or a fully
   verified archive/deployment — never a partial one — and ``repro
   verify`` refuses every single-bit flip injected into an archive;
+* ``repro backup`` of a checkpointed journal whose pinned base fails its
+  crc32 exits non-zero and leaves no destination;
 * a backup is the base database + journal only: a restore plus ``repro
   build-index`` over the restored base answers byte-for-byte like the
   live deployment;
@@ -288,6 +290,22 @@ def sweep_backup_restore_kills(tmp, base_path, idx, failures):
     if proc.returncode != 0:
         failures.append(f"clean backup failed: {proc.stderr}")
         return
+
+    # A journal whose pinned base rotted cannot be restored from: the
+    # backup runs the check an open makes, refuses, and writes nothing.
+    pinned = next(tmp.glob(f"{journal.name}.base-gen*.jsonl"))
+    pristine = pinned.read_bytes()
+    rotted = bytearray(pristine)
+    rotted[len(rotted) // 2] ^= 0x01
+    pinned.write_bytes(bytes(rotted))
+    refused = run_cli("backup", str(tmp / "bk-rotted"),
+                      "--journal", str(journal))
+    pinned.write_bytes(pristine)
+    if refused.returncode == 0:
+        failures.append("backup accepted a journal whose pinned base fails "
+                        "the crc32 in its header")
+    if (tmp / "bk-rotted").exists():
+        failures.append("a refused backup still wrote its destination")
 
     for kill in ("durability.restore.install", "durability.restore.commit"):
         dest = tmp / f"restored-{kill.rsplit('.', 1)[1]}"

@@ -175,6 +175,10 @@ def open_index(
 
     # The index may cover fewer graphs than the (journaled) live
     # database — load it against the prefix snapshot it was built over.
+    # A mutable single index snapshots even when nothing was journaled:
+    # the live database grows in place, and a base aliasing it would be
+    # saved (the scrubber's heal) with a fingerprint its tree does not
+    # cover.  A bundle's shards already hold sub-databases of their own.
     if sharded:
         from repro.shard.manifest import ShardManifest
 
@@ -192,7 +196,7 @@ def open_index(
             f"journal"
         )
     base_db = (
-        database if indexed == len(database)
+        database if indexed == len(database) and (sharded or not mutable)
         else database.subset(range(indexed))
     )
     if sharded:

@@ -91,22 +91,56 @@ def _iter_journal_lines(path: Path):
             offset += len(line)
 
 
+def pinned_base(journal_path, base_name: str, base_crc32, generation) -> Path:
+    """The base database file a checkpointed journal's header pins (next
+    to the journal), once its bytes match the header's crc32; a missing,
+    unreadable, rotted or swapped file raises :class:`JournalError`.  The
+    one check of the pinned base: open, ``repro verify``, backup and the
+    scrubber all make it."""
+    base_path = Path(journal_path).parent / base_name
+    try:
+        raw = base_path.read_bytes()
+    except OSError as error:
+        raise JournalError(
+            f"{journal_path}: checkpointed base file {base_path} is "
+            f"missing or unreadable: {error}"
+        ) from error
+    if zlib.crc32(raw) != base_crc32:
+        raise JournalError(
+            f"{base_path}: base database fails the crc32 pinned in the "
+            f"generation-{generation} journal header — the file is corrupt "
+            f"or was swapped"
+        )
+    return base_path
+
+
+def check_journal(path: str | Path) -> dict:
+    """:func:`scan_journal`'s report, or :class:`JournalError` naming its
+    problems when the journal or its pinned base cannot replay."""
+    report = scan_journal(path)
+    if report["problems"]:
+        raise JournalError("; ".join(report["problems"]))
+    return report
+
+
 def scan_journal(path: str | Path) -> dict:
-    """Audit one journal file without mutating it.
+    """Audit one journal file, and the base it pins, without mutating it.
 
     Streams every line, verifying the per-record crc32 and the header,
-    and reports what a reopen would see::
+    checks a checkpointed journal's base file (:func:`pinned_base`), and
+    reports what a reopen would see::
 
         {"records": N,            # valid mutation records (header excluded)
          "generation": G, "base": name-or-None, "base_crc32": crc-or-None,
          "torn_tail": bool,       # final line fails its checksum
-         "problems": [...]}       # mid-file corruption / header trouble
+         "problems": [...]}       # mid-file corruption / header / base
 
     A torn tail is *not* a problem — it is the expected shape of a crash
     (or a concurrent append caught mid-write) and reopening repairs it.
     Anything in ``problems`` means the journal cannot replay.  Used by
-    ``repro verify`` and the background scrubber, which must never
-    truncate a live file the way :class:`MutationJournal` does on open.
+    ``repro verify``, backups and the background scrubber, which must
+    never truncate a live file the way :class:`MutationJournal` does on
+    open.
     """
     path = Path(path)
     report = {
@@ -157,6 +191,14 @@ def scan_journal(path: str | Path) -> dict:
         index += 1
     if not header_seen and not report["torn_tail"]:
         report["problems"].append(f"{path}: journal has no header record")
+    if report["base"] is not None:
+        try:
+            pinned_base(
+                path, report["base"], report["base_crc32"],
+                report["generation"],
+            )
+        except JournalError as error:
+            report["problems"].append(str(error))
     return report
 
 

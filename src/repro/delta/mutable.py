@@ -67,6 +67,7 @@ from repro.index.persistence import save_index
 from repro.index.vantage import VantageFrame
 from repro.resilience import faults
 from repro.resilience.atomicio import unwrap_checksummed
+from repro.resilience.deadline import unbudgeted
 from repro.service.latch import ReadWriteLatch
 from repro.shard.frontier import ShardFrontier
 from repro.utils.validation import require
@@ -342,7 +343,8 @@ class MutableIndex:
             snapshot = self.database.subset(range(n1))
         started = time.perf_counter()
         try:
-            with obs.span(
+            # Unbudgeted: the absorbed graphs' frame rows are stored.
+            with unbudgeted(), obs.span(
                 "delta.compact", absorbed=absorbed,
                 generation=self.generation + 1,
             ):
@@ -419,6 +421,7 @@ class MutableIndex:
         compactions).  Unchanged shards keep their artifacts, checksums
         and loaded index objects."""
         from repro.index.pivec import ThresholdLadder
+        from repro.shard.build import write_shard
         from repro.shard.manifest import (
             ShardEntry,
             ShardManifest,
@@ -454,32 +457,28 @@ class MutableIndex:
         root_seed = manifest.seed if manifest.seed is not None else self.seed
         # The frame survives: every absorbed graph's row is computed at
         # most once per process (a query may already have), then stored.
-        frame = base.frame
-        coords = np.vstack([frame.coords, *(
-            frame.row(g, self.engine) for g in range(n0, n1)
-        )])
+        old_frame = base.frame
+        frame = VantageFrame(old_frame.vantage_ids, np.vstack([
+            old_frame.coords,
+            *(old_frame.row(g, self.engine) for g in range(n0, n1)),
+        ]), old_frame.extra)
         entries: list[ShardEntry] = []
         shards: list[NBIndex] = []
         for shard_id in range(num_shards):
             members = np.flatnonzero(assignments == shard_id)
-            if shard_id in changed:
-                index = NBIndex.from_coords(
-                    snapshot.subset([int(i) for i in members]),
-                    self.distance, frame.vantage_ids, coords[members],
-                    branching=int(manifest.build.get("branching", 8)),
-                    thresholds=ladder,
-                    rng=ShardManifest.shard_rng(root_seed, shard_id),
-                )
-                obs.counter("delta.shard_rebuilds")
-            else:
+            if shard_id not in changed:
                 entries.append(manifest.shards[shard_id])
                 shards.append(base.shards[shard_id])
                 continue
             artifact = out_dir / (
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
-            save_index(index, artifact)
-            raw = artifact.read_bytes()
+            index, raw = write_shard(
+                artifact, snapshot, self.distance, frame, members, shard_id,
+                seed=root_seed, ladder=ladder,
+                branching=int(manifest.build.get("branching", 8)),
+            )
+            obs.counter("delta.shard_rebuilds")
             # Verify before the manifest references it: a torn artifact
             # write must fail the compaction, not the next load.
             unwrap_checksummed(raw, source=str(artifact))
@@ -518,7 +517,7 @@ class MutableIndex:
             self.distance,
             shards=shards,
             manifest=new_manifest,
-            frame=VantageFrame(frame.vantage_ids, coords, frame.extra),
+            frame=frame,
             engine=DistanceEngine(self.distance, graphs=snapshot.graphs),
             path=Path(manifest_path),
             reused_shards=num_shards - len(changed),

@@ -12,11 +12,20 @@ package makes it *operable over time*:
   the database, or the journal plus its pinned base — into checksummed
   archives and refuse to install anything that fails verification;
   index artifacts are rebuilt, not backed up.
-* :class:`Scrubber` continuously re-verifies every artifact's checksum
-  in the background and rebuilds a corrupt or off-frame shard from the
-  serving index's frame rows and manifest; journal corruption escalates.
+* :class:`Scrubber` continuously re-verifies every file of a live
+  deployment in the background and rebuilds a corrupt or off-frame shard
+  from the serving index's frame rows and manifest; journal and base
+  corruption escalates.
 * :func:`verify_deployment` is the offline auditor behind
   ``repro verify``.
+
+None of them owns a check.  Each file has one, next to its format, and
+every reader of the file runs it: a journal and the base it pins
+(:func:`repro.delta.journal.check_journal`), a shard bundle
+(:meth:`ShardManifest.load <repro.shard.manifest.ShardManifest.load>`,
+:meth:`~repro.shard.manifest.ShardManifest.check_artifact`), a single
+index (the checksum container).  So an open, ``repro verify``, a backup
+and the scrubber cannot disagree about a file (docs/recovery.md).
 """
 
 from repro.durability.backup import (

@@ -21,7 +21,12 @@ last, making the journal swap the effective commit.
 
 :func:`verify_deployment` is the offline auditor behind ``repro verify``:
 point it at a backup directory, a shard bundle, a single ``.npz``, a
-journal, or a database file and it re-checks every checksum it can reach.
+journal, or a database file and it dispatches to the check each loader
+of that file makes — :func:`~repro.delta.journal.check_journal` (records
+and pinned base), :meth:`~repro.shard.manifest.ShardManifest.load` and
+:meth:`~repro.shard.manifest.ShardManifest.check_artifact` (crc32 and
+vantage frame), the checksum container — so the audit, an open, a backup
+and the scrubber cannot disagree about a file.
 """
 
 from __future__ import annotations
@@ -34,13 +39,16 @@ import zlib
 from pathlib import Path
 
 from repro import obs
-from repro.delta.journal import scan_journal
+from repro.delta.errors import JournalError
+from repro.delta.journal import check_journal
 from repro.durability.errors import BackupError, RestoreError
 from repro.resilience import faults
-from repro.resilience.atomicio import atomic_write
+from repro.resilience.atomicio import atomic_write, read_checksummed
+from repro.resilience.errors import PersistenceError
 
 BACKUP_SCHEMA = "repro.backup/v1"
 MANIFEST_NAME = "backup.json"
+
 
 def _fsync_file(path: Path) -> None:
     fd = os.open(path, os.O_RDONLY)
@@ -59,28 +67,6 @@ def _fsync_dir(directory: Path) -> None:
             os.close(dir_fd)
 
 
-def frame_problem(manifest, shard_id: int, base_dir: Path) -> str | None:
-    """Why a shard artifact's stored coordinates are not in the manifest's
-    vantage frame, or ``None``; an unreadable artifact is the checksum
-    audit's finding, not this one's."""
-    from repro.index.persistence import stored_embedding
-
-    artifact = manifest.artifact_path(shard_id, Path(base_dir))
-    try:
-        vantage, coords = stored_embedding(artifact)
-    except (OSError, ValueError, KeyError):
-        return None
-    if tuple(vantage) == manifest.frame and (
-        coords.shape[1] == len(manifest.frame)
-    ):
-        return None
-    return (
-        f"{artifact}: coordinates ({coords.shape[1]} wide, vantage "
-        f"graphs {vantage}) are not in the manifest's frame "
-        f"{list(manifest.frame)}"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Capture
 # ---------------------------------------------------------------------------
@@ -91,9 +77,11 @@ def collect_deployment_files(
 
     A checkpointed journal supersedes ``database``: its header pins the
     base file the records replay onto, and *that* is the file a restore
-    must bring back.  Validation happens here — a journal that cannot
-    replay refuses to be backed up (a backup you cannot restore from is
-    worse than none).
+    must bring back.  Validation happens here, by the check an open
+    makes (:func:`~repro.delta.journal.check_journal`): a journal with a
+    corrupt record, or whose pinned base fails the header's crc32,
+    refuses to be backed up (a backup you cannot restore from is worse
+    than none).
     """
     if journal is None:
         if database is None:
@@ -102,12 +90,12 @@ def collect_deployment_files(
             )
         return [(Path(database), "database")]
     journal = Path(journal)
-    report = scan_journal(journal)
-    if report["problems"]:
+    try:
+        report = check_journal(journal)
+    except JournalError as error:
         raise BackupError(
-            f"{journal}: journal is not replayable: "
-            f"{'; '.join(report['problems'])}"
-        )
+            f"{journal}: journal is not replayable: {error}"
+        ) from error
     if report["base"] is not None:
         base = journal.parent / report["base"]
     elif database is not None:
@@ -327,71 +315,21 @@ def restore_backup(backup_dir, dest_dir, *, force: bool = False) -> dict:
 # ---------------------------------------------------------------------------
 # Offline audit (``repro verify``)
 # ---------------------------------------------------------------------------
-def _verify_journal(path: Path, problems, checked) -> None:
-    report = scan_journal(path)
-    problems.extend(report["problems"])
-    if not report["problems"]:
-        checked.append(f"{path} ({report['records']} records, "
-                       f"generation {report['generation']})")
-    if report["base"] is not None:
-        base_path = path.parent / report["base"]
-        try:
-            raw = base_path.read_bytes()
-        except OSError as error:
-            problems.append(f"{base_path}: journal base missing: {error}")
-            return
-        if zlib.crc32(raw) != report["base_crc32"]:
-            problems.append(
-                f"{base_path}: base database fails the crc32 in the "
-                f"journal header"
-            )
-        else:
-            checked.append(str(base_path))
+def verify_deployment(path) -> dict:
+    """Offline audit of whatever lives at ``path``.
 
-
-def _verify_manifest_bundle(path: Path, problems, checked) -> None:
-    from repro.shard.errors import ManifestError
+    Dispatches on shape — a backup directory (or its ``backup.json``), a
+    shard bundle directory or manifest, a checksummed index ``.npz``, a
+    mutation journal (plus its pinned base file), or a database JSONL —
+    to the check every loader of that file makes.  Returns ``{"ok": bool,
+    "problems": [...], "checked": [...]}``.
+    """
+    from repro.graphs.io import load_database
     from repro.shard.manifest import ShardManifest
 
-    try:
-        manifest = ShardManifest.load(path)
-    except ManifestError as error:
-        problems.append(str(error))
-        return
-    checked.append(str(path))
-    for entry in manifest.shards:
-        artifact = path.parent / entry.path
-        try:
-            raw = artifact.read_bytes()
-        except OSError as error:
-            problems.append(f"{artifact}: shard artifact missing: {error}")
-            continue
-        if zlib.crc32(raw) != entry.checksum:
-            problems.append(
-                f"{artifact}: crc32 mismatch against the shard manifest"
-            )
-            continue
-        problem = frame_problem(manifest, entry.shard_id, path.parent)
-        if problem is None:
-            checked.append(str(artifact))
-        else:
-            problems.append(problem)
-
-
-def verify_deployment(path) -> dict:
-    """Offline checksum audit of whatever lives at ``path``.
-
-    Dispatches on shape: a backup directory (or its ``backup.json``), a
-    shard bundle directory or manifest, a checksummed index ``.npz``, a
-    mutation journal (plus its pinned base file), or a database JSONL.
-    Returns ``{"ok": bool, "problems": [...], "checked": [...]}``.
-    """
-    from repro.resilience.atomicio import read_checksummed
-    from repro.resilience.errors import CorruptIndexError
-
     path = Path(path)
-    problems: list[str] = []
-    checked: list[str] = []
+    if path.name == MANIFEST_NAME:
+        path = path.parent
     if path.is_dir():
         if (path / MANIFEST_NAME).exists():
             report = verify_backup(path)
@@ -399,45 +337,41 @@ def verify_deployment(path) -> dict:
                 str(path / name) for name in report["checked"]
             ]
             return report
-        if (path / "manifest.json").exists():
-            _verify_manifest_bundle(path / "manifest.json", problems, checked)
-            return {"ok": not problems, "problems": problems,
-                    "checked": checked}
-        return {
-            "ok": False,
-            "problems": [f"{path}: no backup.json or manifest.json here"],
-            "checked": [],
-        }
-    if not path.exists():
-        return {"ok": False, "problems": [f"{path}: does not exist"],
-                "checked": []}
-    if path.name == MANIFEST_NAME:
-        return verify_deployment(path.parent)
-    if path.suffix == ".npz":
+        path = path / "manifest.json"
+    problems: list[str] = []
+    checked: list[str] = []
+
+    def audit(target: Path, check):
         try:
-            read_checksummed(path)
-            checked.append(str(path))
-        except CorruptIndexError as error:
+            outcome = check()
+        except PersistenceError as error:
             problems.append(str(error))
-        return {"ok": not problems, "problems": problems, "checked": checked}
+            return None
+        except (OSError, ValueError, KeyError) as error:
+            problems.append(f"{target}: {type(error).__name__}: {error}")
+            return None
+        checked.append(str(target))
+        return outcome
+
     try:
         with path.open("rb") as handle:
             first = handle.readline(65536)
     except OSError as error:
         return {"ok": False, "problems": [f"{path}: unreadable: {error}"],
                 "checked": []}
-    if b"repro.mutation-journal" in first:
-        _verify_journal(path, problems, checked)
+    if path.suffix == ".npz":
+        audit(path, lambda: read_checksummed(path))
+    elif b"repro.mutation-journal" in first:
+        audit(path, lambda: check_journal(path))
     elif b"repro-graphdb" in first:
-        from repro.graphs.io import load_database
-
-        try:
-            load_database(path)
-            checked.append(str(path))
-        except (ValueError, KeyError, json.JSONDecodeError) as error:
-            problems.append(f"{path}: database file does not parse: {error}")
+        audit(path, lambda: load_database(path))
     elif path.suffix == ".json":
-        _verify_manifest_bundle(path, problems, checked)
+        manifest = audit(path, lambda: ShardManifest.load(path))
+        for shard_id in range(manifest.num_shards) if manifest else ():
+            audit(
+                manifest.artifact_path(shard_id, path.parent),
+                lambda: manifest.check_artifact(shard_id, path.parent),
+            )
     else:
         problems.append(
             f"{path}: not a recognized repro artifact (backup dir, shard "

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.delta.errors import JournalError
-from repro.delta.journal import MutationJournal
+from repro.delta.journal import MutationJournal, pinned_base
 from repro.durability.errors import CheckpointError
 from repro.graphs.io import load_database, save_database
 from repro.resilience import faults
@@ -56,10 +56,10 @@ def resolve_base_path(journal: MutationJournal, database_path=None) -> Path:
     """The database file this journal's records replay onto.
 
     Generation 0 replays onto the caller-provided ``database_path``; a
-    checkpointed journal pins its own base file next to itself and that
-    file's bytes must match the crc32 recorded in the journal header —
-    a swapped or bit-rotted base raises
-    :class:`~repro.delta.errors.JournalError` before any replay.
+    checkpointed journal pins its own base file next to itself
+    (:func:`~repro.delta.journal.pinned_base`: a swapped or bit-rotted
+    base raises :class:`~repro.delta.errors.JournalError` before any
+    replay).
     """
     if journal.base_name is None:
         if database_path is None:
@@ -68,21 +68,10 @@ def resolve_base_path(journal: MutationJournal, database_path=None) -> Path:
                 f"database file to replay onto"
             )
         return Path(database_path)
-    base_path = journal.path.parent / journal.base_name
-    try:
-        raw = base_path.read_bytes()
-    except OSError as error:
-        raise JournalError(
-            f"{journal.path}: checkpointed base file {base_path} is "
-            f"missing or unreadable: {error}"
-        ) from error
-    if zlib.crc32(raw) != journal.base_crc32:
-        raise JournalError(
-            f"{base_path}: base database fails the crc32 recorded in "
-            f"the generation-{journal.generation} journal header — the "
-            f"file is corrupt or was swapped"
-        )
-    return base_path
+    return pinned_base(
+        journal.path, journal.base_name, journal.base_crc32,
+        journal.generation,
+    )
 
 
 def _write_base(snapshot, journal: MutationJournal) -> tuple[str, int, int]:

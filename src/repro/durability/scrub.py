@@ -1,22 +1,22 @@
 """Background scrubber: continuous re-verification of cold artifacts.
 
 Checksums only help if someone reads them.  The scrubber walks a live
-deployment's on-disk artifacts — shard ``.npz`` files against the
-manifest's crc32s, the manifest against its own footer, the mutation
-journal's per-record crc32s, a checkpointed journal's pinned base file —
-and re-verifies every one, so bit rot is found on the scrubber's clock
-instead of the next unlucky reload's.
+deployment's files and runs on each the check every other reader of that
+file runs — :func:`~repro.delta.journal.check_journal` on the mutation
+journal and the base it pins, :meth:`ShardManifest.load` on the manifest,
+:meth:`ShardManifest.check_artifact` (crc32 + vantage frame) on each
+shard, the checksum container on a single ``.npz`` — so bit rot is found
+on the scrubber's clock instead of the next unlucky reload's.
 
 Detection is only half the job.  Every index artifact is derived state
 — the answer is the greedy's over exact θ-neighbourhoods, whatever tree
 or seed built the index — so a corrupt one is regenerated from what the
 serving process holds, never copied back from elsewhere:
 
-* a shard artifact that fails its manifest crc32, or whose coordinates
-  lie outside the bundle's vantage frame, is rebuilt from the frame rows
-  the serving index holds in memory plus the manifest's ladder,
-  ``branching`` and the shard's seed (:meth:`ShardManifest.shard_rng`),
-  then the new crc32 is committed to the manifest;
+* a shard artifact that fails either shard check is rebuilt by
+  :func:`~repro.shard.build.write_shard` from the frame rows the serving
+  index holds in memory plus the manifest's ladder, ``branching`` and
+  seed, then the new crc32 is committed to the manifest;
 * a corrupt manifest is rewritten from the serving manifest object;
 * a single index ``.npz`` is rewritten from the loaded index object.
 
@@ -24,7 +24,8 @@ Only the journal and its pinned base database cannot be recomputed:
 their corruption is recorded as an escalation
 (:class:`~repro.durability.errors.ScrubError` from
 :meth:`Scrubber.scrub_once` with ``raise_errors=True``) — the operator
-restores from backup.
+restores from backup.  An absent index artifact is skipped (a compaction
+or reload swap in flight); an absent journal or base escalates.
 
 In-flight queries never stop: heals touch only files (atomic replaces)
 and swap the in-memory manifest under the mutable index's write latch
@@ -43,9 +44,10 @@ import zlib
 from pathlib import Path
 
 from repro import obs
-from repro.delta.journal import scan_journal
+from repro.delta.journal import check_journal
 from repro.durability.errors import ScrubError
-from repro.resilience.atomicio import unwrap_checksummed
+from repro.resilience.atomicio import read_checksummed, unwrap_checksummed
+from repro.resilience.errors import PersistenceError
 
 
 class Scrubber:
@@ -108,8 +110,31 @@ class Scrubber:
             "skipped": [],
         }
         index = self._resolve()
-        if index is not None:
-            self._scrub_index(index, report)
+        for path, check, heal in (
+            self._files(index, report) if index is not None else ()
+        ):
+            self._pace()
+            try:
+                check()
+            except OSError as error:
+                if heal is not None:  # a swap in flight replaced it
+                    report["skipped"].append(f"{path}: absent")
+                    continue
+                problem = f"{path}: unreadable: {error}"
+            except PersistenceError as error:
+                problem = str(error)
+            else:
+                report["files"] += 1
+                continue
+            report["files"] += 1
+            report["corruptions"].append(problem)
+            if heal is None:
+                report["escalations"].append(
+                    f"{problem} (the journal and its base are the only "
+                    f"copy of the database — restore from backup)"
+                )
+            else:
+                report["healed"].append(heal())
         with self._lock:
             self.cycles += 1
             self.files_checked += report["files"]
@@ -139,45 +164,52 @@ class Scrubber:
         return report
 
     # ------------------------------------------------------------------
-    # Dispatch over index shapes
+    # The live deployment's files
     # ------------------------------------------------------------------
-    def _scrub_index(self, index, report: dict) -> None:
+    def _files(self, index, report: dict):
+        """``(path, check, heal)`` for each file ``index`` serves from.
+        ``check()`` raises what every other reader of the file raises;
+        ``heal()`` rewrites the file from the serving objects and returns
+        the report line — ``None`` for the journal and its base, which
+        escalate."""
         journal = getattr(index, "journal", None)
         if journal is not None:
-            self._scrub_journal(journal, report)
-        base = getattr(index, "base", None)
-        if base is not None:  # MutableIndex: descend into the base
-            if hasattr(base, "manifest"):
-                manifest_path = getattr(index, "manifest_path", None) or (
-                    getattr(base, "path", None)
-                )
-                self._scrub_bundle(
-                    base, manifest_path, report,
-                    latch=getattr(index, "latch", None),
-                )
-            else:
-                self._scrub_single(
-                    base, getattr(index, "index_path", None), report
+            yield journal.path, lambda: self._scan(journal.path, report), None
+            if journal.base_name is None and self.database_path is not None:
+                yield self.database_path, self.database_path.read_bytes, None
+        latch = getattr(index, "latch", None)
+        base = getattr(index, "base", index)  # MutableIndex: its base
+        if not hasattr(base, "manifest"):
+            index_path = getattr(index, "index_path", None)
+            if index_path is not None:  # else purely in memory
+                path = Path(index_path)
+                yield path, lambda: read_checksummed(path), (
+                    lambda: _rewrite_single(base, path)
                 )
             return
-        if hasattr(index, "manifest"):
-            self._scrub_bundle(
-                index, getattr(index, "path", None), report, latch=None,
-            )
+        manifest_path = getattr(index, "manifest_path", None) or base.path
+        if manifest_path is None:
+            report["skipped"].append("shard bundle has no manifest path")
             return
-        self._scrub_single(index, getattr(index, "index_path", None), report)
+        manifest_path = Path(manifest_path)
+        from repro.shard.manifest import ShardManifest
 
-    # ------------------------------------------------------------------
-    # Journal + pinned base
-    # ------------------------------------------------------------------
-    def _scrub_journal(self, journal, report: dict) -> None:
-        path = journal.path
-        if not path.exists():
-            report["skipped"].append(f"{path}: journal file absent")
-            return
-        self._pace()
-        scan = scan_journal(path)
-        report["files"] += 1
+        yield manifest_path, lambda: ShardManifest.load(manifest_path), (
+            lambda: _rewrite_manifest(base, manifest_path)
+        )
+        for shard_id in range(base.manifest.num_shards):
+            yield (
+                base.manifest.artifact_path(shard_id, manifest_path.parent),
+                lambda s=shard_id: base.manifest.check_artifact(
+                    s, manifest_path.parent
+                ),
+                lambda s=shard_id: _rebuild_shard(
+                    base, manifest_path, s, latch
+                ),
+            )
+
+    def _scan(self, path: Path, report: dict) -> None:
+        scan = check_journal(path)
         report["records"] += scan["records"]
         if scan["torn_tail"]:
             # A live writer's in-flight append looks exactly like a torn
@@ -185,159 +217,6 @@ class Scrubber:
             with self._lock:
                 self.torn_tails += 1
             obs.counter("durability.scrub_torn_tails")
-        for problem in scan["problems"]:
-            report["corruptions"].append(problem)
-            report["escalations"].append(
-                f"{problem} (journals carry the only copy of unfolded "
-                f"mutations — restore from backup)"
-            )
-        base_name = scan["base"]
-        base_crc = scan["base_crc32"]
-        if base_name is None:
-            base_path = self.database_path
-            base_crc = None
-        else:
-            base_path = path.parent / base_name
-        if base_path is None:
-            return
-        self._pace()
-        try:
-            raw = base_path.read_bytes()
-        except OSError as error:
-            message = f"{base_path}: journal base unreadable: {error}"
-            report["corruptions"].append(message)
-            report["escalations"].append(message)
-            return
-        report["files"] += 1
-        if base_crc is not None and zlib.crc32(raw) != base_crc:
-            message = (
-                f"{base_path}: base database fails the crc32 pinned in "
-                f"the generation-{scan['generation']} journal header"
-            )
-            report["corruptions"].append(message)
-            report["escalations"].append(message)
-
-    # ------------------------------------------------------------------
-    # Shard bundle (ShardedIndex / ReplicatedIndex)
-    # ------------------------------------------------------------------
-    def _scrub_bundle(self, index, manifest_path, report, *, latch) -> None:
-        from repro.durability.backup import frame_problem
-        from repro.shard.errors import ManifestError
-        from repro.shard.manifest import ShardManifest
-
-        manifest = index.manifest
-        if manifest_path is None:
-            report["skipped"].append("shard bundle has no manifest path")
-            return
-        manifest_path = Path(manifest_path)
-        self._pace()
-        if not manifest_path.exists():
-            report["skipped"].append(
-                f"{manifest_path}: absent (compaction swap in flight?)"
-            )
-        else:
-            report["files"] += 1
-            try:
-                ShardManifest.load(manifest_path)
-            except ManifestError as error:
-                report["corruptions"].append(str(error))
-                # The serving manifest object is the source of truth —
-                # rewrite the file from it.
-                manifest.save(manifest_path)
-                report["healed"].append(
-                    f"{manifest_path}: rewritten from the serving manifest"
-                )
-        for entry in manifest.shards:
-            self._pace()
-            artifact = manifest_path.parent / entry.path
-            try:
-                raw = artifact.read_bytes()
-            except OSError:
-                report["skipped"].append(
-                    f"{artifact}: absent (compaction swap in flight?)"
-                )
-                continue
-            report["files"] += 1
-            if zlib.crc32(raw) != entry.checksum:
-                problem = (
-                    f"{artifact}: crc32 mismatch against the shard manifest"
-                )
-            else:
-                problem = frame_problem(
-                    manifest, entry.shard_id, manifest_path.parent
-                )
-                if problem is None:
-                    continue
-            report["corruptions"].append(problem)
-            self._rebuild_shard(
-                index, manifest_path, entry.shard_id, artifact, latch=latch,
-            )
-            report["healed"].append(
-                f"{artifact}: rebuilt from the frame and the manifest"
-            )
-
-    @staticmethod
-    def _rebuild_shard(index, manifest_path, shard_id, artifact, *, latch):
-        """Rebuild one shard exactly as the build did, install the artifact
-        and commit its crc32 to the manifest, as compaction does."""
-        from repro.index.nbindex import NBIndex
-        from repro.index.persistence import save_index
-        from repro.index.pivec import ThresholdLadder
-        from repro.shard.manifest import ShardManifest
-
-        manifest, frame = index.manifest, index.frame
-        members = manifest.members(shard_id)
-        rebuilt = NBIndex.from_coords(
-            index.database.subset([int(i) for i in members]),
-            index.distance, frame.vantage_ids, frame.coords[members],
-            branching=int(manifest.build.get("branching", 8)),
-            thresholds=ThresholdLadder(manifest.ladder),
-            rng=ShardManifest.shard_rng(manifest.seed, shard_id),
-        )
-        staging = artifact.with_name(artifact.name + ".scrub-heal")
-        save_index(rebuilt, staging)
-        raw = staging.read_bytes()
-        unwrap_checksummed(raw, source=str(staging))
-        os.replace(staging, artifact)
-        new_manifest = dataclasses.replace(manifest, shards=tuple(
-            dataclasses.replace(e, checksum=zlib.crc32(raw))
-            if e.shard_id == shard_id else e
-            for e in manifest.shards
-        ))
-        new_manifest.save(manifest_path)
-        with latch.write() if latch is not None else contextlib.nullcontext():
-            index.manifest = new_manifest
-
-    # ------------------------------------------------------------------
-    # Single checksummed .npz
-    # ------------------------------------------------------------------
-    def _scrub_single(self, index, index_path, report: dict) -> None:
-        if index_path is None:
-            return  # purely in-memory index: nothing on disk to scrub
-        index_path = Path(index_path)
-        self._pace()
-        if not index_path.exists():
-            report["skipped"].append(f"{index_path}: absent")
-            return
-        report["files"] += 1
-        from repro.resilience.errors import CorruptIndexError
-
-        try:
-            unwrap_checksummed(
-                index_path.read_bytes(), source=str(index_path)
-            )
-            return
-        except CorruptIndexError as error:
-            report["corruptions"].append(str(error))
-        from repro.index.persistence import save_index
-
-        staging = index_path.with_name(index_path.name + ".scrub-heal")
-        save_index(index, staging)
-        unwrap_checksummed(staging.read_bytes(), source=str(staging))
-        os.replace(staging, index_path)
-        report["healed"].append(
-            f"{index_path}: rewritten from the loaded index object"
-        )
 
     def _pace(self) -> None:
         if self.pace_s > 0:
@@ -404,3 +283,46 @@ class Scrubber:
             f"corruptions={self.corruptions} heals={self.heals} "
             f"running={self.running}>"
         )
+
+
+def _rewrite_manifest(index, manifest_path: Path) -> str:
+    index.manifest.save(manifest_path)
+    return f"{manifest_path}: rewritten from the serving manifest"
+
+
+def _rewrite_single(index, index_path: Path) -> str:
+    from repro.index.persistence import save_index
+
+    staging = index_path.with_name(index_path.name + ".scrub-heal")
+    save_index(index, staging)
+    unwrap_checksummed(staging.read_bytes(), source=str(staging))
+    os.replace(staging, index_path)
+    return f"{index_path}: rewritten from the loaded index object"
+
+
+def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
+    """Rebuild one shard exactly as the build did, install the artifact
+    and commit its crc32 to the manifest, as compaction does."""
+    from repro.index.pivec import ThresholdLadder
+    from repro.shard.build import write_shard
+
+    manifest = index.manifest
+    artifact = manifest.artifact_path(shard_id, manifest_path.parent)
+    staging = artifact.with_name(artifact.name + ".scrub-heal")
+    _, raw = write_shard(
+        staging, index.database, index.distance, index.frame,
+        manifest.members(shard_id), shard_id, seed=manifest.seed,
+        branching=int(manifest.build.get("branching", 8)),
+        ladder=ThresholdLadder(manifest.ladder),
+    )
+    unwrap_checksummed(raw, source=str(staging))
+    os.replace(staging, artifact)
+    new_manifest = dataclasses.replace(manifest, shards=tuple(
+        dataclasses.replace(e, checksum=zlib.crc32(raw))
+        if e.shard_id == shard_id else e
+        for e in manifest.shards
+    ))
+    new_manifest.save(manifest_path)
+    with latch.write() if latch is not None else contextlib.nullcontext():
+        index.manifest = new_manifest
+    return f"{artifact}: rebuilt from the frame and the manifest"

@@ -53,7 +53,7 @@ from repro.engine.paircache import (
 )
 from repro.ged.metric import SLACK
 from repro.graphs.graph import LabeledGraph
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import current_deadline, degradation_mark
 from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
 
@@ -68,14 +68,6 @@ def _runs(pairlist):
             stop += 1
         yield start, stop
         start = stop
-
-
-def _degradation_mark():
-    """How many degradations the active deadline has recorded (``None``
-    without one).  Evaluations that move it returned upper bounds, which
-    must not enter the pair cache."""
-    deadline = current_deadline()
-    return None if deadline is None else sum(deadline.degradations.values())
 
 
 class DistanceEngine:
@@ -205,7 +197,7 @@ class DistanceEngine:
             obs.counter("engine.cache_hits")
             return value
         obs.counter("engine.evaluations")
-        mark = _degradation_mark()
+        mark = degradation_mark()
         if self._evaluator is not None:
             value = float(self._evaluator.one_to_many(a, [b])[0])
         else:
@@ -258,7 +250,7 @@ class DistanceEngine:
         )
         if misses:
             self._book_batch(len(misses))
-            mark = _degradation_mark()
+            mark = degradation_mark()
             values = self._evaluate(source_graph, [graphs[p] for p in misses])
             self._store(keys, values, out, misses, self._cache_for(mark))
             for position, (_, first) in repeats:
@@ -270,14 +262,18 @@ class DistanceEngine:
     def columns(self, sources, targets) -> np.ndarray:
         """``d(sources[j], targets[i])`` at ``[i, j]`` (the vantage block):
         consecutive :meth:`one_to_many` calls, or, when the block is worth
-        forked children, one cache scan in source order, the miss lists
+        forked children and no deadline is active (a child could not report
+        its degradations), one cache scan in source order, the miss lists
         evaluated by :func:`fan_out` and booked as those calls would."""
         graphs = self._resolve_many(targets)
         sources = [self._resolve(ref) for ref in sources]
         out = np.empty((len(graphs), len(sources)))
         try:
             source_halves, target_halves = halves(sources), halves(graphs)
-            fanned = self.portable and workers(len(sources), out.size) > 1
+            fanned = (
+                self.portable and current_deadline() is None
+                and workers(len(sources), out.size) > 1
+            )
         except Uncacheable:
             fanned = False
         if not fanned:
@@ -305,13 +301,13 @@ class DistanceEngine:
 
         todo = [column for column, scan in enumerate(scans) if scan[1].size]
         pairs = sum(scans[column][1].size for column in todo)
-        mark = _degradation_mark()
         values = dict(zip(todo, fan_out(evaluate, todo, pairs)))
-        cache = self._cache_for(mark)
         for column, (hits, misses, keys, repeats) in enumerate(scans):
             if column in values:
                 self._book_batch(misses.size)
-                self._store(keys, values[column], out[:, column], misses, cache)
+                self._store(
+                    keys, values[column], out[:, column], misses, self._cache
+                )
             for position, first in repeats:  # its miss is filled by now
                 out[position, column] = out[first[1], first[0]]
             if hits:
@@ -321,10 +317,9 @@ class DistanceEngine:
     @property
     def portable(self) -> bool:
         """Whether build work may evaluate the metric in a forked child
-        (:func:`~repro.utils.fanout.fan_out`): a bare :class:`StarDistance`, or
-        :class:`ExactGED`, whose deadline degradations ``fan_out`` carries
-        back.  A child would lose a ``CountingDistance``'s count or any
-        other callable's side effects."""
+        (:func:`~repro.utils.fanout.fan_out`): a bare :class:`StarDistance`
+        or :class:`ExactGED`.  A child would lose a ``CountingDistance``'s
+        count or any other callable's side effects."""
         return type(self.inner) in (StarDistance, ExactGED)
 
     def _scan(self, source_half, target_halves, out, pending: dict, column):
@@ -353,7 +348,7 @@ class DistanceEngine:
         """Where evaluations made since ``mark`` may be stored: the pair
         cache, or a throw-away table once the active deadline has degraded
         one of them to an upper bound."""
-        return self._cache if _degradation_mark() == mark else PairTable()
+        return self._cache if degradation_mark() == mark else PairTable()
 
     def _store(self, keys, values, out, misses, cache) -> None:
         """Write evaluated misses to ``cache`` and ``out``."""
@@ -407,7 +402,7 @@ class DistanceEngine:
             hits = len(pairlist) - len(spots)
             self.cache_hits += hits
         if spots:
-            mark = _degradation_mark()
+            mark = degradation_mark()
             values = self._evaluate_pairs(
                 [pairlist[positions[0]] for positions in spots.values()]
             )

@@ -49,6 +49,7 @@ from repro.index.frontier import TreeFrontier, TreeState
 from repro.index.nbtree import NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
+from repro.resilience.deadline import unbudgeted
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_positive
 
@@ -126,7 +127,8 @@ class NBIndex:
 
         ``seed`` (an int or a numpy Generator) drives vantage/pivot
         selection.  A build is not resumable — a killed one starts again
-        from zero.
+        from zero, and an ambient deadline does not reach it: it stores
+        exact distances only.
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
@@ -136,7 +138,7 @@ class NBIndex:
             _spot_check_metric(database, engine, rng)
 
         started = time.perf_counter()
-        with obs.span(
+        with unbudgeted(), obs.span(
             "index.build", n=len(database), branching=branching,
         ) as build_span:
             vp_count = min(num_vantage_points, len(database))
@@ -346,7 +348,10 @@ class NBIndex:
             raise ReadOnlyIndexError("insert", "NBIndex (a bundle's shard)")
         new_id = self.database.append(graph, feature_row)
         graph = self.database[new_id]
-        self.embedding.append_graph(graph)
+        # A stored coordinate must be exact; a radius grown from an upper
+        # bound stays an upper bound, so routing may run under a deadline.
+        with unbudgeted():
+            self.embedding.append_graph(graph)
 
         tree = self.tree
         if tree.root.is_leaf:

@@ -29,6 +29,7 @@ from repro.cascade import BLOCK_EVALS
 from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
+from repro.resilience.deadline import degradation_mark
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
@@ -282,8 +283,10 @@ class VantageFrame:
     Graphs the blocks do not cover yet (a mutable index's memtable) get
     their row on first use — ``|V|`` exact distances through the caller's
     global engine, once per process — and keep it in ``extra`` until a
-    compaction stores it in a shard.  Ids are append-only and deletes are
-    soft, so a tombstoned vantage graph stays a valid origin.
+    compaction stores it in a shard.  A row a query's deadline degraded
+    holds upper bounds: that query uses it, ``extra`` never keeps it.  Ids
+    are append-only and deletes are soft, so a tombstoned vantage graph
+    stays a valid origin.
     """
 
     def __init__(
@@ -305,9 +308,12 @@ class VantageFrame:
             return self.coords[gid]
         row = self.extra.get(gid)
         if row is None:
-            row = self.extra[gid] = np.asarray(
+            mark = degradation_mark()
+            row = np.asarray(
                 engine.one_to_many(gid, self.vantage_ids), dtype=float
             )
+            if degradation_mark() == mark:
+                self.extra[gid] = row
         return row
 
     def __repr__(self) -> str:

@@ -2,10 +2,11 @@
 
 A :class:`Deadline` carries a wall-clock budget (seconds) and/or a per-call
 A* expansion budget through the query stack: callers pass it to
-``NBIndex.build``/``QuerySession.query`` (or install it ambiently with
+``QuerySession.query`` (or install it ambiently with
 :func:`deadline_scope`), a replicated deployment ships it to its shard
 workers on the session ``open`` frame, and :class:`~repro.ged.ExactGED`
-checks it during the A* search.  On expiry the exact solver raises
+checks it during the A* search.  Builds never see one
+(:func:`unbudgeted`).  On expiry the exact solver raises
 :class:`BudgetExceeded` and *degrades* to a polynomial upper bound instead
 of stalling — see the degradation ladder in ``docs/resilience.md``.
 
@@ -161,7 +162,7 @@ class Deadline:
 _local = threading.local()
 
 
-def _stack() -> list[Deadline]:
+def _stack() -> list[Deadline | None]:
     stack = getattr(_local, "stack", None)
     if stack is None:
         stack = _local.stack = []
@@ -172,6 +173,15 @@ def current_deadline() -> Deadline | None:
     """The innermost active deadline *on this thread*, or ``None``."""
     stack = _stack()
     return stack[-1] if stack else None
+
+
+def degradation_mark() -> int | None:
+    """How many degradations the active deadline has recorded (``None``
+    without one).  A computation that moves it returned upper bounds,
+    which no cache may keep: the engine's pair cache and the vantage
+    frame's rows are stored only when it has not moved."""
+    deadline = current_deadline()
+    return None if deadline is None else sum(deadline.degradations.values())
 
 
 @contextlib.contextmanager
@@ -189,5 +199,21 @@ def deadline_scope(deadline: Deadline | None):
     stack.append(deadline)
     try:
         yield deadline
+    finally:
+        stack.pop()
+
+
+@contextlib.contextmanager
+def unbudgeted():
+    """Hide every enclosing deadline from the enclosed work.
+
+    Builds run under it: an index stores the distances it computes, and a
+    budget-forced upper bound stored as a coordinate would unsound
+    Theorem 4's pruning for every later query.
+    """
+    stack = _stack()
+    stack.append(None)
+    try:
+        yield
     finally:
         stack.pop()

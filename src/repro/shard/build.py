@@ -19,6 +19,11 @@ Three things are deliberately global:
   :class:`numpy.random.SeedSequence`, so the bundle is a deterministic
   function of (database, distance, S, partitioner, seed) and shard builds
   are statistically independent.
+
+:func:`write_shard` is the one way a shard artifact is made — by the
+build, by compaction and by the scrubber's heal — and, like
+:meth:`NBIndex.build`, it never runs under a deadline: an artifact
+stores exact distances only.
 """
 
 from __future__ import annotations
@@ -34,13 +39,47 @@ from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.persistence import save_index
 from repro.index.pivec import ThresholdLadder, choose_thresholds
-from repro.index.vantage import VantageEmbedding, select_vantage_points
+from repro.index.vantage import (
+    VantageEmbedding,
+    VantageFrame,
+    select_vantage_points,
+)
+from repro.resilience.deadline import unbudgeted
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 from repro.shard.partition import get_partitioner
 from repro.utils.fanout import fan_out
 from repro.utils.validation import require
 
 MANIFEST_NAME = "manifest.json"
+
+
+def write_shard(
+    path: Path,
+    database: GraphDatabase,
+    distance,
+    frame: VantageFrame,
+    members,
+    shard_id: int,
+    *,
+    seed,
+    branching: int,
+    ladder: ThresholdLadder,
+) -> tuple[NBIndex, bytes]:
+    """Build shard ``shard_id`` over its ``members``' rows of the bundle's
+    ``frame`` and save it to ``path``; returns the index and the bytes on
+    disk, whose crc32 the manifest records.  Build, compaction and the
+    scrubber's heal all write shards here — the tree rng is
+    :meth:`ShardManifest.shard_rng`, so a rebuilt shard is the built one —
+    and none of them reads the bytes back through the checksum container:
+    a caller that must not commit a torn write verifies them itself."""
+    with unbudgeted():
+        index = NBIndex.from_coords(
+            database.subset([int(i) for i in members]), distance,
+            frame.vantage_ids, frame.coords[members], branching=branching,
+            thresholds=ladder, rng=ShardManifest.shard_rng(seed, shard_id),
+        )
+    save_index(index, path)
+    return index, Path(path).read_bytes()
 
 
 def build_shards(
@@ -71,7 +110,7 @@ def build_shards(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    with obs.span(
+    with unbudgeted(), obs.span(
         "shard.build", n=len(database), shards=num_shards,
         partitioner=partitioner,
     ) as build_span:
@@ -100,41 +139,42 @@ def build_shards(
                 database.graphs, min(num_vantage_points, len(database)),
                 rng=np.random.default_rng(frame_seed),
             )
-            frame = VantageEmbedding(database.graphs, vantage, engine)
+            embedding = VantageEmbedding(database.graphs, vantage, engine)
+            frame = VantageFrame(embedding.vantage_indices, embedding.coords)
         artifacts = [out_dir / f"shard-{s:03d}.npz" for s in range(num_shards)]
 
-        def build_one(shard_id: int) -> float:
-            """One shard's tree and artifact — a whole fan-out task."""
+        def build_one(shard_id: int) -> tuple[float, int]:
+            """One shard's artifact and its crc32 — a whole fan-out task."""
             members = partition.members(shard_id)
-            sub = database.subset([int(i) for i in members])
             with obs.span(
-                "shard.build_one", shard=shard_id, n=len(sub)
+                "shard.build_one", shard=shard_id, n=len(members)
             ), obs.timer("shard.build_one_seconds"):
                 shard_started = time.perf_counter()
-                index = NBIndex.from_coords(
-                    sub, distance, frame.vantage_indices,
-                    frame.coords[members], branching=branching,
-                    thresholds=thresholds,
-                    rng=ShardManifest.shard_rng(seed, shard_id),
+                _, raw = write_shard(
+                    artifacts[shard_id], database, distance, frame, members,
+                    shard_id, seed=seed, branching=branching,
+                    ladder=thresholds,
                 )
                 seconds = time.perf_counter() - shard_started
-            save_index(index, artifacts[shard_id])
             obs.counter("shard.builds")
-            return seconds
+            return seconds, zlib.crc32(raw)
 
         # Each member meets up to b pivots at the top of its shard's tree.
-        shard_build_seconds = (
+        built = (
             fan_out(build_one, range(num_shards), len(database) * branching)
             if engine.portable else [build_one(s) for s in range(num_shards)]
         )
+        shard_build_seconds = [seconds for seconds, _ in built]
         entries = [
             ShardEntry(
                 shard_id=shard_id,
                 path=artifact.name,
-                checksum=zlib.crc32(artifact.read_bytes()),
+                checksum=crc,
                 num_graphs=len(partition.members(shard_id)),
             )
-            for shard_id, artifact in enumerate(artifacts)
+            for shard_id, (artifact, (_, crc)) in enumerate(
+                zip(artifacts, built)
+            )
         ]
 
         manifest = ShardManifest(
@@ -146,7 +186,7 @@ def build_shards(
             assignments=partition.assignments,
             database_checksum=database_checksum(database),
             shards=tuple(entries),
-            frame=tuple(frame.vantage_indices),
+            frame=tuple(frame.vantage_ids),
             build={
                 "num_vantage_points": num_vantage_points,
                 "branching": branching,

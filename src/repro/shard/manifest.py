@@ -92,23 +92,50 @@ class ShardManifest:
             np.random.SeedSequence(seed, spawn_key=(int(shard_id),))
         )
 
+    # ------------------------------------------------------------------
+    # The two checks of a shard artifact: every reader makes these
+    # ------------------------------------------------------------------
+    def check_crc(self, shard_id: int, base_dir: Path) -> None:
+        """Raise :class:`~repro.resilience.errors.CorruptIndexError` unless
+        shard ``shard_id``'s artifact bytes match the crc32 this manifest
+        records (a stale or tampered artifact); ``OSError`` when they
+        cannot be read."""
+        artifact = self.artifact_path(shard_id, base_dir)
+        if zlib.crc32(artifact.read_bytes()) != self.shards[shard_id].checksum:
+            raise CorruptIndexError(
+                f"{artifact}: crc32 mismatch against the shard manifest — "
+                f"stale or tampered artifact"
+            )
+
+    def check_frame(self, shard_id: int, vantage, coords) -> None:
+        """Raise :class:`~repro.resilience.errors.CorruptIndexError`
+        unless a shard's stored ``(vantage ids, coords)`` are its members'
+        rows of the bundle's frame."""
+        frame = list(self.frame)
+        rows = len(self.members(shard_id))
+        if list(vantage) != frame or coords.shape != (rows, len(frame)):
+            raise CorruptIndexError(
+                f"{self.shards[shard_id].path}: coordinates {coords.shape} "
+                f"against vantage graphs {list(vantage)} are not in the "
+                f"bundle's frame {frame} for {rows} members"
+            )
+
+    def check_artifact(self, shard_id: int, base_dir: Path) -> None:
+        """Both checks on one artifact on disk, without loading its tree
+        (``repro verify``, the scrubber)."""
+        self.check_crc(shard_id, base_dir)
+        self.check_frame(
+            shard_id, *stored_embedding(self.artifact_path(shard_id, base_dir))
+        )
+
     def assemble_frame(self, embeddings) -> VantageFrame:
         """The bundle's one frame from its shards' ``(vantage ids, coords)``
-        pairs, in shard order; a shard embedded against other vantage
-        graphs raises :class:`~repro.resilience.errors.CorruptIndexError`."""
-        frame = list(self.frame)
-        coords = np.empty((self.num_graphs, len(frame)))
+        pairs, in shard order, each passing :meth:`check_frame`."""
+        coords = np.empty((self.num_graphs, len(self.frame)))
         for shard_id, (vantage, block) in enumerate(embeddings):
-            ids = self.members(shard_id)
-            if list(vantage) != frame or block.shape != (len(ids), len(frame)):
-                raise CorruptIndexError(
-                    f"{self.shards[shard_id].path}: coordinates "
-                    f"{block.shape} against vantage graphs {list(vantage)} "
-                    f"are not in the bundle's frame {frame} for "
-                    f"{len(ids)} members"
-                )
-            coords[ids] = block
-        return VantageFrame(frame, coords)
+            self.check_frame(shard_id, vantage, block)
+            coords[self.members(shard_id)] = block
+        return VantageFrame(list(self.frame), coords)
 
     def load_frame(self, base_dir: Path) -> VantageFrame:
         """:meth:`assemble_frame` over the artifacts' stored coordinate

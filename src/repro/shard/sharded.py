@@ -23,7 +23,6 @@ re-assembled from the shards' coordinate blocks in memory.
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
-from repro.resilience.errors import CorruptIndexError, DatabaseMismatchError
+from repro.resilience.errors import DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
 from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardManifest, database_checksum
@@ -123,15 +122,12 @@ class ShardedIndex:
                 shards.append(previous.shards[entry.shard_id])
                 reused += 1
                 continue
-            artifact = manifest.artifact_path(entry.shard_id, base_dir)
-            raw = artifact.read_bytes()
-            if zlib.crc32(raw) != entry.checksum:
-                raise CorruptIndexError(
-                    f"{artifact}: shard bytes do not match the manifest "
-                    f"checksum — stale or tampered artifact"
-                )
+            manifest.check_crc(entry.shard_id, base_dir)
             sub = database.subset([int(i) for i in members])
-            shards.append(load_index(artifact, sub, distance))
+            shards.append(load_index(
+                manifest.artifact_path(entry.shard_id, base_dir), sub,
+                distance,
+            ))
         if reused == manifest.num_shards:
             frame = previous.frame  # nothing changed
         else:

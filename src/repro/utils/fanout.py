@@ -4,10 +4,11 @@
 worth about ``pairs`` evaluations, dealt round-robin to one process per
 usable CPU — never more than there are shares of :data:`MIN_SHARE_PAIRS` —
 with the parent running the first share.  A child starts a fresh
-:mod:`repro.obs` registry and an empty degradation tally on the ambient
-:class:`~repro.resilience.Deadline`, and pipes back one pickle of results,
-:func:`repro.obs.export_state` and degradations; its exception is re-raised
-in the parent, type intact, and every child is reaped.  It runs inline with
+:mod:`repro.obs` registry and pipes back one pickle of results and
+:func:`repro.obs.export_state`; its exception is re-raised in the parent,
+type intact, and every child is reaped.  Only builds fan out, and a build
+runs with no deadline (:func:`repro.resilience.deadline.unbudgeted`), so
+a child has no degradations to hand back.  It runs inline with
 no ``os.fork``, another thread alive (a fork could copy a lock that thread
 holds) or a :class:`~repro.resilience.faults.FaultPlan` installed (whose
 one-shot and counted faults belong to one process).
@@ -49,7 +50,6 @@ def fan_out(fn, items, pairs: int) -> list:
     if processes == 1:
         return [fn(item) for item in items]
     from repro import obs
-    from repro.resilience.deadline import current_deadline
 
     results: list = [None] * len(items)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
@@ -69,17 +69,14 @@ def fan_out(fn, items, pairs: int) -> list:
         for pid, read_end in children:
             os.close(read_end)
             os.waitpid(pid, 0)
-    deadline = current_deadline()
     for share, payload in enumerate(payloads, start=1):
         if not payload:
             raise ChildProcessError("a fan-out child died without answering")
-        ok, values, state, degradations = pickle.loads(payload)
+        ok, values, state = pickle.loads(payload)
         if not ok:
             raise values
         results[share::processes] = values
         obs.merge_state(state)
-        if deadline is not None:
-            deadline.merge_degradations(degradations)
     return results
 
 
@@ -100,19 +97,16 @@ def _fork(fn, share: list) -> tuple[int, int]:
 
 def _run_share(fn, share: list) -> bytes:
     from repro import obs
-    from repro.resilience.deadline import current_deadline
 
     if obs.enabled():
         obs.enable(fresh=True)
-    deadline = current_deadline()
-    if deadline is not None:
-        deadline.degradations = {}
     try:
         outcome = (True, [fn(item) for item in share])
     except BaseException as exc:
         outcome = (False, exc)
-    state = (obs.export_state(), {} if deadline is None else deadline.degradations)
     try:
-        return pickle.dumps((*outcome, *state), pickle.HIGHEST_PROTOCOL)
+        return pickle.dumps(
+            (*outcome, obs.export_state()), pickle.HIGHEST_PROTOCOL
+        )
     except Exception as exc:  # an unpicklable result or exception
-        return pickle.dumps((False, RuntimeError(repr(exc)), {}, {}))
+        return pickle.dumps((False, RuntimeError(repr(exc)), {}))

@@ -45,9 +45,10 @@ from repro.graphs.io import load_database, save_database
 from repro.index.nbindex import NBIndex
 from repro.index.persistence import save_index
 from repro.replica import ReplicatedIndex
-from repro.resilience import faults
+from repro.resilience import CorruptIndexError, faults
 from repro.service.crashlog import CrashJournal
 from repro.shard.build import build_shards
+from repro.shard.errors import ManifestError
 from repro.shard.manifest import ShardManifest
 from tests.conftest import random_connected_graph, random_database
 
@@ -98,6 +99,12 @@ def _state(mutable):
         frozenset(mutable.database.deleted),
         result.answer, result.gains, result.covered, result.num_relevant,
     )
+
+
+def _flip(path: Path, at_fraction=0.5):
+    raw = bytearray(path.read_bytes())
+    raw[int(len(raw) * at_fraction)] ^= 0x01
+    path.write_bytes(bytes(raw))
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +235,6 @@ class TestCheckpoint:
                 artifact, load_database(dbp), mutable=True,
                 journal=tmp_path / "m.journal",
             )
-
-    def test_tampered_base_refused_on_reopen(self, tmp_path):
-        db, dbp, artifact = _deployment(tmp_path, 1)
-        mutable = _open(tmp_path, dbp, artifact)
-        _mutate(mutable, db, inserts=1)
-        report = mutable.checkpoint()
-        mutable.close()
-        base_path = tmp_path / report["base"]
-        raw = bytearray(base_path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        base_path.write_bytes(bytes(raw))
-        with pytest.raises(JournalError, match="crc32"):
-            _open(tmp_path, dbp, artifact)
-
 
 # ---------------------------------------------------------------------------
 # Journal recovery (torn writes, partial records, duplicated tails)
@@ -542,11 +535,6 @@ def _archived(backup_dir: Path) -> dict:
 # Scrubber
 # ---------------------------------------------------------------------------
 class TestScrubber:
-    def _flip(self, path: Path, at_fraction=0.5):
-        raw = bytearray(path.read_bytes())
-        raw[int(len(raw) * at_fraction)] ^= 0x01
-        path.write_bytes(bytes(raw))
-
     def test_clean_deployment_scrubs_clean(self, tmp_path):
         db, dbp, artifact = _deployment(tmp_path, 4)
         mutable = _open(tmp_path, dbp, artifact)
@@ -566,7 +554,7 @@ class TestScrubber:
         _mutate(mutable, db, inserts=2)
         before = _state(mutable)
         victim = sorted(artifact.parent.glob("*.npz"))[1]
-        self._flip(victim)
+        _flip(victim)
         scrubber = Scrubber(mutable, database_path=dbp)
         report = scrubber.scrub_once(raise_errors=True)
         assert len(report["corruptions"]) == 1
@@ -579,17 +567,6 @@ class TestScrubber:
         reopened = _open(tmp_path, dbp, artifact)
         assert _state(reopened) == before
         reopened.close()
-
-    def test_detects_and_heals_manifest_flip(self, tmp_path):
-        db, dbp, artifact = _deployment(tmp_path, 4)
-        mutable = _open(tmp_path, dbp, artifact)
-        self._flip(artifact, at_fraction=0.3)
-        scrubber = Scrubber(mutable, database_path=dbp)
-        report = scrubber.scrub_once(raise_errors=True)
-        assert len(report["corruptions"]) == 1
-        assert len(report["healed"]) == 1
-        ShardManifest.load(artifact)  # parses again
-        mutable.close()
 
     def test_every_single_bit_flip_in_shard_is_detected(self, tmp_path):
         """Exhaustive over bit positions in a sampled stride: crc32 (and
@@ -609,37 +586,6 @@ class TestScrubber:
                 assert zlib.crc32(bytes(raw)) != entry.checksum, (
                     f"flip at byte {offset} bit {bit:#x} went undetected"
                 )
-
-    def test_journal_corruption_escalates_never_heals(self, tmp_path):
-        db, dbp, artifact = _deployment(tmp_path, 1)
-        mutable = _open(tmp_path, dbp, artifact)
-        _mutate(mutable, db, inserts=2)
-        journal_path = tmp_path / "m.journal"
-        lines = journal_path.read_bytes().splitlines(keepends=True)
-        flipped = bytearray(lines[1])  # first mutation record, not final
-        flipped[12] ^= 0x01
-        lines[1] = bytes(flipped)
-        journal_path.write_bytes(b"".join(lines))
-        scrubber = Scrubber(mutable, database_path=dbp)
-        report = scrubber.scrub_once()
-        assert len(report["corruptions"]) == 1
-        assert report["healed"] == []
-        assert any("restore from backup" in e for e in report["escalations"])
-        with pytest.raises(ScrubError, match="unhealable"):
-            scrubber.scrub_once(raise_errors=True)
-        mutable.close()
-
-    def test_pinned_base_flip_escalates(self, tmp_path):
-        db, dbp, artifact = _deployment(tmp_path, 1)
-        mutable = _open(tmp_path, dbp, artifact)
-        _mutate(mutable, db, inserts=1)
-        report = mutable.checkpoint()
-        self._flip(tmp_path / report["base"])
-        scrubber = Scrubber(mutable)
-        cycle = scrubber.scrub_once()
-        assert any("crc32 pinned" in c for c in cycle["corruptions"])
-        assert cycle["healed"] == []
-        mutable.close()
 
     def test_torn_tail_is_counted_not_flagged(self, tmp_path):
         db, dbp, artifact = _deployment(tmp_path, 1)
@@ -669,7 +615,7 @@ class TestScrubber:
         ) as rep:
             fn = quartile_relevance(database, quantile=0.5)
             before = rep.query(fn, 8.0, 3)
-            self._flip(victim)
+            _flip(victim)
             report = Scrubber(rep).scrub_once(raise_errors=True)
             assert report["healed"] == [
                 f"{victim}: rebuilt from the frame and the manifest"
@@ -708,7 +654,7 @@ class TestScrubber:
             base.manifest.artifact_path(s, artifact.parent) for s in range(4)
         ]
         for path in paths:
-            self._flip(path)
+            _flip(path)
         report = Scrubber(mutable, database_path=dbp).scrub_once(
             raise_errors=True
         )
@@ -744,6 +690,123 @@ class TestScrubber:
         assert not scrubber.running
         assert scrubber.status()["cycles"] >= 2
         assert scrubber.status()["corruptions"] == 0
+        mutable.close()
+
+
+# ---------------------------------------------------------------------------
+# Every reader agrees on every corruption
+# ---------------------------------------------------------------------------
+#: What a load raises for each kind of corruption (docs/recovery.md).  The
+#: journal and its pinned base are the only copy of the database: an open
+#: and a backup refuse them, ``repro verify`` reports them, the scrubber
+#: escalates.  Index artifacts are derived: an open and ``repro verify``
+#: refuse / report them, the scrubber rebuilds them, a backup holds none.
+CORRUPTIONS = {
+    "journal-record": (JournalError, "checksum"),
+    "pinned-base": (JournalError, "crc32 pinned"),
+    "manifest": (ManifestError, "shard manifest"),
+    "shard": (CorruptIndexError, "crc32 mismatch"),
+    "off-frame-shard": (CorruptIndexError, "frame"),
+    "single-npz": (CorruptIndexError, "checksum"),
+}
+ESCALATED = {"journal-record", "pinned-base"}
+
+
+def _corrupted(tmp_path: Path, kind: str):
+    """A checkpointed, journaled deployment served by a live mutable
+    index, then one file corrupted as ``kind`` says.  Returns the serving
+    index, its pre-corruption state, what ``repro verify`` is pointed at
+    and the database path and artifact to reopen with."""
+    from tests.test_shard import _off_frame_bundle
+
+    db, dbp, artifact = _deployment(tmp_path, 1 if kind == "single-npz" else 2)
+    mutable = _open(tmp_path, dbp, artifact)
+    mutable.insert(db[18], db.features[18])
+    base = tmp_path / mutable.checkpoint()["base"]
+    _mutate(mutable, db, inserts=2)  # three records after the header
+    before = _state(mutable)
+    journal = tmp_path / "m.journal"
+    target = journal if kind in ESCALATED else artifact
+    if kind == "journal-record":
+        lines = journal.read_bytes().splitlines(keepends=True)
+        flipped = bytearray(lines[1])  # a mutation record, not the last
+        flipped[12] ^= 0x01
+        lines[1] = bytes(flipped)
+        journal.write_bytes(b"".join(lines))
+    elif kind == "pinned-base":
+        _flip(base)
+    elif kind == "off-frame-shard":
+        # A checksum-valid artifact in other vantage graphs, its crc32 in
+        # the manifest on disk and in the serving one.
+        _off_frame_bundle(db, artifact.parent, artifact.parent)
+        mutable.base.manifest = ShardManifest.load(artifact)
+    else:
+        _flip(
+            artifact.parent / "shard-001.npz" if kind == "shard"
+            else artifact,
+            at_fraction=0.3 if kind == "manifest" else 0.5,
+        )
+    return mutable, before, target, dbp, artifact
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+class TestEveryReaderAgrees:
+    def test_open(self, tmp_path, kind):
+        mutable, _, _, dbp, artifact = _corrupted(tmp_path, kind)
+        mutable.close()
+        error, match = CORRUPTIONS[kind]
+        with pytest.raises(error, match=match):
+            _open(tmp_path, dbp, artifact)
+
+    def test_verify(self, tmp_path, kind):
+        mutable, _, target, _, _ = _corrupted(tmp_path, kind)
+        mutable.close()
+        report = verify_deployment(target)
+        assert not report["ok"]
+        assert any(CORRUPTIONS[kind][1] in p for p in report["problems"])
+
+    def test_scrub(self, tmp_path, kind):
+        mutable, before, _, dbp, artifact = _corrupted(tmp_path, kind)
+        scrubber = Scrubber(mutable, database_path=dbp)
+        report = scrubber.scrub_once()
+        assert len(report["corruptions"]) == 1
+        assert CORRUPTIONS[kind][1] in report["corruptions"][0]
+        if kind in ESCALATED:
+            assert report["healed"] == []
+            assert len(report["escalations"]) == 1
+            assert "restore from backup" in report["escalations"][0]
+            with pytest.raises(ScrubError, match="unhealable"):
+                scrubber.scrub_once(raise_errors=True)
+            mutable.close()
+            return
+        assert report["escalations"] == [] and len(report["healed"]) == 1
+        # Healed for real: it re-verifies, scrubs clean, queries never
+        # moved, and a reopen loads the rewritten file.
+        assert verify_deployment(artifact)["ok"]
+        assert scrubber.scrub_once(raise_errors=True)["corruptions"] == []
+        assert _state(mutable) == before
+        mutable.close()
+        reopened = _open(tmp_path, dbp, artifact)
+        assert _state(reopened) == before
+        reopened.close()
+
+    def test_backup(self, tmp_path, kind):
+        mutable, _, _, dbp, _ = _corrupted(tmp_path, kind)
+        out = tmp_path / "bk"
+        if kind in ESCALATED:
+            with pytest.raises(BackupError, match=CORRUPTIONS[kind][1]):
+                create_backup(
+                    out, database=dbp, journal=tmp_path / "m.journal",
+                    latch=mutable.latch,
+                )
+            assert not out.exists()
+        else:  # no index artifact travels in a backup
+            create_backup(
+                out, database=dbp, journal=tmp_path / "m.journal",
+                latch=mutable.latch,
+            )
+            assert verify_backup(out)["ok"]
+            assert set(_archived(out).values()) == {"database", "journal"}
         mutable.close()
 
 

@@ -30,7 +30,7 @@ from repro.ged import CountingDistance
 from repro.metricspace import vector_database
 from repro.resilience import CorruptIndexError, Deadline, faults
 from repro.resilience.atomicio import read_checksummed
-from repro.resilience.deadline import current_deadline, deadline_scope
+from repro.resilience.deadline import deadline_scope
 from repro.resilience.faults import FaultPlan
 from repro.utils import fanout
 from repro.utils.fanout import fan_out
@@ -108,17 +108,6 @@ def test_an_exception_keeps_its_type_and_every_child_is_reaped(failing):
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_a_childs_deadline_degradations_reach_the_parent():
-    def degrade(x):
-        current_deadline().record_degradation("ged.exact.beam")
-        return x
-
-    deadline = Deadline(expansion_limit=4)
-    with deadline_scope(deadline), process_shape("fanned"):
-        fan_out(degrade, range(4), TWO_SHARES)
-    assert deadline.degradations == {"ged.exact.beam": 4}
-
-
 # ---------------------------------------------------------------------------
 # DistanceEngine.columns == consecutive one_to_many calls
 # ---------------------------------------------------------------------------
@@ -166,6 +155,20 @@ def test_columns_book_what_a_loop_of_one_to_many_books(case, metric, mode):
     assert values.tolist() == want_values.tolist()
     for counter in ("evaluations", "cache_hits", "batches"):
         assert getattr(fanned, counter) == getattr(loop, counter), counter
+
+
+def test_a_column_block_under_a_deadline_never_leaves_the_process():
+    """A child could not hand back the degradations its evaluations
+    record, so under a deadline the block is a loop of one_to_many."""
+    sources, targets = CASES["vantage"]
+    loop = DistanceEngine(StarDistance(), graphs=_DB.graphs)
+    want = np.column_stack([loop.one_to_many(s, targets) for s in sources])
+    engine = DistanceEngine(StarDistance(), graphs=_DB.graphs)
+    with deadline_scope(Deadline(expansion_limit=4)), process_shape(
+        "fanned", forks_expected=False
+    ):
+        got = engine.columns(sources, targets)
+    assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,37 @@ class TestDegradedQueryUnderFaults:
         assert not got.stats.degraded
         assert (got.answer, got.gains) == (want.answer, want.gains)
 
+    def test_a_degraded_frame_row_never_answers_the_next_query(self, tmp_path):
+        """The frame keeps a memtable graph's row for later queries; one a
+        query's deadline degraded is that query's alone."""
+        import repro
+        from repro import baseline_greedy
+
+        db = random_database(seed=31, size=40, min_nodes=5, max_nodes=7)
+        save_database(db.subset(range(30)), tmp_path / "db.jsonl")
+        save_index(
+            NBIndex.build(
+                db.subset(range(30)), ExactGED(), num_vantage_points=4,
+                branching=3, seed=0,
+            ),
+            tmp_path / "idx.npz",
+        )
+        index = repro.open_index(
+            tmp_path / "idx.npz", tmp_path / "db.jsonl", ExactGED(),
+            mutable=True,
+        )
+        for g in range(30, 40):
+            index.insert(db[g], db.features[g])
+        theta = index.ladder.values[2]
+        pressed = index.query(
+            lambda g: True, theta, 5, deadline=Deadline(expansion_limit=2)
+        )
+        assert pressed.stats.degraded
+        assert not index.frame.extra
+        got = index.query(lambda g: True, theta, 5)
+        want = baseline_greedy(index.database, ExactGED(), lambda g: True, theta, 5)
+        assert (got.answer, got.gains) == (want.answer, want.gains)
+
     def test_undegraded_query_stats_stay_clean(self):
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
@@ -267,6 +298,50 @@ class TestDegradedQueryUnderFaults:
         assert not result.stats.degraded
         assert result.stats.degradation_events == 0
         assert result.stats.degradations == {}
+
+
+class TestBuildsIgnoreTheAmbientDeadline:
+    def test_builds_store_exact_coordinates(self, tmp_path):
+        """A build stores what it computes: under a query's ambient budget
+        it would store upper bounds as coordinates."""
+        from repro.index.persistence import stored_embedding
+        from repro.shard.build import build_shards
+
+        db = random_database(seed=31, size=12, min_nodes=5, max_nodes=7)
+        build = dict(num_vantage_points=3, branching=3, seed=0)
+        want = NBIndex.build(db, ExactGED(), **build)
+        free = build_shards(
+            db, ExactGED(), num_shards=2, out_dir=tmp_path / "free", **build
+        )
+        deadline = Deadline(expansion_limit=4)
+        with deadline_scope(deadline):
+            got = NBIndex.build(db, ExactGED(), **build)
+            pressed = build_shards(
+                db, ExactGED(), num_shards=2, out_dir=tmp_path / "pressed",
+                **build,
+            )
+        assert deadline.degradations == {}
+        assert np.array_equal(got.embedding.coords, want.embedding.coords)
+        for shard in ("shard-000.npz", "shard-001.npz"):
+            vantage, coords = stored_embedding(pressed.parent / shard)
+            want_vantage, want_coords = stored_embedding(free.parent / shard)
+            assert vantage == want_vantage
+            assert np.array_equal(coords, want_coords)
+
+    def test_an_insert_stores_exact_coordinates(self):
+        db = random_database(seed=31, size=30, min_nodes=6, max_nodes=8)
+        index = NBIndex.build(
+            db.subset(range(12)), ExactGED(), num_vantage_points=3,
+            branching=3, seed=0,
+        )
+        for g in range(12, 30):
+            with deadline_scope(Deadline(expansion_limit=1)):
+                gid = index.insert(db[g], db.features[g])
+            exact = [
+                ExactGED()(db[g], db[v])
+                for v in index.embedding.vantage_indices
+            ]
+            assert index.embedding.coords[gid].tolist() == exact
 
 
 # ---------------------------------------------------------------------------
