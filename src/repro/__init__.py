@@ -185,8 +185,10 @@ def open_index(
         indexed = ShardManifest.load(path).num_graphs
     else:
         from repro.index.persistence import indexed_graph_count
+        from repro.resilience.atomicio import read_checksummed
 
-        indexed = indexed_graph_count(path)
+        payload = read_checksummed(path)  # one read: count, then load
+        indexed = indexed_graph_count(path, payload)
     if indexed > len(database):
         from repro.resilience import DatabaseMismatchError
 
@@ -212,7 +214,7 @@ def open_index(
     else:
         from repro.index.persistence import load_index as _load_index
 
-        base = _load_index(path, base_db, distance)
+        base = _load_index(path, base_db, distance, payload)
 
     if not mutable:
         return base

@@ -8,10 +8,14 @@ layers three cross-cutting accelerations over any ``(g, g) → float``
 metric, none of which changes a single output bit:
 
 1. **Batching** — :meth:`one_to_many`, :meth:`pairs` and :meth:`matrix`
-   evaluate whole blocks at once.  For the star metric a vectorized
-   evaluator (:mod:`repro.engine.starbatch`) amortizes the per-pair
-   setup.  Queries evaluate in the calling process; the build's vantage
-   block (:meth:`columns`) is spread over the usable CPUs.
+   evaluate whole blocks at once.  Two metrics have a vectorized
+   evaluator (:func:`batch_evaluator_for`): the star metric
+   (:mod:`repro.engine.starbatch`) amortizes the per-pair setup, and a
+   vector metric (a :class:`~repro.metricspace.PayloadDistance` over a
+   :class:`~repro.metricspace.MinkowskiMetric`) evaluates a batch as one
+   numpy block over its payload matrix.  Queries evaluate in the calling
+   process; the build's vantage block (:meth:`columns`) is spread over
+   the usable CPUs.
 2. **Lipschitz prefiltering** — with a :class:`VantageEmbedding` attached,
    :meth:`within` answers threshold queries from the coordinate matrix
    first: candidates whose vantage lower bound exceeds θ are rejected and
@@ -30,10 +34,10 @@ metric, none of which changes a single output bit:
 Every structure that takes a *distance* — the index, the baseline trees,
 the pair samplers — accepts a plain metric or an engine and coerces it
 with :meth:`DistanceEngine.of`, the one place that asks "is this already
-an engine?".  A callable with no batch evaluator (anything but a
-:class:`~repro.ged.star.StarDistance`, e.g. ``lambda a, b: star(a, b)``)
-is evaluated pair by pair *through the same batch entry points*, which is
-how the identity gates compare the serial metric with the batch kernel.
+an engine?".  A callable with no batch evaluator (e.g. ``lambda a, b:
+star(a, b)``, or a ``CountingDistance`` around either batched metric) is
+evaluated pair by pair *through the same batch entry points*, which is
+how the identity gates compare the serial metric with the batch kernels.
 """
 
 from __future__ import annotations
@@ -51,11 +55,40 @@ from repro.ged import ExactGED, StarDistance
 from repro.engine.paircache import (
     PairTable, Uncacheable, half, halves, key_halves, pair_key, plain_ids,
 )
-from repro.ged.metric import SLACK
+from repro.ged.metric import SLACK, CountingDistance
 from repro.graphs.graph import LabeledGraph
 from repro.resilience.deadline import current_deadline, degradation_mark
 from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
+
+
+def unwrap_distance(distance):
+    """Strip :class:`CountingDistance` layers."""
+    while isinstance(distance, CountingDistance):
+        distance = distance.inner
+    return distance
+
+
+def batch_evaluator_for(distance):
+    """A batch fast path for ``distance``, or ``None`` if it has none.
+
+    A bare :class:`StarDistance` gets a
+    :class:`~repro.engine.starbatch.BatchStarEvaluator`; a bare
+    :class:`~repro.metricspace.PayloadDistance` whose metric has a batch
+    form (:class:`~repro.metricspace.MinkowskiMetric`) gets its
+    :meth:`~repro.metricspace.PayloadDistance.batch_evaluator`.  Every
+    other callable — a :class:`CountingDistance` around either included,
+    whose count would otherwise read 0 — is evaluated pair by pair.
+    """
+    from repro.metricspace.generic import PayloadDistance
+
+    if type(distance) is StarDistance:
+        from repro.engine.starbatch import BatchStarEvaluator
+
+        return BatchStarEvaluator(normalized=distance.normalized)
+    if type(distance) is PayloadDistance:
+        return distance.batch_evaluator()
+    return None
 
 
 def _runs(pairlist):
@@ -93,8 +126,6 @@ class DistanceEngine:
         graphs: Sequence[LabeledGraph] | None = None,
         embedding=None,
     ):
-        from repro.engine.starbatch import batch_evaluator_for, unwrap_distance
-
         self.inner = distance
         self._graphs = graphs  # live reference: inserts stay visible
         self._embedding = embedding

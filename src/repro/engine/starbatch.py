@@ -49,8 +49,6 @@ import numpy as np
 from repro import obs
 from repro.bitset.kernel import num_words, word_counts
 from repro.ged.lsap import linear_sum_assignment
-from repro.ged.metric import CountingDistance
-from repro.ged.star import StarDistance
 from repro.graphs.graph import LabeledGraph
 from repro.utils.idweak import IdWeakMap
 
@@ -236,22 +234,3 @@ class BatchStarEvaluator:
 
     def __call__(self, g1: LabeledGraph, g2: LabeledGraph) -> float:
         return float(self.one_to_many(g1, [g2])[0])
-
-
-def unwrap_distance(distance):
-    """Strip :class:`CountingDistance` layers."""
-    while isinstance(distance, CountingDistance):
-        distance = distance.inner
-    return distance
-
-
-def batch_evaluator_for(distance) -> BatchStarEvaluator | None:
-    """A batch fast path for ``distance``, or ``None`` if it has none.
-
-    Only a bare :class:`StarDistance` has a vectorized evaluator today;
-    every other callable — a :class:`CountingDistance` around one included,
-    whose count would otherwise read 0 — is evaluated pair by pair.
-    """
-    if type(distance) is StarDistance:
-        return BatchStarEvaluator(normalized=distance.normalized)
-    return None

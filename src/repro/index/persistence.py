@@ -163,22 +163,32 @@ def save_index(index: NBIndex, path: str | Path) -> None:
     write_checksummed(Path(path), buffer.getvalue())
 
 
-def indexed_graph_count(path: str | Path) -> int:
+def _open(path, payload: bytes | None):
+    """The saved index's npz: from ``payload`` — its verified container
+    payload, when the caller has read the file already — or from one read
+    of ``path``.  Every reader below takes one, so a caller that checks an
+    artifact and then reads it pays one read and one crc, not two."""
+    return np.load(io.BytesIO(read_checksummed(path) if payload is None else payload))
+
+
+def indexed_graph_count(path: str | Path, payload: bytes | None = None) -> int:
     """How many database graphs a saved index covers, without loading it.
 
     The stored fingerprint has one crc per indexed graph, so its length
     *is* the coverage.  The mutable open path uses this to load a grown
     database's index against the right prefix snapshot (the live database
     may have journaled inserts past what the index has absorbed)."""
-    with np.load(io.BytesIO(read_checksummed(path))) as data:
+    with _open(path, payload) as data:
         return int(data["fingerprint"].shape[0])
 
 
-def stored_embedding(path: str | Path) -> tuple[list[int], np.ndarray]:
+def stored_embedding(
+    path: str | Path, payload: bytes | None = None
+) -> tuple[list[int], np.ndarray]:
     """``(vantage_indices, float64 coords)`` of a saved index, read without
     its tree or database (checks and the replica coordinator, which loads
     no shard, read a bundle's coordinates this way)."""
-    with np.load(io.BytesIO(read_checksummed(path))) as data:
+    with _open(path, payload) as data:
         return (
             [int(v) for v in data["vantage_indices"]],
             np.array(data["coords"], dtype=float),
@@ -189,6 +199,7 @@ def load_index(
     path: str | Path,
     database: GraphDatabase,
     distance: GraphDistanceFn,
+    payload: bytes | None = None,
 ) -> NBIndex:
     """Load an index saved by :func:`save_index` against its database.
 
@@ -197,9 +208,11 @@ def load_index(
     is verified by fingerprint.  The index always gets an engine of its own
     (as in :meth:`NBIndex.from_coords`): shards of one bundle are loaded
     with the same ``distance`` and each speaks its own local ids.
+    ``payload`` is the file's verified payload when the caller has read it
+    already (see :func:`_open`).
     """
     path = Path(path)
-    with np.load(io.BytesIO(read_checksummed(path))) as data:
+    with _open(path, payload) as data:
         version = int(data["format_version"][0])
         if version != FORMAT_VERSION:
             raise IndexFormatError(

@@ -8,6 +8,8 @@ that argument literally.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.graphs.database import GraphDatabase
@@ -28,6 +30,23 @@ class MinkowskiMetric:
             return float(diff.max())
         return float((diff**self.p).sum() ** (1.0 / self.p))
 
+    def one_to_many(self, a, block) -> np.ndarray:
+        """``[self(a, row) for row in block]`` over an ``(m, d)`` block, bit
+        for bit: the same elementwise ``abs`` and ``** p``, row sums that
+        numpy reduces as it reduces one row, and the ``1/p`` root taken per
+        row with the one-pair call's own scalar power.  numpy's array
+        ``** 0.5`` would be ``sqrt``, which differs from the scalar power on
+        ~0.08 % of pairs, and ``np.power`` with an array exponent on ~5 %."""
+        diff = np.asarray(a, dtype=float) - np.asarray(block, dtype=float)
+        np.abs(diff, out=diff)
+        if math.isinf(self.p):
+            return np.maximum.reduce(diff, axis=1)
+        diff **= self.p
+        root = 1.0 / self.p
+        return np.array(
+            [total**root for total in np.add.reduce(diff, axis=1)], dtype=float
+        )
+
     def __repr__(self) -> str:
         return f"MinkowskiMetric(p={self.p:g})"
 
@@ -47,6 +66,4 @@ def vector_database(
     require(matrix.ndim == 2, f"points must be (n, d), got shape {matrix.shape}")
     if features is None:
         features = matrix
-    return metric_space_database(
-        [row for row in matrix], MinkowskiMetric(p), features=features
-    )
+    return metric_space_database(matrix, MinkowskiMetric(p), features=features)

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.index.persistence import stored_embedding
 from repro.index.vantage import VantageFrame
-from repro.resilience.atomicio import atomic_write
+from repro.resilience.atomicio import atomic_write, unwrap_checksummed
 from repro.resilience.errors import CorruptIndexError
 from repro.shard.errors import ManifestError
 
@@ -95,17 +95,21 @@ class ShardManifest:
     # ------------------------------------------------------------------
     # The two checks of a shard artifact: every reader makes these
     # ------------------------------------------------------------------
-    def check_crc(self, shard_id: int, base_dir: Path) -> None:
-        """Raise :class:`~repro.resilience.errors.CorruptIndexError` unless
-        shard ``shard_id``'s artifact bytes match the crc32 this manifest
-        records (a stale or tampered artifact); ``OSError`` when they
-        cannot be read."""
+    def read_artifact(self, shard_id: int, base_dir: Path) -> bytes:
+        """Shard ``shard_id``'s artifact, read once: raise
+        :class:`~repro.resilience.errors.CorruptIndexError` unless its bytes
+        match the crc32 this manifest records (a stale or tampered
+        artifact) and its container is intact; ``OSError`` when it cannot
+        be read.  Returns the container payload, which the readers of
+        :mod:`repro.index.persistence` take instead of reading again."""
         artifact = self.artifact_path(shard_id, base_dir)
-        if zlib.crc32(artifact.read_bytes()) != self.shards[shard_id].checksum:
+        data = artifact.read_bytes()
+        if zlib.crc32(data) != self.shards[shard_id].checksum:
             raise CorruptIndexError(
                 f"{artifact}: crc32 mismatch against the shard manifest — "
                 f"stale or tampered artifact"
             )
+        return unwrap_checksummed(data, source=str(artifact))
 
     def check_frame(self, shard_id: int, vantage, coords) -> None:
         """Raise :class:`~repro.resilience.errors.CorruptIndexError`
@@ -121,11 +125,12 @@ class ShardManifest:
             )
 
     def check_artifact(self, shard_id: int, base_dir: Path) -> None:
-        """Both checks on one artifact on disk, without loading its tree
-        (``repro verify``, the scrubber)."""
-        self.check_crc(shard_id, base_dir)
+        """Both checks on one artifact on disk, one read, without loading
+        its tree (``repro verify``, the scrubber)."""
+        path = self.artifact_path(shard_id, base_dir)
         self.check_frame(
-            shard_id, *stored_embedding(self.artifact_path(shard_id, base_dir))
+            shard_id,
+            *stored_embedding(path, self.read_artifact(shard_id, base_dir)),
         )
 
     def assemble_frame(self, embeddings) -> VantageFrame:

@@ -122,11 +122,11 @@ class ShardedIndex:
                 shards.append(previous.shards[entry.shard_id])
                 reused += 1
                 continue
-            manifest.check_crc(entry.shard_id, base_dir)
+            payload = manifest.read_artifact(entry.shard_id, base_dir)
             sub = database.subset([int(i) for i in members])
             shards.append(load_index(
                 manifest.artifact_path(entry.shard_id, base_dir), sub,
-                distance,
+                distance, payload,
             ))
         if reused == manifest.num_shards:
             frame = previous.frame  # nothing changed
@@ -249,7 +249,7 @@ class ShardedIndex:
         deployment; per-shard detail nests under ``shards`` with the
         same per-quantity names."""
         out = {
-            "num_graphs": len(self.database),
+            "num_graphs": self.manifest.num_graphs,
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
             "tree_nodes": self.tree_nodes,
@@ -289,7 +289,7 @@ class ShardedIndex:
 
     def __repr__(self) -> str:
         return (
-            f"<ShardedIndex n={len(self.database)} "
+            f"<ShardedIndex n={self.manifest.num_graphs} "
             f"shards={self.num_shards} "
             f"partitioner={self.manifest.partitioner!r}>"
         )

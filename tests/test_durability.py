@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 import warnings
 import zlib
 from pathlib import Path
@@ -808,6 +809,53 @@ class TestEveryReaderAgrees:
             assert verify_backup(out)["ok"]
             assert set(_archived(out).values()) == {"database", "journal"}
         mutable.close()
+
+
+class TestOneReadPerArtifact:
+    """An index artifact is read once by each of its readers: the crc32
+    check and the load (or the frame check) share the bytes."""
+
+    @staticmethod
+    def _counted(monkeypatch) -> Counter:
+        reads: Counter = Counter()
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            if path.suffix == ".npz":
+                reads[path.name] += 1
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        return reads
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_open_verify_and_scrub(self, tmp_path, monkeypatch, num_shards):
+        _, dbp, artifact = _deployment(tmp_path, num_shards)
+        once = (
+            {"index.npz": 1} if num_shards == 1
+            else {f"shard-{s:03d}.npz": 1 for s in range(num_shards)}
+        )
+        reads = self._counted(monkeypatch)
+        mutable = _open(tmp_path, dbp, artifact)
+        assert reads == once
+        reads.clear()
+        assert verify_deployment(artifact)["ok"]
+        assert reads == once
+        reads.clear()
+        report = Scrubber(mutable, database_path=dbp).scrub_once(raise_errors=True)
+        assert report["corruptions"] == []
+        assert reads == once
+        mutable.close()
+
+
+def test_a_bundle_base_counts_the_graphs_it_covers(tmp_path):
+    """Inserts grow the live database, not the bundle the base serves."""
+    db, dbp, artifact = _deployment(tmp_path, 2)
+    mutable = _open(tmp_path, dbp, artifact)
+    _mutate(mutable, db, inserts=2, delete=None)
+    assert len(mutable.database) == 20
+    assert mutable.base.stats()["num_graphs"] == mutable.base.manifest.num_graphs == 18
+    mutable.close()
 
 
 # ---------------------------------------------------------------------------

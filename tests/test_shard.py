@@ -589,11 +589,9 @@ class TestReload:
             lambda self: reads.append(self.name) or read_bytes(self),
         )
         _load(bundle_dir, db)
-        # The checksum pass and the load: the frame is assembled from the
-        # loaded shards, not read a third time.
-        assert sorted(reads) == sorted(
-            2 * [f"shard-{s:03d}.npz" for s in range(3)]
-        )
+        # One read serves the checksum and the load; the frame is
+        # assembled from the loaded shards, not read again.
+        assert sorted(reads) == [f"shard-{s:03d}.npz" for s in range(3)]
 
     def test_full_reuse_on_unchanged_bundle(self, db, bundle_dir):
         first = _load(bundle_dir, db)
