@@ -51,7 +51,7 @@ def degradation_benchmark(
     distance = ExactGED()
     query_fn = quartile_relevance(database, quantile=0.3)
     index = NBIndex.build(
-        database, distance, num_vantage_points=4, branching=4, seed=seed,
+        database, distance, num_vantage_points=4, seed=seed,
     )
 
     rows = []

@@ -47,12 +47,11 @@ def test_vantage_candidates(benchmark, dud_ctx):
 
 def test_pi_hat_column(benchmark, dud_ctx):
     q = dud_ctx.relevance()
-    state = dud_ctx.nbindex._tree_state(dud_ctx.nbindex.session(q))
-    ladder_index = dud_ctx.nbindex.ladder.index_for(dud_ctx.theta)
+    state = dud_ctx.nbindex._member_state(dud_ctx.nbindex.session(q))
 
     def compute():
         state._pi_hat_columns.clear()
-        return state.pi_hat_column(ladder_index)
+        return state.pi_hat_column(dud_ctx.theta)
 
     benchmark(compute)
 

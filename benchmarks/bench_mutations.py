@@ -37,7 +37,7 @@ from repro.shard import ShardedIndex, build_shards
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_mutations.json"
 
-BUILD = dict(num_vantage_points=10, branching=8)
+BUILD = dict(num_vantage_points=10)
 
 
 def _identical(got, want) -> bool:

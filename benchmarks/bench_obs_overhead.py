@@ -135,7 +135,7 @@ def obs_overhead_benchmark(
     theta = calibrate_theta(database, distance, quantile=0.05, rng=seed)
     query_fn = quartile_relevance(database)
     index = NBIndex.build(
-        database, distance, num_vantage_points=8, branching=6, seed=seed
+        database, distance, num_vantage_points=8, seed=seed
     )
 
     def query():
@@ -143,8 +143,7 @@ def obs_overhead_benchmark(
 
     def build():
         NBIndex.build(
-            database, StarDistance(), num_vantage_points=8, branching=6,
-            seed=seed,
+            database, StarDistance(), num_vantage_points=8, seed=seed,
         )
 
     query()  # warm caches before timing

@@ -41,7 +41,7 @@ from repro.shard import build_shards
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_replica_failover.json"
 
 LADDER = ThresholdLadder((2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0))
-BUILD = dict(num_vantage_points=6, branching=4)
+BUILD = dict(num_vantage_points=6)
 
 
 class _Killer:

@@ -44,7 +44,7 @@ LOCK_BUDGET = 0.05
 # ---------------------------------------------------------------------------
 def _build_service(db, *, max_queue):
     index = NBIndex.build(
-        db, StarDistance(), num_vantage_points=6, branching=4, seed=7
+        db, StarDistance(), num_vantage_points=6, seed=7
     )
     config = ServiceConfig(max_concurrency=2, max_queue=max_queue)
     return QueryService(index, config=config).start()
@@ -169,7 +169,7 @@ def _null_cache_lock(engine):
 
 def lock_overhead(db, *, theta, k, rounds=80, repeats=6):
     index = NBIndex.build(
-        db, StarDistance(), num_vantage_points=6, branching=4, seed=7
+        db, StarDistance(), num_vantage_points=6, seed=7
     )
     query_fn = quartile_relevance(db)
     engine = index.engine

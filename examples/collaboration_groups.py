@@ -35,7 +35,7 @@ def main():
     print(f"{len(database)} collaboration groups; theta={theta:.0f}")
 
     index = NBIndex.build(
-        database, distance, num_vantage_points=12, branching=8, seed=3
+        database, distance, num_vantage_points=12, seed=3
     )
     print(f"NB-Index built in {index.build_seconds:.1f}s "
           f"({index.stats()['distance_calls']} edit distances)")

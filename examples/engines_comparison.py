@@ -43,8 +43,7 @@ def main():
           f"theta={theta:.1f}, k={K}\n")
 
     print("building indexes offline...")
-    index = NBIndex.build(database, distance, num_vantage_points=12,
-                          branching=8, seed=13)
+    index = NBIndex.build(database, distance, num_vantage_points=12, seed=13)
     ctree = CTree(database.graphs, distance, capacity=16, seed=13)
     mtree = MTree(database.graphs, distance, capacity=16, seed=13)
     oracle = DistanceMatrixOracle(database, distance)

@@ -21,7 +21,7 @@ def main():
     print(f"{len(database)} co-purchase neighborhoods; starting theta={theta0:.0f}")
 
     index = NBIndex.build(
-        database, distance, num_vantage_points=12, branching=8, seed=5
+        database, distance, num_vantage_points=12, seed=5
     )
     session = RefinementSession(index, quartile_relevance(database), k=8)
 

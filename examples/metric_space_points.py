@@ -62,8 +62,7 @@ def main():
     describe("DIV(theta) top-3", div.answer, div.pi)
 
     # The same query through the NB-Index — the index only needs a metric.
-    index = NBIndex.build(database, distance, num_vantage_points=6,
-                          branching=4, seed=0)
+    index = NBIndex.build(database, distance, num_vantage_points=6, seed=0)
     indexed = index.query(everything_relevant, theta, k)
     describe("NB-Index top-3", indexed.answer, indexed.pi)
 

@@ -4,11 +4,12 @@
 Builds the dud n = 2 000, S = 2 bundle twice per round: *inline* (a second
 thread held alive, which is how ``repro.utils.fanout.fan_out`` keeps a serving
 process's builds in one process) and *fanned out* (forked children for the
-vantage columns and the shard trees).  With two or more usable CPUs it
-fails when the fanned-out build is not at least ``MIN_SPEEDUP`` times
-faster (best of ``ROUNDS``, interleaved — a within-run ratio, not an
-absolute time).  That both shapes build the same bundle with the same
-counters is ``tests/test_fanout.py``'s job.
+frame's vantage columns, ``DistanceEngine.columns`` — the one build step
+that fans out; writing a shard costs no distance).  With two or more
+usable CPUs it fails when the fanned-out build is not at least
+``MIN_SPEEDUP`` times faster (best of ``ROUNDS``, interleaved — a
+within-run ratio, not an absolute time).  That both shapes build the same
+bundle with the same counters is ``tests/test_fanout.py``'s job.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/build_fanout_guard.py``.
 """
@@ -26,6 +27,9 @@ from repro.datasets import GENERATORS
 from repro.utils import fanout
 
 NUM_GRAPHS = 2000
+#: ``build_shards``' default vantage count: the frame is NUM_GRAPHS ×
+#: VANTAGE star distances, dealt out by column.
+VANTAGE = 20
 SHARDS = 2
 SEED = 11
 MIN_SPEEDUP = 1.2
@@ -53,7 +57,7 @@ def build(database, out_dir: Path, inline: bool) -> float:
 
 def main() -> int:
     database = GENERATORS["dud"](num_graphs=NUM_GRAPHS, seed=SEED)
-    workers = fanout.workers(SHARDS, NUM_GRAPHS * 8)  # b = 8 by default
+    workers = fanout.workers(VANTAGE, NUM_GRAPHS * VANTAGE)
     best: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for round_ in range(ROUNDS):

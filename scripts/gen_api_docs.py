@@ -132,7 +132,7 @@ Conventions across the public API:
   `lazy_greedy`, `MTree`, `CTree`) take tuning arguments keyword-only:
   `seed=` for determinism, plus per-API knobs.
 - **One distance argument.**  Everything that measures — `NBIndex.build`,
-  `NBTree`, `VantageEmbedding`, `choose_thresholds`, `MTree`, `CTree`,
+  `VantageEmbedding`, `choose_thresholds`, `MTree`, `CTree`,
   `pairwise_matrix`, the samplers — takes a metric *or* a
   `repro.engine.DistanceEngine` as `distance` and evaluates through an
   engine either way (`DistanceEngine.of`); pass one engine to several of

@@ -8,7 +8,9 @@ the vector kernel of a ``vector_database`` distance
 pairs of 6-d points, the ``vec_sharded`` shape).  Each is fed in batches
 of 1, 2, 64 and 2 000 targets; every value must be ``==`` the serial
 value, µs/pair is printed per length, and the guard fails when a batch
-path at length 64 is not at least its floor times the serial path.  Both
+path at length 64 is not at least its floor times the serial path, or
+when the vector path at length 1 — a one-miss batch, which it hands to
+the one-pair call — costs more than ``ONE_PAIR_CEILING`` times it.  Both
 sides are timed interleaved in this one process (best of ``ROUNDS``), so
 the verdict is a ratio — absolute wall-clock on a shared runner moves by
 ±15–25 % between runs, a within-run ratio does not.
@@ -34,6 +36,11 @@ GUARDED_LENGTH = 64
 #: Star: ≈ 4.5× expected.  Vector: ≈ 12× measured on a 2-core box
 #: (0.4 against 5 µs/pair); the floor keeps a margin for noisy runners.
 FLOORS = {"star": 2.0, "vector": 4.0}
+#: Vector batch / serial µs per pair at length 1: the one-pair call plus
+#: one small array (≈ 1.05× measured), with a margin for noisy runners.
+#: The star kernel keeps its batch path at every length and is not held
+#: to this.
+ONE_PAIR_CEILING = {"vector": 1.15}
 ROUNDS = 5
 
 
@@ -80,6 +87,14 @@ def guard(name, graphs, one_to_many, serial) -> bool:
             f"serial {serial_us:6.1f} us/pair, {serial_us / batch_us:4.1f}x "
             f"({pairs} pairs, bit-equal)"
         )
+    ceiling = ONE_PAIR_CEILING.get(name)
+    one_pair = best["batch", 1] / best["serial", 1]
+    if ceiling is not None and one_pair > ceiling:
+        print(
+            f"FAIL: {name} batch path at length 1 is {one_pair:.2f}x the "
+            f"one-pair call, above the {ceiling}x ceiling"
+        )
+        return False
     speedup = best["serial", GUARDED_LENGTH] / best["batch", GUARDED_LENGTH]
     if speedup < FLOORS[name]:
         print(

@@ -183,8 +183,7 @@ def main() -> int:
     run_cli("generate", "dblp", "--num-graphs", "48", "--seed", "7",
             "--output", str(db))
     run_cli("shard-build", str(db), "--shards", str(NUM_SHARDS),
-            "--output", str(shards), "--vantage-points", "5",
-            "--branching", "4")
+            "--output", str(shards), "--vantage-points", "5")
     manifest = shards / "manifest.json"
 
     requests = build_requests()

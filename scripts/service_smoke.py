@@ -76,7 +76,7 @@ def main() -> int:
     run_cli("generate", "dblp", "--num-graphs", "40", "--seed", "7",
             "--output", str(db))
     run_cli("build-index", str(db), "--output", str(idx),
-            "--vantage-points", "5", "--branching", "4")
+            "--vantage-points", "5")
 
     requests = build_requests()
     # sitecustomize injects the chaos plan into the service process:

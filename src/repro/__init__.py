@@ -35,7 +35,7 @@ from repro.graphs import (
     LabeledGraph,
     quartile_relevance,
 )
-from repro.index import NBIndex, OffLadderThetaError, QuerySession
+from repro.index import NBIndex, QuerySession
 from repro.index.errors import ReadOnlyIndexError
 from repro.obs import Statable, observe
 from repro.resilience import BudgetExceeded, Deadline, deadline_scope
@@ -51,7 +51,6 @@ __all__ = [
     "DistanceEngine",
     "NBIndex",
     "QuerySession",
-    "OffLadderThetaError",
     "ShardedIndex",
     "build_shards",
     "QueryResult",
@@ -177,8 +176,8 @@ def open_index(
     # database — load it against the prefix snapshot it was built over.
     # A mutable single index snapshots even when nothing was journaled:
     # the live database grows in place, and a base aliasing it would be
-    # saved (the scrubber's heal) with a fingerprint its tree does not
-    # cover.  A bundle's shards already hold sub-databases of their own.
+    # saved (the scrubber's heal) with a fingerprint its coordinates do
+    # not cover.  A bundle's shards already hold sub-databases of their own.
     if sharded:
         from repro.shard.manifest import ShardManifest
 

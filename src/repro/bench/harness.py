@@ -105,7 +105,6 @@ class BenchContext:
     ladder: object
     seed: int = 7
     num_vantage_points: int = 12
-    branching: int = 8
 
     @classmethod
     def create(cls, dataset: str, num_graphs: int | None = None, seed: int = 7,
@@ -128,7 +127,7 @@ class BenchContext:
         holds the build's distances only, so a query on it is cold."""
         params = dict(
             num_vantage_points=self.num_vantage_points,
-            branching=self.branching, thresholds=self.ladder, seed=self.seed,
+            thresholds=self.ladder, seed=self.seed,
         )
         return NBIndex.build(self.database, self.distance,
                              **{**params, **overrides})

@@ -226,11 +226,6 @@ def _vp_count(r, full):
               "more vantage points, lower FPR")
 
 
-def _branching(r, full):
-    heights = r.column("tree_height")
-    claim(heights == sorted(heights, reverse=True), "bigger b, flatter tree")
-
-
 def _bounds(r, full):
     pis = r.column("pi")
     claim(max(pis) - min(pis) < 1e-9,
@@ -321,8 +316,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                experiments.fig7_qualitative, _fig7),
     Experiment(_ABLATIONS, scaling.ablation_vp_count, _vp_count, "ctx",
                ("dud",), chart=("num_vps", ["observed_fpr"], True)),
-    Experiment(_ABLATIONS, scaling.ablation_branching, _branching, "ctx",
-               ("dud",)),
     Experiment(_ABLATIONS, scaling.ablation_pivec_ladder,
                lambda r, full: None,  # a sensitivity table; no claim on it
                "ctx", ("dud",)),

@@ -176,7 +176,8 @@ def fig5l6a_threshold_gap(
         notes=(
             "Paper Figs. 5(l)/6(a): looser pi-hat upper bounds (larger gap "
             "between theta and the covering indexed threshold) cost only "
-            "modest extra time thanks to VOs and Theorems 7-8."
+            "modest extra time.  Here pi-hat is taken at theta itself, so "
+            "the gap moves nothing: every row does the same work."
         ),
     )
 
@@ -366,8 +367,9 @@ def fig6l_index_memory(
         notes=(
             "Paper Fig. 6(l): NB-Index memory grows linearly (<300MB for "
             "all of DUD); the distance matrix grows quadratically. "
-            "coverage_bytes is the worst-case per-node bitset coverage a "
-            "query session materializes — linear in n like the index."
+            "coverage_bytes is the worst-case bitset coverage a query "
+            "session materializes: one row per relevant member plus the "
+            "covered row, at |L_q| = n."
         ),
     )
 
@@ -404,32 +406,6 @@ def ablation_vp_count(
     )
 
 
-def ablation_branching(
-    ctx: BenchContext,
-    branchings=(3, 8, 20),
-    k: int = DEFAULT_K,
-) -> ExperimentResult:
-    q = ctx.relevance()
-    rows = []
-    for b in branchings:
-        index = ctx.build_index(branching=b)
-        _, seconds = timed_call(index.query, q, ctx.theta, k)
-        rows.append({
-            "branching": b,
-            "build_s": index.build_seconds,
-            "query_s": seconds,
-            "tree_nodes": index.tree.num_nodes,
-            "tree_height": index.tree.height(),
-        })
-    return ExperimentResult.from_rows(
-        f"ablation_branching_{ctx.name}", rows,
-        notes=(
-            "Paper Sec. 6.4: small b suits memory-resident use (deeper tree, "
-            "finer clusters); b=40 matches the paper's on-disk default."
-        ),
-    )
-
-
 def ablation_pivec_ladder(
     ctx: BenchContext,
     ladder_sizes=(1, 3, 10),
@@ -452,7 +428,11 @@ def ablation_pivec_ladder(
         })
     return ExperimentResult.from_rows(
         f"ablation_pivec_ladder_{ctx.name}", rows,
-        notes="Denser ladders tighten pi-hat bounds; gap -1 means theta above ladder.",
+        notes=(
+            "The paper's denser ladders tighten pi-hat bounds; here pi-hat "
+            "is taken at theta itself, so the ladder moves nothing. Gap -1 "
+            "means theta above the ladder."
+        ),
     )
 
 
@@ -468,7 +448,7 @@ def ablation_insert(
     Builds an index on ``base_size`` graphs, inserts ``num_inserts`` more
     one at a time, and compares query time and work against an index
     rebuilt from scratch over the same ``base_size + num_inserts`` graphs.
-    Quantifies the conservative-geometry cost of :meth:`NBIndex.insert`.
+    An insert embeds one graph; a rebuild also draws new vantage points.
     """
     generator = GENERATORS[dataset]
     # The generators draw graphs sequentially from one stream, so the
@@ -477,8 +457,7 @@ def ablation_insert(
     base = full.subset(range(base_size))
     ctx = BenchContext.create(dataset, num_graphs=base_size, seed=seed)
 
-    params = dict(num_vantage_points=ctx.num_vantage_points,
-                  branching=ctx.branching, seed=seed)
+    params = dict(num_vantage_points=ctx.num_vantage_points, seed=seed)
     incremental = NBIndex.build(base, ctx.distance, **params)
     insert_started = time.perf_counter()
     for position in range(base_size, base_size + num_inserts):
@@ -503,8 +482,8 @@ def ablation_insert(
         f"ablation_insert_{dataset}", rows,
         notes=(
             f"{num_inserts} inserts into a {base_size}-graph index vs full "
-            "rebuild: answers stay exact (equal pi), inserts are cheaper "
-            "than rebuilding, queries pay for the conservative radii."
+            "rebuild: answers stay exact (equal pi) and inserts are cheaper "
+            "than rebuilding."
         ),
     )
 
@@ -520,16 +499,18 @@ def ablation_bounds(
     distance cache warmed by an earlier variant.
     """
     q = ctx.relevance()
-
-    # A rung far above every distance makes π̂ = |L_q| for all graphs — the
-    # trivial bound — while keeping θ on the ladder (off-ladder θ raises).
-    trivial_ladder = ThresholdLadder([1e18])
     rows = []
-    for name, ladder in (("full", ctx.ladder), ("vo_only", trivial_ladder)):
-        index = ctx.build_index(thresholds=ladder)
-        result, seconds = timed_call(
-            lambda: index.session(q).query(ctx.theta, k)
-        )
+    for name in ("full", "vo_only"):
+        index = ctx.build_index()
+        session = index.session(q)
+        if name == "vo_only":
+            # π̂ = |L_q| for every member — the trivial bound — seeded into
+            # the session's per-θ column cache before the first query.
+            state = index._member_state(session)
+            state._pi_hat_columns[ctx.theta] = np.full(
+                state.relevant_local.size, state.relevant_local.size
+            )
+        result, seconds = timed_call(lambda: session.query(ctx.theta, k))
         rows.append({
             "variant": name,
             "query_s": seconds,

@@ -106,13 +106,11 @@ def cmd_build_index(args) -> int:
     database = repro.open_database(args.database)
     index = NBIndex.build(
         database, StarDistance(),
-        num_vantage_points=args.vantage_points, branching=args.branching,
-        seed=args.seed,
+        num_vantage_points=args.vantage_points, seed=args.seed,
     )
     save_index(index, args.output)
     print(
-        f"wrote {args.output}: {index.tree.num_nodes} tree nodes, "
-        f"{index.embedding.num_vantage_points} VPs, "
+        f"wrote {args.output}: {index.embedding.num_vantage_points} VPs, "
         f"built in {index.build_seconds:.1f}s "
         f"({index.stats()['distance_calls']} edit distances)"
     )
@@ -131,8 +129,7 @@ def cmd_shard_build(args) -> int:
     manifest_path = build_shards(
         database, distance, num_shards=args.shards, out_dir=args.output,
         partitioner=args.partitioner,
-        num_vantage_points=args.vantage_points, branching=args.branching,
-        seed=args.seed,
+        num_vantage_points=args.vantage_points, seed=args.seed,
     )
     # Load the bundle back: a build that cannot be served is a failed build.
     sharded = repro.open_index(manifest_path, database, distance, shards=True)
@@ -140,7 +137,7 @@ def cmd_shard_build(args) -> int:
     sizes = "/".join(str(s["num_graphs"]) for s in stats["shards"])
     print(
         f"wrote {manifest_path}: {stats['num_shards']} shards "
-        f"({sizes} graphs), {stats['tree_nodes']} tree nodes, "
+        f"({sizes} graphs), "
         f"partitioner={stats['partitioner']}, "
         f"built in {sharded.manifest.build['total_seconds']:.1f}s"
     )
@@ -225,7 +222,7 @@ def cmd_query(args) -> int:
             if index is None:
                 index = NBIndex.build(
                     database, distance, num_vantage_points=args.vantage_points,
-                    branching=args.branching, seed=args.seed,
+                    seed=args.seed,
                 )
             result = index.query(q, theta, args.k, epsilon=epsilon)
             if args.journal:
@@ -237,6 +234,11 @@ def cmd_query(args) -> int:
     for rank, (gid, gain) in enumerate(zip(result.answer, result.gains), 1):
         g = database[gid]
         print(f"{rank:<6}{gid:<8}{gain:<6}{g.num_nodes:<7}{g.num_edges:<7}")
+    if result.opt_upper is not None:
+        print(
+            f"certified: OPT <= {result.opt_upper} covered graphs, "
+            f"pi(A)/OPT >= {result.certified_ratio:.3f}"
+        )
     if result.stats.approximate:
         print(
             f"approximate: epsilon={result.stats.epsilon:g} — neighborhoods "
@@ -513,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("database")
     p.add_argument("--output", required=True)
     p.add_argument("--vantage-points", type=int, default=20)
-    p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
@@ -536,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hash: stateless content hash; clustering: "
                         "farthest-first pivots + nearest-pivot assignment")
     p.add_argument("--vantage-points", type=int, default=20)
-    p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
@@ -565,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "before querying (opens the index through the "
                         "delta layer; needs --index or --shards)")
     p.add_argument("--vantage-points", type=int, default=20)
-    p.add_argument("--branching", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
                    help="wall-clock budget for exact edit distances; on "

@@ -41,7 +41,7 @@ class TopKRepresentativeQuery:
         Generator); forwarded to :meth:`NBIndex.build`.
     index_params:
         Further keyword arguments forwarded to :meth:`NBIndex.build` when
-        the index is built lazily (``num_vantage_points``, ``branching``,
+        the index is built lazily (``num_vantage_points``, ``vp_strategy``,
         ``thresholds``, ...).
     """
 

@@ -16,7 +16,8 @@ class QueryStats:
     """Work accounting for one top-k query.
 
     Engines fill only the fields that apply to them: the NB-Index reports
-    tree-search counters (``nodes_popped``, ``leaves_evaluated``, ...), the
+    search counters (``nodes_popped`` — bound-order pops —,
+    ``leaves_evaluated`` — members resolved —, ...), the
     greedy baselines gain-evaluation counters (``gain_evaluations``,
     ``reheap_count``); everything else stays at zero.
     """
@@ -26,7 +27,7 @@ class QueryStats:
     candidates_generated: int = 0
     #: θ-neighborhoods resolved to completion.
     exact_neighborhoods: int = 0
-    #: Tree leaves left partially verified at query end: each was proven
+    #: Members left partially verified at query end: each was proven
     #: unable to win every round that reached it before its candidate
     #: window was exhausted.
     partial_neighborhoods: int = 0
@@ -98,6 +99,11 @@ class QueryResult:
     num_relevant: int
     theta: float
     stats: QueryStats = field(default_factory=QueryStats)
+    #: Certified upper bound U ≥ OPT on the covered count of any k graphs
+    #: (:func:`certify`); ``None`` when degraded or ε > 0.
+    opt_upper: int | None = None
+    #: ``len(covered) / opt_upper`` — provably ≥ 1 − (1 − 1/k)^k.
+    certified_ratio: float | None = None
 
     @property
     def pi(self) -> float:
@@ -119,3 +125,29 @@ class QueryResult:
             f"QueryResult(k={len(self.answer)}, pi={self.pi:.3f}, "
             f"CR={self.compression_ratio:.1f}, theta={self.theta:g})"
         )
+
+
+def certify(result: QueryResult, k: int) -> QueryResult:
+    """Fill ``result``'s per-query optimality certificate and return it.
+
+    After i greedy picks with covered count C_i, submodularity gives
+    OPT ≤ C_i + k·g_{i+1}, where g_{i+1} is the next pick's exact gain —
+    the maximum marginal, which the greedy computes anyway (Nemhauser,
+    Wolsey and Fisher 1978; the "online bound" of Leskovec et al., KDD
+    2007).  So OPT ≤ U = min(|L_q|, min over i < k of C_i + k·g_{i+1}),
+    with g = 0 past a short answer (nothing left adds coverage).  The
+    same recurrence proves ``len(covered) / U ≥ 1 − (1 − 1/k)^k``
+    (``docs/theory.md``, §8).  Sound only when every gain is an exact
+    maximum: a degraded or ε-relaxed result is left uncertified.
+    """
+    if result.stats.degraded or result.stats.epsilon > 0:
+        return result
+    gains = [int(g) for g in result.gains]
+    bound, running = int(result.num_relevant), 0
+    for i in range(k):
+        following = gains[i] if i < len(gains) else 0
+        bound = min(bound, running + k * following)
+        running += following
+    result.opt_upper = bound
+    result.certified_ratio = len(result.covered) / bound if bound else 1.0
+    return result

@@ -1,6 +1,6 @@
 """The delta-shard frontier: un-indexed graphs, scanned exactly.
 
-Memtable graphs have no NB-Tree, no vantage embedding and no π̂ columns —
+Memtable graphs have no stored vantage coordinates and no π̂ columns —
 they were inserted after the last compaction.  Instead of approximating,
 the :class:`ExactFrontier` computes its members' θ-neighborhoods (within
 the delta's own relevant set) *exactly* at session start: one batched
@@ -64,7 +64,7 @@ class ExactFrontier:
 
         # Exact θ-neighborhoods among delta members: one row per member,
         # packed over the global universe.  This is the "scanned exactly"
-        # part — no tree, no ladder, just distances.
+        # part — no bounds, just distances.
         m = self.relevant_global.size
         self._rows = universe.empty_matrix(m)
         members = [int(g) for g in self.relevant_global]
@@ -94,7 +94,7 @@ class ExactFrontier:
     def begin_round(self, covered: np.ndarray) -> None:
         """Refresh the exact per-member gains for one greedy round.
 
-        Unlike a shard's lazily tightened tree bounds, the delta's bounds
+        Unlike a shard's lazily tightened bounds, the delta's bounds
         are recomputed exactly every round: one batch popcount over the
         member rows."""
         self._covered = covered

@@ -8,7 +8,7 @@ The LSM shape, specialized to the NB-Index:
   to the indexed shard frontiers in the same coordinator loop.
 * **tombstones** — deletes are soft
   (:meth:`~repro.graphs.database.GraphDatabase.mark_deleted`): the graph
-  stays addressable so every tree/embedding structure remains valid, but
+  stays addressable so every embedding structure remains valid, but
   ``relevant_indices`` masks it out of ``L_q``, which is the row every
   coverage bitset is built from — a deleted graph can neither be an
   answer nor be covered.
@@ -56,7 +56,7 @@ from repro.delta.errors import CompactionError
 from repro.delta.frontier import ExactFrontier
 from repro.delta.journal import MutationJournal
 from repro.graphs.database import GraphDatabase
-from repro.index.frontier import TreeState
+from repro.index.frontier import MemberState
 from repro.index.nbindex import (
     NBIndex,
     QueryRun,
@@ -138,7 +138,7 @@ class MutableIndex:
     def _frame_of(base) -> VantageFrame:
         if hasattr(base, "frame"):
             return base.frame
-        # One tree over identity ids: its embedding is the frame.
+        # One index over identity ids: its embedding is the frame.
         return VantageFrame(
             base.embedding.vantage_indices, base.embedding.coords
         )
@@ -161,12 +161,6 @@ class MutableIndex:
     @property
     def num_shards(self) -> int:
         return getattr(self.base, "num_shards", 1)
-
-    @property
-    def tree_nodes(self) -> int:
-        if hasattr(self.base, "tree_nodes"):
-            return self.base.tree_nodes
-        return self.base.tree.num_nodes
 
     def stats(self) -> dict:
         """Statable protocol: the base's normalized stats plus a
@@ -288,15 +282,15 @@ class MutableIndex:
             frontiers = base._shard_frontiers(run, self.engine)
             shard_of = base.shard_of
         else:
-            state = TreeState(
+            state = MemberState(
                 base, np.arange(indexed, dtype=np.int64), session.relevant,
                 session.universe,
             )
             frontiers = [ShardFrontier(
-                state, run.theta, run.ladder_index, run.stats, run.runtime,
+                state, run.theta, run.stats, run.runtime,
                 global_engine=self.engine, frame=self.frame,
             )]
-            shard_of = None  # one tree: every indexed graph lives on it
+            shard_of = None  # one index: every indexed graph lives on it
         delta_frontier = ExactFrontier(
             delta_rel, session.universe, self.engine, run.theta, run.stats,
             run.runtime,
@@ -395,7 +389,6 @@ class MutableIndex:
             num_vantage_points=min(
                 base.embedding.num_vantage_points, len(snapshot)
             ),
-            branching=base.tree.branching,
             thresholds=base.ladder,
             seed=np.random.default_rng(self.seed),
         )
@@ -454,7 +447,6 @@ class MutableIndex:
         changed = sorted({int(a) for a in assignments[n0:]})
 
         ladder = ThresholdLadder(manifest.ladder)
-        root_seed = manifest.seed if manifest.seed is not None else self.seed
         # The frame survives: every absorbed graph's row is computed at
         # most once per process (a query may already have), then stored.
         old_frame = base.frame
@@ -474,9 +466,8 @@ class MutableIndex:
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
             index, raw = write_shard(
-                artifact, snapshot, self.distance, frame, members, shard_id,
-                seed=root_seed, ladder=ladder,
-                branching=int(manifest.build.get("branching", 8)),
+                artifact, snapshot, self.distance, frame, members,
+                ladder=ladder,
             )
             obs.counter("delta.shard_rebuilds")
             # Verify before the manifest references it: a torn artifact

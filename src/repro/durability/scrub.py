@@ -9,14 +9,14 @@ shard, the checksum container on a single ``.npz`` — so bit rot is found
 on the scrubber's clock instead of the next unlucky reload's.
 
 Detection is only half the job.  Every index artifact is derived state
-— the answer is the greedy's over exact θ-neighbourhoods, whatever tree
-or seed built the index — so a corrupt one is regenerated from what the
+— the answer is the greedy's over exact θ-neighbourhoods, whatever
+seed built the index — so a corrupt one is regenerated from what the
 serving process holds, never copied back from elsewhere:
 
-* a shard artifact that fails either shard check is rebuilt by
+* a shard artifact that fails either shard check is rewritten by
   :func:`~repro.shard.build.write_shard` from the frame rows the serving
-  index holds in memory plus the manifest's ladder, ``branching`` and
-  seed, then the new crc32 is committed to the manifest;
+  index holds in memory plus the manifest's ladder — no distance, nothing
+  built — then the new crc32 is committed to the manifest;
 * a corrupt manifest is rewritten from the serving manifest object;
 * a single index ``.npz`` is rewritten from the loaded index object.
 
@@ -301,8 +301,9 @@ def _rewrite_single(index, index_path: Path) -> str:
 
 
 def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
-    """Rebuild one shard exactly as the build did, install the artifact
-    and commit its crc32 to the manifest, as compaction does."""
+    """Rewrite one shard's frame rows exactly as the build did, install
+    the artifact and commit its crc32 to the manifest, as compaction
+    does."""
     from repro.index.pivec import ThresholdLadder
     from repro.shard.build import write_shard
 
@@ -311,9 +312,7 @@ def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
     staging = artifact.with_name(artifact.name + ".scrub-heal")
     _, raw = write_shard(
         staging, index.database, index.distance, index.frame,
-        manifest.members(shard_id), shard_id, seed=manifest.seed,
-        branching=int(manifest.build.get("branching", 8)),
-        ladder=ThresholdLadder(manifest.ladder),
+        manifest.members(shard_id), ladder=ThresholdLadder(manifest.ladder),
     )
     unwrap_checksummed(raw, source=str(staging))
     os.replace(staging, artifact)

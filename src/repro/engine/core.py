@@ -24,7 +24,7 @@ metric, none of which changes a single output bit:
 3. **Shared caching** — one symmetric pair cache
    (:class:`~repro.engine.paircache.PairTable`: packed keys of
    ``graph_id`` or a never-reused token, in flat arrays) spans every
-   consumer, so a distance computed during the tree build is free during
+   consumer, so a distance computed during the build is free during
    θ-refinements.
    Only distances are cached: a value a query's deadline degraded to an
    upper bound is returned to that query, never stored for the next one.

@@ -1,4 +1,4 @@
-"""The NB-Index: vantage orderings, NB-Tree, π̂-vectors, query engine."""
+"""The NB-Index: vantage orderings, π̂ bounds, threshold ladder, query engine."""
 
 from repro.index.vantage import (
     VantageEmbedding,
@@ -12,9 +12,7 @@ from repro.index.fpr import (
     fpr_uniform,
     fpr_upper_bound_gaussian,
 )
-from repro.index.nbtree import BuildStats, NBTree, NBTreeNode
 from repro.index.pivec import ThresholdLadder, choose_thresholds, ladder_from_query_log
-from repro.index.errors import OffLadderThetaError
 from repro.index.nbindex import NBIndex, QueryResult, QuerySession, QueryStats
 from repro.index.persistence import load_index, save_index
 from repro.resilience.errors import (
@@ -37,14 +35,10 @@ __all__ = [
     "choose_num_vps",
     "empirical_fpr",
     "distance_moments",
-    "NBTree",
-    "NBTreeNode",
-    "BuildStats",
     "ThresholdLadder",
     "choose_thresholds",
     "ladder_from_query_log",
     "NBIndex",
-    "OffLadderThetaError",
     "QuerySession",
     "QueryResult",
     "QueryStats",

@@ -2,7 +2,7 @@
 
 One coordinator drives the global lazy best-first loop of Algorithm 2 over
 S independent frontiers (:class:`~repro.index.frontier.Frontier`).  A plain
-``NBIndex`` query is the S = 1 case: one tree frontier, nothing foreign,
+``NBIndex`` query is the S = 1 case: one index frontier, nothing foreign,
 so every foreign rung of the ladder below sums over nothing.  Every greedy
 round runs a threshold-algorithm pull over the frontiers ("shards" below),
 each of which exposes its best remaining *local* gain bound
@@ -11,7 +11,7 @@ each of which exposes its best remaining *local* gain bound
 1. Frontiers are ranked by ``peek(shard) + foreign_uncovered(shard)`` — the
    local bound plus the count of uncovered relevant graphs living on other
    shards, a trivially valid bound on any candidate's *global* gain.
-2. The top shard is pulled: its frontier advances its lazy tree walk to
+2. The top shard is pulled: its frontier advances its lazy scan to
    the next candidate and returns its exact local gain.  What the *other*
    frontiers can add descends a ladder of successively tighter (and
    dearer) bounds, one deficit spent across all of them:

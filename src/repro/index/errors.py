@@ -1,8 +1,8 @@
-"""Typed errors for index query-time misuse.
+"""Typed errors for misuse of a built index.
 
 Build/load failures live in :mod:`repro.resilience.errors` (they are
-persistence problems); this module holds errors about *queries* that the
-index cannot answer honestly as asked.
+persistence problems); this module holds errors about calls that an
+index cannot honour as asked.
 """
 
 from __future__ import annotations
@@ -26,34 +26,3 @@ class ReadOnlyIndexError(TypeError):
             f"repro.open_index(path, mutable=True)"
         )
 
-
-class OffLadderThetaError(ValueError):
-    """θ lies above every indexed π̂ rung.
-
-    The π̂-vector machinery answers any θ *covered* by the ladder (the
-    smallest indexed rung ≥ θ is a valid upper bound, Def. 6); a θ above
-    the top rung has no indexed bound at all, and silently falling back to
-    the trivial ``|L_q|`` bound turns the index into a linear scan without
-    telling anyone.  The error lists the nearest indexed rungs so callers
-    can snap the query to one, and names the two remedies: re-ladder the
-    existing index (:meth:`~repro.index.NBIndex.set_ladder` — free, the
-    tree and embedding are ladder-independent) or rebuild with
-    ``thresholds`` covering the θ range actually queried.
-    """
-
-    def __init__(self, theta: float, ladder):
-        values = tuple(
-            float(v) for v in (ladder.values if hasattr(ladder, "values") else ladder)
-        )
-        theta = float(theta)
-        nearest = tuple(sorted(sorted(values, key=lambda v: abs(v - theta))[:3]))
-        self.theta = theta
-        self.ladder_max = max(values)
-        self.nearest_rungs = nearest
-        rungs = ", ".join(f"{v:g}" for v in nearest)
-        super().__init__(
-            f"theta={theta:g} is above the indexed pi-hat ladder "
-            f"(max rung {self.ladder_max:g}; nearest indexed rungs: "
-            f"[{rungs}]); query at an indexed rung, re-ladder with "
-            f"set_ladder(), or rebuild with thresholds covering this theta"
-        )

@@ -1,4 +1,4 @@
-"""The query path's frontier protocol and its NB-Tree implementation.
+"""The query path's frontier protocol and its index implementation.
 
 Every deployment answers a top-k query the same way
 (``docs/internals.md``, "The query path"):
@@ -20,34 +20,38 @@ Neighborhoods are *residual*: coverage only grows within a query, so the
 members already covered when a neighborhood is resolved can never count
 towards a later gain, and a frontier may leave them out.
 
-Three implementations: :class:`TreeFrontier` here (an NB-Tree; a plain
-``NBIndex`` is one of these over the identity id map, and
+Three implementations: :class:`IndexFrontier` here (one index's
+relevant members; a plain ``NBIndex`` is one of these over the identity
+id map, and
 :class:`~repro.shard.frontier.ShardFrontier` adds what only a shard needs
 — seeing graphs that live elsewhere through the bundle's vantage frame),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
 replicated shard behind the wire).
 
-The tree frontier is the paper's Section 7 search without its update
-step: each node carries a working upper bound ``W`` (π̂ at a leaf, the
-children's maximum above, Eq. 14), tightened only where a round learned
-something — a leaf's exact or partial count, a selection.  Nothing is
-re-walked after a selection: submodularity makes stale bounds safe (true
-marginal gains only shrink as the answer grows), and a resolved leaf's
-gain is re-counted by one popcount when it is popped.  The paper's
-Theorem 6–8 update walk is not run: measured, it cost more exact calls
-than it saved on every workload (``docs/theory.md``, §7).
+The index frontier is the paper's Section 7 search without the NB-Tree
+and without its update step: each relevant member carries one working
+upper bound (π̂ at θ, computed per query over L_q), tightened only where
+a round learned something — a member's exact or partial count, a
+selection — and a round visits the members in bound order
+(:class:`FlatRoundSearch`).  The paper's tree added per-node maxima of
+those bounds (Eq. 14), which nothing ever tightened, so its best-first
+walk popped the leaves in the same order plus stale internal nodes in
+between (``docs/theory.md``, §6).  Nothing is re-scanned after a
+selection: submodularity makes stale bounds safe (true marginal gains
+only shrink as the answer grows), and a resolved member's gain is
+re-counted by one popcount when it is visited.  The paper's Theorem 6–8
+update walk is not run: measured, it cost more exact calls than it saved
+on every workload (``docs/theory.md``, §7).
 
-Id discipline (load-bearing): the tree's own engine and embedding speak
+Id discipline (load-bearing): the index's own engine and embedding speak
 *local* ids (a shard's sub-database renumbers 0..n_s−1); everything that
-crosses a tree boundary uses *global* ids.  Mixing the two in one engine
+crosses an index boundary uses *global* ids.  Mixing the two in one engine
 would alias different graphs onto the same pair-cache key.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from typing import Protocol
 
@@ -58,15 +62,14 @@ from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import BLOCK_EVALS, FilterCascade
 from repro.core.results import QueryStats
 from repro.ged.metric import SLACK
-from repro.index.nbtree import NBTreeNode
 
 _NEG_INF = float("-inf")
 #: A verification batch smaller than this costs more in dispatch (engine,
 #: cascade and kernel set-up ≈ the price of 3–4 star distances) than the
 #: verdicts it could save.
 _MIN_VERIFY_BATCH = 4
-#: Tie-break sentinel for subtrees with no relevant members; larger than
-#: any real graph id, so it loses every tie-break.
+#: Tie-break sentinel for a frontier with no relevant members; larger
+#: than any real graph id, so it loses every tie-break.
 _NO_GID = 2**63 - 1
 
 
@@ -122,14 +125,14 @@ class Frontier(Protocol):
         bound (an ``int``) that proves it."""
 
 
-class TreeState:
-    """θ-independent state of one NB-Tree for one relevance function.
+class MemberState:
+    """θ-independent state of one index's members for one relevance function.
 
-    Id maps, the tree's relevant members, each subtree's smallest relevant
-    id (the (gain, min-id) tie-break key) and, per ladder rung, the π̂
-    column with the initial bounds it implies.  A session builds it once
-    per tree — lazily, inside its first ``query()`` — and every (θ, k)
-    refinement opens a fresh :class:`TreeFrontier` over it.
+    Id maps, the index's relevant members (ascending global ids, which is
+    also the (gain, min-id) tie-break order) and, per θ, the π̂ column the
+    round search starts from.  A session builds it once per index —
+    lazily, inside its first ``query()`` — and every (θ, k) refinement
+    opens a fresh :class:`IndexFrontier` over it.
     """
 
     def __init__(
@@ -145,7 +148,7 @@ class TreeState:
         self.universe = universe
         self.g2l = {g: i for i, g in enumerate(self.global_ids)}
 
-        # Relevant graphs of this tree, aligned local/global, ascending.
+        # Relevant graphs of this index, aligned local/global, ascending.
         rel = [
             g for g in np.asarray(relevant_global).tolist() if g in self.g2l
         ]
@@ -153,183 +156,106 @@ class TreeState:
         self.relevant_local = np.asarray(
             [self.g2l[g] for g in rel], dtype=np.int64
         )
+        #: Global ids as plain ints, aligned with ``relevant_local``.
+        self.relevant_list = rel
         self._rank = {g: p for p, g in enumerate(rel)}
         #: Bit positions (in the universe) of the relevant members,
         #: aligned with ``relevant_local``, and the same as one bitset.
         self.rel_positions = universe.positions_of(self.relevant_global)
         self.member_bits = universe.encode_positions(self.rel_positions)
+        self._pi_hat_columns: dict[float, np.ndarray] = {}
 
-        self.node_min_gid = np.full(
-            index.tree.num_nodes, _NO_GID, dtype=np.int64
-        )
-        self._collect_min_gid(index.tree.root)
-        #: Subtrees holding at least one relevant member.
-        self.node_has = self.node_min_gid != _NO_GID
-        self._pi_hat_columns: dict[int | None, np.ndarray] = {}
-        self._initial_bounds: dict[int | None, np.ndarray] = {}
-
-    def _collect_min_gid(self, node: NBTreeNode) -> int:
-        if node.is_leaf:
-            gid = self.global_ids[node.graph_index]
-            low = gid if gid in self._rank else _NO_GID
-        else:
-            low = min(
-                (self._collect_min_gid(child) for child in node.children),
-                default=_NO_GID,
-            )
-        self.node_min_gid[node.node_id] = low
-        return low
-
-    def pi_hat_column(self, ladder_index: int | None) -> np.ndarray:
-        """π̂ counts (|N̂| among the tree's relevant members) at one indexed
-        threshold, aligned with ``relevant_local``; the trivial bound — the
-        member count — when ``ladder_index`` is ``None``."""
-        column = self._pi_hat_columns.get(ladder_index)
+    def pi_hat_column(self, theta: float) -> np.ndarray:
+        """π̂ counts at θ — ``|N̂_{θ+ε}|`` among the relevant members,
+        the vantage window count (Theorem 5) — aligned with
+        ``relevant_local``; one Chebyshev pass per θ, cached."""
+        column = self._pi_hat_columns.get(theta)
         if column is None:
             members = self.relevant_local
-            if ladder_index is None:
-                column = np.full(members.size, members.size)
-            elif members.size:
+            if members.size:
                 column = self.index.embedding.candidate_counts(
-                    members, [self.index.ladder[ladder_index]], members
+                    members, [theta + SLACK], members
                 )[:, 0]
             else:
                 column = np.empty(0, dtype=np.int64)
-            self._pi_hat_columns[ladder_index] = column
+            self._pi_hat_columns[theta] = column
         return column
 
-    def initial_bounds(self, ladder_index: int | None) -> np.ndarray:
-        """Fresh per-node working bounds W: π̂ at leaves, child ceilings
-        above (Eq. 14).  A function of the rung alone, so the tree walk
-        that fills it runs once per rung; callers get their own copy."""
-        cached = self._initial_bounds.get(ladder_index)
-        if cached is not None:
-            return cached.copy()
-        column = self.pi_hat_column(ladder_index)
-        bounds = np.full(self.index.tree.num_nodes, _NEG_INF)
 
-        def fill(node: NBTreeNode) -> float:
-            if node.is_leaf:
-                rank = self._rank.get(self.global_ids[node.graph_index])
-                value = float(column[rank]) if rank is not None else _NEG_INF
-            else:
-                value = max(
-                    (fill(child) for child in node.children), default=_NEG_INF
-                )
-            bounds[node.node_id] = value
-            return value
+class FlatRoundSearch:
+    """One frontier's lazy best-first scan for one greedy round.
 
-        fill(self.index.tree.root)
-        self._initial_bounds[ladder_index] = bounds
-        return bounds.copy()
+    Members are visited in (−bound, gid) order of their working bounds at
+    the round's start — the order a lazy max-heap over the members pops
+    them in (Minoux's lazy greedy; CELF).  A visit either resolves the
+    member's exact gain, which is returned and left behind as its bound
+    (stale-high later, re-counted when visited again), or proves it out of
+    the round, leaving ``hits + unverified`` behind
+    (:meth:`IndexFrontier.resolve`).  Nothing else moves a bound during a
+    round, so the order taken at the start stays the pop order.  The scan
+    stops at the first bound below ``min_useful``; every member after it
+    is no better (lines 6-7 of Algorithm 2)."""
 
-
-class TreeRoundSearch:
-    """One tree's lazy best-first walk for one greedy round (Algorithm 2).
-
-    The coordinator pulls candidates with :meth:`next`; between pulls it
-    reads :meth:`peek` to re-rank the frontier against the others.  The
-    walk shares the frontier's persistent bound array, so work done in one
-    round keeps paying off in later rounds: a resolved leaf leaves its
-    exact gain behind as its bound (stale-high later, re-counted when
-    popped), a leaf that was proven unable to win leaves its partial
-    verification (:meth:`TreeFrontier.resolve`)."""
-
-    def __init__(self, frontier: TreeFrontier, covered: np.ndarray):
+    def __init__(self, frontier: IndexFrontier, covered: np.ndarray):
         self.frontier = frontier
         self.covered = covered
-        self._counter = itertools.count()
-        self._heap: list[tuple[float, int, float, NBTreeNode]] = []
-        root = frontier.index.tree.root
-        root_bound = float(frontier.bounds[root.node_id])
-        if root_bound != _NEG_INF:
-            self._heap.append((-root_bound, next(self._counter), root_bound, root))
+        self._order = np.argsort(-frontier.bounds, kind="stable").tolist()
+        self._next = 0
 
     def peek(self) -> float:
-        return self._heap[0][2] if self._heap else _NEG_INF
+        if self._next == len(self._order):
+            return _NEG_INF
+        return float(self.frontier.bounds[self._order[self._next]])
 
     def next(
         self, min_useful: float, tie_gid: int | None
     ) -> tuple[int, float, np.ndarray] | None:
         frontier = self.frontier
-        state = frontier.state
         bounds = frontier.bounds
-        min_gid = state.node_min_gid
-        heap = self._heap
+        gids = frontier.state.relevant_list
+        order = self._order
         stats = frontier.stats
-        while heap:
-            # Heap entries are ordered by their bound at push time, a valid
-            # upper bound on every gain in the subtree.
-            _, _, pushed_bound, node = heapq.heappop(heap)
+        while self._next < len(order):
+            rank = order[self._next]
+            bound = float(bounds[rank])
             stats.nodes_popped += 1
-            if pushed_bound < min_useful:
-                # Everything left is no better (lines 6-7 of Algorithm 2);
-                # park the entry so peek() stays honest for the ranking.
-                heapq.heappush(
-                    heap,
-                    (-pushed_bound, next(self._counter), pushed_bound, node),
-                )
+            if bound == _NEG_INF or bound < min_useful:
+                # Everything left is no better; the cursor stays put so
+                # peek() stays honest for the coordinator's ranking.
                 return None
-            # A subtree that could only *tie* still matters when it holds
-            # a smaller graph id — the canonical selection rule is (max
-            # gain, min id), which makes the answer independent of tree
-            # shape and partitioning.
-            if (
-                tie_gid is not None
-                and pushed_bound == min_useful
-                and min_gid[node.node_id] > tie_gid
-            ):
+            self._next += 1
+            gid = gids[rank]
+            # A member that could only *tie* still matters when its id is
+            # smaller — the canonical selection rule is (max gain, min
+            # id), which makes the answer independent of partitioning.
+            if tie_gid is not None and bound == min_useful and gid > tie_gid:
                 continue
-            # The node's own bound may have been tightened since it was
-            # pushed (a parked or selected leaf); a stale entry is skipped,
-            # not terminal.
-            current = min(pushed_bound, float(bounds[node.node_id]))
-            if current < min_useful or (
-                tie_gid is not None
-                and current == min_useful
-                and min_gid[node.node_id] > tie_gid
-            ):
-                continue
-            if node.is_leaf:
-                if bounds[node.node_id] == _NEG_INF:
-                    continue
-                gid = state.global_ids[node.graph_index]
-                neighborhood = frontier.resolve(gid, min_useful, tie_gid)
-                if neighborhood is None:
-                    continue  # proven unable to win; its bound says so now
-                gain = float(
-                    bitset_kernel.uncovered_count(neighborhood, self.covered)
-                )
-                bounds[node.node_id] = gain
-                stats.leaves_evaluated += 1
-                return gid, gain, neighborhood
-            for child in node.children:
-                if not state.node_has[child.node_id]:
-                    continue
-                child_bound = min(float(bounds[child.node_id]), current)
-                if child_bound == _NEG_INF:
-                    continue
-                if child_bound > min_useful or (
-                    child_bound == min_useful
-                    and (tie_gid is None or min_gid[child.node_id] < tie_gid)
-                ):
-                    heapq.heappush(
-                        heap,
-                        (-child_bound, next(self._counter), child_bound, child),
-                    )
+            neighborhood = frontier.resolve(gid, min_useful, tie_gid)
+            if neighborhood is None:
+                continue  # proven unable to win; its bound says so now
+            gain = float(
+                bitset_kernel.uncovered_count(neighborhood, self.covered)
+            )
+            bounds[rank] = gain
+            stats.leaves_evaluated += 1
+            return gid, gain, neighborhood
         return None
 
 
-class TreeFrontier:
-    """One NB-Tree's state for one (θ, k) query.
+class IndexFrontier:
+    """One index's state for one (θ, k) query.
 
     Complete on its own when every graph the query can select is a member
     — a plain ``NBIndex``; a shard sees graphs that live elsewhere through
     :class:`~repro.shard.frontier.ShardFrontier`.
 
-    The bound on a graph's residual gain among this tree's members
-    descends a ladder, each rung paid for only when a round needs it: the
-    indexed π̂ count (a member) or the uncovered-member count (a stranger)
+    Each relevant member carries one working bound in :attr:`bounds`
+    (aligned with the state's members): π̂ at θ, then ``hits +
+    unverified`` once a round proved it out, then its resolved gain, and
+    ``-inf`` once selected.  The bound on a graph's residual gain among
+    this index's members descends a ladder, each rung paid for only when a
+    round needs it: π̂ at θ (a member) or the uncovered-member count (a
+    stranger)
     → the Chebyshev window over the members still uncovered → ``hits +
     unverified`` of a partially verified window → the exact gain
     (:meth:`resolve`).
@@ -337,9 +263,8 @@ class TreeFrontier:
 
     def __init__(
         self,
-        state: TreeState,
+        state: MemberState,
         theta: float,
-        ladder_index: int,
         stats: QueryStats,
         runtime: FilterCascade,
     ):
@@ -354,8 +279,8 @@ class TreeFrontier:
         # ε > 0 shrinks the generation window to (1−ε)θ: members beyond it
         # may be dropped (N_{(1−ε)θ} ⊆ N' ⊆ N_θ), never wrongly added.
         self._gen_theta = runtime.generation_theta(self.theta)
-        self.bounds = state.initial_bounds(ladder_index)
-        #: Resolved residual θ-neighborhoods within this tree's relevant
+        self.bounds = state.pi_hat_column(self.theta).astype(float)
+        #: Resolved residual θ-neighborhoods within this index's relevant
         #: members, as packed bitsets keyed by global id.
         self._nbhd: dict[int, np.ndarray] = {}
         #: Graphs verified only far enough to prove they could not win a
@@ -369,7 +294,7 @@ class TreeFrontier:
     #: Nothing is foreign to a frontier that holds every candidate.
     foreign_embeds = 0
     #: The cursor :meth:`open_round` opens.
-    round_search = TreeRoundSearch
+    round_search = FlatRoundSearch
 
     # ------------------------------------------------------------------
     # Round lifecycle
@@ -390,18 +315,19 @@ class TreeFrontier:
         )
 
     def root_bound(self) -> float:
-        return float(self.bounds[self.index.tree.root.node_id])
+        """The best live member bound."""
+        return float(self.bounds.max()) if self.bounds.size else _NEG_INF
 
     def min_gid_bound(self) -> int:
-        return int(self.state.node_min_gid[self.index.tree.root.node_id])
+        gids = self.state.relevant_list
+        return gids[0] if gids else _NO_GID
 
-    def open_round(self, covered: np.ndarray) -> "TreeRoundSearch":
+    def open_round(self, covered: np.ndarray) -> FlatRoundSearch:
         return self.round_search(self, covered)
 
     def select(self, gid: int) -> None:
-        """Mark a home graph as chosen: its leaf leaves the frontier."""
-        local = self.state.g2l[int(gid)]
-        self.bounds[self.index._leaf_of[local].node_id] = _NEG_INF
+        """Mark a home graph as chosen: it leaves the frontier."""
+        self.bounds[self.state._rank[int(gid)]] = _NEG_INF
 
     # ------------------------------------------------------------------
     # Neighborhood resolution
@@ -439,7 +365,7 @@ class TreeFrontier:
         window member has a verdict.  Returns ``None`` as soon as ``hits +
         unverified`` shows the count cannot beat ``min_useful`` (or tie it
         with an id below ``tie_gid``): that count stays behind as the
-        working bound (of the leaf, for a home graph) and ``(hits,
+        working bound (of a home graph) and ``(hits,
         unverified)`` as the partial state, picked up — minus whatever got
         covered meanwhile — on the next visit.
 
@@ -481,7 +407,7 @@ class TreeFrontier:
     def _lens(self, gid: int):
         """How this frontier measures against ``gid``: ``(vantage row,
         engine, gid's id and the members' ids in that engine's id space)``
-        — the tree's own engine and local ids for a member."""
+        — the index's own engine and local ids for a member."""
         local = self.state.g2l[gid]
         return (
             self.index.embedding.coords[local], self.index.engine, local,
@@ -539,15 +465,13 @@ class TreeFrontier:
         self, gid: int, hits: np.ndarray, unverified: np.ndarray
     ) -> None:
         """Leave ``gid`` partially verified; ``hits + unverified`` is its
-        bound from here on (written to the leaf when it has one here)."""
+        bound from here on (written to :attr:`bounds` for a member)."""
         self._partial[gid] = (hits, unverified)
         self.stats.partial_neighborhoods += 1
         self.stats.verifications_skipped += int(unverified.size)
-        local = self.state.g2l.get(gid)
-        if local is not None:
-            self.bounds[self.index._leaf_of[local].node_id] = float(
-                hits.size + unverified.size
-            )
+        rank = self.state._rank.get(gid)
+        if rank is not None:
+            self.bounds[rank] = float(hits.size + unverified.size)
 
     def _within(self, gid: int, ranks: np.ndarray) -> np.ndarray:
         """Exact ``d(gid, member) ≤ θ + ε`` verdicts for window members."""

@@ -1,27 +1,24 @@
-"""NB-Index: the paper's index structure and query engine (Secs. 6.4 and 7).
+"""NB-Index: the paper's index structure and query engine (Secs. 6 and 7).
 
-An :class:`NBIndex` bundles the two offline components —
-
-* the **vantage embedding** (Vantage Orderings of every database graph
-  against a set of vantage points), and
-* the **NB-Tree** (hierarchical disjoint clustering with per-node centroid,
-  radius and diameter)
-
-— plus the **threshold ladder** at which π̂-vectors are evaluated.
+An :class:`NBIndex` holds the one offline component that costs distances,
+the **vantage embedding** (Vantage Orderings of every database graph
+against a set of vantage points), plus the **threshold ladder** of
+Sec. 7.1, which is built and stored but no longer read by a query.  The
+paper's NB-Tree is not built: once π̂ is computed per query over L_q, its
+per-node maxima add nothing (``docs/theory.md``, §6).
 
 Query processing follows Section 7:
 
 1. *Initialization* (per relevance function, θ-independent): the relevant
-   set ``L_q`` is materialized and π̂ upper bounds are computed for the
-   relevant graphs from the vantage embedding (Theorem 5), at the indexed
-   threshold covering the query θ; bounds are propagated up the NB-Tree by
-   taking ceilings (Eq. 14).  A :class:`QuerySession` caches all of this so
-   interactive θ refinements skip straight to phase 2.
+   set ``L_q`` is materialized.  A :class:`QuerySession` caches it, and
+   the per-θ π̂ columns computed from the vantage embedding (Theorem 5),
+   so interactive θ refinements skip straight to phase 2.
 2. *Search* (per θ, per k): the lazy best-first greedy of
    :mod:`repro.index.coordinator` over one
-   :class:`~repro.index.frontier.TreeFrontier` — Algorithm 2's tree walk.
-   The paper's Theorem 6–8 update step is not run: bounds are left stale,
-   which submodularity makes safe (``docs/theory.md``, §7).
+   :class:`~repro.index.frontier.IndexFrontier` — Algorithm 2 over a flat
+   bound order.  The paper's Theorem 6–8 update step is not run: bounds
+   are left stale, which submodularity makes safe (``docs/theory.md``,
+   §7).
 
 :class:`QuerySession` is the *only* session type: sharded, mutable and
 replicated indexes hand out the same class and differ in the
@@ -39,14 +36,13 @@ import numpy as np
 from repro import obs
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
-from repro.core.results import QueryResult, QueryStats
+from repro.core.results import QueryResult, QueryStats, certify
 from repro.engine import DistanceEngine
 from repro.ged.metric import SLACK, GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
-from repro.index.errors import OffLadderThetaError, ReadOnlyIndexError
-from repro.index.frontier import TreeFrontier, TreeState
-from repro.index.nbtree import NBTree, NBTreeNode
+from repro.index.errors import ReadOnlyIndexError
+from repro.index.frontier import IndexFrontier, MemberState
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.resilience.deadline import unbudgeted
@@ -73,7 +69,6 @@ class NBIndex:
         distance: GraphDistanceFn,
         *,
         embedding: VantageEmbedding,
-        tree: NBTree,
         ladder: ThresholdLadder,
         build_seconds: float = 0.0,
     ):
@@ -81,12 +76,8 @@ class NBIndex:
         self.engine = DistanceEngine.of(distance, database.graphs)
         self.engine.attach_embedding(embedding)
         self.embedding = embedding
-        self.tree = tree
         self.ladder = ladder
         self.build_seconds = build_seconds
-        self._leaf_of: dict[int, NBTreeNode] = {
-            node.graph_index: node for node in tree.nodes if node.is_leaf
-        }
 
     @property
     def distance(self) -> GraphDistanceFn:
@@ -110,7 +101,8 @@ class NBIndex:
         vp_strategy: str = "random",
         validate_metric: bool = False,
     ) -> "NBIndex":
-        """Build the index: select VPs, embed the database, cluster it.
+        """Build the index: select VPs, embed the database, sample the
+        ladder.
 
         ``distance`` must be a metric (Sec. 6.1) — every pruning theorem
         depends on the triangle inequality.  ``validate_metric=True`` spot
@@ -125,10 +117,11 @@ class NBIndex:
         symmetric pair cache); pass a prebuilt engine as ``distance`` to
         share its cache across builds.
 
-        ``seed`` (an int or a numpy Generator) drives vantage/pivot
-        selection.  A build is not resumable — a killed one starts again
-        from zero, and an ambient deadline does not reach it: it stores
-        exact distances only.
+        ``seed`` (an int or a numpy Generator) drives vantage selection
+        and the ladder sample.  ``branching`` is accepted and ignored (the
+        benchmark's build parameters still pass it).  A build is not
+        resumable — a killed one starts again from zero, and an ambient
+        deadline does not reach it: it stores exact distances only.
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
@@ -139,7 +132,7 @@ class NBIndex:
 
         started = time.perf_counter()
         with unbudgeted(), obs.span(
-            "index.build", n=len(database), branching=branching,
+            "index.build", n=len(database),
         ) as build_span:
             vp_count = min(num_vantage_points, len(database))
             build_span.set(num_vantage_points=vp_count)
@@ -163,21 +156,11 @@ class NBIndex:
                             database.graphs, engine, count=10,
                             num_pairs=min(1000, len(database) * 4), rng=rng,
                         )
-
-            with obs.span("index.tree_build") as tree_span, \
-                    obs.timer("index.tree_build_seconds"):
-                tree = NBTree(
-                    database.graphs, engine, embedding, branching=branching,
-                    rng=rng,
-                )
-                tree_span.set(nodes=tree.num_nodes)
-            obs.counter("index.tree.exact_distances", tree.stats.exact_distances)
-            obs.counter("index.tree.pruned_by_vantage", tree.stats.pruned_by_vantage)
         build_seconds = time.perf_counter() - started
         obs.observe_time("index.build_seconds", build_seconds)
         return cls(
-            database, engine, embedding=embedding, tree=tree,
-            ladder=thresholds, build_seconds=build_seconds,
+            database, engine, embedding=embedding, ladder=thresholds,
+            build_seconds=build_seconds,
         )
 
     @classmethod
@@ -188,13 +171,11 @@ class NBIndex:
         vantage_indices,
         coords: np.ndarray,
         *,
-        branching: int,
         thresholds: ThresholdLadder,
-        rng,
     ) -> "NBIndex":
-        """Build over vantage coordinates that already exist: only the
-        NB-Tree costs distances.  This is how a shard of a bundle is built
-        — ``coords`` are its members' rows of the bundle's one
+        """An index over vantage coordinates that already exist, at no
+        distance cost.  This is how a shard of a bundle is made —
+        ``coords`` are its members' rows of the bundle's one
         :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
         the frame's global ids, so the embedding is
         :attr:`~repro.index.vantage.VantageEmbedding.framed` and the index
@@ -206,60 +187,42 @@ class NBIndex:
             database.graphs, vantage_indices, engine, coords
         )
         embedding.framed = True
-        tree = NBTree(
-            database.graphs, engine, embedding, branching=branching, rng=rng
-        )
         return cls(
-            database, engine, embedding=embedding, tree=tree,
-            ladder=thresholds, build_seconds=time.perf_counter() - started,
+            database, engine, embedding=embedding, ladder=thresholds,
+            build_seconds=time.perf_counter() - started,
         )
 
     def stats(self) -> dict:
         """Statable protocol: one plain dict covering the whole index,
-        nesting the engine's and tree-build accounting."""
+        nesting the engine's accounting."""
         return {
             "num_graphs": len(self.database),
             "num_shards": 1,  # normalized schema: a plain index is S=1
             "num_vantage_points": self.embedding.num_vantage_points,
-            "branching": self.tree.branching,
-            "tree_nodes": self.tree.num_nodes,
             "ladder_thresholds": len(self.ladder),
             "build_seconds": self.build_seconds,
             "distance_calls": self.engine.calls,
             "memory_bytes": self._memory_bytes(),
             "coverage_bytes": self._coverage_bytes(),
-            "tree_build": {
-                "exact_distances": self.tree.stats.exact_distances,
-                "pruned_by_vantage": self.tree.stats.pruned_by_vantage,
-            },
             "engine": self.engine.stats(),
         }
 
     def _memory_bytes(self) -> int:
-        """Approximate resident size of the index structures (Fig. 6(l)).
-
-        Counts the vantage-coordinate matrix and, per tree node, the member
-        id array plus the fixed scalar fields.
-        """
-        total = self.embedding.coords.nbytes
-        per_node_fixed = 8 * 6  # id, centroid, radius, diameter, parent refs
-        for node in self.tree.nodes:
-            total += node.members.nbytes + per_node_fixed
-        total += 8 * len(self.ladder)
-        return total
+        """Resident size of the index structures (Fig. 6(l)): the
+        vantage-coordinate matrix plus the ladder."""
+        return self.embedding.coords.nbytes + 8 * len(self.ladder)
 
     def _coverage_bytes(self) -> int:
         """Upper bound on the packed coverage state of a worst-case session.
 
         A query keeps the running covered bitset and at most one resolved
-        residual-neighborhood row per relevant leaf, all over a universe
-        of at most ``|DB|`` ids; one row per tree node bounds that.  This
-        is the footprint the bitset kernel trades against per-id
-        frozensets (~60 bytes per stored id); ``bench_fig6l_index_memory``
-        reports both.
+        residual-neighborhood row per relevant member, all over a universe
+        of at most ``|DB|`` ids, and ``|L_q| ≤ |DB|``.  This is the
+        footprint the bitset kernel trades against per-id frozensets (~60
+        bytes per stored id); ``bench_fig6l_index_memory`` reports both.
         """
         words = bitset_kernel.num_words(len(self.database))
-        return (self.tree.num_nodes + 1) * words * 8
+        return (len(self.database) + 1) * words * 8
 
     # ------------------------------------------------------------------
     # Queries
@@ -285,29 +248,25 @@ class NBIndex:
     def _distance_calls(self) -> int:
         return self.engine.calls
 
-    def _tree_state(self, session: "QuerySession") -> TreeState:
-        """The session's state for this index's one tree (identity ids)."""
-        return session.cached(0, lambda: TreeState(
+    def _member_state(self, session: "QuerySession") -> MemberState:
+        """The session's state for this index's members (identity ids)."""
+        return session.cached(0, lambda: MemberState(
             self, np.arange(len(self.database)), session.relevant,
             session.universe,
         ))
 
     def _run_query(self, run: "QueryRun"):
-        """One tree frontier: the S = 1 case of the coordinated greedy."""
-        frontier = TreeFrontier(
-            self._tree_state(run.session), run.theta, run.ladder_index,
-            run.stats, run.runtime,
+        """One index frontier: the S = 1 case of the coordinated greedy."""
+        frontier = IndexFrontier(
+            self._member_state(run.session), run.theta, run.stats,
+            run.runtime,
         )
         return run.greedy([frontier], lambda gid: frontier)
 
     def set_ladder(self, ladder: ThresholdLadder) -> None:
-        """Swap the π̂ threshold ladder.
-
-        The ladder is consulted only at query-session initialization (the
-        tree and embedding are ladder-independent), so re-laddering an
-        existing index — e.g. after a query log accumulates, Sec. 7.1
-        scheme 1 — is free.  Open sessions keep their old ladder.
-        """
+        """Swap the stored threshold ladder (Sec. 7.1 scheme 1, after a
+        query log accumulates).  Queries take π̂ at θ itself, so this
+        changes what is saved and reported, never an answer."""
         require(len(ladder) >= 1, "ladder must be non-empty")
         self.ladder = ladder
 
@@ -332,77 +291,24 @@ class NBIndex:
     def insert(self, graph, feature_row) -> int:
         """Add one graph to the database and the index; returns its id.
 
-        The new graph is embedded against the vantage points, then routed
-        down the NB-Tree to the closest-centroid cluster at each level and
-        attached as a new leaf.  Cluster radii and diameters are *expanded
-        conservatively* (``radius ← max(radius, d)``,
-        ``diameter ← max(diameter, d + old_radius)``), which keeps both
-        true upper bounds; tree balance may degrade under heavy
-        insertion, in which case rebuild.  Open sessions are invalidated —
-        start a new session after inserting.
+        The new graph is embedded against the vantage points (``|V|``
+        distances) — the whole of the index's per-graph state.  Open
+        sessions are invalidated — start a new session after inserting.
         """
-        from repro.index.nbtree import NBTreeNode
-
         if self.embedding.framed:
             # Its vantage graphs live in the bundle's frame, not here.
             raise ReadOnlyIndexError("insert", "NBIndex (a bundle's shard)")
         new_id = self.database.append(graph, feature_row)
         graph = self.database[new_id]
-        # A stored coordinate must be exact; a radius grown from an upper
-        # bound stays an upper bound, so routing may run under a deadline.
+        # A stored coordinate must be exact.
         with unbudgeted():
             self.embedding.append_graph(graph)
-
-        tree = self.tree
-        if tree.root.is_leaf:
-            # Single-graph tree: grow an internal root above the old leaf.
-            old_leaf = tree.root
-            new_root = NBTreeNode(
-                node_id=len(tree.nodes),
-                centroid=old_leaf.graph_index,
-                radius=0.0,
-                diameter=0.0,
-                members=old_leaf.members.copy(),
-                children=[old_leaf],
-            )
-            tree.nodes.append(new_root)
-            tree.root = new_root
-        node = tree.root
-        while True:
-            node.members = np.sort(np.append(node.members, new_id))
-            internal_children = [c for c in node.children if not c.is_leaf]
-            distance_to_centroid = self.engine(
-                graph, self.database[node.centroid]
-            )
-            node.radius = max(node.radius, distance_to_centroid)
-            node.diameter = max(
-                node.diameter, distance_to_centroid + node.radius
-            )
-            if not internal_children:
-                break
-            node = min(
-                internal_children,
-                key=lambda c: self.engine(graph, self.database[c.centroid]),
-            )
-
-        leaf = NBTreeNode(
-            node_id=len(tree.nodes),
-            centroid=new_id,
-            radius=0.0,
-            diameter=0.0,
-            members=np.array([new_id]),
-            graph_index=new_id,
-        )
-        tree.nodes.append(leaf)
-        node.children.append(leaf)
-        self._leaf_of[new_id] = leaf
         return new_id
 
     def __repr__(self) -> str:
         return (
             f"<NBIndex n={len(self.database)} "
-            f"|V|={self.embedding.num_vantage_points} "
-            f"b={self.tree.branching} nodes={self.tree.num_nodes}>"
+            f"|V|={self.embedding.num_vantage_points}>"
         )
 
 
@@ -455,7 +361,6 @@ class QueryRun:
 
     session: "QuerySession"
     theta: float
-    ladder_index: int
     stats: QueryStats
     #: The query's :class:`~repro.cascade.FilterCascade`: its ε and the
     #: filter counters, shared by every frontier.
@@ -472,8 +377,9 @@ class QuerySession:
 
     Holds the relevant set, its :class:`~repro.bitset.BitsetUniverse`, and
     whatever θ-independent state the index's frontiers cache on it (one
-    :class:`~repro.index.frontier.TreeState` per NB-Tree, built lazily by
-    the first :meth:`query`) — everything that survives a θ refinement.
+    :class:`~repro.index.frontier.MemberState` per index or shard, built
+    lazily by the first :meth:`query`, with its per-θ π̂ columns) —
+    everything that survives a θ refinement.
 
     The index supplies three hooks: ``_query_layer`` (names the span and
     the obs roll-up), ``_distance_calls()`` (its engines' running total)
@@ -503,10 +409,9 @@ class QuerySession:
         return value
 
     # -- plain-NBIndex view (theorem tests, micro-benchmarks) ------------
-    def pi_hat_column(self, ladder_index: int | None) -> np.ndarray:
-        """π̂ counts (|N̂| over L_q) for every relevant graph at one indexed
-        threshold; the trivial bound |L_q| when θ exceeds the ladder."""
-        return self.index._tree_state(self).pi_hat_column(ladder_index)
+    def pi_hat_column(self, theta: float) -> np.ndarray:
+        """π̂ counts (|N̂| over L_q) for every relevant graph at θ."""
+        return self.index._member_state(self).pi_hat_column(theta)
 
     # -- the top-k query -----------------------------------------------
     def query(
@@ -540,13 +445,6 @@ class QuerySession:
         runtime = FilterCascade(epsilon)
         index = self.index
         layer = index._query_layer
-        ladder_index = index.ladder.index_for(theta)
-        if ladder_index is None:
-            # θ above the top rung has no indexed π̂ bound; refusing beats
-            # silently degrading to a linear scan via the trivial |L_q|
-            # bound (sessions may still opt into it via pi_hat_column(None)).
-            obs.counter("index.offladder_theta")
-            raise OffLadderThetaError(theta, index.ladder)
         stats = QueryStats(init_seconds=self.init_seconds)
         calls_before = index._distance_calls()
         effective_deadline = deadline if deadline is not None else current_deadline()
@@ -565,7 +463,7 @@ class QuerySession:
                 obs.span(f"{layer}.query", theta=theta, k=k) as query_span:
             started = time.perf_counter()
             answer, gains, covered, coord = index._run_query(QueryRun(
-                self, theta, ladder_index, stats, runtime,
+                self, theta, stats, runtime,
                 effective_deadline, query_span, greedy,
             ))
             # Everything the hook did outside the loop's own search timer:
@@ -593,14 +491,14 @@ class QuerySession:
                 obs.counter("query.degraded")
             query_span.set(answer_size=len(answer), degraded=stats.degraded)
             _record_query_obs(layer, stats)
-        return QueryResult(
+        return certify(QueryResult(
             answer=answer,
             gains=gains,
             covered=self.universe.decode_frozenset(covered),
             num_relevant=int(self.relevant.size),
             theta=theta,
             stats=stats,
-        )
+        ), k)
 
     def __repr__(self) -> str:
         return (

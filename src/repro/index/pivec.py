@@ -1,9 +1,12 @@
 """Threshold ladders for π̂-vectors (Def. 6 and Sec. 7.1).
 
-A π̂-vector stores, per graph, upper bounds on its representative power at a
-fixed ladder of distance thresholds ``θ_1 < … < θ_t``.  At query time the
-bound for an arbitrary θ is read from the smallest indexed ``θ_i ≥ θ``
-(π̂ is monotone in θ, so that entry is a valid upper bound for θ).
+In the paper a π̂-vector stores, per graph, upper bounds on its
+representative power at a fixed ladder of distance thresholds
+``θ_1 < … < θ_t``, and the bound for an arbitrary θ is read from the
+smallest indexed ``θ_i ≥ θ`` (π̂ is monotone in θ).  This repository
+computes π̂ per query at θ itself (:mod:`repro.index.frontier`), so the
+ladder is built and stored but no query reads it; :meth:`ThresholdLadder.gap`
+still reports how far a θ sits from its covering rung (Figs. 5(l)/6(a)).
 
 Section 7.1 gives two schemes for choosing the ladder offline:
 
@@ -48,7 +51,7 @@ class ThresholdLadder:
 
     def index_for(self, theta: float) -> int | None:
         """Index of the smallest ladder threshold ≥ θ, or ``None`` when θ
-        exceeds the ladder (callers fall back to the trivial bound)."""
+        exceeds the ladder."""
         position = bisect.bisect_left(self.values, theta)
         return position if position < len(self.values) else None
 

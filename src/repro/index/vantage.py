@@ -273,7 +273,7 @@ class VantageFrame:
     """One vantage space for a whole bundle of indexes.
 
     Theorem 4 holds for any *fixed* vantage set — nothing requires the
-    vantage graphs to be members of the tree whose bounds they give — so
+    vantage graphs to be members of the index whose bounds they give — so
     every shard of a bundle is embedded against the same graphs and a
     graph's coordinates are the same row wherever it is looked at from.
     ``coords[g]`` is that row for every indexed graph (global ids,

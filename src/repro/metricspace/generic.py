@@ -141,7 +141,10 @@ class PayloadDistance:
     ) -> np.ndarray:
         """``[self(g, h) for h in others]`` as one block: the source's
         payload row against the targets' rows of the payload matrix, bit
-        for bit the one-pair values."""
+        for bit the one-pair values.  One target is the one-pair call
+        itself, which costs less than the block's fixed numpy price."""
+        if len(others) == 1:
+            return np.array([self(g, others[0])])
         get = self._label_rows.get
         rows = np.array(
             [

@@ -2,13 +2,13 @@
 
 A *span* is a named, attributed, timed region of execution::
 
-    with obs.span("nbtree.build", n=len(graphs)) as sp:
+    with obs.span("index.embed", n=len(graphs)) as sp:
         ...
-        sp.set(nodes=tree.num_nodes)
+        sp.set(columns=len(vantage))
 
 Spans opened while another span is active on the same thread become its
 children, so an index build traces as one ``index.build`` root with
-``index.vantage_select`` / ``index.embed`` / ``index.tree_build`` children.
+``index.vantage_select`` / ``index.embed`` / ``index.ladder`` children.
 Each thread keeps its own open-span stack (``threading.local``); finished
 root spans land in a lock-protected collector shared by all threads, which
 is what the exporters read.

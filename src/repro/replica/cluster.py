@@ -220,14 +220,6 @@ class ReplicatedIndex:
     def replicas(self) -> int:
         return self.supervisor.replicas
 
-    @property
-    def tree_nodes(self) -> int:
-        """Total NB-Tree nodes across shards (replica 0's handshake view —
-        every replica of a shard reports the same artifact)."""
-        return sum(
-            group[0].tree_nodes or 0 for group in self.supervisor.groups
-        )
-
     def stats(self) -> dict:
         """Statable protocol: same scalar core as :meth:`ShardedIndex.stats`
         plus a ``replica`` section with the supervisor's fleet view."""
@@ -235,7 +227,6 @@ class ReplicatedIndex:
             "num_graphs": len(self.database),
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
-            "tree_nodes": self.tree_nodes,
             "ladder_thresholds": len(self.ladder),
             "reused_shards": self.reused_shards,
             "replica": self.supervisor.stats(),

@@ -84,7 +84,6 @@ class WorkerHandle:
         self.sessions: set[str] = set()
         self.restart_attempts = 0
         self.next_restart_at = 0.0
-        self.tree_nodes = 0
         self.num_graphs = 0
 
     # ------------------------------------------------------------------
@@ -321,7 +320,6 @@ class Supervisor:
             hello = handle.call({"op": "hello"}, self.spawn_timeout_s,
                                 max_frame=self.max_frame_bytes)
             require(hello.get("ok") is True, "bad hello response")
-            handle.tree_nodes = int(hello["r"]["tree_nodes"])
             handle.num_graphs = int(hello["r"]["num_graphs"])
         except (ReplicaError, KeyError, TypeError, ValueError):
             handle.kill()

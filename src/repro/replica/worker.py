@@ -56,9 +56,8 @@ from repro.bitset import BitsetUniverse
 from repro.cascade import EpsilonError, FilterCascade
 from repro.core.results import QueryStats
 from repro.graphs.relevance import AverageScoreThreshold
-from repro.index.frontier import TreeState
+from repro.index.frontier import MemberState
 from repro.index.persistence import load_index
-from repro.index.pivec import ThresholdLadder
 from repro.replica import wire
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline, deadline_scope
@@ -130,7 +129,6 @@ class ShardWorker:
         #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
         #: graph's coordinates, wherever it lives.
         self.frame = frame
-        self.ladder = ThresholdLadder(manifest.ladder)
         #: Cross-shard distances go through a *global-id* engine over the
         #: full database — the same id discipline as the in-process
         #: coordinator (mixing id spaces would alias pair-cache keys).
@@ -198,7 +196,6 @@ class ShardWorker:
             "replica": self.replica_index,
             "pid": os.getpid(),
             "num_graphs": int(len(self.index.database)),
-            "tree_nodes": int(self.index.tree.num_nodes),
         }
 
     def _op_ping(self, request: dict, _session) -> dict:
@@ -219,11 +216,6 @@ class ShardWorker:
             tuple(int(d) for d in dims), float(request["threshold"])
         )
         relevant = self.database.relevant_indices(query_fn)
-        ladder_index = self.ladder.index_for(theta)
-        if ladder_index is None:
-            raise wire.ReplicaProtocolError(
-                f"theta {theta:g} is off this bundle's ladder"
-            )
         deadline_state = request.get("deadline")
         deadline = (
             Deadline.from_state(deadline_state)
@@ -234,10 +226,10 @@ class ShardWorker:
         except EpsilonError as error:
             raise wire.ReplicaProtocolError(str(error)) from error
         frontier = ShardFrontier(
-            TreeState(
+            MemberState(
                 self.index, self.members, relevant, BitsetUniverse(relevant)
             ),
-            theta, ladder_index, QueryStats(), runtime,
+            theta, QueryStats(), runtime,
             global_engine=self.global_engine, frame=self.frame,
         )
         self.sessions[sid] = _Session(frontier, deadline)

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.graphs import quartile_relevance
-from repro.index.errors import OffLadderThetaError
 from repro.resilience import faults
 from repro.service import crashlog, protocol
 from repro.service.admission import AdmissionController, Ticket
@@ -341,14 +340,8 @@ class QueryService:
     def stats(self) -> dict:
         """Statable protocol: one dict over every service component."""
         index = self.manager.index
-        # ShardedIndex rolls its tree sizes up; NBIndex exposes the tree.
-        tree_nodes = (
-            index.tree_nodes if hasattr(index, "tree_nodes")
-            else index.tree.num_nodes
-        )
         index_stats = {
             "num_graphs": len(self.manager.database),
-            "tree_nodes": tree_nodes,
             "generation": self.manager.generation,
         }
         index_stats["mutable"] = bool(getattr(index, "mutable", False))
@@ -566,29 +559,24 @@ class QueryService:
     def _execute_query(self, ticket: Ticket) -> dict:
         request = ticket.request
         faults.maybe_slow("service.query")  # chaos-test hook site
-        try:
-            with self.manager.acquire() as index:
-                if request.dims is not None:
-                    num_features = index.database.num_features
-                    if any(not 0 <= d < num_features for d in request.dims):
-                        raise InvalidRequest(
-                            f"dims must be in [0, {num_features}); "
-                            f"got {list(request.dims)}"
-                        )
-                query_fn = quartile_relevance(
-                    index.database, dims=request.dims,
-                    quantile=request.quantile,
-                )
-                with obs.timer("service.query_seconds"):
-                    result = index.query(
-                        query_fn, request.theta, request.k,
-                        deadline=ticket.deadline, epsilon=request.epsilon,
+        with self.manager.acquire() as index:
+            if request.dims is not None:
+                num_features = index.database.num_features
+                if any(not 0 <= d < num_features for d in request.dims):
+                    raise InvalidRequest(
+                        f"dims must be in [0, {num_features}); "
+                        f"got {list(request.dims)}"
                     )
-                generation = self.manager.generation
-        except OffLadderThetaError as error:
-            # A theta the ladder cannot bound is a client error, not a
-            # crash: no crash journal entry.
-            raise InvalidRequest(str(error)) from error
+            query_fn = quartile_relevance(
+                index.database, dims=request.dims,
+                quantile=request.quantile,
+            )
+            with obs.timer("service.query_seconds"):
+                result = index.query(
+                    query_fn, request.theta, request.k,
+                    deadline=ticket.deadline, epsilon=request.epsilon,
+                )
+            generation = self.manager.generation
         obs.counter("service.queries")
         body = {
             "answer": [int(g) for g in result.answer],

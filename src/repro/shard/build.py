@@ -1,29 +1,24 @@
-"""Build a sharded NB-Index bundle: partition, build per shard, manifest.
+"""Build a sharded NB-Index bundle: partition, embed once, manifest.
 
-Each shard gets its own NB-Tree and π̂ columns over the *sub-database* of
-its member graphs, persisted with the ordinary checksummed
-:func:`~repro.index.persistence.save_index` artifact — a shard file has
-the format of a single-index file and loads with the same code.
+Each shard is its members' rows of the bundle's vantage frame over the
+*sub-database* of its member graphs, persisted with the ordinary
+checksummed :func:`~repro.index.persistence.save_index` artifact — a
+shard file has the format of a single-index file and loads with the same
+code.
 
-Three things are deliberately global:
+Two things are deliberately global:
 
 * the **vantage frame**: one vantage set (global ids, recorded in the
   manifest) is drawn for the whole bundle and every graph embedded against
   it once — Theorem 4 holds for any fixed vantage set, so every shard sees
   every graph through :class:`~repro.index.vantage.VantageFrame` rows;
 * the **threshold ladder** is computed once over the whole database and
-  passed to every shard build, so π̂ bounds of different shards are
-  evaluated at identical rungs and the coordinator's off-ladder check has
-  one answer for the whole bundle;
-* **build seeds** are spawned from one root
-  :class:`numpy.random.SeedSequence`, so the bundle is a deterministic
-  function of (database, distance, S, partitioner, seed) and shard builds
-  are statistically independent.
+  stored with every shard.
 
-:func:`write_shard` is the one way a shard artifact is made — by the
-build, by compaction and by the scrubber's heal — and, like
-:meth:`NBIndex.build`, it never runs under a deadline: an artifact
-stores exact distances only.
+The bundle is a deterministic function of (database, distance, S,
+partitioner, seed).  :func:`write_shard` is the one way a shard artifact
+is made — by the build, by compaction and by the scrubber's heal — and
+it costs no distance: the frame rows are all a shard holds.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from repro.index.vantage import (
 from repro.resilience.deadline import unbudgeted
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 from repro.shard.partition import get_partitioner
-from repro.utils.fanout import fan_out
 from repro.utils.validation import require
 
 MANIFEST_NAME = "manifest.json"
@@ -59,25 +53,19 @@ def write_shard(
     distance,
     frame: VantageFrame,
     members,
-    shard_id: int,
     *,
-    seed,
-    branching: int,
     ladder: ThresholdLadder,
 ) -> tuple[NBIndex, bytes]:
-    """Build shard ``shard_id`` over its ``members``' rows of the bundle's
-    ``frame`` and save it to ``path``; returns the index and the bytes on
-    disk, whose crc32 the manifest records.  Build, compaction and the
-    scrubber's heal all write shards here — the tree rng is
-    :meth:`ShardManifest.shard_rng`, so a rebuilt shard is the built one —
-    and none of them reads the bytes back through the checksum container:
-    a caller that must not commit a torn write verifies them itself."""
-    with unbudgeted():
-        index = NBIndex.from_coords(
-            database.subset([int(i) for i in members]), distance,
-            frame.vantage_ids, frame.coords[members], branching=branching,
-            thresholds=ladder, rng=ShardManifest.shard_rng(seed, shard_id),
-        )
+    """Write the shard of ``members``' rows of the bundle's ``frame`` to
+    ``path``; returns the index and the bytes on disk, whose crc32 the
+    manifest records.  Build, compaction and the scrubber's heal all write
+    shards here, so a rebuilt shard is the built one, and none of them
+    reads the bytes back through the checksum container: a caller that
+    must not commit a torn write verifies them itself."""
+    index = NBIndex.from_coords(
+        database.subset([int(i) for i in members]), distance,
+        frame.vantage_ids, frame.coords[members], thresholds=ladder,
+    )
     save_index(index, path)
     return index, Path(path).read_bytes()
 
@@ -98,7 +86,8 @@ def build_shards(
 
     Returns the manifest path.  ``thresholds`` overrides the global ladder
     (otherwise it is derived from whole-database distance samples exactly
-    as :meth:`NBIndex.build` would).
+    as :meth:`NBIndex.build` would).  ``branching`` is accepted and
+    ignored (the benchmark's build parameters still pass it).
     """
     require(len(database) > 0, "cannot shard an empty database")
     require(
@@ -131,8 +120,9 @@ def build_shards(
                 database, num_shards, seed=seed, distance=engine
             )
 
-        # Child s of the root seeds shard s (ShardManifest.shard_rng);
-        # the child after the last shard seeds the frame.
+        # Child S of the root seeds the frame: the key a bundle has always
+        # used, so frames stay what they were when children 0..S−1 still
+        # seeded per-shard trees.
         frame_seed = np.random.SeedSequence(seed, spawn_key=(num_shards,))
         with obs.span("shard.frame"):
             vantage = select_vantage_points(
@@ -144,7 +134,7 @@ def build_shards(
         artifacts = [out_dir / f"shard-{s:03d}.npz" for s in range(num_shards)]
 
         def build_one(shard_id: int) -> tuple[float, int]:
-            """One shard's artifact and its crc32 — a whole fan-out task."""
+            """One shard's artifact and its crc32."""
             members = partition.members(shard_id)
             with obs.span(
                 "shard.build_one", shard=shard_id, n=len(members)
@@ -152,18 +142,14 @@ def build_shards(
                 shard_started = time.perf_counter()
                 _, raw = write_shard(
                     artifacts[shard_id], database, distance, frame, members,
-                    shard_id, seed=seed, branching=branching,
                     ladder=thresholds,
                 )
                 seconds = time.perf_counter() - shard_started
             obs.counter("shard.builds")
             return seconds, zlib.crc32(raw)
 
-        # Each member meets up to b pivots at the top of its shard's tree.
-        built = (
-            fan_out(build_one, range(num_shards), len(database) * branching)
-            if engine.portable else [build_one(s) for s in range(num_shards)]
-        )
+        # A shard write costs no distance: nothing left to fan out.
+        built = [build_one(s) for s in range(num_shards)]
         shard_build_seconds = [seconds for seconds, _ in built]
         entries = [
             ShardEntry(
@@ -189,7 +175,6 @@ def build_shards(
             frame=tuple(frame.vantage_ids),
             build={
                 "num_vantage_points": num_vantage_points,
-                "branching": branching,
                 "shard_seconds": [round(s, 6) for s in shard_build_seconds],
                 "total_seconds": round(time.perf_counter() - started, 6),
             },

@@ -1,12 +1,13 @@
-"""Per-shard query frontier: a tree frontier that can see strangers.
+"""Per-shard query frontier: an index frontier that can see strangers.
 
-A :class:`ShardFrontier` is a :class:`~repro.index.frontier.TreeFrontier`
-(bounds, best-first walk, lazily verified windows — all inherited) over one shard's NB-Index, plus the one thing only a shard
-needs: a *lens* on graphs that live on other frontiers.  Every shard of a
-bundle is embedded in the bundle's one
+A :class:`ShardFrontier` is an :class:`~repro.index.frontier.IndexFrontier`
+(bounds, best-first scan, lazily verified windows — all inherited) over
+one shard's NB-Index, plus the one thing only a shard needs: a *lens* on
+graphs that live on other frontiers.  Every shard of a bundle is
+embedded in the bundle's one
 :class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
 coordinates are a row of that frame — an array slice, no distances — and
-from there the inherited :meth:`~repro.index.frontier.TreeFrontier.resolve`
+from there the inherited :meth:`~repro.index.frontier.IndexFrontier.resolve`
 treats it like a member — Chebyshev window over the uncovered members,
 free verdicts, deficit-sized verification batches, resumable partial state
 — with the coordinator's per-frontier deficit in the place of the round's
@@ -23,33 +24,32 @@ import numpy as np
 
 from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
-from repro.index.frontier import TreeFrontier, TreeRoundSearch, TreeState
+from repro.index.frontier import FlatRoundSearch, IndexFrontier, MemberState
 from repro.index.vantage import VantageFrame
 
 
-class RoundSearch(TreeRoundSearch):
-    # Distinct class only so benchmarks/e2e/trace.py can book shard walks
-    # under "shard" without patching the plain-NBIndex walk.
+class RoundSearch(FlatRoundSearch):
+    # Distinct class only so benchmarks/e2e/trace.py can book shard scans
+    # under "shard" without patching the plain-NBIndex scan.
     pass
 
 
-class ShardFrontier(TreeFrontier):
+class ShardFrontier(IndexFrontier):
     """One shard's state for one coordinated (θ, k) query."""
 
     round_search = RoundSearch
 
     def __init__(
         self,
-        state: TreeState,
+        state: MemberState,
         theta: float,
-        ladder_index: int,
         stats: QueryStats,
         runtime: FilterCascade,
         *,
         global_engine,
         frame: VantageFrame,
     ):
-        super().__init__(state, theta, ladder_index, stats, runtime)
+        super().__init__(state, theta, stats, runtime)
         self.global_engine = global_engine
         self.frame = frame
         #: Frame rows this frontier was first to ask for (memtable graphs

@@ -6,8 +6,8 @@ the manifest's directory so the whole bundle relocates as one).  It records
 everything needed to (re)load and *validate* the bundle:
 
 * the partitioner and the full per-graph shard assignment,
-* the shared global threshold ladder (every shard indexes π̂ at the same
-  rungs — the coordinator's off-ladder check is global),
+* the shared global threshold ladder (Sec. 7.1; stored, not read by a
+  query),
 * the bundle's vantage **frame**: global ids of the graphs every shard is
   embedded against,
 * a crc32 over the database fingerprint (wrong-database loads fail loudly
@@ -83,15 +83,6 @@ class ShardManifest:
     def artifact_path(self, shard_id: int, base_dir: Path) -> Path:
         return Path(base_dir) / self.shards[shard_id].path
 
-    @staticmethod
-    def shard_rng(seed, shard_id: int) -> np.random.Generator:
-        """The tree rng of shard ``shard_id``: child ``shard_id`` of
-        ``SeedSequence(seed)``.  Build, compaction and the scrubber's
-        rebuild all draw from it, so a rebuilt shard is the built one."""
-        return np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(int(shard_id),))
-        )
-
     # ------------------------------------------------------------------
     # The two checks of a shard artifact: every reader makes these
     # ------------------------------------------------------------------
@@ -126,7 +117,7 @@ class ShardManifest:
 
     def check_artifact(self, shard_id: int, base_dir: Path) -> None:
         """Both checks on one artifact on disk, one read, without loading
-        its tree (``repro verify``, the scrubber)."""
+        it against its database (``repro verify``, the scrubber)."""
         path = self.artifact_path(shard_id, base_dir)
         self.check_frame(
             shard_id,
@@ -145,7 +136,7 @@ class ShardManifest:
     def load_frame(self, base_dir: Path) -> VantageFrame:
         """:meth:`assemble_frame` over the artifacts' stored coordinate
         blocks — for a process that loads no shard (the replica
-        coordinator); no trees are read."""
+        coordinator); no database is needed."""
         return self.assemble_frame([
             stored_embedding(self.artifact_path(s, base_dir))
             for s in range(self.num_shards)

@@ -31,7 +31,7 @@ from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
-from repro.index.frontier import TreeState
+from repro.index.frontier import MemberState
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
@@ -178,16 +178,16 @@ class ShardedIndex:
         return self.engine.calls + sum(s.engine.calls for s in self.shards)
 
     def _shard_frontiers(self, run: QueryRun, global_engine) -> list[ShardFrontier]:
-        """One frontier per shard; each tree's θ-independent state is
+        """One frontier per shard; each shard's θ-independent state is
         built once per session and reused across (θ, k) refinements."""
         session = run.session
         return [
             ShardFrontier(
-                session.cached(s, lambda s=s: TreeState(
+                session.cached(s, lambda s=s: MemberState(
                     self.shards[s], self.global_ids[s], session.relevant,
                     session.universe,
                 )),
-                run.theta, run.ladder_index, run.stats, run.runtime,
+                run.theta, run.stats, run.runtime,
                 global_engine=global_engine, frame=self.frame,
             )
             for s in range(self.num_shards)
@@ -201,8 +201,8 @@ class ShardedIndex:
         )
 
     def set_ladder(self, ladder: ThresholdLadder) -> None:
-        """Swap the coordinator's (global) ladder; each shard re-ladders
-        too so π̂ columns keep being read at the shared rungs."""
+        """Swap the bundle's stored ladder, on every shard too (see
+        :meth:`NBIndex.set_ladder`)."""
         self.ladder = ladder
         for shard in self.shards:
             shard.set_ladder(ladder)
@@ -233,17 +233,12 @@ class ShardedIndex:
     def num_shards(self) -> int:
         return self.manifest.num_shards
 
-    @property
-    def tree_nodes(self) -> int:
-        """Total NB-Tree nodes across shards (single-index parity)."""
-        return sum(shard.tree.num_nodes for shard in self.shards)
-
     def stats(self) -> dict:
         """Statable protocol: bundle roll-up plus per-shard breakdown.
 
         The scalar core uses the same key schema as
         :meth:`NBIndex.stats` (``num_graphs`` / ``num_shards`` /
-        ``tree_nodes`` / ``ladder_thresholds`` / ``distance_calls`` /
+        ``ladder_thresholds`` / ``distance_calls`` /
         ``memory_bytes`` / ``coverage_bytes`` / ``build_seconds`` /
         ``degraded``), so dashboards read one shape regardless of the
         deployment; per-shard detail nests under ``shards`` with the
@@ -252,7 +247,6 @@ class ShardedIndex:
             "num_graphs": self.manifest.num_graphs,
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
-            "tree_nodes": self.tree_nodes,
             "ladder_thresholds": len(self.ladder),
             "reused_shards": self.reused_shards,
             "memory_bytes": sum(s._memory_bytes() for s in self.shards),
@@ -268,7 +262,6 @@ class ShardedIndex:
                 {
                     "shard_id": i,
                     "num_graphs": len(shard.database),
-                    "tree_nodes": shard.tree.num_nodes,
                     "distance_calls": shard.engine.calls,
                     "memory_bytes": shard._memory_bytes(),
                     "coverage_bytes": shard._coverage_bytes(),

@@ -60,7 +60,7 @@ from repro.service.protocol import encode
 from repro.shard import ShardedIndex, build_shards
 from tests.conftest import random_database
 
-BUILD = dict(num_vantage_points=5, branching=4, seed=7)
+BUILD = dict(num_vantage_points=5, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def bundle(db, tmp_path_factory):
     out = tmp_path_factory.mktemp("cascade-bundle")
     return build_shards(
         db, StarDistance(), num_shards=4, out_dir=out, seed=7,
-        num_vantage_points=5, branching=4,
+        num_vantage_points=5,
     )
 
 
@@ -223,7 +223,7 @@ class TestBitIdentity:
             database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
         )
         k = data.draw(st.integers(1, 8), label="k")
-        build = dict(num_vantage_points=3, branching=3, seed=seed)
+        build = dict(num_vantage_points=3, seed=seed)
         single = NBIndex.build(database, ExactGED(), **build)
         rung = data.draw(st.integers(0, len(single.ladder) - 1), label="rung")
         theta = float(single.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
@@ -252,7 +252,7 @@ def exact_artifact(exact_db, tmp_path_factory):
     path = tmp_path_factory.mktemp("cascade-exact") / "index.npz"
     save_index(
         NBIndex.build(
-            exact_db, ExactGED(), num_vantage_points=8, branching=4, seed=7
+            exact_db, ExactGED(), num_vantage_points=8, seed=7
         ),
         path,
     )

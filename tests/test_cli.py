@@ -47,7 +47,7 @@ class TestIndexAndQuery:
         index_path = tmp_path / "index.npz"
         assert main([
             "build-index", str(db_path), "--output", str(index_path),
-            "--vantage-points", "5", "--branching", "4",
+            "--vantage-points", "5",
         ]) == 0
         assert index_path.exists()
         assert main([
@@ -60,7 +60,7 @@ class TestIndexAndQuery:
     def test_query_without_prebuilt_index(self, db_path, capsys):
         assert main([
             "query", str(db_path), "--k", "2", "--theta", "8",
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
         ]) == 0
         out = capsys.readouterr().out
         assert "rank" in out
@@ -136,7 +136,7 @@ class TestObservabilityFlags:
         metrics_path = tmp_path / "query.metrics.json"
         assert main([
             "query", str(db_path), "--k", "2", "--theta", "8",
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
             "--metrics", str(metrics_path), "--trace",
         ]) == 0
         assert not obs.enabled()  # the observation ends with the command
@@ -155,7 +155,7 @@ class TestObservabilityFlags:
         metrics_path = tmp_path / "build.prom"
         assert main([
             "build-index", str(db_path), "--output", str(tmp_path / "i.npz"),
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
             "--metrics", str(metrics_path),
         ]) == 0
         text = metrics_path.read_text()
@@ -169,7 +169,7 @@ class TestObservabilityFlags:
         try:
             assert main([
                 "query", str(db_path), "--k", "2", "--theta", "8",
-                "--vantage-points", "4", "--branching", "3",
+                "--vantage-points", "4",
             ]) == 0
             assert obs.enabled()
             assert obs.get_registry().snapshot()["counters"]["query.count"] == 1
@@ -182,7 +182,7 @@ class TestObservabilityFlags:
         monkeypatch.delenv("REPRO_OBS", raising=False)
         assert main([
             "query", str(db_path), "--k", "2", "--theta", "8",
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
         ]) == 0
         assert not obs.enabled()
 
@@ -257,7 +257,7 @@ class TestResilienceFlags:
     def test_query_deadline_prints_footer(self, db_path, capsys):
         assert main([
             "query", str(db_path), "--k", "2", "--theta", "8",
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
             "--deadline-ms", "60000",
         ]) == 0
         out = capsys.readouterr().out
@@ -275,7 +275,7 @@ class TestServe:
         index_path = tmp_path / "index.npz"
         assert main([
             "build-index", str(db_path), "--output", str(index_path),
-            "--vantage-points", "4", "--branching", "3",
+            "--vantage-points", "4",
         ]) == 0
         requests = "\n".join([
             json.dumps({"id": 1, "theta": 8.0, "k": 2}),

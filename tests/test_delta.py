@@ -58,7 +58,7 @@ def _make_mutable(tmp_path, num_shards: int, *, db_seed=71, size=24,
     live = db.subset(range(base))
     if num_shards == 1:
         index = NBIndex.build(
-            live, DIST, num_vantage_points=4, branching=4,
+            live, DIST, num_vantage_points=4,
             seed=np.random.default_rng(0),
         )
         path = tmp_path / "index.npz"
@@ -70,7 +70,7 @@ def _make_mutable(tmp_path, num_shards: int, *, db_seed=71, size=24,
     else:
         manifest_path = build_shards(
             live, DIST, num_shards=num_shards, out_dir=tmp_path / "bundle",
-            num_vantage_points=4, branching=4, seed=0,
+            num_vantage_points=4, seed=0,
         )
         base_index = ShardedIndex.load(manifest_path, live, DIST)
         mutable = MutableIndex(
@@ -88,7 +88,7 @@ def _oracle_result(mutable: MutableIndex, query_fn, theta, k):
     for gid in mutable.database.deleted:
         snapshot.mark_deleted(gid)
     oracle = NBIndex.build(
-        snapshot, DIST, num_vantage_points=4, branching=4,
+        snapshot, DIST, num_vantage_points=4,
         seed=np.random.default_rng(99), thresholds=mutable.ladder,
     )
     return oracle.query(query_fn, theta, k)
@@ -356,13 +356,13 @@ class TestFacade:
     def test_open_index_autodetects_and_wraps(self, tmp_path):
         db = random_database(seed=81, size=20, num_features=3)
         index = NBIndex.build(
-            db, DIST, num_vantage_points=4, branching=4,
+            db, DIST, num_vantage_points=4,
             seed=np.random.default_rng(0),
         )
         save_index(index, tmp_path / "index.npz")
         manifest = build_shards(
             db, DIST, num_shards=2, out_dir=tmp_path / "bundle",
-            num_vantage_points=4, branching=4, seed=0,
+            num_vantage_points=4, seed=0,
         )
         single = repro.open_index(tmp_path / "index.npz", db)
         assert isinstance(single, NBIndex) and single.mutable is False
@@ -379,7 +379,7 @@ class TestFacade:
     def test_readonly_mutations_raise_typed(self, tmp_path):
         db = random_database(seed=82, size=12, num_features=3)
         index = NBIndex.build(
-            db, DIST, num_vantage_points=3, branching=3,
+            db, DIST, num_vantage_points=3,
             seed=np.random.default_rng(0),
         )
         for method, args in [
@@ -391,7 +391,7 @@ class TestFacade:
                 getattr(index, method)(*args)
         manifest = build_shards(
             db, DIST, num_shards=2, out_dir=tmp_path / "bundle",
-            num_vantage_points=3, branching=3, seed=0,
+            num_vantage_points=3, seed=0,
         )
         sharded = ShardedIndex.load(manifest, db, DIST)
         with pytest.raises(ReadOnlyIndexError):
@@ -401,7 +401,7 @@ class TestFacade:
         db = random_database(seed=84, size=22, num_features=3)
         base = db.subset(range(16))
         index = NBIndex.build(
-            base, DIST, num_vantage_points=4, branching=4,
+            base, DIST, num_vantage_points=4,
             seed=np.random.default_rng(0),
         )
         save_index(index, tmp_path / "index.npz")

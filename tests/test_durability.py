@@ -65,7 +65,7 @@ def _deployment(tmp: Path, num_shards: int, *, size=24, base=18):
     save_database(live, dbp)
     if num_shards == 1:
         index = NBIndex.build(
-            live, DIST, num_vantage_points=4, branching=4,
+            live, DIST, num_vantage_points=4,
             seed=np.random.default_rng(0),
         )
         artifact = tmp / "index.npz"
@@ -73,7 +73,7 @@ def _deployment(tmp: Path, num_shards: int, *, size=24, base=18):
     else:
         artifact = build_shards(
             live, DIST, num_shards=num_shards, out_dir=tmp / "bundle",
-            num_vantage_points=4, branching=4, seed=0,
+            num_vantage_points=4, seed=0,
         )
     return db, dbp, artifact
 
@@ -377,7 +377,7 @@ class TestBackupRestore:
         manifest_path = build_shards(
             load_database(restored_base), DIST, num_shards=4,
             out_dir=tmp_path / "restored" / "bundle",
-            num_vantage_points=4, branching=4, seed=0,
+            num_vantage_points=4, seed=0,
         )
         restored = repro.open_index(
             manifest_path, restored_base,
@@ -428,7 +428,7 @@ class TestBackupRestore:
         save_index(
             NBIndex.build(
                 load_database(tmp_path / "restored" / report["base"]), DIST,
-                num_vantage_points=4, branching=4,
+                num_vantage_points=4,
                 seed=np.random.default_rng(0),
             ),
             tmp_path / "restored" / "index.npz",
@@ -607,7 +607,7 @@ class TestScrubber:
         database = random_database(seed=19, size=24, num_features=3)
         artifact = build_shards(
             database, DIST, num_shards=2, out_dir=tmp_path / "bundle",
-            num_vantage_points=4, branching=4, seed=0,
+            num_vantage_points=4, seed=0,
             thresholds=ThresholdLadder([2.0, 4.0, 8.0, 16.0, 32.0]),
         )
         victim = artifact.parent / "shard-000.npz"
@@ -640,9 +640,10 @@ class TestScrubber:
 
     @pytest.mark.parametrize("compacted", [False, True])
     def test_a_rebuilt_shard_is_the_serving_shard(self, tmp_path, compacted):
-        """Build, compaction and heal draw a shard's tree rng from one
-        helper, so the heal writes back the very tree being served."""
-        from repro.index.persistence import flatten_tree, load_index
+        """Build, compaction and heal all write a shard through
+        ``write_shard`` from the frame rows, so the heal writes back the
+        very shard being served."""
+        from repro.index.persistence import load_index
 
         db, dbp, artifact = _deployment(tmp_path, 4)
         mutable = _open(tmp_path, dbp, artifact)
@@ -665,12 +666,15 @@ class TestScrubber:
             rebuilt = load_index(
                 path, base.database.subset([int(i) for i in members]), DIST,
             )
-            want, got = flatten_tree(serving.tree), flatten_tree(rebuilt.tree)
-            assert want.keys() == got.keys()
-            for key in want:
-                assert np.array_equal(want[key], got[key]), key
             assert np.array_equal(
                 rebuilt.embedding.coords, serving.embedding.coords
+            )
+            assert (
+                rebuilt.embedding.vantage_indices,
+                rebuilt.embedding.framed, rebuilt.ladder.values,
+            ) == (
+                serving.embedding.vantage_indices,
+                serving.embedding.framed, serving.ladder.values,
             )
         assert _state(mutable) == before
         mutable.close()

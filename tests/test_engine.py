@@ -27,9 +27,8 @@ from repro.ged.metric import SLACK, CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.graphs.graph import LabeledGraph
-from repro.index.frontier import TreeFrontier
+from repro.index.frontier import IndexFrontier
 from repro.index.nbindex import NBIndex
-from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 
@@ -427,13 +426,6 @@ def test_mtree_ctree_engine_equivalence(db, star):
 # everything a structure builds or answers — and what it paid — must be
 # ``==`` what it builds over the batch kernel.
 # ---------------------------------------------------------------------------
-def _tree_nodes(tree):
-    return [
-        (n.centroid, n.radius, n.diameter, n.members.tolist())
-        for n in tree.nodes
-    ]
-
-
 def _range_tree(tree_cls):
     def build(db, engine):
         tree = tree_cls(db.graphs, engine, capacity=5, seed=2)
@@ -444,22 +436,16 @@ def _range_tree(tree_cls):
 
 def _nbindex(db, engine):
     index = NBIndex.build(
-        db, engine, num_vantage_points=5, branching=4, seed=5,
+        db, engine, num_vantage_points=5, seed=5,
         thresholds=ThresholdLadder([2.0, 4.0, 6.0, 9.0]),
     )
     q = quartile_relevance(db, quantile=0.3)
     session = index.session(q)
     results = [session.query(theta, k) for theta, k in ((4.0, 5), (6.0, 3), (3.0, 8))]
     return (
-        index.embedding.coords.tolist(), _tree_nodes(index.tree),
-        index.tree.stats,
+        index.embedding.coords.tolist(),
         [(r.answer, r.gains, r.covered, r.stats.distance_calls) for r in results],
     )
-
-
-def _nbtree(db, engine):
-    tree = NBTree(db.graphs, engine, None, branching=4, rng=5)
-    return _tree_nodes(tree), tree.stats
 
 
 def _vantage(db, engine):
@@ -471,7 +457,6 @@ def _vantage(db, engine):
 
 _REFEREED = {
     "nbindex": _nbindex,
-    "nbtree": _nbtree,
     "vantage": _vantage,
     "maxmin": lambda db, e: select_vantage_points(
         db.graphs, 5, rng=3, strategy="maxmin", distance=e
@@ -504,7 +489,7 @@ def test_serial_metric_through_the_structures_matches_the_batch_kernel(
 def test_insert_then_query_stays_correct():
     database = random_database(seed=30, size=40)
     index = NBIndex.build(
-        database, StarDistance(), num_vantage_points=4, branching=4, seed=2,
+        database, StarDistance(), num_vantage_points=4, seed=2,
     )
     donor = random_database(seed=31, size=1)
     new_id = index.insert(donor[0], np.zeros(database.num_features))
@@ -516,9 +501,9 @@ def test_insert_then_query_stays_correct():
         i for i in range(len(database))
         if star(database[new_id], database[i]) <= 3.0 + SLACK
     )
-    frontier = TreeFrontier(
-        index._tree_state(session), 3.0, index.ladder.index_for(3.0),
-        result.stats.__class__(), FilterCascade(),
+    frontier = IndexFrontier(
+        index._member_state(session), 3.0, result.stats.__class__(),
+        FilterCascade(),
     )
     # neighborhood_of returns a packed bitset over the session's
     # relevant universe; decode for the brute-force comparison.

@@ -160,9 +160,8 @@ class TestSweepDrivers:
         assert all(row["nb_index_bytes"] > 0 for row in memory.rows)
         assert build.column("size") == memory.column("size")
 
-    def test_ablation_vp_and_branching_and_ladder(self, smoke):
+    def test_ablation_vp_and_ladder(self, smoke):
         assert smoke("ablation_vp_count", "dud").column("num_vps") == [2, 8, 20]
-        assert smoke("ablation_branching", "dud").column("branching") == [3, 8, 20]
         assert len(smoke("ablation_pivec_ladder", "dud").rows) == 3
 
 

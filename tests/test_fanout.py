@@ -193,7 +193,7 @@ def bundle_fingerprint(manifest_path) -> str:
 
 #: n · b ≥ two shares at the shard seam, n · |V| at the frame's columns.
 _DUD = GENERATORS["dud"](num_graphs=260, seed=5)
-_WIDE = dict(num_vantage_points=20, branching=16)
+_WIDE = dict(num_vantage_points=20)
 
 
 def _dud(num_shards, out_dir, distance=None):
@@ -258,7 +258,6 @@ def _observed_build(mode) -> dict:
     with process_shape(mode), repro.observe() as run:
         NBIndex.build(
             database, StarDistance(), seed=9, num_vantage_points=24,
-            branching=4,
         )
         return run.registry.snapshot()["counters"]
 

@@ -178,7 +178,7 @@ def test_engines_match_set_reference(vector_instance):
 
     index = NBIndex.build(
         db, dist, thresholds=ladder, seed=11,
-        num_vantage_points=6, branching=12,
+        num_vantage_points=6,
     )
     single = index.query(query_fn, theta, k)
     assert_same_result(single, want)
@@ -190,7 +190,7 @@ def test_engines_match_set_reference(vector_instance):
     with tempfile.TemporaryDirectory() as out_dir:
         manifest = build_shards(
             db, dist, num_shards=4, out_dir=out_dir, thresholds=ladder,
-            seed=11, num_vantage_points=6, branching=12,
+            seed=11, num_vantage_points=6,
         )
         sharded = ShardedIndex.load(manifest, db, dist)
         got = sharded.query(query_fn, theta, k)

@@ -97,7 +97,7 @@ db = GENERATORS["dud"](num_graphs=40, seed=1)
 donor = GENERATORS["dud"](num_graphs=2, seed=2)
 distance = repro.StarDistance()
 query_fn = quartile_relevance(db)
-build = dict(num_vantage_points=4, branching=4, seed=0)
+build = dict(num_vantage_points=4, seed=0)
 with tempfile.TemporaryDirectory() as tmp:
     tmp = Path(tmp)
     save_index(repro.NBIndex.build(db, distance, **build), tmp / "index.npz")

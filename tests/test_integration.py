@@ -26,7 +26,7 @@ class TestFullPipelinePerDataset:
         spec, dist = dataset
         q = quartile_relevance(spec.database)
         index = NBIndex.build(
-            spec.database, dist, num_vantage_points=8, branching=4,
+            spec.database, dist, num_vantage_points=8,
             thresholds=spec.ladder, seed=1,
         )
         result = index.query(q, spec.theta, 5)
@@ -83,7 +83,7 @@ class TestPublicFacade:
         spec = load("dud", dist, num_graphs=60, seed=5)
         q = quartile_relevance(spec.database)
         engine = TopKRepresentativeQuery(
-            spec.database, dist, num_vantage_points=6, branching=4, seed=0,
+            spec.database, dist, num_vantage_points=6, seed=0,
         )
         via_index = engine.run(q, spec.theta, 4)
         via_greedy = engine.run(q, spec.theta, 4, method="greedy")
@@ -104,7 +104,7 @@ class TestPublicFacade:
         dist = StarDistance()
         spec = load("dud", dist, num_graphs=30, seed=6)
         engine = TopKRepresentativeQuery(spec.database, num_vantage_points=4,
-                                         branching=3, seed=0)
+                                         seed=0)
         assert "lazy" in repr(engine)
         engine.run(quartile_relevance(spec.database), spec.theta, 2)
         assert "built" in repr(engine)
@@ -113,7 +113,7 @@ class TestPublicFacade:
         dist = StarDistance()
         spec = load("dud", dist, num_graphs=40, seed=6)
         engine = TopKRepresentativeQuery(spec.database, dist,
-                                         num_vantage_points=4, branching=3,
+                                         num_vantage_points=4,
                                          seed=0)
         session = engine.session(quartile_relevance(spec.database))
         a = session.query(spec.theta, 3)

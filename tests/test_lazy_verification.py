@@ -1,7 +1,7 @@
 """Bound-driven lazy verification: same answers, fewer exact distances.
 
-The tree frontier verifies a leaf's candidate window only as far as the
-greedy round needs (``TreeFrontier.resolve``).  This file pins what that
+The index frontier verifies a member's candidate window only as far as
+the greedy round needs (``IndexFrontier.resolve``).  This file pins what that
 must not change and what it must buy:
 
 * ids / gains / order / coverage bit-identical to ``baseline_greedy`` in
@@ -10,7 +10,7 @@ must not change and what it must buy:
 * soundness: every working bound (initial, resolved, partial) is ≥ the
   true residual gain at every pull — stale bounds included, since no
   update step tightens them after a selection — and a resumed partial
-  leaf ends at the same exact gain as a from-scratch resolution;
+  member ends at the same exact gain as a from-scratch resolution;
 * the canonical tie-break survives an early exit of the smaller id;
 * from cold caches the lazy path never pays more exact distances than the
   eager one, and stays under a committed budget at the e2e smoke scale.
@@ -50,9 +50,8 @@ from repro.ged import StarDistance
 from repro.ged.metric import SLACK
 from repro.index import nbindex as nbindex_module
 from repro.index import save_index
-from repro.index.frontier import TreeFrontier, TreeRoundSearch
+from repro.index.frontier import FlatRoundSearch, IndexFrontier
 from repro.index.nbindex import NBIndex
-from repro.index.nbtree import NBTree
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageEmbedding, VantageFrame
 from repro.metricspace import vector_database
@@ -65,14 +64,14 @@ from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 
 _NEG_INF = float("-inf")
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
-BUILD = dict(num_vantage_points=4, branching=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=4, thresholds=LADDER)
 
 
 # ---------------------------------------------------------------------------
 # Referees: the eager resolvers
 # ---------------------------------------------------------------------------
-class EagerFrontier(TreeFrontier):
-    """The pre-lazy home path: the moment a leaf is popped, verify its
+class EagerFrontier(IndexFrontier):
+    """The pre-lazy home path: the moment a member is visited, verify its
     whole Chebyshev window over *all* relevant members in one batch."""
 
     def resolve(self, gid, min_useful, tie_gid):
@@ -217,7 +216,7 @@ def test_lazy_equals_eager_and_never_pays_more(data):
         seed=seed, size=data.draw(st.integers(16, 64), label="size")
     )
     index = NBIndex.build(
-        database, StarDistance(), num_vantage_points=4, branching=3, seed=seed
+        database, StarDistance(), num_vantage_points=4, seed=seed
     )
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
@@ -230,7 +229,7 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     cold(index)
     lazy = index.query(q, theta, k, epsilon=epsilon)
     cold(index)
-    with mock.patch.object(nbindex_module, "TreeFrontier", EagerFrontier):
+    with mock.patch.object(nbindex_module, "IndexFrontier", EagerFrontier):
         eager = index.query(q, theta, k, epsilon=epsilon)
     same_answer(lazy, eager)
     assert lazy.stats.distance_calls <= eager.stats.distance_calls
@@ -242,7 +241,7 @@ def test_lazy_equals_eager_and_never_pays_more(data):
 # ---------------------------------------------------------------------------
 # Soundness of every working bound, at every pull
 # ---------------------------------------------------------------------------
-class _CheckedSearch(TreeRoundSearch):
+class _CheckedSearch(FlatRoundSearch):
     """Round cursor that audits the frontier around every pull."""
 
     audit = None  # set per test: (frontier, covered) -> None
@@ -267,7 +266,7 @@ def test_bounds_dominate_true_residual_gains_at_every_pull(data):
         seed=seed, size=data.draw(st.integers(16, 56), label="size")
     )
     index = NBIndex.build(
-        database, StarDistance(), num_vantage_points=3, branching=3, seed=seed
+        database, StarDistance(), num_vantage_points=3, seed=seed
     )
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.1, 0.4]))
@@ -293,25 +292,14 @@ def _audit_query(index, q, theta, k):
     }
     _CheckedSearch.resumed = []
 
-    def relevant_below(node):
-        if node.is_leaf:
-            return [node.graph_index] if node.graph_index in true_nbhd else []
-        return [g for child in node.children for g in relevant_below(child)]
-
     def audit(frontier, covered):
         done = set(frontier.universe.decode_ids(covered))
         residual = {g: len(true_nbhd[g] - done) for g in relevant}
-        for node in frontier.index.tree.nodes:
-            bound = frontier.bounds[node.node_id]
-            if bound == _NEG_INF:
-                continue  # selected, or no relevant member below
-            alive = [
-                g for g in relevant_below(node)
-                if frontier.bounds[
-                    frontier.index._leaf_of[g].node_id
-                ] != _NEG_INF
-            ]
-            assert all(bound >= residual[g] for g in alive), node
+        members = frontier.state.relevant_list
+        assert members == relevant
+        for gid, bound in zip(members, frontier.bounds):
+            if bound != _NEG_INF:  # else selected
+                assert bound >= residual[gid], gid
         for gid, nbhd in frontier._nbhd.items():
             # A resolved neighborhood is exact over everything uncovered.
             assert set(frontier.universe.decode_ids(nbhd)) - done == (
@@ -326,23 +314,24 @@ def _audit_query(index, q, theta, k):
 
     _CheckedSearch.audit = staticmethod(audit)
     cold(index)
-    with mock.patch.object(TreeFrontier, "round_search", _CheckedSearch):
+    with mock.patch.object(IndexFrontier, "round_search", _CheckedSearch):
         result = index.query(q, theta, k)
     same_answer(result, baseline_greedy(database, star, q, theta, k))
     return result, list(_CheckedSearch.resumed)
 
 
 def test_a_resumed_partial_leaf_reaches_its_exact_gain():
-    """Deterministic instance on which leaves exit early, get popped again
-    in a later round and are then resolved to completion — with the audit
-    above watching every step (exact residual neighborhoods, bounds)."""
+    """Deterministic instance on which members exit early, get visited
+    again in a later round and are then resolved to completion — with the
+    audit above watching every step (exact residual neighborhoods,
+    bounds)."""
     database = GENERATORS["dud"](num_graphs=300, seed=11)
     index = NBIndex.build(
-        database, StarDistance(), seed=11, num_vantage_points=8, branching=4
+        database, StarDistance(), seed=11, num_vantage_points=8
     )
     q = quartile_relevance(database, dims=[0], quantile=0.8)
     result, resumed = _audit_query(index, q, 8.0, 10)
-    assert resumed, "no partial leaf was ever resumed to completion"
+    assert resumed, "no partial member was ever resumed to completion"
     assert result.stats.verifications_skipped > 0
 
 
@@ -355,9 +344,9 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
     whole circle (loose π̂), while true neighborhoods are tight clumps.
 
     Round 1 selects the 6-clump on the inner circle; the outer-circle
-    leaves (π̂ = 8 > 6) are popped against that incumbent and exit early.
-    Round 2 is a four-way tie at gain 2 between the two outer pairs; the
-    smallest id — an early-exited leaf — must win it.
+    members (π̂ = 8 > 6) are visited against that incumbent and exit
+    early.  Round 2 is a four-way tie at gain 2 between the two outer
+    pairs; the smallest id — an early-exited member — must win it.
     """
     def on_circle(radius, degrees):
         angle = np.deg2rad(degrees)
@@ -372,12 +361,8 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
     database, distance = vector_database(np.asarray(points))
     engine = DistanceEngine(distance, graphs=database.graphs)
     embedding = VantageEmbedding(database.graphs, [0], engine)
-    tree = NBTree(
-        database.graphs, engine, embedding, branching=3,
-        rng=np.random.default_rng(0),
-    )
     index = NBIndex(
-        database, engine, embedding=embedding, tree=tree,
+        database, engine, embedding=embedding,
         ladder=ThresholdLadder([theta]),
     )
 
@@ -385,7 +370,7 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
         return bool(np.hypot(*row) > 1.0)  # everything but the vantage point
 
     exited = []
-    resolve = TreeFrontier.resolve
+    resolve = IndexFrontier.resolve
 
     def spying(self, gid, min_useful, tie_gid):
         result = resolve(self, gid, min_useful, tie_gid)
@@ -393,7 +378,7 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
             exited.append((len(self._nbhd), gid))
         return result
 
-    monkeypatch.setattr(TreeFrontier, "resolve", spying)
+    monkeypatch.setattr(IndexFrontier, "resolve", spying)
     cold(index)
     got = index.query(relevant, theta, 3)
     want = baseline_greedy(database, distance, relevant, theta, 3)
@@ -417,7 +402,7 @@ def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
     seed = 11
     database = GENERATORS["dud"](num_graphs=300, seed=seed)
     built = NBIndex.build(
-        database, StarDistance(), seed=seed, num_vantage_points=8, branching=4
+        database, StarDistance(), seed=seed, num_vantage_points=8
     )
     save_index(built, tmp_path / "index.npz")
     index = repro.open_index(tmp_path / "index.npz", database)  # cold cache
@@ -526,7 +511,7 @@ def lazy_and_eager_over_a_bundle(
         index = ShardedIndex.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
             num_shards=shards, partitioner=partitioner,
-            num_vantage_points=4, branching=3,
+            num_vantage_points=4,
         )
         theta = theta_scale * float(
             index.ladder[min(rung, len(index.ladder) - 1)]
@@ -686,7 +671,7 @@ def test_foreign_bounds_dominate_true_residual_counts_at_every_visit(data):
         index = ShardedIndex.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
             num_shards=data.draw(st.sampled_from([2, 3, 4]), label="shards"),
-            num_vantage_points=3, branching=3,
+            num_vantage_points=3,
         )
         rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
         k = data.draw(st.integers(2, 10), label="k")
@@ -701,7 +686,7 @@ def dud_bundles(tmp_path_factory):
     manifests = {
         s: build_shards(
             database, StarDistance(), num_shards=s, out_dir=tmp / f"s{s}",
-            seed=11, num_vantage_points=8, branching=4,
+            seed=11, num_vantage_points=8,
         )
         for s in (2, 4)
     }
@@ -735,8 +720,7 @@ def _hand_built_bundle(points, members_of, theta):
     shards = [
         NBIndex.from_coords(
             database.subset(members), distance, [0], frame.coords[members],
-            branching=3, thresholds=ThresholdLadder([theta]),
-            rng=np.random.default_rng(0),
+            thresholds=ThresholdLadder([theta]),
         )
         for members in members_of
     ]
@@ -908,7 +892,7 @@ def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path):
         for position, fn in enumerate(fn_dims)
     ]
     build = dict(
-        thresholds=ladder, seed=seed, num_vantage_points=4, branching=8
+        thresholds=ladder, seed=seed, num_vantage_points=4
     )
     sharded = ShardedIndex.build(
         database, distance, num_shards=4, out_dir=tmp_path, **build

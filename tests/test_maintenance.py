@@ -55,7 +55,7 @@ class TestSoftDeletion:
 
     def test_nbindex_respects_deletions(self):
         db, dist, q = _setup(seed=5)
-        index = NBIndex.build(db, dist, num_vantage_points=4, branching=3, seed=0)
+        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
         relevant = [int(i) for i in db.relevant_indices(q)]
         db.mark_deleted(relevant[0])
         result = index.query(q, 5.0, 4)
@@ -78,7 +78,7 @@ class TestSoftDeletion:
 class TestSetLadder:
     def test_swapped_ladder_used_by_new_sessions(self):
         db, dist, q = _setup(seed=8)
-        index = NBIndex.build(db, dist, num_vantage_points=4, branching=3, seed=0)
+        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
         index.set_ladder(ThresholdLadder([2.5, 7.5]))
         assert list(index.ladder) == [2.5, 7.5]
         result = index.query(q, 5.0, 3)
@@ -89,7 +89,7 @@ class TestSetLadder:
         # resolution), so answers may differ — both must still be valid
         # greedy trajectories with the same first (tie-free) gain.
         db, dist, q = _setup(seed=9)
-        index = NBIndex.build(db, dist, num_vantage_points=4, branching=3, seed=0)
+        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
         first = index.session(q).query(5.0, 3)
         index.set_ladder(ThresholdLadder([5.0]))
         second = index.session(q).query(5.0, 3)

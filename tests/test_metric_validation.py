@@ -11,10 +11,10 @@ class TestValidateMetric:
     def test_true_metric_passes(self):
         db = random_database(seed=0, size=25)
         index = NBIndex.build(
-            db, StarDistance(), num_vantage_points=3, branching=3,
+            db, StarDistance(), num_vantage_points=3,
             seed=0, validate_metric=True,
         )
-        assert index.tree.num_nodes > 0
+        assert index.embedding.coords.shape == (25, 3)
 
     def test_asymmetric_distance_rejected(self):
         db = random_database(seed=1, size=20)
@@ -24,7 +24,7 @@ class TestValidateMetric:
 
         with pytest.raises(ValueError, match="not symmetric|!= 0"):
             NBIndex.build(
-                db, asymmetric, num_vantage_points=3, branching=3,
+                db, asymmetric, num_vantage_points=3,
                 seed=0, validate_metric=True,
             )
 
@@ -42,7 +42,7 @@ class TestValidateMetric:
 
         with pytest.raises(ValueError, match="triangle"):
             NBIndex.build(
-                db, non_metric, num_vantage_points=3, branching=3,
+                db, non_metric, num_vantage_points=3,
                 seed=0, validate_metric=True,
             )
 
@@ -54,7 +54,7 @@ class TestValidateMetric:
 
         with pytest.raises(ValueError):
             NBIndex.build(
-                db, negative, num_vantage_points=3, branching=3,
+                db, negative, num_vantage_points=3,
                 seed=0, validate_metric=True,
             )
 
@@ -69,6 +69,6 @@ class TestValidateMetric:
             return abs(g1.graph_id - g2.graph_id) * 0.5
 
         index = NBIndex.build(
-            db, weird, num_vantage_points=2, branching=3, seed=0,
+            db, weird, num_vantage_points=2, seed=0,
         )
         assert index is not None

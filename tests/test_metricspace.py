@@ -119,6 +119,6 @@ class TestFig1bScenario:
     def test_nbindex_works_on_vector_space(self):
         (db, distance), _ = self._space()
         index = NBIndex.build(db, distance, num_vantage_points=4,
-                              branching=3, seed=0)
+                              seed=0)
         result = index.query(ALL_RELEVANT_2D, 2.0, 2)
         assert_valid_greedy_trajectory(db, distance, ALL_RELEVANT_2D, 2.0, result)

@@ -8,7 +8,7 @@ import repro
 from repro.core import all_theta_neighborhoods, baseline_greedy
 from repro.ged import StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
-from repro.index import NBIndex, OffLadderThetaError, ThresholdLadder
+from repro.index import NBIndex, ThresholdLadder
 from tests.conftest import random_connected_graph, random_database
 
 
@@ -16,7 +16,7 @@ def _build(seed=0, size=70, **kwargs):
     db = random_database(seed=seed, size=size)
     dist = StarDistance()
     q = quartile_relevance(db, quantile=0.3)
-    params = dict(num_vantage_points=6, branching=4, seed=seed)
+    params = dict(num_vantage_points=6, seed=seed)
     params.update(kwargs)
     index = NBIndex.build(db, dist, **params)
     return db, dist, q, index
@@ -109,7 +109,7 @@ class TestTieBreakDeterminism:
 
         q = AllRelevant()
         index = NBIndex.build(
-            db, dist, num_vantage_points=3, branching=3, seed=2,
+            db, dist, num_vantage_points=3, seed=2,
             thresholds=ThresholdLadder([0.5]),
         )
         result = index.query(q, 0.5, 6)
@@ -129,7 +129,7 @@ class TestTieBreakDeterminism:
         dist = StarDistance()
         q = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, dist, num_vantage_points=5, branching=4, seed=3,
+            db, dist, num_vantage_points=5, seed=3,
             thresholds=ThresholdLadder([4.0]),
         )
         expected = baseline_greedy(db, dist, q, 4.0, 8)
@@ -158,7 +158,7 @@ class TestBudgetEdgeCases:
     def test_no_relevant_graphs(self):
         db = random_database(seed=8, size=30)
         dist = StarDistance()
-        index = NBIndex.build(db, dist, num_vantage_points=4, branching=3, seed=0)
+        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
 
         class NoneRelevant:
             def mask(self, matrix):
@@ -177,48 +177,39 @@ class TestBudgetEdgeCases:
 
 
 class TestLadderInteraction:
-    def test_theta_beyond_ladder_raises_typed_error(self):
+    def test_theta_beyond_ladder_is_answered(self):
+        """π̂ is taken at θ itself, so a θ above every rung is answered —
+        the greedy's answer, with nothing logged."""
         db, dist, q, index = _build(
             seed=10, thresholds=ThresholdLadder([1.0, 2.0])
         )
         theta = 50.0  # way above the ladder
-        with pytest.raises(OffLadderThetaError) as excinfo:
-            index.query(q, theta, 4)
-        err = excinfo.value
-        assert isinstance(err, ValueError)  # still a ValueError for old callers
-        assert err.theta == theta
-        assert err.nearest_rungs == (1.0, 2.0)
-        assert "set_ladder" in str(err)
-        # Re-laddering the same index makes the θ answerable, and the
-        # answer is a valid greedy trajectory.
-        index.set_ladder(ThresholdLadder([1.0, 2.0, theta]))
-        actual = index.query(q, theta, 4)
-        assert_valid_greedy_trajectory(db, dist, q, theta, actual)
-
-    def test_offladder_theta_counter_increments(self):
-        _, _, q, index = _build(seed=10, thresholds=ThresholdLadder([1.0]))
         with repro.observe() as run:
-            with pytest.raises(OffLadderThetaError):
-                index.query(q, 9.0, 2)
-        assert run.stats()["counters"]["index.offladder_theta"] == 1
+            actual = index.query(q, theta, 4)
+        assert_valid_greedy_trajectory(db, dist, q, theta, actual)
+        expected = baseline_greedy(db, dist, q, theta, 4)
+        assert (actual.answer, actual.gains) == (expected.answer, expected.gains)
+        assert "index.offladder_theta" not in run.stats()["counters"]
 
     def test_tight_ladder_fewer_evaluations_than_trivial(self):
+        """The ladder is stored, not read: a tight and a trivial one give
+        the same search (no more evaluations with either)."""
         db, dist, q, _ = _build(seed=11)
         theta = 4.0
         tight = NBIndex.build(
-            db, dist, num_vantage_points=6, branching=4, seed=11,
+            db, dist, num_vantage_points=6, seed=11,
             thresholds=ThresholdLadder([theta]),
         )
         loose = NBIndex.build(
-            db, dist, num_vantage_points=6, branching=4, seed=11,
+            db, dist, num_vantage_points=6, seed=11,
             thresholds=ThresholdLadder([1000.0]),
         )
         r_tight = tight.query(q, theta, 5)
         r_loose = loose.query(q, theta, 5)
         assert_valid_greedy_trajectory(db, dist, q, theta, r_tight)
-        assert_valid_greedy_trajectory(db, dist, q, theta, r_loose)
+        assert (r_tight.answer, r_tight.gains) == (r_loose.answer, r_loose.gains)
         assert (
-            r_tight.stats.leaves_evaluated <= r_loose.stats.leaves_evaluated
+            r_tight.stats.leaves_evaluated == r_loose.stats.leaves_evaluated
         )
 
 
@@ -238,7 +229,7 @@ class TestSessions:
         session = index.session(q)
         theta = float(index.ladder[2])
         session.query(theta, 3)
-        columns = index._tree_state(session)._pi_hat_columns
+        columns = index._member_state(session)._pi_hat_columns
         cached = len(columns)
         session.query(theta, 3)
         assert len(columns) == cached

@@ -273,7 +273,7 @@ class TestQueryCounters:
 
         db = random_database(seed=7, size=30)
         index = NBIndex.build(
-            db, StarDistance(), num_vantage_points=4, branching=3, seed=0
+            db, StarDistance(), num_vantage_points=4, seed=0
         )
         with repro.observe() as run:
             result = index.query(quartile_relevance(db), 6.0, 3)

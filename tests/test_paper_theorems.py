@@ -70,23 +70,18 @@ class TestFig4StylePropagation:
                 return abs(positions[a.graph_id] - positions[b.graph_id])
 
         index = NBIndex.build(
-            database, LineDistance(), num_vantage_points=2, branching=2,
-            seed=0,
+            database, LineDistance(), num_vantage_points=2, seed=0,
         )
         return database, index
 
-    def test_initial_bounds_are_child_ceilings(self):
+    def test_initial_bounds_are_the_vantage_window_counts(self):
+        """Theorem 5 at θ itself: a member's first bound is its window
+        count, never below its true neighbourhood (here, on a line, the
+        vantage sandwich is exact)."""
         database, index = self._toy_index()
         q = WeightedScoreThreshold([1.0], threshold=0.0)  # all relevant
         session = index.session(q)
-        ladder_index = index.ladder.index_for(index.ladder[0])
-        bounds = index._tree_state(session).initial_bounds(ladder_index)
-        for node in index.tree.nodes:
-            if node.children:
-                child_max = max(
-                    bounds[c.node_id] for c in node.children
-                )
-                assert bounds[node.node_id] == child_max
+        assert session.pi_hat_column(1.5).tolist() == [2, 3, 2, 2, 2]
 
     def test_neighborhood_counts_match_line_geometry(self):
         database, index = self._toy_index()

@@ -20,7 +20,7 @@ def _build(seed=0, size=50):
     db = random_database(seed=seed, size=size)
     dist = StarDistance()
     q = quartile_relevance(db, quantile=0.3)
-    index = NBIndex.build(db, dist, num_vantage_points=5, branching=4, seed=seed)
+    index = NBIndex.build(db, dist, num_vantage_points=5, seed=seed)
     return db, dist, q, index
 
 
@@ -30,16 +30,12 @@ class TestPersistence:
         path = tmp_path / "index.npz"
         save_index(index, path)
         loaded = load_index(path, db, dist)
-        assert loaded.tree.num_nodes == index.tree.num_nodes
-        assert loaded.tree.branching == index.tree.branching
-        assert np.allclose(loaded.embedding.coords, index.embedding.coords)
+        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
+        assert loaded.embedding.vantage_indices == index.embedding.vantage_indices
         assert list(loaded.ladder) == list(index.ladder)
-        for a, b in zip(index.tree.nodes, loaded.tree.nodes):
-            assert a.centroid == b.centroid
-            assert a.radius == pytest.approx(b.radius)
-            assert a.diameter == pytest.approx(b.diameter)
-            assert np.array_equal(a.members, b.members)
-            assert a.graph_index == b.graph_index
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            assert int(data["format_version"][0]) == 4
+            assert not any(key.startswith("node_") for key in data.files)
 
     def test_loaded_index_answers_queries(self, tmp_path):
         db, dist, q, index = _build(seed=2)
@@ -84,7 +80,7 @@ class TestCoordinateStorage:
         path = tmp_path / "index.npz"
         save_index(index, path)
         stored, version = self._stored(path)
-        assert version == 3 and stored.dtype == np.uint8
+        assert version == 4 and stored.dtype == np.uint8
         loaded = load_index(path, db, dist).embedding.coords
         assert loaded.dtype == np.float64 and np.array_equal(loaded, coords)
         # A single coordinate past the dtype widens it; one fraction or one
@@ -102,9 +98,7 @@ class TestCoordinateStorage:
     def test_float_coordinates_stay_float64(self, tmp_path):
         points = np.random.default_rng(0).normal(size=(40, 3))
         db, dist = vector_database(points)
-        index = NBIndex.build(
-            db, dist, num_vantage_points=3, branching=4, seed=0
-        )
+        index = NBIndex.build(db, dist, num_vantage_points=3, seed=0)
         path = tmp_path / "index.npz"
         save_index(index, path)
         stored, _ = self._stored(path)
@@ -125,18 +119,46 @@ class TestCoordinateStorage:
         with pytest.raises(IndexFormatError, match="version 2"):
             load_index(path, db, dist)
 
+    def test_version_3_files_with_tree_arrays_still_answer(self, tmp_path):
+        """A format-3 artifact carried the NB-Tree's arrays; they are
+        ignored, and the index answers as the one it was written from."""
+        db, dist, q, index = _build(seed=7)
+        path = tmp_path / "index.npz"
+        save_index(index, path)
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            arrays = dict(data)
+        n = len(db)
+        arrays.update(
+            format_version=np.array([3]),
+            node_centroid=np.arange(n + 1, dtype=np.int64),
+            node_radius=np.zeros(n + 1),
+            node_diameter=np.zeros(n + 1),
+            node_graph_index=np.array([-1, *range(n)], dtype=np.int64),
+            node_parent=np.array([-1] + [0] * n, dtype=np.int64),
+            root_id=np.array([0], dtype=np.int64),
+            branching=np.array([8], dtype=np.int64),
+        )
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, **arrays)
+        write_checksummed(path, buffer.getvalue())
+        loaded = load_index(path, db, dist)
+        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
+        for theta, k in ((3.0, 4), (5.0, 6)):
+            want, got = index.query(q, theta, k), loaded.query(q, theta, k)
+            assert (got.answer, got.gains, got.covered) == (
+                want.answer, want.gains, want.covered
+            )
+
 
 class TestInsert:
-    def test_insert_updates_database_and_tree(self):
+    def test_insert_updates_database_and_embedding(self):
         db, dist, q, index = _build(seed=5, size=30)
         rng = np.random.default_rng(0)
         new_graph = random_connected_graph(rng, 5)
         new_id = index.insert(new_graph, np.zeros(db.num_features))
         assert new_id == 30
         assert len(db) == 31
-        assert index.tree.root.members.size == 31
-        leaves = sorted(n.graph_index for n in index.tree.nodes if n.is_leaf)
-        assert leaves == list(range(31))
+        assert index.embedding.coords.shape == (31, 5)
 
     def test_geometry_stays_valid_after_inserts(self):
         db, dist, q, index = _build(seed=6, size=25)
@@ -146,13 +168,13 @@ class TestInsert:
                 random_connected_graph(rng, int(rng.integers(3, 8))),
                 rng.random(db.num_features),
             )
-        # Radii must still cover members (the invariant Theorems 6-8 use).
-        for node in index.tree.nodes:
-            if node.is_leaf:
-                continue
-            centroid = db[node.centroid]
-            for m in node.members:
-                assert dist(centroid, db[int(m)]) <= node.radius + 1e-9
+        # Every stored coordinate is the exact distance to its vantage
+        # graph (the invariant Theorems 4 and 5 use).
+        vantage = index.embedding.vantage_indices
+        for gid in range(len(db)):
+            assert index.embedding.coords[gid].tolist() == [
+                dist(db[v], db[gid]) for v in vantage
+            ]
 
     def test_queries_remain_valid_greedy_after_inserts(self):
         db, dist, _, index = _build(seed=7, size=30)
@@ -181,15 +203,15 @@ class TestInsert:
         result = index.query(q, 1e-6, k=len(db))
         assert new_id in result.covered
 
-    def test_single_graph_root_grows(self):
+    def test_single_graph_index_grows(self):
         graphs = [path_graph(["C", "C"])]
         db = GraphDatabase(graphs, np.zeros((1, 1)))
         dist = StarDistance()
-        index = NBIndex.build(db, dist, num_vantage_points=1, branching=2, seed=0)
-        assert index.tree.root.is_leaf
+        index = NBIndex.build(db, dist, num_vantage_points=1, seed=0)
         index.insert(path_graph(["C", "N"]), [1.0])
-        assert not index.tree.root.is_leaf
-        assert index.tree.root.members.size == 2
+        assert index.embedding.coords.shape == (2, 1)
+        result = index.query(lambda row: True, 100.0, 2)
+        assert result.covered == frozenset({0, 1})
 
     def test_feature_dim_mismatch_rejected(self):
         db, dist, _, index = _build(seed=9, size=15)
@@ -197,7 +219,7 @@ class TestInsert:
             index.insert(path_graph(["C"]), [1.0, 2.0, 3.0, 4.0, 5.0])
 
     def test_save_load_after_inserts(self, tmp_path):
-        """Persistence must capture the post-insert tree exactly."""
+        """Persistence must capture the post-insert index exactly."""
         db, dist, q, index = _build(seed=10, size=25)
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -208,10 +230,7 @@ class TestInsert:
         path = tmp_path / "inserted.npz"
         save_index(index, path)
         loaded = load_index(path, db, dist)
-        assert loaded.tree.num_nodes == index.tree.num_nodes
-        for a, b in zip(index.tree.nodes, loaded.tree.nodes):
-            assert np.array_equal(np.sort(a.members), b.members)
-            assert a.radius == pytest.approx(b.radius)
+        assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
         original = index.query(q, 5.0, 3)
         reloaded = loaded.query(q, 5.0, 3)
         assert reloaded.answer == original.answer

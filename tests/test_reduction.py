@@ -130,7 +130,7 @@ class TestEquivalence:
         reduced = reduce_set_cover(instance)
         index = NBIndex.build(
             reduced.database, reduced.distance,
-            num_vantage_points=4, branching=3, seed=0,
+            num_vantage_points=4, seed=0,
         )
         result = index.query(reduced.query_fn, reduced.theta, 3)
         assert len(result.covered) == reduced.target_coverage(3)

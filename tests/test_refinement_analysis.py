@@ -15,7 +15,7 @@ def _index(seed=0, size=50):
     db = random_database(seed=seed, size=size)
     dist = StarDistance()
     q = quartile_relevance(db, quantile=0.3)
-    index = NBIndex.build(db, dist, num_vantage_points=5, branching=4, seed=seed)
+    index = NBIndex.build(db, dist, num_vantage_points=5, seed=seed)
     return db, dist, q, index
 
 

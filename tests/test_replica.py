@@ -56,7 +56,7 @@ from repro.resilience.faults import FaultPlan
 from repro.shard import ShardedIndex, build_shards
 
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 40.0])
-BUILD = dict(num_vantage_points=6, branching=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=6, thresholds=LADDER)
 
 
 @pytest.fixture(scope="module")

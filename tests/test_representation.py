@@ -23,7 +23,7 @@ from repro.shard import ShardedIndex
 from tests.conftest import random_connected_graph
 
 LADDER = ThresholdLadder([4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0])
-BUILD = dict(num_vantage_points=6, branching=4, thresholds=LADDER, seed=7)
+BUILD = dict(num_vantage_points=6, thresholds=LADDER, seed=7)
 QUERIES = ((6.0, 5), (10.0, 8), (12.0, 3))
 
 

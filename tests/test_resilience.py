@@ -195,7 +195,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=11, size=24, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
+            db, ExactGED(), num_vantage_points=4, seed=0,
         )
         # Drop the build-time cache: the query must recompute distances
         # under the deadline.
@@ -222,7 +222,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
+            db, ExactGED(), num_vantage_points=4, seed=0,
         )
         index.engine._cache.clear()
         result = index.query(
@@ -236,7 +236,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, branching=4, seed=0,
+            db, ExactGED(), num_vantage_points=4, seed=0,
         )
         index.engine._cache.clear()
         with deadline_scope(Deadline(3600.0, expansion_limit=1)):
@@ -248,7 +248,7 @@ class TestDegradedQueryUnderFaults:
         deadline forced must not answer a later query, unflagged."""
         db = random_database(seed=21, size=30)
         query = quartile_relevance(db, quantile=0.5)
-        build = dict(num_vantage_points=4, branching=4, seed=7)
+        build = dict(num_vantage_points=4, seed=7)
         want = NBIndex.build(db, ExactGED(), **build).query(query, 4.0, 4)
         index = NBIndex.build(db, ExactGED(), **build)
         pressed = index.query(query, 4.0, 4, deadline=Deadline(0.0))
@@ -268,7 +268,7 @@ class TestDegradedQueryUnderFaults:
         save_index(
             NBIndex.build(
                 db.subset(range(30)), ExactGED(), num_vantage_points=4,
-                branching=3, seed=0,
+                seed=0,
             ),
             tmp_path / "idx.npz",
         )
@@ -292,7 +292,7 @@ class TestDegradedQueryUnderFaults:
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
         index = NBIndex.build(
-            db, StarDistance(), num_vantage_points=4, branching=4, seed=0,
+            db, StarDistance(), num_vantage_points=4, seed=0,
         )
         result = index.query(query, theta=4.0, k=3)
         assert not result.stats.degraded
@@ -308,7 +308,7 @@ class TestBuildsIgnoreTheAmbientDeadline:
         from repro.shard.build import build_shards
 
         db = random_database(seed=31, size=12, min_nodes=5, max_nodes=7)
-        build = dict(num_vantage_points=3, branching=3, seed=0)
+        build = dict(num_vantage_points=3, seed=0)
         want = NBIndex.build(db, ExactGED(), **build)
         free = build_shards(
             db, ExactGED(), num_shards=2, out_dir=tmp_path / "free", **build
@@ -332,7 +332,7 @@ class TestBuildsIgnoreTheAmbientDeadline:
         db = random_database(seed=31, size=30, min_nodes=6, max_nodes=8)
         index = NBIndex.build(
             db.subset(range(12)), ExactGED(), num_vantage_points=3,
-            branching=3, seed=0,
+            seed=0,
         )
         for g in range(12, 30):
             with deadline_scope(Deadline(expansion_limit=1)):
@@ -353,7 +353,7 @@ class TestPersistenceIntegrity:
         db = random_database(seed=4, size=25)
         dist = StarDistance()
         index = NBIndex.build(
-            db, dist, num_vantage_points=4, branching=4, seed=1
+            db, dist, num_vantage_points=4, seed=1
         )
         path = tmp_path_factory.mktemp("index") / "index.npz"
         save_index(index, path)

@@ -41,7 +41,7 @@ from repro.service import (
 from repro.service.server import serve_tcp
 from tests.conftest import random_database
 
-BUILD = dict(num_vantage_points=5, branching=4, seed=7)
+BUILD = dict(num_vantage_points=5, seed=7)
 
 
 def _build_index(db):
@@ -235,7 +235,7 @@ class TestHotReload:
     def test_reload_swaps_and_bumps_generation(self, service_db, tmp_path):
         index = _build_index(service_db)
         replacement = NBIndex.build(
-            service_db, StarDistance(), num_vantage_points=5, branching=4,
+            service_db, StarDistance(), num_vantage_points=5,
             seed=13,
         )
         art = tmp_path / "idx.npz"
@@ -278,7 +278,7 @@ class TestHotReload:
         save_index(index, art)
         manager = IndexManager(index, watch_path=art)
         replacement = NBIndex.build(
-            service_db, StarDistance(), num_vantage_points=5, branching=4,
+            service_db, StarDistance(), num_vantage_points=5,
             seed=13,
         )
         save_index(replacement, art)
@@ -288,7 +288,7 @@ class TestHotReload:
     def test_inflight_query_unaffected_by_swap(self, service_db, tmp_path):
         index = _build_index(service_db)
         replacement = NBIndex.build(
-            service_db, StarDistance(), num_vantage_points=5, branching=4,
+            service_db, StarDistance(), num_vantage_points=5,
             seed=13,
         )
         art = tmp_path / "idx.npz"

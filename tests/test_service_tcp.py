@@ -23,7 +23,7 @@ from repro.service import QueryService, ServiceConfig
 from repro.service.server import serve_tcp
 from tests.conftest import random_database
 
-BUILD = dict(num_vantage_points=5, branching=4, seed=7)
+BUILD = dict(num_vantage_points=5, seed=7)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from repro.core import baseline_greedy
 from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
-from repro.index import NBIndex, OffLadderThetaError, save_index
+from repro.index import NBIndex, save_index
 from repro.durability import Scrubber, verify_deployment
 from repro.graphs.io import save_database
 from repro.index.errors import ReadOnlyIndexError
@@ -59,7 +59,7 @@ from tests.conftest import random_database, random_connected_graph
 #: Shared build shape: small trees, explicit ladder so every test theta is
 #: on-rung for both the single index and every shard bundle.
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 40.0])
-BUILD = dict(num_vantage_points=6, branching=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=6, thresholds=LADDER)
 THETAS = (6.0, 12.0)
 
 
@@ -181,12 +181,12 @@ class TestBitIdentity:
         db = GraphDatabase(graphs, rng.random((len(graphs), 2)))
         ladder = ThresholdLadder([4.0, 8.0])
         single = NBIndex.build(
-            db, StarDistance(), num_vantage_points=5, branching=4,
+            db, StarDistance(), num_vantage_points=5,
             thresholds=ladder, seed=3,
         )
         sharded = ShardedIndex.build(
             db, StarDistance(), num_shards=4, out_dir=tmp_path,
-            num_vantage_points=5, branching=4, thresholds=ladder, seed=3,
+            num_vantage_points=5, thresholds=ladder, seed=3,
         )
         q = quartile_relevance(db)
         want = single.query(q, 4.0, 8)
@@ -236,12 +236,13 @@ class TestCoordinator:
         assert counters["shard.coordinator.rounds"] >= 1
         assert counters["shard.coordinator.pulls"] >= 1
 
-    def test_off_ladder_theta_raises_typed(self, db, bundle_dir):
+    def test_off_ladder_theta_is_answered(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
-        with pytest.raises(OffLadderThetaError) as excinfo:
-            sharded.query(quartile_relevance(db), 1e6, 3)
-        assert excinfo.value.theta == 1e6
-        assert excinfo.value.ladder_max == LADDER.values[-1]
+        q = quartile_relevance(db)
+        for theta in (1.5 * LADDER.values[-1], 1e6):
+            _assert_same_result(
+                sharded.query(q, theta, 3), single_index.query(q, theta, 3)
+            )
 
     def test_session_reuse_across_thetas(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
@@ -256,7 +257,7 @@ class TestCoordinator:
         tiny = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         sharded = ShardedIndex.build(
             tiny, ExactGED(), num_shards=2, out_dir=tmp_path,
-            num_vantage_points=4, branching=4,
+            num_vantage_points=4,
             thresholds=ThresholdLadder([4.0, 8.0]), seed=0,
         )
         sharded.engine._cache.clear()
@@ -438,7 +439,6 @@ class TestFrame:
                 num_shards=data.draw(st.sampled_from([2, 4]), label="shards"),
                 partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
                 num_vantage_points=data.draw(st.integers(1, 3), label="|V|"),
-                branching=3,
             )
         star, coords = StarDistance(), sharded.frame.coords
         home = sharded.shard_of[sharded.frame.vantage_ids]
@@ -605,17 +605,17 @@ class TestReload:
         for name in os.listdir(bundle_dir):
             (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
         first = _load(tmp_path, db)
-        # Rebuild exactly one shard with a *different* tree shape (in the
-        # bundle's frame) and point the manifest at its new checksum: only
-        # that shard may reload, and answers must not move (correctness is
-        # tree-shape independent).
+        # Rewrite exactly one shard with *different* bytes (a changed
+        # build time, in the bundle's frame) and point the manifest at its
+        # new checksum: only that shard may reload, and answers must not
+        # move.
         manifest = ShardManifest.load(tmp_path / "manifest.json")
         members = manifest.members(0)
         rebuilt = NBIndex.from_coords(
             db.subset([int(i) for i in members]), StarDistance(),
-            manifest.frame, first.frame.coords[members], branching=3,
-            thresholds=LADDER, rng=np.random.default_rng(99),
+            manifest.frame, first.frame.coords[members], thresholds=LADDER,
         )
+        rebuilt.build_seconds = 99.0
         save_index(rebuilt, tmp_path / "shard-000.npz")
         entries = list(manifest.shards)
         entries[0] = dataclasses.replace(
@@ -666,23 +666,24 @@ class TestServiceIntegration:
             assert response["result"]["answer"] == want.answer
             stats = service.stats()
             assert stats["index"]["num_shards"] == 3
-            assert stats["index"]["tree_nodes"] == sharded.tree_nodes
+            assert "tree_nodes" not in stats["index"]
             reloaded = service.call(QueryRequest(
                 id=2, op="reload", path=str(bundle_dir / "manifest.json"),
             ))
             assert reloaded["ok"], reloaded
             assert service.manager.index.reused_shards == 3
 
-    def test_off_ladder_theta_is_a_client_error(self, db, bundle_dir):
+    def test_off_ladder_theta_is_answered_by_the_service(
+        self, db, single_index, bundle_dir
+    ):
         sharded = repro.open_index(bundle_dir / "manifest.json", db, shards=True)
         with QueryService(sharded, config=ServiceConfig()) as service:
             response = service.call(
                 QueryRequest(id=3, op="query", theta=1e6, k=3)
             )
-            assert not response["ok"]
-            assert response["error"]["code"] == "invalid_request"
-            assert "ladder" in response["error"]["message"]
-            # A bad theta is not a crash: nothing lands in the journal.
+            assert response["ok"], response
+            want = single_index.query(quartile_relevance(db), 1e6, 3)
+            assert response["result"]["answer"] == want.answer
             assert service.journal.stats()["crashes"] == 0
 
     def test_load_shards_facade(self, db, bundle_dir):

@@ -182,7 +182,7 @@ def test_sharded_build_and_queries_match_the_serial_metric(tmp_path):
         with repro.observe() as run:
             manifest = build_shards(
                 database, metric, num_shards=4, out_dir=tmp_path / name,
-                seed=11, num_vantage_points=6, branching=8,
+                seed=11, num_vantage_points=6,
             )
         sharded = ShardedIndex.load(manifest, database, metric)
         theta = sharded.ladder.values[3]
