@@ -177,7 +177,7 @@ def open_index(
     # A mutable single index snapshots even when nothing was journaled:
     # the live database grows in place, and a base aliasing it would be
     # saved (the scrubber's heal) with a fingerprint its coordinates do
-    # not cover.  A bundle's shards already hold sub-databases of their own.
+    # not cover.  A bundle is only ever written back shard by shard.
     if sharded:
         from repro.shard.manifest import ShardManifest
 

@@ -433,10 +433,14 @@ def cmd_restore(args) -> int:
 
 def cmd_verify(args) -> int:
     from repro.durability import verify_deployment
+    from repro.durability.backup import verify_frame_rows
+    from repro.ged import StarDistance
 
     failures = 0
-    for path in args.paths:
-        report = verify_deployment(path)
+    reports = [verify_deployment(path) for path in args.paths]
+    # A bundle given with its database also gets frame rows recomputed.
+    reports.append(verify_frame_rows(args.paths, StarDistance()))
+    for report in reports:
         for checked in report["checked"]:
             print(f"ok: {checked}")
         for problem in report["problems"]:
@@ -685,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser(
         "verify",
         help="offline checksum audit of any repro artifact: backup dir, "
-             "shard bundle, index .npz, journal (+ pinned base), database",
+             "shard bundle, index .npz, journal (+ pinned base), database; "
+             "a bundle given with its database .jsonl also has a sample of "
+             "its frame rows recomputed",
     )
     p.add_argument("paths", nargs="+", help="artifact path(s) to audit")
     p.set_defaults(func=cmd_verify)

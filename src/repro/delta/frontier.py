@@ -11,8 +11,8 @@ but exact gains, so the coordinator's threshold-algorithm pull treats
 the delta like a shard whose ladder is always tight.
 
 The frontier speaks the same protocol as
-:class:`~repro.shard.frontier.ShardFrontier` (see
-:func:`repro.shard.coordinator.run_greedy`), so the coordinator needs no
+:class:`~repro.shard.frontier.ShardFrontier` over the base beside it (see
+:func:`repro.index.coordinator.run_greedy`), so the coordinator needs no
 special case: the canonical (max gain, min id) rule merges indexed and
 un-indexed candidates bit-identically to a from-scratch build over the
 mutated database.

@@ -5,7 +5,7 @@ The LSM shape, specialized to the NB-Index:
 * **memtable** — graphs appended after the last compaction live only in
   the database (ids ``indexed_count ..``); queries scan them *exactly*
   through an :class:`~repro.delta.frontier.ExactFrontier` that sits next
-  to the indexed shard frontiers in the same coordinator loop.
+  to the base index's frontier in the same coordinator loop.
 * **tombstones** — deletes are soft
   (:meth:`~repro.graphs.database.GraphDatabase.mark_deleted`): the graph
   stays addressable so every embedding structure remains valid, but
@@ -22,9 +22,10 @@ The LSM shape, specialized to the NB-Index:
   view (a prefix snapshot of the live database) *outside* the latch and
   swaps it under the write side, bumping a generation counter.  For a
   sharded base only the shards whose member sets changed are rebuilt —
-  unchanged shards keep their artifacts, byte checksums and loaded
-  objects (PR 5's hot-reload reuse, extended from "rebuild offline" to
-  "compact online").  The bundle keeps its vantage frame: a memtable
+  unchanged shards keep their artifacts and byte checksums (the
+  hot-reload reuse, extended from "rebuild offline" to "compact
+  online") — and the new base is one index over the grown frame.  The
+  bundle keeps its vantage frame: a memtable
   graph's frame row, computed the first time a query needed it, is
   handed to the rebuilt shard instead of being measured again (a
   tombstoned vantage graph is still a valid origin); only the full
@@ -37,8 +38,8 @@ Answer invariant (the acceptance gate): after any mutation sequence,
 with or without interleaved compactions, ``query()`` is bit-identical —
 ids, gains, order, coverage — to a from-scratch build over the mutated
 database.  The coordinator's canonical (max gain, min id) selection rule
-makes answers independent of how the database is split between indexed
-shards and the exactly-scanned memtable.
+makes answers independent of how the database is split between the
+indexed base and the exactly-scanned memtable.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from repro.delta.errors import CompactionError
 from repro.delta.frontier import ExactFrontier
 from repro.delta.journal import MutationJournal
 from repro.graphs.database import GraphDatabase
-from repro.index.frontier import MemberState
 from repro.index.nbindex import (
     NBIndex,
     QueryRun,
@@ -124,8 +124,8 @@ class MutableIndex:
         # The mutation layer's own global engine: plain (no vantage
         # embedding attached — memtable graphs have no coordinates), over
         # the live graph list, so appended graphs are immediately
-        # reachable.  Shard engines keep speaking local ids; this one
-        # speaks global ids only.
+        # reachable.  The base index's engine measures its members
+        # against each other; this one every distance to a memtable graph.
         self.engine = DistanceEngine(distance, graphs=database.graphs)
 
     @staticmethod
@@ -271,38 +271,24 @@ class MutableIndex:
         return self.engine.calls + self.base._distance_calls()
 
     def _run_query(self, run: QueryRun):
-        """The base's indexed frontiers plus one exactly-scanned memtable
-        frontier, all resolving foreign graphs through the live engine."""
+        """One frontier over the base index, seeing memtable graphs
+        through the frame, and one exactly-scanned memtable frontier."""
         session = run.session
-        base = self.base
         indexed = self.indexed_count
         delta_rel = session.relevant[session.relevant >= indexed]
         run.span.set(memtable=int(delta_rel.size))
-        if hasattr(base, "shards"):
-            frontiers = base._shard_frontiers(run, self.engine)
-            shard_of = base.shard_of
-        else:
-            state = MemberState(
-                base, np.arange(indexed, dtype=np.int64), session.relevant,
-                session.universe,
-            )
-            frontiers = [ShardFrontier(
-                state, run.theta, run.stats, run.runtime,
-                global_engine=self.engine, frame=self.frame,
-            )]
-            shard_of = None  # one index: every indexed graph lives on it
+        base_frontier = ShardFrontier(
+            self.base._member_state(session), run.theta, run.stats,
+            run.runtime, global_engine=self.engine, frame=self.frame,
+        )
         delta_frontier = ExactFrontier(
             delta_rel, session.universe, self.engine, run.theta, run.stats,
             run.runtime,
         )
-        frontiers.append(delta_frontier)
-
-        def home_of(gid: int):
-            if gid >= indexed:
-                return delta_frontier
-            return frontiers[0 if shard_of is None else int(shard_of[gid])]
-
-        result = run.greedy(frontiers, home_of)
+        result = run.greedy(
+            [base_frontier, delta_frontier],
+            lambda gid: delta_frontier if gid >= indexed else base_frontier,
+        )
         result[3]["memtable_relevant"] = int(delta_rel.size)
         return result
 
@@ -411,8 +397,8 @@ class MutableIndex:
 
         Existing graphs keep their shard; memtable graphs are routed by
         the same structure hash the hash partitioner uses (stable across
-        compactions).  Unchanged shards keep their artifacts, checksums
-        and loaded index objects."""
+        compactions).  Unchanged shards keep their artifacts and
+        checksums; the new base is one index over the grown frame."""
         from repro.index.pivec import ThresholdLadder
         from repro.shard.build import write_shard
         from repro.shard.manifest import (
@@ -455,17 +441,15 @@ class MutableIndex:
             *(old_frame.row(g, self.engine) for g in range(n0, n1)),
         ]), old_frame.extra)
         entries: list[ShardEntry] = []
-        shards: list[NBIndex] = []
         for shard_id in range(num_shards):
             members = np.flatnonzero(assignments == shard_id)
             if shard_id not in changed:
                 entries.append(manifest.shards[shard_id])
-                shards.append(base.shards[shard_id])
                 continue
             artifact = out_dir / (
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
-            index, raw = write_shard(
+            raw = write_shard(
                 artifact, snapshot, self.distance, frame, members,
                 ladder=ladder,
             )
@@ -479,7 +463,6 @@ class MutableIndex:
                 checksum=zlib.crc32(raw),
                 num_graphs=int(members.size),
             ))
-            shards.append(index)
             faults.maybe_abort_stage("delta.compact.shard")
 
         faults.maybe_abort_stage("delta.compact.commit")
@@ -501,17 +484,9 @@ class MutableIndex:
         )
         new_manifest.save(manifest_path)  # atomic rename = commit point
 
-        from repro.engine import DistanceEngine
-
         new_base = ShardedIndex(
-            snapshot,
-            self.distance,
-            shards=shards,
-            manifest=new_manifest,
-            frame=frame,
-            engine=DistanceEngine(self.distance, graphs=snapshot.graphs),
-            path=Path(manifest_path),
-            reused_shards=num_shards - len(changed),
+            snapshot, self.distance, manifest=new_manifest, frame=frame,
+            path=Path(manifest_path), reused_shards=num_shards - len(changed),
         )
         # Post-commit, best effort: superseded generation artifacts are
         # unreferenced by the new manifest and safe to drop.

@@ -378,3 +378,42 @@ def verify_deployment(path) -> dict:
             f"manifest, .npz index, journal, or database JSONL)"
         )
     return {"ok": not problems, "problems": problems, "checked": checked}
+
+
+def verify_frame_rows(paths, distance) -> dict:
+    """Recompute each shard's first and last frame row under ``distance``
+    (:meth:`~repro.shard.manifest.ShardManifest.check_rows`) for every
+    bundle among ``paths`` whose database ``.jsonl`` (by the manifest's
+    crc32) is among them too: no checksum sees a coordinate that was
+    already wrong when its crc32 was taken.  :func:`verify_deployment`'s
+    report shape; ``repro verify`` runs both."""
+    from repro.graphs.io import load_database
+    from repro.shard.manifest import ShardManifest, database_checksum
+
+    paths = [Path(p) / "manifest.json" if Path(p).is_dir() else Path(p)
+             for p in paths]
+    databases, problems, checked = {}, [], []
+    for path in paths:
+        if path.suffix == ".jsonl":  # unreadable: verify_deployment says so
+            with contextlib.suppress(PersistenceError, OSError, ValueError):
+                database = load_database(path)
+                databases[database_checksum(database)] = database
+    for path in paths:
+        if path.suffix != ".json":
+            continue
+        try:
+            manifest = ShardManifest.load(path)
+        except PersistenceError:
+            continue
+        database = databases.get(manifest.database_checksum)
+        for shard_id in range(manifest.num_shards) if database else ():
+            try:
+                manifest.check_rows(shard_id, path.parent, database, distance)
+            except (PersistenceError, OSError, ValueError) as error:
+                problems.append(str(error))
+            else:
+                checked.append(
+                    f"{manifest.artifact_path(shard_id, path.parent)} "
+                    f"(frame rows)"
+                )
+    return {"ok": not problems, "problems": problems, "checked": checked}

@@ -310,7 +310,7 @@ def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
     manifest = index.manifest
     artifact = manifest.artifact_path(shard_id, manifest_path.parent)
     staging = artifact.with_name(artifact.name + ".scrub-heal")
-    _, raw = write_shard(
+    raw = write_shard(
         staging, index.database, index.distance, index.frame,
         manifest.members(shard_id), ladder=ThresholdLadder(manifest.ladder),
     )

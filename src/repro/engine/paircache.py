@@ -284,6 +284,7 @@ class PairTable:
         keys, first = np.unique(np.asarray(keys, dtype=np.uint64), return_index=True)
         values = np.asarray(values, dtype=np.float64)[first]
         old_keys, old_values = self.items()
+        self.clear()  # its pairs are copied out: never hold two tables
         at = np.searchsorted(old_keys, keys)
         if len(old_keys):
             fresh = old_keys[np.minimum(at, len(old_keys) - 1)] != keys

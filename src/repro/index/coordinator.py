@@ -3,10 +3,11 @@
 One coordinator drives the global lazy best-first loop of Algorithm 2 over
 S independent frontiers (:class:`~repro.index.frontier.Frontier`).  A plain
 ``NBIndex`` query is the S = 1 case: one index frontier, nothing foreign,
-so every foreign rung of the ladder below sums over nothing.  Every greedy
-round runs a threshold-algorithm pull over the frontiers ("shards" below),
-each of which exposes its best remaining *local* gain bound
-(:meth:`~repro.index.frontier.RoundCursor.peek`):
+so every foreign rung of the ladder below sums over nothing, and so is a
+sharded bundle's; several meet behind replicas and beside a memtable.
+Every greedy round runs a threshold-algorithm pull over the frontiers
+("shards" below), each of which exposes its best remaining *local* gain
+bound (:meth:`~repro.index.frontier.RoundCursor.peek`):
 
 1. Frontiers are ranked by ``peek(shard) + foreign_uncovered(shard)`` — the
    local bound plus the count of uncovered relevant graphs living on other

@@ -21,10 +21,11 @@ members already covered when a neighborhood is resolved can never count
 towards a later gain, and a frontier may leave them out.
 
 Three implementations: :class:`IndexFrontier` here (one index's
-relevant members; a plain ``NBIndex`` is one of these over the identity
-id map, and
-:class:`~repro.shard.frontier.ShardFrontier` adds what only a shard needs
-— seeing graphs that live elsewhere through the bundle's vantage frame),
+relevant members; a plain ``NBIndex`` or a sharded bundle queries one of
+these over the identity id map, and
+:class:`~repro.shard.frontier.ShardFrontier` adds seeing graphs that live
+elsewhere through the bundle's vantage frame, for a replica's shard or a
+mutable base),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
 replicated shard behind the wire).
@@ -246,7 +247,8 @@ class IndexFrontier:
     """One index's state for one (θ, k) query.
 
     Complete on its own when every graph the query can select is a member
-    — a plain ``NBIndex``; a shard sees graphs that live elsewhere through
+    — a plain ``NBIndex`` or a sharded bundle; a replica's shard and a
+    mutable base see graphs that live elsewhere through
     :class:`~repro.shard.frontier.ShardFrontier`.
 
     Each relevant member carries one working bound in :attr:`bounds`

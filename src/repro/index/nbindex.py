@@ -174,13 +174,14 @@ class NBIndex:
         thresholds: ThresholdLadder,
     ) -> "NBIndex":
         """An index over vantage coordinates that already exist, at no
-        distance cost.  This is how a shard of a bundle is made —
-        ``coords`` are its members' rows of the bundle's one
+        distance cost — ``coords`` are rows of a bundle's one
         :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
-        the frame's global ids, so the embedding is
-        :attr:`~repro.index.vantage.VantageEmbedding.framed` and the index
-        refuses the in-place :meth:`insert`.  The shard always gets an
-        engine of its own: it speaks the sub-database's local ids."""
+        the frame's global ids: all of them for the index a loaded bundle
+        serves (:class:`~repro.shard.ShardedIndex`), one shard's members'
+        for the artifact :func:`~repro.shard.build.write_shard` saves.  The
+        embedding is :attr:`~repro.index.vantage.VantageEmbedding.framed`,
+        so the index refuses the in-place :meth:`insert`, and it gets an
+        engine of its own over ``database``'s ids."""
         started = time.perf_counter()
         engine = DistanceEngine(distance, graphs=database.graphs)
         embedding = VantageEmbedding.from_coords(
@@ -249,9 +250,11 @@ class NBIndex:
         return self.engine.calls
 
     def _member_state(self, session: "QuerySession") -> MemberState:
-        """The session's state for this index's members (identity ids)."""
+        """The session's state for this index's members: the graphs its
+        embedding covers, identity ids (a mutable deployment's live
+        database grows past them)."""
         return session.cached(0, lambda: MemberState(
-            self, np.arange(len(self.database)), session.relevant,
+            self, np.arange(len(self.embedding)), session.relevant,
             session.universe,
         ))
 

@@ -136,9 +136,7 @@ def load_index(
 
     ``distance`` must be the same metric the index was built with (the
     stored coordinates are only meaningful for it); the database
-    is verified by fingerprint.  The index always gets an engine of its own
-    (as in :meth:`NBIndex.from_coords`): shards of one bundle are loaded
-    with the same ``distance`` and each speaks its own local ids.
+    is verified by fingerprint, and the index gets an engine of its own.
     ``payload`` is the file's verified payload when the caller has read it
     already (see :func:`_open`).
     """

@@ -228,11 +228,12 @@ class VantageEmbedding:
 
         Returns an ``(len(rows), len(thetas))`` integer array where entry
         ``[r, t]`` is ``|N̂_{θ_t}(g_rows[r]) ∩ among|`` — the raw material of
-        the π̂-vectors (Def. 6).  Whole blocks of rows are evaluated in one
-        ``(block, |among|, |V|)`` Chebyshev pass — no per-row Python loop —
-        with ``block_rows`` capping the temporary (auto-sized to ~256 MB
-        when omitted).  A count of values ≤ θ equals the old per-row
-        ``sort`` + ``searchsorted(side='right')``, so π̂ is unchanged.
+        the π̂-vectors (Def. 6).  Whole blocks of rows are evaluated at once
+        — no per-row Python loop — as a running maximum over the vantage
+        columns, so the temporaries are ``(block, |among|)``: ``block_rows``
+        caps them (auto-sized to ~8 MB when omitted).  A count of values
+        ≤ θ equals the old per-row ``sort`` + ``searchsorted(side='right')``,
+        so π̂ is unchanged.
         """
         rows = np.asarray(rows)
         among = np.asarray(among)
@@ -241,15 +242,15 @@ class VantageEmbedding:
         coords_among = self.coords[among]
         if block_rows is None:
             block_rows = max(
-                1, min(int(rows.size), (1 << 25) // max(1, coords_among.size))
+                1, min(int(rows.size), (1 << 20) // max(1, among.size))
             )
         for start in range(0, int(rows.size), block_rows):
-            block = rows[start:start + block_rows]
+            block = self.coords[rows[start:start + block_rows]]
             obs.counter(BLOCK_EVALS)
-            cheb = np.max(
-                np.abs(coords_among[None, :, :] - self.coords[block][:, None, :]),
-                axis=2,
-            )
+            cheb = np.zeros((len(block), among.size))
+            for column in range(coords_among.shape[1]):
+                gap = np.abs(block[:, [column]] - coords_among[:, column])
+                np.maximum(cheb, gap, out=cheb)
             for t in range(thetas_arr.size):
                 counts[start:start + block_rows, t] = (
                     cheb <= thetas_arr[t]

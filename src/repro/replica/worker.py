@@ -122,9 +122,11 @@ class ShardWorker:
         self.members = manifest.members(self.shard_id)
         self.database = database
         sub = database.subset([int(i) for i in self.members])
+        # Through the manifest's crc32, like every other reader.
         self.index = load_index(
             manifest.artifact_path(self.shard_id, manifest_path.parent),
             sub, distance,
+            manifest.read_artifact(self.shard_id, manifest_path.parent),
         )
         #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
         #: graph's coordinates, wherever it lives.

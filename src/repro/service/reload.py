@@ -98,8 +98,8 @@ class IndexManager:
 
         A sharded reload passes the currently serving bundle as
         ``previous`` so shards whose artifact checksum and member set are
-        unchanged are reused in place — a one-shard rebuild reloads one
-        shard, not S.
+        unchanged are copied from its frame — a one-shard rebuild reads
+        one shard, not S.
         """
         if path.suffix == ".json":
             from repro.shard import ShardedIndex

@@ -1,10 +1,13 @@
-"""Sharded NB-Index: partitioned builds + scatter-gather distributed greedy.
+"""Sharded NB-Index bundles: S artifacts on disk, one index in memory.
 
-Partition a database into S shards (:mod:`repro.shard.partition`), build an
-NB-Index per shard in one bundle-wide vantage frame behind a checksummed
-manifest (:func:`build_shards`), and query the bundle through a coordinator
-(:class:`ShardedIndex` / :mod:`repro.shard.coordinator`) whose answers are
-bit-identical to the single-index engine for any S and any partitioner.
+Partition a database into S shards (:mod:`repro.shard.partition`), write
+each shard's rows of one bundle-wide vantage frame behind a checksummed
+manifest (:func:`build_shards`), and serve the bundle as one NB-Index
+over that frame (:class:`ShardedIndex`), whose answers are bit-identical
+to the single-index engine's for any S and any partitioner.  S is the
+unit of build, compaction, heal and backup, and of replica workers
+(:mod:`repro.replica`), which serve one :class:`ShardFrontier` each to
+the multi-frontier coordinator.
 """
 
 from repro.shard.build import build_shards

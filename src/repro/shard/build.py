@@ -10,8 +10,9 @@ Two things are deliberately global:
 
 * the **vantage frame**: one vantage set (global ids, recorded in the
   manifest) is drawn for the whole bundle and every graph embedded against
-  it once — Theorem 4 holds for any fixed vantage set, so every shard sees
-  every graph through :class:`~repro.index.vantage.VantageFrame` rows;
+  it once — Theorem 4 holds for any fixed vantage set, and loading the
+  bundle reads the rows back into one
+  :class:`~repro.index.vantage.VantageFrame`;
 * the **threshold ladder** is computed once over the whole database and
   stored with every shard.
 
@@ -55,19 +56,18 @@ def write_shard(
     members,
     *,
     ladder: ThresholdLadder,
-) -> tuple[NBIndex, bytes]:
+) -> bytes:
     """Write the shard of ``members``' rows of the bundle's ``frame`` to
-    ``path``; returns the index and the bytes on disk, whose crc32 the
-    manifest records.  Build, compaction and the scrubber's heal all write
-    shards here, so a rebuilt shard is the built one, and none of them
-    reads the bytes back through the checksum container: a caller that
-    must not commit a torn write verifies them itself."""
-    index = NBIndex.from_coords(
+    ``path``; returns the bytes on disk, whose crc32 the manifest records.
+    Build, compaction and the scrubber's heal all write shards here, so a
+    rebuilt shard is the built one, and none of them reads the bytes back
+    through the checksum container: a caller that must not commit a torn
+    write verifies them itself."""
+    save_index(NBIndex.from_coords(
         database.subset([int(i) for i in members]), distance,
         frame.vantage_ids, frame.coords[members], thresholds=ladder,
-    )
-    save_index(index, path)
-    return index, Path(path).read_bytes()
+    ), path)
+    return Path(path).read_bytes()
 
 
 def build_shards(
@@ -82,7 +82,7 @@ def build_shards(
     thresholds: ThresholdLadder | None = None,
     seed: int = 0,
 ) -> Path:
-    """Build S per-shard indexes plus a manifest under ``out_dir``.
+    """Write S shard artifacts plus a manifest under ``out_dir``.
 
     Returns the manifest path.  ``thresholds`` overrides the global ladder
     (otherwise it is derived from whole-database distance samples exactly
@@ -140,7 +140,7 @@ def build_shards(
                 "shard.build_one", shard=shard_id, n=len(members)
             ), obs.timer("shard.build_one_seconds"):
                 shard_started = time.perf_counter()
-                _, raw = write_shard(
+                raw = write_shard(
                     artifacts[shard_id], database, distance, frame, members,
                     ladder=thresholds,
                 )

@@ -1,12 +1,12 @@
 """Sharded entry points of the one query path.
 
-The scatter-gather greedy itself is :func:`repro.index.coordinator.run_greedy`
-and the session :class:`repro.index.nbindex.QuerySession`; a sharded query
-is that loop over S :class:`~repro.shard.frontier.ShardFrontier` objects
-(:meth:`ShardedIndex._run_query <repro.shard.sharded.ShardedIndex._run_query>`).
-What remains here are the names ``benchmarks/e2e/trace.py`` patches to book
-sharded work under its ``shard`` layer — distinct callables, so a plain
-``NBIndex`` query never runs through them.
+A :class:`~repro.shard.sharded.ShardedIndex` query is the plain
+single-index path — one :class:`~repro.index.frontier.IndexFrontier` over
+the bundle's frame, driven by :func:`repro.index.coordinator.run_greedy`
+from a :class:`repro.index.nbindex.QuerySession`.  What remains here are
+the names ``benchmarks/e2e/trace.py`` patches to book sharded work under
+its ``shard`` layer — distinct callables, so a plain ``NBIndex`` query
+never runs through them.
 """
 
 from __future__ import annotations

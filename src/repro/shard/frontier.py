@@ -2,18 +2,18 @@
 
 A :class:`ShardFrontier` is an :class:`~repro.index.frontier.IndexFrontier`
 (bounds, best-first scan, lazily verified windows — all inherited) over
-one shard's NB-Index, plus the one thing only a shard needs: a *lens* on
-graphs that live on other frontiers.  Every shard of a bundle is
-embedded in the bundle's one
-:class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
-coordinates are a row of that frame — an array slice, no distances — and
-from there the inherited :meth:`~repro.index.frontier.IndexFrontier.resolve`
-treats it like a member — Chebyshev window over the uncovered members,
-free verdicts, deficit-sized verification batches, resumable partial state
-— with the coordinator's per-frontier deficit in the place of the round's
+an index that does not hold every graph the query can select — a replica
+worker's shard, a mutable index's base — plus a *lens* on graphs that
+live on other frontiers.  Every indexed graph is a row of the bundle's
+one :class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
+coordinates are an array slice, and from there the inherited
+:meth:`~repro.index.frontier.IndexFrontier.resolve` treats it like a
+member — Chebyshev window over the uncovered members, free verdicts,
+deficit-sized verification batches, resumable partial state — with the
+coordinator's per-frontier deficit in the place of the round's
 incumbent.
 
-Id discipline: the shard's own engine and embedding speak *local* ids;
+Id discipline: the index's own engine and embedding speak *local* ids;
 the frame and every foreign distance (through the *global* engine) speak
 global ids (see :mod:`repro.index.frontier`).
 """
@@ -35,7 +35,8 @@ class RoundSearch(FlatRoundSearch):
 
 
 class ShardFrontier(IndexFrontier):
-    """One shard's state for one coordinated (θ, k) query."""
+    """One shard's (or a mutable base's) state for one coordinated
+    (θ, k) query."""
 
     round_search = RoundSearch
 

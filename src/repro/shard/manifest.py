@@ -13,8 +13,8 @@ everything needed to (re)load and *validate* the bundle:
 * a crc32 over the database fingerprint (wrong-database loads fail loudly
   before any shard is touched),
 * per-shard artifact paths, byte checksums and sizes — the checksum is how
-  hot reload decides which shards actually changed and which loaded shard
-  objects can be reused as-is.
+  hot reload decides which shards actually changed and whose rows it can
+  copy from the serving frame instead (:meth:`ShardManifest.reusable`).
 
 The file is written atomically and carries its own crc32 over the canonical
 body, so a torn or hand-mangled manifest raises
@@ -118,29 +118,70 @@ class ShardManifest:
     def check_artifact(self, shard_id: int, base_dir: Path) -> None:
         """Both checks on one artifact on disk, one read, without loading
         it against its database (``repro verify``, the scrubber)."""
-        path = self.artifact_path(shard_id, base_dir)
-        self.check_frame(
-            shard_id,
-            *stored_embedding(path, self.read_artifact(shard_id, base_dir)),
+        self.check_frame(shard_id, *self.read_embedding(shard_id, base_dir))
+
+    def read_embedding(self, shard_id: int, base_dir: Path):
+        """Shard ``shard_id``'s stored ``(vantage ids, coords)``, read
+        through :meth:`read_artifact` (unchecked against the frame)."""
+        return stored_embedding(
+            self.artifact_path(shard_id, base_dir),
+            self.read_artifact(shard_id, base_dir),
         )
 
-    def assemble_frame(self, embeddings) -> VantageFrame:
-        """The bundle's one frame from its shards' ``(vantage ids, coords)``
-        pairs, in shard order, each passing :meth:`check_frame`."""
-        coords = np.empty((self.num_graphs, len(self.frame)))
-        for shard_id, (vantage, block) in enumerate(embeddings):
-            self.check_frame(shard_id, vantage, block)
-            coords[self.members(shard_id)] = block
-        return VantageFrame(list(self.frame), coords)
+    def check_rows(
+        self, shard_id: int, base_dir: Path, database, distance
+    ) -> None:
+        """Raise :class:`~repro.resilience.errors.CorruptIndexError` unless
+        the shard's first and last member's stored rows equal their
+        distances to the vantage graphs, recomputed (``|V|`` each) over
+        ``database`` — the fault no checksum sees, sampled."""
+        from repro.engine import DistanceEngine
 
-    def load_frame(self, base_dir: Path) -> VantageFrame:
-        """:meth:`assemble_frame` over the artifacts' stored coordinate
-        blocks — for a process that loads no shard (the replica
-        coordinator); no database is needed."""
-        return self.assemble_frame([
-            stored_embedding(self.artifact_path(s, base_dir))
-            for s in range(self.num_shards)
-        ])
+        vantage, coords = self.read_embedding(shard_id, base_dir)
+        self.check_frame(shard_id, vantage, coords)
+        members = self.members(shard_id)
+        engine = DistanceEngine(distance, graphs=database.graphs)
+        for row in sorted({0, len(members) - 1}):
+            gid = int(members[row])
+            want = engine.one_to_many(gid, list(self.frame))
+            if not np.array_equal(coords[row], want):
+                raise CorruptIndexError(
+                    f"{self.shards[shard_id].path}: stored frame row of "
+                    f"graph {gid} is not its distances to the vantage "
+                    f"graphs — a coordinate was written wrong"
+                )
+
+    def reusable(self, previous: "ShardManifest") -> list[int]:
+        """Shards whose artifact ``previous`` records too — same frame,
+        crc32 and members — so a process serving ``previous`` already
+        holds their rows."""
+        if previous.frame != self.frame:
+            return []
+        return [
+            s for s in range(min(self.num_shards, previous.num_shards))
+            if previous.shards[s].checksum == self.shards[s].checksum
+            and np.array_equal(previous.members(s), self.members(s))
+        ]
+
+    def load_frame(self, base_dir: Path, previous=None) -> VantageFrame:
+        """The bundle's one frame, each artifact read once through
+        :meth:`read_artifact` and passing :meth:`check_frame` — the loader
+        of :class:`~repro.shard.sharded.ShardedIndex` and the replica
+        coordinator; no database is needed.  ``previous`` is a generation
+        already served (its ``manifest`` and ``frame``): a shard it shares
+        (:meth:`reusable`) is copied from that frame, its artifact neither
+        read nor checked again."""
+        reused = set(self.reusable(previous.manifest)) if previous else set()
+        coords = np.empty((self.num_graphs, len(self.frame)))
+        for s in range(self.num_shards):
+            members = self.members(s)
+            if s in reused:
+                coords[members] = previous.frame.coords[members]
+                continue
+            vantage, block = self.read_embedding(s, base_dir)
+            self.check_frame(s, vantage, block)
+            coords[members] = block
+        return VantageFrame(list(self.frame), coords)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -226,11 +267,8 @@ class ShardManifest:
 
 
 def database_checksum(database) -> int:
-    """crc32 over the database fingerprint — cheap wrong-database guard.
-
-    The per-shard artifacts additionally carry full fingerprints of their
-    sub-databases, so this is a fast-fail, not the only line of defense.
-    """
+    """crc32 over the database fingerprint — the wrong-database guard
+    (a replica worker also checks its shard's stored fingerprint)."""
     from repro.index.persistence import database_fingerprint
 
     return zlib.crc32(database_fingerprint(database).tobytes())

@@ -1,76 +1,62 @@
-"""`ShardedIndex`: S per-shard NB-Indexes behind the single-index API.
+"""`ShardedIndex`: a shard bundle served as one NB-Index.
 
-Load a manifest bundle (or build one in place) and query it exactly like
-an :class:`~repro.index.NBIndex` — same ``query(query_fn, theta, k)``
-signature, same keyword arguments, same :class:`QueryResult`, and (by the
-coordinator's canonical selection rule) the *same bits* in the answer.
-
-The global :class:`~repro.engine.DistanceEngine` attached here handles
-every cross-shard distance using global graph ids; per-shard engines speak
-only their own renumbered local ids.  Keeping the two id spaces in
-separate engines is what keeps the shared pair caches sound.
-
-Every shard's coordinates are rows of one
-:class:`~repro.index.vantage.VantageFrame`: what a frontier needs to know
-about a graph on another shard is an array slice.
-
-Hot reload support: :meth:`load` accepts the previously served instance
-and *reuses* any shard object whose artifact checksum, member set and
-frame are unchanged in the new manifest — reloading a bundle where one
-shard was rebuilt reads exactly one shard's worth of disk; the frame is
-re-assembled from the shards' coordinate blocks in memory.
+A bundle's S artifacts are storage: each holds its members' rows of the
+bundle's one :class:`~repro.index.vantage.VantageFrame`.  Loading reads
+them into that frame (:meth:`ShardManifest.load_frame
+<repro.shard.manifest.ShardManifest.load_frame>`) and builds one
+:class:`~repro.index.NBIndex` over the whole database from it — identity
+ids, no distance — so a query is the plain single-index path, the same
+bits for any S and partitioner with the work of one index.  S stays the
+on-disk layout (build, compaction, heal, backup, replica workers), and
+a hot reload (:meth:`ShardedIndex.load`'s ``previous``) reads only the
+artifacts whose checksum or members changed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
-from repro.index.frontier import MemberState
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
-from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.resilience.errors import DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
-from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardManifest, database_checksum
 
 
 class ShardedIndex:
-    """S shard NB-Indexes + manifest + frame + global engine, queryable as
-    one — a read-only view of its manifest generation."""
+    """One NB-Index over a bundle's frame, plus its manifest — a
+    read-only view of its manifest generation."""
 
     def __init__(
         self,
         database: GraphDatabase,
         distance,
         *,
-        shards: list[NBIndex],
         manifest: ShardManifest,
         frame: VantageFrame,
-        engine,
         path: Path | None = None,
         reused_shards: int = 0,
     ):
         self.database = database
         self.distance = distance
-        self.shards = list(shards)
         self.manifest = manifest
         self.frame = frame
-        self.engine = engine
         self.path = path
         self.reused_shards = reused_shards
-        self.ladder = ThresholdLadder(manifest.ladder)
-        self.shard_of = np.asarray(manifest.assignments, dtype=np.int64)
-        self.global_ids = [
-            manifest.members(s) for s in range(manifest.num_shards)
-        ]
+        self.index = NBIndex.from_coords(
+            database, distance, frame.vantage_ids, frame.coords,
+            thresholds=ThresholdLadder(manifest.ladder),
+        )
+        self.engine = self.index.engine
+
+    @property
+    def ladder(self) -> ThresholdLadder:
+        return self.index.ladder
 
     # ------------------------------------------------------------------
     # Construction
@@ -90,10 +76,8 @@ class ShardedIndex:
         :class:`~repro.resilience.CorruptIndexError` /
         :class:`~repro.resilience.DatabaseMismatchError` — all
         ``PersistenceError`` subclasses, so the service reload path rolls
-        back cleanly.  ``previous`` enables shard-object reuse (see module
+        back cleanly.  ``previous`` enables shard reuse (see module
         docstring)."""
-        from repro.engine import DistanceEngine
-
         manifest_path = Path(manifest_path)
         manifest = ShardManifest.load(manifest_path)
         if len(database) != manifest.num_graphs or (
@@ -103,43 +87,16 @@ class ShardedIndex:
                 f"{manifest_path}: shard manifest does not match the "
                 f"provided database"
             )
-        engine = DistanceEngine(distance, graphs=database.graphs)
-        base_dir = manifest_path.parent
-        shards: list[NBIndex] = []
-        reused = 0
-        for entry in manifest.shards:
-            members = manifest.members(entry.shard_id)
-            if (
-                previous is not None
-                and previous.manifest.frame == manifest.frame
-                and entry.shard_id < previous.manifest.num_shards
-                and previous.manifest.shards[entry.shard_id].checksum
-                == entry.checksum
-                and np.array_equal(
-                    previous.manifest.members(entry.shard_id), members
-                )
-            ):
-                shards.append(previous.shards[entry.shard_id])
-                reused += 1
-                continue
-            payload = manifest.read_artifact(entry.shard_id, base_dir)
-            sub = database.subset([int(i) for i in members])
-            shards.append(load_index(
-                manifest.artifact_path(entry.shard_id, base_dir), sub,
-                distance, payload,
-            ))
-        if reused == manifest.num_shards:
-            frame = previous.frame  # nothing changed
-        else:
-            frame = manifest.assemble_frame(
-                [(s.embedding.vantage_indices, s.embedding.coords) for s in shards]
-            )
+        reused = len(manifest.reusable(previous.manifest)) if previous else 0
+        frame = previous.frame if reused == manifest.num_shards else (
+            manifest.load_frame(manifest_path.parent, previous)
+        )
         obs.counter("shard.loads")
         if reused:
             obs.counter("shard.reused", reused)
         return cls(
-            database, distance, shards=shards, manifest=manifest, frame=frame,
-            engine=engine, path=manifest_path, reused_shards=reused,
+            database, distance, manifest=manifest, frame=frame,
+            path=manifest_path, reused_shards=reused,
         )
 
     @classmethod
@@ -171,41 +128,21 @@ class ShardedIndex:
         check_query_kwargs(self, kwargs)
         return self.session(query_fn).query(theta, k, **kwargs)
 
-    # -- QuerySession hooks ---------------------------------------------
+    # -- QuerySession hooks: the index's own ----------------------------
     _query_layer = "shard"
 
     def _distance_calls(self) -> int:
-        return self.engine.calls + sum(s.engine.calls for s in self.shards)
+        return self.index.engine.calls
 
-    def _shard_frontiers(self, run: QueryRun, global_engine) -> list[ShardFrontier]:
-        """One frontier per shard; each shard's θ-independent state is
-        built once per session and reused across (θ, k) refinements."""
-        session = run.session
-        return [
-            ShardFrontier(
-                session.cached(s, lambda s=s: MemberState(
-                    self.shards[s], self.global_ids[s], session.relevant,
-                    session.universe,
-                )),
-                run.theta, run.stats, run.runtime,
-                global_engine=global_engine, frame=self.frame,
-            )
-            for s in range(self.num_shards)
-        ]
+    def _member_state(self, session):
+        return self.index._member_state(session)
 
     def _run_query(self, run: QueryRun):
-        run.span.set(shards=self.num_shards)
-        frontiers = self._shard_frontiers(run, self.engine)
-        return run.greedy(
-            frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
-        )
+        return self.index._run_query(run)
 
     def set_ladder(self, ladder: ThresholdLadder) -> None:
-        """Swap the bundle's stored ladder, on every shard too (see
-        :meth:`NBIndex.set_ladder`)."""
-        self.ladder = ladder
-        for shard in self.shards:
-            shard.set_ladder(ladder)
+        """Swap the bundle's stored ladder (see :meth:`NBIndex.set_ladder`)."""
+        self.index.set_ladder(ladder)
 
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)
@@ -234,44 +171,28 @@ class ShardedIndex:
         return self.manifest.num_shards
 
     def stats(self) -> dict:
-        """Statable protocol: bundle roll-up plus per-shard breakdown.
-
-        The scalar core uses the same key schema as
-        :meth:`NBIndex.stats` (``num_graphs`` / ``num_shards`` /
-        ``ladder_thresholds`` / ``distance_calls`` /
-        ``memory_bytes`` / ``coverage_bytes`` / ``build_seconds`` /
-        ``degraded``), so dashboards read one shape regardless of the
-        deployment; per-shard detail nests under ``shards`` with the
-        same per-quantity names."""
-        out = {
+        """Statable protocol: :meth:`NBIndex.stats`'s key schema for the
+        one index, plus the bundle's layout (``shards``: each artifact's
+        member count)."""
+        index = self.index
+        return {
             "num_graphs": self.manifest.num_graphs,
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
             "ladder_thresholds": len(self.ladder),
             "reused_shards": self.reused_shards,
-            "memory_bytes": sum(s._memory_bytes() for s in self.shards),
-            "coverage_bytes": sum(s._coverage_bytes() for s in self.shards),
+            "memory_bytes": index._memory_bytes(),
+            "coverage_bytes": index._coverage_bytes(),
             "build_seconds": float(
-                self.manifest.build.get(
-                    "total_seconds",
-                    sum(s.build_seconds for s in self.shards),
-                )
+                self.manifest.build.get("total_seconds", 0.0)
             ),
             "distance_calls": self._distance_calls(),
             "shards": [
-                {
-                    "shard_id": i,
-                    "num_graphs": len(shard.database),
-                    "distance_calls": shard.engine.calls,
-                    "memory_bytes": shard._memory_bytes(),
-                    "coverage_bytes": shard._coverage_bytes(),
-                }
-                for i, shard in enumerate(self.shards)
+                {"shard_id": entry.shard_id, "num_graphs": entry.num_graphs}
+                for entry in self.manifest.shards
             ],
+            "engine": dict(index.engine.stats()),
         }
-        if hasattr(self.engine, "stats"):
-            out["engine"] = dict(self.engine.stats())
-        return out
 
     def close(self) -> None:
         """Nothing to release: a loaded bundle owns no processes or files."""

@@ -661,21 +661,19 @@ class TestScrubber:
             raise_errors=True
         )
         assert len(report["healed"]) == 4
-        for shard_id, (path, serving) in enumerate(zip(paths, base.shards)):
+        for shard_id, path in enumerate(paths):
             members = base.manifest.members(shard_id)
             rebuilt = load_index(
                 path, base.database.subset([int(i) for i in members]), DIST,
             )
+            # The serving frame's rows of the shard's members, as written.
             assert np.array_equal(
-                rebuilt.embedding.coords, serving.embedding.coords
+                rebuilt.embedding.coords, base.frame.coords[members]
             )
             assert (
                 rebuilt.embedding.vantage_indices,
                 rebuilt.embedding.framed, rebuilt.ladder.values,
-            ) == (
-                serving.embedding.vantage_indices,
-                serving.embedding.framed, serving.ladder.values,
-            )
+            ) == (base.frame.vantage_ids, True, base.ladder.values)
         assert _state(mutable) == before
         mutable.close()
 

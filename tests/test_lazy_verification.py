@@ -17,8 +17,12 @@ must not change and what it must buy:
 
 The second half pins the same for graphs that live *elsewhere*: a foreign
 neighborhood is one lazily verified window per frontier, driven by the
-coordinator's per-frontier deficit (``repro.index.coordinator``) — every
-sharded shape against ``baseline_greedy``, lazy against the whole-window
+coordinator's per-frontier deficit (``repro.index.coordinator``).  A
+``ShardedIndex`` queries one frontier over its frame, so the sharded
+shapes there are a bundle's worker-style frontiers
+(``tests.coordinated.CoordinatedBundle``) — the loop replicas run — and
+the mutable base beside its memtable: every sharded shape against
+``baseline_greedy``, lazy against the whole-window
 ``EagerShardFrontier`` (same answers; never more work summed over a pinned
 sample, within a slack per instance), every reported foreign bound against
 the truth, the
@@ -58,9 +62,9 @@ from repro.metricspace import vector_database
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
 from repro.shard import ShardedIndex, build_shards
-from repro.shard import sharded as sharded_module
 from repro.shard.frontier import ShardFrontier
-from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
+from tests import coordinated
+from tests.coordinated import CoordinatedBundle, cold
 
 _NEG_INF = float("-inf")
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
@@ -111,7 +115,7 @@ class EagerShardFrontier(ShardFrontier):
 @contextlib.contextmanager
 def shard_frontier(cls):
     """Open every in-process shard frontier as ``cls``."""
-    with mock.patch.object(sharded_module, "ShardFrontier", cls), \
+    with mock.patch.object(coordinated, "ShardFrontier", cls), \
             mock.patch.object(mutable_module, "ShardFrontier", cls):
         yield
 
@@ -133,17 +137,6 @@ def same_answer(got, want):
     assert got.answer == want.answer
     assert got.gains == want.gains
     assert got.covered == want.covered
-
-
-def cold(index):
-    """Drop every in-process pair cache behind ``index``."""
-    for engine in (
-        getattr(index, "engine", None),
-        *(shard.engine for shard in getattr(index, "shards", ())),
-        *(() if getattr(index, "base", None) is None else (index.base.engine,)),
-    ):
-        if engine is not None:
-            engine._cache.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def sharded_shapes(tmp_path_factory):
         for s in (1, 2, 4) for partitioner in ("hash", "clustering")
     }
     built = {
-        f"sharded-{s}-{partitioner}": ShardedIndex.load(
+        f"sharded-{s}-{partitioner}": CoordinatedBundle.load(
             manifest, database, distance
         )
         for (s, partitioner), manifest in manifests.items()
@@ -508,7 +501,7 @@ def lazy_and_eager_over_a_bundle(
     database = random_database(seed=seed, size=size)
     q = quartile_relevance(database, quantile=quantile)
     with tempfile.TemporaryDirectory() as tmp:
-        index = ShardedIndex.build(
+        index = CoordinatedBundle.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
             num_shards=shards, partitioner=partitioner,
             num_vantage_points=4,
@@ -668,7 +661,7 @@ def test_foreign_bounds_dominate_true_residual_counts_at_every_visit(data):
         database, quantile=data.draw(st.sampled_from([0.1, 0.4]))
     )
     with tempfile.TemporaryDirectory() as tmp:
-        index = ShardedIndex.build(
+        index = CoordinatedBundle.build(
             database, StarDistance(), out_dir=tmp, seed=seed,
             num_shards=data.draw(st.sampled_from([2, 3, 4]), label="shards"),
             num_vantage_points=3,
@@ -698,7 +691,7 @@ def test_a_resumed_foreign_window_ends_exact(dud_bundles):
     mid-verification, see them again in a later round and then finish the
     window — audited at every step."""
     database, manifests = dud_bundles
-    index = ShardedIndex.load(manifests[4], database, StarDistance())
+    index = CoordinatedBundle.load(manifests[4], database, StarDistance())
     q = quartile_relevance(database, dims=[0], quantile=0.8)
     result, resumed = _audited_query(index, q, 8.0, 10)
     coord = result.stats.coordinator
@@ -712,11 +705,10 @@ def test_a_resumed_foreign_window_ends_exact(dud_bundles):
 # Tie-break: the smaller id wins although a *foreign* frontier dropped it
 # ---------------------------------------------------------------------------
 def _hand_built_bundle(points, members_of, theta):
-    """A bundle over vector points with chosen shard members, its frame
-    the single vantage point 0."""
+    """Worker-style frontiers over vector points with chosen shard
+    members, the bundle's frame the single vantage point 0."""
     database, distance = vector_database(np.asarray(points))
-    global_engine = DistanceEngine(distance, graphs=database.graphs)
-    frame = VantageEmbedding(database.graphs, [0], global_engine)
+    frame = VantageEmbedding(database.graphs, [0], distance)
     shards = [
         NBIndex.from_coords(
             database.subset(members), distance, [0], frame.coords[members],
@@ -724,22 +716,9 @@ def _hand_built_bundle(points, members_of, theta):
         )
         for members in members_of
     ]
-    assignments = np.empty(len(database), dtype=np.int64)
-    for s, members in enumerate(members_of):
-        assignments[members] = s
-    manifest = ShardManifest(
-        num_shards=len(members_of), num_graphs=len(database),
-        partitioner="hash", seed=0, ladder=(theta,), assignments=assignments,
-        database_checksum=database_checksum(database),
-        shards=tuple(
-            ShardEntry(s, "unused.npz", 0, len(members))
-            for s, members in enumerate(members_of)
-        ),
-        frame=(0,),
-    )
-    bundle = ShardedIndex(
-        database, distance, shards=shards, manifest=manifest,
-        frame=VantageFrame([0], frame.coords), engine=global_engine,
+    bundle = CoordinatedBundle(
+        database, distance, shards, members_of,
+        VantageFrame([0], frame.coords),
     )
     return database, distance, bundle
 
@@ -843,32 +822,36 @@ def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
 # ---------------------------------------------------------------------------
 # Budgets at the e2e smoke scale, sharded
 # ---------------------------------------------------------------------------
-#: Mean exact distance calls per cold query, n = 300, seed 11.  S = 2 dud
-#: smoke mix: measured 400.25 (535.25 with the Theorem 6–8 update walk;
-#: 926.0 while every shard drew its own vantage points and embedded
-#: strangers against them).  S = 4 vec smoke mix: measured 2 420.75
-#: (2 442.0 with the update walk; 3 013.75 with per-shard frames;
-#: 2 739.75 with eager foreign windows); one NBIndex over the same
-#: instance pays 2 302.25.
-DUD_S2_COLD_CALLS_BUDGET = 441
-VEC_S4_COLD_CALLS_BUDGET = 2667
-#: What S = 4 may cost relative to one index (measured 1.05; 1.04 with the
-#: update walk; 1.16 with eager foreign windows; 1.24 with per-shard
-#: frames).
-VEC_S4_OVER_SINGLE = 1.15
+#: Mean exact distance calls per cold query, n = 300, seed 11, for a
+#: bundle (one frontier over its frame) and for the same bundle's
+#: worker-style frontiers under the multi-frontier coordinator.  S = 2
+#: dud smoke mix: measured 300.75 and 383.0 (535.25 with the Theorem 6–8
+#: update walk; 926.0 while every shard drew its own vantage points and
+#: embedded strangers against them).  S = 4 vec smoke mix: measured
+#: 2 214.5 and 2 418.75 (2 442.0 with the update walk; 3 013.75 with
+#: per-shard frames; 2 739.75 with eager foreign windows); one NBIndex
+#: over the same instance, with vantage points of its own, pays 2 279.0.
+DUD_S2_COLD_CALLS_BUDGET = {"bundle": 331, "coordinated": 441}
+VEC_S4_COLD_CALLS_BUDGET = {"bundle": 2436, "coordinated": 2667}
+#: What S = 4 may cost relative to one index (measured 0.97 and 1.06;
+#: 1.04 with the update walk; 1.16 with eager foreign windows; 1.24 with
+#: per-shard frames).
+VEC_S4_OVER_SINGLE = {"bundle": 1.05, "coordinated": 1.15}
+SHARDED = {"bundle": ShardedIndex, "coordinated": CoordinatedBundle}
 
 
 def test_sharded_dud_smoke_mix_stays_under_budget(dud_bundles):
     database, manifests = dud_bundles
-    index = ShardedIndex.load(manifests[2], database, StarDistance())
-    calls = []
-    for q, theta, k in dud_smoke_mix(database, 11):
-        result = index.session(q).query(theta, k)
-        same_answer(
-            result, baseline_greedy(database, StarDistance(), q, theta, k)
-        )
-        calls.append(result.stats.distance_calls)
-    assert np.mean(calls) <= DUD_S2_COLD_CALLS_BUDGET, calls
+    for shape, cls in SHARDED.items():
+        index = cls.load(manifests[2], database, StarDistance())
+        calls = []
+        for q, theta, k in dud_smoke_mix(database, 11):
+            result = index.session(q).query(theta, k)
+            same_answer(
+                result, baseline_greedy(database, StarDistance(), q, theta, k)
+            )
+            calls.append(result.stats.distance_calls)
+        assert np.mean(calls) <= DUD_S2_COLD_CALLS_BUDGET[shape], (shape, calls)
 
 
 def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path):
@@ -894,23 +877,26 @@ def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path):
     build = dict(
         thresholds=ladder, seed=seed, num_vantage_points=4
     )
-    sharded = ShardedIndex.build(
+    manifest = build_shards(
         database, distance, num_shards=4, out_dir=tmp_path, **build
     )
     single = NBIndex.build(database, distance, **build)
-    cold(single)
-
-    sharded_calls, single_calls = [], []
-    for q, theta, k in mix:
-        got = sharded.session(q).query(theta, k)
-        want = single.session(q).query(theta, k)
-        same_answer(got, want)
-        # Every graph's row of the bundle's one frame is stored: seeing a
-        # stranger costs no distance.
-        assert got.stats.coordinator["foreign_embeds"] == 0
-        sharded_calls.append(got.stats.distance_calls)
-        single_calls.append(want.stats.distance_calls)
-    assert np.mean(sharded_calls) <= VEC_S4_COLD_CALLS_BUDGET, sharded_calls
-    assert sum(sharded_calls) <= VEC_S4_OVER_SINGLE * sum(single_calls), (
-        sharded_calls, single_calls,
-    )
+    for shape, cls in SHARDED.items():
+        sharded = cls.load(manifest, database, distance)
+        cold(single)
+        sharded_calls, single_calls = [], []
+        for q, theta, k in mix:
+            got = sharded.session(q).query(theta, k)
+            want = single.session(q).query(theta, k)
+            same_answer(got, want)
+            # Every graph's row of the bundle's one frame is stored:
+            # seeing a stranger costs no distance.
+            assert got.stats.coordinator["foreign_embeds"] == 0
+            sharded_calls.append(got.stats.distance_calls)
+            single_calls.append(want.stats.distance_calls)
+        assert np.mean(sharded_calls) <= VEC_S4_COLD_CALLS_BUDGET[shape], (
+            shape, sharded_calls,
+        )
+        assert sum(sharded_calls) <= VEC_S4_OVER_SINGLE[shape] * sum(
+            single_calls
+        ), (shape, sharded_calls, single_calls)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import repro
 from tests.conftest import random_database
+from tests.coordinated import CoordinatedBundle
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
@@ -172,12 +173,10 @@ class TestSessionContract:
 
 
 # ---------------------------------------------------------------------------
-# NBIndex is the S = 1 case: same answers, same exact work
+# A bundle is one NBIndex over its frame: same answers, same exact work
 # ---------------------------------------------------------------------------
 def _one_shard(index: NBIndex) -> ShardedIndex:
-    """``index`` as the only shard of a bundle.  At S = 1 local and global
-    ids coincide, so the bundle can route its global distances through the
-    shard's own engine — one pair cache, as in the plain index."""
+    """``index``'s coordinates as the frame of a one-shard bundle."""
     database = index.database
     manifest = ShardManifest(
         num_shards=1, num_graphs=len(database), partitioner="hash", seed=0,
@@ -189,9 +188,8 @@ def _one_shard(index: NBIndex) -> ShardedIndex:
     )
     embedding = index.embedding
     return ShardedIndex(
-        database, StarDistance(), shards=[index], manifest=manifest,
+        database, StarDistance(), manifest=manifest,
         frame=VantageFrame(embedding.vantage_indices, embedding.coords),
-        engine=index.engine,
     )
 
 
@@ -201,24 +199,18 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
     seed = data.draw(st.integers(0, 2**16), label="seed")
     size = data.draw(st.integers(12, 48), label="size")
     database = random_database(seed=seed, size=size)
-
-    def build():
-        return NBIndex.build(
-            database, StarDistance(), num_vantage_points=4,
-            seed=seed,
-        )
-
-    plain, shard = build(), build()
-    bundle = _one_shard(shard)
+    plain = NBIndex.build(
+        database, StarDistance(), num_vantage_points=4, seed=seed,
+    )
+    bundle = _one_shard(plain)
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.2, 0.5, 0.8]))
     )
     rung = data.draw(st.integers(0, len(plain.ladder) - 1), label="rung")
     theta = float(plain.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
     k = data.draw(st.integers(1, 8), label="k")
-    for index in (plain, shard):  # cold: only the query's own distances
-        index.engine._cache.clear()
-        index.engine.reset()
+    plain.engine._cache.clear()  # cold: only the query's own distances
+    plain.engine.reset()
 
     want = plain.query(q, theta, k)
     got = bundle.query(q, theta, k)
@@ -228,14 +220,11 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
     for field in (
         "exact_neighborhoods", "candidate_verifications",
         "candidates_generated", "nodes_popped", "leaves_evaluated",
-        "partial_neighborhoods", "verifications_skipped",
+        "partial_neighborhoods", "verifications_skipped", "distance_calls",
     ):
         assert getattr(got.stats, field) == getattr(want.stats, field), field
     assert want.stats.distance_calls == plain.engine.evaluations
-    # The bundle's roll-up adds its global engine to its shards'; here they
-    # are one engine, so read the engine itself.
-    assert shard.engine.evaluations == want.stats.distance_calls
-    assert got.stats.distance_calls == 2 * shard.engine.evaluations
+    assert got.stats.distance_calls == bundle.engine.evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +256,9 @@ def test_session_builds_member_state_once(monkeypatch, tmp_path, num_shards):
         reused = session.query(theta, k)
         fresh = index.query(q, theta, k)
         assert reused.answer == fresh.answer and reused.gains == fresh.gains
-    parts = num_shards or 1
-    # one per part for the session + one per part per one-shot query
-    assert len(built) == parts + 3 * parts
-    assert len({id(state) for state in built[:parts]}) == parts
+    # One index whatever S is on disk: one state for the session, one per
+    # one-shot query.
+    assert len(built) == 1 + 3
 
 
 # ---------------------------------------------------------------------------
@@ -294,32 +282,31 @@ class TestFrontierProtocol:
             out_dir=tmp_path_factory.mktemp("frontier-protocol"), seed=0,
             **BUILD,
         )
-        sharded = ShardedIndex.load(manifest, database, StarDistance())
+        bundle = CoordinatedBundle.load(manifest, database, StarDistance())
         q = quartile_relevance(database, quantile=0.3)
         relevant = database.relevant_indices(q)
         universe = BitsetUniverse(relevant)
         cluster = ReplicatedIndex.open(
             manifest, database, StarDistance(), replicas=1
         )
-        yield database, sharded, q, relevant, universe, cluster
+        yield database, bundle, q, relevant, universe, cluster
         cluster.close()
 
     @pytest.fixture(params=["shard", "exact", "remote"])
     def frontier(self, request, setting):
-        database, sharded, q, relevant, universe, cluster = setting
+        database, bundle, q, relevant, universe, cluster = setting
         if request.param == "shard":
             return ShardFrontier(
                 MemberState(
-                    sharded.shards[0], sharded.global_ids[0], relevant,
-                    universe,
+                    bundle.shards[0], bundle.members[0], relevant, universe,
                 ),
                 self.THETA, QueryStats(), FilterCascade(),
-                global_engine=sharded.engine, frame=sharded.frame,
+                global_engine=bundle.engine, frame=bundle.frame,
             )
-        members = relevant[sharded.shard_of[relevant] == 0]
+        members = relevant[bundle.shard_of[relevant] == 0]
         if request.param == "exact":
             return ExactFrontier(
-                members, universe, sharded.engine, self.THETA, QueryStats(),
+                members, universe, bundle.engine, self.THETA, QueryStats(),
                 FilterCascade(),
             )
         return RemoteFrontier(
@@ -338,7 +325,7 @@ class TestFrontierProtocol:
             assert callable(getattr(cursor, name)), name
 
     def test_round_lifecycle(self, frontier, setting):
-        database, sharded, q, relevant, universe, _ = setting
+        database, _, q, relevant, universe, _ = setting
         members = {int(g) for g in frontier.relevant_global}
         foreign = next(int(g) for g in relevant if int(g) not in members)
         covered = universe.empty()
@@ -390,7 +377,7 @@ class TestFrontierProtocol:
         answer with the bound that proves it — an int, never below the
         truth — instead of the neighborhood; asked again without a
         deficit, it resolves the same window to completion."""
-        database, sharded, q, relevant, universe, _ = setting
+        database, _, q, relevant, universe, _ = setting
         members = {int(g) for g in frontier.relevant_global}
         foreign = next(int(g) for g in relevant if int(g) not in members)
         star = StarDistance()

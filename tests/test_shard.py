@@ -1,11 +1,13 @@
 """Tests for the sharded NB-Index (repro.shard).
 
 The load-bearing property is *bit-identity*: for any shard count and any
-partitioner, the scatter-gather coordinator returns exactly the answer
-(ids, gains, ordering, coverage) of the single-index engine — which is
-itself exactly ``baseline_greedy``.  Everything else — partitioners,
-manifest persistence, corruption detection, per-shard hot-reload reuse,
-service integration, deadline degradation — is tested around that core.
+partitioner, a bundle — one index over its frame — returns exactly the
+answer (ids, gains, ordering, coverage) of the single-index engine, which
+is itself exactly ``baseline_greedy``, and so does the multi-frontier
+coordinator over the bundle's worker-style per-shard frontiers.
+Everything else — partitioners, manifest persistence, corruption
+detection, per-shard hot-reload reuse, service integration, deadline
+degradation — is tested around that core.
 """
 
 from __future__ import annotations
@@ -23,18 +25,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import cli
+from repro.cascade import FilterCascade
 from repro.core import baseline_greedy
+from repro.core.results import QueryStats
 from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.index import NBIndex, save_index
 from repro.durability import Scrubber, verify_deployment
 from repro.graphs.io import save_database
+from repro.index.coordinator import run_greedy
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
+from repro.replica.worker import ShardWorker
 from repro.resilience import Deadline
 from repro.resilience.errors import (
     CorruptIndexError,
@@ -55,6 +62,7 @@ from repro.shard import (
 )
 from repro.shard.manifest import ShardEntry, database_checksum
 from tests.conftest import random_database, random_connected_graph
+from tests.coordinated import CoordinatedBundle
 
 #: Shared build shape: small trees, explicit ladder so every test theta is
 #: on-rung for both the single index and every shard bundle.
@@ -221,7 +229,8 @@ class TestCoordinator:
         sharded = _load(bundle_dir, db)
         result = sharded.query(quartile_relevance(db), 12.0, 5)
         coord = result.stats.coordinator
-        assert coord["shards"] == 3
+        # One frontier over the bundle's frame, whatever S is on disk.
+        assert coord["shards"] == 1
         assert coord["rounds"] >= len(result.answer)
         assert coord["pulls"] >= coord["rounds"]
         assert coord["scatter_resolves"] >= 1
@@ -261,8 +270,6 @@ class TestCoordinator:
             thresholds=ThresholdLadder([4.0, 8.0]), seed=0,
         )
         sharded.engine._cache.clear()
-        for shard in sharded.shards:
-            shard.engine._cache.clear()
         result = sharded.query(
             quartile_relevance(tiny, quantile=0.3), 4.0, 3,
             deadline=Deadline(3600.0, expansion_limit=1),
@@ -270,6 +277,55 @@ class TestCoordinator:
         assert result.answer
         assert result.stats.degraded
         assert result.stats.degradations.get("ged.exact.beam", 0) >= 1
+
+
+class TestCoordinatorBehindReplicas:
+    """The multi-frontier loop replica workers run, without the wire:
+    ``run_greedy`` over S worker-style per-shard frontiers."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_worker_frontiers_answer_the_greedy_and_account_every_survivor(
+        self, data,
+    ):
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        database = random_database(
+            seed=seed, size=data.draw(st.integers(24, 56), label="size")
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            bundle = CoordinatedBundle.build(
+                database, StarDistance(), out_dir=tmp, seed=seed,
+                num_shards=data.draw(st.sampled_from([2, 4]), label="S"),
+                partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
+                num_vantage_points=4,
+            )
+        q = quartile_relevance(
+            database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
+        )
+        rung = data.draw(st.integers(0, len(bundle.ladder) - 1), label="rung")
+        theta = float(bundle.ladder[rung])
+        k = data.draw(st.integers(1, 10), label="k")
+        session = bundle.session(q)
+        stats = QueryStats()
+        frontiers = bundle.frontiers(session, theta, stats, FilterCascade())
+        answer, gains, _, coord = run_greedy(
+            frontiers, lambda gid: frontiers[int(bundle.shard_of[gid])],
+            session.universe, k, int(session.relevant.size),
+            stop_on_zero_gain=False, stats=stats,
+        )
+        want = baseline_greedy(database, StarDistance(), q, theta, k)
+        assert (answer, gains) == (want.answer, want.gains)
+        # Every tier-1 survivor that is not dropped against remembered
+        # bounds (memo_prunes) opens every foreign window (pi_hat_refines)
+        # and ends in exactly one of the ladder's outcomes.
+        survivors = coord["pi_hat_refines"] + coord["memo_prunes"]
+        outcomes = (
+            coord["partial_scatters"] + coord["scatter_resolves"]
+            + coord["refine_prunes"] + coord["memo_prunes"]
+        )
+        assert survivors == outcomes, coord
+        assert coord["scatter_resolves"] > 0, coord
+        assert coord["foreign_embeds"] == 0  # every row is in the frame
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +381,63 @@ class TestManifest:
         with pytest.raises(DatabaseMismatchError):
             _load(bundle_dir, other)
 
+    def test_replica_readers_check_the_manifest_crc(
+        self, db, bundle_dir, tmp_path,
+    ):
+        """Shard 1 rewritten with one coordinate off by 0.5 in an intact
+        container: the replica coordinator's frame and a worker's shard
+        load refuse it as an open does."""
+        manifest_path = _tampered_bundle(db, bundle_dir, tmp_path, crc=False)
+        with pytest.raises(CorruptIndexError, match="stale or tampered"):
+            ShardedIndex.load(manifest_path, db, StarDistance())
+        with pytest.raises(CorruptIndexError, match="stale or tampered"):
+            ShardManifest.load(manifest_path).load_frame(tmp_path)
+        with pytest.raises(CorruptIndexError, match="stale or tampered"):
+            ShardWorker(db, StarDistance(), manifest_path, 1, 0, frame=None)
+        ShardWorker(db, StarDistance(), manifest_path, 0, 0, frame=None)
+
+    def test_verify_recomputes_frame_rows(self, db, bundle_dir, tmp_path):
+        """The same wrong coordinate with its crc32 in the manifest passes
+        every checksum; ``repro verify`` given the database finds it."""
+        manifest_path = _tampered_bundle(db, bundle_dir, tmp_path, crc=True)
+        database = tmp_path / "db.jsonl"
+        save_database(db, database)
+        assert verify_deployment(manifest_path)["ok"]
+        assert cli.main(["verify", str(manifest_path)]) == 0
+        assert cli.main(["verify", str(database), str(manifest_path)]) == 1
+        assert cli.main(["verify", str(database), str(bundle_dir)]) == 0
+
     def test_corrupt_shard_artifact_is_rejected(self, db, bundle_dir, tmp_path):
         for name in os.listdir(bundle_dir):
             (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
         (tmp_path / "shard-001.npz").write_bytes(b"not an index artifact")
         with pytest.raises(CorruptIndexError, match="stale or tampered"):
             _load(tmp_path, db)
+
+
+def _tampered_bundle(db, bundle_dir, tmp_path, *, crc: bool):
+    """A copy of ``bundle_dir`` whose shard 1 stores its first member's
+    first coordinate 0.5 off, in an intact container; ``crc`` records the
+    new artifact's crc32 in the manifest."""
+    for name in os.listdir(bundle_dir):
+        (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
+    manifest = ShardManifest.load(tmp_path / "manifest.json")
+    members = manifest.members(1)
+    coords = _load(bundle_dir, db).frame.coords[members]
+    coords[0, 0] += 0.5
+    save_index(NBIndex.from_coords(
+        db.subset([int(i) for i in members]), StarDistance(),
+        manifest.frame, coords, thresholds=LADDER,
+    ), tmp_path / "shard-001.npz")
+    if crc:
+        entries = list(manifest.shards)
+        entries[1] = dataclasses.replace(
+            entries[1],
+            checksum=zlib.crc32((tmp_path / "shard-001.npz").read_bytes()),
+        )
+        manifest = dataclasses.replace(manifest, shards=tuple(entries))
+        manifest.save(tmp_path / "manifest.json")
+    return tmp_path / "manifest.json"
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +504,15 @@ class TestFrame:
         star = StarDistance()
         want = np.array([[star(db[v], db[g]) for v in frame] for g in range(len(db))])
         assert np.array_equal(sharded.frame.coords, want)
-        for members, shard in zip(sharded.global_ids, sharded.shards):
-            assert shard.embedding.vantage_indices == list(frame)
-            assert np.array_equal(shard.embedding.coords, want[members])
+        assert np.array_equal(sharded.index.embedding.coords, want)
+        manifest = sharded.manifest
+        for shard_id in range(manifest.num_shards):
+            vantage, coords = manifest.read_embedding(shard_id, bundle_dir)
+            assert vantage == list(frame)
+            assert np.array_equal(coords, want[manifest.members(shard_id)])
         # Most vantage graphs of a shard live elsewhere, and nothing about
-        # a stranger is ever measured again at query time.
-        assert any(sharded.shard_of[v] != 0 for v in frame)
+        # a graph is ever measured again at query time.
+        assert any(manifest.assignments[v] != 0 for v in frame)
         result = sharded.query(quartile_relevance(db), 6.0, 5)
         assert result.stats.coordinator["foreign_embeds"] == 0
         assert verify_deployment(bundle_dir)["ok"]
@@ -441,10 +551,11 @@ class TestFrame:
                 num_vantage_points=data.draw(st.integers(1, 3), label="|V|"),
             )
         star, coords = StarDistance(), sharded.frame.coords
-        home = sharded.shard_of[sharded.frame.vantage_ids]
+        shard_of = sharded.manifest.assignments
+        home = shard_of[sharded.frame.vantage_ids]
         checked = 0
         for g in range(len(database)):
-            foreign = np.flatnonzero(home != sharded.shard_of[g])
+            foreign = np.flatnonzero(home != shard_of[g])
             for h in range(1, len(database), 3):
                 d = star(database[g], database[h])
                 a, b = coords[g, foreign], coords[h, foreign]
@@ -550,10 +661,13 @@ class TestFrame:
         first = check(mutable)
         assert 0 < first == len(embeds) <= len(new_ids)
         assert check(mutable) == 0  # … remembered across sessions and shards
-        untouched = mutable.base.shards[1]
+        untouched = ShardManifest.load(manifest_path).shards[1]
+        raw = (manifest_path.parent / untouched.path).read_bytes()
         report = mutable.compact()
         assert report["rebuilt_shards"] == [0] and report["reused_shards"] == 1
-        assert mutable.base.shards[1] is untouched
+        assert mutable.base.reused_shards == 1
+        assert ShardManifest.load(manifest_path).shards[1] == untouched
+        assert (manifest_path.parent / untouched.path).read_bytes() == raw
         assert not mutable.frame.extra  # stored now: no second copy kept
         # Rows the queries computed were handed over, the rest measured now:
         # every absorbed graph exactly once, ≤ |V| distances each.
@@ -593,12 +707,19 @@ class TestReload:
         # assembled from the loaded shards, not read again.
         assert sorted(reads) == [f"shard-{s:03d}.npz" for s in range(3)]
 
-    def test_full_reuse_on_unchanged_bundle(self, db, bundle_dir):
+    def test_full_reuse_on_unchanged_bundle(
+        self, db, bundle_dir, monkeypatch,
+    ):
         first = _load(bundle_dir, db)
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes",
+            lambda self: reads.append(self.name) or read_bytes(self),
+        )
         second = _load(bundle_dir, db, previous=first)
         assert second.reused_shards == 3
-        for i in range(3):
-            assert second.shards[i] is first.shards[i]
+        assert not reads  # no artifact read, none checked again
         assert second.frame is first.frame
 
     def test_partial_reuse_when_one_shard_changes(self, db, bundle_dir, tmp_path):
@@ -631,9 +752,6 @@ class TestReload:
         second = _load(tmp_path, db, previous=first)
         assert second.reused_shards == 2
         assert np.array_equal(second.frame.coords, first.frame.coords)
-        assert second.shards[0] is not first.shards[0]
-        assert second.shards[1] is first.shards[1]
-        assert second.shards[2] is first.shards[2]
         # Still the same bit-identical answers after the partial reload.
         q = quartile_relevance(db)
         assert second.query(q, 8.0, 4).answer == first.query(q, 8.0, 4).answer

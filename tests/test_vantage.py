@@ -120,11 +120,12 @@ class TestCandidates:
         among = np.arange(50)
         rows = np.array([0, 5, 10])
         thetas = [2.0, 5.0, 10.0]
-        counts = emb.candidate_counts(rows, thetas, among)
-        for r, i in enumerate(rows):
-            for t, theta in enumerate(thetas):
-                naive = len(emb.candidates(int(i), theta, among=among))
-                assert counts[r, t] == naive
+        for block_rows in (None, 1, 2):  # one block, and blocks that split
+            counts = emb.candidate_counts(rows, thetas, among, block_rows)
+            for r, i in enumerate(rows):
+                for t, theta in enumerate(thetas):
+                    naive = len(emb.candidates(int(i), theta, among=among))
+                    assert counts[r, t] == naive
 
     def test_candidate_counts_monotone_in_theta(self):
         _, _, emb = _setup()
