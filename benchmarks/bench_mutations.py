@@ -15,8 +15,9 @@ prices it.  For a single-artifact and a 4-shard base it measures:
   size (for the sharded base: how many shards were reused), the latency
   the post-compaction query returns to, and the rebuild time it avoided.
 
-Runnable standalone (``python benchmarks/bench_mutations.py``) or under
-pytest; both write ``BENCH_mutations.json`` at the repository root.
+Runnable standalone (``python benchmarks/bench_mutations.py``), which
+writes ``BENCH_mutations.json`` at the repository root, or under pytest
+at smoke size, which writes its document under the test's ``tmp_path``.
 """
 
 from __future__ import annotations
@@ -207,12 +208,15 @@ def mutation_benchmark(
         "ladder": [round(float(v), 3) for v in ladder.values],
         "rows": rows,
     }
-    _JSON_PATH.write_text(json.dumps(document, indent=2) + "\n")
     return document
 
 
+def _save(document, path: Path = _JSON_PATH) -> None:
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def _print_summary(document):
-    print(f"wrote {_JSON_PATH}")
     for row in document["rows"]:
         print(f"{row['layout']}: base build {row['base_build_s']:.2f}s, "
               f"{row['insert_per_s']:.0f} inserts/s "
@@ -231,10 +235,11 @@ def _print_summary(document):
                   f"{'y' if p['identical'] else 'N':>4}")
 
 
-def test_mutations():
+def test_mutations(tmp_path):
     document = mutation_benchmark(
         num_graphs=48, base=36, batch=6, repeats=2
     )
+    _save(document, tmp_path / _JSON_PATH.name)
     _print_summary(document)
     for row in document["rows"]:
         assert row["post_compact_identical"], row
@@ -244,6 +249,7 @@ def test_mutations():
 
 if __name__ == "__main__":
     outcome = mutation_benchmark()
+    _save(outcome)
     _print_summary(outcome)
     bad = [
         (row["layout"], p["memtable"])

@@ -5,8 +5,9 @@ with R ∈ {1, 2, 3} worker processes per shard while a killer thread
 SIGKILLs a random live worker at a configured rate.  Per configuration
 it records:
 
-* **latency** — p50/p99 per-query wall clock.  With R ≥ 2 a kill costs
-  one failover hop; with R = 1 it costs a restart wait or a failed
+* **latency** — p50/p99 per-query wall clock.  With R ≥ 2 a kill that
+  lands on a query's pinned replica costs one re-run of the query on the
+  surviving replicas; with R = 1 it costs a restart wait or a failed
   query, and the tail shows the difference.
 * **availability** — the fraction of queries answered.  A query fails
   (``ShardUnavailableError``) only when every replica of one shard is
@@ -16,8 +17,9 @@ it records:
 
 Correctness under churn is enforced elsewhere (tests + replica smoke);
 this benchmark measures the *cost* of surviving it.  Runnable standalone
-(``python benchmarks/bench_replica_failover.py``) or under pytest; both
-write ``BENCH_replica_failover.json`` at the repository root.
+(``python benchmarks/bench_replica_failover.py``), which writes
+``BENCH_replica_failover.json`` at the repository root, or under pytest
+at smoke size, which writes its document under the test's ``tmp_path``.
 """
 
 from __future__ import annotations
@@ -144,12 +146,15 @@ def failover_benchmark(
         "num_queries": num_queries,
         "rows": rows,
     }
-    _JSON_PATH.write_text(json.dumps(document, indent=2) + "\n")
     return document
 
 
+def _save(document, path: Path = _JSON_PATH) -> None:
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def _print_summary(document):
-    print(f"wrote {_JSON_PATH}")
     print(f"{'R':>3}{'kill/s':>8}{'kills':>7}{'p50 ms':>9}{'p99 ms':>9}"
           f"{'max ms':>9}{'avail':>8}{'restarts':>9}")
     for row in document["rows"]:
@@ -159,11 +164,12 @@ def _print_summary(document):
               f"{row['restarts']:>9}")
 
 
-def test_replica_failover_benchmark():
+def test_replica_failover_benchmark(tmp_path):
     document = failover_benchmark(
         num_graphs=36, replicas=(1, 2), kill_rates=(0.0, 3.0),
         num_queries=16,
     )
+    _save(document, tmp_path / _JSON_PATH.name)
     _print_summary(document)
     for row in document["rows"]:
         assert row["queries"] == 16
@@ -175,4 +181,5 @@ def test_replica_failover_benchmark():
 
 if __name__ == "__main__":
     outcome = failover_benchmark()
+    _save(outcome)
     _print_summary(outcome)

@@ -14,9 +14,10 @@ Three measurements on one small in-process service:
   workload (min-of-repeats A/B against a null lock, in the style of
   ``bench_obs_overhead``).
 
-Runnable standalone (``python benchmarks/bench_service_load.py``) or
-under pytest; both write ``BENCH_service_load.json`` at the repository
-root.
+Runnable standalone (``python benchmarks/bench_service_load.py``), which
+writes ``BENCH_service_load.json`` at the repository root, or under
+pytest at smoke size, which writes its document under the test's
+``tmp_path``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.engine import core as engine_core
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index.nbindex import NBIndex
@@ -223,12 +223,15 @@ def service_load_benchmark(
         "load_sweep": sweep,
         "cache_lock": lock,
     }
-    _JSON_PATH.write_text(json.dumps(document, indent=2) + "\n")
     return document
 
 
+def _save(document, path: Path = _JSON_PATH) -> None:
+    path.write_text(json.dumps(document, indent=2) + "\n")
+    print(f"wrote {path}")
+
+
 def _print_summary(document):
-    print(f"wrote {_JSON_PATH}")
     header = (f"{'shed':<6}{'offered/s':>10}{'admitted':>10}{'shed#':>8}"
               f"{'thru/s':>9}{'p50 ms':>9}{'p99 ms':>9}")
     print(header)
@@ -243,8 +246,9 @@ def _print_summary(document):
           f"{'OK' if lock['within_budget'] else 'EXCEEDED'}")
 
 
-def test_service_load():
+def test_service_load(tmp_path):
     document = service_load_benchmark(duration_s=0.8, rates=(20, 150))
+    _save(document, tmp_path / _JSON_PATH.name)
     _print_summary(document)
     assert document["cache_lock"]["within_budget"], document["cache_lock"]
     for row in document["load_sweep"]:
@@ -253,6 +257,7 @@ def test_service_load():
 
 if __name__ == "__main__":
     outcome = service_load_benchmark()
+    _save(outcome)
     _print_summary(outcome)
     if not outcome["cache_lock"]["within_budget"]:
         raise SystemExit(

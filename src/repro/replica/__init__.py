@@ -1,15 +1,16 @@
 """Replicated multi-process shard serving.
 
-``repro.replica`` turns a PR-5 shard bundle into a supervised process
+``repro.replica`` turns a shard bundle into a supervised process
 cluster: R :class:`~repro.replica.worker.ShardWorker` replicas per shard
 (line-JSON over socketpairs), a :class:`~repro.replica.supervisor.Supervisor`
 that heartbeats, wedge-kills, and restarts them with capped backoff, and
-a :class:`~repro.replica.router.ReplicaRouter` that gives the
-scatter-gather coordinator failover.  The
-public entry point is :class:`ReplicatedIndex`, a drop-in for
-:class:`~repro.shard.ShardedIndex` that answers bit-identically under
-replica churn as long as one replica per shard lives, and fails a query
-with :class:`ShardUnavailableError` when a whole group is down.
+a :class:`~repro.replica.router.ReplicaRouter` that pins each query's
+session on a shard to one live replica.  The public entry point is
+:class:`ReplicatedIndex`, a drop-in for :class:`~repro.shard.ShardedIndex`.
+A query whose pinned replica fails re-runs from scratch on the surviving
+replicas, so it answers bit-identically under replica churn as long as
+one replica per shard lives, and fails with
+:class:`ShardUnavailableError` when a whole group is down.
 """
 
 from repro.replica.cluster import ReplicatedIndex

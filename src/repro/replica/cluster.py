@@ -3,18 +3,23 @@ single-index API.
 
 The replicated deployment runs every shard of a manifest bundle as R
 worker *processes* (R replicas per shard), supervised and restarted on
-failure, and drives the PR-5 scatter-gather greedy over
-:class:`~repro.replica.remote.RemoteFrontier` objects instead of
-in-process :class:`~repro.shard.frontier.ShardFrontier` ones.  The
-coordinator loop, the selection rule, and therefore the answer bits are
-identical — a replica crash mid-query costs a failover and some
-re-pulled candidates, never a different answer.
+failure, and drives the one query path's greedy over
+:class:`~repro.replica.remote.RemoteFrontier` objects, one per shard,
+each pinned to one replica of its shard for the query.
 
-When *every* replica of a shard is down (and stays down past the
-router's failover budget) the query fails with
-:class:`~repro.replica.errors.ShardUnavailableError`; it never answers
-over a subset of the shards.  A deterministic worker-side op failure
-(:class:`~repro.replica.errors.ReplicaWorkerError`) fails it too.
+A retry is the failover protocol.  The answer is a deterministic function
+of a read-only bundle (greedy over exact θ-neighbourhoods, smallest-id
+tie-breaks), so when a pinned replica dies, wedges, answers garbage or
+has lost the session, the query re-runs from scratch under a fresh
+session id on the surviving replicas and returns the same bits.  A retry
+prefers replicas that have not failed this query; the number of attempts
+is bounded by S·R + 1.
+
+When *every* replica of a shard is down (or the attempts run out) the
+query fails with :class:`~repro.replica.errors.ShardUnavailableError`;
+it never answers over a subset of the shards.  A deterministic
+worker-side op failure (:class:`~repro.replica.errors.ReplicaWorkerError`)
+fails it without a retry.
 
 The relevance function must be wire-expressible: replicated serving
 accepts :class:`~repro.graphs.relevance.AverageScoreThreshold`-shaped
@@ -31,11 +36,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import QueryRun, QuerySession, check_query_kwargs
 from repro.index.pivec import ThresholdLadder
+from repro.replica.errors import SessionLost, ShardUnavailableError
 from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
@@ -149,46 +156,65 @@ class ReplicatedIndex:
         return 0  # distances are evaluated (and counted) in the workers
 
     def _run_query(self, run: QueryRun):
-        """One :class:`RemoteFrontier` per shard.  Workers run the filter
-        and the deadline; the coordinator ships ε and the deadline in each
-        session-open frame (a worker knows its own metric) and folds the
-        degradations they report back into the deadline."""
-        session = run.session
+        """Pin one :class:`RemoteFrontier` per shard and run the greedy;
+        on :class:`SessionLost`, run it again on fresh pins.  Workers run
+        the filter and the deadline; each open frame ships ε and the
+        deadline's state (a worker knows its own metric), and the
+        answering attempt's degradations are folded back into the
+        deadline."""
         run.span.set(shards=self.num_shards, replicas=self.replicas)
-        deadline_state = (
-            run.deadline.state() if run.deadline is not None else None
+        failed: set = set()
+        causes: list[str] = []
+        lost_shard = 0
+        for _ in range(self.num_shards * self.replicas + 1):
+            # One session id covers the whole attempt — worker session
+            # tables are per-process, so the same id on every shard is
+            # unambiguous.
+            sid = uuid.uuid4().hex[:16]
+            try:
+                pinned = self.router.pin(sid, failed)
+            except ShardUnavailableError as down:
+                raise ShardUnavailableError(down.shard_id, causes) from None
+            frontiers = []
+            try:
+                for s, handle in enumerate(pinned):
+                    frontiers.append(self._frontier(run, s, handle, sid))
+                result = run.greedy(
+                    frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
+                )
+            except SessionLost as lost:
+                failed.add(lost.handle)
+                causes.append(str(lost))
+                lost_shard = lost.handle.shard_id
+                obs.counter("replica.failovers")
+                continue
+            finally:
+                for handle in pinned:
+                    self.router.close_session(handle, sid)
+            if run.deadline is not None:
+                for frontier in frontiers:
+                    run.deadline.merge_degradations(frontier.degradations)
+            return result
+        raise ShardUnavailableError(lost_shard, causes)
+
+    def _frontier(self, run: QueryRun, s: int, handle, sid: str):
+        session = run.session
+        return RemoteFrontier(
+            self.router, handle, sid,
+            dims=session.query_fn.dims,
+            threshold=session.query_fn.threshold,
+            theta=run.theta,
+            # Pure function of the manifest, identical to each worker's
+            # own derivation.
+            relevant_global=session.cached(s, lambda: (
+                session.relevant[self.shard_of[session.relevant] == s]
+            )),
+            universe=session.universe,
+            deadline_state=(
+                run.deadline.state() if run.deadline is not None else None
+            ),
+            epsilon=run.runtime.epsilon,
         )
-        # One session id covers the whole query — worker session tables
-        # are per-process, so the same id on every shard is unambiguous.
-        sid = uuid.uuid4().hex[:16]
-        frontiers = [
-            RemoteFrontier(
-                self.router, s, sid,
-                dims=session.query_fn.dims,
-                threshold=session.query_fn.threshold,
-                theta=run.theta,
-                # Pure function of the manifest, identical to each
-                # worker's own derivation.
-                relevant_global=session.cached(s, lambda s=s: (
-                    session.relevant[self.shard_of[session.relevant] == s]
-                )),
-                universe=session.universe,
-                deadline_state=deadline_state,
-                epsilon=run.runtime.epsilon,
-            )
-            for s in range(self.num_shards)
-        ]
-        try:
-            return run.greedy(
-                frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
-            )
-        finally:
-            for frontier in frontiers:
-                if run.deadline is not None:
-                    run.deadline.merge_degradations(
-                        frontier.session.degradations
-                    )
-                frontier.close()
 
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)

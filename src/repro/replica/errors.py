@@ -4,9 +4,9 @@ Two audiences, two families:
 
 * **Internal transport failures** (:class:`ReplicaUnreachable` and its
   refinements) never leave :mod:`repro.replica` — the router catches
-  them, reports the replica to the supervisor, and fails over to a
-  sibling.  They exist as types so tests can assert *which* failure
-  triggered a failover.
+  them, reports the replica to the supervisor, and raises
+  :class:`SessionLost`, on which the cluster re-runs the query.  They
+  exist as types so tests can assert *which* failure cost a retry.
 * :class:`ShardUnavailableError` is what a query raises when a **whole
   replica group** is down: every replica of one shard failed (or failed
   to restart in time).  The query fails; the service answers it with
@@ -40,7 +40,7 @@ class ShardUnavailableError(ReplicaError):
 class ReplicaWorkerError(ReplicaError):
     """A worker answered with a typed ``internal``/``invalid_request``
     error: the *op itself* failed, deterministically, on a healthy
-    process.  Failing over would just re-raise it on the sibling, so it
+    process.  A retry would just re-raise it on the sibling, so it
     propagates as a query failure (the service journals it and answers
     ``query_failed``) instead of burning replicas.
     """
@@ -50,10 +50,24 @@ class ReplicaWorkerError(ReplicaError):
         super().__init__(f"replica op failed ({code}): {message}")
 
 
+class SessionLost(ReplicaError):
+    """Internal: the replica pinned to one of a query's shard sessions
+    failed (a :class:`ReplicaUnreachable`) or no longer holds the session
+    (``unknown_session``).  The cluster re-runs the query under a fresh
+    session id and prefers replicas other than ``handle``."""
+
+    def __init__(self, handle, cause: str):
+        self.handle = handle
+        super().__init__(
+            f"replica {handle.shard_id}/{handle.replica_index}: {cause}"
+        )
+
+
 class ReplicaUnreachable(ReplicaError):
     """One replica failed to serve one op (crash, EOF, timeout, garbage).
 
-    Internal: the router converts it into a failover, never propagates it.
+    Internal: the router reports the replica and raises
+    :class:`SessionLost` in its place.
     """
 
 
@@ -72,6 +86,6 @@ class ReplicaProtocolError(ReplicaUnreachable):
     """The replica answered with a malformed or oversized frame.
 
     Counted once per occurrence (``replica.protocol_errors``) and treated
-    exactly like a crash: the worker is restarted and the op fails over —
+    exactly like a crash: the worker is restarted and the query re-runs —
     a corrupt peer must not be able to wedge or crash the coordinator.
     """

@@ -1,47 +1,47 @@
-"""Failover routing: which replica answers, and what happens when it dies.
+"""Replica routing: which replica serves a session, and what a failure
+reports.
 
 The :class:`ReplicaRouter` is the only code that talks to worker handles
-on behalf of a query.  It implements two policies on top of the
-supervisor's live view:
+on behalf of a query.  Per attempt of a query, :meth:`pin` binds each
+shard's session to one live replica — the one with the fewest open
+sessions, ties going to the lowest replica index — and every op of that
+session goes to that replica alone (:meth:`call`).  Concurrent queries
+therefore spread over a shard's replicas.  A replica never holds more
+pinned sessions than its worker keeps
+(:data:`~repro.replica.worker.SESSION_CAP`); past S·R·cap concurrent
+queries, the next one waits for a slot rather than evict a live session.
 
-* **Routed reads with failover** (:meth:`call`) — the op goes to the
-  shard's primary (first live replica); on a transport failure the
-  worker is reported dead and the op retries on the next live sibling.
-  Duplicated or re-ordered pulls are *safe by construction*: every
-  frontier bound is a valid upper bound at any staleness, and exact
-  gains are computed against the coordinator-supplied covered set, so a
-  behind replica can cost extra pulls but never change the selected
-  answer (the submodularity argument of ``shard/coordinator.py``).
-* **Broadcast writes** (:meth:`broadcast`) — state-advancing ops
-  (``begin_round`` / ``open_round`` / ``select``) go to
-  *every* live replica so each one can take over as primary mid-round.
-  One success suffices; replicas that miss a broadcast are repaired by
-  session restore on their next contact.
-
-Session state is restored lazily: before any op on a replica process
-that has not seen this session (fresh restart, or LRU eviction signalled
-by the typed ``unknown_session`` error), the router replays the session
-log — open, selections, current round — from
-:class:`~repro.replica.remote.SessionLog`.  Restored bounds are coarser
-but still upper bounds; answers are unchanged.
-
-When every replica of a shard is gone, :class:`ShardUnavailableError`
-fails the query.
+There is no failover inside a query.  A transport failure reports the
+worker to the supervisor (which kills and restarts it); a worker that no
+longer holds the session (restarted, or evicted it) answers
+``unknown_session``, and is left alone.  Either way the router raises
+:class:`~repro.replica.errors.SessionLost`, and the cluster re-runs the
+whole query under a fresh session id
+(:meth:`ReplicatedIndex._run_query
+<repro.replica.cluster.ReplicatedIndex._run_query>`).
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro import obs
 from repro.replica.errors import (
     ReplicaUnreachable,
     ReplicaWorkerError,
+    SessionLost,
     ShardUnavailableError,
 )
 from repro.replica.supervisor import Supervisor, WorkerHandle
+from repro.replica.worker import SESSION_CAP
+
+#: How often a query waiting for a session slot re-reads the fleet (a
+#: restart frees a replica's slots without a close to signal it).
+_SLOT_POLL_S = 0.05
 
 
 class ReplicaRouter:
-    """Op-level routing over a :class:`Supervisor`'s worker fleet."""
+    """Session pinning and op calls over a :class:`Supervisor`'s fleet."""
 
     def __init__(
         self,
@@ -51,115 +51,84 @@ class ReplicaRouter:
     ):
         self.supervisor = supervisor
         self.op_timeout_s = float(op_timeout_s)
-        #: Hard cap on failover hops for one op — bounds worst-case
-        #: latency even if the monitor keeps reviving doomed workers.
-        self.max_failovers = 2 * supervisor.replicas + 2
+        #: Guards every replica's session count: choosing replicas and
+        #: counting the session on them is one step, and a close wakes
+        #: the queries waiting for a slot.
+        self._slots = threading.Condition()
 
-    # ------------------------------------------------------------------
-    # Public op surface
-    # ------------------------------------------------------------------
-    def call(self, shard_id: int, payload: dict, session=None) -> dict:
-        """Route one read op with failover."""
-        causes: list[str] = []
-        for _ in range(self.max_failovers):
-            live = self.supervisor.live(shard_id)
-            if not live:
-                raise ShardUnavailableError(shard_id, causes)
-            handle = live[0]
+    def pin(self, sid: str, avoid=()) -> list[WorkerHandle]:
+        """One live replica per shard, in shard order, to serve session
+        ``sid``.  A replica in ``avoid`` (it failed this query already)
+        is taken only when no other has room.
+
+        A replica holding :data:`SESSION_CAP` sessions is full: its
+        worker would evict one of them for a new ``open``.  The pin waits
+        until every shard has a live replica with room and then takes all
+        S at once, so a waiting query holds no slot another one needs.
+        Raises :class:`ShardUnavailableError` when a shard has no live
+        replica."""
+        with self._slots:
+            while True:
+                chosen = []
+                for shard_id in range(self.supervisor.num_shards):
+                    live = self.supervisor.live(shard_id)
+                    if not live:
+                        raise ShardUnavailableError(shard_id)
+                    room = [h for h in live if len(h.sessions) < SESSION_CAP]
+                    if not room:
+                        break
+                    chosen.append(min(room, key=lambda h: (
+                        h in avoid, len(h.sessions), h.replica_index,
+                    )))
+                else:
+                    for handle in chosen:
+                        handle.sessions.add(sid)
+                    return chosen
+                self._slots.wait(_SLOT_POLL_S)
+
+    def call(self, handle: WorkerHandle, payload: dict) -> dict:
+        """One op on the session's pinned replica: the ok frame (its ``r``
+        is an object).  Raises :class:`SessionLost` when the query must
+        re-run, :class:`ReplicaWorkerError` when the op itself failed."""
+        try:
+            response = handle.call(payload, self.op_timeout_s,
+                                   max_frame=self.supervisor.max_frame_bytes)
+            if response.get("ok"):
+                if not isinstance(response.get("r"), dict):
+                    obs.counter("replica.protocol_errors")
+                    raise ReplicaUnreachable(
+                        "response carries no result object"
+                    )
+                return response
+            error = response.get("error")
+            if not isinstance(error, dict):
+                obs.counter("replica.protocol_errors")
+                raise ReplicaUnreachable("response carries no error object")
+        except ReplicaUnreachable as failure:
+            self.supervisor.report_failure(handle)
+            raise SessionLost(handle, str(failure)) from failure
+        code = str(error.get("code", "internal"))
+        if code == "unknown_session":
+            # A healthy process that does not hold the session (restarted
+            # since the pin, or evicted it): re-run, do not kill it.
+            raise SessionLost(handle, str(error.get("message", "")))
+        raise ReplicaWorkerError(code, str(error.get("message", "")))
+
+    def broadcast(self, *args) -> None:
+        # Trace-only: benchmarks/e2e/trace.py wraps this name, so it must
+        # resolve; every op goes to one pinned replica through call().
+        pass
+
+    def close_session(self, handle: WorkerHandle, sid: str) -> None:
+        """Best-effort session teardown on its replica; unpins it."""
+        if sid in handle.sessions:
             try:
-                return self._call_handle(handle, payload, session)
-            except ReplicaUnreachable as error:
-                causes.append(str(error))
-                self.supervisor.report_failure(handle)
-                obs.counter("replica.failovers")
-        raise ShardUnavailableError(shard_id, causes)
-
-    def broadcast(self, shard_id: int, payload: dict, session=None) -> dict:
-        """Send a state-advancing op to every live replica of a shard.
-
-        Returns the first successful result; raises
-        :class:`ShardUnavailableError` when no replica accepted it.
-        """
-        causes: list[str] = []
-        first_result: dict | None = None
-        for handle in self.supervisor.live(shard_id):
-            try:
-                result = self._call_handle(handle, payload, session)
-            except ReplicaUnreachable as error:
-                causes.append(str(error))
-                self.supervisor.report_failure(handle)
-                obs.counter("replica.failovers")
-                continue
-            if first_result is None:
-                first_result = result
-        if first_result is None:
-            raise ShardUnavailableError(shard_id, causes)
-        return first_result
-
-    def close_session(self, shard_id: int, session) -> None:
-        """Best-effort session teardown on every live replica."""
-        payload = {"op": "close", "sid": session.sid}
-        for handle in self.supervisor.live(shard_id):
-            if session.sid not in handle.sessions:
-                continue
-            try:
-                handle.call(payload, self.op_timeout_s,
+                handle.call({"op": "close", "sid": sid}, self.op_timeout_s,
                             max_frame=self.supervisor.max_frame_bytes)
             except ReplicaUnreachable:
                 pass  # it is dying anyway; the monitor will deal with it
-            handle.sessions.discard(session.sid)
-
-    # ------------------------------------------------------------------
-    # One handle, one op
-    # ------------------------------------------------------------------
-    def _call_handle(self, handle: WorkerHandle, payload: dict,
-                     session) -> dict:
-        if session is not None:
-            self._ensure_session(handle, session)
-        response = handle.call(payload, self.op_timeout_s,
-                               max_frame=self.supervisor.max_frame_bytes)
-        if not response.get("ok"):
-            code = (response.get("error") or {}).get("code")
-            if code == "unknown_session" and session is not None:
-                # Evicted (LRU) rather than restarted: replay and retry.
-                handle.sessions.discard(session.sid)
-                self._ensure_session(handle, session)
-                response = handle.call(
-                    payload, self.op_timeout_s,
-                    max_frame=self.supervisor.max_frame_bytes,
-                )
-        return self._unwrap(response, session)
-
-    def _unwrap(self, response: dict, session) -> dict:
-        if response.get("ok"):
-            if session is not None and "deg" in response:
-                session.note_degradations(response["deg"])
-            result = response.get("r")
-            if not isinstance(result, dict):
-                obs.counter("replica.protocol_errors")
-                raise ReplicaUnreachable("response carries no result object")
-            return result
-        error = response.get("error")
-        if not isinstance(error, dict):
-            obs.counter("replica.protocol_errors")
-            raise ReplicaUnreachable("response carries no error object")
-        raise ReplicaWorkerError(
-            str(error.get("code", "internal")),
-            str(error.get("message", "")),
-        )
-
-    def _ensure_session(self, handle: WorkerHandle, session) -> None:
-        """Make sure this replica process holds the session (replay log)."""
-        if session.sid in handle.sessions:
-            return
-        if session.mid_query:
-            obs.counter("replica.session_restores")
-        for step in session.replay_payloads():
-            response = handle.call(
-                step, self.op_timeout_s,
-                max_frame=self.supervisor.max_frame_bytes,
-            )
-            result = self._unwrap(response, session)
-            if step.get("op") == "open":
-                session.note_open_result(result)
-        handle.sessions.add(session.sid)
+        # Freed only after the worker dropped it, so the count never
+        # trails the worker's own table.
+        with self._slots:
+            handle.sessions.discard(sid)
+            self._slots.notify_all()

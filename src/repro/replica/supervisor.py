@@ -13,7 +13,7 @@ watched by a monitor thread:
   broken worker backs off to the cap).
 * **wedge detection** — a worker that has been busy on one op for longer
   than ``wedge_timeout_s`` is killed outright (its blocked caller gets a
-  clean EOF and fails over); an *idle* worker that has not answered
+  clean EOF and its query re-runs); an *idle* worker that has not answered
   anything recently is probed with a ``ping`` heartbeat, and a failed
   probe is treated as a wedge.
 
@@ -24,8 +24,8 @@ no probe traffic.
 A timed-out connection is *poisoned*, never reused: a late response from
 a wedged worker would desynchronize the request/response stream, so the
 worker is killed and respawned with a fresh pair instead.  Fresh workers
-hold no query sessions; the router's session-restore protocol
-(:mod:`repro.replica.remote`) rebuilds them lazily on first contact.
+hold no query sessions: a query pinned to the old process re-runs
+(:mod:`repro.replica.cluster`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import random
 import socket
 import threading
 import time
+import warnings
 from pathlib import Path
 
 from repro import obs
@@ -79,8 +80,8 @@ class WorkerHandle:
         self.busy_since: float | None = None
         #: Bumps on every restart; a new process holds no sessions.
         self.generation = 0
-        #: Session ids this *process generation* has opened (router-side
-        #: record; consulted for proactive restore after a restart).
+        #: Session ids pinned to this *process generation* (router-side;
+        #: the pin takes the replica with the fewest).
         self.sessions: set[str] = set()
         self.restart_attempts = 0
         self.next_restart_at = 0.0
@@ -93,7 +94,7 @@ class WorkerHandle:
 
         Raises :class:`ReplicaDead` / :class:`ReplicaTimeout` /
         :class:`ReplicaProtocolError`; the caller decides whether that
-        means failover.  On any raise the connection is left poisoned
+        means a retry.  On any raise the connection is left poisoned
         (``alive=False``) — the supervisor will respawn it.
         """
         with self.lock:
@@ -268,7 +269,6 @@ class Supervisor:
         handle.next_restart_at = time.monotonic()
         if handle.proc is not None and handle.proc.is_alive():
             handle.proc.kill()
-        obs.counter("replica.deaths")
 
     # ------------------------------------------------------------------
     # Spawning
@@ -313,7 +313,6 @@ class Supervisor:
             handle.busy_since = None
             handle.alive = True  # provisionally, for the handshake call
             self.spawns += 1
-            obs.counter("replica.spawns")
         finally:
             handle.lock.release()
         try:
@@ -337,8 +336,15 @@ class Supervisor:
                 for handle in group:
                     try:
                         self._check(handle)
-                    except Exception:  # pragma: no cover - must survive
+                    except Exception as error:  # the monitor must survive
+                        # A monitor that silently stops restarting workers
+                        # turns R ≥ 2 into ShardUnavailableError: say so.
                         obs.counter("replica.monitor_errors")
+                        warnings.warn(
+                            f"replica monitor: {handle!r}: "
+                            f"{type(error).__name__}: {error}",
+                            RuntimeWarning,
+                        )
 
     def _check(self, handle: WorkerHandle) -> None:
         now = time.monotonic()
@@ -348,7 +354,6 @@ class Supervisor:
             # Crashed between ops: no caller noticed yet.
             handle.mark_dead()
             handle.next_restart_at = now
-            obs.counter("replica.deaths")
         if not handle.alive:
             if now >= handle.next_restart_at:
                 self._restart(handle)
@@ -358,9 +363,8 @@ class Supervisor:
             now - busy_since > self.wedge_timeout_s
         ):
             # Wedged mid-op: kill it so the blocked caller gets EOF and
-            # fails over instead of waiting out its own timeout.
+            # its query re-runs instead of waiting out its own timeout.
             self.wedge_kills += 1
-            obs.counter("replica.wedge_kills")
             handle.mark_dead()
             handle.next_restart_at = now
             if handle.proc is not None and handle.proc.is_alive():
@@ -383,9 +387,7 @@ class Supervisor:
                 max_frame=self.max_frame_bytes,
             )
             require(response.get("ok") is True, "bad ping response")
-            obs.counter("replica.heartbeats")
         except (ReplicaError, ValueError):
-            obs.counter("replica.heartbeat_failures")
             self.report_failure(handle)
 
     def _restart(self, handle: WorkerHandle) -> None:

@@ -23,13 +23,11 @@ op                    effect
 ====================  =====================================================
 
 Sessions are keyed by a coordinator-chosen ``sid`` and bounded by an LRU
-cap; an op naming an evicted or never-seen ``sid`` gets the typed
-``unknown_session`` error, which is the router's cue to *restore* the
-session (re-open + replay selections) — the mechanism that lets a
-freshly restarted replica rejoin a query mid-flight.  Restored state is
-coarser (initial π̂ bounds instead of refined ones) but every bound is
-still a valid upper bound, so answers are unchanged; only work counts
-move.
+cap the router's pins stay within.  A session lives on the one replica
+the router pinned it to; an op naming an evicted or never-seen ``sid``
+(this process was restarted since the ``open``) gets the typed
+``unknown_session`` error, on which the coordinator re-runs the whole
+query under a fresh ``sid``.
 
 Fault-plan hooks (:func:`repro.resilience.faults.maybe_kill_replica` /
 ``maybe_wedge_replica``) run at op entry, so chaos tests can kill or
@@ -66,9 +64,10 @@ from repro.shard.manifest import ShardManifest
 
 _NEG_INF = float("-inf")
 
-#: Concurrent query sessions one worker retains (LRU).  The coordinator
-#: restores an evicted session transparently, so the cap only bounds
-#: memory, never correctness.
+#: Concurrent query sessions one worker retains (LRU).  The router never
+#: pins more than this many on one replica (a further query waits for a
+#: slot), so eviction only reclaims a session whose ``close`` never came;
+#: were a live one evicted, its query would re-run, not answer wrong.
 SESSION_CAP = 8
 
 
@@ -184,7 +183,7 @@ class ShardWorker:
             raise _UnknownSession(
                 f"session {sid!r} unknown to replica "
                 f"{self.shard_id}/{self.replica_index} (evicted or "
-                f"restarted); restore it"
+                f"restarted); re-run the query"
             )
         self.sessions.move_to_end(sid)
         return session

@@ -52,7 +52,7 @@ class FaultPlan:
     replica_kill_every:
         A replica worker dies once it has served this many ops —
         sustained churn: every restarted worker dies again after the
-        same count, so restarts and session restores keep happening for
+        same count, so restarts and query re-runs keep happening for
         the life of the plan.
     replica_kill_replicas:
         Restrict both replica-kill modes to these replica indexes
@@ -64,7 +64,7 @@ class FaultPlan:
         scenario (heartbeat/timeout detection, not crash detection).
     replica_wedge_seconds:
         How long a wedged replica sleeps (default 30 s — far past any
-        sane op timeout, so the router must fail over, never wait).
+        sane op timeout, so the query must re-run, never wait).
     kill_site:
         Name of a :func:`maybe_kill_at` durability site (e.g.
         ``"durability.checkpoint.commit"``).  In-process plans raise

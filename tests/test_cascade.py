@@ -49,6 +49,7 @@ from repro.graphs import quartile_relevance
 from repro.index import NBIndex, save_index
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
+from repro.replica.supervisor import WorkerHandle
 from repro.service import (
     InvalidRequest,
     QueryRequest,
@@ -445,11 +446,24 @@ class TestWire:
     def test_replica_open_frame_carries_epsilon_only_when_relaxed(self):
         """A worker knows its own metric: only ε travels, and an exact
         session's open frame is what it was before there was an ε."""
+        class Recorder:
+            """A router that answers every frame with a three-graph open."""
+
+            def call(self, handle, payload):
+                sent.append(payload)
+                return {"ok": True, "r": {"relevant": 3, "min_gid": 0}}
+
         def open_payload(**kwargs):
-            return RemoteFrontier(
-                None, 0, "sid", dims=(0,), threshold=0.5, theta=8.0,
-                relevant_global=np.arange(3), universe=None, **kwargs,
-            ).session.open_payload
+            sent.clear()
+            RemoteFrontier(
+                Recorder(), WorkerHandle(0, 0), "sid", dims=(0,),
+                threshold=0.5, theta=8.0, relevant_global=np.arange(3),
+                universe=None, **kwargs,
+            )
+            [payload] = sent  # the open frame, sent once, at build time
+            return payload
+
+        sent = []
 
         assert open_payload() == {
             "op": "open", "sid": "sid", "dims": [0], "threshold": 0.5,

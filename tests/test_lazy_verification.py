@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 
 import repro
 from tests.conftest import random_database
-from repro import baseline_greedy, quartile_relevance
+from repro import baseline_greedy, obs, quartile_relevance
 from repro.datasets import GENERATORS
 from repro.delta import mutable as mutable_module
 from repro.engine import DistanceEngine
@@ -780,10 +780,10 @@ def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch
 def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
     dud_bundles, monkeypatch,
 ):
-    """Partial state lives on the serving replica.  Kill it right after it
-    answered ``{"bound": n}``: the candidate's next visit lands on a
-    sibling that never saw the window, re-opens it, and the answer is the
-    in-process one."""
+    """Partial state lives on the replica the session is pinned to.  Kill
+    it right after it answered ``{"bound": n}``: the query re-runs with
+    the shard pinned to the sibling, which never saw the window, asks
+    about the candidate again, and the answer is the in-process one."""
     database, manifests = dud_bundles
     q = quartile_relevance(database, dims=[0], quantile=0.8)
     want = ShardedIndex.load(manifests[2], database, StarDistance()).query(
@@ -793,28 +793,32 @@ def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
     neighborhood_of = RemoteFrontier.neighborhood_of
     pi_hat_uncovered = RemoteFrontier.pi_hat_uncovered
 
+    def killing(self, gid, min_useful=_NEG_INF, tie_gid=None):
+        part = neighborhood_of(self, gid, min_useful, tie_gid)
+        if not killed and not isinstance(part, np.ndarray):
+            self.handle.proc.kill()
+            self.handle.proc.join(10)
+            killed.append((self.shard_id, gid, self.handle))
+        return part
+
+    def watching(self, gid):
+        if killed and (self.shard_id, gid) == killed[0][:2] and (
+            self.handle is not killed[0][2]
+        ):
+            revisits.append(gid)
+        return pi_hat_uncovered(self, gid)
+
     with ReplicatedIndex.open(
         manifests[2], database, StarDistance(), replicas=2
     ) as replicated:
-        def killing(self, gid, min_useful=_NEG_INF, tie_gid=None):
-            part = neighborhood_of(self, gid, min_useful, tie_gid)
-            if not killed and not isinstance(part, np.ndarray):
-                primary = replicated.supervisor.live(self.shard_id)[0]
-                primary.proc.kill()
-                primary.proc.join(10)
-                killed.append((self.shard_id, gid))
-            return part
-
-        def watching(self, gid):
-            if killed and (self.shard_id, gid) == killed[0]:
-                revisits.append(gid)
-            return pi_hat_uncovered(self, gid)
-
         monkeypatch.setattr(RemoteFrontier, "neighborhood_of", killing)
         monkeypatch.setattr(RemoteFrontier, "pi_hat_uncovered", watching)
-        got = replicated.query(q, 8.0, 10)
+        with obs.observe() as observation:
+            got = replicated.query(q, 8.0, 10)
+            counters = observation.stats()["counters"]
     assert killed, "no frontier ever answered with a bound"
-    assert revisits, "the dropped candidate was never asked about again"
+    assert revisits, "the re-run never asked the sibling about the candidate"
+    assert counters["replica.failovers"] == 1
     same_answer(got, want)
     assert not got.stats.degraded
 

@@ -10,7 +10,9 @@ The load-bearing claims under test:
   ``ShardUnavailableError`` (``query_failed`` on the wire) — fast, never
   a hang, and never an answer over the surviving shards.
 * A replica answering with **malformed or oversized frames** costs one
-  typed failover (counted once), never a coordinator crash.
+  typed retry of the query (counted once), never a coordinator crash.
+* Each query pins a shard's session to **one replica**; a failure re-runs
+  the whole query, and concurrent queries spread over the replicas.
 * ``repro serve`` turns **SIGTERM/SIGINT** into the graceful-drain path,
   answering everything already admitted before exiting 0.
 """
@@ -43,14 +45,15 @@ from repro.replica.errors import (
     ReplicaProtocolError,
     ReplicaUnreachable,
 )
-from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import (
     RESTART_BASE_S,
     RESTART_CAP_S,
     RESTART_JITTER,
+    Supervisor,
     WorkerHandle,
     restart_delay,
 )
+from repro.replica.worker import SESSION_CAP
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.shard import ShardedIndex, build_shards
@@ -242,6 +245,41 @@ class TestChaosKills:
             _assert_identical(rep.query(relevance_fn, 8.0, 5), ref)
 
 
+def test_a_monitor_error_is_counted_warned_and_survived(
+    bundle, cluster_db, monkeypatch,
+):
+    """An exception in the monitor's per-worker check is counted
+    (``replica.monitor_errors``) and warned about, and the monitor keeps
+    restarting crashed workers afterwards."""
+    check = Supervisor._check
+    raised = []
+
+    def failing_once(self, handle):
+        if not raised:
+            raised.append(handle)
+            raise RuntimeError("monitor bug")
+        return check(self, handle)
+
+    monkeypatch.setattr(Supervisor, "_check", failing_once)
+    with obs.observe() as observation, pytest.warns(
+        RuntimeWarning, match="monitor bug",
+    ):
+        with ReplicatedIndex.open(
+            bundle, cluster_db, StarDistance(), replicas=1, heartbeat_s=0.05,
+        ) as rep:
+            deadline = time.monotonic() + 10.0
+            while not raised and time.monotonic() < deadline:
+                time.sleep(0.02)
+            rep.supervisor.groups[0][0].proc.kill()
+            while rep.supervisor.stats()["restarts"] == 0 and (
+                time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            assert rep.supervisor.stats()["restarts"] >= 1
+        counters = observation.stats()["counters"]
+    assert counters["replica.monitor_errors"] == 1
+
+
 def test_stop_lets_every_worker_exit_on_its_own(cluster_db, tmp_path):
     """``Supervisor.stop()`` closes the pairs and every worker sees EOF:
     clean exits, no 1 s join timeout followed by a kill per worker (the
@@ -355,32 +393,23 @@ class TestGroupDown:
 # ---------------------------------------------------------------------------
 # Malformed / oversized frames (fake worker on a socketpair)
 # ---------------------------------------------------------------------------
-class _StubSupervisor:
-    """Just enough Supervisor surface for the router: live + failures."""
-
-    def __init__(self, handles, max_frame_bytes=wire.MAX_FRAME_BYTES):
-        self.replicas = len(handles)
-        self.max_frame_bytes = max_frame_bytes
-        self.handles = handles
-        self.failures = []
-
-    def live(self, shard_id):
-        return [h for h in self.handles if h.alive]
-
-    def report_failure(self, handle):
-        handle.mark_dead()
-        self.failures.append(handle)
-
-
-def _fake_worker(responses):
+def _fake_worker(responses, handle=None):
     """A WorkerHandle whose 'process' is an in-test thread.
 
     ``responses(request) -> bytes`` decides each raw reply; the thread
-    exits on EOF."""
+    exits on EOF.  Given a cluster's ``handle``, the thread takes over
+    that slot (its worker process is killed first)."""
+    if handle is None:
+        handle = WorkerHandle(0, 0)
+    else:
+        handle.next_restart_at = float("inf")  # the monitor leaves it be
+        handle.kill()
+        handle.proc.join(10)
+        handle.proc = None
     parent, child = socket.socketpair()
-    handle = WorkerHandle(0, 0)
     handle.sock = parent
     handle.reader = parent.makefile("rb")
+    handle.last_ok = time.monotonic()
     handle.alive = True
 
     def serve():
@@ -403,11 +432,12 @@ def _fake_worker(responses):
     return handle
 
 
-def _good_worker():
-    return _fake_worker(
-        lambda req: (json.dumps(
-            {"ok": True, "r": {"pong": True, "echo": req.get("op")}}
-        ) + "\n").encode()
+def _quiet_cluster(bundle, cluster_db, replicas=2):
+    """A cluster whose monitor never ticks during a test: a reported
+    worker stays down, so what answered is what the test arranged."""
+    return ReplicatedIndex.open(
+        bundle, cluster_db, StarDistance(), replicas=replicas,
+        heartbeat_s=60.0, op_timeout_s=5.0,
     )
 
 
@@ -432,39 +462,53 @@ class TestMalformedFrames:
             counters = observation.stats()["counters"]
         assert counters["replica.protocol_errors"] == 1
 
-    def test_router_fails_over_on_malformed_frame(self):
-        evil = _fake_worker(lambda req: b"\x00\xff garbage\n")
-        good = _good_worker()
-        supervisor = _StubSupervisor([evil, good])
-        router = ReplicaRouter(supervisor, op_timeout_s=5.0)
-        with obs.observe() as observation:
-            result = router.call(0, {"op": "ping"})
-            counters = observation.stats()["counters"]
-        assert result["echo"] == "ping"  # the good sibling answered
-        assert supervisor.failures == [evil]
+    def test_router_fails_over_on_malformed_frame(
+        self, bundle, cluster_db, relevance_fn, reference,
+    ):
+        """Replica 0 of shard 0 (the one the first pin takes) answers
+        garbage: the router reports it and the query re-runs on its
+        sibling, with the in-process answer."""
+        with _quiet_cluster(bundle, cluster_db) as rep:
+            evil = _fake_worker(
+                lambda req: b"\x00\xff garbage\n", rep.supervisor.groups[0][0]
+            )
+            with obs.observe() as observation:
+                got = rep.query(relevance_fn, 8.0, 5)
+                counters = observation.stats()["counters"]
+            _assert_identical(got, reference[(8.0, 5)])
+            assert not evil.alive  # reported, left down by the quiet monitor
         assert counters["replica.protocol_errors"] == 1
         assert counters["replica.failovers"] == 1
 
-    def test_router_fails_over_on_non_object_result(self):
-        evil = _fake_worker(
-            lambda req: b'{"ok": true, "r": [1, 2, 3]}\n'
-        )
-        good = _good_worker()
-        supervisor = _StubSupervisor([evil, good])
-        router = ReplicaRouter(supervisor, op_timeout_s=5.0)
-        result = router.call(0, {"op": "ping"})
-        assert result["echo"] == "ping"
-        assert supervisor.failures == [evil]
+    def test_router_fails_over_on_non_object_result(
+        self, bundle, cluster_db, relevance_fn, reference,
+    ):
+        with _quiet_cluster(bundle, cluster_db) as rep:
+            evil = _fake_worker(
+                lambda req: b'{"ok": true, "r": [1, 2, 3]}\n',
+                rep.supervisor.groups[0][0],
+            )
+            with obs.observe() as observation:
+                got = rep.query(relevance_fn, 8.0, 5)
+                counters = observation.stats()["counters"]
+            _assert_identical(got, reference[(8.0, 5)])
+            assert not evil.alive
+        assert counters["replica.protocol_errors"] == 1
+        assert counters["replica.failovers"] == 1
 
-    def test_group_unavailable_when_all_replicas_corrupt(self):
-        evil_a = _fake_worker(lambda req: b"nope\n")
-        evil_b = _fake_worker(lambda req: b"also nope\n")
-        supervisor = _StubSupervisor([evil_a, evil_b])
-        router = ReplicaRouter(supervisor, op_timeout_s=5.0)
-        with pytest.raises(ShardUnavailableError) as excinfo:
-            router.call(0, {"op": "ping"})
+    def test_group_unavailable_when_all_replicas_corrupt(
+        self, bundle, cluster_db, relevance_fn,
+    ):
+        with _quiet_cluster(bundle, cluster_db) as rep:
+            for handle, reply in zip(
+                rep.supervisor.groups[0], (b"nope\n", b"also nope\n")
+            ):
+                _fake_worker(lambda req, reply=reply: reply, handle)
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                rep.query(relevance_fn, 8.0, 5)
         assert excinfo.value.shard_id == 0
-        assert excinfo.value.causes  # transport causes recorded
+        # One transport cause per replica tried, each tried once.
+        assert len(excinfo.value.causes) == 2
 
     def test_peer_exit_is_replica_dead(self):
         def die(request):
@@ -475,6 +519,196 @@ class TestMalformedFrames:
             dead.call({"op": "ping"}, timeout=5.0)
         assert not dead.alive
         assert isinstance(ReplicaDead("x"), ReplicaUnreachable)
+
+
+# ---------------------------------------------------------------------------
+# Pin and retry: one replica per session, a failure re-runs the query
+# ---------------------------------------------------------------------------
+_READS = ("next", "pi_hat", "nbhd")
+
+
+@pytest.fixture(scope="module")
+def bundle_s2(cluster_db, tmp_path_factory):
+    out = tmp_path_factory.mktemp("replica-bundle-s2")
+    return build_shards(
+        cluster_db, StarDistance(), num_shards=2, out_dir=out, seed=7,
+        **BUILD,
+    )
+
+
+@pytest.fixture(scope="module")
+def reference_s2(bundle_s2, cluster_db, relevance_fn):
+    sharded = ShardedIndex.load(bundle_s2, cluster_db, StarDistance())
+    refs = {
+        (theta, k): sharded.query(relevance_fn, theta, k)
+        for theta in (6.0, 8.0) for k in (3, 5)
+    }
+    sharded.close()
+    return refs
+
+
+def _spy_frames(monkeypatch, before=None):
+    """Record ``(shard, replica, sid, payload)`` for every session frame a
+    worker handle sends; ``before(handle, payload)`` runs first."""
+    frames = []
+    lock = threading.Lock()
+    call = WorkerHandle.call
+
+    def spying(self, payload, timeout, **kwargs):
+        if "sid" in payload:
+            with lock:
+                frames.append(
+                    (self.shard_id, self.replica_index, payload["sid"], payload)
+                )
+            if before is not None:
+                before(self, payload)
+        return call(self, payload, timeout, **kwargs)
+
+    monkeypatch.setattr(WorkerHandle, "call", spying)
+    return frames
+
+
+def _replicas_per_session(frames):
+    served = {}
+    for shard, replica, sid, _ in frames:
+        served.setdefault((shard, sid), set()).add(replica)
+    return served
+
+
+class TestPinAndRetry:
+    def test_a_session_stays_on_one_replica_and_opens_once(
+        self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
+    ):
+        with ReplicatedIndex.open(
+            bundle_s2, cluster_db, StarDistance(), replicas=2,
+        ) as rep:
+            frames = _spy_frames(monkeypatch)
+            for (theta, k), ref in reference_s2.items():
+                _assert_identical(rep.query(relevance_fn, theta, k), ref)
+        served = _replicas_per_session(frames)
+        # One session per shard per query: no retry happened.
+        assert len(served) == 2 * len(reference_s2)
+        # No frame of a session reaches a second replica.
+        assert all(len(replicas) == 1 for replicas in served.values()), served
+        for shard, sid in served:
+            ops = [
+                payload for s, _, i, payload in frames
+                if (s, i) == (shard, sid)
+            ]
+            assert [p["op"] for p in ops].count("open") == 1
+            assert ops[0]["op"] == "open"
+            first_round = next(p for p in ops if p["op"] == "begin_round")
+            assert ops.count(first_round) == 1  # not replayed before itself
+
+    def test_concurrent_queries_spread_reads_over_replicas(
+        self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
+    ):
+        """Two queries in flight at once pin shard 0 to different
+        replicas (the second finds one session on replica 0), so both
+        replicas serve reads.  The first two shard-0 opens wait for each
+        other, which keeps both queries in flight."""
+        meet = threading.Barrier(2, timeout=30)
+        opens = []
+
+        def rendezvous(handle, payload):
+            if payload["op"] == "open" and handle.shard_id == 0 and (
+                len(opens) < 2
+            ):
+                opens.append(handle.replica_index)
+                meet.wait()
+
+        with ReplicatedIndex.open(
+            bundle_s2, cluster_db, StarDistance(), replicas=2,
+        ) as rep:
+            frames = _spy_frames(monkeypatch, rendezvous)
+            answers = {}
+
+            def run(key):
+                answers[key] = rep.query(relevance_fn, *key)
+
+            keys = [(8.0, 5), (6.0, 3)]
+            threads = [threading.Thread(target=run, args=(key,)) for key in keys]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        for key in keys:
+            _assert_identical(answers[key], reference_s2[key])
+        assert sorted(opens) == [0, 1]
+        served = _replicas_per_session(frames)
+        assert all(len(replicas) == 1 for replicas in served.values()), served
+        readers = {
+            replica for shard, replica, _, payload in frames
+            if shard == 0 and payload["op"] in _READS
+        }
+        assert readers == {0, 1}
+
+    def test_more_queries_than_session_slots_all_answer_without_retry(
+        self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
+    ):
+        """SESSION_CAP·R + 1 queries started at once: the pin never puts
+        more sessions on a replica than its worker keeps, so the last
+        query waits for a slot instead of evicting a live session — every
+        answer matches and no query re-runs."""
+        replicas = 2
+        count = SESSION_CAP * replicas + 1
+        keys = [list(reference_s2)[i % len(reference_s2)] for i in range(count)]
+        start = threading.Barrier(count, timeout=30)
+        answers, errors = {}, []
+
+        with ReplicatedIndex.open(
+            bundle_s2, cluster_db, StarDistance(), replicas=replicas,
+        ) as rep:
+            frames = _spy_frames(monkeypatch)
+
+            def run(i):
+                start.wait()
+                try:
+                    answers[i] = rep.query(relevance_fn, *keys[i])
+                except Exception as error:  # noqa: BLE001 - reported below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=run, args=(i,)) for i in range(count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert rep.supervisor.stats()["restarts"] == 0
+        assert not errors, errors
+        for i, key in enumerate(keys):
+            _assert_identical(answers[i], reference_s2[key])
+        assert len({sid for *_, sid, _ in frames}) == count  # no retry
+
+    def test_a_forgotten_session_reruns_the_query_and_kills_nothing(
+        self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
+    ):
+        """A worker that answers ``unknown_session`` (it evicted the
+        session, or was restarted since the open) is healthy: the query
+        re-runs under a fresh session id and no worker is restarted."""
+        forgotten = []
+
+        def forget(handle, payload):
+            if payload["op"] == "next" and not forgotten:
+                forgotten.append(payload["sid"])
+                assert handle.call(
+                    {"op": "close", "sid": payload["sid"]}, 5.0
+                )["ok"]
+
+        with ReplicatedIndex.open(
+            bundle_s2, cluster_db, StarDistance(), replicas=2,
+        ) as rep:
+            frames = _spy_frames(monkeypatch, forget)
+            with obs.observe() as observation:
+                got = rep.query(relevance_fn, 8.0, 5)
+                counters = observation.stats()["counters"]
+            handles = [h for group in rep.supervisor.groups for h in group]
+            assert all(h.alive and h.generation == 1 for h in handles)
+            assert rep.supervisor.stats()["restarts"] == 0
+        _assert_identical(got, reference_s2[(8.0, 5)])
+        assert counters["replica.failovers"] == 1
+        assert len({sid for *_, sid, _ in frames}) == 2  # one retry
 
 
 # ---------------------------------------------------------------------------

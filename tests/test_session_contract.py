@@ -296,24 +296,30 @@ class TestFrontierProtocol:
     def frontier(self, request, setting):
         database, bundle, q, relevant, universe, cluster = setting
         if request.param == "shard":
-            return ShardFrontier(
+            yield ShardFrontier(
                 MemberState(
                     bundle.shards[0], bundle.members[0], relevant, universe,
                 ),
                 self.THETA, QueryStats(), FilterCascade(),
                 global_engine=bundle.engine, frame=bundle.frame,
             )
+            return
         members = relevant[bundle.shard_of[relevant] == 0]
         if request.param == "exact":
-            return ExactFrontier(
+            yield ExactFrontier(
                 members, universe, bundle.engine, self.THETA, QueryStats(),
                 FilterCascade(),
             )
-        return RemoteFrontier(
-            cluster.router, 0, uuid.uuid4().hex[:16], dims=q.dims,
+            return
+        sid = uuid.uuid4().hex[:16]
+        pinned = cluster.router.pin(sid)
+        yield RemoteFrontier(
+            cluster.router, pinned[0], sid, dims=q.dims,
             threshold=q.threshold, theta=self.THETA, relevant_global=members,
             universe=universe,
         )
+        for handle in pinned:  # frees the replica's session slots
+            cluster.router.close_session(handle, sid)
 
     def test_has_every_protocol_member(self, frontier, setting):
         universe = setting[4]
