@@ -1,17 +1,18 @@
 """Replica failover benchmark: tail latency + availability vs kill rate.
 
 Opens one shard bundle through :class:`repro.replica.ReplicatedIndex`
-with R ∈ {1, 2, 3} worker processes per shard while a killer thread
-SIGKILLs a random live worker at a configured rate.  Per configuration
-it records:
+with R ∈ {1, 2, 3} worker processes (each serving the whole bundle)
+while a killer thread SIGKILLs a random live worker at a configured
+rate.  Per configuration it records:
 
 * **latency** — p50/p99 per-query wall clock.  With R ≥ 2 a kill that
-  lands on a query's pinned replica costs one re-run of the query on the
-  surviving replicas; with R = 1 it costs a restart wait or a failed
-  query, and the tail shows the difference.
+  lands on a query's pinned replica costs one re-run of the query on a
+  surviving replica; with R = 1 it costs a wait for the restart, and the
+  tail shows the difference.
 * **availability** — the fraction of queries answered.  A query fails
-  (``ShardUnavailableError``) only when every replica of one shard is
-  down at once; there is no answer over the surviving shards.
+  (``ShardUnavailableError``) only when no replica is live and none
+  restarts within ``op_timeout_s``, or its re-runs keep losing their
+  worker.
 * **supervision counters** — spawns/restarts/deaths actually injected,
   so a row with ``kills: 0`` cannot masquerade as resilience.
 
@@ -70,11 +71,7 @@ class _Killer:
     def _run(self):
         supervisor = self.cluster.supervisor
         while not self._stop.wait(1.0 / self.rate):
-            live = [
-                handle
-                for shard_id in range(self.cluster.num_shards)
-                for handle in supervisor.live(shard_id)
-            ]
+            live = supervisor.live()
             if not live:
                 continue
             victim = self.rng.choice(live)
@@ -173,8 +170,8 @@ def test_replica_failover_benchmark(tmp_path):
     _print_summary(document)
     for row in document["rows"]:
         assert row["queries"] == 16
-        # A query fails only when a whole group is down at once, which
-        # under one killer thread needs R == 1.
+        # A query fails only when no replica is live for a whole restart
+        # wait, which under one killer thread needs R == 1.
         if row["replicas"] >= 2:
             assert row["availability"] == 1.0, row
 

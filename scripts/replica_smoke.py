@@ -3,11 +3,12 @@
 
 Serves one shard bundle (S=4) twice through the real CLI:
 
-1. **Reference** — ``repro serve --shards`` (single-process coordinator).
-2. **Chaos** — ``repro serve --shards --replicas 2`` with a ``FaultPlan``
+1. **Reference** — ``repro serve --shards`` (in process).
+2. **Chaos** — ``repro serve --shards --replicas 2`` (two worker
+   processes, each serving the whole bundle) with a ``FaultPlan``
    injected into the service process (via sitecustomize) that kills
-   replica 0 of every shard every 40 ops *forever* and wedges one worker
-   past the supervisor's wedge timeout.
+   replica 0 every 40 ops *forever* and wedges one worker past the
+   supervisor's wedge timeout.
 
 Both runs answer the same 1000 mixed requests (queries, pings, stats).
 The gate asserts:
@@ -18,15 +19,16 @@ The gate asserts:
   kills, wedge-kills, restarts, and failovers may move work around but
   must never change an answer bit,
 * the chaos actually happened (failovers > 0, restarts > 0),
-* no query was shed or failed (a lost group would fail its queries),
-* **the served path loads only what it runs** — halfway through the
+* no query was shed or failed,
+* **the served path loads only what it runs** — a quarter of the way through the
   chaos conversation the server and every live worker are inspected
   through ``/proc/<pid>/maps``: none may have mapped a file of
   ``scipy.stats`` / ``scipy.sparse`` / ``scipy.spatial`` / ``networkx``,
   or of ``scipy.optimize`` other than the ``_lsap`` extension
-  (:mod:`repro.ged.lsap`); and what each process holds, as the ``stats``
-  op reports it (``process`` / ``index.replica.rss_mb``), stays within a
-  per-process budget.
+  (:mod:`repro.ged.lsap`); the fleet is the server plus 1…R workers,
+  never more; and what each process holds, as the ``stats`` op reports
+  it (``process`` / ``index.replica.rss_mb``, one number per live
+  worker), stays within a per-process budget.
 
 Run from the repo root: ``python scripts/replica_smoke.py``.
 """
@@ -140,11 +142,15 @@ def unwanted_mappings(pid: int) -> list[str]:
     )
 
 
-def serve_inspected(db, requests, *extra_args, pythonpath, tmp):
-    """:func:`serve` with a look inside: once half the responses are out
-    — the fleet is mid-conversation, churn included — read what the server
-    and each of its workers have mapped.  Returns the completed process
-    and ``{pid: unwanted mappings}``."""
+def serve_inspected(db, requests, *extra_args, pythonpath, tmp, wedge_token):
+    """:func:`serve` with a look inside: once a quarter of the responses
+    are out — the fleet is mid-conversation, kill churn included — read
+    what the server and each of its workers have mapped, then arm the
+    one-shot wedge by creating ``wedge_token``.  Armed from the start, the
+    wedge would take replica 0's very first op, and the 5 s until its
+    wedge-kill outlast the whole conversation on replica 1: no kill churn
+    would ever happen.  Returns the completed process and ``{pid:
+    unwanted mappings}``."""
     argv = serve_argv(db, *extra_args)
     out_path, err_path = tmp / "chaos.out", tmp / "chaos.err"
     with open(out_path, "w") as out, open(err_path, "w") as err:
@@ -157,12 +163,13 @@ def serve_inspected(db, requests, *extra_args, pythonpath, tmp):
             proc.stdin.close()
             deadline = time.monotonic() + 540
             while (proc.poll() is None and time.monotonic() < deadline
-                   and out_path.read_text().count("\n") < len(requests) // 2):
-                time.sleep(0.1)
+                   and out_path.read_text().count("\n") < len(requests) // 4):
+                time.sleep(0.05)
             mapped = {
                 pid: unwanted_mappings(pid)
                 for pid in [proc.pid, *child_pids(proc.pid)]
             }
+            wedge_token.write_text("wedge")
             proc.wait(timeout=max(1.0, deadline - time.monotonic()))
         finally:
             if proc.poll() is None:
@@ -189,17 +196,16 @@ def main() -> int:
     requests = build_requests()
     src_path = str(ROOT / "src")
 
-    # Reference: single-process scatter-gather coordinator.
+    # Reference: the in-process bundle, one index over its frame.
     reference = serve(db, requests, "--shards", str(manifest),
                       pythonpath=src_path)
 
-    # Chaos: replica 0 of every shard dies every 40 ops (each restarted
-    # process serves 39 more and dies again — sustained churn), and one
-    # worker wedges past the supervisor's 5s wedge timeout, forcing a
-    # wedge-kill plus failover.  Replica 1 never dies, so every answer
-    # must still come out bit-identical.
+    # Chaos: replica 0 dies every 40 ops (each restarted process serves
+    # 39 more and dies again — sustained churn), and, once armed
+    # mid-conversation, wedges past the supervisor's 5s wedge timeout,
+    # forcing a wedge-kill plus failover.  Replica 1 never dies, so every
+    # answer must still come out bit-identical.
     wedge_token = tmp / "wedge-token"
-    wedge_token.write_text("wedge")
     (tmp / "sitecustomize.py").write_text(
         "from repro.resilience import faults\n"
         "from repro.resilience.faults import FaultPlan\n"
@@ -213,6 +219,7 @@ def main() -> int:
     chaos, mapped = serve_inspected(
         db, requests, "--shards", str(manifest), "--replicas", str(REPLICAS),
         "--metrics", str(metrics), pythonpath=f"{tmp}:{src_path}", tmp=tmp,
+        wedge_token=wedge_token,
     )
 
     failures = []
@@ -293,9 +300,14 @@ def main() -> int:
             if k.startswith("replica.")
         })
 
-    # Footprint: what the live fleet had mapped, and what it held.
-    if len(mapped) < 1 + NUM_SHARDS:  # server + a live replica per shard
-        failures.append(f"inspected only {len(mapped)} live processes")
+    # Footprint: what the live fleet had mapped, and what it held.  The
+    # fleet is R workers whatever the shard count; mid-churn 1..R of them
+    # are alive beside the server, never more.
+    if not 2 <= len(mapped) <= 1 + REPLICAS:
+        failures.append(
+            f"inspected {len(mapped)} live processes; expected the server "
+            f"and 1..{REPLICAS} workers"
+        )
     for pid, paths in mapped.items():
         if paths:
             failures.append(
@@ -319,7 +331,7 @@ def main() -> int:
         except ValidationError as error:
             failures.append(f"stats footprint section malformed: {error}")
         else:
-            resident = sorted(rss for group in workers for rss in group)
+            resident = sorted(workers)
             print(
                 f"footprint ({len(mapped)} processes' maps read): server "
                 f"peak_rss_mb {process['peak_rss_mb']:.1f} (budget "

@@ -624,8 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="watch-path polling interval (default: 1s)")
     p.add_argument("--replicas", type=int, default=None, metavar="R",
                    help="with --shards: serve from a supervised process "
-                        "cluster with R worker processes per shard "
-                        "(failover, restart)")
+                        "cluster of R worker processes, each serving the "
+                        "whole bundle (failover, restart)")
     p.add_argument("--crash-log", default=None, metavar="PATH",
                    help="append per-query crash journal entries (JSON lines)")
     p.add_argument("--crash-log-max-bytes", type=int, default=None,

@@ -3,8 +3,10 @@
 One coordinator drives the global lazy best-first loop of Algorithm 2 over
 S independent frontiers (:class:`~repro.index.frontier.Frontier`).  A plain
 ``NBIndex`` query is the S = 1 case: one index frontier, nothing foreign,
-so every foreign rung of the ladder below sums over nothing, and so is a
-sharded bundle's; several meet behind replicas and beside a memtable.
+so every foreign rung of the ladder below sums over nothing — and so is a
+sharded bundle's, in process or behind replicas (one remote frontier over
+the whole bundle).  Several frontiers meet only beside a memtable: a
+mutable index's base and its un-indexed graphs.
 Every greedy round runs a threshold-algorithm pull over the frontiers
 ("shards" below), each of which exposes its best remaining *local* gain
 bound (:meth:`~repro.index.frontier.RoundCursor.peek`):

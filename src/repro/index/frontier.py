@@ -24,11 +24,11 @@ Three implementations: :class:`IndexFrontier` here (one index's
 relevant members; a plain ``NBIndex`` or a sharded bundle queries one of
 these over the identity id map, and
 :class:`~repro.shard.frontier.ShardFrontier` adds seeing graphs that live
-elsewhere through the bundle's vantage frame, for a replica's shard or a
-mutable base),
+elsewhere through the bundle's vantage frame, for a mutable base; a
+replica worker serves its whole bundle through one too),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
-replicated shard behind the wire).
+replica's whole-bundle frontier behind the wire).
 
 The index frontier is the paper's Section 7 search without the NB-Tree
 and without its update step: each relevant member carries one working
@@ -46,8 +46,9 @@ update walk is not run: measured, it cost more exact calls than it saved
 on every workload (``docs/theory.md``, §7).
 
 Id discipline (load-bearing): the index's own engine and embedding speak
-*local* ids (a shard's sub-database renumbers 0..n_s−1); everything that
-crosses an index boundary uses *global* ids.  Mixing the two in one engine
+*local* ids, positions in the database it was built over (a shard
+artifact loaded over its sub-database renumbers 0..n_s−1); everything
+that crosses an index boundary uses *global* ids.  Mixing the two in one engine
 would alias different graphs onto the same pair-cache key.
 """
 
@@ -247,9 +248,9 @@ class IndexFrontier:
     """One index's state for one (θ, k) query.
 
     Complete on its own when every graph the query can select is a member
-    — a plain ``NBIndex`` or a sharded bundle; a replica's shard and a
-    mutable base see graphs that live elsewhere through
-    :class:`~repro.shard.frontier.ShardFrontier`.
+    — a plain ``NBIndex`` or a sharded bundle, in process or in a replica
+    worker; a mutable base sees graphs that live elsewhere (its memtable's)
+    through :class:`~repro.shard.frontier.ShardFrontier`.
 
     Each relevant member carries one working bound in :attr:`bounds`
     (aligned with the state's members): π̂ at θ, then ``hits +

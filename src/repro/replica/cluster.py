@@ -1,23 +1,24 @@
 """`ReplicatedIndex`: a supervised multi-process cluster behind the
 single-index API.
 
-The replicated deployment runs every shard of a manifest bundle as R
-worker *processes* (R replicas per shard), supervised and restarted on
-failure, and drives the one query path's greedy over
-:class:`~repro.replica.remote.RemoteFrontier` objects, one per shard,
-each pinned to one replica of its shard for the query.
+The replicated deployment runs R worker *processes* (replicas), each
+serving the whole manifest bundle as one index, supervised and restarted
+on failure.  A query attempt pins one replica and drives the one query
+path's greedy over one :class:`~repro.replica.remote.RemoteFrontier` —
+the S = 1 loop, whatever the bundle's S: the answer does not depend on
+how the database is split, so neither does the work.
 
 A retry is the failover protocol.  The answer is a deterministic function
 of a read-only bundle (greedy over exact θ-neighbourhoods, smallest-id
-tie-breaks), so when a pinned replica dies, wedges, answers garbage or
+tie-breaks), so when the pinned replica dies, wedges, answers garbage or
 has lost the session, the query re-runs from scratch under a fresh
-session id on the surviving replicas and returns the same bits.  A retry
-prefers replicas that have not failed this query; the number of attempts
-is bounded by S·R + 1.
+session id and returns the same bits.  A retry prefers replicas that have
+not failed this query; the number of attempts is bounded by R + 1.
 
-When *every* replica of a shard is down (or the attempts run out) the
-query fails with :class:`~repro.replica.errors.ShardUnavailableError`;
-it never answers over a subset of the shards.  A deterministic
+When no replica is live the attempt waits for the monitor's restart (at
+most ``op_timeout_s``, never past the query's deadline); when none comes,
+or the attempts run out, the query fails with
+:class:`~repro.replica.errors.ShardUnavailableError`.  A deterministic
 worker-side op failure (:class:`~repro.replica.errors.ReplicaWorkerError`)
 fails it without a retry.
 
@@ -34,8 +35,6 @@ from __future__ import annotations
 import uuid
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
@@ -51,7 +50,8 @@ from repro.shard.manifest import ShardManifest, database_checksum
 
 
 class ReplicatedIndex:
-    """R supervised worker processes per shard, queryable as one index."""
+    """R supervised worker processes over one bundle, queryable as one
+    index."""
 
     def __init__(
         self,
@@ -72,7 +72,6 @@ class ReplicatedIndex:
         self.frame = supervisor.frame
         self.router = router
         self.ladder = ThresholdLadder(manifest.ladder)
-        self.shard_of = np.asarray(manifest.assignments, dtype=np.int64)
         #: Single-index/service stats parity (nothing is hot-reloaded
         #: into a live process cluster).
         self.reused_shards = 0
@@ -93,7 +92,7 @@ class ReplicatedIndex:
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
     ) -> "ReplicatedIndex":
-        """Spawn and handshake the full S×R worker fleet.
+        """Spawn and handshake the R-worker fleet.
 
         Raises the same :class:`~repro.resilience.DatabaseMismatchError`
         as :meth:`ShardedIndex.load <repro.shard.ShardedIndex.load>` when
@@ -113,9 +112,9 @@ class ReplicatedIndex:
         supervisor = Supervisor(
             database,
             distance,
-            manifest_path,
-            manifest.num_shards,
-            # Read once here; the workers inherit it by fork.
+            manifest,
+            # Read and crc-checked once here; the workers inherit it by
+            # fork.
             frame=manifest.load_frame(manifest_path.parent),
             replicas=replicas,
             heartbeat_s=heartbeat_s,
@@ -156,8 +155,8 @@ class ReplicatedIndex:
         return 0  # distances are evaluated (and counted) in the workers
 
     def _run_query(self, run: QueryRun):
-        """Pin one :class:`RemoteFrontier` per shard and run the greedy;
-        on :class:`SessionLost`, run it again on fresh pins.  Workers run
+        """Pin one replica, run the greedy over its :class:`RemoteFrontier`;
+        on :class:`SessionLost`, run it again on a fresh pin.  Workers run
         the filter and the deadline; each open frame ships ε and the
         deadline's state (a worker knows its own metric), and the
         answering attempt's degradations are folded back into the
@@ -165,50 +164,35 @@ class ReplicatedIndex:
         run.span.set(shards=self.num_shards, replicas=self.replicas)
         failed: set = set()
         causes: list[str] = []
-        lost_shard = 0
-        for _ in range(self.num_shards * self.replicas + 1):
-            # One session id covers the whole attempt — worker session
-            # tables are per-process, so the same id on every shard is
-            # unambiguous.
+        for _ in range(self.replicas + 1):
             sid = uuid.uuid4().hex[:16]
             try:
-                pinned = self.router.pin(sid, failed)
-            except ShardUnavailableError as down:
-                raise ShardUnavailableError(down.shard_id, causes) from None
-            frontiers = []
+                handle = self.router.pin(sid, failed)
+            except ShardUnavailableError:
+                raise ShardUnavailableError(causes) from None
             try:
-                for s, handle in enumerate(pinned):
-                    frontiers.append(self._frontier(run, s, handle, sid))
-                result = run.greedy(
-                    frontiers, lambda gid: frontiers[int(self.shard_of[gid])]
-                )
+                frontier = self._frontier(run, handle, sid)
+                result = run.greedy([frontier], lambda gid: frontier)
             except SessionLost as lost:
                 failed.add(lost.handle)
                 causes.append(str(lost))
-                lost_shard = lost.handle.shard_id
                 obs.counter("replica.failovers")
                 continue
             finally:
-                for handle in pinned:
-                    self.router.close_session(handle, sid)
+                self.router.close_session(handle, sid)
             if run.deadline is not None:
-                for frontier in frontiers:
-                    run.deadline.merge_degradations(frontier.degradations)
+                run.deadline.merge_degradations(frontier.degradations)
             return result
-        raise ShardUnavailableError(lost_shard, causes)
+        raise ShardUnavailableError(causes)
 
-    def _frontier(self, run: QueryRun, s: int, handle, sid: str):
+    def _frontier(self, run: QueryRun, handle, sid: str):
         session = run.session
         return RemoteFrontier(
             self.router, handle, sid,
             dims=session.query_fn.dims,
             threshold=session.query_fn.threshold,
             theta=run.theta,
-            # Pure function of the manifest, identical to each worker's
-            # own derivation.
-            relevant_global=session.cached(s, lambda: (
-                session.relevant[self.shard_of[session.relevant] == s]
-            )),
+            relevant_global=session.relevant,
             universe=session.universe,
             deadline_state=(
                 run.deadline.state() if run.deadline is not None else None
@@ -219,7 +203,7 @@ class ReplicatedIndex:
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)
     # ------------------------------------------------------------------
-    #: Worker processes hold immutable shard artifacts; mutate through a
+    #: Worker processes serve an immutable bundle; mutate through a
     #: single-process ``repro.open_index(path, mutable=True)`` deployment.
     mutable = False
 

@@ -7,11 +7,10 @@ Two audiences, two families:
   them, reports the replica to the supervisor, and raises
   :class:`SessionLost`, on which the cluster re-runs the query.  They
   exist as types so tests can assert *which* failure cost a retry.
-* :class:`ShardUnavailableError` is what a query raises when a **whole
-  replica group** is down: every replica of one shard failed (or failed
-  to restart in time).  The query fails; the service answers it with
-  ``query_failed`` naming this type.  There is no answer over the
-  surviving shards.
+* :class:`ShardUnavailableError` is what a query raises when **no worker**
+  can serve it: every replica is down and none restarted within the
+  wait, or the attempts ran out.  The query fails; the service answers
+  it with ``query_failed`` naming this type.
 """
 
 from __future__ import annotations
@@ -22,19 +21,17 @@ class ReplicaError(Exception):
 
 
 class ShardUnavailableError(ReplicaError):
-    """Every replica of one shard is down; its frontier cannot be served.
+    """No replica can serve the query: none is live (and none restarted
+    within the wait), or every attempt lost its worker.
 
-    ``shard_id`` names the dead group; ``causes`` holds the last
-    per-replica transport failures (strings), for logs and tests.
+    The name is the wire's ``exception_type``.  ``causes`` holds the
+    failures of the attempts made (strings), for logs and tests.
     """
 
-    def __init__(self, shard_id: int, causes: list[str] | None = None):
-        self.shard_id = int(shard_id)
+    def __init__(self, causes: list[str] | None = None):
         self.causes = list(causes or [])
         detail = f": {'; '.join(self.causes)}" if self.causes else ""
-        super().__init__(
-            f"shard {shard_id}: no live replica remains{detail}"
-        )
+        super().__init__(f"no live replica remains{detail}")
 
 
 class ReplicaWorkerError(ReplicaError):
@@ -51,16 +48,14 @@ class ReplicaWorkerError(ReplicaError):
 
 
 class SessionLost(ReplicaError):
-    """Internal: the replica pinned to one of a query's shard sessions
-    failed (a :class:`ReplicaUnreachable`) or no longer holds the session
+    """Internal: the replica a query's session is pinned to failed (a
+    :class:`ReplicaUnreachable`) or no longer holds the session
     (``unknown_session``).  The cluster re-runs the query under a fresh
     session id and prefers replicas other than ``handle``."""
 
     def __init__(self, handle, cause: str):
         self.handle = handle
-        super().__init__(
-            f"replica {handle.shard_id}/{handle.replica_index}: {cause}"
-        )
+        super().__init__(f"replica {handle.replica_index}: {cause}")
 
 
 class ReplicaUnreachable(ReplicaError):

@@ -1,15 +1,16 @@
 """Coordinator-side remote frontier: the frontier protocol over the wire.
 
-A :class:`RemoteFrontier` is a drop-in participant in
-:func:`repro.index.coordinator.run_greedy` — same methods, same
-attributes — whose state lives in one shard worker process: the replica
-the router pinned this session to.  It sends ``open`` once, when it is
-built, and every later op (``begin_round`` / ``open_round`` / ``next`` /
-``pi_hat`` / ``nbhd`` / ``select``) to that replica only, so the
-worker's frontier sees exactly the op sequence an in-process
-``ShardFrontier`` sees.  A failed op raises
-:class:`~repro.replica.errors.SessionLost` out of the greedy, and the
-cluster re-runs the query from scratch.
+A :class:`RemoteFrontier` is the one participant of
+:func:`repro.index.coordinator.run_greedy` in a replicated query — same
+methods, same attributes as an in-process frontier — whose state lives in
+one worker process: the replica the router pinned this query attempt to.
+It sends ``open`` once, when it is built, and every later op
+(``begin_round`` / ``open_round`` / ``next`` / ``select``) to that
+replica only, so the worker's frontier sees exactly the op sequence the
+in-process bundle's frontier sees.  The worker holds every relevant
+graph, so the loop never asks this frontier about a foreign one.  A
+failed op raises :class:`~repro.replica.errors.SessionLost` out of the
+greedy, and the cluster re-runs the query from scratch.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ _NEG_INF = float("-inf")
 
 
 def _deficit_to_wire(min_useful: float, tie_gid: int | None) -> dict:
-    """``mu`` / ``tie`` of a ``next`` or ``nbhd`` frame (``-inf`` and "no
-    incumbent" both travel as ``null``)."""
+    """``mu`` / ``tie`` of a ``next`` frame (``-inf`` and "no incumbent"
+    both travel as ``null``)."""
     return {
         "mu": None if min_useful == _NEG_INF else float(min_useful),
         "tie": None if tie_gid is None else int(tie_gid),
@@ -34,7 +35,7 @@ def _deficit_to_wire(min_useful: float, tie_gid: int | None) -> dict:
 
 
 class RemoteFrontier:
-    """One shard's frontier, served by the replica its session is pinned to."""
+    """The bundle's frontier, served by the replica its session is pinned to."""
 
     def __init__(
         self,
@@ -52,11 +53,10 @@ class RemoteFrontier:
     ):
         self.router = router
         self.handle = handle
-        self.shard_id = handle.shard_id
         self.sid = sid
         self.universe = universe
-        #: This shard's relevant members (coordinator-side copy — the
-        #: membership split is a pure function of the manifest).
+        #: The query's relevant graphs (coordinator-side copy; the worker
+        #: derives the same set from the relevance spec).
         self.relevant_global = np.asarray(relevant_global, dtype=np.int64)
         #: The worker's degradation counts for this session (cumulative).
         self.degradations: dict[str, int] = {}
@@ -120,22 +120,17 @@ class RemoteFrontier:
             self, _NEG_INF if peek is None else float(peek)
         )
 
+    # Trace-only, like apply_update: benchmarks/e2e/trace.py wraps these
+    # names, so they must resolve.  The one-frontier loop never calls
+    # them (no graph is foreign to the whole bundle) and workers have no
+    # such ops.
     def pi_hat_uncovered(self, gid: int) -> int:
-        result = self._call({"op": "pi_hat", "sid": self.sid, "gid": int(gid)})
-        return int(result["count"])
+        raise NotImplementedError("a replicated frontier has no foreign graph")
 
     def neighborhood_of(
         self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
     ) -> np.ndarray | int:
-        result = self._call({
-            "op": "nbhd", "sid": self.sid, "gid": int(gid),
-            **_deficit_to_wire(min_useful, tie_gid),
-        })
-        if "bound" in result:
-            return int(result["bound"])
-        return wire.words_from_wire(
-            result.get("words"), self.universe.num_words
-        )
+        raise NotImplementedError("a replicated frontier has no foreign graph")
 
     def select(self, gid: int) -> None:
         self._call({"op": "select", "sid": self.sid, "gid": int(gid)})
@@ -147,9 +142,8 @@ class RemoteFrontier:
 
     def __repr__(self) -> str:
         return (
-            f"<RemoteFrontier shard={self.shard_id} "
-            f"replica={self.handle.replica_index} sid={self.sid} "
-            f"relevant={self.relevant_global.size}>"
+            f"<RemoteFrontier replica={self.handle.replica_index} "
+            f"sid={self.sid} relevant={self.relevant_global.size}>"
         )
 
 

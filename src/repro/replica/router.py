@@ -2,14 +2,17 @@
 reports.
 
 The :class:`ReplicaRouter` is the only code that talks to worker handles
-on behalf of a query.  Per attempt of a query, :meth:`pin` binds each
-shard's session to one live replica — the one with the fewest open
-sessions, ties going to the lowest replica index — and every op of that
-session goes to that replica alone (:meth:`call`).  Concurrent queries
-therefore spread over a shard's replicas.  A replica never holds more
-pinned sessions than its worker keeps
-(:data:`~repro.replica.worker.SESSION_CAP`); past S·R·cap concurrent
-queries, the next one waits for a slot rather than evict a live session.
+on behalf of a query.  Per attempt of a query, :meth:`pin` binds the
+session to one live replica — the one with the fewest open sessions,
+ties going to the lowest replica index — and every op of that session
+goes to that replica alone (:meth:`call`).  Concurrent queries therefore
+spread over the replicas.  A replica never holds more pinned sessions
+than its worker keeps (:data:`~repro.replica.worker.SESSION_CAP`); past
+R·cap concurrent queries, the next one waits for a slot rather than
+evict a live session.  With no replica live at all — a restart window —
+it waits for the monitor's restart, at most ``op_timeout_s`` and never
+past the query's deadline, and then fails with
+:class:`~repro.replica.errors.ShardUnavailableError`.
 
 There is no failover inside a query.  A transport failure reports the
 worker to the supervisor (which kills and restarts it); a worker that no
@@ -24,6 +27,7 @@ whole query under a fresh session id
 from __future__ import annotations
 
 import threading
+import time
 
 from repro import obs
 from repro.replica.errors import (
@@ -34,9 +38,10 @@ from repro.replica.errors import (
 )
 from repro.replica.supervisor import Supervisor, WorkerHandle
 from repro.replica.worker import SESSION_CAP
+from repro.resilience.deadline import current_deadline
 
-#: How often a query waiting for a session slot re-reads the fleet (a
-#: restart frees a replica's slots without a close to signal it).
+#: How often a query waiting for a session slot or a restart re-reads the
+#: fleet (a restart frees a replica's slots without a close to signal it).
 _SLOT_POLL_S = 0.05
 
 
@@ -56,34 +61,39 @@ class ReplicaRouter:
         #: the queries waiting for a slot.
         self._slots = threading.Condition()
 
-    def pin(self, sid: str, avoid=()) -> list[WorkerHandle]:
-        """One live replica per shard, in shard order, to serve session
-        ``sid``.  A replica in ``avoid`` (it failed this query already)
-        is taken only when no other has room.
+    def pin(self, sid: str, avoid=()) -> WorkerHandle:
+        """One live replica to serve session ``sid``.  A replica in
+        ``avoid`` (it failed this query already) is taken only when no
+        other has room.
 
         A replica holding :data:`SESSION_CAP` sessions is full: its
-        worker would evict one of them for a new ``open``.  The pin waits
-        until every shard has a live replica with room and then takes all
-        S at once, so a waiting query holds no slot another one needs.
-        Raises :class:`ShardUnavailableError` when a shard has no live
-        replica."""
+        worker would evict one of them for a new ``open``, so the pin
+        waits for a slot.  With no replica live it waits for a restart,
+        for ``op_timeout_s`` at most and never past the ambient deadline
+        (the query's), then raises :class:`ShardUnavailableError`."""
+        deadline = current_deadline()
+        remaining = None if deadline is None else deadline.remaining()
+        patience = self.op_timeout_s if remaining is None else min(
+            self.op_timeout_s, remaining
+        )
+        down_since = None
         with self._slots:
             while True:
-                chosen = []
-                for shard_id in range(self.supervisor.num_shards):
-                    live = self.supervisor.live(shard_id)
-                    if not live:
-                        raise ShardUnavailableError(shard_id)
-                    room = [h for h in live if len(h.sessions) < SESSION_CAP]
-                    if not room:
-                        break
-                    chosen.append(min(room, key=lambda h: (
+                live = self.supervisor.live()
+                room = [h for h in live if len(h.sessions) < SESSION_CAP]
+                if room:
+                    handle = min(room, key=lambda h: (
                         h in avoid, len(h.sessions), h.replica_index,
-                    )))
+                    ))
+                    handle.sessions.add(sid)
+                    return handle
+                if live:
+                    down_since = None
                 else:
-                    for handle in chosen:
-                        handle.sessions.add(sid)
-                    return chosen
+                    now = time.monotonic()
+                    down_since = now if down_since is None else down_since
+                    if now - down_since >= patience:
+                        raise ShardUnavailableError()
                 self._slots.wait(_SLOT_POLL_S)
 
     def call(self, handle: WorkerHandle, payload: dict) -> dict:

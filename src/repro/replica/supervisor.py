@@ -1,8 +1,9 @@
-"""Worker lifecycle: spawn R replicas per shard, watch them, restart them.
+"""Worker lifecycle: spawn R replicas of the bundle, watch them, restart them.
 
-The :class:`Supervisor` owns every shard-worker process and the one
-``socketpair`` connecting each to the coordinator.  Workers are forked
-(the database object rides along for free; no serialization), greeted
+The :class:`Supervisor` owns the R worker processes — each serves the
+whole bundle — and the one ``socketpair`` connecting each to the
+coordinator.  Workers are forked (the database, the manifest and the
+bundle's vantage frame ride along for free; no serialization), greeted
 with a ``hello`` handshake that doubles as a readiness gate, and then
 watched by a monitor thread:
 
@@ -37,7 +38,6 @@ import socket
 import threading
 import time
 import warnings
-from pathlib import Path
 
 from repro import obs
 from repro.replica import wire
@@ -67,8 +67,7 @@ def restart_delay(attempt: int) -> float:
 class WorkerHandle:
     """One live (or dead) replica process and its coordinator-side pipe."""
 
-    def __init__(self, shard_id: int, replica_index: int):
-        self.shard_id = shard_id
+    def __init__(self, replica_index: int):
         self.replica_index = replica_index
         self.proc = None
         self.sock: socket.socket | None = None
@@ -85,7 +84,6 @@ class WorkerHandle:
         self.sessions: set[str] = set()
         self.restart_attempts = 0
         self.next_restart_at = 0.0
-        self.num_graphs = 0
 
     # ------------------------------------------------------------------
     def call(self, payload: dict, timeout: float,
@@ -100,42 +98,45 @@ class WorkerHandle:
         with self.lock:
             if not self.alive or self.sock is None:
                 raise ReplicaDead(
-                    f"replica {self.shard_id}/{self.replica_index} is down"
+                    f"replica {self.replica_index} is down"
                 )
-            self.busy_since = time.monotonic()
-            try:
-                self.sock.settimeout(timeout)
-                self.sock.sendall(wire.encode_frame(payload))
-                response = wire.read_frame(self.reader, max_bytes=max_frame)
-            except (socket.timeout, TimeoutError) as error:
-                self.alive = False
-                raise ReplicaTimeout(
-                    f"replica {self.shard_id}/{self.replica_index} did not "
-                    f"answer {payload.get('op')!r} within {timeout:g}s"
-                ) from error
-            except ReplicaDead:
-                self.alive = False
-                raise
-            except OSError as error:
-                self.alive = False
-                raise ReplicaDead(
-                    f"replica {self.shard_id}/{self.replica_index} "
-                    f"connection failed: {error}"
-                ) from error
-            except ReplicaProtocolError:
-                self.alive = False
-                obs.counter("replica.protocol_errors")
-                raise
-            finally:
-                self.busy_since = None
-            if response is None:
-                self.alive = False
-                raise ReplicaDead(
-                    f"replica {self.shard_id}/{self.replica_index} closed "
-                    f"the connection (process exit)"
-                )
-            self.last_ok = time.monotonic()
-            return response
+            return self._exchange(payload, timeout, max_frame)
+
+    def _exchange(self, payload: dict, timeout: float, max_frame: int) -> dict:
+        """The round trip itself; the caller holds :attr:`lock`."""
+        self.busy_since = time.monotonic()
+        try:
+            self.sock.settimeout(timeout)
+            self.sock.sendall(wire.encode_frame(payload))
+            response = wire.read_frame(self.reader, max_bytes=max_frame)
+        except (socket.timeout, TimeoutError) as error:
+            self.alive = False
+            raise ReplicaTimeout(
+                f"replica {self.replica_index} did not "
+                f"answer {payload.get('op')!r} within {timeout:g}s"
+            ) from error
+        except ReplicaDead:
+            self.alive = False
+            raise
+        except OSError as error:
+            self.alive = False
+            raise ReplicaDead(
+                f"replica {self.replica_index} connection failed: {error}"
+            ) from error
+        except ReplicaProtocolError:
+            self.alive = False
+            obs.counter("replica.protocol_errors")
+            raise
+        finally:
+            self.busy_since = None
+        if response is None:
+            self.alive = False
+            raise ReplicaDead(
+                f"replica {self.replica_index} closed the connection "
+                f"(process exit)"
+            )
+        self.last_ok = time.monotonic()
+        return response
 
     # ------------------------------------------------------------------
     def mark_dead(self) -> None:
@@ -165,21 +166,19 @@ class WorkerHandle:
     def __repr__(self) -> str:
         state = "up" if self.alive else "down"
         return (
-            f"<WorkerHandle shard={self.shard_id} "
-            f"replica={self.replica_index} {state} "
+            f"<WorkerHandle replica={self.replica_index} {state} "
             f"gen={self.generation}>"
         )
 
 
 class Supervisor:
-    """Spawn, monitor and restart the S × R shard-worker fleet."""
+    """Spawn, monitor and restart the R-worker fleet."""
 
     def __init__(
         self,
         database,
         distance,
-        manifest_path: str | Path,
-        num_shards: int,
+        manifest,
         *,
         frame,
         replicas: int = 2,
@@ -193,21 +192,17 @@ class Supervisor:
         require(wedge_timeout_s > 0.0, "wedge_timeout_s must be > 0")
         self.database = database
         self.distance = distance
-        self.manifest_path = Path(manifest_path)
-        #: The bundle's vantage frame, loaded once and inherited by every
-        #: (re)forked worker.
+        #: The bundle's manifest and vantage frame, read and checked once
+        #: and inherited by every (re)forked worker.
+        self.manifest = manifest
         self.frame = frame
-        self.num_shards = int(num_shards)
         self.replicas = int(replicas)
         self.heartbeat_s = float(heartbeat_s)
         self.wedge_timeout_s = float(wedge_timeout_s)
         self.spawn_timeout_s = float(spawn_timeout_s)
         self.max_frame_bytes = int(max_frame_bytes)
         self._ctx = multiprocessing.get_context("fork")
-        self.groups: list[list[WorkerHandle]] = [
-            [WorkerHandle(s, r) for r in range(self.replicas)]
-            for s in range(self.num_shards)
-        ]
+        self.handles = [WorkerHandle(r) for r in range(self.replicas)]
         self._monitor: threading.Thread | None = None
         self._stop = threading.Event()
         self.spawns = 0
@@ -219,15 +214,14 @@ class Supervisor:
     # ------------------------------------------------------------------
     def start(self) -> "Supervisor":
         require(self._monitor is None, "supervisor already started")
-        for group in self.groups:
-            for handle in group:
-                self._spawn(handle)
-                if not handle.alive:
-                    self.stop()
-                    raise ReplicaError(
-                        f"replica {handle.shard_id}/{handle.replica_index} "
-                        f"failed its startup handshake"
-                    )
+        for handle in self.handles:
+            self._spawn(handle)
+            if not handle.alive:
+                self.stop()
+                raise ReplicaError(
+                    f"replica {handle.replica_index} failed its startup "
+                    f"handshake"
+                )
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="repro-replica-monitor",
             daemon=True,
@@ -240,23 +234,21 @@ class Supervisor:
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
-        for group in self.groups:
-            for handle in group:
-                handle.close()  # EOF → worker exits its loop
-        for group in self.groups:
-            for handle in group:
-                if handle.proc is not None:
+        for handle in self.handles:
+            handle.close()  # EOF → worker exits its loop
+        for handle in self.handles:
+            if handle.proc is not None:
+                handle.proc.join(timeout=1.0)
+                if handle.proc.is_alive():
+                    handle.proc.kill()
                     handle.proc.join(timeout=1.0)
-                    if handle.proc.is_alive():
-                        handle.proc.kill()
-                        handle.proc.join(timeout=1.0)
 
     # ------------------------------------------------------------------
     # Routing views
     # ------------------------------------------------------------------
-    def live(self, shard_id: int) -> list[WorkerHandle]:
-        """Live replicas of one shard, replica-index order (primary first)."""
-        return [h for h in self.groups[shard_id] if h.alive]
+    def live(self) -> list[WorkerHandle]:
+        """Live replicas, replica-index order."""
+        return [h for h in self.handles if h.alive]
 
     def report_failure(self, handle: WorkerHandle) -> None:
         """Router-side notice: an op on this worker failed.
@@ -274,10 +266,7 @@ class Supervisor:
     # Spawning
     # ------------------------------------------------------------------
     def _inherited_sockets(self) -> list[socket.socket]:
-        return [
-            h.sock for group in self.groups for h in group
-            if h.sock is not None
-        ]
+        return [h.sock for h in self.handles if h.sock is not None]
 
     def _spawn(self, handle: WorkerHandle) -> None:
         """(Re)fork one worker into ``handle``; sets ``alive`` on success."""
@@ -295,12 +284,10 @@ class Supervisor:
                 target=_worker_entry,
                 args=(
                     child_sock, inherited, self.database, self.distance,
-                    str(self.manifest_path), handle.shard_id,
-                    handle.replica_index, self.frame, self.max_frame_bytes,
+                    self.manifest, handle.replica_index, self.frame,
+                    self.max_frame_bytes,
                 ),
-                name=(
-                    f"repro-shard{handle.shard_id}-r{handle.replica_index}"
-                ),
+                name=f"repro-replica{handle.replica_index}",
                 daemon=True,
             )
             proc.start()
@@ -310,41 +297,40 @@ class Supervisor:
             handle.reader = parent_sock.makefile("rb")
             handle.generation += 1
             handle.sessions = set()
-            handle.busy_since = None
-            handle.alive = True  # provisionally, for the handshake call
             self.spawns += 1
+            # The handshake runs before the handle turns live, so no query
+            # is pinned to a worker that has not said hello.
+            try:
+                hello = handle._exchange(
+                    {"op": "hello"}, self.spawn_timeout_s,
+                    self.max_frame_bytes,
+                )
+                require(hello.get("ok") is True, "bad hello response")
+            except (ReplicaError, ValueError):
+                handle.kill()
+                return
+            handle.alive = True
         finally:
             handle.lock.release()
-        try:
-            hello = handle.call({"op": "hello"}, self.spawn_timeout_s,
-                                max_frame=self.max_frame_bytes)
-            require(hello.get("ok") is True, "bad hello response")
-            handle.num_graphs = int(hello["r"]["num_graphs"])
-        except (ReplicaError, KeyError, TypeError, ValueError):
-            handle.kill()
-            handle.alive = False
-            return
         handle.restart_attempts = 0
-        handle.last_ok = time.monotonic()
 
     # ------------------------------------------------------------------
     # Monitor
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_s):
-            for group in self.groups:
-                for handle in group:
-                    try:
-                        self._check(handle)
-                    except Exception as error:  # the monitor must survive
-                        # A monitor that silently stops restarting workers
-                        # turns R ≥ 2 into ShardUnavailableError: say so.
-                        obs.counter("replica.monitor_errors")
-                        warnings.warn(
-                            f"replica monitor: {handle!r}: "
-                            f"{type(error).__name__}: {error}",
-                            RuntimeWarning,
-                        )
+            for handle in self.handles:
+                try:
+                    self._check(handle)
+                except Exception as error:  # the monitor must survive
+                    # A monitor that silently stops restarting workers
+                    # turns R ≥ 2 into ShardUnavailableError: say so.
+                    obs.counter("replica.monitor_errors")
+                    warnings.warn(
+                        f"replica monitor: {handle!r}: "
+                        f"{type(error).__name__}: {error}",
+                        RuntimeWarning,
+                    )
 
     def _check(self, handle: WorkerHandle) -> None:
         now = time.monotonic()
@@ -405,37 +391,30 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
+        live = self.live()
         return {
-            "num_shards": self.num_shards,
             "replicas": self.replicas,
             "spawns": self.spawns,
             "restarts": self.restarts,
             "wedge_kills": self.wedge_kills,
-            "live": [
-                sum(1 for h in group if h.alive) for group in self.groups
-            ],
+            "live": len(live),
             # Read from /proc by pid, so the wire carries nothing new.
             "rss_mb": [
-                [
-                    memory["rss_mb"] for h in group if h.alive
-                    and (memory := obs.process_memory(h.proc.pid))
-                ]
-                for group in self.groups
+                memory["rss_mb"] for h in live
+                if (memory := obs.process_memory(h.proc.pid))
             ],
         }
 
     def __repr__(self) -> str:
-        live = sum(h.alive for g in self.groups for h in g)
         return (
-            f"<Supervisor shards={self.num_shards} "
-            f"replicas={self.replicas} live={live}/"
-            f"{self.num_shards * self.replicas}>"
+            f"<Supervisor replicas={self.replicas} "
+            f"live={len(self.live())}/{self.replicas}>"
         )
 
 
 def _worker_entry(
-    conn, inherited, database, distance, manifest_path,
-    shard_id, replica_index, frame, max_frame,
+    conn, inherited, database, distance, manifest, replica_index, frame,
+    max_frame,
 ) -> None:
     """Child-process shim: drop inherited pipes, then serve."""
     for sock in inherited:
@@ -446,6 +425,6 @@ def _worker_entry(
         except OSError:
             pass
     worker_main(
-        conn, database, distance, manifest_path, shard_id, replica_index,
-        frame, max_frame=max_frame,
+        conn, database, distance, manifest, replica_index, frame,
+        max_frame=max_frame,
     )

@@ -1,26 +1,30 @@
-"""The shard worker: one long-lived process serving one shard's frontier.
+"""The replica worker: one long-lived process serving the whole bundle.
 
 A worker is forked by the :class:`~repro.replica.supervisor.Supervisor`
-with the *database object* and the bundle's *vantage frame* already in
-memory (fork inheritance — no re-parse, pages shared by the whole fleet)
-and loads its own shard's NB-Index artifact on startup.  It
-then answers the coordinator's frontier protocol over a ``socketpair``,
-one line-JSON frame per op (:mod:`repro.replica.wire`):
+with the *database object*, the *manifest* and the bundle's *vantage
+frame* already in memory (fork inheritance — no re-parse, pages shared by
+the whole fleet; the frame was read and crc-checked once, by
+:meth:`ReplicatedIndex.open <repro.replica.cluster.ReplicatedIndex.open>`).
+It builds one :class:`~repro.shard.ShardedIndex` from them — the index
+every in-process deployment of the bundle queries — and reads no shard
+artifact.  It then answers the coordinator's frontier protocol over a
+``socketpair``, one line-JSON frame per op (:mod:`repro.replica.wire`):
 
 ====================  =====================================================
 op                    effect
 ====================  =====================================================
-``hello``             identity + shard shape (handshake; supervisor only)
+``hello``             identity (handshake; supervisor only)
 ``ping``              liveness probe (heartbeat)
 ``open``              create a query session: relevance spec → frontier
 ``begin_round``       refresh uncovered view; returns count + root bound
 ``open_round``        start the frontier's best-first round cursor
 ``next``              advance the lazy walk (piggybacks ``peek``)
-``pi_hat``            open a foreign candidate's window: ``hits + unverified``
-``nbhd``              verify it as far as ``mu``/``tie`` ask: bitset or bound
-``select``            retire a chosen home graph from the frontier
+``select``            retire a chosen graph from the frontier
 ``close``             drop a session
 ====================  =====================================================
+
+A session's frontier holds every relevant graph, so the coordinator runs
+the one-frontier loop and never asks for a foreign bound.
 
 Sessions are keyed by a coordinator-chosen ``sid`` and bounded by an LRU
 cap the router's pins stay within.  A session lives on the one replica
@@ -46,7 +50,6 @@ import os
 import socket
 import traceback
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 
@@ -55,12 +58,11 @@ from repro.cascade import EpsilonError, FilterCascade
 from repro.core.results import QueryStats
 from repro.graphs.relevance import AverageScoreThreshold
 from repro.index.frontier import MemberState
-from repro.index.persistence import load_index
 from repro.replica import wire
 from repro.resilience import faults
 from repro.resilience.deadline import Deadline, deadline_scope
 from repro.shard.frontier import ShardFrontier
-from repro.shard.manifest import ShardManifest
+from repro.shard.sharded import ShardedIndex
 
 _NEG_INF = float("-inf")
 
@@ -77,8 +79,8 @@ def _bound_to_wire(value: float):
 
 
 def _deficit_from_wire(request: dict) -> tuple[float, int | None]:
-    """``(min_useful, tie_gid)`` of a ``next`` / ``nbhd`` frame; absent or
-    ``null`` keys mean "no incumbent"."""
+    """``(min_useful, tie_gid)`` of a ``next`` frame; absent or ``null``
+    keys mean "no incumbent"."""
     mu, tie = request.get("mu"), request.get("tie")
     return (
         _NEG_INF if mu is None else float(mu),
@@ -87,7 +89,7 @@ def _deficit_from_wire(request: dict) -> tuple[float, int | None]:
 
 
 class _Session:
-    """One (relevance, θ) query's shard-local state."""
+    """One (relevance, θ) query's frontier and deadline."""
 
     __slots__ = ("frontier", "round", "deadline", "stats")
 
@@ -99,41 +101,27 @@ class _Session:
 
 
 class ShardWorker:
-    """Op dispatcher bound to one loaded shard replica."""
+    """Op dispatcher bound to one replica of the whole bundle."""
 
     def __init__(
         self,
         database,
         distance,
-        manifest_path: str | Path,
-        shard_id: int,
+        manifest,
         replica_index: int,
         *,
         frame,
         session_cap: int = SESSION_CAP,
     ):
-        from repro.engine import DistanceEngine
-
-        manifest_path = Path(manifest_path)
-        manifest = ShardManifest.load(manifest_path)
-        self.shard_id = int(shard_id)
         self.replica_index = int(replica_index)
-        self.members = manifest.members(self.shard_id)
-        self.database = database
-        sub = database.subset([int(i) for i in self.members])
-        # Through the manifest's crc32, like every other reader.
-        self.index = load_index(
-            manifest.artifact_path(self.shard_id, manifest_path.parent),
-            sub, distance,
-            manifest.read_artifact(self.shard_id, manifest_path.parent),
+        #: The bundle as one index over its frame; ``index.engine`` is the
+        #: worker's one engine (identity ids).
+        self.index = ShardedIndex(
+            database, distance, manifest=manifest, frame=frame
         )
-        #: The bundle's :class:`~repro.index.vantage.VantageFrame`: every
-        #: graph's coordinates, wherever it lives.
-        self.frame = frame
-        #: Cross-shard distances go through a *global-id* engine over the
-        #: full database — the same id discipline as the in-process
-        #: coordinator (mixing id spaces would alias pair-cache keys).
-        self.global_engine = DistanceEngine(distance, graphs=database.graphs)
+        #: No graph lives elsewhere, so there is no second engine
+        #: (``benchmarks/e2e/trace.py`` still reads the name).
+        self.global_engine = None
         self.sessions: OrderedDict[str, _Session] = OrderedDict()
         self.session_cap = int(session_cap)
         self.ops_served = 0
@@ -182,8 +170,8 @@ class ShardWorker:
         if session is None:
             raise _UnknownSession(
                 f"session {sid!r} unknown to replica "
-                f"{self.shard_id}/{self.replica_index} (evicted or "
-                f"restarted); re-run the query"
+                f"{self.replica_index} (evicted or restarted); re-run the "
+                f"query"
             )
         self.sessions.move_to_end(sid)
         return session
@@ -192,12 +180,7 @@ class ShardWorker:
     # Ops
     # ------------------------------------------------------------------
     def _op_hello(self, request: dict, _session) -> dict:
-        return {
-            "shard": self.shard_id,
-            "replica": self.replica_index,
-            "pid": os.getpid(),
-            "num_graphs": int(len(self.index.database)),
-        }
+        return {"replica": self.replica_index, "pid": os.getpid()}
 
     def _op_ping(self, request: dict, _session) -> dict:
         return {"pong": True}
@@ -216,7 +199,8 @@ class ShardWorker:
         query_fn = AverageScoreThreshold(
             tuple(int(d) for d in dims), float(request["threshold"])
         )
-        relevant = self.database.relevant_indices(query_fn)
+        index = self.index.index
+        relevant = index.database.relevant_indices(query_fn)
         deadline_state = request.get("deadline")
         deadline = (
             Deadline.from_state(deadline_state)
@@ -228,10 +212,11 @@ class ShardWorker:
             raise wire.ReplicaProtocolError(str(error)) from error
         frontier = ShardFrontier(
             MemberState(
-                self.index, self.members, relevant, BitsetUniverse(relevant)
+                index, np.arange(len(index.embedding)), relevant,
+                BitsetUniverse(relevant),
             ),
             theta, QueryStats(), runtime,
-            global_engine=self.global_engine, frame=self.frame,
+            global_engine=index.engine, frame=self.index.frame,
         )
         self.sessions[sid] = _Session(frontier, deadline)
         self.sessions.move_to_end(sid)
@@ -275,18 +260,6 @@ class ShardWorker:
             }
         return {"cand": cand, "peek": _bound_to_wire(session.round.peek())}
 
-    def _op_pi_hat(self, request: dict, session: "_Session") -> dict:
-        count = session.frontier.pi_hat_uncovered(int(request["gid"]))
-        return {"count": int(count)}
-
-    def _op_nbhd(self, request: dict, session: "_Session") -> dict:
-        part = session.frontier.neighborhood_of(
-            int(request["gid"]), *_deficit_from_wire(request)
-        )
-        if isinstance(part, np.ndarray):
-            return {"words": wire.words_to_wire(part)}
-        return {"bound": int(part)}
-
     def _op_select(self, request: dict, session: "_Session") -> dict:
         session.frontier.select(int(request["gid"]))
         return {}
@@ -302,8 +275,6 @@ class ShardWorker:
         "begin_round": _op_begin_round,
         "open_round": _op_open_round,
         "next": _op_next,
-        "pi_hat": _op_pi_hat,
-        "nbhd": _op_nbhd,
         "select": _op_select,
         "close": _op_close,
     }
@@ -327,21 +298,18 @@ def worker_main(
     conn: socket.socket,
     database,
     distance,
-    manifest_path,
-    shard_id: int,
+    manifest,
     replica_index: int,
     frame,
     max_frame: int = wire.MAX_FRAME_BYTES,
 ) -> None:
     """Forked-process entry: serve frames on ``conn`` until EOF.
 
-    Everything heavy (shard artifact load, engine setup) happens before
-    the first response, so the supervisor's ``hello`` handshake doubles
-    as a readiness gate.
+    The index is built before the first response, so the supervisor's
+    ``hello`` handshake doubles as a readiness gate.
     """
     worker = ShardWorker(
-        database, distance, manifest_path, shard_id, replica_index,
-        frame=frame,
+        database, distance, manifest, replica_index, frame=frame
     )
     reader = conn.makefile("rb")
     try:

@@ -8,7 +8,7 @@ consult the active plan.
 With no plan installed every hook is a cheap ``None``-check, so production
 paths pay nothing.
 
-Cross-process determinism: shard replica workers are forked, so they
+Cross-process determinism: replica workers are forked, so they
 inherit the plan installed in the parent *at fork time*.  One-shot worker
 kills and wedges are coordinated through a token *file*: the first worker
 op to atomically ``unlink`` it wins; every other process sees the token
@@ -47,7 +47,7 @@ class FaultPlan:
         ``"delta.compact.commit"``) — the "kill -9 between stages"
         scenario.
     replica_kill_token:
-        Path to an existing file; the first *shard replica worker* to
+        Path to an existing file; the first *replica worker* to
         unlink it at op entry dies — a hard one-shot mid-query kill.
     replica_kill_every:
         A replica worker dies once it has served this many ops —
@@ -56,8 +56,8 @@ class FaultPlan:
         the life of the plan.
     replica_kill_replicas:
         Restrict both replica-kill modes to these replica indexes
-        (``None`` = any).  Chaos runs that must keep one live replica
-        per shard pin kills to index 0 while index 1 survives.
+        (``None`` = any).  Chaos runs that must keep one replica live
+        pin kills to index 0 while index 1 survives.
     replica_wedge_token:
         Path to an existing file; the first replica worker to unlink it
         sleeps ``replica_wedge_seconds`` at op entry — the wedged-worker
@@ -219,7 +219,7 @@ def _replica_selected(plan: FaultPlan, replica_index: int) -> bool:
 
 
 def maybe_kill_replica(replica_index: int, ops_served: int) -> None:
-    """Shard-replica op entry.  Only ever called inside a forked worker
+    """Replica worker op entry.  Only ever called inside a forked worker
     process — ``os._exit`` here must never kill the coordinator."""
     plan = _PLAN
     if plan is None or not _replica_selected(plan, replica_index):
@@ -238,7 +238,7 @@ def maybe_kill_replica(replica_index: int, ops_served: int) -> None:
 
 
 def maybe_wedge_replica(replica_index: int) -> None:
-    """Shard-replica op entry: one-shot wedge (long sleep, not death)."""
+    """Replica worker op entry: one-shot wedge (long sleep, not death)."""
     plan = _PLAN
     if (
         plan is None

@@ -56,10 +56,10 @@ Responses echo the ``id`` and carry either ``result`` or a typed
      "error": {"code": "overloaded", "message": "...", "retry_after_s": 0.4}}
 
 Every deployment shape (single index, shard bundle, mutable, replicated)
-answers with the same bytes.  A replicated deployment that has lost
-every replica of a shard answers ``query_failed`` with
-``"exception_type": "ShardUnavailableError"`` until the supervisor has
-restarted one; it never answers over a subset of the shards.
+answers with the same bytes.  A replicated query that finds no live
+replica waits for the supervisor's restart (at most the cluster's op
+timeout, never past the query's deadline); when none comes it answers
+``query_failed`` with ``"exception_type": "ShardUnavailableError"``.
 
 Oversized lines (``max_request_bytes``), non-JSON, unknown ops and
 invalid parameters are rejected *before admission* with

@@ -152,11 +152,11 @@ class QueryService:
         lifecycle, and ``compact`` is the sanctioned swap path.
 
         ``replicas=R`` (shard bundles only) serves the bundle from a
-        supervised multi-process cluster — R worker processes per shard,
-        restarted on failure, a failed query re-run on the survivors
-        (:class:`repro.replica.ReplicatedIndex`) — instead of in-process
-        shard objects.  Incompatible with ``mutable`` and with the
-        reload watcher: worker processes hold immutable artifacts.
+        supervised multi-process cluster — R worker processes, each
+        serving the whole bundle, restarted on failure, a failed query
+        re-run on another (:class:`repro.replica.ReplicatedIndex`) —
+        instead of in process.  Incompatible with ``mutable`` and with
+        the reload watcher: worker processes serve an immutable bundle.
         """
         import repro
 

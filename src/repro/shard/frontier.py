@@ -1,11 +1,13 @@
-"""Per-shard query frontier: an index frontier that can see strangers.
+"""Bundle query frontier: an index frontier that can see strangers.
 
 A :class:`ShardFrontier` is an :class:`~repro.index.frontier.IndexFrontier`
-(bounds, best-first scan, lazily verified windows — all inherited) over
-an index that does not hold every graph the query can select — a replica
-worker's shard, a mutable index's base — plus a *lens* on graphs that
-live on other frontiers.  Every indexed graph is a row of the bundle's
-one :class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
+(bounds, best-first scan, lazily verified windows — all inherited) plus a
+*lens* on graphs that live on other frontiers.  A mutable index's base
+needs the lens: its memtable's graphs live beside it.  A replica worker
+serves its whole bundle through one with no stranger to see — a distinct
+class, so ``benchmarks/e2e/trace.py`` books served work under ``shard``.
+Every indexed graph is a row of the bundle's one
+:class:`~repro.index.vantage.VantageFrame`, so a foreign graph's
 coordinates are an array slice, and from there the inherited
 :meth:`~repro.index.frontier.IndexFrontier.resolve` treats it like a
 member — Chebyshev window over the uncovered members, free verdicts,
@@ -35,7 +37,7 @@ class RoundSearch(FlatRoundSearch):
 
 
 class ShardFrontier(IndexFrontier):
-    """One shard's (or a mutable base's) state for one coordinated
+    """A mutable base's (or a replica worker's bundle's) state for one
     (θ, k) query."""
 
     round_search = RoundSearch

@@ -7,8 +7,9 @@ them into that frame (:meth:`ShardManifest.load_frame
 :class:`~repro.index.NBIndex` over the whole database from it — identity
 ids, no distance — so a query is the plain single-index path, the same
 bits for any S and partitioner with the work of one index.  S stays the
-on-disk layout (build, compaction, heal, backup, replica workers), and
-a hot reload (:meth:`ShardedIndex.load`'s ``previous``) reads only the
+on-disk layout (build, compaction, heal, backup), and each replica
+worker serves this same one index over the frame its cluster read; a hot
+reload (:meth:`ShardedIndex.load`'s ``previous``) reads only the
 artifacts whose checksum or members changed.
 """
 

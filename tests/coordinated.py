@@ -1,14 +1,15 @@
-"""The multi-frontier coordinator in one process, for tests.
+"""The multi-frontier coordinator over a shard bundle, for tests.
 
 A :class:`~repro.shard.ShardedIndex` queries one frontier over its whole
-frame; only a replicated bundle runs :func:`repro.index.coordinator.run_greedy`
-over several, one :class:`~repro.shard.frontier.ShardFrontier` per shard
-worker.  :class:`CoordinatedBundle` runs that same loop without the wire:
-each shard's artifact loaded over its sub-database as
-:class:`~repro.replica.worker.ShardWorker` loads it, each frontier opened
-as ``ShardWorker._op_open`` opens it, strangers seen through the bundle's
-frame and one global engine.  Tests referee the coordinator's foreign
-tiers with it — answers, bounds, tie-breaks and tier accounting.
+frame, in process and in every replica worker; the multi-frontier loop of
+:func:`repro.index.coordinator.run_greedy` runs in production only beside
+a memtable (a mutable base and its un-indexed graphs).
+:class:`CoordinatedBundle` drives that loop over S frontiers, one
+:class:`~repro.shard.frontier.ShardFrontier` per shard artifact loaded
+over its sub-database, strangers seen through the bundle's frame and one
+global engine — S > 1 frontiers, each with many strangers, which a
+memtable rarely supplies.  Tests referee the coordinator's foreign tiers
+with it — answers, bounds, tie-breaks and tier accounting.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class CoordinatedBundle:
         return self.session(query_fn).query(theta, k, **kwargs)
 
     def frontiers(self, session, theta, stats, runtime) -> list:
-        """One worker-style frontier per shard; each shard's member state
+        """One ShardFrontier per shard artifact; each shard's member state
         is kept on the session across θ refinements."""
         return [
             ShardFrontier(

@@ -456,7 +456,7 @@ class TestWire:
         def open_payload(**kwargs):
             sent.clear()
             RemoteFrontier(
-                Recorder(), WorkerHandle(0, 0), "sid", dims=(0,),
+                Recorder(), WorkerHandle(0), "sid", dims=(0,),
                 threshold=0.5, theta=8.0, relevant_global=np.arange(3),
                 universe=None, **kwargs,
             )

@@ -626,9 +626,9 @@ class TestScrubber:
             entry = ShardManifest.load(artifact).shards[0]
             assert entry.checksum == zlib.crc32(victim.read_bytes())
             assert rep.manifest.shards[0] == entry
-            # A restarted worker loads the rebuilt artifact (the flipped
-            # one would fail its handshake) and answers identically.
-            handle = rep.supervisor.groups[0][0]
+            # Workers read no artifact: a restarted one serves the
+            # frame the cluster read at open and answers identically.
+            handle = rep.supervisor.handles[0]
             generation = handle.generation
             handle.proc.kill()
             deadline = time.monotonic() + 10.0

@@ -1,7 +1,7 @@
 """What a process pays to import :mod:`repro` and answer a distance batch.
 
 Every deployment shape multiplies the import image by its process count
-(driver, server, R × S replica workers), so the query path may load only
+(driver, server, R replica workers), so the query path may load only
 the third-party code it executes: numpy and one compiled SciPy extension
 (:mod:`repro.ged.lsap`).  ``scipy.stats`` / ``scipy.spatial`` / ``networkx``
 stay importable — by the functions that use them, when they are called.

@@ -18,16 +18,16 @@ must not change and what it must buy:
 The second half pins the same for graphs that live *elsewhere*: a foreign
 neighborhood is one lazily verified window per frontier, driven by the
 coordinator's per-frontier deficit (``repro.index.coordinator``).  A
-``ShardedIndex`` queries one frontier over its frame, so the sharded
-shapes there are a bundle's worker-style frontiers
-(``tests.coordinated.CoordinatedBundle``) — the loop replicas run — and
-the mutable base beside its memtable: every sharded shape against
+``ShardedIndex`` queries one frontier over its frame (so does each
+replica worker), so the sharded shapes there are a bundle's per-shard
+frontiers (``tests.coordinated.CoordinatedBundle``) and the mutable base
+beside its memtable — the loop production runs: every sharded shape against
 ``baseline_greedy``, lazy against the whole-window
 ``EagerShardFrontier`` (same answers; never more work summed over a pinned
 sample, within a slack per instance), every reported foreign bound against
 the truth, the
-tie-break across a foreign early exit, a failover between a bound and the
-next visit, and budgets at the e2e smoke scale.
+tie-break across a foreign early exit, a replicated query whose pinned
+worker dies mid-query, and budgets at the e2e smoke scale.
 
 ``EagerFrontier`` and ``EagerShardFrontier`` are the pre-lazy code paths,
 kept here — and only here — as referees.
@@ -775,49 +775,43 @@ def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# Failover between a bound and the candidate's next visit
+# Failover after the pinned worker holds partial state
 # ---------------------------------------------------------------------------
-def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
+def test_pinned_worker_killed_mid_query_changes_no_answer_bit(
     dud_bundles, monkeypatch,
 ):
-    """Partial state lives on the replica the session is pinned to.  Kill
-    it right after it answered ``{"bound": n}``: the query re-runs with
-    the shard pinned to the sibling, which never saw the window, asks
-    about the candidate again, and the answer is the in-process one."""
+    """Partial and resolved windows live on the replica the query is
+    pinned to.  Kill it once round 2 has begun — after round 1 left its
+    windows there: the query re-runs on the sibling, which starts cold,
+    and the answer is the in-process one."""
     database, manifests = dud_bundles
     q = quartile_relevance(database, dims=[0], quantile=0.8)
     want = ShardedIndex.load(manifests[2], database, StarDistance()).query(
         q, 8.0, 10
     )
-    killed, revisits = [], []
-    neighborhood_of = RemoteFrontier.neighborhood_of
-    pi_hat_uncovered = RemoteFrontier.pi_hat_uncovered
+    rounds, killed, reruns = [], [], []
+    begin_round = RemoteFrontier.begin_round
 
-    def killing(self, gid, min_useful=_NEG_INF, tie_gid=None):
-        part = neighborhood_of(self, gid, min_useful, tie_gid)
-        if not killed and not isinstance(part, np.ndarray):
+    def killing(self, covered):
+        begin_round(self, covered)
+        if killed and self.handle is not killed[0]:
+            reruns.append(self.handle)
+        rounds.append(self.sid)
+        if not killed and rounds.count(self.sid) == 2:
             self.handle.proc.kill()
             self.handle.proc.join(10)
-            killed.append((self.shard_id, gid, self.handle))
-        return part
-
-    def watching(self, gid):
-        if killed and (self.shard_id, gid) == killed[0][:2] and (
-            self.handle is not killed[0][2]
-        ):
-            revisits.append(gid)
-        return pi_hat_uncovered(self, gid)
+            killed.append(self.handle)
 
     with ReplicatedIndex.open(
         manifests[2], database, StarDistance(), replicas=2
     ) as replicated:
-        monkeypatch.setattr(RemoteFrontier, "neighborhood_of", killing)
-        monkeypatch.setattr(RemoteFrontier, "pi_hat_uncovered", watching)
+        monkeypatch.setattr(RemoteFrontier, "begin_round", killing)
         with obs.observe() as observation:
             got = replicated.query(q, 8.0, 10)
             counters = observation.stats()["counters"]
-    assert killed, "no frontier ever answered with a bound"
-    assert revisits, "the re-run never asked the sibling about the candidate"
+    assert killed, "the query never reached a second round"
+    assert reruns, "the re-run did not move to the sibling"
+    assert len(set(rounds)) == 2  # one session per attempt
     assert counters["replica.failovers"] == 1
     same_answer(got, want)
     assert not got.stats.degraded
@@ -828,7 +822,7 @@ def test_primary_killed_after_a_bound_reply_changes_no_answer_bit(
 # ---------------------------------------------------------------------------
 #: Mean exact distance calls per cold query, n = 300, seed 11, for a
 #: bundle (one frontier over its frame) and for the same bundle's
-#: worker-style frontiers under the multi-frontier coordinator.  S = 2
+#: per-shard frontiers under the multi-frontier coordinator.  S = 2
 #: dud smoke mix: measured 300.75 and 383.0 (535.25 with the Theorem 6–8
 #: update walk; 926.0 while every shard drew its own vantage points and
 #: embedded strangers against them).  S = 4 vec smoke mix: measured

@@ -1,18 +1,21 @@
-"""Replicated multi-process serving: bit-identity, failover, group loss.
+"""Replicated multi-process serving: bit-identity, failover, fleet loss.
 
 The load-bearing claims under test:
 
-* A replicated cluster answers **bit-identically** to the in-process
-  ``ShardedIndex`` over the same bundle — including while replicas are
-  being killed and wedged mid-query (chaos pinned to replica 0 so one
-  sibling always survives).
-* A **whole replica group down** fails the query with a typed
-  ``ShardUnavailableError`` (``query_failed`` on the wire) — fast, never
-  a hang, and never an answer over the surviving shards.
+* A replicated cluster is **R processes whatever S**, each serving the
+  whole bundle from the frame the cluster read — no worker reads a shard
+  artifact.
+* It answers **bit-identically** to the in-process ``ShardedIndex`` over
+  the same bundle — including while replicas are being killed and wedged
+  mid-query, and after every worker was killed and restarted.
+* **No replica live and none restarting** fails the query with a typed
+  ``ShardUnavailableError`` (``query_failed`` on the wire) after about
+  ``op_timeout_s`` — never a hang, never past the query's deadline.
 * A replica answering with **malformed or oversized frames** costs one
   typed retry of the query (counted once), never a coordinator crash.
-* Each query pins a shard's session to **one replica**; a failure re-runs
-  the whole query, and concurrent queries spread over the replicas.
+* Each query attempt pins **one replica** and sends it every frame; a
+  failure re-runs the whole query, and concurrent queries spread over the
+  replicas.
 * ``repro serve`` turns **SIGTERM/SIGINT** into the graceful-drain path,
   answering everything already admitted before exiting 0.
 """
@@ -20,6 +23,7 @@ The load-bearing claims under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -39,6 +43,7 @@ from repro.graphs import quartile_relevance
 from repro.graphs.io import save_database
 from repro.index.pivec import ThresholdLadder
 from repro.replica import ReplicatedIndex, ShardUnavailableError
+from repro.replica import supervisor as supervisor_module
 from repro.replica import wire
 from repro.replica.errors import (
     ReplicaDead,
@@ -54,9 +59,9 @@ from repro.replica.supervisor import (
     restart_delay,
 )
 from repro.replica.worker import SESSION_CAP
-from repro.resilience import faults
+from repro.resilience import Deadline, faults
 from repro.resilience.faults import FaultPlan
-from repro.shard import ShardedIndex, build_shards
+from repro.shard import ShardedIndex, ShardManifest, build_shards
 
 LADDER = ThresholdLadder([2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 40.0])
 BUILD = dict(num_vantage_points=6, thresholds=LADDER)
@@ -157,29 +162,52 @@ def test_stats_say_what_each_process_holds(bundle, cluster_db, monkeypatch):
         assert 0.0 < process["rss_mb"] <= process["peak_rss_mb"]
         assert process == pytest.approx(obs.process_memory(os.getpid()), rel=0.2)
         workers = stats["index"]["replica"]["rss_mb"]
-        assert [len(group) for group in workers] == [2, 2, 2]
-        assert all(rss > 0.0 for group in workers for rss in group)
-        # A dead worker has no entry; its siblings keep theirs.
-        victim = rep.supervisor.groups[1][0]
+        assert len(workers) == 2  # one number per live worker
+        assert all(rss > 0.0 for rss in workers)
+        # A dead worker has no entry; its sibling keeps its own.
+        victim = rep.supervisor.handles[0]
         victim.next_restart_at = float("inf")  # the monitor leaves it down
         victim.kill()
-        assert [
-            len(group) for group in rep.supervisor.stats()["rss_mb"]
-        ] == [2, 1, 2]
+        assert len(rep.supervisor.stats()["rss_mb"]) == 1
         # Where /proc cannot be read the section is absent, not zeroed.
         monkeypatch.setattr(obs, "process_memory", lambda pid="self": None)
         assert "process" not in service.stats()
-        assert rep.supervisor.stats()["rss_mb"] == [[], [], []]
+        assert rep.supervisor.stats()["rss_mb"] == []
+
+
+@pytest.mark.parametrize("num_shards", [2, 3])
+def test_the_fleet_is_r_processes_whatever_s(
+    cluster_db, relevance_fn, tmp_path, num_shards,
+):
+    """S = 2 or 3 shards, R = 2: two worker processes, each answering for
+    the whole bundle (one session per query, on one of them)."""
+    manifest = build_shards(
+        cluster_db, StarDistance(), num_shards=num_shards, out_dir=tmp_path,
+        seed=7, **BUILD,
+    )
+    want = ShardedIndex.load(manifest, cluster_db, StarDistance()).query(
+        relevance_fn, 8.0, 5
+    )
+    with ReplicatedIndex.open(
+        manifest, cluster_db, StarDistance(), replicas=2,
+    ) as rep:
+        workers = [
+            proc for proc in multiprocessing.active_children()
+            if proc.name.startswith("repro-replica")
+        ]
+        assert len(workers) == len(rep.supervisor.handles) == 2
+        assert rep.supervisor.stats()["live"] == 2
+        assert rep.num_shards == num_shards
+        _assert_identical(rep.query(relevance_fn, 8.0, 5), want)
 
 
 class TestChaosKills:
     def test_kill_churn_keeps_answers_identical(
         self, bundle, cluster_db, relevance_fn, reference,
     ):
-        # Replica 0 of every shard dies every 12 ops, forever (each
-        # restarted process serves 11 ops then dies again).  Replica 1
-        # never dies, so the group stays available and the coordinator
-        # fails over mid-query as kills land.
+        # Replica 0 dies every 12 ops, forever (each restarted process
+        # serves 11 ops then dies again).  Replica 1 never dies, so the
+        # cluster stays available and queries re-run as kills land.
         plan = FaultPlan(replica_kill_every=12, replica_kill_replicas=(0,))
         with faults.injected(plan):
             with ReplicatedIndex.open(
@@ -199,7 +227,7 @@ class TestChaosKills:
                         break
                     time.sleep(0.05)
                 stats = rep.supervisor.stats()
-        assert stats["spawns"] > 6  # initial fleet was 6
+        assert stats["spawns"] > 2  # initial fleet was 2
         assert stats["restarts"] > 0
 
     def test_wedged_replica_fails_over(
@@ -231,7 +259,7 @@ class TestChaosKills:
             bundle, cluster_db, StarDistance(), replicas=2,
             heartbeat_s=0.1,
         ) as rep:
-            handle = rep.supervisor.groups[0][0]
+            handle = rep.supervisor.handles[0]
             first_generation = handle.generation
             handle.proc.kill()
             deadline = time.monotonic() + 10.0
@@ -243,6 +271,28 @@ class TestChaosKills:
             # The restarted fleet still answers identically.
             ref = reference[(8.0, 5)]
             _assert_identical(rep.query(relevance_fn, 8.0, 5), ref)
+
+    def test_every_worker_killed_answers_after_the_restart(
+        self, bundle, cluster_db, relevance_fn, reference, tmp_path,
+    ):
+        """Every worker killed at once is a restart window: the query
+        waits for the monitor's restart and answers bit-identically.  The
+        bundle's artifacts are gone by then — workers read none, they
+        serve the frame the cluster read at open."""
+        bundle = _private_bundle(bundle, tmp_path)
+        with ReplicatedIndex.open(
+            bundle, cluster_db, StarDistance(), replicas=2,
+            heartbeat_s=0.1,
+        ) as rep:
+            for path in Path(bundle).parent.glob("shard-*.npz"):
+                path.unlink()
+            for handle in rep.supervisor.handles:
+                handle.proc.kill()
+                handle.proc.join(10)
+            for (theta, k), ref in reference.items():
+                _assert_identical(rep.query(relevance_fn, theta, k), ref)
+            stats = rep.supervisor.stats()
+        assert stats["restarts"] >= 1 and stats["spawns"] >= 3
 
 
 def test_a_monitor_error_is_counted_warned_and_survived(
@@ -270,7 +320,7 @@ def test_a_monitor_error_is_counted_warned_and_survived(
             deadline = time.monotonic() + 10.0
             while not raised and time.monotonic() < deadline:
                 time.sleep(0.02)
-            rep.supervisor.groups[0][0].proc.kill()
+            rep.supervisor.handles[0].proc.kill()
             while rep.supervisor.stats()["restarts"] == 0 and (
                 time.monotonic() < deadline
             ):
@@ -289,18 +339,18 @@ def test_stop_lets_every_worker_exit_on_its_own(cluster_db, tmp_path):
         **BUILD,
     )
     rep = ReplicatedIndex.open(manifest, cluster_db, StarDistance(), replicas=2)
-    procs = [h.proc for group in rep.supervisor.groups for h in group]
-    assert len(procs) == 4 and all(proc.is_alive() for proc in procs)
+    procs = [h.proc for h in rep.supervisor.handles]
+    assert len(procs) == 2 and all(proc.is_alive() for proc in procs)
     rep.query(quartile_relevance(cluster_db, quantile=0.5), 8.0, 3)
     started = time.monotonic()
     rep.close()
     elapsed = time.monotonic() - started
-    assert [proc.exitcode for proc in procs] == [0, 0, 0, 0]
-    assert elapsed < 1.0, f"stop() took {elapsed:.2f}s for 4 workers"
+    assert [proc.exitcode for proc in procs] == [0, 0]
+    assert elapsed < 1.0, f"stop() took {elapsed:.2f}s for 2 workers"
 
 
 def _private_bundle(bundle, tmp_path):
-    """Copy the shared bundle so a test can destroy artifacts safely."""
+    """Copy the shared bundle so a test can delete its artifacts."""
     import shutil
 
     target = tmp_path / "bundle"
@@ -319,36 +369,41 @@ def test_restart_backoff_doubles_jitters_upward_and_caps(attempt):
         assert delay <= RESTART_CAP_S * (1.0 + RESTART_JITTER)
 
 
+def _no_restarts(monkeypatch) -> None:
+    """From here on a (re)forked worker exits before its ``hello``: every
+    restart fails its handshake and backs off."""
+    monkeypatch.setattr(
+        supervisor_module, "worker_main", lambda *args, **kwargs: None
+    )
+
+
 class TestGroupDown:
-    def test_whole_group_down_degrades_to_partial(
-        self, bundle, cluster_db, relevance_fn, tmp_path,
+    def test_no_restart_fails_typed_after_the_op_timeout(
+        self, bundle, cluster_db, relevance_fn, monkeypatch,
     ):
-        """One whole group down leaves the cluster only partially up: the
-        other groups keep serving, but no query is answered over the
-        survivors — it fails typed and fast, in process and on the wire."""
+        """Every worker down and none can restart: a query waits for a
+        restart for ``op_timeout_s`` — less under a shorter deadline —
+        then fails typed, in process and on the wire."""
         from repro.service import QueryRequest, QueryService
 
-        bundle = _private_bundle(bundle, tmp_path)
         with ReplicatedIndex.open(
             bundle, cluster_db, StarDistance(), replicas=2,
-            op_timeout_s=2.0,
+            op_timeout_s=1.0, heartbeat_s=0.1,
         ) as rep:
-            # Make shard 0 unrecoverable (artifact gone → respawn fails
-            # its handshake), then kill its whole group.
-            artifact = rep.manifest.artifact_path(0, Path(bundle).parent)
-            os.unlink(artifact)
-            for handle in rep.supervisor.groups[0]:
+            _no_restarts(monkeypatch)
+            for handle in rep.supervisor.handles:
                 rep.supervisor.report_failure(handle)
             started = time.monotonic()
-            # No answer over the surviving shards: the query fails typed.
-            with pytest.raises(ShardUnavailableError) as excinfo:
+            with pytest.raises(ShardUnavailableError):
                 rep.query(relevance_fn, 8.0, 5)
-            assert excinfo.value.shard_id == 0
-            assert time.monotonic() - started < 30.0  # failed, not hung
-            assert not rep.supervisor.live(0)
-            assert all(
-                rep.supervisor.live(s) for s in range(1, rep.num_shards)
-            )
+            waited = time.monotonic() - started
+            assert 1.0 <= waited < 10.0  # waited for a restart, not hung
+            started = time.monotonic()
+            with pytest.raises(ShardUnavailableError):
+                rep.query(relevance_fn, 8.0, 5, deadline=Deadline(0.2))
+            assert time.monotonic() - started < 0.9
+            assert not rep.supervisor.live()
+            assert rep.supervisor.stats()["restarts"] == 0
             with QueryService(rep) as svc:
                 response = svc.call(QueryRequest(id=1, theta=8.0, k=5))
                 assert response["ok"] is False
@@ -360,23 +415,19 @@ class TestGroupDown:
                 assert svc.journal.stats()["crashes"] == 1
 
     def test_all_groups_down_still_answers(
-        self, bundle, cluster_db, relevance_fn, tmp_path,
+        self, bundle, cluster_db, relevance_fn, monkeypatch,
     ):
-        """Every group down: each query fails typed (never an empty
-        answer), and the service still answers every request."""
+        """The whole fleet down for good: each query fails typed (never
+        an empty answer), and the service still answers every request."""
         from repro.service import QueryRequest, QueryService
 
-        bundle = _private_bundle(bundle, tmp_path)
         with ReplicatedIndex.open(
             bundle, cluster_db, StarDistance(), replicas=1,
-            op_timeout_s=2.0,
+            op_timeout_s=0.5,
         ) as rep:
-            base = Path(bundle).parent
-            for shard_id in range(rep.num_shards):
-                os.unlink(rep.manifest.artifact_path(shard_id, base))
-            for group in rep.supervisor.groups:
-                for handle in group:
-                    rep.supervisor.report_failure(handle)
+            _no_restarts(monkeypatch)
+            for handle in rep.supervisor.handles:
+                rep.supervisor.report_failure(handle)
             with pytest.raises(ShardUnavailableError):
                 rep.query(relevance_fn, 8.0, 5)
             with QueryService(rep) as svc:
@@ -400,7 +451,7 @@ def _fake_worker(responses, handle=None):
     exits on EOF.  Given a cluster's ``handle``, the thread takes over
     that slot (its worker process is killed first)."""
     if handle is None:
-        handle = WorkerHandle(0, 0)
+        handle = WorkerHandle(0)
     else:
         handle.next_restart_at = float("inf")  # the monitor leaves it be
         handle.kill()
@@ -432,12 +483,12 @@ def _fake_worker(responses, handle=None):
     return handle
 
 
-def _quiet_cluster(bundle, cluster_db, replicas=2):
+def _quiet_cluster(bundle, cluster_db, replicas=2, op_timeout_s=5.0):
     """A cluster whose monitor never ticks during a test: a reported
     worker stays down, so what answered is what the test arranged."""
     return ReplicatedIndex.open(
         bundle, cluster_db, StarDistance(), replicas=replicas,
-        heartbeat_s=60.0, op_timeout_s=5.0,
+        heartbeat_s=60.0, op_timeout_s=op_timeout_s,
     )
 
 
@@ -465,12 +516,12 @@ class TestMalformedFrames:
     def test_router_fails_over_on_malformed_frame(
         self, bundle, cluster_db, relevance_fn, reference,
     ):
-        """Replica 0 of shard 0 (the one the first pin takes) answers
-        garbage: the router reports it and the query re-runs on its
-        sibling, with the in-process answer."""
+        """Replica 0 (the one the first pin takes) answers garbage: the
+        router reports it and the query re-runs on its sibling, with the
+        in-process answer."""
         with _quiet_cluster(bundle, cluster_db) as rep:
             evil = _fake_worker(
-                lambda req: b"\x00\xff garbage\n", rep.supervisor.groups[0][0]
+                lambda req: b"\x00\xff garbage\n", rep.supervisor.handles[0]
             )
             with obs.observe() as observation:
                 got = rep.query(relevance_fn, 8.0, 5)
@@ -486,7 +537,7 @@ class TestMalformedFrames:
         with _quiet_cluster(bundle, cluster_db) as rep:
             evil = _fake_worker(
                 lambda req: b'{"ok": true, "r": [1, 2, 3]}\n',
-                rep.supervisor.groups[0][0],
+                rep.supervisor.handles[0],
             )
             with obs.observe() as observation:
                 got = rep.query(relevance_fn, 8.0, 5)
@@ -499,15 +550,15 @@ class TestMalformedFrames:
     def test_group_unavailable_when_all_replicas_corrupt(
         self, bundle, cluster_db, relevance_fn,
     ):
-        with _quiet_cluster(bundle, cluster_db) as rep:
+        with _quiet_cluster(bundle, cluster_db, op_timeout_s=0.5) as rep:
             for handle, reply in zip(
-                rep.supervisor.groups[0], (b"nope\n", b"also nope\n")
+                rep.supervisor.handles, (b"nope\n", b"also nope\n")
             ):
                 _fake_worker(lambda req, reply=reply: reply, handle)
             with pytest.raises(ShardUnavailableError) as excinfo:
                 rep.query(relevance_fn, 8.0, 5)
-        assert excinfo.value.shard_id == 0
-        # One transport cause per replica tried, each tried once.
+        # One transport cause per replica tried, each tried once; the
+        # last attempt found none live and no restart came.
         assert len(excinfo.value.causes) == 2
 
     def test_peer_exit_is_replica_dead(self):
@@ -522,9 +573,11 @@ class TestMalformedFrames:
 
 
 # ---------------------------------------------------------------------------
-# Pin and retry: one replica per session, a failure re-runs the query
+# Pin and retry: one replica per attempt, a failure re-runs the query
 # ---------------------------------------------------------------------------
-_READS = ("next", "pi_hat", "nbhd")
+#: Every op a query attempt may send its worker; the foreign tiers'
+#: ``pi_hat`` / ``nbhd`` are gone with the per-shard frontiers.
+_SESSION_OPS = {"open", "begin_round", "open_round", "next", "select", "close"}
 
 
 @pytest.fixture(scope="module")
@@ -548,8 +601,8 @@ def reference_s2(bundle_s2, cluster_db, relevance_fn):
 
 
 def _spy_frames(monkeypatch, before=None):
-    """Record ``(shard, replica, sid, payload)`` for every session frame a
-    worker handle sends; ``before(handle, payload)`` runs first."""
+    """Record ``(replica, sid, payload)`` for every session frame a worker
+    handle sends; ``before(handle, payload)`` runs first."""
     frames = []
     lock = threading.Lock()
     call = WorkerHandle.call
@@ -557,9 +610,7 @@ def _spy_frames(monkeypatch, before=None):
     def spying(self, payload, timeout, **kwargs):
         if "sid" in payload:
             with lock:
-                frames.append(
-                    (self.shard_id, self.replica_index, payload["sid"], payload)
-                )
+                frames.append((self.replica_index, payload["sid"], payload))
             if before is not None:
                 before(self, payload)
         return call(self, payload, timeout, **kwargs)
@@ -570,8 +621,8 @@ def _spy_frames(monkeypatch, before=None):
 
 def _replicas_per_session(frames):
     served = {}
-    for shard, replica, sid, _ in frames:
-        served.setdefault((shard, sid), set()).add(replica)
+    for replica, sid, _ in frames:
+        served.setdefault(sid, set()).add(replica)
     return served
 
 
@@ -586,15 +637,14 @@ class TestPinAndRetry:
             for (theta, k), ref in reference_s2.items():
                 _assert_identical(rep.query(relevance_fn, theta, k), ref)
         served = _replicas_per_session(frames)
-        # One session per shard per query: no retry happened.
-        assert len(served) == 2 * len(reference_s2)
-        # No frame of a session reaches a second replica.
+        # One session per query, whatever S: no retry happened.
+        assert len(served) == len(reference_s2)
+        # No frame of an attempt reaches a second replica, and none asks
+        # for a foreign bound.
         assert all(len(replicas) == 1 for replicas in served.values()), served
-        for shard, sid in served:
-            ops = [
-                payload for s, _, i, payload in frames
-                if (s, i) == (shard, sid)
-            ]
+        assert {payload["op"] for *_, payload in frames} <= _SESSION_OPS
+        for sid in served:
+            ops = [payload for _, i, payload in frames if i == sid]
             assert [p["op"] for p in ops].count("open") == 1
             assert ops[0]["op"] == "open"
             first_round = next(p for p in ops if p["op"] == "begin_round")
@@ -603,17 +653,15 @@ class TestPinAndRetry:
     def test_concurrent_queries_spread_reads_over_replicas(
         self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
     ):
-        """Two queries in flight at once pin shard 0 to different
-        replicas (the second finds one session on replica 0), so both
-        replicas serve reads.  The first two shard-0 opens wait for each
-        other, which keeps both queries in flight."""
+        """Two queries in flight at once pin different replicas (the
+        second finds one session on replica 0), so both replicas serve
+        reads.  The first two opens wait for each other, which keeps both
+        queries in flight."""
         meet = threading.Barrier(2, timeout=30)
         opens = []
 
         def rendezvous(handle, payload):
-            if payload["op"] == "open" and handle.shard_id == 0 and (
-                len(opens) < 2
-            ):
+            if payload["op"] == "open" and len(opens) < 2:
                 opens.append(handle.replica_index)
                 meet.wait()
 
@@ -638,8 +686,8 @@ class TestPinAndRetry:
         served = _replicas_per_session(frames)
         assert all(len(replicas) == 1 for replicas in served.values()), served
         readers = {
-            replica for shard, replica, _, payload in frames
-            if shard == 0 and payload["op"] in _READS
+            replica for replica, _, payload in frames
+            if payload["op"] == "next"
         }
         assert readers == {0, 1}
 
@@ -679,7 +727,7 @@ class TestPinAndRetry:
         assert not errors, errors
         for i, key in enumerate(keys):
             _assert_identical(answers[i], reference_s2[key])
-        assert len({sid for *_, sid, _ in frames}) == count  # no retry
+        assert len({sid for _, sid, _ in frames}) == count  # no retry
 
     def test_a_forgotten_session_reruns_the_query_and_kills_nothing(
         self, bundle_s2, cluster_db, relevance_fn, reference_s2, monkeypatch,
@@ -703,12 +751,12 @@ class TestPinAndRetry:
             with obs.observe() as observation:
                 got = rep.query(relevance_fn, 8.0, 5)
                 counters = observation.stats()["counters"]
-            handles = [h for group in rep.supervisor.groups for h in group]
+            handles = rep.supervisor.handles
             assert all(h.alive and h.generation == 1 for h in handles)
             assert rep.supervisor.stats()["restarts"] == 0
         _assert_identical(got, reference_s2[(8.0, 5)])
         assert counters["replica.failovers"] == 1
-        assert len({sid for *_, sid, _ in frames}) == 2  # one retry
+        assert len({sid for _, sid, _ in frames}) == 2  # one retry
 
 
 # ---------------------------------------------------------------------------
@@ -732,20 +780,48 @@ class TestWire:
             wire.words_from_wire("zz-not-hex", 1)
 
 
+def _worker(bundle, cluster_db):
+    """A worker object over ``bundle``, as a forked replica builds it."""
+    from repro.replica.worker import ShardWorker
+
+    manifest = ShardManifest.load(bundle)
+    return ShardWorker(
+        cluster_db, StarDistance(), manifest, 0,
+        frame=manifest.load_frame(Path(bundle).parent),
+    )
+
+
 def test_worker_has_no_update_op(bundle, cluster_db):
     """Selections reach a worker as ``select`` and coverage as the next
     round's ``cov``; an ``update`` frame is an unknown op, answered with
     ``invalid_request`` before any session is looked up."""
-    from repro.replica.worker import ShardWorker
-
-    worker = ShardWorker(cluster_db, StarDistance(), bundle, 0, 0, frame=None)
-    response = worker.handle(
+    response = _worker(bundle, cluster_db).handle(
         {"op": "update", "sid": "s", "gid": 0, "idx": [], "vals": "",
          "nbits": 0}
     )
     assert response["ok"] is False
     assert response["error"]["code"] == "invalid_request"
     assert "unknown op 'update'" in response["error"]["message"]
+
+
+def test_worker_serves_the_whole_bundle_and_no_foreign_tier(
+    bundle, cluster_db, relevance_fn,
+):
+    """One worker holds every relevant graph in one index (one engine, no
+    second one for strangers), and the foreign tiers' ops are unknown."""
+    worker = _worker(bundle, cluster_db)
+    assert worker.global_engine is None
+    assert worker.index.engine is worker.index.index.engine
+    opened = worker.handle({
+        "op": "open", "sid": "s", "dims": list(relevance_fn.dims),
+        "threshold": relevance_fn.threshold, "theta": 8.0,
+    })
+    relevant = cluster_db.relevant_indices(relevance_fn)
+    assert opened["r"] == {"relevant": relevant.size, "min_gid": relevant[0]}
+    for op in ("pi_hat", "nbhd"):
+        response = worker.handle({"op": op, "sid": "s", "gid": 0})
+        assert response["error"]["code"] == "invalid_request"
+        assert f"unknown op {op!r}" in response["error"]["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -872,4 +948,4 @@ def test_stdin_transport_survives_a_worker_restart(bundle, cluster_db, tmp_path)
     assert second["result"]["answer"] == first["result"]["answer"]
     replica = stats["result"]["index"]["replica"]
     assert replica["restarts"] == 1
-    assert replica["live"] == [1, 1, 1]
+    assert replica["live"] == 1

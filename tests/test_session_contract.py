@@ -271,6 +271,16 @@ def _protocol_members(protocol) -> set[str]:
     }
 
 
+def _assert_nothing_is_foreign(frontier, relevant, gid) -> None:
+    """A replica's frontier holds every relevant graph; its foreign tiers
+    are trace-only names that refuse to run (the worker has no such op)."""
+    assert np.array_equal(frontier.relevant_global, relevant)
+    with pytest.raises(NotImplementedError):
+        frontier.pi_hat_uncovered(gid)
+    with pytest.raises(NotImplementedError):
+        frontier.neighborhood_of(gid)
+
+
 class TestFrontierProtocol:
     THETA = 4.0
 
@@ -311,15 +321,16 @@ class TestFrontierProtocol:
                 FilterCascade(),
             )
             return
+        # A replica worker serves the whole bundle: its frontier holds
+        # every relevant graph, and nothing is foreign to it.
         sid = uuid.uuid4().hex[:16]
-        pinned = cluster.router.pin(sid)
+        handle = cluster.router.pin(sid)
         yield RemoteFrontier(
-            cluster.router, pinned[0], sid, dims=q.dims,
-            threshold=q.threshold, theta=self.THETA, relevant_global=members,
+            cluster.router, handle, sid, dims=q.dims,
+            threshold=q.threshold, theta=self.THETA, relevant_global=relevant,
             universe=universe,
         )
-        for handle in pinned:  # frees the replica's session slots
-            cluster.router.close_session(handle, sid)
+        cluster.router.close_session(handle, sid)  # frees its session slot
 
     def test_has_every_protocol_member(self, frontier, setting):
         universe = setting[4]
@@ -333,7 +344,6 @@ class TestFrontierProtocol:
     def test_round_lifecycle(self, frontier, setting):
         database, _, q, relevant, universe, _ = setting
         members = {int(g) for g in frontier.relevant_global}
-        foreign = next(int(g) for g in relevant if int(g) not in members)
         covered = universe.empty()
         frontier.begin_round(covered)
         assert frontier.uncovered_count == len(members)
@@ -345,17 +355,21 @@ class TestFrontierProtocol:
         # Exact local gain, and the neighborhood stays inside the members.
         assert gain == bitset_kernel.popcount(nbhd) <= frontier.root_bound()
         assert set(universe.decode_ids(nbhd)) <= members
-        assert np.array_equal(frontier.neighborhood_of(gid), nbhd)
         star = StarDistance()
         assert set(universe.decode_ids(nbhd)) == {
             m for m in members
             if star(database[gid], database[m]) <= self.THETA + 1e-9
         }
-        # A foreign graph resolves against the same members; the count-only
-        # tier never undercuts the exact answer.
-        exact = bitset_kernel.popcount(frontier.neighborhood_of(foreign))
-        assert frontier.pi_hat_uncovered(foreign) >= exact
         assert frontier.foreign_embeds >= 0
+        if isinstance(frontier, RemoteFrontier):
+            _assert_nothing_is_foreign(frontier, relevant, gid)
+        else:
+            assert np.array_equal(frontier.neighborhood_of(gid), nbhd)
+            # A foreign graph resolves against the same members; the
+            # count-only tier never undercuts the exact answer.
+            foreign = next(int(g) for g in relevant if int(g) not in members)
+            exact = bitset_kernel.popcount(frontier.neighborhood_of(foreign))
+            assert frontier.pi_hat_uncovered(foreign) >= exact
         # Selecting retires the member: the next round never re-offers it.
         frontier.select(gid)
         bitset_kernel.union_into(covered, nbhd)
@@ -384,6 +398,9 @@ class TestFrontierProtocol:
         truth — instead of the neighborhood; asked again without a
         deficit, it resolves the same window to completion."""
         database, _, q, relevant, universe, _ = setting
+        if isinstance(frontier, RemoteFrontier):
+            _assert_nothing_is_foreign(frontier, relevant, int(relevant[0]))
+            return
         members = {int(g) for g in frontier.relevant_global}
         foreign = next(int(g) for g in relevant if int(g) not in members)
         star = StarDistance()

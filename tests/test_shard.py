@@ -4,7 +4,8 @@ The load-bearing property is *bit-identity*: for any shard count and any
 partitioner, a bundle — one index over its frame — returns exactly the
 answer (ids, gains, ordering, coverage) of the single-index engine, which
 is itself exactly ``baseline_greedy``, and so does the multi-frontier
-coordinator over the bundle's worker-style per-shard frontiers.
+coordinator over the bundle's per-shard frontiers
+(``tests.coordinated.CoordinatedBundle``).
 Everything else — partitioners, manifest persistence, corruption
 detection, per-shard hot-reload reuse, service integration, deadline
 degradation — is tested around that core.
@@ -41,7 +42,6 @@ from repro.index.persistence import load_index
 from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
-from repro.replica.worker import ShardWorker
 from repro.resilience import Deadline
 from repro.resilience.errors import (
     CorruptIndexError,
@@ -280,8 +280,8 @@ class TestCoordinator:
 
 
 class TestCoordinatorBehindReplicas:
-    """The multi-frontier loop replica workers run, without the wire:
-    ``run_greedy`` over S worker-style per-shard frontiers."""
+    """The multi-frontier loop (in production only beside a memtable)
+    over S per-shard frontiers with many strangers each."""
 
     @settings(max_examples=15, deadline=None)
     @given(data=st.data())
@@ -385,16 +385,16 @@ class TestManifest:
         self, db, bundle_dir, tmp_path,
     ):
         """Shard 1 rewritten with one coordinate off by 0.5 in an intact
-        container: the replica coordinator's frame and a worker's shard
-        load refuse it as an open does."""
+        container: the replicated cluster's one frame read refuses it as
+        an in-process open does, before any worker is forked (workers
+        read no artifact; they inherit that frame)."""
         manifest_path = _tampered_bundle(db, bundle_dir, tmp_path, crc=False)
         with pytest.raises(CorruptIndexError, match="stale or tampered"):
             ShardedIndex.load(manifest_path, db, StarDistance())
         with pytest.raises(CorruptIndexError, match="stale or tampered"):
             ShardManifest.load(manifest_path).load_frame(tmp_path)
         with pytest.raises(CorruptIndexError, match="stale or tampered"):
-            ShardWorker(db, StarDistance(), manifest_path, 1, 0, frame=None)
-        ShardWorker(db, StarDistance(), manifest_path, 0, 0, frame=None)
+            ReplicatedIndex.open(manifest_path, db, StarDistance(), replicas=1)
 
     def test_verify_recomputes_frame_rows(self, db, bundle_dir, tmp_path):
         """The same wrong coordinate with its crc32 in the manifest passes
