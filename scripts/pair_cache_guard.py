@@ -3,7 +3,8 @@
 and a within-run speed ratio.
 
 Fills a :class:`~repro.engine.paircache.PairTable` with 196 764 pairs over
-5 000 graph ids — the size of the n = 5 000 dud build's cache — and a dict
+5 000 graph ids — the size the n = 5 000 dud build's cache reached while
+the build still stored its NB-Tree scans and vantage block — and a dict
 of ``(id, id)`` tuple keys with the same pairs, then fails unless:
 
 1. every lookup — ``scan`` and ``values`` — is ``==`` the dict's (rows of

@@ -18,7 +18,9 @@ The gate asserts:
 * every query and ping response is **byte-identical** between the runs —
   kills, wedge-kills, restarts, and failovers may move work around but
   must never change an answer bit,
-* the chaos actually happened (failovers > 0, restarts > 0),
+* the chaos actually happened, and kept happening: the chaos
+  conversation is paced to last ~15 s and must count at least
+  ``MIN_RESTARTS`` restarts and ``MIN_FAILOVERS`` failovers,
 * no query was shed or failed,
 * **the served path loads only what it runs** — a quarter of the way through the
   chaos conversation the server and every live worker are inspected
@@ -40,6 +42,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -61,6 +64,15 @@ FORBIDDEN_DIRS = (
 #: four eager imports this gate guards against added 84 MB.
 SERVER_PEAK_BUDGET_MB = 70.0
 WORKER_RSS_BUDGET_MB = 50.0
+#: Seconds between two requests of the chaos conversation: it lasts
+#: ~15 s, so replica 0 keeps dying after its wedge-kill.  Unpaced, the
+#: conversation was over in a few seconds and five runs counted 2–4
+#: restarts and 3–5 failovers; paced, five runs counted 18–22 of each.
+CHAOS_PACE_S = 0.015
+#: Fewest restarts and failovers a chaos run must count: about half the
+#: fewest seen in those five paced runs.
+MIN_RESTARTS = 10
+MIN_FAILOVERS = 10
 
 
 def build_requests() -> list[str]:
@@ -142,6 +154,18 @@ def unwanted_mappings(pid: int) -> list[str]:
     )
 
 
+def feed(stdin, requests) -> None:
+    """Write ``requests`` one every ``CHAOS_PACE_S``, then close stdin."""
+    try:
+        for line in requests:
+            stdin.write(line + "\n")
+            stdin.flush()
+            time.sleep(CHAOS_PACE_S)
+        stdin.close()
+    except BrokenPipeError:  # the server died: the gate reports its exit
+        pass
+
+
 def serve_inspected(db, requests, *extra_args, pythonpath, tmp, wedge_token):
     """:func:`serve` with a look inside: once a quarter of the responses
     are out — the fleet is mid-conversation, kill churn included — read
@@ -158,9 +182,9 @@ def serve_inspected(db, requests, *extra_args, pythonpath, tmp, wedge_token):
             argv, cwd=ROOT, stdin=subprocess.PIPE, stdout=out, stderr=err,
             text=True, env={"PYTHONPATH": pythonpath, "PATH": "/usr/bin:/bin"},
         )
+        feeder = threading.Thread(target=feed, args=(proc.stdin, requests))
+        feeder.start()
         try:
-            proc.stdin.write("\n".join(requests) + "\n")
-            proc.stdin.close()
             deadline = time.monotonic() + 540
             while (proc.poll() is None and time.monotonic() < deadline
                    and out_path.read_text().count("\n") < len(requests) // 4):
@@ -175,6 +199,7 @@ def serve_inspected(db, requests, *extra_args, pythonpath, tmp, wedge_token):
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            feeder.join()
     completed = subprocess.CompletedProcess(
         argv, proc.returncode, out_path.read_text(), err_path.read_text()
     )
@@ -289,10 +314,13 @@ def main() -> int:
         failures.append("chaos run flushed no metrics document")
     else:
         counters = json.loads(metrics.read_text())["metrics"]["counters"]
-        for needed in ("replica.failovers", "replica.restarts"):
-            if not counters.get(needed):
+        for needed, least in (
+            ("replica.failovers", MIN_FAILOVERS),
+            ("replica.restarts", MIN_RESTARTS),
+        ):
+            if counters.get(needed, 0) < least:
                 failures.append(
-                    f"chaos never exercised {needed} "
+                    f"chaos exercised {needed} fewer than {least} times "
                     f"(counters: { {k: v for k, v in counters.items() if k.startswith('replica.')} })"
                 )
         print("replica counters:", {

@@ -94,7 +94,8 @@ class BenchContext:
     :class:`~repro.engine.DistanceEngine` of its *own* — one kernel behind
     every seconds column, a private pair cache behind each, so no row is
     warmed by another engine's work — and a timed query runs on a fresh
-    structure whose cache holds its build's distances only.  Count columns
+    structure whose cache holds what its build stored and no earlier
+    query's (an NB-Index stores only its ladder sample).  Count columns
     come from each structure's own counter.
     """
 
@@ -124,7 +125,8 @@ class BenchContext:
 
     def build_index(self, **overrides) -> NBIndex:
         """A fresh NB-Index with this context's parameters — its pair cache
-        holds the build's distances only, so a query on it is cold."""
+        holds no query's distances (only the ladder sample, when the build
+        draws one), so a query on it is cold."""
         params = dict(
             num_vantage_points=self.num_vantage_points,
             thresholds=self.ladder, seed=self.seed,

@@ -31,8 +31,8 @@ DEFAULT_K = 10
 
 # ---------------------------------------------------------------------------
 # Engine runners: one timed top-k query each, cold — on a fresh structure
-# (built offline, untimed) whose pair cache holds its build's distances and
-# no earlier query's.  Each returns (wall seconds, exact distance
+# (built offline, untimed) whose pair cache holds at most its build's
+# ladder sample, never an earlier query's distances.  Each returns (wall seconds, exact distance
 # computations) — the second is the paper's cost model and, unlike the
 # first, repeats exactly.
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The batch distance engine.
 
 :class:`DistanceEngine` is the single component every distance-hungry code
-path goes through: index construction (``|V| · n`` vantage distances,
-NB-Tree pivot scans), the baseline greedy's O(|L_q|²) neighborhood
+path goes through: index construction (``|V| · n`` vantage distances and
+the ladder sample), the baseline greedy's O(|L_q|²) neighborhood
 materialization, candidate verification, and full ``matrix`` builds.  It
 layers three cross-cutting accelerations over any ``(g, g) → float``
 metric, none of which changes a single output bit:
@@ -24,10 +24,11 @@ metric, none of which changes a single output bit:
 3. **Shared caching** — one symmetric pair cache
    (:class:`~repro.engine.paircache.PairTable`: packed keys of
    ``graph_id`` or a never-reused token, in flat arrays) spans every
-   consumer, so a distance computed during the build is free during
-   θ-refinements.
-   Only distances are cached: a value a query's deadline degraded to an
-   upper bound is returned to that query, never stored for the next one.
+   consumer, so a distance one query evaluates is free for the next
+   θ-refinement.  The build's vantage block reads the cache but is not
+   stored in it: the embedding holds those distances, and its bounds on a
+   pair with a vantage endpoint are exact.  Nor is a value a query's
+   deadline degraded to an upper bound: it is returned to that query only.
    :meth:`stats` reports evaluations / hits / prefilter activity in the
    same shape as :class:`~repro.ged.metric.CountingDistance`.
 
@@ -43,7 +44,6 @@ how the identity gates compare the serial metric with the batch kernels.
 from __future__ import annotations
 
 import threading
-from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -53,12 +53,12 @@ from repro.cascade.features import StageFeatures
 from repro.cascade.pipeline import RefereeFilter
 from repro.ged import ExactGED, StarDistance
 from repro.engine.paircache import (
-    PairTable, Uncacheable, half, halves, key_halves, pair_key, plain_ids,
+    PairTable, Uncacheable, half, halves, pair_key, plain_ids,
 )
 from repro.ged.metric import SLACK, CountingDistance
 from repro.graphs.graph import LabeledGraph
 from repro.resilience.deadline import current_deadline, degradation_mark
-from repro.utils.fanout import fan_out, workers
+from repro.utils.fanout import fan_out
 from repro.utils.validation import require
 
 
@@ -276,73 +276,83 @@ class DistanceEngine:
             self._book_batch(len(graphs))
             out[:] = self._evaluate(source_graph, graphs)
             return out
-        hits, misses, keys, repeats = self._scan(
-            source_half, target_halves, out, {}, 0
-        )
+        hits, misses, keys, repeats = self._scan(source_half, target_halves, out)
         if misses:
             self._book_batch(len(misses))
             mark = degradation_mark()
             values = self._evaluate(source_graph, [graphs[p] for p in misses])
-            self._store(keys, values, out, misses, self._cache_for(mark))
-            for position, (_, first) in repeats:
+            out[misses] = values
+            with self._cache_lock:
+                self._cache_for(mark).put(keys, values)
+            for position, first in repeats:
                 out[position] = out[first]
         if hits:
             obs.counter("engine.cache_hits", hits)
         return out
 
     def columns(self, sources, targets) -> np.ndarray:
-        """``d(sources[j], targets[i])`` at ``[i, j]`` (the vantage block):
-        consecutive :meth:`one_to_many` calls, or, when the block is worth
-        forked children and no deadline is active (a child could not report
-        its degradations), one cache scan in source order, the miss lists
-        evaluated by :func:`fan_out` and booked as those calls would."""
+        """``d(sources[j], targets[i])`` at ``[i, j]`` (the vantage block),
+        booked as consecutive :meth:`one_to_many` calls book it but stored
+        nowhere: the embedding holds it.  Each column reads the cache once;
+        a pair met earlier in the block is a hit copied from its first
+        place.  The misses are evaluated by :func:`fan_out` unless a
+        deadline is active (a child could not report its degradations) or
+        the metric is not :attr:`portable`."""
         graphs = self._resolve_many(targets)
         sources = [self._resolve(ref) for ref in sources]
         out = np.empty((len(graphs), len(sources)))
         try:
             source_halves, target_halves = halves(sources), halves(graphs)
-            fanned = (
-                self.portable and current_deadline() is None
-                and workers(len(sources), out.size) > 1
-            )
-        except Uncacheable:
-            fanned = False
-        if not fanned:
+        except Uncacheable:  # evaluated uncached, as one_to_many would
             for column, source in enumerate(sources):
-                out[:, column] = self.one_to_many(source, graphs)
+                self._book_batch(len(graphs))
+                out[:, column] = self._evaluate(source, graphs)
             return out
-        # A key recurs only through a half of a source still to come (a
-        # repeated source, or a target that is a later source).
-        later = Counter(source_halves)
-        carried: dict = {}
-        scans = []
+        # A pair recurs only at a repeated source or target half, or with
+        # its halves swapped (a target half that is a source half): each
+        # half's first row and column place its first occurrence.
+        first_row = {h: row for row, h in reversed(list(enumerate(target_halves)))}
+        first_column = {h: j for j, h in reversed(list(enumerate(source_halves)))}
+        copies, todo = [], []  # copies: ([i, j] to, [i, j] from)
         for column, source_half in enumerate(source_halves):
-            later[source_half] -= 1
-            pending = dict(carried)
-            hits, misses, keys, repeats = self._scan(
-                source_half, target_halves, out[:, column], pending, column
-            )
-            scans.append((hits, np.asarray(misses, np.int32), keys, repeats))
-            ahead = {h for h, count in later.items() if count > 0}
-            carried = {k: at for k, at in pending.items() if not ahead.isdisjoint(key_halves(k))}
+            earlier = first_column[source_half]
+            if earlier < column:  # a repeated source: all its column again
+                copies.append(((slice(None), column), (slice(None), earlier)))
+                continue
+            with self._cache_lock:
+                absent, _ = self._cache.scan(source_half, target_halves, out[:, column])
+            source_row, misses = first_row.get(source_half), []
+            for row in absent:
+                target_half = target_halves[row]
+                as_source = first_column.get(target_half, column)
+                if first_row[target_half] < row:  # a repeated target
+                    copies.append(((row, column), (first_row[target_half], column)))
+                elif as_source < column and source_row is not None:  # swapped
+                    copies.append(((row, column), (source_row, as_source)))
+                else:
+                    misses.append(row)
+            if misses:
+                todo.append((column, np.array(misses, dtype=np.int32)))
+        pairs = sum(misses.size for _, misses in todo)
+        hits = out.size - pairs  # every pair not evaluated here
+        with self._cache_lock:
+            self.cache_hits += hits
+        if hits:
+            obs.counter("engine.cache_hits", hits)
 
-        def evaluate(column: int):
-            misses = scans[column][1].tolist()
-            return self._evaluate(sources[column], [graphs[p] for p in misses])
+        def evaluate(job):
+            column, misses = job
+            return self._evaluate(sources[column], [graphs[p] for p in misses.tolist()])
 
-        todo = [column for column, scan in enumerate(scans) if scan[1].size]
-        pairs = sum(scans[column][1].size for column in todo)
-        values = dict(zip(todo, fan_out(evaluate, todo, pairs)))
-        for column, (hits, misses, keys, repeats) in enumerate(scans):
-            if column in values:
-                self._book_batch(misses.size)
-                self._store(
-                    keys, values[column], out[:, column], misses, self._cache
-                )
-            for position, first in repeats:  # its miss is filled by now
-                out[position, column] = out[first[1], first[0]]
-            if hits:
-                obs.counter("engine.cache_hits", hits)
+        if self.portable and current_deadline() is None:
+            values = fan_out(evaluate, todo, pairs)
+        else:
+            values = map(evaluate, todo)  # one column's values at a time
+        for (column, misses), column_values in zip(todo, values):
+            self._book_batch(misses.size)
+            out[misses, column] = column_values
+        for to, source in copies:  # in block order: each source is filled
+            out[to] = out[source]
         return out
 
     @property
@@ -353,22 +363,19 @@ class DistanceEngine:
         count or any other callable's side effects."""
         return type(self.inner) in (StarDistance, ExactGED)
 
-    def _scan(self, source_half, target_halves, out, pending: dict, column):
-        """One source's pair-cache scan: fills ``out`` (``column`` of the
-        call's block) from the cache and books the hits.  A key in
-        ``pending`` (missed earlier in the same call, at ``(column,
-        position)``) is a hit too, a *repeat* copied from that miss's
-        place once it is filled.  Returns ``(hits, miss positions, miss
-        keys, [(position, (column, position) of its miss)])``."""
-        misses, miss_keys, repeats = [], [], []
+    def _scan(self, source_half, target_halves, out):
+        """One source's pair-cache scan: fills ``out`` from the cache and
+        books the hits.  A key missed earlier in the scan is a hit too, a
+        *repeat* copied from that miss's place once it is filled.  Returns
+        ``(hits, miss positions, miss keys, [(repeat, its miss)])``."""
+        misses, miss_keys, repeats, pending = [], [], [], {}
         with self._cache_lock:
             absent = self._cache.scan(source_half, target_halves, out)
             for position, key in zip(*absent):
-                first = pending.get(key)
-                if first is not None:
+                first = pending.setdefault(key, position)
+                if first != position:
                     repeats.append((position, first))
                 else:
-                    pending[key] = (column, position)
                     misses.append(position)
                     miss_keys.append(key)
             hits = len(target_halves) - len(misses)
@@ -380,13 +387,6 @@ class DistanceEngine:
         cache, or a throw-away table once the active deadline has degraded
         one of them to an upper bound."""
         return self._cache if degradation_mark() == mark else PairTable()
-
-    def _store(self, keys, values, out, misses, cache) -> None:
-        """Write evaluated misses to ``cache`` and ``out``."""
-        for position, value in zip(misses, values):
-            out[position] = value
-        with self._cache_lock:
-            cache.put(keys, values)
 
     def cached_verdicts(
         self, source, targets, accept: float, reject: float

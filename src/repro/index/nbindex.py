@@ -114,8 +114,9 @@ class NBIndex:
 
         Every distance goes through one
         :class:`~repro.engine.DistanceEngine` (batched evaluation + a
-        symmetric pair cache); pass a prebuilt engine as ``distance`` to
-        share its cache across builds.
+        symmetric pair cache).  Pass a prebuilt engine as ``distance`` and
+        the build reads its cache; it stores only the ladder's sample
+        there, never the ``n · |V|`` embedding (the index itself).
 
         ``seed`` (an int or a numpy Generator) drives vantage selection
         and the ladder sample.  ``branching`` is accepted and ignored (the
@@ -144,9 +145,8 @@ class NBIndex:
                     distance=engine,
                 )
 
-            with obs.span("index.embed"), obs.timer("index.embed_seconds"):
-                embedding = VantageEmbedding(database.graphs, vp_indices, engine)
-
+            # The ladder's pairs are cached; the embedding's are not, and
+            # reads the ladder's as hits (DistanceEngine.columns).
             if thresholds is None:
                 with obs.span("index.ladder"), obs.timer("index.ladder_seconds"):
                     if len(database) < 2:
@@ -156,6 +156,9 @@ class NBIndex:
                             database.graphs, engine, count=10,
                             num_pairs=min(1000, len(database) * 4), rng=rng,
                         )
+
+            with obs.span("index.embed"), obs.timer("index.embed_seconds"):
+                embedding = VantageEmbedding(database.graphs, vp_indices, engine)
         build_seconds = time.perf_counter() - started
         obs.observe_time("index.build_seconds", build_seconds)
         return cls(

@@ -152,7 +152,7 @@ class VantageEmbedding:
         return self.coords.shape[0]
 
     # ------------------------------------------------------------------
-    # Embedding external graphs (NB-Tree pivots, ad-hoc queries)
+    # Embedding external graphs (inserts, ad-hoc queries)
     # ------------------------------------------------------------------
     def embed(self, g: LabeledGraph) -> np.ndarray:
         """Vantage coordinates of an arbitrary graph (``|V|`` distances)."""

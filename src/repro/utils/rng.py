@@ -1,7 +1,7 @@
 """Deterministic random-number-generator plumbing.
 
 Every stochastic component in the library (dataset generators, vantage point
-selection, pivot selection in the NB-Tree, query sampling in benchmarks)
+selection, the threshold ladder's pair sample, query sampling in benchmarks)
 accepts a ``seed`` argument that may be:
 
 * ``None`` — a fresh, OS-seeded generator (non-reproducible),

@@ -237,7 +237,10 @@ def test_spent_tokens_stop_caching_not_queries(monkeypatch):
     assert engine.matrix([spent, last]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
     assert engine.columns([spent, ids[0]], [ids[1]]).tolist() == [[4.0, 3.0]]
     assert engine.evaluations == 1 + 3 + 2 + 2 + 1 + 2
-    # a call meeting a graph without a half bypasses the cache whole
+    # a call meeting a graph without a half bypasses the cache whole, and
+    # a column block stores nothing at all
+    assert len(engine._cache) == 0
+    assert engine.one_to_many(ids[0], [ids[1]]).tolist() == [3.0]
     assert list(map(key_halves, engine._cache.items()[0].tolist())) == [(0, 1)]
 
 
