@@ -5,12 +5,15 @@ The right θ is rarely known up front.  Like adjusting map zoom, an analyst
 re-runs the query at nearby thresholds and watches the answer coarsen
 (large θ: few exemplars cover everything) or sharpen (small θ: exemplars
 for fine structural families).  The NB-Index makes each refinement cheap:
-the initialization phase is reused, only the search re-runs.
+one ``index.session(q)`` keeps the initialization phase, and each θ on
+the trajectory re-runs only the search.
 
 Run:  python examples/interactive_zoom.py
 """
 
-from repro import NBIndex, RefinementSession, StarDistance, quartile_relevance
+import time
+
+from repro import NBIndex, StarDistance, quartile_relevance
 from repro.datasets import calibrate_theta, amazon_like
 
 
@@ -23,24 +26,25 @@ def main():
     index = NBIndex.build(
         database, distance, num_vantage_points=12, seed=5
     )
-    session = RefinementSession(index, quartile_relevance(database), k=8)
+    session = index.session(quartile_relevance(database))
 
-    # Initial query, then a plausible analyst trajectory: zoom out twice
-    # looking for coverage, then zoom back in for finer families.
-    session.query(theta0)
-    session.zoom_out(0.2)
-    session.zoom_out(0.2)
-    session.zoom_in(0.3)
-    session.zoom_in(0.1)
+    # A plausible analyst trajectory: zoom out twice (+20 % each) looking
+    # for coverage, then back in (−30 %, −10 %) for finer families.
+    trajectory = [theta0]
+    for factor in (1.2, 1.2, 0.7, 0.9):
+        trajectory.append(trajectory[-1] * factor)
 
     print(f"\n{'step':<6}{'theta':>10}{'pi(A)':>10}{'CR':>8}{'seconds':>10}")
-    for step_number, step in enumerate(session.history):
-        print(f"{step_number:<6}{step.theta:>10.1f}{step.result.pi:>10.3f}"
-              f"{step.result.compression_ratio:>8.1f}{step.seconds:>10.3f}")
+    seconds = []
+    for step_number, theta in enumerate(trajectory):
+        started = time.perf_counter()
+        result = session.query(theta, 8)
+        seconds.append(time.perf_counter() - started)
+        print(f"{step_number:<6}{theta:>10.1f}{result.pi:>10.3f}"
+              f"{result.compression_ratio:>8.1f}{seconds[-1]:>10.3f}")
 
-    first = session.history[0].seconds
-    refinements = [s.seconds for s in session.history[1:]]
-    print(f"\ninitial query: {first:.3f}s; refinements avg: "
+    refinements = seconds[1:]
+    print(f"\ninitial query: {seconds[0]:.3f}s; refinements avg: "
           f"{sum(refinements) / len(refinements):.3f}s")
     print("Refinements reuse the session's initialization phase (relevant "
           "set, pi-hat columns, distance cache), so zooming is much cheaper "

@@ -23,7 +23,6 @@ from repro import obs
 from repro.core import (
     QueryResult,
     QueryStats,
-    RefinementSession,
     TopKRepresentativeQuery,
     baseline_greedy,
     lazy_greedy,
@@ -56,7 +55,6 @@ __all__ = [
     "QueryResult",
     "QueryStats",
     "TopKRepresentativeQuery",
-    "RefinementSession",
     "baseline_greedy",
     "lazy_greedy",
     "obs",

@@ -1,12 +1,7 @@
-"""repro.cascade — the per-query threshold filter and the ε-relaxed
-approximate mode.  See ``docs/cascade.md``.
+"""repro.cascade — the per-query threshold filter.  See
+``docs/cascade.md``.
 """
 
-from repro.cascade.pipeline import (
-    BLOCK_EVALS,
-    EpsilonError,
-    FilterCascade,
-    validate_epsilon,
-)
+from repro.cascade.pipeline import BLOCK_EVALS, FilterCascade
 
-__all__ = ["BLOCK_EVALS", "EpsilonError", "FilterCascade", "validate_epsilon"]
+__all__ = ["BLOCK_EVALS", "FilterCascade"]

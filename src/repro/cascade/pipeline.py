@@ -18,17 +18,13 @@ choice of the caller:
    with an *upper* bound too, so it both prunes and accepts;
 3. **exact** distances for the undecided rest.
 
-Steps 1–2 cut at the relaxed ``(1−ε)·θ``; step 3 accepts at ``θ``.  At
-ε = 0 every prune is a sound lower bound, so the mask equals the
-unfiltered one.  At ε > 0 the answered neighborhood ``N'`` satisfies
-``N_{(1−ε)θ} ⊆ N' ⊆ N_θ`` — no false positives, only borderline members
-may be dropped — which keeps the lazy greedy's ``(1 − 1/e − ε)``
-guarantee.
+Every step compares against the one threshold ``θ + eps``: each prune is
+a sound lower bound and each accept a sound upper bound, so the mask
+equals the unfiltered one.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 
 import numpy as np
@@ -44,26 +40,6 @@ from repro.ged.exact import ExactGED
 BLOCK_EVALS = "cascade.vantage.block_evals"
 
 
-class EpsilonError(ValueError):
-    """``epsilon`` is not a real number in ``[0, 1)``."""
-
-
-def validate_epsilon(value) -> float:
-    """The one ε check behind the Python API, the CLI and the wire.
-
-    ``None`` and ``-0.0`` mean exact.  Anything that is not a real number
-    (``bool`` and ``str`` included — ``"0.1"`` is a client's mistake, not
-    a request for an approximate answer), not finite, or outside
-    ``[0, 1)`` raises :class:`EpsilonError`.
-    """
-    if value is None:
-        return 0.0
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not real or not 0.0 <= value < 1.0:  # NaN fails both comparisons
-        raise EpsilonError(f"epsilon must be a real number in [0, 1), got {value!r}")
-    return abs(float(value))  # -0.0 → 0.0
-
-
 def _assignment_bound_sound(engine) -> bool:
     """The assignment bound charges unit node and edge operations."""
     base = engine._base_distance
@@ -71,25 +47,15 @@ def _assignment_bound_sound(engine) -> bool:
 
 
 class FilterCascade:
-    """One query's filter runtime: its ε and the per-step counters."""
+    """One query's filter runtime: the per-step counters."""
 
-    __slots__ = ("epsilon", "counts")
+    __slots__ = ("counts",)
 
     #: Whether :meth:`run` adds the assignment bound where it is sound.
     structural = True
 
-    def __init__(self, epsilon=0.0):
-        self.epsilon = validate_epsilon(epsilon)
+    def __init__(self):
         self.counts: dict[str, dict[str, float]] = {}
-
-    @property
-    def approximate(self) -> bool:
-        """True when bounds are relaxed (``ε > 0``)."""
-        return self.epsilon > 0.0
-
-    def generation_theta(self, theta: float) -> float:
-        """The relaxed threshold ``(1−ε)·θ`` that bounds are compared to."""
-        return (1.0 - self.epsilon) * theta
 
     # -- statistics ---------------------------------------------------
     def _record(self, name, evals, prunes, seconds, accepts=0):
@@ -124,20 +90,18 @@ class FilterCascade:
         prefiltered: bool = False,
     ) -> np.ndarray:
         """Boolean mask of ``d(source, t) ≤ θ + eps`` over ``targets``,
-        with the bounds pruning at ``(1−ε)·θ + eps`` first.
+        with the bounds deciding what they can first.
 
         ``prefiltered=True`` asserts the caller already ran the vantage
-        Chebyshev lower bound over these targets at this (relaxed)
-        threshold — e.g. via ``VantageEmbedding.candidates`` — so the
-        sandwich skips the redundant lower pass (it would reject exactly
-        zero candidates) and only applies the upper-bound accept.
+        sandwich over these targets at this threshold and kept only the
+        members it left undecided — a frontier's window does — so the
+        vantage step is skipped: it would prune and accept nothing.
         """
         n = len(targets)
         mask = np.zeros(n, dtype=bool)
         if not n:
             return mask
-        cutoff = self.generation_theta(theta) + eps
-        accept = theta + eps
+        cutoff = theta + eps
         # Index references as one id array (an id array passes through
         # untouched); ``None`` when any side is a free-standing graph.
         ids = None
@@ -150,10 +114,10 @@ class FilterCascade:
         if ids is not None:
             if self.structural and _assignment_bound_sound(engine):
                 survivors = self._assignment_bound(engine, source, ids, cutoff)
-            if survivors.size and engine._embedding is not None:
+            if (survivors.size and not prefiltered
+                    and engine._embedding is not None):
                 survivors = self._vantage_sandwich(
-                    engine, source, ids, survivors, mask,
-                    cutoff, accept, prefiltered,
+                    engine, source, ids, survivors, mask, cutoff
                 )
         if survivors.size:
             if ids is not None:
@@ -161,7 +125,7 @@ class FilterCascade:
             else:
                 refs = [targets[p] for p in survivors]
             distances = engine.one_to_many(source, refs)
-            mask[survivors] = distances <= accept
+            mask[survivors] = distances <= cutoff
         return mask
 
     def _assignment_bound(self, engine, source, ids, cutoff):
@@ -177,28 +141,19 @@ class FilterCascade:
         )
         return survivors
 
-    def _vantage_sandwich(
-        self, engine, source, ids, survivors, mask, cutoff, accept, prefiltered,
-    ):
+    def _vantage_sandwich(self, engine, source, ids, survivors, mask, cutoff):
         """Lower-bound prune plus upper-bound accept (written into
         ``mask``); returns the positions still undecided."""
         started = time.perf_counter()
         coords = engine._embedding.coords
         source_row = coords[int(source)]
-        if prefiltered:
-            # The caller's candidate window already applied this exact
-            # lower-bound predicate; re-running it would reject nothing
-            # (and double-count the block pass).
-            rejected = 0
-            undecided = survivors
-        else:
-            obs.counter(BLOCK_EVALS)
-            lower = np.max(np.abs(coords[ids[survivors]] - source_row), axis=1)
-            keep = lower <= cutoff
-            rejected = int(np.count_nonzero(~keep))
-            undecided = survivors[keep]
+        obs.counter(BLOCK_EVALS)
+        lower = np.max(np.abs(coords[ids[survivors]] - source_row), axis=1)
+        keep = lower <= cutoff
+        rejected = int(np.count_nonzero(~keep))
+        undecided = survivors[keep]
         upper = np.min(coords[ids[undecided]] + source_row, axis=1)
-        accepted = upper <= accept
+        accepted = upper <= cutoff
         accepts = int(np.count_nonzero(accepted))
         with engine._cache_lock:
             engine.prefilter_lower_rejections += rejected
@@ -219,7 +174,7 @@ class FilterCascade:
 class RefereeFilter(FilterCascade):
     """What :meth:`DistanceEngine.within` runs when no query hands it a
     runtime — ``baseline_greedy(engine=…)``, the tests' referees: the
-    sandwich (if an embedding is attached) and exact, at ε = 0.  It never
+    sandwich (if an embedding is attached) and exact.  It never
     adds the assignment bound, so the reference never runs the bound it
     referees."""
 

@@ -147,7 +147,6 @@ def cmd_shard_build(args) -> int:
 
 def cmd_query(args) -> int:
     import repro
-    from repro.cascade import EpsilonError, validate_epsilon
     from repro.datasets import calibrate_theta
     from repro.ged import StarDistance
     from repro.graphs import quartile_relevance
@@ -159,16 +158,6 @@ def cmd_query(args) -> int:
         return 2
     if args.journal and not (args.shards or args.index):
         print("query: --journal needs --index or --shards", file=sys.stderr)
-        return 2
-    try:
-        epsilon = validate_epsilon(args.epsilon)
-    except EpsilonError as error:
-        print(f"query: {error}", file=sys.stderr)
-        return 2
-    if epsilon and args.method == "greedy":
-        print("query: --epsilon conflicts with --method greedy "
-              "(the baseline evaluates every pair exactly)",
-              file=sys.stderr)
         return 2
     observation = _start_observation(args)
     distance = StarDistance()
@@ -224,7 +213,7 @@ def cmd_query(args) -> int:
                     database, distance, num_vantage_points=args.vantage_points,
                     seed=args.seed,
                 )
-            result = index.query(q, theta, args.k, epsilon=epsilon)
+            result = index.query(q, theta, args.k)
             if args.journal:
                 index.close()
 
@@ -238,11 +227,6 @@ def cmd_query(args) -> int:
         print(
             f"certified: OPT <= {result.opt_upper} covered graphs, "
             f"pi(A)/OPT >= {result.certified_ratio:.3f}"
-        )
-    if result.stats.approximate:
-        print(
-            f"approximate: epsilon={result.stats.epsilon:g} — neighborhoods "
-            f"within [(1−ε)θ, θ]; greedy keeps the (1−1/e−ε) guarantee"
         )
     if deadline is not None:
         _print_degradation_footer(deadline)
@@ -574,10 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wall-clock budget for exact edit distances; on "
                         "expiry they degrade to upper bounds and the "
                         "footer reports the degradation")
-    p.add_argument("--epsilon", type=float, default=0.0, metavar="E",
-                   help="approximate mode: relax bound comparisons to "
-                        "(1−E)·θ, keeping the (1−1/e−E) guarantee "
-                        "(default 0 = exact)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
                         "(.prom → Prometheus text, else JSON)")

@@ -18,7 +18,6 @@ from repro.core.reduction import (
     reduce_set_cover,
 )
 from repro.core.query import TopKRepresentativeQuery
-from repro.core.refinement import RefinementSession, RefinementStep
 
 __all__ = [
     "QueryResult",
@@ -38,6 +37,4 @@ __all__ = [
     "ReducedInstance",
     "LookupDistance",
     "TopKRepresentativeQuery",
-    "RefinementSession",
-    "RefinementStep",
 ]

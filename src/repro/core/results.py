@@ -47,12 +47,6 @@ class QueryStats:
     #: resolve counts plus the per-shard work split.  Empty for
     #: single-index engines.
     coordinator: dict = field(default_factory=dict)
-    #: True when the query ran in the ε-relaxed approximate mode
-    #: (``epsilon > 0``): neighborhoods satisfy ``N_{(1−ε)θ} ⊆ N' ⊆ N_θ``
-    #: and greedy keeps the (1 − 1/e − ε) guarantee.
-    approximate: bool = False
-    #: The configured relaxation factor (0.0 for exact queries).
-    epsilon: float = 0.0
     #: The query filter's counters (``{"assignment" | "vantage": {evals,
     #: prunes, accepts, seconds}}``, a step that never ran absent); empty
     #: on a replicated index, whose workers do the filtering.
@@ -100,7 +94,7 @@ class QueryResult:
     theta: float
     stats: QueryStats = field(default_factory=QueryStats)
     #: Certified upper bound U ≥ OPT on the covered count of any k graphs
-    #: (:func:`certify`); ``None`` when degraded or ε > 0.
+    #: (:func:`certify`); ``None`` when degraded.
     opt_upper: int | None = None
     #: ``len(covered) / opt_upper`` — provably ≥ 1 − (1 − 1/k)^k.
     certified_ratio: float | None = None
@@ -138,9 +132,9 @@ def certify(result: QueryResult, k: int) -> QueryResult:
     with g = 0 past a short answer (nothing left adds coverage).  The
     same recurrence proves ``len(covered) / U ≥ 1 − (1 − 1/k)^k``
     (``docs/theory.md``, §8).  Sound only when every gain is an exact
-    maximum: a degraded or ε-relaxed result is left uncertified.
+    maximum: a degraded result is left uncertified.
     """
-    if result.stats.degraded or result.stats.epsilon > 0:
+    if result.stats.degraded:
         return result
     gains = [int(g) for g in result.gains]
     bound, running = int(result.num_relevant), 0

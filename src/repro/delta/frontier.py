@@ -151,7 +151,7 @@ class ExactFrontier:
         self, gid: int, min_useful: float = _NEG_INF, tie_gid: int | None = None
     ) -> np.ndarray:
         """``N_θ(gid) ∩ relevant(delta)`` as a packed global bitset, exact,
-        cached.  Same ``d ≤ θ + ε`` predicate as every other frontier.
+        cached.  Same ``d ≤ θ + SLACK`` predicate as every other frontier.
         The memtable is tiny: it is scanned whole whatever the deficit."""
         gid = int(gid)
         position = self._position.get(gid)

@@ -388,21 +388,22 @@ class DistanceEngine:
         one of them to an upper bound."""
         return self._cache if degradation_mark() == mark else PairTable()
 
-    def cached_verdicts(
-        self, source, targets, accept: float, reject: float
-    ) -> np.ndarray:
+    def cached_verdicts(self, source, targets, threshold: float) -> np.ndarray:
         """Pair-cache peek: ``+1`` where ``d(source, t)`` has already been
-        evaluated and is ``<= accept``, ``-1`` where it is ``> reject``,
-        ``0`` elsewhere (never evaluated, or in between).  Evaluates
-        nothing; only the pairs it decides count as cache hits — an
-        undecided pair is booked by the call that later resolves it."""
+        evaluated and is ``<= threshold``, ``-1`` where it is ``>
+        threshold``, ``0`` where it was never evaluated.  Evaluates
+        nothing; only the pairs it decides count as cache hits."""
         try:
             source_half, others = half(self._resolve(source)), self._halves(targets)
         except Uncacheable:  # never cached
             return np.zeros(len(targets), dtype=np.int8)
         with self._cache_lock:
             values = self._cache.values(source_half, others)
-            verdicts = (values <= accept).view(np.int8) - (values > reject).view(np.int8)
+            # A never-evaluated pair reads NaN, which fails both tests.
+            verdicts = (
+                (values <= threshold).view(np.int8)
+                - (values > threshold).view(np.int8)
+            )
             hits = int(np.count_nonzero(verdicts))
             self.cache_hits += hits
         if hits:
@@ -472,8 +473,8 @@ class DistanceEngine:
         """Boolean mask: which targets satisfy ``d(source, t) ≤ θ + eps``.
 
         The threshold test runs through :meth:`repro.cascade.FilterCascade.run`.
-        A query passes its own ``runtime`` (its ε and counters; on a
-        unit-cost ``ExactGED`` engine it adds the assignment lower bound).
+        A query passes its own ``runtime`` (its counters; on a unit-cost
+        ``ExactGED`` engine it adds the assignment lower bound).
         Without one — ``baseline_greedy(engine=…)``, referees — the
         engine-held :class:`~repro.cascade.pipeline.RefereeFilter` runs:
         with an embedding attached and index references, the vantage lower
@@ -484,10 +485,10 @@ class DistanceEngine:
         bounds, the pair cache and the kernel without per-element type
         dispatch.
 
-        ``prefiltered=True`` tells the sandwich the caller already applied
-        the Chebyshev lower bound to these targets (e.g. via
-        ``VantageEmbedding.candidates``), so the redundant lower pass —
-        which would reject exactly zero candidates — is skipped.
+        ``prefiltered=True`` tells the filter the caller already ran the
+        vantage sandwich over these targets at this threshold and passes
+        only what it left undecided (a frontier's window does), so the
+        vantage step — which would prune and accept nothing — is skipped.
         """
         if not isinstance(targets, np.ndarray):
             targets = list(targets)

@@ -279,9 +279,6 @@ class IndexFrontier:
         self.stats = stats
         #: The query's filter runtime, shared by all of its frontiers.
         self.runtime = runtime
-        # ε > 0 shrinks the generation window to (1−ε)θ: members beyond it
-        # may be dropped (N_{(1−ε)θ} ⊆ N' ⊆ N_θ), never wrongly added.
-        self._gen_theta = runtime.generation_theta(self.theta)
         self.bounds = state.pi_hat_column(self.theta).astype(float)
         #: Resolved residual θ-neighborhoods within this index's relevant
         #: members, as packed bitsets keyed by global id.
@@ -377,8 +374,8 @@ class IndexFrontier:
         (:meth:`_lens`); ``min_useful`` is what the coordinator still needs
         from this frontier.
 
-        Membership is always ``d(gid, c) ≤ θ + ε`` with the global ε, so
-        the union over frontiers equals the single-index neighborhood.
+        Membership is always ``d(gid, c) ≤ θ + SLACK``, so the union over
+        frontiers equals the single-index neighborhood.
         """
         cached = self._nbhd.get(gid)
         if cached is not None:
@@ -425,9 +422,9 @@ class IndexFrontier:
         first sight the Chebyshev window over the uncovered members is
         split by what is free to decide — the graph itself, vantage
         upper-bound accepts and pairs the engine has already evaluated —
-        with ``unverified`` by descending lower bound.  A free verdict is
-        only taken where the filter would agree with it at any ε: accept
-        at the relaxed cutoff ``(1−ε)θ``, reject above θ."""
+        with ``unverified`` by descending lower bound.  Every verdict
+        compares against the one threshold ``θ + SLACK``, so the window
+        runs the whole vantage sandwich and leaves the filter none of it."""
         partial = self._partial.pop(gid, None)
         if partial is not None:
             hits, unverified = (
@@ -443,7 +440,7 @@ class IndexFrontier:
         embedding = self.index.embedding
         row, engine, source, member_ids = self._lens(gid)
         ids = state.relevant_local[ranks]
-        cutoff = self._gen_theta + SLACK
+        cutoff = self.theta + SLACK
         obs.counter(BLOCK_EVALS)
         lower = embedding.lower_bounds_to(row, ids)
         inside = lower <= cutoff
@@ -456,8 +453,7 @@ class IndexFrontier:
         undecided = ~hit
         if undecided.any():
             known = engine.cached_verdicts(
-                source, member_ids[ranks[undecided]],
-                accept=cutoff, reject=self.theta + SLACK,
+                source, member_ids[ranks[undecided]], cutoff
             )
             hit[undecided] = known > 0
             undecided[undecided] = known == 0
@@ -477,10 +473,10 @@ class IndexFrontier:
             self.bounds[rank] = float(hits.size + unverified.size)
 
     def _within(self, gid: int, ranks: np.ndarray) -> np.ndarray:
-        """Exact ``d(gid, member) ≤ θ + ε`` verdicts for window members."""
+        """Exact ``d(gid, member) ≤ θ + SLACK`` verdicts for window members."""
         _, engine, source, member_ids = self._lens(gid)
-        # The window already applied the vantage lower bound at this
-        # threshold — `prefiltered` skips re-running it.
+        # The window already ran the vantage sandwich at this threshold:
+        # `prefiltered` skips the step, which would decide nothing.
         return engine.within(
             source, member_ids[ranks], self.theta, runtime=self.runtime,
             prefiltered=True,

@@ -345,9 +345,7 @@ def _spot_check_metric(database, distance, rng, num_triples: int = 25) -> None:
 
 
 #: Keyword arguments :meth:`QuerySession.query` accepts beyond (θ, k).
-_QUERY_KWARGS = frozenset(
-    {"stop_on_zero_gain", "deadline", "epsilon"}
-)
+_QUERY_KWARGS = frozenset({"stop_on_zero_gain", "deadline"})
 
 
 def check_query_kwargs(index, kwargs: dict) -> None:
@@ -368,8 +366,8 @@ class QueryRun:
     session: "QuerySession"
     theta: float
     stats: QueryStats
-    #: The query's :class:`~repro.cascade.FilterCascade`: its ε and the
-    #: filter counters, shared by every frontier.
+    #: The query's :class:`~repro.cascade.FilterCascade`: the filter
+    #: counters, shared by every frontier.
     runtime: FilterCascade
     #: The effective (explicit or ambient) deadline, or ``None``.
     deadline: object
@@ -426,7 +424,6 @@ class QuerySession:
         k: int,
         stop_on_zero_gain: bool = False,
         deadline=None,
-        epsilon: float = 0.0,
     ) -> QueryResult:
         """Run the search phase for (θ, k).
 
@@ -440,15 +437,14 @@ class QuerySession:
         ``degraded`` with the per-kind counts — an answer computed under
         pressure is flagged, never silently approximate.
 
-        ``epsilon`` in ``[0, 1)`` selects the ε-relaxed approximate mode
-        (``docs/cascade.md``); which lower bounds filter candidates is
-        decided by the index's metric, not by the caller.
+        Which bounds filter candidates is decided by the index's metric,
+        not by the caller (``docs/cascade.md``).
         """
         require_positive(theta, "theta")
         require_positive(k, "k")
         from repro.resilience.deadline import current_deadline, deadline_scope
 
-        runtime = FilterCascade(epsilon)
+        runtime = FilterCascade()
         index = self.index
         layer = index._query_layer
         stats = QueryStats(init_seconds=self.init_seconds)
@@ -484,8 +480,6 @@ class QuerySession:
                 # deployments.
                 stats.coordinator = coord
                 query_span.set(scatter_resolves=coord["scatter_resolves"])
-            stats.epsilon = runtime.epsilon
-            stats.approximate = runtime.approximate
             stats.cascade = runtime.snapshot()
             if effective_deadline is not None:
                 stats.degradations = {

@@ -157,7 +157,7 @@ class ReplicatedIndex:
     def _run_query(self, run: QueryRun):
         """Pin one replica, run the greedy over its :class:`RemoteFrontier`;
         on :class:`SessionLost`, run it again on a fresh pin.  Workers run
-        the filter and the deadline; each open frame ships ε and the
+        the filter and the deadline; each open frame ships the
         deadline's state (a worker knows its own metric), and the
         answering attempt's degradations are folded back into the
         deadline."""
@@ -197,7 +197,6 @@ class ReplicatedIndex:
             deadline_state=(
                 run.deadline.state() if run.deadline is not None else None
             ),
-            epsilon=run.runtime.epsilon,
         )
 
     # ------------------------------------------------------------------

@@ -49,7 +49,6 @@ class RemoteFrontier:
         relevant_global: np.ndarray,
         universe,
         deadline_state: dict | None = None,
-        epsilon: float = 0.0,
     ):
         self.router = router
         self.handle = handle
@@ -71,10 +70,6 @@ class RemoteFrontier:
         }
         if deadline_state is not None:
             open_payload["deadline"] = deadline_state
-        if epsilon:
-            # Omitted at 0: exact sessions keep their open frames
-            # byte-identical to older coordinators.
-            open_payload["epsilon"] = epsilon
         result = self._call(open_payload)
         require(
             int(result.get("relevant", -1)) == self.relevant_global.size,

@@ -54,7 +54,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.bitset import BitsetUniverse
-from repro.cascade import EpsilonError, FilterCascade
+from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.graphs.relevance import AverageScoreThreshold
 from repro.index.frontier import MemberState
@@ -206,16 +206,12 @@ class ShardWorker:
             Deadline.from_state(deadline_state)
             if deadline_state is not None else None
         )
-        try:
-            runtime = FilterCascade(request.get("epsilon"))
-        except EpsilonError as error:
-            raise wire.ReplicaProtocolError(str(error)) from error
         frontier = ShardFrontier(
             MemberState(
                 index, np.arange(len(index.embedding)), relevant,
                 BitsetUniverse(relevant),
             ),
-            theta, QueryStats(), runtime,
+            theta, QueryStats(), FilterCascade(),
             global_engine=index.engine, frame=self.index.frame,
         )
         self.sessions[sid] = _Session(frontier, deadline)

@@ -11,16 +11,11 @@ over stdin/stdout pipes and TCP sockets, and a shell with ``echo`` and
     {"id": 4, "op": "stats"}
     {"id": 5, "op": "reload", "path": "new-index.npz"}
 
-Queries may ask for the ε-relaxed approximate mode (see
-``docs/cascade.md``): ``epsilon`` is a number in ``[0, 1)``, checked by
-the same :func:`repro.cascade.validate_epsilon` as the Python API and the
-CLI; a malformed one is a typed ``invalid_request`` rejection before
-admission::
-
-    {"id": 14, "op": "query", "theta": 8.0, "k": 5, "epsilon": 0.05}
-
-Approximate responses (``epsilon > 0``) add ``"approximate": true`` and
-the effective ``"epsilon"``; exact responses stay byte-identical.
+Every query is answered exactly, or flagged ``degraded`` when its
+deadline ran out.  A key the protocol does not know —
+an older client's relaxation or filter choice included — lands in
+``extra`` and changes nothing: an exact answer meets any relaxed
+neighborhood contract.
 
 Mutation ops are *versioned* — they carry ``"v": 1`` (optional today;
 any other version is rejected with ``invalid_request`` so the wire can
@@ -71,7 +66,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.cascade import EpsilonError, validate_epsilon
 from repro.service.errors import InvalidRequest, ServiceError
 
 #: Ops the service understands.
@@ -108,7 +102,6 @@ class QueryRequest:
     gid: int | None = None  # delete/update target
     graph: dict | None = None  # insert/update payload
     features: tuple[float, ...] | None = None  # insert/update payload
-    epsilon: float = 0.0  # approximate-mode relaxation
     extra: dict = field(default_factory=dict, compare=False)
 
 
@@ -175,15 +168,10 @@ def parse_request(line: str, *, max_bytes: int = MAX_REQUEST_BYTES) -> QueryRequ
                 f"build speaks v{PROTOCOL_VERSION}"
             )
     gid, graph, features = _validate_mutation_fields(op, payload)
-    try:
-        epsilon = validate_epsilon(payload.get("epsilon"))
-    except EpsilonError as error:
-        raise InvalidRequest(str(error)) from error
 
     known = {
         "id", "op", "theta", "k", "quantile", "dims", "seed",
         "timeout_ms", "path", "v", "gid", "graph", "features",
-        "epsilon",
     }
     extra = {key: payload[key] for key in payload.keys() - known}
     return QueryRequest(
@@ -200,7 +188,6 @@ def parse_request(line: str, *, max_bytes: int = MAX_REQUEST_BYTES) -> QueryRequ
         gid=gid,
         graph=graph,
         features=features,
-        epsilon=epsilon,
         extra=extra,
     )
 

@@ -574,7 +574,7 @@ class QueryService:
             with obs.timer("service.query_seconds"):
                 result = index.query(
                     query_fn, request.theta, request.k,
-                    deadline=ticket.deadline, epsilon=request.epsilon,
+                    deadline=ticket.deadline,
                 )
             generation = self.manager.generation
         obs.counter("service.queries")
@@ -588,11 +588,6 @@ class QueryService:
             "degradations": dict(result.stats.degradations),
             "generation": generation,
         }
-        # Approximate mode only: exact (ε = 0) responses stay
-        # byte-identical.
-        if result.stats.approximate:
-            body["approximate"] = True
-            body["epsilon"] = float(result.stats.epsilon)
         return protocol.ok_response(request.id, body)
 
     def _watch_loop(self) -> None:

@@ -1,11 +1,12 @@
-"""The query filter's gates: which bound runs is the metric's call, ε is
-the caller's only one.
+"""The query filter's gates: which bound runs is the metric's call, and
+the caller has none.
 
 The load-bearing claims under test:
 
-* **The option is gone** — ``cascade=`` is an unknown keyword on every
-  index type, and a wire request that still carries ``"cascade"`` is
-  answered byte-identically to one without.
+* **The options are gone** — ``cascade=`` and ``epsilon=`` are unknown
+  keywords on every index type, ``repro query --epsilon`` exits 2, and a
+  wire request that still carries ``"cascade"`` or ``"epsilon"`` (well
+  formed or not) is answered byte-identically to one without.
 * **Selection by metric** — on a unit-cost ``ExactGED`` index a plain
   query runs the assignment lower bound and pays the pinned exact-call
   budget, bit-identical to ``baseline_greedy`` at S ∈ {1, 2}; on a
@@ -16,12 +17,10 @@ The load-bearing claims under test:
 * **Counter dedup** — a candidate window followed by a prefiltered
   ``within`` emits ``cascade.vantage.block_evals`` exactly once (the
   ``filter.block_evals`` double-count regression).
-* **ε semantics** — relaxed answers keep the no-false-positive sandwich
-  ``N_{(1−ε)θ} ⊆ N' ⊆ N_θ`` and are flagged ``approximate`` end to end
-  (S = 1, S = 4, R = 2, the wire body), never at ε = 0.
-* **One ε validator** — the same table of malformed values is refused by
-  the Python API (a ``ValueError``), the CLI (exit 2) and the wire (typed
-  ``invalid_request`` before admission).
+* **No vantage pass inside a query's filter** — a frontier's window runs
+  the whole sandwich, so a query's cascade books no ``vantage`` step and
+  moves no prefilter counter (NB-Index, S = 2 bundle, mutable S = 2 with
+  a memtable), while the referee keeps it.
 """
 
 from __future__ import annotations
@@ -36,27 +35,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import baseline_greedy, obs, open_index
-from repro.cascade import (
-    BLOCK_EVALS,
-    EpsilonError,
-    FilterCascade,
-    validate_epsilon,
-)
+from repro.cascade import BLOCK_EVALS, FilterCascade
 from repro.cli import main as cli_main
 from repro.engine import DistanceEngine
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex, save_index
 from repro.replica import ReplicatedIndex
-from repro.replica.remote import RemoteFrontier
-from repro.replica.supervisor import WorkerHandle
-from repro.service import (
-    InvalidRequest,
-    QueryRequest,
-    QueryService,
-    parse_request,
-    serve_lines,
-)
+from repro.service import QueryService, parse_request, serve_lines
 from repro.service.protocol import encode
 from repro.shard import ShardedIndex, build_shards
 from tests.conftest import random_database
@@ -108,88 +94,49 @@ def _fresh_engine(distance, db, index):
     return engine
 
 
-# ---------------------------------------------------------------------------
-# What is left to configure: ε — one validator, three surfaces
-# ---------------------------------------------------------------------------
-#: (Python value, JSON literal, command-line text or None where the
-#: surface cannot spell it) — every row is refused on every surface.
-BAD_EPSILONS = [
-    (-0.1, "-0.1", "-0.1"),
-    (1.0, "1.0", "1.0"),
-    (1.5, "1.5", "1.5"),
-    (float("nan"), "NaN", "nan"),
-    ("x", '"x"', "x"),
-    (True, "true", "true"),
-    (float("inf"), "Infinity", "inf"),
-    ("0.1", '"0.1"', None),  # on a command line 0.1 *is* the number
-]
-BAD_LINES = [
-    f'{{"id": {i}, "theta": 8.0, "k": 2, "epsilon": {literal}}}'
-    for i, (_, literal, _) in enumerate(BAD_EPSILONS, 1)
-]
-#: Every spelling of "exact".
-EXACT_EPSILONS = [None, 0, 0.0, -0.0]
-
-
 class TestCascadeConfig:
     def test_default_is_legacy(self):
         runtime = FilterCascade()
-        assert runtime.epsilon == 0.0
-        assert not runtime.approximate
-        assert runtime.generation_theta(8.0) == 8.0
+        assert not hasattr(runtime, "epsilon")
         assert runtime.snapshot() == {}
 
-    @pytest.mark.parametrize("epsilon", [row[0] for row in BAD_EPSILONS])
-    def test_bad_epsilon_rejected(self, index, relevance, epsilon):
-        with pytest.raises(EpsilonError):
-            validate_epsilon(epsilon)
-        with pytest.raises(ValueError, match="epsilon"):
-            index.query(relevance, 8.0, 2, epsilon=epsilon)
-
-    @pytest.mark.parametrize(
-        "text", [row[2] for row in BAD_EPSILONS if row[2] is not None]
-    )
-    def test_bad_epsilon_exits_2_on_the_cli(self, text, capsys):
+    def test_epsilon_flag_exits_2_on_the_cli(self, capsys):
         # Refused while parsing the command line: the database is never
         # opened (it does not exist).
-        argv = ["query", "no-such.jsonl", "--k", "2", f"--epsilon={text}"]
-        try:
-            code = cli_main(argv)
-        except SystemExit as exit_:  # argparse's own float() refusal
-            code = exit_.code
-        assert code == 2
-        assert "epsilon" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("epsilon", EXACT_EPSILONS)
-    def test_exact_spellings(self, index, relevance, epsilon):
-        assert str(validate_epsilon(epsilon)) == "0.0"  # never "-0.0"
-        got = index.query(relevance, 8.0, 2, epsilon=epsilon)
-        assert not got.stats.approximate and got.stats.epsilon == 0.0
-        line = json.dumps({"id": 1, "theta": 8.0, "k": 2, "epsilon": epsilon})
-        assert str(parse_request(line).epsilon) == "0.0"
-
-    def test_generation_theta(self):
-        runtime = FilterCascade(0.25)
-        assert runtime.generation_theta(8.0) == pytest.approx(6.0)
-        assert runtime.approximate
+        argv = ["query", "no-such.jsonl", "--k", "2", "--epsilon", "0.1"]
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(argv)
+        assert exit_.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
-# The option is gone; the reference path is untouched
+# The options are gone; the reference path is untouched
 # ---------------------------------------------------------------------------
+def _refuse_on_every_shape(db, index, bundle, sharded, relevance, **kwargs):
+    mutable = open_index(
+        bundle, db.subset(range(len(db))), StarDistance(), mutable=True
+    )
+    with ReplicatedIndex.open(bundle, db, StarDistance(), replicas=1) as rep:
+        for idx in (index, sharded, mutable, rep):
+            with pytest.raises(TypeError, match=type(idx).__name__):
+                idx.query(relevance, 8.0, 3, **kwargs)
+    mutable.close()
+
+
 class TestBitIdentity:
     def test_cascade_kwarg_is_gone(self, db, index, bundle, sharded, relevance):
-        mutable = open_index(
-            bundle, db.subset(range(len(db))), StarDistance(), mutable=True
+        _refuse_on_every_shape(
+            db, index, bundle, sharded, relevance, cascade="assignment,vantage"
         )
-        with ReplicatedIndex.open(bundle, db, StarDistance(), replicas=1) as rep:
-            for idx in (index, sharded, mutable, rep):
-                with pytest.raises(TypeError, match=type(idx).__name__):
-                    idx.query(relevance, 8.0, 3, cascade="assignment,vantage")
-        mutable.close()
+
+    def test_epsilon_kwarg_is_gone(self, db, index, bundle, sharded, relevance):
+        _refuse_on_every_shape(
+            db, index, bundle, sharded, relevance, epsilon=0.1
+        )
 
     def test_explicit_default_matches_implicit(self, db, index):
-        """On the star metric a query's ε = 0 runtime and the engine-held
+        """On the star metric a query's runtime and the engine-held
         referee are the same filter: same masks, same pairs paid, and no
         structural bound is ever set up."""
         targets = list(range(len(db)))
@@ -317,7 +264,7 @@ class TestBlockEvalDedup:
             counters = registry.snapshot()["counters"]
             assert counters.get(BLOCK_EVALS, 0) == 1
             assert "filter.block_evals" not in counters
-            # The skipped lower pass provably rejects nothing: the mask
+            # The skipped vantage step provably rejects nothing: the mask
             # matches a full (non-prefiltered) run over the same window.
             full = engine.within(gid, targets, theta)
             counters = registry.snapshot()["counters"]
@@ -337,84 +284,129 @@ class TestBlockEvalDedup:
 
 
 # ---------------------------------------------------------------------------
-# ε > 0 approximate mode
+# No vantage pass inside a query's filter; the referee keeps its sandwich
 # ---------------------------------------------------------------------------
-class TestApproximateMode:
-    def test_engine_sandwich(self, db, index):
-        """ε-relaxed masks: no false positives vs θ, no misses vs (1−ε)θ."""
-        engine = index.engine
-        targets = list(range(len(db)))
-        theta, epsilon = 8.0, 0.1
-        for gid in range(0, len(db), 5):
-            exact = engine.within(gid, targets, theta)
-            inner = engine.within(gid, targets, (1 - epsilon) * theta)
-            relaxed = engine.within(
-                gid, targets, theta, runtime=FilterCascade(epsilon),
+def _prefilter_counts(engines):
+    return [
+        (e.prefilter_upper_accepts, e.prefilter_lower_rejections)
+        for e in engines
+    ]
+
+
+class TestNoVantagePassInQueries:
+    """A frontier's window runs the whole vantage sandwich at the query's
+    one threshold, so the filter it hands the rest to has nothing left to
+    decide there and skips the step."""
+
+    def _assert_no_vantage_pass(self, idx, engines, relevance):
+        before = _prefilter_counts(engines)
+        verified = 0
+        for theta, k in ((8.0, 3), (6.0, 4)):
+            got = idx.query(relevance, theta, k)
+            verified += got.stats.candidate_verifications
+            assert "vantage" not in got.stats.cascade, got.stats.cascade
+        assert verified > 0  # the filter ran
+        assert _prefilter_counts(engines) == before
+
+    def test_nbindex_query(self, db, relevance):
+        fresh = NBIndex.build(db, StarDistance(), **BUILD)
+        self._assert_no_vantage_pass(fresh, [fresh.engine], relevance)
+
+    def test_s2_bundle_query(self, db, relevance, tmp_path):
+        bundle = build_shards(
+            db, StarDistance(), num_shards=2, out_dir=tmp_path, seed=7,
+            num_vantage_points=5,
+        )
+        two = ShardedIndex.load(bundle, db, StarDistance())
+        try:
+            self._assert_no_vantage_pass(two, [two.engine], relevance)
+        finally:
+            two.close()
+
+    def test_mutable_s2_query_with_a_memtable(self, db, tmp_path):
+        bundle = build_shards(
+            db.subset(range(40)), StarDistance(), num_shards=2,
+            out_dir=tmp_path, seed=7, num_vantage_points=5,
+        )
+        mutable = open_index(
+            bundle, db.subset(range(40)), StarDistance(), mutable=True
+        )
+        try:
+            for gid in range(40, len(db)):
+                mutable.insert(db[gid], db.features[gid])
+            assert mutable.memtable_size > 0
+            engines = [mutable.engine, mutable.base.engine]
+            self._assert_no_vantage_pass(
+                mutable, engines, quartile_relevance(mutable.database)
             )
-            assert not np.any(relaxed & ~exact)   # N' ⊆ N_θ
-            assert not np.any(inner & ~relaxed)   # N_{(1−ε)θ} ⊆ N'
+        finally:
+            mutable.close()
 
-    def test_query_flags_approximate(self, index, relevance):
-        exact = index.query(relevance, 8.0, 4)
-        got = index.query(relevance, 8.0, 4, epsilon=0.05)
-        assert got.stats.approximate
-        assert got.stats.epsilon == pytest.approx(0.05)
-        assert not exact.stats.approximate
-        assert len(got.answer) <= len(exact.answer)
-        # Approximate coverage never exceeds what the exact run certifies.
-        assert got.pi <= exact.pi + 1e-12
-
-    def test_sharded_flags_approximate(self, sharded, relevance):
-        got = sharded.query(relevance, 8.0, 4, epsilon=0.05)
-        assert got.stats.approximate
-        assert got.stats.epsilon == pytest.approx(0.05)
+    def test_referee_keeps_the_sandwich(self, db, index, relevance):
+        engine = _fresh_engine(StarDistance(), db, index)
+        want = baseline_greedy(db, StarDistance(), relevance, 8.0, 3)
+        got = baseline_greedy(
+            db, StarDistance(), relevance, 8.0, 3, engine=engine
+        )
+        assert_same_result(got, want)
+        assert engine.prefilter_lower_rejections > 0
+        assert engine.prefilter_upper_accepts > 0
 
 
 # ---------------------------------------------------------------------------
 # The wire: service validation and round trips (S ∈ {1, 4}, replicas=2)
 # ---------------------------------------------------------------------------
 PLAIN_LINE = '{"id": 7, "theta": 8.0, "k": 3}'
-STALE_LINE = (
+#: Keys an older client may still send: each lands in ``extra`` and the
+#: response is byte-identical to PLAIN_LINE's — an exact answer meets
+#: every ε's contract ``N_{(1−ε)θ} ⊆ N' ⊆ N_θ``, well formed or not.
+STALE_LINES = [
     '{"id": 7, "theta": 8.0, "k": 3, '
-    '"cascade": ["label_size", "assignment", "vantage"]}'
-)
+    '"cascade": ["label_size", "assignment", "vantage"]}',
+    '{"id": 7, "theta": 8.0, "k": 3, "epsilon": 0.1}',
+    '{"id": 7, "theta": 8.0, "k": 3, "epsilon": "x"}',
+    '{"id": 7, "theta": 8.0, "k": 3, "epsilon": NaN}',
+    '{"id": 7, "theta": 8.0, "k": 3, "epsilon": 1.5}',
+]
+#: Requests the protocol still refuses before admission.
+BAD_LINES = [
+    '{"id": 1, "theta": -8.0, "k": 2}',
+    '{"id": 2, "theta": 8.0, "k": 0}',
+    '{"id": 3, "theta": 8.0, "k": 2, "quantile": 1.5}',
+    '{"id": 4, "theta": 8.0, "k": 2, "dims": "x"}',
+]
 
 
 class TestWire:
     def test_parse_accepts_cascade_fields(self):
-        """A client that still sends ``cascade`` is not refused: like any
-        unknown key it lands in ``extra`` and selects nothing."""
+        """A client that still sends ``cascade`` or ``epsilon`` is not
+        refused: like any unknown key they land in ``extra`` and select
+        nothing."""
         req = parse_request(json.dumps({
             "id": 9, "theta": 8.0, "k": 2,
             "cascade": ["label_size", "assignment", "vantage"],
             "epsilon": 0.05,
         }))
-        assert req.extra == {"cascade": ["label_size", "assignment", "vantage"]}
-        assert not hasattr(req, "cascade")
-        assert req.epsilon == pytest.approx(0.05)
+        assert req.extra == {
+            "cascade": ["label_size", "assignment", "vantage"],
+            "epsilon": 0.05,
+        }
+        assert not hasattr(req, "cascade") and not hasattr(req, "epsilon")
 
     def test_parse_defaults(self):
         req = parse_request(PLAIN_LINE)
-        assert req.epsilon == 0.0 and req.extra == {}
-
-    @pytest.mark.parametrize("line", BAD_LINES)
-    def test_malformed_rejected_before_admission(self, line):
-        with pytest.raises(InvalidRequest):
-            parse_request(line)
+        assert req.extra == {}
 
     def _assert_round_trips(self, svc, direct):
-        """The stale ``cascade`` key changes no byte of the response;
-        ``approximate``/``epsilon`` appear in the body only at ε > 0."""
-        plain = svc.call(parse_request(PLAIN_LINE))
-        assert encode(svc.call(parse_request(STALE_LINE))) == encode(plain)
-        assert plain["result"]["answer"] == [int(g) for g in direct.answer]
-        assert "approximate" not in plain["result"]
-        assert "epsilon" not in plain["result"]
-        approx = svc.call(QueryRequest(
-            id=2, theta=8.0, k=3, epsilon=0.05,
-        ))["result"]
-        assert approx["approximate"] is True
-        assert approx["epsilon"] == pytest.approx(0.05)
+        """A stale key changes no byte of the response, and no response
+        carries ``approximate`` or ``epsilon``."""
+        plain = encode(svc.call(parse_request(PLAIN_LINE)))
+        for line in STALE_LINES:
+            assert encode(svc.call(parse_request(line))) == plain, line
+        result = json.loads(plain)["result"]
+        assert result["answer"] == [int(g) for g in direct.answer]
+        assert "approximate" not in result
+        assert "epsilon" not in result
 
     def _assert_rejected_before_admission(self, svc):
         """Run last: ``serve_lines`` drains the service when it returns."""
@@ -443,34 +435,6 @@ class TestWire:
             self._assert_round_trips(svc, direct)
             self._assert_rejected_before_admission(svc)
 
-    def test_replica_open_frame_carries_epsilon_only_when_relaxed(self):
-        """A worker knows its own metric: only ε travels, and an exact
-        session's open frame is what it was before there was an ε."""
-        class Recorder:
-            """A router that answers every frame with a three-graph open."""
-
-            def call(self, handle, payload):
-                sent.append(payload)
-                return {"ok": True, "r": {"relevant": 3, "min_gid": 0}}
-
-        def open_payload(**kwargs):
-            sent.clear()
-            RemoteFrontier(
-                Recorder(), WorkerHandle(0), "sid", dims=(0,),
-                threshold=0.5, theta=8.0, relevant_global=np.arange(3),
-                universe=None, **kwargs,
-            )
-            [payload] = sent  # the open frame, sent once, at build time
-            return payload
-
-        sent = []
-
-        assert open_payload() == {
-            "op": "open", "sid": "sid", "dims": [0], "threshold": 0.5,
-            "theta": 8.0,
-        }
-        assert open_payload(epsilon=0.05) == {**open_payload(), "epsilon": 0.05}
-
     def test_replicated_r2_rejects_and_round_trips(
         self, bundle, db, sharded, relevance,
     ):
@@ -478,15 +442,7 @@ class TestWire:
         with ReplicatedIndex.open(
             bundle, db, StarDistance(), replicas=2,
         ) as rep:
-            got = rep.query(relevance, 8.0, 3)
-            assert_same_result(got, want)
-            assert not got.stats.approximate
-            approx = rep.query(relevance, 8.0, 3, epsilon=0.05)
-            assert approx.stats.approximate
-            assert approx.stats.epsilon == pytest.approx(0.05)
-            assert_same_result(
-                approx, sharded.query(relevance, 8.0, 3, epsilon=0.05)
-            )
+            assert_same_result(rep.query(relevance, 8.0, 3), want)
             with QueryService(rep) as svc:
                 self._assert_round_trips(svc, want)
                 self._assert_rejected_before_admission(svc)

@@ -63,14 +63,12 @@ def test_the_bound_is_the_greedy_online_bound():
     assert capped.opt_upper == 3  # 0 + 1·3, below |L_q| = 5
 
 
-def test_degraded_and_relaxed_answers_are_not_certified():
+def test_degraded_answers_are_not_certified():
     database = random_database(seed=3, size=24, min_nodes=3, max_nodes=5)
     q = quartile_relevance(database, quantile=0.3)
     index = NBIndex.build(database, StarDistance(), num_vantage_points=3, seed=0)
     exact = index.query(q, 4.0, 3)
     assert exact.opt_upper is not None
-    relaxed = index.query(q, 4.0, 3, epsilon=0.2)
-    assert relaxed.opt_upper is None and relaxed.certified_ratio is None
     degraded = certify(QueryResult(
         answer=[0], gains=[2], covered=frozenset({0, 1}), num_relevant=4,
         theta=1.0, stats=QueryStats(degradations={"ged.exact.beam": 1}),

@@ -245,29 +245,26 @@ def test_engine_single_call_and_cache(db, star):
 
 
 def test_cached_verdicts_books_only_decided_pairs(db, star):
-    """The peek evaluates nothing, and a pair counts as a cache hit once:
-    where the peek decides it, or later where ``one_to_many`` reads it."""
+    """The peek evaluates nothing and decides every evaluated pair against
+    its one threshold (``+1`` at ``≤``, ``−1`` above); a pair never
+    evaluated reads 0 and is not a cache hit — the call that evaluates it
+    books it."""
     for repeat in (1, 20):  # 60 targets take the numpy probe
         engine = DistanceEngine(StarDistance(), graphs=db.graphs)
         targets = np.array([5, 8, 9] * repeat, dtype=np.int64)
         values = engine.one_to_many(3, targets[:2])  # 9 stays unevaluated
         low, high = sorted(values.tolist())
-        assert low < high, "the band case needs two distinct distances"
-        middle = (low + high) / 2.0
-        # Everything known is decided: two hits a repeat, the unknown is 0.
-        verdicts = engine.cached_verdicts(3, targets, accept=middle, reject=middle)
-        expected = [1 if v <= middle else -1 for v in values.tolist()] + [0]
-        assert verdicts.tolist() == expected * repeat
-        assert (engine.evaluations, engine.cache_hits) == (2, 2 * repeat)
-        # Both known pairs inside the (accept, reject] band: undecided,
-        # not booked — the read that resolves them books them.
-        verdicts = engine.cached_verdicts(
-            3, targets, accept=low - 1.0, reject=high
-        )
-        assert verdicts.tolist() == [0, 0, 0] * repeat
-        assert engine.cache_hits == 2 * repeat
-        engine.one_to_many(3, targets[:2])
-        assert (engine.evaluations, engine.cache_hits) == (2, 2 * repeat + 2)
+        assert low < high, "the boundary cases need two distinct distances"
+        hits = 0
+        for threshold in (low - 1.0, low, (low + high) / 2.0, high):
+            verdicts = engine.cached_verdicts(3, targets, threshold)
+            expected = [1 if v <= threshold else -1 for v in values.tolist()]
+            assert verdicts.tolist() == (expected + [0]) * repeat, threshold
+            hits += 2 * repeat
+            assert (engine.evaluations, engine.cache_hits) == (2, hits)
+        engine.one_to_many(3, targets[2:3])  # pays for 9: a miss
+        assert (engine.evaluations, engine.cache_hits) == (3, hits)
+        assert 0 not in engine.cached_verdicts(3, targets, high).tolist()
 
 
 def test_engine_non_star_distance_fallback(db):

@@ -5,8 +5,7 @@ the greedy round needs (``IndexFrontier.resolve``).  This file pins what that
 must not change and what it must buy:
 
 * ids / gains / order / coverage bit-identical to ``baseline_greedy`` in
-  every deployment shape, and — at ε > 0, where the reference is the
-  filter's per-pair rule — to the eager resolver below;
+  every deployment shape, and to the eager resolver below;
 * soundness: every working bound (initial, resolved, partial) is ≥ the
   true residual gain at every pull — stale bounds included, since no
   update step tightens them after a selection — and a resumed partial
@@ -85,13 +84,15 @@ class EagerFrontier(IndexFrontier):
         state, index = self.state, self.index
         local = state.g2l[gid]
         window = index.embedding.candidates(
-            local, self._gen_theta + SLACK, state.relevant_local
+            local, self.theta + SLACK, state.relevant_local
         )
         others = window[window != local]
         self.stats.candidates_generated += int(window.size)
         self.stats.candidate_verifications += int(others.size)
+        # The window above applied only the lower bound: the filter runs
+        # its whole vantage sandwich over it.
         mask = index.engine.within(
-            local, others, self.theta, runtime=self.runtime, prefiltered=True
+            local, others, self.theta, runtime=self.runtime
         )
         members = others[mask].tolist()
         if others.size < window.size:
@@ -201,9 +202,8 @@ def test_every_shape_matches_baseline_greedy(shapes, quantile, theta, k, warm):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_lazy_equals_eager_and_never_pays_more(data):
-    """Same index, cold caches, lazy vs eager: identical answers at any ε
-    (the per-pair rule is the filter's either way), and the lazy path
-    never evaluates more exact distances."""
+    """Same index, cold caches, lazy vs eager: identical answers (the
+    greedy's), and the lazy path never evaluates more exact distances."""
     seed = data.draw(st.integers(0, 2**16), label="seed")
     database = random_database(
         seed=seed, size=data.draw(st.integers(16, 64), label="size")
@@ -217,18 +217,16 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
     theta = float(index.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
     k = data.draw(st.integers(1, 10), label="k")
-    epsilon = data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps")
 
     cold(index)
-    lazy = index.query(q, theta, k, epsilon=epsilon)
+    lazy = index.query(q, theta, k)
     cold(index)
     with mock.patch.object(nbindex_module, "IndexFrontier", EagerFrontier):
-        eager = index.query(q, theta, k, epsilon=epsilon)
+        eager = index.query(q, theta, k)
     same_answer(lazy, eager)
     assert lazy.stats.distance_calls <= eager.stats.distance_calls
     assert lazy.stats.candidate_verifications <= eager.stats.candidate_verifications
-    if epsilon == 0.0:
-        same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
+    same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +454,19 @@ def sharded_shapes(tmp_path_factory):
     quantile=st.sampled_from([0.1, 0.3, 0.6]),
     theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
     k=st.integers(1, 12),
-    epsilon=st.sampled_from([0.0, 0.1, 0.3]),
     warm=st.booleans(),
 )
 def test_every_sharded_shape_matches_its_reference(
-    sharded_shapes, quantile, theta, k, epsilon, warm,
+    sharded_shapes, quantile, theta, k, warm,
 ):
-    """ε = 0: the paper's greedy.  ε > 0: the filter's per-pair rule, i.e.
-    the same bundle with every foreign window resolved whole (worker
-    processes cannot be patched: the replicated bundle must agree with its
-    in-process twin instead)."""
+    """Every sharded shape answers like the paper's greedy."""
     for name, index in sharded_shapes.items():
         database = index.database
         q = quartile_relevance(database, quantile=quantile)
         if not warm:
             cold(index)
-        got = index.query(q, theta, k, epsilon=epsilon)
-        if epsilon == 0.0:
-            want = baseline_greedy(database, StarDistance(), q, theta, k)
-        elif name == "replicated-2x2":
-            want = sharded_shapes["sharded-2-hash"].query(q, theta, k, epsilon=epsilon)
-        else:
-            with shard_frontier(EagerShardFrontier):
-                want = index.query(q, theta, k, epsilon=epsilon)
+        got = index.query(q, theta, k)
+        want = baseline_greedy(database, StarDistance(), q, theta, k)
         assert got.answer == want.answer, name
         assert got.gains == want.gains, name
         assert got.covered == want.covered, name
@@ -492,7 +480,7 @@ def _one_ladder_outcome_per_survivor(coord):
 
 
 def lazy_and_eager_over_a_bundle(
-    seed, size, quantile, epsilon, shards, partitioner, rung, theta_scale, k,
+    seed, size, quantile, shards, partitioner, rung, theta_scale, k,
 ):
     """One random bundle queried cold twice — lazy, then with every foreign
     window resolved whole — at ``theta_scale`` × ladder rung ``rung`` (the
@@ -510,15 +498,14 @@ def lazy_and_eager_over_a_bundle(
             index.ladder[min(rung, len(index.ladder) - 1)]
         )
         cold(index)
-        lazy = index.query(q, theta, k, epsilon=epsilon)
+        lazy = index.query(q, theta, k)
         cold(index)
         with shard_frontier(EagerShardFrontier):
-            eager = index.query(q, theta, k, epsilon=epsilon)
+            eager = index.query(q, theta, k)
     same_answer(lazy, eager)
     _one_ladder_outcome_per_survivor(lazy.stats.coordinator)
     assert not eager.stats.coordinator["partial_scatters"]
-    if epsilon == 0.0:
-        same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
+    same_answer(lazy, baseline_greedy(database, StarDistance(), q, theta, k))
     return lazy.stats, eager.stats
 
 
@@ -544,7 +531,6 @@ def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
         seed=data.draw(st.integers(0, 2**16), label="seed"),
         size=data.draw(st.integers(24, 72), label="size"),
         quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7])),
-        epsilon=data.draw(st.sampled_from([0.0, 0.1, 0.3]), label="eps"),
         shards=data.draw(st.sampled_from([2, 4]), label="shards"),
         partitioner=data.draw(st.sampled_from(["hash", "clustering"])),
         rung=data.draw(st.integers(0, 9), label="rung"),
@@ -554,14 +540,14 @@ def test_lazy_foreign_windows_equal_eager_and_never_pay_more(data):
     assert within_the_cross_frontier_slack(lazy, eager), (lazy, eager)
 
 
-#: (seed, size, quantile, ε, S, partitioner, rung, θ scale, k) —
+#: (seed, size, quantile, S, partitioner, rung, θ scale, k) —
 #: the first rows are instances where lazy is *ahead* of eager on a
 #: counter (calls lazy/eager, verifications lazy/eager as measured), the
 #: rest were drawn once from ``default_rng(16)``.
 PINNED_BUNDLES = [
-    (37981, 45, 0.1, 0.0, 4, "clustering", 0, 0.7, 4),   # 275/274, 292/278
-    (61904, 57, 0.4, 0.0, 2, "clustering", 0, 0.7, 7),   # 230/230, 196/178
-    (259, 70, 0.1, 0.0, 4, "clustering", 2, 0.7, 5),     # 1033/1038, 1108/1020
+    (37981, 45, 0.1, 4, "clustering", 0, 0.7, 4),   # 275/274, 292/278
+    (61904, 57, 0.4, 2, "clustering", 0, 0.7, 7),   # 230/230, 196/178
+    (259, 70, 0.1, 4, "clustering", 2, 0.7, 5),     # 1033/1038, 1108/1020
 ]
 
 
@@ -575,7 +561,6 @@ def test_lazy_foreign_windows_never_pay_more_on_the_whole():
         sample.append((
             int(rng.integers(0, 2**16)), int(rng.integers(24, 73)),
             float(rng.choice([0.1, 0.4, 0.7])),
-            float(rng.choice([0.0, 0.1, 0.3])),
             int(rng.choice([2, 4])), str(rng.choice(["hash", "clustering"])),
             int(rng.integers(0, 10)), float(rng.choice([0.7, 1.0])),
             int(rng.integers(1, 11)),

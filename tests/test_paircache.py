@@ -233,7 +233,7 @@ def test_spent_tokens_stop_caching_not_queries(monkeypatch):
     assert engine.one_to_many(spent, [ids[0], spent, ids[0]]).tolist() == [3.0, 4.0, 3.0]
     assert engine.one_to_many(ids[1], [spent, ids[2]]).tolist() == [4.0, 5.0]
     assert engine.pairs([(spent, ids[0]), (ids[0], ids[1])]).tolist() == [3.0, 3.0]
-    assert engine.cached_verdicts(spent, [ids[0]], 9.0, 9.0).tolist() == [0]
+    assert engine.cached_verdicts(spent, [ids[0]], 9.0).tolist() == [0]
     assert engine.matrix([spent, last]).tolist() == [[0.0, 3.0], [3.0, 0.0]]
     assert engine.columns([spent, ids[0]], [ids[1]]).tolist() == [[4.0, 3.0]]
     assert engine.evaluations == 1 + 3 + 2 + 2 + 1 + 2
@@ -281,7 +281,7 @@ def test_every_table_touch_holds_the_engine_lock():
     assert engine(3, free) == 2.0
     engine.pairs([(4, 5), (4, 5), (free, 6)])
     for length in (10, 60):  # the pure-Python and the numpy probe
-        engine.cached_verdicts(0, np.arange(length), 1.0, 2.0)
+        engine.cached_verdicts(0, np.arange(length), 1.0)
     engine.columns([0, 1, 0], np.arange(40))
     engine.matrix(range(8))
 

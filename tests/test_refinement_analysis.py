@@ -1,10 +1,10 @@
-"""Refinement sessions, analysis metrics, and distance distributions."""
+"""θ refinement on a session, analysis metrics, and distance distributions."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import evaluate_answer, evaluate_answers, sample_distances
-from repro.core import RefinementSession, baseline_greedy
+from repro.core import baseline_greedy
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
@@ -19,41 +19,17 @@ def _index(seed=0, size=50):
     return db, dist, q, index
 
 
-class TestRefinementSession:
-    def test_zoom_requires_initial_query(self):
-        _, _, q, index = _index()
-        session = RefinementSession(index, q, k=3)
-        with pytest.raises(RuntimeError):
-            session.zoom_in()
-
-    def test_zoom_trajectory(self):
+class TestSessionRefinement:
+    def test_zoom_trajectory_matches_direct_queries(self):
+        """A session zoomed in and back out (θ off the ladder) answers
+        each step like a fresh query at that θ."""
         _, _, q, index = _index(seed=1)
-        session = RefinementSession(index, q, k=3)
-        session.query(5.0)
-        session.zoom_in(0.1)
-        session.zoom_out(0.1)
-        thetas = [step.theta for step in session.history]
-        assert thetas == pytest.approx([5.0, 4.5, 4.95])
-        assert session.current_theta == pytest.approx(4.95)
-        assert session.current_result is not None
-
-    def test_results_match_direct_queries(self):
-        db, dist, q, index = _index(seed=2)
-        session = RefinementSession(index, q, k=4)
-        refined = session.query(4.0)
-        direct = index.query(q, 4.0, 4)
-        assert refined.answer == direct.answer
-
-    def test_step_timing_recorded(self):
-        _, _, q, index = _index(seed=3)
-        session = RefinementSession(index, q, k=2)
-        session.query(5.0)
-        assert session.history[0].seconds > 0
-
-    def test_k_validation(self):
-        _, _, q, index = _index(seed=4, size=20)
-        with pytest.raises(ValueError):
-            RefinementSession(index, q, k=0)
+        session = index.session(q)
+        for theta in (5.0, 4.5, 4.95):
+            refined = session.query(theta, 3)
+            direct = index.query(q, theta, 3)
+            assert refined.theta == pytest.approx(theta)
+            assert (refined.answer, refined.gains) == (direct.answer, direct.gains)
 
 
 class TestAnalysisMetrics:

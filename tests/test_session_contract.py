@@ -163,14 +163,6 @@ class TestSessionContract:
         }
         assert stats.degradation_events == sum(stats.degradations.values())
 
-    def test_epsilon_flags_the_answer_approximate(self, shapes, shape):
-        index = shapes[shape]
-        q = quartile_relevance(index.database, quantile=0.3)
-        exact = index.query(q, 4.0, 3).stats
-        assert exact.epsilon == 0.0 and not exact.approximate
-        relaxed = index.query(q, 4.0, 3, epsilon=0.1).stats
-        assert relaxed.epsilon == 0.1 and relaxed.approximate
-
 
 # ---------------------------------------------------------------------------
 # A bundle is one NBIndex over its frame: same answers, same exact work

@@ -10,17 +10,19 @@ from repro.analysis.distances import sample_distances
 from repro.baselines.ctree import CTree
 from repro.baselines.distmatrix import DistanceMatrixOracle
 from repro.baselines.mtree import MTree
+from repro.cascade import FilterCascade
 from repro.core.results import QueryStats
 from repro.ged.metric import CountingDistance, pairwise_matrix
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
-from repro.index.nbindex import NBIndex
+from repro.index.nbindex import NBIndex, QuerySession
 from repro.index.pivec import choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.replica.cluster import ReplicatedIndex
+from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
-from repro.service import ServiceConfig
+from repro.service import QueryRequest, ServiceConfig
 from repro.shard.partition import ClusteringPartitioner, HashPartitioner
 from tests.conftest import random_database
 
@@ -98,6 +100,9 @@ _REMOVED_KEYWORDS = [
     (Supervisor, "restart_policy"), (ReplicatedIndex.open, "restart_policy"),
     (ServiceConfig, "breaker"), (QueryStats, "partial"),
     (QueryStats, "unavailable_shards"),
+    (QuerySession.query, "epsilon"), (FilterCascade, "epsilon"),
+    (QueryStats, "epsilon"), (QueryStats, "approximate"),
+    (RemoteFrontier, "epsilon"), (QueryRequest, "epsilon"),
 ]
 
 
