@@ -7,15 +7,20 @@ process's builds in one process) and *fanned out* (forked children for the
 frame's vantage columns, ``DistanceEngine.columns`` — the one build step
 that fans out; writing a shard costs no distance).  With two or more
 usable CPUs it fails when the fanned-out build is not at least
-``MIN_SPEEDUP`` times faster (best of ``ROUNDS``, interleaved — a
-within-run ratio, not an absolute time).  That both shapes build the same
-bundle with the same counters is ``tests/test_fanout.py``'s job.
+``MIN_SPEEDUP`` times faster: ``ROUNDS`` builds of each shape, alternating,
+compared by their medians — a within-run ratio, not an absolute time.  A
+median sets aside one build caught in a slow or a fast spell of the box on
+either side; the best of each side did not, and read 0.94× at an
+unchanged commit on a 2-CPU box.  All the timings are printed.  That both
+shapes build the same bundle with the same counters is
+``tests/test_fanout.py``'s job.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/build_fanout_guard.py``.
 """
 
 from __future__ import annotations
 
+import statistics
 import sys
 import tempfile
 import threading
@@ -58,18 +63,20 @@ def build(database, out_dir: Path, inline: bool) -> float:
 def main() -> int:
     database = GENERATORS["dud"](num_graphs=NUM_GRAPHS, seed=SEED)
     workers = fanout.workers(VANTAGE, NUM_GRAPHS * VANTAGE)
-    best: dict[str, float] = {}
+    timings: dict[str, list[float]] = {"inline": [], "fanned": []}
     with tempfile.TemporaryDirectory() as tmp:
         for round_ in range(ROUNDS):
-            for name in ("inline", "fanned"):
-                seconds = build(
+            for name, samples in timings.items():
+                samples.append(build(
                     database, Path(tmp) / f"{name}-{round_}", name == "inline"
-                )
-                best[name] = min(best.get(name, seconds), seconds)
-    speedup = best["inline"] / best["fanned"]
+                ))
+    for name, samples in timings.items():
+        print(f"{name}: " + ", ".join(f"{s:.2f}" for s in samples) + " s")
+    median = {name: statistics.median(s) for name, s in timings.items()}
+    speedup = median["inline"] / median["fanned"]
     print(
-        f"dud n={NUM_GRAPHS} S={SHARDS}: inline {best['inline']:.2f} s, "
-        f"fanned out {best['fanned']:.2f} s on {workers} process(es), "
+        f"dud n={NUM_GRAPHS} S={SHARDS}: median inline {median['inline']:.2f} s, "
+        f"fanned out {median['fanned']:.2f} s on {workers} process(es), "
         f"{speedup:.2f}x"
     )
     if workers >= 2 and speedup < MIN_SPEEDUP:

@@ -132,7 +132,10 @@ class DistanceEngine:
         self._base_distance = unwrap_distance(distance)
         self._evaluator = batch_evaluator_for(distance)
         self._referee = RefereeFilter()
+        self._features = None
         self._stage_features = None
+        #: How many leading attached graphs are known to have no edge.
+        self._edgeless = 0
         self._cache = PairTable()
         # The pair cache and its counters are shared across every consumer,
         # including the query service's worker threads; the lock covers the
@@ -499,17 +502,44 @@ class DistanceEngine:
         )
 
     def stage_features(self):
-        """The assignment bound's feature cache over the attached graphs,
-        extended on demand when the graph list has grown (live inserts)."""
+        """The assignment filter's handle on :meth:`_profiles`; ``None``
+        in :attr:`_stage_features` until the filter first asks, so an
+        engine that never filters by it shows none set up."""
+        self._stage_features = self._profiles()
+        return self._stage_features
+
+    def profile_gap(self, source, targets) -> np.ndarray | None:
+        """The label-histogram + sorted-degree gap between ``source`` and
+        each target (:meth:`StageFeatures.assignment_lb`, ids into the
+        attached graphs); evaluates no distance.
+
+        ``None`` while no attached graph has an edge: a vector or payload
+        database's one-node graphs carry a name, not structure, and their
+        gap could rank by nothing but label identity.  The graphs decide,
+        not the metric's type, so an engine over a serial callable ranks
+        like one over the batch kernel of the same metric."""
+        with self._cache_lock:  # a concurrent sync swaps the matrices
+            graphs = self._graphs or ()
+            edgeless = self._edgeless
+            while edgeless < len(graphs) and not graphs[edgeless].num_edges:
+                edgeless += 1
+            self._edgeless = edgeless
+            if edgeless == len(graphs):
+                return None
+            return self._profiles().assignment_lb(source, targets)
+
+    def _profiles(self) -> StageFeatures:
+        """The per-graph profiles over the attached graphs, built on first
+        use and extended when the graph list has grown (live inserts)."""
         require(
             self._graphs is not None,
             "stage features require an attached graph list",
         )
         with self._cache_lock:
-            if self._stage_features is None:
-                self._stage_features = StageFeatures()
-            self._stage_features.sync(self._graphs)
-            return self._stage_features
+            if self._features is None:
+                self._features = StageFeatures()
+            self._features.sync(self._graphs)
+            return self._features
 
     # ------------------------------------------------------------------
     # Evaluation backends

@@ -287,6 +287,8 @@ class IndexFrontier:
         #: round: ``gid → (hits, unverified)`` as ranks into the state's
         #: relevant members, ``unverified`` in verification order.
         self._partial: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: Graphs whose ``unverified`` is in :meth:`_misses_first` order.
+        self._ordered: set[int] = set()
         self.uncovered_count = int(self.relevant_global.size)
         self._uncovered = np.ones(self.relevant_global.size, dtype=bool)
         self._covered = self.universe.empty()
@@ -360,6 +362,13 @@ class IndexFrontier:
     ) -> np.ndarray | None:
         """Verify a graph's window only as far as the round needs.
 
+        The window's undecided members are verified in batches sized to
+        the deficit, likeliest misses first (:meth:`_misses_first`, ranked
+        the first time a batch is only part of what is left: until then
+        the order is moot).  The order decides only which verdicts come
+        first, never which members are in the window, so the answer is
+        the same in any order; a good one proves a loser out sooner.
+
         Returns the graph's residual neighborhood — ``N_θ(gid)`` within the
         members uncovered as of this round, packed, cached — once every
         window member has a verdict.  Returns ``None`` as soon as ``hits +
@@ -396,6 +405,8 @@ class IndexFrontier:
                 self._park(gid, hits, unverified)
                 return None
             take = max(needed, _MIN_VERIFY_BATCH)
+            if take < unverified.size and gid not in self._ordered:
+                unverified = self._misses_first(gid, unverified)
             chunk, unverified = unverified[:take], unverified[take:]
             stats.candidate_verifications += int(chunk.size)
             hits = np.concatenate([hits, chunk[self._within(gid, chunk)]])
@@ -422,7 +433,8 @@ class IndexFrontier:
         first sight the Chebyshev window over the uncovered members is
         split by what is free to decide — the graph itself, vantage
         upper-bound accepts and pairs the engine has already evaluated —
-        with ``unverified`` by descending lower bound.  Every verdict
+        with ``unverified`` in rank order, for :meth:`resolve` to rank
+        (:meth:`_misses_first`) when the order first matters.  Every verdict
         compares against the one threshold ``θ + SLACK``, so the window
         runs the whole vantage sandwich and leaves the filter none of it."""
         partial = self._partial.pop(gid, None)
@@ -442,9 +454,8 @@ class IndexFrontier:
         ids = state.relevant_local[ranks]
         cutoff = self.theta + SLACK
         obs.counter(BLOCK_EVALS)
-        lower = embedding.lower_bounds_to(row, ids)
-        inside = lower <= cutoff
-        ranks, ids, lower = ranks[inside], ids[inside], lower[inside]
+        inside = embedding.lower_bounds_to(row, ids) <= cutoff
+        ranks, ids = ranks[inside], ids[inside]
         self.stats.candidates_generated += int(ranks.size)
         hit = embedding.upper_bounds_to(row, ids) <= cutoff
         own = state._rank.get(gid)
@@ -457,8 +468,28 @@ class IndexFrontier:
             )
             hit[undecided] = known > 0
             undecided[undecided] = known == 0
-        order = np.argsort(-lower[undecided], kind="stable")
-        return ranks[hit], ranks[undecided][order]
+        return ranks[hit], ranks[undecided]
+
+    def _misses_first(self, gid: int, unverified: np.ndarray) -> np.ndarray:
+        """``gid``'s unverified window members, likeliest misses first.
+
+        The score is free at this point: descending ``lo + hi + 2·gap`` —
+        the vantage sandwich plus the engine's
+        :meth:`~repro.engine.DistanceEngine.profile_gap`, taken in the
+        lens's id space — or descending ``lo`` where the engine has no gap
+        (no attached graph has an edge: a vector database, where the
+        midpoint ranked worse); ties in rank order.  Each pair's score is fixed, so ranking what a parked
+        window still holds gives the order ranking it whole would have
+        left; the window stays ranked (:attr:`_ordered`) while parked."""
+        self._ordered.add(gid)
+        row, engine, source, member_ids = self._lens(gid)
+        embedding = self.index.embedding
+        ids = self.state.relevant_local[unverified]
+        score = embedding.lower_bounds_to(row, ids)
+        gap = engine.profile_gap(source, member_ids[unverified])
+        if gap is not None:
+            score = score + embedding.upper_bounds_to(row, ids) + 2.0 * gap
+        return unverified[np.lexsort((unverified, -score))]
 
     def _park(
         self, gid: int, hits: np.ndarray, unverified: np.ndarray

@@ -28,7 +28,7 @@ from repro.ged import (
     label_lower_bound,
     star_ged_lower_bound,
 )
-from repro.graphs import LabeledGraph
+from repro.graphs import LabeledGraph, path_graph
 
 exact = ExactGED()
 star = StarDistance()
@@ -126,6 +126,23 @@ class TestVectorizedAgreesWithReference:
             assert assign[i] == pytest.approx(
                 assignment_lower_bound(source, target), abs=_TOL
             )
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(small_graph(), min_size=1, max_size=6))
+    def test_a_row_source_is_exact_across_a_wider_dtype(self, graphs):
+        """An id source reads its own row, ``==`` the pure bound — also
+        after a 300-node graph widens the one-byte matrices."""
+        features = StageFeatures()
+        features.sync(graphs)
+        assert features.label_counts.dtype == np.uint8
+        graphs = graphs + [path_graph(["C"] * 299 + ["N"])]
+        features.sync(graphs)
+        assert features.label_counts.dtype == np.uint16
+        rows = np.arange(len(graphs))
+        for source, graph in enumerate(graphs):
+            want = [assignment_lower_bound(graph, target) for target in graphs]
+            assert features.assignment_lb(source, rows).tolist() == want
+            assert features.assignment_lb(graph, rows).tolist() == want
 
     @settings(max_examples=15, deadline=None)
     @given(st.lists(small_graph(max_nodes=3), min_size=1, max_size=4),
