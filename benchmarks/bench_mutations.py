@@ -59,26 +59,22 @@ def _time_query(index, query_fn, theta, k, repeats):
     return best, result
 
 
-def _rebuild_oracle(mutable, distance, ladder, seed):
+def _rebuild_oracle(mutable, distance, seed):
     """From-scratch build over the mutated content — the baseline a
     mutation-free deployment would pay instead of the memtable."""
     snapshot = mutable.database.subset(range(len(mutable.database)))
     for gid in mutable.database.deleted:
         snapshot.mark_deleted(gid)
     started = time.perf_counter()
-    oracle = NBIndex.build(
-        snapshot, distance, thresholds=ladder, seed=seed, **BUILD
-    )
+    oracle = NBIndex.build(snapshot, distance, seed=seed, **BUILD)
     return oracle, time.perf_counter() - started
 
 
-def _journaled_insert_rate(db, base, distance, ladder, seed, tmp, count):
+def _journaled_insert_rate(db, base, distance, seed, tmp, count):
     """Inserts per second when every mutation pays its fsync."""
     live = db.subset(range(base))
     journal = MutationJournal(Path(tmp) / "bench.journal")
-    index = NBIndex.build(
-        live, distance, thresholds=ladder, seed=seed, **BUILD
-    )
+    index = NBIndex.build(live, distance, seed=seed, **BUILD)
     mutable = MutableIndex(live, index, distance=distance, journal=journal)
     started = time.perf_counter()
     for gid in range(base, base + count):
@@ -101,8 +97,9 @@ def mutation_benchmark(
 
     db = GENERATORS["dud"](num_graphs=num_graphs, seed=seed)
     distance = StarDistance()
-    # One ladder over the FULL content, so every rebuild point and both
-    # layouts answer the same rung and no row is favored.
+    # One θ from a slope-proportional spread over the FULL content, so
+    # every rebuild point and both layouts answer at it and no row is
+    # favored.
     ladder = choose_thresholds(
         db.graphs, distance, count=10, num_pairs=min(1000, num_graphs * 4),
         rng=np.random.default_rng(seed),
@@ -118,7 +115,7 @@ def mutation_benchmark(
             build_started = time.perf_counter()
             if layout == "single":
                 base_index = NBIndex.build(
-                    live, distance, thresholds=ladder, seed=seed, **BUILD
+                    live, distance, seed=seed, **BUILD
                 )
                 mutable = MutableIndex(
                     live, base_index, distance=distance, seed=seed
@@ -126,8 +123,7 @@ def mutation_benchmark(
             else:
                 manifest_path = build_shards(
                     live, distance, num_shards=4,
-                    out_dir=Path(tmp) / "bundle", thresholds=ladder,
-                    seed=seed, **BUILD,
+                    out_dir=Path(tmp) / "bundle", seed=seed, **BUILD,
                 )
                 base_index = ShardedIndex.load(manifest_path, live, distance)
                 mutable = MutableIndex(
@@ -151,9 +147,7 @@ def mutation_benchmark(
                 seconds, result = _time_query(
                     mutable, query_fn, theta, k, repeats
                 )
-                oracle, rebuild_s = _rebuild_oracle(
-                    mutable, distance, ladder, seed
-                )
+                oracle, rebuild_s = _rebuild_oracle(mutable, distance, seed)
                 rebuild_q_s, oracle_result = _time_query(
                     oracle, query_fn, theta, k, repeats
                 )
@@ -175,7 +169,7 @@ def mutation_benchmark(
             compacted_q_s, compacted = _time_query(
                 mutable, query_fn, theta, k, repeats
             )
-            final_oracle, _ = _rebuild_oracle(mutable, distance, ladder, seed)
+            final_oracle, _ = _rebuild_oracle(mutable, distance, seed)
             _, final_expected = _time_query(
                 final_oracle, query_fn, theta, k, 1
             )
@@ -186,7 +180,7 @@ def mutation_benchmark(
                 "base_build_s": round(base_build_s, 3),
                 "insert_per_s": round(float(np.mean(insert_rates)), 1),
                 "journaled_insert_per_s": round(_journaled_insert_rate(
-                    db, base, distance, ladder, seed, tmp, batch
+                    db, base, distance, seed, tmp, batch
                 ), 1),
                 "points": points,
                 "compact_s": round(compact_s, 3),

@@ -37,13 +37,11 @@ import numpy as np
 from repro.datasets import GENERATORS
 from repro.ged.star import StarDistance
 from repro.graphs import quartile_relevance
-from repro.index.pivec import ThresholdLadder
 from repro.replica import ReplicatedIndex, ShardUnavailableError
 from repro.shard import build_shards
 
 _JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_replica_failover.json"
 
-LADDER = ThresholdLadder((2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0))
 BUILD = dict(num_vantage_points=6)
 
 
@@ -99,7 +97,7 @@ def failover_benchmark(
     with tempfile.TemporaryDirectory() as out_dir:
         manifest = build_shards(
             db, distance, num_shards=num_shards, out_dir=out_dir,
-            thresholds=LADDER, seed=7, **BUILD,
+            seed=7, **BUILD,
         )
         for R in replicas:
             for rate in kill_rates:

@@ -1,7 +1,7 @@
 """Distance-distribution analysis (Figs. 5(a)–(e) of the paper).
 
 The paper uses the pairwise-distance CDF of each dataset to calibrate θ
-and the π̂ ladder, and the distance histogram's Gaussian fit to size the
+and its π̂ thresholds, and the distance histogram's Gaussian fit to size the
 vantage-point set.  This module computes those artifacts from sampled
 pairs.
 """

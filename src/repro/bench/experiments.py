@@ -101,7 +101,7 @@ def fig5ab_distance_cdf(
     num_pairs: int = 1500,
 ) -> ExperimentResult:
     """Figs. 5(a–b): cumulative pairwise-distance distributions, the basis
-    for θ calibration and ladder placement."""
+    for θ calibration and threshold placement."""
     rows = []
     for ctx in contexts:
         distribution = sample_distances(

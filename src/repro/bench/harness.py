@@ -95,7 +95,7 @@ class BenchContext:
     every seconds column, a private pair cache behind each, so no row is
     warmed by another engine's work — and a timed query runs on a fresh
     structure whose cache holds what its build stored and no earlier
-    query's (an NB-Index stores only its ladder sample).  Count columns
+    query's (an NB-Index build stores none).  Count columns
     come from each structure's own counter.
     """
 
@@ -103,7 +103,6 @@ class BenchContext:
     database: object
     distance: StarDistance
     theta: float
-    ladder: object
     seed: int = 7
     num_vantage_points: int = 12
 
@@ -117,7 +116,7 @@ class BenchContext:
         )
         return cls(
             name=dataset, database=spec.database, distance=distance,
-            theta=spec.theta, ladder=spec.ladder, seed=seed, **kwargs,
+            theta=spec.theta, seed=seed, **kwargs,
         )
 
     def relevance(self, quantile: float = 0.75, dims=None):
@@ -125,11 +124,9 @@ class BenchContext:
 
     def build_index(self, **overrides) -> NBIndex:
         """A fresh NB-Index with this context's parameters — its pair cache
-        holds no query's distances (only the ladder sample, when the build
-        draws one), so a query on it is cold."""
+        is empty, so a query on it is cold."""
         params = dict(
-            num_vantage_points=self.num_vantage_points,
-            thresholds=self.ladder, seed=self.seed,
+            num_vantage_points=self.num_vantage_points, seed=self.seed,
         )
         return NBIndex.build(self.database, self.distance,
                              **{**params, **overrides})

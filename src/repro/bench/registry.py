@@ -145,16 +145,6 @@ def _fig5ik(r, full):
               "NB-Index beats C-tree greedy across θ")
 
 
-def _fig5l6a(r, full):
-    calls = r.column("distance_calls")
-    claim(max(calls) < max(calls[0], 1) * 50,
-          "a looser π̂ rung costs bounded extra exact distances")
-    if full:
-        times = r.column("query_s")
-        claim(max(times) < max(times[0], 0.05) * 50,
-              "a looser π̂ rung costs only modest extra time")
-
-
 def _fig6bd(r, full):
     last = r.rows[-1]
     claim(last["nbindex_calls"] < last["ctree_greedy_calls"],
@@ -284,10 +274,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment("Figs. 5(i–k) — query time vs θ",
                scaling.fig5ik_time_vs_theta, _fig5ik, "ctx", ALL,
                chart=("theta", _ENGINE_SECONDS, True)),
-    Experiment("Figs. 5(l)/6(a) — π̂ ladder gap",
-               scaling.fig5l6a_threshold_gap, _fig5l6a, "ctx",
-               ("dud", "amazon"),
-               chart=("indexed_theta_gap", ["query_s"], False)),
     Experiment("Figs. 6(b–d) — query time vs size",
                scaling.fig6bd_time_vs_size, _fig6bd, "dataset", ALL,
                kwargs=_sweep, chart=("size", _ENGINE_SECONDS, True)),
@@ -316,9 +302,6 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                experiments.fig7_qualitative, _fig7),
     Experiment(_ABLATIONS, scaling.ablation_vp_count, _vp_count, "ctx",
                ("dud",), chart=("num_vps", ["observed_fpr"], True)),
-    Experiment(_ABLATIONS, scaling.ablation_pivec_ladder,
-               lambda r, full: None,  # a sensitivity table; no claim on it
-               "ctx", ("dud",)),
     Experiment(_ABLATIONS, scaling.ablation_bounds, _bounds, "ctx", ("dud",)),
     Experiment(_ABLATIONS, scaling.ablation_insert, _insert, "dataset",
                ("dud",)),

@@ -1,4 +1,4 @@
-"""Scalability experiment drivers — Figs. 2(b), 5(i–l), 6(a–l) — and the
+"""Scalability experiment drivers — Figs. 2(b), 5(i–k), 6(b–l) — and the
 design-choice ablations DESIGN.md calls out.
 
 Query-time comparisons follow the paper's setup (Sec. 8.2): the engines
@@ -22,19 +22,18 @@ from repro.core.greedy import baseline_greedy
 from repro.datasets import GENERATORS
 from repro.ged.metric import pairwise_matrix
 from repro.graphs import quartile_relevance
-from repro.index import NBIndex, ThresholdLadder
+from repro.index import NBIndex
 from repro.index.fpr import empirical_fpr
-from repro.index.pivec import choose_thresholds
 
 DEFAULT_K = 10
 
 
 # ---------------------------------------------------------------------------
 # Engine runners: one timed top-k query each, cold — on a fresh structure
-# (built offline, untimed) whose pair cache holds at most its build's
-# ladder sample, never an earlier query's distances.  Each returns (wall seconds, exact distance
-# computations) — the second is the paper's cost model and, unlike the
-# first, repeats exactly.
+# (built offline, untimed) whose pair cache holds no earlier query's
+# distances.  Each returns (wall seconds, exact distance computations) —
+# the second is the paper's cost model and, unlike the first, repeats
+# exactly.
 # ---------------------------------------------------------------------------
 def run_nbindex(ctx: BenchContext, q, theta: float, k: int):
     index = ctx.build_index()
@@ -147,37 +146,6 @@ def fig5ik_time_vs_theta(
             "faster than DisC/C-tree/DIV; bell-shaped NB curve (Theorem 6 "
             "rules small theta, Theorems 7-8 large theta); the distance "
             "matrix inset is the best-case query-time comparator."
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Fig. 5(l) / 6(a): sensitivity to the gap between theta and the ladder.
-# ---------------------------------------------------------------------------
-def fig5l6a_threshold_gap(
-    ctx: BenchContext,
-    gap_factors=(0.0, 0.5, 1.5),
-    k: int = DEFAULT_K,
-) -> ExperimentResult:
-    q = ctx.relevance()
-    theta = ctx.theta
-    rows = []
-    for factor in gap_factors:
-        gap = theta * factor
-        index = ctx.build_index(thresholds=ThresholdLadder([theta + gap]))
-        result, seconds = timed_call(index.query, q, theta, k)
-        rows.append({
-            "indexed_theta_gap": gap,
-            "query_s": seconds,
-            "distance_calls": result.stats.distance_calls,
-        })
-    return ExperimentResult.from_rows(
-        f"fig5l6a_threshold_gap_{ctx.name}", rows,
-        notes=(
-            "Paper Figs. 5(l)/6(a): looser pi-hat upper bounds (larger gap "
-            "between theta and the covering indexed threshold) cost only "
-            "modest extra time.  Here pi-hat is taken at theta itself, so "
-            "the gap moves nothing: every row does the same work."
         ),
     )
 
@@ -403,36 +371,6 @@ def ablation_vp_count(
     return ExperimentResult.from_rows(
         f"ablation_vp_count_{ctx.name}", rows,
         notes="More VPs: lower FPR, higher embedding cost — elbow expected.",
-    )
-
-
-def ablation_pivec_ladder(
-    ctx: BenchContext,
-    ladder_sizes=(1, 3, 10),
-    k: int = DEFAULT_K,
-) -> ExperimentResult:
-    q = ctx.relevance()
-    rows = []
-    for count in ladder_sizes:
-        ladder = choose_thresholds(
-            ctx.database.graphs, ctx.distance, count=count,
-            num_pairs=600, rng=ctx.seed,
-        )
-        index = ctx.build_index(thresholds=ladder)
-        _, seconds = timed_call(index.query, q, ctx.theta, k)
-        gap = ladder.gap(ctx.theta)
-        rows.append({
-            "ladder_size": len(ladder),
-            "gap_at_theta": gap if gap is not None else -1.0,
-            "query_s": seconds,
-        })
-    return ExperimentResult.from_rows(
-        f"ablation_pivec_ladder_{ctx.name}", rows,
-        notes=(
-            "The paper's denser ladders tighten pi-hat bounds; here pi-hat "
-            "is taken at theta itself, so the ladder moves nothing. Gap -1 "
-            "means theta above the ladder."
-        ),
     )
 
 

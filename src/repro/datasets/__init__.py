@@ -10,7 +10,6 @@ from repro.datasets.registry import (
     GENERATORS,
     DatasetSpec,
     calibrate_theta,
-    ladder_for,
     load,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "GENERATORS",
     "DatasetSpec",
     "calibrate_theta",
-    "ladder_for",
     "load",
 ]

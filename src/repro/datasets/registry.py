@@ -5,8 +5,8 @@ distribution (Figs. 5(a–b)): "realistic yet posing a significant
 scalability challenge" — a low quantile of the pairwise distances, where
 neighborhoods are non-trivial but far from all-encompassing.
 :func:`calibrate_theta` reproduces that procedure; :func:`load` bundles a
-generated database with its calibrated θ and π̂ ladder so every benchmark
-configures datasets identically.
+generated database with its calibrated θ so every benchmark configures
+datasets identically.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from repro.datasets.dblp import dblp_like
 from repro.datasets.dud import dud_like
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
-from repro.index.pivec import ThresholdLadder, sample_pair_distances
-from repro.utils.rng import ensure_rng
+from repro.index.pivec import sample_pair_distances
 from repro.utils.validation import require
 
 GENERATORS = {
@@ -53,21 +52,6 @@ def calibrate_theta(
     return float(np.quantile(samples, quantile))
 
 
-def ladder_for(
-    database: GraphDatabase,
-    distance: GraphDistanceFn,
-    count: int = 10,
-    rng=None,
-) -> ThresholdLadder:
-    """Slope-proportional π̂ ladder, as in Sec. 8.2.2 item 1."""
-    from repro.index.pivec import choose_thresholds
-
-    return choose_thresholds(
-        database.graphs, distance, count=count,
-        num_pairs=min(1000, len(database) * 4), rng=rng,
-    )
-
-
 @dataclass
 class DatasetSpec:
     """A dataset instance with its calibrated query parameters."""
@@ -75,7 +59,6 @@ class DatasetSpec:
     name: str
     database: GraphDatabase
     theta: float
-    ladder: ThresholdLadder
 
     def summary(self) -> dict:
         info = self.database.summary()
@@ -92,10 +75,10 @@ def load(
     theta_quantile: float = 0.05,
     **generator_kwargs,
 ) -> DatasetSpec:
-    """Generate a named dataset and calibrate its θ and ladder."""
+    """Generate a named dataset and calibrate its θ."""
     require(name in GENERATORS, f"unknown dataset {name!r}; one of {sorted(GENERATORS)}")
     database = GENERATORS[name](num_graphs=num_graphs, seed=seed, **generator_kwargs)
-    rng = ensure_rng(seed + 1)
-    theta = calibrate_theta(database, distance, quantile=theta_quantile, rng=rng)
-    ladder = ladder_for(database, distance, rng=rng)
-    return DatasetSpec(name=name, database=database, theta=theta, ladder=ladder)
+    theta = calibrate_theta(
+        database, distance, quantile=theta_quantile, rng=seed + 1
+    )
+    return DatasetSpec(name=name, database=database, theta=theta)

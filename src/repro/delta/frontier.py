@@ -8,7 +8,7 @@ the delta's own relevant set) *exactly* at session start: one batched
 LSM trade the memtable makes — O(m²) distances over a structure kept
 small by background compaction buys bounds that are not bounds at all
 but exact gains, so the coordinator's threshold-algorithm pull treats
-the delta like a shard whose ladder is always tight.
+the delta like a shard whose bounds are always tight.
 
 The frontier speaks the same protocol as
 :class:`~repro.shard.frontier.ShardFrontier` over the base beside it (see

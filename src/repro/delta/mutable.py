@@ -147,10 +147,6 @@ class MutableIndex:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def ladder(self):
-        return self.base.ladder
-
-    @property
     def memtable_size(self) -> int:
         return len(self.database) - self.indexed_count
 
@@ -375,7 +371,6 @@ class MutableIndex:
             num_vantage_points=min(
                 base.embedding.num_vantage_points, len(snapshot)
             ),
-            thresholds=base.ladder,
             seed=np.random.default_rng(self.seed),
         )
         if self.index_path is not None:
@@ -399,7 +394,6 @@ class MutableIndex:
         the same structure hash the hash partitioner uses (stable across
         compactions).  Unchanged shards keep their artifacts and
         checksums; the new base is one index over the grown frame."""
-        from repro.index.pivec import ThresholdLadder
         from repro.shard.build import write_shard
         from repro.shard.manifest import (
             ShardEntry,
@@ -432,7 +426,6 @@ class MutableIndex:
         ])
         changed = sorted({int(a) for a in assignments[n0:]})
 
-        ladder = ThresholdLadder(manifest.ladder)
         # The frame survives: every absorbed graph's row is computed at
         # most once per process (a query may already have), then stored.
         old_frame = base.frame
@@ -450,8 +443,7 @@ class MutableIndex:
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
             raw = write_shard(
-                artifact, snapshot, self.distance, frame, members,
-                ladder=ladder,
+                artifact, snapshot, self.distance, frame, members
             )
             obs.counter("delta.shard_rebuilds")
             # Verify before the manifest references it: a torn artifact
@@ -471,7 +463,6 @@ class MutableIndex:
             num_graphs=n1,
             partitioner=manifest.partitioner,
             seed=manifest.seed,
-            ladder=manifest.ladder,
             assignments=assignments,
             database_checksum=database_checksum(snapshot),
             shards=tuple(entries),

@@ -15,8 +15,7 @@ serving process holds, never copied back from elsewhere:
 
 * a shard artifact that fails either shard check is rewritten by
   :func:`~repro.shard.build.write_shard` from the frame rows the serving
-  index holds in memory plus the manifest's ladder — no distance, nothing
-  built — then the new crc32 is committed to the manifest;
+  index holds in memory — no distance, nothing built — then the new crc32 is committed to the manifest;
 * a corrupt manifest is rewritten from the serving manifest object;
 * a single index ``.npz`` is rewritten from the loaded index object.
 
@@ -304,7 +303,6 @@ def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
     """Rewrite one shard's frame rows exactly as the build did, install
     the artifact and commit its crc32 to the manifest, as compaction
     does."""
-    from repro.index.pivec import ThresholdLadder
     from repro.shard.build import write_shard
 
     manifest = index.manifest
@@ -312,7 +310,7 @@ def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
     staging = artifact.with_name(artifact.name + ".scrub-heal")
     raw = write_shard(
         staging, index.database, index.distance, index.frame,
-        manifest.members(shard_id), ladder=ThresholdLadder(manifest.ladder),
+        manifest.members(shard_id),
     )
     unwrap_checksummed(raw, source=str(staging))
     os.replace(staging, artifact)

@@ -1,8 +1,8 @@
 """The batch distance engine.
 
 :class:`DistanceEngine` is the single component every distance-hungry code
-path goes through: index construction (``|V| · n`` vantage distances and
-the ladder sample), the baseline greedy's O(|L_q|²) neighborhood
+path goes through: index construction (``|V| · n`` vantage distances),
+the baseline greedy's O(|L_q|²) neighborhood
 materialization, candidate verification, and full ``matrix`` builds.  It
 layers three cross-cutting accelerations over any ``(g, g) → float``
 metric, none of which changes a single output bit:

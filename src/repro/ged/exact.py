@@ -82,7 +82,7 @@ class ExactGED:
             return self._degrade(g1, g2, deadline, exceeded.reason)
 
     def _degrade(self, g1, g2, deadline, reason: str) -> float:
-        """Budget expired mid-search: fall down the degradation ladder.
+        """Budget expired mid-search: degrade to a cheaper upper bound.
 
         An exhausted *expansion* budget with wall-clock time remaining
         affords the beam search (tighter, still polynomial); an exhausted

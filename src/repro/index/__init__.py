@@ -1,4 +1,4 @@
-"""The NB-Index: vantage orderings, π̂ bounds, threshold ladder, query engine."""
+"""The NB-Index: vantage orderings, π̂ bounds, query engine."""
 
 from repro.index.vantage import (
     VantageEmbedding,
@@ -12,7 +12,7 @@ from repro.index.fpr import (
     fpr_uniform,
     fpr_upper_bound_gaussian,
 )
-from repro.index.pivec import ThresholdLadder, choose_thresholds, ladder_from_query_log
+from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.nbindex import NBIndex, QueryResult, QuerySession, QueryStats
 from repro.index.persistence import load_index, save_index
 from repro.resilience.errors import (
@@ -37,7 +37,6 @@ __all__ = [
     "distance_moments",
     "ThresholdLadder",
     "choose_thresholds",
-    "ladder_from_query_log",
     "NBIndex",
     "QuerySession",
     "QueryResult",

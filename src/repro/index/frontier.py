@@ -256,8 +256,8 @@ class IndexFrontier:
     (aligned with the state's members): π̂ at θ, then ``hits +
     unverified`` once a round proved it out, then its resolved gain, and
     ``-inf`` once selected.  The bound on a graph's residual gain among
-    this index's members descends a ladder, each rung paid for only when a
-    round needs it: π̂ at θ (a member) or the uncovered-member count (a
+    this index's members descends through successively tighter bounds,
+    each paid for only when a round needs it: π̂ at θ (a member) or the uncovered-member count (a
     stranger)
     → the Chebyshev window over the members still uncovered → ``hits +
     unverified`` of a partially verified window → the exact gain

@@ -1,11 +1,11 @@
 """NB-Index: the paper's index structure and query engine (Secs. 6 and 7).
 
-An :class:`NBIndex` holds the one offline component that costs distances,
+An :class:`NBIndex` is the one offline component that costs distances,
 the **vantage embedding** (Vantage Orderings of every database graph
-against a set of vantage points), plus the **threshold ladder** of
-Sec. 7.1, which is built and stored but no longer read by a query.  The
-paper's NB-Tree is not built: once π̂ is computed per query over L_q, its
-per-node maxima add nothing (``docs/theory.md``, §6).
+against a set of vantage points), and nothing else.  The paper's NB-Tree
+is not built: once π̂ is computed per query over L_q, its per-node maxima
+add nothing (``docs/theory.md``, §6); nor are its stored π̂-vectors
+(Sec. 7.1), since π̂ is taken at θ itself.
 
 Query processing follows Section 7:
 
@@ -43,7 +43,6 @@ from repro.graphs.database import GraphDatabase
 from repro.index.coordinator import run_greedy
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.frontier import IndexFrontier, MemberState
-from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.resilience.deadline import unbudgeted
 from repro.utils.rng import ensure_rng
@@ -69,14 +68,12 @@ class NBIndex:
         distance: GraphDistanceFn,
         *,
         embedding: VantageEmbedding,
-        ladder: ThresholdLadder,
         build_seconds: float = 0.0,
     ):
         self.database = database
         self.engine = DistanceEngine.of(distance, database.graphs)
         self.engine.attach_embedding(embedding)
         self.embedding = embedding
-        self.ladder = ladder
         self.build_seconds = build_seconds
 
     @property
@@ -96,33 +93,31 @@ class NBIndex:
         *,
         num_vantage_points: int = 20,
         branching: int = 8,
-        thresholds: ThresholdLadder | None = None,
+        thresholds=None,
         seed=None,
         vp_strategy: str = "random",
         validate_metric: bool = False,
     ) -> "NBIndex":
-        """Build the index: select VPs, embed the database, sample the
-        ladder.
+        """Build the index: select VPs, embed the database.
 
         ``distance`` must be a metric (Sec. 6.1) — every pruning theorem
         depends on the triangle inequality.  ``validate_metric=True`` spot
         checks the axioms on sampled triples before building and raises on
         violation; it costs a few dozen extra distance calls and is
-        recommended for user-supplied distances.  When ``thresholds`` is
-        omitted, a slope-proportional ladder is derived from sampled
-        pairwise distances (Sec. 7.1, scheme 2).
+        recommended for user-supplied distances.
 
         Every distance goes through one
         :class:`~repro.engine.DistanceEngine` (batched evaluation + a
         symmetric pair cache).  Pass a prebuilt engine as ``distance`` and
-        the build reads its cache; it stores only the ladder's sample
-        there, never the ``n · |V|`` embedding (the index itself).
+        the build reads its cache; it stores nothing there, not even the
+        ``n · |V|`` embedding (the index itself).
 
-        ``seed`` (an int or a numpy Generator) drives vantage selection
-        and the ladder sample.  ``branching`` is accepted and ignored (the
-        benchmark's build parameters still pass it).  A build is not
-        resumable — a killed one starts again from zero, and an ambient
-        deadline does not reach it: it stores exact distances only.
+        ``seed`` (an int or a numpy Generator) drives vantage selection.
+        ``branching`` and ``thresholds`` (the paper's tree fan-out and π̂
+        ladder) are accepted and ignored: the benchmark's build parameters
+        still pass them.  A build is not resumable — a killed one starts
+        again from zero, and an ambient deadline does not reach it: it
+        stores exact distances only.
         """
         require_positive(num_vantage_points, "num_vantage_points")
         require(len(database) > 0, "cannot index an empty database")
@@ -145,25 +140,12 @@ class NBIndex:
                     distance=engine,
                 )
 
-            # The ladder's pairs are cached; the embedding's are not, and
-            # reads the ladder's as hits (DistanceEngine.columns).
-            if thresholds is None:
-                with obs.span("index.ladder"), obs.timer("index.ladder_seconds"):
-                    if len(database) < 2:
-                        thresholds = ThresholdLadder([1.0])
-                    else:
-                        thresholds = choose_thresholds(
-                            database.graphs, engine, count=10,
-                            num_pairs=min(1000, len(database) * 4), rng=rng,
-                        )
-
             with obs.span("index.embed"), obs.timer("index.embed_seconds"):
                 embedding = VantageEmbedding(database.graphs, vp_indices, engine)
         build_seconds = time.perf_counter() - started
         obs.observe_time("index.build_seconds", build_seconds)
         return cls(
-            database, engine, embedding=embedding, ladder=thresholds,
-            build_seconds=build_seconds,
+            database, engine, embedding=embedding, build_seconds=build_seconds
         )
 
     @classmethod
@@ -173,8 +155,6 @@ class NBIndex:
         distance: GraphDistanceFn,
         vantage_indices,
         coords: np.ndarray,
-        *,
-        thresholds: ThresholdLadder,
     ) -> "NBIndex":
         """An index over vantage coordinates that already exist, at no
         distance cost — ``coords`` are rows of a bundle's one
@@ -192,7 +172,7 @@ class NBIndex:
         )
         embedding.framed = True
         return cls(
-            database, engine, embedding=embedding, ladder=thresholds,
+            database, engine, embedding=embedding,
             build_seconds=time.perf_counter() - started,
         )
 
@@ -203,7 +183,6 @@ class NBIndex:
             "num_graphs": len(self.database),
             "num_shards": 1,  # normalized schema: a plain index is S=1
             "num_vantage_points": self.embedding.num_vantage_points,
-            "ladder_thresholds": len(self.ladder),
             "build_seconds": self.build_seconds,
             "distance_calls": self.engine.calls,
             "memory_bytes": self._memory_bytes(),
@@ -213,8 +192,8 @@ class NBIndex:
 
     def _memory_bytes(self) -> int:
         """Resident size of the index structures (Fig. 6(l)): the
-        vantage-coordinate matrix plus the ladder."""
-        return self.embedding.coords.nbytes + 8 * len(self.ladder)
+        vantage-coordinate matrix."""
+        return self.embedding.coords.nbytes
 
     def _coverage_bytes(self) -> int:
         """Upper bound on the packed coverage state of a worst-case session.
@@ -268,13 +247,6 @@ class NBIndex:
             run.runtime,
         )
         return run.greedy([frontier], lambda gid: frontier)
-
-    def set_ladder(self, ladder: ThresholdLadder) -> None:
-        """Swap the stored threshold ladder (Sec. 7.1 scheme 1, after a
-        query log accumulates).  Queries take π̂ at θ itself, so this
-        changes what is saved and reported, never an answer."""
-        require(len(ladder) >= 1, "ladder must be non-empty")
-        self.ladder = ladder
 
     # ------------------------------------------------------------------
     # Incremental maintenance

@@ -2,8 +2,8 @@
 
 An index is expensive to build (it is *the* offline investment the paper's
 query speed rests on), so a production deployment wants it on disk.  The
-payload is a single compressed ``.npz`` — vantage coordinates, the
-threshold ladder, and a database fingerprint so loading against the wrong database fails loudly
+payload is a single compressed ``.npz`` — vantage coordinates and a
+database fingerprint, so loading against the wrong database fails loudly
 instead of answering garbage — wrapped in the checksummed container of
 :mod:`repro.resilience.atomicio` and written via atomic rename, so a torn
 or corrupted file is *detected* at load time.
@@ -17,11 +17,11 @@ Load failures raise distinct (all ``ValueError``-compatible) exceptions:
 * :class:`~repro.resilience.DatabaseMismatchError` — fingerprint does not
   match the database being attached.
 
-The loader reads format versions 3 and 4: the vantage coordinates in the
-narrowest lossless dtype (:func:`_storage_coords`, handed back as
+The loader reads format versions 3, 4 and 5: the vantage coordinates in
+the narrowest lossless dtype (:func:`_storage_coords`, handed back as
 float64) and whether they are rows of a bundle's frame (``framed``).
-Version 4 dropped the NB-Tree's arrays; a version-3 file still carries
-them, and they are ignored.  A bare ``.npz`` from before the container
+Version 4 dropped the NB-Tree's arrays and version 5 the π̂ threshold
+array; an older file still carries them, and they are ignored.  A bare ``.npz`` from before the container
 fails the container check (:class:`~repro.resilience.CorruptIndexError`);
 any other container version raises
 :class:`~repro.resilience.IndexFormatError`.
@@ -41,16 +41,16 @@ import numpy as np
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
-from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageEmbedding
 from repro.resilience.atomicio import read_checksummed, write_checksummed
 from repro.resilience.errors import DatabaseMismatchError, IndexFormatError
 
 #: The npz payload in the checksummed container, integral coordinates
-#: stored as unsigned integers, the ``framed`` flag, no tree arrays.
-FORMAT_VERSION = 4
-#: Versions :func:`load_index` reads (3 carries tree arrays it ignores).
-READABLE_VERSIONS = (3, 4)
+#: stored as unsigned integers, the ``framed`` flag, no tree or threshold
+#: arrays.
+FORMAT_VERSION = 5
+#: Versions :func:`load_index` reads (3 and 4 carry arrays it ignores).
+READABLE_VERSIONS = (3, 4, 5)
 
 
 def database_fingerprint(database: GraphDatabase) -> np.ndarray:
@@ -87,7 +87,6 @@ def save_index(index: NBIndex, path: str | Path) -> None:
         coords=_storage_coords(index.embedding.coords),
         vantage_indices=np.array(index.embedding.vantage_indices, dtype=np.int64),
         framed=np.array([index.embedding.framed]),
-        ladder=np.array(list(index.ladder.values)),
         fingerprint=database_fingerprint(index.database),
         build_seconds=np.array([index.build_seconds]),
     )
@@ -163,11 +162,9 @@ def load_index(
             database.graphs, data["vantage_indices"], engine, data["coords"]
         )
         embedding.framed = bool(data["framed"][0])
-        ladder = ThresholdLadder(float(v) for v in data["ladder"])
         build_seconds = float(data["build_seconds"][0])
 
     return NBIndex(
-        database, engine, embedding=embedding, ladder=ladder,
-        build_seconds=build_seconds,
+        database, engine, embedding=embedding, build_seconds=build_seconds
     )
 

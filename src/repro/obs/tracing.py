@@ -8,7 +8,7 @@ A *span* is a named, attributed, timed region of execution::
 
 Spans opened while another span is active on the same thread become its
 children, so an index build traces as one ``index.build`` root with
-``index.vantage_select`` / ``index.embed`` / ``index.ladder`` children.
+``index.vantage_select`` / ``index.embed`` children.
 Each thread keeps its own open-span stack (``threading.local``); finished
 root spans land in a lock-protected collector shared by all threads, which
 is what the exporters read.

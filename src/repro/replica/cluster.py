@@ -40,7 +40,6 @@ from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import QueryRun, QuerySession, check_query_kwargs
-from repro.index.pivec import ThresholdLadder
 from repro.replica.errors import SessionLost, ShardUnavailableError
 from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
@@ -71,7 +70,6 @@ class ReplicatedIndex:
         #: The bundle's vantage frame, the one the workers inherited.
         self.frame = supervisor.frame
         self.router = router
-        self.ladder = ThresholdLadder(manifest.ladder)
         #: Single-index/service stats parity (nothing is hot-reloaded
         #: into a live process cluster).
         self.reused_shards = 0
@@ -236,7 +234,6 @@ class ReplicatedIndex:
             "num_graphs": len(self.database),
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
-            "ladder_thresholds": len(self.ladder),
             "reused_shards": self.reused_shards,
             "replica": self.supervisor.stats(),
         }

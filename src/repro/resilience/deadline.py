@@ -8,7 +8,7 @@ workers on the session ``open`` frame, and :class:`~repro.ged.ExactGED`
 checks it during the A* search.  Builds never see one
 (:func:`unbudgeted`).  On expiry the exact solver raises
 :class:`BudgetExceeded` and *degrades* to a polynomial upper bound instead
-of stalling — see the degradation ladder in ``docs/resilience.md``.
+of stalling — see the degradation tiers in ``docs/resilience.md``.
 
 Every degradation is recorded on the deadline itself (``degradations`` is
 a ``{kind: count}`` dict), mirrored into :mod:`repro.obs` counters
@@ -35,7 +35,7 @@ class BudgetExceeded(Exception):
 
     ``reason`` is ``"time"`` (wall-clock budget exhausted) or
     ``"expansions"`` (A* expansion budget exhausted with time remaining);
-    the degradation ladder picks its fallback from it.
+    the degradation picks its fallback from it.
     """
 
     def __init__(self, reason: str, message: str | None = None):

@@ -6,15 +6,11 @@ checksummed :func:`~repro.index.persistence.save_index` artifact — a
 shard file has the format of a single-index file and loads with the same
 code.
 
-Two things are deliberately global:
-
-* the **vantage frame**: one vantage set (global ids, recorded in the
-  manifest) is drawn for the whole bundle and every graph embedded against
-  it once — Theorem 4 holds for any fixed vantage set, and loading the
-  bundle reads the rows back into one
-  :class:`~repro.index.vantage.VantageFrame`;
-* the **threshold ladder** is computed once over the whole database and
-  stored with every shard.
+The **vantage frame** is global: one vantage set (global ids, recorded in
+the manifest) is drawn for the whole bundle and every graph embedded
+against it once — Theorem 4 holds for any fixed vantage set, and loading
+the bundle reads the rows back into one
+:class:`~repro.index.vantage.VantageFrame`.
 
 The bundle is a deterministic function of (database, distance, S,
 partitioner, seed).  :func:`write_shard` is the one way a shard artifact
@@ -34,7 +30,6 @@ from repro import obs
 from repro.graphs.database import GraphDatabase
 from repro.index.nbindex import NBIndex
 from repro.index.persistence import save_index
-from repro.index.pivec import ThresholdLadder, choose_thresholds
 from repro.index.vantage import (
     VantageEmbedding,
     VantageFrame,
@@ -54,8 +49,6 @@ def write_shard(
     distance,
     frame: VantageFrame,
     members,
-    *,
-    ladder: ThresholdLadder,
 ) -> bytes:
     """Write the shard of ``members``' rows of the bundle's ``frame`` to
     ``path``; returns the bytes on disk, whose crc32 the manifest records.
@@ -65,7 +58,7 @@ def write_shard(
     write verifies them itself."""
     save_index(NBIndex.from_coords(
         database.subset([int(i) for i in members]), distance,
-        frame.vantage_ids, frame.coords[members], thresholds=ladder,
+        frame.vantage_ids, frame.coords[members],
     ), path)
     return Path(path).read_bytes()
 
@@ -79,15 +72,14 @@ def build_shards(
     partitioner: str = "hash",
     num_vantage_points: int = 20,
     branching: int = 8,
-    thresholds: ThresholdLadder | None = None,
+    thresholds=None,
     seed: int = 0,
 ) -> Path:
     """Write S shard artifacts plus a manifest under ``out_dir``.
 
-    Returns the manifest path.  ``thresholds`` overrides the global ladder
-    (otherwise it is derived from whole-database distance samples exactly
-    as :meth:`NBIndex.build` would).  ``branching`` is accepted and
-    ignored (the benchmark's build parameters still pass it).
+    Returns the manifest path.  ``branching`` and ``thresholds`` are
+    accepted and ignored, as by :meth:`NBIndex.build` (the benchmark's
+    build parameters still pass them).
     """
     require(len(database) > 0, "cannot shard an empty database")
     require(
@@ -104,17 +96,6 @@ def build_shards(
         partitioner=partitioner,
     ) as build_span:
         engine = DistanceEngine(distance, graphs=database.graphs)
-        if thresholds is None:
-            if len(database) < 2:
-                thresholds = ThresholdLadder([1.0])
-            else:
-                with obs.span("shard.ladder"):
-                    thresholds = choose_thresholds(
-                        database.graphs, engine, count=10,
-                        num_pairs=min(1000, len(database) * 4),
-                        rng=np.random.default_rng(seed),
-                    )
-
         with obs.span("shard.partition", strategy=partitioner):
             partition = get_partitioner(partitioner).assign(
                 database, num_shards, seed=seed, distance=engine
@@ -141,8 +122,7 @@ def build_shards(
             ), obs.timer("shard.build_one_seconds"):
                 shard_started = time.perf_counter()
                 raw = write_shard(
-                    artifacts[shard_id], database, distance, frame, members,
-                    ladder=thresholds,
+                    artifacts[shard_id], database, distance, frame, members
                 )
                 seconds = time.perf_counter() - shard_started
             obs.counter("shard.builds")
@@ -168,7 +148,6 @@ def build_shards(
             num_graphs=len(database),
             partitioner=partitioner,
             seed=seed,
-            ladder=tuple(thresholds.values),
             assignments=partition.assignments,
             database_checksum=database_checksum(database),
             shards=tuple(entries),

@@ -5,9 +5,9 @@ per-shard ``.npz`` artifacts live next to it (paths are stored relative to
 the manifest's directory so the whole bundle relocates as one).  It records
 everything needed to (re)load and *validate* the bundle:
 
-* the partitioner and the full per-graph shard assignment,
-* the shared global threshold ladder (Sec. 7.1; stored, not read by a
-  query),
+* the partitioner and the full per-graph shard assignment (a manifest
+  from before the π̂ thresholds were dropped still lists them; they are
+  ignored),
 * the bundle's vantage **frame**: global ids of the graphs every shard is
   embedded against,
 * a crc32 over the database fingerprint (wrong-database loads fail loudly
@@ -67,7 +67,6 @@ class ShardManifest:
     num_graphs: int
     partitioner: str
     seed: int | None
-    ladder: tuple[float, ...]
     assignments: np.ndarray  # (num_graphs,) global gid -> shard id
     database_checksum: int  # crc32 over the database fingerprint bytes
     shards: tuple[ShardEntry, ...]
@@ -194,7 +193,6 @@ class ShardManifest:
             "num_graphs": self.num_graphs,
             "partitioner": self.partitioner,
             "seed": self.seed,
-            "ladder": list(self.ladder),
             "assignments": [int(a) for a in self.assignments],
             "database_checksum": self.database_checksum,
             "shards": [entry.to_dict() for entry in self.shards],
@@ -222,7 +220,7 @@ class ShardManifest:
         canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
         if zlib.crc32(canonical.encode()) != document.get("crc32"):
             raise ManifestError(
-                f"{path}: manifest checksum mismatch — file is corrupt"
+                f"{path}: shard manifest checksum mismatch — file is corrupt"
             )
         if body.get("schema") != SCHEMA:
             raise ManifestError(
@@ -235,7 +233,6 @@ class ShardManifest:
                 num_graphs=int(body["num_graphs"]),
                 partitioner=str(body["partitioner"]),
                 seed=body["seed"],
-                ladder=tuple(float(v) for v in body["ladder"]),
                 assignments=np.asarray(body["assignments"], dtype=np.int64),
                 database_checksum=int(body["database_checksum"]),
                 shards=tuple(

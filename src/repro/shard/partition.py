@@ -7,15 +7,16 @@ Two strategies, both deterministic for a fixed (database, S, seed):
   so the assignment is a pure function of graph *structure*: stable across
   processes, reorderings of equal databases, and Python hash randomization.
 * **clustering** — farthest-first traversal picks S pivot graphs, then
-  every graph joins its nearest pivot's shard (ties to the lowest pivot).
-  Metrically compact shards keep θ-neighborhoods shard-local, which is what
-  the coordinator's foreign-shard work scales with.
+  every graph joins its nearest pivot's shard (ties to the lowest pivot),
+  so metrically close graphs share an artifact file.
 
-Correctness never depends on the partitioner — the scatter-gather greedy
-returns bit-identical answers for *any* assignment — so partitioners are
-free to optimize locality only.  Every shard is guaranteed non-empty (an
-empty shard would produce an unloadable empty sub-database): empty slots
-steal the smallest-id graph from the largest shard, deterministically.
+A partition decides only which artifact file holds a graph's frame row —
+and so which files a compaction rewrites and a hot reload reads.  Queries
+never see it: a loaded bundle is one index over its vantage frame with
+one frontier, so answers and query work are the same for *any*
+assignment.  Every shard is guaranteed non-empty (an empty shard would
+produce an unloadable empty sub-database): empty slots steal the
+smallest-id graph from the largest shard, deterministically.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ class HashPartitioner:
 
 class ClusteringPartitioner:
     """Metric-clustering assignment: farthest-first pivots, nearest-pivot
-    membership.
+    membership — which file holds a row, never what a query costs (see the
+    module docstring).
 
     Needs ``distance``: the metric, or a
     :class:`~repro.engine.DistanceEngine` over the database — the pivot

@@ -22,7 +22,6 @@ from repro.core.results import QueryResult
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
-from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.resilience.errors import DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
@@ -50,14 +49,9 @@ class ShardedIndex:
         self.path = path
         self.reused_shards = reused_shards
         self.index = NBIndex.from_coords(
-            database, distance, frame.vantage_ids, frame.coords,
-            thresholds=ThresholdLadder(manifest.ladder),
+            database, distance, frame.vantage_ids, frame.coords
         )
         self.engine = self.index.engine
-
-    @property
-    def ladder(self) -> ThresholdLadder:
-        return self.index.ladder
 
     # ------------------------------------------------------------------
     # Construction
@@ -141,10 +135,6 @@ class ShardedIndex:
     def _run_query(self, run: QueryRun):
         return self.index._run_query(run)
 
-    def set_ladder(self, ladder: ThresholdLadder) -> None:
-        """Swap the bundle's stored ladder (see :meth:`NBIndex.set_ladder`)."""
-        self.index.set_ladder(ladder)
-
     # ------------------------------------------------------------------
     # Mutations (Index protocol: read-only here)
     # ------------------------------------------------------------------
@@ -180,7 +170,6 @@ class ShardedIndex:
             "num_graphs": self.manifest.num_graphs,
             "num_shards": self.num_shards,
             "partitioner": self.manifest.partitioner,
-            "ladder_thresholds": len(self.ladder),
             "reused_shards": self.reused_shards,
             "memory_bytes": index._memory_bytes(),
             "coverage_bytes": index._coverage_bytes(),

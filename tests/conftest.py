@@ -7,6 +7,7 @@ import pytest
 
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.ged import StarDistance
+from repro.index.pivec import choose_thresholds
 
 LABELS = ("C", "N", "O", "S")
 
@@ -42,6 +43,14 @@ def random_database(
         for _ in range(size)
     ]
     return GraphDatabase(graphs, rng.random((size, num_features)))
+
+
+def rungs(graphs, distance, seed=0):
+    """Ten θ values to query at: a slope-proportional spread of sampled
+    pairwise distances of ``graphs`` (Sec. 7.1's threshold placement)."""
+    return choose_thresholds(
+        graphs, distance, num_pairs=min(1000, 4 * len(graphs)), rng=seed
+    )
 
 
 @pytest.fixture

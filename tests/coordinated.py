@@ -40,7 +40,6 @@ class CoordinatedBundle:
         self.members = [np.asarray(m, dtype=np.int64) for m in members]
         self.frame = frame
         self.engine = DistanceEngine(distance, graphs=database.graphs)
-        self.ladder = self.shards[0].ladder
         self.shard_of = np.empty(len(database), dtype=np.int64)
         for s, m in enumerate(self.members):
             self.shard_of[m] = s

@@ -45,7 +45,7 @@ from repro.replica import ReplicatedIndex
 from repro.service import QueryService, parse_request, serve_lines
 from repro.service.protocol import encode
 from repro.shard import ShardedIndex, build_shards
-from tests.conftest import random_database
+from tests.conftest import random_database, rungs
 
 BUILD = dict(num_vantage_points=5, seed=7)
 
@@ -173,14 +173,14 @@ class TestBitIdentity:
         k = data.draw(st.integers(1, 8), label="k")
         build = dict(num_vantage_points=3, seed=seed)
         single = NBIndex.build(database, ExactGED(), **build)
-        rung = data.draw(st.integers(0, len(single.ladder) - 1), label="rung")
-        theta = float(single.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
+        thetas = rungs(database.graphs, single.engine, seed=seed)
+        rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
+        theta = thetas[rung] * data.draw(st.sampled_from([0.7, 1.0]))
         want = baseline_greedy(database, ExactGED(), q, theta, k)
         assert_same_result(single.query(q, theta, k), want)
         with tempfile.TemporaryDirectory() as tmp:
             two = ShardedIndex.build(
-                database, ExactGED(), out_dir=tmp, num_shards=2,
-                thresholds=single.ladder, **build,
+                database, ExactGED(), out_dir=tmp, num_shards=2, **build,
             )
             got = two.query(q, theta, k)
             two.close()

@@ -34,7 +34,7 @@ from repro.index.persistence import save_index
 from repro.resilience import faults
 from repro.shard.build import build_shards
 from repro.shard.sharded import ShardedIndex
-from tests.conftest import random_connected_graph, random_database
+from tests.conftest import random_connected_graph, random_database, rungs
 
 DIST = StarDistance()
 
@@ -89,7 +89,7 @@ def _oracle_result(mutable: MutableIndex, query_fn, theta, k):
         snapshot.mark_deleted(gid)
     oracle = NBIndex.build(
         snapshot, DIST, num_vantage_points=4,
-        seed=np.random.default_rng(99), thresholds=mutable.ladder,
+        seed=np.random.default_rng(99),
     )
     return oracle.query(query_fn, theta, k)
 
@@ -111,7 +111,8 @@ class TestDualRunGate:
         self, tmp_path_factory, num_shards, data
     ):
         tmp = tmp_path_factory.mktemp(f"delta-s{num_shards}")
-        mutable, _ = _make_mutable(tmp, num_shards)
+        mutable, db = _make_mutable(tmp, num_shards)
+        thetas = rungs(db.graphs, DIST)
         pool_graphs, pool_features = _graph_pool(
             data.draw(st.integers(0, 2**16), label="pool_seed"), 12
         )
@@ -159,14 +160,14 @@ class TestDualRunGate:
             elif op == "compact":
                 mutable.compact()
             else:  # query: compare against the oracle mid-program
-                theta = mutable.ladder.values[1]
+                theta = thetas[1]
                 result = mutable.query(query_fn, theta, 4)
                 _assert_identical(
                     result, _oracle_result(mutable, query_fn, theta, 4)
                 )
         # Final dual run at two rungs regardless of the drawn program.
-        for rung in (1, min(3, len(mutable.ladder) - 1)):
-            theta = mutable.ladder.values[rung]
+        for rung in (1, min(3, len(thetas) - 1)):
+            theta = thetas[rung]
             result = mutable.query(query_fn, theta, 5)
             _assert_identical(
                 result, _oracle_result(mutable, query_fn, theta, 5)
@@ -178,7 +179,7 @@ class TestDualRunGate:
         """Delete a graph, re-insert identical content: the tombstone
         masks only the old id and the clone answers as a fresh graph."""
         mutable, db = _make_mutable(tmp_path, num_shards)
-        theta = mutable.ladder.values[1]
+        theta = rungs(db.graphs, DIST)[1]
         victim = 3
         content = db[victim]
         features = db.features[victim]
@@ -218,7 +219,7 @@ class TestDualRunGate:
         for g in range(18, 24):
             mutable.insert(db[g], db.features[g])
         mutable.delete(2)
-        theta = mutable.ladder.values[1]
+        theta = rungs(db.graphs, DIST)[1]
         oracle = _oracle_result(mutable, lambda g: True, theta, 4)
         results, errors = [], []
 
@@ -251,7 +252,7 @@ class TestCompactionCrashSafety:
         mutable, db = _make_mutable(tmp_path, 4)
         for g in range(18, 23):
             mutable.insert(db[g], db.features[g])
-        theta = mutable.ladder.values[1]
+        theta = rungs(db.graphs, DIST)[1]
         oracle = _oracle_result(mutable, lambda g: True, theta, 4)
         faults.install(faults.FaultPlan(abort_after_stage=stage))
         try:
@@ -410,7 +411,7 @@ class TestFacade:
             tmp_path / "index.npz", tmp_path / "base.jsonl",
             mutable=True, journal=tmp_path / "m.journal",
         )
-        theta = mutable.ladder.values[1]
+        theta = rungs(base.graphs, DIST)[1]
         for g in range(16, 20):
             mutable.insert(db[g], db.features[g])
         mutable.delete(1)

@@ -51,7 +51,7 @@ from repro.service.crashlog import CrashJournal
 from repro.shard.build import build_shards
 from repro.shard.errors import ManifestError
 from repro.shard.manifest import ShardManifest
-from tests.conftest import random_connected_graph, random_database
+from tests.conftest import random_connected_graph, random_database, rungs
 
 DIST = StarDistance()
 
@@ -92,8 +92,9 @@ def _mutate(mutable, db, inserts=2, delete=2):
 
 
 def _state(mutable):
-    """The logical database state a reopen must reproduce exactly."""
-    theta = mutable.ladder.values[1]
+    """The logical database state a reopen must reproduce exactly, queried
+    at the second rung of a slope-proportional spread over the base."""
+    theta = rungs(mutable.database.graphs[:18], DIST)[1]
     result = mutable.query(lambda g: True, theta, 4)
     return (
         len(mutable.database),
@@ -602,13 +603,11 @@ class TestScrubber:
 
     def test_heals_replicated_shard_by_rebuild(self, tmp_path):
         from repro.graphs import quartile_relevance
-        from repro.index.pivec import ThresholdLadder
 
         database = random_database(seed=19, size=24, num_features=3)
         artifact = build_shards(
             database, DIST, num_shards=2, out_dir=tmp_path / "bundle",
             num_vantage_points=4, seed=0,
-            thresholds=ThresholdLadder([2.0, 4.0, 8.0, 16.0, 32.0]),
         )
         victim = artifact.parent / "shard-000.npz"
         with ReplicatedIndex.open(
@@ -671,9 +670,8 @@ class TestScrubber:
                 rebuilt.embedding.coords, base.frame.coords[members]
             )
             assert (
-                rebuilt.embedding.vantage_indices,
-                rebuilt.embedding.framed, rebuilt.ladder.values,
-            ) == (base.frame.vantage_ids, True, base.ladder.values)
+                rebuilt.embedding.vantage_indices, rebuilt.embedding.framed,
+            ) == (base.frame.vantage_ids, True)
         assert _state(mutable) == before
         mutable.close()
 

@@ -29,7 +29,7 @@ from repro.graphs import quartile_relevance
 from repro.graphs.graph import LabeledGraph
 from repro.index.frontier import IndexFrontier
 from repro.index.nbindex import NBIndex
-from repro.index.pivec import ThresholdLadder, choose_thresholds
+from repro.index.pivec import choose_thresholds
 from repro.index.vantage import VantageEmbedding, select_vantage_points
 
 
@@ -432,10 +432,7 @@ def _range_tree(tree_cls):
 
 
 def _nbindex(db, engine):
-    index = NBIndex.build(
-        db, engine, num_vantage_points=5, seed=5,
-        thresholds=ThresholdLadder([2.0, 4.0, 6.0, 9.0]),
-    )
+    index = NBIndex.build(db, engine, num_vantage_points=5, seed=5)
     q = quartile_relevance(db, quantile=0.3)
     session = index.session(q)
     results = [session.query(theta, k) for theta, k in ((4.0, 5), (6.0, 3), (3.0, 8))]

@@ -2,8 +2,8 @@
 
 A round visits the relevant members in (−bound, gid) order of working
 bounds that start at π̂ taken at θ itself, so nothing about the answer
-depends on the threshold ladder: a θ between rungs or above the top one
-is answered like any other.  Checked against ``baseline_greedy`` on ids,
+depends on a stored threshold ladder (the index keeps none): any θ is
+answered like any other.  Checked against ``baseline_greedy`` on ids,
 gains, order and coverage for a plain index (S = 1), a four-shard bundle
 and a mutable two-shard bundle with a memtable and a tombstone.
 """
@@ -18,12 +18,10 @@ import repro
 from repro import baseline_greedy, quartile_relevance
 from repro.ged import StarDistance
 from repro.index.nbindex import NBIndex
-from repro.index.pivec import ThresholdLadder
 from repro.shard import ShardedIndex, build_shards
 from tests.conftest import random_database
 
-LADDER = ThresholdLadder([2.0, 4.0, 6.0])
-BUILD = dict(num_vantage_points=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=4)
 
 
 @pytest.fixture(scope="module")

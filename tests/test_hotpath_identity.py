@@ -22,13 +22,13 @@ from repro.core import all_theta_neighborhoods, baseline_greedy, lazy_greedy
 from repro.ged import StarDistance
 from repro.ged.metric import SLACK
 from repro.graphs import quartile_relevance
-from repro.index import NBIndex, ThresholdLadder
+from repro.index import NBIndex
 from repro.metricspace import vector_database
 
 
 def make_instance(n: int, dims: int = 6, seed: int = 7):
-    """A synthetic vector-metric instance: database, relevance rule, shared
-    threshold ladder, a θ on it, and a vectorized range query.  The range
+    """A synthetic vector-metric instance: database, relevance rule, a θ at
+    a sampled distance quantile, and a vectorized range query.  The range
     query is *not* the engines' arithmetic bit for bit: it roots with
     numpy's array ``** 0.5``, which is ``sqrt``, where ``MinkowskiMetric``
     (and its batch kernel) take the scalar power — the two differ in the
@@ -44,17 +44,13 @@ def make_instance(n: int, dims: int = 6, seed: int = 7):
     pairs = rng.integers(0, n, size=(min(4000, n * 4), 2))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     sample = ((points[pairs[:, 0]] - points[pairs[:, 1]]) ** 2).sum(axis=1) ** 0.5
-    ladder = ThresholdLadder(sorted(
-        float(np.quantile(sample, q))
-        for q in (0.02, 0.05, 0.08, 0.12, 0.2, 0.35, 0.5)
-    ))
-    theta = float(np.quantile(sample, 0.2))  # a rung of the ladder
+    theta = float(np.quantile(sample, 0.2))
 
     def range_query(gid: int, radius: float):
         distances = ((points - points[int(gid)]) ** 2).sum(axis=1) ** 0.5
         return np.flatnonzero(distances <= radius + SLACK)
 
-    return db, dist, query_fn, ladder, theta, range_query
+    return db, dist, query_fn, theta, range_query
 
 
 def set_greedy(db, dist, query_fn, theta, k, *, lazy=False, range_query=None,
@@ -145,7 +141,7 @@ def test_lazy_matches_set_reference(graph_instance, theta, k):
 
 
 def test_range_query_fast_path_is_identical(vector_instance):
-    db, dist, query_fn, ladder, theta, range_query = vector_instance
+    db, dist, query_fn, theta, range_query = vector_instance
     for k in (1, 5, 16):
         want = baseline_greedy_sets(
             db, dist, query_fn, theta, k, range_query=range_query
@@ -170,16 +166,13 @@ def test_stop_on_zero_gain_matches(graph_instance):
 
 
 def test_engines_match_set_reference(vector_instance):
-    db, dist, query_fn, ladder, theta, range_query = vector_instance
+    db, dist, query_fn, theta, range_query = vector_instance
     k = 8
     want = baseline_greedy_sets(
         db, dist, query_fn, theta, k, range_query=range_query
     )
 
-    index = NBIndex.build(
-        db, dist, thresholds=ladder, seed=11,
-        num_vantage_points=6,
-    )
+    index = NBIndex.build(db, dist, seed=11, num_vantage_points=6)
     single = index.query(query_fn, theta, k)
     assert_same_result(single, want)
 
@@ -189,8 +182,8 @@ def test_engines_match_set_reference(vector_instance):
 
     with tempfile.TemporaryDirectory() as out_dir:
         manifest = build_shards(
-            db, dist, num_shards=4, out_dir=out_dir, thresholds=ladder,
-            seed=11, num_vantage_points=6,
+            db, dist, num_shards=4, out_dir=out_dir, seed=11,
+            num_vantage_points=6,
         )
         sharded = ShardedIndex.load(manifest, db, dist)
         got = sharded.query(query_fn, theta, k)
@@ -201,7 +194,7 @@ def test_coverage_state_take_is_exact(vector_instance):
     """The shared take() helper reports the same gain the row had."""
     from repro.core.greedy import CoverageState
 
-    db, dist, query_fn, ladder, theta, range_query = vector_instance
+    db, dist, query_fn, theta, range_query = vector_instance
     relevant = [int(i) for i in db.relevant_indices(query_fn)]
     coverage = CoverageState.from_range_query(relevant, range_query, theta)
     gains_before = coverage.gains()

@@ -78,7 +78,7 @@ from pathlib import Path
 import repro
 from repro.datasets import GENERATORS
 from repro.graphs import quartile_relevance
-from repro.index import save_index
+from repro.index import choose_thresholds, save_index
 
 
 @contextmanager
@@ -106,7 +106,7 @@ with tempfile.TemporaryDirectory() as tmp:
     )
     with no_fork():
         single = repro.open_index(tmp / "index.npz", db, distance)
-        theta = single.ladder.values[2]
+        theta = choose_thresholds(db.graphs, distance, num_pairs=160, rng=0)[2]
         answers = [single.query(query_fn, theta, 3).answer]
         answers.append(
             repro.open_index(manifest, db, distance)

@@ -12,7 +12,7 @@ from repro.core import all_theta_neighborhoods
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
-from tests.conftest import random_database
+from tests.conftest import random_database, rungs
 from tests.test_nbindex import assert_valid_greedy_trajectory
 
 
@@ -32,7 +32,7 @@ class TestPiHatValidity:
         db, dist, q, index = _build(seed=seed)
         session = index.session(q)
         relevant = [int(i) for i in session.relevant]
-        for theta_i in index.ladder:
+        for theta_i in rungs(db.graphs, dist):
             column = session.pi_hat_column(theta_i)
             neighborhoods = all_theta_neighborhoods(db, dist, relevant, theta_i)
             for position, gid in enumerate(relevant):

@@ -26,8 +26,7 @@ class TestFullPipelinePerDataset:
         spec, dist = dataset
         q = quartile_relevance(spec.database)
         index = NBIndex.build(
-            spec.database, dist, num_vantage_points=8,
-            thresholds=spec.ladder, seed=1,
+            spec.database, dist, num_vantage_points=8, seed=1,
         )
         result = index.query(q, spec.theta, 5)
         assert_valid_greedy_trajectory(spec.database, dist, q, spec.theta, result)

@@ -44,7 +44,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from tests.conftest import random_database
+from tests.conftest import random_database, rungs
 from repro import baseline_greedy, obs, quartile_relevance
 from repro.datasets import GENERATORS
 from repro.delta import mutable as mutable_module
@@ -66,8 +66,7 @@ from tests import coordinated
 from tests.coordinated import CoordinatedBundle, cold
 
 _NEG_INF = float("-inf")
-LADDER = ThresholdLadder([2.0, 4.0, 6.0, 9.0])
-BUILD = dict(num_vantage_points=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=4)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +213,9 @@ def test_lazy_equals_eager_and_never_pays_more(data):
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
     )
-    rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
-    theta = float(index.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
+    thetas = rungs(database.graphs, StarDistance(), seed=seed)
+    rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
+    theta = thetas[rung] * data.draw(st.sampled_from([0.7, 1.0]))
     k = data.draw(st.integers(1, 10), label="k")
 
     cold(index)
@@ -262,8 +262,9 @@ def test_bounds_dominate_true_residual_gains_at_every_pull(data):
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.1, 0.4]))
     )
-    rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
-    theta = float(index.ladder[rung])
+    thetas = rungs(database.graphs, StarDistance(), seed=seed)
+    rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
+    theta = thetas[rung]
     k = data.draw(st.integers(2, 10), label="k")
     _audit_query(index, q, theta, k)
 
@@ -352,10 +353,7 @@ def test_early_exited_smaller_id_still_wins_the_tie(monkeypatch):
     database, distance = vector_database(np.asarray(points))
     engine = DistanceEngine(distance, graphs=database.graphs)
     embedding = VantageEmbedding(database.graphs, [0], engine)
-    index = NBIndex(
-        database, engine, embedding=embedding,
-        ladder=ThresholdLadder([theta]),
-    )
+    index = NBIndex(database, engine, embedding=embedding)
 
     def relevant(row):
         return bool(np.hypot(*row) > 1.0)  # everything but the vantage point
@@ -483,8 +481,9 @@ def lazy_and_eager_over_a_bundle(
     seed, size, quantile, shards, partitioner, rung, theta_scale, k,
 ):
     """One random bundle queried cold twice — lazy, then with every foreign
-    window resolved whole — at ``theta_scale`` × ladder rung ``rung`` (the
-    top one if there are fewer); returns both stats after checking that the
+    window resolved whole — at ``theta_scale`` × rung ``rung`` of the
+    database's :func:`~tests.conftest.rungs` (the top one if there are
+    fewer); returns both stats after checking that the
     answers agree."""
     database = random_database(seed=seed, size=size)
     q = quartile_relevance(database, quantile=quantile)
@@ -494,9 +493,8 @@ def lazy_and_eager_over_a_bundle(
             num_shards=shards, partitioner=partitioner,
             num_vantage_points=4,
         )
-        theta = theta_scale * float(
-            index.ladder[min(rung, len(index.ladder) - 1)]
-        )
+        thetas = rungs(database.graphs, StarDistance(), seed=seed)
+        theta = theta_scale * thetas[min(rung, len(thetas) - 1)]
         cold(index)
         lazy = index.query(q, theta, k)
         cold(index)
@@ -651,9 +649,10 @@ def test_foreign_bounds_dominate_true_residual_counts_at_every_visit(data):
             num_shards=data.draw(st.sampled_from([2, 3, 4]), label="shards"),
             num_vantage_points=3,
         )
-        rung = data.draw(st.integers(0, len(index.ladder) - 1), label="rung")
+        thetas = rungs(database.graphs, StarDistance(), seed=seed)
+        rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
         k = data.draw(st.integers(2, 10), label="k")
-        _audited_query(index, q, float(index.ladder[rung]), k)
+        _audited_query(index, q, thetas[rung], k)
 
 
 @pytest.fixture(scope="module")
@@ -689,7 +688,7 @@ def test_a_resumed_foreign_window_ends_exact(dud_bundles):
 # ---------------------------------------------------------------------------
 # Tie-break: the smaller id wins although a *foreign* frontier dropped it
 # ---------------------------------------------------------------------------
-def _hand_built_bundle(points, members_of, theta):
+def _hand_built_bundle(points, members_of):
     """Worker-style frontiers over vector points with chosen shard
     members, the bundle's frame the single vantage point 0."""
     database, distance = vector_database(np.asarray(points))
@@ -697,7 +696,6 @@ def _hand_built_bundle(points, members_of, theta):
     shards = [
         NBIndex.from_coords(
             database.subset(members), distance, [0], frame.coords[members],
-            thresholds=ThresholdLadder([theta]),
         )
         for members in members_of
     ]
@@ -736,7 +734,7 @@ def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch
     points += [on_circle(50.0, a) for a in (0.0, 90.0, 180.0)]      # 25-27: singles
     shard_b = list(range(len(shard_a), len(points)))
     database, distance, bundle = _hand_built_bundle(
-        points, [shard_a, shard_b], theta
+        points, [shard_a, shard_b]
     )
 
     def relevant(row):
@@ -857,9 +855,7 @@ def test_sharded_vec_smoke_mix_stays_near_one_index(tmp_path):
          (4, 8, 16)[(position // 2) % 3])
         for position, fn in enumerate(fn_dims)
     ]
-    build = dict(
-        thresholds=ladder, seed=seed, num_vantage_points=4
-    )
+    build = dict(seed=seed, num_vantage_points=4)
     manifest = build_shards(
         database, distance, num_shards=4, out_dir=tmp_path, **build
     )

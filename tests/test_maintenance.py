@@ -1,4 +1,4 @@
-"""Database soft-deletion and index ladder swapping."""
+"""Database soft-deletion."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.baselines import disc_greedy
 from repro.core import baseline_greedy
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
-from repro.index import NBIndex, ThresholdLadder
+from repro.index import NBIndex
 from tests.conftest import random_database
 from tests.test_nbindex import assert_valid_greedy_trajectory
 
@@ -73,29 +73,6 @@ class TestSoftDeletion:
         db.mark_deleted(3)
         db.mark_deleted(5)
         assert db.deleted == frozenset({3, 5})
-
-
-class TestSetLadder:
-    def test_swapped_ladder_used_by_new_sessions(self):
-        db, dist, q = _setup(seed=8)
-        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
-        index.set_ladder(ThresholdLadder([2.5, 7.5]))
-        assert list(index.ladder) == [2.5, 7.5]
-        result = index.query(q, 5.0, 3)
-        assert_valid_greedy_trajectory(db, dist, q, 5.0, result)
-
-    def test_sessions_valid_before_and_after_swap(self):
-        # Different ladders change bound tightness (and hence tie
-        # resolution), so answers may differ — both must still be valid
-        # greedy trajectories with the same first (tie-free) gain.
-        db, dist, q = _setup(seed=9)
-        index = NBIndex.build(db, dist, num_vantage_points=4, seed=0)
-        first = index.session(q).query(5.0, 3)
-        index.set_ladder(ThresholdLadder([5.0]))
-        second = index.session(q).query(5.0, 3)
-        assert_valid_greedy_trajectory(db, dist, q, 5.0, first)
-        assert_valid_greedy_trajectory(db, dist, q, 5.0, second)
-        assert first.gains[0] == second.gains[0]
 
 
 class TestSubsetAndDeletionInteraction:

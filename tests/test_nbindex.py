@@ -9,7 +9,7 @@ from repro.core import all_theta_neighborhoods, baseline_greedy
 from repro.ged import StarDistance
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.index import NBIndex, ThresholdLadder
-from tests.conftest import random_connected_graph, random_database
+from tests.conftest import random_connected_graph, random_database, rungs
 
 
 def _build(seed=0, size=70, **kwargs):
@@ -108,10 +108,7 @@ class TestTieBreakDeterminism:
                 return np.ones(matrix.shape[0], dtype=bool)
 
         q = AllRelevant()
-        index = NBIndex.build(
-            db, dist, num_vantage_points=3, seed=2,
-            thresholds=ThresholdLadder([0.5]),
-        )
+        index = NBIndex.build(db, dist, num_vantage_points=3, seed=2)
         result = index.query(q, 0.5, 6)
         assert result.answer == list(range(6))
         assert result.gains == [n] + [0] * 5
@@ -128,10 +125,7 @@ class TestTieBreakDeterminism:
         db = GraphDatabase(graphs, rng.random((len(graphs), 2)))
         dist = StarDistance()
         q = quartile_relevance(db, quantile=0.3)
-        index = NBIndex.build(
-            db, dist, num_vantage_points=5, seed=3,
-            thresholds=ThresholdLadder([4.0]),
-        )
+        index = NBIndex.build(db, dist, num_vantage_points=5, seed=3)
         expected = baseline_greedy(db, dist, q, 4.0, 8)
         actual = index.query(q, 4.0, 8)
         assert actual.answer == expected.answer
@@ -146,9 +140,7 @@ class TestBudgetEdgeCases:
         assert len(result.answer) <= len(relevant)
 
     def test_stop_on_zero_gain(self):
-        # θ must be on the ladder now (off-ladder θ raises), so index the
-        # huge threshold explicitly.
-        db, dist, q, index = _build(seed=7, thresholds=ThresholdLadder([1e6]))
+        db, dist, q, index = _build(seed=7)
         full = index.query(q, 1e6, 10)  # everything within θ of anything
         stopped = index.query(q, 1e6, 10, stop_on_zero_gain=True)
         assert len(stopped.answer) == 1  # first pick covers all
@@ -178,12 +170,10 @@ class TestBudgetEdgeCases:
 
 class TestLadderInteraction:
     def test_theta_beyond_ladder_is_answered(self):
-        """π̂ is taken at θ itself, so a θ above every rung is answered —
+        """π̂ is taken at θ itself, so a θ above any ladder is answered —
         the greedy's answer, with nothing logged."""
-        db, dist, q, index = _build(
-            seed=10, thresholds=ThresholdLadder([1.0, 2.0])
-        )
-        theta = 50.0  # way above the ladder
+        db, dist, q, index = _build(seed=10)
+        theta = 50.0
         with repro.observe() as run:
             actual = index.query(q, theta, 4)
         assert_valid_greedy_trajectory(db, dist, q, theta, actual)
@@ -192,8 +182,8 @@ class TestLadderInteraction:
         assert "index.offladder_theta" not in run.stats()["counters"]
 
     def test_tight_ladder_fewer_evaluations_than_trivial(self):
-        """The ladder is stored, not read: a tight and a trivial one give
-        the same search (no more evaluations with either)."""
+        """``thresholds=`` is accepted and ignored: a tight and a trivial
+        ladder give the same search (no more evaluations with either)."""
         db, dist, q, _ = _build(seed=11)
         theta = 4.0
         tight = NBIndex.build(
@@ -227,7 +217,7 @@ class TestSessions:
     def test_pi_hat_columns_cached(self):
         db, dist, q, index = _build(seed=13)
         session = index.session(q)
-        theta = float(index.ladder[2])
+        theta = rungs(db.graphs, dist)[2]
         session.query(theta, 3)
         columns = index._member_state(session)._pi_hat_columns
         cached = len(columns)

@@ -32,10 +32,10 @@ class TestPersistence:
         loaded = load_index(path, db, dist)
         assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
         assert loaded.embedding.vantage_indices == index.embedding.vantage_indices
-        assert list(loaded.ladder) == list(index.ladder)
         with np.load(io.BytesIO(read_checksummed(path))) as data:
-            assert int(data["format_version"][0]) == 4
+            assert int(data["format_version"][0]) == 5
             assert not any(key.startswith("node_") for key in data.files)
+            assert "ladder" not in data.files
 
     def test_loaded_index_answers_queries(self, tmp_path):
         db, dist, q, index = _build(seed=2)
@@ -80,7 +80,7 @@ class TestCoordinateStorage:
         path = tmp_path / "index.npz"
         save_index(index, path)
         stored, version = self._stored(path)
-        assert version == 4 and stored.dtype == np.uint8
+        assert version == 5 and stored.dtype == np.uint8
         loaded = load_index(path, db, dist).embedding.coords
         assert loaded.dtype == np.float64 and np.array_equal(loaded, coords)
         # A single coordinate past the dtype widens it; one fraction or one
@@ -120,8 +120,9 @@ class TestCoordinateStorage:
             load_index(path, db, dist)
 
     def test_version_3_files_with_tree_arrays_still_answer(self, tmp_path):
-        """A format-3 artifact carried the NB-Tree's arrays; they are
-        ignored, and the index answers as the one it was written from."""
+        """A format-3 artifact carried the NB-Tree's arrays and a threshold
+        ladder; they are ignored, and the index answers as the one it was
+        written from."""
         db, dist, q, index = _build(seed=7)
         path = tmp_path / "index.npz"
         save_index(index, path)
@@ -137,6 +138,7 @@ class TestCoordinateStorage:
             node_parent=np.array([-1] + [0] * n, dtype=np.int64),
             root_id=np.array([0], dtype=np.int64),
             branching=np.array([8], dtype=np.int64),
+            ladder=np.array([2.0, 4.0, 8.0]),
         )
         buffer = io.BytesIO()
         np.savez_compressed(buffer, **arrays)

@@ -1,9 +1,9 @@
-"""Threshold ladders for π̂-vectors."""
+"""Threshold ladders: sorted thresholds and slope-proportional placement."""
 
 import pytest
 
 from repro.ged import StarDistance
-from repro.index import ThresholdLadder, choose_thresholds, ladder_from_query_log
+from repro.index import ThresholdLadder, choose_thresholds
 from tests.conftest import random_database
 
 
@@ -11,27 +11,8 @@ class TestThresholdLadder:
     def test_sorted_and_deduplicated(self):
         ladder = ThresholdLadder([5.0, 1.0, 5.0, 3.0])
         assert ladder.values == (1.0, 3.0, 5.0)
+        assert ladder == (1.0, 3.0, 5.0)
         assert len(ladder) == 3
-
-    def test_index_for_exact_hit(self):
-        ladder = ThresholdLadder([1.0, 3.0, 5.0])
-        assert ladder.index_for(3.0) == 1
-
-    def test_index_for_between(self):
-        ladder = ThresholdLadder([1.0, 3.0, 5.0])
-        assert ladder.index_for(2.0) == 1
-        assert ladder.covering_threshold(2.0) == 3.0
-
-    def test_index_for_beyond_ladder(self):
-        ladder = ThresholdLadder([1.0, 3.0])
-        assert ladder.index_for(4.0) is None
-        assert ladder.covering_threshold(4.0) is None
-        assert ladder.gap(4.0) is None
-
-    def test_gap(self):
-        ladder = ThresholdLadder([1.0, 4.0])
-        assert ladder.gap(2.5) == pytest.approx(1.5)
-        assert ladder.gap(1.0) == 0.0
 
     def test_iteration_and_getitem(self):
         ladder = ThresholdLadder([2.0, 1.0])
@@ -77,17 +58,3 @@ class TestChooseThresholds:
         with pytest.raises(ValueError):
             choose_thresholds(db.graphs, StarDistance(), count=0)
 
-
-class TestQueryLogLadder:
-    def test_small_log_taken_whole(self):
-        ladder = ladder_from_query_log([5.0, 2.0, 5.0], count=10)
-        assert ladder.values == (2.0, 5.0)
-
-    def test_large_log_sampled(self):
-        log = [float(i) for i in range(100)]
-        ladder = ladder_from_query_log(log, count=10, rng=0)
-        assert len(ladder) <= 10
-
-    def test_empty_log_rejected(self):
-        with pytest.raises(ValueError):
-            ladder_from_query_log([])

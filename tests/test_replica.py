@@ -41,7 +41,6 @@ from repro import obs
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
 from repro.graphs.io import save_database
-from repro.index.pivec import ThresholdLadder
 from repro.replica import ReplicatedIndex, ShardUnavailableError
 from repro.replica import supervisor as supervisor_module
 from repro.replica import wire
@@ -63,8 +62,7 @@ from repro.resilience import Deadline, faults
 from repro.resilience.faults import FaultPlan
 from repro.shard import ShardedIndex, ShardManifest, build_shards
 
-LADDER = ThresholdLadder([2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 40.0])
-BUILD = dict(num_vantage_points=6, thresholds=LADDER)
+BUILD = dict(num_vantage_points=6)
 
 
 @pytest.fixture(scope="module")

@@ -18,12 +18,10 @@ from repro.datasets import GENERATORS
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, quartile_relevance
 from repro.index import NBIndex
-from repro.index.pivec import ThresholdLadder
 from repro.shard import ShardedIndex
 from tests.conftest import random_connected_graph
 
-LADDER = ThresholdLadder([4.0, 6.0, 8.0, 10.0, 12.0, 16.0, 24.0])
-BUILD = dict(num_vantage_points=6, thresholds=LADDER, seed=7)
+BUILD = dict(num_vantage_points=6, seed=7)
 QUERIES = ((6.0, 5), (10.0, 8), (12.0, 3))
 
 

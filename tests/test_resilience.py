@@ -28,7 +28,7 @@ from repro.resilience import (
     write_checksummed,
 )
 from repro.resilience.faults import FaultPlan, SimulatedCrash
-from tests.conftest import random_database
+from tests.conftest import random_database, rungs
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ class TestDegradedQueryUnderFaults:
         )
         for g in range(30, 40):
             index.insert(db[g], db.features[g])
-        theta = index.ladder.values[2]
+        theta = rungs(db.graphs[:30], ExactGED())[2]
         pressed = index.query(
             lambda g: True, theta, 5, deadline=Deadline(expansion_limit=2)
         )

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from tests.conftest import random_database
+from tests.conftest import random_database, rungs
 from tests.coordinated import CoordinatedBundle
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
 from repro.cascade import FilterCascade
@@ -34,7 +34,6 @@ from repro.index import frontier as frontier_module
 from repro.index import save_index
 from repro.index.frontier import Frontier, MemberState, RoundCursor
 from repro.index.nbindex import NBIndex, QuerySession
-from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
@@ -43,8 +42,7 @@ from repro.shard import ShardedIndex, build_shards
 from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 
-LADDER = ThresholdLadder([2.0, 4.0, 8.0])
-BUILD = dict(num_vantage_points=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=4)
 SHAPES = ("nbindex", "sharded-1", "sharded-4", "mutable", "replicated-2x2")
 
 
@@ -119,7 +117,7 @@ class TestSessionContract:
                 index.query(q, theta, k)
 
     def test_off_ladder_theta_is_answered(self, shapes, shape):
-        """θ far above every rung: the first pick covers all of L_q, and
+        """θ far above every distance: the first pick covers all of L_q, and
         every shape picks the smallest relevant id for it."""
         index = shapes[shape]
         q = quartile_relevance(index.database, quantile=0.3)
@@ -172,7 +170,6 @@ def _one_shard(index: NBIndex) -> ShardedIndex:
     database = index.database
     manifest = ShardManifest(
         num_shards=1, num_graphs=len(database), partitioner="hash", seed=0,
-        ladder=tuple(index.ladder.values),
         assignments=np.zeros(len(database), dtype=np.int64),
         database_checksum=database_checksum(database),
         shards=(ShardEntry(0, "unused.npz", 0, len(database)),),
@@ -198,8 +195,9 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
     q = quartile_relevance(
         database, quantile=data.draw(st.sampled_from([0.2, 0.5, 0.8]))
     )
-    rung = data.draw(st.integers(0, len(plain.ladder) - 1), label="rung")
-    theta = float(plain.ladder[rung]) * data.draw(st.sampled_from([0.7, 1.0]))
+    thetas = rungs(database.graphs, StarDistance(), seed=seed)
+    rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
+    theta = thetas[rung] * data.draw(st.sampled_from([0.7, 1.0]))
     k = data.draw(st.integers(1, 8), label="k")
     plain.engine._cache.clear()  # cold: only the query's own distances
     plain.engine.reset()
@@ -225,7 +223,7 @@ def test_nbindex_and_one_shard_bundle_do_identical_work(data):
 @pytest.mark.parametrize("num_shards", [None, 4])
 def test_session_builds_member_state_once(monkeypatch, tmp_path, num_shards):
     database = random_database(seed=21, size=48)
-    build = dict(num_vantage_points=4, thresholds=LADDER, seed=0)
+    build = dict(num_vantage_points=4, seed=0)
     if num_shards is None:
         index = NBIndex.build(database, StarDistance(), **build)
     else:

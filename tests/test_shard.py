@@ -14,6 +14,7 @@ degradation — is tested around that core.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -39,10 +40,10 @@ from repro.graphs.io import save_database
 from repro.index.coordinator import run_greedy
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.persistence import load_index
-from repro.index.pivec import ThresholdLadder
 from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
 from repro.resilience import Deadline
+from repro.resilience.atomicio import read_checksummed, write_checksummed
 from repro.resilience.errors import (
     CorruptIndexError,
     DatabaseMismatchError,
@@ -61,13 +62,11 @@ from repro.shard import (
     get_partitioner,
 )
 from repro.shard.manifest import ShardEntry, database_checksum
-from tests.conftest import random_database, random_connected_graph
+from tests.conftest import random_database, random_connected_graph, rungs
 from tests.coordinated import CoordinatedBundle
 
-#: Shared build shape: small trees, explicit ladder so every test theta is
-#: on-rung for both the single index and every shard bundle.
-LADDER = ThresholdLadder([2.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 40.0])
-BUILD = dict(num_vantage_points=6, thresholds=LADDER)
+#: Shared build shape.
+BUILD = dict(num_vantage_points=6)
 THETAS = (6.0, 12.0)
 
 
@@ -187,14 +186,12 @@ class TestBitIdentity:
         graphs += [LabeledGraph(g.node_labels, g.edges()) for g in base.graphs]
         rng = np.random.default_rng(29)
         db = GraphDatabase(graphs, rng.random((len(graphs), 2)))
-        ladder = ThresholdLadder([4.0, 8.0])
         single = NBIndex.build(
-            db, StarDistance(), num_vantage_points=5,
-            thresholds=ladder, seed=3,
+            db, StarDistance(), num_vantage_points=5, seed=3,
         )
         sharded = ShardedIndex.build(
             db, StarDistance(), num_shards=4, out_dir=tmp_path,
-            num_vantage_points=5, thresholds=ladder, seed=3,
+            num_vantage_points=5, seed=3,
         )
         q = quartile_relevance(db)
         want = single.query(q, 4.0, 8)
@@ -248,7 +245,7 @@ class TestCoordinator:
     def test_off_ladder_theta_is_answered(self, db, single_index, bundle_dir):
         sharded = _load(bundle_dir, db)
         q = quartile_relevance(db)
-        for theta in (1.5 * LADDER.values[-1], 1e6):
+        for theta in (60.0, 1e6):
             _assert_same_result(
                 sharded.query(q, theta, 3), single_index.query(q, theta, 3)
             )
@@ -266,8 +263,7 @@ class TestCoordinator:
         tiny = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         sharded = ShardedIndex.build(
             tiny, ExactGED(), num_shards=2, out_dir=tmp_path,
-            num_vantage_points=4,
-            thresholds=ThresholdLadder([4.0, 8.0]), seed=0,
+            num_vantage_points=4, seed=0,
         )
         sharded.engine._cache.clear()
         result = sharded.query(
@@ -302,8 +298,9 @@ class TestCoordinatorBehindReplicas:
         q = quartile_relevance(
             database, quantile=data.draw(st.sampled_from([0.1, 0.4, 0.7]))
         )
-        rung = data.draw(st.integers(0, len(bundle.ladder) - 1), label="rung")
-        theta = float(bundle.ladder[rung])
+        thetas = rungs(database.graphs, StarDistance(), seed=seed)
+        rung = data.draw(st.integers(0, len(thetas) - 1), label="rung")
+        theta = thetas[rung]
         k = data.draw(st.integers(1, 10), label="k")
         session = bundle.session(q)
         stats = QueryStats()
@@ -317,7 +314,7 @@ class TestCoordinatorBehindReplicas:
         assert (answer, gains) == (want.answer, want.gains)
         # Every tier-1 survivor that is not dropped against remembered
         # bounds (memo_prunes) opens every foreign window (pi_hat_refines)
-        # and ends in exactly one of the ladder's outcomes.
+        # and ends in exactly one of the bound ladder's outcomes.
         survivors = coord["pi_hat_refines"] + coord["memo_prunes"]
         outcomes = (
             coord["partial_scatters"] + coord["scatter_resolves"]
@@ -337,7 +334,6 @@ class TestManifest:
         assert manifest.num_shards == 3
         assert manifest.num_graphs == len(db)
         assert manifest.partitioner == "hash"
-        assert manifest.ladder == tuple(LADDER.values)
         assert sum(e.num_graphs for e in manifest.shards) == len(db)
         members = np.concatenate([manifest.members(s) for s in range(3)])
         assert sorted(members.tolist()) == list(range(len(db)))
@@ -415,6 +411,119 @@ class TestManifest:
             _load(tmp_path, db)
 
 
+#: The thresholds format-4 artifacts and their manifests stored.
+_OLD_LADDER = [2.0, 4.0, 8.0, 16.0]
+
+
+def _as_format_4(artifact: Path) -> int:
+    """Rewrite a saved index as builds wrote it before format 5: version 4
+    plus a ``ladder`` array.  Returns the new file's crc32."""
+    with np.load(io.BytesIO(read_checksummed(artifact))) as data:
+        arrays = dict(data)
+    arrays.update(format_version=np.array([4]), ladder=np.array(_OLD_LADDER))
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    write_checksummed(artifact, buffer.getvalue())
+    return zlib.crc32(artifact.read_bytes())
+
+
+def _with_a_ladder(manifest_path: Path) -> None:
+    """Every shard of a bundle as format 4, under a manifest that lists
+    the ladder too."""
+    manifest = ShardManifest.load(manifest_path)
+    body = dataclasses.replace(manifest, shards=tuple(
+        dataclasses.replace(
+            entry, checksum=_as_format_4(manifest_path.parent / entry.path)
+        )
+        for entry in manifest.shards
+    ))._body() | {"ladder": _OLD_LADDER}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    manifest_path.write_text(json.dumps(
+        {"manifest": body, "crc32": zlib.crc32(canonical.encode())}
+    ))
+
+
+class TestFilesWrittenWithALadder:
+    """Before format 5 an index artifact stored a ``ladder`` array and a
+    manifest a ``ladder`` list: every reader still opens them, ignores
+    both, and answers as the greedy does."""
+
+    @staticmethod
+    def _opens_everywhere(path, db, tmp_path):
+        fn = quartile_relevance(db, quantile=0.5)
+        want = baseline_greedy(db, StarDistance(), fn, 8.0, 4)
+        database = tmp_path / "db.jsonl"
+        save_database(db, database)
+        opened = [
+            repro.open_index(path, db),
+            repro.open_index(
+                path, database, mutable=True, journal=tmp_path / "m.journal"
+            ),
+        ]
+        if path.name == "manifest.json":
+            opened.append(ShardedIndex.load(path, db, StarDistance()))
+        for index in opened:
+            got = index.query(fn, 8.0, 4)
+            assert (got.answer, got.gains) == (want.answer, want.gains)
+        assert verify_deployment(path)["ok"]
+        assert cli.main(["verify", str(database), str(path)]) == 0
+        return opened[1]
+
+    def test_a_format_4_index(self, db, single_index, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(single_index, path)
+        _as_format_4(path)
+        self._opens_everywhere(path, db, tmp_path).close()
+
+    def test_a_bundle_whose_manifest_lists_a_ladder(
+        self, db, bundle_dir, tmp_path,
+    ):
+        (tmp_path / "bundle").mkdir()
+        for name in os.listdir(bundle_dir):
+            (tmp_path / "bundle" / name).write_bytes(
+                (bundle_dir / name).read_bytes()
+            )
+        manifest_path = tmp_path / "bundle" / "manifest.json"
+        _with_a_ladder(manifest_path)
+        mutable = self._opens_everywhere(manifest_path, db, tmp_path)
+        # A compaction rewrites the manifest without the ladder.
+        graph = random_connected_graph(np.random.default_rng(3), 5)
+        mutable.insert(graph, np.zeros(db.num_features))
+        assert mutable.compact()["rebuilt_shards"]
+        mutable.close()
+        body = json.loads(manifest_path.read_text())["manifest"]
+        assert "ladder" not in body
+        assert verify_deployment(manifest_path)["ok"]
+
+
+def test_thresholds_are_accepted_and_ignored(db, tmp_path):
+    """``thresholds=`` changes no stored byte but ``build_seconds``, on a
+    single index and on a bundle."""
+    from repro.index.pivec import ThresholdLadder
+    from tests.test_fanout import bundle_fingerprint
+
+    ladder = ThresholdLadder([2.0, 4.0, 8.0])
+    arrays = []
+    for name, extra in (("plain", {}), ("laddered", {"thresholds": ladder})):
+        path = tmp_path / f"{name}.npz"
+        save_index(
+            NBIndex.build(db, StarDistance(), seed=7, **BUILD, **extra), path
+        )
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            arrays.append({
+                key: data[key].tobytes()
+                for key in set(data.files) - {"build_seconds"}
+            })
+    assert arrays[0] == arrays[1]
+    assert bundle_fingerprint(build_shards(
+        db, StarDistance(), num_shards=3, out_dir=tmp_path / "plain",
+        seed=7, **BUILD,
+    )) == bundle_fingerprint(build_shards(
+        db, StarDistance(), num_shards=3, out_dir=tmp_path / "laddered",
+        seed=7, thresholds=ladder, **BUILD,
+    ))
+
+
 def _tampered_bundle(db, bundle_dir, tmp_path, *, crc: bool):
     """A copy of ``bundle_dir`` whose shard 1 stores its first member's
     first coordinate 0.5 off, in an intact container; ``crc`` records the
@@ -427,7 +536,7 @@ def _tampered_bundle(db, bundle_dir, tmp_path, *, crc: bool):
     coords[0, 0] += 0.5
     save_index(NBIndex.from_coords(
         db.subset([int(i) for i in members]), StarDistance(),
-        manifest.frame, coords, thresholds=LADDER,
+        manifest.frame, coords,
     ), tmp_path / "shard-001.npz")
     if crc:
         entries = list(manifest.shards)
@@ -463,8 +572,7 @@ def _legacy_bundle(db, out_dir, num_shards=3, seed=7):
         ))
     body = ShardManifest(
         num_shards=num_shards, num_graphs=len(db), partitioner="hash",
-        seed=seed, ladder=tuple(LADDER.values),
-        assignments=partition.assignments,
+        seed=seed, assignments=partition.assignments,
         database_checksum=database_checksum(db), shards=tuple(entries),
         frame=(), build={"num_vantage_points": 6, "branching": 4},
     )._body() | {"schema": "repro.shard-manifest/v1", "frame": None}
@@ -734,7 +842,7 @@ class TestReload:
         members = manifest.members(0)
         rebuilt = NBIndex.from_coords(
             db.subset([int(i) for i in members]), StarDistance(),
-            manifest.frame, first.frame.coords[members], thresholds=LADDER,
+            manifest.frame, first.frame.coords[members],
         )
         rebuilt.build_seconds = 99.0
         save_index(rebuilt, tmp_path / "shard-000.npz")

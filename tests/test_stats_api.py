@@ -23,6 +23,8 @@ from repro.replica.remote import RemoteFrontier
 from repro.replica.router import ReplicaRouter
 from repro.replica.supervisor import Supervisor
 from repro.service import QueryRequest, ServiceConfig
+from repro.shard.build import write_shard
+from repro.shard.manifest import ShardManifest
 from repro.shard.partition import ClusteringPartitioner, HashPartitioner
 from tests.conftest import random_database
 
@@ -103,6 +105,8 @@ _REMOVED_KEYWORDS = [
     (QuerySession.query, "epsilon"), (FilterCascade, "epsilon"),
     (QueryStats, "epsilon"), (QueryStats, "approximate"),
     (RemoteFrontier, "epsilon"), (QueryRequest, "epsilon"),
+    (NBIndex, "ladder"), (NBIndex.from_coords, "thresholds"),
+    (write_shard, "ladder"), (ShardManifest, "ladder"),
 ]
 
 
@@ -122,6 +126,35 @@ class TestRemovedKeywords:
     def test_facade_forwards_rng_to_a_build_that_refuses_it(self, db):
         with pytest.raises(TypeError, match="unexpected keyword argument 'rng'"):
             repro.TopKRepresentativeQuery(db, rng=3).index
+
+
+class TestRemovedNames:
+    """An index is its vantage frame: no threshold ladder to read, swap,
+    derive or report."""
+
+    def test_no_ladder_on_any_index(self, db, index, tmp_path):
+        from repro.delta import MutableIndex
+        from repro.shard import ShardedIndex, build_shards
+
+        sharded = ShardedIndex.load(build_shards(
+            db, StarDistance(), num_shards=2, out_dir=tmp_path,
+            num_vantage_points=4,
+        ), db, StarDistance())
+        for holder in (index, sharded, NBIndex, ShardedIndex, MutableIndex,
+                       ReplicatedIndex):
+            assert not hasattr(holder, "ladder"), holder
+            assert not hasattr(holder, "set_ladder"), holder
+        for stats in (index.stats(), sharded.stats()):
+            assert "ladder_thresholds" not in stats
+
+    def test_no_ladder_helpers(self):
+        import repro.datasets
+        import repro.index
+        import repro.index.pivec
+
+        assert not hasattr(repro.index, "ladder_from_query_log")
+        assert not hasattr(repro.index.pivec, "ladder_from_query_log")
+        assert not hasattr(repro.datasets, "ladder_for")
 
 
 class TestKeywordOnlySignatures:

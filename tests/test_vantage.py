@@ -139,75 +139,56 @@ class TestCandidates:
             VantageEmbedding(db.graphs, [], StarDistance())
 
 
-class TestTheBuildStoresOnlyTheLadder:
+class TestTheBuildStoresNothing:
     """The n·|V| vantage block is the index, not pair-cache entries: after
-    a build the engine's pair table holds what the threshold ladder
-    sampled and no other pair with a vantage endpoint, and a vantage
-    row's bounds are its coordinate column exactly — a query never needs
-    such a pair from the cache."""
+    a build the engine's pair table is empty, and a vantage row's bounds
+    are its coordinate column exactly — a query never needs such a pair
+    from the cache."""
 
     @staticmethod
-    def _spy_on_ladder(monkeypatch, module) -> list:
-        """Record the engine each ladder sample ran on, and its table's
-        keys just after the sample."""
-        seen = []
-        real = module.choose_thresholds
-
-        def spy(graphs, engine, *args, **kwargs):
-            ladder = real(graphs, engine, *args, **kwargs)
-            seen.append((engine, set(engine._cache.items()[0].tolist())))
-            return ladder
-
-        monkeypatch.setattr(module, "choose_thresholds", spy)
-        return seen
-
-    @staticmethod
-    def _check(seen, database, vantage, embedding):
-        from repro.engine.paircache import key_halves
-
-        (engine, sampled), = seen
-        halves = {database.graphs[v].graph_id for v in vantage}
-        stored = set(engine._cache.items()[0].tolist())
-        with_vantage = {
-            key for key in stored if halves.intersection(key_halves(key))
-        }
-        assert with_vantage  # the ladder did draw some
-        assert with_vantage <= sampled
-        assert len(stored) <= 1000  # the ladder's num_pairs
-        everyone = np.arange(len(database))
+    def _check(engine, embedding):
+        assert len(engine._cache) == 0
+        vantage = embedding.vantage_indices
+        everyone = np.arange(len(embedding))
         for column, v in enumerate(vantage):
             row = embedding.coords[v]
             want = embedding.coords[:, column].tolist()
             assert embedding.lower_bounds_to(row, everyone).tolist() == want
             assert embedding.upper_bounds_to(row, everyone).tolist() == want
 
-    def test_nbindex_build(self, monkeypatch):
+    def test_nbindex_build(self):
         from repro import NBIndex
         from repro.datasets import GENERATORS
-        from repro.index import nbindex
 
-        seen = self._spy_on_ladder(monkeypatch, nbindex)
         database = GENERATORS["dud"](num_graphs=300, seed=11)
         index = NBIndex.build(
             database, StarDistance(), seed=11, num_vantage_points=8
         )
-        assert seen[0][0] is index.engine
-        self._check(
-            seen, database, index.embedding.vantage_indices, index.embedding
-        )
+        self._check(index.engine, index.embedding)
 
     def test_build_shards(self, monkeypatch, tmp_path):
+        """The bundle's build engine is the one the partitioner and the
+        frame's embedding share."""
         from repro import build_shards
         from repro.datasets import GENERATORS
-        from repro.shard import ShardedIndex, build
+        from repro.index.vantage import VantageEmbedding
+        from repro.shard import ShardedIndex
 
-        seen = self._spy_on_ladder(monkeypatch, build)
+        engines = []
+        real = VantageEmbedding.__init__
+
+        def spy(self, graphs, vantage, engine, *args, **kwargs):
+            engines.append(engine)
+            real(self, graphs, vantage, engine, *args, **kwargs)
+
+        monkeypatch.setattr(VantageEmbedding, "__init__", spy)
         database = GENERATORS["dud"](num_graphs=300, seed=12)
         manifest = build_shards(
             database, StarDistance(), num_shards=2, out_dir=tmp_path,
             seed=12, num_vantage_points=8,
         )
+        monkeypatch.undo()
         index = ShardedIndex.load(manifest, database, StarDistance()).index
-        self._check(
-            seen, database, index.embedding.vantage_indices, index.embedding
-        )
+        (engine,) = engines
+        assert engine is not index.engine
+        self._check(engine, index.embedding)

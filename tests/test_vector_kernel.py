@@ -27,6 +27,7 @@ from repro.metricspace import (
     metric_space_database,
     vector_database,
 )
+from tests.conftest import rungs
 from tests.test_fanout import bundle_fingerprint
 
 EXPONENTS = (1.0, 1.5, 2.0, 3.0, float("inf"))
@@ -185,7 +186,7 @@ def test_sharded_build_and_queries_match_the_serial_metric(tmp_path):
                 seed=11, num_vantage_points=6,
             )
         sharded = ShardedIndex.load(manifest, database, metric)
-        theta = sharded.ladder.values[3]
+        theta = rungs(database.graphs, distance, seed=11)[3]
         result = sharded.query(query_fn, theta, 8)
         runs[name] = (
             bundle_fingerprint(manifest),

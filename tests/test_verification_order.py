@@ -40,14 +40,12 @@ from repro.ged.bounds import assignment_lower_bound
 from repro.index import save_index
 from repro.index.frontier import IndexFrontier
 from repro.index.nbindex import NBIndex
-from repro.index.pivec import ThresholdLadder
 from repro.metricspace import vector_database
 from repro.shard import ShardedIndex, build_shards
 from tests.coordinated import cold
 from tests.conftest import random_database
 
-LADDER = ThresholdLadder([2.0, 4.0, 6.0])
-BUILD = dict(num_vantage_points=4, thresholds=LADDER)
+BUILD = dict(num_vantage_points=4)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +81,7 @@ def vector_shapes(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("order-vec")
     points = np.random.default_rng(45).normal(size=(80, 3))
     database, distance = vector_database(points)
-    build = dict(num_vantage_points=4, thresholds=ThresholdLadder([0.5, 1.0]))
+    build = dict(num_vantage_points=4)
     manifest = build_shards(
         database, distance, num_shards=4, out_dir=tmp, seed=0, **build
     )
