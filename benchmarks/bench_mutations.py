@@ -117,9 +117,7 @@ def mutation_benchmark(
                 base_index = NBIndex.build(
                     live, distance, seed=seed, **BUILD
                 )
-                mutable = MutableIndex(
-                    live, base_index, distance=distance, seed=seed
-                )
+                mutable = MutableIndex(live, base_index, distance=distance)
             else:
                 manifest_path = build_shards(
                     live, distance, num_shards=4,
@@ -128,7 +126,7 @@ def mutation_benchmark(
                 base_index = ShardedIndex.load(manifest_path, live, distance)
                 mutable = MutableIndex(
                     live, base_index, distance=distance,
-                    manifest_path=manifest_path, seed=seed,
+                    manifest_path=manifest_path,
                 )
             base_build_s = time.perf_counter() - build_started
 

@@ -126,6 +126,10 @@ def open_index(
         file next to itself and verifies its crc32 before replay; pass
         ``database`` as a **path** in that case — the journal decides
         which file actually loads.
+    ``seed``
+        Accepted and ignored: a compaction grows the base's vantage frame
+        and draws nothing (callers written when a single-index compaction
+        re-drew its vantage points still pass it).
     """
     from pathlib import Path as _Path
 
@@ -224,5 +228,4 @@ def open_index(
         journal=replayed,
         manifest_path=path if sharded else None,
         index_path=None if sharded else path,
-        seed=seed,
     )

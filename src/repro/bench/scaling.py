@@ -446,7 +446,7 @@ def ablation_bounds(
             # the session's per-θ column cache before the first query.
             state = index._member_state(session)
             state._pi_hat_columns[ctx.theta] = np.full(
-                state.relevant_local.size, state.relevant_local.size
+                state.relevant_global.size, state.relevant_global.size
             )
         result, seconds = timed_call(lambda: session.query(ctx.theta, k))
         rows.append({

@@ -17,9 +17,8 @@ special case: the canonical (max gain, min id) rule merges indexed and
 un-indexed candidates bit-identically to a from-scratch build over the
 mutated database.
 
-Id discipline: everything here is *global* ids through the *global*
-engine — delta graphs exist only in the live database, never in a
-shard's renumbered sub-database.
+Everything here goes through the mutation layer's engine over the live
+database: delta graphs exist only there, past every stored frame row.
 """
 
 from __future__ import annotations

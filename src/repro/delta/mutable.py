@@ -24,15 +24,14 @@ The LSM shape, specialized to the NB-Index:
   sharded base only the shards whose member sets changed are rebuilt —
   unchanged shards keep their artifacts and byte checksums (the
   hot-reload reuse, extended from "rebuild offline" to "compact
-  online") — and the new base is one index over the grown frame.  The
-  bundle keeps its vantage frame: a memtable
-  graph's frame row, computed the first time a query needed it, is
-  handed to the rebuilt shard instead of being measured again (a
-  tombstoned vantage graph is still a valid origin); only the full
-  rebuild of a single-index base draws a new one.  The new manifest's
-  atomic rename is the commit point; any failure before it rolls back
-  with the old generation still serving (and the old manifest still on
-  disk).
+  online") — and the new base is one index over the grown frame.  Every
+  base keeps its vantage frame: a memtable graph's frame row, computed
+  the first time a query needed it, is stored instead of being measured
+  again (a tombstoned vantage graph is still a valid origin), and a
+  single-index base is rewritten as one more grown frame.  The new
+  manifest's (or index file's) atomic rename is the commit point; any
+  failure before it rolls back with the old generation still serving
+  (and the old files still on disk).
 
 Answer invariant (the acceptance gate): after any mutation sequence,
 with or without interleaved compactions, ``query()`` is bit-identical —
@@ -64,7 +63,7 @@ from repro.index.nbindex import (
     check_query_kwargs,
 )
 from repro.index.persistence import save_index
-from repro.index.vantage import VantageFrame
+from repro.index.vantage import VantageEmbedding
 from repro.resilience import faults
 from repro.resilience.atomicio import unwrap_checksummed
 from repro.resilience.deadline import unbudgeted
@@ -93,7 +92,6 @@ class MutableIndex:
         journal: MutationJournal | None = None,
         manifest_path: str | Path | None = None,
         index_path: str | Path | None = None,
-        seed: int = 0,
     ):
         from repro.engine import DistanceEngine
 
@@ -105,17 +103,16 @@ class MutableIndex:
             Path(manifest_path) if manifest_path is not None else None
         )
         self.index_path = Path(index_path) if index_path is not None else None
-        self.seed = int(seed)
         self.latch = ReadWriteLatch()
         self.generation = 0
         self.compactions = 0
         self.compaction_failures = 0
+        #: The base index's embedding, its vantage frame; memtable graphs
+        #: get their rows here on first use, once per process.
+        self.frame = base.frame if hasattr(base, "manifest") else base.embedding
         #: Graphs with ids below this are covered by the base index;
         #: everything at or above is memtable, scanned exactly.
-        self.indexed_count = self._base_count(base)
-        #: The base's vantage frame; memtable graphs get their rows here
-        #: on first use, once per process.
-        self.frame = self._frame_of(base)
+        self.indexed_count = len(self.frame)
         require(
             self.indexed_count <= len(database),
             f"base covers {self.indexed_count} graphs but the database "
@@ -127,21 +124,6 @@ class MutableIndex:
         # reachable.  The base index's engine measures its members
         # against each other; this one every distance to a memtable graph.
         self.engine = DistanceEngine(distance, graphs=database.graphs)
-
-    @staticmethod
-    def _base_count(base) -> int:
-        if hasattr(base, "manifest"):
-            return int(base.manifest.num_graphs)
-        return len(base.database)
-
-    @staticmethod
-    def _frame_of(base) -> VantageFrame:
-        if hasattr(base, "frame"):
-            return base.frame
-        # One index over identity ids: its embedding is the frame.
-        return VantageFrame(
-            base.embedding.vantage_indices, base.embedding.coords
-        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -249,8 +231,6 @@ class MutableIndex:
     def _memtable_gauges(self) -> None:
         if obs.enabled():
             obs.gauge("delta.memtable_size", self.memtable_size)
-            obs.gauge("delta.tombstones", self.tombstones)
-            obs.gauge("delta.generation", self.generation)
 
     # ------------------------------------------------------------------
     # Queries (read latch for the whole query)
@@ -275,7 +255,7 @@ class MutableIndex:
         run.span.set(memtable=int(delta_rel.size))
         base_frontier = ShardFrontier(
             self.base._member_state(session), run.theta, run.stats,
-            run.runtime, global_engine=self.engine, frame=self.frame,
+            run.runtime, global_engine=self.engine,
         )
         delta_frontier = ExactFrontier(
             delta_rel, session.universe, self.engine, run.theta, run.stats,
@@ -325,13 +305,24 @@ class MutableIndex:
                 generation=self.generation + 1,
             ):
                 faults.maybe_slow("delta.compact")
+                # The frame survives: every absorbed graph's row is
+                # computed at most once per process (a query may already
+                # have), then stored.
+                old = self.frame
+                frame = VantageEmbedding.from_coords(
+                    old.vantage_indices,
+                    np.vstack([old.coords, *(
+                        old.row(g, self.engine) for g in range(len(old), n1)
+                    )]),
+                    old.extra,
+                )
                 if hasattr(base, "manifest"):
                     new_base, report = self._compact_sharded(
-                        base, snapshot, n1
+                        base, snapshot, frame
                     )
                 else:
                     new_base, report = self._compact_single(
-                        base, snapshot, n1
+                        base, snapshot, frame
                     )
         except Exception as error:
             self.compaction_failures += 1
@@ -344,15 +335,14 @@ class MutableIndex:
             ) from error
         with self.latch.write():
             self.base = new_base
-            self.frame = self._frame_of(new_base)
+            self.frame = frame
             # Rows the new base stores need no second copy (no query is
             # reading the old generation's frame under the write latch).
             for gid in range(self.indexed_count, n1):
-                self.frame.extra.pop(gid, None)
+                frame.extra.pop(gid, None)
             self.indexed_count = n1
             self.generation += 1
             self.compactions += 1
-        obs.counter("delta.compactions")
         obs.observe_time(
             "delta.compact_seconds", time.perf_counter() - started
         )
@@ -363,15 +353,12 @@ class MutableIndex:
         )
         return report
 
-    def _compact_single(self, base: NBIndex, snapshot, n1: int):
-        """Full rebuild — a single NBIndex has exactly one 'shard'."""
-        new_index = NBIndex.build(
-            snapshot,
-            self.distance,
-            num_vantage_points=min(
-                base.embedding.num_vantage_points, len(snapshot)
-            ),
-            seed=np.random.default_rng(self.seed),
+    def _compact_single(self, base: NBIndex, snapshot, frame):
+        """A single NBIndex has exactly one 'shard': the grown frame over
+        the snapshot, written as one index file."""
+        new_index = NBIndex(
+            snapshot, self.distance, embedding=frame,
+            build_seconds=base.build_seconds,
         )
         if self.index_path is not None:
             # Stage → verify → atomic rename, so a torn write can never
@@ -387,7 +374,7 @@ class MutableIndex:
             faults.maybe_abort_stage("delta.compact.commit")
         return new_index, {"rebuilt_shards": [0], "reused_shards": 0}
 
-    def _compact_sharded(self, base, snapshot, n1: int):
+    def _compact_sharded(self, base, snapshot, frame):
         """Rebuild only the shards whose member sets changed.
 
         Existing graphs keep their shard; memtable graphs are routed by
@@ -403,7 +390,7 @@ class MutableIndex:
         from repro.shard.sharded import ShardedIndex
 
         manifest = base.manifest
-        n0 = manifest.num_graphs
+        n0, n1 = manifest.num_graphs, len(frame)
         num_shards = manifest.num_shards
         generation = self.generation + 1
         manifest_path = self.manifest_path or base.path
@@ -426,13 +413,6 @@ class MutableIndex:
         ])
         changed = sorted({int(a) for a in assignments[n0:]})
 
-        # The frame survives: every absorbed graph's row is computed at
-        # most once per process (a query may already have), then stored.
-        old_frame = base.frame
-        frame = VantageFrame(old_frame.vantage_ids, np.vstack([
-            old_frame.coords,
-            *(old_frame.row(g, self.engine) for g in range(n0, n1)),
-        ]), old_frame.extra)
         entries: list[ShardEntry] = []
         for shard_id in range(num_shards):
             members = np.flatnonzero(assignments == shard_id)
@@ -442,9 +422,7 @@ class MutableIndex:
             artifact = out_dir / (
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
-            raw = write_shard(
-                artifact, snapshot, self.distance, frame, members
-            )
+            raw = write_shard(artifact, frame, members)
             obs.counter("delta.shard_rebuilds")
             # Verify before the manifest references it: a torn artifact
             # write must fail the compaction, not the next load.
@@ -471,7 +449,7 @@ class MutableIndex:
                 "generation": generation,
                 "compacted": True,
             },
-            frame=tuple(frame.vantage_ids),
+            frame=tuple(frame.vantage_indices),
         )
         new_manifest.save(manifest_path)  # atomic rename = commit point
 

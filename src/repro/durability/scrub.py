@@ -308,10 +308,7 @@ def _rebuild_shard(index, manifest_path: Path, shard_id: int, latch) -> str:
     manifest = index.manifest
     artifact = manifest.artifact_path(shard_id, manifest_path.parent)
     staging = artifact.with_name(artifact.name + ".scrub-heal")
-    raw = write_shard(
-        staging, index.database, index.distance, index.frame,
-        manifest.members(shard_id),
-    )
+    raw = write_shard(staging, index.frame, manifest.members(shard_id))
     unwrap_checksummed(raw, source=str(staging))
     os.replace(staging, artifact)
     new_manifest = dataclasses.replace(manifest, shards=tuple(

@@ -2,7 +2,6 @@
 
 from repro.index.vantage import (
     VantageEmbedding,
-    VantageFrame,
     select_vantage_points,
 )
 from repro.index.fpr import (
@@ -28,7 +27,6 @@ __all__ = [
     "IndexFormatError",
     "DatabaseMismatchError",
     "VantageEmbedding",
-    "VantageFrame",
     "select_vantage_points",
     "fpr_upper_bound_gaussian",
     "fpr_uniform",

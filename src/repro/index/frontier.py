@@ -22,9 +22,8 @@ towards a later gain, and a frontier may leave them out.
 
 Three implementations: :class:`IndexFrontier` here (one index's
 relevant members; a plain ``NBIndex`` or a sharded bundle queries one of
-these over the identity id map, and
-:class:`~repro.shard.frontier.ShardFrontier` adds seeing graphs that live
-elsewhere through the bundle's vantage frame, for a mutable base; a
+these, and :class:`~repro.shard.frontier.ShardFrontier` adds seeing
+memtable graphs through the index's vantage frame, for a mutable base; a
 replica worker serves its whole bundle through one too),
 :class:`~repro.delta.frontier.ExactFrontier` (the un-indexed memtable,
 scanned exactly) and :class:`~repro.replica.remote.RemoteFrontier` (a
@@ -45,11 +44,11 @@ re-counted by one popcount when it is visited.  The paper's Theorem 6–8
 update walk is not run: measured, it cost more exact calls than it saved
 on every workload (``docs/theory.md``, §7).
 
-Id discipline (load-bearing): the index's own engine and embedding speak
-*local* ids, positions in the database it was built over (a shard
-artifact loaded over its sub-database renumbers 0..n_s−1); everything
-that crosses an index boundary uses *global* ids.  Mixing the two in one engine
-would alias different graphs onto the same pair-cache key.
+One id space: every index, frontier and engine speaks the database's own
+graph ids.  An index's embedding row ``g`` is graph ``g``, and a
+frontier's members are a subset of those rows; only a graph past the
+embedding's rows (a memtable graph) is measured through another engine,
+the mutation layer's, over the live database.
 """
 
 from __future__ import annotations
@@ -130,39 +129,23 @@ class Frontier(Protocol):
 class MemberState:
     """θ-independent state of one index's members for one relevance function.
 
-    Id maps, the index's relevant members (ascending global ids, which is
-    also the (gain, min-id) tie-break order) and, per θ, the π̂ column the
-    round search starts from.  A session builds it once per index —
-    lazily, inside its first ``query()`` — and every (θ, k) refinement
-    opens a fresh :class:`IndexFrontier` over it.
+    The relevant members a frontier owns (ascending graph ids, which is
+    also the (gain, min-id) tie-break order, all rows of ``index``'s
+    embedding) and, per θ, the π̂ column the round search starts from.  A
+    session builds it once per index — lazily, inside its first
+    ``query()`` — and every (θ, k) refinement opens a fresh
+    :class:`IndexFrontier` over it.
     """
 
-    def __init__(
-        self,
-        index,
-        global_ids: np.ndarray,
-        relevant_global: np.ndarray,
-        universe: BitsetUniverse,
-    ):
+    def __init__(self, index, members: np.ndarray, universe: BitsetUniverse):
         self.index = index
-        #: local id → global id, as plain ints (scalar lookups dominate).
-        self.global_ids = [int(g) for g in global_ids]
         self.universe = universe
-        self.g2l = {g: i for i, g in enumerate(self.global_ids)}
-
-        # Relevant graphs of this index, aligned local/global, ascending.
-        rel = [
-            g for g in np.asarray(relevant_global).tolist() if g in self.g2l
-        ]
-        self.relevant_global = np.asarray(rel, dtype=np.int64)
-        self.relevant_local = np.asarray(
-            [self.g2l[g] for g in rel], dtype=np.int64
-        )
-        #: Global ids as plain ints, aligned with ``relevant_local``.
-        self.relevant_list = rel
-        self._rank = {g: p for p, g in enumerate(rel)}
-        #: Bit positions (in the universe) of the relevant members,
-        #: aligned with ``relevant_local``, and the same as one bitset.
+        self.relevant_global = np.asarray(members, dtype=np.int64)
+        #: The members as plain ints (scalar lookups dominate).
+        self.relevant_list = self.relevant_global.tolist()
+        self._rank = {g: p for p, g in enumerate(self.relevant_list)}
+        #: Bit positions (in the universe) of the relevant members, and
+        #: the same as one bitset.
         self.rel_positions = universe.positions_of(self.relevant_global)
         self.member_bits = universe.encode_positions(self.rel_positions)
         self._pi_hat_columns: dict[float, np.ndarray] = {}
@@ -170,10 +153,10 @@ class MemberState:
     def pi_hat_column(self, theta: float) -> np.ndarray:
         """π̂ counts at θ — ``|N̂_{θ+ε}|`` among the relevant members,
         the vantage window count (Theorem 5) — aligned with
-        ``relevant_local``; one Chebyshev pass per θ, cached."""
+        ``relevant_global``; one Chebyshev pass per θ, cached."""
         column = self._pi_hat_columns.get(theta)
         if column is None:
-            members = self.relevant_local
+            members = self.relevant_global
             if members.size:
                 column = self.index.embedding.candidate_counts(
                     members, [theta + SLACK], members
@@ -378,9 +361,9 @@ class IndexFrontier:
         unverified)`` as the partial state, picked up — minus whatever got
         covered meanwhile — on the next visit.
 
-        ``gid`` may live elsewhere: the window is then taken from its row
-        of the bundle's frame and verified through the global engine
-        (:meth:`_lens`); ``min_useful`` is what the coordinator still needs
+        ``gid`` may live elsewhere — another frontier's member, or a
+        memtable graph, whose row and engine :meth:`_lens` picks;
+        ``min_useful`` is what the coordinator still needs
         from this frontier.
 
         Membership is always ``d(gid, c) ≤ θ + SLACK``, so the union over
@@ -417,13 +400,8 @@ class IndexFrontier:
 
     def _lens(self, gid: int):
         """How this frontier measures against ``gid``: ``(vantage row,
-        engine, gid's id and the members' ids in that engine's id space)``
-        — the index's own engine and local ids for a member."""
-        local = self.state.g2l[gid]
-        return (
-            self.index.embedding.coords[local], self.index.engine, local,
-            self.state.relevant_local,
-        )
+        engine)`` — the stored row and the index's own engine."""
+        return self.index.embedding.coords[gid], self.index.engine
 
     def _window(self, gid: int) -> tuple[np.ndarray, np.ndarray]:
         """``(hits, unverified)`` ranks of ``gid`` as of this round.
@@ -450,8 +428,8 @@ class IndexFrontier:
             return ranks, ranks  # nothing left here
         state = self.state
         embedding = self.index.embedding
-        row, engine, source, member_ids = self._lens(gid)
-        ids = state.relevant_local[ranks]
+        row, engine = self._lens(gid)
+        ids = state.relevant_global[ranks]
         cutoff = self.theta + SLACK
         obs.counter(BLOCK_EVALS)
         inside = embedding.lower_bounds_to(row, ids) <= cutoff
@@ -463,9 +441,7 @@ class IndexFrontier:
             hit |= ranks == own
         undecided = ~hit
         if undecided.any():
-            known = engine.cached_verdicts(
-                source, member_ids[ranks[undecided]], cutoff
-            )
+            known = engine.cached_verdicts(gid, ids[undecided], cutoff)
             hit[undecided] = known > 0
             undecided[undecided] = known == 0
         return ranks[hit], ranks[undecided]
@@ -475,18 +451,18 @@ class IndexFrontier:
 
         The score is free at this point: descending ``lo + hi + 2·gap`` —
         the vantage sandwich plus the engine's
-        :meth:`~repro.engine.DistanceEngine.profile_gap`, taken in the
-        lens's id space — or descending ``lo`` where the engine has no gap
+        :meth:`~repro.engine.DistanceEngine.profile_gap`, taken through
+        the lens's engine — or descending ``lo`` where the engine has no gap
         (no attached graph has an edge: a vector database, where the
         midpoint ranked worse); ties in rank order.  Each pair's score is fixed, so ranking what a parked
         window still holds gives the order ranking it whole would have
         left; the window stays ranked (:attr:`_ordered`) while parked."""
         self._ordered.add(gid)
-        row, engine, source, member_ids = self._lens(gid)
+        row, engine = self._lens(gid)
         embedding = self.index.embedding
-        ids = self.state.relevant_local[unverified]
+        ids = self.state.relevant_global[unverified]
         score = embedding.lower_bounds_to(row, ids)
-        gap = engine.profile_gap(source, member_ids[unverified])
+        gap = engine.profile_gap(gid, ids)
         if gap is not None:
             score = score + embedding.upper_bounds_to(row, ids) + 2.0 * gap
         return unverified[np.lexsort((unverified, -score))]
@@ -505,10 +481,10 @@ class IndexFrontier:
 
     def _within(self, gid: int, ranks: np.ndarray) -> np.ndarray:
         """Exact ``d(gid, member) ≤ θ + SLACK`` verdicts for window members."""
-        _, engine, source, member_ids = self._lens(gid)
+        _, engine = self._lens(gid)
         # The window already ran the vantage sandwich at this threshold:
         # `prefiltered` skips the step, which would decide nothing.
         return engine.within(
-            source, member_ids[ranks], self.theta, runtime=self.runtime,
-            prefiltered=True,
+            gid, self.state.relevant_global[ranks], self.theta,
+            runtime=self.runtime, prefiltered=True,
         )

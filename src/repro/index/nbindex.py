@@ -148,34 +148,6 @@ class NBIndex:
             database, engine, embedding=embedding, build_seconds=build_seconds
         )
 
-    @classmethod
-    def from_coords(
-        cls,
-        database: GraphDatabase,
-        distance: GraphDistanceFn,
-        vantage_indices,
-        coords: np.ndarray,
-    ) -> "NBIndex":
-        """An index over vantage coordinates that already exist, at no
-        distance cost — ``coords`` are rows of a bundle's one
-        :class:`~repro.index.vantage.VantageFrame` and ``vantage_indices``
-        the frame's global ids: all of them for the index a loaded bundle
-        serves (:class:`~repro.shard.ShardedIndex`), one shard's members'
-        for the artifact :func:`~repro.shard.build.write_shard` saves.  The
-        embedding is :attr:`~repro.index.vantage.VantageEmbedding.framed`,
-        so the index refuses the in-place :meth:`insert`, and it gets an
-        engine of its own over ``database``'s ids."""
-        started = time.perf_counter()
-        engine = DistanceEngine(distance, graphs=database.graphs)
-        embedding = VantageEmbedding.from_coords(
-            database.graphs, vantage_indices, engine, coords
-        )
-        embedding.framed = True
-        return cls(
-            database, engine, embedding=embedding,
-            build_seconds=time.perf_counter() - started,
-        )
-
     def stats(self) -> dict:
         """Statable protocol: one plain dict covering the whole index,
         nesting the engine's accounting."""
@@ -232,12 +204,12 @@ class NBIndex:
         return self.engine.calls
 
     def _member_state(self, session: "QuerySession") -> MemberState:
-        """The session's state for this index's members: the graphs its
-        embedding covers, identity ids (a mutable deployment's live
-        database grows past them)."""
+        """The session's state for this index's members: the relevant
+        graphs its embedding covers (a mutable deployment's live database
+        grows past them)."""
+        relevant = session.relevant
         return session.cached(0, lambda: MemberState(
-            self, np.arange(len(self.embedding)), session.relevant,
-            session.universe,
+            self, relevant[relevant < len(self.embedding)], session.universe,
         ))
 
     def _run_query(self, run: "QueryRun"):
@@ -273,14 +245,10 @@ class NBIndex:
         distances) — the whole of the index's per-graph state.  Open
         sessions are invalidated — start a new session after inserting.
         """
-        if self.embedding.framed:
-            # Its vantage graphs live in the bundle's frame, not here.
-            raise ReadOnlyIndexError("insert", "NBIndex (a bundle's shard)")
         new_id = self.database.append(graph, feature_row)
-        graph = self.database[new_id]
         # A stored coordinate must be exact.
         with unbudgeted():
-            self.embedding.append_graph(graph)
+            self.embedding.append(new_id, self.engine)
         return new_id
 
     def __repr__(self) -> str:

@@ -15,7 +15,9 @@ edit distances are then needed only to verify the candidates.
 :class:`VantageEmbedding` holds the precomputed ``(n, |V|)`` coordinate
 matrix — the paper's Vantage Orderings, stored column-sorted so candidate
 generation can seed from a binary-searched window on the first vantage
-point before refining with the rest.
+point before refining with the rest.  It is the one vantage frame of
+every deployment: a single index's, a sharded bundle's (whose shard files
+store its rows) and a mutable index's (which keeps its memtable rows).
 """
 
 from __future__ import annotations
@@ -76,26 +78,35 @@ def select_vantage_points(
 
 
 class VantageEmbedding:
-    """Precomputed vantage orderings over a graph collection.
+    """The vantage frame: every indexed graph's coordinates against one
+    fixed vantage set, row ``g`` for graph id ``g``.
+
+    Theorem 4 holds for any *fixed* vantage set — nothing requires the
+    vantage graphs to be members of the index whose bounds they give — so
+    a bundle's shards all store rows of this one frame, and a graph's
+    coordinates are the same row wherever it is looked at from.  The
+    embedding holds no graph list and no engine: whoever measures a new
+    row hands in the engine whose ids it speaks.
+
+    Graphs past the stored rows (a mutable index's memtable) get their row
+    on first use (:meth:`row`) — ``|V|`` exact distances, once per
+    process — and keep it in ``extra`` until a compaction stores it.  A
+    row a query's deadline degraded holds upper bounds: that query uses
+    it, ``extra`` never keeps it.  Ids are append-only and deletes are
+    soft, so a tombstoned vantage graph stays a valid origin.
 
     Parameters
     ----------
     graphs:
         The database graphs, in id order.
     vantage_indices:
-        Indices of the chosen vantage points within ``graphs``.
+        Ids of the chosen vantage points within ``graphs``.
     distance:
         The underlying metric, or a :class:`~repro.engine.DistanceEngine`
         over it; ``|V| · n`` distances at construction, one batch per
         vantage column (:meth:`~repro.engine.DistanceEngine.columns`, which
         spreads the columns over the usable CPUs).
     """
-
-    #: True when ``vantage_indices`` name graphs of a bundle's
-    #: :class:`VantageFrame` (global ids) instead of positions in
-    #: ``graphs`` — a shard of a bundle.  Such coordinates are only read:
-    #: :meth:`embed` and :meth:`append_graph` refuse.
-    framed = False
 
     def __init__(
         self,
@@ -104,10 +115,9 @@ class VantageEmbedding:
         distance: GraphDistanceFn,
     ):
         require(len(vantage_indices) > 0, "at least one vantage point required")
-        self._graphs = graphs
-        self._engine = DistanceEngine.of(distance, graphs)
-        self.vantage_indices = list(int(i) for i in vantage_indices)
-        self._set_coords(self._engine.columns(
+        self.vantage_indices = [int(i) for i in vantage_indices]
+        self.extra: dict[int, np.ndarray] = {}
+        self._set_coords(DistanceEngine.of(distance, graphs).columns(
             [graphs[vp] for vp in self.vantage_indices], graphs
         ))
 
@@ -122,25 +132,23 @@ class VantageEmbedding:
     @classmethod
     def from_coords(
         cls,
-        graphs: Sequence[LabeledGraph],
         vantage_indices: Sequence[int],
-        distance: GraphDistanceFn,
         coords: np.ndarray,
+        extra: dict[int, np.ndarray] | None = None,
     ) -> "VantageEmbedding":
-        """Rehydrate an embedding from a precomputed coordinate matrix
-        (index load, a shard's rows of its bundle's frame) — no distances
-        are evaluated."""
+        """An embedding over stored rows (index load, a bundle's frame,
+        a compaction's grown frame) — no distances are evaluated, and a
+        float64 ``coords`` is held, not copied."""
         require(len(vantage_indices) > 0, "at least one vantage point required")
-        coords = np.array(coords, dtype=float)
+        coords = np.asarray(coords, dtype=float)
         require(
-            coords.shape == (len(graphs), len(vantage_indices)),
+            coords.ndim == 2 and coords.shape[1] == len(vantage_indices),
             f"coords shape {coords.shape} does not match "
-            f"({len(graphs)}, {len(vantage_indices)})",
+            f"{len(vantage_indices)} vantage points",
         )
         embedding = cls.__new__(cls)
-        embedding._graphs = graphs
-        embedding._engine = DistanceEngine.of(distance, graphs)
         embedding.vantage_indices = [int(i) for i in vantage_indices]
+        embedding.extra = {} if extra is None else extra
         embedding._set_coords(coords)
         return embedding
 
@@ -151,22 +159,35 @@ class VantageEmbedding:
     def __len__(self) -> int:
         return self.coords.shape[0]
 
+    def __contains__(self, gid: int) -> bool:
+        return gid < self.coords.shape[0] or gid in self.extra
+
     # ------------------------------------------------------------------
-    # Embedding external graphs (inserts, ad-hoc queries)
+    # Rows past the stored ones (memtable graphs, inserts)
     # ------------------------------------------------------------------
-    def embed(self, g: LabeledGraph) -> np.ndarray:
-        """Vantage coordinates of an arbitrary graph (``|V|`` distances)."""
-        require(
-            not self.framed,
-            "a framed embedding's vantage graphs are not among its graphs: "
-            "read coordinates from the bundle's VantageFrame",
-        )
-        return np.asarray(
-            self._engine.one_to_many(
-                g, [self._graphs[vp] for vp in self.vantage_indices]
-            ),
-            dtype=float,
-        )
+    def row(self, gid: int, engine) -> np.ndarray:
+        """Coordinates of graph ``gid``; a graph past the stored rows is
+        measured through ``engine`` (whose ids include ``gid`` and the
+        vantage graphs) on first use and kept in :attr:`extra`."""
+        if gid < self.coords.shape[0]:
+            return self.coords[gid]
+        row = self.extra.get(gid)
+        if row is None:
+            mark = degradation_mark()
+            row = np.asarray(
+                engine.one_to_many(gid, self.vantage_indices), dtype=float
+            )
+            if degradation_mark() == mark:
+                self.extra[gid] = row
+        return row
+
+    def append(self, gid: int, engine) -> None:
+        """Store graph ``gid``'s row as the next one (``gid`` must be
+        ``len(self)``) and add it to the orderings: the in-place insert."""
+        require(gid == len(self), f"graph {gid} is not the next row {len(self)}")
+        row = self.row(gid, engine)
+        self.extra.pop(gid, None)
+        self._set_coords(np.vstack([self.coords, row]))
 
     # ------------------------------------------------------------------
     # Bounds (Theorem 4 and its dual)
@@ -257,68 +278,9 @@ class VantageEmbedding:
                 ).sum(axis=1)
         return counts
 
-    def append_graph(self, g: LabeledGraph) -> int:
-        """Embed one more graph (``|V|`` distances) and add it to the
-        orderings; returns its row index.  Supports incremental inserts."""
-        self._set_coords(np.vstack([self.coords, self.embed(g)]))
-        return self.coords.shape[0] - 1
-
     def __repr__(self) -> str:
         return (
             f"<VantageEmbedding n={len(self)} "
-            f"|V|={self.num_vantage_points}>"
+            f"|V|={self.num_vantage_points} extra={len(self.extra)}>"
         )
 
-
-class VantageFrame:
-    """One vantage space for a whole bundle of indexes.
-
-    Theorem 4 holds for any *fixed* vantage set — nothing requires the
-    vantage graphs to be members of the index whose bounds they give — so
-    every shard of a bundle is embedded against the same graphs and a
-    graph's coordinates are the same row wherever it is looked at from.
-    ``coords[g]`` is that row for every indexed graph (global ids,
-    assembled from the shards' stored blocks): seeing a graph that lives
-    on another shard is an array slice.
-
-    Graphs the blocks do not cover yet (a mutable index's memtable) get
-    their row on first use — ``|V|`` exact distances through the caller's
-    global engine, once per process — and keep it in ``extra`` until a
-    compaction stores it in a shard.  A row a query's deadline degraded
-    holds upper bounds: that query uses it, ``extra`` never keeps it.  Ids
-    are append-only and deletes are soft, so a tombstoned vantage graph
-    stays a valid origin.
-    """
-
-    def __init__(
-        self,
-        vantage_ids: Sequence[int],
-        coords: np.ndarray,
-        extra: dict[int, np.ndarray] | None = None,
-    ):
-        self.vantage_ids = [int(v) for v in vantage_ids]
-        self.coords = coords
-        self.extra = {} if extra is None else extra
-
-    def __contains__(self, gid: int) -> bool:
-        return gid < self.coords.shape[0] or gid in self.extra
-
-    def row(self, gid: int, engine) -> np.ndarray:
-        """Frame coordinates of graph ``gid``."""
-        if gid < self.coords.shape[0]:
-            return self.coords[gid]
-        row = self.extra.get(gid)
-        if row is None:
-            mark = degradation_mark()
-            row = np.asarray(
-                engine.one_to_many(gid, self.vantage_ids), dtype=float
-            )
-            if degradation_mark() == mark:
-                self.extra[gid] = row
-        return row
-
-    def __repr__(self) -> str:
-        return (
-            f"<VantageFrame n={self.coords.shape[0]} "
-            f"|V|={len(self.vantage_ids)} extra={len(self.extra)}>"
-        )

@@ -98,8 +98,8 @@ class PayloadDistance:
     def _label_index(label) -> int | None:
         # Placeholder graphs carry their payload index in the node label
         # ("o<i>", see metric_space_database), which survives database
-        # subsetting; graph_id does not — a shard's sub-database renumbers
-        # ids 0..n_s-1, and resolving through it would alias payloads.
+        # subsetting; graph_id does not — a sub-database renumbers ids
+        # 0..n_s-1, and resolving through it would alias payloads.
         if isinstance(label, str) and label.startswith("o"):
             try:
                 return int(label[1:])

@@ -13,7 +13,7 @@ The value vocabulary is deliberately small and Prometheus-shaped:
 * **counter** — monotonically increasing total (``engine.evaluations``);
 * **gauge** — last-write-wins sample (``engine.cache_size``);
 * **timer** — an observation stream summarized as count/total/min/max,
-  recorded via ``with registry.timer("shard.build_one_seconds"): ...`` or
+  recorded via ``with registry.timer("service.reload_seconds"): ...`` or
   :meth:`MetricsRegistry.observe`;
 * **histogram** — counts over *explicit* bucket upper bounds, with an
   implicit overflow bucket (``engine.batch_size``).

@@ -207,12 +207,8 @@ class ShardWorker:
             if deadline_state is not None else None
         )
         frontier = ShardFrontier(
-            MemberState(
-                index, np.arange(len(index.embedding)), relevant,
-                BitsetUniverse(relevant),
-            ),
-            theta, QueryStats(), FilterCascade(),
-            global_engine=index.engine, frame=self.index.frame,
+            MemberState(index, relevant, BitsetUniverse(relevant)),
+            theta, QueryStats(), FilterCascade(), global_engine=index.engine,
         )
         self.sessions[sid] = _Session(frontier, deadline)
         self.sessions.move_to_end(sid)

@@ -1,16 +1,14 @@
 """Build a sharded NB-Index bundle: partition, embed once, manifest.
 
-Each shard is its members' rows of the bundle's vantage frame over the
-*sub-database* of its member graphs, persisted with the ordinary
-checksummed :func:`~repro.index.persistence.save_index` artifact — a
-shard file has the format of a single-index file and loads with the same
-code.
-
 The **vantage frame** is global: one vantage set (global ids, recorded in
 the manifest) is drawn for the whole bundle and every graph embedded
-against it once — Theorem 4 holds for any fixed vantage set, and loading
-the bundle reads the rows back into one
-:class:`~repro.index.vantage.VantageFrame`.
+against it once — Theorem 4 holds for any fixed vantage set.  Each shard
+file is storage, not an index: its members' rows of that frame and the
+frame's vantage ids, in the checksummed container
+(:func:`~repro.index.persistence.save_frame_rows`).  The manifest holds
+everything else — members, checksums, the database's checksum — and
+loading the bundle reads the rows back into one
+:class:`~repro.index.vantage.VantageEmbedding`.
 
 The bundle is a deterministic function of (database, distance, S,
 partitioner, seed).  :func:`write_shard` is the one way a shard artifact
@@ -28,13 +26,8 @@ import numpy as np
 
 from repro import obs
 from repro.graphs.database import GraphDatabase
-from repro.index.nbindex import NBIndex
-from repro.index.persistence import save_index
-from repro.index.vantage import (
-    VantageEmbedding,
-    VantageFrame,
-    select_vantage_points,
-)
+from repro.index.persistence import save_frame_rows
+from repro.index.vantage import VantageEmbedding, select_vantage_points
 from repro.resilience.deadline import unbudgeted
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
 from repro.shard.partition import get_partitioner
@@ -43,23 +36,14 @@ from repro.utils.validation import require
 MANIFEST_NAME = "manifest.json"
 
 
-def write_shard(
-    path: Path,
-    database: GraphDatabase,
-    distance,
-    frame: VantageFrame,
-    members,
-) -> bytes:
+def write_shard(path: Path, frame: VantageEmbedding, members) -> bytes:
     """Write the shard of ``members``' rows of the bundle's ``frame`` to
     ``path``; returns the bytes on disk, whose crc32 the manifest records.
     Build, compaction and the scrubber's heal all write shards here, so a
     rebuilt shard is the built one, and none of them reads the bytes back
     through the checksum container: a caller that must not commit a torn
     write verifies them itself."""
-    save_index(NBIndex.from_coords(
-        database.subset([int(i) for i in members]), distance,
-        frame.vantage_ids, frame.coords[members],
-    ), path)
+    save_frame_rows(path, frame.vantage_indices, frame.coords[members])
     return Path(path).read_bytes()
 
 
@@ -110,27 +94,19 @@ def build_shards(
                 database.graphs, min(num_vantage_points, len(database)),
                 rng=np.random.default_rng(frame_seed),
             )
-            embedding = VantageEmbedding(database.graphs, vantage, engine)
-            frame = VantageFrame(embedding.vantage_indices, embedding.coords)
+            frame = VantageEmbedding(database.graphs, vantage, engine)
         artifacts = [out_dir / f"shard-{s:03d}.npz" for s in range(num_shards)]
 
         def build_one(shard_id: int) -> tuple[float, int]:
-            """One shard's artifact and its crc32."""
+            """One shard's artifact: its write time and its crc32."""
             members = partition.members(shard_id)
-            with obs.span(
-                "shard.build_one", shard=shard_id, n=len(members)
-            ), obs.timer("shard.build_one_seconds"):
+            with obs.span("shard.build_one", shard=shard_id, n=len(members)):
                 shard_started = time.perf_counter()
-                raw = write_shard(
-                    artifacts[shard_id], database, distance, frame, members
-                )
-                seconds = time.perf_counter() - shard_started
-            obs.counter("shard.builds")
-            return seconds, zlib.crc32(raw)
+                raw = write_shard(artifacts[shard_id], frame, members)
+                return time.perf_counter() - shard_started, zlib.crc32(raw)
 
         # A shard write costs no distance: nothing left to fan out.
         built = [build_one(s) for s in range(num_shards)]
-        shard_build_seconds = [seconds for seconds, _ in built]
         entries = [
             ShardEntry(
                 shard_id=shard_id,
@@ -151,15 +127,14 @@ def build_shards(
             assignments=partition.assignments,
             database_checksum=database_checksum(database),
             shards=tuple(entries),
-            frame=tuple(frame.vantage_ids),
+            frame=tuple(frame.vantage_indices),
             build={
                 "num_vantage_points": num_vantage_points,
-                "shard_seconds": [round(s, 6) for s in shard_build_seconds],
+                "shard_seconds": [round(seconds, 6) for seconds, _ in built],
                 "total_seconds": round(time.perf_counter() - started, 6),
             },
         )
         manifest_path = out_dir / MANIFEST_NAME
         manifest.save(manifest_path)
         build_span.set(seconds=round(time.perf_counter() - started, 3))
-    obs.observe_time("shard.build_seconds", time.perf_counter() - started)
     return manifest_path

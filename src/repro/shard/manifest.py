@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.index.persistence import stored_embedding
-from repro.index.vantage import VantageFrame
+from repro.index.vantage import VantageEmbedding
 from repro.resilience.atomicio import atomic_write, unwrap_checksummed
 from repro.resilience.errors import CorruptIndexError
 from repro.shard.errors import ManifestError
@@ -75,8 +75,8 @@ class ShardManifest:
     build: dict = field(default_factory=dict)
 
     def members(self, shard_id: int) -> np.ndarray:
-        """Global graph ids of one shard, ascending — the local→global id
-        map (local id ``i`` is the ``i``-th smallest global id)."""
+        """Graph ids of one shard, ascending — the order its artifact
+        stores their frame rows in."""
         return np.flatnonzero(self.assignments == shard_id)
 
     def artifact_path(self, shard_id: int, base_dir: Path) -> Path:
@@ -162,7 +162,7 @@ class ShardManifest:
             and np.array_equal(previous.members(s), self.members(s))
         ]
 
-    def load_frame(self, base_dir: Path, previous=None) -> VantageFrame:
+    def load_frame(self, base_dir: Path, previous=None) -> VantageEmbedding:
         """The bundle's one frame, each artifact read once through
         :meth:`read_artifact` and passing :meth:`check_frame` — the loader
         of :class:`~repro.shard.sharded.ShardedIndex` and the replica
@@ -180,7 +180,7 @@ class ShardManifest:
             vantage, block = self.read_embedding(s, base_dir)
             self.check_frame(s, vantage, block)
             coords[members] = block
-        return VantageFrame(list(self.frame), coords)
+        return VantageEmbedding.from_coords(list(self.frame), coords)
 
     # ------------------------------------------------------------------
     # Serialization
@@ -265,7 +265,7 @@ class ShardManifest:
 
 def database_checksum(database) -> int:
     """crc32 over the database fingerprint — the wrong-database guard
-    (a replica worker also checks its shard's stored fingerprint)."""
+    every bundle open checks (shard files store no fingerprint)."""
     from repro.index.persistence import database_fingerprint
 
     return zlib.crc32(database_fingerprint(database).tobytes())

@@ -15,7 +15,7 @@ and so which files a compaction rewrites and a hot reload reads.  Queries
 never see it: a loaded bundle is one index over its vantage frame with
 one frontier, so answers and query work are the same for *any*
 assignment.  Every shard is guaranteed non-empty (an empty shard would
-produce an unloadable empty sub-database): empty slots steal the
+be an artifact with no rows): empty slots steal the
 smallest-id graph from the largest shard, deterministically.
 """
 

@@ -1,28 +1,29 @@
 """`ShardedIndex`: a shard bundle served as one NB-Index.
 
 A bundle's S artifacts are storage: each holds its members' rows of the
-bundle's one :class:`~repro.index.vantage.VantageFrame`.  Loading reads
-them into that frame (:meth:`ShardManifest.load_frame
+bundle's one vantage frame.  Loading reads them into that frame
+(:meth:`ShardManifest.load_frame
 <repro.shard.manifest.ShardManifest.load_frame>`) and builds one
-:class:`~repro.index.NBIndex` over the whole database from it — identity
-ids, no distance — so a query is the plain single-index path, the same
-bits for any S and partitioner with the work of one index.  S stays the
-on-disk layout (build, compaction, heal, backup), and each replica
-worker serves this same one index over the frame its cluster read; a hot
-reload (:meth:`ShardedIndex.load`'s ``previous``) reads only the
-artifacts whose checksum or members changed.
+:class:`~repro.index.NBIndex` over the whole database around it — the
+frame *is* the index's embedding, no distance — so a query is the plain
+single-index path, the same bits for any S and partitioner with the work
+of one index.  S stays the on-disk layout (build, compaction, heal,
+backup), and each replica worker serves this same one index over the
+frame its cluster read; a hot reload (:meth:`ShardedIndex.load`'s
+``previous``) reads only the artifacts whose checksum or members
+changed.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro import obs
 from repro.core.results import QueryResult
+from repro.engine import DistanceEngine
 from repro.graphs.database import GraphDatabase
 from repro.index.errors import ReadOnlyIndexError
 from repro.index.nbindex import NBIndex, QueryRun, check_query_kwargs
-from repro.index.vantage import VantageFrame
+from repro.index.vantage import VantageEmbedding
 from repro.resilience.errors import DatabaseMismatchError
 from repro.shard.coordinator import ShardedQuerySession
 from repro.shard.manifest import ShardManifest, database_checksum
@@ -38,19 +39,21 @@ class ShardedIndex:
         distance,
         *,
         manifest: ShardManifest,
-        frame: VantageFrame,
+        frame: VantageEmbedding,
         path: Path | None = None,
         reused_shards: int = 0,
     ):
         self.database = database
         self.distance = distance
         self.manifest = manifest
-        self.frame = frame
         self.path = path
         self.reused_shards = reused_shards
-        self.index = NBIndex.from_coords(
-            database, distance, frame.vantage_ids, frame.coords
+        self.index = NBIndex(
+            database, DistanceEngine(distance, graphs=database.graphs),
+            embedding=frame,
         )
+        #: The index's embedding: the bundle's one vantage frame.
+        self.frame = frame
         self.engine = self.index.engine
 
     # ------------------------------------------------------------------
@@ -86,9 +89,6 @@ class ShardedIndex:
         frame = previous.frame if reused == manifest.num_shards else (
             manifest.load_frame(manifest_path.parent, previous)
         )
-        obs.counter("shard.loads")
-        if reused:
-            obs.counter("shard.reused", reused)
         return cls(
             database, distance, manifest=manifest, frame=frame,
             path=manifest_path, reused_shards=reused,

@@ -5,61 +5,48 @@ frame, in process and in every replica worker; the multi-frontier loop of
 :func:`repro.index.coordinator.run_greedy` runs in production only beside
 a memtable (a mutable base and its un-indexed graphs).
 :class:`CoordinatedBundle` drives that loop over S frontiers, one
-:class:`~repro.shard.frontier.ShardFrontier` per shard artifact loaded
-over its sub-database, strangers seen through the bundle's frame and one
-global engine — S > 1 frontiers, each with many strangers, which a
-memtable rarely supplies.  Tests referee the coordinator's foreign tiers
-with it — answers, bounds, tie-breaks and tier accounting.
+:class:`~repro.shard.frontier.ShardFrontier` per shard: each owns its
+shard's members of the one loaded bundle index and sees every other graph
+as a stranger, through the same frame and engine — S > 1 frontiers, each
+with many strangers, which a memtable rarely supplies.  Tests referee
+the coordinator's foreign tiers with it — answers, bounds, tie-breaks and
+tier accounting.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
-from repro.engine import DistanceEngine
 from repro.index.frontier import MemberState
 from repro.index.nbindex import QuerySession
-from repro.index.persistence import load_index
-from repro.shard import build_shards
+from repro.shard import ShardedIndex, build_shards
 from repro.shard.frontier import ShardFrontier
-from repro.shard.manifest import ShardManifest
 
 
 class CoordinatedBundle:
-    """S per-shard NB-Indexes behind the ``QuerySession`` hooks."""
+    """S member subsets of one bundle index behind the ``QuerySession``
+    hooks."""
 
     _query_layer = "shard"
 
-    def __init__(self, database, distance, shards, members, frame):
-        self.database = database
-        #: Per-shard NB-Indexes over their sub-databases (local ids).
-        self.shards = list(shards)
-        #: Per-shard global ids, ascending (local id i is the i-th).
+    def __init__(self, index, members):
+        #: The bundle's one NB-Index over its frame.
+        self.index = index
+        self.database = index.database
+        self.engine = index.engine
+        #: Per-shard graph ids, ascending.
         self.members = [np.asarray(m, dtype=np.int64) for m in members]
-        self.frame = frame
-        self.engine = DistanceEngine(distance, graphs=database.graphs)
-        self.shard_of = np.empty(len(database), dtype=np.int64)
+        self.shard_of = np.empty(len(self.database), dtype=np.int64)
         for s, m in enumerate(self.members):
             self.shard_of[m] = s
 
     @classmethod
     def load(cls, manifest_path, database, distance) -> "CoordinatedBundle":
-        manifest_path = Path(manifest_path)
-        manifest = ShardManifest.load(manifest_path)
-        base = manifest_path.parent
-        members = [manifest.members(s) for s in range(manifest.num_shards)]
-        shards = [
-            load_index(
-                manifest.artifact_path(s, base),
-                database.subset([int(i) for i in m]), distance,
-                manifest.read_artifact(s, base),
-            )
-            for s, m in enumerate(members)
-        ]
+        bundle = ShardedIndex.load(manifest_path, database, distance)
+        manifest = bundle.manifest
         return cls(
-            database, distance, shards, members, manifest.load_frame(base)
+            bundle.index,
+            [manifest.members(s) for s in range(manifest.num_shards)],
         )
 
     @classmethod
@@ -76,23 +63,23 @@ class CoordinatedBundle:
         return self.session(query_fn).query(theta, k, **kwargs)
 
     def frontiers(self, session, theta, stats, runtime) -> list:
-        """One ShardFrontier per shard artifact; each shard's member state
-        is kept on the session across θ refinements."""
+        """One ShardFrontier per shard; each shard's relevant members are
+        kept on the session across θ refinements."""
         return [
             ShardFrontier(
                 session.cached(s, lambda s=s: MemberState(
-                    self.shards[s], self.members[s], session.relevant,
+                    self.index,
+                    np.intersect1d(session.relevant, self.members[s]),
                     session.universe,
                 )),
-                theta, stats, runtime,
-                global_engine=self.engine, frame=self.frame,
+                theta, stats, runtime, global_engine=self.engine,
             )
-            for s in range(len(self.shards))
+            for s in range(len(self.members))
         ]
 
     # -- QuerySession hooks ---------------------------------------------
     def _distance_calls(self) -> int:
-        return self.engine.calls + sum(s.engine.calls for s in self.shards)
+        return self.engine.calls
 
     def _run_query(self, run):
         frontiers = self.frontiers(
@@ -107,7 +94,6 @@ def cold(index) -> None:
     """Drop every in-process pair cache behind ``index``."""
     for engine in (
         getattr(index, "engine", None),
-        *(shard.engine for shard in getattr(index, "shards", ())),
         *(() if getattr(index, "base", None) is None else (index.base.engine,)),
     ):
         if engine is not None:

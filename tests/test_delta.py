@@ -64,7 +64,7 @@ def _make_mutable(tmp_path, num_shards: int, *, db_seed=71, size=24,
         path = tmp_path / "index.npz"
         save_index(index, path)
         mutable = MutableIndex(
-            live, index, distance=DIST, index_path=path, seed=0,
+            live, index, distance=DIST, index_path=path,
             journal=MutationJournal(tmp_path / "m.journal") if journal else None,
         )
     else:
@@ -75,7 +75,6 @@ def _make_mutable(tmp_path, num_shards: int, *, db_seed=71, size=24,
         base_index = ShardedIndex.load(manifest_path, live, DIST)
         mutable = MutableIndex(
             live, base_index, distance=DIST, manifest_path=manifest_path,
-            seed=0,
             journal=MutationJournal(tmp_path / "m.journal") if journal else None,
         )
     return mutable, db

@@ -446,7 +446,10 @@ def _vantage(db, engine):
     embedding = VantageEmbedding(db.graphs, [3, 11, 29], engine)
     outsider = random_database(seed=31, size=1)[0]
     outsider.graph_id = None
-    return embedding.coords.tolist(), embedding.embed(outsider).tolist()
+    # A memtable graph's row, measured through an engine over the grown
+    # graph list.
+    grown = DistanceEngine(engine.inner, graphs=[*db.graphs, outsider])
+    return embedding.coords.tolist(), embedding.row(len(db), grown).tolist()
 
 
 _REFEREED = {

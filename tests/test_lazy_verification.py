@@ -56,7 +56,7 @@ from repro.index import save_index
 from repro.index.frontier import FlatRoundSearch, IndexFrontier
 from repro.index.nbindex import NBIndex
 from repro.index.pivec import ThresholdLadder
-from repro.index.vantage import VantageEmbedding, VantageFrame
+from repro.index.vantage import VantageEmbedding
 from repro.metricspace import vector_database
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
@@ -81,24 +81,21 @@ class EagerFrontier(IndexFrontier):
         if cached is not None:
             return cached
         state, index = self.state, self.index
-        local = state.g2l[gid]
         window = index.embedding.candidates(
-            local, self.theta + SLACK, state.relevant_local
+            gid, self.theta + SLACK, state.relevant_global
         )
-        others = window[window != local]
+        others = window[window != gid]
         self.stats.candidates_generated += int(window.size)
         self.stats.candidate_verifications += int(others.size)
         # The window above applied only the lower bound: the filter runs
         # its whole vantage sandwich over it.
         mask = index.engine.within(
-            local, others, self.theta, runtime=self.runtime
+            gid, others, self.theta, runtime=self.runtime
         )
         members = others[mask].tolist()
         if others.size < window.size:
-            members.append(local)
-        result = self.universe.encode_ids(np.asarray(
-            [state.global_ids[c] for c in members], dtype=np.int64
-        ))
+            members.append(gid)
+        result = self.universe.encode_ids(np.asarray(members, dtype=np.int64))
         self._nbhd[gid] = result
         self.stats.exact_neighborhoods += 1
         return result
@@ -595,7 +592,7 @@ class AuditedShardFrontier(ShardFrontier):
         return bound
 
     def neighborhood_of(self, gid, min_useful=_NEG_INF, tie_gid=None):
-        if gid in self.state.g2l:
+        if gid in self.state._rank:
             return super().neighborhood_of(gid, min_useful, tie_gid)
         verified = self.stats.candidate_verifications
         part = super().neighborhood_of(gid, min_useful, tie_gid)
@@ -689,21 +686,14 @@ def test_a_resumed_foreign_window_ends_exact(dud_bundles):
 # Tie-break: the smaller id wins although a *foreign* frontier dropped it
 # ---------------------------------------------------------------------------
 def _hand_built_bundle(points, members_of):
-    """Worker-style frontiers over vector points with chosen shard
-    members, the bundle's frame the single vantage point 0."""
+    """Shard frontiers over vector points with chosen shard members, the
+    bundle's frame the single vantage point 0."""
     database, distance = vector_database(np.asarray(points))
-    frame = VantageEmbedding(database.graphs, [0], distance)
-    shards = [
-        NBIndex.from_coords(
-            database.subset(members), distance, [0], frame.coords[members],
-        )
-        for members in members_of
-    ]
-    bundle = CoordinatedBundle(
-        database, distance, shards, members_of,
-        VantageFrame([0], frame.coords),
+    index = NBIndex(
+        database, distance,
+        embedding=VantageEmbedding(database.graphs, [0], distance),
     )
-    return database, distance, bundle
+    return database, distance, CoordinatedBundle(index, members_of)
 
 
 def test_smaller_id_dropped_at_a_foreign_frontier_still_wins_the_tie(monkeypatch):

@@ -33,9 +33,11 @@ class TestPersistence:
         assert np.array_equal(loaded.embedding.coords, index.embedding.coords)
         assert loaded.embedding.vantage_indices == index.embedding.vantage_indices
         with np.load(io.BytesIO(read_checksummed(path))) as data:
-            assert int(data["format_version"][0]) == 5
-            assert not any(key.startswith("node_") for key in data.files)
-            assert "ladder" not in data.files
+            assert int(data["format_version"][0]) == 6
+            assert sorted(data.files) == [
+                "build_seconds", "coords", "fingerprint", "format_version",
+                "vantage_indices",
+            ]
 
     def test_loaded_index_answers_queries(self, tmp_path):
         db, dist, q, index = _build(seed=2)
@@ -80,7 +82,7 @@ class TestCoordinateStorage:
         path = tmp_path / "index.npz"
         save_index(index, path)
         stored, version = self._stored(path)
-        assert version == 5 and stored.dtype == np.uint8
+        assert version == 6 and stored.dtype == np.uint8
         loaded = load_index(path, db, dist).embedding.coords
         assert loaded.dtype == np.float64 and np.array_equal(loaded, coords)
         # A single coordinate past the dtype widens it; one fraction or one

@@ -34,7 +34,6 @@ from repro.index import frontier as frontier_module
 from repro.index import save_index
 from repro.index.frontier import Frontier, MemberState, RoundCursor
 from repro.index.nbindex import NBIndex, QuerySession
-from repro.index.vantage import VantageFrame
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
 from repro.resilience import Deadline
@@ -175,10 +174,8 @@ def _one_shard(index: NBIndex) -> ShardedIndex:
         shards=(ShardEntry(0, "unused.npz", 0, len(database)),),
         frame=tuple(index.embedding.vantage_indices),
     )
-    embedding = index.embedding
     return ShardedIndex(
-        database, StarDistance(), manifest=manifest,
-        frame=VantageFrame(embedding.vantage_indices, embedding.coords),
+        database, StarDistance(), manifest=manifest, frame=index.embedding,
     )
 
 
@@ -298,10 +295,11 @@ class TestFrontierProtocol:
         if request.param == "shard":
             yield ShardFrontier(
                 MemberState(
-                    bundle.shards[0], bundle.members[0], relevant, universe,
+                    bundle.index, np.intersect1d(relevant, bundle.members[0]),
+                    universe,
                 ),
                 self.THETA, QueryStats(), FilterCascade(),
-                global_engine=bundle.engine, frame=bundle.frame,
+                global_engine=bundle.engine,
             )
             return
         members = relevant[bundle.shard_of[relevant] == 0]

@@ -38,15 +38,16 @@ from repro.index import NBIndex, save_index
 from repro.durability import Scrubber, verify_deployment
 from repro.graphs.io import save_database
 from repro.index.coordinator import run_greedy
-from repro.index.errors import ReadOnlyIndexError
 from repro.index.persistence import load_index
-from repro.index.vantage import VantageFrame
+from repro.index.persistence import database_fingerprint, save_frame_rows
+from repro.index.vantage import VantageEmbedding
 from repro.replica import ReplicatedIndex
 from repro.resilience import Deadline
 from repro.resilience.atomicio import read_checksummed, write_checksummed
 from repro.resilience.errors import (
     CorruptIndexError,
     DatabaseMismatchError,
+    IndexFormatError,
     PersistenceError,
 )
 from repro.service import QueryRequest, QueryService, ServiceConfig
@@ -496,6 +497,108 @@ class TestFilesWrittenWithALadder:
         assert verify_deployment(manifest_path)["ok"]
 
 
+def _stored_version(artifact: Path) -> int:
+    with np.load(io.BytesIO(read_checksummed(artifact))) as data:
+        return int(data["format_version"][0])
+
+
+def _as_format_5(artifact: Path, members_db=None) -> int:
+    """Rewrite an artifact as builds wrote it at format 5: a single index
+    with a false ``framed`` flag, or — given its sub-database — a shard as
+    a stand-alone index over its members, with a true flag, their
+    fingerprint and a build time.  Returns the new file's crc32."""
+    with np.load(io.BytesIO(read_checksummed(artifact))) as data:
+        arrays = dict(data)
+    arrays.update(format_version=np.array([5]), framed=np.array([False]))
+    if members_db is not None:
+        arrays.update(
+            framed=np.array([True]),
+            fingerprint=database_fingerprint(members_db),
+            build_seconds=np.array([0.25]),
+        )
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    write_checksummed(artifact, buffer.getvalue())
+    return zlib.crc32(artifact.read_bytes())
+
+
+def _copy_bundle(bundle_dir: Path, out: Path) -> Path:
+    out.mkdir(parents=True, exist_ok=True)
+    for name in os.listdir(bundle_dir):
+        (out / name).write_bytes((bundle_dir / name).read_bytes())
+    return out / "manifest.json"
+
+
+class TestFormat5Files:
+    """Before format 6 a shard file was a stand-alone index over its
+    members' sub-database, flagged ``framed``, and a single index carried
+    the flag too: both still open everywhere, and a compaction rewrites
+    the shards it changes as format 6."""
+
+    def test_a_format_5_index(self, db, single_index, tmp_path):
+        path = tmp_path / "index.npz"
+        save_index(single_index, path)
+        _as_format_5(path)
+        TestFilesWrittenWithALadder._opens_everywhere(
+            path, db, tmp_path
+        ).close()
+
+    def test_a_format_5_bundle(self, db, bundle_dir, tmp_path):
+        manifest_path = _copy_bundle(bundle_dir, tmp_path / "bundle")
+        manifest = ShardManifest.load(manifest_path)
+        manifest = dataclasses.replace(manifest, shards=tuple(
+            dataclasses.replace(entry, checksum=_as_format_5(
+                manifest_path.parent / entry.path,
+                db.subset([int(i) for i in manifest.members(entry.shard_id)]),
+            ))
+            for entry in manifest.shards
+        ))
+        manifest.save(manifest_path)
+        mutable = TestFilesWrittenWithALadder._opens_everywhere(
+            manifest_path, db, tmp_path
+        )
+        graph = random_connected_graph(np.random.default_rng(3), 5)
+        mutable.insert(graph, np.zeros(db.num_features))
+        rebuilt = mutable.compact()["rebuilt_shards"]
+        mutable.close()
+        assert rebuilt
+        for entry in ShardManifest.load(manifest_path).shards:
+            assert _stored_version(manifest_path.parent / entry.path) == (
+                6 if entry.shard_id in rebuilt else 5
+            )
+        assert verify_deployment(manifest_path)["ok"]
+
+
+class TestAShardFileIsNotAnIndex:
+    """A shard file is its members' frame rows, which describe no
+    database on their own: every index loader refuses it, naming the
+    manifest to open instead — as written today and at format 5."""
+
+    @pytest.mark.parametrize("version", [5, 6])
+    def test_refused_by_every_index_loader(
+        self, db, bundle_dir, tmp_path, version,
+    ):
+        manifest_path = _copy_bundle(bundle_dir, tmp_path / "bundle")
+        members = ShardManifest.load(manifest_path).members(1)
+        sub = db.subset([int(i) for i in members])
+        path = manifest_path.parent / "shard-001.npz"
+        if version == 5:
+            _as_format_5(path, sub)
+        assert _stored_version(path) == version
+        with np.load(io.BytesIO(read_checksummed(path))) as data:
+            assert version == 5 or sorted(data.files) == [
+                "coords", "format_version", "vantage_indices",
+            ]
+        for open_shard in (
+            lambda: load_index(path, sub, StarDistance()),
+            lambda: repro.open_index(path, sub),
+            lambda: repro.open_index(path, sub, mutable=True),
+        ):
+            with pytest.raises(IndexFormatError, match="shard artifact") as info:
+                open_shard()
+            assert str(manifest_path) in str(info.value)
+
+
 def test_thresholds_are_accepted_and_ignored(db, tmp_path):
     """``thresholds=`` changes no stored byte but ``build_seconds``, on a
     single index and on a bundle."""
@@ -534,10 +637,7 @@ def _tampered_bundle(db, bundle_dir, tmp_path, *, crc: bool):
     members = manifest.members(1)
     coords = _load(bundle_dir, db).frame.coords[members]
     coords[0, 0] += 0.5
-    save_index(NBIndex.from_coords(
-        db.subset([int(i) for i in members]), StarDistance(),
-        manifest.frame, coords,
-    ), tmp_path / "shard-001.npz")
+    save_frame_rows(tmp_path / "shard-001.npz", manifest.frame, coords)
     if crc:
         entries = list(manifest.shards)
         entries[1] = dataclasses.replace(
@@ -608,7 +708,7 @@ class TestFrame:
     def test_every_shard_is_embedded_in_the_manifests_frame(self, db, bundle_dir):
         sharded = _load(bundle_dir, db)
         frame = sharded.manifest.frame
-        assert len(frame) == 6 and list(frame) == sharded.frame.vantage_ids
+        assert len(frame) == 6 and list(frame) == sharded.frame.vantage_indices
         star = StarDistance()
         want = np.array([[star(db[v], db[g]) for v in frame] for g in range(len(db))])
         assert np.array_equal(sharded.frame.coords, want)
@@ -624,22 +724,6 @@ class TestFrame:
         result = sharded.query(quartile_relevance(db), 6.0, 5)
         assert result.stats.coordinator["foreign_embeds"] == 0
         assert verify_deployment(bundle_dir)["ok"]
-
-    def test_a_shard_on_its_own_refuses_to_embed(self, db, bundle_dir):
-        """A shard artifact says that its vantage ids are the frame's:
-        loaded stand-alone it must not embed a new graph against whatever
-        members happen to carry those ids."""
-        manifest = ShardManifest.load(bundle_dir / "manifest.json")
-        sub = db.subset([int(i) for i in manifest.members(1)])
-        shard = load_index(bundle_dir / "shard-001.npz", sub, StarDistance())
-        assert shard.embedding.framed
-        with pytest.raises(ValueError, match="VantageFrame"):
-            shard.embedding.embed(db[0])
-        with pytest.raises(ReadOnlyIndexError, match="bundle's shard"):
-            shard.insert(db[0], db.features[0])
-        assert len(sub) == len(manifest.members(1))  # nothing was appended
-        plain = NBIndex.build(sub, StarDistance(), seed=1, **BUILD)
-        assert not plain.embedding.framed
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -660,7 +744,7 @@ class TestFrame:
             )
         star, coords = StarDistance(), sharded.frame.coords
         shard_of = sharded.manifest.assignments
-        home = shard_of[sharded.frame.vantage_ids]
+        home = shard_of[sharded.frame.vantage_indices]
         checked = 0
         for g in range(len(database)):
             foreign = np.flatnonzero(home != shard_of[g])
@@ -723,7 +807,7 @@ class TestFrame:
         )
         save_database(db, tmp_path / "db.jsonl")
         embeds = []
-        row = VantageFrame.row
+        row = VantageEmbedding.row
 
         def spying(self, gid, engine):
             before = engine.evaluations
@@ -732,7 +816,7 @@ class TestFrame:
                 embeds.append((gid, engine.evaluations - before))
             return out
 
-        monkeypatch.setattr(VantageFrame, "row", spying)
+        monkeypatch.setattr(VantageEmbedding, "row", spying)
 
         def open_mutable():
             return repro.open_index(
@@ -755,7 +839,7 @@ class TestFrame:
             return total
 
         mutable = open_mutable()
-        frame = list(mutable.frame.vantage_ids)
+        frame = list(mutable.frame.vantage_indices)
         assert frame == list(ShardManifest.load(manifest_path).frame)
         mutable.delete(frame[0])  # a tombstoned vantage graph stays an origin
         assert check(mutable) == 0
@@ -781,14 +865,14 @@ class TestFrame:
         # every absorbed graph exactly once, ≤ |V| distances each.
         assert sorted(gid for gid, _ in embeds) == new_ids
         assert all(calls <= len(frame) for _, calls in embeds)
-        assert list(mutable.frame.vantage_ids) == frame
+        assert list(mutable.frame.vantage_indices) == frame
         assert list(ShardManifest.load(manifest_path).frame) == frame
         assert verify_deployment(manifest_path)["ok"]
         assert check(mutable) == 0
         mutable.close()
         # Restart: the rows now come from the rebuilt shard's artifact.
         reopened = open_mutable()
-        assert list(reopened.frame.vantage_ids) == frame
+        assert list(reopened.frame.vantage_indices) == frame
         assert reopened.memtable_size == 0
         assert check(reopened) == 0
         late = reopened.insert(pool[23], relevant_row)
@@ -834,18 +918,14 @@ class TestReload:
         for name in os.listdir(bundle_dir):
             (tmp_path / name).write_bytes((bundle_dir / name).read_bytes())
         first = _load(tmp_path, db)
-        # Rewrite exactly one shard with *different* bytes (a changed
-        # build time, in the bundle's frame) and point the manifest at its
-        # new checksum: only that shard may reload, and answers must not
-        # move.
+        # Rewrite exactly one shard with *different* bytes (the same frame
+        # rows, written as format 5 wrote them) and point the manifest at
+        # its new checksum: only that shard may reload, and answers must
+        # not move.
         manifest = ShardManifest.load(tmp_path / "manifest.json")
-        members = manifest.members(0)
-        rebuilt = NBIndex.from_coords(
-            db.subset([int(i) for i in members]), StarDistance(),
-            manifest.frame, first.frame.coords[members],
-        )
-        rebuilt.build_seconds = 99.0
-        save_index(rebuilt, tmp_path / "shard-000.npz")
+        _as_format_5(tmp_path / "shard-000.npz", db.subset(
+            [int(i) for i in manifest.members(0)]
+        ))
         entries = list(manifest.shards)
         entries[0] = dataclasses.replace(
             entries[0],

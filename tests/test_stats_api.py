@@ -105,7 +105,7 @@ _REMOVED_KEYWORDS = [
     (QuerySession.query, "epsilon"), (FilterCascade, "epsilon"),
     (QueryStats, "epsilon"), (QueryStats, "approximate"),
     (RemoteFrontier, "epsilon"), (QueryRequest, "epsilon"),
-    (NBIndex, "ladder"), (NBIndex.from_coords, "thresholds"),
+    (NBIndex, "ladder"),
     (write_shard, "ladder"), (ShardManifest, "ladder"),
 ]
 
@@ -146,6 +146,23 @@ class TestRemovedNames:
             assert not hasattr(holder, "set_ladder"), holder
         for stats in (index.stats(), sharded.stats()):
             assert "ladder_thresholds" not in stats
+
+    def test_one_id_space_and_one_frame_class(self, db, index, tmp_path):
+        """Every index speaks the database's ids through one vantage
+        class: no local↔global id map, no second frame class, no flag
+        marking an embedding as a shard's."""
+        import repro.index
+        import repro.index.vantage
+        from repro.index.frontier import MemberState
+
+        assert not hasattr(repro.index, "VantageFrame")
+        assert not hasattr(repro.index.vantage, "VantageFrame")
+        assert not hasattr(NBIndex, "from_coords")
+        assert not hasattr(index.embedding, "framed")
+        state = index._member_state(index.session(quartile_relevance(db)))
+        assert isinstance(state, MemberState)
+        for name in ("g2l", "global_ids", "relevant_local"):
+            assert not hasattr(state, name), name
 
     def test_no_ladder_helpers(self):
         import repro.datasets

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine import DistanceEngine
 from repro.ged import StarDistance
 from repro.index import VantageEmbedding, select_vantage_points
 from tests.conftest import random_database
@@ -80,9 +81,17 @@ class TestBounds:
             assert ups[j] == pytest.approx(emb.upper_bound(3, j))
 
     def test_embed_external_graph_consistent(self):
+        """A graph past the stored rows is measured once through the
+        caller's engine; appending stores its row."""
         db, dist, emb = _setup()
-        coords = emb.embed(db[5])
-        assert np.allclose(coords, emb.coords[5])
+        engine = DistanceEngine(dist, graphs=[*db.graphs, db[5]])
+        assert 50 not in emb
+        assert np.array_equal(emb.row(50, engine), emb.coords[5])
+        assert 50 in emb and engine.evaluations == emb.num_vantage_points
+        emb.append(50, engine)
+        assert len(emb) == 51 and not emb.extra
+        assert np.array_equal(emb.coords[50], emb.coords[5])
+        assert engine.evaluations == emb.num_vantage_points
 
 
 class TestCandidates:

@@ -17,7 +17,7 @@ first, so:
   lower-bound order makes of it — nothing added or dropped;
 * the order is exactly descending ``lo`` on a vector metric, and
   descending ``lo + hi + 2·gap`` on the star metric, with the gap taken
-  in the lens's id space (a stranger's through the global engine);
+  through the lens's engine (a memtable graph's through the global one);
 * ranking a window only once a batch is a strict part of it verifies
   what ranking every window at once would;
 * the cold pass of the ``dud_inproc`` benchmark instance pays at most
@@ -160,14 +160,14 @@ def _rank_each(monkeypatch, shapes, theta):
 
 
 def _sandwich(frontier, gid, ranks):
-    """``(lo, hi, engine, source, member ids)`` of ``ranks`` in ``gid``'s
-    window, recomputed from its lens."""
-    row, engine, source, member_ids = frontier._lens(gid)
+    """``(lo, hi, engine, member ids)`` of ``ranks`` in ``gid``'s window,
+    recomputed from its lens."""
+    row, engine = frontier._lens(gid)
     embedding = frontier.index.embedding
-    ids = frontier.state.relevant_local[ranks]
+    ids = frontier.state.relevant_global[ranks]
     return (
         embedding.lower_bounds_to(row, ids), embedding.upper_bounds_to(row, ids),
-        engine, source, member_ids[ranks],
+        engine, ids,
     )
 
 
@@ -198,8 +198,8 @@ def test_a_vector_window_is_in_descending_lower_bound_order(
     for rankings in _rank_each(monkeypatch, shapes, 1.0).values():
         for frontier, gid, _, ranked, by_lower in rankings:
             assert np.array_equal(ranked, by_lower)
-            lower, _, engine, source, members = _sandwich(frontier, gid, ranked)
-            assert engine.profile_gap(source, members) is None
+            lower, _, engine, members = _sandwich(frontier, gid, ranked)
+            assert engine.profile_gap(gid, members) is None
             _assert_descending_then_by_rank(lower, ranked)
 
 
@@ -213,17 +213,15 @@ def test_a_star_window_ranks_by_the_midpoint_plus_the_profile_gap(
     strangers = 0
     for rankings in _rank_each(monkeypatch, shapes, 6.0).values():
         for frontier, gid, _, ranked, _ in rankings:
-            lower, upper, engine, source, members = _sandwich(
-                frontier, gid, ranked
-            )
+            lower, upper, engine, members = _sandwich(frontier, gid, ranked)
             graphs = engine.graphs
             gap = np.array([
-                assignment_lower_bound(graphs[source], graphs[m])
+                assignment_lower_bound(graphs[gid], graphs[m])
                 for m in members.tolist()
             ])
-            if gid not in frontier.state.g2l:
+            if gid >= len(frontier.index.embedding):
                 strangers += 1
-                assert engine is frontier.global_engine and source == gid
+                assert engine is frontier.global_engine
             _assert_descending_then_by_rank(lower + upper + 2 * gap, ranked)
     assert strangers > 0
 
