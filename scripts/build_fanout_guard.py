@@ -3,9 +3,10 @@
 
 Builds the dud n = 2 000, S = 2 bundle twice per round: *inline* (a second
 thread held alive, which is how ``repro.utils.fanout.fan_out`` keeps a serving
-process's builds in one process) and *fanned out* (forked children for the
-frame's vantage columns, ``DistanceEngine.columns`` — the one build step
-that fans out; writing a shard costs no distance).  With two or more
+process's builds in one process) and *fanned out* (the frame,
+``DistanceEngine.columns`` — the one build step that fans out; writing a
+shard costs no distance — dealt as one contiguous block of graphs per
+process, each measured against every vantage column).  With two or more
 usable CPUs it fails when the fanned-out build is not at least
 ``MIN_SPEEDUP`` times faster: ``ROUNDS`` builds of each shape, alternating,
 compared by their medians — a within-run ratio, not an absolute time.  A
@@ -14,6 +15,12 @@ either side; the best of each side did not, and read 0.94× at an
 unchanged commit on a 2-CPU box.  All the timings are printed.  That both
 shapes build the same bundle with the same counters is
 ``tests/test_fanout.py``'s job.
+
+On a 2-CPU x86 box the frame dealt by vantage column read 0.94×–1.55×
+over many runs (one below the bar), and 1.53×–1.63× in three runs
+interleaved with the three below: every process star-profiled all n
+graphs, so the profiling never split.  Dealt by target block, each
+process profiles only its block and the vantage graphs: 1.77×–1.90×.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/build_fanout_guard.py``.
 """
@@ -33,7 +40,7 @@ from repro.utils import fanout
 
 NUM_GRAPHS = 2000
 #: ``build_shards``' default vantage count: the frame is NUM_GRAPHS ×
-#: VANTAGE star distances, dealt out by column.
+#: VANTAGE star distances, dealt out by block of graphs.
 VANTAGE = 20
 SHARDS = 2
 SEED = 11
@@ -62,7 +69,7 @@ def build(database, out_dir: Path, inline: bool) -> float:
 
 def main() -> int:
     database = GENERATORS["dud"](num_graphs=NUM_GRAPHS, seed=SEED)
-    workers = fanout.workers(VANTAGE, NUM_GRAPHS * VANTAGE)
+    workers = fanout.workers(NUM_GRAPHS, NUM_GRAPHS * VANTAGE)
     timings: dict[str, list[float]] = {"inline": [], "fanned": []}
     with tempfile.TemporaryDirectory() as tmp:
         for round_ in range(ROUNDS):

@@ -49,9 +49,9 @@ def deep_bytes(graphs) -> int:
             stack.extend(obj.keys())
             stack.extend(obj.values())
         elif isinstance(obj, LabeledGraph):
-            stack.extend(
+            stack.extend(  # an unread digest is an empty slot
                 getattr(obj, slot) for slot in LabeledGraph.__slots__
-                if slot != "__weakref__"
+                if slot != "__weakref__" and hasattr(obj, slot)
             )
         elif not isinstance(obj, (str, int, array, type(None))):
             raise TypeError(f"no size rule for {type(obj).__name__}")

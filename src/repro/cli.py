@@ -151,6 +151,7 @@ def cmd_query(args) -> int:
     from repro.ged import StarDistance
     from repro.graphs import quartile_relevance
     from repro.index import NBIndex
+    from repro.resilience import PersistenceError
 
     if args.shards and (args.index or args.method == "greedy"):
         print("query: --shards conflicts with --index/--method greedy",
@@ -168,20 +169,28 @@ def cmd_query(args) -> int:
     # With a journal the database travels as a path — a checkpointed
     # journal (generation > 0) pins its own base file, and open_index
     # loads + verifies that instead of the original.
-    database = (
-        args.database if args.journal
-        else repro.open_database(args.database)
-    )
-    index = None
-    if args.shards or args.index:
-        index = repro.open_index(
-            args.shards or args.index, database, distance,
-            shards=bool(args.shards),
-            mutable=bool(args.journal), journal=args.journal or None,
-            seed=args.seed,
+    # A file that cannot be opened for this database (a shard file, a
+    # wrong-database or torn index) is one line on stderr, not a traceback.
+    try:
+        database = (
+            args.database if args.journal
+            else repro.open_database(args.database)
         )
-        if args.journal:
-            database = index.database
+        index = None
+        if args.shards or args.index:
+            index = repro.open_index(
+                args.shards or args.index, database, distance,
+                shards=bool(args.shards),
+                mutable=bool(args.journal), journal=args.journal or None,
+                seed=args.seed,
+            )
+            if args.journal:
+                database = index.database
+    except PersistenceError as error:
+        if observation is not None:
+            observation.__exit__(None, None, None)
+        print(f"query: {error}", file=sys.stderr)
+        return 2
 
     theta = args.theta
     if theta is None:

@@ -401,11 +401,7 @@ class MutableIndex:
         out_dir = Path(manifest_path).parent
 
         digests = np.array(
-            [
-                zlib.crc32(repr(snapshot[g].canonical_form()).encode())
-                for g in range(n0, n1)
-            ],
-            dtype=np.uint64,
+            [snapshot[g].digest for g in range(n0, n1)], dtype=np.uint64
         )
         assignments = np.concatenate([
             manifest.assignments,

@@ -15,7 +15,7 @@ metric, none of which changes a single output bit:
    :class:`~repro.metricspace.MinkowskiMetric`) evaluates a batch as one
    numpy block over its payload matrix.  Queries evaluate in the calling
    process; the build's vantage block (:meth:`columns`) is spread over
-   the usable CPUs.
+   the usable CPUs, one contiguous block of targets each.
 2. **Lipschitz prefiltering** — with a :class:`VantageEmbedding` attached,
    :meth:`within` answers threshold queries from the coordinate matrix
    first: candidates whose vantage lower bound exceeds θ are rejected and
@@ -58,7 +58,7 @@ from repro.engine.paircache import (
 from repro.ged.metric import SLACK, CountingDistance
 from repro.graphs.graph import LabeledGraph
 from repro.resilience.deadline import current_deadline, degradation_mark
-from repro.utils.fanout import fan_out
+from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
 
 
@@ -298,9 +298,12 @@ class DistanceEngine:
         booked as consecutive :meth:`one_to_many` calls book it but stored
         nowhere: the embedding holds it.  Each column reads the cache once;
         a pair met earlier in the block is a hit copied from its first
-        place.  The misses are evaluated by :func:`fan_out` unless a
+        place.  The misses are dealt by :func:`fan_out` as one contiguous
+        block of targets per process, each measured against every column,
+        so a process profiles only its block and the sources — unless a
         deadline is active (a child could not report its degradations) or
-        the metric is not :attr:`portable`."""
+        the metric is not :attr:`portable`, when one block is evaluated
+        here."""
         graphs = self._resolve_many(targets)
         sources = [self._resolve(ref) for ref in sources]
         out = np.empty((len(graphs), len(sources)))
@@ -342,18 +345,30 @@ class DistanceEngine:
             self.cache_hits += hits
         if hits:
             obs.counter("engine.cache_hits", hits)
-
-        def evaluate(job):
-            column, misses = job
-            return self._evaluate(sources[column], [graphs[p] for p in misses.tolist()])
-
-        if self.portable and current_deadline() is None:
-            values = fan_out(evaluate, todo, pairs)
-        else:
-            values = map(evaluate, todo)  # one column's values at a time
-        for (column, misses), column_values in zip(todo, values):
+        for _, misses in todo:  # booked as the loop of one_to_many books it
             self._book_batch(misses.size)
-            out[misses, column] = column_values
+
+        def evaluate(block):
+            """Fill every column's misses among the targets ``block``
+            spans, so its process profiles those targets and the sources
+            only; returns the block's rows (a child's copy goes home)."""
+            for column, misses in todo:
+                rows = misses[slice(*np.searchsorted(misses, block))]
+                out[rows, column] = self._evaluate(
+                    sources[column], [graphs[p] for p in rows.tolist()]
+                )
+            return out[slice(*block)]
+
+        # One contiguous block of targets per process, measured against
+        # every column; one block, evaluated here, when nothing may fork.
+        processes = (
+            workers(len(graphs), pairs)
+            if self.portable and current_deadline() is None else 1
+        )
+        cuts = [len(graphs) * share // processes for share in range(processes + 1)]
+        blocks = list(zip(cuts[:-1], cuts[1:]))
+        for block, rows in zip(blocks, fan_out(evaluate, blocks, pairs)):
+            out[slice(*block)] = rows  # a no-op for the block evaluated here
         for to, source in copies:  # in block order: each source is filled
             out[to] = out[source]
         return out

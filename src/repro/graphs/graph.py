@@ -13,6 +13,7 @@ edit-distance code address vertices by array index.
 
 from __future__ import annotations
 
+import zlib
 from array import array
 from collections import Counter
 from itertools import accumulate, chain
@@ -51,7 +52,11 @@ class LabeledGraph:
     # __weakref__ lets distance caches hold per-graph data without pinning
     # the graph (StarDistance keys star profiles by id(); a weak reference
     # is what makes stale entries evictable when ids are recycled).
-    __slots__ = ("_node_labels", "_csr", "_slot_labels", "graph_id", "__weakref__")
+    # ``_digest`` stays unset until :attr:`digest` is first read.
+    __slots__ = (
+        "_node_labels", "_csr", "_slot_labels", "graph_id", "_digest",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -264,6 +269,8 @@ class LabeledGraph:
         copy._csr = self._csr
         copy._slot_labels = self._slot_labels
         copy.graph_id = None if graph_id is None else index(graph_id)
+        if hasattr(self, "_digest"):
+            copy._digest = self._digest
         return copy
 
     # ------------------------------------------------------------------
@@ -278,6 +285,18 @@ class LabeledGraph:
         """
         edge_set = tuple(sorted(self.edges()))
         return (self._node_labels, edge_set)
+
+    @property
+    def digest(self) -> int:
+        """``crc32(repr(canonical_form()))``: the graph's entry in a
+        database fingerprint and its hash partition.  Computed on first
+        read and kept — the graph is immutable, and a :meth:`renumbered`
+        copy made after that read shares it."""
+        try:
+            return self._digest
+        except AttributeError:
+            self._digest = zlib.crc32(repr(self.canonical_form()).encode())
+            return self._digest
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):

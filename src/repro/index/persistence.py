@@ -38,7 +38,6 @@ storage (see :mod:`repro.graphs.io`); the index references them by id.
 from __future__ import annotations
 
 import io
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +57,13 @@ READABLE_VERSIONS = (3, 4, 5, 6)
 
 
 def database_fingerprint(database: GraphDatabase) -> np.ndarray:
-    """Stable per-graph digests (crc32 of the canonical form).
+    """Stable per-graph digests (:attr:`LabeledGraph.digest`, the crc32 of
+    the canonical form, computed once per graph).
 
     Used to verify at load time that the index belongs to the database it
     is being attached to.
     """
-    return np.array(
-        [zlib.crc32(repr(g.canonical_form()).encode()) for g in database],
-        dtype=np.uint32,
-    )
+    return np.array([g.digest for g in database], dtype=np.uint32)
 
 
 def _storage_coords(coords: np.ndarray) -> np.ndarray:

@@ -103,9 +103,9 @@ class VantageEmbedding:
         Ids of the chosen vantage points within ``graphs``.
     distance:
         The underlying metric, or a :class:`~repro.engine.DistanceEngine`
-        over it; ``|V| · n`` distances at construction, one batch per
-        vantage column (:meth:`~repro.engine.DistanceEngine.columns`, which
-        spreads the columns over the usable CPUs).
+        over it; ``|V| · n`` distances at construction
+        (:meth:`~repro.engine.DistanceEngine.columns`, which deals one
+        contiguous block of graphs to each usable CPU).
     """
 
     def __init__(

@@ -2,9 +2,10 @@
 
 Two strategies, both deterministic for a fixed (database, S, seed):
 
-* **hash** — crc32 of each graph's canonical form modulo S.  The digest is
-  the same one :func:`~repro.index.persistence.database_fingerprint` uses,
-  so the assignment is a pure function of graph *structure*: stable across
+* **hash** — each graph's :attr:`~repro.graphs.graph.LabeledGraph.digest`
+  (crc32 of its canonical form) modulo S.  The digest is the one
+  :func:`~repro.index.persistence.database_fingerprint` reads, so the
+  assignment is a pure function of graph *structure*: stable across
   processes, reorderings of equal databases, and Python hash randomization.
 * **clustering** — farthest-first traversal picks S pivot graphs, then
   every graph joins its nearest pivot's shard (ties to the lowest pivot),
@@ -21,7 +22,6 @@ smallest-id graph from the largest shard, deterministically.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +69,7 @@ def _ensure_nonempty(assignments: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 class HashPartitioner:
-    """Structure-hash assignment: ``crc32(canonical_form(g)) mod S``."""
+    """Structure-hash assignment: ``g.digest mod S``."""
 
     name = "hash"
 
@@ -81,10 +81,7 @@ class HashPartitioner:
         seed: int | None = None,
         distance=None,
     ) -> Partition:
-        digests = np.array(
-            [zlib.crc32(repr(g.canonical_form()).encode()) for g in database],
-            dtype=np.uint64,
-        )
+        digests = np.array([g.digest for g in database], dtype=np.uint64)
         assignments = (digests % np.uint64(num_shards)).astype(np.int64)
         assignments = _ensure_nonempty(assignments, num_shards)
         return Partition(assignments, num_shards, self.name, seed)

@@ -23,7 +23,7 @@ import threading
 
 #: Fewest evaluations a share must hold to repay its fork: twice the
 #: break-even of a dud bundle build on a 2-core x86 box, ~1 000 star pairs
-#: per vantage-column share (EXPERIMENTS.md, "The fan-out's verdict").
+#: per share of the vantage frame (EXPERIMENTS.md, "The fan-out's verdict").
 MIN_SHARE_PAIRS = 2_000
 
 

@@ -73,6 +73,54 @@ class TestIndexAndQuery:
         assert "pi(A) =" in capsys.readouterr().out
 
 
+class TestQueryLoadFailures:
+    """A file that cannot serve this database is one line on stderr and
+    exit code 2, never a traceback."""
+
+    @pytest.fixture
+    def index_path(self, db_path, tmp_path):
+        path = tmp_path / "index.npz"
+        assert main([
+            "build-index", str(db_path), "--output", str(path),
+            "--vantage-points", "5",
+        ]) == 0
+        return path
+
+    def _refused(self, capsys, db_path, index, match):
+        capsys.readouterr()
+        assert main([
+            "query", str(db_path), "--k", "3", "--theta", "8",
+            "--index", str(index),
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("query: ")
+        assert match in lines[0]
+
+    def test_a_shard_file_as_the_index(self, db_path, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        assert main([
+            "shard-build", str(db_path), "--output", str(bundle),
+            "--shards", "2", "--vantage-points", "5",
+        ]) == 0
+        self._refused(
+            capsys, db_path, bundle / "shard-000.npz", "a shard artifact"
+        )
+
+    def test_an_index_of_another_database(self, index_path, tmp_path, capsys):
+        other = tmp_path / "other.jsonl"
+        assert main([
+            "generate", "dud", "--num-graphs", "60", "--seed", "4",
+            "--output", str(other),
+        ]) == 0
+        self._refused(capsys, other, index_path, "fingerprint")
+
+    def test_a_truncated_index(self, db_path, index_path, capsys):
+        index_path.write_bytes(index_path.read_bytes()[:-40])
+        self._refused(capsys, db_path, index_path, str(index_path))
+
+
 @pytest.fixture
 def smoke_results(monkeypatch, tmp_path):
     """Run experiments at the smoke scale, writing tables under tmp."""

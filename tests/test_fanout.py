@@ -3,7 +3,7 @@
 ``repro.utils.fanout.fan_out`` deals work to one process per usable CPU when the
 shares are big enough to repay a fork, unless another thread is alive —
 the way a serving process compacting online keeps its builds inline — or a
-fault plan is installed.  ``DistanceEngine.spread`` lets only metrics with
+fault plan is installed.  ``DistanceEngine.portable`` lets only metrics with
 no state outside the engine leave the process.  The tests run each build in
 both shapes: *fanned* (forks counted, and required where the work may fork
 and the box has a CPU to spare) and *inline* (a second thread held alive,
@@ -159,6 +159,48 @@ def test_columns_book_what_a_loop_of_one_to_many_books(case, metric, mode):
         assert getattr(fanned, counter) == getattr(loop, counter), counter
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_columns_that_miss_different_targets_book_what_the_loop_books(mode):
+    """A warm cache leaves each column its own misses, on both sides of
+    the target blocks' boundary: every block still measures every column."""
+    sources = [_DB[i] for i in range(3, 200, 5)]  # 40 columns
+    rng = np.random.default_rng(11)
+    warmth = [
+        (source, rng.choice(200, size=40, replace=False).tolist())
+        for source in sources
+    ]
+
+    def engine():
+        made = DistanceEngine(StarDistance(), graphs=_DB.graphs)
+        for source, targets in warmth:
+            made.one_to_many(source, targets)
+        made.reset()
+        return made
+
+    loop, fanned = engine(), engine()
+    want = np.column_stack([loop.one_to_many(s, _DB.graphs) for s in sources])
+    assert loop.evaluations >= TWO_SHARES  # enough left to fan out
+    with process_shape(mode):
+        got = fanned.columns(sources, _DB.graphs)
+    assert got.tolist() == want.tolist()
+    for counter in ("evaluations", "cache_hits", "batches"):
+        assert getattr(fanned, counter) == getattr(loop, counter), counter
+
+
+@pytest.mark.skipif(not CAN_FORK, reason="needs a CPU to spare")
+def test_a_build_process_profiles_only_its_block_and_the_vantage_graphs():
+    """Two processes: the parent measures the first half of the targets
+    against every vantage column, so it profiles no graph beyond them."""
+    vantage = _WIDE["num_vantage_points"]
+    with process_shape("fanned") as forks:
+        index = NBIndex.build(
+            _DUD, StarDistance(), num_vantage_points=vantage, seed=5
+        )
+    assert len(forks) == 1
+    profiled = len(index.engine._evaluator._profiles)
+    assert vantage < profiled <= -(-len(_DUD) // 2) + vantage
+
+
 def test_a_column_block_under_a_deadline_never_leaves_the_process():
     """A child could not hand back the degradations its evaluations
     record, so under a deadline the block is a loop of one_to_many."""
@@ -193,7 +235,7 @@ def bundle_fingerprint(manifest_path) -> str:
     return digest.hexdigest()
 
 
-#: n · b ≥ two shares at the shard seam, n · |V| at the frame's columns.
+#: n · |V| ≥ two shares of the frame.
 _DUD = GENERATORS["dud"](num_graphs=260, seed=5)
 _WIDE = dict(num_vantage_points=20)
 
@@ -255,16 +297,24 @@ def test_a_torn_write_tears_exactly_one_shard(tmp_path):
     assert torn == [0]
 
 
-def _observed_build(mode) -> dict:
+def _observed_build(mode) -> tuple[dict, int]:
+    """The build's counters and how many processes measured its frame."""
     database = GENERATORS["dud"](num_graphs=200, seed=9)
-    with process_shape(mode), repro.observe() as run:
+    with process_shape(mode) as forks, repro.observe() as run:
         NBIndex.build(
             database, StarDistance(), seed=9, num_vantage_points=24,
         )
-        return run.registry.snapshot()["counters"]
+        return run.registry.snapshot()["counters"], 1 + len(forks)
 
 
 def test_counters_of_a_fanned_out_build_add_up_to_the_inline_build():
-    fanned, inline = _observed_build("fanned"), _observed_build("inline")
+    """Every counter adds up but the kernel's call count: each process
+    measures its target block against every column, one call a column."""
+    (fanned, processes), (inline, _) = (
+        _observed_build("fanned"), _observed_build("inline")
+    )
     assert fanned["ged.star.batch_pairs"] > 0
+    assert inline["ged.star.batch_calls"] == 24
+    assert fanned.pop("ged.star.batch_calls") == 24 * processes
+    inline.pop("ged.star.batch_calls")
     assert fanned == inline
