@@ -8,6 +8,10 @@ and asserts the LSM contract end to end:
 * the crashed compaction rolls back: old generation serving, failure
   reported exactly once, the on-disk artifact untouched;
 * a clean retry absorbs the memtable and bumps the generation;
+* a restart while the caller keeps the closed handle: the stale
+  handle's mutations, compaction and checkpoint raise
+  ``IndexClosedError`` and leave the journal's bytes alone, and the
+  reopened handle's acknowledged mutations survive a second restart;
 * the journal makes it durable: a fresh ``repro query --journal`` CLI
   process replays base-file + journal and answers **byte-for-byte**
   identically to a from-scratch rebuild over the saved mutated database
@@ -45,9 +49,10 @@ def run_cli(*args) -> subprocess.CompletedProcess:
 def mutate_under_chaos(
     artifact: Path, base_path: Path, journal_path: Path, full_db,
     crash_stage: str, *, sharded: bool, failures: list[str],
-) -> None:
+):
     """The in-process half: mutate, crash one compaction, retry, mutate
-    again so the journal holds post-compaction records too."""
+    again so the journal holds post-compaction records too.  Returns the
+    closed index."""
     import repro
     from repro.delta import CompactionError
     from repro.resilience import faults
@@ -94,6 +99,54 @@ def mutate_under_chaos(
     if index.stats()["delta"]["journal_records"] != 8:
         failures.append("journal does not hold all eight mutation records")
     index.close()
+    return index
+
+
+def restart_drill(
+    stale, artifact: Path, base_path: Path, journal_path: Path, full_db,
+    *, sharded: bool, failures: list[str],
+) -> None:
+    """Restart while the caller still holds the closed handle: every write
+    through the stale handle refuses, typed, and touches no file; the
+    reopened handle's acknowledged mutations survive a second restart."""
+    import repro
+    from repro.index.errors import IndexClosedError
+
+    def reopen():
+        return repro.open_index(
+            artifact, base_path, mutable=True,
+            journal=journal_path, shards=sharded,
+        )
+
+    reopened = reopen()
+    reopened.insert(full_db[BASE_GRAPHS + 6], full_db.features[BASE_GRAPHS + 6])
+    reopened.delete(13)
+    acknowledged = (len(reopened.database), reopened.database.deleted)
+    journal_bytes = journal_path.read_bytes()
+    row = BASE_GRAPHS + 7
+    for name, call in {
+        "insert": lambda: stale.insert(full_db[row], full_db.features[row]),
+        "delete": lambda: stale.delete(5),
+        "update": lambda: stale.update(6, full_db[row], full_db.features[row]),
+        "compact": stale.compact,
+        "checkpoint": stale.checkpoint,
+    }.items():
+        try:
+            call()
+            failures.append(f"stale handle's {name} did not refuse")
+        except IndexClosedError:
+            pass
+    if journal_path.read_bytes() != journal_bytes:
+        failures.append("a stale handle changed the journal's bytes")
+    reopened.close()
+    restarted = reopen()
+    survived = (len(restarted.database), restarted.database.deleted)
+    restarted.close()
+    if survived != acknowledged:
+        failures.append(
+            f"acknowledged mutations lost across a restart: "
+            f"{survived} != {acknowledged}"
+        )
 
 
 def main() -> int:
@@ -133,8 +186,12 @@ def main() -> int:
         ]
         for name, artifact, sharded, crash_stage, cli_flags in layouts:
             journal = tmp / f"{name}.journal"
-            mutate_under_chaos(
+            stale = mutate_under_chaos(
                 artifact, base_path, journal, full_db, crash_stage,
+                sharded=sharded, failures=failures,
+            )
+            restart_drill(
+                stale, artifact, base_path, journal, full_db,
                 sharded=sharded, failures=failures,
             )
 
@@ -175,8 +232,9 @@ def main() -> int:
         for failure in failures:
             print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
         return 1
-    print("mutation smoke: OK (crash rollback + journal replay "
-          "byte-identical to rebuild, single and 4-shard)")
+    print("mutation smoke: OK (crash rollback + stale-handle restart "
+          "drill + journal replay byte-identical to rebuild, single and "
+          "4-shard)")
     return 0
 
 

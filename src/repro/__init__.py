@@ -35,7 +35,7 @@ from repro.graphs import (
     quartile_relevance,
 )
 from repro.index import NBIndex, QuerySession
-from repro.index.errors import ReadOnlyIndexError
+from repro.index.errors import IndexClosedError, ReadOnlyIndexError
 from repro.obs import Statable, observe
 from repro.resilience import BudgetExceeded, Deadline, deadline_scope
 
@@ -66,6 +66,7 @@ __all__ = [
     "open_database",
     "open_index",
     "ReadOnlyIndexError",
+    "IndexClosedError",
     "__version__",
 ]
 

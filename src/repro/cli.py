@@ -151,7 +151,6 @@ def cmd_query(args) -> int:
     from repro.ged import StarDistance
     from repro.graphs import quartile_relevance
     from repro.index import NBIndex
-    from repro.resilience import PersistenceError
 
     if args.shards and (args.index or args.method == "greedy"):
         print("query: --shards conflicts with --index/--method greedy",
@@ -168,9 +167,9 @@ def cmd_query(args) -> int:
     # thresholds and any calibrated theta must see the mutated content.
     # With a journal the database travels as a path — a checkpointed
     # journal (generation > 0) pins its own base file, and open_index
-    # loads + verifies that instead of the original.
-    # A file that cannot be opened for this database (a shard file, a
-    # wrong-database or torn index) is one line on stderr, not a traceback.
+    # loads + verifies that instead of the original.  A file that cannot
+    # be opened (a shard file, a wrong-database or torn index) reaches
+    # main()'s one-line report once observation is switched back off.
     try:
         database = (
             args.database if args.journal
@@ -186,11 +185,10 @@ def cmd_query(args) -> int:
             )
             if args.journal:
                 database = index.database
-    except PersistenceError as error:
+    except Exception:
         if observation is not None:
             observation.__exit__(None, None, None)
-        print(f"query: {error}", file=sys.stderr)
-        return 2
+        raise
 
     theta = args.theta
     if theta is None:
@@ -700,9 +698,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from repro.resilience import PersistenceError
+
     obs.maybe_enable_from_env()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, PersistenceError) as error:
+        # An input file that is missing, unreadable or not what it claims
+        # to be: one line, not a traceback.
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

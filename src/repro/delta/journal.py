@@ -14,13 +14,17 @@ point, so a crash at any moment leaves either the old generation or the
 new one, never a mix.
 
 Crash safety is the LSM rule: each append is one line, flushed and
-fsynced before the mutation is acknowledged.  On replay a torn *final*
+fsynced before the mutation is acknowledged — and before it is applied
+in memory, so an append that fails (cut back to the last committed line)
+leaves nothing to roll back.  On replay a torn *final*
 line (the crash-mid-append signature) is truncated away — byte-exactly,
 in binary mode — with a warning and an obs counter; a bad record anywhere
 *before* the tail means real corruption and raises
 :class:`~repro.delta.errors.JournalError`.  Recovery streams the file
 line by line, so reopening costs O(1) memory in the journal size beyond
-the decoded records themselves.
+the decoded records themselves, and replay drops those: an open journal
+holds a record count and its committed byte length, never parsed
+records (a checkpoint copies its carried tail back from the file).
 
 Line format (one JSON object per line)::
 
@@ -36,6 +40,7 @@ onto.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import warnings
@@ -207,8 +212,8 @@ class MutationJournal:
 
     Opening reads and validates every existing record (repairing a torn
     tail in place); :meth:`replay_into` then applies them to a freshly
-    loaded database.  Afterwards the journal stays open for appends —
-    every append is flushed and fsynced before it returns.
+    loaded database and lets them go.  Afterwards the journal stays open
+    for appends — every append is flushed and fsynced before it returns.
 
     A checkpointed journal (generation > 0) additionally pins its own
     base database file: :attr:`base_name` / :attr:`base_crc32` name the
@@ -218,7 +223,11 @@ class MutationJournal:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        #: Parsed records awaiting :meth:`replay_into`, which drops them:
+        #: afterwards the file is the only copy.
         self._records: list[dict] = []
+        #: Mutation records in the file (header excluded).
+        self.num_records = 0
         #: Torn final records truncated away on open — a nonzero value is
         #: the fingerprint of a crash mid-append (surfaced through
         #: ``MutableIndex.stats()["delta"]["journal_torn_tails"]``).
@@ -232,7 +241,10 @@ class MutationJournal:
         #: generation 0) — verified before the base is trusted.
         self.base_crc32: int | None = None
         self._load()
-        self._handle = self.path.open("a", encoding="utf-8")
+        #: Byte length of the file's committed lines — where the next
+        #: append starts, and where a failed one is cut back to.
+        self.end = self.path.stat().st_size
+        self._handle = self.path.open("ab")
 
     # ------------------------------------------------------------------
     # Open / recovery
@@ -315,12 +327,15 @@ class MutationJournal:
         if not records:
             raise JournalError(f"{self.path}: journal has no header record")
         self._records = records[1:]  # drop the header
+        self.num_records = len(self._records)
 
     def replay_into(self, database: GraphDatabase) -> dict:
         """Apply every journaled mutation to ``database`` (which must be
-        the freshly loaded base file).  Returns replay counts."""
+        the freshly loaded base file), then drop the parsed records — the
+        file keeps them.  Returns replay counts."""
         counts = {"inserts": 0, "deletes": 0, "updates": 0}
-        for record in self._records:
+        records, self._records = self._records, []
+        for record in records:
             op = record["op"]
             if op in ("insert", "update"):
                 graph = graph_from_dict(record["graph"])
@@ -349,13 +364,35 @@ class MutationJournal:
     # Appends (fsync before acknowledging)
     # ------------------------------------------------------------------
     def _append(self, record: dict) -> None:
-        self._handle.write(_encode(record) + "\n")
-        self._handle.flush()
-        faults.maybe_kill_at("durability.journal.append")
-        os.fsync(self._handle.fileno())
+        """Write, flush and fsync one record.  An append that fails with
+        an ``OSError`` (a full disk, an I/O error) leaves the file as it
+        was before it and re-raises: the mutation it journals is not
+        acknowledged, so it must not replay either."""
+        line = (_encode(record) + "\n").encode()
+        try:
+            self._handle.write(line)
+            self._handle.flush()
+            faults.maybe_kill_at("durability.journal.append")
+            os.fsync(self._handle.fileno())
+        except OSError:
+            self._cut_back()
+            raise
         faults.maybe_kill_at("durability.journal.fsync")
-        self._records.append(record)
+        self.end += len(line)
+        self.num_records += 1
         obs.counter("delta.journal_records")
+
+    def _cut_back(self) -> None:
+        """Truncate the file to its committed lines after a failed append.
+        The old handle goes first — its buffer may still hold the failed
+        line, which closing writes out before the cut removes it."""
+        with contextlib.suppress(OSError):
+            self._handle.close()
+        with self.path.open("r+b") as handle:
+            handle.truncate(self.end)
+            handle.flush()
+            os.fsync(handle.fileno())
+        self._handle = self.path.open("ab")
 
     def append_insert(self, gid: int, graph, features) -> None:
         self._append({
@@ -385,22 +422,30 @@ class MutationJournal:
         *,
         base_name: str,
         base_crc32: int,
-        carried_records: list[dict],
+        carry_from: int | None = None,
     ) -> None:
         """Swap in a fresh generation of this journal, atomically.
 
         Writes a complete replacement journal — new header pinning
-        ``base_name``/``base_crc32``, then ``carried_records`` (mutations
-        that landed after the checkpoint snapshot and are therefore not
-        folded into the new base) — to a staging file, fsyncs it, and
+        ``base_name``/``base_crc32``, then the lines committed past byte
+        ``carry_from`` (an earlier :attr:`end`: the mutations that landed
+        after the checkpoint snapshot and are therefore not folded into
+        the new base), copied from the file byte for byte; ``None``
+        carries nothing — to a staging file, fsyncs it, and
         ``os.replace``s it over the live path.  The rename is the commit
         point: a crash before it leaves the old generation fully intact,
         a crash after it leaves the new one fully intact.
 
         Callers (:func:`repro.durability.checkpoint`) must hold the
         index's write latch: the live append handle is closed and
-        reopened across the swap.
+        reopened across the swap, and no append may land in the tail
+        while it is copied.
         """
+        carried = b""
+        if carry_from is not None:
+            with self.path.open("rb") as handle:
+                handle.seek(carry_from)
+                carried = handle.read(self.end - carry_from)
         new_generation = self.generation + 1
         staging = self.path.with_name(
             self.path.name + f".gen{new_generation:04d}.tmp"
@@ -412,10 +457,9 @@ class MutationJournal:
             "base": str(base_name),
             "base_crc32": int(base_crc32),
         }
-        with staging.open("w", encoding="utf-8") as handle:
-            handle.write(_encode(header) + "\n")
-            for record in carried_records:
-                handle.write(_encode(record) + "\n")
+        with staging.open("wb") as handle:
+            handle.write((_encode(header) + "\n").encode())
+            handle.write(carried)
             handle.flush()
             os.fsync(handle.fileno())
         faults.maybe_kill_at("durability.checkpoint.journal")
@@ -428,22 +472,13 @@ class MutationJournal:
         self.generation = new_generation
         self.base_name = str(base_name)
         self.base_crc32 = int(base_crc32)
-        self._records = list(carried_records)
-        self._handle = self.path.open("a", encoding="utf-8")
+        self.num_records = carried.count(b"\n")  # appends write no blanks
+        self.end = self.path.stat().st_size
+        self._handle = self.path.open("ab")
         obs.counter("durability.journal_generations")
         faults.maybe_kill_at("durability.checkpoint.commit")
 
     # ------------------------------------------------------------------
-    @property
-    def num_records(self) -> int:
-        """Mutation records (header excluded)."""
-        return len(self._records)
-
-    def records_snapshot(self) -> list[dict]:
-        """A shallow copy of the current mutation records (checkpoint
-        uses it to mark the fold point under the read latch)."""
-        return list(self._records)
-
     def close(self) -> None:
         if not self._handle.closed:
             self._handle.close()
@@ -457,8 +492,6 @@ class MutationJournal:
 
 def _fsync_dir(directory: Path) -> None:
     """Best-effort directory fsync (persists a rename's directory entry)."""
-    import contextlib
-
     with contextlib.suppress(OSError):
         dir_fd = os.open(directory, os.O_RDONLY)
         try:

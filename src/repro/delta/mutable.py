@@ -17,7 +17,10 @@ The LSM shape, specialized to the NB-Index:
   insert-new and returns the *new* id.
 * **journal** — an optional
   :class:`~repro.delta.journal.MutationJournal` makes mutations durable:
-  base file + journal replay = database, fsynced per record.
+  base file + journal replay = database, fsynced per record.  A mutation
+  is written ahead: its id is computed, its record appended and fsynced,
+  and only then is it applied, so an append that fails leaves the index
+  as it was.
 * **compaction** — :meth:`compact` rebuilds the base over the merged
   view (a prefix snapshot of the live database) *outside* the latch and
   swaps it under the write side, bumping a generation counter.  For a
@@ -32,6 +35,9 @@ The LSM shape, specialized to the NB-Index:
   manifest's (or index file's) atomic rename is the commit point; any
   failure before it rolls back with the old generation still serving
   (and the old files still on disk).
+* **close** — :meth:`close` hands back the database, the base index, the
+  frame and the engine; every later call but ``stats()`` and ``close()``
+  raises :class:`~repro.index.errors.IndexClosedError`.
 
 Answer invariant (the acceptance gate): after any mutation sequence,
 with or without interleaved compactions, ``query()`` is bit-identical —
@@ -43,6 +49,7 @@ indexed base and the exactly-scanned memtable.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 import zlib
@@ -56,6 +63,7 @@ from repro.delta.errors import CompactionError
 from repro.delta.frontier import ExactFrontier
 from repro.delta.journal import MutationJournal
 from repro.graphs.database import GraphDatabase
+from repro.index.errors import IndexClosedError
 from repro.index.nbindex import (
     NBIndex,
     QueryRun,
@@ -72,12 +80,19 @@ from repro.shard.frontier import ShardFrontier
 from repro.utils.validation import require
 
 
+#: What :meth:`MutableIndex.close` hands back: every reference to the live
+#: state.  Reading one afterwards is the one closed-index check
+#: (:meth:`MutableIndex.__getattr__`).
+_LIVE = ("database", "base", "frame", "engine", "journal", "distance")
+
+
 class MutableIndex:
     """A live index: a base (NBIndex or ShardedIndex) plus a memtable.
 
     Build one through :func:`repro.open_index` with ``mutable=True``.
-    All methods are thread-safe: mutations and compaction swaps take the
-    write side of an internal latch, queries the read side.
+    All methods are thread-safe: mutations, compaction swaps and
+    :meth:`close` take the write side of an internal latch, queries the
+    read side.
     """
 
     #: The facade's capability flag — read-only indexes carry ``False``.
@@ -104,6 +119,9 @@ class MutableIndex:
         )
         self.index_path = Path(index_path) if index_path is not None else None
         self.latch = ReadWriteLatch()
+        self.num_shards = getattr(base, "num_shards", 1)
+        #: ``stats()`` as :meth:`close` left it; ``None`` while open.
+        self._closed_stats: dict | None = None
         self.generation = 0
         self.compactions = 0
         self.compaction_failures = 0
@@ -137,51 +155,61 @@ class MutableIndex:
         return len(self.database.deleted)
 
     @property
-    def num_shards(self) -> int:
-        return getattr(self.base, "num_shards", 1)
+    def closed(self) -> bool:
+        """``True`` once :meth:`close` has run."""
+        return self._closed_stats is not None
 
     def stats(self) -> dict:
         """Statable protocol: the base's normalized stats plus a
-        ``delta`` section describing the mutation layer."""
+        ``delta`` section describing the mutation layer — once closed,
+        the snapshot :meth:`close` took."""
         with self.latch.read():
-            out = dict(self.base.stats())
-            out["num_graphs"] = len(self.database)
-            out["distance_calls"] = (
-                out.get("distance_calls", 0) + self.engine.calls
-            )
-            out["mutable"] = True
-            out["delta"] = {
-                "memtable_size": self.memtable_size,
-                "tombstones": self.tombstones,
-                "indexed_graphs": self.indexed_count,
-                "generation": self.generation,
-                "compactions": self.compactions,
-                "compaction_failures": self.compaction_failures,
-                "journal_records": (
-                    self.journal.num_records
-                    if self.journal is not None else 0
-                ),
-                "journal_torn_tails": (
-                    self.journal.torn_tail_repairs
-                    if self.journal is not None else 0
-                ),
-                "journal_generation": (
-                    self.journal.generation
-                    if self.journal is not None else 0
-                ),
-            }
+            if self.closed:
+                return copy.deepcopy(self._closed_stats)
+            return self._stats()
+
+    def _stats(self) -> dict:
+        out = dict(self.base.stats())
+        out["num_graphs"] = len(self.database)
+        out["distance_calls"] = (
+            out.get("distance_calls", 0) + self.engine.calls
+        )
+        out["mutable"] = True
+        out["delta"] = {
+            "memtable_size": self.memtable_size,
+            "tombstones": self.tombstones,
+            "indexed_graphs": self.indexed_count,
+            "generation": self.generation,
+            "compactions": self.compactions,
+            "compaction_failures": self.compaction_failures,
+            "journal_records": (
+                self.journal.num_records
+                if self.journal is not None else 0
+            ),
+            "journal_torn_tails": (
+                self.journal.torn_tail_repairs
+                if self.journal is not None else 0
+            ),
+            "journal_generation": (
+                self.journal.generation
+                if self.journal is not None else 0
+            ),
+        }
         return out
 
     # ------------------------------------------------------------------
-    # Mutations (write latch; journaled before acknowledging)
+    # Mutations (write latch; journaled before they are applied)
     # ------------------------------------------------------------------
     def insert(self, graph, feature_row) -> int:
         """Append one graph; it is queryable immediately (memtable).
         Returns its global id."""
         with self.latch.write():
-            gid = self.database.append(graph, feature_row)
+            database = self.database
+            database.feature_row(feature_row)  # refuse before journaling
+            gid = len(database)
             if self.journal is not None:
-                self.journal.append_insert(gid, self.database[gid], feature_row)
+                self.journal.append_insert(gid, graph, feature_row)
+            database.append(graph, feature_row)
         obs.counter("delta.inserts")
         self._memtable_gauges()
         return gid
@@ -196,9 +224,9 @@ class MutableIndex:
             )
             if self.database.is_deleted(gid):
                 return False
-            self.database.mark_deleted(gid)
             if self.journal is not None:
                 self.journal.append_delete(gid)
+            self.database.mark_deleted(gid)
         obs.counter("delta.deletes")
         self._memtable_gauges()
         return True
@@ -210,20 +238,21 @@ class MutableIndex:
         (engine pair caches and cached shard coordinates key on them), so
         an update never rewrites a graph in place."""
         with self.latch.write():
+            database = self.database
             require(
-                0 <= int(gid) < len(self.database),
-                f"gid {gid} outside 0..{len(self.database) - 1}",
+                0 <= int(gid) < len(database),
+                f"gid {gid} outside 0..{len(database) - 1}",
             )
             require(
-                not self.database.is_deleted(gid),
+                not database.is_deleted(gid),
                 f"gid {gid} is already deleted",
             )
-            new_id = self.database.append(graph, feature_row)
-            self.database.mark_deleted(gid)
+            database.feature_row(feature_row)  # refuse before journaling
+            new_id = len(database)
             if self.journal is not None:
-                self.journal.append_update(
-                    gid, new_id, self.database[new_id], feature_row
-                )
+                self.journal.append_update(gid, new_id, graph, feature_row)
+            database.append(graph, feature_row)
+            database.mark_deleted(gid)
         obs.counter("delta.updates")
         self._memtable_gauges()
         return new_id
@@ -279,7 +308,10 @@ class MutableIndex:
         after the snapshot stays in the memtable).  On any failure the
         old generation — in memory *and* on disk — keeps serving and
         :class:`~repro.delta.errors.CompactionError` is raised; the
-        rollback is reported once via ``delta.compaction_rollbacks``.
+        rollback is reported once via ``delta.compaction_rollbacks``.  A
+        compaction that finds the index closed when it comes to swap
+        drops its new base and raises
+        :class:`~repro.index.errors.IndexClosedError`.
         """
         with self.latch.read():
             base = self.base
@@ -334,6 +366,9 @@ class MutableIndex:
                 f"{type(error).__name__}: {error}"
             ) from error
         with self.latch.write():
+            if self.closed:
+                # close() ran while the new base was built: drop it.
+                raise IndexClosedError()
             self.base = new_base
             self.frame = frame
             # Rows the new base stores need no second copy (no query is
@@ -480,18 +515,46 @@ class MutableIndex:
         :func:`repro.durability.checkpoint`; raises
         :class:`~repro.durability.errors.CheckpointError` (with the old
         generation still serving) on any failure before the commit
-        rename."""
+        rename, and :class:`~repro.index.errors.IndexClosedError` once
+        the index is closed."""
         from repro.durability.checkpoint import checkpoint as _checkpoint
 
         return _checkpoint(self)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the journal, if one is attached."""
-        if self.journal is not None:
-            self.journal.close()
+        """Close the index and hand back everything it holds.
+
+        Waits for in-flight queries and mutations (the write latch),
+        closes the journal, keeps a snapshot of :meth:`stats`, and drops
+        the live database, the base index, the vantage frame and the
+        memtable engine with their caches: a handle the caller keeps
+        afterwards pins none of them.  From then on ``query``, a
+        session's next query, ``insert`` / ``delete`` / ``update``,
+        ``compact`` and ``checkpoint`` raise
+        :class:`~repro.index.errors.IndexClosedError`; ``stats()``
+        returns the snapshot.  A second call does nothing."""
+        with self.latch.write():
+            if self.closed:
+                return
+            if self.journal is not None:
+                self.journal.close()
+            self._closed_stats = self._stats()
+            for name in _LIVE:
+                del self.__dict__[name]
+
+    def __getattr__(self, name):
+        # Reached only when ordinary lookup fails — for the live state,
+        # once close() has dropped it.
+        if name in _LIVE:
+            raise IndexClosedError()
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def __repr__(self) -> str:
+        if self.closed:
+            return f"<MutableIndex closed generation={self.generation}>"
         return (
             f"<MutableIndex n={len(self.database)} "
             f"indexed={self.indexed_count} memtable={self.memtable_size} "

@@ -14,7 +14,8 @@ still lacks the inserted graphs.  A *checkpoint* rewrites the base:
 3. **Commit under the write latch** —
    :meth:`~repro.delta.journal.MutationJournal.start_generation` writes
    a complete replacement journal (new generation header pinning the
-   base file + crc, plus any records that landed after the snapshot) and
+   base file + crc, plus the lines that landed after the snapshot,
+   copied from the journal file byte for byte) and
    ``os.replace``s it over the live journal.  That single rename is the
    commit point: a crash before it rolls back to the old generation
    (old base + old journal, both untouched), a crash after it reopens
@@ -43,6 +44,7 @@ from repro.delta.errors import JournalError
 from repro.delta.journal import MutationJournal, pinned_base
 from repro.durability.errors import CheckpointError
 from repro.graphs.io import load_database, save_database
+from repro.index.errors import IndexClosedError
 from repro.resilience import faults
 
 
@@ -105,6 +107,9 @@ def checkpoint(mutable) -> dict:
     final journal swap takes the write latch.  On any failure before the
     commit rename the old generation keeps serving — in memory and on
     disk — and :class:`CheckpointError` is raised with the cause chained.
+    A closed index refuses with
+    :class:`~repro.index.errors.IndexClosedError`, also when the close
+    lands while the new base is being written.
     """
     journal = mutable.journal
     if journal is None:
@@ -117,6 +122,7 @@ def checkpoint(mutable) -> dict:
     with mutable.latch.read():
         n1 = len(mutable.database)
         fold_count = journal.num_records
+        fold_at = journal.end
         # ``subset`` renumbers from zero (identity here) but does not
         # carry soft-deletion marks — re-mark them so the saved base
         # round-trips the tombstones.
@@ -131,10 +137,15 @@ def checkpoint(mutable) -> dict:
         ):
             name, crc, nbytes = _write_base(snapshot, journal)
             with mutable.latch.write():
-                carried = journal.records_snapshot()[fold_count:]
+                if mutable.closed:
+                    # close() ran meanwhile: the journal may already be a
+                    # reopened index's, and must not be replaced.
+                    raise IndexClosedError()
                 journal.start_generation(
-                    base_name=name, base_crc32=crc, carried_records=carried,
+                    base_name=name, base_crc32=crc, carry_from=fold_at,
                 )
+    except IndexClosedError:
+        raise
     except Exception as error:
         obs.counter("durability.checkpoint_failures")
         raise CheckpointError(
@@ -177,9 +188,7 @@ def checkpoint_offline(database_path, journal_path) -> dict:
         fold_count = journal.num_records
         try:
             name, crc, nbytes = _write_base(database, journal)
-            journal.start_generation(
-                base_name=name, base_crc32=crc, carried_records=[],
-            )
+            journal.start_generation(base_name=name, base_crc32=crc)
         except Exception as error:
             obs.counter("durability.checkpoint_failures")
             raise CheckpointError(

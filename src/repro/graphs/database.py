@@ -164,18 +164,25 @@ class GraphDatabase:
         indices = rng.choice(len(self), size=size, replace=False)
         return self.subset(sorted(int(i) for i in indices))
 
+    def feature_row(self, values) -> np.ndarray:
+        """``values`` as one row of the feature matrix, checked against
+        its width — the check :meth:`append` makes, for callers that must
+        make it before they append (a journal writes ahead)."""
+        row = np.asarray(values, dtype=float).reshape(1, -1)
+        require(
+            row.shape[1] == self.num_features,
+            f"feature row has {row.shape[1]} dims, database has "
+            f"{self.num_features}",
+        )
+        return row
+
     def append(self, graph: LabeledGraph, feature_row) -> int:
         """Add a graph to the database; returns its new id.
 
         The feature matrix is rebuilt (O(n) copy) — appends are expected to
         be occasional, e.g. feeding :meth:`repro.index.NBIndex.insert`.
         """
-        row = np.asarray(feature_row, dtype=float).reshape(1, -1)
-        require(
-            row.shape[1] == self.num_features,
-            f"feature row has {row.shape[1]} dims, database has "
-            f"{self.num_features}",
-        )
+        row = self.feature_row(feature_row)
         new_id = len(self._graphs)
         self._graphs.append(_adopt(graph, new_id))
         matrix = np.vstack([self._features, row])

@@ -26,3 +26,23 @@ class ReadOnlyIndexError(TypeError):
             f"repro.open_index(path, mutable=True)"
         )
 
+
+
+class IndexClosedError(ValueError):
+    """A method was called on a :class:`~repro.delta.MutableIndex` after
+    its :meth:`~repro.delta.MutableIndex.close`.
+
+    Closing hands back the live database, the base index, the vantage
+    frame and every engine cache, so a closed handle has nothing left to
+    query, mutate, compact or checkpoint — and must not touch the journal
+    a reopened index now appends to.  Only ``stats()`` (a snapshot taken
+    at close) and a second ``close()`` still answer.  Like a closed
+    file's ``ValueError``, the fix is to reopen.
+    """
+
+    def __init__(self):
+        super().__init__(
+            "MutableIndex is closed: close() handed back its database, "
+            "frame and caches — reopen it with "
+            "repro.open_index(path, database, mutable=True)"
+        )

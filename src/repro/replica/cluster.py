@@ -90,7 +90,8 @@ class ReplicatedIndex:
         wedge_timeout_s: float = 5.0,
         spawn_timeout_s: float = 60.0,
     ) -> "ReplicatedIndex":
-        """Spawn and handshake the R-worker fleet.
+        """Spawn and handshake the R-worker fleet over the bundle at
+        ``manifest_path`` (its ``manifest.json`` or the directory).
 
         Raises the same :class:`~repro.resilience.DatabaseMismatchError`
         as :meth:`ShardedIndex.load <repro.shard.ShardedIndex.load>` when
@@ -99,6 +100,8 @@ class ReplicatedIndex:
         its startup handshake (a cluster that cannot start complete does
         not start at all)."""
         manifest_path = Path(manifest_path)
+        if manifest_path.is_dir():  # the bundle directory, as open_index takes
+            manifest_path = manifest_path / "manifest.json"
         manifest = ShardManifest.load(manifest_path)
         if len(database) != manifest.num_graphs or (
             database_checksum(database) != manifest.database_checksum

@@ -95,7 +95,7 @@ class TestQueryLoadFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("query: ")
+        assert len(lines) == 1 and lines[0].startswith("repro query: ")
         assert match in lines[0]
 
     def test_a_shard_file_as_the_index(self, db_path, tmp_path, capsys):
@@ -119,6 +119,96 @@ class TestQueryLoadFailures:
     def test_a_truncated_index(self, db_path, index_path, capsys):
         index_path.write_bytes(index_path.read_bytes()[:-40])
         self._refused(capsys, db_path, index_path, str(index_path))
+
+
+#: One missing input per file-taking subcommand (and per extra file flag
+#: whose loader differs): ``{db}`` is a real database, ``{tmp}`` an empty
+#: directory.
+LOAD_FAILURES = {
+    "stats": ["stats", "{tmp}/missing.jsonl"],
+    "build-index": [
+        "build-index", "{tmp}/missing.jsonl", "--output", "{tmp}/x.npz",
+    ],
+    "shard-build": [
+        "shard-build", "{tmp}/missing.jsonl", "--output", "{tmp}/b",
+        "--shards", "2",
+    ],
+    "query": ["query", "{tmp}/missing.jsonl", "--theta", "8"],
+    "query --index": [
+        "query", "{db}", "--theta", "8", "--index", "{tmp}/missing.npz",
+    ],
+    "serve": ["serve", "{tmp}/missing.jsonl"],
+    "serve --replicas": [
+        "serve", "{db}", "--shards", "{tmp}/missing", "--replicas", "2",
+    ],
+    "checkpoint": [
+        "checkpoint", "{tmp}/missing.jsonl", "--journal", "{tmp}/j.journal",
+    ],
+}
+
+
+class TestLoadFailures:
+    """A missing or unreadable input file is one ``repro <command>: …``
+    line on stderr and exit code 2, for every subcommand."""
+
+    @pytest.mark.parametrize("case", sorted(LOAD_FAILURES))
+    def test_one_line_and_exit_2(self, case, db_path, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        argv = [
+            arg.format(db=db_path, tmp=empty) for arg in LOAD_FAILURES[case]
+        ]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro {argv[0]}: ")
+        assert "missing" in lines[0]
+
+    def test_every_database_taking_subcommand_is_listed(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        subcommands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        takes_database = {
+            name for name, parser in subcommands.items()
+            if any(action.dest == "database" and not action.option_strings
+                   for action in parser._actions)
+        }
+        assert takes_database == {case.split()[0] for case in LOAD_FAILURES}
+
+
+def test_serve_replicas_accepts_a_bundle_directory(
+    db_path, tmp_path, capsys, monkeypatch
+):
+    """``--shards`` takes the bundle directory with ``--replicas`` too, as
+    it does without them and in ``repro query``."""
+    import io
+    import json
+    import sys
+
+    bundle = tmp_path / "bundle"
+    assert main([
+        "shard-build", str(db_path), "--output", str(bundle),
+        "--shards", "2", "--vantage-points", "5",
+    ]) == 0
+    request = json.dumps({"id": 1, "theta": 8.0, "k": 3}) + "\n"
+    answers = []
+    for replicas in ([], ["--replicas", "2"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(request))
+        capsys.readouterr()
+        assert main(["serve", str(db_path), "--shards", str(bundle),
+                     *replicas]) == 0
+        response = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert response["ok"]
+        answers.append(response["result"]["answer"])
+    assert answers[0] == answers[1]
 
 
 @pytest.fixture

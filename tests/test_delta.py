@@ -306,14 +306,17 @@ class TestJournal:
         mutable.update(7, db[21], db.features[21])
         base = db.subset(range(18))
         save_database(base, tmp_path / "base.jsonl")
+        # Read before closing: a closed index hands its database back.
+        live_size = len(mutable.database)
+        live_deleted = set(mutable.database.deleted)
         mutable.close()
 
         journal = MutationJournal(tmp_path / "m.journal")
         replayed = load_database(tmp_path / "base.jsonl")
         counts = journal.replay_into(replayed)
         assert counts == {"inserts": 1, "deletes": 1, "updates": 1}
-        assert len(replayed) == len(mutable.database)
-        assert set(replayed.deleted) == set(mutable.database.deleted)
+        assert len(replayed) == live_size
+        assert set(replayed.deleted) == live_deleted
         journal.close()
 
     def test_torn_tail_is_truncated_with_warning(self, tmp_path):
