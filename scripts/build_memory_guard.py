@@ -14,15 +14,17 @@ Fails unless ``NBIndex.build`` over the n = 5 000 dud database
 The embedding's ``n · |V|`` distances are the index, not pair-cache
 entries: ``DistanceEngine.columns`` reads the cache and stores nothing.
 It deals the frame by target block: on a 2-CPU x86 box this process
-measures the first half of the database against every vantage column and
-a forked child the second, so each star-profiles only its half and the
-vantage graphs.  There a build reads ~2 480 B per graph; dealt by vantage
-column, when every process profiled all n graphs, it read ~3 200, one
-that also cached the block (100 802 pairs) 4 640–4 880 and one that
-cached a 1 000-pair threshold-ladder sample ~3 470.  On one CPU the frame
-is one block evaluated inline and reads ~3 220 (the column deal ~3 330),
-so there the inline bound applies, and a cached block (~4 040) fails
-check 2 as well as check 1.
+fills the database's star columns (~200 B a graph), forks, and measures
+the first half of the database against every vantage column while a
+child, which inherits the columns, measures the second.  There a build
+reads ~1 510–1 630 B per graph; with a star-profile object per graph in each
+process (≈ 1 425 B, the parent's half plus the vantage graphs) and the
+kernel's overlap blocks materialized 256 targets at a time it read
+~2 440, dealt by vantage column ~3 200, and one that also cached the
+block (100 802 pairs) 4 640–4 880.  On one CPU the frame is one block
+evaluated inline and reads ~1 960 (~3 220 with profile objects), so
+there the inline bound applies, and a cached block fails check 2 as well
+as check 1.
 
 Run from the repo root: ``PYTHONPATH=src python scripts/build_memory_guard.py``.
 Needs ``/proc/self/status`` (Linux); elsewhere it says so and passes.
@@ -41,8 +43,8 @@ from repro.utils import fanout
 
 DATABASE = 5000
 VANTAGE_POINTS = 20
-MAX_BYTES_PER_GRAPH = 3000
-MAX_INLINE_BYTES_PER_GRAPH = 3600
+MAX_BYTES_PER_GRAPH = 2000
+MAX_INLINE_BYTES_PER_GRAPH = 2400
 STATUS = Path("/proc/self/status")
 
 

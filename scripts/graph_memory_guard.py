@@ -7,7 +7,11 @@ Fails unless:
    ``MAX_BYTES_PER_GRAPH`` deep bytes per graph — every object reachable
    from the graphs, each counted once, so label strings shared between
    graphs are paid once (the per-vertex dict adjacency held ~4 750);
-2. on ``GRAPHS`` graphs — dud molecules with their edges shuffled and
+2. its star columns (:class:`repro.engine.starbatch.StarColumns`, filled
+   for every graph: vertex offsets, ready flags, root-label ids, degrees
+   and branch-mask words) hold at most ``MAX_STAR_BYTES_PER_GRAPH`` bytes
+   per graph (a per-graph profile object held ~1 425);
+3. on ``GRAPHS`` graphs — dud molecules with their edges shuffled and
    flipped, plus random graphs with isolated vertices and repeated labels
    — every accessor equals a dict-adjacency reference built here, edge by
    edge: neighbour order, degree, ``has_edge``, ``edge_label`` (``KeyError``
@@ -24,10 +28,12 @@ import sys
 from array import array
 
 from repro.datasets.dud import dud_like
+from repro.engine.starbatch import BatchStarEvaluator
 from repro.graphs import DEFAULT_EDGE_LABEL, LabeledGraph
 
 DATABASE = 5000
 MAX_BYTES_PER_GRAPH = 1200
+MAX_STAR_BYTES_PER_GRAPH = 300
 GRAPHS = 200
 
 
@@ -141,6 +147,16 @@ def main() -> int:
         print(f"FAIL: above {MAX_BYTES_PER_GRAPH} B per graph")
         return 1
 
+    owner, store = BatchStarEvaluator(graphs=database.graphs).columns()
+    store.fill(owner, range(len(owner)))
+    star = (len(store.ready) + sum(array.nbytes for array in (
+        store.offsets, store.roots, store.degrees, store.masks
+    ))) / len(database)
+    print(f"star columns: {star:.0f} B per graph")
+    if star > MAX_STAR_BYTES_PER_GRAPH:
+        print(f"FAIL: star columns above {MAX_STAR_BYTES_PER_GRAPH} B per graph")
+        return 1
+
     rnd = random.Random(29)
     stream = specs(rnd, database.graphs[:GRAPHS // 2])
     for count in range(GRAPHS):
@@ -151,7 +167,8 @@ def main() -> int:
                   f"differs from the dict reference in: {failed}")
             return 1
     print(f"{GRAPHS} graphs: every accessor == the dict reference")
-    print(f"graph memory guard ok ({per_graph:.0f} B per graph)")
+    print(f"graph memory guard ok ({per_graph:.0f} B per graph, "
+          f"{star:.0f} B of star columns)")
     return 0
 
 

@@ -131,7 +131,7 @@ class FilterCascade:
     def _assignment_bound(self, engine, source, ids, cutoff):
         """Positions whose assignment lower bound leaves them possible."""
         started = time.perf_counter()
-        bounds = engine.stage_features().assignment_lb(source, ids)
+        bounds = engine.assignment_lb(source, ids)
         survivors = np.flatnonzero(bounds <= cutoff)
         self._record(
             "assignment", int(ids.size), int(ids.size - survivors.size),

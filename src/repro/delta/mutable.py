@@ -53,6 +53,7 @@ import copy
 import os
 import time
 import zlib
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,19 @@ from repro.resilience.deadline import unbudgeted
 from repro.service.latch import ReadWriteLatch
 from repro.shard.frontier import ShardFrontier
 from repro.utils.validation import require
+
+
+def _nothing() -> None:
+    """The commit of a compaction with no file to swap."""
+
+
+def _remove(paths) -> None:
+    """Unlink each path; cleanup is advisory."""
+    for path in paths:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 #: What :meth:`MutableIndex.close` hands back: every reference to the live
@@ -308,10 +322,12 @@ class MutableIndex:
         after the snapshot stays in the memtable).  On any failure the
         old generation — in memory *and* on disk — keeps serving and
         :class:`~repro.delta.errors.CompactionError` is raised; the
-        rollback is reported once via ``delta.compaction_rollbacks``.  A
+        rollback is reported once via ``delta.compaction_rollbacks``.  The
+        new generation's files are staged beside the serving ones and
+        committed (renamed over them) under the write latch, so a
         compaction that finds the index closed when it comes to swap
-        drops its new base and raises
-        :class:`~repro.index.errors.IndexClosedError`.
+        removes what it staged, leaves every serving file as it was and
+        raises :class:`~repro.index.errors.IndexClosedError`.
         """
         with self.latch.read():
             base = self.base
@@ -330,6 +346,7 @@ class MutableIndex:
             # new base's structures line up with live global ids.
             snapshot = self.database.subset(range(n1))
         started = time.perf_counter()
+        staged: list[Path] = []  # removed unless committed
         try:
             # Unbudgeted: the absorbed graphs' frame rows are stored.
             with unbudgeted(), obs.span(
@@ -348,27 +365,22 @@ class MutableIndex:
                     )]),
                     old.extra,
                 )
-                if hasattr(base, "manifest"):
-                    new_base, report = self._compact_sharded(
-                        base, snapshot, frame
-                    )
-                else:
-                    new_base, report = self._compact_single(
-                        base, snapshot, frame
-                    )
+                compact = (
+                    self._compact_sharded if hasattr(base, "manifest")
+                    else self._compact_single
+                )
+                new_base, report, commit = compact(base, snapshot, frame, staged)
         except Exception as error:
-            self.compaction_failures += 1
-            obs.counter("delta.compaction_failures")
-            obs.counter("delta.compaction_rollbacks")
-            raise CompactionError(
-                f"compaction failed and was rolled back — generation "
-                f"{self.generation} still serving: "
-                f"{type(error).__name__}: {error}"
-            ) from error
+            self._roll_back(staged, error)
         with self.latch.write():
             if self.closed:
                 # close() ran while the new base was built: drop it.
+                _remove(staged)
                 raise IndexClosedError()
+            try:
+                commit()  # renames only
+            except OSError as error:
+                self._roll_back(staged, error)
             self.base = new_base
             self.frame = frame
             # Rows the new base stores need no second copy (no query is
@@ -388,34 +400,50 @@ class MutableIndex:
         )
         return report
 
-    def _compact_single(self, base: NBIndex, snapshot, frame):
+    def _roll_back(self, staged: list[Path], error: Exception):
+        """Remove the staged files and raise the rollback's error."""
+        _remove(staged)
+        self.compaction_failures += 1
+        obs.counter("delta.compaction_failures")
+        obs.counter("delta.compaction_rollbacks")
+        raise CompactionError(
+            f"compaction failed and was rolled back — generation "
+            f"{self.generation} still serving: "
+            f"{type(error).__name__}: {error}"
+        ) from error
+
+    def _compact_single(self, base: NBIndex, snapshot, frame, staged):
         """A single NBIndex has exactly one 'shard': the grown frame over
-        the snapshot, written as one index file."""
+        the snapshot, written as one index file.  Returns the new base,
+        the report and the commit: one rename of the staged file."""
         new_index = NBIndex(
             snapshot, self.distance, embedding=frame,
             build_seconds=base.build_seconds,
         )
+        commit = _nothing
         if self.index_path is not None:
             # Stage → verify → atomic rename, so a torn write can never
             # replace the serving artifact.
             staging = self.index_path.with_name(
                 self.index_path.name + f".gen{self.generation + 1:04d}"
             )
+            staged.append(staging)
             save_index(new_index, staging)
             unwrap_checksummed(staging.read_bytes(), source=str(staging))
-            faults.maybe_abort_stage("delta.compact.commit")
-            os.replace(staging, self.index_path)
-        else:
-            faults.maybe_abort_stage("delta.compact.commit")
-        return new_index, {"rebuilt_shards": [0], "reused_shards": 0}
+            commit = partial(os.replace, staging, self.index_path)
+        faults.maybe_abort_stage("delta.compact.commit")
+        return new_index, {"rebuilt_shards": [0], "reused_shards": 0}, commit
 
-    def _compact_sharded(self, base, snapshot, frame):
+    def _compact_sharded(self, base, snapshot, frame, staged):
         """Rebuild only the shards whose member sets changed.
 
         Existing graphs keep their shard; memtable graphs are routed by
         the same structure hash the hash partitioner uses (stable across
         compactions).  Unchanged shards keep their artifacts and
-        checksums; the new base is one index over the grown frame."""
+        checksums; the new base is one index over the grown frame.  The
+        rebuilt artifacts and the new manifest are staged; the commit
+        renames the manifest over the serving one (the commit point),
+        then drops the artifacts it no longer references."""
         from repro.shard.build import write_shard
         from repro.shard.manifest import (
             ShardEntry,
@@ -427,7 +455,9 @@ class MutableIndex:
         manifest = base.manifest
         n0, n1 = manifest.num_graphs, len(frame)
         num_shards = manifest.num_shards
-        generation = self.generation + 1
+        # The bundle's own generation, not this handle's count: a staged
+        # name never meets an artifact a reopened bundle still serves.
+        generation = int(manifest.build.get("generation", 0)) + 1
         manifest_path = self.manifest_path or base.path
         require(
             manifest_path is not None,
@@ -453,6 +483,7 @@ class MutableIndex:
             artifact = out_dir / (
                 f"shard-{shard_id:03d}-gen{generation:04d}.npz"
             )
+            staged.append(artifact)
             raw = write_shard(artifact, frame, members)
             obs.counter("delta.shard_rebuilds")
             # Verify before the manifest references it: a torn artifact
@@ -482,25 +513,31 @@ class MutableIndex:
             },
             frame=tuple(frame.vantage_indices),
         )
-        new_manifest.save(manifest_path)  # atomic rename = commit point
+        staging = Path(manifest_path).with_name(
+            Path(manifest_path).name + f".gen{generation:04d}"
+        )
+        staged.append(staging)
+        new_manifest.save(staging)
 
         new_base = ShardedIndex(
             snapshot, self.distance, manifest=new_manifest, frame=frame,
             path=Path(manifest_path), reused_shards=num_shards - len(changed),
         )
-        # Post-commit, best effort: superseded generation artifacts are
-        # unreferenced by the new manifest and safe to drop.
-        old_names = {entry.path for entry in manifest.shards}
-        new_names = {entry.path for entry in new_manifest.shards}
-        for name in old_names - new_names:
-            try:
-                (out_dir / name).unlink()
-            except OSError:  # pragma: no cover - cleanup is advisory
-                pass
+        superseded = (
+            {entry.path for entry in manifest.shards}
+            - {entry.path for entry in new_manifest.shards}
+        )
+
+        def commit():
+            os.replace(staging, manifest_path)  # the commit point
+            # Best effort: superseded generation artifacts are
+            # unreferenced by the new manifest and safe to drop.
+            _remove(out_dir / name for name in superseded)
+
         return new_base, {
             "rebuilt_shards": changed,
             "reused_shards": num_shards - len(changed),
-        }
+        }, commit
 
     # ------------------------------------------------------------------
     # Checkpoint (fold the journal into a fresh base database)

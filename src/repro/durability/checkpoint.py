@@ -35,6 +35,7 @@ kills hard at each and asserts bit-identical reopen.
 
 from __future__ import annotations
 
+import errno
 import time
 import zlib
 from pathlib import Path
@@ -176,9 +177,14 @@ def checkpoint_offline(database_path, journal_path) -> dict:
     generation > 0, else ``database_path``), writes the folded database
     as the next generation's base, and swaps the journal — the same
     commit discipline as the online path, minus the latches (nothing
-    else holds the journal open).
+    else holds the journal open).  A missing journal is a
+    :class:`FileNotFoundError`, and no file is made.
     """
     started = time.perf_counter()
+    if not Path(journal_path).is_file():  # opening would write a header
+        raise FileNotFoundError(
+            errno.ENOENT, "missing mutation journal", str(journal_path)
+        )
     journal = MutationJournal(journal_path)
     try:
         base_path = resolve_base_path(journal, database_path)

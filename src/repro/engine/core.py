@@ -51,6 +51,7 @@ import numpy as np
 from repro import obs
 from repro.cascade.features import StageFeatures
 from repro.cascade.pipeline import RefereeFilter
+from repro.engine.starbatch import BatchStarEvaluator
 from repro.ged import ExactGED, StarDistance
 from repro.engine.paircache import (
     PairTable, Uncacheable, half, halves, pair_key, plain_ids,
@@ -69,11 +70,12 @@ def unwrap_distance(distance):
     return distance
 
 
-def batch_evaluator_for(distance):
+def batch_evaluator_for(distance, graphs=None):
     """A batch fast path for ``distance``, or ``None`` if it has none.
 
     A bare :class:`StarDistance` gets a
-    :class:`~repro.engine.starbatch.BatchStarEvaluator`; a bare
+    :class:`~repro.engine.starbatch.BatchStarEvaluator` over ``graphs``
+    (the engine's list, whose star columns it gathers from); a bare
     :class:`~repro.metricspace.PayloadDistance` whose metric has a batch
     form (:class:`~repro.metricspace.MinkowskiMetric`) gets its
     :meth:`~repro.metricspace.PayloadDistance.batch_evaluator`.  Every
@@ -83,9 +85,7 @@ def batch_evaluator_for(distance):
     from repro.metricspace.generic import PayloadDistance
 
     if type(distance) is StarDistance:
-        from repro.engine.starbatch import BatchStarEvaluator
-
-        return BatchStarEvaluator(normalized=distance.normalized)
+        return BatchStarEvaluator(distance.normalized, graphs)
     if type(distance) is PayloadDistance:
         return distance.batch_evaluator()
     return None
@@ -130,9 +130,14 @@ class DistanceEngine:
         self._graphs = graphs  # live reference: inserts stay visible
         self._embedding = embedding
         self._base_distance = unwrap_distance(distance)
-        self._evaluator = batch_evaluator_for(distance)
+        self._evaluator = batch_evaluator_for(distance, graphs)
+        #: The attached list's star columns: the kernel's own, or a view
+        #: for the assignment-bound rows the same fill writes.
+        self._stars = (
+            self._evaluator if isinstance(self._evaluator, BatchStarEvaluator)
+            else BatchStarEvaluator(graphs=graphs)
+        )
         self._referee = RefereeFilter()
-        self._features = None
         self._stage_features = None
         #: How many leading attached graphs are known to have no edge.
         self._edgeless = 0
@@ -365,6 +370,9 @@ class DistanceEngine:
             workers(len(graphs), pairs)
             if self.portable and current_deadline() is None else 1
         )
+        if processes > 1 and self._evaluator is self._stars:
+            # Filled here before the fork: every child inherits the rows.
+            self._stars.fill([*sources, *graphs])
         cuts = [len(graphs) * share // processes for share in range(processes + 1)]
         blocks = list(zip(cuts[:-1], cuts[1:]))
         for block, rows in zip(blocks, fan_out(evaluate, blocks, pairs)):
@@ -516,12 +524,13 @@ class DistanceEngine:
             self, source, targets, theta, eps, prefiltered=prefiltered
         )
 
-    def stage_features(self):
-        """The assignment filter's handle on :meth:`_profiles`; ``None``
-        in :attr:`_stage_features` until the filter first asks, so an
-        engine that never filters by it shows none set up."""
-        self._stage_features = self._profiles()
-        return self._stage_features
+    def assignment_lb(self, source, targets) -> np.ndarray:
+        """:meth:`StageFeatures.assignment_lb` of ``source`` against the
+        target ids — the assignment filter's entry, so
+        :attr:`_stage_features` stays ``None`` until the filter first asks
+        and an engine that never filters by it shows none set up."""
+        self._stage_features = self._profiles(source, targets)
+        return self._stage_features.assignment_lb(source, targets)
 
     def profile_gap(self, source, targets) -> np.ndarray | None:
         """The label-histogram + sorted-degree gap between ``source`` and
@@ -533,28 +542,30 @@ class DistanceEngine:
         gap could rank by nothing but label identity.  The graphs decide,
         not the metric's type, so an engine over a serial callable ranks
         like one over the batch kernel of the same metric."""
-        with self._cache_lock:  # a concurrent sync swaps the matrices
+        with self._cache_lock:
             graphs = self._graphs or ()
             edgeless = self._edgeless
             while edgeless < len(graphs) and not graphs[edgeless].num_edges:
                 edgeless += 1
             self._edgeless = edgeless
-            if edgeless == len(graphs):
-                return None
-            return self._profiles().assignment_lb(source, targets)
+        if edgeless == len(graphs):
+            return None
+        return self._profiles(source, targets).assignment_lb(source, targets)
 
-    def _profiles(self) -> StageFeatures:
-        """The per-graph profiles over the attached graphs, built on first
-        use and extended when the graph list has grown (live inserts)."""
+    def _profiles(self, source, targets) -> StageFeatures:
+        """The assignment-bound rows of the attached graphs, with those of
+        the targets and of an id source filled (the star columns' fill
+        writes both on first touch)."""
         require(
             self._graphs is not None,
             "stage features require an attached graph list",
         )
-        with self._cache_lock:
-            if self._features is None:
-                self._features = StageFeatures()
-            self._features.sync(self._graphs)
-            return self._features
+        rows = np.asarray(targets, dtype=np.int64)
+        if isinstance(source, (int, np.integer)):
+            rows = np.append(rows, source)
+        owner, store = self._stars.columns()
+        store.fill(owner, rows)
+        return store.features
 
     # ------------------------------------------------------------------
     # Evaluation backends

@@ -1,236 +1,298 @@
-"""Batched star-distance evaluation — the engine's in-process fast path.
+"""Batched star-distance evaluation — the engine's in-process fast path,
+bit-identical to :class:`repro.ged.star.StarDistance` (tests assert ``==``):
 
-:class:`repro.ged.star.StarDistance` evaluates one pair at a time: build a
-token vocabulary for the pair, densify both count matrices, take their L1
-block, assemble the doubled ``(n1+n2)²`` Riesen–Bunke padded matrix and solve
-the assignment.  When the engine evaluates a *batch* of pairs (index build,
-neighborhood materialization), almost all of that work can be shared or
-shrunk without changing a single output bit:
-
-* **Persistent token registry** — branch tokens ``(edge label, neighbor
-  label)`` are interned once per evaluator into integer columns; per-graph
-  profiles are cached and reused across every batch.
-* **Overlap by popcount** — the per-vertex branch cost has the closed form
-  ``(|deg_u − deg_v| + L1(c_u, c_v)) / 2 = max(deg_u, deg_v) − overlap(u,
-  v)`` where ``overlap = Σ_tok min(c_u, c_v)``.  Expanding each token into
-  *count levels* ``(tok, 1), …, (tok, c)`` turns a star's branch multiset
-  into a *set* of columns, which a profile stores as one bit each: an
-  ``(n, W)`` block of uint64 words per graph, ``W = ⌈columns / 64⌉`` (one
-  word on dud, three on dblp).  The multiset intersection is then
-  ``popcount(mask_u & mask_v)``, and a whole source-vs-batch cost block is
-  one broadcast ``AND`` and one word popcount per word column — no
-  per-call matrix objects, so a one-pair batch costs tens of
-  microseconds, not hundreds.  The registry grows lazily: a profile packed
-  before it crossed a word boundary is zero-extended when it first meets
-  a wider source.  All quantities are integer-valued, so the floats match
-  the serial path exactly.
-* **Reduced assignment** — the star ground cost satisfies ``cost(a, b) <
-  cost(a, ε) + cost(ε, b)`` for every star pair (substitution is strictly
-  cheaper than delete + insert), so the optimal padded assignment never
-  pairs a deletion with an insertion and the ``(n1+n2)²`` problem collapses
-  to a ``max(n1, n2)²`` one: pad the smaller side with null stars only.
-  Same optimum, an ~8× smaller Hungarian problem.  A long batch is walked
-  in target-size order, so each run of equal-sized targets is padded as
-  one ``(count, size, size)`` tensor and only the solver call is left in a
-  Python loop; short batches pad pair by pair.
-
-Every cost entry is a multiple of 0.5 far below 2⁵³, so sums are exact and
-the evaluator is **bit-identical** to ``StarDistance`` — the equivalence
-tests assert ``==``, not ``approx``.
+* **Star columns** — a list's star profiles live in one append-only
+  :class:`StarColumns` (per vertex: root-label id, degree, branch-mask
+  words; per graph: vertex offset), a graph's rows filled with numpy by
+  the first batch or filter call that reads them; a batch gathers its
+  vertices by index.
+* **Overlap by popcount** — a vertex pair costs ``max(deg_u, deg_v) −
+  Σ_tok min(c_u, c_v)``.  The k-th copy of a branch token is its own
+  column ``(token, k)``, so a star is a set of bits in ``⌈columns / 64⌉``
+  words and the sum is ``popcount(mask_u & mask_v)``.  Column numbers
+  never enter a count; a graph packed before the registry crossed a word
+  has no bit past its words, so a batch ANDs the narrower width.
+* **Reduced assignment** — substitution is cheaper than delete + insert,
+  so padding only the smaller side with null stars solves the ``(n1+n2)²``
+  Riesen–Bunke problem as a ``max(n1, n2)²`` one; a long batch pads each
+  run of equal-sized targets as one tensor.  Every cost is an integer far
+  below 2⁵³, so the sums are exact in any order.
 """
 
 from __future__ import annotations
 
-from functools import partial
+import threading
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.bitset.kernel import num_words, word_counts
+from repro.cascade.features import StageFeatures, _grown
 from repro.ged.lsap import linear_sum_assignment
+from repro.graphs.database import GraphList
 from repro.graphs.graph import LabeledGraph
-from repro.utils.idweak import IdWeakMap
+
+#: Batch graphs whose overlap block is materialized at once: a dud build's
+#: temporaries stay near a megabyte (256 cost ~2 MB of peak, no speed).
+_BLOCK_PROFILES = 128
+#: Graphs packed at once: a fill's temporaries stay near 300 kB (one pack
+#: of all 5 000 dud graphs cost a served deployment ~20 MB of peak).
+_FILL_GRAPHS = 64
+_ATTACH = threading.Lock()
 
 
-#: Batch graphs whose overlap block is materialized at once — bounds the
-#: temporaries of a whole-database scan (index build) to a few megabytes.
-_BLOCK_PROFILES = 256
+def _intern(vocab: dict, keys: list) -> np.ndarray:
+    """The id of every key in ``vocab``, adding new keys."""
+    ids = list(map(vocab.get, keys))
+    if None in ids:
+        ids = [vocab.setdefault(key, len(vocab)) for key in keys]
+    return np.array(ids, dtype=np.int64)
 
 
-class _SparseStarProfile:
-    """Per-graph numeric star profile against a shared token registry."""
+def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices ``starts[i] … starts[i] + sizes[i] − 1``, concatenated."""
+    ends = sizes.cumsum()
+    return np.arange(ends[-1]) - (ends - sizes - starts).repeat(sizes)
 
-    __slots__ = ("roots", "degrees", "masks")
 
-    def __init__(self, g: LabeledGraph, token_ids: dict, root_ids: dict):
-        n = g.num_nodes
-        roots = np.empty(n, dtype=np.int64)
-        degrees = np.empty(n, dtype=np.float64)
-        stars: list[int] = []
-        for v, (label, branches) in enumerate(zip(g.node_labels, g.branch_tokens())):
-            code = root_ids.get(label)
-            if code is None:
-                code = root_ids[label] = len(root_ids)
-            roots[v] = code
-            # The k-th copy of a branch token is its own column
-            # ``(token, k)``: a star becomes a *set* of columns, one bit each.
-            counts: dict[tuple[str, str], int] = {}
-            star = 0
-            for token in branches:
-                level = counts[token] = counts.get(token, 0) + 1
-                col = token_ids.get((token, level))
-                if col is None:
-                    col = token_ids[token, level] = len(token_ids)
-                star |= 1 << col
-            degrees[v] = len(branches)
-            stars.append(star)
-        self.roots = roots
-        self.degrees = degrees
-        #: ``(n, W)`` uint64 words, W covering the registry as it stood when
-        #: this graph was packed: bit ``c`` of row ``v`` is set iff vertex
-        #: ``v`` carries level-expanded token column ``c``.
-        nbytes = 8 * num_words(len(token_ids))
-        self.masks = np.frombuffer(
-            b"".join(star.to_bytes(nbytes, "little") for star in stars),
-            dtype="<u8",
-        ).reshape(n, nbytes // 8)
+class StarColumns:
+    """A list's star profiles as append-only columns, plus the
+    :class:`StageFeatures` rows the same fill writes.  Row ``i`` is
+    ``graphs[i]`` of the one list that fills it, written by the first call
+    that asks for it; arrays are replaced, never shrunk, and a row is
+    marked ready (a byte of :attr:`ready`, read without the lock) once
+    written, so a reader of ready rows may read whichever array it finds."""
 
-    def words(self, width: int) -> np.ndarray:
-        """The masks at ``width`` words.  A profile packed before the
-        registry crossed a word boundary is widened with zero words (kept);
-        one packed after it is cut — the words cut are ANDed with nothing."""
-        masks = self.masks  # read once: another thread may widen it
-        if masks.shape[1] == width:
-            return masks
-        if masks.shape[1] < width:
-            wider = np.zeros((len(masks), width), dtype=np.uint64)
-            wider[:, :masks.shape[1]] = masks
-            self.masks = masks = wider
-        return masks[:, :width]
+    def __init__(self):
+        self._lock = threading.RLock()
+        self._labels: dict[str, int] = {}
+        self._edges: dict[str, int] = {}
+        self._tokens: dict[int, int] = {}  # edge label << 32 | label → token
+        self._columns: dict[int, int] = {}  # token << 32 | level → column
+        self.ready = bytearray()
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.roots = np.zeros(0, dtype=np.uint8)
+        self.degrees = np.zeros(0, dtype=np.uint8)
+        self.masks = np.zeros((0, 1), dtype=np.uint64)
+        self.features = StageFeatures(self._labels)
+
+    def fill(self, graphs, rows) -> None:
+        """Make rows ``rows`` of ``graphs`` ready: append the spans of new
+        graphs, then pack the rows not ready and scatter them to their
+        spans."""
+        rows = np.asarray(rows, dtype=np.int64)
+        ready = np.frombuffer(self.ready, dtype=bool)
+        if not rows.size or rows.max() < len(ready) and ready[rows].all():
+            return  # read without the lock: a filter's repeat call
+        with self._lock:
+            count = len(self.ready)
+            if len(graphs) > count:
+                sizes = [g.num_nodes for g in graphs[count:]]
+                self.offsets = np.append(self.offsets, self.offsets[-1] + np.cumsum(sizes))
+                spare = int(self.offsets[-1])
+                if spare > len(self.roots):  # appends leave an eighth spare
+                    spare = max(spare, len(self.roots) * 9 // 8 if count else 0)
+                    self.roots = _grown(self.roots, (spare,))
+                    self.degrees = _grown(self.degrees, (spare,))
+                    self.masks = _grown(self.masks, (spare, self.masks.shape[1]))
+                self.ready = self.ready + bytes(len(graphs) - count)
+            ready = np.frombuffer(self.ready, dtype=bool)
+            todo = np.zeros_like(ready)
+            todo[rows] = True  # not np.unique: it imports numpy.ma (~0.7 MB)
+            rows = np.flatnonzero(todo & ~ready)
+            for start in range(0, len(rows), _FILL_GRAPHS):
+                self._write(graphs, rows[start:start + _FILL_GRAPHS], ready)
+
+    def _write(self, graphs, rows: np.ndarray, ready: np.ndarray) -> None:
+        """Pack ``rows`` of ``graphs`` and scatter them to their spans."""
+        sizes, codes, degrees, masks = self.pack([graphs[row] for row in rows.tolist()])
+        vertices = _spans(self.offsets[rows], sizes)
+        if len(self._labels) > np.iinfo(self.roots.dtype).max:  # wider dtypes
+            self.roots = self.roots.astype(np.min_scalar_type(len(self._labels)))
+        if degrees.max(initial=0) > np.iinfo(self.degrees.dtype).max:
+            self.degrees = self.degrees.astype(np.min_scalar_type(degrees.max()))
+        if masks.shape[1] > self.masks.shape[1]:  # the registry crossed a word
+            self.masks = _grown(self.masks, (len(self.masks), masks.shape[1]))
+        self.roots[vertices] = codes
+        self.degrees[vertices] = degrees
+        self.masks[vertices, :masks.shape[1]] = masks
+        self.features.write(len(ready), rows, sizes, codes, degrees)
+        ready[rows] = True
+
+    def pack(self, graphs):
+        """``(sizes, label codes, degrees, masks)`` of ``graphs`` (at least
+        one), flat over their vertices in order, interning new labels and
+        columns."""
+        with self._lock:
+            sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+            codes = _intern(self._labels, [x for g in graphs for x in g.node_labels])
+            degrees = chain.from_iterable(g.degrees() for g in graphs)
+            degrees = np.fromiter(degrees, np.int64, len(codes))
+            neighbours, edges = zip(*(g.slots() for g in graphs))
+            vertex = np.repeat(np.arange(len(codes)), degrees)
+            # A slot's neighbour id counts from its graph's first vertex.
+            neighbour = np.fromiter(chain.from_iterable(neighbours), np.int64, len(vertex))
+            neighbour += np.repeat(sizes.cumsum() - sizes, sizes)[vertex]
+            edge = _intern(self._edges, list(chain.from_iterable(edges)))
+            tokens = _intern(self._tokens, (edge << 32 | codes[neighbour]).tolist())
+            # Slots by (vertex, token): a copy's level is its rank in its run.
+            key = vertex * len(self._tokens) + tokens
+            order = key.argsort(kind="stable")
+            key, vertex, tokens = key[order], vertex[order], tokens[order]
+            level = np.arange(len(key)) - key.searchsorted(key)
+            column = _intern(self._columns, (tokens << 32 | level).tolist())
+            width = max(1, num_words(len(self._columns)))
+        masks = np.zeros((len(codes), width), dtype=np.uint64)
+        np.bitwise_or.at(masks, (vertex, column >> 6), np.left_shift(
+            np.uint64(1), (column & 63).astype(np.uint64)
+        ))
+        return sizes, codes, degrees, masks
 
 
 class BatchStarEvaluator:
-    """Batch evaluator producing bit-identical :class:`StarDistance` values.
+    """Bit-identical :class:`StarDistance` values, a batch at a time.  Over
+    a graph list (the engine's) it gathers the list's graphs — found by
+    ``graph_id`` and an identity check — from its :class:`StarColumns`; a
+    batch holding any other graph (every batch, over no list) is packed
+    for the call by the same routine, and nothing of it is kept."""
 
-    One evaluator instance accumulates its token/root registries and graph
-    profiles across calls, so repeated batches against the same database —
-    the dominant access pattern of every index build — skip straight to the
-    mask ``AND`` and the reduced assignments.
-    """
-
-    def __init__(self, normalized: bool = False):
+    def __init__(self, normalized: bool = False, graphs=None):
         self.normalized = normalized
-        self._token_ids: dict[tuple[tuple[str, str], int], int] = {}
-        self._root_ids: dict[str, int] = {}
-        # Weakly keyed: a throw-away query graph is not pinned and a
-        # recycled id() never meets its predecessor's profile.  Creation is
-        # serialized by the map: concurrent service queries share one
-        # evaluator, and unlocked interning could hand two tokens the same
-        # column (``len(dict)`` read + insert is not atomic), silently
-        # corrupting every later overlap.
-        self._profiles = IdWeakMap(partial(
-            _SparseStarProfile, token_ids=self._token_ids, root_ids=self._root_ids
-        ))
+        self.graphs = graphs
+        self._private = StarColumns()
 
-    def _costs(self, source: _SparseStarProfile, block):
-        """Star ground cost of every source vertex against every vertex of
-        ``block`` (concatenated), and the concatenated degrees: ``max(deg_u,
-        deg_v) + [root_u ≠ root_v] − popcount(mask_u & mask_v)``."""
-        degrees = np.concatenate([p.degrees for p in block])
-        roots = np.concatenate([p.roots for p in block])
-        own = source.masks  # read once, as above
-        width = own.shape[1]
-        masks = np.concatenate([p.words(width) for p in block])
-        cost = np.maximum(source.degrees[:, None], degrees)
-        cost += source.roots[:, None] != roots
-        for word in range(width):
-            cost -= word_counts(own[:, word, None] & masks[:, word])
-        return cost, degrees
+    def columns(self) -> tuple[Sequence, StarColumns]:
+        """``(owner list, store)``: a database's list reads its origin's
+        store, made on first use; any other list (or none) a private one."""
+        if not isinstance(self.graphs, GraphList):
+            return self.graphs, self._private
+        owner = self.graphs if self.graphs.origin is None else self.graphs.origin
+        if owner.columns is None:
+            with _ATTACH:
+                if owner.columns is None:
+                    owner.columns = StarColumns()
+        return owner, owner.columns
 
-    def one_to_many(
-        self, g: LabeledGraph, others: Sequence[LabeledGraph]
-    ) -> np.ndarray:
+    def fill(self, graphs) -> tuple[StarColumns, list[int]]:
+        """Fill the rows of those ``graphs`` the list holds (found by
+        ``graph_id`` and identity); ``(store, each graph's row or -1)``.
+        A batch whose rows are ready costs a few list operations."""
+        owner, store = self.columns()
+        n = len(owner) if owner is not None else 0
+        rows = [
+            gid if (gid := h.graph_id) is not None and 0 <= gid < n
+            and owner[gid] is h else -1
+            for h in graphs
+        ]
+        ours, ready = [row for row in rows if row >= 0] if -1 in rows else rows, store.ready
+        if ours and (max(ours) >= len(ready) or not all(map(ready.__getitem__, ours))):
+            store.fill(owner, ours)
+        return store, rows
+
+    def _pool(self, graphs):
+        """``(roots, degrees, masks, starts, sizes, rows)``: graph ``i``'s
+        vertices are the ``sizes[rows[i]]`` from ``starts[rows[i]]``."""
+        store, rows = self.fill(graphs)
+        if -1 in rows:  # a graph outside the list: pack the batch alone
+            sizes, roots, degrees, masks = store.pack(graphs)
+            return (roots, degrees, masks, sizes.cumsum() - sizes, sizes,
+                    np.arange(len(graphs)))
+        return (store.roots, store.degrees, store.masks, store.offsets,
+                store.features.sizes, np.array(rows))
+
+    def one_to_many(self, g: LabeledGraph, others: Sequence[LabeledGraph]) -> np.ndarray:
         """``[d(g, h) for h in others]`` as one batch."""
         out = np.empty(len(others), dtype=np.float64)
         if not len(others):
             return out
         obs.counter("ged.star.batch_calls")
         obs.counter("ged.star.batch_pairs", len(others))
-        source = self._profiles[g]
-        profiles = [self._profiles[h] for h in others]
-        n_g = len(source.roots)
-        if n_g == 0:
-            # Serial path: all-insertion assignment, Σ (1 + deg).
-            for idx, p in enumerate(profiles):
-                out[idx] = float(np.sum(1.0 + p.degrees)) if len(p.roots) else 0.0
-            return self._normalize_many(out, source, profiles)
-        deletion = 1.0 + source.degrees
-        if len(profiles) <= 64:
+        pool = self._pool([g, *others])
+        if len(others) <= 64:
             # A query's batches of ~2, up to where the two paths cross
-            # (runs of ~3 equal sizes; EXPERIMENTS.md, "The kernel's
-            # price"): below it grouping costs more than the plain
-            # paddings it replaces.
-            cost, _ = self._costs(source, profiles)
-            offset = 0
-            for idx, p in enumerate(profiles):
-                n_h = len(p.roots)
-                pairwise = cost[:, offset:offset + n_h]
-                offset += n_h
-                if n_g == n_h:
-                    matrix = pairwise
-                else:
-                    # Pad the smaller side with null stars only.
-                    size = max(n_g, n_h)
-                    matrix = np.empty((size, size))
+            # (EXPERIMENTS.md, "The kernel's price"): grouping costs more
+            # than the paddings it replaces.  One gather, the source first;
+            # a pair's picked costs are integers, so a Python sum is exact.
+            roots, degrees, masks, sizes = _gather(pool, slice(None))
+            sizes = sizes.tolist()
+            n_g = sizes[0]
+            source = roots[:n_g], degrees[:n_g], masks[:n_g]
+            their_degrees, deletion = degrees[n_g:], 1.0 + degrees[:n_g, None]
+            cost = _costs(source, (roots[n_g:], their_degrees, masks[n_g:]))
+            offset, totals = 0, []
+            for n_h in sizes[1:]:
+                matrix = pairwise = cost[:, offset:offset + n_h]
+                if n_g != n_h:  # pad the smaller side with null stars only
+                    matrix = np.empty((max(n_g, n_h),) * 2)
                     matrix[:n_g, :n_h] = pairwise
                     if n_g < n_h:
-                        matrix[n_g:, :] = 1.0 + p.degrees
+                        matrix[n_g:, :] = 1.0 + their_degrees[offset:offset + n_h]
                     else:
-                        matrix[:, n_h:] = deletion[:, None]
-                rows, cols = linear_sum_assignment(matrix)
-                out[idx] = matrix[rows, cols].sum()
-            return self._normalize_many(out, source, profiles)
-        # Targets in size order: a block then holds a few long runs of one
-        # size, each padded as one (count, size, size) tensor — only the
-        # solver call stays inside a Python loop.
-        sizes = np.fromiter((len(p.roots) for p in profiles), np.intp, len(out))
-        order = np.argsort(sizes, kind="stable")
+                        matrix[:, n_h:] = deletion
+                offset += n_h
+                totals.append(sum(matrix[linear_sum_assignment(matrix)].tolist()))
+            out[:] = totals
+            return _normalize(out, degrees, sizes) if self.normalized else out
+        # Targets in size order: a chunk then holds a few long runs of one
+        # size, each padded as one (count, size, size) tensor.
+        sizes = pool[4][pool[5]].astype(np.int64)
+        source = _gather(pool, slice(0, 1))[:3]
+        n_g, deletion = sizes[0], 1.0 + source[1][:, None]
+        order = np.argsort(sizes[1:], kind="stable")
         for start in range(0, len(order), _BLOCK_PROFILES):
             chunk = order[start:start + _BLOCK_PROFILES]
-            cost, degrees = self._costs(
-                source, [profiles[idx] for idx in chunk.tolist()]
-            )
+            roots, their_degrees, masks, their_sizes = _gather(pool, chunk + 1)
+            cost = _costs(source, (roots, their_degrees, masks))
             lo = column = 0
-            for n_h, count in zip(*np.unique(sizes[chunk], return_counts=True)):
+            for n_h, count in zip(*np.unique(their_sizes, return_counts=True)):
                 span = slice(column, column + count * n_h)
                 size = max(n_g, n_h)
                 tensor = np.empty((count, size, size))
-                tensor[:, :n_g, :n_h] = (
-                    cost[:, span].reshape(n_g, count, n_h).transpose(1, 0, 2)
-                )
+                tensor[:, :n_g, :n_h] = cost[:, span].reshape(n_g, count, n_h).transpose(1, 0, 2)
                 if n_g < n_h:
-                    tensor[:, n_g:, :] = (1.0 + degrees[span]).reshape(count, 1, n_h)
+                    tensor[:, n_g:, :] = (1.0 + their_degrees[span]).reshape(count, 1, n_h)
                 else:  # nothing to fill when the sizes are equal
-                    tensor[:, :, n_h:] = deletion[:, None]
-                chosen = np.concatenate(
-                    [linear_sum_assignment(matrix)[1] for matrix in tensor]
-                ).reshape(count, size, 1)
-                out[chunk[lo:lo + count]] = np.take_along_axis(
-                    tensor, chosen, axis=2
-                ).sum(axis=(1, 2))
+                    tensor[:, :, n_h:] = deletion
+                chosen = [linear_sum_assignment(matrix)[1] for matrix in tensor]
+                chosen = np.concatenate(chosen).reshape(count, size, 1)
+                out[chunk[lo:lo + count]] = np.take_along_axis(tensor, chosen, 2).sum(axis=(1, 2))
                 lo += count
                 column = span.stop
-        return self._normalize_many(out, source, profiles)
-
-    def _normalize_many(self, values, source, profiles) -> np.ndarray:
         if not self.normalized:
-            return values
-        source_max = float(source.degrees.max()) if len(source.degrees) else 0.0
-        for idx, p in enumerate(profiles):
-            other_max = float(p.degrees.max()) if len(p.degrees) else 0.0
-            values[idx] = values[idx] / max(4.0, max(source_max, other_max) + 1.0)
-        return values
+            return out
+        return _normalize(out, _gather(pool, slice(None))[1], sizes.tolist())
 
     def __call__(self, g1: LabeledGraph, g2: LabeledGraph) -> float:
         return float(self.one_to_many(g1, [g2])[0])
+
+
+def _normalize(values, degrees, sizes) -> np.ndarray:
+    """Each value over ``max(4, the pair's top degree + 1)``; ``degrees``
+    and ``sizes`` run over the source, then the targets."""
+    ends = np.cumsum(sizes).tolist()
+    tops = [degrees[end - n:end].max(initial=0.0) for end, n in zip(ends, sizes)]
+    values /= [max(4.0, max(tops[0], top) + 1.0) for top in tops[1:]]
+    return values
+
+
+def _costs(source, target) -> np.ndarray:
+    """``max(deg_u, deg_v) + [root_u ≠ root_v] − popcount(mask_u & mask_v)``
+    of every source vertex against every target vertex."""
+    (roots, degrees, masks), (their_roots, their_degrees, their_masks) = source, target
+    cost = np.maximum(degrees[:, None], their_degrees)
+    cost += roots[:, None] != their_roots
+    for word in range(min(masks.shape[1], their_masks.shape[1])):
+        cost -= word_counts(masks[:, word, None] & their_masks[:, word])
+    return cost
+
+
+def _gather(pool, picks):
+    """``(roots, float degrees, masks, sizes)`` of the pool's graphs
+    ``picks``, their vertices concatenated in that order."""
+    roots, degrees, masks, starts, sizes, rows = pool
+    rows = rows[picks]
+    sizes = sizes[rows].astype(np.int64)
+    vertices = _spans(starts[rows], sizes)
+    return roots[vertices], degrees[vertices].astype(float), masks[vertices], sizes

@@ -27,6 +27,26 @@ def _adopt(graph: LabeledGraph, position: int) -> LabeledGraph:
     return graph.renumbered(position)
 
 
+class GraphList(list):
+    """A database's graph list.  ``origin`` is the list it was cut from as
+    a prefix (:meth:`GraphDatabase.subset` of ``range(k)``), holding the
+    same graph objects at the same positions, or ``None``; ``columns`` is
+    the distance engine's per-position star columns over the origin
+    (:class:`repro.engine.starbatch.StarColumns`), set on first use, so
+    every prefix of one list shares one copy."""
+
+    __slots__ = ("origin", "columns")
+
+    def __init__(self, graphs=(), origin: "GraphList | None" = None):
+        super().__init__(graphs)
+        self.origin = origin
+        self.columns = None
+
+    def __reduce__(self):
+        # A copy is a list of its own: its columns are filled afresh.
+        return GraphList, (list(self),)
+
+
 class GraphDatabase:
     """An in-memory graph database ``D = {g_1 … g_n}`` with feature vectors.
 
@@ -46,7 +66,7 @@ class GraphDatabase:
     """
 
     def __init__(self, graphs: Iterable[LabeledGraph], features):
-        self._graphs: list[LabeledGraph] = list(graphs)
+        graphs = list(graphs)
         matrix = np.asarray(features, dtype=float)
         if matrix.ndim == 1:
             matrix = matrix.reshape(-1, 1)
@@ -55,12 +75,12 @@ class GraphDatabase:
             f"features must be 1-D or 2-D, got shape {matrix.shape}",
         )
         require(
-            matrix.shape[0] == len(self._graphs),
-            f"{len(self._graphs)} graphs but {matrix.shape[0]} feature rows",
+            matrix.shape[0] == len(graphs),
+            f"{len(graphs)} graphs but {matrix.shape[0]} feature rows",
         )
         self._features = matrix
         self._features.setflags(write=False)
-        self._graphs = [_adopt(g, i) for i, g in enumerate(self._graphs)]
+        self._graphs = GraphList(_adopt(g, i) for i, g in enumerate(graphs))
         self._deleted: set[int] = set()
 
     # ------------------------------------------------------------------
@@ -147,16 +167,21 @@ class GraphDatabase:
         """A new database restricted to ``indices`` (ids are renumbered).
 
         Soft-deletion marks are *not* carried over: the subset is a fresh
-        database over O(1) copies of the selected graphs — each shares its
-        original's structure and carries its own id, so subsetting costs a
-        few pointers per graph (shards, snapshots under a latch).
+        database over the selected graphs — a graph that keeps its
+        position is the same object, any other an O(1) copy sharing its
+        original's structure under its own id, so subsetting costs a few
+        pointers per graph (shards, snapshots under a latch).  A prefix
+        (``range(k)``) shares this list's star columns
+        (:class:`GraphList`).
         """
         indices = list(indices)
-        graphs = [
-            self._graphs[i].renumbered(position)
-            for position, i in enumerate(indices)
-        ]
-        return GraphDatabase(graphs, self._features[indices])
+        subset = GraphDatabase(
+            [self._graphs[i] for i in indices], self._features[indices]
+        )
+        if indices == list(range(len(indices))):
+            origin = self._graphs.origin
+            subset._graphs.origin = self._graphs if origin is None else origin
+        return subset
 
     def sample(self, size: int, rng: np.random.Generator) -> "GraphDatabase":
         """A uniform random sample of ``size`` graphs (without replacement)."""
@@ -183,8 +208,14 @@ class GraphDatabase:
         be occasional, e.g. feeding :meth:`repro.index.NBIndex.insert`.
         """
         row = self.feature_row(feature_row)
-        new_id = len(self._graphs)
-        self._graphs.append(_adopt(graph, new_id))
+        graphs, new_id = self._graphs, len(self._graphs)
+        graph = _adopt(graph, new_id)
+        origin = graphs.origin
+        if origin is not None and (
+            new_id >= len(origin) or origin[new_id] is not graph
+        ):
+            graphs.origin = None  # no longer a prefix of its origin
+        graphs.append(graph)
         matrix = np.vstack([self._features, row])
         matrix.setflags(write=False)
         self._features = matrix

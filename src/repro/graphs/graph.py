@@ -200,6 +200,12 @@ class LabeledGraph:
         return [(label, tuple(sorted(tokens)))
                 for label, tokens in zip(self._node_labels, self.branch_tokens())]
 
+    def slots(self) -> tuple[Sequence[int], tuple[str, ...]]:
+        """Every neighbour slot as ``(neighbour ids, edge labels)``, two
+        parallel sequences: vertex ``v``'s ``degree(v)`` slots follow those
+        of every vertex before it, each in :meth:`neighbors` order."""
+        return self._csr[len(self._node_labels) + 1:], self._slot_labels
+
     def branch_tokens(self) -> list[list[tuple[str, str]]]:
         """Every vertex's ``(edge label, neighbour label)`` branch tokens, in
         :meth:`neighbors` order; the star builders read these."""

@@ -8,8 +8,9 @@ against the (unnormalized) star metric — there they do not pay as
 per-pair post-filters (EXPERIMENTS.md) but may return as *coordinates* of
 the Chebyshev bound (ROADMAP) — the vantage sandwich is checked against
 random vantage sets, and the vectorized
-:class:`~repro.cascade.features.StageFeatures` form must agree exactly
-with the pure per-pair reference it accelerates.
+:class:`~repro.cascade.features.StageFeatures` form, as the star columns'
+fill writes it, must agree exactly with the pure per-pair reference it
+accelerates.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cascade.features import StageFeatures
+from repro.engine.starbatch import StarColumns
 from repro.ged import (
     ExactGED,
     StarDistance,
@@ -115,11 +116,17 @@ class TestVantageSandwich:
 class TestVectorizedAgreesWithReference:
     """The batch :class:`StageFeatures` form equals the pure bound."""
 
+    @staticmethod
+    def features(graphs, store=None):
+        """The feature rows of every graph, filled by a store's fill."""
+        store = StarColumns() if store is None else store
+        store.fill(graphs, np.arange(len(graphs)))
+        return store.features
+
     @settings(max_examples=25, deadline=None)
     @given(st.lists(small_graph(), min_size=1, max_size=6), small_graph())
     def test_batch_matches_pairwise(self, graphs, source):
-        features = StageFeatures()
-        features.sync(graphs)
+        features = self.features(graphs)
         rows = np.arange(len(graphs))
         assign = features.assignment_lb(source, rows)
         for i, target in enumerate(graphs):
@@ -132,11 +139,11 @@ class TestVectorizedAgreesWithReference:
     def test_a_row_source_is_exact_across_a_wider_dtype(self, graphs):
         """An id source reads its own row, ``==`` the pure bound — also
         after a 300-node graph widens the one-byte matrices."""
-        features = StageFeatures()
-        features.sync(graphs)
+        store = StarColumns()
+        features = self.features(graphs, store)
         assert features.label_counts.dtype == np.uint8
         graphs = graphs + [path_graph(["C"] * 299 + ["N"])]
-        features.sync(graphs)
+        assert self.features(graphs, store) is features
         assert features.label_counts.dtype == np.uint16
         rows = np.arange(len(graphs))
         for source, graph in enumerate(graphs):
@@ -149,12 +156,13 @@ class TestVectorizedAgreesWithReference:
            st.lists(small_graph(max_nodes=7), min_size=1, max_size=3),
            small_graph(max_nodes=7))
     def test_incremental_sync_matches_pairwise(self, first, second, source):
-        """Rows appended by a later ``sync`` (wider degrees, new label
-        columns) still reproduce the pure bounds — the live-insert path."""
-        features = StageFeatures()
-        features.sync(first)
+        """Rows appended by a later fill of a grown list (wider degrees,
+        new label columns) still reproduce the pure bounds — the
+        live-insert path."""
+        store = StarColumns()
+        self.features(first, store)
         graphs = first + second
-        features.sync(graphs)
+        features = self.features(graphs, store)
         rows = np.arange(len(graphs))
         assign = features.assignment_lb(source, rows)
         for i, target in enumerate(graphs):

@@ -144,6 +144,9 @@ LOAD_FAILURES = {
     "checkpoint": [
         "checkpoint", "{tmp}/missing.jsonl", "--journal", "{tmp}/j.journal",
     ],
+    "checkpoint --journal": [
+        "checkpoint", "{db}", "--journal", "{tmp}/missing.journal",
+    ],
 }
 
 
@@ -166,6 +169,15 @@ class TestLoadFailures:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"repro {argv[0]}: ")
         assert "missing" in lines[0]
+
+    def test_a_missing_journal_is_refused_not_made(self, db_path, tmp_path):
+        """``repro checkpoint`` opens no journal it would have to create:
+        an append-mode open would write a fresh header."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        journal = empty / "missing.journal"
+        assert main(["checkpoint", str(db_path), "--journal", str(journal)]) == 2
+        assert list(empty.iterdir()) == []
 
     def test_every_database_taking_subcommand_is_listed(self):
         import argparse

@@ -124,6 +124,36 @@ def test_compaction_closed_midway_drops_its_base(tmp_path, monkeypatch):
     assert mutable.stats()["delta"]["generation"] == 0
 
 
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_compaction_closed_before_its_commit_leaves_every_file(
+    tmp_path, monkeypatch, num_shards
+):
+    """Closed from inside the compaction path, after its new generation is
+    staged: the index file or manifest and every shard artifact stay byte
+    for byte, and what was staged is removed."""
+    db, dbp, artifact = _deployment(tmp_path, num_shards)
+    mutable = _open(tmp_path, dbp, artifact)
+    _mutate(mutable, db)
+    folder = artifact.parent
+    before = {path.name: path.read_bytes() for path in folder.iterdir()}
+    name = "_compact_sharded" if num_shards > 1 else "_compact_single"
+    build = getattr(type(mutable), name)
+    staged = []
+
+    def close_once_staged(self, *args):
+        built = build(self, *args)
+        staged.extend(path.name for path in args[-1])
+        self.close()
+        return built
+
+    monkeypatch.setattr(type(mutable), name, close_once_staged)
+    with pytest.raises(IndexClosedError):
+        mutable.compact()
+    assert staged and not set(staged) & set(before)
+    after = {path.name: path.read_bytes() for path in folder.iterdir()}
+    assert after.keys() == before.keys() and after == before
+
+
 def test_checkpoint_closed_midway_leaves_the_journal(tmp_path, monkeypatch):
     db, dbp, artifact = _deployment(tmp_path, 1)
     mutable = _open(tmp_path, dbp, artifact)

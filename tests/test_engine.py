@@ -71,6 +71,11 @@ def _rings(alphabet: int, prefix: str = "w") -> list[LabeledGraph]:
     ]
 
 
+def _registry(evaluator) -> int:
+    """Level-expanded token columns interned by the evaluator's store."""
+    return len(evaluator.columns()[1]._columns)
+
+
 def _narrow_graphs(rng, count: int) -> list[LabeledGraph]:
     """Small graphs over two labels: the empty graph, isolated vertices, a
     hub whose ≥ 3 equal leaves need count levels, random sparse graphs."""
@@ -116,10 +121,10 @@ def test_batch_evaluator_property_bit_identical(data):
 
     # Narrow profiles are packed while one word still covers the registry…
     check(narrow, 2, range(len(narrow)))
-    assert len(evaluator._token_ids) <= 64
+    assert _registry(evaluator) <= 64
     # …the rings push it over one or two word boundaries…
     check(wide, 0, range(len(wide)))
-    assert len(evaluator._token_ids) > alphabet - 8
+    assert _registry(evaluator) > alphabet - 8
     # …and then old and new profiles meet, as source and as target.
     pool = narrow + wide
     lengths = (1, 2, 64, 65, _BLOCK_PROFILES, _BLOCK_PROFILES + 1)
@@ -177,7 +182,7 @@ def test_batch_evaluator_concurrent_queries_bit_identical(db):
             for t in threads:
                 t.join(60.0)
             assert not any(t.is_alive() for t in threads)
-            assert len(evaluator._token_ids) > 128
+            assert _registry(evaluator) > 128
             assert sorted(results) == list(range(8))
             for source, got in results.items():
                 assert np.array_equal(got, expected[source]), source

@@ -26,6 +26,7 @@ import repro
 from repro import NBIndex, StarDistance, build_shards
 from repro.datasets import GENERATORS
 from repro.engine import DistanceEngine
+from repro.engine.starbatch import StarColumns
 from repro.ged import CountingDistance
 from repro.metricspace import vector_database
 from repro.resilience import CorruptIndexError, Deadline, faults
@@ -188,17 +189,30 @@ def test_columns_that_miss_different_targets_book_what_the_loop_books(mode):
 
 
 @pytest.mark.skipif(not CAN_FORK, reason="needs a CPU to spare")
-def test_a_build_process_profiles_only_its_block_and_the_vantage_graphs():
-    """Two processes: the parent measures the first half of the targets
-    against every vantage column, so it profiles no graph beyond them."""
-    vantage = _WIDE["num_vantage_points"]
+def test_a_build_child_fills_nothing_its_parent_filled_before_the_fork(
+    tmp_path, monkeypatch
+):
+    """Two processes: the parent fills the list's star columns before it
+    forks, so the child inherits every row and fills none itself."""
+    log = tmp_path / "fills"
+    pack = StarColumns.pack
+
+    def logged(store, graphs):
+        with open(log, "a") as out:  # the child appends to the same file
+            out.writelines(f"{os.getpid()} {g.graph_id}\n" for g in graphs)
+        return pack(store, graphs)
+
+    monkeypatch.setattr(StarColumns, "pack", logged)
+    database = GENERATORS["dud"](num_graphs=260, seed=5)
     with process_shape("fanned") as forks:
-        index = NBIndex.build(
-            _DUD, StarDistance(), num_vantage_points=vantage, seed=5
-        )
+        NBIndex.build(database, StarDistance(), seed=5, **_WIDE)
     assert len(forks) == 1
-    profiled = len(index.engine._evaluator._profiles)
-    assert vantage < profiled <= -(-len(_DUD) // 2) + vantage
+    filled: dict[int, list[int]] = {}
+    for line in log.read_text().splitlines():
+        pid, gid = map(int, line.split())
+        filled.setdefault(pid, []).append(gid)
+    assert sorted(filled[os.getpid()]) == list(range(len(database)))
+    assert set(filled) == {os.getpid()}
 
 
 def test_a_column_block_under_a_deadline_never_leaves_the_process():

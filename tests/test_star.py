@@ -18,7 +18,9 @@ from repro.ged import (
 )
 from repro.engine.starbatch import BatchStarEvaluator
 from repro.ged.star import _star_cost_matrix, _StarProfile
-from repro.graphs import LabeledGraph, cycle_graph, path_graph, star_graph
+from repro.graphs import (
+    GraphDatabase, LabeledGraph, cycle_graph, path_graph, star_graph,
+)
 
 # ---------------------------------------------------------------------------
 # Hypothesis graph strategy: small random labelled graphs.
@@ -124,14 +126,27 @@ class TestBasics:
     def test_batch_registry_evicts_collected_graphs(self):
         # The batch kernel's registry pinned every graph it profiled,
         # including each throw-away query graph of an M-/C-tree range query.
-        evaluator = BatchStarEvaluator()
-        pinned = path_graph(["C", "N"])
-        evaluator.one_to_many(pinned, [path_graph(["C", "O"])])  # transient
+        # Now only the attached list's graphs get rows; a transient graph,
+        # as source or as target, is packed for its call and kept nowhere.
         import gc
+        import weakref
 
-        gc.collect()
-        live = evaluator._profiles.referents()
-        assert len(live) == 1 and live[0] is pinned
+        db = GraphDatabase(
+            [path_graph(["C", "N"]), path_graph(["C", "C", "N"])], [0.0, 1.0]
+        )
+        for evaluator in (BatchStarEvaluator(graphs=db.graphs),
+                          BatchStarEvaluator()):
+            transient = path_graph(["C", "O"])
+            gone = weakref.ref(transient)
+            evaluator.one_to_many(db[0], [transient, db[1]])
+            evaluator.one_to_many(transient, db.graphs)
+            evaluator.one_to_many(db[1], db.graphs)
+            del transient
+            gc.collect()
+            assert gone() is None
+        owner, store = BatchStarEvaluator(graphs=db.graphs).columns()
+        assert owner is db.graphs and list(store.ready) == [1, 1]
+        assert store.offsets.tolist() == [0, 2, 5]  # rows for db's graphs only
 
     def test_batch_registry_survives_id_recycling(self):
         evaluator = BatchStarEvaluator()
