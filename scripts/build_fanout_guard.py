@@ -21,6 +21,9 @@ over many runs (one below the bar), and 1.53×–1.63× in three runs
 interleaved with the three below: every process star-profiled all n
 graphs, so the profiling never split.  Dealt by target block, each
 process profiles only its block and the vantage graphs: 1.77×–1.90×.
+Solving each pair as a rectangle shrank every process's share while the
+star-column fill before the fork stays serial: 1.38×–2.07×, moving more
+with the box (which read 1.35×–1.94× on the square-padded kernel).
 
 Run from the repo root: ``PYTHONPATH=src python scripts/build_fanout_guard.py``.
 """

@@ -17,12 +17,12 @@ It deals the frame by target block: on a 2-CPU x86 box this process
 fills the database's star columns (~200 B a graph), forks, and measures
 the first half of the database against every vantage column while a
 child, which inherits the columns, measures the second.  There a build
-reads ~1 510–1 630 B per graph; with a star-profile object per graph in each
+reads ~1 360–1 630 B per graph; with a star-profile object per graph in each
 process (≈ 1 425 B, the parent's half plus the vantage graphs) and the
 kernel's overlap blocks materialized 256 targets at a time it read
 ~2 440, dealt by vantage column ~3 200, and one that also cached the
 block (100 802 pairs) 4 640–4 880.  On one CPU the frame is one block
-evaluated inline and reads ~1 960 (~3 220 with profile objects), so
+evaluated inline and reads ~1 530–1 960 (~3 220 with profile objects), so
 there the inline bound applies, and a cached block fails check 2 as well
 as check 1.
 

@@ -33,9 +33,10 @@ from repro.metricspace import vector_database
 PAIRS = 2000
 LENGTHS = (1, 2, 64, 2000)
 GUARDED_LENGTH = 64
-#: Star: ≈ 4.5× expected.  Vector: ≈ 12× measured on a 2-core box
-#: (0.4 against 5 µs/pair); the floor keeps a margin for noisy runners.
-FLOORS = {"star": 2.0, "vector": 4.0}
+#: Star: 3.3–3.4× measured in ten runs on a 2-core box (the evaluator is
+#: over no list, so every call packs its graphs).  Vector: ≈ 13× (0.4
+#: against 5 µs/pair).  Each floor keeps a margin for noisy runners.
+FLOORS = {"star": 2.5, "vector": 4.0}
 #: Vector batch / serial µs per pair at length 1: the one-pair call plus
 #: one small array (≈ 1.05× measured), with a margin for noisy runners.
 #: The star kernel keeps its batch path at every length and is not held

@@ -35,23 +35,21 @@ _WORD_MASK = 63
 _ONE = np.uint64(1)
 _U64_63 = np.uint64(63)
 
-#: ``word_counts(words)`` — set bits of every uint64 word, elementwise (same
-#: shape, small unsigned counts).  The repo's one popcount: the coverage
-#: primitives below and the star kernel's overlap both go through it.
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-    word_counts = np.bitwise_count
-else:  # pragma: no cover - exercised only on numpy 1.x
-    _BYTE_COUNTS = np.array(
-        [bin(b).count("1") for b in range(256)], dtype=np.uint8
-    )
+_BYTE_COUNTS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
-    def word_counts(words: np.ndarray) -> np.ndarray:
-        view = words.view(np.uint8)
-        return (
-            _BYTE_COUNTS[view]
-            .reshape(words.shape + (8,))
-            .sum(axis=-1, dtype=np.uint64)
-        )
+
+def byte_table_counts(words: np.ndarray) -> np.ndarray:
+    """``np.bitwise_count`` of uint64 ``words`` by a byte table, in the
+    same ``uint8``: a count mixed with ``int32`` stays ``int32``."""
+    view = words.view(np.uint8)
+    return _BYTE_COUNTS[view].reshape(words.shape + (8,)).sum(axis=-1, dtype=np.uint8)
+
+
+#: ``word_counts(words)`` — set bits of every uint64 word, elementwise (same
+#: shape, ``uint8`` counts).  The repo's one popcount: the coverage
+#: primitives below and the star kernel's overlap both go through it.
+#: numpy 1.x has no ``bitwise_count`` and counts by the byte table.
+word_counts = getattr(np, "bitwise_count", byte_table_counts)
 
 
 def num_words(nbits: int) -> int:

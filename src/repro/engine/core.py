@@ -322,28 +322,29 @@ class DistanceEngine:
         # A pair recurs only at a repeated source or target half, or with
         # its halves swapped (a target half that is a source half): each
         # half's first row and column place its first occurrence.
-        first_row = {h: row for row, h in reversed(list(enumerate(target_halves)))}
-        first_column = {h: j for j, h in reversed(list(enumerate(source_halves)))}
+        n, every = len(graphs), [*target_halves, *source_halves]
+        _, first, inverse = np.unique(every, return_index=True, return_inverse=True)
+        first_row = first[inverse]  # of each target's half, then each source's
+        _, first, inverse = np.unique(every[n:] + every[:n], return_index=True, return_inverse=True)
+        first_column = first[inverse]  # of each source's half, then each target's
         copies, todo = [], []  # copies: ([i, j] to, [i, j] from)
         for column, source_half in enumerate(source_halves):
-            earlier = first_column[source_half]
+            earlier = first_column[column]
             if earlier < column:  # a repeated source: all its column again
                 copies.append(((slice(None), column), (slice(None), earlier)))
                 continue
             with self._cache_lock:
                 absent, _ = self._cache.scan(source_half, target_halves, out[:, column])
-            source_row, misses = first_row.get(source_half), []
-            for row in absent:
-                target_half = target_halves[row]
-                as_source = first_column.get(target_half, column)
-                if first_row[target_half] < row:  # a repeated target
-                    copies.append(((row, column), (first_row[target_half], column)))
-                elif as_source < column and source_row is not None:  # swapped
-                    copies.append(((row, column), (source_row, as_source)))
-                else:
-                    misses.append(row)
-            if misses:
-                todo.append((column, np.array(misses, dtype=np.int32)))
+            absent, source_row = np.array(absent, dtype=np.intp), first_row[n + column]
+            repeated = first_row[absent] < absent
+            as_source = first_column[len(sources) + absent]
+            swapped = ~repeated & (as_source < column) & (source_row < n)
+            if swapped.any():  # before the repeats, which may read them
+                copies.append(((absent[swapped], column), (source_row, as_source[swapped])))
+            if repeated.any():
+                copies.append(((absent[repeated], column), (first_row[absent[repeated]], column)))
+            if (misses := absent[~repeated & ~swapped]).size:
+                todo.append((column, misses))
         pairs = sum(misses.size for _, misses in todo)
         hits = out.size - pairs  # every pair not evaluated here
         with self._cache_lock:

@@ -12,11 +12,12 @@ bit-identical to :class:`repro.ged.star.StarDistance` (tests assert ``==``):
   words and the sum is ``popcount(mask_u & mask_v)``.  Column numbers
   never enter a count; a graph packed before the registry crossed a word
   has no bit past its words, so a batch ANDs the narrower width.
-* **Reduced assignment** — substitution is cheaper than delete + insert,
-  so padding only the smaller side with null stars solves the ``(n1+n2)²``
-  Riesen–Bunke problem as a ``max(n1, n2)²`` one; a long batch pads each
-  run of equal-sized targets as one tensor.  Every cost is an integer far
-  below 2⁵³, so the sums are exact in any order.
+* **Rectangular assignment** — a Riesen–Bunke solution pairs each star of
+  the smaller side with a distinct one and sends the rest to null stars,
+  so its optimum is the larger side's ``Σ null`` plus an ``n_small ×
+  n_large`` assignment of ``cost − null``; a long batch solves each run of
+  equal-sized targets as one tensor.  Costs are integers far below 2⁵³:
+  the sums are exact in any order, whichever optimum the solver picks.
 """
 
 from __future__ import annotations
@@ -51,6 +52,20 @@ def _intern(vocab: dict, keys: list) -> np.ndarray:
     return np.array(ids, dtype=np.int64)
 
 
+def _lookup(table, keys: np.ndarray):
+    """``(table, ids)``: the id of each of ``keys`` in ``table`` — its keys
+    sorted, their ids alongside, a last key above all — merging in keys it
+    lacks, numbered on in order of first occurrence."""
+    known, ids = table
+    if (found := known[at := known.searchsorted(keys)] == keys).all():
+        return table, ids[at]
+    new, first = np.unique(keys[~found], return_index=True)
+    numbers = len(ids) - 1 + first.argsort(kind="stable").argsort(kind="stable")
+    at = known.searchsorted(new)
+    known, ids = np.insert(known, at, new), np.insert(ids, at, numbers)
+    return (known, ids), ids[known.searchsorted(keys)]
+
+
 def _spans(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The indices ``starts[i] … starts[i] + sizes[i] − 1``, concatenated."""
     ends = sizes.cumsum()
@@ -69,8 +84,9 @@ class StarColumns:
         self._lock = threading.RLock()
         self._labels: dict[str, int] = {}
         self._edges: dict[str, int] = {}
-        self._tokens: dict[int, int] = {}  # edge label << 32 | label → token
-        self._columns: dict[int, int] = {}  # token << 32 | level → column
+        # Sorted keys edge << 32 | label → token, token << 32 | level → column.
+        self._tokens = self._columns = np.array([2**63 - 1]), np.array([-1])
+        self.column_count = 0  # (token, level) columns interned: the mask bits in use
         self.ready = bytearray()
         self.offsets = np.zeros(1, dtype=np.int64)
         self.roots = np.zeros(0, dtype=np.uint8)
@@ -136,14 +152,15 @@ class StarColumns:
             neighbour = np.fromiter(chain.from_iterable(neighbours), np.int64, len(vertex))
             neighbour += np.repeat(sizes.cumsum() - sizes, sizes)[vertex]
             edge = _intern(self._edges, list(chain.from_iterable(edges)))
-            tokens = _intern(self._tokens, (edge << 32 | codes[neighbour]).tolist())
+            self._tokens, tokens = _lookup(self._tokens, edge << 32 | codes[neighbour])
             # Slots by (vertex, token): a copy's level is its rank in its run.
-            key = vertex * len(self._tokens) + tokens
+            key = vertex * (int(tokens.max(initial=0)) + 1) + tokens
             order = key.argsort(kind="stable")
             key, vertex, tokens = key[order], vertex[order], tokens[order]
             level = np.arange(len(key)) - key.searchsorted(key)
-            column = _intern(self._columns, (tokens << 32 | level).tolist())
-            width = max(1, num_words(len(self._columns)))
+            self._columns, column = _lookup(self._columns, tokens << 32 | level)
+            self.column_count = len(self._columns[1]) - 1
+            width = max(1, num_words(self.column_count))
         masks = np.zeros((len(codes), width), dtype=np.uint64)
         np.bitwise_or.at(masks, (vertex, column >> 6), np.left_shift(
             np.uint64(1), (column & 63).astype(np.uint64)
@@ -213,51 +230,43 @@ class BatchStarEvaluator:
         if len(others) <= 64:
             # A query's batches of ~2, up to where the two paths cross
             # (EXPERIMENTS.md, "The kernel's price"): grouping costs more
-            # than the paddings it replaces.  One gather, the source first;
-            # a pair's picked costs are integers, so a Python sum is exact.
+            # than it saves.  One gather, the source first; a pair's picked
+            # costs are integers, so a Python sum is exact.
             roots, degrees, masks, sizes = _gather(pool, slice(None))
-            sizes = sizes.tolist()
-            n_g = sizes[0]
-            source = roots[:n_g], degrees[:n_g], masks[:n_g]
-            their_degrees, deletion = degrees[n_g:], 1.0 + degrees[:n_g, None]
-            cost = _costs(source, (roots[n_g:], their_degrees, masks[n_g:]))
-            offset, totals = 0, []
+            sizes, null, totals = sizes.tolist(), 1.0 + degrees, []
+            n_g = start = sizes[0]
+            deletion = null[:n_g]
+            cost = _costs((roots[:n_g], degrees[:n_g], masks[:n_g]),
+                          (roots[n_g:], degrees[n_g:], masks[n_g:]))
             for n_h in sizes[1:]:
-                matrix = pairwise = cost[:, offset:offset + n_h]
-                if n_g != n_h:  # pad the smaller side with null stars only
-                    matrix = np.empty((max(n_g, n_h),) * 2)
-                    matrix[:n_g, :n_h] = pairwise
-                    if n_g < n_h:
-                        matrix[n_g:, :] = 1.0 + their_degrees[offset:offset + n_h]
-                    else:
-                        matrix[:, n_h:] = deletion
-                offset += n_h
-                totals.append(sum(matrix[linear_sum_assignment(matrix)].tolist()))
+                stop = start + n_h
+                block = cost[:, start - n_g:stop - n_g]
+                matrix, total = _reduced(block, deletion, null[start:stop])
+                totals.append(total + sum(matrix[linear_sum_assignment(matrix)].tolist()))
+                start = stop
             out[:] = totals
             return _normalize(out, degrees, sizes) if self.normalized else out
         # Targets in size order: a chunk then holds a few long runs of one
-        # size, each padded as one (count, size, size) tensor.
+        # size, each solved as one (count, n_small, n_large) tensor.
         sizes = pool[4][pool[5]].astype(np.int64)
         source = _gather(pool, slice(0, 1))[:3]
-        n_g, deletion = sizes[0], 1.0 + source[1][:, None]
+        n_g, deletion = sizes[0], 1.0 + source[1]
         order = np.argsort(sizes[1:], kind="stable")
         for start in range(0, len(order), _BLOCK_PROFILES):
             chunk = order[start:start + _BLOCK_PROFILES]
             roots, their_degrees, masks, their_sizes = _gather(pool, chunk + 1)
             cost = _costs(source, (roots, their_degrees, masks))
+            insertion = 1.0 + their_degrees
             lo = column = 0
             for n_h, count in zip(*np.unique(their_sizes, return_counts=True)):
                 span = slice(column, column + count * n_h)
-                size = max(n_g, n_h)
-                tensor = np.empty((count, size, size))
-                tensor[:, :n_g, :n_h] = cost[:, span].reshape(n_g, count, n_h).transpose(1, 0, 2)
-                if n_g < n_h:
-                    tensor[:, n_g:, :] = (1.0 + their_degrees[span]).reshape(count, 1, n_h)
-                else:  # nothing to fill when the sizes are equal
-                    tensor[:, :, n_h:] = deletion
-                chosen = [linear_sum_assignment(matrix)[1] for matrix in tensor]
-                chosen = np.concatenate(chosen).reshape(count, size, 1)
-                out[chunk[lo:lo + count]] = np.take_along_axis(tensor, chosen, 2).sum(axis=(1, 2))
+                block = cost[:, span].reshape(n_g, count, n_h).transpose(1, 0, 2)
+                tensor, totals = _reduced(block, deletion, insertion[span].reshape(count, n_h))
+                if tensor.shape[1]:  # a side without stars leaves nothing to solve
+                    chosen = [linear_sum_assignment(matrix)[1] for matrix in tensor]
+                    chosen = np.concatenate(chosen).reshape(*tensor.shape[:2], 1)
+                    totals = totals + np.take_along_axis(tensor, chosen, 2).sum(axis=(1, 2))
+                out[chunk[lo:lo + count]] = totals
                 lo += count
                 column = span.stop
         if not self.normalized:
@@ -266,6 +275,16 @@ class BatchStarEvaluator:
 
     def __call__(self, g1: LabeledGraph, g2: LabeledGraph) -> float:
         return float(self.one_to_many(g1, [g2])[0])
+
+
+def _reduced(block, deletion, insertion):
+    """``(cost − null, Σ null)`` of Riesen–Bunke problems: ``block[..., u,
+    v]`` prices source star ``u`` against target star ``v``, ``deletion``
+    and ``insertion`` their null stars; the smaller side's stars become the
+    rows, the larger side's, less their null price, the columns."""
+    if block.shape[-2] <= block.shape[-1]:  # the source's stars as rows
+        return np.subtract(block, insertion[..., None, :], order="C"), np.add.reduce(insertion, -1)
+    return np.subtract(np.swapaxes(block, -1, -2), deletion, order="C"), np.add.reduce(deletion)
 
 
 def _normalize(values, degrees, sizes) -> np.ndarray:
@@ -279,9 +298,9 @@ def _normalize(values, degrees, sizes) -> np.ndarray:
 
 def _costs(source, target) -> np.ndarray:
     """``max(deg_u, deg_v) + [root_u ≠ root_v] − popcount(mask_u & mask_v)``
-    of every source vertex against every target vertex."""
+    of every source vertex against every target vertex, in ``int32``."""
     (roots, degrees, masks), (their_roots, their_degrees, their_masks) = source, target
-    cost = np.maximum(degrees[:, None], their_degrees)
+    cost = np.maximum(degrees[:, None], their_degrees, dtype=np.int32)
     cost += roots[:, None] != their_roots
     for word in range(min(masks.shape[1], their_masks.shape[1])):
         cost -= word_counts(masks[:, word, None] & their_masks[:, word])
@@ -289,10 +308,10 @@ def _costs(source, target) -> np.ndarray:
 
 
 def _gather(pool, picks):
-    """``(roots, float degrees, masks, sizes)`` of the pool's graphs
+    """``(roots, degrees, masks, sizes)`` of the pool's graphs
     ``picks``, their vertices concatenated in that order."""
     roots, degrees, masks, starts, sizes, rows = pool
     rows = rows[picks]
     sizes = sizes[rows].astype(np.int64)
     vertices = _spans(starts[rows], sizes)
-    return roots[vertices], degrees[vertices].astype(float), masks[vertices], sizes
+    return roots[vertices], degrees[vertices], masks[vertices], sizes

@@ -52,6 +52,10 @@ def test_roundtrip_and_popcount(case):
     assert kernel.word_counts(words).tolist() == [
         bin(int(word)).count("1") for word in words
     ]
+    # numpy 1.x's byte-table popcount: the same counts in the same dtype.
+    counted = kernel.byte_table_counts(words)
+    assert counted.tolist() == kernel.word_counts(words).tolist()
+    assert counted.dtype == kernel.word_counts(words).dtype == np.uint8
     for p in range(min(nbits, 130)):
         assert kernel.test_bit(words, p) == (p in as_set(nbits, positions))
 

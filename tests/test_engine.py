@@ -73,7 +73,7 @@ def _rings(alphabet: int, prefix: str = "w") -> list[LabeledGraph]:
 
 def _registry(evaluator) -> int:
     """Level-expanded token columns interned by the evaluator's store."""
-    return len(evaluator.columns()[1]._columns)
+    return evaluator.columns()[1].column_count
 
 
 def _narrow_graphs(rng, count: int) -> list[LabeledGraph]:
@@ -85,13 +85,18 @@ def _narrow_graphs(rng, count: int) -> list[LabeledGraph]:
         LabeledGraph(["a"] + ["b"] * 5, [(0, leaf) for leaf in range(1, 6)]),
     ]
     for _ in range(count):
-        n = int(rng.integers(1, 8))
-        edges = [
-            (u, v, "-="[int(rng.integers(2))])
-            for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
-        ]
-        graphs.append(LabeledGraph(list(rng.choice(["a", "b"], n)), edges))
+        graphs.append(_sized(rng, int(rng.integers(1, 8))))
     return graphs
+
+
+def _sized(rng, n: int) -> LabeledGraph:
+    """A random sparse graph of ``n`` vertices over two vertex and two
+    edge labels."""
+    edges = [
+        (u, v, "-="[int(rng.integers(2))])
+        for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4
+    ]
+    return LabeledGraph(list(rng.choice(["a", "b"], n)), edges)
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,12 +3,14 @@
 :class:`repro.engine.starbatch.StarColumns` holds every attached graph's
 star profile as vertex columns, each row filled by the first batch that
 reads it; the kernel gathers an attached graph by position and packs any
-other graph for its call.  These tests hold the kernel to the serial
-:class:`~repro.ged.StarDistance` bit for bit on both kinds of graph, as a
-list grows past a word of the column registry, under an insert on a
-mutable S = 2 index and under threads filling at once — and check
-who shares one store: every prefix of a database's list, until a
-snapshot's own append makes it no longer one.
+other graph for its call, and solves each pair as a rectangle of the
+smaller side's stars against the larger side's.  These tests hold the
+kernel to the serial :class:`~repro.ged.StarDistance` bit for bit on both
+kinds of graph, at every size relation of a pair, as a list grows past a
+word of the column registry, whatever order its rows were interned in,
+under an insert on a mutable S = 2 index and under threads filling at
+once — and check who shares one store: every prefix of a database's
+list, until a snapshot's own append makes it no longer one.
 """
 
 from __future__ import annotations
@@ -17,17 +19,19 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.bitset import kernel
 from repro.datasets import GENERATORS
-from repro.engine import DistanceEngine
+from repro.engine import DistanceEngine, starbatch
 from repro.engine.starbatch import BatchStarEvaluator
 from repro.ged import StarDistance
-from repro.graphs import GraphDatabase
+from repro.graphs import GraphDatabase, LabeledGraph
 from tests.test_durability import _deployment, _mutate
-from tests.test_engine import _narrow_graphs, _rings
+from tests.test_engine import _narrow_graphs, _rings, _sized
 
 SERIAL = StarDistance()
 
@@ -60,6 +64,102 @@ def test_attached_and_free_graphs_equal_the_serial_metric(data):
         targets = [choices[int(i)] for i in rng.integers(0, len(choices), length)]
         got = evaluator.one_to_many(source, targets)
         assert got.tolist() == _serial(source, targets)
+
+
+#: The target sizes a source of ``n_g`` vertices meets under each relation,
+#: smallest first, and the source sizes tried: a 0- and a 1-vertex graph
+#: on each side of every relation that allows one there.
+RELATIONS = {
+    "source smaller": (lambda n_g: list(range(n_g + 1, n_g + 6)), (0, 1)),
+    "source larger": (lambda n_g: list(range(n_g)), (1, 2)),
+    "equal sizes": (lambda n_g: [n_g], (0, 1)),
+}
+
+
+@pytest.mark.parametrize("normalized", [False, True], ids=["raw", "normalized"])
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_the_rectangle_equals_the_serial_metric_at_every_size_relation(
+    relation, normalized, data
+):
+    """Every target smaller than the source, every one larger, or every
+    one the same size — 0- and 1-vertex graphs among them — in batches on
+    both sides of the loop / tensor switch, attached to a list or free:
+    the rectangular solve ``==`` the serial (n1 + n2)² Riesen–Bunke one."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    length = data.draw(st.sampled_from([1, 64, 65, 200]), label="length")
+    attached = data.draw(st.booleans(), label="attached")
+    target_sizes, small_sources = RELATIONS[relation]
+    serial = StarDistance(normalized=normalized)
+    for n_g in (*small_sources, data.draw(st.integers(2, 7), label="n_g")):
+        sizes = target_sizes(n_g)
+        drawn = rng.choice(sizes, length)
+        drawn[-1], drawn[0] = sizes[min(1, len(sizes) - 1)], sizes[0]
+        graphs = [_sized(rng, n_g)] + [_sized(rng, int(n)) for n in drawn]
+        owner = GraphDatabase(graphs, np.zeros(len(graphs))).graphs if attached else None
+        graphs = list(owner) if attached else graphs
+        evaluator = BatchStarEvaluator(normalized, owner)
+        got = evaluator.one_to_many(graphs[0], graphs[1:]).tolist()
+        assert got == [serial(graphs[0], target) for target in graphs[1:]]
+
+
+def test_fills_in_either_order_intern_apart_and_agree():
+    """One list's rows filled first to last and last to first number their
+    tokens and columns apart; every kernel value is the same on both,
+    ``==`` the serial metric, and a filled database still pickles without
+    its store."""
+    import pickle
+
+    db = GENERATORS["dud"](num_graphs=120, seed=8)
+    twin = pickle.loads(pickle.dumps(db))
+    forwards = BatchStarEvaluator(graphs=db.graphs)
+    backwards = BatchStarEvaluator(graphs=twin.graphs)
+    _store(forwards).fill(db.graphs, range(len(db)))
+    for row in reversed(range(len(twin))):
+        _store(backwards).fill(twin.graphs, [row])
+    ahead, behind = _store(forwards), _store(backwards)
+    assert ahead.column_count == behind.column_count
+    assert not np.array_equal(ahead.masks[:ahead.offsets[-1]], behind.masks[:behind.offsets[-1]])
+    for source in (0, 57, 119):
+        for targets in (range(3), range(len(db))):  # the loop, then the tensors
+            got = forwards.one_to_many(db[source], [db[t] for t in targets]).tolist()
+            assert got == backwards.one_to_many(twin[source], [twin[t] for t in targets]).tolist()
+            assert got == _serial(db[source], [db[t] for t in targets])
+    again = pickle.loads(pickle.dumps(db))
+    assert again.graphs.columns is None
+    fresh = BatchStarEvaluator(graphs=again.graphs)
+    assert fresh.one_to_many(again[57], again.graphs).tolist() == _serial(db[57], db.graphs)
+
+
+def test_a_hub_over_a_large_alphabet_keeps_the_registry_small():
+    """One vertex of degree 400 whose neighbours share a label, in a graph
+    over 2 000 other labels: the registry holds the tokens and columns in
+    use (a few thousand), not a table of every token by the largest level
+    (≥ 6 MB), and the values stay ``==`` the serial metric."""
+    hub, alphabet = 400, 2000
+    labels = ["hub"] + ["leaf"] * hub + [f"p{i}" for i in range(alphabet)]
+    edges = [(0, leaf) for leaf in range(1, hub + 1)]
+    edges += [(hub + i, hub + i + 1) for i in range(1, alphabet)]
+    rng = np.random.default_rng(4)
+    graphs = [LabeledGraph(labels, edges), *_narrow_graphs(rng, 3)]
+    db = GraphDatabase(graphs, np.zeros(len(graphs)))
+    evaluator = BatchStarEvaluator(graphs=db.graphs)
+    for source in (db[1], db[len(db) - 1]):
+        assert evaluator.one_to_many(source, db.graphs).tolist() == _serial(source, db.graphs)
+    store = _store(evaluator)
+    assert hub <= store.column_count < 3 * alphabet
+    assert sum(array.nbytes for array in (*store._tokens, *store._columns)) < 256 * 1024
+
+
+def test_the_byte_table_popcount_gives_the_same_values(monkeypatch):
+    """numpy 1.x counts bits by a byte table: the overlap costs, ``int32``
+    less those counts, keep their dtype and every value on both paths."""
+    monkeypatch.setattr(starbatch, "word_counts", kernel.byte_table_counts)
+    db = GENERATORS["dud"](num_graphs=80, seed=6)
+    evaluator = BatchStarEvaluator(graphs=db.graphs)
+    for targets in (db.graphs[:5], db.graphs):  # the loop, then the tensors
+        assert evaluator.one_to_many(db[7], targets).tolist() == _serial(db[7], targets)
 
 
 def test_a_grown_list_crossing_a_word_keeps_its_rows_exact():
@@ -183,8 +283,10 @@ def test_threads_filling_at_once_agree_with_the_serial_metric():
     for slot, order in enumerate(orders):
         for source, got in zip(sources, results[slot]):
             assert got == _serial(db[source], order[:40] + order[-40:])
-    columns = evaluator.columns()[1]._columns
-    assert len(set(columns.values())) == len(columns)  # each column once
+    store = evaluator.columns()[1]
+    keys, ids = store._columns  # sorted keys, then one above all
+    assert (np.diff(keys) > 0).all()  # each column once
+    assert np.sort(ids[:-1]).tolist() == list(range(store.column_count))
 
 
 def test_a_database_pickles_without_its_star_columns():
