@@ -197,32 +197,39 @@ def cmd_query(args) -> int:
     dims = args.dims if args.dims else None
     q = quartile_relevance(database, dims=dims, quantile=args.quantile)
 
-    deadline = None
-    if args.deadline_ms is not None:
-        from repro.resilience import Deadline
+    if args.method != "greedy" and index is None:
+        index = NBIndex.build(
+            database, distance, num_vantage_points=args.vantage_points,
+            seed=args.seed,
+        )
 
-        deadline = Deadline.from_timeout_ms(args.deadline_ms)
-
+    from repro.resilience import BudgetExceeded, Deadline
     from repro.resilience.deadline import deadline_scope
 
-    with deadline_scope(deadline):
-        if args.method == "greedy":
-            from repro.core import baseline_greedy
-            from repro.engine import DistanceEngine
+    # The budget is the query's: it starts after any build.
+    deadline = None
+    if args.deadline_ms is not None:
+        deadline = Deadline.from_timeout_ms(args.deadline_ms)
+    try:
+        with deadline_scope(deadline):
+            if args.method == "greedy":
+                from repro.core import baseline_greedy
+                from repro.engine import DistanceEngine
 
-            engine = DistanceEngine(distance, graphs=database.graphs)
-            result = baseline_greedy(
-                database, distance, q, theta, args.k, engine=engine
-            )
-        else:
-            if index is None:
-                index = NBIndex.build(
-                    database, distance, num_vantage_points=args.vantage_points,
-                    seed=args.seed,
+                engine = DistanceEngine(distance, graphs=database.graphs)
+                result = baseline_greedy(
+                    database, distance, q, theta, args.k, engine=engine
                 )
-            result = index.query(q, theta, args.k)
-            if args.journal:
-                index.close()
+            else:
+                result = index.query(q, theta, args.k)
+    except BudgetExceeded as expired:
+        if observation is not None:
+            observation.__exit__(None, None, None)
+        print(f"repro query: {expired}; no answer", file=sys.stderr)
+        return 1
+    finally:
+        if args.journal:
+            index.close()
 
     print(f"relevant graphs: {result.num_relevant}")
     print(f"pi(A) = {result.pi:.3f}   CR = {result.compression_ratio:.1f}")
@@ -235,27 +242,8 @@ def cmd_query(args) -> int:
             f"certified: OPT <= {result.opt_upper} covered graphs, "
             f"pi(A)/OPT >= {result.certified_ratio:.3f}"
         )
-    if deadline is not None:
-        _print_degradation_footer(deadline)
     _finish_observation(observation, args)
     return 0
-
-
-def _print_degradation_footer(deadline) -> None:
-    """One-line summary of what the deadline budget cost the query."""
-    if not deadline.degradations:
-        print(f"deadline: met — all edit distances exact ({deadline!r})")
-        return
-    breakdown = ", ".join(
-        f"{kind}={count}"
-        for kind, count in sorted(deadline.degradations.items())
-    )
-    total = sum(deadline.degradations.values())
-    print(
-        f"deadline: DEGRADED — {total} edit distances fell back to upper "
-        f"bounds ({breakdown}); pi/CR above are computed on approximate "
-        f"neighborhoods"
-    )
 
 
 def _stdin_lines():
@@ -562,9 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vantage-points", type=int, default=20)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                   help="wall-clock budget for exact edit distances; on "
-                        "expiry they degrade to upper bounds and the "
-                        "footer reports the degradation")
+                   help="wall-clock budget for the query; on expiry it "
+                        "is cancelled with one line on stderr and exit "
+                        "status 1 (every answer printed is exact)")
     p.add_argument("--metrics", default=None, metavar="PATH",
                    help="write a repro.obs metrics document "
                         "(.prom → Prometheus text, else JSON)")

@@ -40,9 +40,6 @@ class QueryStats:
     reheap_count: int = 0
     init_seconds: float = 0.0
     search_seconds: float = 0.0
-    #: ``{kind: count}`` of the upper-bound edit distances a Deadline
-    #: forced into this query; empty for an exact answer.
-    degradations: dict = field(default_factory=dict)
     #: Sharded-query accounting (scatter-gather coordinator only): pull /
     #: resolve counts plus the per-shard work split.  Empty for
     #: single-index engines.
@@ -56,24 +53,12 @@ class QueryStats:
     def total_seconds(self) -> float:
         return self.init_seconds + self.search_seconds
 
-    @property
-    def degraded(self) -> bool:
-        """True when a deadline forced upper-bound edit distances into this
-        query — the answer is valid but not exact."""
-        return bool(self.degradations)
-
-    @property
-    def degradation_events(self) -> int:
-        return sum(self.degradations.values())
-
     def stats(self) -> dict:
         """Statable protocol: every counter/timer as a plain dict."""
         from dataclasses import asdict
 
         out = asdict(self)
         out["total_seconds"] = self.total_seconds
-        out["degraded"] = self.degraded
-        out["degradation_events"] = self.degradation_events
         return out
 
 
@@ -94,7 +79,7 @@ class QueryResult:
     theta: float
     stats: QueryStats = field(default_factory=QueryStats)
     #: Certified upper bound U ≥ OPT on the covered count of any k graphs
-    #: (:func:`certify`); ``None`` when degraded.
+    #: (:func:`certify`; every index query's answer carries it).
     opt_upper: int | None = None
     #: ``len(covered) / opt_upper`` — provably ≥ 1 − (1 − 1/k)^k.
     certified_ratio: float | None = None
@@ -131,11 +116,9 @@ def certify(result: QueryResult, k: int) -> QueryResult:
     2007).  So OPT ≤ U = min(|L_q|, min over i < k of C_i + k·g_{i+1}),
     with g = 0 past a short answer (nothing left adds coverage).  The
     same recurrence proves ``len(covered) / U ≥ 1 − (1 − 1/k)^k``
-    (``docs/theory.md``, §8).  Sound only when every gain is an exact
-    maximum: a degraded result is left uncertified.
+    (``docs/theory.md``, §8).  Sound because every gain is an exact
+    maximum: a query whose deadline expires returns no result at all.
     """
-    if result.stats.degraded:
-        return result
     gains = [int(g) for g in result.gains]
     bound, running = int(result.num_relevant), 0
     for i in range(k):

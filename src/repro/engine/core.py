@@ -27,8 +27,9 @@ metric, none of which changes a single output bit:
    consumer, so a distance one query evaluates is free for the next
    θ-refinement.  The build's vantage block reads the cache but is not
    stored in it: the embedding holds those distances, and its bounds on a
-   pair with a vantage endpoint are exact.  Nor is a value a query's
-   deadline degraded to an upper bound: it is returned to that query only.
+   pair with a vantage endpoint are exact.  A query's deadline is checked
+   before each batch of misses is evaluated; a batch is stored only once
+   it has completed, so a cancelled query leaves only exact values.
    :meth:`stats` reports evaluations / hits / prefilter activity in the
    same shape as :class:`~repro.ged.metric.CountingDistance`.
 
@@ -58,7 +59,7 @@ from repro.engine.paircache import (
 )
 from repro.ged.metric import SLACK, CountingDistance
 from repro.graphs.graph import LabeledGraph
-from repro.resilience.deadline import current_deadline, degradation_mark
+from repro.resilience.deadline import check_deadline
 from repro.utils.fanout import fan_out, workers
 from repro.utils.validation import require
 
@@ -236,13 +237,13 @@ class DistanceEngine:
             obs.counter("engine.cache_hits")
             return value
         obs.counter("engine.evaluations")
-        mark = degradation_mark()
+        check_deadline()
         if self._evaluator is not None:
             value = float(self._evaluator.one_to_many(a, [b])[0])
         else:
             value = float(self.inner(a, b))
         with self._cache_lock:
-            self._cache_for(mark).put([key], [value])
+            self._cache.put([key], [value])
         return value
 
     # ------------------------------------------------------------------
@@ -287,11 +288,10 @@ class DistanceEngine:
         hits, misses, keys, repeats = self._scan(source_half, target_halves, out)
         if misses:
             self._book_batch(len(misses))
-            mark = degradation_mark()
             values = self._evaluate(source_graph, [graphs[p] for p in misses])
             out[misses] = values
             with self._cache_lock:
-                self._cache_for(mark).put(keys, values)
+                self._cache.put(keys, values)
             for position, first in repeats:
                 out[position] = out[first]
         if hits:
@@ -305,10 +305,11 @@ class DistanceEngine:
         a pair met earlier in the block is a hit copied from its first
         place.  The misses are dealt by :func:`fan_out` as one contiguous
         block of targets per process, each measured against every column,
-        so a process profiles only its block and the sources — unless a
-        deadline is active (a child could not report its degradations) or
-        the metric is not :attr:`portable`, when one block is evaluated
-        here."""
+        so a process profiles only its block and the sources — unless the
+        metric is not :attr:`portable`, when one block is evaluated here.
+        An expired deadline cancels the block before it is booked (builds
+        run :func:`~repro.resilience.deadline.unbudgeted`); a child that
+        raises re-raises its typed error here."""
         graphs = self._resolve_many(targets)
         sources = [self._resolve(ref) for ref in sources]
         out = np.empty((len(graphs), len(sources)))
@@ -367,10 +368,7 @@ class DistanceEngine:
 
         # One contiguous block of targets per process, measured against
         # every column; one block, evaluated here, when nothing may fork.
-        processes = (
-            workers(len(graphs), pairs)
-            if self.portable and current_deadline() is None else 1
-        )
+        processes = workers(len(graphs), pairs) if self.portable else 1
         if processes > 1 and self._evaluator is self._stars:
             # Filled here before the fork: every child inherits the rows.
             self._stars.fill([*sources, *graphs])
@@ -408,12 +406,6 @@ class DistanceEngine:
             hits = len(target_halves) - len(misses)
             self.cache_hits += hits
         return hits, misses, miss_keys, repeats
-
-    def _cache_for(self, mark) -> PairTable:
-        """Where evaluations made since ``mark`` may be stored: the pair
-        cache, or a throw-away table once the active deadline has degraded
-        one of them to an upper bound."""
-        return self._cache if degradation_mark() == mark else PairTable()
 
     def cached_verdicts(self, source, targets, threshold: float) -> np.ndarray:
         """Pair-cache peek: ``+1`` where ``d(source, t)`` has already been
@@ -461,12 +453,11 @@ class DistanceEngine:
             hits = len(pairlist) - len(spots)
             self.cache_hits += hits
         if spots:
-            mark = degradation_mark()
             values = self._evaluate_pairs(
                 [pairlist[positions[0]] for positions in spots.values()]
             )
             with self._cache_lock:
-                self._cache_for(mark).put(list(spots), values)
+                self._cache.put(list(spots), values)
             for positions, value in zip(spots.values(), values):
                 out[positions] = value
         if hits:
@@ -572,6 +563,10 @@ class DistanceEngine:
     # Evaluation backends
     # ------------------------------------------------------------------
     def _book_batch(self, count: int) -> None:
+        """Book a batch of ``count`` evaluations about to run — first
+        checking the query's deadline, so an expired one cancels the
+        batch before any of it is evaluated or stored."""
+        check_deadline()
         with self._cache_lock:
             self.batches += 1
             self.evaluations += count

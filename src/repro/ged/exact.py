@@ -26,12 +26,11 @@ from repro import obs
 from repro.ged.costs import UNIT_COSTS, UnitCostModel
 from repro.graphs.graph import LabeledGraph
 from repro.resilience import faults
-from repro.resilience.deadline import BudgetExceeded, current_deadline
+from repro.resilience.deadline import current_deadline
 
 _INF = float("inf")
 
-#: A* loop iterations between wall-clock deadline checks (the expansion
-#: budget is checked every iteration — it is just an integer compare).
+#: A* loop iterations between deadline checks.
 _DEADLINE_STRIDE = 64
 
 #: Sentinel in a mapping tuple meaning "this g1 vertex is deleted".
@@ -51,8 +50,6 @@ class ExactGED:
 
     def __init__(self, costs: UnitCostModel = UNIT_COSTS):
         self.costs = costs
-        self._beam = None
-        self._bipartite = None
 
     def __call__(
         self,
@@ -66,45 +63,13 @@ class ExactGED:
         once every frontier state has ``f > limit`` the search stops.
 
         Under an active :class:`~repro.resilience.Deadline` the A* search
-        checks its time/expansion budget as it runs; on expiry the call
-        *degrades* to a polynomial upper bound (beam search while time
-        remains, the bipartite bound otherwise) and records the
-        degradation on the deadline — see ``docs/resilience.md``.
+        checks it as it runs and raises
+        :class:`~repro.resilience.BudgetExceeded` on expiry — see
+        ``docs/resilience.md``.
         """
         obs.counter("ged.exact.calls")
         faults.maybe_slow("ged.exact")
-        deadline = current_deadline()
-        if deadline is None:
-            return _astar_ged(g1, g2, self.costs, limit)
-        try:
-            return _astar_ged(g1, g2, self.costs, limit, deadline)
-        except BudgetExceeded as exceeded:
-            return self._degrade(g1, g2, deadline, exceeded.reason)
-
-    def _degrade(self, g1, g2, deadline, reason: str) -> float:
-        """Budget expired mid-search: degrade to a cheaper upper bound.
-
-        An exhausted *expansion* budget with wall-clock time remaining
-        affords the beam search (tighter, still polynomial); an exhausted
-        *time* budget gets the cheapest bound we have, the bipartite
-        assignment.  Both are upper bounds, so a ``within`` check can only
-        turn false-negative, never report a spurious neighbor.
-        """
-        if reason == "expansions" and not deadline.expired():
-            if self._beam is None:
-                from repro.ged.beam import BeamGED
-
-                self._beam = BeamGED(costs=self.costs)
-            kind, fallback = "beam", self._beam
-        else:
-            if self._bipartite is None:
-                from repro.ged.bipartite import BipartiteGED
-
-                self._bipartite = BipartiteGED(costs=self.costs)
-            kind, fallback = "bipartite", self._bipartite
-        deadline.record_degradation(f"ged.exact.{kind}")
-        obs.counter(f"ged.exact.degraded.{kind}")
-        return float(fallback(g1, g2))
+        return _astar_ged(g1, g2, self.costs, limit, current_deadline())
 
     def within(self, g1: LabeledGraph, g2: LabeledGraph, threshold: float) -> bool:
         """``d(g1, g2) <= threshold`` without always computing ``d`` fully."""
@@ -121,8 +86,8 @@ def _astar_ged(
     limit: float,
     deadline=None,
 ) -> float:
-    if deadline is not None and deadline.expired():
-        raise BudgetExceeded("time")
+    if deadline is not None:
+        deadline.check()
     n1, n2 = g1.num_nodes, g2.num_nodes
     # Process high-degree vertices first: their edge costs are decided early,
     # which tightens g-costs and prunes sooner.
@@ -189,16 +154,8 @@ def _astar_ged(
     while heap:
         f, _, g_cost, i, mapping, used_labels, decided_e2 = heapq.heappop(heap)
         expanded += 1
-        if deadline is not None:
-            if (
-                deadline.expansion_limit is not None
-                and expanded > deadline.expansion_limit
-            ):
-                obs.counter("ged.exact.expansions", expanded)
-                raise BudgetExceeded("expansions")
-            if expanded % _DEADLINE_STRIDE == 0 and deadline.expired():
-                obs.counter("ged.exact.expansions", expanded)
-                raise BudgetExceeded("time")
+        if deadline is not None and expanded % _DEADLINE_STRIDE == 0:
+            deadline.check()
         if f > limit:
             obs.counter("ged.exact.expansions", expanded)
             return _INF

@@ -60,6 +60,7 @@ import time
 import numpy as np
 
 from repro.bitset import kernel as bitset_kernel
+from repro.resilience.deadline import check_deadline
 
 
 def _beats(bound: float, gid: int, inc_gain: float, inc_gid: int | None) -> bool:
@@ -100,7 +101,8 @@ def run_greedy(
     ``home_of(gid)`` returns the frontier that owns ``gid`` (the one whose
     :meth:`select` retires it).  Returns ``(answer, gains, covered,
     coord)`` with ``covered`` as a packed bitset over ``universe`` and
-    ``coord`` the loop's accounting (:func:`new_coord`).
+    ``coord`` the loop's accounting (:func:`new_coord`).  Each round
+    starts by checking the query's deadline (:func:`check_deadline`).
     """
     coord = new_coord(len(frontiers))
     covered = universe.empty()
@@ -114,6 +116,7 @@ def run_greedy(
     memo: dict[int, dict[int, float]] = {}
 
     for _ in range(min(k, num_relevant)):
+        check_deadline()
         search_started = time.perf_counter()
         coord["rounds"] += 1
         selection = _run_round(frontiers, covered, global_nbhd, memo, coord)

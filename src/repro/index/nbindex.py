@@ -372,10 +372,11 @@ class QuerySession:
         mirrors Algorithm 1, which always performs k iterations.
 
         ``deadline`` (or an ambient :func:`~repro.resilience.deadline_scope`)
-        budgets the query's exact-GED work: calls that exceed it degrade to
-        upper bounds and the result's :class:`QueryStats` is marked
-        ``degraded`` with the per-kind counts — an answer computed under
-        pressure is flagged, never silently approximate.
+        cancels the query: a query is not started past it, and once it
+        expires the next distance batch, greedy round or A* stride raises
+        :class:`~repro.resilience.BudgetExceeded` and no answer is
+        returned.  Every answer returned is exact and certified
+        (``opt_upper``).
 
         Which bounds filter candidates is decided by the index's metric,
         not by the caller (``docs/cascade.md``).
@@ -390,10 +391,8 @@ class QuerySession:
         stats = QueryStats(init_seconds=self.init_seconds)
         calls_before = index._distance_calls()
         effective_deadline = deadline if deadline is not None else current_deadline()
-        degradations_before = (
-            dict(effective_deadline.degradations)
-            if effective_deadline is not None else {}
-        )
+        if effective_deadline is not None:
+            effective_deadline.check()  # not started past its deadline
 
         def greedy(frontiers, home_of):
             return run_greedy(
@@ -421,15 +420,7 @@ class QuerySession:
                 stats.coordinator = coord
                 query_span.set(scatter_resolves=coord["scatter_resolves"])
             stats.cascade = runtime.snapshot()
-            if effective_deadline is not None:
-                stats.degradations = {
-                    kind: count - degradations_before.get(kind, 0)
-                    for kind, count in effective_deadline.degradations.items()
-                    if count > degradations_before.get(kind, 0)
-                }
-            if stats.degraded:
-                obs.counter("query.degraded")
-            query_span.set(answer_size=len(answer), degraded=stats.degraded)
+            query_span.set(answer_size=len(answer))
             _record_query_obs(layer, stats)
         return certify(QueryResult(
             answer=answer,

@@ -31,7 +31,6 @@ from repro.cascade import BLOCK_EVALS
 from repro.engine import DistanceEngine
 from repro.ged.metric import GraphDistanceFn
 from repro.graphs.graph import LabeledGraph
-from repro.resilience.deadline import degradation_mark
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
@@ -90,10 +89,10 @@ class VantageEmbedding:
 
     Graphs past the stored rows (a mutable index's memtable) get their row
     on first use (:meth:`row`) — ``|V|`` exact distances, once per
-    process — and keep it in ``extra`` until a compaction stores it.  A
-    row a query's deadline degraded holds upper bounds: that query uses
-    it, ``extra`` never keeps it.  Ids are append-only and deletes are
-    soft, so a tombstoned vantage graph stays a valid origin.
+    process — and keep it in ``extra`` until a compaction stores it; a
+    query cancelled by its deadline while measuring it keeps nothing.
+    Ids are append-only and deletes are soft, so a tombstoned vantage
+    graph stays a valid origin.
 
     Parameters
     ----------
@@ -173,12 +172,9 @@ class VantageEmbedding:
             return self.coords[gid]
         row = self.extra.get(gid)
         if row is None:
-            mark = degradation_mark()
-            row = np.asarray(
+            row = self.extra[gid] = np.asarray(
                 engine.one_to_many(gid, self.vantage_indices), dtype=float
             )
-            if degradation_mark() == mark:
-                self.extra[gid] = row
         return row
 
     def append(self, gid: int, engine) -> None:

@@ -158,10 +158,10 @@ class ReplicatedIndex:
     def _run_query(self, run: QueryRun):
         """Pin one replica, run the greedy over its :class:`RemoteFrontier`;
         on :class:`SessionLost`, run it again on a fresh pin.  Workers run
-        the filter and the deadline; each open frame ships the
-        deadline's state (a worker knows its own metric), and the
-        answering attempt's degradations are folded back into the
-        deadline."""
+        the filter and the deadline: each open frame ships the deadline's
+        state, and a worker's ``deadline_expired`` comes back as
+        :class:`~repro.resilience.BudgetExceeded` with no re-run (the
+        sibling would expire too)."""
         run.span.set(shards=self.num_shards, replicas=self.replicas)
         failed: set = set()
         causes: list[str] = []
@@ -181,8 +181,6 @@ class ReplicatedIndex:
                 continue
             finally:
                 self.router.close_session(handle, sid)
-            if run.deadline is not None:
-                run.deadline.merge_degradations(frontier.degradations)
             return result
         raise ShardUnavailableError(causes)
 

@@ -57,8 +57,6 @@ class RemoteFrontier:
         #: The query's relevant graphs (coordinator-side copy; the worker
         #: derives the same set from the relevance spec).
         self.relevant_global = np.asarray(relevant_global, dtype=np.int64)
-        #: The worker's degradation counts for this session (cumulative).
-        self.degradations: dict[str, int] = {}
         self.uncovered_count = 0
         self._root = _NEG_INF
         open_payload = {
@@ -79,10 +77,7 @@ class RemoteFrontier:
         self._min_gid = int(result["min_gid"])
 
     def _call(self, payload: dict) -> dict:
-        response = self.router.call(self.handle, payload)
-        if "deg" in response:
-            self.degradations = dict(response["deg"])
-        return response["r"]
+        return self.router.call(self.handle, payload)["r"]
 
     # ------------------------------------------------------------------
     # Frontier protocol (see index/coordinator.py)

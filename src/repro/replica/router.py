@@ -10,9 +10,11 @@ spread over the replicas.  A replica never holds more pinned sessions
 than its worker keeps (:data:`~repro.replica.worker.SESSION_CAP`); past
 R·cap concurrent queries, the next one waits for a slot rather than
 evict a live session.  With no replica live at all — a restart window —
-it waits for the monitor's restart, at most ``op_timeout_s`` and never
-past the query's deadline, and then fails with
-:class:`~repro.replica.errors.ShardUnavailableError`.
+it waits for the monitor's restart, at most ``op_timeout_s``, and then
+fails with :class:`~repro.replica.errors.ShardUnavailableError`.  Any
+wait the query's deadline cuts short raises
+:class:`~repro.resilience.BudgetExceeded`, as does a worker's
+``deadline_expired`` answer: the query is cancelled, not re-run.
 
 There is no failover inside a query.  A transport failure reports the
 worker to the supervisor (which kills and restarts it); a worker that no
@@ -38,7 +40,7 @@ from repro.replica.errors import (
 )
 from repro.replica.supervisor import Supervisor, WorkerHandle
 from repro.replica.worker import SESSION_CAP
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import BudgetExceeded, current_deadline
 
 #: How often a query waiting for a session slot or a restart re-reads the
 #: fleet (a restart frees a replica's slots without a close to signal it).
@@ -69,13 +71,11 @@ class ReplicaRouter:
         A replica holding :data:`SESSION_CAP` sessions is full: its
         worker would evict one of them for a new ``open``, so the pin
         waits for a slot.  With no replica live it waits for a restart,
-        for ``op_timeout_s`` at most and never past the ambient deadline
-        (the query's), then raises :class:`ShardUnavailableError`."""
+        for ``op_timeout_s`` at most, then raises
+        :class:`ShardUnavailableError`; a wait the ambient deadline (the
+        query's) cuts short raises :class:`BudgetExceeded`."""
         deadline = current_deadline()
-        remaining = None if deadline is None else deadline.remaining()
-        patience = self.op_timeout_s if remaining is None else min(
-            self.op_timeout_s, remaining
-        )
+        poll = _SLOT_POLL_S
         down_since = None
         with self._slots:
             while True:
@@ -87,19 +87,23 @@ class ReplicaRouter:
                     ))
                     handle.sessions.add(sid)
                     return handle
+                if deadline is not None:
+                    deadline.check()
+                    poll = min(_SLOT_POLL_S, deadline.remaining())
                 if live:
                     down_since = None
                 else:
                     now = time.monotonic()
                     down_since = now if down_since is None else down_since
-                    if now - down_since >= patience:
+                    if now - down_since >= self.op_timeout_s:
                         raise ShardUnavailableError()
-                self._slots.wait(_SLOT_POLL_S)
+                self._slots.wait(poll)
 
     def call(self, handle: WorkerHandle, payload: dict) -> dict:
         """One op on the session's pinned replica: the ok frame (its ``r``
         is an object).  Raises :class:`SessionLost` when the query must
-        re-run, :class:`ReplicaWorkerError` when the op itself failed."""
+        re-run, :class:`BudgetExceeded` when its deadline expired in the
+        worker, :class:`ReplicaWorkerError` when the op itself failed."""
         try:
             response = handle.call(payload, self.op_timeout_s,
                                    max_frame=self.supervisor.max_frame_bytes)
@@ -118,6 +122,8 @@ class ReplicaRouter:
             self.supervisor.report_failure(handle)
             raise SessionLost(handle, str(failure)) from failure
         code = str(error.get("code", "internal"))
+        if code == "deadline_expired":
+            raise BudgetExceeded(str(error.get("message", "")))
         if code == "unknown_session":
             # A healthy process that does not hold the session (restarted
             # since the pin, or evicted it): re-run, do not kill it.

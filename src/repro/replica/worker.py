@@ -38,8 +38,9 @@ Fault-plan hooks (:func:`repro.resilience.faults.maybe_kill_replica` /
 wedge a worker deterministically *between* frames — the coordinator sees
 a clean EOF or a timeout, never a torn frame of our making.
 
-A worker never lets a per-op exception escape the loop: unexpected
-failures become typed ``internal`` error responses and the process keeps
+A worker never lets a per-op exception escape the loop: an op cancelled
+by its session's deadline answers ``deadline_expired``, unexpected
+failures become typed ``internal`` error responses, and the process keeps
 serving (the same fault-isolation stance as the service's worker
 threads).
 """
@@ -60,7 +61,7 @@ from repro.graphs.relevance import AverageScoreThreshold
 from repro.index.frontier import MemberState
 from repro.replica import wire
 from repro.resilience import faults
-from repro.resilience.deadline import Deadline, deadline_scope
+from repro.resilience.deadline import BudgetExceeded, Deadline, deadline_scope
 from repro.shard.frontier import ShardFrontier
 from repro.shard.sharded import ShardedIndex
 
@@ -147,12 +148,9 @@ class ShardWorker:
                 session = self._session(request)
             with deadline_scope(session.deadline if session else None):
                 result = handler(self, request, session)
-            response = {"ok": True, "r": result}
-            if session is not None and session.deadline is not None and (
-                session.deadline.degradations
-            ):
-                response["deg"] = dict(session.deadline.degradations)
-            return response
+            return {"ok": True, "r": result}
+        except BudgetExceeded as error:
+            return _error("deadline_expired", str(error))
         except _UnknownSession as error:
             return _error("unknown_session", str(error))
         except wire.ReplicaProtocolError as error:

@@ -6,13 +6,13 @@ forever and a torn write can't pass for an index.  This package provides
 the shared machinery; the GED, index, replica and persistence layers hook
 into it.
 
-* :mod:`~repro.resilience.deadline` — budget propagation
-  (:class:`Deadline`, :func:`deadline_scope`, :class:`BudgetExceeded`)
-  and the exact→beam→bipartite degradation accounting.
+* :mod:`~repro.resilience.deadline` — cooperative cancellation
+  (:class:`Deadline`, :func:`deadline_scope`, :class:`BudgetExceeded`):
+  a query whose deadline expires raises instead of answering.
 * :mod:`~repro.resilience.atomicio` — atomic renames and the checksummed
   container (:func:`atomic_write`, :func:`write_checksummed`).
 * :mod:`~repro.resilience.faults` — deterministic fault injection for
-  tests and the ``bench_degradation`` benchmark.
+  tests and the chaos smokes.
 * :mod:`~repro.resilience.errors` — the persistence exception hierarchy
   (all ``ValueError`` subclasses).
 """

@@ -5,9 +5,9 @@ long-lived process over :func:`repro.open_database` /
 :func:`repro.open_index` / ``NBIndex.query`` that *stays up* — under
 overload (bounded admission + load shedding), under index swaps
 (validated, latched hot reload with rollback), and under poisoned
-queries (journaled crash, typed response, surviving worker).  The one
-degraded answer it gives is the one a request asks for with a deadline:
-flagged ``degraded``, never silently approximate.
+queries (journaled crash, typed response, surviving worker).  Every
+answer it gives is exact and certified; a request whose deadline runs
+out is answered ``deadline_expired`` instead.
 
 Quick start, in-process::
 

@@ -57,8 +57,9 @@ class InvalidRequest(ServiceError):
 
 
 class DeadlineExpired(ServiceError):
-    """The request's deadline passed before a worker could start it —
-    answering late would be answering wrong, so it is cancelled."""
+    """The request's deadline passed — in the queue, or mid-query, where
+    the next distance batch or greedy round cancels it.  No partial
+    answer is given: an answer is exact or not returned."""
 
     code = "deadline_expired"
 

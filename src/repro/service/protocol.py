@@ -11,8 +11,10 @@ over stdin/stdout pipes and TCP sockets, and a shell with ``echo`` and
     {"id": 4, "op": "stats"}
     {"id": 5, "op": "reload", "path": "new-index.npz"}
 
-Every query is answered exactly, or flagged ``degraded`` when its
-deadline ran out.  A key the protocol does not know —
+Every query is answered exactly, with its optimality certificate
+(``opt_upper``, ``certified_ratio``), or cancelled with
+``deadline_expired`` when its deadline runs out.  A key the protocol
+does not know —
 an older client's relaxation or filter choice included — lands in
 ``extra`` and changes nothing: an exact answer meets any relaxed
 neighborhood contract.
@@ -45,16 +47,17 @@ Responses echo the ``id`` and carry either ``result`` or a typed
 ``error``::
 
     {"id": 1, "ok": true, "result": {"answer": [3, 17], "gains": [9, 4],
-     "pi": 0.81, "num_relevant": 16, "theta": 8.0, "degraded": false,
-     "degradations": {}, "generation": 0}}
+     "pi": 0.81, "num_relevant": 16, "theta": 8.0, "opt_upper": 20,
+     "certified_ratio": 0.65, "generation": 0}}
     {"id": 6, "ok": false,
      "error": {"code": "overloaded", "message": "...", "retry_after_s": 0.4}}
 
 Every deployment shape (single index, shard bundle, mutable, replicated)
 answers with the same bytes.  A replicated query that finds no live
 replica waits for the supervisor's restart (at most the cluster's op
-timeout, never past the query's deadline); when none comes it answers
-``query_failed`` with ``"exception_type": "ShardUnavailableError"``.
+timeout); when none comes it answers ``query_failed`` with
+``"exception_type": "ShardUnavailableError"``, and when the query's
+deadline cuts the wait short it answers ``deadline_expired``.
 
 Oversized lines (``max_request_bytes``), non-JSON, unknown ops and
 invalid parameters are rejected *before admission* with

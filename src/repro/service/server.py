@@ -10,9 +10,10 @@ boundary that survives overload, poisoned queries and index swaps:
   typed ``overloaded`` rejection and a retry-after hint, never queued
   unboundedly.  Per-request deadlines derive from
   :class:`repro.resilience.Deadline` at admission, so queue wait counts
-  against the budget.  A deadline is the one way an answer degrades:
-  exact edit distances that overrun it fall back to upper bounds, and
-  the response says so (``degraded`` + ``degradations``).
+  against the budget.  A deadline cancels: a request whose deadline
+  expires in the queue or mid-query is answered ``deadline_expired``, and
+  every answer given is exact and certified (``opt_upper`` +
+  ``certified_ratio``).
 * **hot index reload** (:mod:`repro.service.reload`): a watcher thread
   fingerprints the index artifact and atomically swaps a validated
   replacement under a read-write latch; corrupt candidates are rolled
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 from repro import obs
 from repro.graphs import quartile_relevance
-from repro.resilience import faults
+from repro.resilience import BudgetExceeded, faults
 from repro.service import crashlog, protocol
 from repro.service.admission import AdmissionController, Ticket
 from repro.service.crashlog import CrashJournal
@@ -571,11 +572,15 @@ class QueryService:
                 index.database, dims=request.dims,
                 quantile=request.quantile,
             )
-            with obs.timer("service.query_seconds"):
-                result = index.query(
-                    query_fn, request.theta, request.k,
-                    deadline=ticket.deadline,
-                )
+            try:
+                with obs.timer("service.query_seconds"):
+                    result = index.query(
+                        query_fn, request.theta, request.k,
+                        deadline=ticket.deadline,
+                    )
+            except BudgetExceeded as expired:
+                obs.counter("service.deadline_expired")
+                raise DeadlineExpired(str(expired)) from None
             generation = self.manager.generation
         obs.counter("service.queries")
         body = {
@@ -584,8 +589,8 @@ class QueryService:
             "pi": float(result.pi),
             "num_relevant": int(result.num_relevant),
             "theta": float(result.theta),
-            "degraded": bool(result.stats.degraded),
-            "degradations": dict(result.stats.degradations),
+            "opt_upper": int(result.opt_upper),
+            "certified_ratio": float(result.certified_ratio),
             "generation": generation,
         }
         return protocol.ok_response(request.id, body)

@@ -6,9 +6,9 @@ usable CPU — never more than there are shares of :data:`MIN_SHARE_PAIRS` —
 with the parent running the first share.  A child starts a fresh
 :mod:`repro.obs` registry and pipes back one pickle of results and
 :func:`repro.obs.export_state`; its exception is re-raised in the parent,
-type intact, and every child is reaped.  Only builds fan out, and a build
-runs with no deadline (:func:`repro.resilience.deadline.unbudgeted`), so
-a child has no degradations to hand back.  It runs inline with
+type intact — a :class:`~repro.resilience.BudgetExceeded` included — and
+every child is reaped.  Only builds fan out, and a build runs with no
+deadline (:func:`repro.resilience.deadline.unbudgeted`).  It runs inline with
 no ``os.fork``, another thread alive (a fork could copy a lock that thread
 holds) or a :class:`~repro.resilience.faults.FaultPlan` installed (whose
 one-shot and counted faults belong to one process).

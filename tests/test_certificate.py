@@ -2,21 +2,23 @@
 
 ``QueryResult.opt_upper`` must bound the brute-force optimum from above
 and ``certified_ratio`` must never print below 1 − (1 − 1/k)^k, on random
-tiny instances where the optimum is computable; a degraded or ε-relaxed
-answer carries no certificate.
+tiny instances where the optimum is computable.  Every answer carries
+one: a query whose deadline runs out returns no answer at all.
 """
 
 import math
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import all_theta_neighborhoods, optimal_answer
-from repro.core.results import QueryResult, QueryStats, certify
+from repro.core.results import QueryResult, certify
 from repro.ged import StarDistance
 from repro.graphs import quartile_relevance
 from repro.index import NBIndex
-from repro.resilience import Deadline
+from repro.resilience import BudgetExceeded, Deadline
 from tests.conftest import random_database
 
 
@@ -63,16 +65,15 @@ def test_the_bound_is_the_greedy_online_bound():
     assert capped.opt_upper == 3  # 0 + 1·3, below |L_q| = 5
 
 
-def test_degraded_answers_are_not_certified():
+def test_a_deadline_certifies_or_cancels():
     database = random_database(seed=3, size=24, min_nodes=3, max_nodes=5)
     q = quartile_relevance(database, quantile=0.3)
     index = NBIndex.build(database, StarDistance(), num_vantage_points=3, seed=0)
     exact = index.query(q, 4.0, 3)
     assert exact.opt_upper is not None
-    degraded = certify(QueryResult(
-        answer=[0], gains=[2], covered=frozenset({0, 1}), num_relevant=4,
-        theta=1.0, stats=QueryStats(degradations={"ged.exact.beam": 1}),
-    ), 2)
-    assert degraded.opt_upper is None and degraded.certified_ratio is None
     with_deadline = index.query(q, 4.0, 3, deadline=Deadline(3600.0))
-    assert with_deadline.opt_upper == exact.opt_upper
+    assert (with_deadline.opt_upper, with_deadline.certified_ratio) == (
+        exact.opt_upper, exact.certified_ratio,
+    )
+    with pytest.raises(BudgetExceeded):
+        index.query(q, 4.0, 3, deadline=Deadline(0.0))

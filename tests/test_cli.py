@@ -404,16 +404,44 @@ class TestExperimentAll:
 
 
 class TestResilienceFlags:
-    def test_query_deadline_prints_footer(self, db_path, capsys):
+    QUERY = ["--k", "2", "--theta", "8", "--vantage-points", "4"]
+
+    def test_generous_deadline_answers_without_footer(self, db_path, capsys):
+        assert main(["query", str(db_path), *self.QUERY]) == 0
+        want = capsys.readouterr().out
         assert main([
-            "query", str(db_path), "--k", "2", "--theta", "8",
-            "--vantage-points", "4",
-            "--deadline-ms", "60000",
+            "query", str(db_path), *self.QUERY, "--deadline-ms", "60000",
         ]) == 0
-        out = capsys.readouterr().out
-        # Star distance never degrades (only exact GED does), so a generous
-        # budget reports "met" — the footer is the contract under test.
-        assert "deadline: met" in out
+        captured = capsys.readouterr()
+        assert captured.out == want and "certified:" in want
+        assert "deadline" not in captured.out + captured.err
+
+    def test_the_budget_starts_after_the_build(self, db_path, monkeypatch):
+        """``--deadline-ms`` bounds the query, not the index build before it."""
+        import time
+
+        from repro.index import NBIndex
+
+        build = NBIndex.build.__func__
+
+        def slow_build(cls, *args, **kwargs):
+            time.sleep(0.3)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(NBIndex, "build", classmethod(slow_build))
+        assert main([
+            "query", str(db_path), *self.QUERY, "--deadline-ms", "250",
+        ]) == 0
+
+    def test_expired_deadline_exits_1_with_one_line(self, db_path, capsys):
+        assert main([
+            "query", str(db_path), *self.QUERY, "--deadline-ms", "0",
+        ]) == 1
+        captured = capsys.readouterr()
+        assert "rank" not in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro query: deadline")
+        assert "Traceback" not in captured.err
 
 
 class TestServe:

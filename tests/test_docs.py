@@ -23,7 +23,7 @@ class TestDocsPresence:
 
     def test_every_committed_table_is_producible(self):
         """Each ``results/*.txt`` is the table of some (entry, dataset) of
-        the registry; ``bench_degradation.py`` owns the one exception."""
+        the registry; ``bench_deadline.py`` owns the one exception."""
         from repro.bench import EXPERIMENTS
         from repro.bench.registry import stem
 
@@ -32,7 +32,7 @@ class TestDocsPresence:
             for entry in EXPERIMENTS for dataset in entry.runs()
         }
         committed = {path.name for path in (ROOT / "results").glob("*.txt")}
-        assert committed - {"degradation_deadline.txt"} <= producible
+        assert committed - {"deadline_cancellation.txt"} <= producible
 
 
 class TestApiReferenceGenerator:

@@ -29,7 +29,7 @@ from repro.engine import DistanceEngine
 from repro.engine.starbatch import StarColumns
 from repro.ged import CountingDistance
 from repro.metricspace import vector_database
-from repro.resilience import CorruptIndexError, Deadline, faults
+from repro.resilience import BudgetExceeded, CorruptIndexError, Deadline, faults
 from repro.resilience.atomicio import read_checksummed
 from repro.resilience.deadline import deadline_scope
 from repro.resilience.faults import FaultPlan
@@ -215,18 +215,34 @@ def test_a_build_child_fills_nothing_its_parent_filled_before_the_fork(
     assert set(filled) == {os.getpid()}
 
 
-def test_a_column_block_under_a_deadline_never_leaves_the_process():
-    """A child could not hand back the degradations its evaluations
-    record, so under a deadline the block is a loop of one_to_many."""
+def test_a_column_block_under_a_deadline_fans_out_or_raises_typed():
+    """A deadline no longer keeps the block in one process: a live one
+    changes nothing, an expired one cancels the block before it is booked,
+    and a child's expiry comes home typed."""
     sources, targets = CASES["vantage"]
     loop = DistanceEngine(StarDistance(), graphs=_DB.graphs)
     want = np.column_stack([loop.one_to_many(s, targets) for s in sources])
     engine = DistanceEngine(StarDistance(), graphs=_DB.graphs)
-    with deadline_scope(Deadline(expansion_limit=4)), process_shape(
-        "fanned", forks_expected=False
-    ):
+    with deadline_scope(Deadline(3600.0)), process_shape("fanned"):
         got = engine.columns(sources, targets)
     assert got.tolist() == want.tolist()
+    pressed = DistanceEngine(StarDistance(), graphs=_DB.graphs)
+    with deadline_scope(Deadline(0.0)), process_shape(
+        "fanned", forks_expected=False
+    ):
+        with pytest.raises(BudgetExceeded):
+            pressed.columns(sources, targets)
+    assert pressed.evaluations == 0
+    parent = os.getpid()
+
+    def expire(x):
+        if os.getpid() != parent:
+            raise BudgetExceeded(f"expired at item {x}")
+        return x
+
+    with process_shape("fanned"):
+        with pytest.raises(BudgetExceeded, match="expired at item"):
+            fan_out(expire, range(4), TWO_SHARES)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
-"""Resilience layer: deadline budgets and the exact→beam→bipartite
-degradation ladder and the checksummed persistence container — all driven
-by deterministic fault injection (:mod:`repro.resilience.faults`)."""
+"""Resilience layer: deadlines that cancel a query, the soundness of every
+cache a cancelled query touched, and the checksummed persistence
+container — driven by deterministic fault injection
+(:mod:`repro.resilience.faults`)."""
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.engine.paircache import key_halves
 from repro.ged import ExactGED, StarDistance
 from repro.graphs import GraphDatabase, quartile_relevance
 from repro.graphs.io import load_database, save_database
@@ -28,7 +31,8 @@ from repro.resilience import (
     write_checksummed,
 )
 from repro.resilience.faults import FaultPlan, SimulatedCrash
-from tests.conftest import random_database, rungs
+from repro.shard.build import build_shards
+from tests.conftest import random_database
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +40,18 @@ from tests.conftest import random_database, rungs
 # ---------------------------------------------------------------------------
 class TestDeadline:
     def test_requires_at_least_one_budget(self):
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(TypeError):
             Deadline()
+        with pytest.raises(ValueError, match="budget"):
+            Deadline(None)
 
     def test_rejects_negative_time_and_zero_expansions(self):
+        """A time budget is the one budget: an expansion budget existed
+        only to force the removed beam fallback."""
         with pytest.raises(ValueError):
             Deadline(-1.0)
-        with pytest.raises(ValueError):
-            Deadline(expansion_limit=0)
+        with pytest.raises(TypeError):
+            Deadline(60.0, expansion_limit=1)
 
     def test_time_budget_expiry(self):
         assert Deadline(0.0).expired()
@@ -51,29 +59,14 @@ class TestDeadline:
         assert not generous.expired()
         assert generous.remaining() > 0
 
-    def test_expansion_only_deadline_never_times_out(self):
-        deadline = Deadline(expansion_limit=5)
-        assert deadline.remaining() is None
-        assert not deadline.expired()
-
     def test_state_roundtrip_shares_expiry(self):
-        deadline = Deadline(60.0, expansion_limit=7)
-        clone = Deadline.from_state(deadline.state())
-        assert clone.expansion_limit == 7
-        assert clone.remaining() == pytest.approx(deadline.remaining(), abs=0.05)
-        assert not clone.degraded
-
-    def test_degradation_accounting(self):
         deadline = Deadline(60.0)
-        assert not deadline.degraded
-        deadline.record_degradation("ged.exact.beam")
-        deadline.record_degradation("ged.exact.beam")
-        deadline.merge_degradations({"ged.exact.bipartite": 3})
-        assert deadline.degraded
-        assert deadline.degradations == {
-            "ged.exact.beam": 2,
-            "ged.exact.bipartite": 3,
-        }
+        clone = Deadline.from_state(deadline.state())
+        assert clone.seconds == 60.0
+        assert clone.remaining() == pytest.approx(deadline.remaining(), abs=0.05)
+        expired = Deadline.from_state(Deadline(0.0).state())
+        with pytest.raises(BudgetExceeded):
+            expired.check()
 
     def test_scope_nesting_and_none_passthrough(self):
         outer = Deadline(60.0)
@@ -143,30 +136,38 @@ class TestDeadlineProperties:
 
 
 # ---------------------------------------------------------------------------
-# Degradation ladder (serial exact GED)
+# Cancellation: a deadline that runs out raises, whatever the metric
 # ---------------------------------------------------------------------------
-class TestDegradationLadder:
+class Countdown(Deadline):
+    """A deadline that expires at its ``checks + 1``-th check, whatever
+    the clock: it cancels a query after that many distance batches, greedy
+    rounds and A* strides — mid-verification, deterministically."""
+
+    def __init__(self, checks: int):
+        super().__init__(3600.0)
+        self.left = checks
+
+    def check(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceeded("countdown expired")
+
+
+class TestCancellation:
     @pytest.fixture()
     def pair(self):
         db = random_database(seed=5, size=4, min_nodes=4, max_nodes=6)
         return db[0], db[1]
 
-    def test_expansion_budget_degrades_to_beam(self, pair):
+    def test_an_expired_budget_raises(self, pair):
         g1, g2 = pair
-        exact = ExactGED()(g1, g2)
-        with deadline_scope(Deadline(3600.0, expansion_limit=1)) as deadline:
-            value = ExactGED()(g1, g2)
-        assert deadline.degradations.get("ged.exact.beam", 0) >= 1
-        assert "ged.exact.bipartite" not in deadline.degradations
-        assert value >= exact - 1e-9  # upper bound
+        with deadline_scope(Deadline(0.0)), pytest.raises(BudgetExceeded):
+            ExactGED()(g1, g2)
 
-    def test_expired_time_budget_degrades_to_bipartite(self, pair):
+    def test_a_search_checks_its_deadline_as_it_runs(self, pair):
         g1, g2 = pair
-        exact = ExactGED()(g1, g2)
-        with deadline_scope(Deadline(0.0)) as deadline:
-            value = ExactGED()(g1, g2)
-        assert deadline.degradations.get("ged.exact.bipartite", 0) >= 1
-        assert value >= exact - 1e-9
+        with deadline_scope(Countdown(0)), pytest.raises(BudgetExceeded):
+            ExactGED()(g1, g2)
 
     def test_no_deadline_stays_exact(self, pair):
         g1, g2 = pair
@@ -177,135 +178,188 @@ class TestDegradationLadder:
     def test_generous_budget_stays_exact(self, pair):
         g1, g2 = pair
         exact = ExactGED()(g1, g2)
-        with deadline_scope(Deadline(3600.0)) as deadline:
-            value = ExactGED()(g1, g2)
-        assert value == pytest.approx(exact)
-        assert not deadline.degraded
+        with deadline_scope(Deadline(3600.0)):
+            assert ExactGED()(g1, g2) == exact
 
-    def test_budget_exceeded_reason(self):
-        assert BudgetExceeded("time").reason == "time"
-        assert BudgetExceeded("expansions").reason == "expansions"
-
-
-# ---------------------------------------------------------------------------
-# The acceptance scenario: slow GED + deadline, end to end
-# ---------------------------------------------------------------------------
-class TestDegradedQueryUnderFaults:
-    def test_indexed_query_survives_faults_and_flags_degradation(self):
+    def test_a_stalled_pair_cancels_the_indexed_query(self):
         db = random_database(seed=11, size=24, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
-        index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, seed=0,
-        )
-        # Drop the build-time cache: the query must recompute distances
-        # under the deadline.
-        index.engine._cache.clear()
-
+        index = NBIndex.build(db, ExactGED(), num_vantage_points=4, seed=0)
         plan = FaultPlan(slow_sites={"ged.exact": 0.05}, slow_limit=1)
-        deadline = Deadline(seconds=0.02)
-        with faults.injected(plan):
-            result = index.query(query, theta=4.0, k=3, deadline=deadline)
-
-        # A valid answer came back despite a stalled pair.
-        assert result.answer
-        assert all(0 <= gid < len(db) for gid in result.answer)
-        assert all(gain >= 0 for gain in result.gains)
-        # ...and it is honestly flagged as degraded.
-        assert result.stats.degraded
-        assert result.stats.degradation_events > 0
-        assert set(result.stats.degradations) <= {
-            "ged.exact.beam", "ged.exact.bipartite",
-        }
-        assert deadline.degraded
-
-    def test_query_deadline_without_faults_marks_stats(self):
-        db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
-        query = quartile_relevance(db, quantile=0.3)
-        index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, seed=0,
-        )
-        index.engine._cache.clear()
-        result = index.query(
-            query, theta=4.0, k=3, deadline=Deadline(3600.0, expansion_limit=1)
-        )
-        assert result.answer
-        assert result.stats.degraded
-        assert result.stats.degradations.get("ged.exact.beam", 0) >= 1
+        with faults.injected(plan), pytest.raises(BudgetExceeded):
+            index.query(query, theta=4.0, k=3, deadline=Deadline(0.02))
 
     def test_ambient_deadline_scope_reaches_query(self):
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
-        index = NBIndex.build(
-            db, ExactGED(), num_vantage_points=4, seed=0,
-        )
-        index.engine._cache.clear()
-        with deadline_scope(Deadline(3600.0, expansion_limit=1)):
-            result = index.query(query, theta=4.0, k=3)
-        assert result.stats.degraded
+        index = NBIndex.build(db, StarDistance(), num_vantage_points=4, seed=0)
+        with deadline_scope(Deadline(0.0)), pytest.raises(BudgetExceeded):
+            index.query(query, theta=4.0, k=3)
 
-    def test_a_degraded_distance_never_answers_the_next_query(self):
-        """The pair cache holds distances only: upper bounds one query's
-        deadline forced must not answer a later query, unflagged."""
-        db = random_database(seed=21, size=30)
-        query = quartile_relevance(db, quantile=0.5)
-        build = dict(num_vantage_points=4, seed=7)
-        want = NBIndex.build(db, ExactGED(), **build).query(query, 4.0, 4)
-        index = NBIndex.build(db, ExactGED(), **build)
-        pressed = index.query(query, 4.0, 4, deadline=Deadline(0.0))
-        assert pressed.stats.degraded and pressed.answer != want.answer
-        got = index.query(query, 4.0, 4)
-        assert not got.stats.degraded
-        assert (got.answer, got.gains) == (want.answer, want.gains)
-
-    def test_a_degraded_frame_row_never_answers_the_next_query(self, tmp_path):
-        """The frame keeps a memtable graph's row for later queries; one a
-        query's deadline degraded is that query's alone."""
-        import repro
-        from repro import baseline_greedy
-
-        db = random_database(seed=31, size=40, min_nodes=5, max_nodes=7)
-        save_database(db.subset(range(30)), tmp_path / "db.jsonl")
-        save_index(
-            NBIndex.build(
-                db.subset(range(30)), ExactGED(), num_vantage_points=4,
-                seed=0,
-            ),
-            tmp_path / "idx.npz",
-        )
-        index = repro.open_index(
-            tmp_path / "idx.npz", tmp_path / "db.jsonl", ExactGED(),
-            mutable=True,
-        )
-        for g in range(30, 40):
-            index.insert(db[g], db.features[g])
-        theta = rungs(db.graphs[:30], ExactGED())[2]
-        pressed = index.query(
-            lambda g: True, theta, 5, deadline=Deadline(expansion_limit=2)
-        )
-        assert pressed.stats.degraded
-        assert not index.frame.extra
-        got = index.query(lambda g: True, theta, 5)
-        want = baseline_greedy(index.database, ExactGED(), lambda g: True, theta, 5)
-        assert (got.answer, got.gains) == (want.answer, want.gains)
-
-    def test_undegraded_query_stats_stay_clean(self):
+    def test_a_generous_deadline_changes_nothing(self):
         db = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         query = quartile_relevance(db, quantile=0.3)
-        index = NBIndex.build(
-            db, StarDistance(), num_vantage_points=4, seed=0,
+
+        def run(deadline):
+            index = NBIndex.build(db, ExactGED(), num_vantage_points=4, seed=0)
+            result = index.query(query, theta=4.0, k=3, deadline=deadline)
+            stats = result.stats.stats()
+            for timer in ("init_seconds", "search_seconds", "total_seconds"):
+                stats.pop(timer)
+            stats.pop("cascade")
+            return _outcome(result), stats
+
+        assert run(Deadline(3600.0)) == run(None)
+
+
+# ---------------------------------------------------------------------------
+# Cache soundness: a cancelled query leaves only exact values behind
+# ---------------------------------------------------------------------------
+def _outcome(result):
+    """What an answer promises: ids, gains, π and the certificate."""
+    return (
+        result.answer, result.gains, result.pi, result.opt_upper,
+        result.certified_ratio,
+    )
+
+
+def _assert_stores_only_exact(index, database, metric):
+    """Every pair-table entry of every engine the index queries through,
+    and every frame row kept past the stored ones, ``==`` a fresh
+    evaluation of the metric."""
+    engines = {id(e): e for e in (
+        getattr(index, "engine", None),
+        getattr(getattr(index, "base", None), "engine", None),
+    ) if e is not None}
+    for engine in engines.values():
+        keys, values = engine._cache.items()
+        for key, value in zip(keys.tolist(), values.tolist()):
+            a, b = key_halves(key)
+            assert value == metric(database[a], database[b]), (a, b)
+    frame = getattr(index, "frame", None)
+    for gid, row in (frame.extra.items() if frame is not None else ()):
+        exact = [metric(database[gid], database[v]) for v in frame.vantage_indices]
+        assert row.tolist() == exact, gid
+
+
+class _Case:
+    """A database, its metric and build, and the answer every deployment
+    shape gives it without a budget (a fresh ``NBIndex``'s)."""
+
+    def __init__(self, db, metric, build, theta, memtable):
+        self.db, self.metric, self.build = db, metric, build
+        self.theta, self.memtable = theta, memtable
+        self.query = quartile_relevance(db, quantile=0.5)
+        fresh = NBIndex.build(db, metric, **build)
+        self.want = _outcome(fresh.query(self.query, theta, 4))
+
+    def deploy(self, shape, tmp_path):
+        """An ``NBIndex``, an S = 2 ``ShardedIndex`` or a ``MutableIndex``
+        holding the last ``memtable`` graphs as memtable rows."""
+        db, metric, build = self.db, self.metric, self.build
+        if shape == "nbindex":
+            return NBIndex.build(db, metric, **build)
+        tmp_path.mkdir(parents=True)
+        if shape == "sharded":
+            manifest = build_shards(
+                db, metric, num_shards=2, out_dir=tmp_path, **build
+            )
+            return repro.open_index(manifest, db, metric, shards=True)
+        base = db.subset(range(len(db) - self.memtable))
+        save_database(base, tmp_path / "db.jsonl")
+        save_index(NBIndex.build(base, metric, **build), tmp_path / "idx.npz")
+        index = repro.open_index(
+            tmp_path / "idx.npz", tmp_path / "db.jsonl", metric, mutable=True,
         )
-        result = index.query(query, theta=4.0, k=3)
-        assert not result.stats.degraded
-        assert result.stats.degradation_events == 0
-        assert result.stats.degradations == {}
+        for g in range(len(base), len(db)):
+            index.insert(db[g], db.features[g])
+        return index
+
+
+@pytest.fixture(scope="module")
+def exact_case():
+    db = random_database(seed=21, size=60, min_nodes=4, max_nodes=6)
+    return _Case(db, ExactGED(), dict(num_vantage_points=4, seed=7), 2.0, 12)
+
+
+@pytest.fixture(scope="module")
+def star_case():
+    from repro.datasets.dud import dud_like
+
+    db = dud_like(1000, seed=11)
+    return _Case(db, StarDistance(), dict(num_vantage_points=20, seed=11), 9.0, 40)
+
+
+class TestCancelledQueriesStoreOnlyExactValues:
+    """The bug class a degraded tier kept producing — one query's upper
+    bounds answering the next from the pair cache or from the frame.  With
+    cancellation nothing is stored before its batch completes: cancel a
+    query after a few checks, then the next unbudgeted query equals a
+    fresh index's answer and every stored value equals a fresh
+    evaluation."""
+
+    @pytest.mark.parametrize("shape", ["nbindex", "sharded", "mutable"])
+    def test_exact_ged(self, exact_case, shape, tmp_path):
+        """Every few checks from the first round on: between rounds, inside
+        A* strides, before batches and — on the mutable shape — while a
+        memtable graph's frame row is measured (16, 46 at this writing)."""
+        for checks in range(1, 64, 5):
+            index = exact_case.deploy(shape, tmp_path / str(checks))
+            self._cancel_then_answer(exact_case, index, checks)
+
+    @pytest.mark.parametrize("shape", ["nbindex", "sharded", "mutable"])
+    @pytest.mark.parametrize("checks", [6, 45])
+    def test_star(self, star_case, shape, checks, tmp_path):
+        index = star_case.deploy(shape, tmp_path / "star")
+        self._cancel_then_answer(star_case, index, checks)
+
+    @staticmethod
+    def _cancel_then_answer(case, index, checks):
+        session = index.session(case.query) if hasattr(index, "session") else None
+        ask = session.query if session else (
+            lambda *a, **kw: index.query(case.query, *a, **kw)
+        )
+        with pytest.raises(BudgetExceeded):
+            ask(case.theta, 4, deadline=Countdown(checks))
+        _assert_stores_only_exact(index, case.db, case.metric)
+        got = ask(case.theta, 4)
+        assert _outcome(got) == case.want
+        _assert_stores_only_exact(index, case.db, case.metric)
+
+
+@pytest.fixture(scope="module")
+def small_star():
+    from repro.datasets.dud import dud_like
+
+    case = _Case(dud_like(150, seed=11), StarDistance(), dict(seed=11), 9.0, 0)
+    case.index = case.deploy("nbindex", None)
+    return case
+
+
+@settings(max_examples=25, deadline=None)
+@given(budget_ms=st.floats(min_value=0.0, max_value=4.0), warm=st.booleans())
+def test_a_budgeted_query_answers_exactly_or_raises(small_star, budget_ms, warm):
+    """Over budgets from 0 to a few ms, on a cold or a warm pair cache, a
+    query either returns the unbudgeted answer — ids, gains and
+    certificate — or raises :class:`BudgetExceeded`; nothing else."""
+    index = small_star.index
+    if not warm:
+        index.engine._cache.clear()
+    try:
+        result = index.query(
+            small_star.query, small_star.theta, 4,
+            deadline=Deadline.from_timeout_ms(budget_ms),
+        )
+    except BudgetExceeded:
+        return
+    assert _outcome(result) == small_star.want
 
 
 class TestBuildsIgnoreTheAmbientDeadline:
     def test_builds_store_exact_coordinates(self, tmp_path):
-        """A build stores what it computes: under a query's ambient budget
-        it would store upper bounds as coordinates."""
+        """A build is not a query: an expired ambient budget neither
+        cancels it nor changes a coordinate."""
         from repro.index.persistence import stored_embedding
-        from repro.shard.build import build_shards
 
         db = random_database(seed=31, size=12, min_nodes=5, max_nodes=7)
         build = dict(num_vantage_points=3, seed=0)
@@ -313,14 +367,12 @@ class TestBuildsIgnoreTheAmbientDeadline:
         free = build_shards(
             db, ExactGED(), num_shards=2, out_dir=tmp_path / "free", **build
         )
-        deadline = Deadline(expansion_limit=4)
-        with deadline_scope(deadline):
+        with deadline_scope(Deadline(0.0)):
             got = NBIndex.build(db, ExactGED(), **build)
             pressed = build_shards(
                 db, ExactGED(), num_shards=2, out_dir=tmp_path / "pressed",
                 **build,
             )
-        assert deadline.degradations == {}
         assert np.array_equal(got.embedding.coords, want.embedding.coords)
         for shard in ("shard-000.npz", "shard-001.npz"):
             vantage, coords = stored_embedding(pressed.parent / shard)
@@ -335,7 +387,7 @@ class TestBuildsIgnoreTheAmbientDeadline:
             seed=0,
         )
         for g in range(12, 30):
-            with deadline_scope(Deadline(expansion_limit=1)):
+            with deadline_scope(Deadline(0.0)):
                 gid = index.insert(db[g], db.features[g])
             exact = [
                 ExactGED()(db[g], db[v])

@@ -6,7 +6,7 @@ isolation, graceful drain, the line transport, and the chaos acceptance
 scenario from the roadmap: one worker crash + one slow query + one
 corrupt reload artifact, with the service shedding typed ``Overloaded``,
 never crashing, draining within grace, and serving results bit-identical
-to direct ``NBIndex.query`` for admitted non-degraded requests.
+to direct ``NBIndex.query`` for every admitted request.
 """
 
 from __future__ import annotations
@@ -378,7 +378,8 @@ class TestQueryService:
         assert result["answer"] == [int(g) for g in direct.answer]
         assert result["gains"] == [int(g) for g in direct.gains]
         assert result["pi"] == pytest.approx(direct.pi)
-        assert result["degraded"] is False
+        assert result["opt_upper"] == direct.opt_upper
+        assert result["certified_ratio"] == direct.certified_ratio
 
     def test_invalid_dims_rejected(self, service_index):
         with QueryService(service_index) as svc:
@@ -391,6 +392,33 @@ class TestQueryService:
             response = svc.call(
                 QueryRequest(id=1, theta=8.0, k=2, timeout_ms=0))
         assert response["error"]["code"] == "deadline_expired"
+
+    def test_a_deadline_expiring_mid_query_is_typed_not_a_crash(self):
+        """A star query cancelled in flight — by ``timeout_ms`` 1, and
+        after a stall past a 50 ms budget — answers ``deadline_expired``
+        (the queue's code), journals no crash, and leaves the next answer
+        byte-identical to a no-deadline run on a fresh index."""
+        from repro.datasets.dud import dud_like
+
+        db = dud_like(1000, seed=11)
+        with QueryService(_build_index(db)) as svc:
+            started = time.monotonic()
+            want = svc.call(QueryRequest(id=3, theta=9.0, k=5))
+            cold = time.monotonic() - started
+        stall = FaultPlan(slow_sites={"service.query": 0.1}, slow_limit=1)
+        with QueryService(_build_index(db)) as svc:
+            started = time.monotonic()
+            expired = svc.call(QueryRequest(id=1, theta=9.0, k=5, timeout_ms=1))
+            assert time.monotonic() - started < cold
+            with faults.injected(stall):
+                stalled = svc.call(
+                    QueryRequest(id=2, theta=9.0, k=5, timeout_ms=50)
+                )
+            got = svc.call(QueryRequest(id=3, theta=9.0, k=5))
+            assert svc.journal.stats()["crashes"] == 0
+        for response in (expired, stalled):
+            assert response["error"]["code"] == "deadline_expired", response
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_drain_cancels_queued_with_typed_overloaded(self, service_index):
         config = ServiceConfig(max_concurrency=1, max_queue=8)
@@ -470,7 +498,7 @@ class TestChaosAcceptance:
     ):
         """One slow query + one corrupt reload artifact: the service sheds
         with typed Overloaded, keeps answering, rolls the corrupt reload
-        back, drains within grace, and admitted non-degraded answers are
+        back, drains within grace, and every admitted answer is
         bit-identical to direct NBIndex.query."""
         db = random_database(seed=23, size=24)
         index = _build_index(db)
@@ -510,14 +538,13 @@ class TestChaosAcceptance:
             assert all(r is not None for r in responses), "a ticket hung"
             assert all(r["ok"] for r in responses), responses
 
-            # Bit-identical to the direct path for non-degraded answers.
+            # Every admitted answer is bit-identical to the direct path.
             direct = index.query(quartile_relevance(db), 8.0, 3)
             for response in responses:
                 result = response["result"]
-                if result["degraded"]:
-                    continue
                 assert result["answer"] == [int(g) for g in direct.answer]
                 assert result["gains"] == [int(g) for g in direct.gains]
+                assert result["opt_upper"] == direct.opt_upper
         finally:
             report = svc.drain()
         assert report["clean"], report

@@ -4,7 +4,7 @@ Every index type hands out the same :class:`QuerySession`; what differs is
 the hook that opens its frontiers.  This file pins what that buys:
 
 * the (θ, k) contract — validation, any θ > 0 answered, unknown kwargs,
-  deadline degradation, ε flags — once, over every deployment shape;
+  deadline cancellation, ε flags — once, over every deployment shape;
 * a plain ``NBIndex`` is the S = 1 case of the coordinated greedy: same
   answers *and* same exact work as a one-shard ``ShardedIndex``;
 * a session builds its per-index state once, however often it is
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import obs
 from tests.conftest import random_database, rungs
 from tests.coordinated import CoordinatedBundle
 from repro.bitset import BitsetUniverse, kernel as bitset_kernel
@@ -36,7 +37,7 @@ from repro.index.frontier import Frontier, MemberState, RoundCursor
 from repro.index.nbindex import NBIndex, QuerySession
 from repro.replica import ReplicatedIndex
 from repro.replica.remote import RemoteFrontier
-from repro.resilience import Deadline
+from repro.resilience import BudgetExceeded, Deadline
 from repro.shard import ShardedIndex, build_shards
 from repro.shard.frontier import ShardFrontier
 from repro.shard.manifest import ShardEntry, ShardManifest, database_checksum
@@ -50,7 +51,7 @@ SHAPES = ("nbindex", "sharded-1", "sharded-4", "mutable", "replicated-2x2")
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_db():
-    # Small graphs under exact GED: a one-expansion budget degrades.
+    # Small graphs under exact GED.
     return random_database(seed=3, size=24, min_nodes=3, max_nodes=5)
 
 
@@ -137,28 +138,25 @@ class TestSessionContract:
             assert type(index).__name__ in str(excinfo.value)
             assert keyword in str(excinfo.value)
 
-    def test_deadline_degradation_is_flagged_with_the_same_keys(
+    def test_an_expired_deadline_cancels_with_the_same_type(
         self, shapes, shape,
     ):
+        """Every shape raises ``BudgetExceeded`` — a replicated one too,
+        without a failover — and answers the next query as before."""
         index = shapes[shape]
+        q = quartile_relevance(index.database, quantile=0.05)
+        want = index.query(q, 7.0, 5)
         for engine in _engines(index):
             engine._cache.clear()
-        # Replica workers keep their own caches: a wider relevant set than
-        # any other test here asks for pairs they have not seen.  At θ = 8
-        # the member the flat scan resolves first can have its whole window
-        # settled by vantage bounds (no exact distance to degrade) on some
-        # shapes; θ = 7 needs exact distances on every one.
-        q = quartile_relevance(index.database, quantile=0.05)
-        deadline = Deadline(3600.0, expansion_limit=1)
-        result = index.query(q, 7.0, 5, deadline=deadline)
-        stats = result.stats
-        assert result.answer
-        assert stats.degraded and deadline.degraded
-        assert stats.degradations.get("ged.exact.beam", 0) >= 1
-        assert set(stats.degradations) <= {
-            "ged.exact.beam", "ged.exact.bipartite",
-        }
-        assert stats.degradation_events == sum(stats.degradations.values())
+        with obs.observe() as observation:
+            with pytest.raises(BudgetExceeded):
+                index.query(q, 7.0, 5, deadline=Deadline(0.0))
+            counters = observation.stats()["counters"]
+        assert "replica.failovers" not in counters
+        got = index.query(q, 7.0, 5)
+        assert (got.answer, got.gains, got.opt_upper) == (
+            want.answer, want.gains, want.opt_upper,
+        )
 
 
 # ---------------------------------------------------------------------------

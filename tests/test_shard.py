@@ -8,7 +8,7 @@ coordinator over the bundle's per-shard frontiers
 (``tests.coordinated.CoordinatedBundle``).
 Everything else — partitioners, manifest persistence, corruption
 detection, per-shard hot-reload reuse, service integration, deadline
-degradation — is tested around that core.
+cancellation — is tested around that core.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.index.persistence import load_index
 from repro.index.persistence import database_fingerprint, save_frame_rows
 from repro.index.vantage import VantageEmbedding
 from repro.replica import ReplicatedIndex
-from repro.resilience import Deadline
+from repro.resilience import BudgetExceeded, Deadline
 from repro.resilience.atomicio import read_checksummed, write_checksummed
 from repro.resilience.errors import (
     CorruptIndexError,
@@ -260,20 +260,17 @@ class TestCoordinator:
             want = single_index.query(q, theta, 4)
             _assert_same_result(got, want)
 
-    def test_deadline_degradation_propagates(self, tmp_path):
+    def test_deadline_cancellation_propagates(self, tmp_path):
         tiny = random_database(seed=3, size=16, min_nodes=3, max_nodes=5)
         sharded = ShardedIndex.build(
             tiny, ExactGED(), num_shards=2, out_dir=tmp_path,
             num_vantage_points=4, seed=0,
         )
         sharded.engine._cache.clear()
-        result = sharded.query(
-            quartile_relevance(tiny, quantile=0.3), 4.0, 3,
-            deadline=Deadline(3600.0, expansion_limit=1),
-        )
-        assert result.answer
-        assert result.stats.degraded
-        assert result.stats.degradations.get("ged.exact.beam", 0) >= 1
+        q = quartile_relevance(tiny, quantile=0.3)
+        with pytest.raises(BudgetExceeded):
+            sharded.query(q, 4.0, 3, deadline=Deadline(0.0))
+        assert sharded.query(q, 4.0, 3).opt_upper is not None
 
 
 class TestCoordinatorBehindReplicas:
