@@ -253,5 +253,24 @@ def quartile_relevance(
         dims = range(database.num_features)
     dims = tuple(int(d) for d in dims)
     scores = database.features[:, list(dims)].mean(axis=1)
-    threshold = float(np.quantile(scores, quantile))
-    return AverageScoreThreshold(dims, threshold)
+    return AverageScoreThreshold(dims, _linear_quantile(scores, quantile))
+
+
+def _linear_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(values, q)`` under numpy's default linear rule, bit
+    for bit, by one partition: ``np.quantile`` imports ``numpy.ma`` on a
+    process's first call, and the query path needs nothing of it.
+
+    The rule: index ``(n − 1)·q``; between its neighbours ``x ≤ y`` with
+    ``d = y − x`` and fraction ``t``, ``x + d·t`` — or ``y − d·(1 − t)``
+    when ``t ≥ 0.5``; at or above the last index, the maximum.
+    """
+    index = (values.size - 1) * q
+    if index >= values.size - 1:
+        return float(values.max())
+    low = int(index)
+    part = np.partition(values, (low, low + 1))
+    x, y = part[low], part[low + 1]
+    t = index - low
+    d = y - x
+    return float(y - d * (1 - t) if t >= 0.5 else x + d * t)

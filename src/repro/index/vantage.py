@@ -13,9 +13,8 @@ computed with pure array arithmetic, no edit distances — is a superset
 edit distances are then needed only to verify the candidates.
 
 :class:`VantageEmbedding` holds the precomputed ``(n, |V|)`` coordinate
-matrix — the paper's Vantage Orderings, stored column-sorted so candidate
-generation can seed from a binary-searched window on the first vantage
-point before refining with the rest.  It is the one vantage frame of
+matrix — the rows the paper's Vantage Orderings sort; a Chebyshev pass
+over them is the whole candidate generation.  It is the one vantage frame of
 every deployment: a single index's, a sharded bundle's (whose shard files
 store its rows) and a mutable index's (which keeps its memtable rows).
 """
@@ -116,17 +115,9 @@ class VantageEmbedding:
         require(len(vantage_indices) > 0, "at least one vantage point required")
         self.vantage_indices = [int(i) for i in vantage_indices]
         self.extra: dict[int, np.ndarray] = {}
-        self._set_coords(DistanceEngine.of(distance, graphs).columns(
+        self.coords = DistanceEngine.of(distance, graphs).columns(
             [graphs[vp] for vp in self.vantage_indices], graphs
-        ))
-
-    def _set_coords(self, coords: np.ndarray) -> None:
-        self.coords = coords
-        # Vantage Orderings proper: per-VP sort of the database.  Only the
-        # first ordering is used to seed candidate windows; the remaining
-        # columns refine via vectorized Chebyshev checks.
-        self._order0 = np.argsort(coords[:, 0], kind="stable")
-        self._sorted0 = coords[self._order0, 0]
+        )
 
     @classmethod
     def from_coords(
@@ -148,7 +139,7 @@ class VantageEmbedding:
         embedding = cls.__new__(cls)
         embedding.vantage_indices = [int(i) for i in vantage_indices]
         embedding.extra = {} if extra is None else extra
-        embedding._set_coords(coords)
+        embedding.coords = coords
         return embedding
 
     @property
@@ -179,11 +170,11 @@ class VantageEmbedding:
 
     def append(self, gid: int, engine) -> None:
         """Store graph ``gid``'s row as the next one (``gid`` must be
-        ``len(self)``) and add it to the orderings: the in-place insert."""
+        ``len(self)``): the in-place insert."""
         require(gid == len(self), f"graph {gid} is not the next row {len(self)}")
         row = self.row(gid, engine)
         self.extra.pop(gid, None)
-        self._set_coords(np.vstack([self.coords, row]))
+        self.coords = np.vstack([self.coords, row])
 
     # ------------------------------------------------------------------
     # Bounds (Theorem 4 and its dual)
@@ -216,23 +207,14 @@ class VantageEmbedding:
         """``N̂_θ(g_i)``: ids whose vantage distance to ``g_i`` is ≤ θ.
 
         Guaranteed superset of the true θ-neighborhood restricted to
-        ``among`` (all ids when omitted).  Uses the sorted first vantage
-        ordering to narrow the scan window, then refines with the remaining
-        vantage points in one vectorized pass.
+        ``among`` (every row when omitted): one :meth:`lower_bounds_to`
+        pass.
         """
-        if among is None:
-            lo = np.searchsorted(self._sorted0, self.coords[i, 0] - theta, "left")
-            hi = np.searchsorted(self._sorted0, self.coords[i, 0] + theta, "right")
-            window = self._order0[lo:hi]
-        else:
-            among = np.asarray(among)
-            mask0 = np.abs(self.coords[among, 0] - self.coords[i, 0]) <= theta
-            window = among[mask0]
-        if window.size == 0:
-            return window
+        among = np.arange(len(self)) if among is None else np.asarray(among)
+        if among.size == 0:
+            return among
         obs.counter(BLOCK_EVALS)
-        cheb = np.max(np.abs(self.coords[window] - self.coords[i]), axis=1)
-        return window[cheb <= theta]
+        return among[self.lower_bounds_to(self.coords[i], among) <= theta]
 
     def candidate_counts(
         self,

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graphs import GraphDatabase, LabeledGraph, quartile_relevance
 from repro.ged import StarDistance
 from repro.index.pivec import choose_thresholds
 
 LABELS = ("C", "N", "O", "S")
+
+#: ``pytest tests/test_oracle.py --hypothesis-profile=deep``: the
+#: differential oracle's long search (tier-1 runs its small default).
+settings.register_profile(
+    "deep", max_examples=250, stateful_step_count=30, deadline=None
+)
 
 
 def random_connected_graph(rng, num_nodes: int, extra_edge_prob: float = 0.3) -> LabeledGraph:

@@ -8,27 +8,14 @@ from hypothesis import strategies as st
 from repro.ged import BeamGED, BipartiteGED, ExactGED
 from repro.graphs import LabeledGraph, cycle_graph, path_graph
 from tests.conftest import random_connected_graph
+from tests.strategies import graphs
 
 exact = ExactGED()
-
-_LABELS = ("C", "N", "O")
-
-
-@st.composite
-def small_graph(draw, max_nodes=5):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    labels = [draw(st.sampled_from(_LABELS)) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                edges.append((u, v))
-    return LabeledGraph(labels, edges)
 
 
 class TestUpperBound:
     @settings(max_examples=25, deadline=None)
-    @given(small_graph(), small_graph(), st.integers(min_value=1, max_value=6))
+    @given(graphs(), graphs(), st.integers(min_value=1, max_value=6))
     def test_always_upper_bounds_exact(self, a, b, width):
         assert BeamGED(beam_width=width)(a, b) >= exact(a, b) - 1e-9
 

@@ -232,14 +232,15 @@ class TestCallReduction:
         the deleted ``cascade="assignment,vantage"`` paid (vantage alone:
         534 / 999 / 1 321), now the default on this metric; the greedy it
         is checked against pays every pair among the 84 relevant, with no
-        bound, exactly as before."""
+        bound, exactly as before: one referee engine measures each of
+        those pairs once and answers every θ from its pair cache."""
         q = quartile_relevance(exact_db, quantile=0.3)
+        referee = DistanceEngine(ExactGED(), graphs=exact_db.graphs)
         for theta, budget in ((2.0, 277), (3.0, 536), (4.0, 857)):
             index = open_index(exact_artifact, exact_db, ExactGED())
             got = index.query(q, theta, 5)
             assert got.stats.distance_calls <= budget, theta
             assert got.stats.cascade["assignment"]["prunes"] > 0
-            referee = DistanceEngine(ExactGED(), graphs=exact_db.graphs)
             want = baseline_greedy(
                 exact_db, ExactGED(), q, theta, 5, engine=referee
             )

@@ -29,43 +29,31 @@ from repro.ged import (
     label_lower_bound,
     star_ged_lower_bound,
 )
-from repro.graphs import LabeledGraph, path_graph
+from repro.graphs import path_graph
+from tests.strategies import graphs
 
 exact = ExactGED()
 star = StarDistance()
 LOWER_BOUNDS = (label_lower_bound, assignment_lower_bound, star_ged_lower_bound)
 
-_LABELS = ("C", "N", "O")
 _TOL = 1e-9
-
-
-@st.composite
-def small_graph(draw, max_nodes=5):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    labels = [draw(st.sampled_from(_LABELS)) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                edges.append((u, v))
-    return LabeledGraph(labels, edges)
 
 
 class TestLowerBoundsExactGED:
     """``lb(g, h) <= GED(g, h)`` for every shipped pure bound."""
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph(), st.sampled_from(LOWER_BOUNDS))
+    @given(graphs(), graphs(), st.sampled_from(LOWER_BOUNDS))
     def test_every_stage_lower_bounds_exact(self, g, h, bound):
         assert bound(g, h) <= exact(g, h) + _TOL
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_degree_term_lower_bounds_exact(self, g, h):
         assert degree_lower_bound(g, h) <= exact(g, h) + _TOL
 
     @settings(max_examples=25, deadline=None)
-    @given(small_graph())
+    @given(graphs())
     def test_zero_on_identical(self, g):
         for bound in (*LOWER_BOUNDS, degree_lower_bound):
             assert bound(g, g) == pytest.approx(0.0, abs=_TOL)
@@ -77,17 +65,17 @@ class TestLowerBoundsStarMetric:
     coordinates of a ``StarDistance`` index."""
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_label_size_lower_bounds_star(self, g, h):
         assert label_lower_bound(g, h) <= star(g, h) + _TOL
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_assignment_lower_bounds_star(self, g, h):
         assert assignment_lower_bound(g, h) <= star(g, h) + _TOL
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_star_stage_lower_bounds_star_trivially(self, g, h):
         # Circular but still true: the scaled-down assignment value
         # never exceeds the star distance.
@@ -98,15 +86,15 @@ class TestVantageSandwich:
     """Theorem 4: ``|d(v,g) − d(v,h)| ≤ d(g,h) ≤ d(v,g) + d(v,h)``."""
 
     @settings(max_examples=30, deadline=None)
-    @given(small_graph(), small_graph(), small_graph())
+    @given(graphs(), graphs(), graphs())
     def test_lipschitz_sandwich_star(self, v, g, h):
         d = star(g, h)
         assert abs(star(v, g) - star(v, h)) <= d + _TOL
         assert d <= star(v, g) + star(v, h) + _TOL
 
     @settings(max_examples=15, deadline=None)
-    @given(small_graph(max_nodes=4), small_graph(max_nodes=4),
-           small_graph(max_nodes=4))
+    @given(graphs(nodes=st.integers(1, 4)), graphs(nodes=st.integers(1, 4)),
+           graphs(nodes=st.integers(1, 4)))
     def test_lipschitz_sandwich_exact(self, v, g, h):
         d = exact(g, h)
         assert abs(exact(v, g) - exact(v, h)) <= d + _TOL
@@ -124,7 +112,7 @@ class TestVectorizedAgreesWithReference:
         return store.features
 
     @settings(max_examples=25, deadline=None)
-    @given(st.lists(small_graph(), min_size=1, max_size=6), small_graph())
+    @given(st.lists(graphs(), min_size=1, max_size=6), graphs())
     def test_batch_matches_pairwise(self, graphs, source):
         features = self.features(graphs)
         rows = np.arange(len(graphs))
@@ -135,7 +123,7 @@ class TestVectorizedAgreesWithReference:
             )
 
     @settings(max_examples=15, deadline=None)
-    @given(st.lists(small_graph(), min_size=1, max_size=6))
+    @given(st.lists(graphs(), min_size=1, max_size=6))
     def test_a_row_source_is_exact_across_a_wider_dtype(self, graphs):
         """An id source reads its own row, ``==`` the pure bound — also
         after a 300-node graph widens the one-byte matrices."""
@@ -152,9 +140,9 @@ class TestVectorizedAgreesWithReference:
             assert features.assignment_lb(graph, rows).tolist() == want
 
     @settings(max_examples=15, deadline=None)
-    @given(st.lists(small_graph(max_nodes=3), min_size=1, max_size=4),
-           st.lists(small_graph(max_nodes=7), min_size=1, max_size=3),
-           small_graph(max_nodes=7))
+    @given(st.lists(graphs(nodes=st.integers(1, 3)), min_size=1, max_size=4),
+           st.lists(graphs(nodes=st.integers(1, 7)), min_size=1, max_size=3),
+           graphs(nodes=st.integers(1, 7)))
     def test_incremental_sync_matches_pairwise(self, first, second, source):
         """Rows appended by a later fill of a grown list (wider degrees,
         new label columns) still reproduce the pure bounds — the

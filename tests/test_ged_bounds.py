@@ -1,7 +1,6 @@
 """Cheap GED bounds: validity against exact GED and the star distance."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.ged import (
     ExactGED,
@@ -12,20 +11,7 @@ from repro.ged import (
     trivial_upper_bound,
 )
 from repro.graphs import LabeledGraph, cycle_graph, path_graph
-
-_LABELS = ("C", "N", "O")
-
-
-@st.composite
-def small_graph(draw, max_nodes=5):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    labels = [draw(st.sampled_from(_LABELS)) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                edges.append((u, v))
-    return LabeledGraph(labels, edges)
+from tests.strategies import graphs
 
 
 class TestKnownValues:
@@ -58,14 +44,14 @@ class TestKnownValues:
 
 class TestValidity:
     @settings(max_examples=30, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_bounds_sandwich_exact_ged(self, a, b):
         exact = ExactGED()(a, b)
         assert size_lower_bound(a, b) <= exact + 1e-9
         assert exact <= trivial_upper_bound(a, b) + 1e-9
 
     @settings(max_examples=30, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(graphs(), graphs())
     def test_size_bound_also_lower_bounds_star_distance(self, a, b):
         # The C-tree pruning rule relies on this domination (see
         # repro.baselines.ctree docstring).

@@ -15,6 +15,11 @@ from hypothesis import strategies as st
 from repro.ged import ExactGED
 from repro.graphs import LabeledGraph
 from tests.conftest import random_connected_graph
+from tests.strategies import graphs
+
+_TINY = graphs(
+    nodes=st.integers(1, 4), labels=("C", "N"), edge_labels=("-", "=")
+)
 
 ged = ExactGED()
 
@@ -40,22 +45,7 @@ def test_matches_networkx_on_random_connected_graphs(seed):
     assert ged(a, b) == pytest.approx(networkx_ged(a, b))
 
 
-_LABELS = ("C", "N")
-
-
-@st.composite
-def tiny_graph(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    labels = [draw(st.sampled_from(_LABELS)) for _ in range(n)]
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                edges.append((u, v, draw(st.sampled_from(("-", "=")))))
-    return LabeledGraph(labels, edges)
-
-
 @settings(max_examples=25, deadline=None)
-@given(tiny_graph(), tiny_graph())
+@given(_TINY, _TINY)
 def test_property_matches_networkx(a, b):
     assert ged(a, b) == pytest.approx(networkx_ged(a, b))

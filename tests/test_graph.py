@@ -18,6 +18,7 @@ from repro.graphs import (
     star_graph,
 )
 from tests.conftest import random_connected_graph
+from tests.strategies import graph_specs
 
 
 class TestConstruction:
@@ -256,27 +257,12 @@ class DictGraph:
         return (self.labels, tuple(sorted(self.edges())))
 
 
-@st.composite
-def graph_specs(draw):
-    """``(labels, edges)`` with n ∈ {0, 1, 2, 3..12, 300}: repeated labels,
-    isolated vertices, edges in random order and orientation, with and
-    without labels."""
-    n = draw(st.one_of(st.sampled_from([0, 1, 2, 300]), st.integers(3, 12)))
-    labels = draw(st.lists(st.sampled_from("CCNO"), min_size=n, max_size=n))
-    edges, seen = [], set()
-    if n >= 2:
-        max_edges = min(n * (n - 1) // 2, 400)
-        pairs = draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            max_size=max_edges,
-        ))
-        for u, v in pairs:
-            if u == v or (min(u, v), max(u, v)) in seen:
-                continue
-            seen.add((min(u, v), max(u, v)))
-            label = draw(st.sampled_from([None, "-", "=", "#", 2]))
-            edges.append((u, v) if label is None else (u, v, label))
-    return labels, edges
+#: n ∈ {0, 1, 2, 3..12, 300}: repeated labels, isolated vertices, edges in
+#: random order and orientation, with and without labels.
+_SPECS = graph_specs(
+    nodes=st.one_of(st.sampled_from([0, 1, 2, 300]), st.integers(3, 12)),
+    labels="CCNO", edge_labels=(None, "-", "=", "#", 2),
+)
 
 
 def _probe_pairs(ref):
@@ -318,14 +304,14 @@ def assert_matches_reference(g, ref):
 
 class TestPackedAgainstDictReference:
     @settings(max_examples=60, deadline=None)
-    @given(graph_specs())
+    @given(_SPECS)
     def test_every_accessor_matches(self, spec):
         labels, edges = spec
         g = LabeledGraph(labels, edges)
         assert_matches_reference(g, DictGraph(labels, edges))
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_specs(), st.randoms(use_true_random=False))
+    @given(_SPECS, st.randoms(use_true_random=False))
     def test_equality_and_hash_follow_the_edge_set(self, spec, rnd):
         labels, edges = spec
         g = LabeledGraph(labels, edges, graph_id=3)
@@ -339,7 +325,7 @@ class TestPackedAgainstDictReference:
             assert DictGraph(labels, edges).canonical_form() != fewer.canonical_form()
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_specs(), st.randoms(use_true_random=False))
+    @given(_SPECS, st.randoms(use_true_random=False))
     def test_permuted_matches_the_permuted_reference(self, spec, rnd):
         labels, edges = spec
         g = LabeledGraph(labels, edges)
@@ -355,7 +341,7 @@ class TestPackedAgainstDictReference:
         assert_matches_reference(g.permuted(mapping), ref)
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_specs())
+    @given(_SPECS)
     def test_renumbered_shares_structure(self, spec):
         labels, edges = spec
         g = LabeledGraph(labels, edges, graph_id=4)
@@ -367,7 +353,7 @@ class TestPackedAgainstDictReference:
         assert_matches_reference(copy, DictGraph(labels, edges))
 
     @settings(max_examples=30, deadline=None)
-    @given(graph_specs(), st.sampled_from(["pickle", "deepcopy"]))
+    @given(_SPECS, st.sampled_from(["pickle", "deepcopy"]))
     def test_round_trips_keep_structure_and_id(self, spec, how):
         labels, edges = spec
         g = LabeledGraph(labels, edges, graph_id=7)
@@ -380,7 +366,7 @@ class TestPackedAgainstDictReference:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        graph_specs(),
+        _SPECS,
         st.sampled_from([(0,), (0, 1, "-", 4), (0, 999), (-1, 0), (1, 1), "dup"]),
         st.integers(0, 400),
     )

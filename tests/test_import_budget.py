@@ -24,7 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MODULE_BUDGET = 400
 FORBIDDEN = (
     "scipy.optimize", "scipy.stats", "scipy.spatial", "scipy.sparse",
-    "scipy.linalg", "networkx",
+    "scipy.linalg", "networkx", "numpy.ma",
 )
 
 _PROBE = """
@@ -34,8 +34,10 @@ import repro.durability
 from repro.datasets import GENERATORS
 from repro.engine import DistanceEngine
 from repro.ged import StarDistance
+from repro.graphs import quartile_relevance
 
 db = GENERATORS["dud"](num_graphs=3, seed=1)
+quartile_relevance(db)
 engine = DistanceEngine(StarDistance(), graphs=db.graphs)
 values = engine.one_to_many(0, [1, 2])
 modules = sorted(sys.modules)

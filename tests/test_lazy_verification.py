@@ -4,8 +4,9 @@ The index frontier verifies a member's candidate window only as far as
 the greedy round needs (``IndexFrontier.resolve``).  This file pins what that
 must not change and what it must buy:
 
-* ids / gains / order / coverage bit-identical to ``baseline_greedy`` in
-  every deployment shape, and to the eager resolver below;
+* ids / gains / order / coverage bit-identical to the eager resolver
+  below (to ``baseline_greedy`` on every deployment shape:
+  ``tests/test_oracle.py``);
 * soundness: every working bound (initial, resolved, partial) is ≥ the
   true residual gain at every pull — stale bounds included, since no
   update step tightens them after a selection — and a resumed partial
@@ -20,8 +21,7 @@ coordinator's per-frontier deficit (``repro.index.coordinator``).  A
 ``ShardedIndex`` queries one frontier over its frame (so does each
 replica worker), so the sharded shapes there are a bundle's per-shard
 frontiers (``tests.coordinated.CoordinatedBundle``) and the mutable base
-beside its memtable — the loop production runs: every sharded shape against
-``baseline_greedy``, lazy against the whole-window
+beside its memtable — the loop production runs: lazy against the whole-window
 ``EagerShardFrontier`` (same answers; never more work summed over a pinned
 sample, within a slack per instance), every reported foreign bound against
 the truth, the
@@ -134,65 +134,6 @@ def same_answer(got, want):
     assert got.answer == want.answer
     assert got.gains == want.gains
     assert got.covered == want.covered
-
-
-# ---------------------------------------------------------------------------
-# Bit-identity to the paper's greedy, every deployment shape
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def shapes(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("lazy-shapes")
-    database = random_database(seed=17, size=72)
-    distance = StarDistance()
-    single = NBIndex.build(database, distance, seed=0, **BUILD)
-    save_index(single, tmp / "index.npz")
-    manifests = {
-        s: build_shards(
-            database, distance, num_shards=s, out_dir=tmp / f"s{s}", seed=0,
-            **BUILD,
-        )
-        for s in (1, 2, 4)
-    }
-    mutable_db = database.subset(range(len(database)))
-    mutable = repro.open_index(
-        tmp / "index.npz", mutable_db, distance, mutable=True
-    )
-    donors = random_database(seed=18, size=4)
-    for i in range(len(donors)):
-        mutable.insert(donors[i], database.features[i])
-    mutable.delete(5)
-    replicated = ReplicatedIndex.open(
-        manifests[2], database, distance, replicas=2
-    )
-    yield {
-        "nbindex": single,
-        "sharded-1": ShardedIndex.load(manifests[1], database, distance),
-        "sharded-4": ShardedIndex.load(manifests[4], database, distance),
-        "mutable": mutable,
-        "replicated-2x2": replicated,
-    }
-    mutable.close()
-    replicated.close()
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    quantile=st.sampled_from([0.1, 0.3, 0.6]),
-    theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
-    k=st.integers(1, 12),
-    warm=st.booleans(),
-)
-def test_every_shape_matches_baseline_greedy(shapes, quantile, theta, k, warm):
-    for name, index in shapes.items():
-        database = index.database
-        q = quartile_relevance(database, quantile=quantile)
-        want = baseline_greedy(database, StarDistance(), q, theta, k)
-        if not warm:
-            cold(index)
-        got = index.query(q, theta, k)
-        assert got.answer == want.answer, name
-        assert got.gains == want.gains, name
-        assert got.covered == want.covered, name
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,65 +349,6 @@ def test_smoke_scale_cold_queries_stay_under_budget(tmp_path):
 # ===========================================================================
 # One deficit across shards: foreign windows are verified lazily too
 # ===========================================================================
-@pytest.fixture(scope="module")
-def sharded_shapes(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("lazy-sharded")
-    database = random_database(seed=23, size=72)
-    distance = StarDistance()
-    manifests = {
-        (s, partitioner): build_shards(
-            database, distance, num_shards=s, partitioner=partitioner,
-            out_dir=tmp / f"s{s}-{partitioner}", seed=0, **BUILD,
-        )
-        for s in (1, 2, 4) for partitioner in ("hash", "clustering")
-    }
-    built = {
-        f"sharded-{s}-{partitioner}": CoordinatedBundle.load(
-            manifest, database, distance
-        )
-        for (s, partitioner), manifest in manifests.items()
-    }
-    # Base + memtable: two indexed shards plus un-indexed inserts.
-    mutable_db = database.subset(range(len(database)))
-    mutable = repro.open_index(
-        manifests[2, "clustering"], mutable_db, distance, mutable=True
-    )
-    donors = random_database(seed=24, size=5)
-    for i in range(len(donors)):
-        mutable.insert(donors[i], database.features[i])
-    mutable.delete(7)
-    built["mutable-2"] = mutable
-    built["replicated-2x2"] = ReplicatedIndex.open(
-        manifests[2, "hash"], database, distance, replicas=2
-    )
-    yield built
-    mutable.close()
-    built["replicated-2x2"].close()
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    quantile=st.sampled_from([0.1, 0.3, 0.6]),
-    theta=st.sampled_from([2.0, 3.0, 4.0, 6.0, 8.5]),
-    k=st.integers(1, 12),
-    warm=st.booleans(),
-)
-def test_every_sharded_shape_matches_its_reference(
-    sharded_shapes, quantile, theta, k, warm,
-):
-    """Every sharded shape answers like the paper's greedy."""
-    for name, index in sharded_shapes.items():
-        database = index.database
-        q = quartile_relevance(database, quantile=quantile)
-        if not warm:
-            cold(index)
-        got = index.query(q, theta, k)
-        want = baseline_greedy(database, StarDistance(), q, theta, k)
-        assert got.answer == want.answer, name
-        assert got.gains == want.gains, name
-        assert got.covered == want.covered, name
-
-
 def _one_ladder_outcome_per_survivor(coord):
     assert coord["pi_hat_refines"] == (
         coord["refine_prunes"] + coord["partial_scatters"]

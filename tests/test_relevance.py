@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import GraphDatabase, path_graph
 from repro.graphs.relevance import (
@@ -10,6 +12,7 @@ from repro.graphs.relevance import (
     ExpertiseOverlapQuery,
     JaccardTopicQuery,
     WeightedScoreThreshold,
+    _linear_quantile,
     quartile_relevance,
 )
 
@@ -115,3 +118,27 @@ class TestQuartileRelevance:
         q = quartile_relevance(db, dims=[0], quantile=0.5)
         relevant = set(int(i) for i in db.relevant_indices(q))
         assert 3 in relevant and 0 not in relevant
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 0.25, 1 / 3, 1.0]),  # ties
+            st.floats(-1e6, 1e6, allow_nan=False),
+        ),
+        min_size=1, max_size=40,
+    ),
+    q=st.one_of(
+        st.sampled_from([1e-12, 0.25, 0.5, 0.75, 1 - 1e-12, 1 - 2**-53]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+@example(values=[0.5], q=0.75)
+@example(values=[1.0, 0.0], q=1e-12)
+@example(values=[1.0, 0.0], q=1 - 1e-12)
+@example(values=[0.25, 0.25, 1.0, 0.25], q=0.75)
+def test_linear_quantile_is_numpys_quantile_bit_for_bit(values, q):
+    """Ties, n ∈ {1, 2} and q near 0 and 1 included."""
+    values = np.asarray(values)
+    assert _linear_quantile(values.copy(), q) == float(np.quantile(values, q))

@@ -21,23 +21,14 @@ from repro.ged.star import _star_cost_matrix, _StarProfile
 from repro.graphs import (
     GraphDatabase, LabeledGraph, cycle_graph, path_graph, star_graph,
 )
+from tests.strategies import graphs
 
 # ---------------------------------------------------------------------------
-# Hypothesis graph strategy: small random labelled graphs.
+# Hypothesis graphs: small, labelled vertices and edges.
 # ---------------------------------------------------------------------------
 _LABELS = ("C", "N", "O")
-
-
-@st.composite
-def small_graph(draw, max_nodes=6):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    labels = [draw(st.sampled_from(_LABELS)) for _ in range(n)]
-    edges = []
-    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for u, v in possible:
-        if draw(st.booleans()):
-            edges.append((u, v, draw(st.sampled_from(("-", "=")))))
-    return LabeledGraph(labels, edges)
+_EDGE_LABELS = ("-", "=")
+_GRAPHS = graphs(nodes=st.integers(1, 6), edge_labels=_EDGE_LABELS)
 
 
 class TestBasics:
@@ -204,26 +195,26 @@ class TestMetricAxioms:
         assert check_metric_axioms(graphs, StarDistance()) == []
 
     @settings(max_examples=60, deadline=None)
-    @given(small_graph(), small_graph(), small_graph())
+    @given(_GRAPHS, _GRAPHS, _GRAPHS)
     def test_triangle_inequality(self, a, b, c):
         sd = StarDistance()
         assert sd(a, c) <= sd(a, b) + sd(b, c) + 1e-9
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph(), small_graph())
+    @given(_GRAPHS, _GRAPHS)
     def test_symmetry_property(self, a, b):
         sd = StarDistance()
         assert sd(a, b) == pytest.approx(sd(b, a))
 
     @settings(max_examples=40, deadline=None)
-    @given(small_graph())
+    @given(_GRAPHS)
     def test_identity_property(self, g):
         assert StarDistance()(g, g) == 0.0
 
 
 class TestGEDSandwich:
     @settings(max_examples=30, deadline=None)
-    @given(small_graph(max_nodes=5), small_graph(max_nodes=5))
+    @given(graphs(edge_labels=_EDGE_LABELS), graphs(edge_labels=_EDGE_LABELS))
     def test_lower_and_upper_bound_exact_ged(self, a, b):
         exact = ExactGED()(a, b)
         assert star_ged_lower_bound(a, b) <= exact + 1e-9

@@ -10,9 +10,8 @@ is descending ``lo``.  Either way it only decides which verdicts come
 first, so:
 
 * answers (ids, gains, order, coverage) equal ``baseline_greedy`` on a
-  star database and a vector database — a plain index, a four-shard
-  bundle and a mutable two-shard index whose memtable graphs open
-  stranger windows;
+  vector database, a plain index and a four-shard bundle (on the star
+  metric every shape is ``tests/test_oracle.py``'s to referee);
 * a ranking is a permutation of what it is handed and of what the
   lower-bound order makes of it — nothing added or dropped;
 * the order is exactly descending ``lo`` on a vector metric, and
@@ -100,16 +99,6 @@ def _assert_same_as_greedy(distance, shapes, theta, quantile, k):
         assert got.answer == want.answer, (name, theta)
         assert got.gains == want.gains, (name, theta)
         assert got.covered == want.covered, (name, theta)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    theta=st.floats(min_value=0.5, max_value=14.0),
-    quantile=st.sampled_from([0.1, 0.4, 0.7]),
-    k=st.integers(1, 10),
-)
-def test_star_answers_equal_baseline_greedy(star_shapes, theta, quantile, k):
-    _assert_same_as_greedy(*star_shapes, theta, quantile, k)
 
 
 @settings(max_examples=20, deadline=None)
